@@ -4,11 +4,13 @@
 
 GO ?= go
 
-# Chaos sweep width (seeds) and per-target fuzz budget for fuzz-smoke.
+# Chaos sweep width (seeds), per-target fuzz budget for fuzz-smoke, and
+# repeats per machine shape for flake.
 CHAOS_SEEDS ?= 50
 FUZZTIME ?= 30s
+FLAKE_COUNT ?= 5
 
-.PHONY: all build test race bench bench-smoke bench-compare vet lint lint-fixtures govulncheck examples chaos fuzz-smoke obs-smoke
+.PHONY: all build test race bench bench-build bench-smoke bench-compare vet lint lint-fixtures govulncheck examples chaos flake fuzz-smoke obs-smoke audit
 
 # Pinned govulncheck version: reproducible scans, no surprise tool updates.
 GOVULNCHECK_VERSION ?= v1.1.3
@@ -48,7 +50,7 @@ lint-fixtures:
 # test, so the page cache and write combiner run under -race on every
 # gate). Perf is gated separately: run `make bench-compare` alongside
 # this before merging hot-path changes.
-race: lint lint-fixtures
+race: lint lint-fixtures bench-build
 	$(GO) test -race -shuffle=on ./...
 	$(MAKE) chaos
 	$(MAKE) obs-smoke
@@ -60,6 +62,32 @@ race: lint lint-fixtures
 # a failure with CHAOS_SEED=<n> (the failure report prints the command).
 chaos:
 	CHAOS_SEEDS=$(CHAOS_SEEDS) $(GO) test -race -run 'TestChaos' ./internal/core/ ./internal/rpc/
+
+# bench/ is its own module (BENCHMARK.json builds it from its checkout),
+# so `go build ./... && go test ./...` at the root never compiles it:
+# this is the only gate that notices when a change here removes or
+# renames something the benchmark harness uses.
+bench-build:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+# Machine-shape gate for the transport: the rpc and daemon suites,
+# shuffled and repeated, under each GOMAXPROCS a CI box or a laptop is
+# likely to have. A test that reads state before the event that orders
+# it passes on one shape and fails on another; this catches it before
+# it lands.
+flake:
+	@for p in 1 2 4 8; do \
+		echo "flake: GOMAXPROCS=$$p"; \
+		GOMAXPROCS=$$p $(GO) test -shuffle=on -count=$(FLAKE_COUNT) ./internal/rpc/ ./internal/daemon/ || exit 1; \
+	done
+
+# Regenerate the checked-in code ledger AUDIT.md: per package non-test
+# LoC, test LoC (code lines: no blanks, no comments), exported symbols
+# and statement coverage, with totals before (HEAD) and after (the
+# working tree) at the top.
+audit:
+	sh scripts/audit.sh > AUDIT.md.tmp
+	mv AUDIT.md.tmp AUDIT.md
 
 # Short fuzz pass over every native fuzz target (GF(256) algebra, RS
 # round-trip/reconstruction, RPC wire codec). The seed corpora already run

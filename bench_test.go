@@ -237,9 +237,8 @@ func BenchmarkAblationMigration(b *testing.B) {
 					}
 				}
 			}
-			m := pool.Metrics()
-			remote := float64(m.Counter("pool.reads.remote").Value())
-			local := float64(m.Counter("pool.reads.local").Value())
+			reads := pool.Stats().Reads
+			remote, local := float64(reads.RemoteOps), float64(reads.LocalOps)
 			remoteFrac = remote / (remote + local)
 		}
 		b.ReportMetric(remoteFrac, "remote-frac")
@@ -387,9 +386,8 @@ func BenchmarkAblationPlacement(b *testing.B) {
 						b.Fatal(err)
 					}
 				}
-				m := pool.Metrics()
-				local := float64(m.Counter("pool.reads.local").Value())
-				remote := float64(m.Counter("pool.reads.remote").Value())
+				reads := pool.Stats().Reads
+				local, remote := float64(reads.LocalOps), float64(reads.RemoteOps)
 				localFrac = local / (local + remote)
 			}
 			b.ReportMetric(localFrac, "local-frac")

@@ -155,13 +155,7 @@ func runRPCVariant(cfg rpcConfig, pipelined bool) rpcRecord {
 // ops/sec: single runs on a loaded box swing ±20%, and the baseline must
 // not record a lucky outlier that every later -compare loses to.
 func medianRPCVariant(cfg rpcConfig, pipelined bool) rpcRecord {
-	runs := []rpcRecord{
-		runRPCVariant(cfg, pipelined),
-		runRPCVariant(cfg, pipelined),
-		runRPCVariant(cfg, pipelined),
-	}
-	sort.Slice(runs, func(i, j int) bool { return runs[i].OpsPerSec < runs[j].OpsPerSec })
-	return runs[1]
+	return medianOf3(func() rpcRecord { return runRPCVariant(cfg, pipelined) }, func(r rpcRecord) float64 { return r.OpsPerSec })
 }
 
 // runRPCSection measures both variants and computes the headline ratio.
@@ -179,12 +173,7 @@ func runRPCSection(soft bool) []rpcRecord {
 	}
 	fmt.Printf("%-32s %11.2fx vs serialized (floor %.1fx)\n", "rpc pipelining speedup", piped.SpeedupVsSerial, minRPCSpeedup)
 	if piped.SpeedupVsSerial < minRPCSpeedup {
-		msg := fmt.Sprintf("lmpbench: pipelined rpc speedup %.2fx below the %.1fx floor", piped.SpeedupVsSerial, minRPCSpeedup)
-		if !soft {
-			fmt.Fprintln(os.Stderr, msg)
-			os.Exit(1)
-		}
-		fmt.Fprintln(os.Stderr, msg+" (non-blocking in -compare; rerun on quiet hardware)")
+		softFail(soft, fmt.Sprintf("lmpbench: pipelined rpc speedup %.2fx below the %.1fx floor", piped.SpeedupVsSerial, minRPCSpeedup))
 	}
 	if piped.BatchedCalls == 0 {
 		fmt.Fprintln(os.Stderr, "lmpbench: warning: pipelined run coalesced no frames (batching not exercised)")

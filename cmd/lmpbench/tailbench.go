@@ -172,13 +172,7 @@ func runTailVariant(cfg tailConfig, hedged bool) tailRecord {
 // medianTailVariant keeps the median of three runs by p99, so the
 // baseline doesn't record a lucky (or unlucky) outlier.
 func medianTailVariant(cfg tailConfig, hedged bool) tailRecord {
-	runs := []tailRecord{
-		runTailVariant(cfg, hedged),
-		runTailVariant(cfg, hedged),
-		runTailVariant(cfg, hedged),
-	}
-	sort.Slice(runs, func(i, j int) bool { return runs[i].P99NS < runs[j].P99NS })
-	return runs[1]
+	return medianOf3(func() tailRecord { return runTailVariant(cfg, hedged) }, func(r tailRecord) float64 { return r.P99NS })
 }
 
 // runTailSection measures both variants and computes the headline p99
@@ -196,13 +190,8 @@ func runTailSection(soft bool) []tailRecord {
 	fmt.Printf("%-32s %11.2fx p99 vs unhedged (floor %.1fx)\n",
 		"hedged read improvement", hedged.P99ImprovementX, minTailImprovement)
 	if hedged.P99ImprovementX < minTailImprovement {
-		msg := fmt.Sprintf("lmpbench: hedged p99 improvement %.2fx below the %.1fx floor",
-			hedged.P99ImprovementX, minTailImprovement)
-		if !soft {
-			fmt.Fprintln(os.Stderr, msg)
-			os.Exit(1)
-		}
-		fmt.Fprintln(os.Stderr, msg+" (non-blocking in -compare; rerun on quiet hardware)")
+		softFail(soft, fmt.Sprintf("lmpbench: hedged p99 improvement %.2fx below the %.1fx floor",
+			hedged.P99ImprovementX, minTailImprovement))
 	}
 	if hedged.Hedges == 0 {
 		fmt.Fprintln(os.Stderr, "lmpbench: warning: hedged run fired no hedges (tail not exercised)")

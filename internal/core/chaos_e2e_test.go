@@ -143,7 +143,7 @@ func chaosRun(t *testing.T, seed int64, keep []int, corruptAt int) chaosResult {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := chaos.New(eng, chaos.Config{Seed: seed, Metrics: p.Metrics()})
+	in := chaos.New(eng, chaos.Config{Seed: seed, Metrics: p.metrics})
 	in.OnCrash = func(s int) { _ = p.Crash(addr.ServerID(s)) }
 
 	res := chaosResult{}
@@ -357,7 +357,7 @@ func chaosRun(t *testing.T, seed int64, keep []int, corruptAt int) chaosResult {
 
 	res.log = sb.String()
 	res.trace = in.TraceString()
-	res.recoveries = p.Metrics().Counter("pool.recoveries").Value()
+	res.recoveries = p.metrics.Counter("pool.recoveries").Value()
 	return res
 }
 
@@ -549,7 +549,7 @@ func TestChaosCrashDuringWriteRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := sim.NewEngine()
-	in := chaos.New(eng, chaos.Config{Seed: 99, Metrics: p.Metrics()})
+	in := chaos.New(eng, chaos.Config{Seed: 99, Metrics: p.metrics})
 	in.OnCrash = func(s int) { _ = p.Crash(addr.ServerID(s)) }
 
 	b, err := p.AllocProtected(2*SliceSize, 0, failure.Policy{Scheme: failure.ErasureCode, K: 2, M: 1})
@@ -590,7 +590,7 @@ func TestChaosCrashDuringWriteRecovers(t *testing.T) {
 	if !bytes.Equal(got, model) {
 		t.Fatal("crash-during-write sequence diverged from model")
 	}
-	if p.Metrics().Counter("pool.recoveries").Value() == 0 {
+	if p.metrics.Counter("pool.recoveries").Value() == 0 {
 		t.Fatal("no RS reconstruction happened (crash did not land on the hot path)")
 	}
 	if err := p.CheckInvariants(); err != nil {

@@ -18,11 +18,9 @@ import (
 
 // crashInjector is a FabricDelay hook that counts slice-sized transfers
 // and crashes a chosen server when the count crosses a programmed
-// threshold. The engine calls the hook outside every lock (only the
-// Serialized baseline holds locks across it, and these tests never use
-// Serialized mode), so calling p.Crash — which takes p.mu — from inside
-// the hook is safe. All state is atomic because repair workers invoke
-// the hook concurrently.
+// threshold. The engine calls the hook outside every lock, so calling
+// p.Crash — which takes p.mu — from inside the hook is safe. All state
+// is atomic because repair workers invoke the hook concurrently.
 type crashInjector struct {
 	calls  atomic.Int64
 	at     atomic.Int64 // crash when calls crosses this; <0 disarms

@@ -106,7 +106,7 @@ func TestPaperDeploymentEndToEnd(t *testing.T) {
 		t.Fatalf("partials = %d, want one per server", res.ResultMessages)
 	}
 	// Shipping made every byte local.
-	m := pool.Metrics()
+	m := pool.metrics
 	if remote := m.Counter("pool.bytes.read.remote").Value(); remote >= m.Counter("pool.bytes.read.local").Value() {
 		t.Fatalf("shipping did not localize traffic: %d remote vs %d local bytes",
 			remote, m.Counter("pool.bytes.read.local").Value())

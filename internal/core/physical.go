@@ -123,11 +123,6 @@ func NewPhysical(cfg PhysicalConfig) (*PhysicalPool, error) {
 	return p, nil
 }
 
-// Metrics exposes the pool's telemetry registry.
-//
-// Deprecated: use Stats for a typed snapshot.
-func (p *PhysicalPool) Metrics() *telemetry.Registry { return p.metrics }
-
 // PoolBytes reports device capacity.
 func (p *PhysicalPool) PoolBytes() int64 { return p.device.Capacity() }
 

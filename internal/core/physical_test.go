@@ -97,7 +97,7 @@ func TestNoCacheAllReadsRemote(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	m := p.Metrics()
+	m := p.metrics
 	if m.Counter("pool.bytes.read.local").Value() != 0 {
 		t.Fatal("no-cache served local bytes")
 	}
@@ -116,7 +116,7 @@ func TestPinnedCacheHitsAfterWarmup(t *testing.T) {
 	if err := p.Read(0, b.Addr(), buf); err != nil { // warm-up
 		t.Fatal(err)
 	}
-	m := p.Metrics()
+	m := p.metrics
 	warmRemote := m.Counter("pool.bytes.read.remote").Value()
 	if err := p.Read(0, b.Addr(), buf); err != nil { // all cached now
 		t.Fatal(err)
@@ -142,7 +142,7 @@ func TestPinnedCacheNeverEvicts(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	m := p.Metrics()
+	m := p.metrics
 	// Remote: rep1 = 4 pages, rep2 = 2 pages (pinned hits for 0,1).
 	if got := m.Counter("pool.bytes.read.remote").Value(); got != 6*cachePageBytes {
 		t.Fatalf("remote bytes = %d pages", got/cachePageBytes)
@@ -161,7 +161,7 @@ func TestLRUCacheThrashOnCyclicScan(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	m := p.Metrics()
+	m := p.metrics
 	// Cyclic scan over 4 pages with a 2-page LRU: every access misses.
 	if m.Counter("pool.bytes.read.local").Value() != 0 {
 		t.Fatalf("LRU cyclic scan got %d local bytes, want 0",
@@ -179,7 +179,7 @@ func TestLRUCacheHitsWhenFitting(t *testing.T) {
 	if err := p.Read(0, b.Addr(), buf); err != nil {
 		t.Fatal(err)
 	}
-	m := p.Metrics()
+	m := p.metrics
 	before := m.Counter("pool.bytes.read.remote").Value()
 	if err := p.Read(0, b.Addr(), buf); err != nil {
 		t.Fatal(err)

@@ -105,9 +105,9 @@ type Config struct {
 	// and WithRepairParallelism).
 	Repair RepairConfig
 	// Tail tunes tail tolerance: deadline budgets, admission control,
-	// per-server circuit breakers, hedged replica reads (see tail.go and
-	// the WithDeadlineBudget / WithAdmissionLimit / WithBreaker /
-	// WithHedging options). The zero value disables all of it.
+	// per-server circuit breakers (see tail.go and the
+	// WithDeadlineBudget / WithAdmissionLimit / WithBreaker options).
+	// The zero value disables all of it.
 	Tail TailConfig
 }
 
@@ -454,14 +454,6 @@ func (p *Pool) isDead(s addr.ServerID) bool {
 
 // Servers reports the number of pool servers.
 func (p *Pool) Servers() int { return len(p.nodes) }
-
-// Metrics exposes the pool's telemetry registry.
-//
-// Deprecated: Metrics leaks the internal registry and its string-keyed
-// counters into caller code. Use Stats for a typed snapshot, TraceSpans
-// for recorded spans, or the daemon's /metrics endpoint for Prometheus
-// exposition.
-func (p *Pool) Metrics() *telemetry.Registry { return p.metrics }
 
 // Directory exposes the coherent region's coherence engine.
 func (p *Pool) Directory() *coherence.Directory { return p.dir }

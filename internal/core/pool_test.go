@@ -246,11 +246,11 @@ func TestBalancerMovesHotData(t *testing.T) {
 		t.Fatalf("owner after balancing = %v, %v", owner, err)
 	}
 	// Accesses from server 3 are now local.
-	before := p.Metrics().Counter("pool.reads.local").Value()
+	before := p.metrics.Counter("pool.reads.local").Value()
 	if err := p.Read(3, b.Addr(), buf); err != nil {
 		t.Fatal(err)
 	}
-	if p.Metrics().Counter("pool.reads.local").Value() != before+1 {
+	if p.metrics.Counter("pool.reads.local").Value() != before+1 {
 		t.Fatal("post-migration access not local")
 	}
 }
@@ -397,7 +397,7 @@ func TestMetricsDistinguishLocality(t *testing.T) {
 	if err := p.Read(1, b.Addr(), buf); err != nil { // remote
 		t.Fatal(err)
 	}
-	m := p.Metrics()
+	m := p.metrics
 	if m.Counter("pool.reads.local").Value() != 1 || m.Counter("pool.reads.remote").Value() != 1 {
 		t.Fatalf("locality counters: local=%d remote=%d",
 			m.Counter("pool.reads.local").Value(), m.Counter("pool.reads.remote").Value())

@@ -79,7 +79,7 @@ func TestReplicationMasksCrash(t *testing.T) {
 	if owner == 0 {
 		t.Fatal("slice still owned by dead server")
 	}
-	if p.Metrics().Counter("pool.recoveries").Value() == 0 {
+	if p.metrics.Counter("pool.recoveries").Value() == 0 {
 		t.Fatal("no recoveries counted")
 	}
 }

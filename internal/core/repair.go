@@ -39,16 +39,10 @@ type RepairConfig struct {
 	// reconstruction across. 0 or 1 repairs serially in slice-table
 	// order — the deterministic default the chaos harness replays.
 	Parallelism int
-	// Serialized restores the pre-engine migration protocol for A/B
-	// measurement: the whole slice copy runs inside the structural and
-	// stripe write locks instead of the two-phase pre-copy + dirty-delta
-	// commit. Repair is unaffected. lmpbench uses this as the baseline
-	// for the foreground-stall comparison.
-	Serialized bool
 	// FabricDelay, when non-nil, is invoked once per slice-sized
 	// transfer the engine issues (repair shard reads, migration bulk
-	// copies), outside any lock on the pipelined paths. lmpbench injects
-	// a sleep here to model fabric RTT; production configs leave it nil.
+	// copies), outside any lock. lmpbench injects a sleep here to model
+	// fabric RTT; production configs leave it nil.
 	FabricDelay func()
 }
 
@@ -845,9 +839,7 @@ func (p *Pool) repairParity(deadSrv addr.ServerID, b *Buffer, si, m int) error {
 //	commit    p.mu + stripe      copy the dirty delta, rebind, free old
 //
 // so the stripe write-lock hold shrinks from O(SliceSize + 2 RPCs) to
-// O(dirty delta). With cfg.Repair.Serialized the pre-copy phase
-// disappears and the whole copy runs inside the write locks — the
-// measured baseline.
+// O(dirty delta).
 //
 //lmp:commitwindow
 func (p *Pool) moveOneCommitted(sc telemetry.SpanContext, s uint64, back *sliceBacking, to addr.ServerID) error {
@@ -880,10 +872,6 @@ func (p *Pool) moveOneCommitted(sc telemetry.SpanContext, s uint64, back *sliceB
 		return fmt.Errorf("core: migrate slice %d to %d: %w", s, to, err)
 	}
 	p.mu.Unlock()
-
-	if p.cfg.Repair.Serialized {
-		return p.moveSerialized(s, back, to, newOff)
-	}
 
 	lock := p.stripeFor(s)
 	lock.Lock()
@@ -994,40 +982,4 @@ func (p *Pool) commitMove(s uint64, back *sliceBacking, to addr.ServerID, newOff
 	p.metrics.Counter("pool.migrations.commit_bytes").Add(uint64(delta))
 	p.mu.Unlock()
 	return delta, nil
-}
-
-// moveSerialized is the measured baseline: the whole copy inside the
-// structural and stripe write locks, as the pre-engine migration did,
-// so foreground access to the slice stalls for the full transfer.
-//
-//lmp:commitwindow
-func (p *Pool) moveSerialized(s uint64, back *sliceBacking, to addr.ServerID, newOff int64) error {
-	scratch := getSliceBuf()
-	defer putSliceBuf(scratch)
-	buf := (*scratch)[:SliceSize]
-	lock := p.stripeFor(s)
-	p.mu.Lock()
-	lock.Lock()
-	abort := func(err error) error {
-		lock.Unlock()
-		p.freeBackingLocked(to, newOff)
-		p.mu.Unlock()
-		return err
-	}
-	if p.lookupSlice(s) != back || p.isDead(back.server) || p.isDead(to) {
-		return abort(fmt.Errorf("%w: slice %d", errMoveStale, s))
-	}
-	if err := p.nodes[back.server].ReadAt(buf, back.offset); err != nil {
-		return abort(err)
-	}
-	p.fabricDelay() // the transfer cost lands inside the lock: that is the baseline
-	if err := p.nodes[to].WriteAt(buf, newOff); err != nil {
-		return abort(err)
-	}
-	if err := p.rebindLocked(s, back, to, newOff); err != nil {
-		return abort(err)
-	}
-	lock.Unlock()
-	p.mu.Unlock()
-	return nil
 }

@@ -38,7 +38,7 @@ func TestRepairRestoresReplicaTolerance(t *testing.T) {
 	if got := b.copies[0][0].Server; got == replicaSrv || p.isDead(got) {
 		t.Fatalf("replica not re-homed: still on server %d", got)
 	}
-	if n := p.Metrics().Counter("pool.repair.protection_blocks").Value(); n == 0 {
+	if n := p.metrics.Counter("pool.repair.protection_blocks").Value(); n == 0 {
 		t.Fatal("no protection blocks counted as repaired")
 	}
 	if err := p.CheckInvariants(); err != nil {

@@ -1,10 +1,10 @@
 // Tail tolerance for the in-process data path: per-op deadline budgets,
 // a bounded foreground admission budget, and per-server circuit breakers
 // that shed replica-protected reads away from degraded (slow-but-alive)
-// owners. The state machines live in internal/rpc (tail.go there) so the
-// live daemon transport and the in-process pool share one breaker and
-// one error contract; this file wires them into the pool's entry points
-// and the locked access path.
+// owners. The breaker state machine and the sentinels live in
+// internal/rpc (tail.go there) so the transport and the in-process pool
+// share one error contract; this file wires them into the pool's entry
+// points and the locked access path.
 //
 // Lock order note: a breaker's mutex is a leaf — the read path consults
 // it while holding a stripe lock (accessSliceOnce), and the breaker
@@ -40,37 +40,6 @@ var (
 	ErrServerDegraded = rpc.ErrServerDegraded
 )
 
-// HedgeConfig tunes hedged replica reads for the live transport stack
-// (see daemon.TailCaller and rpc.Hedger): the adaptive hedge delay is
-// the tracked per-server latency quantile times Multiplier, clamped to
-// [MinDelay, MaxDelay]. In-process, reads are synchronous memory copies
-// with no wait to hedge against; there the breaker sheds whole reads to
-// replicas instead (see readDegradedLocked), driven by the same
-// latency-quantile machinery.
-type HedgeConfig struct {
-	// Enabled turns hedging on (WithHedging sets it).
-	Enabled bool
-	// Quantile of primary latency the hedge delay adapts to. Default 0.95.
-	Quantile float64
-	// Multiplier scales the quantile estimate. Default 2.
-	Multiplier float64
-	// MinDelay floors the hedge delay. Default 100µs.
-	MinDelay time.Duration
-	// MaxDelay caps the hedge delay (and is the cold-start delay).
-	// Default 100ms.
-	MaxDelay time.Duration
-}
-
-// Policy renders the config as the transport-level hedge policy.
-func (h HedgeConfig) Policy() rpc.HedgePolicy {
-	return rpc.HedgePolicy{
-		Quantile:   h.Quantile,
-		Multiplier: h.Multiplier,
-		MinDelay:   h.MinDelay,
-		MaxDelay:   h.MaxDelay,
-	}
-}
-
 // TailConfig is the tail-tolerance knob block (Config.Tail). The zero
 // value disables everything, leaving the data path exactly as fast as
 // before: no admission check, no budget materialization, no breakers.
@@ -90,9 +59,6 @@ type TailConfig struct {
 	// an open breaker sheds replica-protected reads to a live copy and
 	// fails unprotected reads fast with ErrServerDegraded.
 	Breaker rpc.BreakerPolicy
-	// Hedge configures hedged replica reads for the live transport
-	// stack; see HedgeConfig.
-	Hedge HedgeConfig
 	// NowNS is the clock feeding budgets and breakers; nil means the
 	// wall clock. Deterministic tests inject the sim clock.
 	NowNS func() int64
@@ -100,7 +66,7 @@ type TailConfig struct {
 
 // enabled reports whether any tail feature is on.
 func (t *TailConfig) enabled() bool {
-	return t.OpBudget > 0 || t.AdmissionLimit > 0 || t.Breaker.Enabled() || t.Hedge.Enabled
+	return t.OpBudget > 0 || t.AdmissionLimit > 0 || t.Breaker.Enabled()
 }
 
 // tailState is the pool's runtime tail-tolerance state. All fields are
@@ -213,7 +179,7 @@ func (p *Pool) BreakerCounters(s addr.ServerID) rpc.BreakerCounters {
 }
 
 // ReportAccess feeds one externally observed access outcome against
-// server s into its breaker — the hook for transport glue and tests;
+// server s into its breaker — the hook for tests and external probes;
 // the locked access path feeds itself via recordTailAccess.
 func (p *Pool) ReportAccess(s addr.ServerID, d time.Duration, err error) {
 	if b := p.breakerFor(s); b != nil {

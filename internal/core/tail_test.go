@@ -125,7 +125,7 @@ func TestTailAdmissionControl(t *testing.T) {
 			t.Fatalf("%s: core and rpc overload sentinels diverged", op.name)
 		}
 	}
-	if got := p.Metrics().Counter("pool.sheds").Value(); got != uint64(len(ops)) {
+	if got := p.metrics.Counter("pool.sheds").Value(); got != uint64(len(ops)) {
 		t.Fatalf("pool.sheds = %d, want %d", got, len(ops))
 	}
 
@@ -211,7 +211,7 @@ func TestTailAdmissionStress(t *testing.T) {
 	if total := ok.Load() + shed.Load(); total != workers*opsEach {
 		t.Fatalf("ops accounted = %d, want %d", total, workers*opsEach)
 	}
-	if got := p.Metrics().Counter("pool.sheds").Value(); got != uint64(shed.Load()) {
+	if got := p.metrics.Counter("pool.sheds").Value(); got != uint64(shed.Load()) {
 		t.Fatalf("pool.sheds = %d, callers saw %d sheds", got, shed.Load())
 	}
 }
@@ -380,7 +380,7 @@ func TestTailReplicaShedOnOpenBreaker(t *testing.T) {
 	if !bytes.Equal(got, data) {
 		t.Fatal("replica shed returned wrong bytes")
 	}
-	sheds := p.Metrics().Counter("pool.reads.replica_shed").Value()
+	sheds := p.metrics.Counter("pool.reads.replica_shed").Value()
 	if sheds == 0 {
 		t.Fatal("no replica shed recorded for a degraded-owner read")
 	}
@@ -410,7 +410,7 @@ func TestTailReplicaShedOnOpenBreaker(t *testing.T) {
 	if !errors.Is(err, ErrServerDegraded) {
 		t.Fatalf("all servers degraded: got %v, want ErrServerDegraded", err)
 	}
-	if fails := p.Metrics().Counter("pool.reads.degraded_fail").Value(); fails == 0 {
+	if fails := p.metrics.Counter("pool.reads.degraded_fail").Value(); fails == 0 {
 		t.Fatal("degraded fail not counted")
 	}
 

@@ -13,8 +13,7 @@ import (
 func encodeBatchEnvelope(entries []sendEntry) []byte {
 	var body []byte
 	for i := range entries {
-		e := &entries[i]
-		body = appendSubFrame(body, e.kind, e.method, e.id, e.budget, e.sc, e.payload)
+		body = append(appendFrame(body, &entries[i]), entries[i].payload...)
 	}
 	buf := []byte{kindBatch, 0}
 	buf = binary.BigEndian.AppendUint64(buf, uint64(len(entries)))

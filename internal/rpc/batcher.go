@@ -167,22 +167,15 @@ func (b *batcher) flushLoop() {
 }
 
 // writeBatch writes the drained entries: runs of small frames coalesce
-// into batch envelopes, large frames go out bare, and a lone frame is
-// sent in the pre-batch wire format.
+// into batch envelopes; large frames and a lone frame go out bare.
 func (b *batcher) writeBatch(entries []sendEntry) error {
 	for start := 0; start < len(entries); {
 		e := &entries[start]
-		if len(e.payload) > batchEntryMax {
-			if err := b.writeOne(e); err != nil {
-				return err
-			}
-			start++
-			continue
-		}
-		// Grow a run of batchable frames within the count/byte budgets.
+		// Grow a run of batchable frames within the count/byte budgets; a
+		// frame too large to batch is a run of one.
 		end := start + 1
 		run := e.encodedLen()
-		for end < len(entries) && end-start < maxBatchFrames {
+		for len(e.payload) <= batchEntryMax && end < len(entries) && end-start < maxBatchFrames {
 			n := &entries[end]
 			if len(n.payload) > batchEntryMax || run+n.encodedLen() > maxBatchBytes {
 				break
@@ -202,34 +195,29 @@ func (b *batcher) writeBatch(entries []sendEntry) error {
 		buf = binary.BigEndian.AppendUint64(buf, uint64(end-start))
 		buf = binary.BigEndian.AppendUint32(buf, uint32(run))
 		for i := start; i < end; i++ {
-			s := &entries[i]
-			buf = appendSubFrame(buf, s.kind, s.method, s.id, s.budget, s.sc, s.payload)
+			buf = append(appendFrame(buf, &entries[i]), entries[i].payload...)
 		}
 		b.buf = buf[:0] // retain capacity for the next flush
-		if _, err := b.w.Write(buf); err != nil {
-			return err
-		}
+		// Count before writing: a caller woken by the reply to a frame in
+		// this batch must find the batch in the stats. A failed write
+		// overcounts by one on a connection that is dead anyway.
 		b.framesSent.Add(1)
 		b.batchesSent.Add(1)
 		b.batchedSends.Add(uint64(end - start))
 		if n := uint64(end - start); n > b.maxBatch.Load() {
 			b.maxBatch.Store(n) // flusher-only writer; no CAS needed
 		}
+		if _, err := b.w.Write(buf); err != nil {
+			return err
+		}
 		start = end
 	}
 	return nil
 }
 
-// writeOne sends a single entry in the pre-batch wire format.
+// writeOne sends a single entry bare, counted before the write for the
+// same reason as a batch.
 func (b *batcher) writeOne(e *sendEntry) error {
-	var err error
-	if prefixLen(e.kind) > 0 {
-		err = writePrefixedFrame(b.w, e.kind, e.method, e.id, e.budget, e.sc, e.payload)
-	} else {
-		err = writeFrame(b.w, e.kind, e.method, e.id, e.payload)
-	}
-	if err == nil {
-		b.framesSent.Add(1)
-	}
-	return err
+	b.framesSent.Add(1)
+	return writeFrame(b.w, e)
 }

@@ -16,7 +16,8 @@
 // A batch frame's id field carries the sub-frame count, so a decoder can
 // cross-check the envelope against its contents; batches never nest, and
 // a batch carries at least two sub-frames (a single queued frame is sent
-// bare for wire compatibility with pre-batch peers).
+// bare — an envelope around it would only add a second header — and
+// decodeBatch rejects a count below two).
 package rpc
 
 import (
@@ -50,17 +51,27 @@ const traceHeaderLen = 16
 // exhausted budget fails client-side before a frame is built).
 const budgetHeaderLen = 8
 
+// requestMeta is the one table of request kinds: which metadata a kind
+// embeds as a payload prefix (budget first, then trace) and how long
+// that prefix is. ok is false for every non-request kind.
+func requestMeta(kind byte) (budgeted, traced bool, prefix int, ok bool) {
+	switch kind {
+	case kindRequest:
+		return false, false, 0, true
+	case kindTracedRequest:
+		return false, true, traceHeaderLen, true
+	case kindBudgetRequest:
+		return true, false, budgetHeaderLen, true
+	case kindTracedBudgetRequest:
+		return true, true, budgetHeaderLen + traceHeaderLen, true
+	}
+	return false, false, 0, false
+}
+
 // prefixLen is the metadata prefix a request kind embeds in its payload.
 func prefixLen(kind byte) int {
-	switch kind {
-	case kindTracedRequest:
-		return traceHeaderLen
-	case kindBudgetRequest:
-		return budgetHeaderLen
-	case kindTracedBudgetRequest:
-		return budgetHeaderLen + traceHeaderLen
-	}
-	return 0
+	_, _, n, _ := requestMeta(kind)
+	return n
 }
 
 // MaxPayload bounds a frame payload (16 MiB), protecting against corrupt
@@ -88,66 +99,62 @@ var framePool = sync.Pool{New: func() any {
 // bytes twice.
 const frameCoalesceMax = 64 << 10
 
-func writeFrame(w io.Writer, kind, method byte, id uint64, payload []byte) error {
-	if len(payload) > MaxPayload {
-		return fmt.Errorf("rpc: payload %d exceeds max %d", len(payload), MaxPayload)
+// appendFrame appends e's fixed header and the metadata prefix its kind
+// calls for — everything of the frame, bare or inside a batch, except
+// the payload, which the caller appends or writes straight after.
+func appendFrame(buf []byte, e *sendEntry) []byte {
+	budgeted, traced, prefix, _ := requestMeta(e.kind)
+	buf = append(buf, e.kind, e.method)
+	buf = binary.BigEndian.AppendUint64(buf, e.id)
+	buf = binary.BigEndian.AppendUint32(buf, uint32(prefix+len(e.payload)))
+	if budgeted {
+		buf = binary.BigEndian.AppendUint64(buf, uint64(e.budget))
 	}
-	bp := framePool.Get().(*[]byte)
-	buf := append((*bp)[:0], kind, method)
-	buf = binary.BigEndian.AppendUint64(buf, id)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(payload)))
-	if len(payload) > frameCoalesceMax {
-		// Large payload: header-then-payload; two writes cost less than
-		// copying the bytes into the frame buffer.
-		if _, err := w.Write(buf); err != nil {
-			*bp = buf[:0]
-			framePool.Put(bp)
-			return err
-		}
-		_, err := w.Write(payload)
-		*bp = buf[:0]
-		framePool.Put(bp)
-		return err
+	if traced {
+		buf = binary.BigEndian.AppendUint64(buf, e.sc.Trace)
+		buf = binary.BigEndian.AppendUint64(buf, e.sc.Span)
 	}
-	buf = append(buf, payload...)
-	_, err := w.Write(buf)
-	*bp = buf[:0]
-	framePool.Put(bp)
-	return err
+	return buf
 }
 
-// writePrefixedFrame writes a request frame whose kind embeds a metadata
-// prefix in the payload: the deadline budget (kinds 6 and 7) and/or the
-// caller's span identity (kinds 4 and 7).
-func writePrefixedFrame(w io.Writer, kind, method byte, id uint64, budget int64, sc telemetry.SpanContext, payload []byte) error {
-	prefix := prefixLen(kind)
-	if len(payload)+prefix > MaxPayload {
-		return fmt.Errorf("rpc: payload %d exceeds max %d", len(payload), MaxPayload-prefix)
+// decodePrefix is appendFrame's inverse for the metadata prefix: it
+// splits a request frame's payload into the deadline budget, the
+// caller's span identity and the request payload proper. ok is false
+// for a non-request kind or a payload shorter than the kind's prefix.
+func decodePrefix(kind byte, payload []byte) (budget int64, sc telemetry.SpanContext, rest []byte, ok bool) {
+	budgeted, traced, prefix, ok := requestMeta(kind)
+	if !ok || len(payload) < prefix {
+		return 0, sc, nil, false
+	}
+	if budgeted {
+		budget = int64(binary.BigEndian.Uint64(payload))
+		payload = payload[budgetHeaderLen:]
+	}
+	if traced {
+		sc.Trace = binary.BigEndian.Uint64(payload[0:8])
+		sc.Span = binary.BigEndian.Uint64(payload[8:16])
+		payload = payload[traceHeaderLen:]
+	}
+	return budget, sc, payload, true
+}
+
+// writeFrame writes e bare (not inside a batch envelope).
+func writeFrame(w io.Writer, e *sendEntry) error {
+	if limit := MaxPayload - prefixLen(e.kind); len(e.payload) > limit {
+		return fmt.Errorf("rpc: payload %d exceeds max %d", len(e.payload), limit)
 	}
 	bp := framePool.Get().(*[]byte)
-	buf := append((*bp)[:0], kind, method)
-	buf = binary.BigEndian.AppendUint64(buf, id)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(prefix+len(payload)))
-	if kind == kindBudgetRequest || kind == kindTracedBudgetRequest {
-		buf = binary.BigEndian.AppendUint64(buf, uint64(budget))
+	buf := appendFrame((*bp)[:0], e)
+	// Large payload: header-then-payload; two writes cost less than
+	// copying the bytes into the frame buffer.
+	large := len(e.payload) > frameCoalesceMax
+	if !large {
+		buf = append(buf, e.payload...)
 	}
-	if kind == kindTracedRequest || kind == kindTracedBudgetRequest {
-		buf = binary.BigEndian.AppendUint64(buf, sc.Trace)
-		buf = binary.BigEndian.AppendUint64(buf, sc.Span)
-	}
-	if len(payload) > frameCoalesceMax {
-		if _, err := w.Write(buf); err != nil {
-			*bp = buf[:0]
-			framePool.Put(bp)
-			return err
-		}
-		_, err := w.Write(payload)
-		*bp = buf[:0]
-		framePool.Put(bp)
-		return err
-	}
-	buf = append(buf, payload...)
 	_, err := w.Write(buf)
+	if err == nil && large {
+		_, err = w.Write(e.payload)
+	}
 	*bp = buf[:0]
 	framePool.Put(bp)
 	return err
@@ -172,23 +179,6 @@ func readFrame(r io.Reader) (frameHeader, []byte, error) {
 		return frameHeader{}, nil, err
 	}
 	return h, payload, nil
-}
-
-// appendSubFrame encodes one sub-frame into a batch assembly buffer. A
-// prefixed sub-frame (traced and/or budget) carries its metadata exactly
-// like the top-level kind would: as a payload prefix.
-func appendSubFrame(buf []byte, kind, method byte, id uint64, budget int64, sc telemetry.SpanContext, payload []byte) []byte {
-	buf = append(buf, kind, method)
-	buf = binary.BigEndian.AppendUint64(buf, id)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(prefixLen(kind)+len(payload)))
-	if kind == kindBudgetRequest || kind == kindTracedBudgetRequest {
-		buf = binary.BigEndian.AppendUint64(buf, uint64(budget))
-	}
-	if kind == kindTracedRequest || kind == kindTracedBudgetRequest {
-		buf = binary.BigEndian.AppendUint64(buf, sc.Trace)
-		buf = binary.BigEndian.AppendUint64(buf, sc.Span)
-	}
-	return append(buf, payload...)
 }
 
 // decodeBatch walks a kindBatch payload, calling visit once per sub-frame

@@ -12,7 +12,7 @@ import (
 func TestWriteFrameAllocFree(t *testing.T) {
 	payload := make([]byte, 512)
 	if n := testing.AllocsPerRun(200, func() {
-		if err := writeFrame(io.Discard, kindRequest, 1, 7, payload); err != nil {
+		if err := writeFrame(io.Discard, &sendEntry{kind: kindRequest, method: 1, id: 7, payload: payload}); err != nil {
 			t.Fatal(err)
 		}
 	}); n != 0 {
@@ -22,7 +22,7 @@ func TestWriteFrameAllocFree(t *testing.T) {
 	// not allocate either.
 	big := make([]byte, frameCoalesceMax+1)
 	if n := testing.AllocsPerRun(50, func() {
-		if err := writeFrame(io.Discard, kindRequest, 1, 7, big); err != nil {
+		if err := writeFrame(io.Discard, &sendEntry{kind: kindRequest, method: 1, id: 7, payload: big}); err != nil {
 			t.Fatal(err)
 		}
 	}); n != 0 {

@@ -15,8 +15,8 @@ func FuzzFrameRoundTrip(f *testing.F) {
 	f.Add(byte(kindError), byte(7), ^uint64(0), []byte{0x00, 0xFF})
 	f.Fuzz(func(t *testing.T, kind, method byte, id uint64, payload []byte) {
 		var buf bytes.Buffer
-		if err := writeFrame(&buf, kind, method, id, payload); err != nil {
-			if len(payload) > MaxPayload {
+		if err := writeFrame(&buf, &sendEntry{kind: kind, method: method, id: id, payload: payload}); err != nil {
+			if len(payload) > MaxPayload-prefixLen(kind) {
 				return // the documented rejection
 			}
 			t.Fatalf("writeFrame rejected a legal frame: %v", err)
@@ -27,6 +27,15 @@ func FuzzFrameRoundTrip(f *testing.F) {
 		}
 		if h.kind != kind || h.method != method || h.id != id {
 			t.Fatalf("header %+v, want kind=%d method=%d id=%d", h, kind, method, id)
+		}
+		if prefixLen(kind) > 0 {
+			// A prefixed request kind reads back with its metadata (the
+			// entry's zero budget and span) ahead of the payload.
+			budget, sc, rest, ok := decodePrefix(kind, got)
+			if !ok || budget != 0 || sc.Traced() {
+				t.Fatalf("prefix of kind %d decoded ok=%v budget=%d sc=%+v, want zero metadata", kind, ok, budget, sc)
+			}
+			got = rest
 		}
 		if !bytes.Equal(got, payload) {
 			t.Fatalf("payload corrupted: wrote %d bytes, read %d", len(payload), len(got))
@@ -42,7 +51,7 @@ func FuzzFrameRoundTrip(f *testing.F) {
 // re-encode to the bytes it consumed.
 func FuzzReadFrame(f *testing.F) {
 	var seed bytes.Buffer
-	_ = writeFrame(&seed, kindRequest, 3, 42, []byte("seed"))
+	_ = writeFrame(&seed, &sendEntry{kind: kindRequest, method: 3, id: 42, payload: []byte("seed")})
 	f.Add(seed.Bytes())
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xFF}, 20))
@@ -55,8 +64,15 @@ func FuzzReadFrame(f *testing.F) {
 		if int(h.length) != len(payload) || h.length > MaxPayload {
 			t.Fatalf("accepted frame with length %d but %d payload bytes", h.length, len(payload))
 		}
+		e := sendEntry{kind: h.kind, method: h.method, id: h.id, payload: payload}
+		if prefixLen(h.kind) > 0 {
+			var ok bool
+			if e.budget, e.sc, e.payload, ok = decodePrefix(h.kind, payload); !ok {
+				return // shorter than its kind's prefix: dispatch rejects it, the encoder never emits it
+			}
+		}
 		var re bytes.Buffer
-		if err := writeFrame(&re, h.kind, h.method, h.id, payload); err != nil {
+		if err := writeFrame(&re, &e); err != nil {
 			t.Fatalf("re-encode of accepted frame failed: %v", err)
 		}
 		consumed := len(data) - r.Len()
@@ -105,7 +121,7 @@ func FuzzReadFrameTruncation(f *testing.F) {
 			return
 		}
 		var buf bytes.Buffer
-		if err := writeFrame(&buf, kindRequest, method, id, payload); err != nil {
+		if err := writeFrame(&buf, &sendEntry{kind: kindRequest, method: method, id: id, payload: payload}); err != nil {
 			t.Fatal(err)
 		}
 		raw := buf.Bytes()

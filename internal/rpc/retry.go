@@ -42,17 +42,12 @@ var (
 	ErrServerDegraded = errors.New("rpc: server degraded")
 )
 
-// Transport is the minimal call surface: one blocking request/response
-// exchange. *Client implements it, as do fault-injecting and retrying
-// wrappers, so the layers compose.
-type Transport interface {
-	Call(method byte, payload []byte) ([]byte, error)
-}
-
-// Caller is Transport plus cancellation. *Client and *Retrier implement
-// it; the daemon client accepts any Caller so chaos layers can interpose.
+// Caller is the blocking call surface: one request/response exchange,
+// with and without cancellation. *Client implements it, as do the
+// fault-injecting, retrying and hedging wrappers, so the layers compose;
+// the daemon client accepts any Caller so chaos layers can interpose.
 type Caller interface {
-	Transport
+	Call(method byte, payload []byte) ([]byte, error)
 	CallCtx(ctx context.Context, method byte, payload []byte) ([]byte, error)
 }
 
@@ -112,7 +107,7 @@ func (r *Retrier) Retries() uint64 { return r.retries.Load() }
 // the faults that never surfaced to callers.
 func (r *Retrier) Healed() uint64 { return r.healed.Load() }
 
-// Call is Transport.Call with retry.
+// Call is Caller.Call with retry.
 func (r *Retrier) Call(method byte, payload []byte) ([]byte, error) {
 	return r.CallCtx(nil, method, payload)
 }

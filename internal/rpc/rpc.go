@@ -23,7 +23,6 @@ package rpc
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -199,23 +198,20 @@ func (s *Server) serveConn(conn net.Conn) {
 		if err != nil {
 			return
 		}
-		switch h.kind {
-		case kindRequest, kindTracedRequest, kindBudgetRequest, kindTracedBudgetRequest:
+		if h.kind != kindBatch {
 			if !s.dispatch(h, payload, true, out) {
-				return
-			}
-		case kindBatch:
-			s.batches.Add(1)
-			err := decodeBatch(payload, h.id, func(sh frameHeader, sub []byte) error {
-				if !s.dispatch(sh, sub, false, out) {
-					return fmt.Errorf("rpc: bad sub-frame kind %d", sh.kind)
-				}
-				return nil
-			})
-			if err != nil {
 				return // protocol violation
 			}
-		default:
+			continue
+		}
+		s.batches.Add(1)
+		err = decodeBatch(payload, h.id, func(sh frameHeader, sub []byte) error {
+			if !s.dispatch(sh, sub, false, out) {
+				return fmt.Errorf("rpc: bad sub-frame kind %d", sh.kind)
+			}
+			return nil
+		})
+		if err != nil {
 			return // protocol violation
 		}
 	}
@@ -223,41 +219,19 @@ func (s *Server) serveConn(conn net.Conn) {
 
 // dispatch validates one request frame (bare or batched) and runs its
 // handler in a goroutine, queueing the reply on out. It returns false on
-// a protocol violation (non-request kind, short traced payload). owned
-// says the payload buffer belongs to this frame; a batched sub-frame's
-// payload aliases the envelope buffer and must be copied before the
-// handler goroutine outlives the read loop's iteration.
+// a protocol violation (non-request kind, payload shorter than the
+// kind's metadata prefix). owned says the payload buffer belongs to this
+// frame; a batched sub-frame's payload aliases the envelope buffer and
+// must be copied before the handler goroutine outlives the read loop's
+// iteration.
 func (s *Server) dispatch(h frameHeader, payload []byte, owned bool, out *batcher) bool {
-	var sc telemetry.SpanContext
-	var budget int64
-	var arrived time.Time
-	switch h.kind {
-	case kindRequest:
-	case kindTracedRequest:
-		if len(payload) < traceHeaderLen {
-			return false
-		}
-		sc.Trace = binary.BigEndian.Uint64(payload[0:8])
-		sc.Span = binary.BigEndian.Uint64(payload[8:16])
-		payload = payload[traceHeaderLen:]
-	case kindBudgetRequest:
-		if len(payload) < budgetHeaderLen {
-			return false
-		}
-		budget = int64(binary.BigEndian.Uint64(payload[0:8]))
-		payload = payload[budgetHeaderLen:]
-		arrived = time.Now()
-	case kindTracedBudgetRequest:
-		if len(payload) < budgetHeaderLen+traceHeaderLen {
-			return false
-		}
-		budget = int64(binary.BigEndian.Uint64(payload[0:8]))
-		sc.Trace = binary.BigEndian.Uint64(payload[8:16])
-		sc.Span = binary.BigEndian.Uint64(payload[16:24])
-		payload = payload[budgetHeaderLen+traceHeaderLen:]
-		arrived = time.Now()
-	default:
+	budget, sc, payload, ok := decodePrefix(h.kind, payload)
+	if !ok {
 		return false
+	}
+	var arrived time.Time
+	if budget != 0 {
+		arrived = time.Now()
 	}
 	s.mu.Lock()
 	handler := s.handlers[h.method]
@@ -282,31 +256,25 @@ func (s *Server) dispatch(h frameHeader, payload []byte, owned bool, out *batche
 			}
 			sp = tracer.Begin(sc, name)
 		}
-		var kind byte
 		var resp []byte
 		var herr error
-		if budget != 0 && (budget <= 0 || time.Since(arrived).Nanoseconds() >= budget) {
+		switch {
+		case budget != 0 && (budget <= 0 || time.Since(arrived).Nanoseconds() >= budget):
 			// The propagated deadline budget was spent before this request
 			// reached dispatch (queueing behind slow peers or a long accept
 			// backlog): reject without running the handler, so an overloaded
 			// server stops burning work the caller has already given up on.
 			herr = errBudgetSpent
-			kind = kindError
-			resp = encodeErrorPayload(herr)
 			s.budgetExpired.Add(1)
-		} else if handler == nil {
+		case handler == nil:
 			herr = fmt.Errorf("rpc: no handler for method %d", h.method)
+		default:
+			resp, herr = handler(payload)
+		}
+		kind := byte(kindResponse)
+		if herr != nil {
 			kind = kindError
 			resp = encodeErrorPayload(herr)
-		} else if out, err := handler(payload); err != nil {
-			herr = err
-			kind = kindError
-			resp = encodeErrorPayload(err)
-		} else {
-			kind = kindResponse
-			resp = out
-		}
-		if herr != nil {
 			s.errs[h.method].Add(1)
 			if errCount != nil {
 				errCount.Inc()
@@ -365,19 +333,16 @@ type pendingTable struct {
 // counters — the leak check surface for the stress suite: after every
 // issued call resolves, Pending is zero and Completed equals Started.
 // Shed counts admission-control rejections (never registered, so they
-// appear in neither Started nor Completed); Hedges and BreakerFastFails
-// mirror the tail-tolerance wrappers that report through this client.
+// appear in neither Started nor Completed).
 type ClientStats struct {
-	Pending          int    `json:"pending"`
-	Started          uint64 `json:"calls_started"`
-	Completed        uint64 `json:"calls_completed"`
-	Shed             uint64 `json:"calls_shed"`
-	Hedges           uint64 `json:"hedges"`
-	BreakerFastFails uint64 `json:"breaker_fast_fails"`
-	FramesSent       uint64 `json:"frames_sent"`
-	BatchesSent      uint64 `json:"batches_sent"`
-	BatchedCalls     uint64 `json:"batched_calls"`
-	MaxBatch         uint64 `json:"max_batch"`
+	Pending      int    `json:"pending"`
+	Started      uint64 `json:"calls_started"`
+	Completed    uint64 `json:"calls_completed"`
+	Shed         uint64 `json:"calls_shed"`
+	FramesSent   uint64 `json:"frames_sent"`
+	BatchesSent  uint64 `json:"batches_sent"`
+	BatchedCalls uint64 `json:"batched_calls"`
+	MaxBatch     uint64 `json:"max_batch"`
 }
 
 // Client is a multiplexing RPC client over one TCP connection. It is safe
@@ -386,11 +351,6 @@ type Client struct {
 	conn net.Conn
 	b    *batcher
 	pt   pendingTable
-
-	// Tail-tolerance wrapper counters (Hedger, BreakerCaller) surfaced
-	// through ClientStats; kept off the pending lock.
-	hedges           atomic.Uint64
-	breakerFastFails atomic.Uint64
 }
 
 // SetAdmissionLimit bounds this client's in-flight calls: once limit
@@ -406,13 +366,6 @@ func (c *Client) SetAdmissionLimit(limit int) {
 	c.pt.limit = limit
 	c.pt.Unlock()
 }
-
-// NoteHedge records a hedge fire against this client for ClientStats.
-func (c *Client) NoteHedge() { c.hedges.Add(1) }
-
-// NoteBreakerFastFail records a breaker fast-fail against this client
-// for ClientStats.
-func (c *Client) NoteBreakerFastFail() { c.breakerFastFails.Add(1) }
 
 // DialBatched connects like Dial but arms the send batcher's doorbell
 // window: the first frame of a quiet period waits up to window for
@@ -729,8 +682,6 @@ func (c *Client) Stats() ClientStats {
 		Shed:      c.pt.shed,
 	}
 	c.pt.Unlock()
-	st.Hedges = c.hedges.Load()
-	st.BreakerFastFails = c.breakerFastFails.Load()
 	st.FramesSent = c.b.framesSent.Load()
 	st.BatchesSent = c.b.batchesSent.Load()
 	st.BatchedCalls = c.b.batchedSends.Load()

@@ -357,42 +357,6 @@ func (b *Breaker) Counters() BreakerCounters {
 	return BreakerCounters{State: b.state, Trips: b.trips, FastFails: b.fastFails, Probes: b.probes}
 }
 
-// BreakerCaller guards a transport with a breaker: open-state calls fail
-// fast with ErrServerDegraded, admitted calls feed their outcome back.
-type BreakerCaller struct {
-	T AsyncCaller
-	B *Breaker
-	// StatsClient, when set, mirrors fast-fails into that client's
-	// ClientStats (the wrapped transport is usually it).
-	StatsClient *Client
-}
-
-// Call is Transport.Call through the breaker.
-func (w *BreakerCaller) Call(method byte, payload []byte) ([]byte, error) {
-	return w.CallCtx(nil, method, payload)
-}
-
-// CallCtx is Caller.CallCtx through the breaker.
-func (w *BreakerCaller) CallCtx(ctx context.Context, method byte, payload []byte) ([]byte, error) {
-	return w.CallAsyncCtx(ctx, method, payload).WaitCtx(ctx)
-}
-
-// CallAsyncCtx issues the call if the breaker admits it; the outcome is
-// recorded when the future is first waited on (the then-hook runs in the
-// waiter's goroutine, like every transport wrapper here).
-func (w *BreakerCaller) CallAsyncCtx(ctx context.Context, method byte, payload []byte) *Future {
-	if err := w.B.Allow(); err != nil {
-		if w.StatsClient != nil {
-			w.StatsClient.NoteBreakerFastFail()
-		}
-		return ResolvedFuture(nil, err)
-	}
-	return w.T.CallAsyncCtx(ctx, method, payload).Then(func(p []byte, err error) ([]byte, error) {
-		w.B.Record(err)
-		return p, err
-	})
-}
-
 // ---------------------------------------------------------------------
 // Hedger
 
@@ -464,9 +428,6 @@ type Hedger struct {
 	// OnHedge, if set, observes every hedge fire before the secondary
 	// call is issued (metrics, span annotations).
 	OnHedge func(method byte)
-	// StatsClient, when set, mirrors hedge fires into that client's
-	// ClientStats.
-	StatsClient *Client
 
 	hedges      atomic.Uint64
 	hedgeWins   atomic.Uint64
@@ -527,7 +488,7 @@ func (h *Hedger) timer(d time.Duration) (<-chan struct{}, func()) {
 	return ch, func() { t.Stop() }
 }
 
-// Call is Transport.Call with hedging.
+// Call is Caller.Call with hedging.
 func (h *Hedger) Call(method byte, payload []byte) ([]byte, error) {
 	return h.CallCtx(nil, method, payload)
 }
@@ -567,9 +528,6 @@ var cancelledCtx = func() context.Context {
 // perr carry its result when it already resolved (with an error).
 func (h *Hedger) hedge(ctx context.Context, method byte, payload []byte, f *Future, primaryDone bool, perr error, start int64) ([]byte, error) {
 	h.hedges.Add(1)
-	if h.StatsClient != nil {
-		h.StatsClient.NoteHedge()
-	}
 	if h.OnHedge != nil {
 		h.OnHedge(method)
 	}
@@ -630,11 +588,4 @@ func (h *Hedger) hedge(ctx context.Context, method byte, payload []byte, f *Futu
 		h.primaryWins.Add(1)
 	}
 	return p, err
-}
-
-// CallAsyncCtx adapts the hedged call to the async surface.
-func (h *Hedger) CallAsyncCtx(ctx context.Context, method byte, payload []byte) *Future {
-	return SpawnFuture(func() ([]byte, error) {
-		return h.CallCtx(ctx, method, payload)
-	})
 }

@@ -7,6 +7,8 @@ import (
 	"net"
 	"testing"
 	"time"
+
+	"github.com/lmp-project/lmp/internal/telemetry"
 )
 
 // rawDial opens a plain TCP connection to a test server.
@@ -57,7 +59,7 @@ func TestServerDropsNonRequestFrames(t *testing.T) {
 	_, addr := startTestServer(t)
 	conn := rawDial(t, addr)
 	// A response frame arriving at the server is a protocol violation.
-	if err := writeFrame(conn, kindResponse, methEcho, 7, []byte("x")); err != nil {
+	if err := writeFrame(conn, &sendEntry{kind: kindResponse, method: methEcho, id: 7, payload: []byte("x")}); err != nil {
 		t.Fatal(err)
 	}
 	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
@@ -82,13 +84,13 @@ func TestClientSurvivesStaleResponseID(t *testing.T) {
 		}
 		defer conn.Close()
 		// First, push an unsolicited response with a bogus id.
-		_ = writeFrame(conn, kindResponse, 1, 9999, []byte("stale"))
+		_ = writeFrame(conn, &sendEntry{kind: kindResponse, method: 1, id: 9999, payload: []byte("stale")})
 		// Then behave: echo one real request.
 		h, payload, err := readFrame(conn)
 		if err != nil {
 			return
 		}
-		_ = writeFrame(conn, kindResponse, h.method, h.id, payload)
+		_ = writeFrame(conn, &sendEntry{kind: kindResponse, method: h.method, id: h.id, payload: payload})
 	}()
 	c, err := Dial(ln.Addr().String())
 	if err != nil {
@@ -109,7 +111,7 @@ func TestFrameRoundTripProperty(t *testing.T) {
 	payloads := [][]byte{nil, {}, {1}, bytes.Repeat([]byte{0xAB}, 70000)}
 	for i, p := range payloads {
 		buf.Reset()
-		if err := writeFrame(&buf, kindRequest, byte(i), uint64(i)*7, p); err != nil {
+		if err := writeFrame(&buf, &sendEntry{kind: kindRequest, method: byte(i), id: uint64(i) * 7, payload: p}); err != nil {
 			t.Fatal(err)
 		}
 		h, got, err := readFrame(&buf)
@@ -127,13 +129,112 @@ func TestFrameRoundTripProperty(t *testing.T) {
 
 func TestReadFrameTruncated(t *testing.T) {
 	var buf bytes.Buffer
-	if err := writeFrame(&buf, kindRequest, 1, 1, []byte("hello")); err != nil {
+	if err := writeFrame(&buf, &sendEntry{kind: kindRequest, method: 1, id: 1, payload: []byte("hello")}); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
 	for cut := 1; cut < len(raw); cut++ {
 		if _, _, err := readFrame(bytes.NewReader(raw[:cut])); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
+		}
+	}
+}
+
+// TestFrameEncodingTable pins the one encoder against the wire format for
+// every request kind and both write paths (coalesced and
+// header-then-payload): a bare frame is header + metadata prefix +
+// payload, the batch assembler emits those same bytes per sub-frame, and
+// readFrame / decodeBatch followed by decodePrefix hand back the budget,
+// span identity and payload that went in.
+func TestFrameEncodingTable(t *testing.T) {
+	span := telemetry.SpanContext{Trace: 0x1122334455667788, Span: 0x99AABBCCDDEEFF00}
+	const budget = int64(1500 * time.Microsecond)
+	kinds := []struct {
+		name   string
+		kind   byte
+		budget int64
+		sc     telemetry.SpanContext
+	}{
+		{"plain", kindRequest, 0, telemetry.SpanContext{}},
+		{"traced", kindTracedRequest, 0, span},
+		{"budget", kindBudgetRequest, budget, telemetry.SpanContext{}},
+		{"traced+budget", kindTracedBudgetRequest, budget, span},
+	}
+	for _, k := range kinds {
+		for _, size := range []int{0, 1 << 10, frameCoalesceMax + 1} {
+			payload := bytes.Repeat([]byte{0x5A}, size)
+			e := sendEntry{kind: k.kind, method: 9, id: 0xABCDEF, budget: k.budget, sc: k.sc, payload: payload}
+
+			var prefix []byte
+			if k.budget != 0 {
+				prefix = binary.BigEndian.AppendUint64(prefix, uint64(k.budget))
+			}
+			if k.sc.Traced() {
+				prefix = binary.BigEndian.AppendUint64(prefix, k.sc.Trace)
+				prefix = binary.BigEndian.AppendUint64(prefix, k.sc.Span)
+			}
+			want := []byte{k.kind, 9}
+			want = binary.BigEndian.AppendUint64(want, 0xABCDEF)
+			want = binary.BigEndian.AppendUint32(want, uint32(len(prefix)+size))
+			want = append(append(want, prefix...), payload...)
+
+			check := func(where string, h frameHeader, p []byte) {
+				t.Helper()
+				if h.kind != k.kind || h.method != 9 || h.id != 0xABCDEF {
+					t.Fatalf("%s/%d %s: header = %+v", k.name, size, where, h)
+				}
+				gotBudget, gotSC, rest, ok := decodePrefix(h.kind, p)
+				if !ok || gotBudget != k.budget || gotSC != k.sc || !bytes.Equal(rest, payload) {
+					t.Fatalf("%s/%d %s: decoded ok=%v budget=%d sc=%+v payload %d B; want budget=%d sc=%+v payload %d B",
+						k.name, size, where, ok, gotBudget, gotSC, len(rest), k.budget, k.sc, size)
+				}
+			}
+
+			var bare bytes.Buffer
+			if err := writeFrame(&bare, &e); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(bare.Bytes(), want) {
+				t.Fatalf("%s/%d: bare frame differs from header+prefix+payload", k.name, size)
+			}
+			h, p, err := readFrame(bytes.NewReader(bare.Bytes()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			check("bare", h, p)
+
+			// The batch assembler, driven without its flusher goroutine:
+			// two copies of the entry ride one envelope when they are
+			// batchable, and go out as two bare frames when they are not.
+			var out bytes.Buffer
+			b := &batcher{w: &out}
+			if err := b.writeBatch([]sendEntry{e, e}); err != nil {
+				t.Fatal(err)
+			}
+			twice := append(append([]byte(nil), want...), want...)
+			if size > batchEntryMax {
+				if !bytes.Equal(out.Bytes(), twice) || b.framesSent.Load() != 2 || b.batchesSent.Load() != 0 {
+					t.Fatalf("%s/%d: oversized entries were not sent as two bare frames", k.name, size)
+				}
+				continue
+			}
+			eh, body, err := readFrame(&out)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if eh.kind != kindBatch || eh.id != 2 || !bytes.Equal(body, twice) {
+				t.Fatalf("%s/%d: batch body differs from the two bare frames (envelope %+v)", k.name, size, eh)
+			}
+			if b.framesSent.Load() != 1 || b.batchesSent.Load() != 1 || b.batchedSends.Load() != 2 || b.maxBatch.Load() != 2 {
+				t.Fatalf("%s/%d: batch counters frames=%d batches=%d sends=%d max=%d", k.name, size,
+					b.framesSent.Load(), b.batchesSent.Load(), b.batchedSends.Load(), b.maxBatch.Load())
+			}
+			if err := decodeBatch(body, eh.id, func(sh frameHeader, sub []byte) error {
+				check("batched", sh, sub)
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 }

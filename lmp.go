@@ -39,9 +39,8 @@
 //     directly still works; options run last and win.
 //   - Tail tolerance: WithDeadlineBudget (default per-op deadline,
 //     caller deadlines win), WithAdmissionLimit (shed instead of queue
-//     when saturated), WithBreaker (per-server circuit breakers that
-//     shed replica-protected reads away from degraded owners), and
-//     WithHedging (hedged replica reads on the live transport stack).
+//     when saturated), and WithBreaker (per-server circuit breakers
+//     that shed replica-protected reads away from degraded owners).
 //     All off by default; the disabled data path is unchanged.
 //   - Access: Pool.Read / Pool.Write; Pool.ReadCtx / Pool.WriteCtx with
 //     cancellation; vectored Pool.ReadV / Pool.WriteV (plus ...VCtx)
@@ -121,17 +120,15 @@ type (
 	// (Pool.CacheStats).
 	CacheStats = core.CacheStats
 	// RepairConfig tunes the recovery/migration engine (Config.Repair):
-	// worker parallelism for RepairServer, the serialized compatibility
-	// mode, and the injectable fabric-delay hook benchmarks use to model
-	// remote-copy latency. See WithRepairParallelism.
+	// worker parallelism for RepairServer and the injectable
+	// fabric-delay hook benchmarks use to model remote-copy latency. See
+	// WithRepairParallelism.
 	RepairConfig = core.RepairConfig
 	// TailConfig is the tail-tolerance knob block (Config.Tail): deadline
-	// budgets, admission control, per-server breakers, hedged reads. The
-	// zero value disables everything; WithDeadlineBudget,
-	// WithAdmissionLimit, WithBreaker, and WithHedging fill it.
+	// budgets, admission control, per-server breakers. The zero value
+	// disables everything; WithDeadlineBudget, WithAdmissionLimit, and
+	// WithBreaker fill it.
 	TailConfig = core.TailConfig
-	// HedgeConfig tunes hedged replica reads (see WithHedging).
-	HedgeConfig = core.HedgeConfig
 	// BreakerPolicy tunes the per-server circuit breakers (see
 	// WithBreaker): failure-ratio trip over a sliding window, slow-call
 	// classification, open duration, and half-open probing.

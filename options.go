@@ -73,15 +73,6 @@ func WithRepairParallelism(n int) Option {
 	return func(c *Config) { c.Repair.Parallelism = n }
 }
 
-// WithRepairConfig replaces the whole recovery/migration engine
-// configuration: parallelism, the serialized compatibility mode (every
-// move copies under the global structural lock, the pre-engine
-// behaviour), and the fabric-delay hook benchmarks use to model
-// remote-copy latency.
-func WithRepairConfig(rc RepairConfig) Option {
-	return func(c *Config) { c.Repair = rc }
-}
-
 // WithTracing configures per-op tracing: the span ring size, the
 // sampling period, the slow-op threshold, and the clock. Tracing is on
 // by default (sampling one op in 64 per issuing server); pass
@@ -128,18 +119,4 @@ func WithAdmissionLimit(n int) Option {
 // breaker re-probes and closes on success. The zero policy disables.
 func WithBreaker(pol BreakerPolicy) Option {
 	return func(c *Config) { c.Tail.Breaker = pol }
-}
-
-// WithHedging configures hedged replica reads for the live transport
-// stack (daemon clients built with WrapTailClient-style glue): an
-// idempotent read that outlives the adaptive hedge delay — a tracked
-// latency quantile times a multiplier — is raced against a mirror, first
-// success wins, and the loser is cancelled. In-process pools have no
-// wait to hedge against; there the breaker's replica shed (WithBreaker)
-// plays the same role.
-func WithHedging(hc HedgeConfig) Option {
-	return func(c *Config) {
-		hc.Enabled = true
-		c.Tail.Hedge = hc
-	}
 }
