@@ -90,7 +90,8 @@ audit:
 	mv AUDIT.md.tmp AUDIT.md
 
 # Short fuzz pass over every native fuzz target (GF(256) algebra, RS
-# round-trip/reconstruction, RPC wire codec). The seed corpora already run
+# round-trip/reconstruction, RPC wire codec, the write combiner's
+# recycled storage against a flat model). The seed corpora already run
 # as plain tests; this budgets $(FUZZTIME) of mutation per target. Go
 # allows one -fuzz target per invocation, hence the loops.
 fuzz-smoke:
@@ -100,6 +101,7 @@ fuzz-smoke:
 	@for t in FuzzFrameRoundTrip FuzzReadFrame FuzzErrorPayload FuzzReadFrameTruncation FuzzBatchRoundTrip FuzzDecodeBatch; do \
 		$(GO) test -run '^$$' -fuzz "^$$t$$" -fuzztime $(FUZZTIME) ./internal/rpc/ || exit 1; \
 	done
+	$(GO) test -run '^$$' -fuzz '^FuzzWriteCombinerModel$$' -fuzztime $(FUZZTIME) ./internal/cache/
 
 # End-to-end observability smoke: boot a real lmpd on ephemeral ports,
 # drive traffic with lmpctl, scrape /metrics, /stats, and pprof, and diff
@@ -136,11 +138,14 @@ govulncheck:
 bench:
 	$(GO) test -bench=. -benchmem .
 
-# Smoke mode for the parallel hot-path benchmark: a fixed small iteration
-# count proves the path works at every goroutine level without
-# benchmark-grade runtimes.
+# Smoke mode for the parallel hot-path benchmark and the cached pool's
+# cold mix: a fixed small iteration count proves the paths work (at every
+# goroutine level; miss+evict, buffered write and flush) without
+# benchmark-grade runtimes. The cold mix prints B/op and allocs/op: both
+# are 0 in the steady state.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkPoolParallelReadWrite' -benchtime=100x .
+	$(GO) test -run '^$$' -bench 'BenchmarkPoolColdMix' -benchtime=20000x -benchmem .
 
 # Hot-path regression gate: re-run the Zipf workload against the newest
 # checked-in BENCH_*.json baseline. Soft-fails (like govulncheck): shared

@@ -34,6 +34,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"github.com/lmp-project/lmp/internal/hashtab"
 	"github.com/lmp-project/lmp/internal/telemetry"
 )
 
@@ -77,12 +78,13 @@ func (s Stats) HitRate() float64 {
 	return float64(s.Hits) / float64(total)
 }
 
-// entry is one resident page. hits counts lookups since the last
-// DrainHits so the pool can feed cache locality into the migration
-// matrix without touching the backing node's contended heat counters.
+// entry is one slot of a shard's clock ring. hits counts lookups since
+// the last DrainHits so the pool can feed cache locality into the
+// migration matrix without touching the backing node's contended heat
+// counters.
 type entry struct {
 	page uint64
-	data []byte
+	data []byte // page bytes; allocated on the slot's first use, then reused
 	hits uint32
 	ref  bool
 	hot  bool
@@ -91,117 +93,43 @@ type entry struct {
 	// the instant it demotes (CLOCK-Pro's cold test period).
 	chance bool
 	live   bool
+	next   int32 // free-list link while the slot is invalidated
 }
 
 // cacheShard is one lock's worth of the cache. The embedded Mutex is the
 // shard lock lmplint's lockorder analyzer tracks; the padding keeps
 // neighbouring shard locks off the same cache line.
 //
-// The resident-page index is an open-addressed table (slots) rather than
-// a Go map: the hit path does exactly one multiplicative hash and, at
-// ≤50% live load, almost always one probe, which is roughly half the
-// cost of a map access and is the single hottest operation in a
-// cache-enabled pool. Deletion uses a tombstone sentinel; the table is
-// rebuilt in place when tombstones accumulate past a quarter of the
-// slots.
+// Everything a shard's steady state touches is sized by cap in New and
+// recycled in place afterwards (only the page bytes behind a ring slot
+// wait for the slot's first use): the resident-page index is an
+// open-addressed table (hashtab.Table) rather than a Go map — one
+// multiplicative hash and, at ≤50% load, almost always one probe, the
+// single hottest operation in a cache-enabled pool — and it deletes by
+// backward shift, so there are no tombstones to walk and no rebuilds.
 type cacheShard struct {
 	sync.Mutex
 	_ [48]byte
 
-	slots []*entry // open-addressed index over resident pages
-	live  int      // live entries in slots
-	tomb  int      // tombstones in slots
-	ring  []*entry // clock ring over resident slots, grows to cap
-	hand  int
-	free  []*entry // invalidated slots awaiting reuse
-	cap   int      // max resident pages
-	hot   int      // resident hot pages
+	index  hashtab.Table // resident page → its slot in ring
+	ring   []entry       // clock ring; grows into its cap-sized array as slots are first used
+	hand   int
+	free   int32 // invalidated slots awaiting reuse, newest first; -1 when none
+	cap    int   // max resident pages
+	hot    int   // resident hot pages
 	hotCap int
-	ghost  map[uint64]struct{}
-	ghostQ []uint64 // FIFO of ghost page numbers, oldest first
+	// ghost remembers the last cap evicted page numbers, oldest first. A
+	// page is never resident and on the ghost list at once: it joins when
+	// it is evicted and Put takes it off when it comes back.
+	ghost hashtab.List[struct{}]
 }
-
-// tombstone marks a deleted slot that probes must walk through.
-var tombstone = new(entry)
-
-// pageHash spreads page numbers over the table (Fibonacci hashing); the
-// low bits already picked the shard, so sequential pages within a shard
-// differ only above the shard mask.
-func pageHash(page uint64) uint64 { return page * 0x9e3779b97f4a7c15 }
 
 // lookupLocked finds the live entry for page, or nil.
 func (sh *cacheShard) lookupLocked(page uint64) *entry {
-	n := uint64(len(sh.slots))
-	if n == 0 {
-		return nil
+	if i, ok := sh.index.Get(page); ok {
+		return &sh.ring[i]
 	}
-	for i := pageHash(page) & (n - 1); ; i = (i + 1) & (n - 1) {
-		e := sh.slots[i]
-		if e == nil {
-			return nil
-		}
-		if e != tombstone && e.page == page {
-			return e
-		}
-	}
-}
-
-// insertLocked adds an entry for a page not currently in the table.
-func (sh *cacheShard) insertLocked(e *entry) {
-	if sh.tomb > len(sh.slots)/4 {
-		sh.rebuildLocked()
-	}
-	n := uint64(len(sh.slots))
-	for i := pageHash(e.page) & (n - 1); ; i = (i + 1) & (n - 1) {
-		s := sh.slots[i]
-		if s == nil || s == tombstone {
-			if s == tombstone {
-				sh.tomb--
-			}
-			sh.slots[i] = e
-			sh.live++
-			return
-		}
-	}
-}
-
-// deleteLocked tombstones the slot holding page, if any.
-func (sh *cacheShard) deleteLocked(page uint64) {
-	n := uint64(len(sh.slots))
-	if n == 0 {
-		return
-	}
-	for i := pageHash(page) & (n - 1); ; i = (i + 1) & (n - 1) {
-		e := sh.slots[i]
-		if e == nil {
-			return
-		}
-		if e != tombstone && e.page == page {
-			sh.slots[i] = tombstone
-			sh.tomb++
-			sh.live--
-			return
-		}
-	}
-}
-
-// rebuildLocked rehashes the live entries, dropping tombstones.
-func (sh *cacheShard) rebuildLocked() {
-	old := sh.slots
-	sh.slots = make([]*entry, len(old))
-	sh.live, sh.tomb = 0, 0
-	for _, e := range old {
-		if e != nil && e != tombstone {
-			n := uint64(len(sh.slots))
-			for i := pageHash(e.page) & (n - 1); ; i = (i + 1) & (n - 1) {
-				if sh.slots[i] == nil {
-					sh.slots[i] = e
-					sh.live++
-					break
-				}
-			}
-		}
-	}
+	return nil
 }
 
 // Cache is a node-local page cache. Safe for concurrent use.
@@ -269,15 +197,12 @@ func New(cfg Config) (*Cache, error) {
 		if sh.hotCap < 1 {
 			sh.hotCap = 1
 		}
-		if perShard > 0 {
-			// Table sized to keep live load at or below 50%.
-			slots := 1
-			for slots < 2*perShard {
-				slots *= 2
-			}
-			sh.slots = make([]*entry, slots)
-		}
-		sh.ghost = make(map[uint64]struct{}, perShard)
+		// Metadata is sized by capacity here; page bytes are not (a slot's
+		// buffer waits for the slot's first use).
+		sh.free = -1
+		sh.index.Init(perShard)
+		sh.ring = make([]entry, 0, perShard)
+		sh.ghost.Init(perShard)
 	}
 	return c, nil
 }
@@ -332,10 +257,13 @@ func (c *Cache) WriteAt(page uint64, src []byte, off int) bool {
 	return true
 }
 
-// Put admits a full page of clean bytes (len(data) must equal PageSize).
-// If the page is already resident its bytes are replaced. A page coming
-// back while still on the ghost list is admitted hot (CLOCK-Pro's
-// re-admission test: its reuse distance beat the cold population).
+// Put admits a full page of clean bytes (len(data) must equal PageSize),
+// copying them. If the page is already resident its bytes are replaced.
+// A page coming back while still on the ghost list is admitted hot
+// (CLOCK-Pro's re-admission test: its reuse distance beat the cold
+// population).
+//
+//lmp:hotpath
 func (c *Cache) Put(page uint64, data []byte) {
 	sh, lane := c.shardFor(page)
 	sh.Lock()
@@ -345,29 +273,30 @@ func (c *Cache) Put(page uint64, data []byte) {
 		sh.Unlock()
 		return
 	}
-	e, evicted := sh.slotLocked(c, lane)
-	if e == nil {
+	i, evicted := sh.slotLocked(c, lane)
+	if i < 0 {
 		sh.Unlock()
 		return // capacity zero
 	}
+	e := &sh.ring[i]
 	e.page = page
 	e.ref = false
 	e.chance = false
 	e.hits = 0
 	e.live = true
 	e.hot = false
-	if _, ok := sh.ghost[page]; ok {
-		delete(sh.ghost, page)
+	if g, ok := sh.ghost.Get(page); ok {
+		sh.ghost.Remove(g)
 		e.hot = true
 		sh.hot++
 		c.readmits.Add(lane, 1)
 		sh.demoteOverflowLocked()
 	}
 	if e.data == nil {
-		e.data = make([]byte, c.pageSize)
+		e.data = c.newPage()
 	}
 	copy(e.data, data)
-	sh.insertLocked(e)
+	sh.index.Insert(page, i)
 	sh.Unlock()
 	c.inserts.Add(lane, 1)
 	if evicted {
@@ -375,22 +304,27 @@ func (c *Cache) Put(page uint64, data []byte) {
 	}
 }
 
-// slotLocked returns a free slot, growing the ring up to capacity or
-// evicting via the clock. The second result reports whether a resident
-// page was evicted to make room.
-func (sh *cacheShard) slotLocked(c *Cache, lane int) (*entry, bool) {
+// newPage allocates the bytes behind a ring slot, once, on the slot's
+// first use: a cache that is never filled never pays for its capacity.
+//
+//lmp:coldpath
+func (c *Cache) newPage() []byte { return make([]byte, c.pageSize) }
+
+// slotLocked returns a free ring slot (-1 with zero capacity): an
+// invalidated one, else the next never-used one, else the clock's
+// victim. The second result reports whether a resident page was evicted
+// to make room.
+func (sh *cacheShard) slotLocked(c *Cache, lane int) (int32, bool) {
 	if sh.cap == 0 {
-		return nil, false
+		return -1, false
 	}
-	if n := len(sh.free); n > 0 {
-		e := sh.free[n-1]
-		sh.free = sh.free[:n-1]
-		return e, false
+	if i := sh.free; i >= 0 {
+		sh.free = sh.ring[i].next
+		return i, false
 	}
-	if len(sh.ring) < sh.cap {
-		e := &entry{}
-		sh.ring = append(sh.ring, e)
-		return e, false
+	if n := len(sh.ring); n < sh.cap {
+		sh.ring = sh.ring[:n+1]
+		return int32(n), false
 	}
 	return sh.evictLocked(c, lane), true
 }
@@ -401,9 +335,10 @@ func (sh *cacheShard) slotLocked(c *Cache, lane int) (*entry, bool) {
 // resident promote to hot (the resident reuse test). Terminates: each
 // sweep strictly consumes ref, hot, or chance state, so by the fourth
 // sweep an evictable page must exist.
-func (sh *cacheShard) evictLocked(c *Cache, lane int) *entry {
+func (sh *cacheShard) evictLocked(c *Cache, lane int) int32 {
 	for i := 0; i < 4*len(sh.ring)+1; i++ {
-		e := sh.ring[sh.hand]
+		at := sh.hand
+		e := &sh.ring[at]
 		sh.hand = (sh.hand + 1) % len(sh.ring)
 		if !e.live {
 			continue // free-listed slot; skip, reuse happens via free
@@ -432,19 +367,31 @@ func (sh *cacheShard) evictLocked(c *Cache, lane int) *entry {
 			e.chance = false
 			continue
 		}
-		sh.retireLocked(c, e)
-		return e
+		sh.retireLocked(c, int32(at))
+		return int32(at)
 	}
 	// Unreachable by the termination argument; fail safe by refusing.
-	return nil
+	return -1
 }
 
-// retireLocked removes a live entry from the lookup map and remembers it
-// on the ghost list. Undrained hit counts fold into the cache total so
-// Stats stays exact; the migration signal for them is lost, as any
-// eviction loses recency.
-func (sh *cacheShard) retireLocked(c *Cache, e *entry) {
-	sh.deleteLocked(e.page)
+// retireLocked evicts the live entry in ring slot i and remembers its
+// page on the ghost list, forgetting the oldest ghost when the list is
+// full.
+func (sh *cacheShard) retireLocked(c *Cache, i int32) {
+	e := &sh.ring[i]
+	sh.index.Delete(e.page)
+	sh.unlistLocked(c, e)
+	if sh.ghost.Len() >= sh.cap {
+		sh.ghost.Remove(sh.ghost.Oldest())
+	}
+	sh.ghost.Push(e.page)
+}
+
+// unlistLocked finishes making an entry just taken out of the index
+// non-resident: out of the hot population, and its undrained hit count
+// folded into the cache total so Stats stays exact (the migration signal
+// for those hits is lost, as any eviction loses recency).
+func (sh *cacheShard) unlistLocked(c *Cache, e *entry) {
 	if e.hot {
 		e.hot = false
 		sh.hot--
@@ -453,25 +400,14 @@ func (sh *cacheShard) retireLocked(c *Cache, e *entry) {
 		c.foldedHits.Add(uint64(e.hits))
 		e.hits = 0
 	}
-	sh.ghostAddLocked(e.page)
 	e.live = false
 }
 
-// ghostAddLocked records an evicted page number, bounded FIFO.
-func (sh *cacheShard) ghostAddLocked(page uint64) {
-	if sh.cap == 0 {
-		return
-	}
-	if _, ok := sh.ghost[page]; ok {
-		return
-	}
-	for len(sh.ghost) >= sh.cap && len(sh.ghostQ) > 0 {
-		old := sh.ghostQ[0]
-		sh.ghostQ = sh.ghostQ[1:]
-		delete(sh.ghost, old)
-	}
-	sh.ghost[page] = struct{}{}
-	sh.ghostQ = append(sh.ghostQ, page)
+// freeLocked puts the no longer live ring slot i, page buffer and all,
+// on the free list.
+func (sh *cacheShard) freeLocked(i int32) {
+	sh.ring[i].next = sh.free
+	sh.free = i
 }
 
 // demoteOverflowLocked demotes hot pages back to cold when ghost
@@ -481,7 +417,7 @@ func (sh *cacheShard) ghostAddLocked(page uint64) {
 func (sh *cacheShard) demoteOverflowLocked() {
 	for sh.hot > sh.hotCap {
 		for i := 0; i < 2*len(sh.ring) && sh.hot > sh.hotCap; i++ {
-			e := sh.ring[sh.hand]
+			e := &sh.ring[sh.hand]
 			sh.hand = (sh.hand + 1) % len(sh.ring)
 			if !e.live || !e.hot {
 				continue
@@ -498,26 +434,20 @@ func (sh *cacheShard) demoteOverflowLocked() {
 }
 
 // Invalidate discards the cached copy of page, reporting whether one was
-// resident. The copy is clean by construction, so nothing is written back.
+// resident. The copy is clean by construction, so nothing is written
+// back. The slot (and its page buffer) goes on the shard's free list.
+//
+//lmp:hotpath
 func (c *Cache) Invalidate(page uint64) bool {
 	sh, lane := c.shardFor(page)
 	sh.Lock()
-	e := sh.lookupLocked(page)
-	if e == nil {
+	i, ok := sh.index.Delete(page)
+	if !ok {
 		sh.Unlock()
 		return false
 	}
-	sh.deleteLocked(page)
-	if e.hot {
-		e.hot = false
-		sh.hot--
-	}
-	e.live = false
-	if e.hits > 0 {
-		c.foldedHits.Add(uint64(e.hits))
-		e.hits = 0
-	}
-	sh.free = append(sh.free, e)
+	sh.unlistLocked(c, &sh.ring[i])
+	sh.freeLocked(i)
 	sh.Unlock()
 	c.invalidations.Add(lane, 1)
 	return true
@@ -541,28 +471,17 @@ func (c *Cache) InvalidateAll() int {
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.Lock()
-		n := sh.live
-		for _, e := range sh.ring {
-			if !e.live {
-				continue
+		n := sh.index.Len()
+		for j := range sh.ring {
+			if e := &sh.ring[j]; e.live {
+				sh.unlistLocked(c, e)
+				sh.freeLocked(int32(j))
 			}
-			if e.hot {
-				e.hot = false
-				sh.hot--
-			}
-			e.live = false
-			if e.hits > 0 {
-				c.foldedHits.Add(uint64(e.hits))
-				e.hits = 0
-			}
-			sh.free = append(sh.free, e)
 		}
-		clear(sh.slots)
-		sh.live, sh.tomb = 0, 0
+		sh.index.Clear()
 		// Forget eviction history too: after a crash the node's access
 		// recency is meaningless.
-		sh.ghost = make(map[uint64]struct{}, sh.cap)
-		sh.ghostQ = sh.ghostQ[:0]
+		sh.ghost.Clear()
 		sh.Unlock()
 		c.invalidations.Add(i, uint64(n))
 		total += n
@@ -579,8 +498,8 @@ func (c *Cache) DrainHits(visit func(page uint64, hits uint64)) {
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.Lock()
-		for _, e := range sh.ring {
-			if e.live && e.hits > 0 {
+		for j := range sh.ring {
+			if e := &sh.ring[j]; e.live && e.hits > 0 {
 				visit(e.page, uint64(e.hits))
 				c.foldedHits.Add(uint64(e.hits))
 				e.hits = 0
@@ -597,8 +516,8 @@ func (c *Cache) Each(visit func(page uint64, data []byte)) {
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.Lock()
-		for _, e := range sh.ring {
-			if e.live {
+		for j := range sh.ring {
+			if e := &sh.ring[j]; e.live {
 				visit(e.page, e.data)
 			}
 		}
@@ -612,7 +531,7 @@ func (c *Cache) Len() int {
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.Lock()
-		n += sh.live
+		n += sh.index.Len()
 		sh.Unlock()
 	}
 	return n
@@ -627,9 +546,9 @@ func (c *Cache) Stats() Stats {
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.Lock()
-		pages += sh.live
-		for _, e := range sh.ring {
-			if e.live {
+		pages += sh.index.Len()
+		for j := range sh.ring {
+			if e := &sh.ring[j]; e.live {
 				hits += uint64(e.hits)
 			}
 		}

@@ -89,8 +89,8 @@ func TestWCFlushLifecycle(t *testing.T) {
 	if len(batch) != 2 {
 		t.Fatalf("batch %d", len(batch))
 	}
-	if batch[0].seq > batch[1].seq {
-		t.Fatal("batch out of seq order")
+	if batch[0].Addr != 10 || batch[1].Addr != 20 {
+		t.Fatal("batch out of arrival order")
 	}
 	// Flushing entries stay visible.
 	if !w.PendingInRange(10, 1) {

@@ -11,10 +11,11 @@
 package coherence
 
 import (
-	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
+	"github.com/lmp-project/lmp/internal/hashtab"
 	"github.com/lmp-project/lmp/internal/telemetry"
 )
 
@@ -46,10 +47,6 @@ func (s State) String() string {
 	}
 }
 
-// ErrRegionFull reports that the coherent region cannot track more blocks
-// even after back-invalidation (should not happen with capacity >= 1).
-var ErrRegionFull = errors.New("coherence: snoop filter cannot admit block")
-
 // Stats aggregates protocol traffic counters.
 type Stats struct {
 	Fetches         uint64 // block copies granted to a node
@@ -60,12 +57,25 @@ type Stats struct {
 	LostDirty       uint64 // modified copies lost to node crashes (DropNode)
 }
 
+// block is one tracked block's directory state. holders is a small
+// unordered set updated in place; its array survives the block's
+// eviction and is reused by whichever block takes the filter slot next.
 type block struct {
 	state   State
-	holders map[NodeID]struct{}
 	owner   NodeID
-	// lru clock for victim choice
-	stamp uint64
+	holders []NodeID
+}
+
+// drop removes node from the holder set, reporting whether it was there.
+func (b *block) drop(node NodeID) bool {
+	i := slices.Index(b.holders, node)
+	if i < 0 {
+		return false
+	}
+	last := len(b.holders) - 1
+	b.holders[i] = b.holders[last]
+	b.holders = b.holders[:last]
+	return true
 }
 
 // Directory is the coherence engine. It is safe for concurrent use.
@@ -73,9 +83,13 @@ type Directory struct {
 	granularity int64
 	capacity    int
 
-	mu     sync.Mutex
-	blocks map[int64]*block
-	clock  uint64
+	mu sync.Mutex
+	// blocks is the inclusive snoop filter: the tracked blocks keyed by
+	// block index, in exact least-recently-acquired order, so the
+	// back-invalidation victim is Oldest() — O(1) however large the
+	// filter — and an evicted entry's storage is recycled by the block
+	// that displaced it.
+	blocks hashtab.List[block]
 	stats  Stats
 
 	// Telemetry mirrors the internal counters into a registry if set.
@@ -87,7 +101,8 @@ type Directory struct {
 	// (the directory no longer tracks them). The callback runs under the
 	// directory lock and must not call back into the directory; callees
 	// with their own locks (the page cache's shards) must order them
-	// strictly after the directory's.
+	// strictly after the directory's. holders is the directory's own
+	// storage: read it during the call, do not keep it.
 	OnBackInvalidate func(block int64, holders []NodeID)
 }
 
@@ -101,11 +116,11 @@ func NewDirectory(granularity int64, capacityBlocks int) (*Directory, error) {
 	if capacityBlocks <= 0 {
 		return nil, fmt.Errorf("coherence: capacity %d must be positive", capacityBlocks)
 	}
-	return &Directory{
-		granularity: granularity,
-		capacity:    capacityBlocks,
-		blocks:      make(map[int64]*block),
-	}, nil
+	d := &Directory{granularity: granularity, capacity: capacityBlocks}
+	// The filter grows with the blocks actually tracked, not with its
+	// capacity: a coherent region nobody touches costs nothing.
+	d.blocks.Init(0)
+	return d, nil
 }
 
 // Granularity reports the tracking block size.
@@ -125,63 +140,51 @@ func (d *Directory) Stats() Stats {
 func (d *Directory) TrackedBlocks() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return len(d.blocks)
+	return d.blocks.Len()
 }
 
 // StateOf reports the directory state of the block containing addr.
 func (d *Directory) StateOf(addr int64) (State, []NodeID) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	b := d.blocks[d.BlockOf(addr)]
-	if b == nil {
+	h, ok := d.blocks.Get(uint64(d.BlockOf(addr)))
+	if !ok {
 		return Invalid, nil
 	}
-	var hs []NodeID
-	for h := range b.holders {
-		hs = append(hs, h)
-	}
-	return b.state, hs
+	b := d.blocks.At(h)
+	return b.state, slices.Clone(b.holders)
 }
 
-// ensure admits a block into the filter, back-invalidating a victim when
-// the inclusive filter is full.
-func (d *Directory) ensure(idx int64) (*block, error) {
-	if b := d.blocks[idx]; b != nil {
-		return b, nil
+// acquire returns the block containing addrByte as the most recently
+// acquired one, admitting it into the filter if it is not tracked and
+// back-invalidating the least recently acquired block when the filter
+// is full.
+func (d *Directory) acquire(addrByte int64) *block {
+	idx := uint64(d.BlockOf(addrByte))
+	if h, ok := d.blocks.Get(idx); ok {
+		d.blocks.Touch(h)
+		return d.blocks.At(h)
 	}
-	if len(d.blocks) >= d.capacity {
-		// Evict the least-recently-touched block: inclusive filter means
-		// every cached copy of the victim must be killed.
-		var victimIdx int64
-		var victim *block
-		for i, b := range d.blocks {
-			if victim == nil || b.stamp < victim.stamp {
-				victim, victimIdx = b, i
-			}
-		}
-		if victim == nil {
-			return nil, ErrRegionFull
-		}
+	if d.blocks.Len() >= d.capacity {
+		// Inclusive filter: every cached copy of the victim must be killed.
+		v := d.blocks.Oldest()
+		victim := d.blocks.At(v)
 		d.stats.BackInvalidates++
 		d.stats.Invalidations += uint64(len(victim.holders))
 		if victim.state == Modified {
 			d.stats.Writebacks++
 		}
-		delete(d.blocks, victimIdx)
 		if d.Registry != nil {
 			d.Registry.Counter("coherence.back_invalidates").Inc()
 		}
 		if d.OnBackInvalidate != nil && len(victim.holders) > 0 {
-			holders := make([]NodeID, 0, len(victim.holders))
-			for h := range victim.holders {
-				holders = append(holders, h)
-			}
-			d.OnBackInvalidate(victimIdx, holders)
+			d.OnBackInvalidate(int64(d.blocks.Key(v)), victim.holders)
 		}
+		d.blocks.Remove(v)
 	}
-	b := &block{state: Invalid, holders: make(map[NodeID]struct{})}
-	d.blocks[idx] = b
-	return b, nil
+	b := d.blocks.At(d.blocks.Push(idx))
+	b.state, b.owner, b.holders = Invalid, 0, b.holders[:0]
+	return b
 }
 
 // AcquireRead obtains a readable copy of the block containing addr for
@@ -189,25 +192,19 @@ func (d *Directory) ensure(idx int64) (*block, error) {
 func (d *Directory) AcquireRead(node NodeID, addrByte int64) ([]NodeID, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.clock++
-	idx := d.BlockOf(addrByte)
-	b, err := d.ensure(idx)
-	if err != nil {
-		return nil, err
-	}
-	b.stamp = d.clock
+	b := d.acquire(addrByte)
 	switch b.state {
 	case Invalid:
 		b.state = Shared
-		b.holders[node] = struct{}{}
+		b.holders = append(b.holders, node)
 		d.stats.Fetches++
 		return nil, nil
 	case Shared:
-		if _, ok := b.holders[node]; ok {
+		if slices.Contains(b.holders, node) {
 			d.stats.Hits++
 			return nil, nil
 		}
-		b.holders[node] = struct{}{}
+		b.holders = append(b.holders, node)
 		d.stats.Fetches++
 		return nil, nil
 	case Modified:
@@ -215,13 +212,13 @@ func (d *Directory) AcquireRead(node NodeID, addrByte int64) ([]NodeID, error) {
 			d.stats.Hits++
 			return nil, nil
 		}
-		// Downgrade the owner: writeback, then share.
+		// Downgrade the owner: writeback, then share. In Modified the
+		// owner is the sole holder.
 		prev := b.owner
 		d.stats.Writebacks++
 		d.stats.Fetches++
 		b.state = Shared
-		b.holders[node] = struct{}{}
-		b.holders[prev] = struct{}{}
+		b.holders = append(b.holders, node)
 		return []NodeID{prev}, nil
 	}
 	return nil, fmt.Errorf("coherence: corrupt state %v", b.state)
@@ -232,33 +229,28 @@ func (d *Directory) AcquireRead(node NodeID, addrByte int64) ([]NodeID, error) {
 func (d *Directory) AcquireWrite(node NodeID, addrByte int64) ([]NodeID, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.clock++
-	idx := d.BlockOf(addrByte)
-	b, err := d.ensure(idx)
-	if err != nil {
-		return nil, err
-	}
-	b.stamp = d.clock
+	b := d.acquire(addrByte)
 	if b.state == Modified && b.owner == node {
 		d.stats.Hits++
 		return nil, nil
 	}
+	hadCopy := b.drop(node)
+	// What is left are the copies this write kills: hand them out in a
+	// slice of their own only when there are any.
 	var killed []NodeID
-	for h := range b.holders {
-		if h != node {
-			killed = append(killed, h)
-		}
+	if len(b.holders) > 0 {
+		killed = slices.Clone(b.holders)
 	}
-	if b.state == Modified && b.owner != node {
+	if b.state == Modified {
 		d.stats.Writebacks++
 	}
 	d.stats.Invalidations += uint64(len(killed))
-	if _, hadCopy := b.holders[node]; !hadCopy {
+	if !hadCopy {
 		d.stats.Fetches++
 	}
 	b.state = Modified
 	b.owner = node
-	b.holders = map[NodeID]struct{}{node: {}}
+	b.holders = append(b.holders[:0], node)
 	return killed, nil
 }
 
@@ -271,20 +263,20 @@ func (d *Directory) AcquireWrite(node NodeID, addrByte int64) ([]NodeID, error) 
 func (d *Directory) DropNode(node NodeID) (lostDirty int) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	for idx, b := range d.blocks {
-		if _, ok := b.holders[node]; !ok {
-			continue
+	for h := d.blocks.Oldest(); h >= 0; {
+		next := d.blocks.Newer(h)
+		if b := d.blocks.At(h); b.drop(node) {
+			if b.state == Modified && b.owner == node {
+				// In Modified the owner is the sole holder, so the block
+				// empties and is untracked below.
+				lostDirty++
+				b.state = Invalid
+			}
+			if len(b.holders) == 0 {
+				d.blocks.Remove(h)
+			}
 		}
-		delete(b.holders, node)
-		if b.state == Modified && b.owner == node {
-			// In Modified the owner is the sole holder, so the block
-			// empties and is untracked below.
-			lostDirty++
-			b.state = Invalid
-		}
-		if len(b.holders) == 0 {
-			delete(d.blocks, idx)
-		}
+		h = next
 	}
 	d.stats.LostDirty += uint64(lostDirty)
 	if d.Registry != nil && lostDirty > 0 {
@@ -298,21 +290,20 @@ func (d *Directory) DropNode(node NodeID) (lostDirty int) {
 func (d *Directory) Evict(node NodeID, addrByte int64) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	idx := d.BlockOf(addrByte)
-	b := d.blocks[idx]
-	if b == nil {
+	h, ok := d.blocks.Get(uint64(d.BlockOf(addrByte)))
+	if !ok {
 		return
 	}
-	if _, ok := b.holders[node]; !ok {
+	b := d.blocks.At(h)
+	if !b.drop(node) {
 		return
 	}
-	delete(b.holders, node)
 	if b.state == Modified && b.owner == node {
 		d.stats.Writebacks++
 		b.state = Invalid
 	}
 	if len(b.holders) == 0 {
-		delete(d.blocks, idx)
+		d.blocks.Remove(h)
 	} else if b.state == Modified {
 		b.state = Shared
 	}

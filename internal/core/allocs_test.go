@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"github.com/lmp-project/lmp/internal/addr"
 	"github.com/lmp-project/lmp/internal/telemetry"
 )
 
@@ -212,5 +213,77 @@ func TestTracedCachedHitAllocFree(t *testing.T) {
 	}
 	if st := p.CacheStats(); st.Hits < 200 {
 		t.Fatalf("measured loop was not the hit path: %+v", st)
+	}
+}
+
+// TestCachedColdPathAllocFree pins the other side of the cache: with a
+// buffer many times the cache, a read misses, fills, evicts through the
+// clock and the ghost list and registers with a directory that is itself
+// full (so it back-invalidates), and a small write is buffered and every
+// 64th one triggers a threshold flush. Once every structure on those
+// paths has reached its high-water mark, none of them allocates: the
+// runtime's footprint is the data it holds.
+func TestCachedColdPathAllocFree(t *testing.T) {
+	const (
+		cacheBytes = 512 << 10
+		pageSize   = 4096
+		bufBytes   = 16 * cacheBytes // 2048 pages; the directory tracks 1024
+		pages      = bufBytes / pageSize
+	)
+	p := newCachedPool(t, CacheConfig{CapacityBytes: cacheBytes, PageSize: pageSize, WCMaxCount: 64})
+	b, err := p.Alloc(bufBytes, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Materialise every backing page: memnode allocates on first write.
+	fill := make([]byte, SliceSize)
+	for off := int64(0); off < bufBytes; off += SliceSize {
+		if err := p.Write(0, b.Addr()+addr.Logical(off), fill); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rbuf, wbuf := make([]byte, 64), make([]byte, 256)
+	// Server 1 works on server 0's memory. The page walk has a stride
+	// coprime to the page count, so a page is long evicted (and its last
+	// buffered write long flushed) when the walk returns to it.
+	i := 0
+	op := func() {
+		page := int64(i) * 1031 % pages
+		var err error
+		if i%10 < 3 {
+			err = p.Write(1, b.Addr()+addr.Logical(page*pageSize+int64(i/pages%16)*256), wbuf)
+		} else {
+			err = p.Read(1, b.Addr()+addr.Logical(page*pageSize+int64(i%64)*64), rbuf)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		i++
+	}
+	for i < 4*pages {
+		op()
+	}
+	before, dirBefore := p.CacheStats(), p.PageDirectory().Stats()
+	const runs, opsPerRun = 5, 1000
+	n := testing.AllocsPerRun(runs, func() {
+		for k := 0; k < opsPerRun; k++ {
+			op()
+		}
+	})
+	// Under the race detector sync.Pool drops a quarter of its Puts, so
+	// the page scratch behind a fill is re-made that often.
+	if ok := n == 0 || (raceDetectorEnabled && n <= opsPerRun); !ok {
+		t.Errorf("cold cached path allocates %.0f per %d ops, want 0", n, opsPerRun)
+	}
+	after, dirAfter := p.CacheStats(), p.PageDirectory().Stats()
+	const measured = (runs + 1) * opsPerRun // AllocsPerRun warms up with one extra run
+	if got := after.Evictions - before.Evictions; got < measured/2 {
+		t.Errorf("measured loop evicted %d pages in %d ops: not the miss path", got, measured)
+	}
+	if got := after.Flushes - before.Flushes; got < 3*(runs+1) {
+		t.Errorf("measured loop flushed %d times, want at least 3 per run", got)
+	}
+	if got := dirAfter.BackInvalidates - dirBefore.BackInvalidates; got < measured/4 {
+		t.Errorf("measured loop back-invalidated %d blocks: the directory was not full", got)
 	}
 }

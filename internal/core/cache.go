@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"github.com/lmp-project/lmp/internal/addr"
@@ -526,33 +527,38 @@ func (p *Pool) flushWC() error {
 		sp = p.obs.tracer.Begin(telemetry.SpanContext{}, "pool.wc.flush")
 		fsc = sp.Context()
 	}
-	var order []int
-	vecsByFrom := make(map[int][]Vec)
-	for _, e := range batch {
-		if _, ok := vecsByFrom[e.From]; !ok {
-			order = append(order, e.From)
-		}
-		vecsByFrom[e.From] = append(vecsByFrom[e.From], Vec{Addr: addr.Logical(e.Addr), Data: e.Data})
-	}
+	// Regroup the batch by issuer, issuers in order of first appearance,
+	// into the scratch flushMu guards: one pass per issuer (there are at
+	// most as many as servers) instead of a map of slices per flush.
+	vecs := p.flushVecs[:0]
 	var firstErr error
 	flushed := 0
-	for _, f := range order {
-		vecs := vecsByFrom[f]
-		if err := p.vectored(nil, fsc, addr.ServerID(f), vecs, true, true); err != nil {
+	for i := range batch {
+		from := batch[i].From
+		if slices.ContainsFunc(batch[:i], func(e cache.Pending) bool { return e.From == from }) {
+			continue // already applied with its issuer's first entry
+		}
+		start := len(vecs)
+		for _, e := range batch[i:] {
+			if e.From == from {
+				vecs = append(vecs, Vec{Addr: addr.Logical(e.Addr), Data: e.Data})
+				flushed += len(e.Data)
+			}
+		}
+		group := vecs[start:]
+		if err := p.vectored(nil, fsc, addr.ServerID(from), group, true, true); err != nil {
 			// The batch hit a range that died mid-flight (released) or an
 			// unrecoverable slice: apply entry by entry so one bad range
 			// does not sink its neighbours, dropping writes whose logical
 			// range is gone.
-			for _, v := range vecs {
-				if err2 := p.flushOneFallback(addr.ServerID(f), v); err2 != nil && firstErr == nil {
+			for _, v := range group {
+				if err2 := p.flushOneFallback(addr.ServerID(from), v); err2 != nil && firstErr == nil {
 					firstErr = err2
 				}
 			}
 		}
-		for _, v := range vecs {
-			flushed += len(v.Data)
-		}
 	}
+	p.flushVecs = vecs[:0]
 	p.wc.EndFlush()
 	p.cacheFlushes.Inc()
 	p.cacheFlushedBytes.Add(uint64(flushed))

@@ -289,6 +289,9 @@ type Pool struct {
 	pageShift uint
 	pagePool  sync.Pool
 	flushMu   sync.Mutex
+	// flushVecs is flushWC's scratch (guarded by flushMu): the batch
+	// regrouped by issuer, reused from flush to flush.
+	flushVecs []Vec
 
 	cacheFills        *telemetry.Counter
 	cacheFlushes      *telemetry.Counter

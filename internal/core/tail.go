@@ -119,14 +119,21 @@ var errPoolOverloaded = fmt.Errorf("core: admission limit reached: %w", rpc.ErrO
 var errDegradedRead = fmt.Errorf("core: owner degraded and no replica available: %w", rpc.ErrServerDegraded)
 
 // admit reserves one foreground-op slot. Callers check p.tail.limit != 0
-// first so the disabled case costs one predictable branch.
+// first so the disabled case costs one predictable branch. The count is
+// raised only by a compare-and-swap from below the limit: add-then-undo
+// would let Inflight read limit+1 for a moment, which is what
+// TestTailAdmissionStress caught on a loaded two-core box.
 func (p *Pool) admit() bool {
-	if p.tail.inflight.Add(1) > p.tail.limit {
-		p.tail.inflight.Add(-1)
-		p.tail.sheds.Inc()
-		return false
+	for {
+		n := p.tail.inflight.Load()
+		if n >= p.tail.limit {
+			p.tail.sheds.Inc()
+			return false
+		}
+		if p.tail.inflight.CompareAndSwap(n, n+1) {
+			return true
+		}
 	}
-	return true
 }
 
 // release returns a foreground-op slot taken by admit.
