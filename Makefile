@@ -10,7 +10,7 @@ CHAOS_SEEDS ?= 50
 FUZZTIME ?= 30s
 FLAKE_COUNT ?= 5
 
-.PHONY: all build test race bench bench-build bench-smoke bench-compare vet lint lint-fixtures govulncheck examples chaos flake fuzz-smoke obs-smoke audit
+.PHONY: all build test race bench bench-build bench-smoke vet lint lint-fixtures govulncheck examples chaos flake fuzz-smoke obs-smoke audit
 
 # Pinned govulncheck version: reproducible scans, no surprise tool updates.
 GOVULNCHECK_VERSION ?= v1.1.3
@@ -48,20 +48,19 @@ lint-fixtures:
 # detector — shuffled, so order-dependent tests cannot hide — then a
 # widened chaos sweep (which includes the cache-coherence property
 # test, so the page cache and write combiner run under -race on every
-# gate). Perf is gated separately: run `make bench-compare` alongside
-# this before merging hot-path changes.
+# gate). Perf is measured separately, by the repo benchmark: see
+# bench/README.md for the protocol a claim has to follow.
 race: lint lint-fixtures bench-build
 	$(GO) test -race -shuffle=on ./...
 	$(MAKE) chaos
 	$(MAKE) obs-smoke
 
-# Seeded chaos/property sweep over the pool and the transport: every
-# seed runs its random interleaving (Map/Write/Read/Release/crash for
-# the pool, hedged calls over a lossy link for rpc) twice and must
-# produce an identical trace and zero divergence from the model. Replay
-# a failure with CHAOS_SEED=<n> (the failure report prints the command).
+# Seeded chaos/property sweep over the pool: every seed runs its random
+# interleaving (Map/Write/Read/Release/crash) twice and must produce an
+# identical trace and zero divergence from the model. Replay a failure
+# with CHAOS_SEED=<n> (the failure report prints the command).
 chaos:
-	CHAOS_SEEDS=$(CHAOS_SEEDS) $(GO) test -race -run 'TestChaos' ./internal/core/ ./internal/rpc/
+	CHAOS_SEEDS=$(CHAOS_SEEDS) $(GO) test -race -run 'TestChaos' ./internal/core/
 
 # bench/ is its own module (BENCHMARK.json builds it from its checkout),
 # so `go build ./... && go test ./...` at the root never compiles it:
@@ -70,15 +69,17 @@ chaos:
 bench-build:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-# Machine-shape gate for the transport: the rpc and daemon suites,
-# shuffled and repeated, under each GOMAXPROCS a CI box or a laptop is
-# likely to have. A test that reads state before the event that orders
-# it passes on one shape and fails on another; this catches it before
-# it lands.
+# Machine-shape gate for the transport and the pool's admission/tail
+# path: the rpc and daemon suites and core's admission, in-flight and
+# tail tests, shuffled and repeated, under each GOMAXPROCS a CI box or a
+# laptop is likely to have. A test that reads state before the event
+# that orders it passes on one shape and fails on another; this catches
+# it before it lands.
 flake:
 	@for p in 1 2 4 8; do \
 		echo "flake: GOMAXPROCS=$$p"; \
 		GOMAXPROCS=$$p $(GO) test -shuffle=on -count=$(FLAKE_COUNT) ./internal/rpc/ ./internal/daemon/ || exit 1; \
+		GOMAXPROCS=$$p $(GO) test -shuffle=on -count=$(FLAKE_COUNT) -run 'Admission|Inflight|Tail' ./internal/core/ || exit 1; \
 	done
 
 # Regenerate the checked-in code ledger AUDIT.md: per package non-test
@@ -146,18 +147,6 @@ bench:
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkPoolParallelReadWrite' -benchtime=100x .
 	$(GO) test -run '^$$' -bench 'BenchmarkPoolColdMix' -benchtime=20000x -benchmem .
-
-# Hot-path regression gate: re-run the Zipf workload against the newest
-# checked-in BENCH_*.json baseline. Soft-fails (like govulncheck): shared
-# CI machines jitter well past the 10% tolerance, so a regression warns
-# without masking test results — run it on quiet hardware before
-# believing a number. Regenerate the baseline with
-# `go run ./cmd/lmpbench -json BENCH_<n>.json` after intentional changes.
-bench-compare:
-	@base=$$(ls BENCH_*.json 2>/dev/null | sort -V | tail -1); \
-	if [ -z "$$base" ]; then echo "bench-compare: no BENCH_*.json baseline checked in"; exit 1; fi; \
-	echo "comparing against $$base"; \
-	$(GO) run ./cmd/lmpbench -compare "$$base" || echo "bench-compare: regression above (non-blocking)"
 
 examples:
 	$(GO) run ./examples/quickstart

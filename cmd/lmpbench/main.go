@@ -1,17 +1,16 @@
 // Command lmpbench regenerates the paper's evaluation: Table 1 (memory
 // type characteristics), Table 2 (emulated link characterization),
 // Figures 2-5 (vector-sum bandwidth across deployments), the §4.3 loaded-
-// latency comparison, and the §4.4 near-memory experiment.
+// latency comparison, and the §4.4 near-memory experiment. One runtime
+// experiment rides along, `repair` (repairbench.go): RepairServer worker
+// scaling and foreground read latency during live migration. Everything
+// else about the runtime's speed is measured by bench/ (see
+// bench/README.md).
 //
 // Usage:
 //
 //	lmpbench -experiment all
 //	lmpbench -experiment fig4 -reps 10
-//
-// The -json and -compare flags run the hot-path Zipf workload instead of
-// the paper experiments: -json writes a machine-readable baseline
-// (BENCH_<n>.json), -compare re-runs against one and fails on a >10%
-// ns/op regression (see zipfbench.go and `make bench-compare`).
 package main
 
 import (
@@ -30,26 +29,13 @@ import (
 
 var (
 	experiment = flag.String("experiment", "all",
-		"experiment to run: table1, table2, fig2, fig3, fig4, fig5, latency, nearmem, tail, all")
+		"experiment to run: table1, table2, fig2, fig3, fig4, fig5, latency, nearmem, software, ablations, repair, all")
 	reps  = flag.Int("reps", 10, "vector-sum repetitions")
 	cores = flag.Int("sweep-cores", 14, "max cores for the table2 load sweep")
-
-	jsonOut = flag.String("json", "",
-		"write the Zipf hot-path benchmark results to this file (e.g. BENCH_4.json) and exit")
-	compareTo = flag.String("compare", "",
-		"re-run the Zipf hot-path benchmark and fail on >10% ns/op regression against this baseline file")
 )
 
 func main() {
 	flag.Parse()
-	if *jsonOut != "" {
-		writeBenchJSON(*jsonOut)
-		return
-	}
-	if *compareTo != "" {
-		compareBenchJSON(*compareTo)
-		return
-	}
 	run := map[string]func(){
 		"table1":    table1,
 		"table2":    table2,
@@ -61,9 +47,9 @@ func main() {
 		"nearmem":   nearmem,
 		"software":  software,
 		"ablations": ablations,
-		"tail":      func() { runTailSection(false) },
+		"repair":    repair,
 	}
-	order := []string{"table1", "table2", "fig2", "fig3", "fig4", "fig5", "latency", "nearmem", "software", "ablations", "tail"}
+	order := []string{"table1", "table2", "fig2", "fig3", "fig4", "fig5", "latency", "nearmem", "software", "ablations", "repair"}
 	names := strings.Split(*experiment, ",")
 	for _, name := range names {
 		name = strings.TrimSpace(name)

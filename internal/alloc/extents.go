@@ -1,16 +1,29 @@
+// Package alloc provides the pool allocators: an extent allocator managing
+// one server's shared region, and a Placer that spreads allocations across
+// servers under a placement policy. Allocation failure is how the runtime
+// reports the paper's Figure 5 infeasibility: a physical pool whose device
+// is smaller than the working set cannot place it, while a logical pool
+// can grow its shared regions and succeed.
 package alloc
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
 )
 
+// ErrNoSpace reports an allocation that cannot be satisfied.
+var ErrNoSpace = errors.New("alloc: out of space")
+
+// ErrNotAllocated reports a free of an unknown offset.
+var ErrNotAllocated = errors.New("alloc: offset not allocated")
+
 // Extents is a first-fit extent allocator over [0, Limit) in multiples of
-// a unit. Unlike the buddy allocator it handles arbitrary (non-power-of-
-// two) region sizes and supports growing and shrinking the limit at
-// runtime — the shape of an LMP shared region, whose size follows the
-// sizing policy. It is safe for concurrent use.
+// a unit. It handles arbitrary (non-power-of-two) region sizes and
+// supports growing and shrinking the limit at runtime — the shape of an
+// LMP shared region, whose size follows the sizing policy. It is safe for
+// concurrent use.
 type Extents struct {
 	unit int64
 

@@ -46,8 +46,8 @@ type Chunk struct {
 	Size   int64
 }
 
-// RegionAlloc is the allocator a region exposes to the placer. Both the
-// buddy allocator and the extent allocator satisfy it.
+// RegionAlloc is the allocator a region exposes to the placer; *Extents
+// satisfies it.
 type RegionAlloc interface {
 	Alloc(n int64) (int64, error)
 	Free(offset int64) error

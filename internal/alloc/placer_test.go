@@ -11,7 +11,7 @@ func testRegions(t *testing.T, n int, size int64) []*Region {
 	t.Helper()
 	var rs []*Region
 	for i := 0; i < n; i++ {
-		b, err := NewBuddy(size, 64)
+		b, err := NewExtents(size, 64)
 		if err != nil {
 			t.Fatal(err)
 		}

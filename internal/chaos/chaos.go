@@ -109,12 +109,11 @@ type Injector struct {
 	eng *sim.Engine
 	cfg Config
 
-	mu         sync.Mutex
-	rng        *rand.Rand
-	crashed    map[int]bool
-	slow       map[int]float64
-	trace      []Event
-	delaySched func(d sim.Duration, fire func())
+	mu      sync.Mutex
+	rng     *rand.Rand
+	crashed map[int]bool
+	slow    map[int]float64
+	trace   []Event
 
 	// OnCrash and OnRestore, when set, run inside the scheduled crash /
 	// restore events (the core harness points them at Pool.Crash and
@@ -216,37 +215,11 @@ func (in *Injector) DegradeLinkAt(t sim.Time, server int, factor float64) *sim.S
 	})
 }
 
-// SetDelayScheduler installs the hook that realizes FaultDelay verdicts
-// as deferred completions: for each delayed call the link hands the
-// verdict's duration and a fire func to fn, and the underlying call runs
-// only when fire does. Without a scheduler (the default), delay verdicts
-// are recorded but the call proceeds immediately — the pre-hedging
-// behaviour. The duration is simulated; fn owns mapping it onto whatever
-// clock drives the harness (the hedging chaos tests scale it onto a real
-// timer, keeping this package free of wall-clock reads). Verdicts are
-// still drawn at issue time in the fixed seed order, so the trace is
-// deterministic regardless of completion order.
-func (in *Injector) SetDelayScheduler(fn func(d sim.Duration, fire func())) {
-	in.mu.Lock()
-	in.delaySched = fn
-	in.mu.Unlock()
-}
-
 // Crashed reports whether server is currently crash-stopped.
 func (in *Injector) Crashed(server int) bool {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	return in.crashed[server]
-}
-
-// LinkFactor reports server's current latency multiplier (1 = healthy).
-func (in *Injector) LinkFactor(server int) float64 {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	if f, ok := in.slow[server]; ok {
-		return f
-	}
-	return 1
 }
 
 // Trace returns a copy of the fault trace so far.

@@ -54,9 +54,6 @@ func (l *Link) CallCtx(ctx context.Context, method byte, payload []byte) ([]byte
 			method, l.server, verdict.delay, rpc.ErrTransient)
 	case FaultDelay:
 		in.delays.Inc()
-		if f := l.deferDelay(ctx, method, payload, verdict.delay); f != nil {
-			return f.WaitCtx(ctx)
-		}
 	case FaultDup:
 		in.dups.Inc()
 		resp, err := l.next.CallCtx(ctx, method, payload)
@@ -97,9 +94,6 @@ func (l *Link) CallAsyncCtx(ctx context.Context, method byte, payload []byte) *r
 			method, l.server, verdict.delay, rpc.ErrTransient))
 	case FaultDelay:
 		in.delays.Inc()
-		if f := l.deferDelay(ctx, method, payload, verdict.delay); f != nil {
-			return f
-		}
 	case FaultDup:
 		in.dups.Inc()
 		f := rpc.Async(l.next, ctx, method, payload)
@@ -113,26 +107,6 @@ func (l *Link) CallAsyncCtx(ctx context.Context, method byte, payload []byte) *r
 		})
 	}
 	return rpc.Async(l.next, ctx, method, payload)
-}
-
-// deferDelay realizes a delay verdict through the injector's delay
-// scheduler: the underlying call is issued only when the scheduled delay
-// fires, so a delayed call is actually slower on the harness clock
-// instead of merely being counted — the property hedging tests need.
-// Returns nil when no scheduler is installed (delays stay immediate, the
-// pre-hedging behaviour).
-func (l *Link) deferDelay(ctx context.Context, method byte, payload []byte, d sim.Duration) *rpc.Future {
-	l.in.mu.Lock()
-	sched := l.in.delaySched
-	l.in.mu.Unlock()
-	if sched == nil {
-		return nil
-	}
-	f, resolve := rpc.PromiseFuture()
-	sched(d, func() {
-		resolve(l.next.CallCtx(ctx, method, payload))
-	})
-	return f
 }
 
 type verdict struct {

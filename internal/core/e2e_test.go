@@ -8,15 +8,14 @@ import (
 
 	"github.com/lmp-project/lmp/internal/addr"
 	"github.com/lmp-project/lmp/internal/alloc"
-	"github.com/lmp-project/lmp/internal/ship"
 )
 
 // TestPaperDeploymentEndToEnd runs the whole §4 story on the functional
 // runtime at 1/1024 scale: a 4-server logical pool with 24 slices each, a
 // 96-slice vector placed across all shared regions (infeasible on the
 // 64-slice physical device), summed three ways — locally by one server
-// pulling, with buffer convenience I/O, and by shipping the kernel to the
-// owning servers — all agreeing on the result.
+// pulling, with buffer convenience I/O, and by summing at the owning
+// servers — all agreeing on the result.
 func TestPaperDeploymentEndToEnd(t *testing.T) {
 	// Scaled logical deployment: 4 x 24 slices = 96 slices of pool.
 	cfg := Config{Placement: alloc.Striped}
@@ -73,51 +72,45 @@ func TestPaperDeploymentEndToEnd(t *testing.T) {
 		t.Fatalf("pulled sum %v != %v", pulled, want)
 	}
 
-	// Way 2: ship the sum to each owning server; only partials travel.
-	// Build the chunk list from current ownership.
-	var chunks []alloc.Chunk
+	// Way 2: the sum runs at each owning server against its own slices
+	// (plain Buffer.ReadAt issued by the owner); only the four partials
+	// would travel.
+	partial := map[addr.ServerID]float64{}
+	slices := map[addr.ServerID]int{}
+	slice := make([]byte, SliceSize)
 	for i := 0; i < vectorSlices; i++ {
-		la := vec.Addr() + addr.Logical(int64(i)*SliceSize)
-		loc, err := pool.Translate(la)
+		off := int64(i) * SliceSize
+		loc, err := pool.Translate(vec.Addr() + addr.Logical(off))
 		if err != nil {
 			t.Fatal(err)
 		}
-		chunks = append(chunks, alloc.Chunk{Server: loc.Server, Offset: int64(la), Size: SliceSize})
+		if err := vec.ReadAt(loc.Server, slice, off); err != nil {
+			t.Fatal(err)
+		}
+		for w := 0; w < len(slice); w += 8 {
+			partial[loc.Server] += float64(binary.LittleEndian.Uint64(slice[w:]))
+		}
+		slices[loc.Server]++
 	}
-	eng := &ship.Engine{
-		Read: func(c alloc.Chunk) ([]byte, error) {
-			buf := make([]byte, c.Size)
-			// A shipped task reads locally at the owner.
-			if err := pool.Read(c.Server, addr.Logical(c.Offset), buf); err != nil {
-				return nil, err
-			}
-			return buf, nil
-		},
+	if len(partial) != 4 {
+		t.Fatalf("partials = %d, want one per server", len(partial))
 	}
-	res, err := eng.MapReduce(chunks, ship.SumBytesLE,
-		func(a, b float64) float64 { return a + b }, 0)
-	if err != nil {
-		t.Fatal(err)
+	var owned float64
+	for _, v := range partial {
+		owned += v
 	}
-	if math.Abs(res.Value-want) > 1e-6 {
-		t.Fatalf("shipped sum %v != %v", res.Value, want)
+	if math.Abs(owned-want) > 1e-6 {
+		t.Fatalf("owner-side sum %v != %v", owned, want)
 	}
-	if res.ResultMessages != 4 {
-		t.Fatalf("partials = %d, want one per server", res.ResultMessages)
-	}
-	// Shipping made every byte local.
+	// Summing at the owners made every byte local.
 	m := pool.metrics
 	if remote := m.Counter("pool.bytes.read.remote").Value(); remote >= m.Counter("pool.bytes.read.local").Value() {
-		t.Fatalf("shipping did not localize traffic: %d remote vs %d local bytes",
+		t.Fatalf("owner-side sum did not localize traffic: %d remote vs %d local bytes",
 			remote, m.Counter("pool.bytes.read.local").Value())
 	}
 
 	// Striping put exactly 24 slices on each server.
-	perServer := map[addr.ServerID]int{}
-	for _, c := range chunks {
-		perServer[c.Server]++
-	}
-	for s, n := range perServer {
+	for s, n := range slices {
 		if n != 24 {
 			t.Fatalf("server %d holds %d slices, want 24", s, n)
 		}

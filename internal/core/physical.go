@@ -1,7 +1,6 @@
 package core
 
 import (
-	"container/list"
 	"errors"
 	"fmt"
 	"sync"
@@ -9,6 +8,7 @@ import (
 	"github.com/lmp-project/lmp/internal/addr"
 	"github.com/lmp-project/lmp/internal/alloc"
 	"github.com/lmp-project/lmp/internal/failure"
+	"github.com/lmp-project/lmp/internal/hashtab"
 	"github.com/lmp-project/lmp/internal/memnode"
 	"github.com/lmp-project/lmp/internal/telemetry"
 )
@@ -195,8 +195,7 @@ func (p *PhysicalPool) Read(from int, la addr.Logical, buf []byte) error {
 		if rem := len(buf) - done; rem < n {
 			n = rem
 		}
-		if data, ok := cache.lookup(page); ok {
-			copy(buf[done:done+n], data[po:po+int64(n)])
+		if cache.read(page, po, buf[done:done+n]) {
 			p.metrics.Counter("pool.bytes.read.local").Add(uint64(n))
 			p.metrics.Counter("pool.reads.local").Inc()
 		} else {
@@ -250,79 +249,70 @@ func (p *PhysicalPool) Write(from int, la addr.Logical, data []byte) error {
 	return nil
 }
 
-// pageCache is one server's local cache of pool pages.
+// pageCache is one server's local cache of pool pages: a keyed recency
+// list of page buffers, oldest first. Only LRUCache mode reorders it.
 type pageCache struct {
 	mode     CacheMode
 	capacity int // pages
 
 	mu    sync.Mutex
-	pages map[int64][]byte
-	lru   *list.List              // front = most recent
-	elems map[int64]*list.Element // page -> lru element
+	pages hashtab.List[[]byte]
 }
 
 func newPageCache(mode CacheMode, capBytes int64) *pageCache {
-	return &pageCache{
-		mode:     mode,
-		capacity: int(capBytes / cachePageBytes),
-		pages:    make(map[int64][]byte),
-		lru:      list.New(),
-		elems:    make(map[int64]*list.Element),
-	}
+	c := &pageCache{mode: mode, capacity: int(capBytes / cachePageBytes)}
+	// Grown on demand: LocalBytes bounds the cache, it does not size it.
+	c.pages.Init(0)
+	return c
 }
 
-func (c *pageCache) lookup(page int64) ([]byte, bool) {
+// read copies the cached bytes of page at off into dst; reports whether
+// the page was cached. The copy happens under the lock because update
+// writes into the same buffer.
+func (c *pageCache) read(page, off int64, dst []byte) bool {
 	if c.mode == NoCache || c.capacity == 0 {
-		return nil, false
+		return false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	data, ok := c.pages[page]
-	if ok && c.mode == LRUCache {
-		c.lru.MoveToFront(c.elems[page])
+	h, ok := c.pages.Get(uint64(page))
+	if !ok {
+		return false
 	}
-	return data, ok
+	copy(dst, (*c.pages.At(h))[off:])
+	if c.mode == LRUCache {
+		c.pages.Touch(h)
+	}
+	return true
 }
 
-// fill inserts a page after a miss; reports whether it was cached.
+// fill inserts a page after a miss, taking ownership of data; reports
+// whether it was cached.
 func (c *pageCache) fill(page int64, data []byte) bool {
 	if c.mode == NoCache || c.capacity == 0 {
 		return false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, ok := c.pages[page]; ok {
+	if _, ok := c.pages.Get(uint64(page)); ok {
 		return false
 	}
-	switch c.mode {
-	case PinnedCache:
-		// Pin the first capacity pages ever touched; later pages are
-		// never cached (no thrash, no benefit beyond the pinned set).
-		if len(c.pages) >= c.capacity {
+	if c.pages.Len() >= c.capacity {
+		// Pinned: the first capacity pages ever touched stay; later pages
+		// are never cached (no thrash, no benefit beyond the pinned set).
+		if c.mode == PinnedCache {
 			return false
 		}
-	case LRUCache:
-		if len(c.pages) >= c.capacity {
-			victim := c.lru.Back()
-			if victim != nil {
-				vp := victim.Value.(int64)
-				c.lru.Remove(victim)
-				delete(c.elems, vp)
-				delete(c.pages, vp)
-			}
-		}
-		c.elems[page] = c.lru.PushFront(page)
+		c.pages.Remove(c.pages.Oldest())
 	}
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	c.pages[page] = cp
+	*c.pages.At(c.pages.Push(uint64(page))) = data
 	return true
 }
 
 func (c *pageCache) update(page, off int64, data []byte) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if cached, ok := c.pages[page]; ok {
-		copy(cached[off:off+int64(len(data))], data)
+	if h, ok := c.pages.Get(uint64(page)); ok {
+		copy((*c.pages.At(h))[off:], data)
 	}
 }

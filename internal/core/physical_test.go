@@ -267,3 +267,49 @@ func TestPhysicalServerBounds(t *testing.T) {
 		t.Fatal("zero alloc accepted")
 	}
 }
+
+// A cached Read copies out of the page buffer that a concurrent Write
+// updates in place: under -race this fails unless the copy is ordered
+// with the update, and a hit must never observe half of a write.
+func TestCachedReadRacesWrite(t *testing.T) {
+	for _, mode := range []CacheMode{PinnedCache, LRUCache} {
+		p := testPhysical(t, mode, 4, 16)
+		b, err := p.Alloc(cachePageBytes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := make([]byte, 256)
+		if err := p.Read(0, b.Addr(), got); err != nil { // warm server 0's cache
+			t.Fatal(err)
+		}
+		const rounds = 2000
+		done := make(chan error, 1)
+		go func() {
+			fill := make([]byte, len(got))
+			for i := 1; i <= rounds; i++ {
+				for j := range fill {
+					fill[j] = byte(i)
+				}
+				if err := p.Write(1, b.Addr(), fill); err != nil {
+					done <- err
+					return
+				}
+			}
+			done <- nil
+		}()
+		for i := 0; i < rounds; i++ {
+			if err := p.Read(0, b.Addr(), got); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, bytes.Repeat(got[:1], len(got))) {
+				t.Fatalf("%v: torn cached read: %v ... %v", mode, got[0], got[len(got)-1])
+			}
+		}
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+		if hits := p.metrics.Counter("pool.reads.local").Value(); hits != rounds {
+			t.Fatalf("%v: %d of %d reads hit the cache", mode, hits, rounds)
+		}
+	}
+}

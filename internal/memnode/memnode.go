@@ -21,7 +21,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 	"sync/atomic"
 )
 
@@ -38,9 +37,6 @@ const chunkBytes = int64(chunkPages) * PageSize
 
 // ErrOutOfRange reports an access beyond the node's capacity.
 var ErrOutOfRange = errors.New("memnode: access out of range")
-
-// ErrShrinkBelowUse reports a shared-region shrink below allocated bytes.
-var ErrShrinkBelowUse = errors.New("memnode: cannot shrink shared region below allocated bytes")
 
 // PageStats holds access statistics for one page.
 type PageStats struct {
@@ -94,9 +90,7 @@ type Node struct {
 	// slot is materialized on first touch.
 	chunks []atomic.Pointer[chunk]
 
-	mu     sync.Mutex   // guards the region boundary bookkeeping below
 	shared atomic.Int64 // bytes [0, shared) are the shared region
-	inUse  int64        // shared bytes currently allocated (maintained by the allocator)
 }
 
 // New returns a node with the given capacity and initial shared-region
@@ -129,39 +123,12 @@ func (n *Node) SharedBytes() int64 { return n.shared.Load() }
 // PrivateBytes reports capacity outside the shared region.
 func (n *Node) PrivateBytes() int64 { return n.capacity - n.SharedBytes() }
 
-// InUse reports shared bytes currently allocated.
-func (n *Node) InUse() int64 {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.inUse
-}
-
-// Reserve records alloc bytes as allocated in the shared region. It fails
-// if the region would overflow. Negative alloc releases bytes.
-func (n *Node) Reserve(alloc int64) error {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	next := n.inUse + alloc
-	if next < 0 {
-		return fmt.Errorf("memnode: release below zero (%d)", next)
-	}
-	if next > n.shared.Load() {
-		return fmt.Errorf("memnode: reserve %d exceeds shared region %d (in use %d)", alloc, n.shared.Load(), n.inUse)
-	}
-	n.inUse = next
-	return nil
-}
-
-// Resize moves the private/shared boundary. Growing is always allowed up
-// to capacity; shrinking fails if allocated bytes would not fit.
+// Resize moves the private/shared boundary anywhere in [0, capacity].
+// What is allocated inside the region is the allocator's business: the
+// caller shrinks its allocator first, which refuses to drop below use.
 func (n *Node) Resize(sharedBytes int64) error {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	if sharedBytes < 0 || sharedBytes > n.capacity {
 		return fmt.Errorf("memnode: resize to %d outside [0,%d]", sharedBytes, n.capacity)
-	}
-	if sharedBytes < n.inUse {
-		return fmt.Errorf("%w: want %d, in use %d", ErrShrinkBelowUse, sharedBytes, n.inUse)
 	}
 	n.shared.Store(sharedBytes)
 	return nil

@@ -96,38 +96,16 @@ func TestOutOfRange(t *testing.T) {
 	}
 }
 
-func TestResizeAndReserve(t *testing.T) {
+func TestResize(t *testing.T) {
 	n := mustNode(t, 100*PageSize, 50*PageSize)
-	if err := n.Reserve(40 * PageSize); err != nil {
-		t.Fatal(err)
-	}
-	if n.InUse() != 40*PageSize {
-		t.Fatalf("in use = %d", n.InUse())
-	}
-	// Overflow the shared region.
-	if err := n.Reserve(20 * PageSize); err == nil {
-		t.Fatal("over-reserve accepted")
-	}
-	// Shrink below use fails.
-	if err := n.Resize(30 * PageSize); !errors.Is(err, ErrShrinkBelowUse) {
-		t.Fatalf("shrink below use: %v", err)
-	}
-	// Grow, then shrink to exactly in-use.
 	if err := n.Resize(100 * PageSize); err != nil {
 		t.Fatal(err)
 	}
 	if err := n.Resize(40 * PageSize); err != nil {
 		t.Fatal(err)
 	}
-	if n.PrivateBytes() != 60*PageSize {
-		t.Fatalf("private = %d", n.PrivateBytes())
-	}
-	// Release.
-	if err := n.Reserve(-40 * PageSize); err != nil {
-		t.Fatal(err)
-	}
-	if err := n.Reserve(-1); err == nil {
-		t.Fatal("release below zero accepted")
+	if n.SharedBytes() != 40*PageSize || n.PrivateBytes() != 60*PageSize {
+		t.Fatalf("shared = %d, private = %d", n.SharedBytes(), n.PrivateBytes())
 	}
 }
 

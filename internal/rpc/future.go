@@ -121,31 +121,6 @@ func (f *Future) WaitCtx(ctx context.Context) ([]byte, error) {
 	return nil, cancelErr(ctx.Err())
 }
 
-// WaitOr waits until the call completes or abort is readable, whichever
-// comes first. Unlike WaitCtx, an abort does NOT withdraw the pending
-// entry: the call stays in flight and the future can be waited again —
-// this is the hedging primitive (wait a beat for the primary, then issue
-// a hedge without giving up on the primary). Completion wins a tie. ok
-// reports whether the future completed.
-func (f *Future) WaitOr(abort <-chan struct{}) (payload []byte, err error, ok bool) {
-	if f.resolved {
-		return f.payload, f.err, true
-	}
-	select {
-	case <-f.done:
-		f.settle()
-		return f.payload, f.err, true
-	default:
-	}
-	select {
-	case <-f.done:
-		f.settle()
-		return f.payload, f.err, true
-	case <-abort:
-		return nil, nil, false
-	}
-}
-
 // Then hangs a post-processing hook on the future, composing with any
 // hook already present (outermost wrapper runs last). The hook runs in
 // the waiting goroutine when the result is first consumed; transport
@@ -169,16 +144,6 @@ func ResolvedFuture(payload []byte, err error) *Future {
 	f := newFuture(nil)
 	f.complete(payload, err)
 	return f
-}
-
-// PromiseFuture returns a detached, unresolved future together with its
-// resolver — the building block for transports that complete calls from
-// their own event loop (the chaos link resolves deferred delay verdicts
-// this way). The resolver must be called exactly once; a second call
-// panics, like any double resolution.
-func PromiseFuture() (*Future, func(payload []byte, err error)) {
-	f := newFuture(nil)
-	return f, f.complete
 }
 
 // SpawnFuture runs fn in its own goroutine and returns a future for its

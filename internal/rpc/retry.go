@@ -44,7 +44,7 @@ var (
 
 // Caller is the blocking call surface: one request/response exchange,
 // with and without cancellation. *Client implements it, as do the
-// fault-injecting, retrying and hedging wrappers, so the layers compose;
+// fault-injecting and retrying wrappers, so the layers compose;
 // the daemon client accepts any Caller so chaos layers can interpose.
 type Caller interface {
 	Call(method byte, payload []byte) ([]byte, error)

@@ -54,19 +54,14 @@ type Server struct {
 	closed   bool
 	wg       sync.WaitGroup
 
-	calls         [256]atomic.Uint64
-	errs          [256]atomic.Uint64
-	batches       atomic.Uint64 // batch frames received
-	budgetExpired atomic.Uint64 // requests rejected with a spent budget
+	calls   [256]atomic.Uint64
+	errs    [256]atomic.Uint64
+	batches atomic.Uint64 // batch frames received
 }
 
 // errBudgetSpent is the rejection for requests whose propagated deadline
 // budget ran out before dispatch.
 var errBudgetSpent = fmt.Errorf("rpc: deadline budget spent before dispatch: %w", ErrDeadlineExceeded)
-
-// BudgetExpired reports how many requests this server rejected because
-// their propagated deadline budget was already spent at dispatch.
-func (s *Server) BudgetExpired() uint64 { return s.budgetExpired.Load() }
 
 // NewServer returns a server with no handlers.
 func NewServer() *Server {
@@ -265,7 +260,6 @@ func (s *Server) dispatch(h frameHeader, payload []byte, owned bool, out *batche
 			// backlog): reject without running the handler, so an overloaded
 			// server stops burning work the caller has already given up on.
 			herr = errBudgetSpent
-			s.budgetExpired.Add(1)
 		case handler == nil:
 			herr = fmt.Errorf("rpc: no handler for method %d", h.method)
 		default:
@@ -548,7 +542,7 @@ func (c *Client) CallAsyncCtx(ctx context.Context, method byte, payload []byte) 
 func (c *Client) startCall(ctx context.Context, method byte, payload []byte, f *Future) {
 	// A context deadline becomes the call's remaining budget, propagated
 	// on the wire so the server can refuse dispatch once it is spent. The
-	// budget is read per attempt: a Retrier or Hedger re-issuing the call
+	// budget is read per attempt: a Retrier re-issuing the call
 	// naturally sends the shrunken remainder.
 	var budget int64
 	if ctx != nil {

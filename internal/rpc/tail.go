@@ -1,121 +1,22 @@
-// Tail tolerance: the per-server circuit breaker, the adaptive latency
-// quantile tracker, and the hedged-call wrapper. A donor server under
+// Tail tolerance: the per-server circuit breaker. A donor server under
 // local memory pressure is slow long before it is dead, and the crash-
-// stop failure detector (MarkDead) never fires for it — these pieces
-// keep the request path's tail bounded anyway:
+// stop failure detector (MarkDead) never fires for it. Breaker watches
+// per-call outcomes and latencies and trips from closed to open when the
+// recent failure ratio crosses the policy threshold; open calls fail fast
+// with ErrServerDegraded instead of queueing behind the degraded peer,
+// and after a cool-down the breaker half-opens and probes its way back to
+// closed.
 //
-//   - Breaker watches per-call outcomes and latencies and trips from
-//     closed to open when the recent failure ratio crosses the policy
-//     threshold; open calls fail fast with ErrServerDegraded instead of
-//     queueing behind the degraded peer, and after a cool-down the
-//     breaker half-opens and probes its way back to closed.
-//   - QuantileTracker keeps an O(1) running estimate of a latency
-//     quantile (Frugal-style stochastic approximation), feeding the
-//     adaptive hedge delay.
-//   - Hedger waits one adaptive delay for a primary call, then issues
-//     the same call against a secondary (replica) transport; first
-//     success wins and the loser is cancelled through WaitCtx's
-//     pending-entry withdrawal.
-//
-// All time is injected (NowNS, Timer hooks), so the unit tests run on
-// the simulated clock with no wall-clock reads.
+// The clock is injected, so the unit tests run on the simulated clock
+// with no wall-clock reads.
 package rpc
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 )
-
-// ---------------------------------------------------------------------
-// Quantile tracker
-
-// QuantileTracker estimates a fixed quantile of a latency stream in O(1)
-// space: each sample nudges the estimate up by step*q if it exceeds the
-// estimate, down by step*(1-q) otherwise, so the estimate stalls where
-// the fraction of samples above it is 1-q. The step adapts — it doubles
-// while the stream is far from the estimate (distribution shift) and
-// decays geometrically while tracking well — so the tracker both
-// converges quickly and settles tightly. Safe for concurrent use.
-type QuantileTracker struct {
-	mu      sync.Mutex
-	q       float64
-	est     float64
-	step    float64
-	minStep float64
-	n       uint64
-}
-
-// NewQuantileTracker tracks quantile q (0 < q < 1; out-of-range values
-// fall back to 0.95).
-func NewQuantileTracker(q float64) *QuantileTracker {
-	if q <= 0 || q >= 1 {
-		q = 0.95
-	}
-	return &QuantileTracker{q: q}
-}
-
-// Observe feeds one sample (nanoseconds). Negative samples are dropped.
-func (t *QuantileTracker) Observe(ns float64) {
-	if ns < 0 {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.n++
-	if t.n == 1 {
-		// Seed on the first sample: estimate there, step a quarter of it
-		// (floored at 1ns) so early samples move the estimate decisively.
-		t.est = ns
-		t.step = ns / 4
-		if t.step < 1 {
-			t.step = 1
-		}
-		t.minStep = t.step / 64
-		if t.minStep < 1 {
-			t.minStep = 1
-		}
-		return
-	}
-	switch {
-	case ns > t.est:
-		t.est += t.step * t.q
-	case ns < t.est:
-		t.est -= t.step * (1 - t.q)
-	}
-	if t.est < 0 {
-		t.est = 0
-	}
-	if d := ns - t.est; d > 8*t.step || -d > 8*t.step {
-		t.step *= 2
-	} else if t.step > t.minStep {
-		t.step *= 0.98
-		if t.step < t.minStep {
-			t.step = t.minStep
-		}
-	}
-}
-
-// Estimate returns the current quantile estimate in nanoseconds (0 until
-// the first sample).
-func (t *QuantileTracker) Estimate() float64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.est
-}
-
-// Samples reports how many samples have been observed.
-func (t *QuantileTracker) Samples() uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.n
-}
-
-// ---------------------------------------------------------------------
-// Circuit breaker
 
 // BreakerState is a breaker's position in the closed/open/half-open
 // state machine.
@@ -355,237 +256,4 @@ func (b *Breaker) Counters() BreakerCounters {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return BreakerCounters{State: b.state, Trips: b.trips, FastFails: b.fastFails, Probes: b.probes}
-}
-
-// ---------------------------------------------------------------------
-// Hedger
-
-// HedgePolicy tunes the adaptive hedge delay: the delay is the tracked
-// latency quantile times Multiplier, clamped to [MinDelay, MaxDelay].
-// Until the tracker has a sample the delay is MaxDelay (hedge shyly
-// while cold).
-type HedgePolicy struct {
-	// Quantile of primary-call latency the delay adapts to. Default 0.95.
-	Quantile float64
-	// Multiplier scales the quantile estimate. Default 2.
-	Multiplier float64
-	// MinDelay floors the hedge delay. Default 100µs.
-	MinDelay time.Duration
-	// MaxDelay caps the hedge delay and is the cold-start delay.
-	// Default 100ms.
-	MaxDelay time.Duration
-}
-
-func (p HedgePolicy) withDefaults() HedgePolicy {
-	if p.Quantile <= 0 || p.Quantile >= 1 {
-		p.Quantile = 0.95
-	}
-	if p.Multiplier <= 0 {
-		p.Multiplier = 2
-	}
-	if p.MinDelay <= 0 {
-		p.MinDelay = 100 * time.Microsecond
-	}
-	if p.MaxDelay <= 0 {
-		p.MaxDelay = 100 * time.Millisecond
-	}
-	if p.MaxDelay < p.MinDelay {
-		p.MaxDelay = p.MinDelay
-	}
-	return p
-}
-
-// HedgerStats is a snapshot of a hedger's lifetime totals.
-type HedgerStats struct {
-	Hedges      uint64 `json:"hedges"`
-	HedgeWins   uint64 `json:"hedge_wins"`
-	PrimaryWins uint64 `json:"primary_wins"`
-}
-
-// Hedger issues calls against a primary transport and, when the primary
-// exceeds the adaptive hedge delay (or fails outright with a transport
-// error), races a second copy of the call against a secondary transport
-// holding the same bytes — for LMP reads, a replica holder, which is
-// coherence-safe because foreground writes freeze replica bytes under
-// the commit window, so primary and replica can never return different
-// committed data for the same read. First success wins; the loser is
-// cancelled through WaitCtx's pending-entry withdrawal, so no pending
-// entry outlives the logical call.
-//
-// Hedging duplicates work, so it is for idempotent calls (reads).
-type Hedger struct {
-	primary   AsyncCaller
-	secondary AsyncCaller
-	pol       HedgePolicy
-	tracker   *QuantileTracker
-
-	// Timer schedules the hedge-delay signal and returns a stop func;
-	// nil means time.AfterFunc. Deterministic tests inject their own
-	// (e.g. an immediately-fired channel).
-	Timer func(time.Duration) (<-chan struct{}, func())
-	// Now is the latency clock in nanoseconds; nil means wall clock.
-	Now func() int64
-	// OnHedge, if set, observes every hedge fire before the secondary
-	// call is issued (metrics, span annotations).
-	OnHedge func(method byte)
-
-	hedges      atomic.Uint64
-	hedgeWins   atomic.Uint64
-	primaryWins atomic.Uint64
-}
-
-// NewHedger builds a hedger over a primary and a secondary transport.
-func NewHedger(primary, secondary AsyncCaller, pol HedgePolicy) *Hedger {
-	pol = pol.withDefaults()
-	return &Hedger{
-		primary:   primary,
-		secondary: secondary,
-		pol:       pol,
-		tracker:   NewQuantileTracker(pol.Quantile),
-	}
-}
-
-// Tracker exposes the latency tracker feeding the adaptive delay.
-func (h *Hedger) Tracker() *QuantileTracker { return h.tracker }
-
-// Stats snapshots the hedger's totals.
-func (h *Hedger) Stats() HedgerStats {
-	return HedgerStats{
-		Hedges:      h.hedges.Load(),
-		HedgeWins:   h.hedgeWins.Load(),
-		PrimaryWins: h.primaryWins.Load(),
-	}
-}
-
-// Delay returns the current adaptive hedge delay.
-func (h *Hedger) Delay() time.Duration {
-	if h.tracker.Samples() == 0 {
-		return h.pol.MaxDelay
-	}
-	d := time.Duration(h.tracker.Estimate() * h.pol.Multiplier)
-	if d < h.pol.MinDelay {
-		d = h.pol.MinDelay
-	}
-	if d > h.pol.MaxDelay {
-		d = h.pol.MaxDelay
-	}
-	return d
-}
-
-func (h *Hedger) nowNS() int64 {
-	if h.Now != nil {
-		return h.Now()
-	}
-	return time.Now().UnixNano()
-}
-
-func (h *Hedger) timer(d time.Duration) (<-chan struct{}, func()) {
-	if h.Timer != nil {
-		return h.Timer(d)
-	}
-	ch := make(chan struct{})
-	t := time.AfterFunc(d, func() { close(ch) })
-	return ch, func() { t.Stop() }
-}
-
-// Call is Caller.Call with hedging.
-func (h *Hedger) Call(method byte, payload []byte) ([]byte, error) {
-	return h.CallCtx(nil, method, payload)
-}
-
-// CallCtx issues the call on the primary, waits up to the adaptive hedge
-// delay, and hedges to the secondary if the primary is still out (or
-// already failed). The caller's context cancels both legs.
-func (h *Hedger) CallCtx(ctx context.Context, method byte, payload []byte) ([]byte, error) {
-	start := h.nowNS()
-	f := Async(h.primary, ctx, method, payload)
-	fire, stop := h.timer(h.Delay())
-	p, err, done := f.WaitOr(fire)
-	if done {
-		stop()
-		if err == nil {
-			h.tracker.Observe(float64(h.nowNS() - start))
-			h.primaryWins.Add(1)
-			return p, nil
-		}
-		// The primary failed outright — hedge immediately rather than
-		// returning a degraded-path error the secondary could absorb.
-	}
-	return h.hedge(ctx, method, payload, f, done, err, start)
-}
-
-// cancelledCtx is a pre-cancelled context: WaitCtx against it withdraws
-// a pending entry without waiting, the loser-cancellation primitive of
-// the hedge race. One shared instance — no per-hedge allocation.
-var cancelledCtx = func() context.Context {
-	//lint:ignore ctxflow a process-lifetime pre-cancelled sentinel context, not a request root; nothing ever waits on it
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	return ctx
-}()
-
-// hedge runs the second leg. f is the primary's future; primaryDone and
-// perr carry its result when it already resolved (with an error).
-func (h *Hedger) hedge(ctx context.Context, method byte, payload []byte, f *Future, primaryDone bool, perr error, start int64) ([]byte, error) {
-	h.hedges.Add(1)
-	if h.OnHedge != nil {
-		h.OnHedge(method)
-	}
-	base := ctx
-	if base == nil {
-		//lint:ignore ctxflow nil means never-cancels by the transport contract; WithCancel needs a non-nil parent for the hedge leg
-		base = context.Background()
-	}
-	hctx, hcancel := context.WithCancel(base)
-	defer hcancel()
-	g := Async(h.secondary, hctx, method, payload)
-	if primaryDone {
-		p, err := g.WaitCtx(ctx)
-		if err == nil {
-			h.hedgeWins.Add(1)
-			return p, nil
-		}
-		return nil, perr // both legs failed: the primary's error is the story
-	}
-	// Race the two legs. The secondary is waited in a helper goroutine so
-	// the primary's WaitOr can treat its completion as the abort signal;
-	// the helper always exits once hctx is cancelled or the call resolves.
-	sdone := make(chan struct{})
-	var sp []byte
-	var serr error
-	go func() {
-		sp, serr = g.WaitCtx(hctx)
-		close(sdone)
-	}()
-	p, err, ok := f.WaitOr(sdone)
-	if ok {
-		// Primary resolved first: cancel the hedge leg and reap the helper.
-		hcancel()
-		<-sdone
-		if err == nil {
-			h.tracker.Observe(float64(h.nowNS() - start))
-			h.primaryWins.Add(1)
-			return p, nil
-		}
-		if serr == nil {
-			h.hedgeWins.Add(1)
-			return sp, nil
-		}
-		return nil, err
-	}
-	// Secondary resolved first.
-	if serr == nil {
-		h.hedgeWins.Add(1)
-		// Cancel the primary through WaitCtx withdrawal: the pending
-		// entry is taken and completed, so a late reply is dropped as
-		// stale and nothing leaks.
-		_, _ = f.WaitCtx(cancelledCtx)
-		return sp, nil
-	}
-	// Secondary failed; fall back to the primary under the caller's ctx.
-	p, err = f.WaitCtx(ctx)
-	if err == nil {
-		h.primaryWins.Add(1)
-	}
-	return p, err
 }

@@ -1,7 +1,6 @@
 package rpc
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -16,62 +15,6 @@ type simClock struct{ ns atomic.Int64 }
 
 func (c *simClock) now() int64      { return c.ns.Load() }
 func (c *simClock) advance(d int64) { c.ns.Add(d) }
-
-func TestQuantileTrackerSeedsAndConverges(t *testing.T) {
-	tr := NewQuantileTracker(0.95)
-	if got := tr.Estimate(); got != 0 {
-		t.Fatalf("estimate before any sample = %v, want 0", got)
-	}
-	tr.Observe(1000)
-	if got := tr.Estimate(); got != 1000 {
-		t.Fatalf("estimate after seeding = %v, want the first sample", got)
-	}
-	// A deterministic stream: 90% of samples at 1000ns, 10% at 10000ns.
-	// P(X ≤ 1000) = 0.9 < 0.95, so the true p95 is the 10000ns mode; the
-	// estimate must climb to its neighborhood, well above the body.
-	for i := 0; i < 2000; i++ {
-		if i%10 == 9 {
-			tr.Observe(10000)
-		} else {
-			tr.Observe(1000)
-		}
-	}
-	est := tr.Estimate()
-	if est < 5000 || est > 20000 {
-		t.Fatalf("p95 estimate %v not near the 10000ns tail mode", est)
-	}
-	if tr.Samples() != 2001 {
-		t.Fatalf("samples = %d, want 2001", tr.Samples())
-	}
-}
-
-func TestQuantileTrackerTracksShift(t *testing.T) {
-	tr := NewQuantileTracker(0.5)
-	for i := 0; i < 500; i++ {
-		tr.Observe(1000)
-	}
-	// Distribution shifts 100x up; step doubling must chase it in far
-	// fewer samples than a fixed-step SGD would need.
-	for i := 0; i < 500; i++ {
-		tr.Observe(100000)
-	}
-	if est := tr.Estimate(); est < 50000 {
-		t.Fatalf("median estimate %v did not follow a 100x shift in 500 samples", est)
-	}
-	tr.Observe(-5)
-	if n := tr.Samples(); n != 1000 {
-		t.Fatalf("negative sample was counted: n=%d", n)
-	}
-}
-
-func TestQuantileTrackerFallbackQuantile(t *testing.T) {
-	for _, q := range []float64{0, 1, -3, 1.5} {
-		tr := NewQuantileTracker(q)
-		if tr.q != 0.95 {
-			t.Fatalf("NewQuantileTracker(%v).q = %v, want fallback 0.95", q, tr.q)
-		}
-	}
-}
 
 // breakerEvent is one step of a breaker state-machine script.
 type breakerEvent struct {
@@ -113,7 +56,7 @@ func TestBreakerStateMachine(t *testing.T) {
 		}},
 		{"open fails fast then half-opens after cool-down", []breakerEvent{
 			fail(BreakerClosed), fail(BreakerClosed), fail(BreakerClosed), fail(BreakerOpen),
-			{state: BreakerOpen},                              // Allow denied inside cool-down
+			{state: BreakerOpen}, // Allow denied inside cool-down
 			{advance: int64(2 * time.Millisecond), allow: true, record: true, state: BreakerHalfOpen}, // probe 1 ok
 			ok(BreakerClosed), // probe 2 ok → closes
 		}},
@@ -236,196 +179,10 @@ func TestBreakerPolicyEnabled(t *testing.T) {
 	}
 }
 
-// scriptedCaller is a deterministic AsyncCaller: each call returns the
-// next scripted future, in order. Unresolved futures are completed by
-// the test.
-type scriptedCaller struct {
-	mu      sync.Mutex
-	ncalls  int
-	pending []func(payload []byte, err error)
-	replies []scriptedReply
-}
-
-type scriptedReply struct {
-	payload []byte
-	err     error
-	hold    bool // leave unresolved; test resolves via pending
-}
-
-func (s *scriptedCaller) Call(method byte, payload []byte) ([]byte, error) {
-	return s.CallCtx(nil, method, payload)
-}
-
-func (s *scriptedCaller) CallCtx(ctx context.Context, method byte, payload []byte) ([]byte, error) {
-	return s.CallAsyncCtx(ctx, method, payload).WaitCtx(ctx)
-}
-
-func (s *scriptedCaller) CallAsyncCtx(ctx context.Context, method byte, payload []byte) *Future {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	i := s.ncalls
-	s.ncalls++
-	if i >= len(s.replies) {
-		return ResolvedFuture(nil, errors.New("scripted caller exhausted"))
-	}
-	r := s.replies[i]
-	if !r.hold {
-		return ResolvedFuture(r.payload, r.err)
-	}
-	f, resolve := PromiseFuture()
-	s.pending = append(s.pending, resolve)
-	return f
-}
-
-func (s *scriptedCaller) calls() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.ncalls
-}
-
-// neverTimer is a hedge timer that never fires.
-func neverTimer(time.Duration) (<-chan struct{}, func()) {
-	return make(chan struct{}), func() {}
-}
-
-// instantTimer fires immediately.
-func instantTimer(time.Duration) (<-chan struct{}, func()) {
-	ch := make(chan struct{})
-	close(ch)
-	return ch, func() {}
-}
-
-func TestHedgerPrimaryFastWin(t *testing.T) {
-	clk := &simClock{}
-	p := &scriptedCaller{replies: []scriptedReply{{payload: []byte("primary")}}}
-	sec := &scriptedCaller{}
-	h := NewHedger(p, sec, HedgePolicy{})
-	h.Now = clk.now
-	h.Timer = neverTimer
-	got, err := h.Call(9, []byte("req"))
-	if err != nil || string(got) != "primary" {
-		t.Fatalf("call = %q, %v", got, err)
-	}
-	if sec.calls() != 0 {
-		t.Fatal("secondary was called although the primary answered inside the delay")
-	}
-	st := h.Stats()
-	if st.PrimaryWins != 1 || st.Hedges != 0 {
-		t.Fatalf("stats = %+v, want one primary win and no hedges", st)
-	}
-	if h.Tracker().Samples() != 1 {
-		t.Fatal("primary win did not feed the latency tracker")
-	}
-}
-
-func TestHedgerHedgeFiresAndWins(t *testing.T) {
-	clk := &simClock{}
-	p := &scriptedCaller{replies: []scriptedReply{{hold: true}}} // primary never answers
-	sec := &scriptedCaller{replies: []scriptedReply{{payload: []byte("replica")}}}
-	h := NewHedger(p, sec, HedgePolicy{})
-	h.Now = clk.now
-	h.Timer = instantTimer
-	var hedgedMethod byte
-	h.OnHedge = func(m byte) { hedgedMethod = m }
-	got, err := h.Call(7, []byte("req"))
-	if err != nil || string(got) != "replica" {
-		t.Fatalf("call = %q, %v", got, err)
-	}
-	if hedgedMethod != 7 {
-		t.Fatalf("OnHedge saw method %d, want 7", hedgedMethod)
-	}
-	st := h.Stats()
-	if st.Hedges != 1 || st.HedgeWins != 1 || st.PrimaryWins != 0 {
-		t.Fatalf("stats = %+v, want one hedge win", st)
-	}
-}
-
-func TestHedgerPrimaryFailureHedgesImmediately(t *testing.T) {
-	p := &scriptedCaller{replies: []scriptedReply{{err: fmt.Errorf("x: %w", ErrTransient)}}}
-	sec := &scriptedCaller{replies: []scriptedReply{{payload: []byte("replica")}}}
-	h := NewHedger(p, sec, HedgePolicy{})
-	h.Timer = neverTimer // the timer never fires; the failure itself hedges
-	got, err := h.Call(1, nil)
-	if err != nil || string(got) != "replica" {
-		t.Fatalf("call = %q, %v", got, err)
-	}
-	if st := h.Stats(); st.Hedges != 1 || st.HedgeWins != 1 {
-		t.Fatalf("stats = %+v, want an immediate hedge win", st)
-	}
-}
-
-func TestHedgerBothLegsFailReportsPrimary(t *testing.T) {
-	perr := fmt.Errorf("primary: %w", ErrTransient)
-	p := &scriptedCaller{replies: []scriptedReply{{err: perr}}}
-	sec := &scriptedCaller{replies: []scriptedReply{{err: errors.New("secondary also down")}}}
-	h := NewHedger(p, sec, HedgePolicy{})
-	h.Timer = neverTimer
-	_, err := h.Call(1, nil)
-	if !errors.Is(err, ErrTransient) {
-		t.Fatalf("err = %v, want the primary's error", err)
-	}
-}
-
-func TestHedgerSecondaryFailureFallsBackToPrimary(t *testing.T) {
-	p := &scriptedCaller{replies: []scriptedReply{{hold: true}}}
-	sec := &scriptedCaller{replies: []scriptedReply{{err: errors.New("replica down")}}}
-	h := NewHedger(p, sec, HedgePolicy{})
-	h.Timer = instantTimer
-	done := make(chan struct{})
-	var got []byte
-	var err error
-	go func() {
-		got, err = h.Call(1, nil)
-		close(done)
-	}()
-	// The hedge leg fails; the call must keep waiting on the primary.
-	// Resolve it and the call completes with the primary's bytes.
-	for {
-		p.mu.Lock()
-		n := len(p.pending)
-		p.mu.Unlock()
-		if n > 0 {
-			break
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
-	p.mu.Lock()
-	resolve := p.pending[0]
-	p.mu.Unlock()
-	resolve([]byte("late primary"), nil)
-	<-done
-	if err != nil || string(got) != "late primary" {
-		t.Fatalf("call = %q, %v", got, err)
-	}
-	if st := h.Stats(); st.PrimaryWins != 1 {
-		t.Fatalf("stats = %+v, want the fallback counted as a primary win", st)
-	}
-}
-
-func TestHedgerAdaptiveDelay(t *testing.T) {
-	pol := HedgePolicy{Quantile: 0.95, Multiplier: 2, MinDelay: time.Millisecond, MaxDelay: 50 * time.Millisecond}
-	h := NewHedger(&scriptedCaller{}, &scriptedCaller{}, pol)
-	if d := h.Delay(); d != pol.MaxDelay {
-		t.Fatalf("cold-start delay = %v, want MaxDelay", d)
-	}
-	h.Tracker().Observe(float64(10 * time.Millisecond))
-	if d := h.Delay(); d != 20*time.Millisecond {
-		t.Fatalf("delay after a 10ms sample = %v, want est×multiplier = 20ms", d)
-	}
-	h.Tracker().Observe(0) // drive the estimate down toward the floor
-	for i := 0; i < 5000; i++ {
-		h.Tracker().Observe(1)
-	}
-	if d := h.Delay(); d != pol.MinDelay {
-		t.Fatalf("delay = %v, want clamped to MinDelay", d)
-	}
-}
-
 // TestAdmissionStress hammers a capped client from many goroutines with
-// a mix of Call and CallAsync (and hedged calls layered on top): the
-// pending table must never exceed the cap, every future must resolve
-// exactly once, and after the drain no pending entry may leak. Runs
-// under -race in make race.
+// a mix of Call and CallAsync: the pending table must never exceed the
+// cap, every future must resolve exactly once, and after the drain no
+// pending entry may leak. Runs under -race in make race.
 func TestAdmissionStress(t *testing.T) {
 	_, addr := startTestServer(t)
 	c, err := Dial(addr)
@@ -437,8 +194,6 @@ func TestAdmissionStress(t *testing.T) {
 	const workers = 32
 	const perWorker = 50
 	c.SetAdmissionLimit(limit)
-
-	h := NewHedger(c, c, HedgePolicy{MinDelay: time.Microsecond, MaxDelay: 10 * time.Microsecond})
 
 	var peak atomic.Int64
 	stopMon := make(chan struct{})
@@ -466,10 +221,10 @@ func TestAdmissionStress(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
 				var err error
-				switch i % 3 {
+				switch i % 2 {
 				case 0:
 					_, err = c.Call(methEcho, []byte{byte(w)})
-				case 1:
+				default:
 					f := c.CallAsync(methEcho, []byte{byte(w), byte(i)})
 					var p1 []byte
 					p1, err = f.Wait()
@@ -481,8 +236,6 @@ func TestAdmissionStress(t *testing.T) {
 						return
 					}
 					resolved.Add(1)
-				default:
-					_, err = h.Call(methEcho, []byte{byte(i)})
 				}
 				switch {
 				case err == nil:
@@ -510,11 +263,8 @@ func TestAdmissionStress(t *testing.T) {
 	if okOps.Load() == 0 {
 		t.Fatal("no operation succeeded under the cap")
 	}
-	// A hedged call can shed on both legs while surfacing one error, so
-	// the client-side counter is a lower-bounded superset of caller-visible
-	// sheds.
-	if st.Shed < uint64(shedOps.Load()) {
-		t.Fatalf("ClientStats.Shed = %d, below the %d sheds callers saw", st.Shed, shedOps.Load())
+	if st.Shed != uint64(shedOps.Load()) {
+		t.Fatalf("ClientStats.Shed = %d, callers saw %d sheds", st.Shed, shedOps.Load())
 	}
-	t.Logf("ok=%d shed=%d hedges=%d peak_pending=%d", okOps.Load(), shedOps.Load(), h.Stats().Hedges, peak.Load())
+	t.Logf("ok=%d shed=%d peak_pending=%d", okOps.Load(), shedOps.Load(), peak.Load())
 }

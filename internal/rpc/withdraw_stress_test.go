@@ -1,0 +1,140 @@
+package rpc
+
+import (
+	"bytes"
+	"context"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"math/rand"
+	"runtime"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+)
+
+// TestWaitCtxWithdrawalStress races WaitCtx's pending-entry withdrawal
+// against the response over a real Client/Server: concurrent
+// CallAsyncCtx whose contexts are cancelled at seeded offsets around the
+// handler's reply time. Whichever side takes the pending entry resolves
+// the call, exactly once: every call returns its own echo or an error
+// wrapping ctx.Err(), never another call's bytes; afterwards nothing is
+// pending, and Close leaves no goroutine behind. Replay one seed with
+// -run 'TestWaitCtxWithdrawalStress/seed=<n>$'.
+func TestWaitCtxWithdrawalStress(t *testing.T) {
+	var echoed, cancelled atomic.Int64
+	for seed := int64(1); seed <= 50; seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			runWithdrawalStress(t, seed, &echoed, &cancelled)
+		})
+	}
+	// Over the sweep both sides of the race must have won, or the test
+	// checks nothing.
+	if echoed.Load() == 0 || cancelled.Load() == 0 {
+		t.Fatalf("degenerate sweep: %d echoed, %d cancelled", echoed.Load(), cancelled.Load())
+	}
+	t.Logf("echoed=%d cancelled=%d", echoed.Load(), cancelled.Load())
+}
+
+func runWithdrawalStress(t *testing.T, seed int64, echoed, cancelled *atomic.Int64) {
+	const (
+		calls = 48
+		reply = 200 * time.Microsecond // handler time per call
+		never = time.Duration(1<<63 - 1)
+	)
+	before := runtime.NumGoroutine()
+
+	// One seed names one schedule, drawn up front on this goroutine. The
+	// cancellation is anchored to the handler's reply, not to the issue
+	// time, so queueing ahead of the handler (a slow box, -race, one P)
+	// cannot move every cancel to one side of the race: offset < 0 cancels
+	// that long before the handler replies, offset >= 0 that long after.
+	// A few calls are cancelled before they are issued (the fast-fail path
+	// that never registers) and a few are never cancelled.
+	rng := rand.New(rand.NewSource(seed))
+	ctxs := make([]context.Context, calls)
+	cancels := make([]context.CancelFunc, calls)
+	offsets := make([]time.Duration, calls)
+	for i := range offsets {
+		ctxs[i], cancels[i] = context.WithCancel(context.Background())
+		switch rng.Intn(16) {
+		case 0:
+			cancels[i]()
+			offsets[i] = never
+		case 1, 2:
+			offsets[i] = never
+		default:
+			offsets[i] = time.Duration(rng.Int63n(int64(2*reply))) - reply
+		}
+	}
+
+	s := NewServer()
+	s.Handle(methEcho, func(p []byte) ([]byte, error) {
+		i := binary.BigEndian.Uint64(p[8:])
+		switch off := offsets[i]; {
+		case off == never:
+			time.Sleep(reply)
+		case off < 0:
+			time.Sleep(reply + off)
+			cancels[i]()
+			time.Sleep(-off)
+		default:
+			time.Sleep(reply)
+			time.AfterFunc(off, cancels[i])
+		}
+		return p, nil
+	})
+	addr, err := s.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := Dial(addr)
+	if err != nil {
+		s.Close()
+		t.Fatal(err)
+	}
+
+	var wg sync.WaitGroup
+	for i := 0; i < calls; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			ctx := ctxs[i]
+			defer cancels[i]()
+			want := make([]byte, 16)
+			binary.BigEndian.PutUint64(want, uint64(seed))
+			binary.BigEndian.PutUint64(want[8:], uint64(i))
+			got, err := c.CallAsyncCtx(ctx, methEcho, want).WaitCtx(ctx)
+			switch {
+			case err == nil:
+				if !bytes.Equal(got, want) {
+					t.Errorf("call %d resolved with another call's bytes: %x, want %x", i, got, want)
+				}
+				echoed.Add(1)
+			case ctx.Err() != nil && errors.Is(err, ctx.Err()):
+				cancelled.Add(1)
+			default:
+				t.Errorf("call %d: %v (ctx.Err() = %v)", i, err, ctx.Err())
+			}
+		}(i)
+	}
+	wg.Wait()
+
+	if st := c.Stats(); st.Pending != 0 || st.Started != st.Completed {
+		t.Errorf("after every call resolved: pending=%d started=%d completed=%d", st.Pending, st.Started, st.Completed)
+	}
+	c.Close()
+	s.Close()
+
+	// Close does not join the client's read loop, and a handler's
+	// AfterFunc may still be about to fire: give them a moment to exit.
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("goroutine leak: %d before, %d after Close\n%s", before, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(time.Millisecond)
+	}
+}

@@ -187,23 +187,6 @@ func TestResourceReleaseIdlePanics(t *testing.T) {
 	NewResource(e, 1).Release()
 }
 
-func TestTryAcquireBoundedQueue(t *testing.T) {
-	e := NewEngine()
-	r := NewResource(e, 1)
-	r.MaxQueue = 2
-	admitted := 0
-	for i := 0; i < 5; i++ {
-		if r.TryAcquire(func() { e.After(1, r.Release) }) {
-			admitted++
-		}
-	}
-	// 1 held + 2 queued = 3 admitted.
-	if admitted != 3 {
-		t.Fatalf("admitted = %d, want 3", admitted)
-	}
-	e.Run()
-}
-
 func TestPipeServiceTime(t *testing.T) {
 	e := NewEngine()
 	p := NewPipe(e, 1e9) // 1 GB/s => 1 byte/ns

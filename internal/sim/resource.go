@@ -8,9 +8,6 @@ type Resource struct {
 	capacity int
 	inUse    int
 	waiters  []func()
-	// MaxQueue, if non-zero, bounds the waiter queue; TryAcquire reports
-	// false when the bound would be exceeded.
-	MaxQueue int
 }
 
 // NewResource returns a resource with the given capacity attached to eng.
@@ -28,9 +25,6 @@ func (r *Resource) InUse() int { return r.inUse }
 // Capacity reports the resource capacity.
 func (r *Resource) Capacity() int { return r.capacity }
 
-// QueueLen reports the number of waiters.
-func (r *Resource) QueueLen() int { return len(r.waiters) }
-
 // Utilization reports inUse/capacity in [0,1].
 func (r *Resource) Utilization() float64 {
 	return float64(r.inUse) / float64(r.capacity)
@@ -45,21 +39,6 @@ func (r *Resource) Acquire(granted func()) {
 		return
 	}
 	r.waiters = append(r.waiters, granted)
-}
-
-// TryAcquire requests one unit without queueing beyond MaxQueue. It reports
-// whether the request was admitted (held or queued).
-func (r *Resource) TryAcquire(granted func()) bool {
-	if r.inUse < r.capacity && len(r.waiters) == 0 {
-		r.inUse++
-		r.eng.After(0, granted)
-		return true
-	}
-	if r.MaxQueue > 0 && len(r.waiters) >= r.MaxQueue {
-		return false
-	}
-	r.waiters = append(r.waiters, granted)
-	return true
 }
 
 // Release returns one unit and grants the head waiter, if any.

@@ -113,25 +113,3 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 	}
 	return t, nil
 }
-
-// Replayer replays a trace as a Generator.
-type Replayer struct {
-	trace *Trace
-	pos   int
-}
-
-// Replay returns a generator over the trace.
-func (t *Trace) Replay() *Replayer { return &Replayer{trace: t} }
-
-// Next implements Generator.
-func (r *Replayer) Next() (Access, bool) {
-	if r.pos >= len(r.trace.Accesses) {
-		return Access{}, false
-	}
-	a := r.trace.Accesses[r.pos]
-	r.pos++
-	return a, true
-}
-
-// Reset implements Generator.
-func (r *Replayer) Reset() { r.pos = 0 }

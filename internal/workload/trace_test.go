@@ -98,20 +98,6 @@ func TestReadTraceRejectsGarbage(t *testing.T) {
 	}
 }
 
-func TestReplayer(t *testing.T) {
-	tr := &Trace{Accesses: []Access{{Offset: 1, Size: 2}, {Offset: 3, Size: 4, Write: true}}}
-	r := tr.Replay()
-	a1 := Drain(r)
-	if len(a1) != 2 || a1[1] != tr.Accesses[1] {
-		t.Fatalf("drain = %+v", a1)
-	}
-	r.Reset()
-	a2 := Drain(r)
-	if len(a2) != 2 {
-		t.Fatal("reset replay failed")
-	}
-}
-
 // Property: arbitrary access sequences survive the binary round trip.
 func TestTraceRoundTripProperty(t *testing.T) {
 	f := func(offs []int32, sizes []uint16) bool {

@@ -12,7 +12,18 @@
 #   exported       exported top-level names: funcs, methods, types, and
 #                  names declared in const/var declarations (struct
 #                  fields and interface methods are not counted)
+#   test-only      exported top-level names (same rule) that occur in no
+#                  non-test .go file of the root module or of bench/,
+#                  comment-only lines ignored, other than at their own
+#                  declaration: candidates for the next deletion pass
 #   coverage       statement coverage from `go test -cover`, after only
+#
+# test-only is a ledger, not a gate: it matches words, not symbols. A
+# name spelled like one that is used anywhere (Len, Less, Alloc, String)
+# counts as used, so the column under-reports; a method reached only
+# through an interface it satisfies, and a type named only in its own
+# methods' receivers, are judged by where the word is spelled, not by
+# who calls it. Read the names behind a number before acting on it.
 #
 # A code line is one that is neither blank nor comment-only (// lines and
 # the inside of /* */ blocks): rewording a comment does not move the
@@ -49,24 +60,68 @@ lines() {
     ' "$@"
 }
 
-# ledger ROOT — one "dir non-test-LoC test-LoC exported" row per directory
-# holding Go files, skipping bench/, testdata/ and dot directories.
+# testonly — run in a tree root: one "dir count" row per directory that
+# declares a test-only name. Every non-test file, bench/ included, is
+# read once: a declaration line gives up the name it declares (bench/'s
+# own declarations are not counted), then every capitalised word left on
+# a code line marks that spelling as used.
+testonly() {
+    find . -name '*.go' -not -name '*_test.go' -not -path '*/testdata/*' -not -path './.*' |
+        sort | xargs awk '
+        FNR == 1         { block = 0; comment = 0; dir = FILENAME; sub(/\/[^\/]*$/, "", dir) }
+        comment          { if (index($0, "*/")) comment = 0; next }
+        /^[ \t]*$/       { next }
+        /^[ \t]*\/\//    { next }
+        /^[ \t]*\/\*/    { if (!index($0, "*/")) comment = 1; next }
+        {
+            line = $0
+            sub(/\/\/.*/, "", line)
+            if (line ~ /^(const|var|type) \($/) { block = 1; next }
+            if (block && line ~ /^\)/) { block = 0; next }
+            pre = -1
+            if (block) { if (line ~ /^\t[A-Z]/) pre = 1 }
+            else if (match(line, /^func \([^)]*\) /) && substr(line, RLENGTH + 1, 1) ~ /[A-Z]/) pre = RLENGTH
+            else if (match(line, /^(func|type|const|var) /) && substr(line, RLENGTH + 1, 1) ~ /[A-Z]/) pre = RLENGTH
+            if (pre >= 0) {
+                match(substr(line, pre + 1), /^[A-Za-z0-9_]+/)
+                if (dir !~ /^\.\/bench(\/|$)/) decl[dir SUBSEP substr(line, pre + 1, RLENGTH)] = 1
+                line = substr(line, 1, pre) " " substr(line, pre + 1 + RLENGTH)
+            }
+            while (match(line, /[A-Za-z_][A-Za-z0-9_]*/)) {
+                if (substr(line, RSTART, 1) ~ /[A-Z]/) used[substr(line, RSTART, RLENGTH)] = 1
+                line = substr(line, RSTART + RLENGTH)
+            }
+        }
+        END {
+            for (k in decl) {
+                split(k, p, SUBSEP)
+                if (!(p[2] in used)) n[p[1]]++
+            }
+            for (d in n) print d, n[d]
+        }'
+}
+
+# ledger ROOT — one "dir non-test-LoC test-LoC exported test-only" row per
+# directory holding Go files, skipping bench/, testdata/ and dot
+# directories.
 ledger() {
     (
         cd "$1"
+        testonly > "$TMP/testonly"
         find . -name '*.go' -not -path './bench/*' -not -path '*/testdata/*' -not -path './.*' |
             sed 's|/[^/]*$||' | sort -u |
             while read -r dir; do
                 src=$(find "$dir" -maxdepth 1 -name '*.go' -not -name '*_test.go' | sort)
                 tst=$(find "$dir" -maxdepth 1 -name '*_test.go' | sort)
+                only=$(awk -v d="$dir" '$1 == d { print $2 }' "$TMP/testonly")
                 # shellcheck disable=SC2086
-                echo "$dir $(lines $src) $(lines $tst) $(exported $src)"
+                echo "$dir $(lines $src) $(lines $tst) $(exported $src) ${only:-0}"
             done
     )
 }
 
 totals() {
-    awk '{ s += $2; t += $3; e += $4 } END { print s + 0, t + 0, e + 0 }' "$1"
+    awk '{ s += $2; t += $3; e += $4; o += $5 } END { print s + 0, t + 0, e + 0, o + 0 }' "$1"
 }
 
 mkdir "$TMP/base"
@@ -81,9 +136,9 @@ $GO test -cover ./... 2>&1 |
         > "$TMP/cover"
 
 set -- $(totals "$TMP/before")
-bs=$1 bt=$2 be=$3
+bs=$1 bt=$2 be=$3 bo=$4
 set -- $(totals "$TMP/after")
-as=$1 at=$2 ae=$3
+as=$1 at=$2 ae=$3 ao=$4
 
 cat <<EOF
 # AUDIT — per-package code ledger
@@ -94,18 +149,18 @@ comment-only lines are not counted.
 
 ## Totals
 
-| | non-test LoC | test LoC | exported symbols |
-|---|---:|---:|---:|
-| before ($(git rev-parse --short HEAD)) | $bs | $bt | $be |
-| after (working tree) | $as | $at | $ae |
-| change | $((as - bs)) | $((at - bt)) | $((ae - be)) |
+| | non-test LoC | test LoC | exported symbols | test-only |
+|---|---:|---:|---:|---:|
+| before ($(git rev-parse --short HEAD)) | $bs | $bt | $be | $bo |
+| after (working tree) | $as | $at | $ae | $ao |
+| change | $((as - bs)) | $((at - bt)) | $((ae - be)) | $((ao - bo)) |
 
 ## Packages
 
-| package | non-test LoC | test LoC | exported symbols | coverage |
-|---|---:|---:|---:|---:|
+| package | non-test LoC | test LoC | exported symbols | test-only | coverage |
+|---|---:|---:|---:|---:|---:|
 EOF
-while read -r dir s t e; do
+while read -r dir s t e o; do
     cov=$(awk -v d="$dir" '$1 == d { print $2 }' "$TMP/cover")
-    echo "| \`$dir\` | $s | $t | $e | ${cov:--} |"
+    echo "| \`$dir\` | $s | $t | $e | $o | ${cov:--} |"
 done < "$TMP/after"
