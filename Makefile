@@ -69,17 +69,18 @@ chaos:
 bench-build:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-# Machine-shape gate for the transport and the pool's admission/tail
-# path: the rpc and daemon suites and core's admission, in-flight and
-# tail tests, shuffled and repeated, under each GOMAXPROCS a CI box or a
-# laptop is likely to have. A test that reads state before the event
+# Machine-shape gate for the transport, the pool's admission/tail path
+# and the block mover under compaction: the rpc and daemon suites and
+# core's admission, in-flight, tail, compaction and elasticity tests,
+# shuffled and repeated, under each GOMAXPROCS a CI box or a laptop is
+# likely to have. A test that reads state before the event
 # that orders it passes on one shape and fails on another; this catches
 # it before it lands.
 flake:
 	@for p in 1 2 4 8; do \
 		echo "flake: GOMAXPROCS=$$p"; \
 		GOMAXPROCS=$$p $(GO) test -shuffle=on -count=$(FLAKE_COUNT) ./internal/rpc/ ./internal/daemon/ || exit 1; \
-		GOMAXPROCS=$$p $(GO) test -shuffle=on -count=$(FLAKE_COUNT) -run 'Admission|Inflight|Tail' ./internal/core/ || exit 1; \
+		GOMAXPROCS=$$p $(GO) test -shuffle=on -count=$(FLAKE_COUNT) -run 'Admission|Inflight|Tail|Compact|Elasticity' ./internal/core/ || exit 1; \
 	done
 
 # Regenerate the checked-in code ledger AUDIT.md: per package non-test

@@ -41,9 +41,9 @@ type BalanceReport struct {
 // toward dominant accessors, executes them (preserving every logical
 // address), and ages the profile.
 func (p *Pool) BalanceOnce() (BalanceReport, error) {
-	// A balancing round is a root trace: migration stalls tail latencies
-	// (each move holds a stripe lock in write mode), so the span's
-	// duration and byte count are first-order signals.
+	// A balancing round is a root trace: each move's commit window holds
+	// the slice's stripe lock in write mode for the dirty delta, so the
+	// span's duration and byte count are first-order signals.
 	var sp telemetry.Span
 	traced := p.obs != nil
 	if traced {

@@ -1,11 +1,18 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
 	"github.com/lmp-project/lmp/internal/addr"
+	"github.com/lmp-project/lmp/internal/telemetry"
 )
+
+// This file is shared-region compaction: which blocks must leave a
+// server's tail and where each may go. Moving them is the engine's job
+// (repair.go) — no function here copies bytes or holds the structural
+// lock beyond a snapshot or a reservation.
 
 // CompactReport summarizes a compaction pass.
 type CompactReport struct {
@@ -27,6 +34,13 @@ type CompactReport struct {
 // This is what makes the paper's ratio flexibility operational: without
 // compaction, a single hot slice parked at the top of the region pins the
 // private/shared boundary forever.
+//
+// A pass has the shape of RepairServer: it snapshots its victims under
+// the structural lock and then moves each one through the engine in
+// repair.go, so foreground reads and writes — to the very slice being
+// moved — and allocations proceed throughout. It therefore does not
+// exclude a concurrent Alloc from landing in the tail it just cleared;
+// the ResizeShared that follows then fails as a fragmented shrink does.
 func (p *Pool) CompactServer(s addr.ServerID, targetBytes int64) (CompactReport, error) {
 	if int(s) < 0 || int(s) >= len(p.nodes) {
 		return CompactReport{}, fmt.Errorf("core: no server %d", s)
@@ -35,218 +49,86 @@ func (p *Pool) CompactServer(s addr.ServerID, targetBytes int64) (CompactReport,
 	if targetBytes < 0 {
 		return CompactReport{}, fmt.Errorf("core: negative target")
 	}
+	var sp telemetry.Span
+	traced := p.obs != nil
+	if traced {
+		sp = p.obs.tracer.Begin(telemetry.SpanContext{}, "pool.compact")
+		sp.Server = int(s)
+	}
+	rep, err := p.compactServer(sp.Context(), evacuation{srv: s, from: targetBytes})
+	if traced {
+		p.endChild(&sp, (rep.RelocatedLocal+rep.RelocatedRemote)*int(SliceSize), err)
+	}
+	return rep, err
+}
+
+// compactServer moves every block e covers, stopping at the first one
+// that cannot move: primaries first, highest offsets first so local
+// relocation packs downward, then the protection blocks (replica copies
+// and EC parity rows).
+func (p *Pool) compactServer(sc telemetry.SpanContext, e evacuation) (rep CompactReport, err error) {
+	dead := fmt.Errorf("%w: server %d", ErrServerDead, e.srv)
 	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.isDead(s) {
-		return CompactReport{}, fmt.Errorf("%w: server %d", ErrServerDead, s)
+	if p.isDead(e.srv) {
+		p.mu.Unlock()
+		return rep, dead
 	}
-	var rep CompactReport
+	prim, prot := p.snapshotEvacuationLocked(e)
+	sort.Slice(prim, func(i, j int) bool { return prim[i].back.offset > prim[j].back.offset })
+	p.mu.Unlock()
 
-	// Pass 1: primary slices in the tail, highest offsets first so local
-	// relocation packs downward.
-	type victim struct {
-		slice uint64
-		back  *sliceBacking
-	}
-	var victims []victim
-	t := p.table.Load()
-	for sl := range t.entries {
-		back := t.entries[sl].Load()
-		if back != nil && back.server == s && back.offset >= targetBytes {
-			victims = append(victims, victim{uint64(sl), back})
+	for i := 0; i < len(prim)+len(prot); i++ {
+		if p.isDead(e.srv) {
+			return rep, dead // crashed mid-pass: what is left is repair's job
 		}
-	}
-	sort.Slice(victims, func(i, j int) bool { return victims[i].back.offset > victims[j].back.offset })
-	for _, v := range victims {
-		moved, local, err := p.relocateSliceLocked(v.slice, v.back, s, targetBytes)
-		if err != nil {
-			return rep, err
-		}
-		if !moved {
-			return rep, fmt.Errorf("core: no space to evacuate slice %d from server %d", v.slice, s)
-		}
-		if local {
-			rep.RelocatedLocal++
+		var dst addr.ServerID
+		if i < len(prim) {
+			dst, err = p.evacuatePrimary(sc, e, prim[i])
 		} else {
+			dst, err = p.rehomeProtection(sc, e, prot[i-len(prim)])
+		}
+		switch {
+		case err != nil:
+			return rep, err
+		case dst == e.srv:
+			rep.RelocatedLocal++
+		case dst != addr.NoServer:
 			rep.RelocatedRemote++
-		}
-	}
-
-	// Pass 2: protection blocks (replica copies and EC parity) in the
-	// tail. Replica blocks are written through under the protected
-	// slice's stripe lock, so their relocation holds that stripe lock;
-	// parity blocks are serialized by the buffer's EC lock.
-	for _, b := range p.buffers {
-		for _, cp := range b.copies {
-			for i := range cp {
-				if cp[i].Server != s || cp[i].Offset < targetBytes {
-					continue
-				}
-				protectedSlice := b.firstSlice() + uint64(i)
-				stLock := p.stripeFor(protectedSlice)
-				stLock.Lock()
-				newSrv, newOff, err := p.relocateBlockLocked(b, s, cp[i].Offset, targetBytes, protectedSlice)
-				if err == nil {
-					cp[i].Server = newSrv
-					cp[i].Offset = newOff
-				}
-				stLock.Unlock()
-				if err != nil {
-					return rep, err
-				}
-				if newSrv == s {
-					rep.RelocatedLocal++
-				} else {
-					rep.RelocatedRemote++
-				}
-			}
-		}
-		if b.ec != nil {
-			for si := range b.ec.stripes {
-				st := &b.ec.stripes[si]
-				for mi := range st.parity {
-					pb := &st.parity[mi]
-					if pb.server != s || pb.offset < targetBytes {
-						continue
-					}
-					b.ec.mu.Lock()
-					newSrv, newOff, err := p.relocateBlockLocked(b, s, pb.offset, targetBytes, b.firstSlice()+st.firstIdx)
-					if err == nil {
-						pb.server = newSrv
-						pb.offset = newOff
-					}
-					b.ec.mu.Unlock()
-					if err != nil {
-						return rep, err
-					}
-					if newSrv == s {
-						rep.RelocatedLocal++
-					} else {
-						rep.RelocatedRemote++
-					}
-				}
-			}
 		}
 	}
 	p.metrics.Counter("pool.compactions").Inc()
 	return rep, nil
 }
 
-// relocateSliceLocked moves a primary slice off the tail. It prefers a
-// lower offset on the same server, falling back to another live server
-// that does not hold the slice's protection state. Reports whether it
-// moved and whether the move stayed local. The caller holds p.mu; the
-// copy and rebind run under the slice's stripe lock.
-func (p *Pool) relocateSliceLocked(sl uint64, back *sliceBacking, s addr.ServerID, target int64) (moved, local bool, err error) {
-	stLock := p.stripeFor(sl)
-	// Try a local slot below the target (extents are first-fit from the
-	// bottom, so any grant below target is final).
-	if newOff, aerr := p.regions[s].Alloc(SliceSize); aerr == nil {
-		if newOff < target {
-			stLock.Lock()
-			defer stLock.Unlock()
-			if err := p.copySliceBackingLocked(s, back.offset, s, newOff); err != nil {
-				_ = p.regions[s].Free(newOff)
-				return false, false, err
-			}
-			// EC reconstruction reads backing fields and extents under
-			// ec.mu alone, so the rebind-and-free must be ordered against
-			// it (stripe lock → ec.mu, same as the write path).
-			if back.buf != nil && back.buf.ec != nil {
-				back.buf.ec.mu.Lock()
-				defer back.buf.ec.mu.Unlock()
-			}
-			p.locals[s].MapSlice(sl, newOff)
-			p.freeBackingLocked(s, back.offset)
-			back.offset = newOff
-			return true, true, nil
-		}
-		_ = p.regions[s].Free(newOff)
+// evacuatePrimary moves one live primary slice off the region e covers,
+// to a server that does not hold the slice's protection state when it
+// must leave its own. It reports the new server, or addr.NoServer when
+// the slice was released or re-homed since the snapshot. Like
+// MigrateSlice it blocks on the slice's commit-window lock.
+func (p *Pool) evacuatePrimary(sc telemetry.SpanContext, e evacuation, it repairItem) (addr.ServerID, error) {
+	back := it.back
+	back.commit.Lock()
+	defer back.commit.Unlock()
+
+	p.mu.Lock()
+	if p.lookupSlice(it.slice) != back || !e.covers(back.server, back.offset) {
+		p.mu.Unlock()
+		return addr.NoServer, nil
 	}
-	// Cross-server evacuation.
-	avoid := map[addr.ServerID]bool{s: true}
+	avoid := map[addr.ServerID]bool{}
 	if back.buf != nil {
-		for srv := range p.protectionServersLocked(back.buf, sl-back.buf.firstSlice()) {
-			avoid[srv] = true
-		}
+		avoid = p.protectionServersLocked(back.buf, it.slice-back.buf.firstSlice())
 	}
-	dst, newOff, aerr := p.allocAvoiding(avoid)
-	if aerr != nil {
-		return false, false, nil // caller reports no-space
+	dstSrv, dstOff, err := p.reserveEvacuatedLocked(e, avoid)
+	p.mu.Unlock()
+	if err != nil {
+		return addr.NoServer, fmt.Errorf("core: no space to evacuate slice %d from server %d: %w", it.slice, e.srv, err)
 	}
-	stLock.Lock()
-	defer stLock.Unlock()
-	if err := p.copySliceBackingLocked(s, back.offset, dst, newOff); err != nil {
-		_ = p.regions[dst].Free(newOff)
-		return false, false, err
+	err = p.movePrimaryCommitted(sc, it.slice, back, dstSrv, dstOff)
+	if errors.Is(err, errMoveStale) {
+		return addr.NoServer, nil // released, or an end crashed, mid-move
 	}
-	// Same ec.mu ordering as the local branch: reconstruction must never
-	// observe a half-updated (server, offset) pair or a freed extent.
-	if back.buf != nil && back.buf.ec != nil {
-		back.buf.ec.mu.Lock()
-		defer back.buf.ec.mu.Unlock()
-	}
-	p.locals[dst].MapSlice(sl, newOff)
-	if err := p.global.Bind(addr.Range{Start: addr.SliceBase(sl), Size: SliceSize}, dst); err != nil {
-		p.locals[dst].UnmapSlice(sl)
-		_ = p.regions[dst].Free(newOff)
-		return false, false, err
-	}
-	p.locals[s].UnmapSlice(sl)
-	p.freeBackingLocked(s, back.offset)
-	back.server = dst
-	back.offset = newOff
-	return true, false, nil
-}
-
-// relocateBlockLocked moves a protection block (replica or parity) out of
-// the tail, preferring local space below target, else another server that
-// does not weaken the protected slice. The caller holds p.mu plus the
-// lock serializing writers of the block (the protected slice's stripe
-// lock for replicas, the buffer's EC lock for parity).
-func (p *Pool) relocateBlockLocked(b *Buffer, s addr.ServerID, oldOff, target int64, protectedSlice uint64) (addr.ServerID, int64, error) {
-	if newOff, aerr := p.regions[s].Alloc(SliceSize); aerr == nil {
-		if newOff < target {
-			if err := p.copySliceBackingLocked(s, oldOff, s, newOff); err != nil {
-				_ = p.regions[s].Free(newOff)
-				return 0, 0, err
-			}
-			p.freeBackingLocked(s, oldOff)
-			return s, newOff, nil
-		}
-		_ = p.regions[s].Free(newOff)
-	}
-	avoid := map[addr.ServerID]bool{s: true}
-	if back := p.lookupSlice(protectedSlice); back != nil {
-		avoid[back.server] = true
-	}
-	for srv := range p.protectionServersLocked(b, protectedSlice-b.firstSlice()) {
-		avoid[srv] = true
-	}
-	dst, newOff, aerr := p.allocAvoiding(avoid)
-	if aerr != nil {
-		return 0, 0, fmt.Errorf("core: no space to evacuate protection block from server %d", s)
-	}
-	if err := p.copySliceBackingLocked(s, oldOff, dst, newOff); err != nil {
-		_ = p.regions[dst].Free(newOff)
-		return 0, 0, err
-	}
-	p.freeBackingLocked(s, oldOff)
-	return dst, newOff, nil
-}
-
-// copySliceBackingLocked copies one slice of bytes between node offsets.
-// The staging buffer comes from the engine's pool: this runs with the
-// structural and stripe locks held, where a 2 MiB make is exactly the
-// allocation-under-lock pattern the linter forbids.
-func (p *Pool) copySliceBackingLocked(fromSrv addr.ServerID, fromOff int64, toSrv addr.ServerID, toOff int64) error {
-	bp := getSliceBuf()
-	defer putSliceBuf(bp)
-	buf := *bp
-	if err := p.nodes[fromSrv].ReadAt(buf, fromOff); err != nil {
-		return err
-	}
-	return p.nodes[toSrv].WriteAt(buf, toOff)
+	return dstSrv, err
 }
 
 // ShrinkShared shrinks server s's shared region to targetBytes, running a

@@ -20,7 +20,13 @@ import (
 //   - freed logical runs have no published backings;
 //   - protected buffers remain reconstructible: a replicated slice keeps
 //     at least one live copy, and an erasure-coded stripe has at most M
-//     unavailable shards.
+//     unavailable shards;
+//   - every live server's region has exactly one slice-sized extent in
+//     use per block homed there (published primaries, replica blocks,
+//     parity rows): an abort path that forgot to free its reservation, or
+//     a move that forgot the old extent, shows up as a leak. This one is
+//     only meaningful at quiescence — an Alloc or a move in flight holds
+//     a reservation nothing points at yet.
 //
 // The reconstructibility checks assume placement never had to fall back
 // onto an already-used server (ample capacity), which harness
@@ -68,14 +74,35 @@ func (p *Pool) CheckInvariants() error {
 		p.checkProtectionLocked(b, report)
 	}
 
+	homed := make([]int64, len(p.nodes)) // blocks per server
 	t := p.table.Load()
 	for s := range t.entries {
 		back := t.entries[s].Load()
 		if back == nil {
 			continue
 		}
+		homed[back.server]++
 		if back.buf == nil || p.buffers[back.buf.rng.Start] != back.buf {
 			report("orphan slice %d published with no live buffer", s)
+		}
+	}
+	for _, b := range p.buffers {
+		for _, cp := range b.copies {
+			for _, c := range cp {
+				homed[c.Server]++
+			}
+		}
+		if b.ec != nil {
+			for _, st := range b.ec.stripes {
+				for _, pb := range st.parity {
+					homed[pb.server]++
+				}
+			}
+		}
+	}
+	for s, n := range homed {
+		if inUse := p.regions[s].InUse(); !p.isDead(addr.ServerID(s)) && inUse != n*SliceSize {
+			report("server %d: %d slices of extents in use, %d blocks homed there", s, inUse/SliceSize, n)
 		}
 	}
 

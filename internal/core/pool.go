@@ -31,11 +31,11 @@
 // observes the slice either entirely before or entirely after the move,
 // never mid-copy.
 //
-// Slice movers (repair workers, migrations, foreground crash recovery)
-// additionally serialize per slice on a commit-window lock
-// (sliceBacking.commit) held for the whole move, while the heavy copy
-// runs outside the structural and stripe locks and only a short commit
-// window re-acquires them (see repair.go). Lock order is always
+// Slice movers (repair workers, migrations, compaction passes,
+// foreground crash recovery) additionally serialize per slice on a
+// commit-window lock (sliceBacking.commit) held for the whole move,
+// while the heavy copy runs outside the structural and stripe locks and
+// only a short commit window re-acquires them (see repair.go). Lock order is always
 // commit-window lock → structural lock → stripe lock → erasure-coding
 // stripe lock; the data path classifies failures only after dropping
 // its stripe lock, so the order is never inverted, and nothing acquires

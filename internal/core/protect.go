@@ -221,7 +221,9 @@ func (p *Pool) protectionServersLocked(b *Buffer, idx uint64) map[addr.ServerID]
 		k := uint64(b.prot.K)
 		stripeIdx := idx / k
 		if stripeIdx < uint64(len(b.ec.stripes)) {
-			st := b.ec.stripes[stripeIdx]
+			// By pointer: a copy would read the stripe's version, which
+			// writers bump under ec.mu alone.
+			st := &b.ec.stripes[stripeIdx]
 			for _, pb := range st.parity {
 				avoid[pb.server] = true
 			}

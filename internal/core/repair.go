@@ -13,20 +13,28 @@ import (
 )
 
 // This file is the parallel repair / live-migration engine: the pool's
-// control plane for re-homing slice backings. Both repair (crashed
-// owner) and migration (locality balancing, administrative moves) run
-// as two-phase copies that hold locks only for short commit windows:
+// control plane for re-homing slice-sized blocks. Crash repair,
+// migration (locality balancing, administrative moves) and compaction
+// (compact.go) all copy a block to its new home through one two-phase
+// mover, moveBlockCommitted, which holds locks only for short windows:
 //
 //	plan      p.mu          validate, reserve the destination extent
 //	pre-copy  chunked RLock bulk copy while foreground traffic proceeds
-//	commit    p.mu + stripe re-validate, copy the dirty delta, rebind
+//	commit    p.mu + stripe re-validate, copy the dirty delta, publish
 //
-// Every mover of a slice serializes on the slice's commit-window lock
-// (sliceBacking.commit), held across all three phases. Because all
-// movers hold it, a commit holder may read the backing fields it is
-// about to re-validate without racing another mover; foreground writers
-// to a dead-owned slice also park on it (recoverSliceInner), which is
-// what freezes a crashed slice's replica bytes during repair.
+// The callers differ only in where the bytes are read from, what the
+// commit publishes (a primary's rebind, or a replica block's new
+// location) and how the destination was reserved. A dead primary has no
+// bytes to copy: repairSliceCommitted reconstructs it instead and shares
+// only the rebind. Parity rows are recomputed, not copied (repairParity).
+//
+// Every mover of a slice — and of the replica blocks protecting it —
+// serializes on the slice's commit-window lock (sliceBacking.commit),
+// held across all three phases. Because all movers hold it, a commit
+// holder may read the backing fields it is about to re-validate without
+// racing another mover; foreground writers to a dead-owned slice also
+// park on it (recoverSliceInner), which is what freezes a crashed
+// slice's replica bytes during repair.
 //
 // Lock order: commit-window → structural (p.mu) → stripe → ec.mu.
 // Nothing acquires a commit-window lock while holding any of the inner
@@ -146,31 +154,36 @@ const (
 	protParity
 )
 
-// repairServer snapshots the dead server's work under p.mu, then runs
-// it in two phases across a bounded worker pool: primaries first, then
-// — after a sync point, because parity rebuild reads the data shards —
-// the protection blocks. Locks are held only inside each item's plan
-// and commit windows, never across the fan-out.
-func (p *Pool) repairServer(sc telemetry.SpanContext, s addr.ServerID) (recovered int, firstErr error) {
-	p.mu.Lock()
-	if !p.isDead(s) {
-		p.mu.Unlock()
-		return 0, fmt.Errorf("core: server %d is alive", s)
-	}
-	var prim []repairItem
+// evacuation names the blocks a pass re-homes: everything server srv
+// holds at or above offset from. Repair evacuates a dead server's whole
+// region (from 0); compaction a live server's tail above the shrink
+// target. The plan phase of every mover re-checks covers, so an item
+// another pass already moved is skipped.
+type evacuation struct {
+	srv  addr.ServerID
+	from int64
+}
+
+func (e evacuation) covers(srv addr.ServerID, off int64) bool {
+	return srv == e.srv && off >= e.from
+}
+
+// snapshotEvacuationLocked lists the primaries (slice-table order) and
+// protection blocks e covers. p.buffers is a map, so the protection
+// items are sorted: serial passes (and their spans and placement
+// decisions) replay deterministically. Caller holds p.mu.
+func (p *Pool) snapshotEvacuationLocked(e evacuation) (prim []repairItem, prot []protItem) {
 	t := p.table.Load()
 	for sl := range t.entries {
 		back := t.entries[sl].Load()
-		if back == nil || back.server != s {
-			continue
+		if back != nil && e.covers(back.server, back.offset) {
+			prim = append(prim, repairItem{slice: uint64(sl), back: back})
 		}
-		prim = append(prim, repairItem{slice: uint64(sl), back: back})
 	}
-	var prot []protItem
 	for _, b := range p.buffers {
 		for c := range b.copies {
-			for i := range b.copies[c] {
-				if b.copies[c][i].Server == s {
+			for i, cp := range b.copies[c] {
+				if e.covers(cp.Server, cp.Offset) {
 					prot = append(prot, protItem{kind: protReplica, b: b, c: c, idx: uint64(i)})
 				}
 			}
@@ -179,17 +192,13 @@ func (p *Pool) repairServer(sc telemetry.SpanContext, s addr.ServerID) (recovere
 			continue
 		}
 		for si := range b.ec.stripes {
-			for m := range b.ec.stripes[si].parity {
-				if b.ec.stripes[si].parity[m].server == s {
+			for m, pb := range b.ec.stripes[si].parity {
+				if e.covers(pb.server, pb.offset) {
 					prot = append(prot, protItem{kind: protParity, b: b, si: si, m: m})
 				}
 			}
 		}
 	}
-	p.mu.Unlock()
-
-	// p.buffers is a map: impose a stable order so serial repairs (and
-	// their spans and placement decisions) replay deterministically.
 	sort.Slice(prot, func(i, j int) bool {
 		a, b := prot[i], prot[j]
 		if a.b.rng.Start != b.b.rng.Start {
@@ -209,6 +218,48 @@ func (p *Pool) repairServer(sc telemetry.SpanContext, s addr.ServerID) (recovere
 		}
 		return a.m < b.m
 	})
+	return prim, prot
+}
+
+// reserveEvacuatedLocked reserves the new home of a block e covers: the
+// first-fit slot below e.from on the same server when it is alive and
+// has one (extents grant from the bottom, so a grant below the target is
+// final), else the emptiest live server outside avoid (to which e.srv is
+// added). Caller holds p.mu.
+func (p *Pool) reserveEvacuatedLocked(e evacuation, avoid map[addr.ServerID]bool) (addr.ServerID, int64, error) {
+	if !p.isDead(e.srv) {
+		if off, err := p.regions[e.srv].Alloc(SliceSize); err == nil {
+			if off < e.from {
+				return e.srv, off, nil
+			}
+			_ = p.regions[e.srv].Free(off) // cannot fail: just granted
+		}
+	}
+	avoid[e.srv] = true
+	srv, off, err := p.allocAvoiding(avoid)
+	if err == nil && srv == e.srv {
+		// allocAvoiding's last-resort fallback landed back in the region
+		// being vacated, necessarily at or above e.from.
+		_ = p.regions[srv].Free(off)
+		err = fmt.Errorf("core: evacuate server %d: %w", e.srv, alloc.ErrNoSpace)
+	}
+	return srv, off, err
+}
+
+// repairServer snapshots the dead server's work under p.mu, then runs
+// it in two phases across a bounded worker pool: primaries first, then
+// — after a sync point, because parity rebuild reads the data shards —
+// the protection blocks. Locks are held only inside each item's plan
+// and commit windows, never across the fan-out.
+func (p *Pool) repairServer(sc telemetry.SpanContext, s addr.ServerID) (recovered int, firstErr error) {
+	p.mu.Lock()
+	if !p.isDead(s) {
+		p.mu.Unlock()
+		return 0, fmt.Errorf("core: server %d is alive", s)
+	}
+	e := evacuation{srv: s}
+	prim, prot := p.snapshotEvacuationLocked(e)
+	p.mu.Unlock()
 
 	workers := p.repairWorkers()
 	recovered, firstErr = p.runRepairPhase(len(prim), workers, func(i int) error {
@@ -217,7 +268,7 @@ func (p *Pool) repairServer(sc telemetry.SpanContext, s addr.ServerID) (recovere
 	// Sync point: every primary is live before protection rebuild reads
 	// data shards.
 	moved, protErr := p.runRepairPhase(len(prot), workers, func(i int) error {
-		return p.repairProtection(sc, s, prot[i])
+		return p.repairProtection(sc, e, prot[i])
 	})
 	if protErr != nil && firstErr == nil {
 		firstErr = protErr
@@ -286,18 +337,22 @@ func (p *Pool) repairPrimary(sc telemetry.SpanContext, it repairItem) error {
 }
 
 // repairProtection re-homes one protection block under a child span.
-func (p *Pool) repairProtection(sc telemetry.SpanContext, deadSrv addr.ServerID, it protItem) error {
+func (p *Pool) repairProtection(sc telemetry.SpanContext, e evacuation, it protItem) error {
 	sp, traced := p.beginChild(sc, "pool.repair.protection")
-	var err error
-	if it.kind == protReplica {
-		err = p.repairReplica(deadSrv, it.b, it.c, it.idx)
-	} else {
-		err = p.repairParity(deadSrv, it.b, it.si, it.m)
-	}
+	_, err := p.rehomeProtection(sp.Context(), e, it)
 	if traced {
 		p.endChild(&sp, int(SliceSize), err)
 	}
 	return err
+}
+
+// rehomeProtection re-homes one protection block e covers, reporting its
+// new server (addr.NoServer when there was nothing left to do).
+func (p *Pool) rehomeProtection(sc telemetry.SpanContext, e evacuation, it protItem) (addr.ServerID, error) {
+	if it.kind == protReplica {
+		return p.rehomeReplica(sc, e, it.b, it.c, it.idx)
+	}
+	return p.rehomeParity(e, it.b, it.si, it.m)
 }
 
 // repairSliceCommitted rebuilds slice s, whose owner crashed, onto a
@@ -389,11 +444,15 @@ func (p *Pool) repairSliceCommitted(s uint64, back *sliceBacking) error {
 // rebindLocked points slice s at (dstSrv, dstOff): both translation
 // steps, the backing record, the old extent's free (skipped when the
 // old owner is dead — its memory is gone), and the new owner's cache
-// invalidation. The caller holds p.mu and the slice's stripe lock in
-// write mode. For erasure-coded buffers the swap additionally holds the
-// buffer's EC lock: reconstruction snapshots sibling backing fields and
-// bytes under ec.mu alone, so field mutation and the extent free must
-// be ordered against it.
+// invalidation. It is the only place a primary's (server, offset)
+// changes. A move within one server (compaction packing downward) only
+// rewrites the local-map entry in place: the owner, and so the global
+// binding and what the owner may cache, do not change. The caller holds
+// p.mu and the slice's stripe lock in write mode. For erasure-coded
+// buffers the swap additionally holds the buffer's EC lock:
+// reconstruction snapshots sibling backing fields and bytes under ec.mu
+// alone, so field mutation and the extent free must be ordered against
+// it.
 func (p *Pool) rebindLocked(s uint64, back *sliceBacking, dstSrv addr.ServerID, dstOff int64) error {
 	var ecmu *sync.Mutex
 	if back.buf != nil && back.buf.ec != nil {
@@ -402,21 +461,23 @@ func (p *Pool) rebindLocked(s uint64, back *sliceBacking, dstSrv addr.ServerID, 
 	}
 	oldSrv, oldOff := back.server, back.offset
 	p.locals[dstSrv].MapSlice(s, dstOff)
-	if err := p.global.Bind(addr.Range{Start: addr.SliceBase(s), Size: SliceSize}, dstSrv); err != nil {
-		p.locals[dstSrv].UnmapSlice(s)
-		if ecmu != nil {
-			ecmu.Unlock()
+	if oldSrv != dstSrv {
+		if err := p.global.Bind(addr.Range{Start: addr.SliceBase(s), Size: SliceSize}, dstSrv); err != nil {
+			p.locals[dstSrv].UnmapSlice(s)
+			if ecmu != nil {
+				ecmu.Unlock()
+			}
+			return err
 		}
-		return err
+		p.locals[oldSrv].UnmapSlice(s)
 	}
-	p.locals[oldSrv].UnmapSlice(s)
 	back.server = dstSrv
 	back.offset = dstOff
 	p.freeBackingLocked(oldSrv, oldOff)
 	if ecmu != nil {
 		ecmu.Unlock()
 	}
-	if p.caches != nil {
+	if p.caches != nil && oldSrv != dstSrv {
 		// The slice is local to its new owner now; drop the owner's cached
 		// copies so its reads hit backing DRAM directly (local pages are
 		// never cached). Other nodes' copies stay valid — the bytes did
@@ -562,147 +623,78 @@ func (p *Pool) replicaSourceLocked(b *Buffer, back *sliceBacking, c int, idx uin
 	return 0, 0, false
 }
 
-// repairReplica re-homes replica copy c of buffer slice idx from a live
-// source. It holds the protected slice's commit lock so no other mover
-// re-homes the primary mid-copy; the primary stays fully writable — the
-// dirty interval tracks writes during the bulk copy and the commit
-// window re-copies just that delta.
-//
-//lmp:commitwindow
-func (p *Pool) repairReplica(deadSrv addr.ServerID, b *Buffer, c int, idx uint64) error {
+// rehomeReplica moves replica copy c of buffer slice idx off the region
+// e covers. The bytes come from the old block while its server lives
+// (compaction), else from the primary or a sibling copy (repair). It
+// holds the protected slice's commit lock so no other mover re-homes the
+// primary mid-copy; the primary stays fully writable — writes go through
+// to the old block too, the dirty interval tracks them during the bulk
+// copy and the commit window re-copies just that delta.
+func (p *Pool) rehomeReplica(sc telemetry.SpanContext, e evacuation, b *Buffer, c int, idx uint64) (addr.ServerID, error) {
 	sl := b.firstSlice() + idx
 	back := p.lookupSlice(sl)
 	if back == nil {
-		return nil // buffer released since the snapshot
+		return addr.NoServer, nil // buffer released since the snapshot
 	}
 	back.commit.Lock()
 	defer back.commit.Unlock()
 
 	p.mu.Lock()
-	if b.released.Load() || p.lookupSlice(sl) != back ||
-		b.copies[c][idx].Server != deadSrv || !p.isDead(deadSrv) {
+	old := b.copies[c][idx]
+	if b.released.Load() || p.lookupSlice(sl) != back || !e.covers(old.Server, old.Offset) {
 		p.mu.Unlock()
-		return nil
+		return addr.NoServer, nil
 	}
 	avoid := p.protectionServersLocked(b, idx)
 	avoid[back.server] = true
-	srv, off, err := p.allocAvoiding(avoid)
+	srv, off, err := p.reserveEvacuatedLocked(e, avoid)
+	p.mu.Unlock()
 	if err != nil {
-		p.mu.Unlock()
-		return err
-	}
-	p.mu.Unlock()
-
-	lock := p.stripeFor(sl)
-	lock.Lock()
-	if p.lookupSlice(sl) != back {
-		lock.Unlock()
-		p.mu.Lock()
-		p.freeBackingLocked(srv, off)
-		p.mu.Unlock()
-		return nil
-	}
-	back.startTrackingLocked()
-	lock.Unlock()
-
-	scratch := getSliceBuf()
-	defer putSliceBuf(scratch)
-	copyErr := func() error {
-		buf := (*scratch)[:moveChunk]
-		for off2 := int64(0); off2 < SliceSize; off2 += moveChunk {
-			n := int64(moveChunk)
-			if SliceSize-off2 < n {
-				n = SliceSize - off2
-			}
-			lock.RLock()
-			if p.lookupSlice(sl) != back {
-				lock.RUnlock()
-				return fmt.Errorf("%w: slice %d", errMoveStale, sl)
-			}
-			srcSrv, srcOff, ok := p.replicaSourceLocked(b, back, c, idx)
-			if !ok {
-				lock.RUnlock()
-				return &failure.MemoryException{Addr: addr.SliceBase(sl), Server: deadSrv}
-			}
-			err := p.nodes[srcSrv].ReadAt(buf[:n], srcOff+off2)
-			lock.RUnlock()
-			if err != nil {
-				return err
-			}
-			if err := p.nodes[srv].WriteAt(buf[:n], off+off2); err != nil {
-				return err
-			}
-		}
-		return nil
-	}()
-	p.fabricDelay()
-
-	abort := func(err error) error {
-		lock.Lock()
-		back.stopTrackingLocked()
-		lock.Unlock()
-		p.mu.Lock()
-		p.freeBackingLocked(srv, off)
-		p.mu.Unlock()
-		return err
-	}
-	if copyErr != nil {
-		if errors.Is(copyErr, errMoveStale) {
-			return abort(nil) // buffer released mid-copy: nothing to re-home
-		}
-		return abort(copyErr)
+		return addr.NoServer, err
 	}
 
-	p.mu.Lock()
-	lock.Lock()
-	if b.released.Load() || p.lookupSlice(sl) != back || b.copies[c][idx].Server != deadSrv {
-		back.stopTrackingLocked()
-		lock.Unlock()
-		p.freeBackingLocked(srv, off)
-		p.mu.Unlock()
-		return nil
+	err = p.moveBlockCommitted(sc, blockMove{
+		s: sl, back: back, dstSrv: srv, dstOff: off,
+		src: func() (addr.ServerID, int64, error) {
+			if !p.isDead(old.Server) {
+				return old.Server, old.Offset, nil
+			}
+			if srcSrv, srcOff, ok := p.replicaSourceLocked(b, back, c, idx); ok {
+				return srcSrv, srcOff, nil
+			}
+			return 0, 0, &failure.MemoryException{Addr: addr.SliceBase(sl), Server: old.Server}
+		},
+		publish: func() error {
+			b.copies[c][idx] = alloc.Chunk{Server: srv, Offset: off, Size: SliceSize}
+			p.freeBackingLocked(old.Server, old.Offset)
+			return nil
+		},
+	})
+	if errors.Is(err, errMoveStale) {
+		return addr.NoServer, nil // buffer released mid-copy: nothing to re-home
 	}
-	if lo, hi := back.dirtyRangeLocked(); hi > lo {
-		delta := (*scratch)[:hi-lo]
-		srcSrv, srcOff, ok := p.replicaSourceLocked(b, back, c, idx)
-		if !ok {
-			err = &failure.MemoryException{Addr: addr.SliceBase(sl), Server: deadSrv}
-		} else if err = p.nodes[srcSrv].ReadAt(delta, srcOff+lo); err == nil {
-			err = p.nodes[srv].WriteAt(delta, off+lo)
-		}
-		if err != nil {
-			back.stopTrackingLocked()
-			lock.Unlock()
-			p.freeBackingLocked(srv, off)
-			p.mu.Unlock()
-			return err
-		}
-		p.metrics.Counter("pool.migrations.commit_bytes").Add(uint64(hi - lo))
-	}
-	b.copies[c][idx] = alloc.Chunk{Server: srv, Offset: off, Size: SliceSize}
-	back.stopTrackingLocked()
-	lock.Unlock()
-	p.mu.Unlock()
-	return nil
+	return srv, err
 }
 
-// repairParity recomputes parity row m of EC stripe si onto a live
-// server. It runs in repair phase B, after every data shard is live.
+// rehomeParity recomputes parity row m of EC stripe si onto a new home
+// when e covers the row: a dead server's rows in repair phase B (after
+// every data shard is live), a live server's tail rows in compaction.
 // The shard snapshot and the stripe's version are read under ec.mu; the
 // O(K·SliceSize) row compute and the bulk write run unlocked; the swap
 // re-checks the version, so a foreground write that changed the stripe
 // between snapshot and swap forces a re-read instead of committing a
 // stale row. After repeated collisions it falls back to computing the
 // row with the stripe frozen, which is the pre-engine behavior.
-func (p *Pool) repairParity(deadSrv addr.ServerID, b *Buffer, si, m int) error {
+func (p *Pool) rehomeParity(e evacuation, b *Buffer, si, m int) (addr.ServerID, error) {
 	st := &b.ec.stripes[si]
 	first := b.firstSlice()
 	k := b.prot.K
 
 	p.mu.Lock()
-	if b.released.Load() || st.parity[m].server != deadSrv || !p.isDead(deadSrv) {
+	old := st.parity[m]
+	if b.released.Load() || !e.covers(old.server, old.offset) {
 		p.mu.Unlock()
-		return nil
+		return addr.NoServer, nil
 	}
 	avoid := make(map[addr.ServerID]bool)
 	for j := 0; j < k; j++ {
@@ -717,12 +709,11 @@ func (p *Pool) repairParity(deadSrv addr.ServerID, b *Buffer, si, m int) error {
 	for _, pb := range st.parity {
 		avoid[pb.server] = true
 	}
-	srv, off, err := p.allocAvoiding(avoid)
-	if err != nil {
-		p.mu.Unlock()
-		return err
-	}
+	srv, off, err := p.reserveEvacuatedLocked(e, avoid)
 	p.mu.Unlock()
+	if err != nil {
+		return addr.NoServer, err
+	}
 
 	rowBuf := getSliceBuf()
 	defer putSliceBuf(rowBuf)
@@ -742,11 +733,28 @@ func (p *Pool) repairParity(deadSrv addr.ServerID, b *Buffer, si, m int) error {
 	parityOut := make([][]byte, b.prot.M)
 	parityOut[m] = row
 
-	abort := func(err error) error {
+	abort := func(err error) (addr.ServerID, error) {
 		p.mu.Lock()
 		p.freeBackingLocked(srv, off)
 		p.mu.Unlock()
-		return err
+		return addr.NoServer, err
+	}
+	// swapLocked ends the move if it can. A row computed at stripe version
+	// v is published — and the old extent freed, a no-op when its server
+	// is dead — only if the stripe is still at v; a row another mover
+	// re-homed or Release freed first needs no move at all. Caller holds
+	// p.mu and ec.mu.
+	swapLocked := func(v uint64) (dst addr.ServerID, done bool) {
+		if b.released.Load() || st.parity[m] != old {
+			p.freeBackingLocked(srv, off)
+			return addr.NoServer, true
+		}
+		if st.version != v {
+			return addr.NoServer, false
+		}
+		st.parity[m] = parityBlock{server: srv, offset: off}
+		p.freeBackingLocked(old.server, old.offset)
+		return srv, true
 	}
 
 	for attempt := 0; ; attempt++ {
@@ -789,16 +797,15 @@ func (p *Pool) repairParity(deadSrv addr.ServerID, b *Buffer, si, m int) error {
 			if err == nil {
 				err = p.nodes[srv].WriteAt(row, off)
 			}
-			if err == nil && st.parity[m].server == deadSrv {
-				st.parity[m] = parityBlock{server: srv, offset: off}
-				b.ec.mu.Unlock()
-				p.mu.Unlock()
-				return nil
+			dst := addr.NoServer
+			if err == nil {
+				dst, _ = swapLocked(v) // frozen: the version cannot have moved
+			} else {
+				p.freeBackingLocked(srv, off)
 			}
 			b.ec.mu.Unlock()
-			p.freeBackingLocked(srv, off)
 			p.mu.Unlock()
-			return err
+			return dst, err
 		}
 		b.ec.mu.Unlock()
 		for i := 0; i < reads; i++ {
@@ -812,36 +819,20 @@ func (p *Pool) repairParity(deadSrv addr.ServerID, b *Buffer, si, m int) error {
 		}
 		p.mu.Lock()
 		b.ec.mu.Lock()
-		if st.parity[m].server != deadSrv {
-			b.ec.mu.Unlock()
-			p.freeBackingLocked(srv, off)
-			p.mu.Unlock()
-			return nil // another mover already re-homed the row
-		}
-		if st.version == v {
-			st.parity[m] = parityBlock{server: srv, offset: off}
-			b.ec.mu.Unlock()
-			p.mu.Unlock()
-			return nil
-		}
+		dst, done := swapLocked(v)
 		b.ec.mu.Unlock()
 		p.mu.Unlock()
+		if done {
+			return dst, nil
+		}
 		// The stripe changed under the optimistic snapshot: go again.
 	}
 }
 
 // moveOneCommitted migrates slice s (backing back) to server to. The
-// caller holds back's commit-window lock. Two-phase protocol:
-//
-//	plan      p.mu               validate, collocation check, reserve dst
-//	track     stripe.Lock, O(1)  arm the dirty interval
-//	pre-copy  chunked RLock      bulk copy; reads and writes proceed
-//	commit    p.mu + stripe      copy the dirty delta, rebind, free old
-//
-// so the stripe write-lock hold shrinks from O(SliceSize + 2 RPCs) to
-// O(dirty delta).
-//
-//lmp:commitwindow
+// caller holds back's commit-window lock. The plan — validate, refuse
+// to collocate, reserve the destination — runs here under p.mu; the
+// copy and the rebind are movePrimaryCommitted's.
 func (p *Pool) moveOneCommitted(sc telemetry.SpanContext, s uint64, back *sliceBacking, to addr.ServerID) error {
 	p.mu.Lock()
 	if p.lookupSlice(s) != back {
@@ -867,119 +858,158 @@ func (p *Pool) moveOneCommitted(sc telemetry.SpanContext, s uint64, back *sliceB
 		}
 	}
 	newOff, err := p.regions[to].Alloc(SliceSize)
+	p.mu.Unlock()
 	if err != nil {
-		p.mu.Unlock()
 		return fmt.Errorf("core: migrate slice %d to %d: %w", s, to, err)
 	}
-	p.mu.Unlock()
+	return p.movePrimaryCommitted(sc, s, back, to, newOff)
+}
 
-	lock := p.stripeFor(s)
-	lock.Lock()
-	if p.lookupSlice(s) != back || p.isDead(back.server) {
-		lock.Unlock()
-		p.mu.Lock()
-		p.freeBackingLocked(to, newOff)
-		p.mu.Unlock()
-		return fmt.Errorf("%w: slice %d", errMoveStale, s)
+// movePrimaryCommitted re-homes live slice s to the reserved extent
+// (dstSrv, dstOff) — another server (migration, evacuation) or a lower
+// offset on its own (compaction). The caller holds back's commit-window
+// lock; a crash of either end, or a release, makes the move stale.
+func (p *Pool) movePrimaryCommitted(sc telemetry.SpanContext, s uint64, back *sliceBacking, dstSrv addr.ServerID, dstOff int64) error {
+	return p.moveBlockCommitted(sc, blockMove{
+		s: s, back: back, dstSrv: dstSrv, dstOff: dstOff,
+		src:     func() (addr.ServerID, int64, error) { return back.server, back.offset, nil },
+		valid:   func() bool { return !p.isDead(back.server) && !p.isDead(dstSrv) },
+		publish: func() error { return p.rebindLocked(s, back, dstSrv, dstOff) },
+	})
+}
+
+// blockMove is one slice-sized copy for the two-phase mover: the bytes
+// src locates move to the reserved extent (dstSrv, dstOff), and publish
+// makes that extent the block's home.
+type blockMove struct {
+	// s is the slice whose stripe lock orders the block's writers — the
+	// primary itself, or the slice a replica block protects — and back
+	// its backing, whose commit-window lock the caller holds and whose
+	// dirty interval the move arms.
+	s      uint64
+	back   *sliceBacking
+	dstSrv addr.ServerID
+	dstOff int64
+	// src locates the bytes. It runs under s's stripe lock (either mode)
+	// for every chunk and again for the dirty delta, so a source that
+	// moves or dies mid-copy is followed, never read through stale.
+	src func() (addr.ServerID, int64, error)
+	// valid, when non-nil, is re-checked (same lock) wherever the mover
+	// re-validates that back is still published; false makes the move
+	// stale.
+	valid func() bool
+	// publish runs in the commit window — p.mu and s's stripe write lock
+	// held, destination bytes complete — and also frees the old extent.
+	publish func() error
+}
+
+// moveBlockCommitted is the pool's one way to copy a slice-sized block
+// to a new home. The caller holds mv.back's commit-window lock and has
+// reserved the destination, which the mover frees on every failure:
+//
+//	track     stripe.Lock, O(1)  arm the dirty interval
+//	pre-copy  chunked RLock      bulk copy; reads and writes proceed
+//	commit    p.mu + stripe      copy the dirty delta, publish
+//
+// Each chunk is read under its own short stripe read-lock hold:
+// concurrent reads share the lock, concurrent writes interleave between
+// chunks and land in the dirty interval, so the stripe write-lock hold
+// is O(dirty delta), not O(SliceSize + 2 RPCs). The backing is
+// re-validated under every chunk's lock so a concurrent release or crash
+// aborts the copy (errMoveStale) instead of reading through a freed
+// (possibly re-allocated) extent.
+//
+//lmp:commitwindow
+func (p *Pool) moveBlockCommitted(sc telemetry.SpanContext, mv blockMove) error {
+	lock := p.stripeFor(mv.s)
+	stale := fmt.Errorf("%w: slice %d", errMoveStale, mv.s)
+	live := func() bool {
+		return p.lookupSlice(mv.s) == mv.back && (mv.valid == nil || mv.valid())
 	}
-	back.startTrackingLocked()
+	scratch := getSliceBuf()
+	defer putSliceBuf(scratch)
+	// readSrc fills buf from offset lo of the block; the caller holds the
+	// stripe lock.
+	readSrc := func(buf []byte, lo int64) error {
+		srcSrv, srcOff, err := mv.src()
+		if err != nil {
+			return err
+		}
+		return p.nodes[srcSrv].ReadAt(buf, srcOff+lo)
+	}
+	// commit is the commit window, and the single exit of an armed move:
+	// handed a pre-copy failure it only disarms tracking and frees the
+	// reservation.
+	commit := func(err error) (int64, error) {
+		p.mu.Lock()
+		lock.Lock()
+		var delta int64
+		if err == nil && !live() {
+			err = stale
+		}
+		if err == nil {
+			if lo, hi := mv.back.dirtyRangeLocked(); hi > lo {
+				delta = hi - lo
+				buf := (*scratch)[:delta]
+				if err = readSrc(buf, lo); err == nil {
+					err = p.nodes[mv.dstSrv].WriteAt(buf, mv.dstOff+lo)
+				}
+			}
+		}
+		if err == nil {
+			err = mv.publish()
+		}
+		mv.back.stopTrackingLocked()
+		lock.Unlock()
+		if err != nil {
+			p.freeBackingLocked(mv.dstSrv, mv.dstOff)
+			delta = 0
+		} else {
+			p.metrics.Counter("pool.migrations.commit_bytes").Add(uint64(delta))
+		}
+		p.mu.Unlock()
+		return delta, err
+	}
+
+	lock.Lock()
+	armed := live()
+	if armed {
+		mv.back.startTrackingLocked()
+	}
 	lock.Unlock()
+	if !armed {
+		_, err := commit(stale)
+		return err
+	}
 
 	sp, traced := p.beginChild(sc, "pool.migrate.precopy")
-	err = p.preCopySlice(back, s, to, newOff)
+	var err error
+	for off := int64(0); off < SliceSize && err == nil; off += moveChunk {
+		buf := (*scratch)[:min(moveChunk, SliceSize-off)]
+		lock.RLock()
+		if live() {
+			err = readSrc(buf, off)
+		} else {
+			err = stale
+		}
+		lock.RUnlock()
+		if err == nil {
+			err = p.nodes[mv.dstSrv].WriteAt(buf, mv.dstOff+off)
+		}
+	}
 	p.fabricDelay()
 	if traced {
 		p.endChild(&sp, int(SliceSize), err)
 	}
 	if err != nil {
-		lock.Lock()
-		back.stopTrackingLocked()
-		lock.Unlock()
-		p.mu.Lock()
-		p.freeBackingLocked(to, newOff)
-		p.mu.Unlock()
+		_, err = commit(err)
 		return err
 	}
 
 	csp, ctraced := p.beginChild(sc, "pool.migrate.commit")
-	delta, err := p.commitMove(s, back, to, newOff)
+	delta, err := commit(nil)
 	if ctraced {
 		p.endChild(&csp, int(delta), err)
 	}
 	return err
-}
-
-// preCopySlice bulk-copies slice s to (to, newOff) in chunks, each read
-// under its own short stripe read-lock hold: concurrent reads share the
-// lock, concurrent writes interleave between chunks and land in the
-// dirty interval. The backing is re-validated under every chunk's lock
-// so a concurrent release or crash aborts the copy instead of reading
-// through a freed (possibly re-allocated) extent.
-func (p *Pool) preCopySlice(back *sliceBacking, s uint64, to addr.ServerID, newOff int64) error {
-	lock := p.stripeFor(s)
-	scratch := getSliceBuf()
-	defer putSliceBuf(scratch)
-	buf := (*scratch)[:moveChunk]
-	for off := int64(0); off < SliceSize; off += moveChunk {
-		n := int64(moveChunk)
-		if SliceSize-off < n {
-			n = SliceSize - off
-		}
-		lock.RLock()
-		if p.lookupSlice(s) != back || p.isDead(back.server) {
-			lock.RUnlock()
-			return fmt.Errorf("%w: slice %d", errMoveStale, s)
-		}
-		err := p.nodes[back.server].ReadAt(buf[:n], back.offset+off)
-		lock.RUnlock()
-		if err != nil {
-			return err
-		}
-		if err := p.nodes[to].WriteAt(buf[:n], newOff+off); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// commitMove is the migration commit window: re-validate, copy the
-// dirty delta, rebind, free the old extent. Returns the delta size.
-//
-//lmp:commitwindow
-func (p *Pool) commitMove(s uint64, back *sliceBacking, to addr.ServerID, newOff int64) (int64, error) {
-	lock := p.stripeFor(s)
-	scratch := getSliceBuf()
-	defer putSliceBuf(scratch)
-	p.mu.Lock()
-	lock.Lock()
-	abort := func(err error) (int64, error) {
-		back.stopTrackingLocked()
-		lock.Unlock()
-		p.freeBackingLocked(to, newOff)
-		p.mu.Unlock()
-		return 0, err
-	}
-	if p.lookupSlice(s) != back || p.isDead(back.server) || p.isDead(to) {
-		return abort(fmt.Errorf("%w: slice %d", errMoveStale, s))
-	}
-	lo, hi := back.dirtyRangeLocked()
-	var delta int64
-	if hi > lo {
-		delta = hi - lo
-		buf := (*scratch)[:delta]
-		if err := p.nodes[back.server].ReadAt(buf, back.offset+lo); err != nil {
-			return abort(err)
-		}
-		if err := p.nodes[to].WriteAt(buf, newOff+lo); err != nil {
-			return abort(err)
-		}
-	}
-	if err := p.rebindLocked(s, back, to, newOff); err != nil {
-		return abort(err)
-	}
-	back.stopTrackingLocked()
-	lock.Unlock()
-	p.metrics.Counter("pool.migrations.commit_bytes").Add(uint64(delta))
-	p.mu.Unlock()
-	return delta, nil
 }

@@ -141,6 +141,18 @@ func TestCheckInvariantsFlagsViolations(t *testing.T) {
 	if err := p.CheckInvariants(); err != nil {
 		t.Fatalf("fresh pool: %v", err)
 	}
+	// A reservation nothing points at: what a mover's abort path leaves
+	// behind if it forgets to free its destination.
+	leaked, err := p.regions[1].Alloc(SliceSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.CheckInvariants(); err == nil {
+		t.Fatal("leaked extent not reported")
+	}
+	if err := p.regions[1].Free(leaked); err != nil {
+		t.Fatal(err)
+	}
 	s := b.firstSlice()
 	p.mu.Lock()
 	p.deleteSlice(s)

@@ -132,61 +132,6 @@ func TestEngineOrderProperty(t *testing.T) {
 	}
 }
 
-func TestResourceFIFO(t *testing.T) {
-	e := NewEngine()
-	r := NewResource(e, 2)
-	var grants []int
-	for i := 0; i < 5; i++ {
-		i := i
-		r.Acquire(func() {
-			grants = append(grants, i)
-			e.After(10, r.Release)
-		})
-	}
-	e.Run()
-	if len(grants) != 5 {
-		t.Fatalf("grants = %v, want 5 entries", grants)
-	}
-	for i, g := range grants {
-		if g != i {
-			t.Fatalf("grants out of order: %v", grants)
-		}
-	}
-}
-
-func TestResourceCapacityRespected(t *testing.T) {
-	e := NewEngine()
-	r := NewResource(e, 3)
-	maxHeld := 0
-	held := 0
-	for i := 0; i < 10; i++ {
-		r.Acquire(func() {
-			held++
-			if held > maxHeld {
-				maxHeld = held
-			}
-			e.After(7, func() {
-				held--
-				r.Release()
-			})
-		})
-	}
-	e.Run()
-	if maxHeld != 3 {
-		t.Fatalf("max concurrent holders = %d, want 3", maxHeld)
-	}
-}
-
-func TestResourceReleaseIdlePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("release of idle resource did not panic")
-		}
-	}()
-	e := NewEngine()
-	NewResource(e, 1).Release()
-}
-
 func TestPipeServiceTime(t *testing.T) {
 	e := NewEngine()
 	p := NewPipe(e, 1e9) // 1 GB/s => 1 byte/ns

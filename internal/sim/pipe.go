@@ -1,61 +1,5 @@
 package sim
 
-// Resource is a counted resource with FIFO admission: at most Capacity
-// holders at a time, waiters granted in arrival order. It models things
-// like a core's outstanding-miss registers or a link's credit pool.
-type Resource struct {
-	eng      *Engine
-	capacity int
-	inUse    int
-	waiters  []func()
-}
-
-// NewResource returns a resource with the given capacity attached to eng.
-// Capacity must be positive.
-func NewResource(eng *Engine, capacity int) *Resource {
-	if capacity <= 0 {
-		panic("sim: resource capacity must be positive")
-	}
-	return &Resource{eng: eng, capacity: capacity}
-}
-
-// InUse reports the number of currently held units.
-func (r *Resource) InUse() int { return r.inUse }
-
-// Capacity reports the resource capacity.
-func (r *Resource) Capacity() int { return r.capacity }
-
-// Utilization reports inUse/capacity in [0,1].
-func (r *Resource) Utilization() float64 {
-	return float64(r.inUse) / float64(r.capacity)
-}
-
-// Acquire requests one unit; granted calls back (possibly immediately, as a
-// scheduled zero-delay event) once the unit is held.
-func (r *Resource) Acquire(granted func()) {
-	if r.inUse < r.capacity && len(r.waiters) == 0 {
-		r.inUse++
-		r.eng.After(0, granted)
-		return
-	}
-	r.waiters = append(r.waiters, granted)
-}
-
-// Release returns one unit and grants the head waiter, if any.
-func (r *Resource) Release() {
-	if r.inUse <= 0 {
-		panic("sim: release of idle resource")
-	}
-	if len(r.waiters) > 0 {
-		next := r.waiters[0]
-		copy(r.waiters, r.waiters[1:])
-		r.waiters = r.waiters[:len(r.waiters)-1]
-		r.eng.After(0, next)
-		return
-	}
-	r.inUse--
-}
-
 // Pipe is a FIFO store-and-forward bandwidth server: transfers are serviced
 // one after another, each occupying the pipe for size/rate seconds. It
 // models a memory channel or fabric link direction at flit granularity.
