@@ -58,9 +58,11 @@ race: lint lint-fixtures bench-build
 # Seeded chaos/property sweep over the pool: every seed runs its random
 # interleaving (Map/Write/Read/Release/crash) twice and must produce an
 # identical trace and zero divergence from the model. Replay a failure
-# with CHAOS_SEED=<n> (the failure report prints the command).
+# with CHAOS_SEED=<n> (the failure report prints the command). The
+# 50-seed sweep takes 8-10 minutes under -race on a two-core box, which
+# is go test's default timeout: give it room.
 chaos:
-	CHAOS_SEEDS=$(CHAOS_SEEDS) $(GO) test -race -run 'TestChaos' ./internal/core/
+	CHAOS_SEEDS=$(CHAOS_SEEDS) $(GO) test -race -timeout 30m -run 'TestChaos' ./internal/core/
 
 # bench/ is its own module (BENCHMARK.json builds it from its checkout),
 # so `go build ./... && go test ./...` at the root never compiles it:

@@ -5,7 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
+	"time"
 
 	"github.com/lmp-project/lmp/internal/addr"
 	"github.com/lmp-project/lmp/internal/alloc"
@@ -35,7 +37,7 @@ const (
 )
 
 const (
-	ccOpAlloc = iota
+	ccOpAlloc      = iota
 	ccOpWriteSmall // fits the combiner: buffered when remote
 	ccOpWriteLarge // bypasses the combiner: direct write + invalidation
 	ccOpRead       // the stale-read oracle
@@ -74,7 +76,24 @@ func genCacheOps(seed int64) []opDesc {
 	return ops
 }
 
+// ccVariant is one pool shape the coherence scenario runs on.
+type ccVariant struct {
+	name string
+	// flaps arms per-server breakers on a test clock, makes every buffer
+	// 2-way replicated, and lets the seed schedule breaker flaps between
+	// ops: a failure burst that opens one server (reads of its slices are
+	// then shed to replicas, through the cache fill as much as the direct
+	// path) and a clock advance that half-opens it again.
+	flaps bool
+}
+
+var ccVariants = []ccVariant{{name: "default"}, {name: "replicated-flaps", flaps: true}}
+
 type ccStats struct {
+	// trace is one line per op outcome and flap event; a run is a pure
+	// function of its seed, so two runs must produce identical traces.
+	trace      string
+	sheds      uint64
 	divergence []string
 	hits       uint64
 	wcWrites   uint64
@@ -90,6 +109,13 @@ type ccStats struct {
 // is a pure function of its seed).
 func chaosCacheRun(t *testing.T, seed int64) ccStats {
 	t.Helper()
+	return chaosCacheRunOn(t, seed, ccVariants[0])
+}
+
+// chaosCacheRunOn is chaosCacheRun on one pool shape.
+func chaosCacheRunOn(t *testing.T, seed int64, v ccVariant) ccStats {
+	t.Helper()
+	clk := &tailClock{}
 	cfg := Config{
 		Placement: alloc.Striped,
 		// Trace every op so each run also checks the span-tree oracle:
@@ -115,14 +141,41 @@ func chaosCacheRun(t *testing.T, seed int64) ccStats {
 			SharedBytes: ccSlicesPer * SliceSize,
 		})
 	}
+	if v.flaps {
+		cfg.Tail = TailConfig{Breaker: tailBreakerPolicy(), NowNS: clk.now}
+	}
 	p, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	res := ccStats{}
+	var trace strings.Builder
 	diverge := func(format string, args ...any) {
 		res.divergence = append(res.divergence, fmt.Sprintf(format, args...))
+	}
+	// flap opens one live server's breaker with a failure burst, or — when
+	// one is already open — advances the clock past OpenFor, so the next
+	// access finds it half-open and a success closes it. At most one
+	// server is degraded at a time: the replica of a shed read is then
+	// always healthy unless it crashed, the one case a read may be refused.
+	flapRNG := rand.New(rand.NewSource(seed*977 + 1))
+	opened := addr.ServerID(-1)
+	flap := func(idx int) {
+		switch roll := flapRNG.Intn(100); {
+		case opened >= 0 && roll < 30:
+			clk.advance(2 * time.Hour)
+			fmt.Fprintf(&trace, "%d half-open srv=%d\n", idx, opened)
+			opened = -1
+		case opened < 0 && roll < 20:
+			victim := addr.ServerID(flapRNG.Intn(ccServers))
+			if p.Dead(victim) {
+				return
+			}
+			tripBreaker(t, p, victim)
+			fmt.Fprintf(&trace, "%d open srv=%d\n", idx, victim)
+			opened = victim
+		}
 	}
 	var bufs []*chaosBuf
 	live := ccServers
@@ -160,6 +213,9 @@ func chaosCacheRun(t *testing.T, seed int64) ccStats {
 	}
 
 	for idx, op := range genCacheOps(seed) {
+		if v.flaps {
+			flap(idx)
+		}
 		switch int(op.kind) {
 		case ccOpAlloc:
 			if len(bufs) >= ccMaxBufs {
@@ -167,7 +223,7 @@ func chaosCacheRun(t *testing.T, seed int64) ccStats {
 			}
 			size := int64(1+op.a%2)*SliceSize - int64(op.b%2000)
 			prot := failure.Policy{Scheme: failure.ErasureCode, K: 2, M: 1}
-			if op.a%2 == 0 {
+			if op.a%2 == 0 || v.flaps {
 				prot = failure.Policy{Scheme: failure.Replicate, Copies: 2}
 			}
 			b, err := p.AllocProtected(size, liveServer(op.b), prot)
@@ -199,7 +255,15 @@ func chaosCacheRun(t *testing.T, seed int64) ccStats {
 				n = int(int64(len(cb.model)) - off)
 			}
 			got := make([]byte, n)
-			if err := cb.buf.ReadAt(liveServer(op.b>>32), got, off); err != nil {
+			err := cb.buf.ReadAt(liveServer(op.b>>32), got, off)
+			if v.flaps && errors.Is(err, ErrServerDegraded) {
+				// Owner degraded and its replica's server crashed: refused,
+				// not stale.
+				fmt.Fprintf(&trace, "%d read off=%d len=%d degraded\n", idx, off, n)
+				continue
+			}
+			fmt.Fprintf(&trace, "%d read off=%d len=%d %s\n", idx, off, n, errClass(err))
+			if err != nil {
 				diverge("op %d: read off=%d len=%d: %v", idx, off, n, err)
 				continue
 			}
@@ -268,6 +332,9 @@ func chaosCacheRun(t *testing.T, seed int64) ccStats {
 	if err := p.FlushWriteCombining(); err != nil {
 		diverge("final flush: %v", err)
 	}
+	// Heal any standing flap — the half-open probe is the first read below —
+	// so the final oracle can demand every byte from every live server.
+	clk.advance(2 * time.Hour)
 	// Final oracle: after the flush every surviving buffer reads back
 	// byte-identical from every live server — cached or not.
 	for bi, cb := range bufs {
@@ -290,6 +357,11 @@ func chaosCacheRun(t *testing.T, seed int64) ccStats {
 	}
 
 	st := p.CacheStats()
+	if v.flaps {
+		res.sheds = p.metrics.Counter("pool.reads.replica_shed").Value()
+		fmt.Fprintf(&trace, "sheds=%d degraded=%d\n", res.sheds, p.metrics.Counter("pool.reads.degraded_fail").Value())
+	}
+	res.trace = trace.String()
 	res.hits = st.Hits
 	res.wcWrites = st.WCWrites
 	res.flushes = st.Flushes
@@ -305,20 +377,33 @@ func chaosCacheRun(t *testing.T, seed int64) ccStats {
 // reads, writes, releases, crash/repair, flushes, and migrations ever
 // returns bytes the flat model does not predict — zero stale reads.
 func TestChaosCacheCoherence(t *testing.T) {
-	var hits, wcWrites, flushes, evictions uint64
+	var hits, wcWrites, flushes, evictions, sheds uint64
 	crashes := 0
 	for _, seed := range chaosSeeds(t) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			res := chaosCacheRun(t, seed)
-			for _, d := range res.divergence {
-				t.Errorf("seed %d: %s", seed, d)
+			for _, v := range ccVariants {
+				v := v
+				t.Run(v.name, func(t *testing.T) {
+					res := chaosCacheRunOn(t, seed, v)
+					for _, d := range res.divergence {
+						t.Errorf("seed %d: %s", seed, d)
+					}
+					// The flap schedule is part of the seed: the same reads must
+					// be shed, refused and served on a second run.
+					if v.flaps {
+						if again := chaosCacheRunOn(t, seed, v); again.trace != res.trace {
+							t.Errorf("seed %d: two runs produced different traces:\n--- first\n%s--- second\n%s", seed, res.trace, again.trace)
+						}
+					}
+					hits += res.hits
+					wcWrites += res.wcWrites
+					flushes += res.flushes
+					evictions += res.evictions
+					crashes += res.crashes
+					sheds += res.sheds
+				})
 			}
-			hits += res.hits
-			wcWrites += res.wcWrites
-			flushes += res.flushes
-			evictions += res.evictions
-			crashes += res.crashes
 		})
 	}
 	// Guard against a vacuously green oracle: the sweep must actually have
@@ -329,6 +414,9 @@ func TestChaosCacheCoherence(t *testing.T) {
 	}
 	if crashes == 0 {
 		t.Errorf("sweep did not exercise crash/repair")
+	}
+	if sheds == 0 {
+		t.Errorf("sweep did not shed a single read to a replica: the flaps met no traffic")
 	}
 }
 

@@ -690,23 +690,18 @@ func (b *Buffer) Release() error {
 	return nil
 }
 
-// eachSegment visits [la, la+n) split at slice boundaries.
-func eachSegment(la addr.Logical, n int, visit func(s uint64, sliceOff int64, bufOff int, length int) error) error {
-	done := 0
-	for done < n {
-		cur := la + addr.Logical(done)
-		s := addr.SliceOf(cur)
-		off := int64(uint64(cur) % SliceSize)
-		length := int(SliceSize - off)
-		if rem := n - done; rem < length {
-			length = rem
-		}
-		if err := visit(s, off, done, length); err != nil {
-			return err
-		}
-		done += length
+// sliceSegment returns the piece of [la, la+n) that starts done bytes in
+// and ends at the next slice boundary (or the end of the range): the one
+// walker every foreground path splits an access with.
+func sliceSegment(la addr.Logical, n, done int) (s uint64, sliceOff int64, length int) {
+	cur := la + addr.Logical(done)
+	s = addr.SliceOf(cur)
+	sliceOff = int64(uint64(cur) % SliceSize)
+	length = int(SliceSize - sliceOff)
+	if rem := n - done; rem < length {
+		length = rem
 	}
-	return nil
+	return s, sliceOff, length
 }
 
 // Read copies len(buf) bytes at logical address la into buf, as issued by
@@ -717,187 +712,281 @@ func eachSegment(la addr.Logical, n int, visit func(s uint64, sliceOff int64, bu
 // Release), and with a failure.MemoryException when an unprotected owner
 // has crashed.
 func (p *Pool) Read(from addr.ServerID, la addr.Logical, buf []byte) error {
-	if p.tail.limit != 0 {
-		if !p.admit() {
-			return errPoolOverloaded
-		}
-		defer p.release()
-	}
-	// Context-less entry: the parent is always the zero SpanContext, so
-	// the trace decision is just the sampler — kept inline (one call)
-	// rather than going through shouldTrace, which would cost an extra
-	// frame on every untraced op.
-	if o := p.obs; o != nil && o.sampler.Hit() {
-		return p.tracedRead(nil, telemetry.SpanContext{}, from, la, buf)
-	}
-	if p.cacheEnabledFor(from) {
-		return p.cachedRead(nil, telemetry.SpanContext{}, from, la, buf)
-	}
-	return p.directAccess(nil, telemetry.SpanContext{}, from, la, buf, false)
-}
-
-// tracedRead is the sampled read path: build the root span, thread its
-// context down, and complete it. Kept out of Read so the dominant
-// untraced case never materializes a Span.
-func (p *Pool) tracedRead(ctx context.Context, parent telemetry.SpanContext, from addr.ServerID, la addr.Logical, buf []byte) error {
-	sp := p.startOp(parent, from, trRead)
-	err := p.read(ctx, sp.Context(), from, la, buf)
-	p.endOp(&sp, trRead, len(buf), err)
-	return err
-}
-
-// read dispatches a (possibly traced) read to the cached or direct
-// path. An untraced op carries the zero SpanContext, under which the
-// inner layers record nothing.
-func (p *Pool) read(ctx context.Context, sc telemetry.SpanContext, from addr.ServerID, la addr.Logical, buf []byte) error {
-	if p.cacheEnabledFor(from) {
-		return p.cachedRead(ctx, sc, from, la, buf)
-	}
-	return p.directAccess(ctx, sc, from, la, buf, false)
+	return p.access(nil, from, trRead, []Vec{{Addr: la, Data: buf}})
 }
 
 // Write copies data into the pool at logical address la, as issued by
 // server from, updating replicas and parity. Its error contract matches
 // Read's.
 func (p *Pool) Write(from addr.ServerID, la addr.Logical, data []byte) error {
+	return p.access(nil, from, trWrite, []Vec{{Addr: la, Data: data}})
+}
+
+// access is the one entry every public foreground operation goes through:
+// admission, the default deadline budget (only for callers that brought a
+// context), the trace decision, the dispatch by kind, and the root span's
+// completion. A single-address op arrives as a vector of one element,
+// which never leaves its caller's stack: passing (la, buf, vecs) side by
+// side instead pushed the argument list out of registers and cost the
+// dominant op — an untraced cache hit of some fifty nanoseconds — ten
+// more, measured.
+func (p *Pool) access(ctx context.Context, from addr.ServerID, kind int, vecs []Vec) error {
 	if p.tail.limit != 0 {
 		if !p.admit() {
 			return errPoolOverloaded
 		}
 		defer p.release()
 	}
-	// See Read for why the trace decision is inlined here.
-	if o := p.obs; o != nil && o.sampler.Hit() {
-		return p.tracedWrite(nil, telemetry.SpanContext{}, from, la, data)
+	// An untraced op — 63 in 64 — threads the zero SpanContext, under which
+	// the inner layers record nothing. A context-less op has no parent span
+	// to inherit, so its trace decision is the sampler alone.
+	var sp telemetry.Span
+	var sc telemetry.SpanContext
+	traced := false
+	if ctx != nil {
+		var cancel context.CancelFunc
+		if ctx, cancel = p.withBudget(ctx); cancel != nil {
+			defer cancel()
+		}
+		if err := ctxErr(ctx); err != nil {
+			return err
+		}
+		if parent, ok := p.shouldTrace(ctx); ok {
+			traced, sp = true, p.startOp(parent, from, kind)
+		}
+	} else if o := p.obs; o != nil && o.sampler.Hit() {
+		traced, sp = true, p.startOp(telemetry.SpanContext{}, from, kind)
 	}
-	if p.cacheEnabledFor(from) {
-		return p.cachedWrite(nil, telemetry.SpanContext{}, from, la, data)
+	if traced {
+		sc = sp.Context()
 	}
-	return p.directAccess(nil, telemetry.SpanContext{}, from, la, data, true)
-}
-
-// tracedWrite is the sampled write path; see tracedRead.
-func (p *Pool) tracedWrite(ctx context.Context, parent telemetry.SpanContext, from addr.ServerID, la addr.Logical, data []byte) error {
-	sp := p.startOp(parent, from, trWrite)
-	err := p.write(ctx, sp.Context(), from, la, data)
-	p.endOp(&sp, trWrite, len(data), err)
+	var err error
+	if kind == trReadV || kind == trWriteV {
+		err = p.vectored(ctx, sc, from, vecs, kind == trWriteV, false)
+	} else {
+		la, buf := vecs[0].Addr, vecs[0].Data
+		switch cached := p.cacheEnabledFor(from); {
+		case kind == trRead && cached:
+			err = p.cachedRead(ctx, sc, from, la, buf)
+		case kind == trRead:
+			err = p.directAccess(ctx, sc, from, la, buf, accessRead)
+		case cached:
+			err = p.cachedWrite(ctx, sc, from, la, buf)
+		default:
+			err = p.directAccess(ctx, sc, from, la, buf, accessWrite)
+		}
+	}
+	if traced {
+		p.endOp(&sp, kind, vecBytes(vecs), err)
+	}
 	return err
-}
-
-// write dispatches a (possibly traced) write; see read.
-func (p *Pool) write(ctx context.Context, sc telemetry.SpanContext, from addr.ServerID, la addr.Logical, data []byte) error {
-	if p.cacheEnabledFor(from) {
-		return p.cachedWrite(ctx, sc, from, la, data)
-	}
-	return p.directAccess(ctx, sc, from, la, data, true)
 }
 
 // accessStatus is the outcome of one locked access attempt.
 type accessStatus int
 
 const (
-	accessOK      accessStatus = iota
-	accessMissing              // no backing published for the slice
-	accessDead                 // the owning server has crashed
-	accessFailed               // I/O or protection error (see err)
+	accessOK       accessStatus = iota
+	accessMissing               // no backing published for the slice
+	accessDead                  // the owning server has crashed
+	accessDegraded              // owner's breaker open and no live replica to read from
+	accessFailed                // I/O or protection error (see err)
 )
 
 // maxRecoverAttempts bounds how many times one access retries through
 // crash recovery before reporting the server dead.
 const maxRecoverAttempts = 3
 
-// accessSlice performs one intra-slice access, retrying through crash
-// recovery when the owner is dead. Failure classification happens only
-// after the stripe lock is dropped, keeping the structural → stripe lock
-// order acyclic; the breaker feed (an rpc-side leaf mutex) also happens
-// here, after the unlock, so no rpc-reaching call runs under a stripe.
-func (p *Pool) accessSlice(sc telemetry.SpanContext, from addr.ServerID, s uint64, sliceOff int64, part []byte, write bool) error {
-	for attempt := 0; ; attempt++ {
-		var ta tailAccess
-		status, err := p.accessSliceOnce(sc, from, s, sliceOff, part, write, &ta)
-		if ta.armed {
-			p.recordTailAccess(ta.owner, ta.startNS, ta.err)
+// settle is the one step between locked attempts: it turns an attempt's
+// verdict on slice s into the caller's error, or — for a crashed owner,
+// up to bound attempts — rebuilds the slice and asks for a retry. Failure
+// classification happens only here, after the stripe lock is dropped,
+// keeping the structural → stripe lock order acyclic.
+func (p *Pool) settle(sc telemetry.SpanContext, status accessStatus, s uint64, err error, attempt, bound int) (retry bool, _ error) {
+	switch status {
+	case accessOK:
+		return false, nil
+	case accessMissing:
+		return false, p.missingSliceError(s)
+	case accessDegraded:
+		return false, errDegradedRead
+	case accessDead:
+		if attempt >= bound {
+			return false, fmt.Errorf("%w: slice %d not recoverable", ErrServerDead, s)
 		}
-		switch status {
-		case accessOK:
-			return nil
-		case accessMissing:
-			return p.missingSliceError(s)
-		case accessDead:
-			if attempt >= maxRecoverAttempts {
-				return fmt.Errorf("%w: slice %d not recoverable", ErrServerDead, s)
-			}
-			if err := p.recoverSlice(sc, s); err != nil {
+		if err := p.recoverSlice(sc, s); err != nil {
+			return false, err
+		}
+		return true, nil
+	default:
+		return false, err
+	}
+}
+
+// accessOp selects what the locked single-slice body does.
+type accessOp uint8
+
+const (
+	accessRead  accessOp = iota
+	accessWrite          // primary + protection, under the stripe write lock
+	accessFill           // a read that also installs the page in the issuer's cache
+)
+
+// directAccess performs a read or write against backing, bypassing the
+// page cache (the overlay and invalidation hooks in the locked body keep
+// it coherent with the write combiner and cached copies). The context is
+// checked between slice segments.
+func (p *Pool) directAccess(ctx context.Context, sc telemetry.SpanContext, from addr.ServerID, la addr.Logical, buf []byte, op accessOp) error {
+	for done := 0; done < len(buf); {
+		if done > 0 {
+			if err := ctxErr(ctx); err != nil {
 				return err
 			}
-		default:
+		}
+		s, off, n := sliceSegment(la, len(buf), done)
+		if err := p.accessSlice(sc, from, s, off, buf[done:done+n], op); err != nil {
+			return err
+		}
+		done += n
+	}
+	return nil
+}
+
+// accessSlice performs one intra-slice access, retrying through crash
+// recovery when the owner is dead. The breaker feed (an rpc-side leaf
+// mutex) happens here, after the unlock, so no rpc-reaching call of the
+// feed runs under a stripe.
+func (p *Pool) accessSlice(sc telemetry.SpanContext, from addr.ServerID, s uint64, sliceOff int64, part []byte, op accessOp) error {
+	for attempt := 0; ; attempt++ {
+		var ta tailAccess
+		status, err := p.accessSliceOnce(sc, from, s, sliceOff, part, op, &ta)
+		p.feedBreaker(&ta)
+		if retry, err := p.settle(sc, status, s, err, attempt, maxRecoverAttempts); !retry {
 			return err
 		}
 	}
 }
 
-// accessSliceOnce is the locked body of one access attempt. It acquires
-// exactly one stripe lock and releases it on every path through a single
-// deferred unlock, so no branch can leak or double-release the lock.
-func (p *Pool) accessSliceOnce(sc telemetry.SpanContext, from addr.ServerID, s uint64, sliceOff int64, part []byte, write bool, ta *tailAccess) (accessStatus, error) {
+// blockRef names the slice-sized block where a foreground access of one
+// slice meets a node: the primary, or for a shed read a replica block
+// standing in for it.
+type blockRef struct {
+	server addr.ServerID
+	offset int64
+	shed   bool
+}
+
+// resolveLocked is the one resolve of the foreground path: the slice's
+// backing, and the block its bytes are served from. A write always goes
+// to the primary — the protection path is what keeps replicas coherent. A
+// read whose owner's breaker is open is shed to the first live replica
+// whose own breaker is not open, which is coherence-safe under the stripe
+// read lock (replica bytes are only written under the stripe write lock,
+// by writeReplicas, so the copy is frozen and never diverges from
+// committed primary data); with no such replica the verdict is
+// accessDegraded. The decision cannot move outside the stripe: it must
+// see the same owner the access uses. Caller holds s's stripe lock.
+func (p *Pool) resolveLocked(s uint64, read bool) (*sliceBacking, blockRef, accessStatus) {
+	back := p.lookupSlice(s)
+	if back == nil {
+		return nil, blockRef{}, accessMissing
+	}
+	if p.isDead(back.server) {
+		return nil, blockRef{}, accessDead
+	}
+	if !read || p.tail.breakers == nil || !p.breakerOpen(back.server) {
+		return back, blockRef{server: back.server, offset: back.offset}, accessOK
+	}
+	if buf := back.buf; buf != nil && buf.prot.Scheme == failure.Replicate {
+		idx := s - buf.firstSlice()
+		for _, cp := range buf.copies {
+			if idx >= uint64(len(cp)) {
+				continue
+			}
+			if c := cp[idx]; !p.isDead(c.Server) && !p.breakerOpen(c.Server) {
+				return back, blockRef{server: c.Server, offset: c.Offset, shed: true}, accessOK
+			}
+		}
+	}
+	p.tail.degradedFails.Inc()
+	return nil, blockRef{}, accessDegraded
+}
+
+// readLocked copies the authoritative bytes of [la, la+len(dst)) — which
+// start sliceOff into the block src names — into dst: the backing bytes
+// composed with the write-combiner overlay, since bytes shadowed by a
+// buffered write must never be returned raw. Caller holds the covering
+// stripe lock(s).
+func (p *Pool) readLocked(sc telemetry.SpanContext, src blockRef, la uint64, sliceOff int64, dst []byte) error {
+	if err := p.nodes[src.server].ReadAt(dst, src.offset+sliceOff); err != nil {
+		return err
+	}
+	if p.wc != nil {
+		p.wc.OverlayRange(la, dst)
+	}
+	if src.shed {
+		p.tail.replicaSheds.Inc()
+		if sp, ok := p.beginChild(sc, "pool.read.replica_shed"); ok {
+			sp.Server = int(src.server)
+			p.endChild(&sp, len(dst), nil)
+		}
+	}
+	return nil
+}
+
+// accountAccess is the one accounting hook of the foreground path: a
+// per-slice count for the balancer's access matrix (one atomic add each)
+// and one op of n bytes against the serving server in the traffic
+// counters. backs has more than one element for a coalesced vectored run.
+func (p *Pool) accountAccess(from, served addr.ServerID, s uint64, write bool, n int, backs ...*sliceBacking) {
+	for _, back := range backs {
+		if int(from) >= 0 && int(from) < len(back.counts) {
+			back.counts[from].Add(1)
+		}
+	}
+	p.recordAccessMetrics(from, served, s, served != from, write, n)
+}
+
+// accessSliceOnce is the locked body of one single-slice attempt. It
+// acquires exactly one stripe lock and releases it on every path through a
+// single deferred unlock, so no branch can leak or double-release the lock.
+// An accessFill of a remotely backed page goes through fillLocked, which
+// also installs the page in the issuer's cache; the stripe lock orders
+// fills against invalidating writers (which hold it in write mode), so a
+// stale fill cannot overwrite an invalidation. Locally backed pages are
+// not cached — backing DRAM is already local.
+func (p *Pool) accessSliceOnce(sc telemetry.SpanContext, from addr.ServerID, s uint64, sliceOff int64, part []byte, op accessOp, ta *tailAccess) (accessStatus, error) {
 	lock := p.stripeFor(s)
-	if write {
+	if op == accessWrite {
 		lock.Lock()
 		defer lock.Unlock()
 	} else {
 		lock.RLock()
 		defer lock.RUnlock()
 	}
-	back := p.lookupSlice(s)
-	if back == nil {
-		return accessMissing, nil
+	//lint:ignore lockorder the shed decision probes breaker State(), leaf in-memory state (no transport call), and must run under the stripe lock it protects
+	back, src, status := p.resolveLocked(s, op != accessWrite)
+	if status != accessOK {
+		return status, nil
 	}
-	if p.isDead(back.server) {
-		return accessDead, nil
-	}
-	node := p.nodes[back.server]
-	offset := back.offset + sliceOff
-	remote := back.server != from
-	// Degraded-owner shed: a read whose owner's breaker is open is served
-	// from a live replica instead (coherence-safe under the stripe read
-	// lock; see readDegradedLocked). Writes always go to the primary — the
-	// protection path is what keeps replicas coherent. The breaker calls
-	// inside are in-memory leaf-mutex state, not transport calls, and the
-	// shed decision cannot move outside the stripe: it must see the same
-	// owner the access would use.
-	//lint:ignore lockorder breaker State() is leaf in-memory state (no transport call); the shed decision must run under the stripe lock it protects
-	if !write && p.tail.breakers != nil && p.breakerOpen(back.server) {
-		//lint:ignore lockorder replica shed reads under the stripe read lock by design (replica bytes are frozen by stripe-write-locked writes); its breaker probes are leaf in-memory state
-		return p.readDegradedLocked(sc, from, back, s, sliceOff, part)
-	}
-	if p.tail.breakers != nil {
-		ta.armed, ta.owner, ta.startNS = true, back.server, p.tail.now()
-	}
-	if write {
-		if err := p.writeSliceLocked(back, node, s, sliceOff, offset, part); err != nil {
-			ta.err = err
-			return accessFailed, err
+	la := uint64(addr.SliceBase(s)) + uint64(sliceOff)
+	p.startIO(ta, src.server)
+	var err error
+	switch {
+	case op == accessWrite:
+		if err = p.writeSliceLocked(back, p.nodes[src.server], s, sliceOff, src.offset+sliceOff, part); err == nil && p.caches != nil {
+			p.applyWriteCoherenceLocked(sc, from, la, part)
 		}
-		if p.caches != nil {
-			p.applyWriteCoherenceLocked(sc, from, uint64(addr.SliceBase(s))+uint64(sliceOff), part)
-		}
-	} else {
-		if err := node.ReadAt(part, offset); err != nil {
-			ta.err = err
-			return accessFailed, err
-		}
-		// Direct reads on a write-combining pool compose the authoritative
-		// overlay: backing bytes shadowed by buffered writes must never be
-		// returned raw.
-		if p.wc != nil {
-			p.wc.OverlayRange(uint64(addr.SliceBase(s))+uint64(sliceOff), part)
-		}
+	case op == accessFill && back.server != from:
+		err = p.fillLocked(sc, from, src, la, sliceOff, part)
+	default:
+		err = p.readLocked(sc, src, la, sliceOff, part)
 	}
-	node.RecordAccess(offset, remote, write)
-	if int(from) >= 0 && int(from) < len(back.counts) {
-		back.counts[from].Add(1)
+	p.endIO(ta, err)
+	if err != nil {
+		return accessFailed, err
 	}
-	p.recordAccessMetrics(from, back.server, s, remote, write, len(part))
+	p.accountAccess(from, src.server, s, op == accessWrite, len(part), back)
 	return accessOK, nil
 }
 

@@ -6,11 +6,15 @@
 // share one error contract; this file wires them into the pool's entry
 // points and the locked access path.
 //
-// Lock order note: a breaker's mutex is a leaf — the read path consults
-// it while holding a stripe lock (accessSliceOnce), and the breaker
-// never calls back into the pool or blocks, so the existing
-// commit-window → p.mu → stripe → ec.mu order is unchanged with breaker
-// mutexes strictly innermost.
+// Lock order note: a breaker's mutex is a leaf — every foreground read
+// consults it while holding a stripe lock (resolveLocked, the one place
+// that chooses between the primary and a replica), and the breaker never
+// calls back into the pool or blocks, so the existing commit-window →
+// p.mu → stripe → ec.mu order is unchanged with breaker mutexes strictly
+// innermost. The feed (startIO/endIO under the lock, feedBreaker after the
+// unlock) covers every backing I/O of a foreground op: direct access,
+// cache fill, vectored run and write-combiner flush batch. A cache hit
+// touches no node, so it neither consults nor feeds a breaker.
 package core
 
 import (
@@ -20,7 +24,6 @@ import (
 	"time"
 
 	"github.com/lmp-project/lmp/internal/addr"
-	"github.com/lmp-project/lmp/internal/failure"
 	"github.com/lmp-project/lmp/internal/rpc"
 	"github.com/lmp-project/lmp/internal/telemetry"
 )
@@ -143,19 +146,17 @@ func (p *Pool) release() { p.tail.inflight.Add(-1) }
 // admission control is off).
 func (p *Pool) Inflight() int64 { return p.tail.inflight.Load() }
 
-// withBudget applies the configured default op budget to ctx: when a
-// budget is set and the caller brought no deadline of their own, the
-// returned context carries one. The cancel func is non-nil exactly when
-// a deadline was added. Budget errors surface through ctxErr, which
-// classifies a passed deadline as ErrDeadlineExceeded.
+// withBudget applies the configured default op budget to a caller's
+// context: when a budget is set and the caller brought no deadline of
+// their own, the returned context carries one. The cancel func is non-nil
+// exactly when a deadline was added. Budget errors surface through ctxErr,
+// which classifies a passed deadline as ErrDeadlineExceeded. The
+// context-less entry points carry no budget and never get here.
 func (p *Pool) withBudget(ctx context.Context) (context.Context, context.CancelFunc) {
 	if p.tail.budgetNS == 0 {
 		return ctx, nil
 	}
-	if ctx == nil {
-		//lint:ignore ctxflow nil means never-cancels by the rpc contract; WithTimeout needs a non-nil parent to carry the budget
-		ctx = context.Background()
-	} else if _, ok := ctx.Deadline(); ok {
+	if _, ok := ctx.Deadline(); ok {
 		return ctx, nil
 	}
 	return context.WithTimeout(ctx, time.Duration(p.tail.budgetNS))
@@ -187,67 +188,46 @@ func (p *Pool) BreakerCounters(s addr.ServerID) rpc.BreakerCounters {
 
 // ReportAccess feeds one externally observed access outcome against
 // server s into its breaker — the hook for tests and external probes;
-// the locked access path feeds itself via recordTailAccess.
+// the foreground path feeds itself via feedBreaker.
 func (p *Pool) ReportAccess(s addr.ServerID, d time.Duration, err error) {
 	if b := p.breakerFor(s); b != nil {
 		b.RecordLatency(int64(d), err)
 	}
 }
 
-// tailAccess carries one locked access's breaker-feed data out of the
-// stripe-locked body (accessSliceOnce arms it), so recording — which
-// takes the rpc-side breaker mutex — happens after the stripe lock is
-// released and no rpc-reaching call ever runs under a stripe.
+// tailAccess carries one backing I/O's breaker-feed data out of the
+// stripe-locked body that timed it, so recording — which takes the
+// rpc-side breaker mutex — happens after the stripe lock is released and
+// no rpc-reaching call of the feed ever runs under a stripe. A
+// single-slice access keeps its record on the stack; a vectored one keeps
+// one per run in its pooled scratch.
 type tailAccess struct {
 	armed   bool
 	owner   addr.ServerID
 	startNS int64
+	ns      int64
 	err     error
 }
 
-// recordTailAccess times and records one backing access against the
-// owner's breaker. Called from accessSlice after the stripe unlock.
-func (p *Pool) recordTailAccess(owner addr.ServerID, startNS int64, err error) {
-	if b := p.breakerFor(owner); b != nil {
-		b.RecordLatency(p.tail.now()-startNS, err)
+// startIO arms ta before a backing I/O against owner; with breakers off
+// it is one nil check and ta stays unarmed.
+func (p *Pool) startIO(ta *tailAccess, owner addr.ServerID) {
+	if p.tail.breakers != nil {
+		ta.armed, ta.owner, ta.startNS = true, owner, p.tail.now()
 	}
 }
 
-// readDegradedLocked serves a read whose owner's breaker is open: from
-// the first live replica copy whose own breaker is not open, or not at
-// all. The caller holds the slice's stripe lock in read mode, which is
-// enough for coherence — replica bytes are only written under the
-// stripe write lock (writeReplicas), so the copy is frozen while we
-// read it and can never diverge from committed primary data. sc, when
-// traced, gets a child span annotating the shed.
-func (p *Pool) readDegradedLocked(sc telemetry.SpanContext, from addr.ServerID, back *sliceBacking, s uint64, sliceOff int64, part []byte) (accessStatus, error) {
-	if buf := back.buf; buf != nil && buf.prot.Scheme == failure.Replicate {
-		idx := s - buf.firstSlice()
-		for _, cp := range buf.copies {
-			if idx >= uint64(len(cp)) {
-				continue
-			}
-			c := cp[idx]
-			if p.isDead(c.Server) || p.breakerOpen(c.Server) {
-				continue
-			}
-			if err := p.nodes[c.Server].ReadAt(part, c.Offset+sliceOff); err != nil {
-				continue
-			}
-			if p.wc != nil {
-				p.wc.OverlayRange(uint64(addr.SliceBase(s))+uint64(sliceOff), part)
-			}
-			p.tail.replicaSheds.Inc()
-			if sp, ok := p.beginChild(sc, "pool.read.replica_shed"); ok {
-				sp.Server = int(c.Server)
-				p.endChild(&sp, len(part), nil)
-			}
-			remote := c.Server != from
-			p.nodes[c.Server].RecordAccess(c.Offset+sliceOff, remote, false)
-			p.recordAccessMetrics(from, c.Server, s, remote, false, len(part))
-			return accessOK, nil
-		}
+// endIO closes the timing startIO opened and notes the I/O's outcome.
+func (p *Pool) endIO(ta *tailAccess, err error) {
+	if ta.armed {
+		ta.ns, ta.err = p.tail.now()-ta.startNS, err
 	}
-	p.tail.degradedFails.Inc()
-	return accessFailed, errDegradedRead
+}
+
+// feedBreaker records one finished backing I/O, if it was armed, against
+// its owner's breaker. Called after the stripe unlock.
+func (p *Pool) feedBreaker(ta *tailAccess) {
+	if ta.armed {
+		p.tail.breakers[ta.owner].RecordLatency(ta.ns, ta.err)
+	}
 }

@@ -34,7 +34,13 @@ func (c *tailClock) advance(d time.Duration) { c.ns.Add(int64(d)) }
 // config armed.
 func tailTestPool(t *testing.T, tail TailConfig) *Pool {
 	t.Helper()
-	cfg := Config{Placement: alloc.LocalityAware, Tail: tail}
+	return tailTestPoolCache(t, tail, CacheConfig{})
+}
+
+// tailTestPoolCache is tailTestPool with a cache configuration.
+func tailTestPoolCache(t *testing.T, tail TailConfig, cc CacheConfig) *Pool {
+	t.Helper()
+	cfg := Config{Placement: alloc.LocalityAware, Tail: tail, Cache: cc}
 	for i := 0; i < 4; i++ {
 		cfg.Servers = append(cfg.Servers, ServerConfig{
 			Name:        "srv",
@@ -218,7 +224,8 @@ func TestTailAdmissionStress(t *testing.T) {
 
 // TestTailWithBudget pins the budget-materialization rules: no budget is
 // an identity, a caller deadline always wins, and a bare context gets
-// the configured budget as its deadline.
+// the configured budget as its deadline. (The context-less entry points
+// carry no budget: TestTailBudgetContract.)
 func TestTailWithBudget(t *testing.T) {
 	p := tailTestPool(t, TailConfig{OpBudget: time.Hour})
 
@@ -242,16 +249,6 @@ func TestTailWithBudget(t *testing.T) {
 	}
 	if until := time.Until(dl); until <= 50*time.Minute || until > time.Hour {
 		t.Fatalf("budget deadline %v out, want ~1h", until)
-	}
-
-	// Nil context: treated as Background, still gets the budget.
-	got, cancel = p.withBudget(nil)
-	if cancel == nil {
-		t.Fatal("budget not materialized on nil context")
-	}
-	defer cancel()
-	if _, ok := got.Deadline(); !ok {
-		t.Fatal("nil-context budget has no deadline")
 	}
 }
 
@@ -459,6 +456,237 @@ func TestTailDegradedUnprotectedRead(t *testing.T) {
 	}
 }
 
+// tripBreaker feeds transient failures until server s's breaker opens
+// (a window already full of successes takes more than MinSamples of them).
+func tripBreaker(t *testing.T, p *Pool, s addr.ServerID) {
+	t.Helper()
+	for i := 0; i < 64 && !p.breakerOpen(s); i++ {
+		p.ReportAccess(s, time.Millisecond, fmt.Errorf("injected: %w", rpc.ErrTransient))
+	}
+	if !p.breakerOpen(s) {
+		t.Fatalf("server %d breaker still %v after failure burst", s, p.BreakerCounters(s).State)
+	}
+}
+
+// tailReadPaths is every way a foreground read reaches backing bytes: the
+// single-address and vectored entry points, at sizes that go through the
+// page cache (when there is one) and sizes that bypass it. Each reads from
+// server 1 into dst (sized by n) at offset off of the buffer at base;
+// spanning rows also read 64 bytes of the healthy buffer at hAddr — which
+// sorts first, so only a resolve pass that runs before any byte moves
+// leaves its destination untouched when the second vector is refused.
+var tailReadPaths = []struct {
+	name string
+	off  int64
+	n    int
+	read func(p *Pool, base, hAddr addr.Logical, off int64, dst, hdst []byte) error
+}{
+	{"Read64", 128, 64, func(p *Pool, base, _ addr.Logical, off int64, dst, _ []byte) error {
+		return p.Read(1, base+addr.Logical(off), dst)
+	}},
+	{"ReadV64", 128, 64, func(p *Pool, base, _ addr.Logical, off int64, dst, _ []byte) error {
+		return p.ReadV(1, []Vec{{Addr: base + addr.Logical(off), Data: dst}})
+	}},
+	{"Read1MiB", 4096, 1 << 20, func(p *Pool, base, _ addr.Logical, off int64, dst, _ []byte) error {
+		return p.Read(1, base+addr.Logical(off), dst)
+	}},
+	{"ReadVTwoSlices", SliceSize - 512, 1024, func(p *Pool, base, hAddr addr.Logical, off int64, dst, hdst []byte) error {
+		return p.ReadV(1, []Vec{{Addr: hAddr, Data: hdst}, {Addr: base + addr.Logical(off), Data: dst}})
+	}},
+}
+
+// TestTailShedCoversEveryReadPath is reproducer (A): with the owner's
+// breaker open, every foreground read path — not only the direct one —
+// serves a replicated buffer from its live replica (committed bytes, a
+// counted shed, an access the balancer sees) and fails an unprotected one
+// fast with ErrServerDegraded, a vectored read without partial effects.
+func TestTailShedCoversEveryReadPath(t *testing.T) {
+	pools := []struct {
+		name  string
+		cache CacheConfig
+	}{{"uncached", CacheConfig{}}, {"cached", CacheConfig{Enabled: true}}}
+	for _, protected := range []bool{true, false} {
+		for _, pc := range pools {
+			for _, path := range tailReadPaths {
+				name := fmt.Sprintf("replicated=%v/%s/%s", protected, pc.name, path.name)
+				t.Run(name, func(t *testing.T) {
+					clk := &tailClock{}
+					p := tailTestPoolCache(t, TailConfig{Breaker: tailBreakerPolicy(), NowNS: clk.now}, pc.cache)
+					healthy, err := p.Alloc(SliceSize, 2)
+					if err != nil {
+						t.Fatal(err)
+					}
+					var prot failure.Policy
+					if protected {
+						prot = failure.Policy{Scheme: failure.Replicate, Copies: 2}
+					}
+					b, err := p.AllocProtected(2*SliceSize, 0, prot)
+					if err != nil {
+						t.Fatal(err)
+					}
+					data := make([]byte, 2*SliceSize)
+					rand.New(rand.NewSource(7)).Read(data)
+					if err := p.Write(0, b.Addr(), data); err != nil {
+						t.Fatal(err)
+					}
+					hdata := bytes.Repeat([]byte{0x5a}, 64)
+					if err := p.Write(2, healthy.Addr(), hdata); err != nil {
+						t.Fatal(err)
+					}
+					s0 := addr.SliceOf(b.Addr())
+					owner := p.lookupSlice(s0).server
+					if o1 := p.lookupSlice(s0 + 1).server; o1 != owner || p.lookupSlice(addr.SliceOf(healthy.Addr())).server == owner {
+						t.Fatalf("placement changed: slices on %d and %d, healthy buffer elsewhere expected", owner, o1)
+					}
+					tripBreaker(t, p, owner)
+
+					first := p.lookupSlice(addr.SliceOf(b.Addr() + addr.Logical(path.off)))
+					countsBefore := first.counts[1].Load()
+					shedsBefore := p.metrics.Counter("pool.reads.replica_shed").Value()
+					dst := bytes.Repeat([]byte{0xaa}, path.n)
+					hdst := bytes.Repeat([]byte{0xaa}, 64)
+					err = path.read(p, b.Addr(), healthy.Addr(), path.off, dst, hdst)
+
+					if !protected {
+						if !errors.Is(err, ErrServerDegraded) {
+							t.Fatalf("unprotected read with owner degraded: got %v, want ErrServerDegraded", err)
+						}
+						if untouched := bytes.Repeat([]byte{0xaa}, 64); !bytes.Equal(hdst, untouched) || !bytes.Equal(dst[:64], untouched) {
+							t.Fatal("refused read moved bytes into the caller's buffers")
+						}
+						if p.metrics.Counter("pool.reads.degraded_fail").Value() == 0 {
+							t.Fatal("degraded fail not counted")
+						}
+						return
+					}
+					if err != nil {
+						t.Fatalf("replicated read with owner degraded: %v", err)
+					}
+					if !bytes.Equal(dst, data[path.off:path.off+int64(path.n)]) {
+						t.Fatal("shed read returned bytes other than the committed data")
+					}
+					if path.name == "ReadVTwoSlices" && !bytes.Equal(hdst, hdata) {
+						t.Fatal("healthy vector of a shed ReadV returned wrong bytes")
+					}
+					if got := p.metrics.Counter("pool.reads.replica_shed").Value(); got == shedsBefore {
+						t.Fatal("no replica shed recorded: the read went to the degraded owner")
+					}
+					if got := first.counts[1].Load(); got == countsBefore {
+						t.Fatal("shed read invisible to the balancer: sliceBacking.counts did not move")
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestTailBreakerFedByEveryPath is reproducer (B): with SlowCallNS = 1 and
+// a clock that advances on every reading, every backing I/O of a
+// foreground op counts as slow, so a few ops against one owner must trip
+// its breaker whichever path they take. A cache hit touches no node and
+// feeds nothing.
+func TestTailBreakerFedByEveryPath(t *testing.T) {
+	cached := CacheConfig{Enabled: true}
+	buf64 := make([]byte, 64)
+	rows := []struct {
+		name  string
+		cache CacheConfig
+		trips bool
+		op    func(p *Pool, base addr.Logical, i int) error
+	}{
+		{"Read", CacheConfig{}, true, func(p *Pool, base addr.Logical, i int) error { return p.Read(1, base, buf64) }},
+		{"Write", CacheConfig{}, true, func(p *Pool, base addr.Logical, i int) error { return p.Write(1, base, buf64) }},
+		{"ReadV", CacheConfig{}, true, func(p *Pool, base addr.Logical, i int) error {
+			return p.ReadV(1, []Vec{{Addr: base, Data: buf64}})
+		}},
+		{"WriteV", CacheConfig{}, true, func(p *Pool, base addr.Logical, i int) error {
+			return p.WriteV(1, []Vec{{Addr: base, Data: buf64}})
+		}},
+		{"cached/ReadMiss", cached, true, func(p *Pool, base addr.Logical, i int) error {
+			return p.Read(1, base+addr.Logical(i*4096), buf64) // a new page every time
+		}},
+		{"cached/FlushWriteCombining", cached, true, func(p *Pool, base addr.Logical, i int) error {
+			if err := p.Write(1, base+addr.Logical(i*4096), buf64); err != nil { // buffered: no I/O yet
+				return err
+			}
+			return p.FlushWriteCombining()
+		}},
+		{"cached/ReadHit", cached, false, func(p *Pool, base addr.Logical, i int) error { return p.Read(1, base, buf64) }},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			var ticks atomic.Int64
+			pol := tailBreakerPolicy()
+			pol.SlowCallNS = 1
+			p := tailTestPoolCache(t, TailConfig{Breaker: pol, NowNS: func() int64 { return ticks.Add(1) }}, row.cache)
+			b, err := p.Alloc(SliceSize, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			owner := p.lookupSlice(addr.SliceOf(b.Addr())).server
+			for i := 0; i < 32 && p.BreakerCounters(owner).Trips == 0; i++ {
+				if err := row.op(p, b.Addr(), i); err != nil {
+					t.Fatalf("op %d: %v", i, err)
+				}
+			}
+			c := p.BreakerCounters(owner)
+			if row.trips && c.Trips == 0 {
+				t.Fatalf("32 slow ops left the owner's breaker %v with 0 trips: the path does not feed it", c.State)
+			}
+			if !row.trips && (c.Trips != 0 || c.State != rpc.BreakerClosed) {
+				t.Fatalf("cache hits fed the breaker: %+v", c)
+			}
+			if !row.trips && p.CacheStats().Hits < 31 {
+				t.Fatalf("measured loop was not the hit path: %+v", p.CacheStats())
+			}
+		})
+	}
+}
+
+// TestTailBudgetContract is reproducer (C), the documented contract: the
+// default op budget is applied by the ...Ctx entry points, all four of
+// them, and by none of the context-less ones.
+func TestTailBudgetContract(t *testing.T) {
+	p := tailTestPool(t, TailConfig{OpBudget: time.Nanosecond})
+	b, err := p.Alloc(8*SliceSize, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 8*SliceSize)
+	vecs := []Vec{{Addr: b.Addr(), Data: buf}}
+	bg := context.Background()
+	plain := map[string]func() error{
+		"Read":   func() error { return p.Read(1, b.Addr(), buf) },
+		"Write":  func() error { return p.Write(1, b.Addr(), buf) },
+		"ReadV":  func() error { return p.ReadV(1, vecs) },
+		"WriteV": func() error { return p.WriteV(1, vecs) },
+	}
+	for name, op := range plain {
+		for i := 0; i < 5; i++ {
+			if err := op(); err != nil {
+				t.Fatalf("context-less %s under a 1ns OpBudget: %v, want the budget ignored", name, err)
+			}
+		}
+	}
+	withCtx := map[string]func() error{
+		"ReadCtx":   func() error { return p.ReadCtx(bg, 1, b.Addr(), buf) },
+		"WriteCtx":  func() error { return p.WriteCtx(bg, 1, b.Addr(), buf) },
+		"ReadVCtx":  func() error { return p.ReadVCtx(bg, 1, vecs) },
+		"WriteVCtx": func() error { return p.WriteVCtx(bg, 1, vecs) },
+	}
+	for name, op := range withCtx {
+		// Bounded retries absorb the (unlikely) schedule where a whole
+		// 16 MiB op beats a 1ns timer, as in TestTailBudgetExpiresMidOp.
+		var err error
+		for i := 0; i < 100 && err == nil; i++ {
+			err = op()
+		}
+		if !errors.Is(err, ErrDeadlineExceeded) {
+			t.Fatalf("%s under a 1ns OpBudget: got %v, want ErrDeadlineExceeded", name, err)
+		}
+	}
+}
+
 // TestTailAllocFree extends the zero-alloc contract to the armed tail
 // path: with admission control and breakers on (budget off), the
 // unhedged fast path must not allocate per op.
@@ -499,6 +727,57 @@ func TestTailAllocFree(t *testing.T) {
 	}
 	if got := p.Inflight(); got != 0 {
 		t.Fatalf("Inflight after runs = %d, want 0", got)
+	}
+
+	// The feed reaches the vectored path through pooled scratch and the
+	// cache fill through the shared locked body: neither may allocate.
+	vecs := []Vec{{Addr: b.Addr(), Data: make([]byte, 64)}, {Addr: b.Addr() + 8192, Data: make([]byte, 64)}}
+	if n := testing.AllocsPerRun(200, func() {
+		if err := p.ReadV(1, vecs); err != nil {
+			t.Fatal(err)
+		}
+	}); !vecAllocsOK(n) {
+		t.Errorf("tail-armed vectored read allocates %.1f per op, want 0", n)
+	}
+	cp, err := New(Config{
+		Servers: []ServerConfig{
+			{Name: "a", Capacity: 64 << 20, SharedBytes: 32 << 20},
+			{Name: "b", Capacity: 64 << 20, SharedBytes: 32 << 20},
+		},
+		Cache: CacheConfig{Enabled: true, CapacityBytes: 16 * 4096},
+		Tail:  TailConfig{AdmissionLimit: 64, Breaker: tailBreakerPolicy(), NowNS: clk.now},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cb, err := cp.Alloc(SliceSize, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A 512-page walk through a 16-page cache: every read is a miss. Two
+	// warm-up laps bring the cache, ghost list and directory to their
+	// high-water marks.
+	page := 0
+	miss := func() {
+		if err := cp.Read(1, cb.Addr()+addr.Logical(page%512*4096), buf); err != nil {
+			t.Fatal(err)
+		}
+		page++
+	}
+	for page < 1024 {
+		miss()
+	}
+	fills := cp.CacheStats().Fills
+	// Under the race detector sync.Pool drops a quarter of its Puts, so the
+	// page scratch behind a fill is re-made that often.
+	if n := testing.AllocsPerRun(200, miss); n != 0 && !(raceDetectorEnabled && n <= 1) {
+		t.Errorf("tail-armed cached miss allocates %.1f per op, want 0", n)
+	}
+	if got := cp.CacheStats().Fills - fills; got < 200 {
+		t.Fatalf("measured loop was not the miss path: %d fills", got)
+	}
+	if c := cp.BreakerCounters(0); c.State != rpc.BreakerClosed {
+		t.Fatalf("fills on a frozen clock tripped the owner: %+v", c)
 	}
 }
 

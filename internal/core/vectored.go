@@ -38,94 +38,30 @@ func ctxErr(ctx context.Context) error {
 	return nil
 }
 
-// ReadCtx is Read with cancellation: the context is checked before each
-// slice segment, so a cancelled context stops a large multi-slice read
-// between segments. The error wraps ctx.Err() on cancellation; the rest
-// of the contract matches Read.
+// ReadCtx is Read with cancellation: the context is checked between slice
+// segments, so a cancelled context stops a large multi-slice read part
+// way. The error wraps ctx.Err() on cancellation; the rest of the contract
+// matches Read.
 func (p *Pool) ReadCtx(ctx context.Context, from addr.ServerID, la addr.Logical, buf []byte) error {
-	if p.tail.limit != 0 {
-		if !p.admit() {
-			return errPoolOverloaded
-		}
-		defer p.release()
-	}
-	ctx, cancel := p.withBudget(ctx)
-	if cancel != nil {
-		defer cancel()
-	}
-	if err := ctxErr(ctx); err != nil {
-		return err
-	}
-	if parent, traced := p.shouldTrace(ctx); traced {
-		return p.tracedRead(ctx, parent, from, la, buf)
-	}
-	return p.read(ctx, telemetry.SpanContext{}, from, la, buf)
+	return p.access(ctx, from, trRead, []Vec{{Addr: la, Data: buf}})
 }
 
-// WriteCtx is Write with cancellation, checked before each slice
-// segment. A write cancelled between segments leaves the earlier
-// segments written (pool writes are not transactional).
+// WriteCtx is Write with cancellation, checked between slice segments. A
+// write cancelled between segments leaves the earlier segments written
+// (pool writes are not transactional).
 func (p *Pool) WriteCtx(ctx context.Context, from addr.ServerID, la addr.Logical, data []byte) error {
-	if p.tail.limit != 0 {
-		if !p.admit() {
-			return errPoolOverloaded
-		}
-		defer p.release()
-	}
-	ctx, cancel := p.withBudget(ctx)
-	if cancel != nil {
-		defer cancel()
-	}
-	if err := ctxErr(ctx); err != nil {
-		return err
-	}
-	if parent, traced := p.shouldTrace(ctx); traced {
-		return p.tracedWrite(ctx, parent, from, la, data)
-	}
-	return p.write(ctx, telemetry.SpanContext{}, from, la, data)
-}
-
-// directAccess performs a read or write against backing, bypassing the
-// page cache (the overlay and invalidation hooks inside accessSliceOnce
-// keep it coherent with the write combiner and cached copies). The
-// single-slice fast path and the inline segment loop keep this function
-// allocation-free; see TestReadWriteAllocFree.
-func (p *Pool) directAccess(ctx context.Context, sc telemetry.SpanContext, from addr.ServerID, la addr.Logical, buf []byte, write bool) error {
-	if len(buf) == 0 {
-		return nil
-	}
-	// Fast path: the common case of an access within one slice.
-	if end := la + addr.Logical(len(buf)) - 1; addr.SliceOf(la) == addr.SliceOf(end) {
-		return p.accessSlice(sc, from, addr.SliceOf(la), int64(uint64(la)%SliceSize), buf, write)
-	}
-	done := 0
-	for done < len(buf) {
-		if err := ctxErr(ctx); err != nil {
-			return err
-		}
-		cur := la + addr.Logical(done)
-		s := addr.SliceOf(cur)
-		off := int64(uint64(cur) % SliceSize)
-		length := int(SliceSize - off)
-		if rem := len(buf) - done; rem < length {
-			length = rem
-		}
-		if err := p.accessSlice(sc, from, s, off, buf[done:done+length], write); err != nil {
-			return err
-		}
-		done += length
-	}
-	return nil
+	return p.access(ctx, from, trWrite, []Vec{{Addr: la, Data: data}})
 }
 
 // ReadV performs a vectored read: every element of vecs is filled as by
 // Read(from, v.Addr, v.Data), but under one lock acquisition. All
 // touched stripes are locked in canonical (ascending) order and all
 // addresses are resolved before any byte moves, so a ReadV fails on an
-// unmapped or released range without partial effects, and physically
-// contiguous segments on one server coalesce into a single access.
+// unmapped or released range — or a degraded owner with no replica to
+// shed to — without partial effects, and physically contiguous segments
+// on one server coalesce into a single access.
 func (p *Pool) ReadV(from addr.ServerID, vecs []Vec) error {
-	return p.vecOp(nil, from, vecs, trReadV)
+	return p.access(nil, from, trReadV, vecs)
 }
 
 // WriteV performs a vectored write with the same locking, resolution,
@@ -133,60 +69,42 @@ func (p *Pool) ReadV(from addr.ServerID, vecs []Vec) error {
 // for the whole operation, a WriteV is atomic with respect to
 // concurrent Read/ReadV traffic on the same slices.
 func (p *Pool) WriteV(from addr.ServerID, vecs []Vec) error {
-	return p.vecOp(nil, from, vecs, trWriteV)
+	return p.access(nil, from, trWriteV, vecs)
 }
 
 // ReadVCtx is ReadV with cancellation, checked between coalesced runs.
 func (p *Pool) ReadVCtx(ctx context.Context, from addr.ServerID, vecs []Vec) error {
-	return p.vecOp(ctx, from, vecs, trReadV)
+	return p.access(ctx, from, trReadV, vecs)
 }
 
 // WriteVCtx is WriteV with cancellation, checked between coalesced runs.
 func (p *Pool) WriteVCtx(ctx context.Context, from addr.ServerID, vecs []Vec) error {
-	return p.vecOp(ctx, from, vecs, trWriteV)
+	return p.access(ctx, from, trWriteV, vecs)
 }
 
-// vecOp wraps one public vectored operation in its (sampled) root span,
-// after the tail-tolerance gates (admission, default deadline budget).
-func (p *Pool) vecOp(ctx context.Context, from addr.ServerID, vecs []Vec, kind int) error {
-	if p.tail.limit != 0 {
-		if !p.admit() {
-			return errPoolOverloaded
-		}
-		defer p.release()
-	}
-	if ctx != nil || p.tail.budgetNS != 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = p.withBudget(ctx)
-		if cancel != nil {
-			defer cancel()
-		}
-	}
-	if parent, traced := p.shouldTrace(ctx); traced {
-		sp := p.startOp(parent, from, kind)
-		err := p.vectored(ctx, sp.Context(), from, vecs, kind == trWriteV, false)
-		p.endOp(&sp, kind, vecBytes(vecs), err)
-		return err
-	}
-	return p.vectored(ctx, telemetry.SpanContext{}, from, vecs, kind == trWriteV, false)
-}
-
-// vecSeg is one intra-slice piece of a vectored operation.
+// vecSeg is one intra-slice piece of a vectored operation. vec indexes
+// the operation's vectors rather than pointing into them, so the pooled
+// scratch never holds the caller's []Vec and a one-element vector built by
+// a single-address entry point stays on its stack.
 type vecSeg struct {
 	s        uint64
 	sliceOff int64
-	vec      *Vec
+	vec      int
 	bufOff   int
 	data     []byte
 }
 
 // vecState is the reusable scratch of one vectored operation; pooling it
-// keeps ReadV/WriteV allocation-free in steady state.
+// keeps ReadV/WriteV allocation-free in steady state. backs and srcs are
+// the resolve pass's verdict per segment; feeds holds one breaker-feed
+// record per backing I/O of the attempt, recorded after the unlock.
 type vecState struct {
 	segs  []vecSeg
 	seen  []bool
 	order []uint64
 	backs []*sliceBacking
+	srcs  []blockRef
+	feeds []tailAccess
 }
 
 var vecScratch = sync.Pool{New: func() any { return new(vecState) }}
@@ -195,9 +113,6 @@ var vecScratch = sync.Pool{New: func() any { return new(vecState) }}
 // batch: its bytes were already made coherent (invalidations happened
 // when each write was buffered) and must not re-trigger a flush.
 func (p *Pool) vectored(ctx context.Context, sc telemetry.SpanContext, from addr.ServerID, vecs []Vec, write, flush bool) error {
-	if err := ctxErr(ctx); err != nil {
-		return err
-	}
 	if write && !flush && p.wc != nil {
 		// A direct vectored write must not leave older buffered writes
 		// shadowing its bytes.
@@ -214,34 +129,25 @@ func (p *Pool) vectored(ctx context.Context, sc telemetry.SpanContext, from addr
 	defer func() {
 		// Drop retained pointers before pooling so a parked scratch does
 		// not pin buffers or backings alive.
-		for i := range st.segs {
-			st.segs[i] = vecSeg{}
-		}
-		for i := range st.backs {
-			st.backs[i] = nil
-		}
-		st.segs = st.segs[:0]
-		st.order = st.order[:0]
-		st.backs = st.backs[:0]
+		clear(st.segs)
+		clear(st.backs)
+		st.segs, st.order, st.backs, st.srcs = st.segs[:0], st.order[:0], st.backs[:0], st.srcs[:0]
 		vecScratch.Put(st)
 	}()
 	for i := range vecs {
 		v := &vecs[i]
-		if len(v.Data) == 0 {
-			continue
+		for done := 0; done < len(v.Data); {
+			s, sliceOff, n := sliceSegment(v.Addr, len(v.Data), done)
+			st.segs = append(st.segs, vecSeg{s: s, sliceOff: sliceOff, vec: i, bufOff: done, data: v.Data[done : done+n]})
+			done += n
 		}
-		_ = eachSegment(v.Addr, len(v.Data), func(s uint64, sliceOff int64, bufOff, length int) error {
-			st.segs = append(st.segs, vecSeg{s: s, sliceOff: sliceOff, vec: v, bufOff: bufOff, data: v.Data[bufOff : bufOff+length]})
-			return nil
-		})
 	}
 	if len(st.segs) == 0 {
 		return nil
 	}
-	segs := st.segs
 	// slices.SortFunc, not sort.Slice: the latter allocates (reflect
 	// swapper) on every call, and this path must stay allocation-free.
-	slices.SortFunc(segs, func(a, b vecSeg) int {
+	slices.SortFunc(st.segs, func(a, b vecSeg) int {
 		if a.s != b.s {
 			return cmp.Compare(a.s, b.s)
 		}
@@ -250,20 +156,13 @@ func (p *Pool) vectored(ctx context.Context, sc telemetry.SpanContext, from addr
 	// Bound retries generously: recovery repairs one slice at a time, and
 	// a crashed server can own every slice the operation touches.
 	for attempt := 0; ; attempt++ {
-		status, failSlice, err := p.vectoredOnce(ctx, sc, from, st, write, flush)
-		switch status {
-		case accessOK:
-			return nil
-		case accessMissing:
-			return p.missingSliceError(failSlice)
-		case accessDead:
-			if attempt >= len(segs)+maxRecoverAttempts {
-				return fmt.Errorf("%w: slice %d not recoverable", ErrServerDead, failSlice)
-			}
-			if err := p.recoverSlice(sc, failSlice); err != nil {
-				return err
-			}
-		default:
+		status, failSlice, err := p.vectoredOnce(ctx, sc, from, vecs, st, write, flush)
+		for i := range st.feeds {
+			p.feedBreaker(&st.feeds[i])
+		}
+		clear(st.feeds) // drops the recorded errors with the records
+		st.feeds = st.feeds[:0]
+		if retry, err := p.settle(sc, status, failSlice, err, attempt, len(st.segs)+maxRecoverAttempts); !retry {
 			return err
 		}
 	}
@@ -274,7 +173,7 @@ func (p *Pool) vectored(ctx context.Context, sc telemetry.SpanContext, from addr
 // order, so concurrent vectored operations cannot deadlock against each
 // other (single-address operations hold one stripe and cannot be part of
 // a cycle) — and all released through a single deferred unlock.
-func (p *Pool) vectoredOnce(ctx context.Context, sc telemetry.SpanContext, from addr.ServerID, st *vecState, write, flush bool) (accessStatus, uint64, error) {
+func (p *Pool) vectoredOnce(ctx context.Context, sc telemetry.SpanContext, from addr.ServerID, vecs []Vec, st *vecState, write, flush bool) (accessStatus, uint64, error) {
 	segs := st.segs
 	if len(st.seen) < len(p.stripes) {
 		st.seen = make([]bool, len(p.stripes))
@@ -312,79 +211,61 @@ func (p *Pool) vectoredOnce(ctx context.Context, sc telemetry.SpanContext, from 
 		}
 	}()
 
-	// Resolve every address before moving any byte: a vectored op with a
-	// bad address fails without partial effects.
-	backs := st.backs[:0]
+	// Resolve every address — and, for a read, where its bytes come from —
+	// before moving any byte: a vectored op with a bad address or a
+	// degraded, replica-less owner fails without partial effects.
+	backs, srcs := st.backs[:0], st.srcs[:0]
 	for _, sg := range segs {
-		back := p.lookupSlice(sg.s)
-		if back == nil {
-			return accessMissing, sg.s, nil
+		back, src, status := p.resolveLocked(sg.s, !write)
+		if status != accessOK {
+			return status, sg.s, nil
 		}
-		if p.isDead(back.server) {
-			return accessDead, sg.s, nil
-		}
-		backs = append(backs, back)
+		backs, srcs = append(backs, back), append(srcs, src)
 	}
-	st.backs = backs
+	st.backs, st.srcs = backs, srcs
 
 	for i := 0; i < len(segs); {
 		if err := ctxErr(ctx); err != nil {
 			return accessFailed, 0, err
 		}
-		back, sg := backs[i], segs[i]
-		node := p.nodes[back.server]
-		offset := back.offset + sg.sliceOff
-		remote := back.server != from
+		back, src, sg := backs[i], srcs[i], segs[i]
 		// Protected writes go through the per-slice protection machinery
-		// one segment at a time; everything else coalesces.
-		if write && back.buf != nil && back.buf.prot.Scheme != failure.None {
-			if err := p.writeSliceLocked(back, node, sg.s, sg.sliceOff, offset, sg.data); err != nil {
-				return accessFailed, 0, err
-			}
-			if p.caches != nil && !flush {
-				p.applyWriteCoherenceLocked(sc, from, uint64(addr.SliceBase(sg.s))+uint64(sg.sliceOff), sg.data)
-			}
-			// A flush batch was already accounted (heat, per-slice counts,
-			// metrics) when each write was buffered; recording again here
-			// would double-count one logical write.
-			if !flush {
-				node.RecordAccess(offset, remote, write)
-				if int(from) >= 0 && int(from) < len(back.counts) {
-					back.counts[from].Add(1)
-				}
-				p.recordAccessMetrics(from, back.server, sg.s, remote, write, len(sg.data))
-			}
-			i++
-			continue
-		}
-		// Extend the run while the next segment continues this one: same
-		// server, same source/destination vector, and contiguous both
-		// logically (buffer offsets) and physically (node offsets).
+		// one segment at a time; everything else extends the run while the
+		// next segment continues this one: same block source, same
+		// source/destination vector, and contiguous both logically (buffer
+		// offsets) and physically (node offsets).
+		protected := write && back.buf != nil && back.buf.prot.Scheme != failure.None
 		j := i + 1
-		for j < len(segs) {
-			prev, prevBack := segs[j-1], backs[j-1]
-			next, nextBack := segs[j], backs[j]
-			if nextBack.server != back.server || next.vec != sg.vec {
+		for ; !protected && j < len(segs); j++ {
+			prev, next := segs[j-1], segs[j]
+			if srcs[j].server != src.server || srcs[j].shed != src.shed || next.vec != sg.vec {
 				break
 			}
-			if write && nextBack.buf != nil && nextBack.buf.prot.Scheme != failure.None {
+			if write && backs[j].buf != nil && backs[j].buf.prot.Scheme != failure.None {
 				break
 			}
 			if next.bufOff != prev.bufOff+len(prev.data) {
 				break
 			}
-			if nextBack.offset+next.sliceOff != prevBack.offset+prev.sliceOff+int64(len(prev.data)) {
+			if srcs[j].offset+next.sliceOff != srcs[j-1].offset+prev.sliceOff+int64(len(prev.data)) {
 				break
 			}
-			j++
 		}
-		data := sg.data
-		if j > i+1 {
-			last := segs[j-1]
-			data = sg.vec.Data[sg.bufOff : last.bufOff+len(last.data)]
+		last := segs[j-1]
+		data := vecs[sg.vec].Data[sg.bufOff : last.bufOff+len(last.data)]
+		runLa := uint64(addr.SliceBase(sg.s)) + uint64(sg.sliceOff)
+		node, offset := p.nodes[src.server], src.offset+sg.sliceOff
+		var ta *tailAccess
+		if p.tail.breakers != nil {
+			st.feeds = append(st.feeds, tailAccess{})
+			ta = &st.feeds[len(st.feeds)-1]
+			p.startIO(ta, src.server)
 		}
 		var err error
-		if write {
+		switch {
+		case protected:
+			err = p.writeSliceLocked(back, node, sg.s, sg.sliceOff, offset, data)
+		case write:
 			// Raw coalesced writes bypass writeSliceLocked, so any move in
 			// its pre-copy phase must learn about them here: the dirty
 			// interval is per-slice, and this run may span several.
@@ -392,31 +273,24 @@ func (p *Pool) vectoredOnce(ctx context.Context, sc telemetry.SpanContext, from 
 				backs[k].markDirtyLocked(segs[k].sliceOff, int64(len(segs[k].data)))
 			}
 			err = node.WriteAt(data, offset)
-		} else {
-			err = node.ReadAt(data, offset)
+		default:
+			err = p.readLocked(sc, src, runLa, sg.sliceOff, data)
+		}
+		if ta != nil {
+			p.endIO(ta, err)
 		}
 		if err != nil {
 			return accessFailed, 0, err
 		}
-		runLa := uint64(addr.SliceBase(sg.s)) + uint64(sg.sliceOff)
-		if !write && p.wc != nil {
-			// Compose buffered writes over the raw backing bytes.
-			p.wc.OverlayRange(runLa, data)
-		}
-		if write && p.caches != nil && !flush {
-			p.applyWriteCoherenceLocked(sc, from, runLa, data)
-		}
-		// One fabric access for the whole run; locality accounting still
-		// attributes each touched slice. Flush batches were accounted when
-		// buffered (see above).
+		// A flush batch was made coherent and accounted (per-slice counts,
+		// metrics) when each write was buffered; doing either again here
+		// would double-count one logical write. Otherwise: one fabric
+		// access for the whole run, attributed to each touched slice.
 		if !flush {
-			node.RecordAccess(offset, remote, write)
-			for k := i; k < j; k++ {
-				if int(from) >= 0 && int(from) < len(backs[k].counts) {
-					backs[k].counts[from].Add(1)
-				}
+			if write && p.caches != nil {
+				p.applyWriteCoherenceLocked(sc, from, runLa, data)
 			}
-			p.recordAccessMetrics(from, back.server, sg.s, remote, write, len(data))
+			p.accountAccess(from, src.server, sg.s, write, len(data), backs[i:j]...)
 		}
 		i = j
 	}

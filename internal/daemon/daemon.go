@@ -372,6 +372,9 @@ func (c *Client) Alloc(n int64) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
+	if len(resp) != 8 {
+		return 0, fmt.Errorf("daemon: alloc reply of %d bytes, want 8", len(resp))
+	}
 	return int64(binary.BigEndian.Uint64(resp)), nil
 }
 
@@ -441,6 +444,9 @@ func (c *Client) Sum(off int64, n int) (float64, error) {
 	resp, err := c.c.Call(MethodSum, req)
 	if err != nil {
 		return 0, err
+	}
+	if len(resp) != 8 {
+		return 0, fmt.Errorf("daemon: sum reply of %d bytes, want 8", len(resp))
 	}
 	return math.Float64frombits(binary.BigEndian.Uint64(resp)), nil
 }

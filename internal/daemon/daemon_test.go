@@ -2,6 +2,7 @@ package daemon
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"math"
@@ -328,5 +329,63 @@ func TestShippedSumMatchesPulledSum(t *testing.T) {
 	}
 	if math.Abs(shipped-want) > 1e-6 || math.Abs(pulled-want) > 1e-6 {
 		t.Fatalf("shipped=%v pulled=%v want=%v", shipped, pulled, want)
+	}
+}
+
+// hostileCaller is a transport whose peer answers every method with a
+// fixed reply, whatever was asked: the shape of a buggy or hostile daemon.
+type hostileCaller struct{ reply map[byte][]byte }
+
+func (h hostileCaller) Call(method byte, payload []byte) ([]byte, error) {
+	return h.reply[method], nil
+}
+
+func (h hostileCaller) CallCtx(_ context.Context, method byte, payload []byte) ([]byte, error) {
+	return h.reply[method], nil
+}
+
+// TestClientRejectsWrongLengthReplies pins the wire client's treatment of
+// hostile bytes: a reply that is not exactly the length the request fixed
+// is an error — not an index panic (Alloc, Sum) and not a silent short
+// copy that leaves zeros in the caller's buffer (ViewBuffer reads).
+func TestClientRejectsWrongLengthReplies(t *testing.T) {
+	eight := []byte{0, 0, 0, 0, 0, 0, 0, 64}
+	for _, tc := range []struct {
+		name  string
+		reply []byte
+	}{{"empty", nil}, {"short", eight[:7]}, {"long", append(eight[:8:8], 1)}} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := WrapCaller(hostileCaller{reply: map[byte][]byte{
+				MethodAlloc: tc.reply, MethodSum: tc.reply, MethodRead: tc.reply,
+			}})
+			if _, err := c.Alloc(64); err == nil {
+				t.Error("Alloc accepted the reply")
+			}
+			if _, err := c.Sum(0, 64); err == nil {
+				t.Error("Sum accepted the reply")
+			}
+			v, err := NewPoolView(64, WrapCaller(hostileCaller{reply: map[byte][]byte{
+				MethodAlloc: eight, MethodRead: tc.reply,
+			}}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := v.Alloc(64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := bytes.Repeat([]byte{0xaa}, 64)
+			if err := b.ReadAt(got, 0); err == nil {
+				t.Errorf("ReadAt accepted a %d-byte reply to a 64-byte read", len(tc.reply))
+			}
+			if !bytes.Equal(got, bytes.Repeat([]byte{0xaa}, 64)) {
+				t.Error("a refused reply was copied into the caller's buffer")
+			}
+		})
+	}
+	// The well-formed reply still decodes.
+	c := WrapCaller(hostileCaller{reply: map[byte][]byte{MethodAlloc: eight}})
+	if off, err := c.Alloc(64); err != nil || off != 64 {
+		t.Fatalf("Alloc with an 8-byte reply = %d, %v", off, err)
 	}
 }

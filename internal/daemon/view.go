@@ -206,6 +206,14 @@ func (b *ViewBuffer) ReadAtCtx(ctx context.Context, p []byte, off int64) error {
 			}
 			continue
 		}
+		if int64(len(got)) != cc.length {
+			// A reply of any other length is not the bytes that were asked
+			// for: copying it would silently leave zeros or drop a tail.
+			if err == nil {
+				err = fmt.Errorf("daemon: read reply of %d bytes, want %d", len(got), cc.length)
+			}
+			continue
+		}
 		copy(p[cc.bufOff:cc.bufOff+cc.length], got)
 	}
 	return err

@@ -44,12 +44,10 @@ type PageStats struct {
 	LocalReads  uint64
 	RemoteReads uint64
 	Writes      uint64
-	// Heat is a decaying activity counter: incremented per access,
-	// halved by Decay. Remote accesses add extra weight because they are
-	// the ones migration can eliminate.
+	// Heat is an activity counter, incremented per access. Remote
+	// accesses add extra weight because they are the ones migration can
+	// eliminate.
 	Heat uint64
-	// Accessed is the NUMA-style access bit, cleared by ClearAccessBits.
-	Accessed bool
 }
 
 // pageStats is the internal atomic mirror of PageStats.
@@ -58,7 +56,6 @@ type pageStats struct {
 	remoteReads atomic.Uint64
 	writes      atomic.Uint64
 	heat        atomic.Uint64
-	accessed    atomic.Bool
 }
 
 func (st *pageStats) snapshot(page int64) PageStats {
@@ -68,7 +65,6 @@ func (st *pageStats) snapshot(page int64) PageStats {
 		RemoteReads: st.remoteReads.Load(),
 		Writes:      st.writes.Load(),
 		Heat:        st.heat.Load(),
-		Accessed:    st.accessed.Load(),
 	}
 }
 
@@ -278,7 +274,6 @@ func (n *Node) ensureStats(page int64) *pageStats {
 // update is lock-free.
 func (n *Node) RecordAccess(off int64, remote, write bool) {
 	st := n.ensureStats(off / PageSize)
-	st.accessed.Store(true)
 	switch {
 	case write:
 		st.writes.Add(1)
@@ -337,25 +332,4 @@ func (n *Node) HottestPages(k int) []PageStats {
 		all = all[:k]
 	}
 	return all
-}
-
-// Decay halves every page's heat, aging out stale hotness. Increments
-// racing the halving may be absorbed or survive; heat is a heuristic and
-// either outcome is acceptable.
-func (n *Node) Decay() {
-	n.eachStats(func(_ int64, st *pageStats) {
-		st.heat.Store(st.heat.Load() / 2)
-	})
-}
-
-// ClearAccessBits clears the NUMA-style access bits and reports how many
-// pages had been touched since the last clear.
-func (n *Node) ClearAccessBits() int {
-	touched := 0
-	n.eachStats(func(_ int64, st *pageStats) {
-		if st.accessed.Swap(false) {
-			touched++
-		}
-	})
-	return touched
 }

@@ -132,10 +132,6 @@ func TestAccessStatsAndHeat(t *testing.T) {
 	if st.Heat != 6 {
 		t.Fatalf("heat = %d, want 6", st.Heat)
 	}
-	n.Decay()
-	if got := n.Stats(off).Heat; got != 3 {
-		t.Fatalf("heat after decay = %d, want 3", got)
-	}
 }
 
 func TestHottestPagesOrdering(t *testing.T) {
@@ -155,22 +151,6 @@ func TestHottestPagesOrdering(t *testing.T) {
 	all := n.HottestPages(100)
 	if len(all) != 3 {
 		t.Fatalf("all pages = %d, want 3", len(all))
-	}
-}
-
-func TestAccessBits(t *testing.T) {
-	n := mustNode(t, 1<<20, 1<<20)
-	n.RecordAccess(0, false, false)
-	n.RecordAccess(PageSize, true, false)
-	if got := n.ClearAccessBits(); got != 2 {
-		t.Fatalf("touched = %d, want 2", got)
-	}
-	if got := n.ClearAccessBits(); got != 0 {
-		t.Fatalf("touched after clear = %d, want 0", got)
-	}
-	n.RecordAccess(0, false, false)
-	if got := n.ClearAccessBits(); got != 1 {
-		t.Fatalf("re-touched = %d, want 1", got)
 	}
 }
 

@@ -91,11 +91,13 @@ func WithObserver(o Observer) Option {
 }
 
 // WithDeadlineBudget sets the default per-operation deadline budget: the
-// ...Ctx entry points apply it when the caller's context carries no
-// deadline of its own (a caller deadline always wins). Operations over
-// budget fail with an error wrapping ErrDeadlineExceeded, checked
-// between slice segments so a multi-slice access cannot overstay
-// unboundedly. d <= 0 disables (the default).
+// ...Ctx entry points (ReadCtx, WriteCtx, ReadVCtx, WriteVCtx) apply it
+// when the caller's context carries no deadline of its own (a caller
+// deadline always wins); the context-less entry points carry no budget.
+// Operations over budget fail with an error wrapping ErrDeadlineExceeded,
+// checked between slice segments (between coalesced runs for a vectored
+// op) so a multi-slice access cannot overstay unboundedly. d <= 0
+// disables (the default).
 func WithDeadlineBudget(d time.Duration) Option {
 	return func(c *Config) { c.Tail.OpBudget = d }
 }
@@ -110,13 +112,17 @@ func WithAdmissionLimit(n int) Option {
 	return func(c *Config) { c.Tail.AdmissionLimit = n }
 }
 
-// WithBreaker enables per-server circuit breakers fed by every access's
-// latency and outcome. A server whose recent failure ratio (or slow-call
-// ratio, see BreakerPolicy.SlowCallNS) trips the policy is marked
-// degraded: reads of replica-protected buffers shed to a live copy,
-// unprotected reads fail fast with an error wrapping ErrServerDegraded,
-// and writes still reach the primary. After BreakerPolicy.OpenFor the
-// breaker re-probes and closes on success. The zero policy disables.
+// WithBreaker enables per-server circuit breakers fed by the latency and
+// outcome of every backing access a foreground operation makes — direct
+// reads and writes, cache fills, vectored runs and write-combiner flushes
+// alike; a cache hit touches no server and feeds nothing. A server whose
+// recent failure ratio (or slow-call ratio, see BreakerPolicy.SlowCallNS)
+// trips the policy is marked degraded: every read that would reach it —
+// Read, ReadV, and a cached pool's misses — is shed to a live copy when
+// the buffer is replica-protected and otherwise fails fast with an error
+// wrapping ErrServerDegraded (a ReadV without partial effects), and
+// writes still reach the primary. After BreakerPolicy.OpenFor the breaker
+// re-probes and closes on success. The zero policy disables.
 func WithBreaker(pol BreakerPolicy) Option {
 	return func(c *Config) { c.Tail.Breaker = pol }
 }
