@@ -77,11 +77,14 @@ bench-build:
 # shuffled and repeated, under each GOMAXPROCS a CI box or a laptop is
 # likely to have. A test that reads state before the event
 # that orders it passes on one shape and fails on another; this catches
-# it before it lands.
+# it before it lands. The transport suites run once more per shape under
+# the race detector, the build in which a recycled buffer is poisoned as
+# it is put back: that is where the buffer-ownership tests bite.
 flake:
 	@for p in 1 2 4 8; do \
 		echo "flake: GOMAXPROCS=$$p"; \
 		GOMAXPROCS=$$p $(GO) test -shuffle=on -count=$(FLAKE_COUNT) ./internal/rpc/ ./internal/daemon/ || exit 1; \
+		GOMAXPROCS=$$p $(GO) test -race -shuffle=on ./internal/rpc/ ./internal/daemon/ ./internal/chaos/ || exit 1; \
 		GOMAXPROCS=$$p $(GO) test -shuffle=on -count=$(FLAKE_COUNT) -run 'Admission|Inflight|Tail|Compact|Elasticity' ./internal/core/ || exit 1; \
 	done
 
@@ -94,10 +97,11 @@ audit:
 	mv AUDIT.md.tmp AUDIT.md
 
 # Short fuzz pass over every native fuzz target (GF(256) algebra, RS
-# round-trip/reconstruction, RPC wire codec, the write combiner's
-# recycled storage against a flat model). The seed corpora already run
-# as plain tests; this budgets $(FUZZTIME) of mutation per target. Go
-# allows one -fuzz target per invocation, hence the loops.
+# round-trip/reconstruction, RPC wire codec, the daemon's socket-facing
+# handlers, the write combiner's recycled storage against a flat model).
+# The seed corpora already run as plain tests; this budgets $(FUZZTIME)
+# of mutation per target. Go allows one -fuzz target per invocation,
+# hence the loops.
 fuzz-smoke:
 	@for t in FuzzGF256Arithmetic FuzzGF256MulSlice FuzzRSRoundTrip FuzzRSTooManyErasures; do \
 		$(GO) test -run '^$$' -fuzz "^$$t$$" -fuzztime $(FUZZTIME) ./internal/failure/ || exit 1; \
@@ -105,6 +109,7 @@ fuzz-smoke:
 	@for t in FuzzFrameRoundTrip FuzzReadFrame FuzzErrorPayload FuzzReadFrameTruncation FuzzBatchRoundTrip FuzzDecodeBatch; do \
 		$(GO) test -run '^$$' -fuzz "^$$t$$" -fuzztime $(FUZZTIME) ./internal/rpc/ || exit 1; \
 	done
+	$(GO) test -run '^$$' -fuzz '^FuzzDaemonHandlers$$' -fuzztime $(FUZZTIME) ./internal/daemon/
 	$(GO) test -run '^$$' -fuzz '^FuzzWriteCombinerModel$$' -fuzztime $(FUZZTIME) ./internal/cache/
 
 # End-to-end observability smoke: boot a real lmpd on ephemeral ports,

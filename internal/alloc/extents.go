@@ -9,6 +9,7 @@ package alloc
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 )
@@ -75,7 +76,10 @@ func (e *Extents) FreeBytes() int64 {
 
 // Alloc reserves n bytes (rounded up to the unit) and returns the offset.
 func (e *Extents) Alloc(n int64) (int64, error) {
-	if n <= 0 {
+	if n <= 0 || n > math.MaxInt64-e.unit {
+		// The upper bound keeps the rounding below from wrapping negative
+		// (a size that came off the wire), which would pass the fit test
+		// and subtract from inUse.
 		return 0, fmt.Errorf("alloc: allocation of %d bytes", n)
 	}
 	n = (n + e.unit - 1) / e.unit * e.unit

@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"sort"
@@ -219,5 +220,62 @@ func TestReplayCommand(t *testing.T) {
 		if !strings.Contains(cmd, want) {
 			t.Fatalf("replay command %q missing %q", cmd, want)
 		}
+	}
+}
+
+// queueingCaller stands for a transport whose send queue can outlive a
+// call: it keeps the payload slice of every delivery it was handed, and
+// the second delivery — the duplicate — comes back abandoned, the way a
+// call whose context is cancelled returns while its frame is still
+// queued.
+type queueingCaller struct{ held [][]byte }
+
+func (q *queueingCaller) Call(method byte, payload []byte) ([]byte, error) {
+	return q.CallCtx(nil, method, payload)
+}
+
+func (q *queueingCaller) CallCtx(_ context.Context, _ byte, payload []byte) ([]byte, error) {
+	q.held = append(q.held, payload)
+	if len(q.held)%2 == 0 {
+		return nil, context.Canceled
+	}
+	return nil, nil
+}
+
+// TestDupSendsItsOwnCopy: a duplicated call reports the first delivery's
+// success, upon which the caller recycles its request buffer (rpc's
+// buffer rule 4) — while the second delivery, abandoned by a cancelled
+// context, may still be queued. The duplicate must therefore travel in a
+// copy: the queued bytes stay what was sent when the caller's buffer is
+// put back and refilled. Both the blocking and the pipelined path.
+func TestDupSendsItsOwnCopy(t *testing.T) {
+	for _, async := range []bool{false, true} {
+		in := New(sim.NewEngine(), Config{Seed: 9, PDup: 1})
+		q := &queueingCaller{}
+		link := in.WrapTransport(0, q)
+		ctx, cancel := context.WithCancel(context.Background())
+
+		req := rpc.GetBuffer(64)
+		copy(req, "the block this call wrote")
+		want := append([]byte(nil), req...)
+		var err error
+		if async {
+			_, err = link.CallAsyncCtx(ctx, 1, req).WaitCtx(ctx)
+		} else {
+			_, err = link.CallCtx(ctx, 1, req)
+		}
+		cancel()
+		if err != nil || len(q.held) != 2 {
+			t.Fatalf("async=%t: err %v after %d deliveries, want success after 2", async, err, len(q.held))
+		}
+		// The call succeeded: the caller gives its buffer back, and the
+		// next request is assembled in the same memory.
+		rpc.PutBuffer(req)
+		next := rpc.GetBuffer(64)
+		copy(next, "another call's bytes, same buffer")
+		if !bytes.Equal(q.held[1], want) {
+			t.Errorf("async=%t: the queued duplicate now reads %q, want %q", async, q.held[1], want)
+		}
+		rpc.PutBuffer(next)
 	}
 }

@@ -60,11 +60,19 @@ func (l *Link) CallCtx(ctx context.Context, method byte, payload []byte) ([]byte
 		if err != nil {
 			return resp, err
 		}
-		// Duplicate delivery: the call reaches the server a second time.
-		_, _ = l.next.CallCtx(ctx, method, payload)
+		l.redeliver(ctx, method, payload)
 		return resp, nil
 	}
 	return l.next.CallCtx(ctx, method, payload)
+}
+
+// redeliver is duplicate delivery: the call reaches the server a second
+// time, its result discarded. It sends a copy of the payload: the first
+// delivery has already succeeded, so the caller may recycle its request
+// buffer as soon as this returns, while a second delivery abandoned by a
+// cancelled ctx can still sit in the transport's send queue.
+func (l *Link) redeliver(ctx context.Context, method byte, payload []byte) {
+	_, _ = l.next.CallCtx(ctx, method, append([]byte(nil), payload...))
 }
 
 // CallAsyncCtx applies the injector's verdict per logical call, then
@@ -101,8 +109,7 @@ func (l *Link) CallAsyncCtx(ctx context.Context, method byte, payload []byte) *r
 			if err != nil {
 				return resp, err
 			}
-			// Duplicate delivery: the call reaches the server a second time.
-			_, _ = l.next.CallCtx(ctx, method, payload)
+			l.redeliver(ctx, method, payload)
 			return resp, nil
 		})
 	}

@@ -157,25 +157,34 @@ func (s *Server) Listen(addr string) (string, error) {
 // Close stops the daemon.
 func (s *Server) Close() error { return s.rpc.Close() }
 
+// wireMethod is one entry of the daemon's wire surface.
+type wireMethod struct {
+	id      byte
+	name    string // span and Stats label
+	handler rpc.Handler
+}
+
+// wireMethods lists every method the daemon serves. Each handler decodes
+// bytes that came off a socket: FuzzDaemonHandlers walks this table.
+func (s *Server) wireMethods() []wireMethod {
+	return []wireMethod{
+		{MethodInfo, "rpc.info", s.handleInfo},
+		{MethodAlloc, "rpc.alloc", s.handleAlloc},
+		{MethodFree, "rpc.free", s.handleFree},
+		{MethodRead, "rpc.read", s.handleRead},
+		{MethodWrite, "rpc.write", s.handleWrite},
+		{MethodSum, "rpc.sum", s.handleSum},
+		{MethodResize, "rpc.resize", s.handleResize},
+		{MethodHotPages, "rpc.hot_pages", s.handleHotPages},
+		{MethodStats, "rpc.stats", s.handleStats},
+	}
+}
+
 func (s *Server) register() {
-	s.rpc.Handle(MethodInfo, s.handleInfo)
-	s.rpc.Handle(MethodAlloc, s.handleAlloc)
-	s.rpc.Handle(MethodFree, s.handleFree)
-	s.rpc.Handle(MethodRead, s.handleRead)
-	s.rpc.Handle(MethodWrite, s.handleWrite)
-	s.rpc.Handle(MethodSum, s.handleSum)
-	s.rpc.Handle(MethodResize, s.handleResize)
-	s.rpc.Handle(MethodHotPages, s.handleHotPages)
-	s.rpc.NameMethod(MethodInfo, "rpc.info")
-	s.rpc.NameMethod(MethodAlloc, "rpc.alloc")
-	s.rpc.NameMethod(MethodFree, "rpc.free")
-	s.rpc.NameMethod(MethodRead, "rpc.read")
-	s.rpc.NameMethod(MethodWrite, "rpc.write")
-	s.rpc.NameMethod(MethodSum, "rpc.sum")
-	s.rpc.NameMethod(MethodResize, "rpc.resize")
-	s.rpc.NameMethod(MethodHotPages, "rpc.hot_pages")
-	s.rpc.Handle(MethodStats, s.handleStats)
-	s.rpc.NameMethod(MethodStats, "rpc.stats")
+	for _, m := range s.wireMethods() {
+		s.rpc.Handle(m.id, m.handler)
+		s.rpc.NameMethod(m.id, m.name)
+	}
 }
 
 // handleStats returns the daemon's typed snapshot as JSON — the wire
@@ -235,9 +244,22 @@ func (s *Server) handleFree(p []byte) ([]byte, error) {
 	return nil, s.region.Free(int64(binary.BigEndian.Uint64(p)))
 }
 
+// checkShared bounds a remote access by the shared region. off and n
+// come off the wire: the comparison must not add them (off = MaxInt64-5,
+// n = 10 wraps negative and would pass).
 func (s *Server) checkShared(off, n int64) error {
-	if off < 0 || n < 0 || off+n > s.region.Size() {
-		return fmt.Errorf("daemon: access [%d,%d) outside shared region of %d", off, off+n, s.region.Size())
+	if size := s.region.Size(); off < 0 || n < 0 || n > size-off {
+		return fmt.Errorf("daemon: access of %d bytes at %d outside shared region of %d", n, off, size)
+	}
+	return nil
+}
+
+// checkReply bounds the bytes one read or sum request may ask for by
+// what a reply frame can carry, so an oversized request gets an ordinary
+// error reply instead of an allocation the codec then refuses to send.
+func checkReply(n int64) error {
+	if n > rpc.MaxPayload {
+		return fmt.Errorf("daemon: request for %d bytes exceeds the %d a reply can carry", n, rpc.MaxPayload)
 	}
 	return nil
 }
@@ -248,10 +270,13 @@ func (s *Server) handleRead(p []byte) ([]byte, error) {
 	}
 	off := int64(binary.BigEndian.Uint64(p[0:8]))
 	n := int64(binary.BigEndian.Uint32(p[8:12]))
+	if err := checkReply(n); err != nil {
+		return nil, err
+	}
 	if err := s.checkShared(off, n); err != nil {
 		return nil, err
 	}
-	out := make([]byte, n)
+	out := s.rpc.ReplyBuffer(p, int(n))
 	if err := s.node.ReadAt(out, off); err != nil {
 		return nil, err
 	}
@@ -283,10 +308,14 @@ func (s *Server) handleSum(p []byte) ([]byte, error) {
 	}
 	off := int64(binary.BigEndian.Uint64(p[0:8]))
 	n := int64(binary.BigEndian.Uint32(p[8:12]))
+	if err := checkReply(n); err != nil {
+		return nil, err
+	}
 	if err := s.checkShared(off, n); err != nil {
 		return nil, err
 	}
-	buf := make([]byte, n)
+	buf := rpc.GetBuffer(int(n))
+	defer rpc.PutBuffer(buf)
 	if err := s.node.ReadAt(buf, off); err != nil {
 		return nil, err
 	}
@@ -308,6 +337,9 @@ func (s *Server) handleResize(p []byte) ([]byte, error) {
 		return nil, fmt.Errorf("daemon: resize payload %d bytes", len(p))
 	}
 	limit := int64(binary.BigEndian.Uint64(p))
+	if limit < 0 {
+		return nil, fmt.Errorf("daemon: resize to %d bytes", limit)
+	}
 	limit = limit - limit%memnode.PageSize
 	if limit > s.node.Capacity() {
 		return nil, fmt.Errorf("daemon: shared %d exceeds capacity %d", limit, s.node.Capacity())
@@ -395,10 +427,31 @@ func (c *Client) Read(off int64, n int) ([]byte, error) {
 // daemon responds fails the call with an error wrapping ctx.Err(),
 // leaving the connection usable (the stale response is discarded).
 func (c *Client) ReadCtx(ctx context.Context, off int64, n int) ([]byte, error) {
-	req := make([]byte, 12)
+	req := rangeRequest(off, n)
+	resp, err := c.c.CallCtx(ctx, MethodRead, req)
+	if err == nil {
+		rpc.PutBuffer(req)
+	}
+	return resp, err
+}
+
+// rangeRequest encodes the 12-byte (offset, length) request of a read or
+// a sum in a pooled buffer. Like every request buffer it goes back only
+// after the call succeeded (rpc/bufpool.go, rule 4): through the future
+// on the async paths, by hand on the blocking ones.
+func rangeRequest(off int64, n int) []byte {
+	req := rpc.GetBuffer(12)
 	binary.BigEndian.PutUint64(req[0:8], uint64(off))
 	binary.BigEndian.PutUint32(req[8:12], uint32(n))
-	return c.c.CallCtx(ctx, MethodRead, req)
+	return req
+}
+
+// writeRequest encodes a write (offset, then the bytes) the same way.
+func writeRequest(off int64, data []byte) []byte {
+	req := rpc.GetBuffer(8 + len(data))
+	binary.BigEndian.PutUint64(req[0:8], uint64(off))
+	copy(req[8:], data)
+	return req
 }
 
 // ReadAsync issues a read without blocking for the response: the future
@@ -406,10 +459,8 @@ func (c *Client) ReadCtx(ctx context.Context, off int64, n int) ([]byte, error) 
 // on one connection; the transport pipelines (and, for small requests,
 // batches) them.
 func (c *Client) ReadAsync(ctx context.Context, off int64, n int) *rpc.Future {
-	req := make([]byte, 12)
-	binary.BigEndian.PutUint64(req[0:8], uint64(off))
-	binary.BigEndian.PutUint32(req[8:12], uint32(n))
-	return rpc.Async(c.c, ctx, MethodRead, req)
+	req := rangeRequest(off, n)
+	return rpc.Async(c.c, ctx, MethodRead, req).OwnRequest(req)
 }
 
 // Write stores data at off.
@@ -419,32 +470,30 @@ func (c *Client) Write(off int64, data []byte) error {
 
 // WriteAsync issues a write without blocking for the acknowledgement.
 func (c *Client) WriteAsync(ctx context.Context, off int64, data []byte) *rpc.Future {
-	req := make([]byte, 8+len(data))
-	binary.BigEndian.PutUint64(req[0:8], uint64(off))
-	copy(req[8:], data)
-	return rpc.Async(c.c, ctx, MethodWrite, req)
+	req := writeRequest(off, data)
+	return rpc.Async(c.c, ctx, MethodWrite, req).OwnRequest(req)
 }
 
 // WriteCtx is Write with cancellation, with ReadCtx's semantics. A
 // cancelled write may or may not have been applied by the daemon — the
 // cancellation is client-side.
 func (c *Client) WriteCtx(ctx context.Context, off int64, data []byte) error {
-	req := make([]byte, 8+len(data))
-	binary.BigEndian.PutUint64(req[0:8], uint64(off))
-	copy(req[8:], data)
+	req := writeRequest(off, data)
 	_, err := c.c.CallCtx(ctx, MethodWrite, req)
+	if err == nil {
+		rpc.PutBuffer(req)
+	}
 	return err
 }
 
 // Sum ships the aggregation kernel: the daemon sums [off, off+n) locally.
 func (c *Client) Sum(off int64, n int) (float64, error) {
-	req := make([]byte, 12)
-	binary.BigEndian.PutUint64(req[0:8], uint64(off))
-	binary.BigEndian.PutUint32(req[8:12], uint32(n))
+	req := rangeRequest(off, n)
 	resp, err := c.c.Call(MethodSum, req)
 	if err != nil {
 		return 0, err
 	}
+	rpc.PutBuffer(req)
 	if len(resp) != 8 {
 		return 0, fmt.Errorf("daemon: sum reply of %d bytes, want 8", len(resp))
 	}
@@ -454,10 +503,8 @@ func (c *Client) Sum(off int64, n int) (float64, error) {
 // SumAsync ships the aggregation kernel without blocking; the future
 // resolves to the daemon's encoded partial sum.
 func (c *Client) SumAsync(ctx context.Context, off int64, n int) *rpc.Future {
-	req := make([]byte, 12)
-	binary.BigEndian.PutUint64(req[0:8], uint64(off))
-	binary.BigEndian.PutUint32(req[8:12], uint32(n))
-	return rpc.Async(c.c, ctx, MethodSum, req)
+	req := rangeRequest(off, n)
+	return rpc.Async(c.c, ctx, MethodSum, req).OwnRequest(req)
 }
 
 // HotPage is one entry of a daemon's access profile.

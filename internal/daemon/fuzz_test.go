@@ -1,0 +1,84 @@
+package daemon
+
+import (
+	"encoding/binary"
+	"math"
+	"testing"
+
+	"github.com/lmp-project/lmp/internal/memnode"
+	"github.com/lmp-project/lmp/internal/rpc"
+)
+
+// FuzzDaemonHandlers feeds arbitrary (method, payload) pairs — what a
+// peer can put on the socket — to the daemon's handlers. Whatever
+// arrives, a handler must not panic (it runs in a goroutine of its own:
+// a panic there takes the whole lmpd down), must not build a reply the
+// codec cannot carry, and must leave the region's books straight: InUse
+// moves only by what a successful alloc or free says it moved, and stays
+// within the region. One server lives across inputs, with a shadow of
+// its allocations, so frees and resizes find state to act on.
+func FuzzDaemonHandlers(f *testing.F) {
+	rng := func(off int64, n uint32) []byte { return rangeRequest(off, int(n)) }
+	u64 := func(v uint64) []byte { return binary.BigEndian.AppendUint64(nil, v) }
+	f.Add(MethodRead, rng(math.MaxInt64-5, 10)) // wrapped off+n past both range checks
+	f.Add(MethodSum, rng(math.MaxInt64-5, 10))
+	f.Add(MethodWrite, append(u64(math.MaxInt64-5), "0123456789"...))
+	f.Add(MethodRead, rng(0, math.MaxUint32))
+	f.Add(MethodRead, rng(0, 4096))
+	f.Add(MethodWrite, append(u64(8192), "hello"...))
+	f.Add(MethodAlloc, u64(math.MaxInt64)) // rounding up to a page wrapped negative
+	f.Add(MethodAlloc, u64(3*memnode.PageSize))
+	f.Add(MethodFree, u64(0))
+	f.Add(MethodResize, u64(1<<63|5)) // a negative limit
+	f.Add(MethodResize, u64(1<<18))
+	f.Add(MethodHotPages, []byte{0, 0, 0, 8})
+	f.Add(MethodInfo, []byte(nil))
+	f.Add(MethodStats, []byte("ignored"))
+	f.Add(byte(0), []byte{1, 2, 3})
+
+	const capacity = 1 << 20
+	s, err := NewServer("fuzz", capacity, capacity/2)
+	if err != nil {
+		f.Fatal(err)
+	}
+	handlers := map[byte]rpc.Handler{}
+	for _, m := range s.wireMethods() {
+		handlers[m.id] = m.handler
+	}
+	live := map[int64]int64{} // offset → bytes, per successful alloc replies
+	var inUse int64
+
+	f.Fuzz(func(t *testing.T, method byte, payload []byte) {
+		h := handlers[method]
+		if h == nil {
+			return // rpc answers an unregistered method itself
+		}
+		reply, err := h(payload)
+		if len(reply) > rpc.MaxPayload {
+			t.Fatalf("method %d: reply of %d bytes exceeds MaxPayload", method, len(reply))
+		}
+		if err == nil {
+			switch method {
+			case MethodAlloc:
+				off := int64(binary.BigEndian.Uint64(reply))
+				want := int64(binary.BigEndian.Uint64(payload))
+				got := s.region.InUse() - inUse
+				if got < want || got%memnode.PageSize != 0 || live[off] != 0 {
+					t.Fatalf("alloc of %d bytes at %d moved InUse by %d (offset live: %t)", want, off, got, live[off] != 0)
+				}
+				live[off] = got
+				inUse += got
+			case MethodFree:
+				off := int64(binary.BigEndian.Uint64(payload))
+				if live[off] == 0 {
+					t.Fatalf("free of %d succeeded; nothing is allocated there", off)
+				}
+				inUse -= live[off]
+				delete(live, off)
+			}
+		}
+		if got := s.region.InUse(); got != inUse || got < 0 || got > s.region.Size() || s.region.Size() > capacity {
+			t.Fatalf("after method %d (err %v): InUse %d, shadow %d, region %d of capacity %d", method, err, got, inUse, s.region.Size(), capacity)
+		}
+	})
+}

@@ -31,8 +31,16 @@ func NewPoolView(stripe int64, clients ...*Client) (*PoolView, error) {
 	if stripe <= 0 {
 		return nil, fmt.Errorf("daemon: stripe %d must be positive", stripe)
 	}
+	if stripe > maxStripe {
+		return nil, fmt.Errorf("daemon: stripe %d exceeds the %d one chunk RPC can carry", stripe, maxStripe)
+	}
 	return &PoolView{clients: clients, stripe: stripe}, nil
 }
+
+// maxStripe is the largest stripe whose whole-chunk write still fits one
+// frame: rpc.MaxPayload less the 8-byte write offset and the rpc layer's
+// own request prefix (budget and trace, 24 bytes), rounded to a page.
+const maxStripe = rpc.MaxPayload - 4096
 
 // ViewChunk locates one striped piece of a distributed buffer.
 type ViewChunk struct {
@@ -119,8 +127,8 @@ func (b *ViewBuffer) Release() error {
 
 // locate walks the chunks overlapping [off, off+n).
 func (b *ViewBuffer) locate(off, n int64, visit func(c ViewChunk, chunkOff, bufOff, length int64) error) error {
-	if off < 0 || n < 0 || off+n > b.size {
-		return fmt.Errorf("daemon: access [%d,%d) outside buffer of %d", off, off+n, b.size)
+	if off < 0 || n < 0 || n > b.size-off {
+		return fmt.Errorf("daemon: access of %d bytes at %d outside buffer of %d", n, off, b.size)
 	}
 	b.mu.RLock()
 	defer b.mu.RUnlock()
@@ -154,6 +162,10 @@ type chunkCall struct {
 	bufOff, length int64
 }
 
+// stackChunks is how many chunk calls an access keeps on its stack; a
+// wider access spills to the heap.
+const stackChunks = 8
+
 // WriteAt stores data at buffer offset off.
 func (b *ViewBuffer) WriteAt(data []byte, off int64) error {
 	return b.WriteAtCtx(nil, data, off)
@@ -166,7 +178,8 @@ func (b *ViewBuffer) WriteAt(data []byte, off int64) error {
 // shared frames. The first chunk error wins, after every in-flight call
 // has resolved.
 func (b *ViewBuffer) WriteAtCtx(ctx context.Context, data []byte, off int64) error {
-	var calls []chunkCall
+	var stack [stackChunks]chunkCall
+	calls := stack[:0]
 	err := b.locate(off, int64(len(data)), func(c ViewChunk, chunkOff, bufOff, length int64) error {
 		calls = append(calls, chunkCall{
 			f: b.view.clients[c.Daemon].WriteAsync(ctx, c.Offset+chunkOff, data[bufOff:bufOff+length]),
@@ -177,6 +190,7 @@ func (b *ViewBuffer) WriteAtCtx(ctx context.Context, data []byte, off int64) err
 		if _, werr := cc.f.WaitCtx(ctx); werr != nil && err == nil {
 			err = werr
 		}
+		cc.f.Release()
 	}
 	return err
 }
@@ -190,7 +204,8 @@ func (b *ViewBuffer) ReadAt(p []byte, off int64) error {
 // semantics: all chunk reads are in flight at once and the copies land
 // as the responses resolve.
 func (b *ViewBuffer) ReadAtCtx(ctx context.Context, p []byte, off int64) error {
-	var calls []chunkCall
+	var stack [stackChunks]chunkCall
+	calls := stack[:0]
 	err := b.locate(off, int64(len(p)), func(c ViewChunk, chunkOff, bufOff, length int64) error {
 		calls = append(calls, chunkCall{
 			f:      b.view.clients[c.Daemon].ReadAsync(ctx, c.Offset+chunkOff, int(length)),
@@ -200,21 +215,21 @@ func (b *ViewBuffer) ReadAtCtx(ctx context.Context, p []byte, off int64) error {
 	})
 	for _, cc := range calls {
 		got, rerr := cc.f.WaitCtx(ctx)
-		if rerr != nil {
+		switch {
+		case rerr != nil:
 			if err == nil {
 				err = rerr
 			}
-			continue
-		}
-		if int64(len(got)) != cc.length {
+		case int64(len(got)) != cc.length:
 			// A reply of any other length is not the bytes that were asked
 			// for: copying it would silently leave zeros or drop a tail.
 			if err == nil {
 				err = fmt.Errorf("daemon: read reply of %d bytes, want %d", len(got), cc.length)
 			}
-			continue
+		default:
+			copy(p[cc.bufOff:cc.bufOff+cc.length], got)
 		}
-		copy(p[cc.bufOff:cc.bufOff+cc.length], got)
+		cc.f.Release() // the reply buffer goes back with the future
 	}
 	return err
 }
@@ -273,19 +288,16 @@ func (b *ViewBuffer) ShippedSum() (float64, error) {
 	var firstErr error
 	for _, f := range futures {
 		resp, err := f.Wait()
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
+		switch {
+		case err == nil && len(resp) < 8:
+			err = fmt.Errorf("daemon: short sum response")
+		case err == nil:
+			sum += math.Float64frombits(binary.BigEndian.Uint64(resp))
 		}
-		if len(resp) < 8 {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("daemon: short sum response")
-			}
-			continue
+		if err != nil && firstErr == nil {
+			firstErr = err
 		}
-		sum += math.Float64frombits(binary.BigEndian.Uint64(resp))
+		f.Release()
 	}
 	if firstErr != nil {
 		return 0, firstErr

@@ -1,0 +1,235 @@
+package daemon
+
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"math"
+	"os"
+	"runtime"
+	"sort"
+	"strings"
+	"testing"
+
+	"github.com/lmp-project/lmp/internal/rpc"
+	"github.com/lmp-project/lmp/internal/telemetry"
+)
+
+// TestHandlerRangeChecksDoNotOverflow walks the boundaries of the shared-
+// region check through all three data handlers. The overflow rows are the
+// remote panic this guards: off = MaxInt64-5, n = 10 wraps off+n negative,
+// used to pass both range checks and died in memnode with an index out of
+// range — in a handler goroutine, taking the whole daemon down.
+func TestHandlerRangeChecksDoNotOverflow(t *testing.T) {
+	const shared = 1 << 16
+	s, err := NewServer("srv0", 1<<20, shared)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		off  int64
+		n    uint32
+		fine bool
+	}{
+		{0, 0, true},
+		{0, shared, true},
+		{shared - 1, 1, true},
+		{shared, 0, true},
+		{0, shared + 1, false},
+		{shared - 1, 2, false},
+		{shared, 1, false},
+		{shared + 1, 0, false},
+		{-1, 1, false},
+		{math.MaxInt64 - 5, 10, false},
+		{math.MaxInt64, 1, false},
+		{math.MaxInt64 - shared, shared, false},
+		{math.MinInt64, 10, false},
+	} {
+		if out, err := s.handleRead(rangeRequest(tc.off, int(tc.n))); (err == nil) != tc.fine || (err == nil && len(out) != int(tc.n)) {
+			t.Errorf("read %d bytes at %d: %d bytes, %v, want in range = %t", tc.n, tc.off, len(out), err, tc.fine)
+		}
+		if _, err := s.handleSum(rangeRequest(tc.off, int(tc.n))); (err == nil) != tc.fine {
+			t.Errorf("sum %d bytes at %d: %v, want in range = %t", tc.n, tc.off, err, tc.fine)
+		}
+		w := make([]byte, 8+tc.n)
+		binary.BigEndian.PutUint64(w, uint64(tc.off))
+		if _, err := s.handleWrite(w); (err == nil) != tc.fine {
+			t.Errorf("write %d bytes at %d: %v, want in range = %t", tc.n, tc.off, err, tc.fine)
+		}
+	}
+}
+
+// TestOversizedReadKeepsConnection: a read (or sum) of more bytes than a
+// reply frame can carry passes the region check on a large region. It
+// used to allocate, have the codec refuse the reply, and lose the
+// connection — failing that call and every call pipelined behind it with
+// "connection lost". It is an ordinary error reply now.
+func TestOversizedReadKeepsConnection(t *testing.T) {
+	_, c := startDaemon(t, "srv0", 64<<20, 64<<20)
+	msg := []byte("still here")
+	if err := c.Write(4096, msg); err != nil {
+		t.Fatal(err)
+	}
+	var re *rpc.RemoteError
+	if _, err := c.Read(0, 17<<20); !errors.As(err, &re) || !strings.Contains(re.Message, "a reply can carry") {
+		t.Fatalf("17 MiB read: %v, want the handler's size error", err)
+	}
+	if _, err := c.Sum(0, 17<<20); !errors.As(err, &re) {
+		t.Fatalf("17 MiB sum: %v, want a handler error", err)
+	}
+	got, err := c.Read(4096, len(msg))
+	if err != nil || !bytes.Equal(got, msg) {
+		t.Fatalf("read after the refused one, same connection: %q, %v", got, err)
+	}
+	// The largest read a frame does carry still works.
+	if got, err := c.Read(0, rpc.MaxPayload); err != nil || len(got) != rpc.MaxPayload {
+		t.Fatalf("MaxPayload read: %d bytes, %v", len(got), err)
+	}
+}
+
+// TestPoolViewRejectsUncarriableStripe: a stripe whose whole-chunk write
+// cannot fit one frame would fail on first use; it fails at construction.
+func TestPoolViewRejectsUncarriableStripe(t *testing.T) {
+	_, c := startDaemon(t, "x", 1<<16, 1<<16)
+	if _, err := NewPoolView(rpc.MaxPayload, c); err == nil {
+		t.Error("a MaxPayload stripe (no room for the write header) accepted")
+	}
+	if _, err := NewPoolView(maxStripe, c); err != nil {
+		t.Errorf("a %d-byte stripe refused: %v", maxStripe, err)
+	}
+}
+
+// loopbackView builds the benchmark's deployment in small: n in-process
+// daemons on loopback listeners, one connection each, a PoolView with the
+// given stripe. It skips the test where listening is forbidden.
+func loopbackView(t *testing.T, n int, shared, stripe int64) (*PoolView, []*Server) {
+	t.Helper()
+	var clients []*Client
+	var servers []*Server
+	for i := 0; i < n; i++ {
+		s, err := NewServer("srv", shared, shared)
+		if err != nil {
+			t.Fatal(err)
+		}
+		addr, err := s.Listen("127.0.0.1:0")
+		if err != nil {
+			t.Skipf("listening on loopback is forbidden here: %v", err)
+		}
+		c, err := rpc.Dial(addr)
+		if err != nil {
+			s.Close()
+			t.Fatal(err)
+		}
+		t.Cleanup(func() {
+			c.Close()
+			s.Close()
+		})
+		clients = append(clients, WrapCaller(c))
+		servers = append(servers, s)
+	}
+	v, err := NewPoolView(stripe, clients...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v, servers
+}
+
+// TestWirePathAllocBudget is the count guard of the recycled wire path:
+// alternating 1 MiB reads and writes through 256 KiB stripes on two
+// loopback daemons — the wire_bulk shape — allocate at most 1 KiB and 12
+// objects per op once warm (four chunk RPCs moved 1 MiB through four
+// payload buffers each: none of them is allocated), and when the run is
+// over the pool holds no more than its stated bound.
+func TestWirePathAllocBudget(t *testing.T) {
+	if raceDetectorEnabled {
+		t.Skip("sync.Pool drops puts under the race detector; the budget is checked without it")
+	}
+	v, servers := loopbackView(t, 2, 32<<20, 256<<10)
+	b, err := v.Alloc(8 << 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := make([]byte, 1<<20)
+	for i := range data {
+		data[i] = byte(i * 13)
+	}
+	got := make([]byte, len(data))
+	op := func(i int) {
+		off := int64(i/2%8) << 20
+		if i%2 == 0 {
+			if err := b.WriteAtCtx(nil, data, off); err != nil {
+				t.Fatal(err)
+			}
+			return
+		}
+		if err := b.ReadAtCtx(nil, got, off); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Warm-up: pages materialize, scratch and object pools fill, and the
+	// buffer pool is primed with the path's in-flight window (four chunks,
+	// a buffer on either side of the wire, the previous op's server side
+	// not yet retired) — which traffic alone reaches only eventually.
+	var window [16][]byte
+	for i := range window {
+		window[i] = rpc.GetBuffer(256<<10 + 8)
+	}
+	for _, w := range window {
+		rpc.PutBuffer(w)
+	}
+	for i := 0; i < 64; i++ {
+		op(i)
+	}
+	const ops = 200
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < ops; i++ {
+		op(i)
+	}
+	runtime.ReadMemStats(&after)
+	if !bytes.Equal(got, data) {
+		t.Fatal("the last read did not return what was written")
+	}
+	bytesPerOp := float64(after.TotalAlloc-before.TotalAlloc) / ops
+	mallocsPerOp := float64(after.Mallocs-before.Mallocs) / ops
+	t.Logf("%.0f B and %.1f mallocs per 1 MiB op", bytesPerOp, mallocsPerOp)
+	if bytesPerOp > 1024 || mallocsPerOp > 12 {
+		t.Errorf("a 1 MiB op allocates %.0f B in %.1f objects, want at most 1024 B in 12", bytesPerOp, mallocsPerOp)
+	}
+	retained := servers[0].Metrics().Gauge("rpc.buffer.retained_bytes").Value()
+	if retained <= 0 || retained > rpc.BufferRetainMax {
+		t.Errorf("the pool retains %d bytes after the run, want within (0, %d]", retained, rpc.BufferRetainMax)
+	}
+	if hits := servers[0].Metrics().Gauge("rpc.buffer.hits").Value(); hits < 8*ops {
+		t.Errorf("rpc.buffer.hits = %d after %d ops of four chunks with four buffers each: recycling is not happening", hits, ops)
+	}
+}
+
+// TestMetricsMatchGolden pins the names the daemon's registry exports
+// against testdata/metrics.golden — the list `make obs-smoke` diffs a
+// real lmpd's /metrics against — so a renamed or missing metric fails
+// here too, where no socket is needed.
+func TestMetricsMatchGolden(t *testing.T) {
+	s, err := NewServer("srv0", 1<<20, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if err := telemetry.WritePrometheus(&out, s.Metrics()); err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, line := range strings.Split(out.String(), "\n") {
+		if line != "" && !strings.HasPrefix(line, "#") {
+			names = append(names, strings.Fields(line)[0])
+		}
+	}
+	sort.Strings(names)
+	golden, err := os.ReadFile("testdata/metrics.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Join(names, "\n") + "\n"; got != string(golden) {
+		t.Errorf("exported metric names:\n%swant (testdata/metrics.golden):\n%s", got, golden)
+	}
+}

@@ -130,9 +130,12 @@ func (n *Node) Resize(sharedBytes int64) error {
 	return nil
 }
 
+// checkRange bounds an access by the node's capacity without adding off
+// and length: an offset near MaxInt64 (one that came off the wire) would
+// wrap the sum negative and pass.
 func (n *Node) checkRange(off int64, length int) error {
-	if off < 0 || length < 0 || off+int64(length) > n.capacity {
-		return fmt.Errorf("%w: [%d,%d) of %d", ErrOutOfRange, off, off+int64(length), n.capacity)
+	if off < 0 || length < 0 || int64(length) > n.capacity-off {
+		return fmt.Errorf("%w: %d bytes at %d of %d", ErrOutOfRange, length, off, n.capacity)
 	}
 	return nil
 }

@@ -3,6 +3,7 @@ package memnode
 import (
 	"bytes"
 	"errors"
+	"math"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -93,6 +94,39 @@ func TestOutOfRange(t *testing.T) {
 	}
 	if err := n.ReadAt(make([]byte, 1), -1); !errors.Is(err, ErrOutOfRange) {
 		t.Fatalf("negative offset: %v", err)
+	}
+}
+
+// TestRangeCheckDoesNotOverflow walks the boundaries of checkRange. An
+// offset near MaxInt64 — the kind that arrives off the wire — must not
+// wrap off+len negative and slip through to an index panic in loadChunk.
+func TestRangeCheckDoesNotOverflow(t *testing.T) {
+	n := mustNode(t, 1000, 1000)
+	for _, tc := range []struct {
+		off  int64
+		len  int
+		fine bool
+	}{
+		{0, 0, true},
+		{0, 1000, true},
+		{999, 1, true},
+		{1000, 0, true},
+		{0, 1001, false},
+		{999, 2, false},
+		{1000, 1, false},
+		{1001, 0, false},
+		{math.MaxInt64 - 5, 10, false},
+		{math.MaxInt64, 1, false},
+		{math.MaxInt64, 0, false},
+		{math.MinInt64, 10, false},
+	} {
+		p := make([]byte, tc.len)
+		if err := n.ReadAt(p, tc.off); (err == nil) != tc.fine || (err != nil && !errors.Is(err, ErrOutOfRange)) {
+			t.Errorf("ReadAt(%d bytes, %d): %v, want in range = %t", tc.len, tc.off, err, tc.fine)
+		}
+		if err := n.WriteAt(p, tc.off); (err == nil) != tc.fine || (err != nil && !errors.Is(err, ErrOutOfRange)) {
+			t.Errorf("WriteAt(%d bytes, %d): %v, want in range = %t", tc.len, tc.off, err, tc.fine)
+		}
 	}
 }
 

@@ -23,7 +23,7 @@ import (
 
 const (
 	// batchEntryMax bounds the payload size eligible for batching; larger
-	// frames go out bare through writeFrame's two-write large path, which
+	// frames go out bare through writeFrame, whose vectored large path
 	// beats copying them into the assembly buffer.
 	batchEntryMax = 16 << 10
 	// maxBatchFrames bounds the sub-frame count of one batch.
@@ -40,6 +40,10 @@ type sendEntry struct {
 	budget  int64 // remaining deadline budget (ns); budget kinds only
 	sc      telemetry.SpanContext
 	payload []byte
+	// call is the server-side request a reply entry answers; retire
+	// releases its buffers once the entry has been written or dropped.
+	// Nil on the client's request path, whose buffers the future owns.
+	call *serverCall
 }
 
 // encodedLen is the entry's on-wire size inside a batch.
@@ -114,6 +118,24 @@ func (b *batcher) close() {
 	b.cond.Signal()
 	b.mu.Unlock()
 	<-b.exited
+	b.mu.Lock()
+	retire(b.q)
+	b.q = b.q[:0]
+	b.mu.Unlock()
+}
+
+// retire ends the batcher's hold on entries that have been written or
+// dropped: a server reply's request goes back to its pool, and every
+// slot forgets its payload so a drained queue pins no buffer.
+//
+//lmp:hotpath
+func retire(entries []sendEntry) {
+	for i := range entries {
+		if c := entries[i].call; c != nil {
+			c.release()
+		}
+		entries[i] = sendEntry{}
+	}
 }
 
 func (b *batcher) flushLoop() {
@@ -152,9 +174,12 @@ func (b *batcher) flushLoop() {
 		failed := b.failed
 		b.mu.Unlock()
 		if failed {
-			continue // drain and drop; the connection is gone
+			retire(b.local) // drain and drop; the connection is gone
+			continue
 		}
-		if err := b.writeBatch(b.local); err != nil {
+		err := b.writeBatch(b.local)
+		retire(b.local)
+		if err != nil {
 			b.mu.Lock()
 			first := !b.failed
 			b.failed = true

@@ -1,0 +1,161 @@
+// The payload buffer pool and the ownership rules of every buffer on the
+// wire path. Four buffers carry one call's payload; each has exactly one
+// owner at a time, and only that owner gives it back:
+//
+//  1. Server request buffer. readFrame fills it; the server owns it until
+//     the reply frame of that request has been written or dropped — not
+//     until the handler returns, because a handler may return (a slice
+//     of) its request as the reply. Handlers must not retain payload
+//     past return. A batch envelope is recycled as soon as its
+//     sub-frames have been copied out into buffers of their own.
+//  2. Server reply buffer. A handler that wants its reply recycled takes
+//     it from Server.ReplyBuffer, which ties it to the request; the
+//     server gives it back together with the request buffer. Whatever
+//     else a handler returns — its request, a static or shared slice —
+//     is sent and then left alone: a reply is never adopted because of
+//     what it looks like.
+//  3. Client reply buffer. readFrame fills it, the Future owns it, and
+//     the single waiter gives future and reply back with Future.Release
+//     once it has copied the bytes out. A reply nobody releases (the
+//     []byte Call and CallCtx return) is ordinary garbage and is never
+//     reused. Batched sub-replies are copied out of the envelope, so the
+//     same rule covers them.
+//  4. Client request buffer. The caller assembles it in a GetBuffer
+//     buffer and hands it to the future (Future.OwnRequest); Release
+//     recycles it only when the logical call resolved with a nil error.
+//     A successful reply proves the frame left the send queue; after a
+//     cancellation, MarkDead, a connection failure or Close the flusher
+//     may still hold the queued frame, so on any error the buffer is
+//     left to the collector. A wrapper that re-sends a payload after the
+//     call it belongs to has succeeded must send a copy.
+//
+// Under the race detector every buffer is overwritten when it is put
+// back (see bufpool_race.go), so a use after release shows up as wrong
+// bytes in the ownership tests rather than as a rare corruption.
+package rpc
+
+import (
+	"math/bits"
+	"sync"
+	"sync/atomic"
+)
+
+const (
+	// bufSlack is what a size class holds beyond its power of two: room
+	// for the headers that ride in front of a power-of-two payload (the
+	// daemon's 8-byte write offset, the 24-byte budget+trace prefix), so
+	// a 256 KiB + 8 B request does not land in a 512 KiB buffer.
+	bufSlack = 64
+	// Size classes are 2^k + bufSlack for k in [minBufShift, maxBufShift]:
+	// 128 B up to MaxPayload + 64 B.
+	minBufShift   = 6
+	maxBufShift   = 24
+	numBufClasses = maxBufShift - minBufShift + 1
+	// bufClassSlots bounds the free buffers one class keeps. The bulk
+	// path's in-flight window is 2 callers x 4 chunks x {client, server}
+	// = 16 buffers of one class; small classes see a batch's worth.
+	bufClassSlots = 32
+
+	// BufferRetainMax bounds the bytes the pool keeps across all classes
+	// (free buffers only; a buffer in use belongs to its owner). 8 MiB
+	// covers the bulk window above (16 x 256 KiB) twice over; a put that
+	// would exceed it drops the buffer to the collector instead.
+	BufferRetainMax = 8 << 20
+)
+
+// bufClass is one size class: a bounded stack of free buffers.
+type bufClass struct {
+	mu   sync.Mutex
+	n    int
+	free [bufClassSlots][]byte
+}
+
+// bufPool is the process-wide pool. A package-level value like the
+// sync.Pools beside it: both ends of a connection, and every connection
+// of the process, draw from one bounded reserve.
+var bufPool struct {
+	classes  [numBufClasses]bufClass
+	retained atomic.Int64 // bytes held in free slots
+	hits     atomic.Uint64
+	misses   atomic.Uint64
+}
+
+// emptyBuf backs every zero-length buffer: non-nil, and with no capacity
+// to recycle.
+var emptyBuf [0]byte
+
+// bufClassOf returns the index of the smallest class that holds n bytes.
+func bufClassOf(n int) int {
+	if n <= 1<<minBufShift+bufSlack {
+		return 0
+	}
+	return bits.Len(uint(n-bufSlack-1)) - minBufShift
+}
+
+// GetBuffer returns a buffer of length n whose contents are unspecified.
+// Up to MaxPayload it comes from the pool (or is allocated at its class's
+// capacity, so that PutBuffer can keep it); larger sizes never enter the
+// pool. The caller owns the buffer and passes it on or gives it back
+// under the rules at the top of this file.
+//
+//lmp:hotpath
+func GetBuffer(n int) []byte {
+	if n == 0 {
+		return emptyBuf[:]
+	}
+	if n > MaxPayload {
+		return allocBuffer(n, n)
+	}
+	ci := bufClassOf(n)
+	c := &bufPool.classes[ci]
+	c.mu.Lock()
+	if c.n == 0 {
+		c.mu.Unlock()
+		bufPool.misses.Add(1)
+		return allocBuffer(n, 1<<(ci+minBufShift)+bufSlack)
+	}
+	c.n--
+	b := c.free[c.n]
+	c.free[c.n] = nil
+	c.mu.Unlock()
+	bufPool.retained.Add(-int64(cap(b)))
+	bufPool.hits.Add(1)
+	return b[:n]
+}
+
+// allocBuffer is GetBuffer's miss path.
+//
+//lmp:coldpath
+func allocBuffer(n, capacity int) []byte {
+	return make([]byte, n, capacity)
+}
+
+// PutBuffer gives b back. Only a buffer whose capacity is exactly a size
+// class is kept — anything else (nil, an oversized buffer, a slice that
+// never came from GetBuffer) is left to the collector — and only while
+// the class has a free slot and the pool is under BufferRetainMax. The
+// caller must own b and must not touch it afterwards.
+//
+//lmp:hotpath
+func PutBuffer(b []byte) {
+	k := cap(b) - bufSlack
+	if k < 1<<minBufShift || k > 1<<maxBufShift || k&(k-1) != 0 {
+		return
+	}
+	b = b[:cap(b)]
+	poison(b)
+	if bufPool.retained.Add(int64(len(b))) > BufferRetainMax {
+		bufPool.retained.Add(-int64(len(b)))
+		return
+	}
+	c := &bufPool.classes[bits.TrailingZeros(uint(k))-minBufShift]
+	c.mu.Lock()
+	if c.n == bufClassSlots {
+		c.mu.Unlock()
+		bufPool.retained.Add(-int64(len(b)))
+		return
+	}
+	c.free[c.n] = b
+	c.n++
+	c.mu.Unlock()
+}

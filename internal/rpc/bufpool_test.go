@@ -1,0 +1,164 @@
+package rpc
+
+import (
+	"bytes"
+	"testing"
+)
+
+// drainBufPool empties every class, so a test that counts hits, misses
+// or retained bytes starts from a known pool.
+func drainBufPool() {
+	for i := range bufPool.classes {
+		c := &bufPool.classes[i]
+		c.mu.Lock()
+		for c.n > 0 {
+			c.n--
+			bufPool.retained.Add(-int64(cap(c.free[c.n])))
+			c.free[c.n] = nil
+		}
+		c.mu.Unlock()
+	}
+}
+
+// TestBufferClassesFitHeaders pins the class geometry: a power-of-two
+// payload plus the headers that ride in front of it (8-byte write offset,
+// 24-byte budget+trace prefix) stays in the class of that power of two —
+// it does not round up to the next one — and every size maps to the
+// smallest class that holds it.
+func TestBufferClassesFitHeaders(t *testing.T) {
+	for k := minBufShift; k <= maxBufShift; k++ {
+		for _, hdr := range []int{0, 8, 12, 8 + 24, bufSlack} {
+			n := 1<<k + hdr
+			if n > MaxPayload {
+				continue
+			}
+			want := 1<<minBufShift + bufSlack // the smallest class that holds n
+			for want < n {
+				want = (want-bufSlack)<<1 + bufSlack
+			}
+			b := GetBuffer(n)
+			if len(b) != n || cap(b) != want || want > 1<<k+bufSlack {
+				t.Errorf("GetBuffer(2^%d+%d): len %d cap %d, want len %d cap %d", k, hdr, len(b), cap(b), n, want)
+			}
+		}
+		if n := 1<<k + bufSlack + 1; n <= MaxPayload {
+			if b := GetBuffer(n); cap(b) != 1<<(k+1)+bufSlack {
+				t.Errorf("GetBuffer(2^%d+%d): cap %d, want the next class", k, bufSlack+1, cap(b))
+			}
+		}
+	}
+	if b := GetBuffer(1); cap(b) != 1<<minBufShift+bufSlack {
+		t.Errorf("GetBuffer(1): cap %d, want the smallest class", cap(b))
+	}
+	if b := GetBuffer(0); b == nil || len(b) != 0 || cap(b) != 0 {
+		t.Errorf("GetBuffer(0) = %v (cap %d), want an empty non-nil slice that cannot be recycled", b, cap(b))
+	}
+}
+
+// TestBufferPoolRecyclesOnlyItsOwn: a buffer that came from GetBuffer
+// comes back on the next get of its class; nothing else is ever kept —
+// not a slice of foreign capacity, not a size above MaxPayload.
+func TestBufferPoolRecyclesOnlyItsOwn(t *testing.T) {
+	drainBufPool()
+	defer drainBufPool()
+
+	b := GetBuffer(1000)
+	PutBuffer(b)
+	if got := bufPool.retained.Load(); got != int64(cap(b)) {
+		t.Fatalf("retained %d after one put, want %d", got, cap(b))
+	}
+	if again := GetBuffer(900); &again[0] != &b[0] {
+		t.Error("a put buffer was not handed out again by the next get of its class")
+	}
+	if got := bufPool.retained.Load(); got != 0 {
+		t.Fatalf("retained %d with every buffer out, want 0", got)
+	}
+
+	PutBuffer(nil)
+	PutBuffer(make([]byte, 1000))           // not a class capacity
+	PutBuffer(make([]byte, 1<<10))          // a bare power of two is not one either
+	PutBuffer(GetBuffer(MaxPayload + 1))    // oversized: allocated exactly, never kept
+	PutBuffer(make([]byte, 1<<25+bufSlack)) // class-shaped but past the largest class
+	if got := bufPool.retained.Load(); got != 0 {
+		t.Errorf("retained %d after putting only foreign buffers, want 0", got)
+	}
+	if b := GetBuffer(MaxPayload + 1); cap(b) != MaxPayload+1 {
+		t.Errorf("GetBuffer(MaxPayload+1): cap %d, want an exact allocation", cap(b))
+	}
+}
+
+// TestBufferPoolBounded: whatever is put, the pool keeps at most
+// bufClassSlots buffers per class and BufferRetainMax bytes in total.
+func TestBufferPoolBounded(t *testing.T) {
+	drainBufPool()
+	defer drainBufPool()
+
+	small := make([][]byte, 2*bufClassSlots)
+	for i := range small {
+		small[i] = GetBuffer(100)
+	}
+	for _, b := range small {
+		PutBuffer(b)
+	}
+	if got, want := bufPool.retained.Load(), int64(bufClassSlots*cap(small[0])); got != want {
+		t.Errorf("retained %d after %d puts into one class, want %d (%d slots)", got, len(small), want, bufClassSlots)
+	}
+	drainBufPool()
+
+	// 1 MiB buffers: the byte bound bites before the slot bound.
+	big := make([][]byte, 16)
+	for i := range big {
+		big[i] = GetBuffer(1 << 20)
+	}
+	for _, b := range big {
+		PutBuffer(b)
+	}
+	got := bufPool.retained.Load()
+	if got > BufferRetainMax {
+		t.Errorf("retained %d bytes, above BufferRetainMax %d", got, BufferRetainMax)
+	}
+	if want := int64(BufferRetainMax / cap(big[0]) * cap(big[0])); got != want {
+		t.Errorf("retained %d bytes of 1 MiB buffers, want %d (as many as fit the bound)", got, want)
+	}
+}
+
+// TestBufferPoolHitAllocFree: a get that hits and the put that follows
+// allocate nothing — no boxed slice header, no node.
+func TestBufferPoolHitAllocFree(t *testing.T) {
+	for _, n := range []int{12, 72, 4096, 256<<10 + 8} {
+		PutBuffer(GetBuffer(n)) // warm the class
+		if a := testing.AllocsPerRun(100, func() { PutBuffer(GetBuffer(n)) }); a != 0 {
+			t.Errorf("GetBuffer(%d)+PutBuffer allocate %.1f per pair, want 0", n, a)
+		}
+	}
+}
+
+// TestReadFramePooledErrors: readFrame takes its buffers from the pool
+// and, on every failure, gives them back instead of returning a short
+// slice.
+func TestReadFramePooledErrors(t *testing.T) {
+	drainBufPool()
+	defer drainBufPool()
+	var w bytes.Buffer
+	if err := writeFrame(&w, &sendEntry{kind: kindRequest, method: 1, id: 1, payload: make([]byte, 5000)}); err != nil {
+		t.Fatal(err)
+	}
+	frame := w.Bytes()
+	for cut := 0; cut < len(frame); cut += 97 {
+		_, payload, err := readFrame(bytes.NewReader(frame[:cut]))
+		if err == nil || payload != nil {
+			t.Fatalf("truncated at %d: err %v, payload of %d bytes", cut, err, len(payload))
+		}
+	}
+	over := append([]byte(nil), frame[:frameHeaderLen]...)
+	over[10], over[11], over[12], over[13] = 0xFF, 0xFF, 0xFF, 0xFF
+	if _, payload, err := readFrame(bytes.NewReader(over)); err == nil || payload != nil {
+		t.Fatalf("over-long frame: err %v, payload of %d bytes", err, len(payload))
+	}
+	// Every buffer those reads took is back, once: the header buffer and
+	// the 5000-byte payload's (8 KiB class), reused from attempt to attempt.
+	want := int64(1<<minBufShift+bufSlack) + int64(8<<10+bufSlack)
+	if got := bufPool.retained.Load(); got != want {
+		t.Errorf("retained %d after failed reads, want %d: a failed read leaked or double-put a buffer", got, want)
+	}
+}

@@ -13,11 +13,19 @@ import (
 // Future is one in-flight logical call. Exactly one goroutine may wait
 // on a Future (Wait/WaitCtx); after the first wait returns, further
 // waits return the same cached result. Futures returned by CallAsync are
-// owned by the caller; the blocking Call path recycles its futures
+// owned by the caller, who may hand one back with Release once it is
+// done with the result; the blocking Call path recycles its futures
 // internally.
 type Future struct {
 	c  *Client
 	id uint64
+
+	// The pooled buffers that ride with the call (bufpool.go, rules 3 and
+	// 4): reply is the buffer readFrame filled, set by whoever completes
+	// the future; req is the caller's request buffer, set by OwnRequest.
+	// Release is the only reader of both.
+	reply []byte
+	req   []byte
 
 	// done carries the completion signal as a buffered send (not a
 	// close), so pooled futures are reusable without reallocating the
@@ -35,8 +43,9 @@ type Future struct {
 	resolved bool
 }
 
-// futurePool recycles the blocking-shim futures so Call stays
-// allocation-free on the batched send path.
+// futurePool recycles a client's futures — the blocking shim's and the
+// released async ones — so a call allocates no future in the steady
+// state. A future nobody releases is collected like any other object.
 var futurePool = sync.Pool{New: func() any {
 	return &Future{done: make(chan struct{}, 1)}
 }}
@@ -47,15 +56,46 @@ func getFuture(c *Client) *Future {
 	return f
 }
 
+// putFuture recycles a resolved future. Its buffers are not its
+// business: the caller has released them or passed them on.
 func putFuture(f *Future) {
-	f.c, f.id, f.payload, f.err, f.then, f.resolved = nil, 0, nil, nil, nil, false
+	*f = Future{done: f.done}
 	futurePool.Put(f)
 }
 
-// newFuture builds a caller-owned future bound to c (nil for detached
-// futures such as ResolvedFuture's).
-func newFuture(c *Client) *Future {
-	return &Future{c: c, done: make(chan struct{}, 1)}
+// OwnRequest hands the future the GetBuffer buffer the call's request
+// was assembled in: Release gives it back if — and only if — the call
+// succeeded (bufpool.go, rule 4). Like Then it must be called before the
+// future is handed to its waiter.
+func (f *Future) OwnRequest(req []byte) *Future {
+	f.req = req
+	return f
+}
+
+// Release gives a resolved future back, with the reply buffer it owns
+// and, when the call resolved with a nil error, its request buffer. The
+// single waiter calls it at most once, after Wait or WaitCtx has
+// returned and the reply bytes have been copied out; neither the future
+// nor the payload it returned may be touched afterwards. Detached futures
+// (ResolvedFuture, SpawnFuture) and futures never waited on release as
+// no-ops and are left to the collector.
+//
+//lmp:hotpath
+func (f *Future) Release() {
+	if f.c == nil || !f.resolved {
+		return
+	}
+	if f.err == nil {
+		PutBuffer(f.req)
+	}
+	PutBuffer(f.reply)
+	putFuture(f)
+}
+
+// newFuture builds a detached future (ResolvedFuture's, SpawnFuture's):
+// no client, nothing to withdraw, nothing to release.
+func newFuture() *Future {
+	return &Future{done: make(chan struct{}, 1)}
 }
 
 // complete resolves the future. It must be called exactly once per
@@ -141,7 +181,7 @@ func (f *Future) Then(fn func([]byte, error) ([]byte, error)) *Future {
 // ResolvedFuture returns an already-completed detached future — the
 // async analogue of returning (payload, err) directly.
 func ResolvedFuture(payload []byte, err error) *Future {
-	f := newFuture(nil)
+	f := newFuture()
 	f.complete(payload, err)
 	return f
 }
@@ -149,7 +189,7 @@ func ResolvedFuture(payload []byte, err error) *Future {
 // SpawnFuture runs fn in its own goroutine and returns a future for its
 // result: the adapter from any blocking Caller to the async surface.
 func SpawnFuture(fn func() ([]byte, error)) *Future {
-	f := newFuture(nil)
+	f := newFuture()
 	go func() {
 		f.complete(fn())
 	}()

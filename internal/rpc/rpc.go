@@ -8,6 +8,13 @@
 // while a write is in flight coalesce into one batch frame (see
 // batcher.go); the receiver fans the sub-frames back out by tag.
 //
+// Payload buffers are recycled, not allocated per call: the request and
+// the reply, on the client and on the server, come from one bounded pool
+// and each has exactly one owner at a time — bufpool.go states who owns
+// which buffer until when, and who gives it back. Handlers must not
+// retain their payload; a caller that wants its future and buffers back
+// in the pool calls Future.Release when it is done with the result.
+//
 // Wire format: see frame.go. Error payloads carry a code byte naming the
 // sentinel the handler error wrapped (ErrServerDead, ErrTransient), so
 // errors.Is classification survives the wire instead of degrading to a
@@ -38,7 +45,9 @@ var ErrClosed = errors.New("rpc: closed")
 
 // Handler serves one method: it receives the request payload and returns
 // the response payload. A returned error is delivered to the caller as a
-// string.
+// string. payload belongs to the server and is recycled after the reply
+// has been written: a handler may return it (or any other slice) as the
+// reply, but must not keep it past its return.
 type Handler func(payload []byte) ([]byte, error)
 
 // Server dispatches incoming requests to registered handlers.
@@ -49,10 +58,17 @@ type Server struct {
 	tracer   *telemetry.Tracer
 	reqCount *telemetry.Counter
 	errCount *telemetry.Counter
+	bufStats *bufferGauges
 	ln       net.Listener
 	conns    map[net.Conn]struct{}
 	closed   bool
 	wg       sync.WaitGroup
+
+	// inflight finds the request a handler is serving from the payload
+	// it was handed (keyed by the payload's first byte), which is how
+	// ReplyBuffer ties a reply buffer to its request. An entry lives from
+	// dispatch until the handler returns.
+	inflight map[*byte]*serverCall
 
 	calls   [256]atomic.Uint64
 	errs    [256]atomic.Uint64
@@ -68,6 +84,7 @@ func NewServer() *Server {
 	return &Server{
 		handlers: make(map[byte]Handler),
 		conns:    make(map[net.Conn]struct{}),
+		inflight: make(map[*byte]*serverCall),
 	}
 }
 
@@ -97,12 +114,31 @@ func (s *Server) SetTracer(t *telemetry.Tracer) {
 }
 
 // SetRegistry mirrors request and error totals into reg as the counters
-// "rpc.requests" and "rpc.errors" (per-method detail stays in Stats).
+// "rpc.requests" and "rpc.errors" (per-method detail stays in Stats),
+// and the process-wide buffer pool's hits, misses and retained bytes as
+// the gauges "rpc.buffer.*", refreshed as each request's buffers go
+// back — so a scrape shows whether recycling works in this deployment.
 func (s *Server) SetRegistry(reg *telemetry.Registry) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.reqCount = reg.Counter("rpc.requests")
 	s.errCount = reg.Counter("rpc.errors")
+	s.bufStats = &bufferGauges{
+		hits:     reg.Gauge("rpc.buffer.hits"),
+		misses:   reg.Gauge("rpc.buffer.misses"),
+		retained: reg.Gauge("rpc.buffer.retained_bytes"),
+	}
+}
+
+// bufferGauges is the registry's view of the buffer pool.
+type bufferGauges struct {
+	hits, misses, retained *telemetry.Gauge
+}
+
+func (g *bufferGauges) refresh() {
+	g.hits.Set(int64(bufPool.hits.Load()))
+	g.misses.Set(int64(bufPool.misses.Load()))
+	g.retained.Set(bufPool.retained.Load())
 }
 
 // MethodStats is one method's dispatch totals.
@@ -188,6 +224,14 @@ func (s *Server) serveConn(conn net.Conn) {
 		delete(s.conns, conn)
 		s.mu.Unlock()
 	}()
+	// A batched sub-frame's payload aliases the envelope, which goes back
+	// to the pool right after the walk: dispatch copies it out.
+	visit := func(sh frameHeader, sub []byte) error {
+		if !s.dispatch(sh, sub, false, out) {
+			return fmt.Errorf("rpc: bad sub-frame kind %d", sh.kind)
+		}
+		return nil
+	}
 	for {
 		h, payload, err := readFrame(conn)
 		if err != nil {
@@ -200,88 +244,190 @@ func (s *Server) serveConn(conn net.Conn) {
 			continue
 		}
 		s.batches.Add(1)
-		err = decodeBatch(payload, h.id, func(sh frameHeader, sub []byte) error {
-			if !s.dispatch(sh, sub, false, out) {
-				return fmt.Errorf("rpc: bad sub-frame kind %d", sh.kind)
-			}
-			return nil
-		})
+		err = decodeBatch(payload, h.id, visit)
+		PutBuffer(payload)
 		if err != nil {
 			return // protocol violation
 		}
 	}
 }
 
+// serverCall is one request's state from dispatch until its reply frame
+// has been written or dropped. It is pooled: dispatch fills one, its run
+// method is the request's goroutine, and the reply batcher releases it.
+type serverCall struct {
+	s   *Server
+	out *batcher
+
+	method  byte
+	id      uint64
+	budget  int64
+	arrived time.Time
+	sc      telemetry.SpanContext
+
+	handler  Handler
+	name     string
+	tracer   *telemetry.Tracer
+	errCount *telemetry.Counter
+	bufStats *bufferGauges
+
+	// start is c.run bound once, when the struct is first made: `go
+	// c.run()` would allocate that closure per request.
+	start func()
+
+	// buf is the pooled request buffer (bufpool.go, rule 1), payload the
+	// handler's view of it behind the metadata prefix; reply is the
+	// buffer the handler took from ReplyBuffer, if it did (rule 2).
+	buf     []byte
+	payload []byte
+	reply   []byte
+}
+
+// serverCallPool has no New: run releases into the pool, so a New that
+// binds run would be an initialization cycle. dispatch makes the misses.
+var serverCallPool sync.Pool
+
 // dispatch validates one request frame (bare or batched) and runs its
 // handler in a goroutine, queueing the reply on out. It returns false on
 // a protocol violation (non-request kind, payload shorter than the
-// kind's metadata prefix). owned says the payload buffer belongs to this
-// frame; a batched sub-frame's payload aliases the envelope buffer and
-// must be copied before the handler goroutine outlives the read loop's
-// iteration.
-func (s *Server) dispatch(h frameHeader, payload []byte, owned bool, out *batcher) bool {
-	budget, sc, payload, ok := decodePrefix(h.kind, payload)
+// kind's metadata prefix). owned says frame is a readFrame buffer that
+// now belongs to this request; a batched sub-frame aliases the envelope
+// and is copied into a buffer of its own.
+func (s *Server) dispatch(h frameHeader, frame []byte, owned bool, out *batcher) bool {
+	budget, sc, payload, ok := decodePrefix(h.kind, frame)
 	if !ok {
+		if owned {
+			PutBuffer(frame)
+		}
 		return false
 	}
-	var arrived time.Time
+	c, _ := serverCallPool.Get().(*serverCall)
+	if c == nil {
+		c = new(serverCall)
+		c.start = c.run
+	}
+	c.s, c.out = s, out
+	c.method, c.id, c.budget, c.sc = h.method, h.id, budget, sc
 	if budget != 0 {
-		arrived = time.Now()
+		c.arrived = time.Now()
+	}
+	if owned {
+		c.buf, c.payload = frame, payload
+	} else {
+		c.buf = GetBuffer(len(payload))
+		copy(c.buf, payload)
+		c.payload = c.buf
 	}
 	s.mu.Lock()
-	handler := s.handlers[h.method]
-	name := s.names[h.method]
-	tracer := s.tracer
-	reqCount, errCount := s.reqCount, s.errCount
+	c.handler = s.handlers[h.method]
+	c.name = s.names[h.method]
+	c.tracer = s.tracer
+	reqCount := s.reqCount
+	c.errCount, c.bufStats = s.errCount, s.bufStats
+	if len(c.payload) > 0 {
+		s.inflight[&c.payload[0]] = c
+	}
 	s.mu.Unlock()
 	s.calls[h.method].Add(1)
 	if reqCount != nil {
 		reqCount.Inc()
 	}
-	if !owned {
-		payload = append([]byte(nil), payload...)
-	}
 	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		var sp telemetry.Span
-		if tracer != nil {
-			if name == "" {
-				name = "rpc.request"
-			}
-			sp = tracer.Begin(sc, name)
-		}
-		var resp []byte
-		var herr error
-		switch {
-		case budget != 0 && (budget <= 0 || time.Since(arrived).Nanoseconds() >= budget):
-			// The propagated deadline budget was spent before this request
-			// reached dispatch (queueing behind slow peers or a long accept
-			// backlog): reject without running the handler, so an overloaded
-			// server stops burning work the caller has already given up on.
-			herr = errBudgetSpent
-		case handler == nil:
-			herr = fmt.Errorf("rpc: no handler for method %d", h.method)
-		default:
-			resp, herr = handler(payload)
-		}
-		kind := byte(kindResponse)
-		if herr != nil {
-			kind = kindError
-			resp = encodeErrorPayload(herr)
-			s.errs[h.method].Add(1)
-			if errCount != nil {
-				errCount.Inc()
-			}
-		}
-		if tracer != nil {
-			sp.Bytes = len(resp)
-			sp.Err = herr != nil
-			tracer.End(&sp)
-		}
-		_ = out.enqueue(sendEntry{kind: kind, method: h.method, id: h.id, payload: resp})
-	}()
+	go c.start()
 	return true
+}
+
+// run is one request's goroutine: budget check, handler, reply enqueue.
+// After the enqueue the call belongs to the reply batcher.
+func (c *serverCall) run() {
+	s := c.s
+	defer s.wg.Done()
+	var sp telemetry.Span
+	if c.tracer != nil {
+		name := c.name
+		if name == "" {
+			name = "rpc.request"
+		}
+		sp = c.tracer.Begin(c.sc, name)
+	}
+	var resp []byte
+	var herr error
+	switch {
+	case c.budget != 0 && (c.budget <= 0 || time.Since(c.arrived).Nanoseconds() >= c.budget):
+		// The propagated deadline budget was spent before this request
+		// reached dispatch (queueing behind slow peers or a long accept
+		// backlog): reject without running the handler, so an overloaded
+		// server stops burning work the caller has already given up on.
+		herr = errBudgetSpent
+	case c.handler == nil:
+		herr = fmt.Errorf("rpc: no handler for method %d", c.method)
+	default:
+		resp, herr = c.handler(c.payload)
+		if herr == nil && len(resp) > MaxPayload {
+			// A reply the codec cannot frame fails this call, not the
+			// connection and every call pipelined behind it.
+			herr = fmt.Errorf("rpc: reply of %d bytes exceeds max %d", len(resp), MaxPayload)
+		}
+	}
+	if len(c.payload) > 0 {
+		s.mu.Lock()
+		delete(s.inflight, &c.payload[0])
+		s.mu.Unlock()
+	}
+	kind := byte(kindResponse)
+	if herr != nil {
+		kind = kindError
+		resp = encodeErrorPayload(herr)
+		s.errs[c.method].Add(1)
+		if c.errCount != nil {
+			c.errCount.Inc()
+		}
+	}
+	if c.tracer != nil {
+		sp.Bytes = len(resp)
+		sp.Err = herr != nil
+		c.tracer.End(&sp)
+	}
+	if c.out.enqueue(sendEntry{kind: kind, method: c.method, id: c.id, payload: resp, call: c}) != nil {
+		c.release() // the connection is gone; the reply is dropped here
+	}
+}
+
+// release gives the request's buffers and the call itself back. It runs
+// once, when the reply frame has been written or dropped: until then the
+// reply may alias the request buffer (an echo handler returns it) or be
+// the ReplyBuffer buffer.
+//
+//lmp:hotpath
+func (c *serverCall) release() {
+	PutBuffer(c.buf)
+	PutBuffer(c.reply)
+	if g := c.bufStats; g != nil {
+		g.refresh()
+	}
+	*c = serverCall{start: c.start}
+	serverCallPool.Put(c)
+}
+
+// ReplyBuffer returns a pooled buffer of length n for the reply to the
+// request whose payload req a handler is serving, to be filled and
+// returned (whole or resliced) by that handler. The server gives it back
+// once the reply frame has been written, or when the handler fails
+// instead. It is the only way a reply gets recycled: anything else a
+// handler returns is sent and left alone. One buffer per request — a
+// second call, or an empty or resliced req, gets an ordinary allocation
+// that is never reused.
+func (s *Server) ReplyBuffer(req []byte, n int) []byte {
+	if len(req) > 0 {
+		s.mu.Lock()
+		c := s.inflight[&req[0]]
+		s.mu.Unlock()
+		if c != nil && c.reply == nil {
+			c.reply = GetBuffer(n)
+			return c.reply
+		}
+	}
+	return make([]byte, n)
 }
 
 // Close stops the listener and all connections, waiting for in-flight
@@ -389,6 +535,15 @@ func (c *Client) sendFailed(err error) {
 }
 
 func (c *Client) readLoop() {
+	deliverSub := func(sh frameHeader, sub []byte) error {
+		switch sh.kind {
+		case kindResponse, kindError:
+			c.deliver(sh, sub, false)
+			return nil
+		default:
+			return fmt.Errorf("rpc: bad batched reply kind %d", sh.kind)
+		}
+	}
 	for {
 		h, payload, err := readFrame(c.conn)
 		if err != nil {
@@ -397,17 +552,10 @@ func (c *Client) readLoop() {
 		}
 		switch h.kind {
 		case kindResponse, kindError:
-			c.deliver(h, payload)
+			c.deliver(h, payload, true)
 		case kindBatch:
-			err := decodeBatch(payload, h.id, func(sh frameHeader, sub []byte) error {
-				switch sh.kind {
-				case kindResponse, kindError:
-					c.deliver(sh, sub)
-					return nil
-				default:
-					return fmt.Errorf("rpc: bad batched reply kind %d", sh.kind)
-				}
-			})
+			err := decodeBatch(payload, h.id, deliverSub)
+			PutBuffer(payload)
 			if err != nil {
 				c.failAll(fmt.Errorf("rpc: bad batch frame: %w", err))
 				c.conn.Close()
@@ -416,6 +564,7 @@ func (c *Client) readLoop() {
 		default:
 			// Unknown top-level kind: fail the addressed call (if any);
 			// the stream itself is still framed, so keep reading.
+			PutBuffer(payload)
 			if f := c.takePending(h.id); f != nil {
 				f.complete(nil, fmt.Errorf("rpc: bad frame kind %d", h.kind))
 			}
@@ -425,19 +574,28 @@ func (c *Client) readLoop() {
 
 // deliver resolves the future registered under h.id, if it is still
 // pending (a cancelled or failed call leaves a stale id behind; its late
-// reply is dropped here). Response payloads may alias a batch envelope
-// buffer owned by the read loop until the next readFrame; waiters get
-// the bytes before that, because complete happens-before Wait returns,
-// and the buffer is not recycled.
-func (c *Client) deliver(h frameHeader, payload []byte) {
+// reply is dropped here). owned says payload is a readFrame buffer this
+// call now disposes of: a response hands it to the future (bufpool.go,
+// rule 3), an error or a stale reply puts it straight back. A batched
+// sub-reply aliases the envelope the read loop recycles after the walk,
+// so a response is first copied into a pooled buffer of its own.
+func (c *Client) deliver(h frameHeader, payload []byte, owned bool) {
 	f := c.takePending(h.id)
-	if f == nil {
-		return // stale or duplicate reply
-	}
-	if h.kind == kindResponse {
+	if f != nil && h.kind == kindResponse {
+		if !owned {
+			sub := payload
+			payload = GetBuffer(len(sub))
+			copy(payload, sub)
+		}
+		f.reply = payload
 		f.complete(payload, nil)
-	} else {
+		return
+	}
+	if f != nil {
 		f.complete(nil, decodeRemoteError(h.method, payload))
+	}
+	if owned {
+		PutBuffer(payload)
 	}
 }
 
@@ -516,7 +674,7 @@ func (c *Client) CallCtx(ctx context.Context, method byte, payload []byte) ([]by
 	f := getFuture(c)
 	c.startCall(ctx, method, payload, f)
 	p, err := f.WaitCtx(ctx)
-	putFuture(f)
+	putFuture(f) // the reply buffer leaves with p: garbage, never reused
 	return p, err
 }
 
@@ -528,9 +686,9 @@ func (c *Client) CallAsync(method byte, payload []byte) *Future {
 // CallAsyncCtx is CallAsync with a context: the span identity (if any)
 // rides with the request, and the returned future's WaitCtx honours the
 // same context. The future is owned by the caller and must be waited on
-// by exactly one goroutine.
+// by exactly one goroutine, which may then Release it.
 func (c *Client) CallAsyncCtx(ctx context.Context, method byte, payload []byte) *Future {
-	f := newFuture(c)
+	f := getFuture(c)
 	c.startCall(ctx, method, payload, f)
 	return f
 }

@@ -138,3 +138,87 @@ func runWithdrawalStress(t *testing.T, seed int64, echoed, cancelled *atomic.Int
 		time.Sleep(time.Millisecond)
 	}
 }
+
+// TestWithdrawnWritesStoreWholeBlocks is the request-buffer half of the
+// withdrawal race (bufpool.go, rule 4; wall (b)): callers assemble
+// self-describing blocks in pooled request buffers, the way
+// daemon.Client.WriteAsync does, and their contexts are cancelled at
+// seeded moments — a third of them straight after the issue, while the
+// frame still sits in the send queue, a third from a timer around the
+// round trip. Every future is released whatever its outcome. A request
+// buffer recycled after a withdrawn call would be refilled by the
+// caller's next write while the flusher still sends the old frame from
+// it, so the store would see a torn block or the same block twice; it
+// must only ever see whole blocks, each once.
+func TestWithdrawnWritesStoreWholeBlocks(t *testing.T) {
+	const callers, writes = 4, 400
+	var broken, dup atomic.Int64
+	var mu sync.Mutex
+	seen := make(map[[2]uint64]bool)
+	s := NewServer()
+	s.Handle(methEcho, func(p []byte) ([]byte, error) {
+		caller, seq, err := checkBlock(p)
+		if err != nil {
+			broken.Add(1)
+			return nil, err
+		}
+		mu.Lock()
+		if seen[[2]uint64{caller, seq}] {
+			dup.Add(1)
+		}
+		seen[[2]uint64{caller, seq}] = true
+		mu.Unlock()
+		return nil, nil
+	})
+	addr, err := s.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	var stored, cancelled atomic.Int64
+	var wg sync.WaitGroup
+	for caller := uint64(0); caller < callers; caller++ {
+		wg.Add(1)
+		go func(caller uint64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(caller) + 1))
+			for seq := uint64(0); seq < writes; seq++ {
+				ctx, cancel := context.WithCancel(context.Background())
+				f := issueBlock(c, ctx, blockSizes[rng.Intn(len(blockSizes))], caller, seq)
+				switch rng.Intn(3) {
+				case 0:
+					cancel()
+				case 1:
+					time.AfterFunc(time.Duration(rng.Int63n(int64(300*time.Microsecond))), cancel)
+				}
+				_, err := f.WaitCtx(ctx)
+				switch {
+				case err == nil:
+					stored.Add(1)
+				case ctx.Err() != nil && errors.Is(err, ctx.Err()):
+					cancelled.Add(1)
+				default:
+					t.Errorf("caller %d seq %d: %v (ctx.Err() = %v)", caller, seq, err, ctx.Err())
+				}
+				f.Release()
+				cancel()
+			}
+		}(caller)
+	}
+	wg.Wait()
+	if stored.Load() == 0 || cancelled.Load() == 0 {
+		t.Fatalf("degenerate run: %d stored, %d cancelled", stored.Load(), cancelled.Load())
+	}
+	if b, d := broken.Load(), dup.Load(); b != 0 || d != 0 {
+		t.Errorf("the store was handed %d broken blocks and %d blocks twice", b, d)
+	}
+	if st := c.Stats(); st.Pending != 0 || st.Started != st.Completed {
+		t.Errorf("after every call resolved: pending=%d started=%d completed=%d", st.Pending, st.Started, st.Completed)
+	}
+}
