@@ -10,7 +10,7 @@ CHAOS_SEEDS ?= 50
 FUZZTIME ?= 30s
 FLAKE_COUNT ?= 5
 
-.PHONY: all build test race bench bench-build bench-smoke vet lint lint-fixtures govulncheck examples chaos flake fuzz-smoke obs-smoke audit
+.PHONY: all build test race bench bench-build bench-smoke vet lint lint-fixtures govulncheck examples chaos flake fuzz-smoke obs-smoke audit cross
 
 # Pinned govulncheck version: reproducible scans, no surprise tool updates.
 GOVULNCHECK_VERSION ?= v1.1.3
@@ -50,7 +50,7 @@ lint-fixtures:
 # test, so the page cache and write combiner run under -race on every
 # gate). Perf is measured separately, by the repo benchmark: see
 # bench/README.md for the protocol a claim has to follow.
-race: lint lint-fixtures bench-build
+race: lint lint-fixtures bench-build cross
 	$(GO) test -race -shuffle=on ./...
 	$(MAKE) chaos
 	$(MAKE) obs-smoke
@@ -71,6 +71,15 @@ chaos:
 bench-build:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
+# memnode backs lent memory with an anonymous mapping on Linux and with
+# a plain slice elsewhere (internal/memnode/backing_*.go): build the
+# tree for one non-Linux unix and vet memnode for a non-unix, so the
+# file this box never runs cannot rot. Standard library only: works
+# offline.
+cross:
+	GOOS=darwin GOARCH=arm64 $(GO) build ./...
+	GOOS=windows $(GO) vet ./internal/memnode/
+
 # Machine-shape gate for the transport, the pool's admission/tail path
 # and the block mover under compaction: the rpc and daemon suites and
 # core's admission, in-flight, tail, compaction and elasticity tests,
@@ -79,12 +88,15 @@ bench-build:
 # that orders it passes on one shape and fails on another; this catches
 # it before it lands. The transport suites run once more per shape under
 # the race detector, the build in which a recycled buffer is poisoned as
-# it is put back: that is where the buffer-ownership tests bite.
+# it is put back: that is where the buffer-ownership tests bite. memnode
+# rides in that pass for its lifetime test: readers copying out of nodes
+# whose last reference is gone while the collector unmaps dead ones, on
+# every shape.
 flake:
 	@for p in 1 2 4 8; do \
 		echo "flake: GOMAXPROCS=$$p"; \
 		GOMAXPROCS=$$p $(GO) test -shuffle=on -count=$(FLAKE_COUNT) ./internal/rpc/ ./internal/daemon/ || exit 1; \
-		GOMAXPROCS=$$p $(GO) test -race -shuffle=on ./internal/rpc/ ./internal/daemon/ ./internal/chaos/ || exit 1; \
+		GOMAXPROCS=$$p $(GO) test -race -shuffle=on ./internal/rpc/ ./internal/daemon/ ./internal/chaos/ ./internal/memnode/ || exit 1; \
 		GOMAXPROCS=$$p $(GO) test -shuffle=on -count=$(FLAKE_COUNT) -run 'Admission|Inflight|Tail|Compact|Elasticity' ./internal/core/ || exit 1; \
 	done
 

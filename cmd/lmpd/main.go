@@ -57,7 +57,7 @@ func main() {
 	var ops *obs.Server
 	if *opsAddr != "" {
 		ops, err = obs.Serve(*opsAddr, obs.Source{
-			Metrics: srv.Metrics(),
+			Metrics: srv.Metrics,
 			Stats:   func() any { return srv.Stats() },
 			Spans:   srv.TraceSpans,
 		})

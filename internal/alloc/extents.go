@@ -102,18 +102,19 @@ func (e *Extents) Alloc(n int64) (int64, error) {
 	return 0, fmt.Errorf("%w: need %d contiguous bytes", ErrNoSpace, n)
 }
 
-// Free releases the allocation at offset.
-func (e *Extents) Free(offset int64) error {
+// Free releases the allocation at offset and reports its length, so the
+// owner of the memory can scrub exactly what was handed back.
+func (e *Extents) Free(offset int64) (int64, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	n, ok := e.allocated[offset]
 	if !ok {
-		return fmt.Errorf("%w: %d", ErrNotAllocated, offset)
+		return 0, fmt.Errorf("%w: %d", ErrNotAllocated, offset)
 	}
 	delete(e.allocated, offset)
 	e.inUse -= n
 	e.insertFree(extent{offset, n})
-	return nil
+	return n, nil
 }
 
 // insertFree adds an extent and coalesces neighbours. Caller holds mu.

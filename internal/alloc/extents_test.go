@@ -41,13 +41,13 @@ func TestExtentsAllocFreeRoundsToUnit(t *testing.T) {
 	if e.InUse() != 128 {
 		t.Fatalf("in use = %d", e.InUse())
 	}
-	if err := e.Free(off); err != nil {
+	if _, err := e.Free(off); err != nil {
 		t.Fatal(err)
 	}
 	if e.InUse() != 0 || e.FreeBytes() != 1024 {
 		t.Fatalf("after free: inUse=%d free=%d", e.InUse(), e.FreeBytes())
 	}
-	if err := e.Free(off); !errors.Is(err, ErrNotAllocated) {
+	if _, err := e.Free(off); !errors.Is(err, ErrNotAllocated) {
 		t.Fatalf("double free: %v", err)
 	}
 }
@@ -67,7 +67,7 @@ func TestExtentsNonPowerOfTwoRegion(t *testing.T) {
 		t.Fatalf("over-alloc: %v", err)
 	}
 	for _, o := range offs {
-		if err := e.Free(o); err != nil {
+		if _, err := e.Free(o); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -83,13 +83,13 @@ func TestExtentsCoalescing(t *testing.T) {
 	c, _ := e.Alloc(64)
 	// Free middle, then neighbours: must coalesce into one extent plus the
 	// untouched tail.
-	if err := e.Free(b); err != nil {
+	if _, err := e.Free(b); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Free(a); err != nil {
+	if _, err := e.Free(a); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Free(c); err != nil {
+	if _, err := e.Free(c); err != nil {
 		t.Fatal(err)
 	}
 	if e.FragmentCount() != 1 {
@@ -130,7 +130,7 @@ func TestExtentsShrink(t *testing.T) {
 	if err := e.SetLimit(0); err == nil {
 		t.Fatal("shrink through allocation accepted")
 	}
-	if err := e.Free(off); err != nil {
+	if _, err := e.Free(off); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.SetLimit(0); err != nil {
@@ -146,7 +146,7 @@ func TestExtentsShrinkWithFragmentedTail(t *testing.T) {
 	a, _ := e.Alloc(64) // [0,64)
 	b, _ := e.Alloc(64) // [64,128)
 	_ = a
-	if err := e.Free(b); err != nil {
+	if _, err := e.Free(b); err != nil {
 		t.Fatal(err)
 	}
 	// Free extents: [64,128) and [128,256). They coalesce to [64,256), so
@@ -182,7 +182,7 @@ func TestExtentsRandomizedInvariant(t *testing.T) {
 			live = append(live, blk{off, n})
 		} else {
 			i := rng.Intn(len(live))
-			if err := e.Free(live[i].off); err != nil {
+			if _, err := e.Free(live[i].off); err != nil {
 				t.Fatal(err)
 			}
 			live = append(live[:i], live[i+1:]...)

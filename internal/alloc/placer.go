@@ -50,7 +50,7 @@ type Chunk struct {
 // satisfies it.
 type RegionAlloc interface {
 	Alloc(n int64) (int64, error)
-	Free(offset int64) error
+	Free(offset int64) (int64, error)
 	FreeBytes() int64
 }
 
@@ -175,7 +175,7 @@ func (p *Placer) Release(chunks []Chunk) error {
 			}
 			continue
 		}
-		if err := r.Mem.Free(c.Offset); err != nil && firstErr == nil {
+		if _, err := r.Mem.Free(c.Offset); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
@@ -299,7 +299,7 @@ func (p *Placer) placeStriped(n int64) ([]Chunk, error) {
 func (p *Placer) rollback(chunks []Chunk) {
 	for _, c := range chunks {
 		if r := p.regionOf(c.Server); r != nil {
-			_ = r.Mem.Free(c.Offset)
+			_, _ = r.Mem.Free(c.Offset)
 		}
 	}
 }

@@ -134,6 +134,7 @@ func TestShrinkSharedConvenience(t *testing.T) {
 		t.Fatalf("shared = %d slices", p.SharedBytes(0)/SliceSize)
 	}
 	_ = payload
+	checkResidentWithinUse(t, p)
 }
 
 func TestCompactPreservesReplicaAntiAffinity(t *testing.T) {
@@ -203,6 +204,7 @@ func TestSizeOnceShrinksThroughCompaction(t *testing.T) {
 		t.Fatalf("applied shared = %d", p.SharedBytes(0))
 	}
 	_ = payload
+	checkResidentWithinUse(t, p)
 }
 
 func TestCompactValidation(t *testing.T) {

@@ -136,6 +136,7 @@ func TestPoolRandomizedIntegrity(t *testing.T) {
 					t.Fatalf("final content mismatch on buffer %d", i)
 				}
 			}
+			checkResidentWithinUse(t, p)
 		})
 	}
 }

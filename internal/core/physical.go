@@ -158,7 +158,8 @@ func (b *PhysBuffer) Release() error {
 	}
 	b.released = true
 	delete(p.buffers, b.base)
-	return p.region.Free(int64(b.base))
+	_, err := p.region.Free(int64(b.base))
+	return err
 }
 
 // CrashDevice fails the pool device. Unlike an LMP server crash (which

@@ -613,7 +613,7 @@ func (p *Pool) freeBackingLocked(server addr.ServerID, offset int64) {
 	if p.isDead(server) {
 		return
 	}
-	_ = p.regions[server].Free(offset)
+	_, _ = p.regions[server].Free(offset)
 	p.nodes[server].DropRange(offset, SliceSize)
 }
 

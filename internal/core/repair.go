@@ -232,7 +232,7 @@ func (p *Pool) reserveEvacuatedLocked(e evacuation, avoid map[addr.ServerID]bool
 			if off < e.from {
 				return e.srv, off, nil
 			}
-			_ = p.regions[e.srv].Free(off) // cannot fail: just granted
+			_, _ = p.regions[e.srv].Free(off) // cannot fail: just granted
 		}
 	}
 	avoid[e.srv] = true
@@ -240,7 +240,7 @@ func (p *Pool) reserveEvacuatedLocked(e evacuation, avoid map[addr.ServerID]bool
 	if err == nil && srv == e.srv {
 		// allocAvoiding's last-resort fallback landed back in the region
 		// being vacated, necessarily at or above e.from.
-		_ = p.regions[srv].Free(off)
+		_, _ = p.regions[srv].Free(off)
 		err = fmt.Errorf("core: evacuate server %d: %w", e.srv, alloc.ErrNoSpace)
 	}
 	return srv, off, err

@@ -150,7 +150,7 @@ func TestCheckInvariantsFlagsViolations(t *testing.T) {
 	if err := p.CheckInvariants(); err == nil {
 		t.Fatal("leaked extent not reported")
 	}
-	if err := p.regions[1].Free(leaked); err != nil {
+	if _, err := p.regions[1].Free(leaked); err != nil {
 		t.Fatal(err)
 	}
 	s := b.firstSlice()

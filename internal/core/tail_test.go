@@ -993,6 +993,7 @@ drained:
 	if err := p.CheckInvariants(); err != nil {
 		t.Fatalf("seed %d: invariants after churn: %v", seed, err)
 	}
+	checkResidentWithinUse(t, p)
 	if rounds == 0 {
 		t.Logf("seed %d: workers drained before any churn round", seed)
 	}

@@ -54,6 +54,13 @@ type Server struct {
 	tracer  *telemetry.Tracer
 	slowLog atomic.Pointer[func(telemetry.Span)]
 
+	// sizing serialises alloc, free and resize: an extent is scrubbed
+	// before it can be handed out again, and the allocator's limit and
+	// the node's boundary move together.
+	sizing   sync.Mutex
+	dropped  *telemetry.Counter // bytes scrubbed and handed back to the host
+	resident *telemetry.Gauge   // sampled by Metrics
+
 	mu   sync.Mutex
 	addr string
 }
@@ -77,6 +84,8 @@ func NewServer(name string, capacity, shared int64) (*Server, error) {
 		rpc:     rpc.NewServer(),
 		metrics: telemetry.NewRegistry(),
 	}
+	s.dropped = s.metrics.Counter("memnode.dropped_bytes_total")
+	s.resident = s.metrics.Gauge("memnode.resident_bytes")
 	s.tracer = telemetry.NewTracer(telemetry.TracerConfig{Observer: slowRelay{s}})
 	s.rpc.SetTracer(s.tracer)
 	s.rpc.SetRegistry(s.metrics)
@@ -110,8 +119,12 @@ func (s *Server) OnSlowOp(fn func(telemetry.Span)) {
 func (s *Server) SetSlowOpNS(ns int64) { s.tracer.SetSlowOpNS(ns) }
 
 // Metrics exposes the daemon's telemetry registry (rpc.requests,
-// rpc.errors) for the Prometheus endpoint.
-func (s *Server) Metrics() *telemetry.Registry { return s.metrics }
+// rpc.errors, rpc.buffer.*, memnode.*) for the Prometheus endpoint. The
+// resident-set gauge is sampled here, so call it once per scrape.
+func (s *Server) Metrics() *telemetry.Registry {
+	s.resident.Set(s.node.ResidentBytes())
+	return s.metrics
+}
 
 // TraceSpans returns the daemon's retained handler spans, oldest first.
 func (s *Server) TraceSpans() []telemetry.Span { return s.tracer.Spans() }
@@ -123,6 +136,8 @@ type ServerStats struct {
 	Capacity       int64             `json:"capacity"`
 	Shared         int64             `json:"shared"`
 	InUse          int64             `json:"in_use"`
+	ResidentBytes  int64             `json:"resident_bytes"` // of the node's memory, as the host accounts it; 0 where unknown
+	DroppedBytes   uint64            `json:"dropped_bytes"`  // scrubbed and handed back by free and shrink
 	Methods        []rpc.MethodStats `json:"methods"`
 	SlowOps        uint64            `json:"slow_ops"`
 	SpansPublished uint64            `json:"spans_published"`
@@ -135,6 +150,8 @@ func (s *Server) Stats() ServerStats {
 		Capacity:       s.node.Capacity(),
 		Shared:         s.region.Size(),
 		InUse:          s.region.InUse(),
+		ResidentBytes:  s.node.ResidentBytes(),
+		DroppedBytes:   s.dropped.Value(),
 		Methods:        s.rpc.Stats(),
 		SlowOps:        s.tracer.SlowOps(),
 		SpansPublished: s.tracer.Published(),
@@ -228,7 +245,9 @@ func (s *Server) handleAlloc(p []byte) ([]byte, error) {
 		return nil, fmt.Errorf("daemon: alloc payload %d bytes", len(p))
 	}
 	n := int64(binary.BigEndian.Uint64(p))
+	s.sizing.Lock()
 	off, err := s.region.Alloc(n)
+	s.sizing.Unlock()
 	if err != nil {
 		return nil, err
 	}
@@ -241,7 +260,18 @@ func (s *Server) handleFree(p []byte) ([]byte, error) {
 	if len(p) != 8 {
 		return nil, fmt.Errorf("daemon: free payload %d bytes", len(p))
 	}
-	return nil, s.region.Free(int64(binary.BigEndian.Uint64(p)))
+	off := int64(binary.BigEndian.Uint64(p))
+	s.sizing.Lock()
+	defer s.sizing.Unlock()
+	n, err := s.region.Free(off)
+	if err != nil {
+		return nil, err
+	}
+	// The next tenant of these bytes must read zeros, and the host gets
+	// its pages back.
+	s.node.DropRange(off, n)
+	s.dropped.Add(uint64(n))
+	return nil, nil
 }
 
 // checkShared bounds a remote access by the shared region. off and n
@@ -344,8 +374,14 @@ func (s *Server) handleResize(p []byte) ([]byte, error) {
 	if limit > s.node.Capacity() {
 		return nil, fmt.Errorf("daemon: shared %d exceeds capacity %d", limit, s.node.Capacity())
 	}
+	s.sizing.Lock()
+	defer s.sizing.Unlock()
+	old := s.region.Size()
 	if err := s.region.SetLimit(limit); err != nil {
 		return nil, err
+	}
+	if limit < old {
+		s.dropped.Add(uint64(old - limit)) // Resize drops the vacated tail
 	}
 	return nil, s.node.Resize(limit)
 }

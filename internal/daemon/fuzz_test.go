@@ -1,6 +1,7 @@
 package daemon
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math"
 	"testing"
@@ -15,7 +16,9 @@ import (
 // a panic there takes the whole lmpd down), must not build a reply the
 // codec cannot carry, and must leave the region's books straight: InUse
 // moves only by what a successful alloc or free says it moved, and stays
-// within the region. One server lives across inputs, with a shadow of
+// within the region; and a freed extent reads as zeros (the scrub goes
+// through Node.DropRange with an offset that came off the wire). One
+// server lives across inputs, with a shadow of
 // its allocations, so frees and resizes find state to act on.
 func FuzzDaemonHandlers(f *testing.F) {
 	rng := func(off int64, n uint32) []byte { return rangeRequest(off, int(n)) }
@@ -72,6 +75,13 @@ func FuzzDaemonHandlers(f *testing.F) {
 				off := int64(binary.BigEndian.Uint64(payload))
 				if live[off] == 0 {
 					t.Fatalf("free of %d succeeded; nothing is allocated there", off)
+				}
+				freed := make([]byte, live[off])
+				if err := s.node.ReadAt(freed, off); err != nil {
+					t.Fatalf("freed extent [%d,+%d) unreadable: %v", off, len(freed), err)
+				}
+				if i := bytes.IndexFunc(freed, func(r rune) bool { return r != 0 }); i >= 0 {
+					t.Fatalf("freed extent [%d,+%d) still holds data at byte %d", off, len(freed), i)
 				}
 				inUse -= live[off]
 				delete(live, off)

@@ -1,25 +1,31 @@
 // Package memnode implements a single server's memory for the LMP runtime:
-// a sparse, page-granular byte store covering the server's DRAM, split into
-// a private region and a shared region whose boundary can move at runtime
+// a page-granular byte store covering the server's DRAM, split into a
+// private region and a shared region whose boundary can move at runtime
 // (the paper's ratio flexibility), plus per-page access statistics feeding
 // the migration and sizing policies.
 //
-// Pages are materialized on first write, so a node can model tens of
-// gigabytes of capacity while tests touch only megabytes.
+// The bytes live outside the Go heap, in one anonymous mapping reserved
+// per node (backing_linux.go; a plain slice elsewhere). Untouched bytes
+// cost address space only, so a node can model tens of gigabytes of
+// capacity while tests touch only megabytes; the kernel supplies zeroed
+// pages on first touch and takes them back when a range is dropped or
+// the shared region shrinks. A runtime cleanup unmaps the memory once the
+// Node is unreachable — there is no Close, so no accessor can outlive the
+// bytes it copies.
 //
-// The data path is lock-free: pages live in a two-level structure of
-// atomically published chunks (one chunk covers 2MiB of address space),
-// materialized with compare-and-swap, and statistics are per-page atomics.
-// Many goroutines — one per accessing server, as in the paper's §4
-// workloads — can therefore drive one node concurrently without
-// serializing on a node-wide mutex. Concurrent writes to the same byte
-// range are the application's data race, exactly as on real shared
-// memory; the node itself stays structurally consistent.
+// The data path is one bounds check and one copy, with no lock: many
+// goroutines — one per accessing server, as in the paper's §4 workloads —
+// drive one node concurrently. Concurrent writes to the same byte range
+// are the application's data race, exactly as on real shared memory (and,
+// the bytes being outside the heap, invisible to the race detector).
+// Statistics are per-page atomics in a sparse table of atomically
+// published chunks.
 package memnode
 
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sort"
 	"sync/atomic"
 )
@@ -28,12 +34,10 @@ import (
 // host page tables the paper's runtime would manage.
 const PageSize = 4096
 
-// chunkPages is the number of pages per atomically published chunk; one
-// chunk spans 2MiB, matching the pool's slice granularity.
+// chunkPages is the number of pages whose statistics one atomically
+// published chunk holds; one chunk spans 2MiB, matching the pool's slice
+// granularity.
 const chunkPages = 512
-
-// chunkBytes is the address span of one chunk.
-const chunkBytes = int64(chunkPages) * PageSize
 
 // ErrOutOfRange reports an access beyond the node's capacity.
 var ErrOutOfRange = errors.New("memnode: access out of range")
@@ -68,13 +72,9 @@ func (st *pageStats) snapshot(page int64) PageStats {
 	}
 }
 
-// chunk holds the pages and statistics for one 2MiB span. Page slots are
-// published with atomic pointers so readers never take a lock; a nil page
-// reads as zeros.
-type chunk struct {
-	pages [chunkPages]atomic.Pointer[[PageSize]byte]
-	stats [chunkPages]atomic.Pointer[pageStats]
-}
+// statChunk holds the statistics of one 2MiB span, published per page so
+// recorders never take a lock.
+type statChunk [chunkPages]atomic.Pointer[pageStats]
 
 // Node is one server's DRAM. It is safe for concurrent use, and the
 // read/write/record path is lock-free.
@@ -82,9 +82,14 @@ type Node struct {
 	name     string
 	capacity int64
 
-	// chunks is sized at construction (capacity/chunkBytes slots); each
-	// slot is materialized on first touch.
-	chunks []atomic.Pointer[chunk]
+	// mem is the node's memory, len(mem) == capacity, backed outside the
+	// Go heap (see backing_*.go). It lives until the Node is collected:
+	// every method that touches it keeps n alive until it is done.
+	mem []byte
+
+	// stats is sized at construction (one slot per 2MiB); each slot is
+	// materialized on the first RecordAccess inside it.
+	stats []atomic.Pointer[statChunk]
 
 	shared atomic.Int64 // bytes [0, shared) are the shared region
 }
@@ -98,10 +103,14 @@ func New(name string, capacity, sharedBytes int64) (*Node, error) {
 	if sharedBytes < 0 || sharedBytes > capacity {
 		return nil, fmt.Errorf("memnode: shared %d outside [0,%d]", sharedBytes, capacity)
 	}
+	const chunkBytes = chunkPages * PageSize
 	n := &Node{
 		name:     name,
 		capacity: capacity,
-		chunks:   make([]atomic.Pointer[chunk], (capacity+chunkBytes-1)/chunkBytes),
+		stats:    make([]atomic.Pointer[statChunk], (capacity+chunkBytes-1)/chunkBytes),
+	}
+	if err := n.reserve(); err != nil {
+		return nil, fmt.Errorf("memnode: reserving %d bytes: %w", capacity, err)
 	}
 	n.shared.Store(sharedBytes)
 	return n, nil
@@ -119,164 +128,117 @@ func (n *Node) SharedBytes() int64 { return n.shared.Load() }
 // PrivateBytes reports capacity outside the shared region.
 func (n *Node) PrivateBytes() int64 { return n.capacity - n.SharedBytes() }
 
-// Resize moves the private/shared boundary anywhere in [0, capacity].
-// What is allocated inside the region is the allocator's business: the
-// caller shrinks its allocator first, which refuses to drop below use.
+// Resize moves the private/shared boundary anywhere in [0, capacity]. A
+// shrink drops the vacated tail, so the memory goes back to the host and
+// reads as zeros if the region grows again. What is allocated inside the
+// region is the allocator's business: the caller shrinks its allocator
+// first, which refuses to drop below use.
 func (n *Node) Resize(sharedBytes int64) error {
 	if sharedBytes < 0 || sharedBytes > n.capacity {
 		return fmt.Errorf("memnode: resize to %d outside [0,%d]", sharedBytes, n.capacity)
 	}
-	n.shared.Store(sharedBytes)
+	// The vacated tail is [new, old); a grow makes that length negative,
+	// which DropRange ignores.
+	n.DropRange(sharedBytes, n.shared.Swap(sharedBytes)-sharedBytes)
 	return nil
 }
 
-// checkRange bounds an access by the node's capacity without adding off
-// and length: an offset near MaxInt64 (one that came off the wire) would
-// wrap the sum negative and pass.
-func (n *Node) checkRange(off int64, length int) error {
-	if off < 0 || length < 0 || int64(length) > n.capacity-off {
-		return fmt.Errorf("%w: %d bytes at %d of %d", ErrOutOfRange, length, off, n.capacity)
-	}
-	return nil
+// inRange bounds an access by the node's capacity without adding off and
+// length: an offset near MaxInt64 (one that came off the wire) would wrap
+// the sum negative and pass.
+func (n *Node) inRange(off int64, length int) bool {
+	return off >= 0 && int64(length) <= n.capacity-off
 }
 
-// loadChunk returns the chunk covering page, or nil if untouched.
-func (n *Node) loadChunk(page int64) *chunk {
-	return n.chunks[page/chunkPages].Load()
+//lmp:coldpath
+func (n *Node) rangeError(off int64, length int) error {
+	return fmt.Errorf("%w: %d bytes at %d of %d", ErrOutOfRange, length, off, n.capacity)
 }
 
-// ensureChunk returns the chunk covering page, materializing it if needed.
-func (n *Node) ensureChunk(page int64) *chunk {
-	slot := &n.chunks[page/chunkPages]
-	if c := slot.Load(); c != nil {
-		return c
-	}
-	fresh := &chunk{}
-	if slot.CompareAndSwap(nil, fresh) {
-		return fresh
-	}
-	return slot.Load()
-}
-
-// ReadAt copies len(p) bytes at offset off into p. Unmaterialized pages
-// read as zeros. The read is lock-free.
+// ReadAt copies len(p) bytes at offset off into p. Bytes never written
+// read as zeros.
+//
+//lmp:hotpath
 func (n *Node) ReadAt(p []byte, off int64) error {
-	if err := n.checkRange(off, len(p)); err != nil {
-		return err
+	if !n.inRange(off, len(p)) {
+		return n.rangeError(off, len(p))
 	}
-	for done := 0; done < len(p); {
-		page := (off + int64(done)) / PageSize
-		po := int((off + int64(done)) % PageSize)
-		span := PageSize - po
-		if rem := len(p) - done; rem < span {
-			span = rem
-		}
-		var data *[PageSize]byte
-		if c := n.loadChunk(page); c != nil {
-			data = c.pages[page%chunkPages].Load()
-		}
-		if data != nil {
-			copy(p[done:done+span], data[po:po+span])
-		} else {
-			clear(p[done : done+span])
-		}
-		done += span
-	}
+	copy(p, n.mem[off:])
+	runtime.KeepAlive(n)
 	return nil
 }
 
-// WriteAt copies p into the node at offset off, materializing pages with
-// compare-and-swap. Structural publication is lock-free; concurrent
-// writes to overlapping bytes are an application-level race, as on real
-// memory.
+// WriteAt copies p into the node at offset off. Concurrent writes to
+// overlapping bytes are an application-level race, as on real memory.
+//
+//lmp:hotpath
 func (n *Node) WriteAt(p []byte, off int64) error {
-	if err := n.checkRange(off, len(p)); err != nil {
-		return err
+	if !n.inRange(off, len(p)) {
+		return n.rangeError(off, len(p))
 	}
-	for done := 0; done < len(p); {
-		page := (off + int64(done)) / PageSize
-		po := int((off + int64(done)) % PageSize)
-		span := PageSize - po
-		if rem := len(p) - done; rem < span {
-			span = rem
-		}
-		c := n.ensureChunk(page)
-		slot := &c.pages[page%chunkPages]
-		data := slot.Load()
-		if data == nil {
-			fresh := new([PageSize]byte)
-			if slot.CompareAndSwap(nil, fresh) {
-				data = fresh
-			} else {
-				data = slot.Load()
-			}
-		}
-		copy(data[po:po+span], p[done:done+span])
-		done += span
-	}
+	copy(n.mem[off:], p)
+	runtime.KeepAlive(n)
 	return nil
-}
-
-// DropPage discards a page's contents and statistics (used after
-// migration moves it away).
-func (n *Node) DropPage(page int64) {
-	if c := n.loadChunk(page); c != nil {
-		c.pages[page%chunkPages].Store(nil)
-		c.stats[page%chunkPages].Store(nil)
-	}
 }
 
 // DropRange discards the contents and statistics of every page fully
-// contained in [off, off+length) — the bulk form used when a whole slice
-// migrates away. Partially covered pages at the edges are kept.
+// contained in [off, off+length) — used when a slice migrates away, an
+// allocation is freed or the shared region shrinks. The pages go back to
+// the host and read as zeros afterwards; partially covered pages at the
+// edges are kept, and whatever part of the range lies outside the node is
+// ignored.
 func (n *Node) DropRange(off, length int64) {
-	if length <= 0 {
+	// Clamp to [0, capacity) without forming off+length while it can
+	// still overflow.
+	if off < 0 && length > 0 {
+		off, length = 0, length+off // positive plus negative: cannot wrap
+	}
+	if length <= 0 || off >= n.capacity {
 		return
 	}
+	length = min(length, n.capacity-off)
 	first := (off + PageSize - 1) / PageSize
 	last := (off + length) / PageSize // exclusive
+	if first >= last {
+		return
+	}
 	for p := first; p < last; p++ {
-		n.DropPage(p)
-	}
-}
-
-// MaterializedPages reports how many pages hold data.
-func (n *Node) MaterializedPages() int {
-	count := 0
-	for ci := range n.chunks {
-		c := n.chunks[ci].Load()
-		if c == nil {
-			continue
-		}
-		for pi := range c.pages {
-			if c.pages[pi].Load() != nil {
-				count++
-			}
+		if c := n.stats[p/chunkPages].Load(); c != nil {
+			c[p%chunkPages].Store(nil)
 		}
 	}
-	return count
+	n.release(first*PageSize, last*PageSize)
+	runtime.KeepAlive(n)
 }
 
-// ensureStats returns the stats record for page, materializing it if
-// needed.
-func (n *Node) ensureStats(page int64) *pageStats {
-	c := n.ensureChunk(page)
-	slot := &c.stats[page%chunkPages]
-	if st := slot.Load(); st != nil {
-		return st
+// ResidentBytes reports how much of the node's memory the host currently
+// backs with real pages, or 0 where the platform cannot tell. It reads
+// the kernel's accounting and is meant for a metrics scrape, not a data
+// path.
+func (n *Node) ResidentBytes() int64 {
+	r := n.resident()
+	runtime.KeepAlive(n)
+	return r
+}
+
+// publish returns what slot holds, installing a zero T first if it is
+// empty. It never returns nil, even when a drop empties the slot again
+// between the install and the load.
+func publish[T any](slot *atomic.Pointer[T]) *T {
+	for {
+		if v := slot.Load(); v != nil {
+			return v
+		}
+		slot.CompareAndSwap(nil, new(T))
 	}
-	fresh := &pageStats{}
-	if slot.CompareAndSwap(nil, fresh) {
-		return fresh
-	}
-	return slot.Load()
 }
 
 // RecordAccess updates statistics for the page containing off. remote
 // marks the access as issued by another server; write marks stores. The
 // update is lock-free.
 func (n *Node) RecordAccess(off int64, remote, write bool) {
-	st := n.ensureStats(off / PageSize)
+	page := off / PageSize
+	st := publish(&publish(&n.stats[page/chunkPages])[page%chunkPages])
 	switch {
 	case write:
 		st.writes.Add(1)
@@ -295,36 +257,26 @@ func (n *Node) RecordAccess(off int64, remote, write bool) {
 // Stats returns a copy of the statistics for the page containing off.
 func (n *Node) Stats(off int64) PageStats {
 	page := off / PageSize
-	if c := n.loadChunk(page); c != nil {
-		if st := c.stats[page%chunkPages].Load(); st != nil {
+	if c := n.stats[page/chunkPages].Load(); c != nil {
+		if st := c[page%chunkPages].Load(); st != nil {
 			return st.snapshot(page)
 		}
 	}
 	return PageStats{Page: page}
 }
 
-// eachStats visits every materialized stats record.
-func (n *Node) eachStats(visit func(page int64, st *pageStats)) {
-	for ci := range n.chunks {
-		c := n.chunks[ci].Load()
-		if c == nil {
-			continue
-		}
-		base := int64(ci) * chunkPages
-		for pi := range c.stats {
-			if st := c.stats[pi].Load(); st != nil {
-				visit(base+int64(pi), st)
-			}
-		}
-	}
-}
-
 // HottestPages returns up to k pages by descending heat.
 func (n *Node) HottestPages(k int) []PageStats {
 	var all []PageStats
-	n.eachStats(func(page int64, st *pageStats) {
-		all = append(all, st.snapshot(page))
-	})
+	for ci := range n.stats {
+		if c := n.stats[ci].Load(); c != nil {
+			for pi := range c {
+				if st := c[pi].Load(); st != nil {
+					all = append(all, st.snapshot(int64(ci)*chunkPages+int64(pi)))
+				}
+			}
+		}
+	}
 	sort.Slice(all, func(i, j int) bool {
 		if all[i].Heat != all[j].Heat {
 			return all[i].Heat > all[j].Heat

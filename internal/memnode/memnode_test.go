@@ -57,8 +57,8 @@ func TestReadUnmaterializedIsZero(t *testing.T) {
 			t.Fatalf("byte %d = %x, want 0", i, b)
 		}
 	}
-	if n.MaterializedPages() != 0 {
-		t.Fatal("read materialized a page")
+	if r := n.ResidentBytes(); r != 0 {
+		t.Fatalf("read made %d bytes resident", r)
 	}
 }
 
@@ -79,9 +79,6 @@ func TestWriteSpanningPages(t *testing.T) {
 	if !bytes.Equal(got, data) {
 		t.Fatal("page-spanning round trip failed")
 	}
-	if n.MaterializedPages() != 4 {
-		t.Fatalf("materialized %d pages, want 4", n.MaterializedPages())
-	}
 }
 
 func TestOutOfRange(t *testing.T) {
@@ -99,7 +96,7 @@ func TestOutOfRange(t *testing.T) {
 
 // TestRangeCheckDoesNotOverflow walks the boundaries of checkRange. An
 // offset near MaxInt64 — the kind that arrives off the wire — must not
-// wrap off+len negative and slip through to an index panic in loadChunk.
+// wrap off+len negative and slip through to a slice-bounds panic.
 func TestRangeCheckDoesNotOverflow(t *testing.T) {
 	n := mustNode(t, 1000, 1000)
 	for _, tc := range []struct {
@@ -194,7 +191,7 @@ func TestDropPage(t *testing.T) {
 		t.Fatal(err)
 	}
 	n.RecordAccess(7*PageSize, false, false)
-	n.DropPage(7)
+	n.DropRange(7*PageSize, PageSize)
 	got := make([]byte, 3)
 	if err := n.ReadAt(got, 7*PageSize); err != nil {
 		t.Fatal(err)
@@ -252,6 +249,132 @@ func TestDropRangeKeepsPartialPages(t *testing.T) {
 	// Degenerate ranges are no-ops.
 	n.DropRange(0, 0)
 	n.DropRange(100, -5)
+}
+
+// TestDropRangeBounds hands DropRange every way a range can miss the
+// node. None may panic (or fault the mapping), and only whole pages
+// inside [0, capacity) may lose their contents.
+func TestDropRangeBounds(t *testing.T) {
+	const pages = 8
+	for _, tc := range []struct {
+		off, length int64
+		dropped     []int // pages expected to read as zeros afterwards
+	}{
+		{pages * PageSize, PageSize, nil},
+		{(pages + 100) * PageSize, PageSize, nil},
+		{-PageSize, PageSize, nil},
+		{-PageSize, 3 * PageSize, []int{0, 1}},
+		{-1, PageSize + 1, []int{0}},
+		{6 * PageSize, 100 * PageSize, []int{6, 7}},
+		{7*PageSize + 1, math.MaxInt64, nil},
+		{0, math.MaxInt64, []int{0, 1, 2, 3, 4, 5, 6, 7}},
+		{PageSize, math.MaxInt64, []int{1, 2, 3, 4, 5, 6, 7}},
+		{math.MaxInt64, math.MaxInt64, nil},
+		{math.MaxInt64 - 5, 10, nil},
+		{math.MinInt64, math.MaxInt64, nil},
+		{math.MinInt64, math.MinInt64, nil},
+		{-5, math.MinInt64, nil},
+		{0, -1, nil},
+		{math.MinInt64 + 1, math.MaxInt64, nil},
+	} {
+		n := mustNode(t, pages*PageSize, pages*PageSize)
+		for p := int64(0); p < pages; p++ {
+			if err := n.WriteAt([]byte{byte(p + 1)}, p*PageSize); err != nil {
+				t.Fatal(err)
+			}
+			n.RecordAccess(p*PageSize, false, false)
+		}
+		n.DropRange(tc.off, tc.length)
+		want := map[int]bool{}
+		for _, p := range tc.dropped {
+			want[p] = true
+		}
+		got := make([]byte, 1)
+		for p := 0; p < pages; p++ {
+			if err := n.ReadAt(got, int64(p)*PageSize); err != nil {
+				t.Fatal(err)
+			}
+			if gone := got[0] == 0; gone != want[p] {
+				t.Errorf("DropRange(%d, %d): page %d dropped = %t, want %t", tc.off, tc.length, p, gone, want[p])
+			}
+			if gone := n.Stats(int64(p)*PageSize).Heat == 0; gone != want[p] {
+				t.Errorf("DropRange(%d, %d): page %d stats dropped = %t, want %t", tc.off, tc.length, p, gone, want[p])
+			}
+		}
+	}
+}
+
+// A capacity that is not a whole number of pages keeps its partial last
+// page out of every drop, and stays addressable to its last byte.
+func TestDropRangeOddCapacity(t *testing.T) {
+	n := mustNode(t, 2*PageSize+100, 2*PageSize+100)
+	if err := n.WriteAt([]byte{7}, 2*PageSize+99); err != nil {
+		t.Fatal(err)
+	}
+	if err := n.WriteAt([]byte{7}, 0); err != nil {
+		t.Fatal(err)
+	}
+	n.DropRange(0, math.MaxInt64)
+	got := make([]byte, 1)
+	if err := n.ReadAt(got, 2*PageSize+99); err != nil || got[0] != 7 {
+		t.Fatalf("partial last page: %d %v", got[0], err)
+	}
+	if err := n.ReadAt(got, 0); err != nil || got[0] != 0 {
+		t.Fatalf("whole first page: %d %v", got[0], err)
+	}
+}
+
+// TestResizeShrinkDropsTail: the tail a shrink vacates reads as zeros
+// when the region grows back over it.
+func TestResizeShrinkDropsTail(t *testing.T) {
+	n := mustNode(t, 16*PageSize, 16*PageSize)
+	for p := int64(0); p < 16; p++ {
+		if err := n.WriteAt([]byte{byte(p + 1)}, p*PageSize); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := n.Resize(4 * PageSize); err != nil {
+		t.Fatal(err)
+	}
+	if err := n.Resize(16 * PageSize); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, 1)
+	for p := int64(0); p < 16; p++ {
+		if err := n.ReadAt(got, p*PageSize); err != nil {
+			t.Fatal(err)
+		}
+		want := byte(p + 1)
+		if p >= 4 {
+			want = 0
+		}
+		if got[0] != want {
+			t.Fatalf("page %d = %d after shrink and regrow, want %d", p, got[0], want)
+		}
+	}
+}
+
+// TestReadWriteAllocFree: no access size allocates, in particular not
+// one that spans what used to be a 2MiB chunk boundary, and neither does
+// dropping a range.
+func TestReadWriteAllocFree(t *testing.T) {
+	n := mustNode(t, 8<<20, 8<<20)
+	const boundary = 2 << 20
+	for _, size := range []int{64, PageSize, 256 << 10} {
+		p := make([]byte, size)
+		off := int64(boundary - size/2)
+		if a := testing.AllocsPerRun(20, func() {
+			if err := n.WriteAt(p, off); err != nil {
+				t.Fatal(err)
+			}
+			if err := n.ReadAt(p, off); err != nil {
+				t.Fatal(err)
+			}
+			n.DropRange(off, int64(size))
+		}); a != 0 {
+			t.Errorf("%d-byte write+read+drop across the 2MiB line: %v allocs", size, a)
+		}
+	}
 }
 
 func TestConcurrentReadWrite(t *testing.T) {

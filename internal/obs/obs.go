@@ -18,8 +18,9 @@ import (
 // Source supplies the endpoints' data; nil fields disable the matching
 // endpoint with 404.
 type Source struct {
-	// Metrics backs GET /metrics (Prometheus text format).
-	Metrics *telemetry.Registry
+	// Metrics backs GET /metrics (Prometheus text format). It is called
+	// once per scrape, so the source can bring sampled gauges up to date.
+	Metrics func() *telemetry.Registry
 	// Stats backs GET /stats; the returned value is marshalled as JSON.
 	// It should be one of the typed snapshot structs (core.PoolStats,
 	// daemon.ServerStats), not an internal type.
@@ -37,7 +38,7 @@ func Handler(src Source) http.Handler {
 			return
 		}
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = telemetry.WritePrometheus(w, src.Metrics)
+		_ = telemetry.WritePrometheus(w, src.Metrics())
 	})
 	mux.HandleFunc("/stats", func(w http.ResponseWriter, r *http.Request) {
 		if src.Stats == nil {

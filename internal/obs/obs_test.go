@@ -32,7 +32,7 @@ func TestServeEndpoints(t *testing.T) {
 	tracer.End(&sp)
 
 	s, err := Serve("127.0.0.1:0", Source{
-		Metrics: reg,
+		Metrics: func() *telemetry.Registry { return reg },
 		Stats:   func() any { return map[string]int{"answer": 42} },
 		Spans:   tracer.Spans,
 	})

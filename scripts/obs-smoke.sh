@@ -8,6 +8,8 @@
 #     a renamed or dropped metric fails loudly instead of silently
 #     breaking dashboards;
 #   - /stats serves the typed JSON snapshot with moving counters;
+#   - a free shows up as memory handed back: lmp_memnode_dropped_bytes_total
+#     counts it and lmp_memnode_resident_bytes falls;
 #   - /debug/pprof/cmdline answers 200;
 #   - `lmpctl stats` renders the per-method table.
 #
@@ -77,6 +79,23 @@ awk '$1 == "lmp_rpc_requests" && $2+0 > 0 {found=1} END {exit !found}' "$TMP/met
 curl -fsS "$OPS_URL/stats" >"$TMP/stats.json" || fail "GET /stats"
 grep -q '"in_use": 1048576' "$TMP/stats.json" \
     || fail "/stats does not reflect the allocation"
+
+# A free hands the memory back, and an operator can see it: write into a
+# second 1 MiB extent, free it, and compare two scrapes.
+gauge() { awk -v n="$1" '$1 == n {print $2}' "$2"; }
+OFF2=$("$TMP/lmpctl" -server "$DATA_ADDR" alloc 1048576 | sed 's/offset=//') \
+    || fail "lmpctl alloc (second extent)"
+"$TMP/lmpctl" -server "$DATA_ADDR" write "$OFF2" "$(head -c 65536 /dev/zero | tr '\0' x)" >/dev/null \
+    || fail "lmpctl write (second extent)"
+curl -fsS "$OPS_URL/metrics" >"$TMP/metrics.full" || fail "GET /metrics"
+"$TMP/lmpctl" -server "$DATA_ADDR" free "$OFF2" >/dev/null || fail "lmpctl free"
+curl -fsS "$OPS_URL/metrics" >"$TMP/metrics.freed" || fail "GET /metrics"
+[ "$(gauge lmp_memnode_dropped_bytes_total "$TMP/metrics.freed")" = 1048576 ] \
+    || fail "lmp_memnode_dropped_bytes_total does not count the freed extent"
+if [ "$(uname -s)" = Linux ]; then
+    [ "$(gauge lmp_memnode_resident_bytes "$TMP/metrics.freed")" -lt "$(gauge lmp_memnode_resident_bytes "$TMP/metrics.full")" ] \
+        || fail "lmp_memnode_resident_bytes did not fall across the free"
+fi
 
 # /debug/pprof: the profile surface answers.
 CODE=$(curl -s -o /dev/null -w '%{http_code}' "$OPS_URL/debug/pprof/cmdline")
