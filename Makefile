@@ -82,22 +82,22 @@ cross:
 
 # Machine-shape gate for the transport, the pool's admission/tail path
 # and the block mover under compaction: the rpc and daemon suites and
-# core's admission, in-flight, tail, compaction and elasticity tests,
-# shuffled and repeated, under each GOMAXPROCS a CI box or a laptop is
-# likely to have. A test that reads state before the event
-# that orders it passes on one shape and fails on another; this catches
-# it before it lands. The transport suites run once more per shape under
-# the race detector, the build in which a recycled buffer is poisoned as
-# it is put back: that is where the buffer-ownership tests bite. memnode
-# rides in that pass for its lifetime test: readers copying out of nodes
-# whose last reference is gone while the collector unmaps dead ones, on
-# every shape.
+# core's admission, in-flight, tail, compaction, elasticity and
+# translate-during-migration tests, shuffled and repeated, under each
+# GOMAXPROCS a CI box or a laptop is likely to have. A test that reads
+# state before the event that orders it passes on one shape and fails on
+# another; this catches it before it lands. The transport suites run once
+# more per shape under the race detector, the build in which a recycled
+# buffer is poisoned as it is put back: that is where the buffer-ownership
+# tests bite. memnode rides in that pass for its lifetime test: readers
+# copying out of nodes whose last reference is gone while the collector
+# unmaps dead ones, on every shape.
 flake:
 	@for p in 1 2 4 8; do \
 		echo "flake: GOMAXPROCS=$$p"; \
 		GOMAXPROCS=$$p $(GO) test -shuffle=on -count=$(FLAKE_COUNT) ./internal/rpc/ ./internal/daemon/ || exit 1; \
 		GOMAXPROCS=$$p $(GO) test -race -shuffle=on ./internal/rpc/ ./internal/daemon/ ./internal/chaos/ ./internal/memnode/ || exit 1; \
-		GOMAXPROCS=$$p $(GO) test -shuffle=on -count=$(FLAKE_COUNT) -run 'Admission|Inflight|Tail|Compact|Elasticity' ./internal/core/ || exit 1; \
+		GOMAXPROCS=$$p $(GO) test -shuffle=on -count=$(FLAKE_COUNT) -run 'Admission|Inflight|Tail|Compact|Elasticity|Translate' ./internal/core/ || exit 1; \
 	done
 
 # Regenerate the checked-in code ledger AUDIT.md: per package non-test

@@ -17,8 +17,6 @@ import (
 	"github.com/lmp-project/lmp/internal/fabric"
 	"github.com/lmp-project/lmp/internal/failure"
 	"github.com/lmp-project/lmp/internal/memsim"
-	"github.com/lmp-project/lmp/internal/migrate"
-	"github.com/lmp-project/lmp/internal/pagetable"
 	"github.com/lmp-project/lmp/internal/sim"
 	"github.com/lmp-project/lmp/internal/sizing"
 	"github.com/lmp-project/lmp/internal/topology"
@@ -140,31 +138,33 @@ func BenchmarkNearMemorySum(b *testing.B) {
 	b.ReportMetric(res.SpeedupVsPull, "speedup-vs-pull")
 }
 
-// BenchmarkAblationTranslation compares the two-step scheme (replicated
-// coarse map + owner-local fine map + TLB) against the flat page
-// directory §5 rejects, on lookup cost and footprint.
+// BenchmarkAblationTranslation compares the two-step scheme as the
+// runtime performs it (Pool.Translate: the slice's replicated entry names
+// the owner and the extent, the in-slice offset finishes the address)
+// against the flat page directory §5 rejects, on lookup cost and
+// footprint.
 func BenchmarkAblationTranslation(b *testing.B) {
 	const bufBytes = 1 << 30
-	const slices = bufBytes / addr.SliceSize
 
 	b.Run("two-step", func(b *testing.B) {
-		g := addr.NewGlobalMap()
-		if err := g.Bind(addr.Range{Start: 0, Size: bufBytes}, 1); err != nil {
+		// Lent memory is address space until touched: a 1 GiB buffer
+		// nobody writes costs its slice entries and nothing else.
+		cfg := lmp.Config{Placement: lmp.Striped}
+		for s := 0; s < 4; s++ {
+			cfg.Servers = append(cfg.Servers, lmp.ServerConfig{Capacity: bufBytes / 4, SharedBytes: bufBytes / 4})
+		}
+		pool, err := lmp.New(cfg)
+		if err != nil {
 			b.Fatal(err)
 		}
-		mmu := pagetable.NewMMU()
-		for s := uint64(0); s < slices; s++ {
-			if err := mmu.Table.Map(s, int64(s)*addr.SliceSize); err != nil {
-				b.Fatal(err)
-			}
+		buf, err := pool.Alloc(bufBytes, 0)
+		if err != nil {
+			b.Fatal(err)
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			a := addr.Logical((uint64(i) * 4096) % bufBytes)
-			if _, err := g.Owner(a); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := mmu.Translate(uint64(a) >> 9); err != nil { // slice-page space
+			a := buf.Addr() + addr.Logical((uint64(i)*4096)%bufBytes)
+			if _, err := pool.Translate(a); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -205,7 +205,7 @@ func BenchmarkAblationMigration(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			cfg := lmp.Config{
 				Placement: lmp.LocalityAware,
-				Migration: migrate.Policy{MinAccesses: 8, HysteresisFactor: 1.5, MaxMoves: 64},
+				Migration: lmp.MigrationPolicy{MinAccesses: 8, HysteresisFactor: 1.5, MaxMoves: 64},
 			}
 			for s := 0; s < 4; s++ {
 				cfg.Servers = append(cfg.Servers, lmp.ServerConfig{

@@ -1,16 +1,20 @@
-// Package addr implements the LMP global address space and the paper's
-// two-step translation scheme (§5 "Address translation"): a logical
-// address first resolves through a coarse-grained, globally replicated
-// slice map to an owning server, then through that server's fine-grained
-// local map to a physical offset. Because sharing and migration happen at
-// slice granularity, migrating a buffer re-binds its slices to a new owner
-// without changing any logical address.
+// Package addr is the vocabulary of the LMP global address space and of
+// the paper's two-step translation scheme (§5 "Address translation"): a
+// logical address resolves at slice granularity to an owning server (the
+// coarse step, a map every server replicates) and then, at the owner, to
+// a physical offset (the fine step). Because sharing and migration happen
+// at slice granularity, migrating a buffer re-binds its slices to a new
+// owner without changing any logical address.
+//
+// The package holds the types and the slice arithmetic; the translation
+// state itself is the pool's slice table (core.Pool.Translate), one entry
+// per slice carrying both steps. FlatDirectory is the model-level baseline
+// §5 argues against, kept for the ablation.
 package addr
 
 import (
 	"errors"
 	"fmt"
-	"sync"
 )
 
 // Logical is an address in the pool's global address space.
@@ -61,133 +65,3 @@ type Location struct {
 
 // ErrUnmapped reports a translation of an address no server owns.
 var ErrUnmapped = errors.New("addr: logical address is unmapped")
-
-// GlobalMap is the coarse slice→server directory. Every server holds a
-// replica; binding changes bump a version so stale replicas are detectable.
-// It is safe for concurrent use.
-type GlobalMap struct {
-	mu      sync.RWMutex
-	slices  []ServerID
-	version uint64
-}
-
-// NewGlobalMap returns an empty map.
-func NewGlobalMap() *GlobalMap { return &GlobalMap{} }
-
-// Version reports the current binding version; it increases on every
-// Bind call.
-func (g *GlobalMap) Version() uint64 {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	return g.version
-}
-
-// Bind assigns every slice overlapping r to owner. Binding to NoServer
-// unmaps. Partial-slice ranges are rejected: callers must allocate at
-// slice granularity so migration cannot split ownership below the coarse
-// granularity.
-func (g *GlobalMap) Bind(r Range, owner ServerID) error {
-	if r.Size <= 0 {
-		return fmt.Errorf("addr: bind of empty range %v", r)
-	}
-	if uint64(r.Start)%SliceSize != 0 || uint64(r.Size)%SliceSize != 0 {
-		return fmt.Errorf("addr: range %v is not slice-aligned", r)
-	}
-	first := SliceOf(r.Start)
-	last := SliceOf(r.End() - 1)
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if need := int(last + 1); need > len(g.slices) {
-		grown := make([]ServerID, need)
-		copy(grown, g.slices)
-		for i := len(g.slices); i < need; i++ {
-			grown[i] = NoServer
-		}
-		g.slices = grown
-	}
-	for s := first; s <= last; s++ {
-		g.slices[s] = owner
-	}
-	g.version++
-	return nil
-}
-
-// Owner resolves the server owning address a.
-func (g *GlobalMap) Owner(a Logical) (ServerID, error) {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	s := SliceOf(a)
-	if s >= uint64(len(g.slices)) || g.slices[s] == NoServer {
-		return NoServer, fmt.Errorf("%w: %#x", ErrUnmapped, uint64(a))
-	}
-	return g.slices[s], nil
-}
-
-// OwnerOfSlice resolves a slice index directly.
-func (g *GlobalMap) OwnerOfSlice(s uint64) (ServerID, error) {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	if s >= uint64(len(g.slices)) || g.slices[s] == NoServer {
-		return NoServer, fmt.Errorf("%w: slice %d", ErrUnmapped, s)
-	}
-	return g.slices[s], nil
-}
-
-// SlicesOwnedBy returns the slice indices bound to owner, ascending.
-func (g *GlobalMap) SlicesOwnedBy(owner ServerID) []uint64 {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	var out []uint64
-	for i, s := range g.slices {
-		if s == owner {
-			out = append(out, uint64(i))
-		}
-	}
-	return out
-}
-
-// Snapshot returns a copy of the slice table (a replica as a server would
-// hold it) together with its version.
-func (g *GlobalMap) Snapshot() ([]ServerID, uint64) {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	cp := make([]ServerID, len(g.slices))
-	copy(cp, g.slices)
-	return cp, g.version
-}
-
-// LocalMap is a server's fine-grained side of the two-step translation:
-// logical slice → offset of that slice's backing in the server's shared
-// region. Implementations must be safe for concurrent use.
-type LocalMap interface {
-	// MapSlice binds logical slice s to local byte offset off.
-	MapSlice(s uint64, off int64)
-	// UnmapSlice removes the binding, reporting whether it existed.
-	UnmapSlice(s uint64) bool
-	// LookupSlice resolves slice s to its local offset.
-	LookupSlice(s uint64) (int64, bool)
-}
-
-// Translator performs the full two-step translation.
-type Translator struct {
-	Global *GlobalMap
-	// Locals holds each server's fine map.
-	Locals map[ServerID]LocalMap
-}
-
-// Translate resolves a logical address to its physical location.
-func (t *Translator) Translate(a Logical) (Location, error) {
-	owner, err := t.Global.Owner(a)
-	if err != nil {
-		return Location{}, err
-	}
-	lm := t.Locals[owner]
-	if lm == nil {
-		return Location{}, fmt.Errorf("addr: no local map for server %d", owner)
-	}
-	base, ok := lm.LookupSlice(SliceOf(a))
-	if !ok {
-		return Location{}, fmt.Errorf("%w: slice %d missing on server %d", ErrUnmapped, SliceOf(a), owner)
-	}
-	return Location{Server: owner, Offset: base + int64(uint64(a)%SliceSize)}, nil
-}

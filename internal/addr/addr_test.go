@@ -1,11 +1,6 @@
 package addr
 
-import (
-	"errors"
-	"sync"
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 func TestSliceArithmetic(t *testing.T) {
 	if SliceOf(0) != 0 || SliceOf(SliceSize-1) != 0 || SliceOf(SliceSize) != 1 {
@@ -26,214 +21,5 @@ func TestRangeHelpers(t *testing.T) {
 	}
 	if !r.Overlaps(Range{Start: 149, Size: 10}) || r.Overlaps(Range{Start: 150, Size: 10}) {
 		t.Fatal("Overlaps wrong")
-	}
-}
-
-func TestGlobalMapBindAndResolve(t *testing.T) {
-	g := NewGlobalMap()
-	r := Range{Start: 0, Size: 4 * SliceSize}
-	if err := g.Bind(r, 2); err != nil {
-		t.Fatal(err)
-	}
-	owner, err := g.Owner(3 * SliceSize)
-	if err != nil || owner != 2 {
-		t.Fatalf("owner = %v, %v", owner, err)
-	}
-	if _, err := g.Owner(4 * SliceSize); !errors.Is(err, ErrUnmapped) {
-		t.Fatalf("beyond binding: %v", err)
-	}
-}
-
-func TestGlobalMapRejectsMisaligned(t *testing.T) {
-	g := NewGlobalMap()
-	if err := g.Bind(Range{Start: 100, Size: SliceSize}, 0); err == nil {
-		t.Fatal("misaligned start accepted")
-	}
-	if err := g.Bind(Range{Start: 0, Size: 100}, 0); err == nil {
-		t.Fatal("misaligned size accepted")
-	}
-	if err := g.Bind(Range{Start: 0, Size: 0}, 0); err == nil {
-		t.Fatal("empty range accepted")
-	}
-}
-
-func TestGlobalMapRebindPreservesAddresses(t *testing.T) {
-	// The §5 requirement: migration re-binds ownership, logical addresses
-	// stay valid.
-	g := NewGlobalMap()
-	r := Range{Start: 0, Size: 8 * SliceSize}
-	if err := g.Bind(r, 0); err != nil {
-		t.Fatal(err)
-	}
-	v1 := g.Version()
-	// Migrate slices 2..3 to server 1.
-	if err := g.Bind(Range{Start: 2 * SliceSize, Size: 2 * SliceSize}, 1); err != nil {
-		t.Fatal(err)
-	}
-	if g.Version() <= v1 {
-		t.Fatal("version did not advance on rebind")
-	}
-	for a, want := range map[Logical]ServerID{
-		0:                  0,
-		2*SliceSize + 123:  1,
-		3*SliceSize + 4000: 1,
-		4 * SliceSize:      0,
-	} {
-		got, err := g.Owner(a)
-		if err != nil || got != want {
-			t.Fatalf("owner(%#x) = %v,%v want %v", uint64(a), got, err, want)
-		}
-	}
-}
-
-func TestGlobalMapUnbind(t *testing.T) {
-	g := NewGlobalMap()
-	if err := g.Bind(Range{Start: 0, Size: SliceSize}, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.Bind(Range{Start: 0, Size: SliceSize}, NoServer); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := g.Owner(0); !errors.Is(err, ErrUnmapped) {
-		t.Fatalf("unbound owner: %v", err)
-	}
-}
-
-func TestSlicesOwnedBy(t *testing.T) {
-	g := NewGlobalMap()
-	if err := g.Bind(Range{Start: 0, Size: 4 * SliceSize}, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.Bind(Range{Start: SliceSize, Size: SliceSize}, 1); err != nil {
-		t.Fatal(err)
-	}
-	got := g.SlicesOwnedBy(0)
-	if len(got) != 3 || got[0] != 0 || got[1] != 2 || got[2] != 3 {
-		t.Fatalf("slices owned by 0: %v", got)
-	}
-}
-
-func TestSnapshotIsCopy(t *testing.T) {
-	g := NewGlobalMap()
-	if err := g.Bind(Range{Start: 0, Size: SliceSize}, 0); err != nil {
-		t.Fatal(err)
-	}
-	snap, ver := g.Snapshot()
-	if ver != 1 || len(snap) != 1 || snap[0] != 0 {
-		t.Fatalf("snapshot = %v v%d", snap, ver)
-	}
-	snap[0] = 9
-	if owner, _ := g.Owner(0); owner != 0 {
-		t.Fatal("snapshot mutation leaked into map")
-	}
-}
-
-type fakeLocal struct {
-	mu sync.Mutex
-	m  map[uint64]int64
-}
-
-func newFakeLocal() *fakeLocal { return &fakeLocal{m: make(map[uint64]int64)} }
-
-func (f *fakeLocal) MapSlice(s uint64, off int64) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.m[s] = off
-}
-func (f *fakeLocal) UnmapSlice(s uint64) bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	_, ok := f.m[s]
-	delete(f.m, s)
-	return ok
-}
-func (f *fakeLocal) LookupSlice(s uint64) (int64, bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	off, ok := f.m[s]
-	return off, ok
-}
-
-func TestTranslatorTwoStep(t *testing.T) {
-	g := NewGlobalMap()
-	if err := g.Bind(Range{Start: 0, Size: 2 * SliceSize}, 1); err != nil {
-		t.Fatal(err)
-	}
-	lm := newFakeLocal()
-	lm.MapSlice(0, 0)
-	lm.MapSlice(1, 5*SliceSize)
-	tr := &Translator{Global: g, Locals: map[ServerID]LocalMap{1: lm}}
-
-	loc, err := tr.Translate(Logical(SliceSize + 77))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loc.Server != 1 || loc.Offset != 5*SliceSize+77 {
-		t.Fatalf("loc = %+v", loc)
-	}
-}
-
-func TestTranslatorErrors(t *testing.T) {
-	g := NewGlobalMap()
-	tr := &Translator{Global: g, Locals: map[ServerID]LocalMap{}}
-	if _, err := tr.Translate(0); !errors.Is(err, ErrUnmapped) {
-		t.Fatalf("unmapped: %v", err)
-	}
-	if err := g.Bind(Range{Start: 0, Size: SliceSize}, 3); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tr.Translate(0); err == nil {
-		t.Fatal("missing local map accepted")
-	}
-	tr.Locals[3] = newFakeLocal()
-	if _, err := tr.Translate(0); !errors.Is(err, ErrUnmapped) {
-		t.Fatalf("missing slice: %v", err)
-	}
-}
-
-func TestGlobalMapConcurrent(t *testing.T) {
-	g := NewGlobalMap()
-	if err := g.Bind(Range{Start: 0, Size: 64 * SliceSize}, 0); err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		w := w
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 100; i++ {
-				s := uint64((w*100 + i) % 64)
-				_ = g.Bind(Range{Start: SliceBase(s), Size: SliceSize}, ServerID(w))
-				if _, err := g.Owner(SliceBase(s)); err != nil {
-					t.Errorf("owner: %v", err)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// Property: after binding, every address in the range resolves to the
-// owner; slice-granular rebinding never leaves a hole.
-func TestBindResolveProperty(t *testing.T) {
-	f := func(sliceIdx uint8, count uint8, owner uint8) bool {
-		g := NewGlobalMap()
-		n := int64(count%16) + 1
-		r := Range{Start: SliceBase(uint64(sliceIdx)), Size: n * SliceSize}
-		if err := g.Bind(r, ServerID(owner)); err != nil {
-			return false
-		}
-		for a := r.Start; a < r.End(); a += SliceSize / 2 {
-			got, err := g.Owner(a)
-			if err != nil || got != ServerID(owner) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -6,7 +6,6 @@ import (
 
 	"github.com/lmp-project/lmp/internal/addr"
 	"github.com/lmp-project/lmp/internal/alloc"
-	"github.com/lmp-project/lmp/internal/migrate"
 	"github.com/lmp-project/lmp/internal/sizing"
 	"github.com/lmp-project/lmp/internal/telemetry"
 )
@@ -49,11 +48,11 @@ func (p *Pool) BalanceOnce() (BalanceReport, error) {
 	if traced {
 		sp = p.obs.tracer.Begin(telemetry.SpanContext{}, "pool.balance")
 	}
-	rep, err := p.balanceOnce(sp.Context())
+	rep := p.balanceOnce(sp.Context())
 	if traced {
-		p.endChild(&sp, rep.Migrated*int(SliceSize), err)
+		p.endChild(&sp, rep.Migrated*int(SliceSize), nil)
 	}
-	return rep, err
+	return rep, nil
 }
 
 // balanceOnce plans against the full ranked move list and enforces the
@@ -63,26 +62,21 @@ func (p *Pool) BalanceOnce() (BalanceReport, error) {
 // taken per move inside the engine, never across the whole list, and
 // a slice another mover holds is skipped with TryLock rather than
 // stalling the round behind a repair.
-func (p *Pool) balanceOnce(sc telemetry.SpanContext) (BalanceReport, error) {
+func (p *Pool) balanceOnce(sc telemetry.SpanContext) BalanceReport {
 	p.harvestAccessCounts()
-	pol := p.cfg.Migration
-	budget := pol.MaxMoves
-	pol.MaxMoves = 0 // rank everything; the budget is enforced below
-	moves, err := migrate.Plan(p.matrix, p.global, pol)
-	if err != nil {
-		return BalanceReport{}, err
-	}
+	budget := p.cfg.Migration.MaxMoves
+	moves := p.planMoves()
 	rep := BalanceReport{Planned: len(moves)}
 	used := 0
 	for _, mv := range moves {
 		if budget > 0 && used >= budget {
 			break
 		}
-		if p.isDead(mv.To) || p.isDead(mv.From) {
+		if p.isDead(mv.to) || p.isDead(mv.from) {
 			rep.SkippedDead++
 			continue
 		}
-		back := p.lookupSlice(mv.Slice)
+		back := p.lookupSlice(mv.slice)
 		if back == nil {
 			rep.SkippedStale++ // freed since planning
 			continue
@@ -91,7 +85,7 @@ func (p *Pool) balanceOnce(sc telemetry.SpanContext) (BalanceReport, error) {
 			rep.SkippedBusy++
 			continue
 		}
-		err := p.moveOneCommitted(sc, mv.Slice, back, mv.To)
+		err := p.moveOneCommitted(sc, mv.slice, back, mv.to)
 		back.commit.Unlock()
 		switch {
 		case err == nil:
@@ -111,24 +105,24 @@ func (p *Pool) balanceOnce(sc telemetry.SpanContext) (BalanceReport, error) {
 	}
 	rep.Skipped = rep.SkippedDead + rep.SkippedCollocated + rep.SkippedAllocFail +
 		rep.SkippedBusy + rep.SkippedStale
-	p.matrix.Decay()
+	p.matrix.decay()
 	p.metrics.Counter("pool.migrations").Add(uint64(rep.Migrated))
 	p.metrics.Counter("pool.migrations.skipped.dead").Add(uint64(rep.SkippedDead))
 	p.metrics.Counter("pool.migrations.skipped.collocated").Add(uint64(rep.SkippedCollocated))
 	p.metrics.Counter("pool.migrations.skipped.alloc_fail").Add(uint64(rep.SkippedAllocFail))
 	p.metrics.Counter("pool.migrations.skipped.busy").Add(uint64(rep.SkippedBusy))
 	p.metrics.Counter("pool.migrations.skipped.stale").Add(uint64(rep.SkippedStale))
-	return rep, nil
+	return rep
 }
 
 // MigrateSlice forces one slice's backing onto a specific server (the
 // mechanism underneath both the balancer and administrative moves). The
-// logical address does not change: only the coarse map binding and the
-// two local maps do. Migration refuses to collocate a slice with its
-// own replicas or its stripe's other shards — that would silently void
-// the protection. Unlike the balancer, it blocks on the slice's
-// commit-window lock, so a concurrent repair or balance round delays a
-// forced move instead of failing it.
+// logical address does not change: only the slice's table entry — owner
+// and extent, stored together in the commit window — does. Migration
+// refuses to collocate a slice with its own replicas or its stripe's
+// other shards — that would silently void the protection. Unlike the
+// balancer, it blocks on the slice's commit-window lock, so a concurrent
+// repair or balance round delays a forced move instead of failing it.
 func (p *Pool) MigrateSlice(s uint64, to addr.ServerID) error {
 	if int(to) < 0 || int(to) >= len(p.nodes) {
 		return fmt.Errorf("core: no server %d", to)
@@ -150,14 +144,6 @@ func (p *Pool) MigrateSlice(s uint64, to addr.ServerID) error {
 		return err
 	}
 	return fmt.Errorf("%w: slice %d", addr.ErrUnmapped, s)
-}
-
-// AccessProfile exposes the balancer's access matrix (for tests and
-// tooling), first draining the hot path's per-slice atomic counters into
-// it.
-func (p *Pool) AccessProfile() *migrate.AccessMatrix {
-	p.harvestAccessCounts()
-	return p.matrix
 }
 
 // ResizeReport summarizes one sizing round.

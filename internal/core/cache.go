@@ -11,7 +11,6 @@ import (
 	"github.com/lmp-project/lmp/internal/addr"
 	"github.com/lmp-project/lmp/internal/cache"
 	"github.com/lmp-project/lmp/internal/coherence"
-	"github.com/lmp-project/lmp/internal/migrate"
 	"github.com/lmp-project/lmp/internal/telemetry"
 )
 
@@ -501,12 +500,12 @@ func (p *Pool) flushOneFallback(from addr.ServerID, v Vec) error {
 // a hit is an access the balancer would otherwise never see (it touches
 // no backing counter), yet it is exactly the signal that a remote slice
 // is hot enough to promote.
-func (p *Pool) harvestCacheHits(batch []migrate.Sample) []migrate.Sample {
+func (p *Pool) harvestCacheHits(batch []accessSample) []accessSample {
 	for n := range p.caches {
 		from := addr.ServerID(n)
 		p.caches[n].DrainHits(func(page, hits uint64) {
 			s := addr.SliceOf(addr.Logical(page << p.pageShift))
-			batch = append(batch, migrate.Sample{Slice: uint64(s), From: from, Count: hits})
+			batch = append(batch, accessSample{slice: uint64(s), from: from, count: hits})
 		})
 	}
 	return batch

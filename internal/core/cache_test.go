@@ -7,7 +7,6 @@ import (
 
 	"github.com/lmp-project/lmp/internal/addr"
 	"github.com/lmp-project/lmp/internal/failure"
-	"github.com/lmp-project/lmp/internal/migrate"
 )
 
 // newCachedPool builds a two-server pool with the page cache enabled and
@@ -227,7 +226,7 @@ func TestReleasePurgesCacheAndPendingWrites(t *testing.T) {
 
 func TestCacheHitsFeedMigration(t *testing.T) {
 	p := newCachedPool(t, CacheConfig{})
-	p.cfg.Migration = migrate.Policy{MinAccesses: 50, HysteresisFactor: 1, MaxMoves: 8}
+	p.cfg.Migration = MigrationPolicy{MinAccesses: 50, HysteresisFactor: 1, MaxMoves: 8}
 	b, err := p.Alloc(SliceSize, 0)
 	if err != nil {
 		t.Fatal(err)

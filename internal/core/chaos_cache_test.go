@@ -226,9 +226,13 @@ func chaosCacheRunOn(t *testing.T, seed int64, v ccVariant) ccStats {
 			if op.a%2 == 0 || v.flaps {
 				prot = failure.Policy{Scheme: failure.Replicate, Copies: 2}
 			}
+			inUse := regionUse(p)
 			b, err := p.AllocProtected(size, liveServer(op.b), prot)
 			if err != nil {
 				if errors.Is(err, alloc.ErrNoSpace) {
+					if err := failedAllocLeftNothing(p, inUse); err != nil {
+						diverge("op %d: refused alloc: %v", idx, err)
+					}
 					continue
 				}
 				diverge("op %d: alloc: %v", idx, err)

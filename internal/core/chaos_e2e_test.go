@@ -195,10 +195,14 @@ func chaosRun(t *testing.T, seed int64, keep []int, corruptAt int) chaosResult {
 				if op.a%2 == 0 {
 					prot = failure.Policy{Scheme: failure.Replicate, Copies: 2}
 				}
+				inUse := regionUse(p)
 				b, err := p.AllocProtected(size, liveServer(op.b), prot)
 				if err != nil {
 					if errors.Is(err, alloc.ErrNoSpace) {
 						logf("op=%d alloc full", idx)
+						if err := failedAllocLeftNothing(p, inUse); err != nil {
+							diverge("op %d: refused alloc: %v", idx, err)
+						}
 						return
 					}
 					diverge("op %d: alloc: %v", idx, err)

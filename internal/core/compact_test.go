@@ -309,19 +309,19 @@ func TestCompactSerializesWithInflightMigration(t *testing.T) {
 }
 
 // rebindUnderLocks calls rebindLocked holding what it requires.
-func rebindUnderLocks(p *Pool, s uint64, dstSrv addr.ServerID, dstOff int64) error {
+func rebindUnderLocks(p *Pool, s uint64, dstSrv addr.ServerID, dstOff int64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	lock := p.stripeFor(s)
 	lock.Lock()
 	defer lock.Unlock()
-	return p.rebindLocked(s, p.lookupSlice(s), dstSrv, dstOff)
+	p.rebindLocked(s, p.lookupSlice(s), dstSrv, dstOff)
 }
 
-// TestRebindSameServerKeepsLocalMapping pins the same-owner case of
-// rebindLocked, which local compaction rides: the local-map entry is
-// rewritten to the new offset, not dropped, and the old extent is freed.
-func TestRebindSameServerKeepsLocalMapping(t *testing.T) {
+// TestRebindSameServerMovesExtent pins the same-owner case of
+// rebindLocked, which local compaction rides: the address translates to
+// the new extent on the same owner, and the old extent is freed.
+func TestRebindSameServerMovesExtent(t *testing.T) {
 	p := testPool(t, alloc.LocalityAware)
 	b, err := p.Alloc(SliceSize, 0)
 	if err != nil {
@@ -332,9 +332,7 @@ func TestRebindSameServerKeepsLocalMapping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := rebindUnderLocks(p, s, 0, newOff); err != nil {
-		t.Fatal(err)
-	}
+	rebindUnderLocks(p, s, 0, newOff)
 	loc, err := p.Translate(b.Addr())
 	if err != nil || loc != (addr.Location{Server: 0, Offset: newOff}) {
 		t.Fatalf("Translate = %+v, %v; want server 0 offset %d", loc, err, newOff)

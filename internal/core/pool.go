@@ -56,8 +56,6 @@ import (
 	"github.com/lmp-project/lmp/internal/coherence"
 	"github.com/lmp-project/lmp/internal/failure"
 	"github.com/lmp-project/lmp/internal/memnode"
-	"github.com/lmp-project/lmp/internal/migrate"
-	"github.com/lmp-project/lmp/internal/pagetable"
 	"github.com/lmp-project/lmp/internal/telemetry"
 )
 
@@ -94,7 +92,7 @@ type Config struct {
 	// Protection is the default protection for new buffers.
 	Protection failure.Policy
 	// Migration tunes the locality balancer.
-	Migration migrate.Policy
+	Migration MigrationPolicy
 	// Cache configures the node-local hot-page cache and write combiner
 	// (see WithLocalCache and internal/core/cache.go).
 	Cache CacheConfig
@@ -119,13 +117,18 @@ func (c *Config) fillDefaults() {
 		c.CoherenceGranularity = 64
 	}
 	if c.Migration.HysteresisFactor == 0 {
-		c.Migration = migrate.DefaultPolicy()
+		c.Migration = defaultMigrationPolicy()
 	}
 }
 
-// sliceBacking is the authoritative physical location of one logical
-// slice. server and offset are mutated only under the structural lock
-// plus the slice's stripe lock held in write mode; the data path reads
+// sliceBacking is the pool's one record of where a logical slice lives:
+// both steps of the paper's translation (§5) in one entry. server is the
+// coarse step — the owner, what every server's replica of the slice map
+// names — and offset the fine step, the slice's extent in that owner's
+// shared region; a byte's location is offset plus its offset in the
+// slice. Both are mutated only under the structural lock plus the
+// slice's stripe lock held in write mode (rebindLocked, one store per
+// move); every reader — the data path, Translate, the balancer — reads
 // them under the stripe lock in read (or write) mode.
 type sliceBacking struct {
 	server addr.ServerID
@@ -204,29 +207,6 @@ type stripe struct {
 	_ [40]byte
 }
 
-// sliceMap adapts a pagetable.Table to the addr.LocalMap interface: the
-// server-local fine-grained step of the two-step translation.
-type sliceMap struct {
-	t *pagetable.Table
-}
-
-func newSliceMap() *sliceMap { return &sliceMap{t: pagetable.New()} }
-
-func (m *sliceMap) MapSlice(s uint64, off int64) {
-	if err := m.t.Map(s, off); err != nil {
-		// Slice indexes fit the table's vpage width by construction
-		// (2MiB slices give 2^36 slices within the 2^48 table range).
-		panic(fmt.Sprintf("core: slice map: %v", err))
-	}
-}
-
-func (m *sliceMap) UnmapSlice(s uint64) bool { return m.t.Unmap(s) }
-
-func (m *sliceMap) LookupSlice(s uint64) (int64, bool) {
-	off, ok, _ := m.t.Lookup(s)
-	return off, ok
-}
-
 // hotPath caches the resolved counters for one (kind, locality) class of
 // access, so the data path records telemetry with two atomic adds and no
 // registry lookups or string building.
@@ -245,9 +225,6 @@ type Pool struct {
 	nodes   []*memnode.Node
 	regions []*alloc.Extents
 	placer  *alloc.Placer
-	global  *addr.GlobalMap
-	locals  []*sliceMap
-	trans   *addr.Translator
 
 	nextSlice uint64
 	freeRuns  []addr.Range
@@ -259,7 +236,7 @@ type Pool struct {
 	buffers map[addr.Logical]*Buffer
 	dead    []atomic.Bool
 
-	matrix *migrate.AccessMatrix
+	matrix *accessMatrix
 
 	dir          *coherence.Directory
 	coherent     []byte
@@ -325,10 +302,9 @@ func New(cfg Config) (*Pool, error) {
 	}
 	p := &Pool{
 		cfg:      cfg,
-		global:   addr.NewGlobalMap(),
 		buffers:  make(map[addr.Logical]*Buffer),
 		dead:     make([]atomic.Bool, len(cfg.Servers)),
-		matrix:   migrate.NewAccessMatrix(),
+		matrix:   newAccessMatrix(),
 		dir:      dir,
 		coherent: make([]byte, cfg.CoherentBytes),
 		metrics:  telemetry.NewRegistry(),
@@ -359,7 +335,6 @@ func New(cfg Config) (*Pool, error) {
 		}
 		p.nodes = append(p.nodes, node)
 		p.regions = append(p.regions, ext)
-		p.locals = append(p.locals, newSliceMap())
 		regions = append(regions, &alloc.Region{Server: addr.ServerID(i), Mem: ext})
 	}
 	placer, err := alloc.NewPlacer(cfg.Placement, SliceSize, regions...)
@@ -371,11 +346,6 @@ func New(cfg Config) (*Pool, error) {
 	// data through the same placer while the server is still marked dead.
 	placer.Exclude = p.isDead
 	p.placer = placer
-	locals := make(map[addr.ServerID]addr.LocalMap, len(p.locals))
-	for i, lm := range p.locals {
-		locals[addr.ServerID(i)] = lm
-	}
-	p.trans = &addr.Translator{Global: p.global, Locals: locals}
 	p.initObs()
 	p.initTail()
 	if cfg.Cache.Enabled {
@@ -566,19 +536,10 @@ func (p *Pool) AllocProtected(size int64, from addr.ServerID, prot failure.Polic
 	b := &Buffer{pool: p, rng: rng, size: size, prot: prot}
 	first := addr.SliceOf(rng.Start)
 	for i, c := range chunks {
-		s := first + uint64(i)
-		p.setSlice(s, p.newBacking(c.Server, c.Offset, b))
-		p.locals[c.Server].MapSlice(s, c.Offset)
-	}
-	for i, c := range chunks {
-		s := first + uint64(i)
-		if err := p.global.Bind(addr.Range{Start: addr.SliceBase(s), Size: SliceSize}, c.Server); err != nil {
-			p.releasePartialLocked(b, chunks)
-			return nil, err
-		}
+		p.setSlice(first+uint64(i), p.newBacking(c.Server, c.Offset, b))
 	}
 	if err := p.protectLocked(b, chunks, from); err != nil {
-		p.releasePartialLocked(b, chunks)
+		p.teardownLocked(b)
 		return nil, err
 	}
 	p.buffers[rng.Start] = b
@@ -617,27 +578,14 @@ func (p *Pool) freeBackingLocked(server addr.ServerID, offset int64) {
 	p.nodes[server].DropRange(offset, SliceSize)
 }
 
-func (p *Pool) releasePartialLocked(b *Buffer, chunks []alloc.Chunk) {
-	first := b.firstSlice()
-	for i, c := range chunks {
-		s := first + uint64(i)
-		p.deleteSlice(s)
-		p.locals[c.Server].UnmapSlice(s)
-		p.freeBackingLocked(c.Server, c.Offset)
-	}
-	p.freeRuns = append(p.freeRuns, b.rng)
-}
-
-// Release frees the buffer, its replicas, and its parity blocks. A
-// second Release, and any access after the first, fails with
-// ErrReleased.
-func (b *Buffer) Release() error {
-	p := b.pool
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if b.released.Swap(true) {
-		return ErrReleased
-	}
+// teardownLocked is the one way a buffer's blocks are freed: it
+// unpublishes and frees every primary, frees every replica and parity
+// extent the buffer reserved, purges cached pages of the dying range and
+// returns the logical run. Release calls it for a live buffer, and
+// AllocProtected for one whose protection could not be placed — there
+// b.copies and the parity rows hold only what was reserved before
+// placement ran out. Caller holds p.mu.
+func (p *Pool) teardownLocked(b *Buffer) {
 	first := b.firstSlice()
 	for i := uint64(0); i < b.sliceCount(); i++ {
 		s := first + i
@@ -655,12 +603,10 @@ func (b *Buffer) Release() error {
 			b.ec.mu.Lock()
 		}
 		p.deleteSlice(s)
-		p.locals[back.server].UnmapSlice(s)
 		p.freeBackingLocked(back.server, back.offset)
 		if b.ec != nil {
 			b.ec.mu.Unlock()
 		}
-		_ = p.global.Bind(addr.Range{Start: addr.SliceBase(s), Size: SliceSize}, addr.NoServer)
 		if p.caches != nil {
 			// The logical range is dying and may be reallocated: cached
 			// pages and buffered writes into it must die with it.
@@ -684,8 +630,21 @@ func (b *Buffer) Release() error {
 		}
 		b.ec.mu.Unlock()
 	}
-	delete(p.buffers, b.rng.Start)
 	p.freeRuns = append(p.freeRuns, b.rng)
+}
+
+// Release frees the buffer, its replicas, and its parity blocks. A
+// second Release, and any access after the first, fails with
+// ErrReleased.
+func (b *Buffer) Release() error {
+	p := b.pool
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if b.released.Swap(true) {
+		return ErrReleased
+	}
+	p.teardownLocked(b)
+	delete(p.buffers, b.rng.Start)
 	p.metrics.Gauge("pool.bytes_allocated").Add(-b.rng.Size)
 	return nil
 }
@@ -1132,9 +1091,9 @@ func (p *Pool) recordAccessMetrics(from, owner addr.ServerID, s uint64, remote, 
 // harvestAccessCounts drains the per-slice atomic access counters — and
 // the per-page cache hit counters, which never touch backing counters —
 // into the balancer's access matrix, batched under one matrix lock.
-// Called before planning and profiling.
+// Called before planning.
 func (p *Pool) harvestAccessCounts() {
-	var batch []migrate.Sample
+	var batch []accessSample
 	t := p.table.Load()
 	for s := range t.entries {
 		back := t.entries[s].Load()
@@ -1143,22 +1102,48 @@ func (p *Pool) harvestAccessCounts() {
 		}
 		for srv := range back.counts {
 			if n := back.counts[srv].Swap(0); n > 0 {
-				batch = append(batch, migrate.Sample{Slice: uint64(s), From: addr.ServerID(srv), Count: n})
+				batch = append(batch, accessSample{slice: uint64(s), from: addr.ServerID(srv), count: n})
 			}
 		}
 	}
 	if p.caches != nil {
 		batch = p.harvestCacheHits(batch)
 	}
-	p.matrix.RecordBatch(batch)
+	p.matrix.recordBatch(batch)
 }
 
-// Translate resolves a logical address through the two-step scheme.
+// homeOf reads slice s's home — the entry's (server, extent offset) —
+// under its stripe read lock, exactly as the data path resolves it, so a
+// mover's commit is seen whole or not at all. It never takes p.mu.
+func (p *Pool) homeOf(s uint64) (addr.Location, bool) {
+	lock := p.stripeFor(s)
+	lock.RLock()
+	defer lock.RUnlock()
+	back := p.lookupSlice(s)
+	if back == nil {
+		return addr.Location{}, false
+	}
+	return addr.Location{Server: back.server, Offset: back.offset}, true
+}
+
+// Translate resolves a logical address to its physical location: the
+// slice entry names the owner (the coarse step) and the slice's extent
+// there, and the fine step adds the offset within the slice. It fails
+// with an error wrapping addr.ErrUnmapped for an unallocated address.
 func (p *Pool) Translate(la addr.Logical) (addr.Location, error) {
-	return p.trans.Translate(la)
+	loc, ok := p.homeOf(addr.SliceOf(la))
+	if !ok {
+		return addr.Location{}, fmt.Errorf("%w: %#x", addr.ErrUnmapped, uint64(la))
+	}
+	loc.Offset += int64(uint64(la) % SliceSize)
+	return loc, nil
 }
 
 // OwnerOf reports which server currently backs la.
 func (p *Pool) OwnerOf(la addr.Logical) (addr.ServerID, error) {
-	return p.global.Owner(la)
+	loc, err := p.Translate(la)
+	if err != nil {
+		return addr.NoServer, err
+	}
+	return loc.Server, nil
 }

@@ -9,7 +9,6 @@ import (
 	"github.com/lmp-project/lmp/internal/addr"
 	"github.com/lmp-project/lmp/internal/alloc"
 	"github.com/lmp-project/lmp/internal/coherence"
-	"github.com/lmp-project/lmp/internal/migrate"
 	"github.com/lmp-project/lmp/internal/sizing"
 )
 
@@ -214,7 +213,7 @@ func TestMigrationPreservesAddressesAndData(t *testing.T) {
 func TestBalancerMovesHotData(t *testing.T) {
 	cfg := Config{
 		Placement: alloc.LocalityAware,
-		Migration: migrate.Policy{MinAccesses: 8, HysteresisFactor: 1.5, MaxMoves: 16},
+		Migration: MigrationPolicy{MinAccesses: 8, HysteresisFactor: 1.5, MaxMoves: 16},
 	}
 	for i := 0; i < 4; i++ {
 		cfg.Servers = append(cfg.Servers, ServerConfig{Capacity: 16 * SliceSize, SharedBytes: 16 * SliceSize})

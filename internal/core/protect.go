@@ -107,11 +107,15 @@ func (p *Pool) allocAvoiding(avoid map[addr.ServerID]bool) (addr.ServerID, int64
 	return 0, 0, fmt.Errorf("core: protection backing: %w", alloc.ErrNoSpace)
 }
 
+// setupReplicasLocked and setupErasureLocked record each protection
+// block in b as it is reserved — rows grow by append, never pre-sized —
+// so when placement runs out, teardownLocked frees exactly what was
+// reserved: a pre-sized row's unfilled slots would be zero Chunks naming
+// server 0 offset 0, somebody else's extent.
 func (p *Pool) setupReplicasLocked(b *Buffer, chunks []alloc.Chunk) error {
 	copies := b.prot.Copies - 1 // primary counts as the first copy
-	b.copies = make([][]alloc.Chunk, copies)
 	for c := 0; c < copies; c++ {
-		b.copies[c] = make([]alloc.Chunk, len(chunks))
+		b.copies = append(b.copies, make([]alloc.Chunk, 0, len(chunks)))
 		for i, primary := range chunks {
 			avoid := map[addr.ServerID]bool{primary.Server: true}
 			for prev := 0; prev < c; prev++ {
@@ -121,7 +125,7 @@ func (p *Pool) setupReplicasLocked(b *Buffer, chunks []alloc.Chunk) error {
 			if err != nil {
 				return err
 			}
-			b.copies[c][i] = alloc.Chunk{Server: s, Offset: off, Size: SliceSize}
+			b.copies[c] = append(b.copies[c], alloc.Chunk{Server: s, Offset: off, Size: SliceSize})
 		}
 	}
 	return nil
@@ -134,7 +138,8 @@ func (p *Pool) setupErasureLocked(b *Buffer, chunks []alloc.Chunk) error {
 	}
 	b.ec = &ecState{rs: rs}
 	for start := uint64(0); start < uint64(len(chunks)); start += uint64(b.prot.K) {
-		stripe := ecStripe{firstIdx: start}
+		b.ec.stripes = append(b.ec.stripes, ecStripe{firstIdx: start})
+		stripe := &b.ec.stripes[len(b.ec.stripes)-1]
 		avoid := map[addr.ServerID]bool{}
 		end := start + uint64(b.prot.K)
 		if end > uint64(len(chunks)) {
@@ -151,7 +156,6 @@ func (p *Pool) setupErasureLocked(b *Buffer, chunks []alloc.Chunk) error {
 			avoid[s] = true
 			stripe.parity = append(stripe.parity, parityBlock{server: s, offset: off})
 		}
-		b.ec.stripes = append(b.ec.stripes, stripe)
 	}
 	return nil
 }

@@ -429,63 +429,43 @@ func (p *Pool) repairSliceCommitted(s uint64, back *sliceBacking) error {
 		p.mu.Unlock()
 		return nil
 	}
-	err = p.rebindLocked(s, back, dstSrv, dstOff)
+	p.rebindLocked(s, back, dstSrv, dstOff)
 	lock.Unlock()
-	if err != nil {
-		p.freeBackingLocked(dstSrv, dstOff)
-		p.mu.Unlock()
-		return err
-	}
 	p.metrics.Counter("pool.recoveries").Inc()
 	p.mu.Unlock()
 	return nil
 }
 
-// rebindLocked points slice s at (dstSrv, dstOff): both translation
-// steps, the backing record, the old extent's free (skipped when the
-// old owner is dead — its memory is gone), and the new owner's cache
-// invalidation. It is the only place a primary's (server, offset)
-// changes. A move within one server (compaction packing downward) only
-// rewrites the local-map entry in place: the owner, and so the global
-// binding and what the owner may cache, do not change. The caller holds
-// p.mu and the slice's stripe lock in write mode. For erasure-coded
-// buffers the swap additionally holds the buffer's EC lock:
-// reconstruction snapshots sibling backing fields and bytes under ec.mu
-// alone, so field mutation and the extent free must be ordered against
-// it.
-func (p *Pool) rebindLocked(s uint64, back *sliceBacking, dstSrv addr.ServerID, dstOff int64) error {
+// rebindLocked points slice s at (dstSrv, dstOff) and is the only place
+// a primary's (server, offset) changes: it swaps the entry's two fields —
+// owner and extent, both translation steps, one record — frees the old
+// extent (a no-op when the old owner is dead: its memory is gone) and
+// invalidates the new owner's cache. The caller holds p.mu and the
+// slice's stripe lock in write mode, so every reader of the entry sees
+// the old home or the new one, never a mix. For erasure-coded buffers the
+// swap additionally holds the buffer's EC lock: reconstruction snapshots
+// sibling backing fields and bytes under ec.mu alone, so field mutation
+// and the extent free must be ordered against it.
+func (p *Pool) rebindLocked(s uint64, back *sliceBacking, dstSrv addr.ServerID, dstOff int64) {
 	var ecmu *sync.Mutex
 	if back.buf != nil && back.buf.ec != nil {
 		ecmu = &back.buf.ec.mu
 		ecmu.Lock()
 	}
 	oldSrv, oldOff := back.server, back.offset
-	p.locals[dstSrv].MapSlice(s, dstOff)
-	if oldSrv != dstSrv {
-		if err := p.global.Bind(addr.Range{Start: addr.SliceBase(s), Size: SliceSize}, dstSrv); err != nil {
-			p.locals[dstSrv].UnmapSlice(s)
-			if ecmu != nil {
-				ecmu.Unlock()
-			}
-			return err
-		}
-		p.locals[oldSrv].UnmapSlice(s)
-	}
-	back.server = dstSrv
-	back.offset = dstOff
+	back.server, back.offset = dstSrv, dstOff
 	p.freeBackingLocked(oldSrv, oldOff)
 	if ecmu != nil {
 		ecmu.Unlock()
 	}
-	if p.caches != nil && oldSrv != dstSrv {
-		// The slice is local to its new owner now; drop the owner's cached
-		// copies so its reads hit backing DRAM directly (local pages are
-		// never cached). Other nodes' copies stay valid — the bytes did
-		// not change, only their home.
+	if p.caches != nil {
+		// The slice is local to its owner; drop the owner's cached copies
+		// so its reads hit backing DRAM directly (local pages are never
+		// cached). Other nodes' copies stay valid — the bytes did not
+		// change, only their home.
 		base := uint64(addr.SliceBase(s))
 		p.caches[dstSrv].InvalidateRange(base>>p.pageShift, uint64(SliceSize)>>p.pageShift)
 	}
-	return nil
 }
 
 // readSurvivingReplica copies slice s's bytes from the first live
@@ -664,10 +644,9 @@ func (p *Pool) rehomeReplica(sc telemetry.SpanContext, e evacuation, b *Buffer, 
 			}
 			return 0, 0, &failure.MemoryException{Addr: addr.SliceBase(sl), Server: old.Server}
 		},
-		publish: func() error {
+		publish: func() {
 			b.copies[c][idx] = alloc.Chunk{Server: srv, Offset: off, Size: SliceSize}
 			p.freeBackingLocked(old.Server, old.Offset)
-			return nil
 		},
 	})
 	if errors.Is(err, errMoveStale) {
@@ -874,7 +853,7 @@ func (p *Pool) movePrimaryCommitted(sc telemetry.SpanContext, s uint64, back *sl
 		s: s, back: back, dstSrv: dstSrv, dstOff: dstOff,
 		src:     func() (addr.ServerID, int64, error) { return back.server, back.offset, nil },
 		valid:   func() bool { return !p.isDead(back.server) && !p.isDead(dstSrv) },
-		publish: func() error { return p.rebindLocked(s, back, dstSrv, dstOff) },
+		publish: func() { p.rebindLocked(s, back, dstSrv, dstOff) },
 	})
 }
 
@@ -900,7 +879,8 @@ type blockMove struct {
 	valid func() bool
 	// publish runs in the commit window — p.mu and s's stripe write lock
 	// held, destination bytes complete — and also frees the old extent.
-	publish func() error
+	// It cannot fail: past the delta copy a move is one record's store.
+	publish func()
 }
 
 // moveBlockCommitted is the pool's one way to copy a slice-sized block
@@ -957,7 +937,7 @@ func (p *Pool) moveBlockCommitted(sc telemetry.SpanContext, mv blockMove) error 
 			}
 		}
 		if err == nil {
-			err = mv.publish()
+			mv.publish()
 		}
 		mv.back.stopTrackingLocked()
 		lock.Unlock()

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"github.com/lmp-project/lmp/internal/alloc"
-	"github.com/lmp-project/lmp/internal/migrate"
 	"github.com/lmp-project/lmp/internal/sizing"
 )
 
@@ -22,7 +21,7 @@ func TestStartBackgroundValidation(t *testing.T) {
 func TestBackgroundBalancerMigratesHotData(t *testing.T) {
 	cfg := Config{
 		Placement: alloc.LocalityAware,
-		Migration: migrate.Policy{MinAccesses: 8, HysteresisFactor: 1.5, MaxMoves: 16},
+		Migration: MigrationPolicy{MinAccesses: 8, HysteresisFactor: 1.5, MaxMoves: 16},
 	}
 	for i := 0; i < 4; i++ {
 		cfg.Servers = append(cfg.Servers, ServerConfig{Capacity: 16 * SliceSize, SharedBytes: 16 * SliceSize})

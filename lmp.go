@@ -7,7 +7,10 @@
 // CXL fabric. The library provides:
 //
 //   - the LMP runtime (Pool): allocation at stable logical addresses,
-//     local/remote load-store access, two-step address translation,
+//     local/remote load-store access, two-step address translation (one
+//     slice-table entry per 2 MiB slice names the owning server — the
+//     coarse, replicated step — and the slice's extent there — the
+//     fine step; Pool.Translate and every access read that entry),
 //     locality balancing, shared-region sizing, a coherent region with
 //     locks, and crash masking via replication or Reed–Solomon codes;
 //   - the physical-pool baselines (PhysicalPool) with no-cache, pinned-
@@ -75,7 +78,6 @@ import (
 	"github.com/lmp-project/lmp/internal/core"
 	"github.com/lmp-project/lmp/internal/failure"
 	"github.com/lmp-project/lmp/internal/memsim"
-	"github.com/lmp-project/lmp/internal/migrate"
 	"github.com/lmp-project/lmp/internal/rpc"
 	"github.com/lmp-project/lmp/internal/sizing"
 	"github.com/lmp-project/lmp/internal/telemetry"
@@ -225,7 +227,7 @@ func IsMemoryException(err error) bool { return failure.IsMemoryException(err) }
 // Policy types for the background tasks.
 type (
 	// MigrationPolicy tunes the locality balancer.
-	MigrationPolicy = migrate.Policy
+	MigrationPolicy = core.MigrationPolicy
 	// ServerLoad feeds the shared-region sizing optimizer.
 	ServerLoad = sizing.ServerLoad
 )

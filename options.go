@@ -5,7 +5,6 @@ import (
 
 	"github.com/lmp-project/lmp/internal/alloc"
 	"github.com/lmp-project/lmp/internal/failure"
-	"github.com/lmp-project/lmp/internal/migrate"
 )
 
 // Option adjusts a pool configuration in New. Options run after the
@@ -33,7 +32,7 @@ func WithProtection(pol failure.Policy) Option {
 
 // WithMigrationPolicy tunes the locality balancer (migration threshold,
 // hysteresis, per-round move budget).
-func WithMigrationPolicy(m migrate.Policy) Option {
+func WithMigrationPolicy(m MigrationPolicy) Option {
 	return func(c *Config) { c.Migration = m }
 }
 
