@@ -89,15 +89,18 @@ cross:
 # another; this catches it before it lands. The transport suites run once
 # more per shape under the race detector, the build in which a recycled
 # buffer is poisoned as it is put back: that is where the buffer-ownership
-# tests bite. memnode rides in that pass for its lifetime test: readers
+# tests bite. memnode rides in that pass for its lifetime test (readers
 # copying out of nodes whose last reference is gone while the collector
-# unmaps dead ones, on every shape.
+# unmaps dead ones) and its lender test (concurrent tenants allocating,
+# verifying and freeing extents while the boundary moves), alloc beside it
+# as the algorithm under that lock, on every shape. The core line also
+# runs the physical-pool deployment and the server-id bounds table.
 flake:
 	@for p in 1 2 4 8; do \
 		echo "flake: GOMAXPROCS=$$p"; \
 		GOMAXPROCS=$$p $(GO) test -shuffle=on -count=$(FLAKE_COUNT) ./internal/rpc/ ./internal/daemon/ || exit 1; \
-		GOMAXPROCS=$$p $(GO) test -race -shuffle=on ./internal/rpc/ ./internal/daemon/ ./internal/chaos/ ./internal/memnode/ || exit 1; \
-		GOMAXPROCS=$$p $(GO) test -shuffle=on -count=$(FLAKE_COUNT) -run 'Admission|Inflight|Tail|Compact|Elasticity|Translate' ./internal/core/ || exit 1; \
+		GOMAXPROCS=$$p $(GO) test -race -shuffle=on ./internal/rpc/ ./internal/daemon/ ./internal/chaos/ ./internal/memnode/ ./internal/alloc/ || exit 1; \
+		GOMAXPROCS=$$p $(GO) test -shuffle=on -count=$(FLAKE_COUNT) -run 'Admission|Inflight|Tail|Compact|Elasticity|Translate|Physical|ServerID' ./internal/core/ || exit 1; \
 	done
 
 # Regenerate the checked-in code ledger AUDIT.md: per package non-test

@@ -18,7 +18,6 @@ import (
 	"github.com/lmp-project/lmp/internal/failure"
 	"github.com/lmp-project/lmp/internal/memsim"
 	"github.com/lmp-project/lmp/internal/sim"
-	"github.com/lmp-project/lmp/internal/sizing"
 	"github.com/lmp-project/lmp/internal/topology"
 )
 
@@ -318,43 +317,6 @@ func BenchmarkAblationFailure(b *testing.B) {
 		}
 		b.ReportMetric(1.5, "space-overhead")
 		b.ReportMetric(2, "crashes-tolerated")
-	})
-}
-
-// BenchmarkAblationSizing compares the periodic optimizer against a
-// static 50% split on the weighted-local-fit objective.
-func BenchmarkAblationSizing(b *testing.B) {
-	servers := []sizing.ServerLoad{
-		{Capacity: 24 * memsim.GB, SharedDemand: 20 * memsim.GB, SharedWeight: 2, PrivateDemand: 4 * memsim.GB, PrivateWeight: 1},
-		{Capacity: 24 * memsim.GB, SharedDemand: 0, PrivateDemand: 22 * memsim.GB, PrivateWeight: 3},
-		{Capacity: 24 * memsim.GB, SharedDemand: 6 * memsim.GB, SharedWeight: 1, PrivateDemand: 12 * memsim.GB, PrivateWeight: 1},
-		{Capacity: 24 * memsim.GB, SharedDemand: 2 * memsim.GB, SharedWeight: 4, PrivateDemand: 20 * memsim.GB, PrivateWeight: 2},
-	}
-	const required = 24 * memsim.GB
-	b.Run("optimizer", func(b *testing.B) {
-		var value float64
-		for i := 0; i < b.N; i++ {
-			res, err := sizing.Optimize(servers, required, 256<<20)
-			if err != nil {
-				b.Fatal(err)
-			}
-			value = res.Value
-		}
-		b.ReportMetric(value/1e9, "objective-G")
-	})
-	b.Run("static-50", func(b *testing.B) {
-		var value float64
-		for i := 0; i < b.N; i++ {
-			split, err := sizing.StaticSplit(servers, 0.5, 256<<20)
-			if err != nil {
-				b.Fatal(err)
-			}
-			value, err = sizing.Evaluate(servers, split)
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(value/1e9, "objective-G")
 	})
 }
 

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	lmp "github.com/lmp-project/lmp"
-	"github.com/lmp-project/lmp/internal/sizing"
 )
 
 const capBytes = 32 * lmp.SliceSize
@@ -33,10 +32,10 @@ func main() {
 	// The demand signal the background task reads. Phase A: server 0 runs
 	// a pool-hungry analytics job; everyone else is private-heavy.
 	var phase atomic.Int32
-	loads := func() ([]sizing.ServerLoad, int64) {
-		ls := make([]sizing.ServerLoad, 4)
+	loads := func() ([]lmp.ServerLoad, int64) {
+		ls := make([]lmp.ServerLoad, 4)
 		for i := range ls {
-			ls[i] = sizing.ServerLoad{Capacity: capBytes}
+			ls[i] = lmp.ServerLoad{Capacity: capBytes}
 		}
 		if phase.Load() == 0 {
 			ls[0].SharedDemand, ls[0].SharedWeight = 24*lmp.SliceSize, 3

@@ -1,9 +1,10 @@
-// Package alloc provides the pool allocators: an extent allocator managing
-// one server's shared region, and a Placer that spreads allocations across
-// servers under a placement policy. Allocation failure is how the runtime
-// reports the paper's Figure 5 infeasibility: a physical pool whose device
-// is smaller than the working set cannot place it, while a logical pool
-// can grow its shared regions and succeed.
+// Package alloc provides the pool's allocation algorithms: Extents, the
+// first-fit extent allocator a lender (memnode.Node, its one holder) runs
+// over its shared region, and a Placer that spreads allocations across
+// lenders under a placement policy. Allocation failure is how the runtime
+// reports the paper's Figure 5 infeasibility: a physical pool — a pool
+// whose one lender is the device — smaller than the working set cannot
+// place it, while a logical pool can grow its shared regions and succeed.
 package alloc
 
 import (
@@ -11,7 +12,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 )
 
 // ErrNoSpace reports an allocation that cannot be satisfied.
@@ -23,12 +23,13 @@ var ErrNotAllocated = errors.New("alloc: offset not allocated")
 // Extents is a first-fit extent allocator over [0, Limit) in multiples of
 // a unit. It handles arbitrary (non-power-of-two) region sizes and
 // supports growing and shrinking the limit at runtime — the shape of an
-// LMP shared region, whose size follows the sizing policy. It is safe for
-// concurrent use.
+// LMP shared region, whose size follows the sizing policy. It is the
+// algorithm only and takes no lock: memnode.Node holds it under its
+// allocation lock, which is also what orders a freed extent's scrub before
+// its next grant.
 type Extents struct {
 	unit int64
 
-	mu        sync.Mutex
 	limit     int64
 	free      []extent // sorted by offset, coalesced
 	allocated map[int64]int64
@@ -53,24 +54,13 @@ func NewExtents(limit, unit int64) (*Extents, error) {
 	return e, nil
 }
 
-// Size reports the current limit.
-func (e *Extents) Size() int64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.limit
-}
-
 // InUse reports allocated bytes.
 func (e *Extents) InUse() int64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	return e.inUse
 }
 
 // FreeBytes reports unallocated capacity.
 func (e *Extents) FreeBytes() int64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	return e.limit - e.inUse
 }
 
@@ -83,8 +73,6 @@ func (e *Extents) Alloc(n int64) (int64, error) {
 		return 0, fmt.Errorf("alloc: allocation of %d bytes", n)
 	}
 	n = (n + e.unit - 1) / e.unit * e.unit
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	for i := range e.free {
 		if e.free[i].size < n {
 			continue
@@ -105,8 +93,6 @@ func (e *Extents) Alloc(n int64) (int64, error) {
 // Free releases the allocation at offset and reports its length, so the
 // owner of the memory can scrub exactly what was handed back.
 func (e *Extents) Free(offset int64) (int64, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	n, ok := e.allocated[offset]
 	if !ok {
 		return 0, fmt.Errorf("%w: %d", ErrNotAllocated, offset)
@@ -117,7 +103,7 @@ func (e *Extents) Free(offset int64) (int64, error) {
 	return n, nil
 }
 
-// insertFree adds an extent and coalesces neighbours. Caller holds mu.
+// insertFree adds an extent and coalesces neighbours.
 func (e *Extents) insertFree(x extent) {
 	i := sort.Search(len(e.free), func(i int) bool { return e.free[i].off > x.off })
 	e.free = append(e.free, extent{})
@@ -141,8 +127,6 @@ func (e *Extents) SetLimit(newLimit int64) error {
 	if newLimit < 0 || newLimit%e.unit != 0 {
 		return fmt.Errorf("alloc: limit %d must be a non-negative multiple of %d", newLimit, e.unit)
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	switch {
 	case newLimit == e.limit:
 		return nil
@@ -173,7 +157,5 @@ func (e *Extents) SetLimit(newLimit int64) error {
 // FragmentCount reports the number of free extents (a fragmentation
 // indicator).
 func (e *Extents) FragmentCount() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	return len(e.free)
 }

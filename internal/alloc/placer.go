@@ -46,15 +46,16 @@ type Chunk struct {
 	Size   int64
 }
 
-// RegionAlloc is the allocator a region exposes to the placer; *Extents
-// satisfies it.
+// RegionAlloc is what the placer needs of a lender: the runtime hands it
+// the servers' *memnode.Node (a Free there also scrubs the extent); a bare
+// *Extents satisfies it too.
 type RegionAlloc interface {
 	Alloc(n int64) (int64, error)
 	Free(offset int64) (int64, error)
 	FreeBytes() int64
 }
 
-// Region couples a server with the allocator managing its shared region.
+// Region couples a server with the lender of its shared region.
 type Region struct {
 	Server addr.ServerID
 	Mem    RegionAlloc

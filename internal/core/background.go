@@ -6,7 +6,6 @@ import (
 
 	"github.com/lmp-project/lmp/internal/addr"
 	"github.com/lmp-project/lmp/internal/alloc"
-	"github.com/lmp-project/lmp/internal/sizing"
 	"github.com/lmp-project/lmp/internal/telemetry"
 )
 
@@ -124,8 +123,8 @@ func (p *Pool) balanceOnce(sc telemetry.SpanContext) BalanceReport {
 // balancer, it blocks on the slice's commit-window lock, so a concurrent
 // repair or balance round delays a forced move instead of failing it.
 func (p *Pool) MigrateSlice(s uint64, to addr.ServerID) error {
-	if int(to) < 0 || int(to) >= len(p.nodes) {
-		return fmt.Errorf("core: no server %d", to)
+	if err := p.checkServer(to); err != nil {
+		return err
 	}
 	if p.isDead(to) {
 		return fmt.Errorf("%w: server %d", ErrServerDead, to)
@@ -158,30 +157,24 @@ type ResizeReport struct {
 // ResizeShared moves one server's private/shared boundary. Shrinking
 // fails if allocated slices occupy the tail (migrate them first).
 func (p *Pool) ResizeShared(s addr.ServerID, bytes int64) error {
-	if int(s) < 0 || int(s) >= len(p.nodes) {
-		return fmt.Errorf("core: no server %d", s)
-	}
-	bytes = bytes - bytes%SliceSize
-	if bytes < 0 || bytes > p.nodes[s].Capacity() {
-		return fmt.Errorf("core: shared size %d outside [0,%d]", bytes, p.nodes[s].Capacity())
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if err := p.regions[s].SetLimit(bytes); err != nil {
+	if err := p.checkServer(s); err != nil {
 		return err
 	}
-	return p.nodes[s].Resize(bytes)
+	if bytes < 0 {
+		return fmt.Errorf("core: shared size %d is negative", bytes)
+	}
+	return p.nodes[s].Resize(bytes - bytes%SliceSize)
 }
 
 // SizeOnce runs the global sizing optimization (§5 "Sizing the shared
 // regions") against the given per-server loads and applies the result
 // best-effort: growth always succeeds, shrinks are clamped by
 // fragmentation.
-func (p *Pool) SizeOnce(loads []sizing.ServerLoad, requiredPool int64) (ResizeReport, error) {
+func (p *Pool) SizeOnce(loads []ServerLoad, requiredPool int64) (ResizeReport, error) {
 	if len(loads) != len(p.nodes) {
 		return ResizeReport{}, fmt.Errorf("core: %d loads for %d servers", len(loads), len(p.nodes))
 	}
-	res, err := sizing.Optimize(loads, requiredPool, SliceSize)
+	res, err := optimizeSizes(loads, requiredPool, SliceSize)
 	if err != nil {
 		return ResizeReport{}, err
 	}
@@ -189,23 +182,23 @@ func (p *Pool) SizeOnce(loads []sizing.ServerLoad, requiredPool int64) (ResizeRe
 	// Grow first so shrinking servers have somewhere to evacuate, then
 	// shrink with compaction.
 	for i := range loads {
-		if res.SharedBytes[i] >= p.regions[i].Size() {
+		if res.SharedBytes[i] >= p.nodes[i].SharedBytes() {
 			s := addr.ServerID(i)
 			if err := p.ResizeShared(s, res.SharedBytes[i]); err == nil {
 				rep.SharedBytes[i] = res.SharedBytes[i]
 			} else {
-				rep.SharedBytes[i] = p.regions[i].Size()
+				rep.SharedBytes[i] = p.nodes[i].SharedBytes()
 			}
 		}
 	}
 	for i := range loads {
-		if res.SharedBytes[i] < p.regions[i].Size() {
+		if res.SharedBytes[i] < p.nodes[i].SharedBytes() {
 			s := addr.ServerID(i)
 			if err := p.ShrinkShared(s, res.SharedBytes[i]); err == nil {
 				rep.SharedBytes[i] = res.SharedBytes[i]
 			} else {
 				// Shrink blocked even after compaction: keep current.
-				rep.SharedBytes[i] = p.regions[i].Size()
+				rep.SharedBytes[i] = p.nodes[i].SharedBytes()
 			}
 		}
 	}

@@ -42,8 +42,8 @@ type CompactReport struct {
 // exclude a concurrent Alloc from landing in the tail it just cleared;
 // the ResizeShared that follows then fails as a fragmented shrink does.
 func (p *Pool) CompactServer(s addr.ServerID, targetBytes int64) (CompactReport, error) {
-	if int(s) < 0 || int(s) >= len(p.nodes) {
-		return CompactReport{}, fmt.Errorf("core: no server %d", s)
+	if err := p.checkServer(s); err != nil {
+		return CompactReport{}, err
 	}
 	targetBytes = targetBytes - targetBytes%SliceSize
 	if targetBytes < 0 {

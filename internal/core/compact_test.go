@@ -9,7 +9,6 @@ import (
 	"github.com/lmp-project/lmp/internal/addr"
 	"github.com/lmp-project/lmp/internal/alloc"
 	"github.com/lmp-project/lmp/internal/failure"
-	"github.com/lmp-project/lmp/internal/sizing"
 )
 
 // fragmentTail allocates and frees so server 0 keeps one live slice at
@@ -185,9 +184,9 @@ func TestCompactPreservesReplicaAntiAffinity(t *testing.T) {
 func TestSizeOnceShrinksThroughCompaction(t *testing.T) {
 	p := testPool(t, alloc.LocalityAware)
 	_, payload := fragmentTail(t, p) // live slice at the top of server 0
-	loads := make([]sizing.ServerLoad, 4)
+	loads := make([]ServerLoad, 4)
 	for i := range loads {
-		loads[i] = sizing.ServerLoad{Capacity: 16 * SliceSize}
+		loads[i] = ServerLoad{Capacity: 16 * SliceSize}
 	}
 	// Server 0's DRAM is precious (private demand); server 1 hosts the
 	// pool instead.
@@ -328,7 +327,7 @@ func TestRebindSameServerMovesExtent(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := b.firstSlice()
-	newOff, err := p.regions[0].Alloc(SliceSize)
+	newOff, err := p.nodes[0].Alloc(SliceSize)
 	if err != nil {
 		t.Fatal(err)
 	}

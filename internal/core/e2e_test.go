@@ -35,12 +35,12 @@ func TestPaperDeploymentEndToEnd(t *testing.T) {
 	}
 	// The physical counterpart cannot hold it.
 	phys, err := NewPhysical(PhysicalConfig{
-		Servers: 4, LocalBytes: 8 * SliceSize, PoolBytes: 64 * SliceSize, Mode: PinnedCache,
+		Servers: 4, LocalBytes: 8 * SliceSize, PoolBytes: 64 * SliceSize,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := phys.Alloc(vectorSlices * SliceSize); err == nil {
+	if _, err := phys.Alloc(vectorSlices*SliceSize, 0); err == nil {
 		t.Fatal("physical pool accepted the oversized vector")
 	}
 

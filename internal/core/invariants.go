@@ -90,7 +90,7 @@ func (p *Pool) CheckInvariants() error {
 		}
 	}
 	for s, n := range homed {
-		if inUse := p.regions[s].InUse(); !p.isDead(addr.ServerID(s)) && inUse != n*SliceSize {
+		if inUse := p.nodes[s].InUse(); !p.isDead(addr.ServerID(s)) && inUse != n*SliceSize {
 			report("server %d: %d slices of extents in use, %d blocks homed there", s, inUse/SliceSize, n)
 		}
 	}

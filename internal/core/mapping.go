@@ -41,8 +41,8 @@ const vaBase = 1 << 20
 // NewAddressSpace returns an empty address space for a process on the
 // given server.
 func (p *Pool) NewAddressSpace(server addr.ServerID) (*AddressSpace, error) {
-	if int(server) < 0 || int(server) >= len(p.nodes) {
-		return nil, fmt.Errorf("core: no server %d", server)
+	if err := p.checkServer(server); err != nil {
+		return nil, err
 	}
 	return &AddressSpace{
 		pool:     p,

@@ -8,6 +8,25 @@ import (
 	"github.com/lmp-project/lmp/internal/workload"
 )
 
+// CacheMode selects how the analytic model lets a physical-pool server
+// use its local DRAM. (The functional runtime has one cache,
+// internal/cache behind WithLocalCache; see NewPhysical.)
+type CacheMode int
+
+const (
+	// NoCache: every pool access crosses the fabric (the paper's
+	// "Physical no-cache" configuration).
+	NoCache CacheMode = iota
+	// PinnedCache: local DRAM permanently caches the first bytes of pool
+	// data it touches ("Physical cache": caching incurs an upfront memcpy
+	// but provides faster subsequent reads).
+	PinnedCache
+	// LRUCache: local DRAM is a demand-filled LRU page cache (the
+	// thrash-prone alternative; cyclic scans larger than the cache get
+	// zero hits).
+	LRUCache
+)
+
 // VectorSumConfig parameterizes the §4 microbenchmark: one server's cores
 // sum a vector living in disaggregated memory, repeated Reps times, and
 // the average bandwidth is reported.

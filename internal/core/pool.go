@@ -1,6 +1,6 @@
 // Package core implements the Logical Memory Pool runtime — the paper's
-// primary contribution — and the physical-pool baselines it is evaluated
-// against.
+// primary contribution. The physical-pool baseline it is evaluated
+// against is the same runtime deployed with one lender (NewPhysical).
 //
 // A Pool carves a shared region out of every server's DRAM; the union of
 // the shared regions is the disaggregated memory. Applications allocate
@@ -18,7 +18,10 @@
 //
 //   - The structural lock (Pool.mu) serializes operations that change
 //     the shape of the pool: allocation, release, migration, compaction,
-//     resizing, crash and repair, and coherent-region bookkeeping.
+//     crash and repair, and coherent-region bookkeeping. (Moving a
+//     server's private/shared boundary is not among them: each server's
+//     memnode.Node owns its region's allocator and boundary under its own
+//     allocation lock, a leaf below every lock named here.)
 //   - The data path (Read/Write/ReadV/WriteV and friends) never takes
 //     the structural lock. It resolves slices through an atomically
 //     published slice table and holds only a striped per-slice
@@ -221,10 +224,12 @@ type Pool struct {
 
 	// mu is the structural lock; see the package comment. The data path
 	// never holds it.
-	mu      sync.Mutex
-	nodes   []*memnode.Node
-	regions []*alloc.Extents
-	placer  *alloc.Placer
+	mu sync.Mutex
+	// nodes are the lenders, one per server: each owns its shared
+	// region's bytes, allocator and boundary (memnode). Their allocation
+	// locks are leaves under mu.
+	nodes  []*memnode.Node
+	placer *alloc.Placer
 
 	nextSlice uint64
 	freeRuns  []addr.Range
@@ -324,18 +329,14 @@ func New(cfg Config) (*Pool, error) {
 		if sc.SharedBytes < 0 || sc.SharedBytes > sc.Capacity {
 			return nil, fmt.Errorf("core: server %d shares %d of %d", i, sc.SharedBytes, sc.Capacity)
 		}
-		shared := sc.SharedBytes - sc.SharedBytes%SliceSize
-		node, err := memnode.New(sc.Name, sc.Capacity, shared)
-		if err != nil {
-			return nil, err
-		}
-		ext, err := alloc.NewExtents(shared, SliceSize)
+		// Every boundary and every request is a slice multiple, so the
+		// node's page-granular grants stay slice-aligned.
+		node, err := memnode.New(sc.Name, sc.Capacity, sc.SharedBytes-sc.SharedBytes%SliceSize)
 		if err != nil {
 			return nil, err
 		}
 		p.nodes = append(p.nodes, node)
-		p.regions = append(p.regions, ext)
-		regions = append(regions, &alloc.Region{Server: addr.ServerID(i), Mem: ext})
+		regions = append(regions, &alloc.Region{Server: addr.ServerID(i), Mem: node})
 	}
 	placer, err := alloc.NewPlacer(cfg.Placement, SliceSize, regions...)
 	if err != nil {
@@ -428,12 +429,25 @@ func (p *Pool) isDead(s addr.ServerID) bool {
 // Servers reports the number of pool servers.
 func (p *Pool) Servers() int { return len(p.nodes) }
 
+// checkServer is the one range check of a caller-supplied server id:
+// every exported method that indexes per-server state goes through it.
+func (p *Pool) checkServer(s addr.ServerID) error {
+	if int(s) < 0 || int(s) >= len(p.nodes) {
+		return fmt.Errorf("core: no server %d", s)
+	}
+	return nil
+}
+
 // Directory exposes the coherent region's coherence engine.
 func (p *Pool) Directory() *coherence.Directory { return p.dir }
 
-// SharedBytes reports server s's current shared-region size.
+// SharedBytes reports server s's current shared-region size (zero for a
+// server the pool does not have).
 func (p *Pool) SharedBytes(s addr.ServerID) int64 {
-	return p.regions[s].Size()
+	if p.checkServer(s) != nil {
+		return 0
+	}
+	return p.nodes[s].SharedBytes()
 }
 
 // FreePoolBytes reports unallocated pool capacity.
@@ -566,16 +580,14 @@ func (p *Pool) reserveLogicalLocked(size int64) addr.Range {
 	return out
 }
 
-// freeBackingLocked returns one slice of physical backing to its region
-// and scrubs the pages so reallocated pool memory reads as zeros (the
-// allocator contract that keeps fresh replicas and parity trivially
-// consistent).
+// freeBackingLocked returns one slice of physical backing to its lender,
+// which scrubs it before granting it again: reallocated pool memory reads
+// as zeros (the contract that keeps fresh replicas and parity trivially
+// consistent). A dead server's books are not touched.
 func (p *Pool) freeBackingLocked(server addr.ServerID, offset int64) {
-	if p.isDead(server) {
-		return
+	if !p.isDead(server) {
+		_, _ = p.nodes[server].Free(offset)
 	}
-	_, _ = p.regions[server].Free(offset)
-	p.nodes[server].DropRange(offset, SliceSize)
 }
 
 // teardownLocked is the one way a buffer's blocks are freed: it

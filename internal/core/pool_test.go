@@ -9,7 +9,6 @@ import (
 	"github.com/lmp-project/lmp/internal/addr"
 	"github.com/lmp-project/lmp/internal/alloc"
 	"github.com/lmp-project/lmp/internal/coherence"
-	"github.com/lmp-project/lmp/internal/sizing"
 )
 
 func coherenceNode(s int) coherence.NodeID { return coherence.NodeID(s) }
@@ -205,7 +204,7 @@ func TestMigrationPreservesAddressesAndData(t *testing.T) {
 	if p.SharedBytes(0) != 16*SliceSize {
 		t.Fatal("shared size changed")
 	}
-	if got := p.regions[0].InUse(); got != 0 {
+	if got := p.nodes[0].InUse(); got != 0 {
 		t.Fatalf("source region still holds %d bytes", got)
 	}
 }
@@ -291,7 +290,7 @@ func TestResizeShared(t *testing.T) {
 
 func TestSizeOnceAppliesOptimizer(t *testing.T) {
 	p := testPool(t, alloc.LocalityAware)
-	loads := []sizing.ServerLoad{
+	loads := []ServerLoad{
 		{Capacity: 16 * SliceSize, SharedDemand: 8 * SliceSize, SharedWeight: 1},
 		{Capacity: 16 * SliceSize, PrivateDemand: 16 * SliceSize, PrivateWeight: 1},
 		{Capacity: 16 * SliceSize, PrivateDemand: 16 * SliceSize, PrivateWeight: 1},

@@ -67,12 +67,12 @@ func (p *Pool) allocAvoiding(avoid map[addr.ServerID]bool) (addr.ServerID, int64
 		free int64
 	}
 	var primary, fallback []cand
-	for i := range p.regions {
+	for i := range p.nodes {
 		s := addr.ServerID(i)
 		if p.isDead(s) {
 			continue
 		}
-		c := cand{s: s, free: p.regions[i].FreeBytes()}
+		c := cand{s: s, free: p.nodes[i].FreeBytes()}
 		if avoid[s] {
 			fallback = append(fallback, c)
 		} else {
@@ -92,7 +92,7 @@ func (p *Pool) allocAvoiding(avoid map[addr.ServerID]bool) (addr.ServerID, int64
 		if best < 0 {
 			return 0, 0, false
 		}
-		off, err := p.regions[cs[best].s].Alloc(SliceSize)
+		off, err := p.nodes[cs[best].s].Alloc(SliceSize)
 		if err != nil {
 			return 0, 0, false
 		}
@@ -250,8 +250,8 @@ func (p *Pool) protectionServersLocked(b *Buffer, idx uint64) map[addr.ServerID]
 // pool. Reads of data it owned are masked through protection or raise a
 // MemoryException.
 func (p *Pool) Crash(s addr.ServerID) error {
-	if int(s) < 0 || int(s) >= len(p.nodes) {
-		return fmt.Errorf("core: no server %d", s)
+	if err := p.checkServer(s); err != nil {
+		return err
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()

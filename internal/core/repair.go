@@ -228,11 +228,11 @@ func (p *Pool) snapshotEvacuationLocked(e evacuation) (prim []repairItem, prot [
 // added). Caller holds p.mu.
 func (p *Pool) reserveEvacuatedLocked(e evacuation, avoid map[addr.ServerID]bool) (addr.ServerID, int64, error) {
 	if !p.isDead(e.srv) {
-		if off, err := p.regions[e.srv].Alloc(SliceSize); err == nil {
+		if off, err := p.nodes[e.srv].Alloc(SliceSize); err == nil {
 			if off < e.from {
 				return e.srv, off, nil
 			}
-			_, _ = p.regions[e.srv].Free(off) // cannot fail: just granted
+			_, _ = p.nodes[e.srv].Free(off) // cannot fail: just granted
 		}
 	}
 	avoid[e.srv] = true
@@ -240,7 +240,7 @@ func (p *Pool) reserveEvacuatedLocked(e evacuation, avoid map[addr.ServerID]bool
 	if err == nil && srv == e.srv {
 		// allocAvoiding's last-resort fallback landed back in the region
 		// being vacated, necessarily at or above e.from.
-		_, _ = p.regions[srv].Free(off)
+		_, _ = p.nodes[srv].Free(off)
 		err = fmt.Errorf("core: evacuate server %d: %w", e.srv, alloc.ErrNoSpace)
 	}
 	return srv, off, err
@@ -836,7 +836,7 @@ func (p *Pool) moveOneCommitted(sc telemetry.SpanContext, s uint64, back *sliceB
 			return fmt.Errorf("%w: slice %d to server %d", errCollocate, s, to)
 		}
 	}
-	newOff, err := p.regions[to].Alloc(SliceSize)
+	newOff, err := p.nodes[to].Alloc(SliceSize)
 	p.mu.Unlock()
 	if err != nil {
 		return fmt.Errorf("core: migrate slice %d to %d: %w", s, to, err)

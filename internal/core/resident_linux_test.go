@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/lmp-project/lmp/internal/addr"
 	"github.com/lmp-project/lmp/internal/alloc"
 )
 
@@ -26,58 +27,91 @@ func residentMiB(t *testing.T) int64 {
 
 // TestSizingGivesMemoryBack: shrinking a server's shared region through
 // compaction moves its data — the process does not grow by a second
-// copy, and the vacated server keeps nothing — and releasing the buffer
+// copy, and the vacated range keeps nothing — and releasing the buffer
 // shrinks the process by about its size. 64MiB keeps the runtime's own
-// noise under 5%.
+// noise under 5%. Two deployments: a logical pool, whose server 0 lends
+// nothing afterwards (the data leaves for its peers), and the physical
+// baseline, whose device is the only lender (the data packs downward).
 func TestSizingGivesMemoryBack(t *testing.T) {
 	const slices = 32 // 64 MiB
-	cfg := Config{Placement: alloc.LocalityAware}
-	for i := 0; i < 4; i++ {
-		cfg.Servers = append(cfg.Servers, ServerConfig{Capacity: slices * SliceSize, SharedBytes: slices * SliceSize})
-	}
-	p, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := p.Alloc(slices*SliceSize, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	payload := bytes.Repeat([]byte{0xC3}, SliceSize)
-	for i := int64(0); i < slices; i++ {
-		if err := b.WriteAt(0, payload, i*SliceSize); err != nil {
+	alloc64 := func(t *testing.T, p *Pool) *Buffer {
+		t.Helper()
+		b, err := p.Alloc(slices*SliceSize, 0)
+		if err != nil {
 			t.Fatal(err)
 		}
+		return b
 	}
-	if got := p.nodes[0].ResidentBytes(); got != slices*SliceSize {
-		t.Fatalf("server 0 resident %d MiB after writing %d", got>>20, slices*SliceSize>>20)
-	}
-	full := residentMiB(t)
+	for _, tc := range []struct {
+		name  string
+		build func() (*Pool, error)
+		// place allocates the 64 MiB buffer and names the shrink that
+		// must move it: which server's region, and to what size.
+		place func(t *testing.T, p *Pool) (b *Buffer, srv addr.ServerID, target int64)
+	}{
+		{"logical", func() (*Pool, error) {
+			cfg := Config{Placement: alloc.LocalityAware}
+			for i := 0; i < 4; i++ {
+				cfg.Servers = append(cfg.Servers, ServerConfig{Capacity: slices * SliceSize, SharedBytes: slices * SliceSize})
+			}
+			return New(cfg)
+		}, func(t *testing.T, p *Pool) (*Buffer, addr.ServerID, int64) {
+			return alloc64(t, p), 0, 0 // alone on server 0, which stops lending
+		}},
+		{"physical", func() (*Pool, error) {
+			return NewPhysical(PhysicalConfig{Servers: 2, PoolBytes: 2 * slices * SliceSize})
+		}, func(t *testing.T, p *Pool) (*Buffer, addr.ServerID, int64) {
+			// In the device's upper half, above a tenant that then leaves.
+			below, b := alloc64(t, p), alloc64(t, p)
+			if err := below.Release(); err != nil {
+				t.Fatal(err)
+			}
+			return b, addr.ServerID(p.Servers() - 1), slices * SliceSize
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p, err := tc.build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, srv, target := tc.place(t, p)
+			payload := bytes.Repeat([]byte{0xC3}, SliceSize)
+			for i := int64(0); i < slices; i++ {
+				if err := b.WriteAt(0, payload, i*SliceSize); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got := p.nodes[srv].ResidentBytes(); got != slices*SliceSize {
+				t.Fatalf("server %d resident %d MiB after writing %d", srv, got>>20, slices*SliceSize>>20)
+			}
+			full := residentMiB(t)
 
-	if err := p.ShrinkShared(0, 0); err != nil {
-		t.Fatal(err)
-	}
-	if got := p.nodes[0].ResidentBytes(); got != 0 {
-		t.Errorf("server 0 still holds %d MiB after shrinking to nothing", got>>20)
-	}
-	if grew := residentMiB(t) - full; grew > 8 {
-		t.Errorf("process grew by %d MiB across the shrink: the vacated copy was not given back", grew)
-	}
-	got := make([]byte, SliceSize)
-	if err := b.ReadAt(1, got, (slices-1)*SliceSize); err != nil || !bytes.Equal(got, payload) {
-		t.Fatalf("data lost in the move: %v", err)
-	}
-	checkResidentWithinUse(t, p)
+			if err := p.ShrinkShared(srv, target); err != nil {
+				t.Fatal(err)
+			}
+			if got := p.nodes[srv].ResidentBytes(); got != target {
+				t.Errorf("server %d holds %d MiB after shrinking to %d", srv, got>>20, target>>20)
+			}
+			if grew := residentMiB(t) - full; grew > 8 {
+				t.Errorf("process grew by %d MiB across the shrink: the vacated copy was not given back", grew)
+			}
+			got := make([]byte, SliceSize)
+			if err := b.ReadAt(1, got, (slices-1)*SliceSize); err != nil || !bytes.Equal(got, payload) {
+				t.Fatalf("data lost in the move: %v", err)
+			}
+			checkResidentWithinUse(t, p)
 
-	moved := residentMiB(t)
-	if err := b.Release(); err != nil {
-		t.Fatal(err)
-	}
-	if fell := moved - residentMiB(t); fell < 56 {
-		t.Errorf("process shrank by %d MiB after releasing 64 MiB, want >= 56", fell)
-	}
-	checkResidentWithinUse(t, p)
-	if err := p.CheckInvariants(); err != nil {
-		t.Fatal(err)
+			moved := residentMiB(t)
+			if err := b.Release(); err != nil {
+				t.Fatal(err)
+			}
+			if fell := moved - residentMiB(t); fell < 56 {
+				t.Errorf("process shrank by %d MiB after releasing 64 MiB, want >= 56", fell)
+			}
+			checkResidentWithinUse(t, p)
+			if err := p.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }

@@ -17,7 +17,7 @@ func checkResidentWithinUse(t *testing.T, p *Pool) {
 		if p.isDead(addr.ServerID(s)) {
 			continue
 		}
-		if res, use := n.ResidentBytes(), p.regions[s].InUse(); res > use {
+		if res, use := n.ResidentBytes(), p.nodes[s].InUse(); res > use {
 			t.Errorf("server %d keeps %d KiB resident with %d KiB allocated", s, res>>10, use>>10)
 		}
 	}

@@ -4,8 +4,6 @@ import (
 	"errors"
 	"sync"
 	"time"
-
-	"github.com/lmp-project/lmp/internal/sizing"
 )
 
 // RunnerConfig configures the pool's background tasks (§3.2: "the runtime
@@ -19,7 +17,7 @@ type RunnerConfig struct {
 	SizeEvery time.Duration
 	// Loads supplies the current per-server demands and the required pool
 	// size for each sizing round. Required when SizeEvery > 0.
-	Loads func() (loads []sizing.ServerLoad, requiredPool int64)
+	Loads func() (loads []ServerLoad, requiredPool int64)
 	// OnError observes background-task errors (optional).
 	OnError func(error)
 	// OnRound, if set, runs on the task's goroutine after every completed

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"github.com/lmp-project/lmp/internal/alloc"
-	"github.com/lmp-project/lmp/internal/sizing"
 )
 
 func TestStartBackgroundValidation(t *testing.T) {
@@ -78,10 +77,10 @@ func TestBackgroundBalancerMigratesHotData(t *testing.T) {
 
 func TestBackgroundSizerApplies(t *testing.T) {
 	p := testPool(t, alloc.LocalityAware)
-	loads := func() ([]sizing.ServerLoad, int64) {
-		ls := make([]sizing.ServerLoad, 4)
+	loads := func() ([]ServerLoad, int64) {
+		ls := make([]ServerLoad, 4)
 		for i := range ls {
-			ls[i] = sizing.ServerLoad{Capacity: 16 * SliceSize}
+			ls[i] = ServerLoad{Capacity: 16 * SliceSize}
 		}
 		ls[0].SharedDemand = 4 * SliceSize
 		ls[0].SharedWeight = 1
@@ -130,10 +129,10 @@ func TestRunnerErrorCallback(t *testing.T) {
 	r, err := p.StartBackground(RunnerConfig{
 		SizeEvery: time.Millisecond,
 		// Infeasible requirement triggers errors every round.
-		Loads: func() ([]sizing.ServerLoad, int64) {
-			ls := make([]sizing.ServerLoad, 4)
+		Loads: func() ([]ServerLoad, int64) {
+			ls := make([]ServerLoad, 4)
 			for i := range ls {
-				ls[i] = sizing.ServerLoad{Capacity: 16 * SliceSize}
+				ls[i] = ServerLoad{Capacity: 16 * SliceSize}
 			}
 			return ls, 1 << 62
 		},

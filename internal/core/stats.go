@@ -170,46 +170,3 @@ func (p *Pool) Stats() PoolStats {
 	}
 	return st
 }
-
-// PhysicalStats is the typed snapshot of the physical-pool baseline,
-// returned by PhysicalPool.Stats.
-type PhysicalStats struct {
-	Servers       int    `json:"servers"`
-	Mode          string `json:"mode"`
-	DeviceOK      bool   `json:"device_ok"`
-	PoolBytes     int64  `json:"pool_bytes"`
-	FreePoolBytes int64  `json:"free_pool_bytes"`
-
-	Allocs  uint64 `json:"allocs"`
-	Crashes uint64 `json:"crashes"`
-
-	// Reads split by whether the issuing server's local cache answered.
-	LocalReads      uint64 `json:"local_reads"`
-	RemoteReads     uint64 `json:"remote_reads"`
-	LocalReadBytes  uint64 `json:"local_read_bytes"`
-	RemoteReadBytes uint64 `json:"remote_read_bytes"`
-	// All writes cross the fabric to the device.
-	WriteBytes uint64 `json:"write_bytes"`
-	// CacheFillBytes counts bytes copied into local caches on misses.
-	CacheFillBytes uint64 `json:"cache_fill_bytes"`
-}
-
-// Stats captures a typed snapshot of the baseline pool's counters.
-func (p *PhysicalPool) Stats() PhysicalStats {
-	c := func(name string) uint64 { return p.metrics.Counter(name).Value() }
-	return PhysicalStats{
-		Servers:         p.cfg.Servers,
-		Mode:            p.cfg.Mode.String(),
-		DeviceOK:        p.DeviceOK(),
-		PoolBytes:       p.PoolBytes(),
-		FreePoolBytes:   p.FreePoolBytes(),
-		Allocs:          c("pool.allocs"),
-		Crashes:         c("pool.crashes"),
-		LocalReads:      c("pool.reads.local"),
-		RemoteReads:     c("pool.reads.remote"),
-		LocalReadBytes:  c("pool.bytes.read.local"),
-		RemoteReadBytes: c("pool.bytes.read.remote"),
-		WriteBytes:      c("pool.bytes.write.remote"),
-		CacheFillBytes:  c("pool.bytes.cache_fill"),
-	}
-}

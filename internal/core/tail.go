@@ -164,8 +164,8 @@ func (p *Pool) withBudget(ctx context.Context) (context.Context, context.CancelF
 
 // breakerFor returns server s's breaker, or nil when breakers are off.
 func (p *Pool) breakerFor(s addr.ServerID) *rpc.Breaker {
-	if bs := p.tail.breakers; bs != nil && int(s) < len(bs) {
-		return bs[int(s)]
+	if bs := p.tail.breakers; bs != nil && p.checkServer(s) == nil {
+		return bs[s]
 	}
 	return nil
 }

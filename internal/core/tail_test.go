@@ -21,7 +21,6 @@ import (
 	"github.com/lmp-project/lmp/internal/alloc"
 	"github.com/lmp-project/lmp/internal/failure"
 	"github.com/lmp-project/lmp/internal/rpc"
-	"github.com/lmp-project/lmp/internal/sizing"
 )
 
 // tailClock is a deterministic nanosecond clock for breaker tests.
@@ -937,7 +936,7 @@ func runElasticityChaos(t *testing.T, seed int64, v elasticityVariant) (relocate
 	done := make(chan struct{})
 	go func() { wg.Wait(); close(done) }()
 	churn := rand.New(rand.NewSource(seed * 131))
-	loads := make([]sizing.ServerLoad, 4)
+	loads := make([]ServerLoad, 4)
 	rounds := 0
 	for {
 		select {
@@ -950,7 +949,7 @@ func runElasticityChaos(t *testing.T, seed int64, v elasticityVariant) (relocate
 		default:
 		}
 		for i := range loads {
-			loads[i] = sizing.ServerLoad{
+			loads[i] = ServerLoad{
 				Capacity:     16 * SliceSize,
 				SharedDemand: int64(8+churn.Intn(9)) * SliceSize,
 				SharedWeight: 1,

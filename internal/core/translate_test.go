@@ -99,8 +99,8 @@ func TestTranslateDuringMigration(t *testing.T) {
 
 // regionUse snapshots every region's bytes in use.
 func regionUse(p *Pool) []int64 {
-	use := make([]int64, len(p.regions))
-	for i, r := range p.regions {
+	use := make([]int64, len(p.nodes))
+	for i, r := range p.nodes {
 		use[i] = r.InUse()
 	}
 	return use
@@ -112,7 +112,7 @@ func regionUse(p *Pool) []int64 {
 func failedAllocLeftNothing(p *Pool, before []int64) error {
 	var errs []error
 	for i, was := range before {
-		if now := p.regions[i].InUse(); now != was {
+		if now := p.nodes[i].InUse(); now != was {
 			errs = append(errs, fmt.Errorf("server %d: %d slices in use before the failed alloc, %d after",
 				i, was/SliceSize, now/SliceSize))
 		}

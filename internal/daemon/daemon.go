@@ -16,7 +16,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"github.com/lmp-project/lmp/internal/alloc"
 	"github.com/lmp-project/lmp/internal/memnode"
 	"github.com/lmp-project/lmp/internal/rpc"
 	"github.com/lmp-project/lmp/internal/telemetry"
@@ -43,23 +42,21 @@ type Info struct {
 	InUse    int64
 }
 
-// Server is one lmpd instance: a shared region served over TCP.
+// Server is one lmpd instance: a shared region served over TCP. The node
+// is the lender — it owns the region's allocator, boundary and scrubbing —
+// and the alloc, free and resize handlers are its wire codec.
 type Server struct {
-	name   string
-	node   *memnode.Node
-	region *alloc.Extents
-	rpc    *rpc.Server
+	name string
+	node *memnode.Node
+	rpc  *rpc.Server
 
 	metrics *telemetry.Registry
 	tracer  *telemetry.Tracer
 	slowLog atomic.Pointer[func(telemetry.Span)]
 
-	// sizing serialises alloc, free and resize: an extent is scrubbed
-	// before it can be handed out again, and the allocator's limit and
-	// the node's boundary move together.
-	sizing   sync.Mutex
-	dropped  *telemetry.Counter // bytes scrubbed and handed back to the host
-	resident *telemetry.Gauge   // sampled by Metrics
+	// Both sampled from the node by Metrics.
+	dropped  *telemetry.Gauge // bytes scrubbed and handed back to the host, ever
+	resident *telemetry.Gauge
 
 	mu   sync.Mutex
 	addr string
@@ -68,23 +65,17 @@ type Server struct {
 // NewServer builds a daemon for a server with the given DRAM capacity and
 // initial shared-region size (rounded down to pages).
 func NewServer(name string, capacity, shared int64) (*Server, error) {
-	shared = shared - shared%memnode.PageSize
 	node, err := memnode.New(name, capacity, shared)
-	if err != nil {
-		return nil, err
-	}
-	region, err := alloc.NewExtents(shared, memnode.PageSize)
 	if err != nil {
 		return nil, err
 	}
 	s := &Server{
 		name:    name,
 		node:    node,
-		region:  region,
 		rpc:     rpc.NewServer(),
 		metrics: telemetry.NewRegistry(),
 	}
-	s.dropped = s.metrics.Counter("memnode.dropped_bytes_total")
+	s.dropped = s.metrics.Gauge("memnode.dropped_bytes_total")
 	s.resident = s.metrics.Gauge("memnode.resident_bytes")
 	s.tracer = telemetry.NewTracer(telemetry.TracerConfig{Observer: slowRelay{s}})
 	s.rpc.SetTracer(s.tracer)
@@ -120,9 +111,10 @@ func (s *Server) SetSlowOpNS(ns int64) { s.tracer.SetSlowOpNS(ns) }
 
 // Metrics exposes the daemon's telemetry registry (rpc.requests,
 // rpc.errors, rpc.buffer.*, memnode.*) for the Prometheus endpoint. The
-// resident-set gauge is sampled here, so call it once per scrape.
+// memnode gauges are sampled here, so call it once per scrape.
 func (s *Server) Metrics() *telemetry.Registry {
 	s.resident.Set(s.node.ResidentBytes())
+	s.dropped.Set(int64(s.node.DroppedBytes()))
 	return s.metrics
 }
 
@@ -148,10 +140,10 @@ func (s *Server) Stats() ServerStats {
 	return ServerStats{
 		Name:           s.name,
 		Capacity:       s.node.Capacity(),
-		Shared:         s.region.Size(),
-		InUse:          s.region.InUse(),
+		Shared:         s.node.SharedBytes(),
+		InUse:          s.node.InUse(),
 		ResidentBytes:  s.node.ResidentBytes(),
-		DroppedBytes:   s.dropped.Value(),
+		DroppedBytes:   s.node.DroppedBytes(),
 		Methods:        s.rpc.Stats(),
 		SlowOps:        s.tracer.SlowOps(),
 		SpansPublished: s.tracer.Published(),
@@ -234,8 +226,8 @@ func (s *Server) handleHotPages(p []byte) ([]byte, error) {
 func (s *Server) handleInfo(_ []byte) ([]byte, error) {
 	out := make([]byte, 24+len(s.name))
 	binary.BigEndian.PutUint64(out[0:8], uint64(s.node.Capacity()))
-	binary.BigEndian.PutUint64(out[8:16], uint64(s.region.Size()))
-	binary.BigEndian.PutUint64(out[16:24], uint64(s.region.InUse()))
+	binary.BigEndian.PutUint64(out[8:16], uint64(s.node.SharedBytes()))
+	binary.BigEndian.PutUint64(out[16:24], uint64(s.node.InUse()))
 	copy(out[24:], s.name)
 	return out, nil
 }
@@ -244,10 +236,7 @@ func (s *Server) handleAlloc(p []byte) ([]byte, error) {
 	if len(p) != 8 {
 		return nil, fmt.Errorf("daemon: alloc payload %d bytes", len(p))
 	}
-	n := int64(binary.BigEndian.Uint64(p))
-	s.sizing.Lock()
-	off, err := s.region.Alloc(n)
-	s.sizing.Unlock()
+	off, err := s.node.Alloc(int64(binary.BigEndian.Uint64(p)))
 	if err != nil {
 		return nil, err
 	}
@@ -260,25 +249,16 @@ func (s *Server) handleFree(p []byte) ([]byte, error) {
 	if len(p) != 8 {
 		return nil, fmt.Errorf("daemon: free payload %d bytes", len(p))
 	}
-	off := int64(binary.BigEndian.Uint64(p))
-	s.sizing.Lock()
-	defer s.sizing.Unlock()
-	n, err := s.region.Free(off)
-	if err != nil {
-		return nil, err
-	}
-	// The next tenant of these bytes must read zeros, and the host gets
-	// its pages back.
-	s.node.DropRange(off, n)
-	s.dropped.Add(uint64(n))
-	return nil, nil
+	_, err := s.node.Free(int64(binary.BigEndian.Uint64(p)))
+	return nil, err
 }
 
-// checkShared bounds a remote access by the shared region. off and n
+// checkShared bounds a remote access by the shared region, read from the
+// node without a lock: this runs on every wire read and write. off and n
 // come off the wire: the comparison must not add them (off = MaxInt64-5,
 // n = 10 wraps negative and would pass).
 func (s *Server) checkShared(off, n int64) error {
-	if size := s.region.Size(); off < 0 || n < 0 || n > size-off {
+	if size := s.node.SharedBytes(); off < 0 || n < 0 || n > size-off {
 		return fmt.Errorf("daemon: access of %d bytes at %d outside shared region of %d", n, off, size)
 	}
 	return nil
@@ -366,24 +346,7 @@ func (s *Server) handleResize(p []byte) ([]byte, error) {
 	if len(p) != 8 {
 		return nil, fmt.Errorf("daemon: resize payload %d bytes", len(p))
 	}
-	limit := int64(binary.BigEndian.Uint64(p))
-	if limit < 0 {
-		return nil, fmt.Errorf("daemon: resize to %d bytes", limit)
-	}
-	limit = limit - limit%memnode.PageSize
-	if limit > s.node.Capacity() {
-		return nil, fmt.Errorf("daemon: shared %d exceeds capacity %d", limit, s.node.Capacity())
-	}
-	s.sizing.Lock()
-	defer s.sizing.Unlock()
-	old := s.region.Size()
-	if err := s.region.SetLimit(limit); err != nil {
-		return nil, err
-	}
-	if limit < old {
-		s.dropped.Add(uint64(old - limit)) // Resize drops the vacated tail
-	}
-	return nil, s.node.Resize(limit)
+	return nil, s.node.Resize(int64(binary.BigEndian.Uint64(p)))
 }
 
 // Client is a typed client for one daemon. It speaks through an

@@ -326,57 +326,44 @@ func TestPoolViewExhaustionRollsBack(t *testing.T) {
 	_ = b
 }
 
-func TestLiveMigration(t *testing.T) {
+// A released buffer has no placement left: an access must say so instead
+// of visiting no chunk and reporting success with the caller's bytes
+// untouched (reads) or dropped (writes).
+func TestViewBufferAccessAfterRelease(t *testing.T) {
 	v := startCluster(t, 3, 1<<20)
 	b, err := v.Alloc(24 << 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	data := make([]byte, b.Size())
-	for i := range data {
-		data[i] = byte(i * 13)
-	}
-	if err := b.WriteAt(data, 0); err != nil {
+	if err := b.WriteAt([]byte("tenant-A-secret"), 0); err != nil {
 		t.Fatal(err)
 	}
-	// Move every chunk to daemon 2; data must survive and stay addressable
-	// at the same buffer offsets.
-	for i := range b.Chunks() {
-		if err := b.Migrate(i, 2); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, c := range b.Chunks() {
-		if c.Daemon != 2 {
-			t.Fatalf("chunk still on daemon %d", c.Daemon)
-		}
-	}
-	got := make([]byte, b.Size())
-	if err := b.ReadAt(got, 0); err != nil {
+	if err := b.Release(); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, data) {
-		t.Fatal("data corrupted by migration")
+	got := bytes.Repeat([]byte{0xaa}, 15)
+	if err := b.ReadAt(got, 0); err == nil {
+		t.Errorf("read of a released buffer succeeded, buffer now %q", got)
 	}
-	// Other daemons' regions are free again.
-	for d := 0; d < 2; d++ {
-		info, err := v.clients[d].Info()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if info.InUse != 0 {
-			t.Fatalf("daemon %d still holds %d bytes", d, info.InUse)
-		}
+	if !bytes.Equal(got, bytes.Repeat([]byte{0xaa}, 15)) {
+		t.Errorf("refused read wrote %q into the caller's buffer", got)
 	}
-	// Migrating to the same daemon is a no-op; bad indexes fail.
-	if err := b.Migrate(0, 2); err != nil {
+	if err := b.WriteAt([]byte("x"), 0); err == nil {
+		t.Error("write to a released buffer succeeded")
+	}
+	if err := b.WriteAtCtx(context.Background(), nil, 0); err == nil {
+		t.Error("empty write to a released buffer succeeded")
+	}
+	// The stripes really went back: the next tenant gets them, zeroed.
+	next, err := v.Alloc(24 << 10)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Migrate(-1, 0); err == nil {
-		t.Fatal("bad chunk accepted")
+	if err := next.ReadAt(got, 0); err != nil {
+		t.Fatal(err)
 	}
-	if err := b.Migrate(0, 99); err == nil {
-		t.Fatal("bad daemon accepted")
+	if !bytes.Equal(got, make([]byte, 15)) {
+		t.Fatalf("next tenant reads %q, want zeros", got)
 	}
 }
 

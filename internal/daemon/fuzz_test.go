@@ -65,7 +65,7 @@ func FuzzDaemonHandlers(f *testing.F) {
 			case MethodAlloc:
 				off := int64(binary.BigEndian.Uint64(reply))
 				want := int64(binary.BigEndian.Uint64(payload))
-				got := s.region.InUse() - inUse
+				got := s.node.InUse() - inUse
 				if got < want || got%memnode.PageSize != 0 || live[off] != 0 {
 					t.Fatalf("alloc of %d bytes at %d moved InUse by %d (offset live: %t)", want, off, got, live[off] != 0)
 				}
@@ -87,8 +87,8 @@ func FuzzDaemonHandlers(f *testing.F) {
 				delete(live, off)
 			}
 		}
-		if got := s.region.InUse(); got != inUse || got < 0 || got > s.region.Size() || s.region.Size() > capacity {
-			t.Fatalf("after method %d (err %v): InUse %d, shadow %d, region %d of capacity %d", method, err, got, inUse, s.region.Size(), capacity)
+		if got := s.node.InUse(); got != inUse || got < 0 || got > s.node.SharedBytes() || s.node.SharedBytes() > capacity {
+			t.Fatalf("after method %d (err %v): InUse %d, shadow %d, region %d of capacity %d", method, err, got, inUse, s.node.SharedBytes(), capacity)
 		}
 	})
 }

@@ -50,13 +50,14 @@ type ViewChunk struct {
 }
 
 // ViewBuffer is a buffer striped across daemons. It is safe for
-// concurrent use; migration re-binds chunks under the buffer's lock.
+// concurrent use; Release takes the placement away under the buffer's
+// lock.
 type ViewBuffer struct {
 	view *PoolView
 	size int64
 
 	mu     sync.RWMutex
-	chunks []ViewChunk
+	chunks []ViewChunk // nil once released
 }
 
 // Size reports the buffer's byte size.
@@ -111,7 +112,7 @@ func (v *PoolView) rollback(chunks []ViewChunk) {
 	}
 }
 
-// Release frees every stripe.
+// Release frees every stripe. Every later access fails.
 func (b *ViewBuffer) Release() error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -132,6 +133,11 @@ func (b *ViewBuffer) locate(off, n int64, visit func(c ViewChunk, chunkOff, bufO
 	}
 	b.mu.RLock()
 	defer b.mu.RUnlock()
+	if b.chunks == nil {
+		// The walk below would visit nothing and the access would report
+		// success having moved no bytes.
+		return fmt.Errorf("daemon: access of %d bytes at %d of a released buffer", n, off)
+	}
 	var pos int64
 	for _, c := range b.chunks {
 		if n == 0 {
@@ -232,46 +238,6 @@ func (b *ViewBuffer) ReadAtCtx(ctx context.Context, p []byte, off int64) error {
 		cc.f.Release() // the reply buffer goes back with the future
 	}
 	return err
-}
-
-// Migrate moves chunk index i of the buffer to another daemon: the live-
-// mode locality balancing mechanism. The chunk's position within the
-// buffer (its "logical address") is unchanged; only the backing daemon
-// and offset are.
-func (b *ViewBuffer) Migrate(i, toDaemon int) error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if i < 0 || i >= len(b.chunks) {
-		return fmt.Errorf("daemon: no chunk %d", i)
-	}
-	if toDaemon < 0 || toDaemon >= len(b.view.clients) {
-		return fmt.Errorf("daemon: no daemon %d", toDaemon)
-	}
-	c := b.chunks[i]
-	if c.Daemon == toDaemon {
-		return nil
-	}
-	dst := b.view.clients[toDaemon]
-	newOff, err := dst.Alloc(c.Size)
-	if err != nil {
-		return fmt.Errorf("daemon: migrate chunk %d: %w", i, err)
-	}
-	data, err := b.view.clients[c.Daemon].Read(c.Offset, int(c.Size))
-	if err != nil {
-		_ = dst.Free(newOff)
-		return err
-	}
-	if err := dst.Write(newOff, data); err != nil {
-		_ = dst.Free(newOff)
-		return err
-	}
-	if err := b.view.clients[c.Daemon].Free(c.Offset); err != nil {
-		// The copy succeeded; report but do not roll back.
-		b.chunks[i] = ViewChunk{Daemon: toDaemon, Offset: newOff, Size: c.Size}
-		return fmt.Errorf("daemon: migrated but source free failed: %w", err)
-	}
-	b.chunks[i] = ViewChunk{Daemon: toDaemon, Offset: newOff, Size: c.Size}
-	return nil
 }
 
 // ShippedSum computes the sum of the buffer's little-endian uint64 words

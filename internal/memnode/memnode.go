@@ -4,6 +4,13 @@
 // (the paper's ratio flexibility), plus per-page access statistics feeding
 // the migration and sizing policies.
 //
+// A Node is the lender: it owns the extent allocator of its shared region
+// (Alloc, Free, Resize), so the rules of lent memory hold by construction
+// for every holder — the in-process pool, lmpd, the physical-pool device.
+// A freed extent is scrubbed before it can be granted again, the
+// private/shared boundary has one owner, and a shrink gives the vacated
+// tail back to the host.
+//
 // The bytes live outside the Go heap, in one anonymous mapping reserved
 // per node (backing_linux.go; a plain slice elsewhere). Untouched bytes
 // cost address space only, so a node can model tens of gigabytes of
@@ -27,11 +34,15 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
+	"sync"
 	"sync/atomic"
+
+	"github.com/lmp-project/lmp/internal/alloc"
 )
 
 // PageSize is the translation and tracking granularity, 4KiB as in the
-// host page tables the paper's runtime would manage.
+// host page tables the paper's runtime would manage, and the unit of the
+// shared region: its size and every extent granted in it are whole pages.
 const PageSize = 4096
 
 // chunkPages is the number of pages whose statistics one atomically
@@ -91,11 +102,22 @@ type Node struct {
 	// materialized on the first RecordAccess inside it.
 	stats []atomic.Pointer[statChunk]
 
-	shared atomic.Int64 // bytes [0, shared) are the shared region
+	// allocMu is the allocation lock: it guards extents and orders the
+	// scrub of a freed or vacated range before the range can be granted
+	// again. It is a leaf — nothing is acquired under it — and the data
+	// path never takes it.
+	allocMu sync.Mutex
+	extents *alloc.Extents
+	// shared mirrors the allocator's limit — bytes [0, shared) are the
+	// shared region — for readers that must not queue behind an
+	// allocation (lmpd bounds every wire access by it). Written only by
+	// Resize, under allocMu.
+	shared  atomic.Int64
+	dropped atomic.Uint64 // bytes handed back to the host by dropRange
 }
 
 // New returns a node with the given capacity and initial shared-region
-// size. sharedBytes must be in [0, capacity].
+// size. sharedBytes must be in [0, capacity]; it is rounded down to pages.
 func New(name string, capacity, sharedBytes int64) (*Node, error) {
 	if capacity <= 0 {
 		return nil, fmt.Errorf("memnode: capacity %d must be positive", capacity)
@@ -103,11 +125,17 @@ func New(name string, capacity, sharedBytes int64) (*Node, error) {
 	if sharedBytes < 0 || sharedBytes > capacity {
 		return nil, fmt.Errorf("memnode: shared %d outside [0,%d]", sharedBytes, capacity)
 	}
+	sharedBytes -= sharedBytes % PageSize
+	extents, err := alloc.NewExtents(sharedBytes, PageSize)
+	if err != nil {
+		return nil, err
+	}
 	const chunkBytes = chunkPages * PageSize
 	n := &Node{
 		name:     name,
 		capacity: capacity,
 		stats:    make([]atomic.Pointer[statChunk], (capacity+chunkBytes-1)/chunkBytes),
+		extents:  extents,
 	}
 	if err := n.reserve(); err != nil {
 		return nil, fmt.Errorf("memnode: reserving %d bytes: %w", capacity, err)
@@ -122,24 +150,74 @@ func (n *Node) Name() string { return n.name }
 // Capacity reports total DRAM bytes.
 func (n *Node) Capacity() int64 { return n.capacity }
 
-// SharedBytes reports the current shared-region size.
+// SharedBytes reports the current shared-region size (lock-free).
 func (n *Node) SharedBytes() int64 { return n.shared.Load() }
 
 // PrivateBytes reports capacity outside the shared region.
 func (n *Node) PrivateBytes() int64 { return n.capacity - n.SharedBytes() }
 
-// Resize moves the private/shared boundary anywhere in [0, capacity]. A
-// shrink drops the vacated tail, so the memory goes back to the host and
-// reads as zeros if the region grows again. What is allocated inside the
-// region is the allocator's business: the caller shrinks its allocator
-// first, which refuses to drop below use.
+// InUse reports the bytes of the shared region currently granted.
+func (n *Node) InUse() int64 {
+	n.allocMu.Lock()
+	defer n.allocMu.Unlock()
+	return n.extents.InUse()
+}
+
+// FreeBytes reports the bytes of the shared region not granted.
+func (n *Node) FreeBytes() int64 {
+	n.allocMu.Lock()
+	defer n.allocMu.Unlock()
+	return n.extents.FreeBytes()
+}
+
+// DroppedBytes counts the bytes scrubbed and handed back to the host so
+// far, by Free and by a shrinking Resize.
+func (n *Node) DroppedBytes() uint64 { return n.dropped.Load() }
+
+// Alloc grants size bytes (rounded up to pages) of the shared region and
+// returns the extent's offset. The extent reads as zeros. It fails with an
+// error wrapping alloc.ErrNoSpace when no free extent is large enough.
+func (n *Node) Alloc(size int64) (int64, error) {
+	n.allocMu.Lock()
+	defer n.allocMu.Unlock()
+	return n.extents.Alloc(size)
+}
+
+// Free takes back the extent granted at off and reports its length. The
+// extent is scrubbed — its pages go back to the host and read as zeros —
+// before the allocation lock is released, so no later Alloc can be handed
+// the previous tenant's bytes. An offset that is not the start of a live
+// extent fails with an error wrapping alloc.ErrNotAllocated and changes
+// nothing.
+func (n *Node) Free(off int64) (int64, error) {
+	n.allocMu.Lock()
+	defer n.allocMu.Unlock()
+	size, err := n.extents.Free(off)
+	if err != nil {
+		return 0, err
+	}
+	n.dropRange(off, size)
+	return size, nil
+}
+
+// Resize moves the private/shared boundary to sharedBytes, rounded down
+// to pages, anywhere in [0, capacity]. A shrink is refused, with an error
+// wrapping alloc.ErrNoSpace and nothing changed, unless the tail it
+// vacates is entirely free; it then drops that tail, so the memory goes
+// back to the host and reads as zeros if the region grows again.
 func (n *Node) Resize(sharedBytes int64) error {
 	if sharedBytes < 0 || sharedBytes > n.capacity {
 		return fmt.Errorf("memnode: resize to %d outside [0,%d]", sharedBytes, n.capacity)
 	}
+	sharedBytes -= sharedBytes % PageSize
+	n.allocMu.Lock()
+	defer n.allocMu.Unlock()
+	if err := n.extents.SetLimit(sharedBytes); err != nil {
+		return err
+	}
 	// The vacated tail is [new, old); a grow makes that length negative,
-	// which DropRange ignores.
-	n.DropRange(sharedBytes, n.shared.Swap(sharedBytes)-sharedBytes)
+	// which dropRange ignores.
+	n.dropRange(sharedBytes, n.shared.Swap(sharedBytes)-sharedBytes)
 	return nil
 }
 
@@ -181,13 +259,12 @@ func (n *Node) WriteAt(p []byte, off int64) error {
 	return nil
 }
 
-// DropRange discards the contents and statistics of every page fully
-// contained in [off, off+length) — used when a slice migrates away, an
-// allocation is freed or the shared region shrinks. The pages go back to
-// the host and read as zeros afterwards; partially covered pages at the
-// edges are kept, and whatever part of the range lies outside the node is
-// ignored.
-func (n *Node) DropRange(off, length int64) {
+// dropRange discards the contents and statistics of every page fully
+// contained in [off, off+length) — an extent being freed, or the tail a
+// shrink vacates. The pages go back to the host and read as zeros
+// afterwards; partially covered pages at the edges are kept, and whatever
+// part of the range lies outside the node is ignored.
+func (n *Node) dropRange(off, length int64) {
 	// Clamp to [0, capacity) without forming off+length while it can
 	// still overflow.
 	if off < 0 && length > 0 {
@@ -208,6 +285,7 @@ func (n *Node) DropRange(off, length int64) {
 		}
 	}
 	n.release(first*PageSize, last*PageSize)
+	n.dropped.Add(uint64((last - first) * PageSize))
 	runtime.KeepAlive(n)
 }
 

@@ -80,7 +80,7 @@ func TestDropRangeReturnsMemory(t *testing.T) {
 		t.Fatalf("ResidentBytes = %d after writing %d", r, region)
 	}
 	full := processPages(t, 1)
-	n.DropRange(0, region)
+	n.dropRange(0, region)
 	if fell := (full - processPages(t, 1)) * PageSize; fell < 56<<20 {
 		t.Fatalf("resident set fell by %d MiB after dropping 64 MiB, want >= 56", fell>>20)
 	}
@@ -104,6 +104,27 @@ func TestDropRangeReturnsMemory(t *testing.T) {
 	}
 	if fell := (full - processPages(t, 1)) * PageSize; fell < 52<<20 {
 		t.Fatalf("resident set fell by %d MiB after shrinking 64 MiB to 4, want >= 52", fell>>20)
+	}
+	if r := n.ResidentBytes(); r > 4<<20 {
+		t.Fatalf("ResidentBytes = %d after shrinking to 4 MiB", r)
+	}
+
+	// And through a tenant leaving: a freed extent is not resident.
+	off, err := n.Alloc(2 << 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for at := off; at < off+2<<20; at += int64(len(p)) {
+		if err := n.WriteAt(p, at); err != nil {
+			t.Fatal(err)
+		}
+	}
+	held := n.ResidentBytes()
+	if _, err := n.Free(off); err != nil {
+		t.Fatal(err)
+	}
+	if fell := held - n.ResidentBytes(); fell != 2<<20 {
+		t.Fatalf("ResidentBytes fell by %d across the free of a 2 MiB extent", fell)
 	}
 }
 

@@ -191,7 +191,7 @@ func TestDropPage(t *testing.T) {
 		t.Fatal(err)
 	}
 	n.RecordAccess(7*PageSize, false, false)
-	n.DropRange(7*PageSize, PageSize)
+	n.dropRange(7*PageSize, PageSize)
 	got := make([]byte, 3)
 	if err := n.ReadAt(got, 7*PageSize); err != nil {
 		t.Fatal(err)
@@ -213,7 +213,7 @@ func TestDropRange(t *testing.T) {
 		}
 	}
 	// Drop exactly pages 1 and 2.
-	n.DropRange(PageSize, 2*PageSize)
+	n.dropRange(PageSize, 2*PageSize)
 	got := make([]byte, 1)
 	for p := int64(0); p < 4; p++ {
 		if err := n.ReadAt(got, p*PageSize); err != nil {
@@ -238,7 +238,7 @@ func TestDropRangeKeepsPartialPages(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A range covering only half of each page must not drop either.
-	n.DropRange(PageSize/2, 2*PageSize)
+	n.dropRange(PageSize/2, 2*PageSize)
 	got := make([]byte, 1)
 	if err := n.ReadAt(got, 0); err != nil || got[0] != 9 {
 		t.Fatalf("partially covered head page dropped: %d %v", got[0], err)
@@ -247,8 +247,8 @@ func TestDropRangeKeepsPartialPages(t *testing.T) {
 		t.Fatalf("partially covered tail page dropped: %d %v", got[0], err)
 	}
 	// Degenerate ranges are no-ops.
-	n.DropRange(0, 0)
-	n.DropRange(100, -5)
+	n.dropRange(0, 0)
+	n.dropRange(100, -5)
 }
 
 // TestDropRangeBounds hands DropRange every way a range can miss the
@@ -284,7 +284,7 @@ func TestDropRangeBounds(t *testing.T) {
 			}
 			n.RecordAccess(p*PageSize, false, false)
 		}
-		n.DropRange(tc.off, tc.length)
+		n.dropRange(tc.off, tc.length)
 		want := map[int]bool{}
 		for _, p := range tc.dropped {
 			want[p] = true
@@ -314,7 +314,7 @@ func TestDropRangeOddCapacity(t *testing.T) {
 	if err := n.WriteAt([]byte{7}, 0); err != nil {
 		t.Fatal(err)
 	}
-	n.DropRange(0, math.MaxInt64)
+	n.dropRange(0, math.MaxInt64)
 	got := make([]byte, 1)
 	if err := n.ReadAt(got, 2*PageSize+99); err != nil || got[0] != 7 {
 		t.Fatalf("partial last page: %d %v", got[0], err)
@@ -370,7 +370,7 @@ func TestReadWriteAllocFree(t *testing.T) {
 			if err := n.ReadAt(p, off); err != nil {
 				t.Fatal(err)
 			}
-			n.DropRange(off, int64(size))
+			n.dropRange(off, int64(size))
 		}); a != 0 {
 			t.Errorf("%d-byte write+read+drop across the 2MiB line: %v allocs", size, a)
 		}

@@ -13,8 +13,9 @@
 //     fine step; Pool.Translate and every access read that entry),
 //     locality balancing, shared-region sizing, a coherent region with
 //     locks, and crash masking via replication or Reed–Solomon codes;
-//   - the physical-pool baselines (PhysicalPool) with no-cache, pinned-
-//     cache and LRU-cache local memory modes;
+//   - the physical-pool baseline (NewPhysical): the same Pool deployed as
+//     the paper's §3 strawman — compute servers that lend nothing and one
+//     pool device that lends everything, with or without local caching;
 //   - the calibrated bandwidth/latency models that regenerate the paper's
 //     evaluation (Tables 1-2, Figures 2-5);
 //   - a live distributed mode where per-server daemons serve pool
@@ -65,8 +66,8 @@
 // Reaching into internal/... packages (the pre-v1 "direct struct" path)
 // is unsupported and now impossible for new code: everything needed is
 // re-exported here, and the internal layout is free to change between
-// releases. The simulation/model surface (PhysicalPool, Deployment,
-// VectorSum*) regenerates the paper's figures and is stable but not part
+// releases. The simulation/model surface (Deployment, VectorSum*,
+// CacheMode) regenerates the paper's figures and is stable but not part
 // of the data-path contract.
 package lmp
 
@@ -79,7 +80,6 @@ import (
 	"github.com/lmp-project/lmp/internal/failure"
 	"github.com/lmp-project/lmp/internal/memsim"
 	"github.com/lmp-project/lmp/internal/rpc"
-	"github.com/lmp-project/lmp/internal/sizing"
 	"github.com/lmp-project/lmp/internal/telemetry"
 	"github.com/lmp-project/lmp/internal/topology"
 )
@@ -94,12 +94,8 @@ type (
 	Config = core.Config
 	// ServerConfig describes one server joining the pool.
 	ServerConfig = core.ServerConfig
-	// PhysicalPool is the physically separate pool baseline.
-	PhysicalPool = core.PhysicalPool
-	// PhysicalConfig configures the baseline.
+	// PhysicalConfig configures the physical-pool baseline (NewPhysical).
 	PhysicalConfig = core.PhysicalConfig
-	// CacheMode selects the baseline's local-memory caching behaviour.
-	CacheMode = core.CacheMode
 	// ServerID identifies a server participating in a pool.
 	ServerID = addr.ServerID
 	// Logical is an address in the pool's global address space.
@@ -153,8 +149,6 @@ type (
 	OpStats = core.OpStats
 	// LatencyStats summarizes one sampled latency histogram.
 	LatencyStats = core.LatencyStats
-	// PhysicalStats is the typed snapshot returned by PhysicalPool.Stats.
-	PhysicalStats = core.PhysicalStats
 	// TraceConfig configures per-op tracing (Config.Trace). The zero
 	// value enables tracing with defaults; set Disabled to opt out.
 	TraceConfig = core.TraceConfig
@@ -186,13 +180,6 @@ const (
 	Striped       = alloc.Striped
 )
 
-// Physical-pool cache modes.
-const (
-	NoCache     = core.NoCache
-	PinnedCache = core.PinnedCache
-	LRUCache    = core.LRUCache
-)
-
 // SliceSize is the pool's allocation/migration granularity (2MiB).
 const SliceSize = core.SliceSize
 
@@ -207,8 +194,15 @@ func New(cfg Config, opts ...Option) (*Pool, error) {
 	return core.New(cfg)
 }
 
-// NewPhysical builds a physical-pool baseline.
-func NewPhysical(cfg PhysicalConfig) (*PhysicalPool, error) { return core.NewPhysical(cfg) }
+// NewPhysical builds the physical-pool baseline the paper compares
+// against: an ordinary Pool whose servers 0..cfg.Servers-1 are compute
+// servers lending nothing and whose last server is the pool device lending
+// cfg.PoolBytes; cfg.LocalBytes > 0 gives every server a local page cache
+// of that size (as WithLocalCache does). Everything a Pool does applies —
+// Alloc fails with ErrOutOfMemory beyond the device (it cannot borrow
+// server DRAM: the Figure 5 infeasibility), Crash of the device raises a
+// memory exception for every byte — because nothing is re-implemented.
+func NewPhysical(cfg PhysicalConfig) (*Pool, error) { return core.NewPhysical(cfg) }
 
 // Protection policies (failure masking, §5 "Failure domains").
 type ProtectionPolicy = failure.Policy
@@ -229,7 +223,7 @@ type (
 	// MigrationPolicy tunes the locality balancer.
 	MigrationPolicy = core.MigrationPolicy
 	// ServerLoad feeds the shared-region sizing optimizer.
-	ServerLoad = sizing.ServerLoad
+	ServerLoad = core.ServerLoad
 )
 
 // Deployment modeling (the paper's evaluation configurations).
@@ -241,10 +235,20 @@ type (
 	MemoryProfile = memsim.Profile
 	// VectorSumConfig parameterizes the §4 microbenchmark.
 	VectorSumConfig = core.VectorSumConfig
+	// CacheMode selects how the model lets a physical-pool server use its
+	// local DRAM (VectorSumConfig.Cache).
+	CacheMode = core.CacheMode
 	// BandwidthResult reports a modeled experiment.
 	BandwidthResult = core.BandwidthResult
 	// NearMemoryResult reports the computation-shipping experiment.
 	NearMemoryResult = core.NearMemoryResult
+)
+
+// Modelled physical-pool cache modes.
+const (
+	NoCache     = core.NoCache
+	PinnedCache = core.PinnedCache
+	LRUCache    = core.LRUCache
 )
 
 // Deployment kinds.

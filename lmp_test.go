@@ -2,6 +2,7 @@ package lmp_test
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	lmp "github.com/lmp-project/lmp"
@@ -129,13 +130,12 @@ func TestFacadePhysicalBaseline(t *testing.T) {
 	pp, err := lmp.NewPhysical(lmp.PhysicalConfig{
 		Servers:    2,
 		LocalBytes: 1 << 16,
-		PoolBytes:  1 << 20,
-		Mode:       lmp.PinnedCache,
+		PoolBytes:  2 * lmp.SliceSize,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := pp.Alloc(1 << 16)
+	b, err := pp.Alloc(1<<16, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,5 +149,31 @@ func TestFacadePhysicalBaseline(t *testing.T) {
 	}
 	if !bytes.Equal(got, msg) {
 		t.Fatalf("round trip: %q", got)
+	}
+	// The baseline is a Pool, so the v1 error contract holds for it: the
+	// device cannot borrow the compute servers' DRAM, its crash is a
+	// memory exception, a released buffer stays released.
+	device := lmp.ServerID(pp.Servers() - 1)
+	if owner, err := pp.OwnerOf(b.Addr()); err != nil || owner != device {
+		t.Fatalf("buffer lives on server %d (%v), want the device %d", owner, err, device)
+	}
+	if _, err := pp.Alloc(2*lmp.SliceSize, 0); !errors.Is(err, lmp.ErrOutOfMemory) {
+		t.Fatalf("allocation beyond the device: %v", err)
+	}
+	if err := b.Release(); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.ReadAt(0, got, 0); !errors.Is(err, lmp.ErrReleased) {
+		t.Fatalf("read after release: %v", err)
+	}
+	b, err = pp.Alloc(1<<16, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pp.Crash(device); err != nil {
+		t.Fatal(err)
+	}
+	if err := pp.Read(0, b.Addr(), got); !lmp.IsMemoryException(err) {
+		t.Fatalf("read after the device crashed: %v", err)
 	}
 }

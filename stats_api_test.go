@@ -1,5 +1,5 @@
-// Tests for the v1 observability surface: the typed Pool.Stats /
-// PhysicalPool.Stats snapshots, span tracing through the public API, and
+// Tests for the v1 observability surface: the typed Pool.Stats
+// snapshot (of a logical pool and of the physical baseline), span tracing through the public API, and
 // the WithTracing / WithObserver options. The reflection test pins the
 // satellite contract: a Stats snapshot exposes only exported,
 // JSON-tagged fields — no internal registry types leak through it.
@@ -55,7 +55,6 @@ func checkSnapshotType(t *testing.T, typ reflect.Type, seen map[reflect.Type]boo
 func TestStatsSnapshotTypesAreClean(t *testing.T) {
 	seen := map[reflect.Type]bool{}
 	checkSnapshotType(t, reflect.TypeOf(lmp.PoolStats{}), seen)
-	checkSnapshotType(t, reflect.TypeOf(lmp.PhysicalStats{}), seen)
 	checkSnapshotType(t, reflect.TypeOf(lmp.Span{}), seen)
 }
 
@@ -228,14 +227,17 @@ func TestWithObserverAndContextTracing(t *testing.T) {
 	}
 }
 
-func TestPhysicalStats(t *testing.T) {
+// The physical baseline reports through the same PoolStats as any pool:
+// the device is the one server that backs traffic, and the local caches
+// are the pool's cache.
+func TestPhysicalBaselineStats(t *testing.T) {
 	pool, err := lmp.NewPhysical(lmp.PhysicalConfig{
-		Servers: 2, LocalBytes: 1 << 20, PoolBytes: 1 << 24, Mode: lmp.LRUCache,
+		Servers: 2, LocalBytes: 1 << 20, PoolBytes: 8 * lmp.SliceSize,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf, err := pool.Alloc(1 << 16)
+	buf, err := pool.Alloc(1<<16, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,18 +252,26 @@ func TestPhysicalStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := pool.Stats()
-	if st.Servers != 2 || st.Mode != "lru-cache" || !st.DeviceOK {
-		t.Fatalf("bad config echo: %+v", st)
+	if len(st.Servers) != 3 {
+		t.Fatalf("%d servers, want 2 compute + the device", len(st.Servers))
 	}
-	if st.Allocs != 1 {
-		t.Fatalf("Allocs = %d, want 1", st.Allocs)
+	for i, srv := range st.Servers {
+		if isDevice := i == 2; srv.Dead || (srv.SharedBytes != 0) != isDevice || (srv.Ops != 0) != isDevice {
+			t.Fatalf("server %d: %+v", i, srv)
+		}
 	}
-	if st.RemoteReads != 1 || st.LocalReads != 1 {
-		t.Fatalf("reads local/remote = %d/%d, want 1/1 (miss then hit)",
-			st.LocalReads, st.RemoteReads)
+	if st.Servers[2].Name != "pool-device" || st.Servers[2].SharedBytes != 8*lmp.SliceSize {
+		t.Fatalf("device: %+v", st.Servers[2])
 	}
-	if st.WriteBytes != 4096 {
-		t.Fatalf("WriteBytes = %d, want 4096", st.WriteBytes)
+	if st.Allocs != 1 || st.BytesAllocated != lmp.SliceSize {
+		t.Fatalf("Allocs = %d, BytesAllocated = %d", st.Allocs, st.BytesAllocated)
+	}
+	if st.Cache.Fills != 1 || st.Cache.Hits != 1 || st.Reads.RemoteOps != 1 || st.Reads.LocalOps != 0 {
+		t.Fatalf("fills/hits = %d/%d, reads local/remote = %d/%d, want a miss then a hit",
+			st.Cache.Fills, st.Cache.Hits, st.Reads.LocalOps, st.Reads.RemoteOps)
+	}
+	if st.Writes.RemoteBytes != 4096 || st.Writes.LocalBytes != 0 {
+		t.Fatalf("write bytes local/remote = %d/%d, want 0/4096", st.Writes.LocalBytes, st.Writes.RemoteBytes)
 	}
 	if _, err := json.Marshal(st); err != nil {
 		t.Fatal(err)
