@@ -94,13 +94,17 @@ cross:
 # unmaps dead ones) and its lender test (concurrent tenants allocating,
 # verifying and freeing extents while the boundary moves), alloc beside it
 # as the algorithm under that lock, on every shape. The core line also
-# runs the physical-pool deployment and the server-id bounds table.
+# runs the physical-pool deployment, the server-id bounds table and the
+# balancer, planner and access-profile tests; the profile tests (ageing
+# against concurrent adds, a released tenant's history) run once more per
+# shape under the race detector.
 flake:
 	@for p in 1 2 4 8; do \
 		echo "flake: GOMAXPROCS=$$p"; \
 		GOMAXPROCS=$$p $(GO) test -shuffle=on -count=$(FLAKE_COUNT) ./internal/rpc/ ./internal/daemon/ || exit 1; \
 		GOMAXPROCS=$$p $(GO) test -race -shuffle=on ./internal/rpc/ ./internal/daemon/ ./internal/chaos/ ./internal/memnode/ ./internal/alloc/ || exit 1; \
-		GOMAXPROCS=$$p $(GO) test -shuffle=on -count=$(FLAKE_COUNT) -run 'Admission|Inflight|Tail|Compact|Elasticity|Translate|Physical|ServerID' ./internal/core/ || exit 1; \
+		GOMAXPROCS=$$p $(GO) test -shuffle=on -count=$(FLAKE_COUNT) -run 'Admission|Inflight|Tail|Compact|Elasticity|Translate|Physical|ServerID|Balance|Profile|Migrat' ./internal/core/ || exit 1; \
+		GOMAXPROCS=$$p $(GO) test -race -shuffle=on -run 'Profile' ./internal/core/ || exit 1; \
 	done
 
 # Regenerate the checked-in code ledger AUDIT.md: per package non-test

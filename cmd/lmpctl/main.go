@@ -28,7 +28,7 @@ import (
 var server = flag.String("server", "127.0.0.1:7070", "daemon address")
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: lmpctl -server ADDR {info | stats | alloc N | free OFF | read OFF N | write OFF DATA | sum OFF N | resize N | hot [K]}")
+	fmt.Fprintln(os.Stderr, "usage: lmpctl -server ADDR {info | stats | alloc N | free OFF | read OFF N | write OFF DATA | sum OFF N | resize N}")
 	os.Exit(2)
 }
 
@@ -111,21 +111,6 @@ func main() {
 			log.Fatalf("lmpctl: %v", err)
 		}
 		fmt.Println("resized")
-	case "hot":
-		k := int64(10)
-		if len(args) == 2 {
-			k = argInt(args[1])
-		}
-		hot, err := c.HotPages(int(k))
-		if err != nil {
-			log.Fatalf("lmpctl: %v", err)
-		}
-		if len(hot) == 0 {
-			fmt.Println("no accesses recorded")
-		}
-		for _, h := range hot {
-			fmt.Printf("page %d heat %d\n", h.Page, h.Heat)
-		}
 	case "stats":
 		st, err := c.Stats()
 		if err != nil {

@@ -4,7 +4,6 @@
 //
 //	go run ./cmd/lmplint ./...
 //	go run ./cmd/lmplint -json ./...
-//	go run ./cmd/lmplint -sarif ./...
 //
 // The per-package analyzers run on each loaded unit; the whole-program
 // analyzers (lockorder's lock graph, pinregion, hotpath) share one
@@ -77,7 +76,7 @@ type step struct {
 }
 
 // finding is one diagnostic in the driver's output shape, shared by the
-// text, JSON, and SARIF renderers.
+// text and JSON renderers.
 type finding struct {
 	Analyzer string   `json:"analyzer"`
 	Pos      position `json:"position"`
@@ -88,9 +87,8 @@ type finding struct {
 func main() {
 	list := flag.Bool("list", false, "list the analyzers and exit")
 	jsonOut := flag.Bool("json", false, "emit findings as a JSON array")
-	sarifOut := flag.Bool("sarif", false, "emit findings as SARIF 2.1.0")
 	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: lmplint [-list] [-json|-sarif] [packages]\n")
+		fmt.Fprintf(flag.CommandLine.Output(), "usage: lmplint [-list] [-json] [packages]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -102,10 +100,6 @@ func main() {
 			fmt.Printf("%-15s [whole-program] %s\n", a.Name, a.Doc)
 		}
 		return
-	}
-	if *jsonOut && *sarifOut {
-		fmt.Fprintln(os.Stderr, "lmplint: -json and -sarif are mutually exclusive")
-		os.Exit(2)
 	}
 
 	units, err := loader.Load(".", flag.Args()...)
@@ -179,8 +173,7 @@ func main() {
 		return a.Analyzer < b.Analyzer
 	})
 
-	switch {
-	case *jsonOut:
+	if *jsonOut {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		if findings == nil {
@@ -190,12 +183,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "lmplint: %v\n", err)
 			os.Exit(2)
 		}
-	case *sarifOut:
-		if err := writeSARIF(os.Stdout, findings); err != nil {
-			fmt.Fprintf(os.Stderr, "lmplint: %v\n", err)
-			os.Exit(2)
-		}
-	default:
+	} else {
 		for _, f := range findings {
 			fmt.Printf("%s: %s (%s)\n", f.Pos, f.Message, f.Analyzer)
 			for _, s := range f.Related {

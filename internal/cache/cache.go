@@ -80,8 +80,8 @@ func (s Stats) HitRate() float64 {
 
 // entry is one slot of a shard's clock ring. hits counts lookups since
 // the last DrainHits so the pool can feed cache locality into the
-// migration matrix without touching the backing node's contended heat
-// counters.
+// migration profile: a hit reaches no backing and so none of the pool's
+// own counters.
 type entry struct {
 	page uint64
 	data []byte // page bytes; allocated on the slot's first use, then reused
@@ -490,8 +490,8 @@ func (c *Cache) InvalidateAll() int {
 }
 
 // DrainHits visits every resident page with a nonzero lookup count since
-// the last drain and resets the counts. The pool harvests these into the
-// migration access matrix so cache locality still drives promotion.
+// the last drain and resets the counts. The pool folds these into its
+// per-slice access profile so cache locality still drives promotion.
 // visit runs under the shard lock: it must be quick and must not call
 // back into the cache.
 func (c *Cache) DrainHits(visit func(page uint64, hits uint64)) {

@@ -62,7 +62,7 @@ func (p *Pool) BalanceOnce() (BalanceReport, error) {
 // a slice another mover holds is skipped with TryLock rather than
 // stalling the round behind a repair.
 func (p *Pool) balanceOnce(sc telemetry.SpanContext) BalanceReport {
-	p.harvestAccessCounts()
+	p.foldCacheHits()
 	budget := p.cfg.Migration.MaxMoves
 	moves := p.planMoves()
 	rep := BalanceReport{Planned: len(moves)}
@@ -75,17 +75,12 @@ func (p *Pool) balanceOnce(sc telemetry.SpanContext) BalanceReport {
 			rep.SkippedDead++
 			continue
 		}
-		back := p.lookupSlice(mv.slice)
-		if back == nil {
-			rep.SkippedStale++ // freed since planning
-			continue
-		}
-		if !back.commit.TryLock() {
+		if !mv.back.commit.TryLock() {
 			rep.SkippedBusy++
 			continue
 		}
-		err := p.moveOneCommitted(sc, mv.slice, back, mv.to)
-		back.commit.Unlock()
+		err := p.moveOneCommitted(sc, mv.slice, mv.back, mv.to)
+		mv.back.commit.Unlock()
 		switch {
 		case err == nil:
 			rep.Migrated++
@@ -98,13 +93,13 @@ func (p *Pool) balanceOnce(sc telemetry.SpanContext) BalanceReport {
 			used++ // attempted: charge the budget
 		case errors.Is(err, ErrServerDead):
 			rep.SkippedDead++
-		default: // errMoveStale and friends: concurrent repair or free
+		default: // errMoveStale and friends: repaired or freed since planning
 			rep.SkippedStale++
 		}
 	}
 	rep.Skipped = rep.SkippedDead + rep.SkippedCollocated + rep.SkippedAllocFail +
 		rep.SkippedBusy + rep.SkippedStale
-	p.matrix.decay()
+	p.ageProfile()
 	p.metrics.Counter("pool.migrations").Add(uint64(rep.Migrated))
 	p.metrics.Counter("pool.migrations.skipped.dead").Add(uint64(rep.SkippedDead))
 	p.metrics.Counter("pool.migrations.skipped.collocated").Add(uint64(rep.SkippedCollocated))

@@ -19,9 +19,9 @@ import (
 // feature. The paper's §5 "locality balancing" challenge splits into two
 // time scales: the cache serves short-term reuse from local DRAM, while
 // the migration balancer (BalanceOnce) handles long-term placement; the
-// cache feeds its hit counts into the balancer's access matrix so a
-// sustained-hot remote slice is still promoted (migrated local) even
-// when the cache absorbs its reads.
+// cache's hit counts are folded into the slice entries the balancer
+// plans from (foldCacheHits) so a sustained-hot remote slice is still
+// promoted (migrated local) even when the cache absorbs its reads.
 //
 // Coherence protocol. Each node has its own read cache; a dedicated
 // page-granular coherence.Directory (separate from the coherent region's
@@ -494,21 +494,6 @@ func (p *Pool) flushOneFallback(from addr.ServerID, v Vec) error {
 		return nil
 	}
 	return err
-}
-
-// harvestCacheHits drains per-page cache hit counts into matrix samples:
-// a hit is an access the balancer would otherwise never see (it touches
-// no backing counter), yet it is exactly the signal that a remote slice
-// is hot enough to promote.
-func (p *Pool) harvestCacheHits(batch []accessSample) []accessSample {
-	for n := range p.caches {
-		from := addr.ServerID(n)
-		p.caches[n].DrainHits(func(page, hits uint64) {
-			s := addr.SliceOf(addr.Logical(page << p.pageShift))
-			batch = append(batch, accessSample{slice: uint64(s), from: from, count: hits})
-		})
-	}
-	return batch
 }
 
 // CacheStats aggregates the per-node cache and write-combiner state.

@@ -3,16 +3,17 @@ package core
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"github.com/lmp-project/lmp/internal/addr"
 )
 
 // This file is the locality balancer's planner (§5 "Locality balancing"):
-// the profile of which server accesses each slice (the performance-counter
-// approach the paper suggests) and the policy that ranks migrations
-// toward dominant accessors, with hysteresis so ping-ponging data does
-// not thrash. background.go executes the plan.
+// it reads the profile of which server accesses each slice (the
+// performance-counter approach the paper suggests) — the per-issuer
+// counters of the slice's table entry, sliceBacking.counts, which the
+// data path bumps and ageProfile halves — and ranks migrations toward
+// dominant accessors, with hysteresis so ping-ponging data does not
+// thrash. background.go executes the plan.
 
 // MigrationPolicy tunes the planner.
 type MigrationPolicy struct {
@@ -42,103 +43,53 @@ func (p MigrationPolicy) Validate() error {
 	return nil
 }
 
-// accessMatrix records per-slice access counts by accessing server, the
-// data a performance-counter profiler would gather.
-type accessMatrix struct {
-	mu     sync.Mutex
-	counts map[uint64]map[addr.ServerID]uint64
-}
-
-func newAccessMatrix() *accessMatrix {
-	return &accessMatrix{counts: make(map[uint64]map[addr.ServerID]uint64)}
-}
-
-// accessSample is one (slice, accessor, count) observation.
-type accessSample struct {
-	slice uint64
-	from  addr.ServerID
-	count uint64
-}
-
-// recordBatch folds a batch of samples under one lock acquisition: the
-// harvest drains hundreds of per-slice counter lanes and cache hit
-// counters per round.
-func (m *accessMatrix) recordBatch(batch []accessSample) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for _, b := range batch {
-		if b.count == 0 {
-			continue
-		}
-		row := m.counts[b.slice]
-		if row == nil {
-			row = make(map[addr.ServerID]uint64)
-			m.counts[b.slice] = row
-		}
-		row[b.from] += b.count
-	}
-}
-
-// decay halves all counts, aging the profile between rounds.
-func (m *accessMatrix) decay() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for s, row := range m.counts {
-		empty := true
-		for f, c := range row {
-			row[f] = c / 2
-			if row[f] > 0 {
-				empty = false
-			}
-		}
-		if empty {
-			delete(m.counts, s)
-		}
-	}
-}
-
 // plannedMove is one migration the planner ranked.
 type plannedMove struct {
 	slice uint64
-	from  addr.ServerID
-	to    addr.ServerID
+	// back is the entry the move was planned from; the mover refuses as
+	// stale a slice number that has since been freed and granted again.
+	back *sliceBacking
+	from addr.ServerID
+	to   addr.ServerID
 	// gain is the access-count margin that justified the move.
 	gain uint64
 }
 
-// planMoves examines the profile against current ownership — read from
-// the slice table, the only place it is recorded — and returns every
-// migration the policy justifies, by descending gain. The per-round
+// planMoves walks the slice table and returns every migration the policy
+// justifies, by descending gain. Owner and profile come off the same
+// entry — the only place either is recorded — so a slice freed since its
+// accesses were counted has no entry and plans nothing. The per-round
 // budget is balanceOnce's to enforce.
 func (p *Pool) planMoves() []plannedMove {
 	pol := p.cfg.Migration
-	m := p.matrix
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	var moves []plannedMove
-	for s, row := range m.counts {
-		home, ok := p.homeOf(s)
-		if !ok {
-			continue // unmapped slices cannot move
+	t := p.table.Load()
+	for s := range t.entries {
+		back := t.entries[s].Load()
+		if back == nil {
+			continue
 		}
-		owner := home.Server
 		var best addr.ServerID
 		var bestC, total uint64
-		first := true
-		for f, c := range row {
+		for f := range back.counts {
+			c := back.counts[f].Load()
 			total += c
-			if first || c > bestC || (c == bestC && f < best) {
-				best, bestC, first = f, c, false
+			if c > bestC { // a tie keeps the lower server id
+				best, bestC = addr.ServerID(f), c
 			}
 		}
-		ownerC := row[owner]
-		if total < pol.MinAccesses || best == owner {
+		if total == 0 || total < pol.MinAccesses {
 			continue
 		}
-		if float64(bestC) < pol.HysteresisFactor*float64(ownerC)+1 {
+		lock := p.stripeFor(uint64(s))
+		lock.RLock()
+		owner := back.server
+		lock.RUnlock()
+		ownerC := back.counts[owner].Load()
+		if best == owner || float64(bestC) < pol.HysteresisFactor*float64(ownerC)+1 {
 			continue
 		}
-		moves = append(moves, plannedMove{slice: s, from: owner, to: best, gain: bestC - ownerC})
+		moves = append(moves, plannedMove{slice: uint64(s), back: back, from: owner, to: best, gain: bestC - ownerC})
 	}
 	sort.Slice(moves, func(i, j int) bool {
 		if moves[i].gain != moves[j].gain {
@@ -147,4 +98,44 @@ func (p *Pool) planMoves() []plannedMove {
 		return moves[i].slice < moves[j].slice
 	})
 	return moves
+}
+
+// foldCacheHits adds each cache's per-page hit counts since the last round
+// to the entry of the slice the page belongs to: a hit touches no backing
+// and so no entry, yet it is exactly the signal that a remote slice is hot
+// enough to promote. Release purges a dying range's pages before its
+// addresses can be granted again, so a resident page's entry is its own.
+func (p *Pool) foldCacheHits() {
+	for n := range p.caches {
+		p.caches[n].DrainHits(func(page, hits uint64) {
+			if back := p.lookupSlice(addr.SliceOf(addr.Logical(page << p.pageShift))); back != nil {
+				back.counts[n].Add(hits)
+			}
+		})
+	}
+}
+
+// ageProfile halves every slice's per-issuer counters, aging the profile
+// between rounds, and reports the total it took off. The compare-and-swap
+// retries when a foreground add lands in between, so no access is lost;
+// and two overlapping rounds each halve what they find, where subtracting
+// half of a value read earlier could take a lane below zero.
+func (p *Pool) ageProfile() (aged uint64) {
+	t := p.table.Load()
+	for s := range t.entries {
+		back := t.entries[s].Load()
+		if back == nil {
+			continue
+		}
+		for f := range back.counts {
+			lane := &back.counts[f]
+			for c := lane.Load(); c > 0; c = lane.Load() {
+				if lane.CompareAndSwap(c, c/2) {
+					aged += c - c/2
+					break
+				}
+			}
+		}
+	}
+	return aged
 }

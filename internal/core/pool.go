@@ -137,9 +137,11 @@ type sliceBacking struct {
 	server addr.ServerID
 	offset int64
 	buf    *Buffer
-	// counts accumulates per-accessing-server access counts on the data
-	// path with a single atomic add; the locality balancer harvests them
-	// into its access matrix (see Pool.harvestAccessCounts).
+	// counts is the slice's access profile, one lane per accessing
+	// server: the data path adds to it with a single atomic add, cache
+	// hits are folded in once a round, the locality balancer plans from
+	// it and halves it (migrate.go). It moves with the entry and ends
+	// with it in teardownLocked.
 	counts []atomic.Uint64
 
 	// commit is the slice's commit-window (mover) lock: repair workers,
@@ -241,8 +243,6 @@ type Pool struct {
 	buffers map[addr.Logical]*Buffer
 	dead    []atomic.Bool
 
-	matrix *accessMatrix
-
 	dir          *coherence.Directory
 	coherent     []byte
 	coherentNext int64
@@ -309,7 +309,6 @@ func New(cfg Config) (*Pool, error) {
 		cfg:      cfg,
 		buffers:  make(map[addr.Logical]*Buffer),
 		dead:     make([]atomic.Bool, len(cfg.Servers)),
-		matrix:   newAccessMatrix(),
 		dir:      dir,
 		coherent: make([]byte, cfg.CoherentBytes),
 		metrics:  telemetry.NewRegistry(),
@@ -906,7 +905,7 @@ func (p *Pool) readLocked(sc telemetry.SpanContext, src blockRef, la uint64, sli
 }
 
 // accountAccess is the one accounting hook of the foreground path: a
-// per-slice count for the balancer's access matrix (one atomic add each)
+// per-slice count in the entry's access profile (one atomic add each)
 // and one op of n bytes against the serving server in the traffic
 // counters. backs has more than one element for a coalesced vectored run.
 func (p *Pool) accountAccess(from, served addr.ServerID, s uint64, write bool, n int, backs ...*sliceBacking) {
@@ -1098,30 +1097,6 @@ func (p *Pool) recordAccessMetrics(from, owner addr.ServerID, s uint64, remote, 
 	p.srvBytes[owner].AddAt(u, int(from), uint64(n))
 	p.stripeOps.AddAt(u, int(s&p.stripeMask), 1)
 	telemetry.EndUpdate()
-}
-
-// harvestAccessCounts drains the per-slice atomic access counters — and
-// the per-page cache hit counters, which never touch backing counters —
-// into the balancer's access matrix, batched under one matrix lock.
-// Called before planning.
-func (p *Pool) harvestAccessCounts() {
-	var batch []accessSample
-	t := p.table.Load()
-	for s := range t.entries {
-		back := t.entries[s].Load()
-		if back == nil {
-			continue
-		}
-		for srv := range back.counts {
-			if n := back.counts[srv].Swap(0); n > 0 {
-				batch = append(batch, accessSample{slice: uint64(s), from: addr.ServerID(srv), count: n})
-			}
-		}
-	}
-	if p.caches != nil {
-		batch = p.harvestCacheHits(batch)
-	}
-	p.matrix.recordBatch(batch)
 }
 
 // homeOf reads slice s's home — the entry's (server, extent offset) —

@@ -70,7 +70,9 @@ type ServerStats struct {
 	Bytes uint64 `json:"bytes"`
 	// OpsByIssuer breaks Ops down by issuing server: OpsByIssuer[j] is
 	// the number of this server's backing accesses issued by server j —
-	// one row of the traffic matrix the locality balancer works from.
+	// one row of the server-to-server traffic matrix. It is observability
+	// only: the locality balancer plans from the per-slice counters of
+	// the slice entries, which Stats does not report.
 	OpsByIssuer []uint64 `json:"ops_by_issuer"`
 }
 

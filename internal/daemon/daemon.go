@@ -30,7 +30,7 @@ const (
 	MethodWrite
 	MethodSum
 	MethodResize
-	MethodHotPages
+	_ // 8 was the per-page heat query; retired, never reused
 	MethodStats
 )
 
@@ -184,7 +184,6 @@ func (s *Server) wireMethods() []wireMethod {
 		{MethodWrite, "rpc.write", s.handleWrite},
 		{MethodSum, "rpc.sum", s.handleSum},
 		{MethodResize, "rpc.resize", s.handleResize},
-		{MethodHotPages, "rpc.hot_pages", s.handleHotPages},
 		{MethodStats, "rpc.stats", s.handleStats},
 	}
 }
@@ -201,26 +200,6 @@ func (s *Server) register() {
 // scrapers see the same document.
 func (s *Server) handleStats(_ []byte) ([]byte, error) {
 	return json.Marshal(s.Stats())
-}
-
-// handleHotPages returns up to k (page, heat) pairs by descending heat —
-// the profile a remote balancer would consume.
-func (s *Server) handleHotPages(p []byte) ([]byte, error) {
-	if len(p) != 4 {
-		return nil, fmt.Errorf("daemon: hot-pages payload %d bytes", len(p))
-	}
-	k := int(binary.BigEndian.Uint32(p))
-	if k <= 0 || k > 4096 {
-		return nil, fmt.Errorf("daemon: hot-pages count %d out of range", k)
-	}
-	hot := s.node.HottestPages(k)
-	out := make([]byte, 4+16*len(hot))
-	binary.BigEndian.PutUint32(out[0:4], uint32(len(hot)))
-	for i, st := range hot {
-		binary.BigEndian.PutUint64(out[4+16*i:], uint64(st.Page))
-		binary.BigEndian.PutUint64(out[12+16*i:], st.Heat)
-	}
-	return out, nil
 }
 
 func (s *Server) handleInfo(_ []byte) ([]byte, error) {
@@ -290,7 +269,6 @@ func (s *Server) handleRead(p []byte) ([]byte, error) {
 	if err := s.node.ReadAt(out, off); err != nil {
 		return nil, err
 	}
-	s.node.RecordAccess(off, true, false)
 	return out, nil
 }
 
@@ -303,11 +281,7 @@ func (s *Server) handleWrite(p []byte) ([]byte, error) {
 	if err := s.checkShared(off, int64(len(data))); err != nil {
 		return nil, err
 	}
-	if err := s.node.WriteAt(data, off); err != nil {
-		return nil, err
-	}
-	s.node.RecordAccess(off, true, true)
-	return nil, nil
+	return nil, s.node.WriteAt(data, off)
 }
 
 // handleSum is the near-memory kernel: sum the little-endian uint64 words
@@ -504,37 +478,6 @@ func (c *Client) Sum(off int64, n int) (float64, error) {
 func (c *Client) SumAsync(ctx context.Context, off int64, n int) *rpc.Future {
 	req := rangeRequest(off, n)
 	return rpc.Async(c.c, ctx, MethodSum, req).OwnRequest(req)
-}
-
-// HotPage is one entry of a daemon's access profile.
-type HotPage struct {
-	Page int64
-	Heat uint64
-}
-
-// HotPages fetches up to k of the daemon's hottest pages.
-func (c *Client) HotPages(k int) ([]HotPage, error) {
-	req := make([]byte, 4)
-	binary.BigEndian.PutUint32(req, uint32(k))
-	resp, err := c.c.Call(MethodHotPages, req)
-	if err != nil {
-		return nil, err
-	}
-	if len(resp) < 4 {
-		return nil, fmt.Errorf("daemon: short hot-pages response")
-	}
-	n := int(binary.BigEndian.Uint32(resp[0:4]))
-	if len(resp) != 4+16*n {
-		return nil, fmt.Errorf("daemon: hot-pages response size %d for %d entries", len(resp), n)
-	}
-	out := make([]HotPage, n)
-	for i := 0; i < n; i++ {
-		out[i] = HotPage{
-			Page: int64(binary.BigEndian.Uint64(resp[4+16*i:])),
-			Heat: binary.BigEndian.Uint64(resp[12+16*i:]),
-		}
-	}
-	return out, nil
 }
 
 // Stats fetches the daemon's typed observability snapshot.

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -182,36 +183,24 @@ func TestShippedSumKernel(t *testing.T) {
 	}
 }
 
-func TestHotPagesOverTCP(t *testing.T) {
+// TestRetiredMethodIsUnknown: method 8 was the per-page heat query. The
+// number is retired, not reused, and a peer that still sends it gets the
+// error any unassigned method gets — while its neighbour 9 is still the
+// stats snapshot.
+func TestRetiredMethodIsUnknown(t *testing.T) {
 	_, c := startDaemon(t, "srv0", 1<<20, 1<<20)
-	off, err := c.Alloc(64 << 10)
-	if err != nil {
-		t.Fatal(err)
+	if MethodResize != 7 || MethodStats != 9 {
+		t.Fatalf("wire numbers moved: resize %d, stats %d", MethodResize, MethodStats)
 	}
-	// Hammer one page; touch another once.
-	for i := 0; i < 10; i++ {
-		if _, err := c.Read(off, 64); err != nil {
-			t.Fatal(err)
+	for _, method := range []byte{8, 200} { // the retired number, and one never assigned
+		_, err := c.c.Call(method, []byte{0, 0, 0, 5})
+		var re *rpc.RemoteError
+		if want := fmt.Sprintf("no handler for method %d", method); !errors.As(err, &re) || !strings.Contains(re.Message, want) {
+			t.Fatalf("method %d answered %v, want %q", method, err, want)
 		}
 	}
-	if _, err := c.Read(off+32<<10, 64); err != nil {
-		t.Fatal(err)
-	}
-	hot, err := c.HotPages(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(hot) != 2 {
-		t.Fatalf("hot pages = %d, want 2", len(hot))
-	}
-	if hot[0].Heat <= hot[1].Heat {
-		t.Fatalf("ordering wrong: %+v", hot)
-	}
-	if hot[0].Page != off/4096 {
-		t.Fatalf("hottest page = %d, want %d", hot[0].Page, off/4096)
-	}
-	if _, err := c.HotPages(0); err == nil {
-		t.Fatal("k=0 accepted")
+	if _, err := c.Stats(); err != nil {
+		t.Fatalf("stats after the refused calls: %v", err)
 	}
 }
 

@@ -34,7 +34,7 @@ func FuzzDaemonHandlers(f *testing.F) {
 	f.Add(MethodFree, u64(0))
 	f.Add(MethodResize, u64(1<<63|5)) // a negative limit
 	f.Add(MethodResize, u64(1<<18))
-	f.Add(MethodHotPages, []byte{0, 0, 0, 8})
+	f.Add(byte(8), []byte{0, 0, 0, 8}) // the retired heat query: unregistered like byte(0) below
 	f.Add(MethodInfo, []byte(nil))
 	f.Add(MethodStats, []byte("ignored"))
 	f.Add(byte(0), []byte{1, 2, 3})

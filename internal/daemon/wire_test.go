@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/lmp-project/lmp/internal/memnode"
 	"github.com/lmp-project/lmp/internal/rpc"
 	"github.com/lmp-project/lmp/internal/telemetry"
 )
@@ -202,6 +203,41 @@ func TestWirePathAllocBudget(t *testing.T) {
 	}
 	if hits := servers[0].Metrics().Gauge("rpc.buffer.hits").Value(); hits < 8*ops {
 		t.Errorf("rpc.buffer.hits = %d after %d ops of four chunks with four buffers each: recycling is not happening", hits, ops)
+	}
+}
+
+// TestWireTrafficLeavesNoPerPageState: a wire read is decode, bounds
+// check, one copy out of the node, reply — the daemon keeps nothing per
+// page it served. The same number of 64-byte reads is issued twice, first
+// all at one page, then one at every page of the region; the live heap
+// objects the second pass leaves behind must not scale with the pages it
+// touched (a per-page access record would leave one each).
+func TestWireTrafficLeavesNoPerPageState(t *testing.T) {
+	const pages = 4096
+	_, c := startDaemon(t, "srv0", pages*memnode.PageSize, pages*memnode.PageSize)
+	liveObjects := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapObjects
+	}
+	pass := func(stride int64) {
+		for i := int64(0); i < pages; i++ {
+			got, err := c.Read(i*stride, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rpc.PutBuffer(got)
+		}
+	}
+	pass(0)
+	before := liveObjects()
+	pass(memnode.PageSize)
+	after := liveObjects()
+	t.Logf("live heap objects: %d after %d reads of one page, %d after a read of each of %d pages", before, pages, after, pages)
+	if after > before+pages/8 {
+		t.Errorf("reading %d distinct pages left %d more live heap objects than reading one page as often", pages, after-before)
 	}
 }
 

@@ -1,8 +1,7 @@
 // Package memnode implements a single server's memory for the LMP runtime:
 // a page-granular byte store covering the server's DRAM, split into a
 // private region and a shared region whose boundary can move at runtime
-// (the paper's ratio flexibility), plus per-page access statistics feeding
-// the migration and sizing policies.
+// (the paper's ratio flexibility).
 //
 // A Node is the lender: it owns the extent allocator of its shared region
 // (Alloc, Free, Resize), so the rules of lent memory hold by construction
@@ -25,70 +24,28 @@
 // drive one node concurrently. Concurrent writes to the same byte range
 // are the application's data race, exactly as on real shared memory (and,
 // the bytes being outside the heap, invisible to the race detector).
-// Statistics are per-page atomics in a sparse table of atomically
-// published chunks.
 package memnode
 
 import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 
 	"github.com/lmp-project/lmp/internal/alloc"
 )
 
-// PageSize is the translation and tracking granularity, 4KiB as in the
+// PageSize is the translation granularity, 4KiB as in the
 // host page tables the paper's runtime would manage, and the unit of the
 // shared region: its size and every extent granted in it are whole pages.
 const PageSize = 4096
 
-// chunkPages is the number of pages whose statistics one atomically
-// published chunk holds; one chunk spans 2MiB, matching the pool's slice
-// granularity.
-const chunkPages = 512
-
 // ErrOutOfRange reports an access beyond the node's capacity.
 var ErrOutOfRange = errors.New("memnode: access out of range")
 
-// PageStats holds access statistics for one page.
-type PageStats struct {
-	Page        int64
-	LocalReads  uint64
-	RemoteReads uint64
-	Writes      uint64
-	// Heat is an activity counter, incremented per access. Remote
-	// accesses add extra weight because they are the ones migration can
-	// eliminate.
-	Heat uint64
-}
-
-// pageStats is the internal atomic mirror of PageStats.
-type pageStats struct {
-	localReads  atomic.Uint64
-	remoteReads atomic.Uint64
-	writes      atomic.Uint64
-	heat        atomic.Uint64
-}
-
-func (st *pageStats) snapshot(page int64) PageStats {
-	return PageStats{
-		Page:        page,
-		LocalReads:  st.localReads.Load(),
-		RemoteReads: st.remoteReads.Load(),
-		Writes:      st.writes.Load(),
-		Heat:        st.heat.Load(),
-	}
-}
-
-// statChunk holds the statistics of one 2MiB span, published per page so
-// recorders never take a lock.
-type statChunk [chunkPages]atomic.Pointer[pageStats]
-
 // Node is one server's DRAM. It is safe for concurrent use, and the
-// read/write/record path is lock-free.
+// read/write path is lock-free.
 type Node struct {
 	name     string
 	capacity int64
@@ -97,10 +54,6 @@ type Node struct {
 	// Go heap (see backing_*.go). It lives until the Node is collected:
 	// every method that touches it keeps n alive until it is done.
 	mem []byte
-
-	// stats is sized at construction (one slot per 2MiB); each slot is
-	// materialized on the first RecordAccess inside it.
-	stats []atomic.Pointer[statChunk]
 
 	// allocMu is the allocation lock: it guards extents and orders the
 	// scrub of a freed or vacated range before the range can be granted
@@ -130,11 +83,9 @@ func New(name string, capacity, sharedBytes int64) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	const chunkBytes = chunkPages * PageSize
 	n := &Node{
 		name:     name,
 		capacity: capacity,
-		stats:    make([]atomic.Pointer[statChunk], (capacity+chunkBytes-1)/chunkBytes),
 		extents:  extents,
 	}
 	if err := n.reserve(); err != nil {
@@ -259,7 +210,7 @@ func (n *Node) WriteAt(p []byte, off int64) error {
 	return nil
 }
 
-// dropRange discards the contents and statistics of every page fully
+// dropRange discards the contents of every page fully
 // contained in [off, off+length) — an extent being freed, or the tail a
 // shrink vacates. The pages go back to the host and read as zeros
 // afterwards; partially covered pages at the edges are kept, and whatever
@@ -279,11 +230,6 @@ func (n *Node) dropRange(off, length int64) {
 	if first >= last {
 		return
 	}
-	for p := first; p < last; p++ {
-		if c := n.stats[p/chunkPages].Load(); c != nil {
-			c[p%chunkPages].Store(nil)
-		}
-	}
 	n.release(first*PageSize, last*PageSize)
 	n.dropped.Add(uint64((last - first) * PageSize))
 	runtime.KeepAlive(n)
@@ -297,72 +243,4 @@ func (n *Node) ResidentBytes() int64 {
 	r := n.resident()
 	runtime.KeepAlive(n)
 	return r
-}
-
-// publish returns what slot holds, installing a zero T first if it is
-// empty. It never returns nil, even when a drop empties the slot again
-// between the install and the load.
-func publish[T any](slot *atomic.Pointer[T]) *T {
-	for {
-		if v := slot.Load(); v != nil {
-			return v
-		}
-		slot.CompareAndSwap(nil, new(T))
-	}
-}
-
-// RecordAccess updates statistics for the page containing off. remote
-// marks the access as issued by another server; write marks stores. The
-// update is lock-free.
-func (n *Node) RecordAccess(off int64, remote, write bool) {
-	page := off / PageSize
-	st := publish(&publish(&n.stats[page/chunkPages])[page%chunkPages])
-	switch {
-	case write:
-		st.writes.Add(1)
-		st.heat.Add(1)
-	case remote:
-		st.remoteReads.Add(1)
-		// Remote reads are what locality balancing can win back; weight
-		// them higher so hot remote pages surface first.
-		st.heat.Add(4)
-	default:
-		st.localReads.Add(1)
-		st.heat.Add(1)
-	}
-}
-
-// Stats returns a copy of the statistics for the page containing off.
-func (n *Node) Stats(off int64) PageStats {
-	page := off / PageSize
-	if c := n.stats[page/chunkPages].Load(); c != nil {
-		if st := c[page%chunkPages].Load(); st != nil {
-			return st.snapshot(page)
-		}
-	}
-	return PageStats{Page: page}
-}
-
-// HottestPages returns up to k pages by descending heat.
-func (n *Node) HottestPages(k int) []PageStats {
-	var all []PageStats
-	for ci := range n.stats {
-		if c := n.stats[ci].Load(); c != nil {
-			for pi := range c {
-				if st := c[pi].Load(); st != nil {
-					all = append(all, st.snapshot(int64(ci)*chunkPages+int64(pi)))
-				}
-			}
-		}
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].Heat != all[j].Heat {
-			return all[i].Heat > all[j].Heat
-		}
-		return all[i].Page < all[j].Page
-	})
-	if len(all) > k {
-		all = all[:k]
-	}
-	return all
 }

@@ -175,8 +175,12 @@ func TestNodeLifetime(t *testing.T) {
 	}
 	readers.Wait()
 	// Finalizers run on their own goroutine after the cycle that found
-	// the nodes dead: collect until the mappings are gone.
-	limit := base + 4*region/PageSize
+	// the nodes dead: collect until the mappings are gone. The bound is
+	// 2GiB of the 125GiB reserved, not a few regions: under the race
+	// detector every OS thread the runtime starts meanwhile (more of them
+	// the higher GOMAXPROCS) reserves a 64MiB malloc arena of its own,
+	// which is address space this test did not map and cannot give back.
+	limit := base + 32*region/PageSize
 	deadline := time.Now().Add(10 * time.Second)
 	for processPages(t, 0) > limit {
 		if time.Now().After(deadline) {

@@ -150,57 +150,26 @@ func TestResizeBounds(t *testing.T) {
 	}
 }
 
-func TestAccessStatsAndHeat(t *testing.T) {
-	n := mustNode(t, 1<<20, 1<<20)
-	off := int64(3 * PageSize)
-	n.RecordAccess(off, false, false) // local read: +1
-	n.RecordAccess(off, true, false)  // remote read: +4
-	n.RecordAccess(off, false, true)  // write: +1
-	st := n.Stats(off)
-	if st.LocalReads != 1 || st.RemoteReads != 1 || st.Writes != 1 {
-		t.Fatalf("stats = %+v", st)
-	}
-	if st.Heat != 6 {
-		t.Fatalf("heat = %d, want 6", st.Heat)
-	}
-}
-
-func TestHottestPagesOrdering(t *testing.T) {
-	n := mustNode(t, 1<<20, 1<<20)
-	// Page 5 hottest (remote), page 2 medium, page 9 cold.
-	for i := 0; i < 10; i++ {
-		n.RecordAccess(5*PageSize, true, false)
-	}
-	for i := 0; i < 3; i++ {
-		n.RecordAccess(2*PageSize, false, false)
-	}
-	n.RecordAccess(9*PageSize, false, false)
-	hot := n.HottestPages(2)
-	if len(hot) != 2 || hot[0].Page != 5 || hot[1].Page != 2 {
-		t.Fatalf("hottest = %+v", hot)
-	}
-	all := n.HottestPages(100)
-	if len(all) != 3 {
-		t.Fatalf("all pages = %d, want 3", len(all))
-	}
-}
-
 func TestDropPage(t *testing.T) {
 	n := mustNode(t, 1<<20, 1<<20)
 	if err := n.WriteAt([]byte{1, 2, 3}, 7*PageSize); err != nil {
 		t.Fatal(err)
 	}
-	n.RecordAccess(7*PageSize, false, false)
 	n.dropRange(7*PageSize, PageSize)
 	got := make([]byte, 3)
 	if err := n.ReadAt(got, 7*PageSize); err != nil {
 		t.Fatal(err)
 	}
-	if got[0] != 0 {
-		t.Fatal("dropped page still has data")
+	if !bytes.Equal(got, []byte{0, 0, 0}) {
+		t.Fatalf("dropped page still has data: %v", got)
 	}
-	if n.Stats(7*PageSize).Heat != 0 {
-		t.Fatal("dropped page still has stats")
+	// The node's only touched page went back to the host (0 is also what
+	// a platform that cannot tell reports).
+	if r := n.ResidentBytes(); r != 0 {
+		t.Fatalf("ResidentBytes = %d after dropping the only written page", r)
+	}
+	if d := n.DroppedBytes(); d != PageSize {
+		t.Fatalf("DroppedBytes = %d, want one page", d)
 	}
 }
 
@@ -282,7 +251,6 @@ func TestDropRangeBounds(t *testing.T) {
 			if err := n.WriteAt([]byte{byte(p + 1)}, p*PageSize); err != nil {
 				t.Fatal(err)
 			}
-			n.RecordAccess(p*PageSize, false, false)
 		}
 		n.dropRange(tc.off, tc.length)
 		want := map[int]bool{}
@@ -297,9 +265,14 @@ func TestDropRangeBounds(t *testing.T) {
 			if gone := got[0] == 0; gone != want[p] {
 				t.Errorf("DropRange(%d, %d): page %d dropped = %t, want %t", tc.off, tc.length, p, gone, want[p])
 			}
-			if gone := n.Stats(int64(p)*PageSize).Heat == 0; gone != want[p] {
-				t.Errorf("DropRange(%d, %d): page %d stats dropped = %t, want %t", tc.off, tc.length, p, gone, want[p])
-			}
+		}
+		if d := n.DroppedBytes(); d != uint64(len(tc.dropped))*PageSize {
+			t.Errorf("DropRange(%d, %d): DroppedBytes = %d, want %d pages", tc.off, tc.length, d, len(tc.dropped))
+		}
+		// Exactly the pages kept are still backed, where the platform
+		// can tell (it reports 0 where it cannot).
+		if r := n.ResidentBytes(); r != 0 && r != int64(pages-len(tc.dropped))*PageSize {
+			t.Errorf("DropRange(%d, %d): ResidentBytes = %d with %d of %d pages kept", tc.off, tc.length, r, pages-len(tc.dropped), pages)
 		}
 	}
 }
@@ -400,15 +373,18 @@ func TestConcurrentReadWrite(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if got[0] != byte(g) {
+				if !bytes.Equal(got, buf) {
 					t.Errorf("goroutine %d read %d", g, got[0])
 					return
 				}
-				n.RecordAccess(off, i%2 == 0, false)
 			}
 		}()
 	}
 	wg.Wait()
+	// Eight goroutines touched a page each and nothing was dropped.
+	if r := n.ResidentBytes(); r != 0 && r < 8*PageSize {
+		t.Errorf("ResidentBytes = %d after writes to 8 pages", r)
+	}
 }
 
 // Property: what you write is what you read back, for arbitrary offsets and

@@ -1,4 +1,4 @@
-// Future is the async half of the transport: CallAsync returns one, the
+// Future is the async half of the transport: CallAsyncCtx returns one, the
 // blocking Call is a shim that waits on one. Completion is linearized by
 // the pending table — whoever removes the id from the table completes
 // the future, so a future resolves exactly once even when a response, a
@@ -12,7 +12,7 @@ import (
 
 // Future is one in-flight logical call. Exactly one goroutine may wait
 // on a Future (Wait/WaitCtx); after the first wait returns, further
-// waits return the same cached result. Futures returned by CallAsync are
+// waits return the same cached result. Futures returned by CallAsyncCtx are
 // owned by the caller, who may hand one back with Release once it is
 // done with the result; the blocking Call path recycles its futures
 // internally.

@@ -332,10 +332,10 @@ func TestUnframeableReplyFailsOnlyItsCall(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	huge := c.CallAsync(methHuge, nil)
+	huge := c.CallAsyncCtx(nil, methHuge, nil)
 	var behind [4]*Future
 	for i := range behind {
-		behind[i] = c.CallAsync(methEcho, []byte{byte(i)})
+		behind[i] = c.CallAsyncCtx(nil, methEcho, []byte{byte(i)})
 	}
 	var re *RemoteError
 	if _, err := huge.Wait(); !errors.As(err, &re) {

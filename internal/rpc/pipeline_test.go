@@ -28,7 +28,7 @@ func TestCallAsyncPipelinesOnOneConnection(t *testing.T) {
 	const n = 64
 	futures := make([]*Future, n)
 	for i := range futures {
-		futures[i] = c.CallAsync(methEcho, []byte(fmt.Sprintf("req-%d", i)))
+		futures[i] = c.CallAsyncCtx(nil, methEcho, []byte(fmt.Sprintf("req-%d", i)))
 	}
 	for i, f := range futures {
 		resp, err := f.Wait()
@@ -149,13 +149,18 @@ func TestCloseFailsInflightFutures(t *testing.T) {
 	const n = 16
 	futures := make([]*Future, n)
 	for i := range futures {
-		futures[i] = c.CallAsync(methEcho, []byte("stuck"))
+		futures[i] = c.CallAsyncCtx(nil, methEcho, []byte("stuck"))
 	}
 	for c.Stats().Pending < n {
 		time.Sleep(time.Millisecond)
 	}
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
+	}
+	select {
+	case <-c.readDone:
+	default:
+		t.Fatal("Close returned with the read loop still running: it can put a buffer into the pool of the next test")
 	}
 	for i, f := range futures {
 		if _, err := f.Wait(); !errors.Is(err, ErrClosed) {
@@ -167,13 +172,13 @@ func TestCloseFailsInflightFutures(t *testing.T) {
 		t.Fatalf("Close leaked pending entries: %+v", st)
 	}
 	// A call issued after Close fails fast the same way.
-	if _, err := c.CallAsync(methEcho, nil).Wait(); !errors.Is(err, ErrClosed) {
+	if _, err := c.CallAsyncCtx(nil, methEcho, nil).Wait(); !errors.Is(err, ErrClosed) {
 		t.Fatalf("post-Close call: %v, want ErrClosed", err)
 	}
 }
 
 // TestStressMixedCallsWithClose hammers one multiplexed connection with
-// mixed Call/CallAsync from many goroutines while the client closes
+// mixed Call/CallAsyncCtx from many goroutines while the client closes
 // midway: every call must resolve exactly once — a value or an error
 // wrapping ErrClosed — and the pending table must drain to zero.
 func TestStressMixedCallsWithClose(t *testing.T) {
@@ -202,7 +207,7 @@ func TestStressMixedCallsWithClose(t *testing.T) {
 				var resp []byte
 				var err error
 				if i%3 == 0 {
-					f := c.CallAsync(methEcho, payload)
+					f := c.CallAsyncCtx(nil, methEcho, payload)
 					resp, err = f.Wait()
 					if r2, e2 := f.Wait(); !bytes.Equal(r2, resp) || !errors.Is(e2, err) && e2 != err {
 						t.Error("future changed its result on re-wait")
@@ -257,7 +262,7 @@ func TestStressAsyncWithMarkDead(t *testing.T) {
 	for round := 0; round < 20; round++ {
 		futures := make([]*Future, 32)
 		for i := range futures {
-			futures[i] = c.CallAsync(methEcho, []byte{byte(i)})
+			futures[i] = c.CallAsyncCtx(nil, methEcho, []byte{byte(i)})
 		}
 		if round%2 == 1 {
 			c.MarkDead()

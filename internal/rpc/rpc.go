@@ -3,7 +3,7 @@
 // (read, write, migrate, ship) and peers call them through a multiplexed
 // client. The transport is asynchronous: every call gets a tag (request
 // id) in a per-connection pending-call table, so any number of calls
-// share one TCP connection concurrently — CallAsync returns a Future,
+// share one TCP connection concurrently — CallAsyncCtx returns a Future,
 // and the blocking Call is a shim that waits on one. Small frames queued
 // while a write is in flight coalesce into one batch frame (see
 // batcher.go); the receiver fans the sub-frames back out by tag.
@@ -491,6 +491,9 @@ type Client struct {
 	conn net.Conn
 	b    *batcher
 	pt   pendingTable
+	// readDone is closed when the read loop has returned: Close waits on
+	// it, so nothing the client started outlives it.
+	readDone chan struct{}
 }
 
 // SetAdmissionLimit bounds this client's in-flight calls: once limit
@@ -516,7 +519,7 @@ func DialBatched(addr string, window time.Duration) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Client{conn: conn}
+	c := &Client{conn: conn, readDone: make(chan struct{})}
 	c.pt.m = make(map[uint64]*Future)
 	c.b = newBatcher(conn, window, c.sendFailed)
 	go c.readLoop()
@@ -535,6 +538,7 @@ func (c *Client) sendFailed(err error) {
 }
 
 func (c *Client) readLoop() {
+	defer close(c.readDone)
 	deliverSub := func(sh frameHeader, sub []byte) error {
 		switch sh.kind {
 		case kindResponse, kindError:
@@ -678,15 +682,11 @@ func (c *Client) CallCtx(ctx context.Context, method byte, payload []byte) ([]by
 	return p, err
 }
 
-// CallAsync issues a call without blocking and returns its future.
-func (c *Client) CallAsync(method byte, payload []byte) *Future {
-	return c.CallAsyncCtx(nil, method, payload)
-}
-
-// CallAsyncCtx is CallAsync with a context: the span identity (if any)
-// rides with the request, and the returned future's WaitCtx honours the
-// same context. The future is owned by the caller and must be waited on
-// by exactly one goroutine, which may then Release it.
+// CallAsyncCtx issues a call without blocking and returns its future.
+// ctx may be nil; otherwise its span identity (if any) rides with the
+// request, and the returned future's WaitCtx honours the same context.
+// The future is owned by the caller and must be waited on by exactly one
+// goroutine, which may then Release it.
 func (c *Client) CallAsyncCtx(ctx context.Context, method byte, payload []byte) *Future {
 	f := getFuture(c)
 	c.startCall(ctx, method, payload, f)
@@ -844,7 +844,10 @@ func (c *Client) Stats() ClientStats {
 // Close tears down the connection; every pending call fails with an
 // error wrapping ErrClosed, and every future call fails fast the same
 // way. Close is idempotent and safe to race with in-flight calls: each
-// future still resolves exactly once.
+// future still resolves exactly once. When it returns the client's two
+// goroutines have exited — the read loop's last act on a batch is to put
+// the envelope back in the buffer pool, after the replies in it have
+// already woken their callers.
 func (c *Client) Close() error {
 	c.pt.Lock()
 	if c.pt.closed {
@@ -855,6 +858,7 @@ func (c *Client) Close() error {
 	c.pt.Unlock()
 	err := c.conn.Close() // unblocks the read loop and any in-flight write
 	c.b.close()
+	<-c.readDone
 	c.failAll(errClientClosed)
 	return err
 }

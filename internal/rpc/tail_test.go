@@ -180,7 +180,7 @@ func TestBreakerPolicyEnabled(t *testing.T) {
 }
 
 // TestAdmissionStress hammers a capped client from many goroutines with
-// a mix of Call and CallAsync: the pending table must never exceed the
+// a mix of Call and CallAsyncCtx: the pending table must never exceed the
 // cap, every future must resolve exactly once, and after the drain no
 // pending entry may leak. Runs under -race in make race.
 func TestAdmissionStress(t *testing.T) {
@@ -225,7 +225,7 @@ func TestAdmissionStress(t *testing.T) {
 				case 0:
 					_, err = c.Call(methEcho, []byte{byte(w)})
 				default:
-					f := c.CallAsync(methEcho, []byte{byte(w), byte(i)})
+					f := c.CallAsyncCtx(nil, methEcho, []byte{byte(w), byte(i)})
 					var p1 []byte
 					p1, err = f.Wait()
 					// Exactly-once resolution: a second wait observes the

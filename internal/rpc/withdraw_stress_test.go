@@ -127,8 +127,8 @@ func runWithdrawalStress(t *testing.T, seed int64, echoed, cancelled *atomic.Int
 	c.Close()
 	s.Close()
 
-	// Close does not join the client's read loop, and a handler's
-	// AfterFunc may still be about to fire: give them a moment to exit.
+	// A handler's AfterFunc may still be about to fire: give it a moment
+	// to exit.
 	deadline := time.Now().Add(5 * time.Second)
 	for runtime.NumGoroutine() > before {
 		if time.Now().After(deadline) {
