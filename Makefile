@@ -95,16 +95,18 @@ cross:
 # verifying and freeing extents while the boundary moves), alloc beside it
 # as the algorithm under that lock, on every shape. The core line also
 # runs the physical-pool deployment, the server-id bounds table and the
-# balancer, planner and access-profile tests; the profile tests (ageing
-# against concurrent adds, a released tenant's history) run once more per
-# shape under the race detector.
+# balancer, planner and access-profile tests, and the page cache and its
+# coherence directory (the chaos cache sweep included); the profile
+# tests (ageing against concurrent adds, a released tenant's history) and
+# the cache tests (an eviction notice racing a re-fill of its victim) run
+# once more per shape under the race detector.
 flake:
 	@for p in 1 2 4 8; do \
 		echo "flake: GOMAXPROCS=$$p"; \
 		GOMAXPROCS=$$p $(GO) test -shuffle=on -count=$(FLAKE_COUNT) ./internal/rpc/ ./internal/daemon/ || exit 1; \
 		GOMAXPROCS=$$p $(GO) test -race -shuffle=on ./internal/rpc/ ./internal/daemon/ ./internal/chaos/ ./internal/memnode/ ./internal/alloc/ || exit 1; \
-		GOMAXPROCS=$$p $(GO) test -shuffle=on -count=$(FLAKE_COUNT) -run 'Admission|Inflight|Tail|Compact|Elasticity|Translate|Physical|ServerID|Balance|Profile|Migrat' ./internal/core/ || exit 1; \
-		GOMAXPROCS=$$p $(GO) test -race -shuffle=on -run 'Profile' ./internal/core/ || exit 1; \
+		GOMAXPROCS=$$p $(GO) test -shuffle=on -count=$(FLAKE_COUNT) -run 'Admission|Inflight|Tail|Compact|Elasticity|Translate|Physical|ServerID|Balance|Profile|Migrat|Cache|Coheren' ./internal/core/ || exit 1; \
+		GOMAXPROCS=$$p $(GO) test -race -shuffle=on -run 'Profile|Cache|Coheren' ./internal/core/ || exit 1; \
 	done
 
 # Regenerate the checked-in code ledger AUDIT.md: per package non-test

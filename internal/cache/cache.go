@@ -19,9 +19,10 @@
 // never calls out of the package while holding a shard lock — in
 // particular it never calls the coherence directory, whose callbacks call
 // back into the cache (a directory call under a shard lock would deadlock
-// with OnBackInvalidate). Consequently the directory over-approximates
-// holders: a capacity eviction here is invisible to the directory and the
-// eventual invalidation of the evicted page is a no-op.
+// with OnBackInvalidate). Instead Put reports the page it evicted, and the
+// caller hands that to the directory after the shard lock is released;
+// Contains lets the directory re-check, under its own lock, that the
+// evicted page has not been re-filled meanwhile.
 //
 // Coherence is the caller's job: the pool registers every fill with the
 // coherence directory and invalidates cached copies on remote writes, so
@@ -263,22 +264,27 @@ func (c *Cache) WriteAt(page uint64, src []byte, off int) bool {
 // (CLOCK-Pro's re-admission test: its reuse distance beat the cold
 // population).
 //
+// Put reports the page the call left non-resident, if any: the one
+// evicted to make room — or, in a cache with no capacity, page itself —
+// so the caller can tell the coherence directory the copy is gone.
+//
 //lmp:hotpath
-func (c *Cache) Put(page uint64, data []byte) {
+func (c *Cache) Put(page uint64, data []byte) (victim uint64, evicted bool) {
 	sh, lane := c.shardFor(page)
 	sh.Lock()
 	if e := sh.lookupLocked(page); e != nil {
 		copy(e.data, data)
 		e.ref = true
 		sh.Unlock()
-		return
+		return 0, false
 	}
 	i, evicted := sh.slotLocked(c, lane)
 	if i < 0 {
 		sh.Unlock()
-		return // capacity zero
+		return page, true // capacity zero
 	}
 	e := &sh.ring[i]
+	victim = e.page
 	e.page = page
 	e.ref = false
 	e.chance = false
@@ -302,6 +308,17 @@ func (c *Cache) Put(page uint64, data []byte) {
 	if evicted {
 		c.evictions.Add(lane, 1)
 	}
+	return victim, evicted
+}
+
+// Contains reports whether page is resident. It is not a lookup: it
+// neither references the page nor counts a hit or a miss.
+func (c *Cache) Contains(page uint64) bool {
+	sh, _ := c.shardFor(page)
+	sh.Lock()
+	_, ok := sh.index.Get(page)
+	sh.Unlock()
+	return ok
 }
 
 // newPage allocates the bytes behind a ring slot, once, on the slot's
@@ -451,17 +468,6 @@ func (c *Cache) Invalidate(page uint64) bool {
 	sh.Unlock()
 	c.invalidations.Add(lane, 1)
 	return true
-}
-
-// InvalidateRange discards pages [first, first+count).
-func (c *Cache) InvalidateRange(first, count uint64) int {
-	n := 0
-	for p := first; p < first+count; p++ {
-		if c.Invalidate(p) {
-			n++
-		}
-	}
-	return n
 }
 
 // InvalidateAll discards every resident page (crash-stop purge: no

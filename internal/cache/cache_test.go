@@ -120,8 +120,14 @@ func TestCacheInvalidate(t *testing.T) {
 	if c.ReadAt(3, make([]byte, 1), 0) {
 		t.Fatal("read hit after invalidate")
 	}
-	if n := c.InvalidateRange(0, 6); n != 5 {
-		t.Fatalf("InvalidateRange removed %d want 5", n)
+	n := 0
+	for p := uint64(0); p < 6; p++ {
+		if c.Invalidate(p) {
+			n++
+		}
+	}
+	if n != 5 {
+		t.Fatalf("invalidating pages 0-5 removed %d want 5", n)
 	}
 	if c.Len() != 0 {
 		t.Fatalf("resident %d want 0", c.Len())
@@ -175,9 +181,46 @@ func TestCacheZeroCapacity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Put(1, pageData(64, 1))
+	// The page the call leaves non-resident is the page itself.
+	if victim, evicted := c.Put(1, pageData(64, 1)); !evicted || victim != 1 {
+		t.Fatalf("zero-capacity Put reported (%d, %t), want (1, true)", victim, evicted)
+	}
 	if c.ReadAt(1, make([]byte, 1), 0) {
 		t.Fatal("zero-capacity cache admitted a page")
+	}
+}
+
+// TestPutReportsVictim: every page Put evicts is reported, exactly once,
+// and is no longer resident; Contains agrees with the index without
+// counting a lookup or setting a reference bit.
+func TestPutReportsVictim(t *testing.T) {
+	const pages = 8
+	c := newTest(t, pages, 2)
+	resident := map[uint64]bool{}
+	for p := uint64(0); p < 5*pages; p++ {
+		// Every third page is put twice: the second Put finds it resident.
+		for range 1 + p%3/2 {
+			victim, evicted := c.Put(p, pageData(64, byte(p)))
+			if evicted {
+				if !resident[victim] || victim == p {
+					t.Fatalf("Put(%d) reported victim %d, which was not resident", p, victim)
+				}
+				delete(resident, victim)
+			}
+			resident[p] = true
+			if len(resident) != c.Len() {
+				t.Fatalf("after Put(%d): %d resident, %d by the reported victims", p, c.Len(), len(resident))
+			}
+		}
+	}
+	before := c.Stats()
+	for p := uint64(0); p < 5*pages; p++ {
+		if c.Contains(p) != resident[p] {
+			t.Fatalf("Contains(%d) = %t, want %t", p, c.Contains(p), resident[p])
+		}
+	}
+	if after := c.Stats(); after != before {
+		t.Fatalf("Contains changed the stats: %+v -> %+v", before, after)
 	}
 }
 

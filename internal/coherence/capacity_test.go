@@ -126,3 +126,53 @@ func BenchmarkAcquireReadAtCapacity(b *testing.B) {
 		})
 	}
 }
+
+// TestBackInvalidationAllocFree: a directory smaller than the working set
+// of the node using it back-invalidates on most admissions. With the
+// page cache's mix — read misses, write-no-allocates on a block the node
+// holds and on one it does not, eviction notices — plus write-allocates,
+// cycling over four times its capacity, nothing allocates once every
+// filter entry has been recycled.
+func TestBackInvalidationAllocFree(t *testing.T) {
+	const capacity, blocks = 64, 4 * 64
+	d, _ := fullDirectory(t, capacity)
+	d.OnBackInvalidate = func(int64, []NodeID) {}
+	d.Resident = func(NodeID, int64) bool { return false }
+	i := int64(0)
+	blk := func(k int64) int64 { return (k * 37 % blocks) * 4096 } // 37 is coprime to blocks
+	op := func() {
+		var err error
+		switch i % 4 {
+		case 0:
+			_, err = d.AcquireRead(0, blk(i))
+		case 1:
+			_, err = d.AcquireWrite(0, blk(i))
+		case 2:
+			if _, holds := d.WriteNoAllocate(0, blk(i-2)); !holds { // read at i-2
+				t.Fatalf("op %d: node 0 lost the block it read", i)
+			}
+		case 3:
+			d.WriteNoAllocate(0, blk(i))
+			d.Evict(0, blk(i-3))
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		i++
+	}
+	for i < 4*blocks {
+		op()
+	}
+	before := d.Stats()
+	const runs, opsPerRun = 20, 100
+	if n := testing.AllocsPerRun(runs, func() {
+		for k := 0; k < opsPerRun; k++ {
+			op()
+		}
+	}); n != 0 {
+		t.Errorf("%d ops on a full directory allocate %.0f, want 0", opsPerRun, n)
+	}
+	if got := d.Stats().BackInvalidates - before.BackInvalidates; got < (runs+1)*opsPerRun/8 {
+		t.Errorf("measured loop back-invalidated %d blocks in %d ops: the directory was not full", got, (runs+1)*opsPerRun)
+	}
+}

@@ -47,7 +47,9 @@ func (s State) String() string {
 	}
 }
 
-// Stats aggregates protocol traffic counters.
+// Stats aggregates protocol traffic counters. WriteNoAllocate grants no
+// copy, so it counts no Fetch, and a block it leaves untracked leaves no
+// copy to write back later.
 type Stats struct {
 	Fetches         uint64 // block copies granted to a node
 	Invalidations   uint64 // copies killed on write upgrades
@@ -104,6 +106,12 @@ type Directory struct {
 	// strictly after the directory's. holders is the directory's own
 	// storage: read it during the call, do not keep it.
 	OnBackInvalidate func(block int64, holders []NodeID)
+
+	// Resident, if set, is asked by Evict under the directory lock whether
+	// node holds a copy of block again: a replacement notice that raced a
+	// re-fill by the same node must not drop the new copy's registration.
+	// The same lock rules as OnBackInvalidate apply.
+	Resident func(node NodeID, block int64) bool
 }
 
 // NewDirectory returns a coherence directory tracking blocks of
@@ -225,18 +233,52 @@ func (d *Directory) AcquireRead(node NodeID, addrByte int64) ([]NodeID, error) {
 }
 
 // AcquireWrite obtains an exclusive writable copy for node, invalidating
-// all other holders; the invalidated nodes are returned.
+// all other holders; the invalidated nodes are returned. It is
+// write-allocate: an untracked block is admitted with node as its owner.
 func (d *Directory) AcquireWrite(node NodeID, addrByte int64) ([]NodeID, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	b := d.acquire(addrByte)
+	killed, hadCopy := d.killOthers(b, node)
+	if !hadCopy {
+		d.stats.Fetches++
+		b.state, b.owner, b.holders = Modified, node, append(b.holders, node)
+	}
+	return killed, nil
+}
+
+// WriteNoAllocate is the write of a node that does not cache on a write:
+// every other holder's copy of the block containing addr is killed and
+// returned, and node stays as the Modified owner only if it already held
+// a copy, which holds reports. An untracked block costs one lookup and is
+// not admitted, and a block left with no holder is untracked, so the
+// directory records only copies that exist.
+func (d *Directory) WriteNoAllocate(node NodeID, addrByte int64) (killed []NodeID, holds bool) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	h, ok := d.blocks.Get(uint64(d.BlockOf(addrByte)))
+	if !ok {
+		return nil, false
+	}
+	killed, holds = d.killOthers(d.blocks.At(h), node)
+	if holds {
+		d.blocks.Touch(h)
+	} else {
+		d.blocks.Remove(h)
+	}
+	return killed, holds
+}
+
+// killOthers invalidates every holder of b but node and returns them (in
+// a slice of their own, nil when there are none), reporting whether node
+// held a copy; if it did it is left as b's Modified owner and only holder,
+// otherwise b is left Invalid with no holders.
+func (d *Directory) killOthers(b *block, node NodeID) ([]NodeID, bool) {
 	if b.state == Modified && b.owner == node {
 		d.stats.Hits++
-		return nil, nil
+		return nil, true
 	}
 	hadCopy := b.drop(node)
-	// What is left are the copies this write kills: hand them out in a
-	// slice of their own only when there are any.
 	var killed []NodeID
 	if len(b.holders) > 0 {
 		killed = slices.Clone(b.holders)
@@ -245,13 +287,11 @@ func (d *Directory) AcquireWrite(node NodeID, addrByte int64) ([]NodeID, error) 
 		d.stats.Writebacks++
 	}
 	d.stats.Invalidations += uint64(len(killed))
-	if !hadCopy {
-		d.stats.Fetches++
+	b.state, b.holders = Invalid, b.holders[:0]
+	if hadCopy {
+		b.state, b.owner, b.holders = Modified, node, append(b.holders, node)
 	}
-	b.state = Modified
-	b.owner = node
-	b.holders = append(b.holders[:0], node)
-	return killed, nil
+	return killed, hadCopy
 }
 
 // DropNode removes every copy node holds — a crash-stop failure. Unlike
@@ -287,17 +327,20 @@ func (d *Directory) DropNode(node NodeID) (lostDirty int) {
 
 // Evict removes node's copy of the block containing addr (a cache
 // replacement on the node), writing back if it was the modified owner.
+// With Resident set, a node that holds the block again keeps it.
 func (d *Directory) Evict(node NodeID, addrByte int64) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	h, ok := d.blocks.Get(uint64(d.BlockOf(addrByte)))
+	blk := d.BlockOf(addrByte)
+	h, ok := d.blocks.Get(uint64(blk))
 	if !ok {
 		return
 	}
 	b := d.blocks.At(h)
-	if !b.drop(node) {
+	if !slices.Contains(b.holders, node) || (d.Resident != nil && d.Resident(node, blk)) {
 		return
 	}
+	b.drop(node)
 	if b.state == Modified && b.owner == node {
 		d.stats.Writebacks++
 		b.state = Invalid

@@ -1,6 +1,7 @@
 package coherence
 
 import (
+	"slices"
 	"sync"
 	"testing"
 )
@@ -210,6 +211,27 @@ func TestEvict(t *testing.T) {
 	}
 }
 
+// TestEvictKeepsResidentCopy: an eviction notice that arrives after the
+// node re-filled the block (Resident says so) must not drop the new
+// copy's registration; once the copy is really gone it does.
+func TestEvictKeepsResidentCopy(t *testing.T) {
+	d := mustDir(t, 64, 16)
+	resident := true
+	d.Resident = func(node NodeID, block int64) bool { return node == 1 && block == 2 && resident }
+	if _, err := d.AcquireRead(1, 128); err != nil {
+		t.Fatal(err)
+	}
+	d.Evict(1, 128)
+	if st, holders := d.StateOf(128); st != Shared || !slices.Equal(holders, []NodeID{1}) {
+		t.Fatalf("notice for a re-filled copy dropped it: %v %v", st, holders)
+	}
+	resident = false
+	d.Evict(1, 128)
+	if n := d.TrackedBlocks(); n != 0 {
+		t.Fatalf("notice for a gone copy left %d blocks tracked", n)
+	}
+}
+
 func TestConcurrentAcquire(t *testing.T) {
 	d := mustDir(t, 64, 1024)
 	var wg sync.WaitGroup
@@ -339,5 +361,84 @@ func TestOnBackInvalidateCallback(t *testing.T) {
 	}
 	if !seen[0] || !seen[1] {
 		t.Fatalf("holders %v want nodes 0 and 1", gotHolders)
+	}
+}
+
+// TestWriteNoAllocate pins the write of a node that does not cache on a
+// write: it kills every other holder, keeps the writer only if it held a
+// copy, and never admits a block or counts a fetch.
+func TestWriteNoAllocate(t *testing.T) {
+	type acquire struct {
+		node  NodeID
+		write bool
+	}
+	for _, tc := range []struct {
+		name      string
+		setup     []acquire // on block 0, in order, before node 0 writes it
+		killed    []NodeID
+		holds     bool
+		state     State
+		tracked   int
+		inval, wb uint64
+		hits      uint64
+		// A later read by node 3 writes back the Modified copy node 0 kept.
+		readWritesBack bool
+	}{
+		{name: "untracked"},
+		{name: "tracked, writer holds a copy", setup: []acquire{{0, false}, {1, false}, {2, false}},
+			killed: []NodeID{1, 2}, holds: true, state: Modified, tracked: 1, inval: 2, readWritesBack: true},
+		{name: "tracked, writer holds none", setup: []acquire{{1, false}, {2, false}},
+			killed: []NodeID{1, 2}, inval: 2},
+		{name: "Modified by another node", setup: []acquire{{1, true}},
+			killed: []NodeID{1}, inval: 1, wb: 1},
+		{name: "Modified by the writer", setup: []acquire{{0, true}},
+			holds: true, state: Modified, tracked: 1, hits: 1, readWritesBack: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d := mustDir(t, 64, 16)
+			for _, a := range tc.setup {
+				var err error
+				if a.write {
+					_, err = d.AcquireWrite(a.node, 0)
+				} else {
+					_, err = d.AcquireRead(a.node, 0)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			before := d.Stats()
+			killed, holds := d.WriteNoAllocate(0, 8)
+			slices.Sort(killed)
+			if !slices.Equal(killed, tc.killed) || holds != tc.holds {
+				t.Fatalf("WriteNoAllocate = %v, %t; want %v, %t", killed, holds, tc.killed, tc.holds)
+			}
+			var wantHolders []NodeID
+			if tc.holds {
+				wantHolders = []NodeID{0}
+			}
+			if st, holders := d.StateOf(0); st != tc.state || !slices.Equal(holders, wantHolders) {
+				t.Fatalf("block after the write: %v %v", st, holders)
+			}
+			if n := d.TrackedBlocks(); n != tc.tracked {
+				t.Fatalf("directory tracks %d blocks, want %d", n, tc.tracked)
+			}
+			after := d.Stats()
+			want := before
+			want.Invalidations += tc.inval
+			want.Writebacks += tc.wb
+			want.Hits += tc.hits
+			if after != want {
+				t.Fatalf("stats %+v, want %+v", after, want)
+			}
+			// A copy that exists is written back when another node reads
+			// it; one that never existed is not.
+			if _, err := d.AcquireRead(3, 0); err != nil {
+				t.Fatal(err)
+			}
+			if got := d.Stats().Writebacks - after.Writebacks; (got > 0) != tc.readWritesBack {
+				t.Fatalf("read after the write counted %d writebacks, want one only if node 0 kept a copy", got)
+			}
+		})
 	}
 }

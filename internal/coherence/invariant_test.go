@@ -49,7 +49,7 @@ func TestDirectoryRandomizedInvariants(t *testing.T) {
 		for op := 0; op < 3000; op++ {
 			node := NodeID(rng.Intn(5))
 			a := addrs[rng.Intn(len(addrs))]
-			switch rng.Intn(3) {
+			switch rng.Intn(4) {
 			case 0:
 				if _, err := d.AcquireRead(node, a); err != nil {
 					t.Fatalf("cap=%d op=%d read: %v", capacity, op, err)
@@ -60,6 +60,11 @@ func TestDirectoryRandomizedInvariants(t *testing.T) {
 				}
 			case 2:
 				d.Evict(node, a)
+			case 3:
+				tracked := d.TrackedBlocks()
+				if _, holds := d.WriteNoAllocate(node, a); !holds && d.TrackedBlocks() > tracked {
+					t.Fatalf("cap=%d op=%d: write-no-allocate admitted a block", capacity, op)
+				}
 			}
 			if op%97 == 0 {
 				checkInvariants(t, d, capacity, addrs)

@@ -25,25 +25,37 @@ import (
 //
 // Coherence protocol. Each node has its own read cache; a dedicated
 // page-granular coherence.Directory (separate from the coherent region's
-// directory) tracks which nodes cached which page:
+// directory) records which nodes cache which page, and records nothing
+// else: at quiescence its registrations are exactly the resident pages
+// (checkCacheLocked asserts both directions).
 //
 //   - Fill: under the slice's stripe lock in read mode, the filler reads
 //     the page's authoritative bytes (readLocked: the primary's — or,
 //     when the owner's breaker is open, a live replica's — composed with
-//     the buffered-write overlay), registers with AcquireRead, and inserts
-//     the page into its own cache.
+//     the buffered-write overlay), inserts the page into its own cache,
+//     registers with AcquireRead, and then sends the eviction notice:
+//     Evict for the page the insert displaced, which the directory drops
+//     only if that cache still lacks it when re-checked under the
+//     directory lock. The victim may belong to any slice, so its stripe
+//     lock is not held; insert-then-register plus the re-check is what
+//     keeps a concurrent re-fill of the victim by the same node
+//     registered.
 //   - Write: under the stripe lock in write mode, the writer calls
-//     AcquireWrite and discards every killed holder's copy, then updates
-//     its own copy in place. Fills and writes to the same slice are
-//     serialized by the stripe lock, so a fill can never insert a page a
-//     concurrent writer just invalidated.
+//     WriteNoAllocate (the cache does not allocate on a write): every
+//     other holder is killed and its copy discarded, and the writer's
+//     own copy is updated in place if, and only if, the directory says it
+//     holds one. A page nobody caches is not admitted. Fills and writes
+//     to the same slice are serialized by the stripe lock, so a fill can
+//     never insert a page a concurrent writer just invalidated.
+//   - Release and re-homing drop the discarded copies' registrations
+//     under the same stripe lock (dropCachedPagesLocked).
 //   - Crash: Crash purges the dead node's cache and DropNodes it from
 //     the directory — purge only, never write back (copies are clean by
 //     construction).
 //   - Capacity evictions (cache-side and directory back-invalidation)
-//     never write back either; a cache-side eviction is invisible to the
-//     directory, which therefore over-approximates holders and issues
-//     some no-op invalidations.
+//     never write back either. With exact registrations the directory,
+//     sized at twice the caches' pages, does not fill, so
+//     back-invalidation is a safety net rather than a steady state.
 //
 // Write combining. Small remote writes are buffered in a pool-wide
 // combiner and applied later as one vectored write per issuing node.
@@ -146,12 +158,15 @@ func (p *Pool) initCache() error {
 	if err != nil {
 		return err
 	}
+	// Only fillLocked registers a holder, and only for an issuer with a
+	// cache, so every NodeID the directory hands back indexes p.caches.
 	dir.OnBackInvalidate = func(block int64, holders []coherence.NodeID) {
 		for _, h := range holders {
-			if int(h) >= 0 && int(h) < len(p.caches) {
-				p.caches[h].Invalidate(uint64(block))
-			}
+			p.caches[h].Invalidate(uint64(block))
 		}
+	}
+	dir.Resident = func(node coherence.NodeID, block int64) bool {
+		return p.caches[node].Contains(uint64(block))
 	}
 	p.pageDir = dir
 	if !cc.NoWriteCombine {
@@ -235,9 +250,10 @@ func (p *Pool) fillPage(sc telemetry.SpanContext, from addr.ServerID, la uint64,
 }
 
 // fillLocked is the remote-page half of a cache miss: it reads the whole
-// page holding [la, la+len(dst)) from src, registers the copy with the
-// page directory, inserts it into the issuer's cache and serves dst from
-// it. Caller holds the slice's stripe lock in read mode.
+// page holding [la, la+len(dst)) from src, inserts it into the issuer's
+// cache, registers the copy with the page directory, tells the directory
+// which copy the insert evicted, and serves dst from the page. Caller
+// holds the slice's stripe lock in read mode.
 func (p *Pool) fillLocked(sc telemetry.SpanContext, from addr.ServerID, src blockRef, la uint64, sliceOff int64, dst []byte) error {
 	po := int(la & uint64(p.pageSize-1))
 	pageAddr := la - uint64(po)
@@ -247,8 +263,13 @@ func (p *Pool) fillLocked(sc telemetry.SpanContext, from addr.ServerID, src bloc
 	if err := p.readLocked(sc, src, pageAddr, sliceOff-int64(po), scratch); err != nil {
 		return err
 	}
-	if _, err := p.pageDir.AcquireRead(coherence.NodeID(from), int64(pageAddr)); err == nil {
-		p.caches[from].Put(pageAddr>>p.pageShift, scratch)
+	node := coherence.NodeID(from)
+	victim, evicted := p.caches[from].Put(pageAddr>>p.pageShift, scratch)
+	if _, err := p.pageDir.AcquireRead(node, int64(pageAddr)); err != nil {
+		p.caches[from].Invalidate(pageAddr >> p.pageShift) // unregistered: must not stay
+	}
+	if evicted {
+		p.pageDir.Evict(node, int64(victim<<p.pageShift))
 	}
 	copy(dst, scratch[po:po+len(dst)])
 	p.cacheFills.Inc()
@@ -349,10 +370,12 @@ func (p *Pool) wcWriteSliceOnce(sc telemetry.SpanContext, from addr.ServerID, s 
 }
 
 // applyWriteCoherenceLocked runs the write side of the coherence
-// protocol for [la, la+len(data)): acquire exclusive ownership of each
-// touched page, discard every killed holder's cached copy, and update
-// the writer's own copy in place if resident. Caller holds the covering
-// stripe lock(s) in write mode.
+// protocol for [la, la+len(data)): for each touched page the directory
+// kills every other holder, whose cached copy is discarded, and the
+// writer's own copy — which exists only if the directory says the writer
+// holds one — is updated in place. The page cache does not allocate on a
+// write, so a page nobody caches costs one directory lookup and is left
+// untracked. Caller holds the covering stripe lock(s) in write mode.
 func (p *Pool) applyWriteCoherenceLocked(sc telemetry.SpanContext, from addr.ServerID, la uint64, data []byte) {
 	if len(data) == 0 {
 		return
@@ -365,26 +388,14 @@ func (p *Pool) applyWriteCoherenceLocked(sc telemetry.SpanContext, from addr.Ser
 	last := (la + uint64(len(data)) - 1) >> p.pageShift
 	for pg := first; pg <= last; pg++ {
 		pageAddr := pg << p.pageShift
-		killed, err := p.pageDir.AcquireWrite(coherence.NodeID(from), int64(pageAddr))
-		if err != nil {
-			// Directory failure: fail safe by discarding every other
-			// node's copy of the page.
-			for n := range p.caches {
-				if addr.ServerID(n) != from {
-					p.caches[n].Invalidate(pg)
-				}
-			}
-		} else {
-			for _, k := range killed {
-				if int(k) >= 0 && int(k) < len(p.caches) {
-					p.caches[k].Invalidate(pg)
-				}
-			}
-			if len(killed) > 0 {
-				p.cacheInvals.Add(uint64(len(killed)))
-			}
+		killed, holds := p.pageDir.WriteNoAllocate(coherence.NodeID(from), int64(pageAddr))
+		for _, k := range killed {
+			p.caches[k].Invalidate(pg)
 		}
-		if int(from) >= 0 && int(from) < len(p.caches) {
+		if len(killed) > 0 {
+			p.cacheInvals.Add(uint64(len(killed)))
+		}
+		if holds {
 			lo := max(la, pageAddr)
 			hi := min(la+uint64(len(data)), pageAddr+uint64(p.pageSize))
 			p.caches[from].WriteAt(pg, data[lo-la:hi-la], int(lo-pageAddr))
@@ -395,17 +406,28 @@ func (p *Pool) applyWriteCoherenceLocked(sc telemetry.SpanContext, from addr.Ser
 	}
 }
 
+// dropCachedPagesLocked discards server n's cached copies of the pages
+// of slice s, and their registrations with the page directory. Caller
+// holds the slice's stripe lock in write mode, so no fill of the slice
+// can race the drop.
+func (p *Pool) dropCachedPagesLocked(n addr.ServerID, s uint64) {
+	first := uint64(addr.SliceBase(s)) >> p.pageShift
+	for pg := first; pg < first+uint64(SliceSize)>>p.pageShift; pg++ {
+		if p.caches[n].Invalidate(pg) {
+			p.pageDir.Evict(coherence.NodeID(n), int64(pg<<p.pageShift))
+		}
+	}
+}
+
 // purgeSlicePagesLocked discards every node's cached pages of slice s
 // and any pending buffered writes into it. Called under the slice's
 // stripe lock when the logical range dies (Release).
 func (p *Pool) purgeSlicePagesLocked(s uint64) {
-	base := uint64(addr.SliceBase(s))
-	firstPage := base >> p.pageShift
-	pages := uint64(SliceSize) >> p.pageShift
 	for n := range p.caches {
-		p.caches[n].InvalidateRange(firstPage, pages)
+		p.dropCachedPagesLocked(addr.ServerID(n), s)
 	}
 	if p.wc != nil {
+		base := uint64(addr.SliceBase(s))
 		p.wc.DropRange(base, base+uint64(SliceSize))
 	}
 }
@@ -563,21 +585,25 @@ func (p *Pool) PageDirectory() *coherence.Directory { return p.pageDir }
 // checkCacheLocked audits every resident cached page against the
 // authoritative bytes (backing plus buffered-write overlay): a diverging
 // copy is a coherence bug, a copy of an unmapped slice is a missed purge.
-// Caller holds p.mu and must be quiesced with respect to the data path
-// (the chaos harness's between-ops oracle position), since the audit
-// takes no stripe locks.
+// It also holds the page directory to exactness: the holders it records
+// for a page are exactly the nodes caching it, and it tracks no page
+// nobody caches. Caller holds p.mu and must be quiesced with respect to
+// the data path (the chaos harness's between-ops oracle position), since
+// the audit takes no stripe locks.
 func (p *Pool) checkCacheLocked(report func(string, ...any)) {
 	type snap struct {
 		page uint64
 		data []byte
 	}
 	scratch := make([]byte, p.pageSize)
+	cachedBy := map[uint64][]coherence.NodeID{}
 	for n, c := range p.caches {
 		var pages []snap
 		c.Each(func(page uint64, data []byte) {
 			pages = append(pages, snap{page, append([]byte(nil), data...)})
 		})
 		for _, e := range pages {
+			cachedBy[e.page] = append(cachedBy[e.page], coherence.NodeID(n))
 			pageAddr := e.page << p.pageShift
 			s := addr.SliceOf(addr.Logical(pageAddr))
 			back := p.lookupSlice(s)
@@ -603,5 +629,15 @@ func (p *Pool) checkCacheLocked(report func(string, ...any)) {
 				report("server %d cached page %d diverges from authoritative bytes (slice %d)", n, e.page, s)
 			}
 		}
+	}
+	for page, nodes := range cachedBy {
+		_, holders := p.pageDir.StateOf(int64(page << p.pageShift))
+		slices.Sort(holders)
+		if !slices.Equal(holders, nodes) { // nodes is ascending: p.caches order
+			report("page %d is cached by servers %v, registered to %v", page, nodes, holders)
+		}
+	}
+	if tracked := p.pageDir.TrackedBlocks(); tracked != len(cachedBy) {
+		report("page directory tracks %d pages, %d are cached", tracked, len(cachedBy))
 	}
 }

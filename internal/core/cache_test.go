@@ -2,7 +2,13 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"math/rand"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"github.com/lmp-project/lmp/internal/addr"
@@ -297,5 +303,181 @@ func TestVectoredRespectsCombiner(t *testing.T) {
 	}
 	if err := p.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestOwnerWritesKeepRemoteCachedPage: a write to a page nobody caches
+// registers nothing. Server 1 caches one page of server 0's buffer, then
+// the owner writes twice the directory's capacity of its own uncached
+// pages; server 1's copy must survive and hit. At c37e317 each of those
+// writes admitted a Modified entry and the filter back-invalidated the
+// cached page.
+func TestOwnerWritesKeepRemoteCachedPage(t *testing.T) {
+	p := newCachedPool(t, CacheConfig{}) // 2 x 256 cached pages: the directory tracks 1024
+	const pageSize = 4096
+	b, err := p.Alloc(4*SliceSize, 0) // 2048 pages owned by server 0
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, 64)
+	if err := p.Read(1, b.Addr(), got); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Write(0, b.Addr()+pageSize, make([]byte, 4*SliceSize-pageSize)); err != nil {
+		t.Fatal(err)
+	}
+	hits := p.CacheStats().Hits
+	if err := p.Read(1, b.Addr(), got); err != nil {
+		t.Fatal(err)
+	}
+	if p.CacheStats().Hits != hits+1 {
+		t.Errorf("server 1's cached page was lost to the owner's writes of other pages (%d back-invalidations)",
+			p.PageDirectory().Stats().BackInvalidates)
+	}
+	if n := p.PageDirectory().TrackedBlocks(); n != 1 {
+		t.Errorf("directory tracks %d pages, 1 is cached", n)
+	}
+	if err := p.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestReleaseDropsRegistrations: the copies Release purges leave the
+// page directory with them, including one the reader wrote through.
+func TestReleaseDropsRegistrations(t *testing.T) {
+	p := newCachedPool(t, CacheConfig{})
+	b, err := p.Alloc(1<<20, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, 64)
+	for off := int64(0); off < 16*4096; off += 4096 {
+		if err := p.Read(1, b.Addr()+addr.Logical(off), got); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := p.Write(1, b.Addr()+100, []byte{1}); err != nil { // buffered, on a cached page
+		t.Fatal(err)
+	}
+	if n := p.PageDirectory().TrackedBlocks(); n != 16 {
+		t.Fatalf("directory tracks %d pages before Release, 16 are cached", n)
+	}
+	if err := b.Release(); err != nil {
+		t.Fatal(err)
+	}
+	if n := p.PageDirectory().TrackedBlocks(); n != 0 {
+		t.Errorf("directory tracks %d pages of a released buffer", n)
+	}
+	if err := p.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestMigrationDropsReaderRegistration: a slice promoted to its cached
+// reader is local to it, so the reader's copies are dropped — and so are
+// its registrations.
+func TestMigrationDropsReaderRegistration(t *testing.T) {
+	p := newCachedPool(t, CacheConfig{})
+	p.cfg.Migration = MigrationPolicy{MinAccesses: 50, HysteresisFactor: 1, MaxMoves: 8}
+	b, err := p.Alloc(SliceSize, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, 64)
+	for i := 0; i < 100; i++ {
+		if err := p.Read(1, b.Addr(), got); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if rep, err := p.BalanceOnce(); err != nil || rep.Migrated != 1 {
+		t.Fatalf("BalanceOnce = %+v, %v; want one migration", rep, err)
+	}
+	if _, holders := p.PageDirectory().StateOf(int64(b.Addr())); len(holders) != 0 {
+		t.Errorf("page of a slice now local to server 1 is still registered to %v", holders)
+	}
+	if err := p.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCacheEvictionNoticeRacesRefill: two goroutines fill as server 1
+// over a working set larger than its cache, so the eviction notice of one
+// fill races the other's re-fill of the same victim, while the owner
+// writes versions into the pages. A notice that dropped a re-filled
+// copy's registration would leave that copy out of reach of the next
+// write: a later read would return an older version than one already
+// written, and at the end of the round CheckInvariants would find a
+// cached page the directory does not know. Run it under -race.
+func TestCacheEvictionNoticeRacesRefill(t *testing.T) {
+	const (
+		pageSize = 4096
+		cached   = 8 // pages in server 1's cache, one shard
+		working  = 9 // pages the readers cycle over
+		rounds   = 40
+		reads    = 2500 // per reader per round
+	)
+	p := newCachedPool(t, CacheConfig{CapacityBytes: cached * pageSize, Shards: 1})
+	b, err := p.Alloc(SliceSize, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var written [working]atomic.Uint64 // last version whose write returned
+	version := uint64(0)
+	for round := 0; round < rounds; round++ {
+		var stop atomic.Bool
+		errs := make(chan error, 3)
+		writer := make(chan struct{})
+		go func() {
+			defer close(writer)
+			rng := rand.New(rand.NewSource(int64(round)))
+			data := make([]byte, 8)
+			for !stop.Load() {
+				version++
+				pg := rng.Intn(working)
+				binary.LittleEndian.PutUint64(data, version)
+				// Each write holds the slice's stripe lock in write mode,
+				// so both readers' pending fills resume together after it.
+				if err := p.Write(0, b.Addr()+addr.Logical(pg*pageSize), data); err != nil {
+					errs <- err
+					return
+				}
+				written[pg].Store(version)
+				runtime.Gosched()
+			}
+		}()
+		var readers sync.WaitGroup
+		for r := 0; r < 2; r++ {
+			readers.Add(1)
+			go func(r int) {
+				defer readers.Done()
+				rng := rand.New(rand.NewSource(int64(2*round + r)))
+				got := make([]byte, 8)
+				for i := 0; i < reads; i++ {
+					pg := rng.Intn(working)
+					want := written[pg].Load()
+					if err := p.Read(1, b.Addr()+addr.Logical(pg*pageSize), got); err != nil {
+						errs <- err
+						return
+					}
+					if v := binary.LittleEndian.Uint64(got); v < want {
+						errs <- fmt.Errorf("round %d: page %d read at version %d, version %d was written before the read", round, pg, v, want)
+						return
+					}
+				}
+			}(r)
+		}
+		readers.Wait()
+		stop.Store(true)
+		<-writer
+		close(errs)
+		for err := range errs {
+			t.Fatal(err)
+		}
+		if err := p.CheckInvariants(); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+	}
+	if st := p.CacheStats(); st.Evictions < rounds*reads/10 || st.Invalidations == 0 {
+		t.Fatalf("the race was not run: %d evictions, %d invalidations", st.Evictions, st.Invalidations)
 	}
 }

@@ -213,6 +213,12 @@ func chaosCacheRunOn(t *testing.T, seed int64, v ccVariant) ccStats {
 	}
 
 	for idx, op := range genCacheOps(seed) {
+		// The oracle between ops: besides the pool's bookkeeping, every
+		// cached page matches its authoritative bytes and the page
+		// directory registers exactly the cached pages.
+		if err := p.CheckInvariants(); err != nil {
+			diverge("before op %d: invariants: %v", idx, err)
+		}
 		if v.flaps {
 			flap(idx)
 		}

@@ -463,8 +463,7 @@ func (p *Pool) rebindLocked(s uint64, back *sliceBacking, dstSrv addr.ServerID, 
 		// so its reads hit backing DRAM directly (local pages are never
 		// cached). Other nodes' copies stay valid — the bytes did not
 		// change, only their home.
-		base := uint64(addr.SliceBase(s))
-		p.caches[dstSrv].InvalidateRange(base>>p.pageShift, uint64(SliceSize)>>p.pageShift)
+		p.dropCachedPagesLocked(dstSrv, s)
 	}
 }
 
