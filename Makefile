@@ -55,14 +55,21 @@ race: lint lint-fixtures bench-build cross
 	$(MAKE) chaos
 	$(MAKE) obs-smoke
 
-# Seeded chaos/property sweep over the pool: every seed runs its random
-# interleaving (Map/Write/Read/Release/crash) twice and must produce an
-# identical trace and zero divergence from the model. Replay a failure
-# with CHAOS_SEED=<n> (the failure report prints the command). The
-# 50-seed sweep takes 8-10 minutes under -race on a two-core box, which
-# is go test's default timeout: give it room.
+# Seeded chaos sweep over the pool: the one chaos driver
+# (internal/core/chaos_test.go) runs every row of its table — e2e, cache,
+# cache-flaps, physical, repair — with CheckInvariants before every op;
+# every seed runs twice and must produce an identical trace and zero
+# divergence from the shadow model, and each row must show every op and
+# fault kind taking effect. Beside it run the elasticity property test and
+# the concurrent repair test. Replay a failure with CHAOS_SEED=<n> (the
+# failure report prints the command). The 50-seed sweep takes about 7
+# minutes under -race on a two-core box, ~270 s of it the driver's rows
+# and most of the rest the elasticity test: the 30m timeout leaves room.
 chaos:
 	CHAOS_SEEDS=$(CHAOS_SEEDS) $(GO) test -race -timeout 30m -run 'TestChaos' ./internal/core/
+
+# The chaos driver's sweeps: one test per group of its rows.
+CHAOS_DRIVER = TestChaosPoolPropertySweep|TestChaosCacheCoherence|TestChaosPhysicalSweep|TestChaosRepairDeterministicReplay
 
 # bench/ is its own module (BENCHMARK.json builds it from its checkout),
 # so `go build ./... && go test ./...` at the root never compiles it:
@@ -96,17 +103,18 @@ cross:
 # as the algorithm under that lock, on every shape. The core line also
 # runs the physical-pool deployment, the server-id bounds table and the
 # balancer, planner and access-profile tests, and the page cache and its
-# coherence directory (the chaos cache sweep included); the profile
+# coherence directory; the profile
 # tests (ageing against concurrent adds, a released tenant's history) and
 # the cache tests (an eviction notice racing a re-fill of its victim) run
-# once more per shape under the race detector.
+# once more per shape under the race detector, and so do the chaos
+# driver's sweeps, named one by one in $(CHAOS_DRIVER).
 flake:
 	@for p in 1 2 4 8; do \
 		echo "flake: GOMAXPROCS=$$p"; \
 		GOMAXPROCS=$$p $(GO) test -shuffle=on -count=$(FLAKE_COUNT) ./internal/rpc/ ./internal/daemon/ || exit 1; \
 		GOMAXPROCS=$$p $(GO) test -race -shuffle=on ./internal/rpc/ ./internal/daemon/ ./internal/chaos/ ./internal/memnode/ ./internal/alloc/ || exit 1; \
-		GOMAXPROCS=$$p $(GO) test -shuffle=on -count=$(FLAKE_COUNT) -run 'Admission|Inflight|Tail|Compact|Elasticity|Translate|Physical|ServerID|Balance|Profile|Migrat|Cache|Coheren' ./internal/core/ || exit 1; \
-		GOMAXPROCS=$$p $(GO) test -race -shuffle=on -run 'Profile|Cache|Coheren' ./internal/core/ || exit 1; \
+		GOMAXPROCS=$$p $(GO) test -shuffle=on -count=$(FLAKE_COUNT) -run 'Admission|Inflight|Tail|Compact|Elasticity|Translate|Physical|ServerID|Balance|Profile|Migrat|Cache|Coheren|$(CHAOS_DRIVER)' ./internal/core/ || exit 1; \
+		GOMAXPROCS=$$p $(GO) test -race -shuffle=on -run 'Profile|Cache|Coheren|$(CHAOS_DRIVER)' ./internal/core/ || exit 1; \
 	done
 
 # Regenerate the checked-in code ledger AUDIT.md: per package non-test

@@ -9,8 +9,8 @@ import (
 )
 
 // CheckInvariants verifies the pool's cross-layer bookkeeping and returns
-// every violation found, joined. It is the oracle the chaos harness runs
-// between fault injections:
+// every violation found, joined. It is the oracle the chaos driver runs
+// before every op:
 //
 //   - every slice of every live buffer has a published backing — the
 //     pool's only record of the slice's home — that points back at it;

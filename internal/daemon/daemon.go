@@ -244,11 +244,12 @@ func (s *Server) checkShared(off, n int64) error {
 }
 
 // checkReply bounds the bytes one read or sum request may ask for by
-// what a reply frame can carry, so an oversized request gets an ordinary
-// error reply instead of an allocation the codec then refuses to send.
+// what a reply frame can carry. The server checks what it is sent, so an
+// oversized request gets an ordinary error reply instead of an allocation
+// the codec then refuses to send; rangeRequest checks what it encodes.
 func checkReply(n int64) error {
-	if n > rpc.MaxPayload {
-		return fmt.Errorf("daemon: request for %d bytes exceeds the %d a reply can carry", n, rpc.MaxPayload)
+	if n < 0 || n > rpc.MaxPayload {
+		return fmt.Errorf("daemon: request for %d bytes: a reply can carry 0 to %d", n, rpc.MaxPayload)
 	}
 	return nil
 }
@@ -400,23 +401,35 @@ func (c *Client) Read(off int64, n int) ([]byte, error) {
 // daemon responds fails the call with an error wrapping ctx.Err(),
 // leaving the connection usable (the stale response is discarded).
 func (c *Client) ReadCtx(ctx context.Context, off int64, n int) ([]byte, error) {
-	req := rangeRequest(off, n)
-	resp, err := c.c.CallCtx(ctx, MethodRead, req)
-	if err == nil {
-		rpc.PutBuffer(req)
+	req, err := rangeRequest(off, n)
+	if err != nil {
+		return nil, err
 	}
-	return resp, err
+	resp, err := c.c.CallCtx(ctx, MethodRead, req)
+	if err != nil {
+		return nil, err
+	}
+	rpc.PutBuffer(req)
+	if len(resp) != n {
+		return nil, fmt.Errorf("daemon: read reply of %d bytes, want %d", len(resp), n)
+	}
+	return resp, nil
 }
 
 // rangeRequest encodes the 12-byte (offset, length) request of a read or
 // a sum in a pooled buffer. Like every request buffer it goes back only
 // after the call succeeded (rpc/bufpool.go, rule 4): through the future
-// on the async paths, by hand on the blocking ones.
-func rangeRequest(off int64, n int) []byte {
+// on the async paths, by hand on the blocking ones. A length no reply can
+// carry is refused before anything is encoded: the request holds it in 32
+// bits, and 1<<32+10 would go out as 10.
+func rangeRequest(off int64, n int) ([]byte, error) {
+	if err := checkReply(int64(n)); err != nil {
+		return nil, err
+	}
 	req := rpc.GetBuffer(12)
 	binary.BigEndian.PutUint64(req[0:8], uint64(off))
 	binary.BigEndian.PutUint32(req[8:12], uint32(n))
-	return req
+	return req, nil
 }
 
 // writeRequest encodes a write (offset, then the bytes) the same way.
@@ -432,7 +445,10 @@ func writeRequest(off int64, data []byte) []byte {
 // on one connection; the transport pipelines (and, for small requests,
 // batches) them.
 func (c *Client) ReadAsync(ctx context.Context, off int64, n int) *rpc.Future {
-	req := rangeRequest(off, n)
+	req, err := rangeRequest(off, n)
+	if err != nil {
+		return rpc.ResolvedFuture(nil, err)
+	}
 	return rpc.Async(c.c, ctx, MethodRead, req).OwnRequest(req)
 }
 
@@ -461,7 +477,10 @@ func (c *Client) WriteCtx(ctx context.Context, off int64, data []byte) error {
 
 // Sum ships the aggregation kernel: the daemon sums [off, off+n) locally.
 func (c *Client) Sum(off int64, n int) (float64, error) {
-	req := rangeRequest(off, n)
+	req, err := rangeRequest(off, n)
+	if err != nil {
+		return 0, err
+	}
 	resp, err := c.c.Call(MethodSum, req)
 	if err != nil {
 		return 0, err
@@ -476,7 +495,10 @@ func (c *Client) Sum(off int64, n int) (float64, error) {
 // SumAsync ships the aggregation kernel without blocking; the future
 // resolves to the daemon's encoded partial sum.
 func (c *Client) SumAsync(ctx context.Context, off int64, n int) *rpc.Future {
-	req := rangeRequest(off, n)
+	req, err := rangeRequest(off, n)
+	if err != nil {
+		return rpc.ResolvedFuture(nil, err)
+	}
 	return rpc.Async(c.c, ctx, MethodSum, req).OwnRequest(req)
 }
 

@@ -21,7 +21,7 @@ import (
 // server lives across inputs, with a shadow of
 // its allocations, so frees and resizes find state to act on.
 func FuzzDaemonHandlers(f *testing.F) {
-	rng := func(off int64, n uint32) []byte { return rangeRequest(off, int(n)) }
+	rng := rawRange
 	u64 := func(v uint64) []byte { return binary.BigEndian.AppendUint64(nil, v) }
 	f.Add(MethodRead, rng(math.MaxInt64-5, 10)) // wrapped off+n past both range checks
 	f.Add(MethodSum, rng(math.MaxInt64-5, 10))

@@ -2,6 +2,7 @@ package daemon
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"math"
@@ -46,10 +47,10 @@ func TestHandlerRangeChecksDoNotOverflow(t *testing.T) {
 		{math.MaxInt64 - shared, shared, false},
 		{math.MinInt64, 10, false},
 	} {
-		if out, err := s.handleRead(rangeRequest(tc.off, int(tc.n))); (err == nil) != tc.fine || (err == nil && len(out) != int(tc.n)) {
+		if out, err := s.handleRead(rawRange(tc.off, tc.n)); (err == nil) != tc.fine || (err == nil && len(out) != int(tc.n)) {
 			t.Errorf("read %d bytes at %d: %d bytes, %v, want in range = %t", tc.n, tc.off, len(out), err, tc.fine)
 		}
-		if _, err := s.handleSum(rangeRequest(tc.off, int(tc.n))); (err == nil) != tc.fine {
+		if _, err := s.handleSum(rawRange(tc.off, tc.n)); (err == nil) != tc.fine {
 			t.Errorf("sum %d bytes at %d: %v, want in range = %t", tc.n, tc.off, err, tc.fine)
 		}
 		w := make([]byte, 8+tc.n)
@@ -71,11 +72,12 @@ func TestOversizedReadKeepsConnection(t *testing.T) {
 	if err := c.Write(4096, msg); err != nil {
 		t.Fatal(err)
 	}
+	// The client refuses such a length itself, so send the raw requests.
 	var re *rpc.RemoteError
-	if _, err := c.Read(0, 17<<20); !errors.As(err, &re) || !strings.Contains(re.Message, "a reply can carry") {
+	if _, err := c.c.Call(MethodRead, rawRange(0, 17<<20)); !errors.As(err, &re) || !strings.Contains(re.Message, "a reply can carry") {
 		t.Fatalf("17 MiB read: %v, want the handler's size error", err)
 	}
-	if _, err := c.Sum(0, 17<<20); !errors.As(err, &re) {
+	if _, err := c.c.Call(MethodSum, rawRange(0, 17<<20)); !errors.As(err, &re) {
 		t.Fatalf("17 MiB sum: %v, want a handler error", err)
 	}
 	got, err := c.Read(4096, len(msg))
@@ -85,6 +87,57 @@ func TestOversizedReadKeepsConnection(t *testing.T) {
 	// The largest read a frame does carry still works.
 	if got, err := c.Read(0, rpc.MaxPayload); err != nil || len(got) != rpc.MaxPayload {
 		t.Fatalf("MaxPayload read: %d bytes, %v", len(got), err)
+	}
+}
+
+// rawRange encodes a read or sum request of any 32-bit length, as a peer
+// may put it on the socket; rangeRequest refuses what no reply can carry.
+func rawRange(off int64, n uint32) []byte {
+	return binary.BigEndian.AppendUint32(binary.BigEndian.AppendUint64(nil, uint64(off)), n)
+}
+
+// lyingCaller answers every call with reply, counting the calls.
+type lyingCaller struct {
+	calls int
+	reply []byte
+}
+
+func (l *lyingCaller) Call(method byte, p []byte) ([]byte, error) {
+	return l.CallCtx(nil, method, p)
+}
+
+func (l *lyingCaller) CallCtx(_ context.Context, _ byte, _ []byte) ([]byte, error) {
+	l.calls++
+	return l.reply, nil
+}
+
+// TestRangeVerbsRefuseUnencodableLengths: a read or sum request carries
+// its length in 32 bits, so Read(0, 1<<32+10) went out as a 10-byte read
+// and returned 10 bytes with a nil error (and Sum the sum of 10 bytes).
+// Every range verb refuses a length no reply can carry before it sends
+// anything, and Read refuses a reply that is not the length it asked for.
+func TestRangeVerbsRefuseUnencodableLengths(t *testing.T) {
+	l := &lyingCaller{reply: make([]byte, 10)}
+	c := WrapCaller(l)
+	for _, n := range []int{-1, rpc.MaxPayload + 1, 1<<32 + 10} {
+		if got, err := c.Read(0, n); err == nil {
+			t.Errorf("Read(0, %d) = %d bytes, nil error", n, len(got))
+		}
+		if _, err := c.ReadAsync(context.Background(), 0, n).Wait(); err == nil {
+			t.Errorf("ReadAsync(0, %d): nil error", n)
+		}
+		if sum, err := c.Sum(0, n); err == nil {
+			t.Errorf("Sum(0, %d) = %g, nil error", n, sum)
+		}
+		if _, err := c.SumAsync(context.Background(), 0, n).Wait(); err == nil {
+			t.Errorf("SumAsync(0, %d): nil error", n)
+		}
+	}
+	if l.calls != 0 {
+		t.Errorf("%d requests sent for lengths no reply can carry", l.calls)
+	}
+	if got, err := c.Read(0, 64); err == nil {
+		t.Errorf("Read(0, 64) of a 10-byte reply = %d bytes, nil error", len(got))
 	}
 }
 

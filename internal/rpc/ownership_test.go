@@ -175,12 +175,20 @@ func TestMarkDeadCloseRoundsRecycle(t *testing.T) {
 			}
 		}(caller)
 	}
-	// Alive long enough for a few round trips even under the detector,
-	// dead just long enough to be seen: the kills land on calls in flight.
+	// Each round waits for a new success before the kill and a new failure
+	// before the revival, so the kills land on a connection that is moving
+	// calls however slow the box; the waits are bounded so a wedged
+	// transport fails the degenerate-run check below instead of hanging.
+	waitPast := func(n *atomic.Int64, was int64) {
+		for deadline := time.Now().Add(5 * time.Second); n.Load() == was && time.Now().Before(deadline); {
+			time.Sleep(50 * time.Microsecond)
+		}
+	}
 	for round := 0; round < 40; round++ {
-		time.Sleep(3 * time.Millisecond)
+		waitPast(&ok, ok.Load())
+		dead := failed.Load()
 		c.MarkDead()
-		time.Sleep(100 * time.Microsecond)
+		waitPast(&failed, dead)
 		c.UnmarkDead()
 	}
 	c.Close()
