@@ -89,9 +89,9 @@ cross:
 
 # Machine-shape gate for the transport, the pool's admission/tail path
 # and the block mover under compaction: the rpc and daemon suites and
-# core's admission, in-flight, tail, compaction, elasticity and
-# translate-during-migration tests, shuffled and repeated, under each
-# GOMAXPROCS a CI box or a laptop is likely to have. A test that reads
+# core's admission, in-flight, tail, circuit-breaker, compaction,
+# elasticity and translate-during-migration tests, shuffled and
+# repeated, under each GOMAXPROCS a CI box or a laptop is likely to have. A test that reads
 # state before the event that orders it passes on one shape and fails on
 # another; this catches it before it lands. The transport suites run once
 # more per shape under the race detector, the build in which a recycled
@@ -103,18 +103,18 @@ cross:
 # as the algorithm under that lock, on every shape. The core line also
 # runs the physical-pool deployment, the server-id bounds table and the
 # balancer, planner and access-profile tests, and the page cache and its
-# coherence directory; the profile
-# tests (ageing against concurrent adds, a released tenant's history) and
-# the cache tests (an eviction notice racing a re-fill of its victim) run
-# once more per shape under the race detector, and so do the chaos
-# driver's sweeps, named one by one in $(CHAOS_DRIVER).
+# coherence directory; the breaker tests, the profile tests (ageing
+# against concurrent adds, a released tenant's history) and the cache
+# tests (an eviction notice racing a re-fill of its victim) run once more
+# per shape under the race detector, and so do the chaos driver's sweeps,
+# named one by one in $(CHAOS_DRIVER).
 flake:
 	@for p in 1 2 4 8; do \
 		echo "flake: GOMAXPROCS=$$p"; \
 		GOMAXPROCS=$$p $(GO) test -shuffle=on -count=$(FLAKE_COUNT) ./internal/rpc/ ./internal/daemon/ || exit 1; \
 		GOMAXPROCS=$$p $(GO) test -race -shuffle=on ./internal/rpc/ ./internal/daemon/ ./internal/chaos/ ./internal/memnode/ ./internal/alloc/ || exit 1; \
-		GOMAXPROCS=$$p $(GO) test -shuffle=on -count=$(FLAKE_COUNT) -run 'Admission|Inflight|Tail|Compact|Elasticity|Translate|Physical|ServerID|Balance|Profile|Migrat|Cache|Coheren|$(CHAOS_DRIVER)' ./internal/core/ || exit 1; \
-		GOMAXPROCS=$$p $(GO) test -race -shuffle=on -run 'Profile|Cache|Coheren|$(CHAOS_DRIVER)' ./internal/core/ || exit 1; \
+		GOMAXPROCS=$$p $(GO) test -shuffle=on -count=$(FLAKE_COUNT) -run 'Admission|Inflight|Tail|Breaker|Compact|Elasticity|Translate|Physical|ServerID|Balance|Profile|Migrat|Cache|Coheren|$(CHAOS_DRIVER)' ./internal/core/ || exit 1; \
+		GOMAXPROCS=$$p $(GO) test -race -shuffle=on -run 'Breaker|Profile|Cache|Coheren|$(CHAOS_DRIVER)' ./internal/core/ || exit 1; \
 	done
 
 # Regenerate the checked-in code ledger AUDIT.md: per package non-test

@@ -7,7 +7,6 @@ import (
 	"sort"
 	"strings"
 	"testing"
-	"time"
 
 	"github.com/lmp-project/lmp/internal/rpc"
 	"github.com/lmp-project/lmp/internal/sim"
@@ -156,29 +155,63 @@ func TestDegradedLinkTurnsDelaysIntoTimeouts(t *testing.T) {
 	}
 }
 
-func TestRetrierHealsInjectedDrops(t *testing.T) {
+// TestTransientErrorsMatchInjectedFaults pins the link's contract with
+// no retry above it: every call that fails with rpc.ErrTransient owns
+// exactly one drop or timeout record in the fault trace, every other call
+// owns none, and only the calls that succeeded (plus one extra delivery
+// per dup) reached the server.
+func TestTransientErrorsMatchInjectedFaults(t *testing.T) {
 	eng := sim.NewEngine()
-	in := New(eng, Config{Seed: 5, PDrop: 0.3})
+	in := New(eng, Config{
+		Seed:        5,
+		PDrop:       0.2,
+		PDelay:      0.3,
+		PDup:        0.1,
+		MaxDelay:    2 * sim.Millisecond,
+		CallTimeout: sim.Millisecond,
+	})
 	e := &echoCaller{}
-	r := &rpc.Retrier{
-		T:      in.WrapTransport(0, e),
-		Policy: rpc.RetryPolicy{MaxAttempts: 10},
-		Sleep:  func(time.Duration) {},
-	}
-	failures := 0
-	for i := 0; i < 100; i++ {
+	link := in.WrapTransport(0, e)
+	var transients, oks int
+	for i := 0; i < 200; i++ {
 		eng.At(sim.Time(i+1), func() {
-			if _, err := r.Call(1, []byte("p")); err != nil {
-				failures++
+			before := len(in.Trace())
+			_, err := link.Call(1, []byte("p"))
+			lost := 0
+			for _, ev := range in.Trace()[before:] {
+				if ev.Kind == FaultDrop || ev.Kind == FaultTimeout {
+					lost++
+				}
+			}
+			switch {
+			case err == nil:
+				oks++
+			case errors.Is(err, rpc.ErrTransient):
+				transients++
+			default:
+				t.Errorf("call %d: unexpected error %v", i, err)
+			}
+			want := 0
+			if errors.Is(err, rpc.ErrTransient) {
+				want = 1
+			}
+			if lost != want {
+				t.Errorf("call %d: error %v with %d drop/timeout records, want %d", i, err, lost, want)
 			}
 		})
 	}
 	eng.Run()
-	if failures != 0 {
-		t.Fatalf("%d calls failed through the retrier", failures)
+	dups := 0
+	for _, ev := range in.Trace() {
+		if ev.Kind == FaultDup {
+			dups++
+		}
 	}
-	if r.Healed() == 0 {
-		t.Fatal("no drops were injected/healed (chaos layer inert)")
+	if transients == 0 || dups == 0 {
+		t.Fatalf("seed drew %d transient failures and %d dups; want both", transients, dups)
+	}
+	if e.calls != oks+dups {
+		t.Fatalf("server saw %d deliveries, want %d successes + %d dups", e.calls, oks, dups)
 	}
 }
 

@@ -9,9 +9,10 @@ import (
 )
 
 // Link interposes the injector on one server's RPC transport. It
-// satisfies rpc.Caller, so it stacks under an rpc.Retrier: the retrier
-// heals the transient faults this layer injects, and the harness asserts
-// how many it healed.
+// satisfies rpc.Caller, so it stacks under the daemon client. Nothing
+// retries above it: every injected drop or timeout reaches the caller as
+// exactly one rpc.ErrTransient, which the harness matches against the
+// fault trace.
 type Link struct {
 	in     *Injector
 	server int

@@ -934,7 +934,6 @@ func (p *Pool) accessSliceOnce(sc telemetry.SpanContext, from addr.ServerID, s u
 		lock.RLock()
 		defer lock.RUnlock()
 	}
-	//lint:ignore lockorder the shed decision probes breaker State(), leaf in-memory state (no transport call), and must run under the stripe lock it protects
 	back, src, status := p.resolveLocked(s, op != accessWrite)
 	if status != accessOK {
 		return status, nil

@@ -8,7 +8,6 @@ import (
 
 	"github.com/lmp-project/lmp/internal/addr"
 	"github.com/lmp-project/lmp/internal/failure"
-	"github.com/lmp-project/lmp/internal/rpc"
 )
 
 // TestServerIDBounds calls every exported method that takes a ServerID
@@ -20,7 +19,7 @@ import (
 // direct, all-remote path. None may panic: SharedBytes, BreakerCounters
 // and ReportAccess used to index with the id unchecked.
 func TestServerIDBounds(t *testing.T) {
-	breaker := TailConfig{Breaker: rpc.BreakerPolicy{FailureRatio: 0.5}}
+	breaker := TailConfig{Breaker: BreakerPolicy{FailureRatio: 0.5}}
 	shapes := map[string]func() (*Pool, error){
 		"uncached": func() (*Pool, error) {
 			return New(Config{Tail: breaker, Servers: []ServerConfig{

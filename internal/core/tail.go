@@ -1,10 +1,10 @@
 // Tail tolerance for the in-process data path: per-op deadline budgets,
 // a bounded foreground admission budget, and per-server circuit breakers
 // that shed replica-protected reads away from degraded (slow-but-alive)
-// owners. The breaker state machine and the sentinels live in
-// internal/rpc (tail.go there) so the transport and the in-process pool
-// share one error contract; this file wires them into the pool's entry
-// points and the locked access path.
+// owners. The sentinels live in internal/rpc so the transport and the
+// in-process pool share one errors.Is contract; the breaker lives here,
+// beside its only caller: the pool knows the replicas, so the pool owns
+// the decision to route around a degraded server.
 //
 // Lock order note: a breaker's mutex is a leaf — every foreground read
 // consults it while holding a stripe lock (resolveLocked, the one place
@@ -19,7 +19,9 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -61,7 +63,7 @@ type TailConfig struct {
 	// disables them). Breakers are fed by access latencies and failures;
 	// an open breaker sheds replica-protected reads to a live copy and
 	// fails unprotected reads fast with ErrServerDegraded.
-	Breaker rpc.BreakerPolicy
+	Breaker BreakerPolicy
 	// NowNS is the clock feeding budgets and breakers; nil means the
 	// wall clock. Deterministic tests inject the sim clock.
 	NowNS func() int64
@@ -80,7 +82,7 @@ type tailState struct {
 	budgetNS int64
 	now      func() int64
 	// breakers[s] guards server s; nil when breakers are disabled.
-	breakers []*rpc.Breaker
+	breakers []*breaker
 
 	sheds         *telemetry.Counter
 	replicaSheds  *telemetry.Counter
@@ -105,9 +107,9 @@ func (p *Pool) initTail() {
 	if t.Breaker.Enabled() {
 		p.tail.replicaSheds = p.metrics.Counter("pool.reads.replica_shed")
 		p.tail.degradedFails = p.metrics.Counter("pool.reads.degraded_fail")
-		p.tail.breakers = make([]*rpc.Breaker, len(p.cfg.Servers))
+		p.tail.breakers = make([]*breaker, len(p.cfg.Servers))
 		for i := range p.tail.breakers {
-			p.tail.breakers[i] = rpc.NewBreaker(t.Breaker, now)
+			p.tail.breakers[i] = newBreaker(t.Breaker, now)
 		}
 	}
 }
@@ -163,7 +165,7 @@ func (p *Pool) withBudget(ctx context.Context) (context.Context, context.CancelF
 }
 
 // breakerFor returns server s's breaker, or nil when breakers are off.
-func (p *Pool) breakerFor(s addr.ServerID) *rpc.Breaker {
+func (p *Pool) breakerFor(s addr.ServerID) *breaker {
 	if bs := p.tail.breakers; bs != nil && p.checkServer(s) == nil {
 		return bs[s]
 	}
@@ -174,16 +176,16 @@ func (p *Pool) breakerFor(s addr.ServerID) *rpc.Breaker {
 // breaker mutex is a leaf lock; see the package comment in this file.
 func (p *Pool) breakerOpen(s addr.ServerID) bool {
 	b := p.breakerFor(s)
-	return b != nil && b.State() == rpc.BreakerOpen
+	return b != nil && b.State() == BreakerOpen
 }
 
 // BreakerCounters snapshots server s's breaker totals (zero when
 // breakers are disabled).
-func (p *Pool) BreakerCounters(s addr.ServerID) rpc.BreakerCounters {
+func (p *Pool) BreakerCounters(s addr.ServerID) BreakerCounters {
 	if b := p.breakerFor(s); b != nil {
 		return b.Counters()
 	}
-	return rpc.BreakerCounters{}
+	return BreakerCounters{}
 }
 
 // ReportAccess feeds one externally observed access outcome against
@@ -197,8 +199,7 @@ func (p *Pool) ReportAccess(s addr.ServerID, d time.Duration, err error) {
 
 // tailAccess carries one backing I/O's breaker-feed data out of the
 // stripe-locked body that timed it, so recording — which takes the
-// rpc-side breaker mutex — happens after the stripe lock is released and
-// no rpc-reaching call of the feed ever runs under a stripe. A
+// breaker mutex — happens after the stripe lock is released. A
 // single-slice access keeps its record on the stack; a vectored one keeps
 // one per run in its pooled scratch.
 type tailAccess struct {
@@ -230,4 +231,203 @@ func (p *Pool) feedBreaker(ta *tailAccess) {
 	if ta.armed {
 		p.tail.breakers[ta.owner].RecordLatency(ta.ns, ta.err)
 	}
+}
+
+// BreakerState is a breaker's position in the closed/open/half-open
+// state machine.
+type BreakerState int32
+
+const (
+	// BreakerClosed routes reads to the owner, counting outcomes.
+	BreakerClosed BreakerState = iota
+	// BreakerOpen sheds the owner's reads to a live replica, or fails
+	// them fast with ErrServerDegraded when there is none.
+	BreakerOpen
+	// BreakerHalfOpen routes reads to the owner again; HalfOpenProbes
+	// consecutive successes close the breaker, any failure reopens it.
+	BreakerHalfOpen
+)
+
+func (s BreakerState) String() string {
+	switch s {
+	case BreakerClosed:
+		return "closed"
+	case BreakerOpen:
+		return "open"
+	case BreakerHalfOpen:
+		return "half-open"
+	}
+	return fmt.Sprintf("BreakerState(%d)", int32(s))
+}
+
+// BreakerPolicy tunes a circuit breaker. The zero value means "breaker
+// disabled" (TailConfig.Breaker); newBreaker fills defaults for any
+// individual zero field.
+type BreakerPolicy struct {
+	// Window is the rolling sample window: once this many outcomes have
+	// accumulated, the counts are halved, so old outcomes decay instead
+	// of pinning the ratio forever. Default 32.
+	Window int
+	// MinSamples is the minimum outcome count before the failure ratio
+	// is acted on. Default 8.
+	MinSamples int
+	// FailureRatio opens the breaker when failures/samples reaches it.
+	// Default 0.5.
+	FailureRatio float64
+	// OpenFor is the cool-down after tripping before the breaker
+	// half-opens. Default 100ms.
+	OpenFor time.Duration
+	// HalfOpenProbes is the number of consecutive successes a half-open
+	// breaker needs to close. Default 3.
+	HalfOpenProbes int
+	// SlowCallNS counts a successful access at or above this latency as
+	// a failure — the slow-is-failure signal that trips the breaker for
+	// degraded-but-alive servers. 0 means latency alone never counts
+	// against the breaker.
+	SlowCallNS int64
+}
+
+// Enabled reports whether the policy is non-zero, the config-level
+// "breaker on" switch.
+func (p BreakerPolicy) Enabled() bool { return p != BreakerPolicy{} }
+
+func (p BreakerPolicy) withDefaults() BreakerPolicy {
+	if p.Window <= 0 {
+		p.Window = 32
+	}
+	if p.MinSamples <= 0 {
+		p.MinSamples = 8
+	}
+	if p.FailureRatio <= 0 || p.FailureRatio > 1 {
+		p.FailureRatio = 0.5
+	}
+	if p.OpenFor <= 0 {
+		p.OpenFor = 100 * time.Millisecond
+	}
+	if p.HalfOpenProbes <= 0 {
+		p.HalfOpenProbes = 3
+	}
+	return p
+}
+
+// BreakerCounters is a snapshot of a breaker: its current state and how
+// many times it has tripped.
+type BreakerCounters struct {
+	State BreakerState `json:"state"`
+	Trips uint64       `json:"trips"`
+}
+
+// breaker is one server's circuit breaker. A donor server under local
+// memory pressure is slow long before it is dead, and crash-stop
+// detection never fires for it: the breaker watches the outcomes and
+// latencies of the pool's backing I/O against the server and trips from
+// closed to open when the recent failure ratio crosses the policy
+// threshold. After OpenFor it half-opens, and the pool's reads probe
+// their way back to closed. Its mutex is a leaf lock (see the file
+// comment).
+type breaker struct {
+	pol BreakerPolicy
+	now func() int64
+
+	mu       sync.Mutex
+	state    BreakerState
+	fails    int
+	samples  int
+	openedAt int64
+	probeOK  int
+	trips    uint64
+}
+
+// newBreaker builds a breaker with pol (zero fields defaulted) on the
+// nanosecond clock now.
+func newBreaker(pol BreakerPolicy, now func() int64) *breaker {
+	return &breaker{pol: pol.withDefaults(), now: now}
+}
+
+// breakerFailure classifies an outcome for the breaker: transport
+// faults, spent budgets, and overload count against the server; a dead
+// verdict does not (crash-stop is repair's jurisdiction, and feeding it
+// here would keep the breaker tripping long after repair), and ordinary
+// errors are the application's business.
+func breakerFailure(err error) bool {
+	return err != nil &&
+		(errors.Is(err, rpc.ErrTransient) ||
+			errors.Is(err, rpc.ErrDeadlineExceeded) ||
+			errors.Is(err, rpc.ErrOverloaded))
+}
+
+// RecordLatency feeds one access outcome with its duration: a successful
+// access at or above SlowCallNS counts as a failure, which is how a
+// degraded-but-responsive server trips the breaker.
+func (b *breaker) RecordLatency(ns int64, err error) {
+	fail := breakerFailure(err)
+	if err == nil && b.pol.SlowCallNS > 0 && ns >= b.pol.SlowCallNS {
+		fail = true
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	switch b.state {
+	case BreakerHalfOpen:
+		if fail {
+			b.trip()
+			return
+		}
+		b.probeOK++
+		if b.probeOK >= b.pol.HalfOpenProbes {
+			b.state = BreakerClosed
+			b.fails, b.samples = 0, 0
+		}
+	case BreakerOpen:
+		// Stale outcome from an access that started before the trip: the
+		// window it belonged to is gone.
+	default: // closed
+		b.samples++
+		if fail {
+			b.fails++
+		}
+		if b.samples >= b.pol.MinSamples &&
+			float64(b.fails) >= b.pol.FailureRatio*float64(b.samples) {
+			b.trip()
+			return
+		}
+		if b.samples >= b.pol.Window {
+			// Decay: halve the window so the ratio follows the present.
+			b.samples /= 2
+			b.fails /= 2
+		}
+	}
+}
+
+// trip moves to open. Caller holds b.mu.
+func (b *breaker) trip() {
+	b.state = BreakerOpen
+	b.openedAt = b.now()
+	b.trips++
+	b.fails, b.samples, b.probeOK = 0, 0, 0
+}
+
+// expire moves an open breaker whose cool-down has passed to half-open,
+// so every reader of the state sees the one the read path acts on.
+// Caller holds b.mu.
+func (b *breaker) expire() {
+	if b.state == BreakerOpen && b.now()-b.openedAt >= int64(b.pol.OpenFor) {
+		b.state = BreakerHalfOpen
+		b.probeOK = 0
+	}
+}
+
+// State returns the breaker's current state.
+func (b *breaker) State() BreakerState {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.expire()
+	return b.state
+}
+
+// Counters snapshots the breaker's state and trip count.
+func (b *breaker) Counters() BreakerCounters {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.expire()
+	return BreakerCounters{State: b.state, Trips: b.trips}
 }

@@ -56,8 +56,8 @@ func tailTestPoolCache(t *testing.T, tail TailConfig, cc CacheConfig) *Pool {
 
 // tailBreakerPolicy trips after 4+ samples at >=50% failures and stays
 // open for an hour of (simulated) clock, so tests control reopening.
-func tailBreakerPolicy() rpc.BreakerPolicy {
-	return rpc.BreakerPolicy{
+func tailBreakerPolicy() BreakerPolicy {
+	return BreakerPolicy{
 		Window:         16,
 		MinSamples:     4,
 		FailureRatio:   0.5,
@@ -77,7 +77,7 @@ func TestTailDisabledZeroCost(t *testing.T) {
 	if got := p.Inflight(); got != 0 {
 		t.Fatalf("Inflight = %d, want 0", got)
 	}
-	if c := p.BreakerCounters(0); c != (rpc.BreakerCounters{}) {
+	if c := p.BreakerCounters(0); c != (BreakerCounters{}) {
 		t.Fatalf("BreakerCounters with breakers off = %+v", c)
 	}
 	ctx := context.Background()
@@ -632,7 +632,7 @@ func TestTailBreakerFedByEveryPath(t *testing.T) {
 			if row.trips && c.Trips == 0 {
 				t.Fatalf("32 slow ops left the owner's breaker %v with 0 trips: the path does not feed it", c.State)
 			}
-			if !row.trips && (c.Trips != 0 || c.State != rpc.BreakerClosed) {
+			if !row.trips && (c.Trips != 0 || c.State != BreakerClosed) {
 				t.Fatalf("cache hits fed the breaker: %+v", c)
 			}
 			if !row.trips && p.CacheStats().Hits < 31 {
@@ -775,7 +775,7 @@ func TestTailAllocFree(t *testing.T) {
 	if got := cp.CacheStats().Fills - fills; got < 200 {
 		t.Fatalf("measured loop was not the miss path: %d fills", got)
 	}
-	if c := cp.BreakerCounters(0); c.State != rpc.BreakerClosed {
+	if c := cp.BreakerCounters(0); c.State != BreakerClosed {
 		t.Fatalf("fills on a frozen clock tripped the owner: %+v", c)
 	}
 }
@@ -1022,5 +1022,172 @@ func TestChaosElasticityUnderLoad(t *testing.T) {
 	// none, a sweep that sees none is not exercising evacuation.
 	if len(seeds) > 1 && tightRemote == 0 {
 		t.Error("tight pool: no compaction pass evacuated a block to another server across the sweep")
+	}
+}
+
+// breakerEvent is one step of a breaker state-machine script: advance
+// the clock, record one outcome, then expect a state.
+type breakerEvent struct {
+	advance time.Duration
+	fail    bool
+	record  bool
+	state   BreakerState
+}
+
+func TestBreakerStateMachine(t *testing.T) {
+	pol := BreakerPolicy{
+		Window:         8,
+		MinSamples:     4,
+		FailureRatio:   0.5,
+		OpenFor:        time.Millisecond,
+		HalfOpenProbes: 2,
+	}
+	fail := func(st BreakerState) breakerEvent { return breakerEvent{fail: true, record: true, state: st} }
+	ok := func(st BreakerState) breakerEvent { return breakerEvent{record: true, state: st} }
+	cases := []struct {
+		name   string
+		script []breakerEvent
+	}{
+		{"trips at ratio after min samples", []breakerEvent{
+			fail(BreakerClosed), // 1/1 — under MinSamples, no trip
+			ok(BreakerClosed),   // 1/2
+			fail(BreakerClosed), // 2/3
+			fail(BreakerOpen),   // 3/4 ≥ 0.5 with MinSamples met → trip
+		}},
+		{"stays closed under the ratio", []breakerEvent{
+			ok(BreakerClosed), ok(BreakerClosed), ok(BreakerClosed),
+			fail(BreakerClosed), ok(BreakerClosed), ok(BreakerClosed),
+			fail(BreakerClosed), ok(BreakerClosed), ok(BreakerClosed),
+		}},
+		{"open fails fast then half-opens after cool-down", []breakerEvent{
+			fail(BreakerClosed), fail(BreakerClosed), fail(BreakerClosed), fail(BreakerOpen),
+			{advance: time.Millisecond / 2, state: BreakerOpen}, // inside the cool-down
+			{advance: time.Millisecond, state: BreakerHalfOpen}, // cool-down over
+			ok(BreakerHalfOpen), ok(BreakerClosed), // HalfOpenProbes successes close
+		}},
+		{"half-open probe failure reopens", []breakerEvent{
+			fail(BreakerClosed), fail(BreakerClosed), fail(BreakerClosed), fail(BreakerOpen),
+			{advance: 2 * time.Millisecond, state: BreakerHalfOpen},
+			ok(BreakerHalfOpen), fail(BreakerOpen),
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			clk := &tailClock{}
+			b := newBreaker(pol, clk.now)
+			for i, ev := range tc.script {
+				clk.advance(ev.advance)
+				if ev.record {
+					var err error
+					if ev.fail {
+						err = fmt.Errorf("boom: %w", rpc.ErrTransient)
+					}
+					b.RecordLatency(0, err)
+				}
+				if st := b.State(); st != ev.state {
+					t.Fatalf("step %d: state %v, want %v", i, st, ev.state)
+				}
+			}
+		})
+	}
+}
+
+func TestBreakerFailureClassification(t *testing.T) {
+	cases := []struct {
+		err  error
+		fail bool
+	}{
+		{nil, false},
+		{fmt.Errorf("t: %w", rpc.ErrTransient), true},
+		{fmt.Errorf("d: %w", ErrDeadlineExceeded), true},
+		{fmt.Errorf("o: %w", ErrOverloaded), true},
+		{fmt.Errorf("dead: %w", rpc.ErrServerDead), false}, // repair's jurisdiction
+		{errors.New("handler said no"), false},             // application error
+	}
+	for _, tc := range cases {
+		if got := breakerFailure(tc.err); got != tc.fail {
+			t.Fatalf("breakerFailure(%v) = %v, want %v", tc.err, got, tc.fail)
+		}
+	}
+}
+
+func TestBreakerSlowCallsTrip(t *testing.T) {
+	clk := &tailClock{}
+	pol := BreakerPolicy{MinSamples: 4, FailureRatio: 0.5, SlowCallNS: 1000, OpenFor: time.Millisecond}
+	b := newBreaker(pol, clk.now)
+	for i := 0; i < 4; i++ {
+		b.RecordLatency(5000, nil) // successful but slow
+	}
+	if st := b.State(); st != BreakerOpen {
+		t.Fatalf("state after 4 slow successes = %v, want open", st)
+	}
+	// Fast successes never count against the breaker.
+	b2 := newBreaker(pol, clk.now)
+	for i := 0; i < 100; i++ {
+		b2.RecordLatency(10, nil)
+	}
+	if st := b2.State(); st != BreakerClosed {
+		t.Fatalf("state after fast successes = %v, want closed", st)
+	}
+}
+
+// TestBreakerStaleOutcomeWhileOpen pins that an outcome recorded while
+// the breaker is open — an access that started before the trip — moves
+// nothing: the breaker stays open and, once the cool-down passes, needs
+// its full HalfOpenProbes run of successes to close.
+func TestBreakerStaleOutcomeWhileOpen(t *testing.T) {
+	clk := &tailClock{}
+	pol := BreakerPolicy{MinSamples: 2, FailureRatio: 0.5, OpenFor: time.Millisecond, HalfOpenProbes: 2}
+	b := newBreaker(pol, clk.now)
+	b.RecordLatency(0, fmt.Errorf("x: %w", rpc.ErrTransient))
+	b.RecordLatency(0, fmt.Errorf("x: %w", rpc.ErrTransient))
+	b.RecordLatency(0, nil) // stale success against the open breaker
+	if st := b.State(); st != BreakerOpen {
+		t.Fatalf("stale outcome moved an open breaker to %v", st)
+	}
+	clk.advance(2 * time.Millisecond)
+	if st := b.State(); st != BreakerHalfOpen { // the read path polls before its I/O
+		t.Fatalf("after the cool-down: %v, want half-open", st)
+	}
+	b.RecordLatency(0, nil)
+	if st := b.State(); st != BreakerHalfOpen {
+		t.Fatalf("one success closed a breaker that needs two: %v", st)
+	}
+	b.RecordLatency(0, nil)
+	if c := b.Counters(); c != (BreakerCounters{State: BreakerClosed, Trips: 1}) {
+		t.Fatalf("counters = %+v, want closed after one trip", c)
+	}
+}
+
+// TestBreakerCountersAfterCoolDown reads a tripped breaker through
+// Pool.BreakerCounters once OpenFor has passed on the sim clock: the
+// read path already routes to the owner as half-open, so the snapshot
+// must say half-open too, not the open state the breaker last stored.
+func TestBreakerCountersAfterCoolDown(t *testing.T) {
+	clk := &tailClock{}
+	pol := tailBreakerPolicy()
+	pol.OpenFor = time.Millisecond
+	p := tailTestPool(t, TailConfig{Breaker: pol, NowNS: clk.now})
+	for i := 0; i < pol.MinSamples; i++ {
+		p.ReportAccess(2, time.Millisecond, fmt.Errorf("injected: %w", rpc.ErrTransient))
+	}
+	if c := p.BreakerCounters(2); c.State != BreakerOpen || c.Trips != 1 {
+		t.Fatalf("after the failure burst: %+v, want open with one trip", c)
+	}
+	clk.advance(2 * time.Millisecond)
+	if c := p.BreakerCounters(2); c.State != BreakerHalfOpen {
+		t.Fatalf("after the cool-down BreakerCounters says %v, want half-open", c.State)
+	}
+	if p.breakerOpen(2) {
+		t.Fatal("read path still treats the breaker as open after the cool-down")
+	}
+}
+
+func TestBreakerPolicyEnabled(t *testing.T) {
+	if (BreakerPolicy{}).Enabled() {
+		t.Fatal("zero policy reports enabled")
+	}
+	if !(BreakerPolicy{MinSamples: 1}).Enabled() {
+		t.Fatal("non-zero policy reports disabled")
 	}
 }

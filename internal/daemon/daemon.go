@@ -325,8 +325,8 @@ func (s *Server) handleResize(p []byte) ([]byte, error) {
 }
 
 // Client is a typed client for one daemon. It speaks through an
-// rpc.Caller, so transports compose: a fault injector or a retrier can be
-// stacked between the typed layer and the TCP connection.
+// rpc.Caller, so transports compose: a fault injector can be stacked
+// between the typed layer and the TCP connection.
 type Client struct {
 	c rpc.Caller
 }
@@ -341,7 +341,8 @@ func Dial(addr string) (*Client, error) {
 }
 
 // WrapCaller builds a client over an arbitrary transport — typically a
-// Dial'd connection wrapped in chaos injection and/or an rpc.Retrier.
+// Dial'd connection wrapped in chaos injection. Nothing retries below the
+// client: a transport fault reaches the caller as rpc.ErrTransient.
 func WrapCaller(t rpc.Caller) *Client { return &Client{c: t} }
 
 // Close tears down the underlying connection when the transport owns one

@@ -5,9 +5,9 @@
 // batching is opportunistic ("natural"): an idle connection sends a lone
 // frame immediately, a busy one coalesces everything that queued during
 // the last write into one vectored batch frame — one syscall, one TCP
-// segment — and the receiver fans the sub-frames back out. An optional
-// doorbell window adds a fixed wait after the first frame of a quiet
-// period, trading a bounded latency bump for fuller batches.
+// segment — and the receiver fans the sub-frames back out. Before each
+// flush the flusher yields a bounded number of times so callers that are
+// runnable can join the batch.
 package rpc
 
 import (
@@ -16,7 +16,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"github.com/lmp-project/lmp/internal/telemetry"
 )
@@ -55,8 +54,7 @@ func (e *sendEntry) encodedLen() int {
 // enqueue never blocks on the network: it appends under the queue lock
 // and rings the doorbell. The zero value is not usable; see newBatcher.
 type batcher struct {
-	w      io.Writer
-	window time.Duration
+	w io.Writer
 	// onErr observes the first write failure (the connection is hosed
 	// from that point; queued and future frames are dropped). May be nil.
 	onErr func(error)
@@ -81,9 +79,9 @@ type batcher struct {
 }
 
 // newBatcher starts the flusher goroutine; the caller must eventually
-// close() the batcher to stop it. window > 0 enables the doorbell wait.
-func newBatcher(w io.Writer, window time.Duration, onErr func(error)) *batcher {
-	b := &batcher{w: w, window: window, onErr: onErr, exited: make(chan struct{})}
+// close() the batcher to stop it.
+func newBatcher(w io.Writer, onErr func(error)) *batcher {
+	b := &batcher{w: w, onErr: onErr, exited: make(chan struct{})}
 	b.cond = sync.NewCond(&b.mu)
 	go b.flushLoop()
 	return b
@@ -149,26 +147,18 @@ func (b *batcher) flushLoop() {
 			b.mu.Unlock()
 			return
 		}
-		if b.window > 0 {
-			// Doorbell window: let a quiet period's first frame wait a
-			// beat so its contemporaries can join the batch.
+		// Yield passes: give runnable peers a chance to enqueue before
+		// this flush commits. On a saturated machine a blocked caller
+		// hands the CPU straight to the flusher, so the queue would
+		// otherwise never hold more than one frame; a Gosched is far
+		// cheaper than a timer and costs a lone caller almost nothing.
+		// Keep yielding while the queue is still filling, bounded so a
+		// firehose of producers cannot stall the flush indefinitely.
+		for i, last := 0, 0; i < 4 && len(b.q) > last; i++ {
+			last = len(b.q)
 			b.mu.Unlock()
-			time.Sleep(b.window)
+			runtime.Gosched()
 			b.mu.Lock()
-		} else {
-			// Yield passes: give runnable peers a chance to enqueue before
-			// this flush commits. On a saturated machine a blocked caller
-			// hands the CPU straight to the flusher, so the queue would
-			// otherwise never hold more than one frame; a Gosched is far
-			// cheaper than a timer and costs a lone caller almost nothing.
-			// Keep yielding while the queue is still filling, bounded so a
-			// firehose of producers cannot stall the flush indefinitely.
-			for i, last := 0, 0; i < 4 && len(b.q) > last; i++ {
-				last = len(b.q)
-				b.mu.Unlock()
-				runtime.Gosched()
-				b.mu.Lock()
-			}
 		}
 		b.q, b.local = b.local[:0], b.q
 		failed := b.failed

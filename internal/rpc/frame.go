@@ -1,6 +1,6 @@
 // Frame codec: the length-prefixed wire format shared by client and
-// server, including the batch envelope that lets a doorbell window's
-// worth of small frames ride one conn.Write / one TCP segment.
+// server, including the batch envelope that lets the small frames queued
+// during one write ride the next conn.Write / one TCP segment.
 //
 // Wire format (big endian):
 //

@@ -36,7 +36,7 @@ type Future struct {
 	err     error
 
 	// then, when set, post-processes the raw completion in the waiter's
-	// goroutine — transport wrappers (Retrier, chaos links) hang their
+	// goroutine — wrappers (the chaos link, bench spans) hang their
 	// per-logical-call behaviour here without spawning a goroutine per
 	// call. Waiter-only state, like resolved.
 	then     func([]byte, error) ([]byte, error)
@@ -164,8 +164,8 @@ func (f *Future) WaitCtx(ctx context.Context) ([]byte, error) {
 // Then hangs a post-processing hook on the future, composing with any
 // hook already present (outermost wrapper runs last). The hook runs in
 // the waiting goroutine when the result is first consumed; transport
-// wrappers use it to implement per-logical-call retry and fault
-// injection without a goroutine per call. Then must be called before the
+// wrappers use it to implement per-logical-call fault injection and
+// tracing without a goroutine per call. Then must be called before the
 // future is handed to its waiter.
 func (f *Future) Then(fn func([]byte, error) ([]byte, error)) *Future {
 	if prev := f.then; prev != nil {
@@ -197,8 +197,8 @@ func SpawnFuture(fn func() ([]byte, error)) *Future {
 }
 
 // AsyncCaller is the pipelined call surface: a Caller that can also
-// issue a call without blocking for its reply. *Client, *Retrier, and
-// the chaos link implement it.
+// issue a call without blocking for its reply. *Client and the chaos
+// link implement it.
 type AsyncCaller interface {
 	Caller
 	CallAsyncCtx(ctx context.Context, method byte, payload []byte) *Future

@@ -1,7 +1,7 @@
 // The pipelining/batching test wall: async futures, batch coalescing on
-// a real connection, Close-vs-in-flight semantics, a mixed-mode stress
-// hammer (run under -race by `make race`), and the zero-allocation guard
-// for the batched send path.
+// a real connection behind a stalled write, Close-vs-in-flight semantics,
+// mixed-mode and admission-cap stress hammers (run under -race by `make
+// race`), and the zero-allocation guard for the batched send path.
 package rpc
 
 import (
@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -49,43 +50,71 @@ func TestCallAsyncPipelinesOnOneConnection(t *testing.T) {
 	}
 }
 
-func TestDoorbellWindowBatchesConcurrentCalls(t *testing.T) {
-	s, addr := startTestServer(t)
-	c, err := DialBatched(addr, 20*time.Millisecond)
+// stallConn is a client connection whose first Write blocks until
+// release is closed, so every frame queued meanwhile is waiting in the
+// batcher when the flusher comes back: the next flush is deterministic.
+type stallConn struct {
+	net.Conn
+	once    sync.Once
+	stalled chan struct{} // closed once the first Write is blocked
+	release chan struct{}
+}
+
+func (c *stallConn) Write(p []byte) (int, error) {
+	c.once.Do(func() {
+		close(c.stalled)
+		<-c.release
+	})
+	return c.Conn.Write(p)
+}
+
+// stalledClient connects to addr through a stallConn and issues one lead
+// echo call under ctx; it returns once the flusher is blocked writing
+// that call. release lets the flusher go on; cleanup calls it too, so a
+// failed test does not leave Close waiting on the stalled write.
+func stalledClient(t *testing.T, addr string, ctx context.Context) (c *Client, lead *Future, release func()) {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
-	const callers = 8
-	var wg sync.WaitGroup
-	errs := make([]error, callers)
-	for i := 0; i < callers; i++ {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			resp, err := c.Call(methEcho, []byte{byte(i)})
-			if err == nil && !bytes.Equal(resp, []byte{byte(i)}) {
-				err = fmt.Errorf("resp %v for caller %d", resp, i)
-			}
-			errs[i] = err
-		}()
+	sc := &stallConn{Conn: conn, stalled: make(chan struct{}), release: make(chan struct{})}
+	c = newClient(sc)
+	var once sync.Once
+	release = func() { once.Do(func() { close(sc.release) }) }
+	t.Cleanup(func() { c.Close() })
+	t.Cleanup(release) // cleanups run last-in first-out: release before Close
+	lead = c.CallAsyncCtx(ctx, methEcho, []byte("lead"))
+	<-sc.stalled
+	return c, lead, release
+}
+
+// TestStalledWriteBatchesQueuedCalls pins the flush policy: every call
+// queued while the connection's one write is in flight leaves in a single
+// batch frame right after it.
+func TestStalledWriteBatchesQueuedCalls(t *testing.T) {
+	s, addr := startTestServer(t)
+	c, lead, release := stalledClient(t, addr, nil)
+	const queued = 8
+	futures := make([]*Future, queued)
+	for i := range futures {
+		futures[i] = c.CallAsyncCtx(nil, methEcho, []byte{byte(i)})
 	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("caller %d: %v", i, err)
+	release()
+	if resp, err := lead.Wait(); err != nil || string(resp) != "lead" {
+		t.Fatalf("lead call: %q, %v", resp, err)
+	}
+	for i, f := range futures {
+		if resp, err := f.Wait(); err != nil || !bytes.Equal(resp, []byte{byte(i)}) {
+			t.Fatalf("call %d: %v, %v", i, resp, err)
 		}
 	}
 	st := c.Stats()
-	if st.BatchesSent == 0 || st.BatchedCalls < 2 {
-		t.Fatalf("doorbell window produced no batches: %+v", st)
+	if st.FramesSent != 2 || st.BatchesSent != 1 || st.BatchedCalls != queued || st.MaxBatch != queued {
+		t.Fatalf("stats %+v: want the lead frame, then one batch of all %d queued calls", st, queued)
 	}
-	if st.MaxBatch < 2 {
-		t.Fatalf("max batch %d, want >= 2", st.MaxBatch)
-	}
-	if s.BatchesReceived() == 0 {
-		t.Fatalf("server unpacked no batch frames")
+	if got := s.BatchesReceived(); got != 1 {
+		t.Fatalf("server unpacked %d batch frames, want 1", got)
 	}
 }
 
@@ -93,31 +122,26 @@ func TestTracedCallsSurviveBatching(t *testing.T) {
 	s, addr := startTestServer(t)
 	tr := telemetry.NewTracer(telemetry.TracerConfig{SlowOpNS: -1})
 	s.SetTracer(tr)
-	c, err := DialBatched(addr, 20*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
 	parent := telemetry.SpanContext{Trace: 7777, Span: 42}
 	ctx := telemetry.ContextWithSpan(context.Background(), parent)
+	c, lead, release := stalledClient(t, addr, ctx)
 	const callers = 4
-	var wg sync.WaitGroup
+	futures := []*Future{lead}
 	for i := 0; i < callers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if _, err := c.CallCtx(ctx, methEcho, []byte("traced")); err != nil {
-				t.Error(err)
-			}
-		}()
+		futures = append(futures, c.CallAsyncCtx(ctx, methEcho, []byte("traced")))
 	}
-	wg.Wait()
-	if c.Stats().BatchedCalls < 2 {
-		t.Fatalf("traced calls were not batched: %+v", c.Stats())
+	release()
+	for _, f := range futures {
+		if _, err := f.Wait(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := c.Stats(); st.BatchedCalls != callers {
+		t.Fatalf("traced calls were not batched: %+v", st)
 	}
 	spans := tr.Spans()
-	if len(spans) != callers {
-		t.Fatalf("server recorded %d spans, want %d", len(spans), callers)
+	if len(spans) != len(futures) {
+		t.Fatalf("server recorded %d spans, want %d", len(spans), len(futures))
 	}
 	for _, sp := range spans {
 		if sp.Trace != parent.Trace || sp.Parent != parent.Span {
@@ -183,7 +207,7 @@ func TestCloseFailsInflightFutures(t *testing.T) {
 // wrapping ErrClosed — and the pending table must drain to zero.
 func TestStressMixedCallsWithClose(t *testing.T) {
 	_, addr := startTestServer(t)
-	c, err := DialBatched(addr, 100*time.Microsecond)
+	c, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,4 +334,94 @@ func TestBatchedSendPathZeroAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("batched send path allocates %.1f times per flush, want 0", allocs)
 	}
+}
+
+// TestAdmissionStress hammers a capped client from many goroutines with
+// a mix of Call and CallAsyncCtx: the pending table must never exceed the
+// cap, every future must resolve exactly once, and after the drain no
+// pending entry may leak. Runs under -race in make race.
+func TestAdmissionStress(t *testing.T) {
+	_, addr := startTestServer(t)
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	const limit = 8
+	const workers = 32
+	const perWorker = 50
+	c.SetAdmissionLimit(limit)
+
+	var peak atomic.Int64
+	stopMon := make(chan struct{})
+	var monWG sync.WaitGroup
+	monWG.Add(1)
+	go func() {
+		defer monWG.Done()
+		for {
+			select {
+			case <-stopMon:
+				return
+			case <-time.After(200 * time.Microsecond):
+			}
+			if p := int64(c.Stats().Pending); p > peak.Load() {
+				peak.Store(p)
+			}
+		}
+	}()
+
+	var okOps, shedOps, resolved atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWorker; i++ {
+				var err error
+				switch i % 2 {
+				case 0:
+					_, err = c.Call(methEcho, []byte{byte(w)})
+				default:
+					f := c.CallAsyncCtx(nil, methEcho, []byte{byte(w), byte(i)})
+					var p1 []byte
+					p1, err = f.Wait()
+					// Exactly-once resolution: a second wait observes the
+					// same settled outcome, never a re-delivery.
+					p2, err2 := f.Wait()
+					if !errors.Is(err2, err) || string(p1) != string(p2) {
+						t.Errorf("worker %d: future re-wait diverged: (%q,%v) vs (%q,%v)", w, p1, err, p2, err2)
+						return
+					}
+					resolved.Add(1)
+				}
+				switch {
+				case err == nil:
+					okOps.Add(1)
+				case errors.Is(err, ErrOverloaded):
+					shedOps.Add(1)
+				default:
+					t.Errorf("worker %d: unexpected error %v", w, err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(stopMon)
+	monWG.Wait()
+
+	if p := peak.Load(); p > limit {
+		t.Fatalf("pending table peaked at %d, cap is %d", p, limit)
+	}
+	st := c.Stats()
+	if st.Pending != 0 {
+		t.Fatalf("pending entries leaked after drain: %d", st.Pending)
+	}
+	if okOps.Load() == 0 {
+		t.Fatal("no operation succeeded under the cap")
+	}
+	if st.Shed != uint64(shedOps.Load()) {
+		t.Fatalf("ClientStats.Shed = %d, callers saw %d sheds", st.Shed, shedOps.Load())
+	}
+	t.Logf("ok=%d shed=%d peak_pending=%d", okOps.Load(), shedOps.Load(), peak.Load())
 }

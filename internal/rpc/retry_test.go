@@ -1,7 +1,6 @@
 package rpc
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -143,103 +142,6 @@ func TestMarkDeadFailsInflightCalls(t *testing.T) {
 	c.MarkDead()
 	if err := <-done; !errors.Is(err, ErrServerDead) {
 		t.Fatalf("in-flight call after MarkDead: %v", err)
-	}
-}
-
-// flakyCaller fails the first n calls with wrapped ErrTransient.
-type flakyCaller struct {
-	failures int
-	calls    int
-	deadErr  error
-}
-
-func (f *flakyCaller) Call(method byte, payload []byte) ([]byte, error) {
-	return f.CallCtx(nil, method, payload)
-}
-
-func (f *flakyCaller) CallCtx(_ context.Context, method byte, payload []byte) ([]byte, error) {
-	f.calls++
-	if f.deadErr != nil {
-		return nil, f.deadErr
-	}
-	if f.calls <= f.failures {
-		return nil, fmt.Errorf("drop %d: %w", f.calls, ErrTransient)
-	}
-	return payload, nil
-}
-
-func TestRetrierHealsTransientFaults(t *testing.T) {
-	f := &flakyCaller{failures: 2}
-	var slept []time.Duration
-	r := &Retrier{
-		T:      f,
-		Policy: RetryPolicy{MaxAttempts: 4, BaseBackoff: time.Millisecond, MaxBackoff: 8 * time.Millisecond},
-		Sleep:  func(d time.Duration) { slept = append(slept, d) },
-	}
-	resp, err := r.Call(7, []byte("ok"))
-	if err != nil {
-		t.Fatalf("retrier did not heal: %v", err)
-	}
-	if string(resp) != "ok" {
-		t.Fatalf("resp = %q", resp)
-	}
-	if f.calls != 3 {
-		t.Fatalf("calls = %d, want 3", f.calls)
-	}
-	if r.Retries() != 2 || r.Healed() != 1 {
-		t.Fatalf("retries=%d healed=%d, want 2/1", r.Retries(), r.Healed())
-	}
-	// Exponential backoff: 1ms then 2ms.
-	if len(slept) != 2 || slept[0] != time.Millisecond || slept[1] != 2*time.Millisecond {
-		t.Fatalf("backoffs = %v", slept)
-	}
-}
-
-func TestRetrierBoundedAndSurfacesTransient(t *testing.T) {
-	f := &flakyCaller{failures: 100}
-	r := &Retrier{T: f, Policy: RetryPolicy{MaxAttempts: 3}, Sleep: func(time.Duration) {}}
-	_, err := r.Call(1, nil)
-	if !errors.Is(err, ErrTransient) {
-		t.Fatalf("exhausted retrier error: %v", err)
-	}
-	if f.calls != 3 {
-		t.Fatalf("calls = %d, want exactly MaxAttempts", f.calls)
-	}
-}
-
-func TestRetrierNeverRetriesDead(t *testing.T) {
-	f := &flakyCaller{deadErr: fmt.Errorf("gone: %w", ErrServerDead)}
-	r := &Retrier{T: f, Policy: DefaultRetryPolicy(), Sleep: func(time.Duration) {}}
-	_, err := r.Call(1, nil)
-	if !errors.Is(err, ErrServerDead) {
-		t.Fatalf("error: %v", err)
-	}
-	if f.calls != 1 {
-		t.Fatalf("calls = %d; dead peers must not be retried", f.calls)
-	}
-}
-
-func TestRetrierHonoursCancelledContext(t *testing.T) {
-	f := &flakyCaller{failures: 100}
-	r := &Retrier{T: f, Policy: RetryPolicy{MaxAttempts: 10}, Sleep: func(time.Duration) {}}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	_, err := r.CallCtx(ctx, 1, nil)
-	if err == nil {
-		t.Fatal("cancelled retrier call succeeded")
-	}
-	if f.calls != 1 {
-		t.Fatalf("calls = %d; a cancelled context must stop the retry loop", f.calls)
-	}
-}
-
-func TestBackoffCaps(t *testing.T) {
-	p := RetryPolicy{BaseBackoff: time.Millisecond, MaxBackoff: 5 * time.Millisecond}
-	want := []time.Duration{time.Millisecond, 2 * time.Millisecond, 4 * time.Millisecond, 5 * time.Millisecond, 5 * time.Millisecond}
-	for i, w := range want {
-		if got := p.backoff(i + 1); got != w {
-			t.Fatalf("backoff(%d) = %v, want %v", i+1, got, w)
-		}
 	}
 }
 

@@ -216,7 +216,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	// one flusher goroutine writes them, coalescing replies that complete
 	// close together into one batch frame. A reply-write failure closes
 	// the connection (the read side below then winds the handler down).
-	out := newBatcher(conn, 0, func(error) { conn.Close() })
+	out := newBatcher(conn, func(error) { conn.Close() })
 	defer func() {
 		conn.Close()
 		out.close()
@@ -510,25 +510,23 @@ func (c *Client) SetAdmissionLimit(limit int) {
 	c.pt.Unlock()
 }
 
-// DialBatched connects like Dial but arms the send batcher's doorbell
-// window: the first frame of a quiet period waits up to window for
-// company before flushing. window 0 is plain Dial (opportunistic
-// batching only).
-func DialBatched(addr string, window time.Duration) (*Client, error) {
+// Dial connects to a server.
+func Dial(addr string) (*Client, error) {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	c := &Client{conn: conn, readDone: make(chan struct{})}
-	c.pt.m = make(map[uint64]*Future)
-	c.b = newBatcher(conn, window, c.sendFailed)
-	go c.readLoop()
-	return c, nil
+	return newClient(conn), nil
 }
 
-// Dial connects to a server.
-func Dial(addr string) (*Client, error) {
-	return DialBatched(addr, 0)
+// newClient runs a client over an established connection: it starts the
+// send batcher and the read loop, and Close closes conn.
+func newClient(conn net.Conn) *Client {
+	c := &Client{conn: conn, readDone: make(chan struct{})}
+	c.pt.m = make(map[uint64]*Future)
+	c.b = newBatcher(conn, c.sendFailed)
+	go c.readLoop()
+	return c
 }
 
 // sendFailed is the batcher's write-failure callback: the connection is
@@ -700,8 +698,8 @@ func (c *Client) CallAsyncCtx(ctx context.Context, method byte, payload []byte) 
 func (c *Client) startCall(ctx context.Context, method byte, payload []byte, f *Future) {
 	// A context deadline becomes the call's remaining budget, propagated
 	// on the wire so the server can refuse dispatch once it is spent. The
-	// budget is read per attempt: a Retrier re-issuing the call
-	// naturally sends the shrunken remainder.
+	// budget is read when the call starts: a caller re-issuing it sends
+	// the shrunken remainder.
 	var budget int64
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {

@@ -1,13 +1,11 @@
 // Tests for cross-process trace propagation (kind-4 frames), per-method
-// dispatch stats, and the retry counter wiring.
+// and per-method dispatch stats.
 package rpc
 
 import (
 	"context"
 	"errors"
-	"fmt"
 	"testing"
-	"time"
 
 	"github.com/lmp-project/lmp/internal/telemetry"
 )
@@ -128,39 +126,5 @@ func TestServerMethodStats(t *testing.T) {
 	}
 	if errSpans != 1 {
 		t.Fatalf("error spans = %d, want 1", errSpans)
-	}
-}
-
-// transientNCaller fails the first n calls with ErrTransient.
-type transientNCaller struct {
-	remaining int
-}
-
-func (f *transientNCaller) Call(method byte, payload []byte) ([]byte, error) {
-	return f.CallCtx(nil, method, payload)
-}
-
-func (f *transientNCaller) CallCtx(_ context.Context, method byte, payload []byte) ([]byte, error) {
-	if f.remaining > 0 {
-		f.remaining--
-		return nil, fmt.Errorf("injected: %w", ErrTransient)
-	}
-	return []byte("done"), nil
-}
-
-func TestCountingRetrier(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	r := NewCountingRetrier(&transientNCaller{remaining: 2},
-		RetryPolicy{MaxAttempts: 4}, reg)
-	r.Sleep = func(time.Duration) {}
-	resp, err := r.Call(1, nil)
-	if err != nil || string(resp) != "done" {
-		t.Fatalf("call = %q, %v", resp, err)
-	}
-	if got := reg.Counter("rpc.retries").Value(); got != 2 {
-		t.Fatalf("rpc.retries = %d, want 2", got)
-	}
-	if r.Retries() != 2 || r.Healed() != 1 {
-		t.Fatalf("retries/healed = %d/%d, want 2/1", r.Retries(), r.Healed())
 	}
 }

@@ -79,7 +79,6 @@ import (
 	"github.com/lmp-project/lmp/internal/core"
 	"github.com/lmp-project/lmp/internal/failure"
 	"github.com/lmp-project/lmp/internal/memsim"
-	"github.com/lmp-project/lmp/internal/rpc"
 	"github.com/lmp-project/lmp/internal/telemetry"
 	"github.com/lmp-project/lmp/internal/topology"
 )
@@ -129,11 +128,12 @@ type (
 	TailConfig = core.TailConfig
 	// BreakerPolicy tunes the per-server circuit breakers (see
 	// WithBreaker): failure-ratio trip over a sliding window, slow-call
-	// classification, open duration, and half-open probing.
-	BreakerPolicy = rpc.BreakerPolicy
-	// BreakerCounters snapshots one server's breaker totals
-	// (Pool.BreakerCounters).
-	BreakerCounters = rpc.BreakerCounters
+	// classification, open duration, and the consecutive successes a
+	// half-open breaker needs to close.
+	BreakerPolicy = core.BreakerPolicy
+	// BreakerCounters snapshots one server's breaker: its current state
+	// and its trip count (Pool.BreakerCounters).
+	BreakerCounters = core.BreakerCounters
 )
 
 // Observability types (Pool.Stats, Pool.TraceSpans, WithTracing,

@@ -15,7 +15,9 @@
 #   test-only      exported top-level names (same rule) that occur in no
 #                  non-test .go file of the root module or of bench/,
 #                  comment-only lines ignored, other than at their own
-#                  declaration: candidates for the next deletion pass
+#                  declaration: candidates for the next deletion pass;
+#                  the names themselves follow the table, one line per
+#                  package
 #   coverage       statement coverage from `go test -cover`, after only
 #
 # test-only is a ledger, not a gate: it matches words, not symbols. A
@@ -60,11 +62,11 @@ lines() {
     ' "$@"
 }
 
-# testonly — run in a tree root: one "dir count" row per directory that
-# declares a test-only name. Every non-test file, bench/ included, is
-# read once: a declaration line gives up the name it declares (bench/'s
-# own declarations are not counted), then every capitalised word left on
-# a code line marks that spelling as used.
+# testonly — run in a tree root: one "dir name" row per test-only name,
+# sorted. Every non-test file, bench/ included, is read once: a
+# declaration line gives up the name it declares (bench/'s own
+# declarations are not counted), then every capitalised word left on a
+# code line marks that spelling as used.
 testonly() {
     find . -name '*.go' -not -name '*_test.go' -not -path '*/testdata/*' -not -path './.*' |
         sort | xargs awk '
@@ -95,15 +97,14 @@ testonly() {
         END {
             for (k in decl) {
                 split(k, p, SUBSEP)
-                if (!(p[2] in used)) n[p[1]]++
+                if (!(p[2] in used)) print p[1], p[2]
             }
-            for (d in n) print d, n[d]
-        }'
+        }' | sort
 }
 
 # ledger ROOT — one "dir non-test-LoC test-LoC exported test-only" row per
 # directory holding Go files, skipping bench/, testdata/ and dot
-# directories.
+# directories. Leaves the tree's test-only names in $TMP/testonly.
 ledger() {
     (
         cd "$1"
@@ -113,9 +114,9 @@ ledger() {
             while read -r dir; do
                 src=$(find "$dir" -maxdepth 1 -name '*.go' -not -name '*_test.go' | sort)
                 tst=$(find "$dir" -maxdepth 1 -name '*_test.go' | sort)
-                only=$(awk -v d="$dir" '$1 == d { print $2 }' "$TMP/testonly")
+                only=$(awk -v d="$dir" '$1 == d { n++ } END { print n + 0 }' "$TMP/testonly")
                 # shellcheck disable=SC2086
-                echo "$dir $(lines $src) $(lines $tst) $(exported $src) ${only:-0}"
+                echo "$dir $(lines $src) $(lines $tst) $(exported $src) $only"
             done
     )
 }
@@ -164,3 +165,15 @@ while read -r dir s t e o; do
     cov=$(awk -v d="$dir" '$1 == d { print $2 }' "$TMP/cover")
     echo "| \`$dir\` | $s | $t | $e | $o | ${cov:--} |"
 done < "$TMP/after"
+cat <<EOF
+
+## Test-only names
+
+The names behind the test-only column, one line per package.
+
+EOF
+awk '
+    $1 != dir { if (line != "") print line; dir = $1; line = "- `" dir "`: " $2; next }
+    { line = line ", " $2 }
+    END { if (line != "") print line }
+' "$TMP/testonly"
