@@ -102,10 +102,11 @@ cross:
 # verifying and freeing extents while the boundary moves), alloc beside it
 # as the algorithm under that lock, on every shape. The core line also
 # runs the physical-pool deployment, the server-id bounds table and the
-# balancer, planner and access-profile tests, and the page cache and its
-# coherence directory; the breaker tests, the profile tests (ageing
-# against concurrent adds, a released tenant's history) and the cache
-# tests (an eviction notice racing a re-fill of its victim) run once more
+# balancer, planner and access-profile tests, the page cache and its
+# coherence directory, the lender-call table and the sizing rounds; the
+# breaker tests, the profile tests (ageing against concurrent adds, a
+# released tenant's history), the cache tests (an eviction notice racing
+# a re-fill of its victim) and the lender and sizing tests run once more
 # per shape under the race detector, and so do the chaos driver's sweeps,
 # named one by one in $(CHAOS_DRIVER).
 flake:
@@ -113,8 +114,8 @@ flake:
 		echo "flake: GOMAXPROCS=$$p"; \
 		GOMAXPROCS=$$p $(GO) test -shuffle=on -count=$(FLAKE_COUNT) ./internal/rpc/ ./internal/daemon/ || exit 1; \
 		GOMAXPROCS=$$p $(GO) test -race -shuffle=on ./internal/rpc/ ./internal/daemon/ ./internal/chaos/ ./internal/memnode/ ./internal/alloc/ || exit 1; \
-		GOMAXPROCS=$$p $(GO) test -shuffle=on -count=$(FLAKE_COUNT) -run 'Admission|Inflight|Tail|Breaker|Compact|Elasticity|Translate|Physical|ServerID|Balance|Profile|Migrat|Cache|Coheren|$(CHAOS_DRIVER)' ./internal/core/ || exit 1; \
-		GOMAXPROCS=$$p $(GO) test -race -shuffle=on -run 'Breaker|Profile|Cache|Coheren|$(CHAOS_DRIVER)' ./internal/core/ || exit 1; \
+		GOMAXPROCS=$$p $(GO) test -shuffle=on -count=$(FLAKE_COUNT) -run 'Admission|Inflight|Tail|Breaker|Compact|Elasticity|Translate|Physical|ServerID|Balance|Profile|Migrat|Cache|Coheren|Lender|SizeOnce|$(CHAOS_DRIVER)' ./internal/core/ || exit 1; \
+		GOMAXPROCS=$$p $(GO) test -race -shuffle=on -run 'Breaker|Profile|Cache|Coheren|Lender|SizeOnce|$(CHAOS_DRIVER)' ./internal/core/ || exit 1; \
 	done
 
 # Regenerate the checked-in code ledger AUDIT.md: per package non-test

@@ -47,8 +47,10 @@ type Chunk struct {
 }
 
 // RegionAlloc is what the placer needs of a lender: the runtime hands it
-// the servers' *memnode.Node (a Free there also scrubs the extent); a bare
-// *Extents satisfies it too.
+// its servers' lenders (a Free there also scrubs the extent); a bare
+// *Extents satisfies it too. A placed chunk is one extent of its region,
+// and its holder gives it back with that region's Free: the placer itself
+// frees only the partial placement a failed Place rolls back.
 type RegionAlloc interface {
 	Alloc(n int64) (int64, error)
 	Free(offset int64) (int64, error)
@@ -161,26 +163,6 @@ func (p *Placer) PlaceStriped(n int64) ([]Chunk, error) {
 		return nil, err
 	}
 	return chunks, nil
-}
-
-// Release frees every chunk of a placed allocation.
-func (p *Placer) Release(chunks []Chunk) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	var firstErr error
-	for _, c := range chunks {
-		r := p.regionOf(c.Server)
-		if r == nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("alloc: release on unknown server %d", c.Server)
-			}
-			continue
-		}
-		if _, err := r.Mem.Free(c.Offset); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
 }
 
 func (p *Placer) regionOf(s addr.ServerID) *Region {

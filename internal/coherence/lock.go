@@ -74,10 +74,3 @@ func (l *TicketLock) Unlock(node NodeID) error {
 	l.mu.Unlock()
 	return nil
 }
-
-// Contended reports whether threads are queued behind the current holder.
-func (l *TicketLock) Contended() bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.next > l.owner+1
-}

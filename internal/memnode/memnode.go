@@ -101,11 +101,9 @@ func (n *Node) Name() string { return n.name }
 // Capacity reports total DRAM bytes.
 func (n *Node) Capacity() int64 { return n.capacity }
 
-// SharedBytes reports the current shared-region size (lock-free).
+// SharedBytes reports the current shared-region size (lock-free); the
+// rest of the capacity is the server's private memory.
 func (n *Node) SharedBytes() int64 { return n.shared.Load() }
-
-// PrivateBytes reports capacity outside the shared region.
-func (n *Node) PrivateBytes() int64 { return n.capacity - n.SharedBytes() }
 
 // InUse reports the bytes of the shared region currently granted.
 func (n *Node) InUse() int64 {

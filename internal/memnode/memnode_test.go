@@ -135,8 +135,8 @@ func TestResize(t *testing.T) {
 	if err := n.Resize(40 * PageSize); err != nil {
 		t.Fatal(err)
 	}
-	if n.SharedBytes() != 40*PageSize || n.PrivateBytes() != 60*PageSize {
-		t.Fatalf("shared = %d, private = %d", n.SharedBytes(), n.PrivateBytes())
+	if n.SharedBytes() != 40*PageSize || n.Capacity() != 100*PageSize {
+		t.Fatalf("shared = %d of %d", n.SharedBytes(), n.Capacity())
 	}
 }
 
