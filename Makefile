@@ -108,12 +108,15 @@ cross:
 # released tenant's history), the cache tests (an eviction notice racing
 # a re-fill of its victim) and the lender and sizing tests run once more
 # per shape under the race detector, and so do the chaos driver's sweeps,
-# named one by one in $(CHAOS_DRIVER).
+# named one by one in $(CHAOS_DRIVER). The page cache's own tests (Stats
+# against concurrent fills and drains, growth bounds, the set-up
+# allocation guards of cache.New and lmp.New) run repeated under it.
 flake:
 	@for p in 1 2 4 8; do \
 		echo "flake: GOMAXPROCS=$$p"; \
 		GOMAXPROCS=$$p $(GO) test -shuffle=on -count=$(FLAKE_COUNT) ./internal/rpc/ ./internal/daemon/ || exit 1; \
 		GOMAXPROCS=$$p $(GO) test -race -shuffle=on ./internal/rpc/ ./internal/daemon/ ./internal/chaos/ ./internal/memnode/ ./internal/alloc/ || exit 1; \
+		GOMAXPROCS=$$p $(GO) test -race -shuffle=on -count=$(FLAKE_COUNT) -run 'Cache' ./internal/cache/ . || exit 1; \
 		GOMAXPROCS=$$p $(GO) test -shuffle=on -count=$(FLAKE_COUNT) -run 'Admission|Inflight|Tail|Breaker|Compact|Elasticity|Translate|Physical|ServerID|Balance|Profile|Migrat|Cache|Coheren|Lender|SizeOnce|$(CHAOS_DRIVER)' ./internal/core/ || exit 1; \
 		GOMAXPROCS=$$p $(GO) test -race -shuffle=on -run 'Breaker|Profile|Cache|Coheren|Lender|SizeOnce|$(CHAOS_DRIVER)' ./internal/core/ || exit 1; \
 	done

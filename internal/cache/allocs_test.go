@@ -1,6 +1,10 @@
 package cache
 
-import "testing"
+import (
+	"reflect"
+	"runtime"
+	"testing"
+)
 
 // The guards below pin the steady state of the paths a cold workload
 // runs all day. The static half of the proof is `make lint`: Put,
@@ -10,35 +14,84 @@ import "testing"
 
 // TestPutEvictAllocFree: once every ring slot has been used, admitting a
 // new page evicts through the clock, the index and the ghost list
-// without allocating, and the data is copied, not kept.
+// without allocating, and the data is copied, not kept. 100 pages over
+// four shards gives each shard a capacity that is not a power of two.
 func TestPutEvictAllocFree(t *testing.T) {
-	const pages = 64
-	c := newTest(t, pages, 4)
-	page := pageData(c.PageSize(), 1)
-	next := uint64(0)
-	// Two capacities' worth: every slot has its buffer and every ghost
-	// list is full.
-	for ; next < 2*pages; next++ {
-		c.Put(next, page)
-	}
-	before := c.Stats()
-	if n := testing.AllocsPerRun(10, func() {
-		for i := 0; i < 1000; i++ {
-			// Every third page comes back off the ghost list (admitted hot).
-			pg := next
-			if i%3 == 0 {
-				pg = next - pages - 8
-			}
-			c.Put(pg, page)
-			next++
+	for _, pages := range []uint64{64, 100} {
+		c := newTest(t, int(pages), 4)
+		page := pageData(c.PageSize(), 1)
+		next := uint64(0)
+		// Two capacities' worth: every slot has its buffer and every ghost
+		// list is full.
+		for ; next < 2*pages; next++ {
+			c.Put(next, page)
 		}
-	}); n != 0 {
-		t.Errorf("Put with eviction allocates %.0f per 1000 ops, want 0", n)
+		before := c.Stats()
+		if n := testing.AllocsPerRun(10, func() {
+			for i := 0; i < 1000; i++ {
+				// Every third page comes back off the ghost list (admitted hot).
+				pg := next
+				if i%3 == 0 {
+					pg = next - pages - 8
+				}
+				c.Put(pg, page)
+				next++
+			}
+		}); n != 0 {
+			t.Errorf("%d pages: Put with eviction allocates %.0f per 1000 ops, want 0", pages, n)
+		}
+		after := c.Stats()
+		if after.Evictions-before.Evictions < 10_000 || after.GhostReadmits == before.GhostReadmits {
+			t.Fatalf("%d pages: measured loop was not the evict path: %+v -> %+v", pages, before, after)
+		}
 	}
-	after := c.Stats()
-	if after.Evictions-before.Evictions < 10_000 || after.GhostReadmits == before.GhostReadmits {
-		t.Fatalf("measured loop was not the evict path: %+v -> %+v", before, after)
+}
+
+// TestCacheGrowthStopsAtEagerSize: a shard's index, ring and ghost list
+// grow with use and, once full, are no larger than sizing them for the
+// shard's capacity up front would have made them — also when that
+// capacity is not a power of two. hashtab's storage is unexported, so
+// its sizes are read by reflection.
+func TestCacheGrowthStopsAtEagerSize(t *testing.T) {
+	slotsOf := func(table reflect.Value) int { return table.FieldByName("slots").Len() }
+	for _, pages := range []int{64, 100} {
+		c := newTest(t, pages, 4)
+		page := pageData(c.PageSize(), 1)
+		for pg := uint64(0); pg < uint64(2*pages); pg++ {
+			c.Put(pg, page)
+		}
+		for i := range c.shards {
+			sh := &c.shards[i]
+			slots := 8 // a table sized for cap entries at ≤50% load
+			for slots < 2*sh.cap {
+				slots *= 2
+			}
+			ghost := reflect.ValueOf(&sh.ghost).Elem()
+			got := [4]int{slotsOf(reflect.ValueOf(&sh.index).Elem()), cap(sh.ring), ghost.FieldByName("nodes").Cap(), slotsOf(ghost.FieldByName("index"))}
+			if want := [4]int{slots, sh.cap, sh.cap, slots}; got[0] > want[0] || got[1] > want[1] || got[2] > want[2] || got[3] > want[3] {
+				t.Errorf("%d pages, shard %d: index slots, ring, ghost nodes, ghost slots = %v, eager sizing built %v", pages, i, got, want)
+			}
+			if len(sh.ring) != sh.cap || sh.ghost.Len() != sh.cap {
+				t.Fatalf("%d pages, shard %d: two capacities of Puts left %d slots used and %d ghosts, want %d", pages, i, len(sh.ring), sh.ghost.Len(), sh.cap)
+			}
+		}
 	}
+}
+
+// TestCacheNewAllocatesLittle: a cache nobody fills costs its shard
+// headers and nothing that scales with its capacity.
+func TestCacheNewAllocatesLittle(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	c, err := New(Config{CapacityBytes: 16 << 20})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n >= 8<<10 {
+		t.Errorf("New of a 16 MiB cache allocated %d B, want under 8 KiB", n)
+	}
+	runtime.KeepAlive(c)
 }
 
 // TestInvalidateRePutAllocFree: an invalidated slot goes on the free

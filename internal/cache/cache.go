@@ -33,10 +33,8 @@ package cache
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"github.com/lmp-project/lmp/internal/hashtab"
-	"github.com/lmp-project/lmp/internal/telemetry"
 )
 
 // DefaultPageSize is the cache page size when Config.PageSize is zero. It
@@ -101,19 +99,24 @@ type entry struct {
 // shard lock lmplint's lockorder analyzer tracks; the padding keeps
 // neighbouring shard locks off the same cache line.
 //
-// Everything a shard's steady state touches is sized by cap in New and
-// recycled in place afterwards (only the page bytes behind a ring slot
-// wait for the slot's first use): the resident-page index is an
-// open-addressed table (hashtab.Table) rather than a Go map — one
-// multiplicative hash and, at ≤50% load, almost always one probe, the
-// single hottest operation in a cache-enabled pool — and it deletes by
-// backward shift, so there are no tombstones to walk and no rebuilds.
+// A shard costs what it holds: New allocates none of its storage. The
+// resident-page index, the clock ring, the ghost list and the page bytes
+// behind a ring slot all grow with use, stop at the size cap pages need,
+// and are recycled in place from then on. The index is an open-addressed
+// table (hashtab.Table) rather than a Go map — one multiplicative hash
+// and, at ≤50% load, almost always one probe, the single hottest
+// operation in a cache-enabled pool — and it deletes by backward shift,
+// so there are no tombstones to walk and no rebuilds.
+//
+// The traffic counters are plain fields bumped under the shard lock the
+// path already holds, and Stats reads each shard's under its lock, so a
+// snapshot never goes backwards.
 type cacheShard struct {
 	sync.Mutex
 	_ [48]byte
 
 	index  hashtab.Table // resident page → its slot in ring
-	ring   []entry       // clock ring; grows into its cap-sized array as slots are first used
+	ring   []entry       // clock ring; one slot per page ever resident at once, up to cap
 	hand   int
 	free   int32 // invalidated slots awaiting reuse, newest first; -1 when none
 	cap    int   // max resident pages
@@ -123,6 +126,17 @@ type cacheShard struct {
 	// page is never resident and on the ghost list at once: it joins when
 	// it is evicted and Put takes it off when it comes back.
 	ghost hashtab.List[struct{}]
+
+	// foldedHits accumulates the hit counts of entries as they are
+	// drained or retired; Stats adds the live entries' counts on top, so
+	// the hit path bumps only the entry it already holds.
+	foldedHits    uint64
+	misses        uint64
+	inserts       uint64
+	evictions     uint64
+	invalidations uint64
+	promotions    uint64
+	readmits      uint64
 }
 
 // lookupLocked finds the live entry for page, or nil.
@@ -139,19 +153,6 @@ type Cache struct {
 	shift    uint
 	mask     uint64
 	shards   []cacheShard
-
-	// foldedHits accumulates per-entry hit counts as they are drained or
-	// retired; Stats adds the live entries' counts on top. Keeping the hit
-	// path free of a shared counter (the per-entry count is updated under
-	// the shard lock it already holds) is worth the walk at Stats time.
-	foldedHits atomic.Uint64
-
-	misses        *telemetry.StripedCounter
-	inserts       *telemetry.StripedCounter
-	evictions     *telemetry.StripedCounter
-	invalidations *telemetry.StripedCounter
-	promotions    *telemetry.StripedCounter
-	readmits      *telemetry.StripedCounter
 }
 
 // New builds a cache from cfg. A zero or too-small capacity yields a
@@ -178,15 +179,9 @@ func New(cfg Config) (*Cache, error) {
 	}
 	perShard := totalPages / shards
 	c := &Cache{
-		pageSize:      cfg.PageSize,
-		mask:          uint64(shards - 1),
-		shards:        make([]cacheShard, shards),
-		misses:        telemetry.NewStripedCounter(shards),
-		inserts:       telemetry.NewStripedCounter(shards),
-		evictions:     telemetry.NewStripedCounter(shards),
-		invalidations: telemetry.NewStripedCounter(shards),
-		promotions:    telemetry.NewStripedCounter(shards),
-		readmits:      telemetry.NewStripedCounter(shards),
+		pageSize: cfg.PageSize,
+		mask:     uint64(shards - 1),
+		shards:   make([]cacheShard, shards),
 	}
 	for ps := cfg.PageSize; ps > 1; ps >>= 1 {
 		c.shift++
@@ -198,11 +193,7 @@ func New(cfg Config) (*Cache, error) {
 		if sh.hotCap < 1 {
 			sh.hotCap = 1
 		}
-		// Metadata is sized by capacity here; page bytes are not (a slot's
-		// buffer waits for the slot's first use).
 		sh.free = -1
-		sh.index.Init(perShard)
-		sh.ring = make([]entry, 0, perShard)
 		sh.ghost.Init(perShard)
 	}
 	return c, nil
@@ -211,10 +202,7 @@ func New(cfg Config) (*Cache, error) {
 // PageSize reports the cache's page size.
 func (c *Cache) PageSize() int64 { return c.pageSize }
 
-func (c *Cache) shardFor(page uint64) (*cacheShard, int) {
-	i := int(page & c.mask)
-	return &c.shards[i], i
-}
+func (c *Cache) shardFor(page uint64) *cacheShard { return &c.shards[page&c.mask] }
 
 // ReadAt copies len(dst) bytes at byte offset off of the cached page into
 // dst. It reports whether the page was resident. A miss records no state
@@ -222,12 +210,12 @@ func (c *Cache) shardFor(page uint64) (*cacheShard, int) {
 //
 //lmp:hotpath
 func (c *Cache) ReadAt(page uint64, dst []byte, off int) bool {
-	sh, lane := c.shardFor(page)
+	sh := c.shardFor(page)
 	sh.Lock()
 	e := sh.lookupLocked(page)
 	if e == nil {
+		sh.misses++
 		sh.Unlock()
-		c.misses.Add(lane, 1)
 		return false
 	}
 	copy(dst, e.data[off:off+len(dst)])
@@ -245,7 +233,7 @@ func (c *Cache) ReadAt(page uint64, dst []byte, off int) bool {
 //
 //lmp:hotpath
 func (c *Cache) WriteAt(page uint64, src []byte, off int) bool {
-	sh, _ := c.shardFor(page)
+	sh := c.shardFor(page)
 	sh.Lock()
 	e := sh.lookupLocked(page)
 	if e == nil {
@@ -270,7 +258,7 @@ func (c *Cache) WriteAt(page uint64, src []byte, off int) bool {
 //
 //lmp:hotpath
 func (c *Cache) Put(page uint64, data []byte) (victim uint64, evicted bool) {
-	sh, lane := c.shardFor(page)
+	sh := c.shardFor(page)
 	sh.Lock()
 	if e := sh.lookupLocked(page); e != nil {
 		copy(e.data, data)
@@ -278,7 +266,7 @@ func (c *Cache) Put(page uint64, data []byte) (victim uint64, evicted bool) {
 		sh.Unlock()
 		return 0, false
 	}
-	i, evicted := sh.slotLocked(c, lane)
+	i, evicted := sh.slotLocked()
 	if i < 0 {
 		sh.Unlock()
 		return page, true // capacity zero
@@ -295,7 +283,7 @@ func (c *Cache) Put(page uint64, data []byte) (victim uint64, evicted bool) {
 		sh.ghost.Remove(g)
 		e.hot = true
 		sh.hot++
-		c.readmits.Add(lane, 1)
+		sh.readmits++
 		sh.demoteOverflowLocked()
 	}
 	if e.data == nil {
@@ -303,18 +291,18 @@ func (c *Cache) Put(page uint64, data []byte) (victim uint64, evicted bool) {
 	}
 	copy(e.data, data)
 	sh.index.Insert(page, i)
-	sh.Unlock()
-	c.inserts.Add(lane, 1)
+	sh.inserts++
 	if evicted {
-		c.evictions.Add(lane, 1)
+		sh.evictions++
 	}
+	sh.Unlock()
 	return victim, evicted
 }
 
 // Contains reports whether page is resident. It is not a lookup: it
 // neither references the page nor counts a hit or a miss.
 func (c *Cache) Contains(page uint64) bool {
-	sh, _ := c.shardFor(page)
+	sh := c.shardFor(page)
 	sh.Lock()
 	_, ok := sh.index.Get(page)
 	sh.Unlock()
@@ -331,7 +319,7 @@ func (c *Cache) newPage() []byte { return make([]byte, c.pageSize) }
 // invalidated one, else the next never-used one, else the clock's
 // victim. The second result reports whether a resident page was evicted
 // to make room.
-func (sh *cacheShard) slotLocked(c *Cache, lane int) (int32, bool) {
+func (sh *cacheShard) slotLocked() (int32, bool) {
 	if sh.cap == 0 {
 		return -1, false
 	}
@@ -340,10 +328,24 @@ func (sh *cacheShard) slotLocked(c *Cache, lane int) (int32, bool) {
 		return i, false
 	}
 	if n := len(sh.ring); n < sh.cap {
+		if n == cap(sh.ring) {
+			sh.growRing()
+		}
 		sh.ring = sh.ring[:n+1]
 		return int32(n), false
 	}
-	return sh.evictLocked(c, lane), true
+	return sh.evictLocked(), true
+}
+
+// growRing makes room for one more ring slot: it doubles the ring's
+// array, but never past the shard's capacity, which the ring then fills
+// exactly.
+//
+//lmp:coldpath
+func (sh *cacheShard) growRing() {
+	ring := make([]entry, len(sh.ring), min(max(2*cap(sh.ring), 8), sh.cap))
+	copy(ring, sh.ring)
+	sh.ring = ring
 }
 
 // evictLocked runs the clock until a cold, unreferenced page past its
@@ -352,7 +354,7 @@ func (sh *cacheShard) slotLocked(c *Cache, lane int) (int32, bool) {
 // resident promote to hot (the resident reuse test). Terminates: each
 // sweep strictly consumes ref, hot, or chance state, so by the fourth
 // sweep an evictable page must exist.
-func (sh *cacheShard) evictLocked(c *Cache, lane int) int32 {
+func (sh *cacheShard) evictLocked() int32 {
 	for i := 0; i < 4*len(sh.ring)+1; i++ {
 		at := sh.hand
 		e := &sh.ring[at]
@@ -376,7 +378,7 @@ func (sh *cacheShard) evictLocked(c *Cache, lane int) int32 {
 			if sh.hot < sh.hotCap {
 				e.hot = true
 				sh.hot++
-				c.promotions.Add(lane, 1)
+				sh.promotions++
 			}
 			continue
 		}
@@ -384,7 +386,7 @@ func (sh *cacheShard) evictLocked(c *Cache, lane int) int32 {
 			e.chance = false
 			continue
 		}
-		sh.retireLocked(c, int32(at))
+		sh.retireLocked(int32(at))
 		return int32(at)
 	}
 	// Unreachable by the termination argument; fail safe by refusing.
@@ -394,10 +396,10 @@ func (sh *cacheShard) evictLocked(c *Cache, lane int) int32 {
 // retireLocked evicts the live entry in ring slot i and remembers its
 // page on the ghost list, forgetting the oldest ghost when the list is
 // full.
-func (sh *cacheShard) retireLocked(c *Cache, i int32) {
+func (sh *cacheShard) retireLocked(i int32) {
 	e := &sh.ring[i]
 	sh.index.Delete(e.page)
-	sh.unlistLocked(c, e)
+	sh.unlistLocked(e)
 	if sh.ghost.Len() >= sh.cap {
 		sh.ghost.Remove(sh.ghost.Oldest())
 	}
@@ -406,17 +408,15 @@ func (sh *cacheShard) retireLocked(c *Cache, i int32) {
 
 // unlistLocked finishes making an entry just taken out of the index
 // non-resident: out of the hot population, and its undrained hit count
-// folded into the cache total so Stats stays exact (the migration signal
-// for those hits is lost, as any eviction loses recency).
-func (sh *cacheShard) unlistLocked(c *Cache, e *entry) {
+// folded into the shard's total so Stats stays exact (the migration
+// signal for those hits is lost, as any eviction loses recency).
+func (sh *cacheShard) unlistLocked(e *entry) {
 	if e.hot {
 		e.hot = false
 		sh.hot--
 	}
-	if e.hits > 0 {
-		c.foldedHits.Add(uint64(e.hits))
-		e.hits = 0
-	}
+	sh.foldedHits += uint64(e.hits)
+	e.hits = 0
 	e.live = false
 }
 
@@ -456,17 +456,17 @@ func (sh *cacheShard) demoteOverflowLocked() {
 //
 //lmp:hotpath
 func (c *Cache) Invalidate(page uint64) bool {
-	sh, lane := c.shardFor(page)
+	sh := c.shardFor(page)
 	sh.Lock()
 	i, ok := sh.index.Delete(page)
 	if !ok {
 		sh.Unlock()
 		return false
 	}
-	sh.unlistLocked(c, &sh.ring[i])
+	sh.unlistLocked(&sh.ring[i])
 	sh.freeLocked(i)
+	sh.invalidations++
 	sh.Unlock()
-	c.invalidations.Add(lane, 1)
 	return true
 }
 
@@ -480,7 +480,7 @@ func (c *Cache) InvalidateAll() int {
 		n := sh.index.Len()
 		for j := range sh.ring {
 			if e := &sh.ring[j]; e.live {
-				sh.unlistLocked(c, e)
+				sh.unlistLocked(e)
 				sh.freeLocked(int32(j))
 			}
 		}
@@ -488,8 +488,8 @@ func (c *Cache) InvalidateAll() int {
 		// Forget eviction history too: after a crash the node's access
 		// recency is meaningless.
 		sh.ghost.Clear()
+		sh.invalidations += uint64(n)
 		sh.Unlock()
-		c.invalidations.Add(i, uint64(n))
 		total += n
 	}
 	return total
@@ -507,7 +507,7 @@ func (c *Cache) DrainHits(visit func(page uint64, hits uint64)) {
 		for j := range sh.ring {
 			if e := &sh.ring[j]; e.live && e.hits > 0 {
 				visit(e.page, uint64(e.hits))
-				c.foldedHits.Add(uint64(e.hits))
+				sh.foldedHits += uint64(e.hits)
 				e.hits = 0
 			}
 		}
@@ -543,31 +543,30 @@ func (c *Cache) Len() int {
 	return n
 }
 
-// Stats folds the traffic counters. Hits are the folded accumulator plus
-// the live entries' undrained counts, so the total is exact without the
-// hit path ever touching a shared counter.
+// Stats sums the shards' traffic counters, each shard's read under its
+// lock. A shard's hits are its folded accumulator plus its live entries'
+// undrained counts, so the total is exact without the hit path ever
+// touching a shared counter, and no counter of a later snapshot is below
+// an earlier one's.
 func (c *Cache) Stats() Stats {
-	hits := c.foldedHits.Load()
-	pages := 0
+	var s Stats
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.Lock()
-		pages += sh.index.Len()
+		s.Hits += sh.foldedHits
 		for j := range sh.ring {
 			if e := &sh.ring[j]; e.live {
-				hits += uint64(e.hits)
+				s.Hits += uint64(e.hits)
 			}
 		}
+		s.Misses += sh.misses
+		s.Inserts += sh.inserts
+		s.Evictions += sh.evictions
+		s.Invalidations += sh.invalidations
+		s.HotPromotions += sh.promotions
+		s.GhostReadmits += sh.readmits
+		s.Pages += sh.index.Len()
 		sh.Unlock()
 	}
-	return Stats{
-		Hits:          hits,
-		Misses:        c.misses.Value(),
-		Inserts:       c.inserts.Value(),
-		Evictions:     c.evictions.Value(),
-		Invalidations: c.invalidations.Value(),
-		HotPromotions: c.promotions.Value(),
-		GhostReadmits: c.readmits.Value(),
-		Pages:         pages,
-	}
+	return s
 }

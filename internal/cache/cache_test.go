@@ -2,7 +2,9 @@ package cache
 
 import (
 	"fmt"
+	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -241,6 +243,55 @@ func TestCacheShardCountBoundedByPages(t *testing.T) {
 	c.Put(1, pageData(64, 2))
 	if c.Len() == 0 {
 		t.Fatal("no pages admitted")
+	}
+}
+
+// TestCacheStatsMonotone: snapshots taken while other goroutines look
+// pages up, fill them (evicting) and drain hit counts never report a
+// counter below an earlier snapshot's. DrainHits and eviction move a
+// live entry's hits into a folded total; a snapshot that read that total
+// before walking the entries lost whatever was folded in between. Run it
+// under -race.
+func TestCacheStatsMonotone(t *testing.T) {
+	const pages, working, snapshots = 64, 80, 50_000
+	c := newTest(t, pages, 4)
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	defer func() {
+		stop.Store(true)
+		wg.Wait()
+	}()
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(r)))
+			page := pageData(c.PageSize(), byte(r))
+			dst := make([]byte, 8)
+			for !stop.Load() {
+				if pg := uint64(rng.Intn(working)); !c.ReadAt(pg, dst, 0) {
+					c.Put(pg, page)
+				}
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for !stop.Load() {
+			c.DrainHits(func(uint64, uint64) {})
+		}
+	}()
+	prev := c.Stats()
+	for i := 0; i < snapshots; i++ {
+		st := c.Stats()
+		if st.Hits < prev.Hits || st.Misses < prev.Misses || st.Evictions < prev.Evictions {
+			t.Fatalf("snapshot %d went backwards: %+v -> %+v", i, prev, st)
+		}
+		prev = st
+	}
+	if prev.Hits == 0 || prev.Misses == 0 || prev.Evictions == 0 {
+		t.Fatalf("the readers did not hit, miss and evict: %+v", prev)
 	}
 }
 

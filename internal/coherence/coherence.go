@@ -125,9 +125,9 @@ func NewDirectory(granularity int64, capacityBlocks int) (*Directory, error) {
 		return nil, fmt.Errorf("coherence: capacity %d must be positive", capacityBlocks)
 	}
 	d := &Directory{granularity: granularity, capacity: capacityBlocks}
-	// The filter grows with the blocks actually tracked, not with its
+	// The filter grows with the blocks actually tracked, up to its
 	// capacity: a coherent region nobody touches costs nothing.
-	d.blocks.Init(0)
+	d.blocks.Init(capacityBlocks)
 	return d, nil
 }
 

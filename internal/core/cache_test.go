@@ -408,6 +408,12 @@ func TestMigrationDropsReaderRegistration(t *testing.T) {
 // write: a later read would return an older version than one already
 // written, and at the end of the round CheckInvariants would find a
 // cached page the directory does not know. Run it under -race.
+//
+// The coverage floor holds on any schedule: at any moment at least one
+// of the nine pages is not resident, so about one read in nine misses
+// and its fill takes a slot that an eviction or an invalidation freed.
+// A fast writer turns evictions into invalidations, so the floor is on
+// their sum, plus at least one eviction in every round.
 func TestCacheEvictionNoticeRacesRefill(t *testing.T) {
 	const (
 		pageSize = 4096
@@ -423,7 +429,9 @@ func TestCacheEvictionNoticeRacesRefill(t *testing.T) {
 	}
 	var written [working]atomic.Uint64 // last version whose write returned
 	version := uint64(0)
+	fewest := ^uint64(0) // evictions in the round with the fewest
 	for round := 0; round < rounds; round++ {
+		before := p.CacheStats().Evictions
 		var stop atomic.Bool
 		errs := make(chan error, 3)
 		writer := make(chan struct{})
@@ -476,8 +484,11 @@ func TestCacheEvictionNoticeRacesRefill(t *testing.T) {
 		if err := p.CheckInvariants(); err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
+		fewest = min(fewest, p.CacheStats().Evictions-before)
 	}
-	if st := p.CacheStats(); st.Evictions < rounds*reads/10 || st.Invalidations == 0 {
-		t.Fatalf("the race was not run: %d evictions, %d invalidations", st.Evictions, st.Invalidations)
+	st := p.CacheStats()
+	t.Logf("%d evictions (fewest in a round %d), %d invalidations", st.Evictions, fewest, st.Invalidations)
+	if fewest == 0 || st.Invalidations == 0 || st.Evictions+st.Invalidations < rounds*reads/10 {
+		t.Fatalf("the race was not run: %d evictions (fewest in a round %d), %d invalidations", st.Evictions, fewest, st.Invalidations)
 	}
 }

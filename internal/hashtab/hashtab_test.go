@@ -10,12 +10,15 @@ import (
 // load — where probe runs are longest and wrap around the end of the
 // slot array — against a Go map. Backward-shift deletion's classic bug
 // is a run cut in two by a shift across the wrap, which shows up as a
-// present key Get cannot find.
+// present key Get cannot find. The table starts empty and must stop
+// growing at the smallest power of two holding twice its population.
 func TestTableAgainstMapOracle(t *testing.T) {
 	for _, size := range []int{4, 16, 256} {
 		var tab Table
-		tab.Init(size)
-		slots := len(tab.slots)
+		slots := 8
+		for slots < 2*size {
+			slots *= 2
+		}
 		oracle := map[uint64]int32{}
 		rng := rand.New(rand.NewSource(int64(size)))
 		// A small key space makes hits, misses and re-inserts all common.
@@ -49,7 +52,7 @@ func TestTableAgainstMapOracle(t *testing.T) {
 			}
 		}
 		if len(tab.slots) != slots {
-			t.Fatalf("size %d: table sized for its population grew from %d to %d slots", size, slots, len(tab.slots))
+			t.Fatalf("size %d: table grew to %d slots, its population needs %d", size, len(tab.slots), slots)
 		}
 		for key, want := range oracle {
 			if got, ok := tab.Get(key); !ok || got != want {
@@ -64,7 +67,7 @@ func TestTableAgainstMapOracle(t *testing.T) {
 // whichever of its members is deleted.
 func TestTableShiftAcrossWrap(t *testing.T) {
 	var tab Table
-	tab.Init(4) // 8 slots
+	tab.grow() // 8 slots
 	// Collect keys whose home is one of the last two slots.
 	var keys []uint64
 	for k := uint64(1); len(keys) < 4; k++ {
@@ -96,10 +99,11 @@ func TestTableShiftAcrossWrap(t *testing.T) {
 }
 
 // TestListOrder checks the recency order under push, touch and remove in
-// the middle against a slice oracle, plus node recycling: a list sized
-// for its population never grows its node array.
+// the middle against a slice oracle, plus node recycling: the node array
+// grows no further than the capacity Init was given, even when that is
+// not a power of two.
 func TestListOrder(t *testing.T) {
-	const capacity = 32
+	const capacity = 24
 	var l List[int]
 	l.Init(capacity)
 	var oracle []uint64 // oldest first
@@ -140,8 +144,8 @@ func TestListOrder(t *testing.T) {
 			t.Fatalf("op %d: order %v want %v", op, got, oracle)
 		}
 	}
-	if cap(l.nodes) != capacity {
-		t.Fatalf("node array grew from %d to %d", capacity, cap(l.nodes))
+	if cap(l.nodes) != capacity || len(l.index.slots) != 64 {
+		t.Fatalf("storage grew to %d nodes and %d index slots, want %d and 64", cap(l.nodes), len(l.index.slots), capacity)
 	}
 	l.Clear()
 	if l.Len() != 0 || l.Oldest() != -1 {

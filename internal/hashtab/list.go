@@ -9,13 +9,16 @@ package hashtab
 //
 // Members are addressed by int32 handles that stay valid until the
 // member is removed; removed members' nodes are recycled, newest first.
-// Init must be called before use; a List initialised for its final
-// population never allocates again, a smaller one grows on demand.
+// Init must be called before use. Storage grows with the members, and a
+// list that never holds more than the capacity Init was given stops
+// growing at exactly that capacity's size, after which it never
+// allocates again.
 //
 // Not safe for concurrent use.
 type List[V any] struct {
 	index Table
 	nodes []node[V]
+	limit int   // the capacity growth stops at
 	head  int32 // oldest member, -1 when empty
 	tail  int32 // newest member, -1 when empty
 	free  int32 // recycled nodes, chained through next; -1 when none
@@ -27,12 +30,11 @@ type node[V any] struct {
 	val        V
 }
 
-// Init empties the list and sizes it to hold capacity members without
-// growing.
+// Init empties the list for at most capacity members. It allocates
+// nothing: storage comes as members do.
 func (l *List[V]) Init(capacity int) {
-	l.index.Init(capacity)
-	l.nodes = make([]node[V], 0, capacity)
-	l.head, l.tail, l.free = -1, -1, -1
+	l.Clear()
+	l.limit = capacity
 }
 
 // Len reports the number of members.
@@ -81,13 +83,21 @@ func (l *List[V]) Push(key uint64) int32 {
 	return h
 }
 
-// growNodes makes room for one more node. Amortised, and never reached
-// by a list that Init sized for its population.
+// growNodes makes room for one more node: it doubles the node array, but
+// not past the capacity Init was given until that capacity is full.
+// Amortised, and never reached again once the list has held its largest
+// population.
 //
 //lmp:coldpath
 func (l *List[V]) growNodes() {
-	var zero node[V]
-	l.nodes = append(l.nodes, zero)[:len(l.nodes)]
+	c := cap(l.nodes)
+	n := max(2*c, 8)
+	if c < l.limit {
+		n = min(n, l.limit)
+	}
+	nodes := make([]node[V], len(l.nodes), n)
+	copy(nodes, l.nodes)
+	l.nodes = nodes
 }
 
 func (l *List[V]) linkNewest(h int32) {

@@ -5,7 +5,9 @@
 // delete one, at a stable population — touches no allocator: a Go map
 // under that churn rehashes (and so reallocates) every O(size)
 // operations, which is exactly the per-op garbage the page cache, the
-// write combiner and the coherence directory must not produce.
+// write combiner and the coherence directory must not produce. Storage
+// grows with the population and stops at the size its high-water mark
+// needs: an index nobody fills costs nothing.
 package hashtab
 
 // slot is one table position. ref is the stored value plus one, so the
@@ -19,25 +21,15 @@ type slot struct {
 // (indices into a slice the caller owns). Deletion shifts the rest of
 // the probe run back over the hole instead of leaving a tombstone: a
 // lookup never walks dead slots, and the table never needs rebuilding.
-// Load is kept at or below one half; a table initialised for its final
-// population never allocates again. The zero Table is empty and grows on
-// demand.
+// Load is kept at or below one half. The zero Table is empty and grows
+// on demand, by doubling, to the smallest power of two (at least 8) that
+// holds twice its largest population; from then on it never allocates.
 //
 // Not safe for concurrent use.
 type Table struct {
 	slots []slot
 	shift uint // 64 - log2(len(slots)): the hash's top bits pick the home slot
 	n     int
-}
-
-// Init empties the table and sizes it to hold capacity entries without
-// growing.
-func (t *Table) Init(capacity int) {
-	size := 8
-	for size < 2*capacity {
-		size *= 2
-	}
-	t.resize(size)
 }
 
 func (t *Table) resize(size int) {
@@ -92,8 +84,8 @@ func (t *Table) Insert(key uint64, v int32) {
 	t.n++
 }
 
-// grow doubles the table. Amortised, and never reached by a table that
-// Init sized for its population.
+// grow doubles the table. Amortised, and never reached again once the
+// table has held its largest population.
 //
 //lmp:coldpath
 func (t *Table) grow() {

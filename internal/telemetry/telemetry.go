@@ -261,8 +261,8 @@ type StripedCounter struct {
 	cells []stripedLane // lanes × cellsPerLane, lane-major
 }
 
-// NewStripedCounter returns a counter with n lanes (min 1).
-func NewStripedCounter(n int) *StripedCounter {
+// newStripedCounter returns a counter with n lanes (min 1).
+func newStripedCounter(n int) *StripedCounter {
 	if n < 1 {
 		n = 1
 	}
@@ -390,7 +390,7 @@ func (r *Registry) Striped(name string, lanes int) *StripedCounter {
 	if s, ok := r.striped.Load(name); ok {
 		return s.(*StripedCounter)
 	}
-	s, _ := r.striped.LoadOrStore(name, NewStripedCounter(lanes))
+	s, _ := r.striped.LoadOrStore(name, newStripedCounter(lanes))
 	return s.(*StripedCounter)
 }
 

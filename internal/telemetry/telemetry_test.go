@@ -224,7 +224,7 @@ func TestHistogramReset(t *testing.T) {
 }
 
 func TestStripedCounterLanes(t *testing.T) {
-	s := NewStripedCounter(4)
+	s := newStripedCounter(4)
 	s.Add(0, 1)
 	s.Add(1, 10)
 	s.Add(5, 100) // wraps to lane 1

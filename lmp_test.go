@@ -3,6 +3,7 @@ package lmp_test
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"testing"
 
 	lmp "github.com/lmp-project/lmp"
@@ -175,5 +176,42 @@ func TestFacadePhysicalBaseline(t *testing.T) {
 	}
 	if err := pp.Read(0, b.Addr(), got); !lmp.IsMemoryException(err) {
 		t.Fatalf("read after the device crashed: %v", err)
+	}
+}
+
+// TestNewWithUnusedCacheAllocatesLittle: turning the local cache on costs
+// set-up nothing that scales with the caches' capacity. The pool is four
+// lenders of 64 MiB shared plus 16 MiB private and a compute server, with
+// a 16 MiB cache of 4 KiB pages on each of the five; none is filled, so
+// the cached pool may allocate only a fixed amount beyond the uncached
+// one. Each side's bytes are the least of three builds, which drops what
+// another goroutine allocated meanwhile.
+func TestNewWithUnusedCacheAllocatesLittle(t *testing.T) {
+	cfg := lmp.Config{}
+	for i := 0; i < 4; i++ {
+		cfg.Servers = append(cfg.Servers, lmp.ServerConfig{Name: "lender", Capacity: 80 << 20, SharedBytes: 64 << 20})
+	}
+	cfg.Servers = append(cfg.Servers, lmp.ServerConfig{Name: "compute", Capacity: 64 << 20})
+	allocated := func(opts ...lmp.Option) uint64 {
+		least := ^uint64(0)
+		for range 3 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			pool, err := lmp.New(cfg, opts...)
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+			runtime.KeepAlive(pool)
+		}
+		return least
+	}
+	striped := lmp.WithPlacement(lmp.Striped)
+	plain := allocated(striped)
+	cached := allocated(striped, lmp.WithLocalCache(lmp.CacheConfig{CapacityBytes: 16 << 20, PageSize: 4096}))
+	t.Logf("New allocated %d B without the cache, %d B with it", plain, cached)
+	if cached > plain+64<<10 {
+		t.Errorf("New allocated %d B with five unused 16 MiB caches, %d B without: %d B more, want at most 64 KiB", cached, plain, cached-plain)
 	}
 }
