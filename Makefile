@@ -96,7 +96,8 @@ cross:
 # another; this catches it before it lands. The transport suites run once
 # more per shape under the race detector, the build in which a recycled
 # buffer is poisoned as it is put back: that is where the buffer-ownership
-# tests bite. memnode rides in that pass for its lifetime test (readers
+# tests bite, and the destination tests (a reply read straight into a
+# caller's slice must not write it after its waiter returned) with them. memnode rides in that pass for its lifetime test (readers
 # copying out of nodes whose last reference is gone while the collector
 # unmaps dead ones) and its lender test (concurrent tenants allocating,
 # verifying and freeing extents while the boundary moves), alloc beside it
@@ -130,8 +131,10 @@ audit:
 	mv AUDIT.md.tmp AUDIT.md
 
 # Short fuzz pass over every native fuzz target (GF(256) algebra, RS
-# round-trip/reconstruction, RPC wire codec, the daemon's socket-facing
-# handlers, the write combiner's recycled storage against a flat model).
+# round-trip/reconstruction, RPC wire codec, a reply landing in its
+# caller's destination against a hostile peer, the daemon's socket-facing
+# handlers and write receiver, the write combiner's recycled storage
+# against a flat model).
 # The seed corpora already run as plain tests; this budgets $(FUZZTIME)
 # of mutation per target. Go allows one -fuzz target per invocation,
 # hence the loops.
@@ -139,7 +142,7 @@ fuzz-smoke:
 	@for t in FuzzGF256Arithmetic FuzzGF256MulSlice FuzzRSRoundTrip FuzzRSTooManyErasures; do \
 		$(GO) test -run '^$$' -fuzz "^$$t$$" -fuzztime $(FUZZTIME) ./internal/failure/ || exit 1; \
 	done
-	@for t in FuzzFrameRoundTrip FuzzReadFrame FuzzErrorPayload FuzzReadFrameTruncation FuzzBatchRoundTrip FuzzDecodeBatch; do \
+	@for t in FuzzFrameRoundTrip FuzzReadFrame FuzzErrorPayload FuzzReadFrameTruncation FuzzBatchRoundTrip FuzzDecodeBatch FuzzReplyInto; do \
 		$(GO) test -run '^$$' -fuzz "^$$t$$" -fuzztime $(FUZZTIME) ./internal/rpc/ || exit 1; \
 	done
 	$(GO) test -run '^$$' -fuzz '^FuzzDaemonHandlers$$' -fuzztime $(FUZZTIME) ./internal/daemon/

@@ -88,12 +88,6 @@ type CacheConfig struct {
 	PageSize int64
 	// Shards is the per-node shard count (default 16).
 	Shards int
-	// NoWriteCombine disables the write combiner (reads still cache).
-	NoWriteCombine bool
-	// WCMaxWrite is the largest single write the combiner absorbs;
-	// larger writes go straight to backing. Default 1024, capped at
-	// PageSize.
-	WCMaxWrite int
 	// WCMaxBytes and WCMaxCount trigger a flush when the pending set
 	// exceeds either. Defaults 128KiB / 128 writes.
 	WCMaxBytes int
@@ -107,13 +101,11 @@ func (c *CacheConfig) fillDefaults() {
 	if c.CapacityFraction == 0 {
 		c.CapacityFraction = 0.25
 	}
-	if c.WCMaxWrite == 0 {
-		c.WCMaxWrite = 1024
-	}
-	if c.WCMaxWrite > int(c.PageSize) {
-		c.WCMaxWrite = int(c.PageSize)
-	}
 }
+
+// wcMaxWrite is the largest single write the combiner absorbs (capped at
+// the cache page size); larger writes go straight to backing.
+const wcMaxWrite = 1024
 
 // initCache builds the per-node caches, the page coherence directory,
 // and the write combiner. Called from New after the nodes exist.
@@ -123,7 +115,6 @@ func (p *Pool) initCache() error {
 	if cc.PageSize <= 0 || cc.PageSize&(cc.PageSize-1) != 0 || SliceSize%cc.PageSize != 0 {
 		return fmt.Errorf("core: cache page size %d must be a power of two dividing the slice size", cc.PageSize)
 	}
-	p.cacheCfg = cc
 	p.pageSize = cc.PageSize
 	for ps := cc.PageSize; ps > 1; ps >>= 1 {
 		p.pageShift++
@@ -170,9 +161,7 @@ func (p *Pool) initCache() error {
 		return p.caches[node].Contains(uint64(block))
 	}
 	p.pageDir = dir
-	if !cc.NoWriteCombine {
-		p.wc = cache.NewWriteCombiner(cc.PageSize, cc.WCMaxBytes, cc.WCMaxCount)
-	}
+	p.wc = cache.NewWriteCombiner(cc.PageSize, cc.WCMaxBytes, cc.WCMaxCount)
 	p.pagePool = sync.Pool{New: func() any {
 		b := make([]byte, cc.PageSize)
 		return &b
@@ -286,12 +275,12 @@ func (p *Pool) cachedWrite(ctx context.Context, sc telemetry.SpanContext, from a
 	if len(data) == 0 {
 		return nil
 	}
-	if p.wc != nil && len(data) <= p.cacheCfg.WCMaxWrite {
+	if len(data) <= min(wcMaxWrite, int(p.pageSize)) {
 		if back := p.lookupSlice(addr.SliceOf(la)); back != nil && back.server != from {
 			return p.wcWrite(ctx, sc, from, la, data)
 		}
 	}
-	if p.wc != nil && p.wc.PendingInRange(uint64(la), len(data)) {
+	if p.wc.PendingInRange(uint64(la), len(data)) {
 		if err := p.flushWC(); err != nil {
 			return err
 		}

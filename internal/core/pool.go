@@ -263,7 +263,6 @@ type Pool struct {
 	// see cache.go). caches[n] is server n's private hot-page cache;
 	// pageDir is the page-granular coherence directory over those caches;
 	// wc is the pool-wide write combiner, flushMu its flush serializer.
-	cacheCfg  CacheConfig
 	caches    []*cache.Cache
 	wc        *cache.WriteCombiner
 	pageDir   *coherence.Directory

@@ -12,6 +12,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -166,31 +167,44 @@ func (s *Server) Listen(addr string) (string, error) {
 // Close stops the daemon.
 func (s *Server) Close() error { return s.rpc.Close() }
 
-// wireMethod is one entry of the daemon's wire surface.
+// wireMethod is one entry of the daemon's wire surface: a method served
+// by a handler, or — for a write, whose payload is bulk bytes bound for
+// lent memory — by a receiver that reads them off the connection.
 type wireMethod struct {
 	id      byte
 	name    string // span and Stats label
 	handler rpc.Handler
+	receive rpc.Receiver
+	headLen int // the receiver's head
 }
 
-// wireMethods lists every method the daemon serves. Each handler decodes
-// bytes that came off a socket: FuzzDaemonHandlers walks this table.
+// writeHead is a write request's head: the 8-byte offset the bytes after
+// it land at.
+const writeHead = 8
+
+// wireMethods lists every method the daemon serves. Each handler or
+// receiver decodes bytes that came off a socket: FuzzDaemonHandlers walks
+// this table.
 func (s *Server) wireMethods() []wireMethod {
 	return []wireMethod{
-		{MethodInfo, "rpc.info", s.handleInfo},
-		{MethodAlloc, "rpc.alloc", s.handleAlloc},
-		{MethodFree, "rpc.free", s.handleFree},
-		{MethodRead, "rpc.read", s.handleRead},
-		{MethodWrite, "rpc.write", s.handleWrite},
-		{MethodSum, "rpc.sum", s.handleSum},
-		{MethodResize, "rpc.resize", s.handleResize},
-		{MethodStats, "rpc.stats", s.handleStats},
+		{id: MethodInfo, name: "rpc.info", handler: s.handleInfo},
+		{id: MethodAlloc, name: "rpc.alloc", handler: s.handleAlloc},
+		{id: MethodFree, name: "rpc.free", handler: s.handleFree},
+		{id: MethodRead, name: "rpc.read", handler: s.handleRead},
+		{id: MethodWrite, name: "rpc.write", receive: s.receiveWrite, headLen: writeHead},
+		{id: MethodSum, name: "rpc.sum", handler: s.handleSum},
+		{id: MethodResize, name: "rpc.resize", handler: s.handleResize},
+		{id: MethodStats, name: "rpc.stats", handler: s.handleStats},
 	}
 }
 
 func (s *Server) register() {
 	for _, m := range s.wireMethods() {
-		s.rpc.Handle(m.id, m.handler)
+		if m.receive != nil {
+			s.rpc.HandleReceive(m.id, m.headLen, m.receive)
+		} else {
+			s.rpc.Handle(m.id, m.handler)
+		}
 		s.rpc.NameMethod(m.id, m.name)
 	}
 }
@@ -273,16 +287,15 @@ func (s *Server) handleRead(p []byte) ([]byte, error) {
 	return out, nil
 }
 
-func (s *Server) handleWrite(p []byte) ([]byte, error) {
-	if len(p) < 8 {
-		return nil, fmt.Errorf("daemon: write payload %d bytes", len(p))
-	}
-	off := int64(binary.BigEndian.Uint64(p[0:8]))
-	data := p[8:]
-	if err := s.checkShared(off, int64(len(data))); err != nil {
+// receiveWrite serves a write on the connection's read goroutine: head is
+// the offset, and the n bytes body yields go straight into lent memory
+// once the range is known to be shared.
+func (s *Server) receiveWrite(head []byte, body io.Reader, n int) ([]byte, error) {
+	off := int64(binary.BigEndian.Uint64(head))
+	if err := s.checkShared(off, int64(n)); err != nil {
 		return nil, err
 	}
-	return nil, s.node.WriteAt(data, off)
+	return nil, s.node.WriteFrom(body, off, n)
 }
 
 // handleSum is the near-memory kernel: sum the little-endian uint64 words
@@ -402,19 +415,13 @@ func (c *Client) Read(off int64, n int) ([]byte, error) {
 // daemon responds fails the call with an error wrapping ctx.Err(),
 // leaving the connection usable (the stale response is discarded).
 func (c *Client) ReadCtx(ctx context.Context, off int64, n int) ([]byte, error) {
-	req, err := rangeRequest(off, n)
-	if err != nil {
+	if err := checkReply(int64(n)); err != nil {
 		return nil, err
 	}
-	resp, err := c.c.CallCtx(ctx, MethodRead, req)
-	if err != nil {
-		return nil, err
-	}
-	rpc.PutBuffer(req)
-	if len(resp) != n {
-		return nil, fmt.Errorf("daemon: read reply of %d bytes, want %d", len(resp), n)
-	}
-	return resp, nil
+	f := c.ReadAsync(ctx, off, make([]byte, n))
+	p, err := f.WaitCtx(ctx)
+	f.Release()
+	return p, err
 }
 
 // rangeRequest encodes the 12-byte (offset, length) request of a read or
@@ -441,16 +448,18 @@ func writeRequest(off int64, data []byte) []byte {
 	return req
 }
 
-// ReadAsync issues a read without blocking for the response: the future
-// resolves to the raw bytes. Any number of async calls may be in flight
-// on one connection; the transport pipelines (and, for small requests,
-// batches) them.
-func (c *Client) ReadAsync(ctx context.Context, off int64, n int) *rpc.Future {
-	req, err := rangeRequest(off, n)
+// ReadAsync issues a read of len(dst) bytes at off without blocking for
+// the response: the reply lands in dst (rpc.Future.Into), and the future
+// resolves to dst. A reply of any other length fails the call with dst
+// untouched. Any number of async calls may be in flight on one
+// connection; the transport pipelines (and, for small requests, batches)
+// them.
+func (c *Client) ReadAsync(ctx context.Context, off int64, dst []byte) *rpc.Future {
+	req, err := rangeRequest(off, len(dst))
 	if err != nil {
 		return rpc.ResolvedFuture(nil, err)
 	}
-	return rpc.Async(c.c, ctx, MethodRead, req).OwnRequest(req)
+	return rpc.Async(c.c, ctx, MethodRead, req).OwnRequest(req).Into(dst)
 }
 
 // Write stores data at off.

@@ -173,7 +173,7 @@ func runPipelinedChaosBurst(t *testing.T, seed int64) []string {
 			t.Fatalf("round %d: daemon bytes differ from the shadow model", round)
 		}
 		reads, marks := issue(func(i int) *rpc.Future {
-			return c.ReadAsync(nil, off+int64(i*chunk), chunk)
+			return c.ReadAsync(nil, off+int64(i*chunk), make([]byte, chunk))
 		})
 		trace = in.Trace()
 		for i, f := range reads {
@@ -276,7 +276,7 @@ func TestDaemonPipelinedCrashFailsInflightBurst(t *testing.T) {
 	}
 	in.RestoreAt(20, 0)
 	eng.RunUntil(20)
-	if _, err := c.ReadAsync(nil, off, 64).Wait(); err != nil {
+	if _, err := c.ReadAsync(nil, off, make([]byte, 64)).Wait(); err != nil {
 		t.Fatalf("read after restore: %v", err)
 	}
 }

@@ -11,10 +11,14 @@ import (
 )
 
 // FuzzDaemonHandlers feeds arbitrary (method, payload) pairs — what a
-// peer can put on the socket — to the daemon's handlers. Whatever
-// arrives, a handler must not panic (it runs in a goroutine of its own:
-// a panic there takes the whole lmpd down), must not build a reply the
-// codec cannot carry, and must leave the region's books straight: InUse
+// peer can put on the socket — to the daemon's handlers, and to its write
+// receiver the way rpc hands one a request: the head, then a reader over
+// the rest (a bytes.Reader, as for a batched request). Whatever arrives,
+// a handler must not panic (it runs in a goroutine of its own, a receiver
+// on a connection's read goroutine: a panic there takes the whole lmpd
+// down), must not build a reply the codec cannot carry, a receiver must
+// read no more than its request and write nothing outside the range it
+// names, and both must leave the region's books straight: InUse
 // moves only by what a successful alloc or free says it moved, and stays
 // within the region; and a freed extent reads as zeros (the scrub goes
 // through Node.DropRange with an offset that came off the wire). One
@@ -44,19 +48,28 @@ func FuzzDaemonHandlers(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	handlers := map[byte]rpc.Handler{}
+	methods := map[byte]wireMethod{}
 	for _, m := range s.wireMethods() {
-		handlers[m.id] = m.handler
+		methods[m.id] = m
 	}
 	live := map[int64]int64{} // offset → bytes, per successful alloc replies
 	var inUse int64
 
 	f.Fuzz(func(t *testing.T, method byte, payload []byte) {
-		h := handlers[method]
-		if h == nil {
+		m, ok := methods[method]
+		if !ok {
 			return // rpc answers an unregistered method itself
 		}
-		reply, err := h(payload)
+		var reply []byte
+		var err error
+		if m.receive != nil {
+			if len(payload) < m.headLen {
+				return // rpc answers a request shorter than the head itself
+			}
+			reply, err = receive(t, s, m, payload)
+		} else {
+			reply, err = m.handler(payload)
+		}
 		if len(reply) > rpc.MaxPayload {
 			t.Fatalf("method %d: reply of %d bytes exceeds MaxPayload", method, len(reply))
 		}
@@ -91,4 +104,32 @@ func FuzzDaemonHandlers(f *testing.F) {
 			t.Fatalf("after method %d (err %v): InUse %d, shadow %d, region %d of capacity %d", method, err, got, inUse, s.node.SharedBytes(), capacity)
 		}
 	})
+}
+
+// receive drives a receiver as rpc does and checks what it did to lent
+// memory: it read no more than the request, and a write changed nothing
+// outside the range it names — all of which holds the request's bytes
+// when it succeeded.
+func receive(t *testing.T, s *Server, m wireMethod, payload []byte) ([]byte, error) {
+	before := make([]byte, s.node.SharedBytes())
+	if err := s.node.ReadAt(before, 0); err != nil {
+		t.Fatal(err)
+	}
+	body := bytes.NewReader(payload[m.headLen:])
+	reply, err := m.receive(payload[:m.headLen], body, body.Len())
+	after := make([]byte, len(before))
+	if err := s.node.ReadAt(after, 0); err != nil {
+		t.Fatal(err)
+	}
+	off, data := int64(binary.BigEndian.Uint64(payload)), payload[m.headLen:]
+	switch {
+	case err != nil && body.Len() != len(data):
+		t.Fatalf("write of %d bytes at %d failed (%v) after reading %d of them", len(data), off, err, len(data)-body.Len())
+	case err != nil && !bytes.Equal(before, after):
+		t.Fatalf("write of %d bytes at %d failed (%v) and changed lent memory", len(data), off, err)
+	case err == nil && (!bytes.Equal(after[off:off+int64(len(data))], data) ||
+		!bytes.Equal(after[:off], before[:off]) || !bytes.Equal(after[off+int64(len(data)):], before[off+int64(len(data)):])):
+		t.Fatalf("write of %d bytes at %d did not land exactly on its range", len(data), off)
+	}
+	return reply, err
 }

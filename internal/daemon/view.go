@@ -162,12 +162,6 @@ func (b *ViewBuffer) locate(off, n int64, visit func(c ViewChunk, chunkOff, bufO
 	return nil
 }
 
-// chunkCall is one in-flight per-chunk RPC of a pipelined access.
-type chunkCall struct {
-	f              *rpc.Future
-	bufOff, length int64
-}
-
 // stackChunks is how many chunk calls an access keeps on its stack; a
 // wider access spills to the heap.
 const stackChunks = 8
@@ -184,21 +178,13 @@ func (b *ViewBuffer) WriteAt(data []byte, off int64) error {
 // shared frames. The first chunk error wins, after every in-flight call
 // has resolved.
 func (b *ViewBuffer) WriteAtCtx(ctx context.Context, data []byte, off int64) error {
-	var stack [stackChunks]chunkCall
+	var stack [stackChunks]*rpc.Future
 	calls := stack[:0]
 	err := b.locate(off, int64(len(data)), func(c ViewChunk, chunkOff, bufOff, length int64) error {
-		calls = append(calls, chunkCall{
-			f: b.view.clients[c.Daemon].WriteAsync(ctx, c.Offset+chunkOff, data[bufOff:bufOff+length]),
-		})
+		calls = append(calls, b.view.clients[c.Daemon].WriteAsync(ctx, c.Offset+chunkOff, data[bufOff:bufOff+length]))
 		return nil
 	})
-	for _, cc := range calls {
-		if _, werr := cc.f.WaitCtx(ctx); werr != nil && err == nil {
-			err = werr
-		}
-		cc.f.Release()
-	}
-	return err
+	return waitChunks(ctx, calls, err)
 }
 
 // ReadAt fills p from buffer offset off.
@@ -207,35 +193,26 @@ func (b *ViewBuffer) ReadAt(p []byte, off int64) error {
 }
 
 // ReadAtCtx is ReadAt with cancellation, with WriteAtCtx's pipelined
-// semantics: all chunk reads are in flight at once and the copies land
-// as the responses resolve.
+// semantics: all chunk reads are in flight at once, and each chunk's
+// reply lands in its piece of p as it comes off the wire.
 func (b *ViewBuffer) ReadAtCtx(ctx context.Context, p []byte, off int64) error {
-	var stack [stackChunks]chunkCall
+	var stack [stackChunks]*rpc.Future
 	calls := stack[:0]
 	err := b.locate(off, int64(len(p)), func(c ViewChunk, chunkOff, bufOff, length int64) error {
-		calls = append(calls, chunkCall{
-			f:      b.view.clients[c.Daemon].ReadAsync(ctx, c.Offset+chunkOff, int(length)),
-			bufOff: bufOff, length: length,
-		})
+		calls = append(calls, b.view.clients[c.Daemon].ReadAsync(ctx, c.Offset+chunkOff, p[bufOff:bufOff+length]))
 		return nil
 	})
-	for _, cc := range calls {
-		got, rerr := cc.f.WaitCtx(ctx)
-		switch {
-		case rerr != nil:
-			if err == nil {
-				err = rerr
-			}
-		case int64(len(got)) != cc.length:
-			// A reply of any other length is not the bytes that were asked
-			// for: copying it would silently leave zeros or drop a tail.
-			if err == nil {
-				err = fmt.Errorf("daemon: read reply of %d bytes, want %d", len(got), cc.length)
-			}
-		default:
-			copy(p[cc.bufOff:cc.bufOff+cc.length], got)
+	return waitChunks(ctx, calls, err)
+}
+
+// waitChunks waits for every chunk call of an access and gives each
+// future back, returning err or else the first chunk error.
+func waitChunks(ctx context.Context, calls []*rpc.Future, err error) error {
+	for _, f := range calls {
+		if _, cerr := f.WaitCtx(ctx); cerr != nil && err == nil {
+			err = cerr
 		}
-		cc.f.Release() // the reply buffer goes back with the future
+		f.Release()
 	}
 	return err
 }

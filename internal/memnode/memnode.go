@@ -29,6 +29,7 @@ package memnode
 import (
 	"errors"
 	"fmt"
+	"io"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -206,6 +207,23 @@ func (n *Node) WriteAt(p []byte, off int64) error {
 	copy(n.mem[off:], p)
 	runtime.KeepAlive(n)
 	return nil
+}
+
+// WriteFrom fills the length bytes at offset off with the next length
+// bytes of r: the receiving half of a remote write, which lands the bytes
+// in the node as they come off the wire instead of staging them in a
+// buffer first. r sees the node's memory only as the argument of its
+// Read calls, which an io.Reader must not retain, and the node is kept
+// alive until the last of them has returned. An error from r
+// (io.ErrUnexpectedEOF when it runs dry early) leaves the range partly
+// written, like a torn write; nothing outside it is touched.
+func (n *Node) WriteFrom(r io.Reader, off int64, length int) error {
+	if length < 0 || !n.inRange(off, length) {
+		return n.rangeError(off, length)
+	}
+	_, err := io.ReadFull(r, n.mem[off:off+int64(length)])
+	runtime.KeepAlive(n)
+	return err
 }
 
 // dropRange discards the contents of every page fully

@@ -1,33 +1,40 @@
 // The payload buffer pool and the ownership rules of every buffer on the
-// wire path. Four buffers carry one call's payload; each has exactly one
-// owner at a time, and only that owner gives it back:
+// wire path. At most four buffers carry one call's payload; each has
+// exactly one owner at a time, and only that owner gives it back:
 //
-//  1. Server request buffer. readFrame fills it; the server owns it until
-//     the reply frame of that request has been written or dropped — not
-//     until the handler returns, because a handler may return (a slice
-//     of) its request as the reply. Handlers must not retain payload
-//     past return. A batch envelope is recycled as soon as its
-//     sub-frames have been copied out into buffers of their own.
+//  1. Server request buffer. readPayload fills it; the server owns it
+//     until the reply frame of that request has been written or dropped —
+//     not until the handler returns, because a handler may return (a slice
+//     of) its request as the reply. Handlers must not retain payload past
+//     return. A batch envelope is recycled as soon as its sub-frames have
+//     been copied out into buffers of their own. A request to a method
+//     registered with HandleReceive has no request buffer: its Receiver
+//     reads the payload off the connection (or out of the envelope, which
+//     is recycled after the walk as before).
 //  2. Server reply buffer. A handler that wants its reply recycled takes
 //     it from Server.ReplyBuffer, which ties it to the request; the
 //     server gives it back together with the request buffer. Whatever
 //     else a handler returns — its request, a static or shared slice —
 //     is sent and then left alone: a reply is never adopted because of
-//     what it looks like.
-//  3. Client reply buffer. readFrame fills it, the Future owns it, and
+//     what it looks like. A Receiver's reply is likewise sent and left.
+//  3. Client reply buffer. readPayload fills it, the Future owns it, and
 //     the single waiter gives future and reply back with Future.Release
 //     once it has copied the bytes out. A reply nobody releases (the
 //     []byte Call and CallCtx return) is ordinary garbage and is never
 //     reused. Batched sub-replies are copied out of the envelope, so the
-//     same rule covers them.
+//     same rule covers them. A reply with a destination (Future.Into) has
+//     no reply buffer: it is read straight into the destination, or copied
+//     there out of the envelope — unless the read loop took it before
+//     Into came, when it gets one under this rule and is copied into the
+//     destination at Wait.
 //  4. Client request buffer. The caller assembles it in a GetBuffer
 //     buffer and hands it to the future (Future.OwnRequest); Release
 //     recycles it only when the logical call resolved with a nil error.
 //     A successful reply proves the frame left the send queue; after a
-//     cancellation, MarkDead, a connection failure or Close the flusher
-//     may still hold the queued frame, so on any error the buffer is
-//     left to the collector. A wrapper that re-sends a payload after the
-//     call it belongs to has succeeded must send a copy.
+//     cancellation, a connection failure or Close the flusher may still
+//     hold the queued frame, so on any error the buffer is left to the
+//     collector. A wrapper that re-sends a payload after the call it
+//     belongs to has succeeded must send a copy.
 //
 // Under the race detector every buffer is overwritten when it is put
 // back (see bufpool_race.go), so a use after release shows up as wrong
@@ -52,14 +59,16 @@ const (
 	maxBufShift   = 24
 	numBufClasses = maxBufShift - minBufShift + 1
 	// bufClassSlots bounds the free buffers one class keeps. The bulk
-	// path's in-flight window is 2 callers x 4 chunks x {client, server}
-	// = 16 buffers of one class; small classes see a batch's worth.
+	// path's in-flight window is 2 callers x 4 chunks x one buffer (a
+	// write's client request, a read's server reply) = 8 buffers of one
+	// class, plus the replies not yet retired; small classes see a batch's
+	// worth.
 	bufClassSlots = 32
 
 	// BufferRetainMax bounds the bytes the pool keeps across all classes
 	// (free buffers only; a buffer in use belongs to its owner). 8 MiB
-	// covers the bulk window above (16 x 256 KiB) twice over; a put that
-	// would exceed it drops the buffer to the collector instead.
+	// covers the bulk window above (8 x 256 KiB) several times over; a put
+	// that would exceed it drops the buffer to the collector instead.
 	BufferRetainMax = 8 << 20
 )
 

@@ -169,37 +169,42 @@ func writeFrame(w io.Writer, e *sendEntry) error {
 	return err
 }
 
-// readFrame reads one frame into a pooled buffer, which the caller owns
-// (see bufpool.go). The header is read into a smallest-class buffer that
-// a short payload then reuses; on any error the buffer goes back and no
-// payload is returned.
-func readFrame(r io.Reader) (frameHeader, []byte, error) {
-	buf := GetBuffer(frameHeaderLen)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		PutBuffer(buf)
-		return frameHeader{}, nil, err
+// parseHeader decodes the fixed header at the front of b.
+func parseHeader(b []byte) frameHeader {
+	return frameHeader{
+		kind:   b[0],
+		method: b[1],
+		id:     binary.BigEndian.Uint64(b[2:10]),
+		length: binary.BigEndian.Uint32(b[10:14]),
 	}
-	h := frameHeader{
-		kind:   buf[0],
-		method: buf[1],
-		id:     binary.BigEndian.Uint64(buf[2:10]),
-		length: binary.BigEndian.Uint32(buf[10:14]),
+}
+
+// readHeader reads one frame header into hdr, scratch of at least
+// frameHeaderLen bytes that the read loop owns, and refuses a length past
+// MaxPayload. The payload is left on r: the read loop decides where it
+// goes — a pooled buffer (readPayload), a caller's destination, or a
+// Receiver — once it knows whose frame it is.
+func readHeader(r io.Reader, hdr []byte) (frameHeader, error) {
+	if _, err := io.ReadFull(r, hdr[:frameHeaderLen]); err != nil {
+		return frameHeader{}, err
 	}
+	h := parseHeader(hdr)
 	if h.length > MaxPayload {
-		PutBuffer(buf)
-		return frameHeader{}, nil, fmt.Errorf("rpc: frame length %d exceeds max", h.length)
+		return frameHeader{}, fmt.Errorf("rpc: frame length %d exceeds max", h.length)
 	}
-	if int(h.length) > cap(buf) {
-		PutBuffer(buf)
-		buf = GetBuffer(int(h.length))
-	} else {
-		buf = buf[:h.length]
-	}
+	return h, nil
+}
+
+// readPayload reads a frame's n payload bytes into a pooled buffer, which
+// the caller owns (see bufpool.go); on an error the buffer goes back and
+// no payload is returned.
+func readPayload(r io.Reader, n uint32) ([]byte, error) {
+	buf := GetBuffer(int(n))
 	if _, err := io.ReadFull(r, buf); err != nil {
 		PutBuffer(buf)
-		return frameHeader{}, nil, err
+		return nil, err
 	}
-	return h, buf, nil
+	return buf, nil
 }
 
 // decodeBatch walks a kindBatch payload, calling visit once per sub-frame
@@ -217,12 +222,7 @@ func decodeBatch(payload []byte, count uint64, visit func(frameHeader, []byte) e
 		if len(payload) < frameHeaderLen {
 			return fmt.Errorf("rpc: truncated batch sub-frame header (%d bytes left)", len(payload))
 		}
-		h := frameHeader{
-			kind:   payload[0],
-			method: payload[1],
-			id:     binary.BigEndian.Uint64(payload[2:10]),
-			length: binary.BigEndian.Uint32(payload[10:14]),
-		}
+		h := parseHeader(payload)
 		if h.kind == kindBatch {
 			return fmt.Errorf("rpc: nested batch frame")
 		}

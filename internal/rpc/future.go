@@ -2,11 +2,12 @@
 // blocking Call is a shim that waits on one. Completion is linearized by
 // the pending table — whoever removes the id from the table completes
 // the future, so a future resolves exactly once even when a response, a
-// cancellation, MarkDead, and Close race.
+// cancellation and Close race.
 package rpc
 
 import (
 	"context"
+	"fmt"
 	"sync"
 )
 
@@ -21,11 +22,19 @@ type Future struct {
 	id uint64
 
 	// The pooled buffers that ride with the call (bufpool.go, rules 3 and
-	// 4): reply is the buffer readFrame filled, set by whoever completes
-	// the future; req is the caller's request buffer, set by OwnRequest.
-	// Release is the only reader of both.
+	// 4): reply is the buffer the read loop filled, set by whoever
+	// completes the future; req is the caller's request buffer, set by
+	// OwnRequest. Release is the only reader of both.
 	reply []byte
 	req   []byte
+
+	// dst is the caller's destination for the reply bytes, set by Into
+	// under the pending-table lock (into says it was). landed is set by
+	// the read loop before it completes the future when the bytes went
+	// straight into dst; otherwise settle copies them there.
+	dst    []byte
+	into   bool
+	landed bool
 
 	// done carries the completion signal as a buffered send (not a
 	// close), so pooled futures are reusable without reallocating the
@@ -72,6 +81,34 @@ func (f *Future) OwnRequest(req []byte) *Future {
 	return f
 }
 
+// Into makes dst the destination of the call's reply: a successful
+// result is dst itself, holding the reply bytes. It is how a read lands
+// in the caller's buffer without a reply buffer in between: a reply of
+// exactly len(dst) bytes that arrives after Into is read off the
+// connection straight into dst (a batched one is copied once out of its
+// envelope); if the read loop had already taken the reply when Into
+// came, the bytes are copied into dst when the waiter first consumes the
+// result. A reply of any other length fails the call and leaves dst
+// untouched. Nothing writes to dst once Wait or WaitCtx has returned.
+// Like Then it must be called at most once, before the future is handed
+// to its waiter.
+func (f *Future) Into(dst []byte) *Future {
+	if c := f.c; c != nil {
+		c.pt.Lock() // the read loop reads dst when it takes the call
+		defer c.pt.Unlock()
+	}
+	f.dst, f.into = dst, true
+	return f
+}
+
+// errReplyLength is the failure of a reply whose length is not its
+// destination's.
+//
+//lmp:coldpath
+func errReplyLength(got, want int) error {
+	return fmt.Errorf("rpc: reply of %d bytes for a %d-byte destination", got, want)
+}
+
 // Release gives a resolved future back, with the reply buffer it owns
 // and, when the call resolved with a nil error, its request buffer. The
 // single waiter calls it at most once, after Wait or WaitCtx has
@@ -111,9 +148,18 @@ func (f *Future) complete(payload []byte, err error) {
 	}
 }
 
-// settle caches the received completion and runs the then hook.
+// settle caches the received completion, lands a reply that did not go
+// straight into the destination, and runs the then hook.
 func (f *Future) settle() {
 	f.resolved = true
+	if f.into && !f.landed && f.err == nil {
+		if len(f.payload) == len(f.dst) {
+			copy(f.dst, f.payload)
+			f.payload = f.dst
+		} else {
+			f.payload, f.err = nil, errReplyLength(len(f.payload), len(f.dst))
+		}
+	}
 	if fn := f.then; fn != nil {
 		f.then = nil
 		f.payload, f.err = fn(f.payload, f.err)
@@ -151,7 +197,7 @@ func (f *Future) WaitCtx(ctx context.Context) ([]byte, error) {
 	if f.c != nil {
 		// Withdraw the pending entry; if the read loop already took it,
 		// the completion is in flight and the receive below is short.
-		if g := f.c.takePending(f.id); g != nil {
+		if g, _, _ := f.c.takePending(f.id); g != nil {
 			g.complete(nil, cancelErr(ctx.Err()))
 		}
 		<-f.done

@@ -126,75 +126,66 @@ func TestEchoAliasedReplyPipelined(t *testing.T) {
 	}
 }
 
-// TestMarkDeadCloseRoundsRecycle is wall (c): callers issue and release
-// pooled calls while the peer is marked dead and alive again under them,
-// and finally the client is closed with calls in flight. A call that
-// failed leaves its request buffer to the collector (the flusher may
-// still hold the frame), so whatever the interleaving, the server only
-// ever sees whole blocks and a successful reply is the caller's own.
-func TestMarkDeadCloseRoundsRecycle(t *testing.T) {
+// TestCloseRoundsRecycle is wall (c): callers issue and release pooled
+// calls on a connection that is closed under them with calls in flight,
+// round after round on a fresh connection each time. A call that failed
+// leaves its request buffer to the collector (the flusher may still hold
+// the frame), so whatever the interleaving, the server only ever sees
+// whole blocks and a successful reply is the caller's own.
+func TestCloseRoundsRecycle(t *testing.T) {
 	addr, broken := startBlockEchoServer(t)
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
 	const callers, depth = 4, 4
 	var ok, failed atomic.Int64
-	var wg sync.WaitGroup
-	for caller := uint64(0); caller < callers; caller++ {
-		wg.Add(1)
-		go func(caller uint64) {
-			defer wg.Done()
-			var fs [depth]*Future
-			for seq := uint64(0); ; seq += depth {
-				for d := range fs {
-					s := seq + uint64(d)
-					fs[d] = issueBlock(c, nil, blockSizes[s%uint64(len(blockSizes))], caller, s)
-				}
-				closed := false
-				for d, f := range fs {
-					got, err := f.Wait()
-					switch {
-					case err == nil:
-						if gc, gs, err := checkBlock(got); err != nil || gc != caller || gs != seq+uint64(d) {
-							t.Errorf("caller %d seq %d: reply is block (caller %d, seq %d), err %v", caller, seq+uint64(d), gc, gs, err)
-						}
-						ok.Add(1)
-					case errors.Is(err, ErrServerDead):
-						failed.Add(1)
-					case errors.Is(err, ErrClosed):
-						closed = true
-					default:
-						t.Errorf("caller %d seq %d: %v", caller, seq+uint64(d), err)
+	for round := 0; round < 20; round++ {
+		c, err := Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		for caller := uint64(0); caller < callers; caller++ {
+			wg.Add(1)
+			go func(caller uint64) {
+				defer wg.Done()
+				var fs [depth]*Future
+				for seq := uint64(0); ; seq += depth {
+					for d := range fs {
+						s := seq + uint64(d)
+						fs[d] = issueBlock(c, nil, blockSizes[s%uint64(len(blockSizes))], caller, s)
 					}
-					f.Release()
+					closed := false
+					for d, f := range fs {
+						got, err := f.Wait()
+						switch {
+						case err == nil:
+							if gc, gs, err := checkBlock(got); err != nil || gc != caller || gs != seq+uint64(d) {
+								t.Errorf("caller %d seq %d: reply is block (caller %d, seq %d), err %v", caller, seq+uint64(d), gc, gs, err)
+							}
+							ok.Add(1)
+						case errors.Is(err, ErrClosed):
+							failed.Add(1)
+							closed = true
+						default:
+							t.Errorf("caller %d seq %d: %v", caller, seq+uint64(d), err)
+						}
+						f.Release()
+					}
+					if closed {
+						return
+					}
 				}
-				if closed {
-					return
-				}
-			}
-		}(caller)
-	}
-	// Each round waits for a new success before the kill and a new failure
-	// before the revival, so the kills land on a connection that is moving
-	// calls however slow the box; the waits are bounded so a wedged
-	// transport fails the degenerate-run check below instead of hanging.
-	waitPast := func(n *atomic.Int64, was int64) {
-		for deadline := time.Now().Add(5 * time.Second); n.Load() == was && time.Now().Before(deadline); {
+			}(caller)
+		}
+		// Close once this connection has moved calls, however slow the box;
+		// the wait is bounded so a wedged transport fails the degenerate-run
+		// check below instead of hanging.
+		for was, deadline := ok.Load(), time.Now().Add(5*time.Second); ok.Load() < was+callers && time.Now().Before(deadline); {
 			time.Sleep(50 * time.Microsecond)
 		}
+		c.Close()
+		wg.Wait()
 	}
-	for round := 0; round < 40; round++ {
-		waitPast(&ok, ok.Load())
-		dead := failed.Load()
-		c.MarkDead()
-		waitPast(&failed, dead)
-		c.UnmarkDead()
-	}
-	c.Close()
-	wg.Wait()
 	if ok.Load() == 0 || failed.Load() == 0 {
-		t.Errorf("degenerate run: %d calls succeeded, %d failed dead", ok.Load(), failed.Load())
+		t.Errorf("degenerate run: %d calls succeeded, %d failed closed", ok.Load(), failed.Load())
 	}
 	if n := broken.Load(); n != 0 {
 		t.Errorf("the server was handed %d broken blocks", n)

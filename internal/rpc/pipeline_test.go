@@ -273,44 +273,6 @@ func TestStressMixedCallsWithClose(t *testing.T) {
 	}
 }
 
-// TestStressAsyncWithMarkDead mixes async calls with failure-detector
-// verdicts: in-flight futures fail with ErrServerDead, later calls fail
-// fast, and UnmarkDead restores service on the same connection.
-func TestStressAsyncWithMarkDead(t *testing.T) {
-	_, addr := startTestServer(t)
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	for round := 0; round < 20; round++ {
-		futures := make([]*Future, 32)
-		for i := range futures {
-			futures[i] = c.CallAsyncCtx(nil, methEcho, []byte{byte(i)})
-		}
-		if round%2 == 1 {
-			c.MarkDead()
-		}
-		for i, f := range futures {
-			resp, err := f.Wait()
-			if err != nil {
-				if !errors.Is(err, ErrServerDead) {
-					t.Fatalf("round %d call %d: %v, want nil or ErrServerDead", round, i, err)
-				}
-				continue
-			}
-			if !bytes.Equal(resp, []byte{byte(i)}) {
-				t.Fatalf("round %d call %d: reply misrouted", round, i)
-			}
-		}
-		c.UnmarkDead()
-	}
-	st := c.Stats()
-	if st.Pending != 0 || st.Started != st.Completed {
-		t.Fatalf("MarkDead leaked pending entries: %+v", st)
-	}
-}
-
 // TestBatchedSendPathZeroAllocs pins the batched hot path: assembling
 // and writing a multi-frame batch reuses the flusher's scratch buffer
 // and allocates nothing in steady state.

@@ -11,9 +11,10 @@ import (
 // carries a one-byte code, see encodeErrorPayload).
 var (
 	// ErrServerDead reports a call to a peer that is crash-stopped: the
-	// local failure detector marked it dead (Client.MarkDead), or the
-	// remote side classified the target server as dead. Dead is terminal —
-	// retrying cannot help; callers should trigger recovery instead.
+	// pool's failure verdict marked it dead, or the remote side classified
+	// the target server as dead. The transport never raises it; it carries
+	// it across the wire. Dead is terminal — retrying cannot help; callers
+	// should trigger recovery instead.
 	ErrServerDead = errors.New("rpc: server dead")
 	// ErrTransient reports a transport fault: a dropped or timed-out call
 	// whose effect is unknown. The transport never retries; the error

@@ -5,13 +5,11 @@ import (
 	"fmt"
 	"strings"
 	"testing"
-	"time"
 )
 
 // TestSentinelContract locks the error classification clients rely on:
 // handler errors wrapping a transport sentinel must reach the caller
-// errors.Is-compatible, never as a raw string, and a locally dead-marked
-// peer must fail fast with ErrServerDead.
+// errors.Is-compatible, never as a raw string.
 func TestSentinelContract(t *testing.T) {
 	const (
 		methDead      = 10
@@ -62,26 +60,6 @@ func TestSentinelContract(t *testing.T) {
 			wantRemote: true,
 			wantMsg:    "plain failure",
 		},
-		{
-			name: "locally marked dead fails fast",
-			call: func(c *Client) error {
-				c.MarkDead()
-				_, err := c.Call(methPlain, nil)
-				return err
-			},
-			wantDead: true,
-		},
-		{
-			name: "unmark dead restores service",
-			call: func(c *Client) error {
-				c.MarkDead()
-				c.UnmarkDead()
-				_, err := c.Call(methPlain, nil)
-				return err
-			},
-			wantRemote: true,
-			wantMsg:    "plain failure",
-		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -109,39 +87,6 @@ func TestSentinelContract(t *testing.T) {
 				t.Errorf("error %q lost the handler message %q", err, tc.wantMsg)
 			}
 		})
-	}
-}
-
-func TestMarkDeadFailsInflightCalls(t *testing.T) {
-	s := NewServer()
-	block := make(chan struct{})
-	s.Handle(1, func(p []byte) ([]byte, error) {
-		<-block
-		return p, nil
-	})
-	defer close(block)
-	addr, err := s.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { s.Close() })
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	done := make(chan error, 1)
-	go func() {
-		_, err := c.Call(1, []byte("x"))
-		done <- err
-	}()
-	// Wait until the call is pending, then declare the peer dead.
-	for c.Stats().Pending == 0 {
-		time.Sleep(time.Millisecond)
-	}
-	c.MarkDead()
-	if err := <-done; !errors.Is(err, ErrServerDead) {
-		t.Fatalf("in-flight call after MarkDead: %v", err)
 	}
 }
 

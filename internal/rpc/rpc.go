@@ -15,6 +15,13 @@
 // retain their payload; a caller that wants its future and buffers back
 // in the pool calls Future.Release when it is done with the result.
 //
+// Two kinds of call skip a buffer altogether, so their bytes are copied
+// once in user space instead of twice: a reply whose caller named a
+// destination (Future.Into) is read off the connection straight into it,
+// and a request to a method registered with HandleReceive is handed to
+// its Receiver as a reader over the connection, on the connection's read
+// goroutine — the Receiver puts the bytes where they are going.
+//
 // Wire format: see frame.go. Error payloads carry a code byte naming the
 // sentinel the handler error wrapped (ErrServerDead, ErrTransient), so
 // errors.Is classification survives the wire instead of degrading to a
@@ -29,9 +36,11 @@
 package rpc
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -50,19 +59,45 @@ var ErrClosed = errors.New("rpc: closed")
 // reply, but must not keep it past its return.
 type Handler func(payload []byte) ([]byte, error)
 
+// Receiver serves a method registered with HandleReceive, on the read
+// goroutine of the connection the request came in on. head is the
+// request's first headLen bytes; body yields the n bytes after them and
+// nothing more, straight off the connection for a bare frame or out of
+// the batch envelope for a batched one. A Receiver reads what it needs
+// from body — typically all n bytes, into their final place — and returns
+// the reply payload like a Handler. head is valid only until it returns,
+// and it must not keep body. The server drains whatever the Receiver
+// leaves unread, so an error returned before any byte was read still
+// leaves the next frame parsable. While it runs no other request of that
+// connection is read: a Receiver must not block on anything but body.
+type Receiver func(head []byte, body io.Reader, n int) ([]byte, error)
+
+// maxReceiveHead bounds HandleReceive's headLen: the head is read into
+// per-connection scratch.
+const maxReceiveHead = 64
+
+// receiveRoute is one HandleReceive registration.
+type receiveRoute struct {
+	headLen int
+	r       Receiver
+}
+
 // Server dispatches incoming requests to registered handlers.
 type Server struct {
 	mu       sync.Mutex
 	handlers map[byte]Handler
-	names    [256]string
-	tracer   *telemetry.Tracer
-	reqCount *telemetry.Counter
-	errCount *telemetry.Counter
-	bufStats *bufferGauges
-	ln       net.Listener
-	conns    map[net.Conn]struct{}
-	closed   bool
-	wg       sync.WaitGroup
+	// receivers holds the HandleReceive registrations, read without the
+	// lock by every connection's read loop for every frame.
+	receivers [256]atomic.Pointer[receiveRoute]
+	names     [256]string
+	tracer    *telemetry.Tracer
+	reqCount  *telemetry.Counter
+	errCount  *telemetry.Counter
+	bufStats  *bufferGauges
+	ln        net.Listener
+	conns     map[net.Conn]struct{}
+	closed    bool
+	wg        sync.WaitGroup
 
 	// inflight finds the request a handler is serving from the payload
 	// it was handed (keyed by the payload's first byte), which is how
@@ -89,11 +124,31 @@ func NewServer() *Server {
 }
 
 // Handle registers h for method. Registering after Serve is allowed;
-// re-registering replaces.
+// re-registering replaces, including a HandleReceive registration.
 func (s *Server) Handle(method byte, h Handler) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.handlers[method] = h
+	s.receivers[method].Store(nil)
+}
+
+// HandleReceive registers r for method: the server reads the request's
+// first headLen bytes and hands r the rest as a reader (see Receiver), so
+// a request payload reaches its destination with no request buffer and
+// no goroutine of its own. It is for methods whose request carries bulk
+// bytes to be stored, such as a remote write. A deadline budget spent on
+// arrival is refused before any byte after the head is read; a request
+// shorter than headLen gets an error reply; a connection that fails in
+// the middle of a payload is closed, with no reply. headLen is at most 64.
+// Registering replaces, including a Handle registration.
+func (s *Server) HandleReceive(method byte, headLen int, r Receiver) {
+	if headLen < 0 || headLen > maxReceiveHead {
+		panic(fmt.Sprintf("rpc: receive head of %d bytes outside [0,%d]", headLen, maxReceiveHead))
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	delete(s.handlers, method)
+	s.receivers[method].Store(&receiveRoute{headLen: headLen, r: r})
 }
 
 // NameMethod labels method for spans and Stats; unnamed methods appear
@@ -224,32 +279,243 @@ func (s *Server) serveConn(conn net.Conn) {
 		delete(s.conns, conn)
 		s.mu.Unlock()
 	}()
+	cr := &connReader{}
+	cr.body.r = conn
 	// A batched sub-frame's payload aliases the envelope, which goes back
-	// to the pool right after the walk: dispatch copies it out.
+	// to the pool right after the walk: dispatch copies it out, a
+	// Receiver reads it in place.
 	visit := func(sh frameHeader, sub []byte) error {
+		if rt := s.receivers[sh.method].Load(); rt != nil {
+			budget, sc, payload, ok := decodePrefix(sh.kind, sub)
+			if !ok {
+				return fmt.Errorf("rpc: bad sub-frame kind %d", sh.kind)
+			}
+			s.receiveBatched(cr, sh, budget, sc, rt, payload, out)
+			return nil
+		}
 		if !s.dispatch(sh, sub, false, out) {
 			return fmt.Errorf("rpc: bad sub-frame kind %d", sh.kind)
 		}
 		return nil
 	}
 	for {
-		h, payload, err := readFrame(conn)
+		h, err := readHeader(conn, cr.scratch[:])
 		if err != nil {
 			return
 		}
-		if h.kind != kindBatch {
-			if !s.dispatch(h, payload, true, out) {
+		if h.kind == kindBatch {
+			payload, err := readPayload(conn, h.length)
+			if err != nil {
+				return
+			}
+			s.batches.Add(1)
+			err = decodeBatch(payload, h.id, visit)
+			PutBuffer(payload)
+			if err != nil {
 				return // protocol violation
 			}
 			continue
 		}
-		s.batches.Add(1)
-		err = decodeBatch(payload, h.id, visit)
-		PutBuffer(payload)
+		if rt := s.receivers[h.method].Load(); rt != nil {
+			if !s.receive(cr, h, rt, out) {
+				return // protocol violation, or the connection failed mid-payload
+			}
+			continue
+		}
+		payload, err := readPayload(conn, h.length)
 		if err != nil {
+			return
+		}
+		if !s.dispatch(h, payload, true, out) {
 			return // protocol violation
 		}
 	}
+}
+
+// connReader is one server connection's read-side state, made once per
+// connection and reused for every frame, so that receiving a request
+// allocates nothing: scratch holds a frame header, then a request's
+// metadata prefix and head; body and sub are the readers a Receiver gets
+// for a bare and for a batched request.
+type connReader struct {
+	scratch [frameHeaderLen + budgetHeaderLen + traceHeaderLen + maxReceiveHead]byte
+	body    bodyReader
+	sub     bytes.Reader
+}
+
+// bodyReader reads the rest of one bare request's payload off the
+// connection: n bytes, then io.EOF. A failure of the connection before
+// the n bytes are in is kept in err (a short stream becomes
+// io.ErrUnexpectedEOF): the frame cannot be finished, so the connection
+// ends after the Receiver returns.
+type bodyReader struct {
+	r   io.Reader
+	n   int
+	err error
+}
+
+func (b *bodyReader) Read(p []byte) (int, error) {
+	if b.err != nil {
+		return 0, b.err
+	}
+	if b.n <= 0 {
+		return 0, io.EOF
+	}
+	if len(p) > b.n {
+		p = p[:b.n]
+	}
+	k, err := b.r.Read(p)
+	b.n -= k
+	if err != nil && b.n > 0 {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		b.err = err
+		return k, err
+	}
+	return k, nil
+}
+
+// drain reads and drops what is left of the payload.
+func (b *bodyReader) drain() {
+	if b.n <= 0 || b.err != nil {
+		return
+	}
+	buf := GetBuffer(min(b.n, 64<<10))
+	for b.n > 0 && b.err == nil {
+		b.Read(buf)
+	}
+	PutBuffer(buf)
+}
+
+// receive serves one bare request frame of a HandleReceive method. It
+// returns false when the connection must end: a frame too short for its
+// kind's metadata prefix, or a read error before the frame's last byte.
+func (s *Server) receive(cr *connReader, h frameHeader, rt *receiveRoute, out *batcher) bool {
+	prefix := prefixLen(h.kind)
+	if int(h.length) < prefix {
+		return false
+	}
+	meta := cr.scratch[frameHeaderLen : frameHeaderLen+prefix]
+	if _, err := io.ReadFull(cr.body.r, meta); err != nil {
+		return false
+	}
+	budget, sc, _, ok := decodePrefix(h.kind, meta)
+	if !ok {
+		return false
+	}
+	arrived := arrival(budget)
+	cr.body.n, cr.body.err = int(h.length)-prefix, nil
+	if n := cr.body.n; n < rt.headLen {
+		cr.body.drain()
+		if cr.body.err != nil {
+			return false
+		}
+		s.serveReceived(h, budget, arrived, sc, rt, nil, nil, n, out)
+		return true
+	}
+	head := cr.scratch[frameHeaderLen+prefix:][:rt.headLen]
+	if _, err := io.ReadFull(&cr.body, head); err != nil {
+		return false
+	}
+	s.serveReceived(h, budget, arrived, sc, rt, head, &cr.body, cr.body.n, out)
+	cr.body.drain()
+	return cr.body.err == nil
+}
+
+// receiveBatched serves one batched request of a HandleReceive method:
+// payload (past the metadata prefix) aliases the envelope.
+func (s *Server) receiveBatched(cr *connReader, h frameHeader, budget int64, sc telemetry.SpanContext, rt *receiveRoute, payload []byte, out *batcher) {
+	arrived := arrival(budget)
+	if len(payload) < rt.headLen {
+		s.serveReceived(h, budget, arrived, sc, rt, nil, nil, len(payload), out)
+		return
+	}
+	cr.sub.Reset(payload[rt.headLen:])
+	s.serveReceived(h, budget, arrived, sc, rt, payload[:rt.headLen], &cr.sub, len(payload)-rt.headLen, out)
+	cr.sub.Reset(nil)
+}
+
+// serveReceived is a received request's dispatch: counters, span, budget
+// check, the Receiver, the reply. head is nil for a request shorter than
+// the Receiver's head, which is refused. The reply holds no buffer of the
+// server's, so its queue entry has no call to release.
+func (s *Server) serveReceived(h frameHeader, budget int64, arrived time.Time, sc telemetry.SpanContext, rt *receiveRoute, head []byte, body io.Reader, n int, out *batcher) {
+	s.mu.Lock()
+	name, tracer, reqCount, errCount := s.names[h.method], s.tracer, s.reqCount, s.errCount
+	s.mu.Unlock()
+	s.calls[h.method].Add(1)
+	if reqCount != nil {
+		reqCount.Inc()
+	}
+	sp := beginSpan(tracer, sc, name)
+	var resp []byte
+	var herr error
+	switch {
+	case budgetSpent(budget, arrived):
+		herr = errBudgetSpent
+	case head == nil:
+		herr = fmt.Errorf("rpc: method %d request of %d bytes is shorter than its %d-byte head", h.method, n, rt.headLen)
+	default:
+		resp, herr = rt.r(head, body, n)
+	}
+	kind, resp := s.finish(h.method, errCount, tracer, &sp, resp, herr)
+	// A failed enqueue means the connection is gone: the read loop ends
+	// on its next read.
+	_ = out.enqueue(sendEntry{kind: kind, method: h.method, id: h.id, payload: resp})
+}
+
+// beginSpan opens a request's span when the server has a tracer.
+func beginSpan(tracer *telemetry.Tracer, sc telemetry.SpanContext, name string) (sp telemetry.Span) {
+	if tracer == nil {
+		return sp
+	}
+	if name == "" {
+		name = "rpc.request"
+	}
+	return tracer.Begin(sc, name)
+}
+
+// finish turns a handler's or a Receiver's result into its reply frame's
+// kind and payload, counts an error, and ends the request's span.
+func (s *Server) finish(method byte, errCount *telemetry.Counter, tracer *telemetry.Tracer, sp *telemetry.Span, resp []byte, herr error) (byte, []byte) {
+	if herr == nil && len(resp) > MaxPayload {
+		// A reply the codec cannot frame fails this call, not the
+		// connection and every call pipelined behind it.
+		herr = fmt.Errorf("rpc: reply of %d bytes exceeds max %d", len(resp), MaxPayload)
+	}
+	kind := byte(kindResponse)
+	if herr != nil {
+		kind = kindError
+		resp = encodeErrorPayload(herr)
+		s.errs[method].Add(1)
+		if errCount != nil {
+			errCount.Inc()
+		}
+	}
+	if tracer != nil {
+		sp.Bytes = len(resp)
+		sp.Err = herr != nil
+		tracer.End(sp)
+	}
+	return kind, resp
+}
+
+// arrival is a request's arrival time when it carries a deadline budget
+// (nonzero), which budgetSpent measures from; a request without one is
+// not timed.
+func arrival(budget int64) time.Time {
+	if budget == 0 {
+		return time.Time{}
+	}
+	return time.Now()
+}
+
+// budgetSpent reports whether a request's propagated deadline budget ran
+// out before the server got to it: it arrived at arrived with budget
+// nanoseconds left (0 means the request carries no budget).
+func budgetSpent(budget int64, arrived time.Time) bool {
+	return budget != 0 && (budget <= 0 || time.Since(arrived).Nanoseconds() >= budget)
 }
 
 // serverCall is one request's state from dispatch until its reply frame
@@ -290,7 +556,7 @@ var serverCallPool sync.Pool
 // dispatch validates one request frame (bare or batched) and runs its
 // handler in a goroutine, queueing the reply on out. It returns false on
 // a protocol violation (non-request kind, payload shorter than the
-// kind's metadata prefix). owned says frame is a readFrame buffer that
+// kind's metadata prefix). owned says frame is a readPayload buffer that
 // now belongs to this request; a batched sub-frame aliases the envelope
 // and is copied into a buffer of its own.
 func (s *Server) dispatch(h frameHeader, frame []byte, owned bool, out *batcher) bool {
@@ -308,9 +574,7 @@ func (s *Server) dispatch(h frameHeader, frame []byte, owned bool, out *batcher)
 	}
 	c.s, c.out = s, out
 	c.method, c.id, c.budget, c.sc = h.method, h.id, budget, sc
-	if budget != 0 {
-		c.arrived = time.Now()
-	}
+	c.arrived = arrival(budget)
 	if owned {
 		c.buf, c.payload = frame, payload
 	} else {
@@ -342,18 +606,11 @@ func (s *Server) dispatch(h frameHeader, frame []byte, owned bool, out *batcher)
 func (c *serverCall) run() {
 	s := c.s
 	defer s.wg.Done()
-	var sp telemetry.Span
-	if c.tracer != nil {
-		name := c.name
-		if name == "" {
-			name = "rpc.request"
-		}
-		sp = c.tracer.Begin(c.sc, name)
-	}
+	sp := beginSpan(c.tracer, c.sc, c.name)
 	var resp []byte
 	var herr error
 	switch {
-	case c.budget != 0 && (c.budget <= 0 || time.Since(c.arrived).Nanoseconds() >= c.budget):
+	case budgetSpent(c.budget, c.arrived):
 		// The propagated deadline budget was spent before this request
 		// reached dispatch (queueing behind slow peers or a long accept
 		// backlog): reject without running the handler, so an overloaded
@@ -363,31 +620,13 @@ func (c *serverCall) run() {
 		herr = fmt.Errorf("rpc: no handler for method %d", c.method)
 	default:
 		resp, herr = c.handler(c.payload)
-		if herr == nil && len(resp) > MaxPayload {
-			// A reply the codec cannot frame fails this call, not the
-			// connection and every call pipelined behind it.
-			herr = fmt.Errorf("rpc: reply of %d bytes exceeds max %d", len(resp), MaxPayload)
-		}
 	}
 	if len(c.payload) > 0 {
 		s.mu.Lock()
 		delete(s.inflight, &c.payload[0])
 		s.mu.Unlock()
 	}
-	kind := byte(kindResponse)
-	if herr != nil {
-		kind = kindError
-		resp = encodeErrorPayload(herr)
-		s.errs[c.method].Add(1)
-		if c.errCount != nil {
-			c.errCount.Inc()
-		}
-	}
-	if c.tracer != nil {
-		sp.Bytes = len(resp)
-		sp.Err = herr != nil
-		c.tracer.End(&sp)
-	}
+	kind, resp := s.finish(c.method, c.errCount, c.tracer, &sp, resp, herr)
 	if c.out.enqueue(sendEntry{kind: kind, method: c.method, id: c.id, payload: resp, call: c}) != nil {
 		c.release() // the connection is gone; the reply is dropped here
 	}
@@ -466,7 +705,6 @@ type pendingTable struct {
 	limit   int    // max in-flight calls; 0 = unbounded
 	term    error  // terminal send/receive failure; new calls fail fast
 	closed  bool
-	dead    bool
 }
 
 // ClientStats is a point-in-time snapshot of one client's transport
@@ -494,6 +732,8 @@ type Client struct {
 	// readDone is closed when the read loop has returned: Close waits on
 	// it, so nothing the client started outlives it.
 	readDone chan struct{}
+	// hdr is the read loop's frame-header scratch.
+	hdr [frameHeaderLen]byte
 }
 
 // SetAdmissionLimit bounds this client's in-flight calls: once limit
@@ -532,58 +772,104 @@ func newClient(conn net.Conn) *Client {
 // sendFailed is the batcher's write-failure callback: the connection is
 // unusable, so in-flight and future calls fail.
 func (c *Client) sendFailed(err error) {
-	c.failAll(fmt.Errorf("rpc: send failed: %w", err))
+	c.failAll(fmt.Errorf("rpc: send failed: %w", err), nil)
 }
 
+// readLoop reads each reply's header first and takes the call it
+// answers, so that it knows where the payload goes before reading it: a
+// reply of exactly the length of the call's destination (Future.Into) is
+// read straight into it; anything else goes to a pooled buffer. A call
+// taken this way is completed by the loop even if the connection fails
+// mid-payload, so a waiter whose context ends while its reply streams in
+// waits for that frame, and nothing writes to a destination after its
+// waiter has returned.
 func (c *Client) readLoop() {
 	defer close(c.readDone)
 	deliverSub := func(sh frameHeader, sub []byte) error {
 		switch sh.kind {
 		case kindResponse, kindError:
-			c.deliver(sh, sub, false)
+			f, dst, into := c.takePending(sh.id)
+			c.deliver(f, dst, into, sh, sub, false)
 			return nil
 		default:
 			return fmt.Errorf("rpc: bad batched reply kind %d", sh.kind)
 		}
 	}
 	for {
-		h, payload, err := readFrame(c.conn)
+		h, err := readHeader(c.conn, c.hdr[:])
 		if err != nil {
-			c.failAll(fmt.Errorf("rpc: connection lost: %w", err))
+			c.failAll(fmt.Errorf("rpc: connection lost: %w", err), nil)
 			return
 		}
 		switch h.kind {
 		case kindResponse, kindError:
-			c.deliver(h, payload, true)
+			f, dst, into := c.takePending(h.id)
+			if into && h.kind == kindResponse && int(h.length) == len(dst) {
+				if _, err := io.ReadFull(c.conn, dst); err != nil {
+					c.failAll(fmt.Errorf("rpc: connection lost: %w", err), f)
+					return
+				}
+				f.landed = true
+				f.complete(dst, nil)
+				continue
+			}
+			payload, err := readPayload(c.conn, h.length)
+			if err != nil {
+				c.failAll(fmt.Errorf("rpc: connection lost: %w", err), f)
+				return
+			}
+			c.deliver(f, dst, into, h, payload, true)
 		case kindBatch:
-			err := decodeBatch(payload, h.id, deliverSub)
+			payload, err := readPayload(c.conn, h.length)
+			if err != nil {
+				c.failAll(fmt.Errorf("rpc: connection lost: %w", err), nil)
+				return
+			}
+			err = decodeBatch(payload, h.id, deliverSub)
 			PutBuffer(payload)
 			if err != nil {
-				c.failAll(fmt.Errorf("rpc: bad batch frame: %w", err))
+				c.failAll(fmt.Errorf("rpc: bad batch frame: %w", err), nil)
 				c.conn.Close()
 				return
 			}
 		default:
 			// Unknown top-level kind: fail the addressed call (if any);
 			// the stream itself is still framed, so keep reading.
+			payload, err := readPayload(c.conn, h.length)
+			if err != nil {
+				c.failAll(fmt.Errorf("rpc: connection lost: %w", err), nil)
+				return
+			}
 			PutBuffer(payload)
-			if f := c.takePending(h.id); f != nil {
+			if f, _, _ := c.takePending(h.id); f != nil {
 				f.complete(nil, fmt.Errorf("rpc: bad frame kind %d", h.kind))
 			}
 		}
 	}
 }
 
-// deliver resolves the future registered under h.id, if it is still
-// pending (a cancelled or failed call leaves a stale id behind; its late
-// reply is dropped here). owned says payload is a readFrame buffer this
-// call now disposes of: a response hands it to the future (bufpool.go,
-// rule 3), an error or a stale reply puts it straight back. A batched
-// sub-reply aliases the envelope the read loop recycles after the walk,
-// so a response is first copied into a pooled buffer of its own.
-func (c *Client) deliver(h frameHeader, payload []byte, owned bool) {
-	f := c.takePending(h.id)
-	if f != nil && h.kind == kindResponse {
+// deliver resolves f, the call taken for the reply h (nil if the id was
+// not pending: a cancelled or failed call leaves a stale id behind, and
+// its late reply is dropped here), with dst and into as takePending
+// returned them. owned says payload is a readPayload buffer this call
+// now disposes of: a response without a destination hands it to the
+// future (bufpool.go, rule 3); everything else puts it straight back. A
+// batched sub-reply aliases the envelope the read loop recycles after
+// the walk, so a response without a destination is first copied into a
+// pooled buffer of its own, and one with a destination is copied into
+// it — its one copy.
+func (c *Client) deliver(f *Future, dst []byte, into bool, h frameHeader, payload []byte, owned bool) {
+	switch {
+	case f == nil:
+	case h.kind != kindResponse:
+		f.complete(nil, decodeRemoteError(h.method, payload))
+	case into && len(payload) != len(dst):
+		f.complete(nil, errReplyLength(len(payload), len(dst)))
+	case into:
+		copy(dst, payload)
+		f.landed = true
+		f.complete(dst, nil)
+	default:
 		if !owned {
 			sub := payload
 			payload = GetBuffer(len(sub))
@@ -593,34 +879,34 @@ func (c *Client) deliver(h frameHeader, payload []byte, owned bool) {
 		f.complete(payload, nil)
 		return
 	}
-	if f != nil {
-		f.complete(nil, decodeRemoteError(h.method, payload))
-	}
 	if owned {
 		PutBuffer(payload)
 	}
 }
 
 // takePending removes and returns the future registered under id, or nil
-// if the id is unknown (already taken, cancelled, or never registered).
+// if the id is unknown (already taken, cancelled, or never registered),
+// with the destination Into gave it if Into came first (into says so).
 // Whoever takes the future completes it — that linearizes resolution.
-func (c *Client) takePending(id uint64) *Future {
+func (c *Client) takePending(id uint64) (f *Future, dst []byte, into bool) {
 	c.pt.Lock()
-	f := c.pt.m[id]
+	f = c.pt.m[id]
 	if f != nil {
 		delete(c.pt.m, id)
 		c.pt.taken++
+		dst, into = f.dst, f.into
 	}
 	c.pt.Unlock()
-	return f
+	return f, dst, into
 }
 
-// failAll resolves every pending call with err and makes future calls
-// fail fast. When the client was explicitly closed, pending calls fail
-// with the ErrClosed-wrapping error instead, whatever triggered the
-// teardown first — the contract is that Close fails waiters with an
-// error satisfying errors.Is(err, ErrClosed).
-func (c *Client) failAll(err error) {
+// failAll resolves every pending call with err — and taken, a call the
+// read loop took before the connection failed under it, if not nil — and
+// makes future calls fail fast. When the client was explicitly closed,
+// the calls fail with the ErrClosed-wrapping error instead, whatever
+// triggered the teardown first — the contract is that Close fails
+// waiters with an error satisfying errors.Is(err, ErrClosed).
+func (c *Client) failAll(err error, taken *Future) {
 	c.pt.Lock()
 	if c.pt.closed {
 		err = errClientClosed
@@ -637,6 +923,9 @@ func (c *Client) failAll(err error) {
 	c.pt.Unlock()
 	// Complete outside the table lock: complete sends on the future's
 	// channel, and the pending lock is the transport's innermost lock.
+	if taken != nil {
+		taken.complete(nil, err)
+	}
 	for _, f := range fs {
 		f.complete(nil, err)
 	}
@@ -693,7 +982,7 @@ func (c *Client) CallAsyncCtx(ctx context.Context, method byte, payload []byte) 
 
 // startCall registers f in the pending table and queues the request
 // frame. Fast-fail paths (cancelled context, exhausted deadline budget,
-// closed/dead/failed client, admission shed) complete f directly without
+// closed or failed client, admission shed) complete f directly without
 // touching the table.
 func (c *Client) startCall(ctx context.Context, method byte, payload []byte, f *Future) {
 	// A context deadline becomes the call's remaining budget, propagated
@@ -717,11 +1006,6 @@ func (c *Client) startCall(ctx context.Context, method byte, payload []byte, f *
 	if c.pt.closed {
 		c.pt.Unlock()
 		f.complete(nil, ErrClosed)
-		return
-	}
-	if c.pt.dead {
-		c.pt.Unlock()
-		f.complete(nil, errPeerDead)
 		return
 	}
 	if err := c.pt.term; err != nil {
@@ -758,7 +1042,7 @@ func (c *Client) startCall(ctx context.Context, method byte, payload []byte, f *
 	if err := c.b.enqueue(sendEntry{kind: kind, method: method, id: id, budget: budget, sc: sc, payload: payload}); err != nil {
 		// The batcher is closed or the connection already failed; whoever
 		// still owns the pending entry fails this call.
-		if g := c.takePending(id); g != nil {
+		if g, _, _ := c.takePending(id); g != nil {
 			c.pt.Lock()
 			term := c.pt.term
 			c.pt.Unlock()
@@ -769,9 +1053,6 @@ func (c *Client) startCall(ctx context.Context, method byte, payload []byte, f *
 		}
 	}
 }
-
-// errPeerDead is the fail-fast error for calls against a dead-marked peer.
-var errPeerDead = fmt.Errorf("rpc: peer marked dead: %w", ErrServerDead)
 
 // errAdmissionShed is the fail-fast error for calls rejected at the
 // admission limit. Preallocated: shedding happens exactly when the
@@ -787,39 +1068,6 @@ func cancelErr(err error) error {
 		return fmt.Errorf("rpc: call cancelled: %w: %w", ErrDeadlineExceeded, err)
 	}
 	return fmt.Errorf("rpc: call cancelled: %w", err)
-}
-
-// MarkDead records a failure-detector verdict: the peer is crash-stopped.
-// Every subsequent call fails fast with an error wrapping ErrServerDead
-// without touching the network; in-flight calls fail the same way. The
-// connection itself stays open (a misdetected peer can be UnmarkDead'd).
-func (c *Client) MarkDead() {
-	c.pt.Lock()
-	c.pt.dead = true
-	fs := make([]*Future, 0, len(c.pt.m))
-	for id, f := range c.pt.m {
-		fs = append(fs, f)
-		delete(c.pt.m, id)
-		c.pt.taken++
-	}
-	c.pt.Unlock()
-	for _, f := range fs {
-		f.complete(nil, errPeerDead)
-	}
-}
-
-// UnmarkDead clears a MarkDead verdict.
-func (c *Client) UnmarkDead() {
-	c.pt.Lock()
-	c.pt.dead = false
-	c.pt.Unlock()
-}
-
-// Dead reports whether the peer is currently marked dead.
-func (c *Client) Dead() bool {
-	c.pt.Lock()
-	defer c.pt.Unlock()
-	return c.pt.dead
 }
 
 // Stats snapshots the client's transport counters.
@@ -857,6 +1105,6 @@ func (c *Client) Close() error {
 	err := c.conn.Close() // unblocks the read loop and any in-flight write
 	c.b.close()
 	<-c.readDone
-	c.failAll(errClientClosed)
+	c.failAll(errClientClosed, nil)
 	return err
 }

@@ -11,6 +11,22 @@ import (
 	"github.com/lmp-project/lmp/internal/telemetry"
 )
 
+// readFrame reads one whole frame the way both read loops do when the
+// payload goes to a pooled buffer: the header into scratch of the loop's
+// own, then the payload through readPayload.
+func readFrame(r io.Reader) (frameHeader, []byte, error) {
+	var hdr [frameHeaderLen]byte
+	h, err := readHeader(r, hdr[:])
+	if err != nil {
+		return frameHeader{}, nil, err
+	}
+	p, err := readPayload(r, h.length)
+	if err != nil {
+		return frameHeader{}, nil, err
+	}
+	return h, p, nil
+}
+
 // rawDial opens a plain TCP connection to a test server.
 func rawDial(t *testing.T, addr string) net.Conn {
 	t.Helper()
