@@ -97,7 +97,10 @@ cross:
 # more per shape under the race detector, the build in which a recycled
 # buffer is poisoned as it is put back: that is where the buffer-ownership
 # tests bite, and the destination tests (a reply read straight into a
-# caller's slice must not write it after its waiter returned) with them. memnode rides in that pass for its lifetime test (readers
+# caller's slice must not write it after its waiter returned) with them,
+# and the daemon's close under streaming reads (a reply that is a view of
+# lent memory must not be written after its node could be unmapped).
+# memnode rides in that pass for its lifetime test (readers
 # copying out of nodes whose last reference is gone while the collector
 # unmaps dead ones) and its lender test (concurrent tenants allocating,
 # verifying and freeing extents while the boundary moves), alloc beside it
@@ -133,7 +136,7 @@ audit:
 # Short fuzz pass over every native fuzz target (GF(256) algebra, RS
 # round-trip/reconstruction, RPC wire codec, a reply landing in its
 # caller's destination against a hostile peer, the daemon's socket-facing
-# handlers and write receiver, the write combiner's recycled storage
+# handlers and read and write receivers, the write combiner's recycled storage
 # against a flat model).
 # The seed corpora already run as plain tests; this budgets $(FUZZTIME)
 # of mutation per target. Go allows one -fuzz target per invocation,

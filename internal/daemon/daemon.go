@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -112,8 +113,9 @@ func (s *Server) SetSlowOpNS(ns int64) { s.tracer.SetSlowOpNS(ns) }
 
 // Metrics exposes the daemon's telemetry registry (rpc.requests,
 // rpc.errors, rpc.buffer.*, memnode.*) for the Prometheus endpoint. The
-// memnode gauges are sampled here, so call it once per scrape.
+// buffer and memnode gauges are sampled here, so call it once per scrape.
 func (s *Server) Metrics() *telemetry.Registry {
+	s.rpc.SampleBuffers()
 	s.resident.Set(s.node.ResidentBytes())
 	s.dropped.Set(int64(s.node.DroppedBytes()))
 	return s.metrics
@@ -168,8 +170,9 @@ func (s *Server) Listen(addr string) (string, error) {
 func (s *Server) Close() error { return s.rpc.Close() }
 
 // wireMethod is one entry of the daemon's wire surface: a method served
-// by a handler, or — for a write, whose payload is bulk bytes bound for
-// lent memory — by a receiver that reads them off the connection.
+// by a handler, or — for a read and a write, whose bulk bytes leave from
+// or land in lent memory — by a receiver on the connection's read
+// goroutine.
 type wireMethod struct {
 	id      byte
 	name    string // span and Stats label
@@ -178,9 +181,13 @@ type wireMethod struct {
 	headLen int // the receiver's head
 }
 
-// writeHead is a write request's head: the 8-byte offset the bytes after
-// it land at.
-const writeHead = 8
+// The receivers' heads: a read's is the 8-byte offset and the 4-byte
+// length of the range it asks for, a write's the 8-byte offset the bytes
+// after it land at.
+const (
+	readHead  = 12
+	writeHead = 8
+)
 
 // wireMethods lists every method the daemon serves. Each handler or
 // receiver decodes bytes that came off a socket: FuzzDaemonHandlers walks
@@ -190,7 +197,7 @@ func (s *Server) wireMethods() []wireMethod {
 		{id: MethodInfo, name: "rpc.info", handler: s.handleInfo},
 		{id: MethodAlloc, name: "rpc.alloc", handler: s.handleAlloc},
 		{id: MethodFree, name: "rpc.free", handler: s.handleFree},
-		{id: MethodRead, name: "rpc.read", handler: s.handleRead},
+		{id: MethodRead, name: "rpc.read", receive: s.receiveRead, headLen: readHead},
 		{id: MethodWrite, name: "rpc.write", receive: s.receiveWrite, headLen: writeHead},
 		{id: MethodSum, name: "rpc.sum", handler: s.handleSum},
 		{id: MethodResize, name: "rpc.resize", handler: s.handleResize},
@@ -268,23 +275,26 @@ func checkReply(n int64) error {
 	return nil
 }
 
-func (s *Server) handleRead(p []byte) ([]byte, error) {
-	if len(p) != 12 {
-		return nil, fmt.Errorf("daemon: read payload %d bytes", len(p))
+// receiveRead serves a read on the connection's read goroutine: head is
+// the offset and the length, and the reply is a view of lent memory, which
+// the connection's reply flusher writes out — the server copies nothing
+// and takes no buffer. The view outlives this call, so the node must stay
+// mapped until the flusher is done with it: the connection holds the
+// rpc.Server, which holds this Receiver and so s and its node, until its
+// flusher has exited. A read carries no bytes after its head.
+func (s *Server) receiveRead(head []byte, _ io.Reader, n int) ([]byte, error) {
+	if n != 0 {
+		return nil, fmt.Errorf("daemon: read payload %d bytes", readHead+n)
 	}
-	off := int64(binary.BigEndian.Uint64(p[0:8]))
-	n := int64(binary.BigEndian.Uint32(p[8:12]))
-	if err := checkReply(n); err != nil {
+	off := int64(binary.BigEndian.Uint64(head[0:8]))
+	length := int64(binary.BigEndian.Uint32(head[8:12]))
+	if err := checkReply(length); err != nil {
 		return nil, err
 	}
-	if err := s.checkShared(off, n); err != nil {
+	if err := s.checkShared(off, length); err != nil {
 		return nil, err
 	}
-	out := s.rpc.ReplyBuffer(p, int(n))
-	if err := s.node.ReadAt(out, off); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return s.node.View(off, int(length))
 }
 
 // receiveWrite serves a write on the connection's read goroutine: head is
@@ -299,7 +309,9 @@ func (s *Server) receiveWrite(head []byte, body io.Reader, n int) ([]byte, error
 }
 
 // handleSum is the near-memory kernel: sum the little-endian uint64 words
-// of [off, off+n) locally and return only the 8-byte result.
+// of [off, off+n) in place, over a view of lent memory, and return only
+// the 8-byte result. It stays a Handler, on a goroutine of its own, so a
+// long sum does not hold up the requests behind it on the connection.
 func (s *Server) handleSum(p []byte) ([]byte, error) {
 	if len(p) != 12 {
 		return nil, fmt.Errorf("daemon: sum payload %d bytes", len(p))
@@ -312,9 +324,8 @@ func (s *Server) handleSum(p []byte) ([]byte, error) {
 	if err := s.checkShared(off, n); err != nil {
 		return nil, err
 	}
-	buf := rpc.GetBuffer(int(n))
-	defer rpc.PutBuffer(buf)
-	if err := s.node.ReadAt(buf, off); err != nil {
+	buf, err := s.node.View(off, int(n))
+	if err != nil {
 		return nil, err
 	}
 	var sum float64
@@ -325,6 +336,7 @@ func (s *Server) handleSum(p []byte) ([]byte, error) {
 	for ; i < len(buf); i++ {
 		sum += float64(buf[i])
 	}
+	runtime.KeepAlive(s.node) // buf is a view: the node stays mapped until the sum is done
 	out := make([]byte, 8)
 	binary.BigEndian.PutUint64(out, math.Float64bits(sum))
 	return out, nil

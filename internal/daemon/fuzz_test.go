@@ -3,7 +3,9 @@ package daemon
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"github.com/lmp-project/lmp/internal/memnode"
@@ -11,19 +13,23 @@ import (
 )
 
 // FuzzDaemonHandlers feeds arbitrary (method, payload) pairs — what a
-// peer can put on the socket — to the daemon's handlers, and to its write
-// receiver the way rpc hands one a request: the head, then a reader over
-// the rest (a bytes.Reader, as for a batched request). Whatever arrives,
-// a handler must not panic (it runs in a goroutine of its own, a receiver
-// on a connection's read goroutine: a panic there takes the whole lmpd
-// down), must not build a reply the codec cannot carry, a receiver must
-// read no more than its request and write nothing outside the range it
-// names, and both must leave the region's books straight: InUse
-// moves only by what a successful alloc or free says it moved, and stays
-// within the region; and a freed extent reads as zeros (the scrub goes
-// through Node.DropRange with an offset that came off the wire). One
-// server lives across inputs, with a shadow of
-// its allocations, so frees and resizes find state to act on.
+// peer can put on the socket — to the daemon's handlers, and to its read
+// and write receivers the way rpc hands one a request: the head, then a
+// reader over the rest (a bytes.Reader, as for a batched request); a
+// request shorter than a receiver's head goes over a real connection,
+// where rpc must refuse it. Whatever arrives, a handler must not panic
+// (it runs in a goroutine of its own, a receiver on a connection's read
+// goroutine: a panic there takes the whole lmpd down), must not build a
+// reply the codec cannot carry, a receiver must read no more than its
+// request and write nothing outside the range it names — a read nothing
+// at all, and its reply is the node's bytes of the range it names, or a
+// refusal when the request carries bytes past its head — and both must
+// leave the region's books straight: InUse moves only by what a
+// successful alloc or free says it moved, and stays within the region;
+// and a freed extent reads as zeros (the scrub goes through
+// Node.DropRange with an offset that came off the wire). One server lives
+// across inputs, with a shadow of its allocations, so frees and resizes
+// find state to act on.
 func FuzzDaemonHandlers(f *testing.F) {
 	rng := rawRange
 	u64 := func(v uint64) []byte { return binary.BigEndian.AppendUint64(nil, v) }
@@ -32,6 +38,9 @@ func FuzzDaemonHandlers(f *testing.F) {
 	f.Add(MethodWrite, append(u64(math.MaxInt64-5), "0123456789"...))
 	f.Add(MethodRead, rng(0, math.MaxUint32))
 	f.Add(MethodRead, rng(0, 4096))
+	f.Add(MethodRead, append(rng(8192, 16), "a body"...)) // a read carries nothing past its head
+	f.Add(MethodRead, []byte{0, 0, 0, 0, 0, 0, 0x20, 0})  // shorter than the head
+	f.Add(MethodWrite, []byte{0, 0, 0})
 	f.Add(MethodWrite, append(u64(8192), "hello"...))
 	f.Add(MethodAlloc, u64(math.MaxInt64)) // rounding up to a page wrapped negative
 	f.Add(MethodAlloc, u64(3*memnode.PageSize))
@@ -54,6 +63,16 @@ func FuzzDaemonHandlers(f *testing.F) {
 	}
 	live := map[int64]int64{} // offset → bytes, per successful alloc replies
 	var inUse int64
+	var wire *Client
+	if addr, err := s.Listen("127.0.0.1:0"); err == nil {
+		if wire, err = Dial(addr); err != nil {
+			f.Fatal(err)
+		}
+		f.Cleanup(func() {
+			wire.Close()
+			s.Close()
+		})
+	}
 
 	f.Fuzz(func(t *testing.T, method byte, payload []byte) {
 		m, ok := methods[method]
@@ -64,7 +83,8 @@ func FuzzDaemonHandlers(f *testing.F) {
 		var err error
 		if m.receive != nil {
 			if len(payload) < m.headLen {
-				return // rpc answers a request shorter than the head itself
+				shortHead(t, wire, m, payload)
+				return
 			}
 			reply, err = receive(t, s, m, payload)
 		} else {
@@ -107,9 +127,10 @@ func FuzzDaemonHandlers(f *testing.F) {
 }
 
 // receive drives a receiver as rpc does and checks what it did to lent
-// memory: it read no more than the request, and a write changed nothing
-// outside the range it names — all of which holds the request's bytes
-// when it succeeded.
+// memory: it read no more than the request, a read changed nothing, took
+// nothing from the body and answered with the node's bytes of the range it
+// names, and a write changed nothing outside the range it names — all of
+// which holds the request's bytes when it succeeded.
 func receive(t *testing.T, s *Server, m wireMethod, payload []byte) ([]byte, error) {
 	before := make([]byte, s.node.SharedBytes())
 	if err := s.node.ReadAt(before, 0); err != nil {
@@ -122,6 +143,20 @@ func receive(t *testing.T, s *Server, m wireMethod, payload []byte) ([]byte, err
 		t.Fatal(err)
 	}
 	off, data := int64(binary.BigEndian.Uint64(payload)), payload[m.headLen:]
+	if m.id == MethodRead {
+		n := int64(binary.BigEndian.Uint32(payload[8:]))
+		switch {
+		case body.Len() != len(data):
+			t.Fatalf("read of %d bytes at %d took %d bytes of its body", n, off, len(data)-body.Len())
+		case !bytes.Equal(before, after):
+			t.Fatalf("read of %d bytes at %d changed lent memory", n, off)
+		case err == nil && len(data) > 0:
+			t.Fatalf("read of %d bytes at %d with a %d-byte body accepted", n, off, len(data))
+		case err == nil && !bytes.Equal(reply, after[off:off+n]):
+			t.Fatalf("read of %d bytes at %d replied %d bytes that are not the node's", n, off, len(reply))
+		}
+		return reply, err
+	}
 	switch {
 	case err != nil && body.Len() != len(data):
 		t.Fatalf("write of %d bytes at %d failed (%v) after reading %d of them", len(data), off, err, len(data)-body.Len())
@@ -132,4 +167,18 @@ func receive(t *testing.T, s *Server, m wireMethod, payload []byte) ([]byte, err
 		t.Fatalf("write of %d bytes at %d did not land exactly on its range", len(data), off)
 	}
 	return reply, err
+}
+
+// shortHead sends a request shorter than m's head over wire, a connection
+// to the fuzzed server: rpc must refuse it before the receiver sees a
+// byte. wire is nil where listening is forbidden.
+func shortHead(t *testing.T, wire *Client, m wireMethod, payload []byte) {
+	if wire == nil {
+		return
+	}
+	_, err := wire.c.Call(m.id, payload)
+	var re *rpc.RemoteError
+	if !errors.As(err, &re) || !strings.Contains(re.Message, "shorter than") {
+		t.Fatalf("%s request of %d bytes, short of its %d-byte head: %v, want refused", m.name, len(payload), m.headLen, err)
+	}
 }

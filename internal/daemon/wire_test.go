@@ -13,6 +13,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
@@ -22,7 +23,7 @@ import (
 )
 
 // TestHandlerRangeChecksDoNotOverflow walks the boundaries of the shared-
-// region check through all three data handlers. The overflow rows are the
+// region check through all three data verbs. The overflow rows are the
 // remote panic this guards: off = MaxInt64-5, n = 10 wraps off+n negative,
 // used to pass both range checks and died in memnode with an index out of
 // range — in a handler goroutine, taking the whole daemon down.
@@ -51,7 +52,7 @@ func TestHandlerRangeChecksDoNotOverflow(t *testing.T) {
 		{math.MaxInt64 - shared, shared, false},
 		{math.MinInt64, 10, false},
 	} {
-		if out, err := s.handleRead(rawRange(tc.off, tc.n)); (err == nil) != tc.fine || (err == nil && len(out) != int(tc.n)) {
+		if out, err := s.receiveRead(rawRange(tc.off, tc.n), bytes.NewReader(nil), 0); (err == nil) != tc.fine || (err == nil && len(out) != int(tc.n)) {
 			t.Errorf("read %d bytes at %d: %d bytes, %v, want in range = %t", tc.n, tc.off, len(out), err, tc.fine)
 		}
 		if _, err := s.handleSum(rawRange(tc.off, tc.n)); (err == nil) != tc.fine {
@@ -61,6 +62,161 @@ func TestHandlerRangeChecksDoNotOverflow(t *testing.T) {
 			t.Errorf("write %d bytes at %d: %v, want in range = %t", tc.n, tc.off, err, tc.fine)
 		}
 	}
+}
+
+// TestReadRepliesFromLentMemory: a read's reply is the node's own bytes,
+// not a copy of them, so the server copies nothing per byte it serves: a
+// write landing after the read was served shows through its reply.
+func TestReadRepliesFromLentMemory(t *testing.T) {
+	s, err := NewServer("srv0", 1<<20, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reply, err := s.receiveRead(rawRange(4096, 64), bytes.NewReader(nil), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	later := bytes.Repeat([]byte{0x5A}, 64)
+	if err := s.node.WriteAt(later, 4096); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(reply, later) {
+		t.Error("a read's reply is a copy of lent memory, not a view of it")
+	}
+}
+
+// TestSumReadsLentMemoryInPlace: the near-memory sum walks the node's own
+// bytes. It used to stage the range in a pooled buffer first, and a range
+// past BufferRetainMax is a buffer the pool drops, so every 16 MiB sum left
+// 16 MiB to the collector.
+func TestSumReadsLentMemoryInPlace(t *testing.T) {
+	const n = rpc.MaxPayload
+	s, err := NewServer("srv0", n, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var word [8]byte
+	var want float64
+	for i := int64(0); i < 64; i++ {
+		binary.LittleEndian.PutUint64(word[:], uint64(i*i))
+		if err := s.node.WriteAt(word[:], i*(n/64)); err != nil {
+			t.Fatal(err)
+		}
+		want += float64(i * i)
+	}
+	req := rawRange(0, n)
+	var got []byte
+	bytesPerOp, _ := allocsPerOp(4, func() {
+		for i := 0; i < 4; i++ {
+			if got, err = s.handleSum(req); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if sum := math.Float64frombits(binary.BigEndian.Uint64(got)); sum != want {
+		t.Fatalf("sum of the region = %g, want %g", sum, want)
+	}
+	if bytesPerOp >= 1024 {
+		t.Errorf("a %d-byte sum allocates %.0f B, want under 1 KiB", n, bytesPerOp)
+	}
+}
+
+// TestCloseWhileReadsStream: a read's reply is a view of lent memory that
+// the connection's flusher writes out after the read was served, so it is
+// valid only while the node is mapped — and the collector unmaps the node
+// as soon as nothing holds the daemon. Close a daemon while two callers
+// stream 1 MiB reads from it and the collector runs in a loop: every
+// call resolves, with the region's bytes or with the transport's failure
+// (the connection lost under it, or ErrClosed), and nothing faults.
+func TestCloseWhileReadsStream(t *testing.T) {
+	const size = 1 << 20
+	want := make([]byte, size)
+	for i := range want {
+		want[i] = byte(i*7 + 1)
+	}
+	stop := make(chan struct{})
+	var collector sync.WaitGroup
+	collector.Add(1)
+	go func() {
+		defer collector.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				runtime.GC()
+			}
+		}
+	}()
+	defer func() {
+		close(stop)
+		collector.Wait()
+	}()
+	for round := 0; round < 3; round++ {
+		s, err := NewServer("srv0", 4*size, 4*size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		addr, err := s.Listen("127.0.0.1:0")
+		if err != nil {
+			t.Skipf("listening on loopback is forbidden here: %v", err)
+		}
+		if err := s.node.WriteAt(want, 0); err != nil {
+			t.Fatal(err)
+		}
+		var callers sync.WaitGroup
+		streaming := make(chan struct{}, 2)
+		for c := 0; c < 2; c++ {
+			cl, err := Dial(addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			callers.Add(1)
+			go func() {
+				defer callers.Done()
+				defer cl.Close()
+				signalled := false
+				defer func() {
+					if !signalled {
+						streaming <- struct{}{}
+					}
+				}()
+				got := make([]byte, size)
+				for i := 0; ; i++ {
+					if i == 3 {
+						streaming <- struct{}{}
+						signalled = true
+					}
+					f := cl.ReadAsync(nil, 0, got)
+					_, err := f.Wait()
+					f.Release()
+					if err != nil {
+						if !lostConnection(err) {
+							t.Errorf("a read cut by the daemon's close failed with %v, want a lost connection or ErrClosed", err)
+						}
+						return
+					}
+					if !bytes.Equal(got, want) {
+						t.Error("a read streamed during the daemon's close returned bytes the region does not hold")
+						return
+					}
+				}
+			}()
+		}
+		<-streaming
+		<-streaming
+		// Close returns once every connection's flusher has exited; from
+		// here on nothing holds s, and the collector may unmap its node.
+		s.Close()
+		callers.Wait()
+	}
+}
+
+// lostConnection reports whether err is what a call sees when its daemon
+// goes away: the connection ended under it, or its client was closed.
+func lostConnection(err error) bool {
+	return errors.Is(err, rpc.ErrClosed) || errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) ||
+		errors.Is(err, syscall.ECONNRESET) || errors.Is(err, syscall.EPIPE)
 }
 
 // TestOversizedReadKeepsConnection: a read (or sum) of more bytes than a
@@ -238,21 +394,24 @@ func loopbackView(t *testing.T, n int, shared, stripe int64) (*PoolView, []*Serv
 // TestWirePathAllocBudget is the count guard of the recycled wire path,
 // in the two shapes of the wire benchmarks. Neither allocates per op once
 // warm: a write's bytes go from the request buffer straight into lent
-// memory and a read's reply straight into the caller's slice, so a chunk
-// moves through one pooled buffer (the client's write request, the
-// server's read reply) and nothing else.
+// memory and a read's reply leaves from lent memory straight into the
+// caller's slice, so the only pooled buffers a chunk takes are the
+// client's requests.
 func TestWirePathAllocBudget(t *testing.T) {
 	if raceDetectorEnabled {
 		t.Skip("sync.Pool drops puts under the race detector; the budget is checked without it")
 	}
-	// 1 MiB: alternating 1 MiB reads and writes through 256 KiB stripes
-	// on two loopback daemons, one caller — the wire_bulk shape. Four
-	// chunk RPCs move 1 MiB through four pooled 256 KiB buffers (a write's
-	// on the client, a read's on the server) and a read's 12-byte request
-	// through two more per chunk: none of them is allocated. When the run
-	// is over the pool holds no more than its stated bound.
+	// 1 MiB: alternating 1 MiB reads and writes through 256 KiB stripes,
+	// one caller — the wire_bulk shape, over four loopback daemons so that
+	// each op sends one chunk to each and every frame goes out bare: the
+	// buffer-pool traffic is then exact. A write takes one pooled buffer per
+	// chunk (its 256 KiB request on the client), a read one (its 12-byte
+	// request on the client), and the servers take none — a read's reply
+	// is a view of lent memory. When the run is over the pool holds no more
+	// than its stated bound.
 	t.Run("1MiB", func(t *testing.T) {
-		v, servers := loopbackView(t, 2, 32<<20, 256<<10)
+		const chunks = 4
+		v, servers := loopbackView(t, chunks, 32<<20, 256<<10)
 		b, err := v.Alloc(8 << 20)
 		if err != nil {
 			t.Fatal(err)
@@ -262,36 +421,28 @@ func TestWirePathAllocBudget(t *testing.T) {
 			data[i] = byte(i * 13)
 		}
 		got := make([]byte, len(data))
-		op := func(i int) {
-			off := int64(i/2%8) << 20
-			if i%2 == 0 {
-				if err := b.WriteAtCtx(nil, data, off); err != nil {
-					t.Fatal(err)
-				}
-				return
-			}
-			if err := b.ReadAtCtx(nil, got, off); err != nil {
+		write := func(i int) {
+			if err := b.WriteAtCtx(nil, data, int64(i%8)<<20); err != nil {
 				t.Fatal(err)
 			}
 		}
-		// Warm-up: pages materialize, scratch and object pools fill, and
-		// the buffer pool is primed with the path's in-flight window (four
-		// chunks, one buffer each, and the previous read's four server-side
-		// replies not yet retired) — which traffic alone reaches only
-		// eventually.
-		var window [8][]byte
-		for i := range window {
-			window[i] = rpc.GetBuffer(256<<10 + 8)
+		read := func(i int) {
+			if err := b.ReadAtCtx(nil, got, int64(i%8)<<20); err != nil {
+				t.Fatal(err)
+			}
 		}
-		for _, w := range window {
-			rpc.PutBuffer(w)
+		op := func(i int) {
+			if i%2 == 0 {
+				write(i / 2)
+			} else {
+				read(i / 2)
+			}
 		}
+		// Warm-up: pages materialize, and scratch and object pools fill.
 		for i := 0; i < 64; i++ {
 			op(i)
 		}
-		hits := func() int64 { return servers[0].Metrics().Gauge("rpc.buffer.hits").Value() }
 		const ops = 200
-		hitsBefore := hits()
 		bytesPerOp, mallocsPerOp := allocsPerOp(ops, func() {
 			for i := 0; i < ops; i++ {
 				op(i)
@@ -304,15 +455,54 @@ func TestWirePathAllocBudget(t *testing.T) {
 		if bytesPerOp > 1024 || mallocsPerOp >= 1 {
 			t.Errorf("a 1 MiB op allocates %.0f B in %.1f objects, want at most 1024 B in under one", bytesPerOp, mallocsPerOp)
 		}
+		gets := func() int64 {
+			m := servers[0].Metrics()
+			return m.Gauge("rpc.buffer.hits").Value() + m.Gauge("rpc.buffer.misses").Value()
+		}
+		for _, verb := range []struct {
+			name string
+			do   func(int)
+		}{{"write", write}, {"read", read}} {
+			before := gets()
+			for i := 0; i < ops; i++ {
+				verb.do(i)
+			}
+			if d := gets() - before; d != chunks*ops {
+				t.Errorf("%d 1 MiB %ss took %d pooled buffers, want %d: one client request per chunk, none on the server", ops, verb.name, d, chunks*ops)
+			}
+		}
 		retained := servers[0].Metrics().Gauge("rpc.buffer.retained_bytes").Value()
 		if retained <= 0 || retained > rpc.BufferRetainMax {
 			t.Errorf("the pool retains %d bytes after the run, want within (0, %d]", retained, rpc.BufferRetainMax)
 		}
-		// Eight hits per op on average: a write's four request buffers, a
-		// read's four replies and eight 12-byte request buffers. The gauge
-		// is refreshed as reads retire, so it may lag by the last op.
-		if d := hits() - hitsBefore; d < 7*ops {
-			t.Errorf("rpc.buffer.hits moved by %d over %d ops of four chunks with one buffer each and two small ones per read: recycling is not happening", d, ops)
+		// Nor does a read start a goroutine on the server: with every span
+		// slow, the slow-op hook runs on the goroutine that served the
+		// request, and for a read that is its connection's read loop.
+		var mu sync.Mutex
+		var served, ownGoroutine int
+		for _, s := range servers {
+			s.SetSlowOpNS(0)
+			s.OnSlowOp(func(sp telemetry.Span) {
+				if sp.Op != "rpc.read" {
+					return
+				}
+				stack := make([]byte, 8<<10)
+				stack = stack[:runtime.Stack(stack, false)]
+				mu.Lock()
+				defer mu.Unlock()
+				served++
+				if !bytes.Contains(stack, []byte("rpc.(*Server).serveConn(")) {
+					ownGoroutine++
+				}
+			})
+		}
+		for i := 0; i < 8; i++ {
+			read(i)
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		if served != 8*chunks || ownGoroutine != 0 {
+			t.Errorf("of %d chunk reads served, %d ran on a goroutine other than their connection's read loop; want %d served, none elsewhere", served, ownGoroutine, 8*chunks)
 		}
 	})
 	// 64 B: two callers issue 64-byte ops, four reads to a write, through
@@ -369,7 +559,7 @@ func allocsPerOp(ops int, fn func()) (bytesPerOp, mallocsPerOp float64) {
 }
 
 // TestWireTrafficLeavesNoPerPageState: a wire read is decode, bounds
-// check, one copy out of the node, reply — the daemon keeps nothing per
+// check, a view of the node as the reply — the daemon keeps nothing per
 // page it served. The same number of 64-byte reads is issued twice, first
 // all at one page, then one at every page of the region; the live heap
 // objects the second pass leaves behind must not scale with the pages it

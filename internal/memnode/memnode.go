@@ -17,7 +17,9 @@
 // pages on first touch and takes them back when a range is dropped or
 // the shared region shrinks. A runtime cleanup unmaps the memory once the
 // Node is unreachable — there is no Close, so no accessor can outlive the
-// bytes it copies.
+// bytes it copies. View is the one accessor that hands the bytes out
+// rather than copying them: a view is valid only while its holder keeps
+// the Node reachable.
 //
 // The data path is one bounds check and one copy, with no lock: many
 // goroutines — one per accessing server, as in the paper's §4 workloads —
@@ -207,6 +209,23 @@ func (n *Node) WriteAt(p []byte, off int64) error {
 	copy(n.mem[off:], p)
 	runtime.KeepAlive(n)
 	return nil
+}
+
+// View returns the length bytes at offset off as a slice of the node's own
+// memory, with no copy: the sending half of a remote read, which writes
+// the reply out of lent memory. The view is not a snapshot — it shows
+// whatever the node holds when it is read — and it is valid only while
+// the node is mapped: the collector does not see a view as a reference to
+// the node, so its holder must keep the node reachable until the view's
+// last use, as every method here keeps n alive across its own copy.
+//
+//lmp:hotpath
+func (n *Node) View(off int64, length int) ([]byte, error) {
+	if length < 0 || !n.inRange(off, length) {
+		return nil, n.rangeError(off, length)
+	}
+	end := off + int64(length)
+	return n.mem[off:end:end], nil
 }
 
 // WriteFrom fills the length bytes at offset off with the next length

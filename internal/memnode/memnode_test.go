@@ -124,6 +124,15 @@ func TestRangeCheckDoesNotOverflow(t *testing.T) {
 		if err := n.WriteAt(p, tc.off); (err == nil) != tc.fine || (err != nil && !errors.Is(err, ErrOutOfRange)) {
 			t.Errorf("WriteAt(%d bytes, %d): %v, want in range = %t", tc.len, tc.off, err, tc.fine)
 		}
+		// A view ends where its range does: an append to it cannot reach
+		// the bytes after.
+		if v, err := n.View(tc.off, tc.len); (err == nil) != tc.fine || (err != nil && !errors.Is(err, ErrOutOfRange)) ||
+			(err == nil && (len(v) != tc.len || cap(v) != tc.len)) {
+			t.Errorf("View(%d, %d): len %d cap %d, %v, want in range = %t", tc.off, tc.len, len(v), cap(v), err, tc.fine)
+		}
+	}
+	if _, err := n.View(0, -1); !errors.Is(err, ErrOutOfRange) {
+		t.Errorf("View of -1 bytes: %v, want ErrOutOfRange", err)
 	}
 }
 

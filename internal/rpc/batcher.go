@@ -40,8 +40,9 @@ type sendEntry struct {
 	sc      telemetry.SpanContext
 	payload []byte
 	// call is the server-side request a reply entry answers; retire
-	// releases its buffers once the entry has been written or dropped.
-	// Nil on the client's request path, whose buffers the future owns.
+	// releases its request buffer once the entry has been written or
+	// dropped. Nil for a received request, which holds no buffer, and on
+	// the client's request path, whose buffers the future owns.
 	call *serverCall
 }
 

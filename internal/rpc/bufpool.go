@@ -1,6 +1,7 @@
 // The payload buffer pool and the ownership rules of every buffer on the
-// wire path. At most four buffers carry one call's payload; each has
-// exactly one owner at a time, and only that owner gives it back:
+// wire path. At most three pooled buffers carry one call's payload (rules
+// 1, 3 and 4; the server's reply, rule 2, is never one); each has exactly
+// one owner at a time, and only that owner gives it back:
 //
 //  1. Server request buffer. readPayload fills it; the server owns it
 //     until the reply frame of that request has been written or dropped —
@@ -11,12 +12,14 @@
 //     registered with HandleReceive has no request buffer: its Receiver
 //     reads the payload off the connection (or out of the envelope, which
 //     is recycled after the walk as before).
-//  2. Server reply buffer. A handler that wants its reply recycled takes
-//     it from Server.ReplyBuffer, which ties it to the request; the
-//     server gives it back together with the request buffer. Whatever
-//     else a handler returns — its request, a static or shared slice —
-//     is sent and then left alone: a reply is never adopted because of
-//     what it looks like. A Receiver's reply is likewise sent and left.
+//  2. Server reply. The server never recycles a reply: whatever a handler
+//     or a Receiver returns — its request, a static or shared slice, a
+//     view of the memory a read asks for — is sent and then left alone,
+//     and a reply is never adopted because of what it looks like. The
+//     connection's flusher writes it after the handler has returned, so a
+//     reply that is a view must stay valid while the Server is serving:
+//     the connection holds the Server, and so whatever its handlers hold,
+//     until its flusher has exited, and Close returns only after that.
 //  3. Client reply buffer. readPayload fills it, the Future owns it, and
 //     the single waiter gives future and reply back with Future.Release
 //     once it has copied the bytes out. A reply nobody releases (the
@@ -59,10 +62,9 @@ const (
 	maxBufShift   = 24
 	numBufClasses = maxBufShift - minBufShift + 1
 	// bufClassSlots bounds the free buffers one class keeps. The bulk
-	// path's in-flight window is 2 callers x 4 chunks x one buffer (a
-	// write's client request, a read's server reply) = 8 buffers of one
-	// class, plus the replies not yet retired; small classes see a batch's
-	// worth.
+	// path's in-flight window is 2 callers x 4 chunks x one write request
+	// on the client = 8 buffers of one class (a read's chunk takes none of
+	// that size); small classes see a batch's worth.
 	bufClassSlots = 32
 
 	// BufferRetainMax bounds the bytes the pool keeps across all classes

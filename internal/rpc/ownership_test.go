@@ -252,72 +252,6 @@ func TestStaticReplyNeverAdopted(t *testing.T) {
 	}
 }
 
-// TestReplyBufferTiedToRequest pins rule 2 from the handler's side: the
-// buffer ReplyBuffer returns for a request is recycled after that
-// request's reply has been written — whether the handler returned it,
-// returned something else, or failed — and a handler that asks for one
-// with anything but its own payload gets an ordinary allocation.
-func TestReplyBufferTiedToRequest(t *testing.T) {
-	s := NewServer()
-	const (
-		methPooled = 10 + iota
-		methLeaseThenFail
-		methForeign
-	)
-	s.Handle(methPooled, func(p []byte) ([]byte, error) {
-		out := s.ReplyBuffer(p, len(p))
-		copy(out, p)
-		return out, nil
-	})
-	s.Handle(methLeaseThenFail, func(p []byte) ([]byte, error) {
-		s.ReplyBuffer(p, 4096)
-		return nil, errors.New("deliberate failure after taking a reply buffer")
-	})
-	foreign := make(chan int, 1)
-	s.Handle(methForeign, func(p []byte) ([]byte, error) {
-		b := s.ReplyBuffer(p[1:], 100) // not the payload this handler was handed
-		foreign <- cap(b)
-		return b, nil
-	})
-	addr, err := s.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	block := make([]byte, 3000)
-	for seq := uint64(0); seq < 100; seq++ {
-		fillBlock(block, 1, seq)
-		got, err := c.Call(methPooled, block)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if gc, gs, err := checkBlock(got); err != nil || gc != 1 || gs != seq {
-			t.Fatalf("seq %d: reply is block (caller %d, seq %d), err %v", seq, gc, gs, err)
-		}
-		if _, err := c.Call(methLeaseThenFail, block); err == nil {
-			t.Fatal("the failing handler's error was lost")
-		}
-	}
-	if _, err := c.Call(methForeign, block); err != nil {
-		t.Fatal(err)
-	}
-	if got := <-foreign; got != 100 {
-		t.Errorf("ReplyBuffer for a foreign payload has cap %d, want an exact allocation of 100", got)
-	}
-	s.mu.Lock()
-	n := len(s.inflight)
-	s.mu.Unlock()
-	if n != 0 {
-		t.Errorf("%d requests still registered after every handler returned", n)
-	}
-}
-
 // TestUnframeableReplyFailsOnlyItsCall: a handler reply past MaxPayload
 // cannot be framed. It used to reach writeFrame, whose refusal failed
 // the reply batcher and closed the connection under every pipelined

@@ -113,7 +113,7 @@ func TestStalledWriteBatchesQueuedCalls(t *testing.T) {
 	if st.FramesSent != 2 || st.BatchesSent != 1 || st.BatchedCalls != queued || st.MaxBatch != queued {
 		t.Fatalf("stats %+v: want the lead frame, then one batch of all %d queued calls", st, queued)
 	}
-	if got := s.BatchesReceived(); got != 1 {
+	if got := s.batches.Load(); got != 1 {
 		t.Fatalf("server unpacked %d batch frames, want 1", got)
 	}
 }

@@ -8,19 +8,19 @@
 // while a write is in flight coalesce into one batch frame (see
 // batcher.go); the receiver fans the sub-frames back out by tag.
 //
-// Payload buffers are recycled, not allocated per call: the request and
-// the reply, on the client and on the server, come from one bounded pool
-// and each has exactly one owner at a time — bufpool.go states who owns
+// Payload buffers are recycled, not allocated per call: a request on
+// either side and a reply on the client come from one bounded pool and
+// each has exactly one owner at a time — bufpool.go states who owns
 // which buffer until when, and who gives it back. Handlers must not
 // retain their payload; a caller that wants its future and buffers back
 // in the pool calls Future.Release when it is done with the result.
 //
-// Two kinds of call skip a buffer altogether, so their bytes are copied
-// once in user space instead of twice: a reply whose caller named a
-// destination (Future.Into) is read off the connection straight into it,
-// and a request to a method registered with HandleReceive is handed to
-// its Receiver as a reader over the connection, on the connection's read
-// goroutine — the Receiver puts the bytes where they are going.
+// Two kinds of call skip a buffer altogether: a reply whose caller named
+// a destination (Future.Into) is read off the connection straight into
+// it, and a request to a method registered with HandleReceive is handed
+// to its Receiver as a reader over the connection, on the connection's
+// read goroutine — the Receiver puts the bytes where they are going, or
+// replies with a view of where they already are.
 //
 // Wire format: see frame.go. Error payloads carry a code byte naming the
 // sentinel the handler error wrapped (ErrServerDead, ErrTransient), so
@@ -69,7 +69,11 @@ type Handler func(payload []byte) ([]byte, error)
 // and it must not keep body. The server drains whatever the Receiver
 // leaves unread, so an error returned before any byte was read still
 // leaves the next frame parsable. While it runs no other request of that
-// connection is read: a Receiver must not block on anything but body.
+// connection is read: a Receiver must not block on anything but body. Its
+// reply is written by the connection's flusher after it returns and is
+// never recycled, so it may be memory that stays valid while the Server
+// holds the Receiver, such as a view of the bytes a read asks for: the
+// connection keeps the Server until its flusher has exited.
 type Receiver func(head []byte, body io.Reader, n int) ([]byte, error)
 
 // maxReceiveHead bounds HandleReceive's headLen: the head is read into
@@ -99,12 +103,6 @@ type Server struct {
 	closed    bool
 	wg        sync.WaitGroup
 
-	// inflight finds the request a handler is serving from the payload
-	// it was handed (keyed by the payload's first byte), which is how
-	// ReplyBuffer ties a reply buffer to its request. An entry lives from
-	// dispatch until the handler returns.
-	inflight map[*byte]*serverCall
-
 	calls   [256]atomic.Uint64
 	errs    [256]atomic.Uint64
 	batches atomic.Uint64 // batch frames received
@@ -119,7 +117,6 @@ func NewServer() *Server {
 	return &Server{
 		handlers: make(map[byte]Handler),
 		conns:    make(map[net.Conn]struct{}),
-		inflight: make(map[*byte]*serverCall),
 	}
 }
 
@@ -136,8 +133,9 @@ func (s *Server) Handle(method byte, h Handler) {
 // first headLen bytes and hands r the rest as a reader (see Receiver), so
 // a request payload reaches its destination with no request buffer and
 // no goroutine of its own. It is for methods whose request carries bulk
-// bytes to be stored, such as a remote write. A deadline budget spent on
-// arrival is refused before any byte after the head is read; a request
+// bytes to be stored, such as a remote write, or whose reply is bulk
+// bytes already in place, such as a remote read. A deadline budget spent
+// on arrival is refused before any byte after the head is read; a request
 // shorter than headLen gets an error reply; a connection that fails in
 // the middle of a payload is closed, with no reply. headLen is at most 64.
 // Registering replaces, including a Handle registration.
@@ -170,9 +168,7 @@ func (s *Server) SetTracer(t *telemetry.Tracer) {
 
 // SetRegistry mirrors request and error totals into reg as the counters
 // "rpc.requests" and "rpc.errors" (per-method detail stays in Stats),
-// and the process-wide buffer pool's hits, misses and retained bytes as
-// the gauges "rpc.buffer.*", refreshed as each request's buffers go
-// back — so a scrape shows whether recycling works in this deployment.
+// and registers the gauges "rpc.buffer.*" that SampleBuffers fills.
 func (s *Server) SetRegistry(reg *telemetry.Registry) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -190,7 +186,17 @@ type bufferGauges struct {
 	hits, misses, retained *telemetry.Gauge
 }
 
-func (g *bufferGauges) refresh() {
+// SampleBuffers sets the "rpc.buffer.*" gauges SetRegistry registered to
+// the process-wide buffer pool's hits, misses and retained bytes, so a
+// scrape shows whether recycling works in this deployment. Call it once
+// per scrape; without a registry it does nothing.
+func (s *Server) SampleBuffers() {
+	s.mu.Lock()
+	g := s.bufStats
+	s.mu.Unlock()
+	if g == nil {
+		return
+	}
 	g.hits.Set(int64(bufPool.hits.Load()))
 	g.misses.Set(int64(bufPool.misses.Load()))
 	g.retained.Set(bufPool.retained.Load())
@@ -220,10 +226,6 @@ func (s *Server) Stats() []MethodStats {
 	}
 	return out
 }
-
-// BatchesReceived reports how many batch frames this server has unpacked
-// across all connections.
-func (s *Server) BatchesReceived() uint64 { return s.batches.Load() }
 
 // Listen starts accepting on addr ("host:port"; ":0" picks a free port)
 // and returns the bound address.
@@ -535,18 +537,15 @@ type serverCall struct {
 	name     string
 	tracer   *telemetry.Tracer
 	errCount *telemetry.Counter
-	bufStats *bufferGauges
 
 	// start is c.run bound once, when the struct is first made: `go
 	// c.run()` would allocate that closure per request.
 	start func()
 
 	// buf is the pooled request buffer (bufpool.go, rule 1), payload the
-	// handler's view of it behind the metadata prefix; reply is the
-	// buffer the handler took from ReplyBuffer, if it did (rule 2).
+	// handler's view of it behind the metadata prefix.
 	buf     []byte
 	payload []byte
-	reply   []byte
 }
 
 // serverCallPool has no New: run releases into the pool, so a New that
@@ -587,10 +586,7 @@ func (s *Server) dispatch(h frameHeader, frame []byte, owned bool, out *batcher)
 	c.name = s.names[h.method]
 	c.tracer = s.tracer
 	reqCount := s.reqCount
-	c.errCount, c.bufStats = s.errCount, s.bufStats
-	if len(c.payload) > 0 {
-		s.inflight[&c.payload[0]] = c
-	}
+	c.errCount = s.errCount
 	s.mu.Unlock()
 	s.calls[h.method].Add(1)
 	if reqCount != nil {
@@ -621,52 +617,21 @@ func (c *serverCall) run() {
 	default:
 		resp, herr = c.handler(c.payload)
 	}
-	if len(c.payload) > 0 {
-		s.mu.Lock()
-		delete(s.inflight, &c.payload[0])
-		s.mu.Unlock()
-	}
 	kind, resp := s.finish(c.method, c.errCount, c.tracer, &sp, resp, herr)
 	if c.out.enqueue(sendEntry{kind: kind, method: c.method, id: c.id, payload: resp, call: c}) != nil {
 		c.release() // the connection is gone; the reply is dropped here
 	}
 }
 
-// release gives the request's buffers and the call itself back. It runs
+// release gives the request buffer and the call itself back. It runs
 // once, when the reply frame has been written or dropped: until then the
-// reply may alias the request buffer (an echo handler returns it) or be
-// the ReplyBuffer buffer.
+// reply may alias the request buffer (an echo handler returns it).
 //
 //lmp:hotpath
 func (c *serverCall) release() {
 	PutBuffer(c.buf)
-	PutBuffer(c.reply)
-	if g := c.bufStats; g != nil {
-		g.refresh()
-	}
 	*c = serverCall{start: c.start}
 	serverCallPool.Put(c)
-}
-
-// ReplyBuffer returns a pooled buffer of length n for the reply to the
-// request whose payload req a handler is serving, to be filled and
-// returned (whole or resliced) by that handler. The server gives it back
-// once the reply frame has been written, or when the handler fails
-// instead. It is the only way a reply gets recycled: anything else a
-// handler returns is sent and left alone. One buffer per request — a
-// second call, or an empty or resliced req, gets an ordinary allocation
-// that is never reused.
-func (s *Server) ReplyBuffer(req []byte, n int) []byte {
-	if len(req) > 0 {
-		s.mu.Lock()
-		c := s.inflight[&req[0]]
-		s.mu.Unlock()
-		if c != nil && c.reply == nil {
-			c.reply = GetBuffer(n)
-			return c.reply
-		}
-	}
-	return make([]byte, n)
 }
 
 // Close stops the listener and all connections, waiting for in-flight
