@@ -140,16 +140,20 @@ audit:
 # against a flat model).
 # The seed corpora already run as plain tests; this budgets $(FUZZTIME)
 # of mutation per target. Go allows one -fuzz target per invocation,
-# hence the loops.
+# hence the loops. -fuzzminimizetime 1s bounds the time spent minimizing
+# each new interesting input (Go's default is 60s): minimizing a byte
+# input tries removing every subset of its bytes, quadratic in its
+# length, and on FuzzWriteCombinerModel's 1000-byte programs the default
+# ate a whole smoke budget, at ~1 exec/s.
 fuzz-smoke:
 	@for t in FuzzGF256Arithmetic FuzzGF256MulSlice FuzzRSRoundTrip FuzzRSTooManyErasures; do \
-		$(GO) test -run '^$$' -fuzz "^$$t$$" -fuzztime $(FUZZTIME) ./internal/failure/ || exit 1; \
+		$(GO) test -run '^$$' -fuzz "^$$t$$" -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/failure/ || exit 1; \
 	done
 	@for t in FuzzFrameRoundTrip FuzzReadFrame FuzzErrorPayload FuzzReadFrameTruncation FuzzBatchRoundTrip FuzzDecodeBatch FuzzReplyInto; do \
-		$(GO) test -run '^$$' -fuzz "^$$t$$" -fuzztime $(FUZZTIME) ./internal/rpc/ || exit 1; \
+		$(GO) test -run '^$$' -fuzz "^$$t$$" -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/rpc/ || exit 1; \
 	done
-	$(GO) test -run '^$$' -fuzz '^FuzzDaemonHandlers$$' -fuzztime $(FUZZTIME) ./internal/daemon/
-	$(GO) test -run '^$$' -fuzz '^FuzzWriteCombinerModel$$' -fuzztime $(FUZZTIME) ./internal/cache/
+	$(GO) test -run '^$$' -fuzz '^FuzzDaemonHandlers$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/daemon/
+	$(GO) test -run '^$$' -fuzz '^FuzzWriteCombinerModel$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/cache/
 
 # End-to-end observability smoke: boot a real lmpd on ephemeral ports,
 # drive traffic with lmpctl, scrape /metrics, /stats, and pprof, and diff

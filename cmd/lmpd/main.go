@@ -5,8 +5,9 @@
 //
 // Alongside the data port, lmpd serves an operations HTTP listener with
 // Prometheus metrics (/metrics), a typed JSON snapshot (/stats), recent
-// trace spans (/spans), and runtime profiles (/debug/pprof/). Handler
-// spans crossing the slow-op threshold are logged.
+// trace spans (/spans), and runtime profiles (/debug/pprof/). A request
+// leaves a span only when its caller traced it, or when it failed or
+// crossed the slow-op threshold; slow ones are also logged.
 //
 // Usage:
 //

@@ -121,11 +121,15 @@ func (s *Server) Metrics() *telemetry.Registry {
 	return s.metrics
 }
 
-// TraceSpans returns the daemon's retained handler spans, oldest first.
+// TraceSpans returns the daemon's retained request spans, oldest first:
+// traced requests, and untraced ones that failed or were slow.
 func (s *Server) TraceSpans() []telemetry.Span { return s.tracer.Spans() }
 
 // ServerStats is the daemon's typed observability snapshot, served as
-// JSON by lmpd's /stats endpoint.
+// JSON by lmpd's /stats endpoint. SpansPublished counts request spans
+// ever kept: traced requests, and untraced ones that failed or were slow.
+// An untraced request that succeeds under the slow-op threshold counts in
+// Methods only.
 type ServerStats struct {
 	Name           string            `json:"name"`
 	Capacity       int64             `json:"capacity"`

@@ -32,7 +32,8 @@
 // the client sends kind 4 (bare or batched) and the server — if it has a
 // tracer — records its handler span as a child of the caller's span, so
 // one trace ID follows a logical operation across the process boundary
-// no matter how its frames were packed.
+// no matter how its frames were packed. An untraced request is only
+// timed, and kept as a root span if it failed or was slow.
 package rpc
 
 import (
@@ -80,28 +81,36 @@ type Receiver func(head []byte, body io.Reader, n int) ([]byte, error)
 // per-connection scratch.
 const maxReceiveHead = 64
 
-// receiveRoute is one HandleReceive registration.
-type receiveRoute struct {
-	headLen int
+// route is one method's registration: its name, and either a Handler or
+// a Receiver with its head length.
+type route struct {
+	name    string
+	h       Handler
 	r       Receiver
+	headLen int
+}
+
+// reporting is where a server reports: its tracer, and the counters and
+// buffer gauges of its registry. Any of them may be nil.
+type reporting struct {
+	tracer             *telemetry.Tracer
+	reqCount, errCount *telemetry.Counter
+	buf                *bufferGauges
 }
 
 // Server dispatches incoming requests to registered handlers.
 type Server struct {
-	mu       sync.Mutex
-	handlers map[byte]Handler
-	// receivers holds the HandleReceive registrations, read without the
-	// lock by every connection's read loop for every frame.
-	receivers [256]atomic.Pointer[receiveRoute]
-	names     [256]string
-	tracer    *telemetry.Tracer
-	reqCount  *telemetry.Counter
-	errCount  *telemetry.Counter
-	bufStats  *bufferGauges
-	ln        net.Listener
-	conns     map[net.Conn]struct{}
-	closed    bool
-	wg        sync.WaitGroup
+	// mu serializes registration and guards the listener and the
+	// connection set. A request takes no lock: routes and report are
+	// replaced whole by the calls that change them (republish), and read
+	// with one atomic load each.
+	mu     sync.Mutex
+	routes [256]atomic.Pointer[route]
+	report atomic.Pointer[reporting]
+	ln     net.Listener
+	conns  map[net.Conn]struct{}
+	closed bool
+	wg     sync.WaitGroup
 
 	calls   [256]atomic.Uint64
 	errs    [256]atomic.Uint64
@@ -114,19 +123,28 @@ var errBudgetSpent = fmt.Errorf("rpc: deadline budget spent before dispatch: %w"
 
 // NewServer returns a server with no handlers.
 func NewServer() *Server {
-	return &Server{
-		handlers: make(map[byte]Handler),
-		conns:    make(map[net.Conn]struct{}),
+	s := &Server{conns: make(map[net.Conn]struct{})}
+	s.report.Store(&reporting{})
+	return s
+}
+
+// republish replaces *p, under s.mu, with a copy of it that f changed
+// (a zero value when *p is nil).
+func republish[T any](s *Server, p *atomic.Pointer[T], f func(*T)) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var v T
+	if old := p.Load(); old != nil {
+		v = *old
 	}
+	f(&v)
+	p.Store(&v)
 }
 
 // Handle registers h for method. Registering after Serve is allowed;
 // re-registering replaces, including a HandleReceive registration.
 func (s *Server) Handle(method byte, h Handler) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.handlers[method] = h
-	s.receivers[method].Store(nil)
+	republish(s, &s.routes[method], func(rt *route) { rt.h, rt.r, rt.headLen = h, nil, 0 })
 }
 
 // HandleReceive registers r for method: the server reads the request's
@@ -143,42 +161,37 @@ func (s *Server) HandleReceive(method byte, headLen int, r Receiver) {
 	if headLen < 0 || headLen > maxReceiveHead {
 		panic(fmt.Sprintf("rpc: receive head of %d bytes outside [0,%d]", headLen, maxReceiveHead))
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.handlers, method)
-	s.receivers[method].Store(&receiveRoute{headLen: headLen, r: r})
+	republish(s, &s.routes[method], func(rt *route) { rt.h, rt.r, rt.headLen = nil, r, headLen })
 }
 
 // NameMethod labels method for spans and Stats; unnamed methods appear
 // as "rpc.request".
 func (s *Server) NameMethod(method byte, name string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.names[method] = name
+	republish(s, &s.routes[method], func(rt *route) { rt.name = name })
 }
 
-// SetTracer makes the server record one span per request into t, named
-// by NameMethod and parented on the caller's span when the request was
-// traced (kind 4). A nil tracer turns spans off.
+// SetTracer makes the server record request spans into t, named by
+// NameMethod. A traced request (kind 4) gets a span parented on the
+// caller's. An untraced one is timed, and kept as a root span only when
+// it failed or crossed t's slow-op threshold (Tracer.End). A nil
+// tracer turns spans off.
 func (s *Server) SetTracer(t *telemetry.Tracer) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.tracer = t
+	republish(s, &s.report, func(rp *reporting) { rp.tracer = t })
 }
 
 // SetRegistry mirrors request and error totals into reg as the counters
 // "rpc.requests" and "rpc.errors" (per-method detail stays in Stats),
 // and registers the gauges "rpc.buffer.*" that SampleBuffers fills.
 func (s *Server) SetRegistry(reg *telemetry.Registry) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.reqCount = reg.Counter("rpc.requests")
-	s.errCount = reg.Counter("rpc.errors")
-	s.bufStats = &bufferGauges{
-		hits:     reg.Gauge("rpc.buffer.hits"),
-		misses:   reg.Gauge("rpc.buffer.misses"),
-		retained: reg.Gauge("rpc.buffer.retained_bytes"),
-	}
+	republish(s, &s.report, func(rp *reporting) {
+		rp.reqCount = reg.Counter("rpc.requests")
+		rp.errCount = reg.Counter("rpc.errors")
+		rp.buf = &bufferGauges{
+			hits:     reg.Gauge("rpc.buffer.hits"),
+			misses:   reg.Gauge("rpc.buffer.misses"),
+			retained: reg.Gauge("rpc.buffer.retained_bytes"),
+		}
+	})
 }
 
 // bufferGauges is the registry's view of the buffer pool.
@@ -191,9 +204,7 @@ type bufferGauges struct {
 // scrape shows whether recycling works in this deployment. Call it once
 // per scrape; without a registry it does nothing.
 func (s *Server) SampleBuffers() {
-	s.mu.Lock()
-	g := s.bufStats
-	s.mu.Unlock()
+	g := s.report.Load().buf
 	if g == nil {
 		return
 	}
@@ -213,16 +224,17 @@ type MethodStats struct {
 // Stats reports per-method dispatch totals for every method that is
 // named or has been called.
 func (s *Server) Stats() []MethodStats {
-	s.mu.Lock()
-	names := s.names
-	s.mu.Unlock()
 	var out []MethodStats
 	for m := 0; m < 256; m++ {
+		var name string
+		if rt := s.routes[m].Load(); rt != nil {
+			name = rt.name
+		}
 		calls, errors := s.calls[m].Load(), s.errs[m].Load()
-		if calls == 0 && errors == 0 && names[m] == "" {
+		if calls == 0 && errors == 0 && name == "" {
 			continue
 		}
-		out = append(out, MethodStats{Method: byte(m), Name: names[m], Calls: calls, Errors: errors})
+		out = append(out, MethodStats{Method: byte(m), Name: name, Calls: calls, Errors: errors})
 	}
 	return out
 }
@@ -287,7 +299,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	// to the pool right after the walk: dispatch copies it out, a
 	// Receiver reads it in place.
 	visit := func(sh frameHeader, sub []byte) error {
-		if rt := s.receivers[sh.method].Load(); rt != nil {
+		if rt := s.routes[sh.method].Load(); rt != nil && rt.r != nil {
 			budget, sc, payload, ok := decodePrefix(sh.kind, sub)
 			if !ok {
 				return fmt.Errorf("rpc: bad sub-frame kind %d", sh.kind)
@@ -318,7 +330,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			}
 			continue
 		}
-		if rt := s.receivers[h.method].Load(); rt != nil {
+		if rt := s.routes[h.method].Load(); rt != nil && rt.r != nil {
 			if !s.receive(cr, h, rt, out) {
 				return // protocol violation, or the connection failed mid-payload
 			}
@@ -393,7 +405,7 @@ func (b *bodyReader) drain() {
 // receive serves one bare request frame of a HandleReceive method. It
 // returns false when the connection must end: a frame too short for its
 // kind's metadata prefix, or a read error before the frame's last byte.
-func (s *Server) receive(cr *connReader, h frameHeader, rt *receiveRoute, out *batcher) bool {
+func (s *Server) receive(cr *connReader, h frameHeader, rt *route, out *batcher) bool {
 	prefix := prefixLen(h.kind)
 	if int(h.length) < prefix {
 		return false
@@ -427,7 +439,7 @@ func (s *Server) receive(cr *connReader, h frameHeader, rt *receiveRoute, out *b
 
 // receiveBatched serves one batched request of a HandleReceive method:
 // payload (past the metadata prefix) aliases the envelope.
-func (s *Server) receiveBatched(cr *connReader, h frameHeader, budget int64, sc telemetry.SpanContext, rt *receiveRoute, payload []byte, out *batcher) {
+func (s *Server) receiveBatched(cr *connReader, h frameHeader, budget int64, sc telemetry.SpanContext, rt *route, payload []byte, out *batcher) {
 	arrived := arrival(budget)
 	if len(payload) < rt.headLen {
 		s.serveReceived(h, budget, arrived, sc, rt, nil, nil, len(payload), out)
@@ -442,15 +454,9 @@ func (s *Server) receiveBatched(cr *connReader, h frameHeader, budget int64, sc 
 // check, the Receiver, the reply. head is nil for a request shorter than
 // the Receiver's head, which is refused. The reply holds no buffer of the
 // server's, so its queue entry has no call to release.
-func (s *Server) serveReceived(h frameHeader, budget int64, arrived time.Time, sc telemetry.SpanContext, rt *receiveRoute, head []byte, body io.Reader, n int, out *batcher) {
-	s.mu.Lock()
-	name, tracer, reqCount, errCount := s.names[h.method], s.tracer, s.reqCount, s.errCount
-	s.mu.Unlock()
-	s.calls[h.method].Add(1)
-	if reqCount != nil {
-		reqCount.Inc()
-	}
-	sp := beginSpan(tracer, sc, name)
+func (s *Server) serveReceived(h frameHeader, budget int64, arrived time.Time, sc telemetry.SpanContext, rt *route, head []byte, body io.Reader, n int, out *batcher) {
+	rp := s.count(h.method)
+	sp := beginSpan(rp.tracer, sc, rt.name)
 	var resp []byte
 	var herr error
 	switch {
@@ -461,13 +467,27 @@ func (s *Server) serveReceived(h frameHeader, budget int64, arrived time.Time, s
 	default:
 		resp, herr = rt.r(head, body, n)
 	}
-	kind, resp := s.finish(h.method, errCount, tracer, &sp, resp, herr)
+	kind, resp := s.finish(h.method, rp, &sp, resp, herr)
 	// A failed enqueue means the connection is gone: the read loop ends
 	// on its next read.
 	_ = out.enqueue(sendEntry{kind: kind, method: h.method, id: h.id, payload: resp})
 }
 
-// beginSpan opens a request's span when the server has a tracer.
+// count counts one request of method and returns the reporting it was
+// counted under, which the request's span and error use too.
+func (s *Server) count(method byte) *reporting {
+	rp := s.report.Load()
+	s.calls[method].Add(1)
+	if rp.reqCount != nil {
+		rp.reqCount.Inc()
+	}
+	return rp
+}
+
+// beginSpan starts a request's span when the server has a tracer: a
+// child of the caller's span for a traced request, and for an untraced
+// one only a start time, which finish keeps as a root span if the
+// request fails or is slow.
 func beginSpan(tracer *telemetry.Tracer, sc telemetry.SpanContext, name string) (sp telemetry.Span) {
 	if tracer == nil {
 		return sp
@@ -475,12 +495,15 @@ func beginSpan(tracer *telemetry.Tracer, sc telemetry.SpanContext, name string) 
 	if name == "" {
 		name = "rpc.request"
 	}
-	return tracer.Begin(sc, name)
+	if sc.Traced() {
+		return tracer.Begin(sc, name)
+	}
+	return telemetry.Span{Op: name, Server: -1, Start: tracer.Now()}
 }
 
 // finish turns a handler's or a Receiver's result into its reply frame's
 // kind and payload, counts an error, and ends the request's span.
-func (s *Server) finish(method byte, errCount *telemetry.Counter, tracer *telemetry.Tracer, sp *telemetry.Span, resp []byte, herr error) (byte, []byte) {
+func (s *Server) finish(method byte, rp *reporting, sp *telemetry.Span, resp []byte, herr error) (byte, []byte) {
 	if herr == nil && len(resp) > MaxPayload {
 		// A reply the codec cannot frame fails this call, not the
 		// connection and every call pipelined behind it.
@@ -491,14 +514,14 @@ func (s *Server) finish(method byte, errCount *telemetry.Counter, tracer *teleme
 		kind = kindError
 		resp = encodeErrorPayload(herr)
 		s.errs[method].Add(1)
-		if errCount != nil {
-			errCount.Inc()
+		if rp.errCount != nil {
+			rp.errCount.Inc()
 		}
 	}
-	if tracer != nil {
+	if rp.tracer != nil {
 		sp.Bytes = len(resp)
 		sp.Err = herr != nil
-		tracer.End(sp)
+		rp.tracer.End(sp)
 	}
 	return kind, resp
 }
@@ -533,10 +556,8 @@ type serverCall struct {
 	arrived time.Time
 	sc      telemetry.SpanContext
 
-	handler  Handler
-	name     string
-	tracer   *telemetry.Tracer
-	errCount *telemetry.Counter
+	rt *route
+	rp *reporting
 
 	// start is c.run bound once, when the struct is first made: `go
 	// c.run()` would allocate that closure per request.
@@ -547,6 +568,9 @@ type serverCall struct {
 	buf     []byte
 	payload []byte
 }
+
+// unrouted is the route of a method nobody registered: it has no handler.
+var unrouted route
 
 // serverCallPool has no New: run releases into the pool, so a New that
 // binds run would be an initialization cycle. dispatch makes the misses.
@@ -581,17 +605,11 @@ func (s *Server) dispatch(h frameHeader, frame []byte, owned bool, out *batcher)
 		copy(c.buf, payload)
 		c.payload = c.buf
 	}
-	s.mu.Lock()
-	c.handler = s.handlers[h.method]
-	c.name = s.names[h.method]
-	c.tracer = s.tracer
-	reqCount := s.reqCount
-	c.errCount = s.errCount
-	s.mu.Unlock()
-	s.calls[h.method].Add(1)
-	if reqCount != nil {
-		reqCount.Inc()
+	c.rt = s.routes[h.method].Load()
+	if c.rt == nil {
+		c.rt = &unrouted
 	}
+	c.rp = s.count(h.method)
 	s.wg.Add(1)
 	go c.start()
 	return true
@@ -602,7 +620,7 @@ func (s *Server) dispatch(h frameHeader, frame []byte, owned bool, out *batcher)
 func (c *serverCall) run() {
 	s := c.s
 	defer s.wg.Done()
-	sp := beginSpan(c.tracer, c.sc, c.name)
+	sp := beginSpan(c.rp.tracer, c.sc, c.rt.name)
 	var resp []byte
 	var herr error
 	switch {
@@ -612,12 +630,12 @@ func (c *serverCall) run() {
 		// backlog): reject without running the handler, so an overloaded
 		// server stops burning work the caller has already given up on.
 		herr = errBudgetSpent
-	case c.handler == nil:
+	case c.rt.h == nil:
 		herr = fmt.Errorf("rpc: no handler for method %d", c.method)
 	default:
-		resp, herr = c.handler(c.payload)
+		resp, herr = c.rt.h(c.payload)
 	}
-	kind, resp := s.finish(c.method, c.errCount, c.tracer, &sp, resp, herr)
+	kind, resp := s.finish(c.method, c.rp, &sp, resp, herr)
 	if c.out.enqueue(sendEntry{kind: kind, method: c.method, id: c.id, payload: resp, call: c}) != nil {
 		c.release() // the connection is gone; the reply is dropped here
 	}

@@ -1,24 +1,38 @@
-// Tests for cross-process trace propagation (kind-4 frames), per-method
-// and per-method dispatch stats.
+// Tests for cross-process trace propagation (kind-4 frames), the rule
+// for untraced requests (kept only when failed or slow), and per-method
+// dispatch stats.
 package rpc
 
 import (
 	"context"
 	"errors"
+	"io"
+	"sync"
 	"testing"
 
 	"github.com/lmp-project/lmp/internal/telemetry"
 )
 
-func newTracedServer(t *testing.T) (*Server, *telemetry.Tracer, string) {
+// newTracedServer serves three methods under a tracer with slow-op
+// classification off: 7 echoes and 8 fails on handler goroutines, and
+// 9 is a Receiver that fails on an empty body. obs, if set, observes the
+// tracer.
+func newTracedServer(t *testing.T, obs telemetry.Observer) (*Server, *telemetry.Tracer, string) {
 	t.Helper()
 	s := NewServer()
-	tracer := telemetry.NewTracer(telemetry.TracerConfig{SlowOpNS: -1})
+	tracer := telemetry.NewTracer(telemetry.TracerConfig{SlowOpNS: -1, Observer: obs})
 	s.SetTracer(tracer)
 	s.Handle(7, func(p []byte) ([]byte, error) { return append([]byte("ok:"), p...), nil })
 	s.NameMethod(7, "rpc.echo")
 	s.Handle(8, func(p []byte) ([]byte, error) { return nil, errors.New("boom") })
 	s.NameMethod(8, "rpc.fail")
+	s.HandleReceive(9, 0, func(_ []byte, _ io.Reader, n int) ([]byte, error) {
+		if n == 0 {
+			return nil, errors.New("empty body")
+		}
+		return nil, nil
+	})
+	s.NameMethod(9, "rpc.recv")
 	addr, err := s.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -27,8 +41,32 @@ func newTracedServer(t *testing.T) (*Server, *telemetry.Tracer, string) {
 	return s, tracer, addr
 }
 
+// spanLog is an Observer that keeps the slow ops it is handed.
+type spanLog struct {
+	mu   sync.Mutex
+	slow []telemetry.Span
+}
+
+func (l *spanLog) OnSpan(telemetry.Span) {}
+
+func (l *spanLog) OnSlowOp(s telemetry.Span) {
+	l.mu.Lock()
+	l.slow = append(l.slow, s)
+	l.mu.Unlock()
+}
+
+func (l *spanLog) slowOps() []string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	var ops []string
+	for _, s := range l.slow {
+		ops = append(ops, s.Op)
+	}
+	return ops
+}
+
 func TestTracedRequestPropagatesSpan(t *testing.T) {
-	_, tracer, addr := newTracedServer(t)
+	_, tracer, addr := newTracedServer(t, nil)
 	c, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
@@ -57,28 +95,118 @@ func TestTracedRequestPropagatesSpan(t *testing.T) {
 	}
 }
 
-func TestUntracedRequestRecordsRootSpan(t *testing.T) {
-	_, tracer, addr := newTracedServer(t)
+// TestUntracedRequestLeavesNoSpan: an untraced request that succeeds
+// under the slow-op threshold is counted but leaves no span behind, on a
+// handler goroutine and on a Receiver alike, bare or batched.
+func TestUntracedRequestLeavesNoSpan(t *testing.T) {
+	s, tracer, addr := newTracedServer(t, nil)
 	c, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 
-	if _, err := c.Call(7, []byte("x")); err != nil {
-		t.Fatal(err)
+	const n = 100
+	var futures []*Future
+	for i := 0; i < n; i++ {
+		futures = append(futures, c.CallAsyncCtx(nil, 7, []byte("x")), c.CallAsyncCtx(nil, 9, []byte("x")))
 	}
-	spans := tracer.Spans()
-	if len(spans) != 1 {
-		t.Fatalf("server recorded %d spans, want 1", len(spans))
+	for _, f := range futures {
+		if _, err := f.Wait(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if sp := spans[0]; sp.Parent != 0 || sp.Trace != sp.ID {
-		t.Fatalf("span = %+v, want fresh root trace", sp)
+	if got := tracer.Published(); got != 0 {
+		t.Fatalf("%d untraced fast requests published %d spans, want 0", 2*n, got)
+	}
+	if spans := tracer.Spans(); len(spans) != 0 {
+		t.Fatalf("tracer retained %d spans, want none: %+v", len(spans), spans[0])
+	}
+	var calls uint64
+	for _, m := range s.Stats() {
+		calls += m.Calls
+	}
+	if calls != 2*n {
+		t.Fatalf("Stats counted %d calls, want %d", calls, 2*n)
 	}
 }
 
+// TestUntracedRequestRecordsRootSpan: an untraced request is kept as a
+// fresh root span when it crossed the slow-op threshold, and then fires
+// OnSlowOp, or when it failed, and then carries Err.
+func TestUntracedRequestRecordsRootSpan(t *testing.T) {
+	checkRoots := func(t *testing.T, spans []telemetry.Span, ops ...string) {
+		t.Helper()
+		if len(spans) != len(ops) {
+			t.Fatalf("server recorded %d spans, want %d (%v): %+v", len(spans), len(ops), ops, spans)
+		}
+		for i, sp := range spans {
+			if sp.ID == 0 || sp.Parent != 0 || sp.Trace != sp.ID || sp.Op != ops[i] {
+				t.Fatalf("span %d = %+v, want a fresh root trace of %s", i, sp, ops[i])
+			}
+		}
+	}
+	t.Run("slow", func(t *testing.T) {
+		obs := &spanLog{}
+		_, tracer, addr := newTracedServer(t, obs)
+		tracer.SetSlowOpNS(0) // every request is slow
+		c, err := Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		if _, err := c.Call(7, []byte("x")); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Call(9, []byte("x")); err != nil {
+			t.Fatal(err)
+		}
+		spans := tracer.Spans()
+		checkRoots(t, spans, "rpc.echo", "rpc.recv")
+		for _, sp := range spans {
+			if sp.Err {
+				t.Fatalf("successful request's span has Err: %+v", sp)
+			}
+		}
+		if got := obs.slowOps(); len(got) != 2 || got[0] != "rpc.echo" || got[1] != "rpc.recv" {
+			t.Fatalf("OnSlowOp saw %v, want [rpc.echo rpc.recv]", got)
+		}
+		if got := tracer.SlowOps(); got != 2 {
+			t.Fatalf("SlowOps = %d, want 2", got)
+		}
+	})
+	t.Run("failed", func(t *testing.T) {
+		obs := &spanLog{}
+		_, tracer, addr := newTracedServer(t, obs)
+		c, err := Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		if _, err := c.Call(8, nil); err == nil {
+			t.Fatal("method 8 should fail")
+		}
+		if _, err := c.Call(7, []byte("x")); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Call(9, nil); err == nil {
+			t.Fatal("method 9 with an empty body should fail")
+		}
+		spans := tracer.Spans()
+		checkRoots(t, spans, "rpc.fail", "rpc.recv")
+		for _, sp := range spans {
+			if !sp.Err {
+				t.Fatalf("failed request's span lacks Err: %+v", sp)
+			}
+		}
+		if got := obs.slowOps(); len(got) != 0 {
+			t.Fatalf("OnSlowOp saw %v with slow-op classification off", got)
+		}
+	})
+}
+
 func TestServerMethodStats(t *testing.T) {
-	s, tracer, addr := newTracedServer(t)
+	s, tracer, addr := newTracedServer(t, nil)
 	reg := telemetry.NewRegistry()
 	s.SetRegistry(reg)
 	c, err := Dial(addr)

@@ -16,11 +16,17 @@ import (
 // / SpanFromContext) and cross the RPC wire as two explicit uint64s.
 //
 // The Tracer keeps completed spans in a bounded in-memory ring: old
-// spans are overwritten, never allocated-for or flushed synchronously,
-// so tracing can stay on in production. Publication is striped across
-// lanes (each with its own small ring and mutex) so concurrent End calls
-// from different goroutines do not serialize on one lock. Everything on
-// the End path is allocation-free; see TestTraceAllocFree.
+// spans are overwritten, never flushed synchronously, so tracing can stay
+// on in production. Publication is striped across lanes (each with its
+// own small ring and mutex) so concurrent End calls from different
+// goroutines do not serialize on one lock. Ring storage grows with use:
+// a lane's ring is allocated when the first span lands in it, so a
+// tracer nobody publishes to holds no span storage, and once every lane
+// has published the End path is allocation-free (TestTraceAllocFree).
+//
+// A root that nobody asked to trace need not be kept at all: a component
+// that times every request, as lmpd does, ends an untraced one (a Span
+// with no ID) with End, which retains it only when it failed or was slow.
 
 // SpanContext identifies a position in a trace: the trace ID plus the
 // currently open span. The zero SpanContext means "not traced"; spans
@@ -86,13 +92,21 @@ type TracerConfig struct {
 }
 
 // traceLane is one publication stripe: a small ring with its own lock,
-// so concurrent End calls from different goroutines rarely contend.
+// so concurrent End calls from different goroutines rarely contend. The
+// ring is nil until the lane's first span (grow). A lane fills one
+// 64-byte cache line, so neighbouring lanes' locks do not share one.
 type traceLane struct {
 	mu   sync.Mutex
-	ring []Span
-	seq  []uint64 // publication sequence of ring[i], for merge ordering
+	ring []laneSpan
 	next uint64
-	_    [32]byte
+	_    [24]byte
+}
+
+// laneSpan is a retained span and its publication sequence, by which
+// Spans merges the lanes.
+type laneSpan struct {
+	seq uint64
+	Span
 }
 
 // Tracer records completed spans into a bounded ring buffer.
@@ -107,6 +121,7 @@ type Tracer struct {
 
 	lanes    []traceLane
 	laneMask uint64
+	perLane  int // ring slots per lane, allocated on the lane's first span
 }
 
 // DefaultRingSize bounds retained spans when TracerConfig.RingSize is 0.
@@ -133,7 +148,8 @@ func pow2AtLeast(n int) int {
 	return c
 }
 
-// NewTracer builds a tracer from cfg.
+// NewTracer builds a tracer from cfg. It allocates the lanes' headers
+// only: each lane's ring is allocated when the first span lands in it.
 func NewTracer(cfg TracerConfig) *Tracer {
 	if cfg.RingSize <= 0 {
 		cfg.RingSize = DefaultRingSize
@@ -157,12 +173,9 @@ func NewTracer(cfg TracerConfig) *Tracer {
 		observer: cfg.Observer,
 		lanes:    make([]traceLane, lanes),
 		laneMask: uint64(lanes - 1),
+		perLane:  perLane,
 	}
 	t.slowNS.Store(cfg.SlowOpNS)
-	for i := range t.lanes {
-		t.lanes[i].ring = make([]Span, perLane)
-		t.lanes[i].seq = make([]uint64, perLane)
-	}
 	return t
 }
 
@@ -187,20 +200,34 @@ func (t *Tracer) SetSlowOpNS(ns int64) { t.slowNS.Store(ns) }
 // End completes s — setting DurationNS from the clock — publishes it
 // into the ring, and reports whether it crossed the slow-op threshold.
 // Callers fill Server/Bytes/Err on s before calling End.
+//
+// A span with no ID is an untraced root that Begin never opened: it
+// carries Op, Server, Bytes, Err and a Start read from Now. End keeps it
+// only when it failed or reached the slow-op threshold; it then gets a
+// fresh ID, which is also its trace. Otherwise it costs one clock read
+// and leaves nothing behind: no ID, no lane lock, no ring slot.
 func (t *Tracer) End(s *Span) (slow bool) {
 	s.DurationNS = t.clock() - s.Start
+	ns := t.slowNS.Load()
+	slow = ns >= 0 && s.DurationNS >= ns
+	if s.ID == 0 {
+		if !slow && !s.Err {
+			return false
+		}
+		s.ID = t.nextID.Add(1)
+		s.Trace = s.ID
+	}
 	t.publish(s)
 	if t.observer != nil {
 		t.observer.OnSpan(*s)
 	}
-	if ns := t.slowNS.Load(); ns >= 0 && s.DurationNS >= ns {
+	if slow {
 		t.slow.Add(1)
 		if t.observer != nil {
 			t.observer.OnSlowOp(*s)
 		}
-		return true
 	}
-	return false
+	return slow
 }
 
 // publish retains a completed span, overwriting the lane's oldest.
@@ -208,12 +235,18 @@ func (t *Tracer) publish(s *Span) {
 	seq := t.pubSeq.Add(1)
 	lane := &t.lanes[s.ID&t.laneMask]
 	lane.mu.Lock()
-	i := lane.next & uint64(len(lane.ring)-1)
-	lane.ring[i] = *s
-	lane.seq[i] = seq
+	if lane.ring == nil {
+		lane.grow(t.perLane)
+	}
+	lane.ring[lane.next&uint64(len(lane.ring)-1)] = laneSpan{seq: seq, Span: *s}
 	lane.next++
 	lane.mu.Unlock()
 }
+
+// grow allocates the lane's ring, on its first span.
+//
+//lmp:coldpath
+func (l *traceLane) grow(n int) { l.ring = make([]laneSpan, n) }
 
 // Published reports how many spans have ever been recorded (including
 // ones the ring has since overwritten).
@@ -223,29 +256,21 @@ func (t *Tracer) Published() uint64 { return t.pubSeq.Load() }
 func (t *Tracer) SlowOps() uint64 { return t.slow.Load() }
 
 // Spans returns the retained spans in publication order (oldest first).
-// It is safe concurrently with End, observing each lane atomically.
+// It is safe concurrently with End, observing each lane atomically; a
+// lane no span has landed in has no ring and adds nothing.
 func (t *Tracer) Spans() []Span {
-	type seqSpan struct {
-		seq uint64
-		s   Span
-	}
-	var all []seqSpan
+	var all []laneSpan
 	for li := range t.lanes {
 		lane := &t.lanes[li]
 		lane.mu.Lock()
-		n := lane.next
-		if max := uint64(len(lane.ring)); n > max {
-			n = max
-		}
-		for i := uint64(0); i < n; i++ {
-			all = append(all, seqSpan{seq: lane.seq[i], s: lane.ring[i]})
-		}
+		n := min(lane.next, uint64(len(lane.ring)))
+		all = append(all, lane.ring[:n]...)
 		lane.mu.Unlock()
 	}
 	sort.Slice(all, func(i, j int) bool { return all[i].seq < all[j].seq })
 	out := make([]Span, len(all))
 	for i, e := range all {
-		out[i] = e.s
+		out[i] = e.Span
 	}
 	return out
 }

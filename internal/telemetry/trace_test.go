@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"context"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -181,15 +182,92 @@ func TestSpanContextCarriage(t *testing.T) {
 	}
 }
 
+// TestTraceAllocFree: once every lane has its ring, End does not
+// allocate, for a begun span or an untraced root, kept or not. Every
+// lane publishes first: a lane's first span allocates its ring, and a few
+// of those spread over the runs would round down to 0 per run.
 func TestTraceAllocFree(t *testing.T) {
 	tr := NewTracer(TracerConfig{SlowOpNS: -1})
+	for range tr.lanes {
+		s := tr.Begin(SpanContext{}, "warm")
+		tr.End(&s)
+	}
+	for i := range tr.lanes {
+		if tr.lanes[i].ring == nil {
+			t.Fatalf("lane %d has no ring after %d spans", i, len(tr.lanes))
+		}
+	}
 	allocs := testing.AllocsPerRun(200, func() {
 		s := tr.Begin(SpanContext{}, "pool.read")
 		s.Bytes = 64
 		tr.End(&s)
+		u := Span{Op: "rpc.read", Server: -1, Start: tr.Now()}
+		tr.End(&u)
+		u = Span{Op: "rpc.read", Server: -1, Start: tr.Now(), Err: true}
+		tr.End(&u)
 	})
 	if allocs != 0 {
 		t.Fatalf("Begin/End allocates %.1f per op, want 0", allocs)
+	}
+}
+
+// TestNewTracerHoldsNoSpanStorage: a tracer allocates its lanes' headers
+// and no ring until a span lands in a lane. GOMAXPROCS is pinned because
+// it sets the lane count.
+func TestNewTracerHoldsNoSpanStorage(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
+	const builds = 10
+	keep := make([]*Tracer, 0, builds)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < builds; i++ {
+		keep = append(keep, NewTracer(TracerConfig{}))
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / builds; per >= 4<<10 {
+		t.Fatalf("NewTracer allocates %d B, want under 4 KiB", per)
+	}
+	for _, tr := range keep {
+		if spans := tr.Spans(); len(spans) != 0 || tr.Published() != 0 {
+			t.Fatalf("fresh tracer holds %d spans, published %d", len(spans), tr.Published())
+		}
+	}
+}
+
+// TestEndKeepsUntracedRootWhenFailedOrSlow: End keeps an untraced root
+// (a span with no ID) — with a fresh ID that is its trace, and observed
+// as a begun span would be — only when it failed or reached the slow-op
+// threshold.
+func TestEndKeepsUntracedRootWhenFailedOrSlow(t *testing.T) {
+	clk := &simClock{}
+	obs := &recordingObserver{}
+	tr := NewTracer(TracerConfig{Clock: clk.Now, SlowOpNS: 100, Observer: obs})
+	end := func(op string, d int64, failed bool) (Span, bool) {
+		s := Span{Op: op, Server: -1, Start: tr.Now(), Err: failed}
+		clk.Advance(d)
+		slow := tr.End(&s)
+		return s, slow
+	}
+	if s, slow := end("fast", 99, false); slow || s.ID != 0 || s.DurationNS != 99 {
+		t.Fatalf("fast untraced root: slow=%v %+v, want not slow, no ID", slow, s)
+	}
+	if got := tr.Published(); got != 0 || len(obs.spans) != 0 {
+		t.Fatalf("fast untraced root published %d spans, observed %d", got, len(obs.spans))
+	}
+	failed, slow := end("failed", 1, true)
+	if slow || failed.ID == 0 || failed.Trace != failed.ID || failed.Parent != 0 {
+		t.Fatalf("failed untraced root: slow=%v %+v, want a fresh root", slow, failed)
+	}
+	late, slow := end("slow", 100, false)
+	if !slow || late.ID == 0 || late.Trace != late.ID {
+		t.Fatalf("slow untraced root: slow=%v %+v, want slow, a fresh root", slow, late)
+	}
+	spans := tr.Spans()
+	if len(spans) != 2 || spans[0] != failed || spans[1] != late {
+		t.Fatalf("retained %+v, want the failed then the slow root", spans)
+	}
+	if tr.SlowOps() != 1 || len(obs.spans) != 2 || len(obs.slow) != 1 || obs.slow[0].Op != "slow" {
+		t.Fatalf("SlowOps=%d, observer saw %d spans and %v slow", tr.SlowOps(), len(obs.spans), obs.slow)
 	}
 }
 

@@ -10,6 +10,10 @@
 #   - /stats serves the typed JSON snapshot with moving counters;
 #   - a free shows up as memory handed back: lmp_memnode_dropped_bytes_total
 #     counts it and lmp_memnode_resident_bytes falls;
+#   - /spans holds what lmpd traces of untraced traffic and nothing
+#     else: a failed request (a read beyond the shared region) is there
+#     as an rpc.read span with "err": true, and every span it holds
+#     failed or took at least the -slowop threshold of 1ms;
 #   - /debug/pprof/cmdline answers 200;
 #   - `lmpctl stats` renders the per-method table.
 #
@@ -96,6 +100,26 @@ if [ "$(uname -s)" = Linux ]; then
     [ "$(gauge lmp_memnode_resident_bytes "$TMP/metrics.freed")" -lt "$(gauge lmp_memnode_resident_bytes "$TMP/metrics.full")" ] \
         || fail "lmp_memnode_resident_bytes did not fall across the free"
 fi
+
+# /spans: the untraced lmpctl traffic left a span only where it failed or
+# was slow. One read beyond the shared region fails on purpose.
+SHARED=$(awk '/serving .* bytes shared/ {print $4}' "$TMP/lmpd.log")
+[ -n "$SHARED" ] || fail "could not parse the shared size from lmpd output"
+if "$TMP/lmpctl" -server "$DATA_ADDR" read "$SHARED" 9 >/dev/null 2>&1; then
+    fail "lmpctl read beyond the shared region succeeded"
+fi
+curl -fsS "$OPS_URL/spans" >"$TMP/spans.json" || fail "GET /spans"
+awk '
+    /^  \{/ { op = ""; err = 0; dur = 0 }
+    /"op":/ { op = $2 }
+    /"duration_ns":/ { dur = $2 + 0 }
+    /"err": true/ { err = 1 }
+    /^  \}/ {
+        if (op == "\"rpc.read\"," && err) readerr = 1
+        if (!err && dur < 1000000) { print "obs-smoke: kept a fast, successful span: " op " " dur "ns" > "/dev/stderr"; bad = 1 }
+    }
+    END { if (!readerr) print "obs-smoke: no failed rpc.read span" > "/dev/stderr"; exit !(readerr && !bad) }
+' "$TMP/spans.json" || fail "/spans holds a span that neither failed nor was slow, or lacks the failed read"
 
 # /debug/pprof: the profile surface answers.
 CODE=$(curl -s -o /dev/null -w '%{http_code}' "$OPS_URL/debug/pprof/cmdline")
