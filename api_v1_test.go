@@ -1,5 +1,5 @@
 // Tests for the v1 public API: sentinel error classification, context
-// cancellation, vectored I/O, functional options, and the io.ReaderAt /
+// cancellation, vectored I/O, configuration, and the io.ReaderAt /
 // io.WriterAt adapters.
 package lmp_test
 
@@ -17,29 +17,39 @@ import (
 	lmp "github.com/lmp-project/lmp"
 )
 
-func newTestPool(t testing.TB, servers int, slicesPer int64, opts ...lmp.Option) *lmp.Pool {
+func newTestPool(t testing.TB, servers int, slicesPer int64) *lmp.Pool {
 	t.Helper()
-	cfg := lmp.Config{}
+	return newConfigPool(t, lmp.Config{}, servers, slicesPer)
+}
+
+// newConfigPool builds cfg's pool on servers that share all of their
+// slicesPer slices.
+func newConfigPool(t testing.TB, cfg lmp.Config, servers int, slicesPer int64) *lmp.Pool {
+	t.Helper()
 	for s := 0; s < servers; s++ {
 		cfg.Servers = append(cfg.Servers, lmp.ServerConfig{
 			Name:     fmt.Sprintf("s%d", s),
 			Capacity: slicesPer * lmp.SliceSize, SharedBytes: slicesPer * lmp.SliceSize,
 		})
 	}
-	pool, err := lmp.New(cfg, opts...)
+	pool, err := lmp.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return pool
 }
 
+// TestOptionsConstructor builds a pool from Config fields and checks each
+// took effect, then that the three remaining options set the fields they
+// name.
 func TestOptionsConstructor(t *testing.T) {
-	pool := newTestPool(t, 3, 4,
-		lmp.WithPlacement(lmp.Striped),
-		lmp.WithProtection(lmp.ProtectionPolicy{Scheme: lmp.ProtectReplica, Copies: 2}),
-		lmp.WithMigrationPolicy(lmp.MigrationPolicy{MinAccesses: 4, HysteresisFactor: 2, MaxMoves: 8}),
-		lmp.WithCoherentRegion(1<<16, 128),
-	)
+	pool := newConfigPool(t, lmp.Config{
+		Placement:            lmp.Striped,
+		Protection:           lmp.ProtectionPolicy{Scheme: lmp.ProtectReplica, Copies: 2},
+		Migration:            lmp.MigrationPolicy{MinAccesses: 4, HysteresisFactor: 2, MaxMoves: 8},
+		CoherentBytes:        1 << 16,
+		CoherenceGranularity: 128,
+	}, 3, 4)
 	// Striped placement: a 3-slice buffer must land one slice per server.
 	b, err := pool.Alloc(3*lmp.SliceSize, 0)
 	if err != nil {
@@ -56,17 +66,29 @@ func TestOptionsConstructor(t *testing.T) {
 	if len(owners) != 3 {
 		t.Fatalf("striped 3-slice buffer on %d servers, want 3", len(owners))
 	}
-	// Default protection from the option: replica-protected buffers
+	// Default protection from the config: replica-protected buffers
 	// survive a crash of their owner.
 	if got := b.Protection().Scheme; got != lmp.ProtectReplica {
 		t.Fatalf("protection scheme %v, want replica", got)
 	}
-	// Coherent region sized by the option.
+	// Coherent region sized by the config.
 	if _, err := pool.AllocCoherent(1 << 16); err != nil {
 		t.Fatalf("coherent region should hold 64KiB: %v", err)
 	}
 	if _, err := pool.AllocCoherent(1); err == nil {
 		t.Fatal("coherent region should be exhausted")
+	}
+
+	var cfg lmp.Config
+	for _, opt := range []lmp.Option{
+		lmp.WithPlacement(lmp.Striped),
+		lmp.WithLocalCache(lmp.CacheConfig{PageSize: 8192}),
+		lmp.WithTracing(lmp.TraceConfig{SampleEvery: 1}),
+	} {
+		opt(&cfg)
+	}
+	if cfg.Placement != lmp.Striped || cfg.Cache != (lmp.CacheConfig{Enabled: true, PageSize: 8192}) || cfg.Trace.SampleEvery != 1 {
+		t.Fatalf("options set %+v", cfg)
 	}
 }
 
@@ -168,7 +190,7 @@ func TestContextCancellation(t *testing.T) {
 }
 
 func TestVectoredRoundTrip(t *testing.T) {
-	pool := newTestPool(t, 4, 8, lmp.WithPlacement(lmp.Striped))
+	pool := newConfigPool(t, lmp.Config{Placement: lmp.Striped}, 4, 8)
 	// A multi-slice buffer striped across servers: one Vec spanning slice
 	// boundaries exercises segment splitting, and with striping the
 	// physical runs land on different servers so coalescing must stop at
@@ -249,17 +271,17 @@ func TestVectoredProtectedWrite(t *testing.T) {
 }
 
 func TestTailOptionsAndSentinels(t *testing.T) {
-	pool := newTestPool(t, 2, 4,
-		lmp.WithDeadlineBudget(time.Hour),
-		lmp.WithAdmissionLimit(1),
-		lmp.WithBreaker(lmp.BreakerPolicy{
+	pool := newConfigPool(t, lmp.Config{Tail: lmp.TailConfig{
+		OpBudget:       time.Hour,
+		AdmissionLimit: 1,
+		Breaker: lmp.BreakerPolicy{
 			Window: 16, MinSamples: 4, FailureRatio: 0.5,
 			OpenFor: time.Hour, HalfOpenProbes: 1,
 			// High enough that no genuine in-process access ever
 			// classifies as slow; only the injected reports below do.
 			SlowCallNS: int64(time.Second),
-		}),
-	)
+		},
+	}}, 2, 4)
 	b, err := pool.Alloc(2*lmp.SliceSize, 0)
 	if err != nil {
 		t.Fatal(err)

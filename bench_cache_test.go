@@ -1,5 +1,5 @@
 // Zipf-skewed hot-path benchmark for the node-local page cache
-// (WithLocalCache). The workload is the paper's borrower/lender locality
+// (Config.Cache). The workload is the paper's borrower/lender locality
 // story in miniature: eight host servers lend most of their DRAM to the
 // pool, a ninth "compute" server shares nothing and works against a
 // shared buffer striped across the hosts — so every read of pooled data
@@ -53,17 +53,14 @@ func runZipfReadMostly(b *testing.B, cached bool) {
 		})
 	}
 	// The compute server lends nothing: its DRAM is all private, so the
-	// default CapacityFraction gives the cache real room and every pooled
-	// byte it touches is remote.
+	// default cache capacity (a quarter of private DRAM) gives the cache
+	// real room and every pooled byte it touches is remote.
 	compute := lmp.ServerID(hosts)
 	cfg.Servers = append(cfg.Servers, lmp.ServerConfig{
 		Name: "compute", Capacity: 64 * lmp.SliceSize,
 	})
-	var opts []lmp.Option
-	if cached {
-		opts = append(opts, lmp.WithLocalCache(lmp.CacheConfig{}))
-	}
-	pool, err := lmp.New(cfg, opts...)
+	cfg.Cache.Enabled = cached
+	pool, err := lmp.New(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -1,4 +1,4 @@
-// Cold-side benchmark for the node-local page cache (WithLocalCache):
+// Cold-side benchmark for the node-local page cache (Config.Cache):
 // the other half of bench_cache_test.go. A compute server that lends
 // nothing works against a striped buffer eight times the size of its
 // cache, so a read almost always misses (fill, CLOCK eviction, ghost
@@ -44,7 +44,8 @@ func runColdMix(b *testing.B, writePct int) {
 	}
 	compute := lmp.ServerID(hosts)
 	cfg.Servers = append(cfg.Servers, lmp.ServerConfig{Name: "compute", Capacity: 16 * lmp.SliceSize})
-	pool, err := lmp.New(cfg, lmp.WithLocalCache(lmp.CacheConfig{CapacityBytes: cacheBytes, PageSize: pageSize}))
+	cfg.Cache = lmp.CacheConfig{Enabled: true, CapacityBytes: cacheBytes, PageSize: pageSize}
+	pool, err := lmp.New(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -137,13 +137,10 @@ func replay(args []string) {
 			Name: fmt.Sprintf("server%d", i), Capacity: perServer, SharedBytes: perServer,
 		})
 	}
-	var opts []lmp.Option
 	if *traceN > 0 {
-		opts = append(opts, lmp.WithTracing(lmp.TraceConfig{
-			SampleEvery: 1, RingSize: *traceN, SlowOpNS: -1,
-		}))
+		cfg.Trace = lmp.TraceConfig{SampleEvery: 1, RingSize: *traceN, SlowOpNS: -1}
 	}
-	pool, err := lmp.New(cfg, opts...)
+	pool, err := lmp.New(cfg)
 	if err != nil {
 		log.Fatalf("lmptrace: %v", err)
 	}

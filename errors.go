@@ -32,17 +32,17 @@ var (
 	// allocation.
 	ErrUnmapped = addr.ErrUnmapped
 	// ErrDeadlineExceeded reports an operation whose deadline budget ran
-	// out — the caller's context deadline, or the pool-wide default set
-	// with WithDeadlineBudget. Such errors also match
+	// out — the caller's context deadline, or the pool-wide default in
+	// Config.Tail.OpBudget. Such errors also match
 	// context.DeadlineExceeded.
 	ErrDeadlineExceeded = core.ErrDeadlineExceeded
 	// ErrOverloaded reports an operation shed by admission control
-	// (WithAdmissionLimit): the pool was saturated and failing fast beat
-	// queueing. Retry after backoff.
+	// (Config.Tail.AdmissionLimit): the pool was saturated and failing
+	// fast beat queueing. Retry after backoff.
 	ErrOverloaded = core.ErrOverloaded
 	// ErrServerDegraded reports a read that could not be served because
-	// the owning server's circuit breaker (WithBreaker) is open and no
-	// live replica could absorb it. Distinct from ErrServerDead: the
+	// the owning server's circuit breaker (Config.Tail.Breaker) is open
+	// and no live replica could absorb it. Distinct from ErrServerDead: the
 	// server is slow or flapping, not crashed, and the breaker re-probes
 	// it automatically.
 	ErrServerDegraded = core.ErrServerDegraded

@@ -172,16 +172,13 @@ func (kv *kvStore) getMany(ctx context.Context, server lmp.ServerID, keys []stri
 }
 
 func main() {
-	cfg := lmp.Config{}
+	cfg := lmp.Config{Placement: lmp.LocalityAware}
 	for i := 0; i < 4; i++ {
 		cfg.Servers = append(cfg.Servers, lmp.ServerConfig{
 			Name: fmt.Sprintf("server%d", i), Capacity: 64 << 20, SharedBytes: 64 << 20,
 		})
 	}
-	pool, err := lmp.New(cfg,
-		lmp.WithPlacement(lmp.LocalityAware),
-		lmp.WithCoherentRegion(1<<20, 64),
-	)
+	pool, err := lmp.New(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

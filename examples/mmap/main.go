@@ -15,13 +15,13 @@ import (
 )
 
 func main() {
-	cfg := lmp.Config{}
+	cfg := lmp.Config{Placement: lmp.LocalityAware}
 	for i := 0; i < 4; i++ {
 		cfg.Servers = append(cfg.Servers, lmp.ServerConfig{
 			Name: fmt.Sprintf("server%d", i), Capacity: 64 << 20, SharedBytes: 64 << 20,
 		})
 	}
-	pool, err := lmp.New(cfg, lmp.WithPlacement(lmp.LocalityAware))
+	pool, err := lmp.New(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,5 +1,5 @@
 // Package cache implements the node-local hot-page cache and the
-// write-combining buffer behind the pool's WithLocalCache option (the
+// write-combining buffer behind the pool's Config.Cache (the
 // paper's §5 "locality balancing" challenge: a logical pool only wins if
 // hot data is served from local DRAM and the fabric is reserved for cold
 // traffic).

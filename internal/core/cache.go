@@ -15,7 +15,7 @@ import (
 )
 
 // This file wires the node-local hot-page cache and write combiner
-// (internal/cache) into the pool's data path — the WithLocalCache
+// (internal/cache) into the pool's data path — the Config.Cache
 // feature. The paper's §5 "locality balancing" challenge splits into two
 // time scales: the cache serves short-term reuse from local DRAM, while
 // the migration balancer (BalanceOnce) handles long-term placement; the
@@ -73,15 +73,20 @@ import (
 // stripe locks (flushWC → vectored) and is never taken under one.
 
 // CacheConfig configures the optional node-local page cache and write
-// combiner (see the v1 WithLocalCache option).
+// combiner (Config.Cache). Enabled, each server keeps clean copies of hot
+// remote pages in its private DRAM (coherence-safe: remote writers
+// invalidate them through a page directory), and small remote writes
+// coalesce into vectored flushes. Beyond Enabled, the zero value picks
+// the defaults: capacity a quarter of each node's private carve-out,
+// 4KiB pages, 16 shards, write combining on. Cache hit counts still feed
+// the locality balancer, so sustained-hot pages are eventually migrated,
+// not just cached.
 type CacheConfig struct {
 	// Enabled turns the cache on.
 	Enabled bool
-	// CapacityFraction sizes each node's cache as a fraction of that
-	// node's private (non-shared) carve-out. Default 0.25. Ignored when
-	// CapacityBytes is set.
-	CapacityFraction float64
-	// CapacityBytes, if nonzero, fixes every node's cache capacity.
+	// CapacityBytes, if nonzero, fixes every node's cache capacity;
+	// zero sizes each node's cache at cacheFraction of its private
+	// (non-shared) carve-out.
 	CapacityBytes int64
 	// PageSize is the cache page size (power of two dividing SliceSize;
 	// default 4096).
@@ -98,10 +103,11 @@ func (c *CacheConfig) fillDefaults() {
 	if c.PageSize == 0 {
 		c.PageSize = cache.DefaultPageSize
 	}
-	if c.CapacityFraction == 0 {
-		c.CapacityFraction = 0.25
-	}
 }
+
+// cacheFraction is the share of a node's private carve-out its cache
+// takes when CacheConfig.CapacityBytes is zero.
+const cacheFraction = 0.25
 
 // wcMaxWrite is the largest single write the combiner absorbs (capped at
 // the cache page size); larger writes go straight to backing.
@@ -125,10 +131,10 @@ func (p *Pool) initCache() error {
 		capBytes := cc.CapacityBytes
 		if capBytes == 0 {
 			private := p.cfg.Servers[i].Capacity - node.SharedBytes()
-			capBytes = int64(cc.CapacityFraction * float64(private))
+			capBytes = int64(cacheFraction * float64(private))
 			if capBytes == 0 {
 				// No private carve-out to borrow from: a small default
-				// keeps WithLocalCache meaningful on shared-only nodes.
+				// keeps the cache meaningful on shared-only nodes.
 				capBytes = 4 << 20
 			}
 		}
@@ -276,7 +282,9 @@ func (p *Pool) cachedWrite(ctx context.Context, sc telemetry.SpanContext, from a
 		return nil
 	}
 	if len(data) <= min(wcMaxWrite, int(p.pageSize)) {
-		if back := p.lookupSlice(addr.SliceOf(la)); back != nil && back.server != from {
+		// The owner is read under the stripe lock (homeOf), as every
+		// reader of a slice entry does: a mover rewrites it under that lock.
+		if home, ok := p.homeOf(addr.SliceOf(la)); ok && home.Server != from {
 			return p.wcWrite(ctx, sc, from, la, data)
 		}
 	}
@@ -536,7 +544,7 @@ func (s CacheStats) HitRate() float64 {
 }
 
 // CacheStats reports cache traffic totals across all nodes. On a pool
-// built without WithLocalCache every field is zero.
+// built without a cache (Config.Cache.Enabled) every field is zero.
 func (p *Pool) CacheStats() CacheStats {
 	var out CacheStats
 	if p.caches == nil {
@@ -569,7 +577,7 @@ func (p *Pool) CacheStats() CacheStats {
 }
 
 // PageDirectory exposes the page-cache coherence directory (nil without
-// WithLocalCache); tests assert protocol traffic through it.
+// a cache); tests assert protocol traffic through it.
 func (p *Pool) PageDirectory() *coherence.Directory { return p.pageDir }
 
 // checkCacheLocked audits every resident cached page against the

@@ -37,6 +37,41 @@ func newCachedPool(t *testing.T, cc CacheConfig) *Pool {
 	return p
 }
 
+// TestCachedWriteRacesMigration: a small cached write reads the slice's
+// owner to decide whether the write combiner takes it, while a migration
+// rewrites the owner under the slice's stripe lock. The write must read
+// it under that lock too; run it under -race.
+func TestCachedWriteRacesMigration(t *testing.T) {
+	p := newCachedPool(t, CacheConfig{})
+	b, err := p.Alloc(SliceSize, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stop atomic.Bool
+	done := make(chan error, 1)
+	go func() {
+		data := make([]byte, 8)
+		for !stop.Load() {
+			if err := p.Write(1, b.Addr(), data); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	s := addr.SliceOf(b.Addr())
+	for i := 0; i < 40; i++ {
+		if err := p.MigrateSlice(s, addr.ServerID(1-i%2)); err != nil {
+			t.Error(err)
+			break
+		}
+	}
+	stop.Store(true)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestCachedReadHitsAndWriteInvalidates(t *testing.T) {
 	p := newCachedPool(t, CacheConfig{})
 	b, err := p.Alloc(1<<20, 0)

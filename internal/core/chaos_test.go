@@ -303,16 +303,19 @@ func runRow(t *testing.T, row *chaosRow, seed int64, ops []opDesc, keep []int, c
 	eng := sim.NewEngine()
 	clk := &tailClock{}
 	ci := newCrashInjector(0)
+	// One clock for spans and breakers: simulated time plus the offset a
+	// flap's heal adds, which carries an open breaker past its 1 h
+	// OpenFor, far beyond any run's simulated time.
 	cfg := Config{
 		Placement: alloc.Striped,
-		Trace: TraceConfig{SampleEvery: 1, RingSize: 1 << 15, SlowOpNS: -1,
-			Clock: func() int64 { return int64(eng.Now()) }},
-		Repair: RepairConfig{FabricDelay: ci.hook},
+		Trace:     TraceConfig{SampleEvery: 1, RingSize: 1 << 15, SlowOpNS: -1},
+		Repair:    RepairConfig{FabricDelay: ci.hook},
+		Clock:     func() int64 { return int64(eng.Now()) + clk.now() },
 	}
 	// Breakers are armed only where something flaps them: the pinned
 	// seeds were found on pools without.
 	if row.flaps || slices.ContainsFunc(ops, func(op opDesc) bool { return op.kind == opFlap }) {
-		cfg.Tail = TailConfig{Breaker: tailBreakerPolicy(), NowNS: clk.now}
+		cfg.Tail = TailConfig{Breaker: tailBreakerPolicy()}
 	}
 	for i := 0; i < chaosServers; i++ {
 		cfg.Servers = append(cfg.Servers, ServerConfig{

@@ -139,10 +139,14 @@ func TestPlanSkipsUnmappedSlices(t *testing.T) {
 	}
 }
 
+// TestPolicyValidation: a policy that fails Validate builds no pool. Only
+// the zero policy means the default, so a partly set one (no hysteresis)
+// is refused, not replaced by the default.
 func TestPolicyValidation(t *testing.T) {
 	for _, pol := range []MigrationPolicy{
 		{HysteresisFactor: 0.5},
 		{HysteresisFactor: 1, MaxMoves: -1},
+		{MinAccesses: 4, MaxMoves: 1},
 	} {
 		if err := pol.Validate(); err == nil {
 			t.Errorf("policy %+v accepted", pol)

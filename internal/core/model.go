@@ -10,7 +10,7 @@ import (
 
 // CacheMode selects how the analytic model lets a physical-pool server
 // use its local DRAM. (The functional runtime has one cache,
-// internal/cache behind WithLocalCache; see NewPhysical.)
+// internal/cache behind Config.Cache; see NewPhysical.)
 type CacheMode int
 
 const (

@@ -33,7 +33,8 @@ import (
 //     never via context.WithValue, which would allocate per op.
 
 // TraceConfig configures per-op tracing. The zero value enables tracing
-// with the defaults; see the fields for the knobs.
+// with the defaults (one op in 64 sampled per issuing server); see the
+// fields for the knobs. Span timestamps come from Config.Clock.
 type TraceConfig struct {
 	// Disabled turns per-op tracing (spans, latency histograms, slow-op
 	// classification) off entirely. Traffic counters stay on.
@@ -47,11 +48,11 @@ type TraceConfig struct {
 	// SlowOpNS is the slow-op threshold in nanoseconds (default 10ms);
 	// negative disables slow-op classification.
 	SlowOpNS int64
-	// Clock supplies span timestamps; nil means wall time. Simulated
-	// harnesses inject their deterministic clock here.
-	Clock func() int64
-	// Observer, if set, receives every completed span synchronously.
-	Observer telemetry.Observer
+	// OnSlowOp, if set, receives every recorded span at or above the
+	// slow-op threshold, synchronously on the goroutine of the operation
+	// that completed it: it must be fast and must not call back into the
+	// pool.
+	OnSlowOp func(telemetry.Span)
 }
 
 // Op kinds index the latency histograms and static span names.
@@ -102,8 +103,8 @@ func (p *Pool) initObs() {
 		tracer: telemetry.NewTracer(telemetry.TracerConfig{
 			RingSize: tc.RingSize,
 			SlowOpNS: tc.SlowOpNS,
-			Clock:    tc.Clock,
-			Observer: tc.Observer,
+			Clock:    p.cfg.Clock,
+			OnSlowOp: tc.OnSlowOp,
 		}),
 		sampler: telemetry.NewSampler(uint64(tc.SampleEvery)),
 		slowOps: p.metrics.Counter("pool.slow_ops"),

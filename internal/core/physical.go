@@ -23,7 +23,7 @@ type PhysicalConfig struct {
 // logical pool — one lender holds everything — so it is an ordinary Pool:
 // the compute servers share none of their DRAM, the device (the last
 // server) shares all of its, and LocalBytes, when positive, is the
-// capacity of each server's local page cache (WithLocalCache). Unlike a
+// capacity of each server's local page cache (Config.Cache). Unlike a
 // logical pool it cannot borrow server DRAM — an allocation beyond the
 // device fails, the Figure 5 infeasibility — and Crash of the device
 // loses every byte of every buffer, where a logical pool's server crash

@@ -82,9 +82,12 @@ type ServerConfig struct {
 	SharedBytes int64
 }
 
-// Config configures a logical pool.
+// Config configures a logical pool. It is the one way to configure one:
+// every knob is a field here, and its zero value picks the default.
 type Config struct {
-	Servers   []ServerConfig
+	Servers []ServerConfig
+	// Placement selects the allocation placement policy: FirstFit (the
+	// zero value), RoundRobin, LocalityAware or Striped.
 	Placement alloc.Policy
 	// CoherentBytes sizes the coherent region (a few GBs in deployment;
 	// defaults to 1MiB here, plenty for coordination state).
@@ -92,24 +95,30 @@ type Config struct {
 	// CoherenceGranularity is the directory tracking block (default 64;
 	// smaller avoids false sharing).
 	CoherenceGranularity int64
-	// Protection is the default protection for new buffers.
+	// Protection is the default protection policy Alloc applies to new
+	// buffers; AllocProtected still overrides it per buffer.
 	Protection failure.Policy
-	// Migration tunes the locality balancer.
+	// Migration tunes the locality balancer: migration threshold,
+	// hysteresis, per-round move budget. Only the zero policy means the
+	// default ({16, 2.0, 64}); any other policy must pass Validate, so a
+	// partly set one is refused, not silently replaced.
 	Migration MigrationPolicy
 	// Cache configures the node-local hot-page cache and write combiner
-	// (see WithLocalCache and internal/core/cache.go).
+	// (see CacheConfig and internal/core/cache.go). Off unless Enabled.
 	Cache CacheConfig
 	// Trace configures per-op tracing (see obs.go). The zero value
 	// enables sampled tracing with the defaults.
 	Trace TraceConfig
-	// Repair tunes the parallel repair/migration engine (see repair.go
-	// and WithRepairParallelism).
+	// Repair tunes the parallel repair/migration engine (see repair.go).
 	Repair RepairConfig
 	// Tail tunes tail tolerance: deadline budgets, admission control,
-	// per-server circuit breakers (see tail.go and the
-	// WithDeadlineBudget / WithAdmissionLimit / WithBreaker options).
-	// The zero value disables all of it.
+	// per-server circuit breakers (see tail.go). The zero value disables
+	// all of it.
 	Tail TailConfig
+	// Clock is the pool's one clock, in nanoseconds: it stamps trace
+	// spans and times the accesses that feed the circuit breakers. nil
+	// means telemetry.WallClock; deterministic tests inject a sim clock.
+	Clock func() int64
 }
 
 func (c *Config) fillDefaults() {
@@ -119,8 +128,11 @@ func (c *Config) fillDefaults() {
 	if c.CoherenceGranularity == 0 {
 		c.CoherenceGranularity = 64
 	}
-	if c.Migration.HysteresisFactor == 0 {
+	if c.Migration == (MigrationPolicy{}) {
 		c.Migration = defaultMigrationPolicy()
+	}
+	if c.Clock == nil {
+		c.Clock = telemetry.WallClock
 	}
 }
 

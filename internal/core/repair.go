@@ -41,11 +41,15 @@ import (
 // three.
 
 // RepairConfig tunes the repair/migration engine (see DESIGN.md
-// "Parallel recovery and live migration" and WithRepairParallelism).
+// "Parallel recovery and live migration").
 type RepairConfig struct {
 	// Parallelism bounds the worker pool RepairServer fans slice
 	// reconstruction across. 0 or 1 repairs serially in slice-table
 	// order — the deterministic default the chaos harness replays.
+	// Larger n overlaps the fabric transfers of up to n independent
+	// rebuilds; each worker still commits its rebind under the ordinary
+	// locks, so foreground reads and writes interleave freely with an
+	// in-flight repair either way.
 	Parallelism int
 	// FabricDelay, when non-nil, is invoked once per slice-sized
 	// transfer the engine issues (repair shard reads, migration bulk

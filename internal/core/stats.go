@@ -27,8 +27,8 @@ func (o OpStats) Ops() uint64 { return o.LocalOps + o.RemoteOps }
 func (o OpStats) Bytes() uint64 { return o.LocalBytes + o.RemoteBytes }
 
 // LatencyStats summarizes one sampled op-latency histogram. All times
-// are nanoseconds. Zero when tracing is disabled (WithTracing
-// TraceConfig{Disabled: true}) — the histograms only see sampled ops.
+// are nanoseconds. Zero when tracing is disabled
+// (Config.Trace.Disabled) — the histograms only see sampled ops.
 type LatencyStats struct {
 	Count  uint64  `json:"count"`
 	MeanNS float64 `json:"mean_ns"`

@@ -47,26 +47,40 @@ var (
 
 // TailConfig is the tail-tolerance knob block (Config.Tail). The zero
 // value disables everything, leaving the data path exactly as fast as
-// before: no admission check, no budget materialization, no breakers.
+// before: no admission check, no budget materialization, no breakers. A
+// field at or below zero is off, whatever else is set.
 type TailConfig struct {
-	// OpBudget is the default per-op deadline budget applied by the
-	// ...Ctx entry points when the caller's context carries no deadline
-	// of its own (a caller deadline always wins). Ops over budget fail
-	// with an error wrapping ErrDeadlineExceeded, checked between slice
-	// segments. 0 disables.
+	// OpBudget is the default per-op deadline budget: the ...Ctx entry
+	// points (ReadCtx, WriteCtx, ReadVCtx, WriteVCtx) apply it when the
+	// caller's context carries no deadline of its own (a caller deadline
+	// always wins); the context-less entry points carry no budget. Ops
+	// over budget fail with an error wrapping ErrDeadlineExceeded,
+	// checked between slice segments (between coalesced runs for a
+	// vectored op), so a multi-slice access cannot overstay unboundedly.
+	// <= 0 disables.
 	OpBudget time.Duration
 	// AdmissionLimit bounds concurrent foreground accesses (Read/Write
-	// and vectored variants); excess ops fail fast with an error
-	// wrapping ErrOverloaded instead of queueing. 0 disables.
+	// and the vectored and ...Ctx variants): when this many are already
+	// in flight, further ones fail fast with an error wrapping
+	// ErrOverloaded instead of queueing behind a saturated pool. <= 0
+	// disables. The disabled path costs nothing; the enabled path is one
+	// atomic per operation and stays allocation-free. It is the pool's
+	// one admission point: the transport sheds nothing.
 	AdmissionLimit int
 	// Breaker enables per-server circuit breakers (the zero policy
-	// disables them). Breakers are fed by access latencies and failures;
-	// an open breaker sheds replica-protected reads to a live copy and
-	// fails unprotected reads fast with ErrServerDegraded.
+	// disables them), fed by the latency (timed with Config.Clock) and
+	// outcome of every backing access a foreground operation makes —
+	// direct reads and writes, cache fills, vectored runs and
+	// write-combiner flushes alike; a cache hit touches no server and
+	// feeds nothing. A server whose recent failure ratio (or slow-call
+	// ratio, see BreakerPolicy.SlowCallNS) trips the policy is marked
+	// degraded: every read that would reach it — Read, ReadV, and a
+	// cached pool's misses — is shed to a live copy when the buffer is
+	// replica-protected and otherwise fails fast with an error wrapping
+	// ErrServerDegraded (a ReadV without partial effects), and writes
+	// still reach the primary. After BreakerPolicy.OpenFor the breaker
+	// re-probes and closes on success.
 	Breaker BreakerPolicy
-	// NowNS is the clock feeding budgets and breakers; nil means the
-	// wall clock. Deterministic tests inject the sim clock.
-	NowNS func() int64
 }
 
 // enabled reports whether any tail feature is on.
@@ -80,7 +94,6 @@ type tailState struct {
 	inflight atomic.Int64
 	limit    int64
 	budgetNS int64
-	now      func() int64
 	// breakers[s] guards server s; nil when breakers are disabled.
 	breakers []*breaker
 
@@ -96,20 +109,17 @@ func (p *Pool) initTail() {
 	if !t.enabled() {
 		return
 	}
-	now := t.NowNS
-	if now == nil {
-		now = func() int64 { return time.Now().UnixNano() }
-	}
-	p.tail.now = now
-	p.tail.limit = int64(t.AdmissionLimit)
-	p.tail.budgetNS = int64(t.OpBudget)
+	// Only a positive value arms a feature, as enabled reads them: a
+	// negative limit or budget kept here would shed or expire every op.
+	p.tail.limit = int64(max(t.AdmissionLimit, 0))
+	p.tail.budgetNS = int64(max(t.OpBudget, 0))
 	p.tail.sheds = p.metrics.Counter("pool.sheds")
 	if t.Breaker.Enabled() {
 		p.tail.replicaSheds = p.metrics.Counter("pool.reads.replica_shed")
 		p.tail.degradedFails = p.metrics.Counter("pool.reads.degraded_fail")
 		p.tail.breakers = make([]*breaker, len(p.cfg.Servers))
 		for i := range p.tail.breakers {
-			p.tail.breakers[i] = newBreaker(t.Breaker, now)
+			p.tail.breakers[i] = newBreaker(t.Breaker, p.cfg.Clock)
 		}
 	}
 }
@@ -214,14 +224,14 @@ type tailAccess struct {
 // it is one nil check and ta stays unarmed.
 func (p *Pool) startIO(ta *tailAccess, owner addr.ServerID) {
 	if p.tail.breakers != nil {
-		ta.armed, ta.owner, ta.startNS = true, owner, p.tail.now()
+		ta.armed, ta.owner, ta.startNS = true, owner, p.cfg.Clock()
 	}
 }
 
 // endIO closes the timing startIO opened and notes the I/O's outcome.
 func (p *Pool) endIO(ta *tailAccess, err error) {
 	if ta.armed {
-		ta.ns, ta.err = p.tail.now()-ta.startNS, err
+		ta.ns, ta.err = p.cfg.Clock()-ta.startNS, err
 	}
 }
 

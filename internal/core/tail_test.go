@@ -33,13 +33,14 @@ func (c *tailClock) advance(d time.Duration) { c.ns.Add(int64(d)) }
 // config armed.
 func tailTestPool(t *testing.T, tail TailConfig) *Pool {
 	t.Helper()
-	return tailTestPoolCache(t, tail, CacheConfig{})
+	return tailTestPoolFrom(t, Config{Tail: tail})
 }
 
-// tailTestPoolCache is tailTestPool with a cache configuration.
-func tailTestPoolCache(t *testing.T, tail TailConfig, cc CacheConfig) *Pool {
+// tailTestPoolFrom is tailTestPool with the rest of cfg (tail, cache,
+// clock) set by the caller.
+func tailTestPoolFrom(t *testing.T, cfg Config) *Pool {
 	t.Helper()
-	cfg := Config{Placement: alloc.LocalityAware, Tail: tail, Cache: cc}
+	cfg.Placement = alloc.LocalityAware
 	for i := 0; i < 4; i++ {
 		cfg.Servers = append(cfg.Servers, ServerConfig{
 			Name:        "srv",
@@ -66,31 +67,56 @@ func tailBreakerPolicy() BreakerPolicy {
 	}
 }
 
-// TestTailDisabledZeroCost pins the disabled contract: a zero TailConfig
-// leaves no admission state, no breakers, and withBudget is an identity.
+// TestTailDisabledZeroCost pins the disabled contract: a tail knob at or
+// below zero arms nothing — no admission state, no budget, withBudget an
+// identity — and the plain path runs, even when another tail feature is
+// on. Kept as a negative value, the limit shed every op and the budget
+// expired every ...Ctx op.
 func TestTailDisabledZeroCost(t *testing.T) {
-	p := testPool(t, alloc.LocalityAware)
-	if p.tail.limit != 0 || p.tail.breakers != nil || p.tail.budgetNS != 0 {
-		t.Fatalf("zero TailConfig armed state: limit=%d budgetNS=%d breakers=%v",
-			p.tail.limit, p.tail.budgetNS, p.tail.breakers)
-	}
-	if got := p.Inflight(); got != 0 {
-		t.Fatalf("Inflight = %d, want 0", got)
-	}
-	if c := p.BreakerCounters(0); c != (BreakerCounters{}) {
-		t.Fatalf("BreakerCounters with breakers off = %+v", c)
-	}
-	ctx := context.Background()
-	got, cancel := p.withBudget(ctx)
-	if got != ctx || cancel != nil {
-		t.Fatal("withBudget with no budget must be an identity")
-	}
-	b, err := p.Alloc(SliceSize, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Write(1, b.Addr(), []byte("plain path")); err != nil {
-		t.Fatal(err)
+	for _, row := range []struct {
+		name     string
+		tail     TailConfig
+		limit    int64
+		breakers bool
+	}{
+		{"zero", TailConfig{}, 0, false},
+		{"limit=-1+breaker", TailConfig{AdmissionLimit: -1, Breaker: tailBreakerPolicy()}, 0, true},
+		{"budget=-1+limit", TailConfig{OpBudget: -1, AdmissionLimit: 8}, 8, false},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			p := tailTestPool(t, row.tail)
+			b, err := p.Alloc(SliceSize, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			buf := make([]byte, 64)
+			for i := 0; i < 4; i++ {
+				if err := p.Write(1, b.Addr(), []byte("plain path")); err != nil {
+					t.Fatalf("Write: %v", err)
+				}
+				if err := p.Read(1, b.Addr(), buf); err != nil {
+					t.Fatalf("Read: %v", err)
+				}
+				if err := p.ReadCtx(context.Background(), 1, b.Addr(), buf); err != nil {
+					t.Fatalf("ReadCtx: %v", err)
+				}
+			}
+			if p.tail.limit != row.limit || p.tail.budgetNS != 0 || (p.tail.breakers != nil) != row.breakers {
+				t.Fatalf("armed state: limit=%d budgetNS=%d breakers=%v, want limit=%d, no budget, breakers %v",
+					p.tail.limit, p.tail.budgetNS, p.tail.breakers, row.limit, row.breakers)
+			}
+			if got := p.Inflight(); got != 0 {
+				t.Fatalf("Inflight = %d, want 0", got)
+			}
+			if c := p.BreakerCounters(0); c != (BreakerCounters{}) {
+				t.Fatalf("BreakerCounters of an untripped server = %+v", c)
+			}
+			ctx := context.Background()
+			got, cancel := p.withBudget(ctx)
+			if got != ctx || cancel != nil {
+				t.Fatal("withBudget with no budget must be an identity")
+			}
+		})
 	}
 }
 
@@ -341,7 +367,7 @@ func TestTailBudgetExpiresMidOp(t *testing.T) {
 // and the shed counters advance.
 func TestTailReplicaShedOnOpenBreaker(t *testing.T) {
 	clk := &tailClock{}
-	p := tailTestPool(t, TailConfig{Breaker: tailBreakerPolicy(), NowNS: clk.now})
+	p := tailTestPoolFrom(t, Config{Tail: TailConfig{Breaker: tailBreakerPolicy()}, Clock: clk.now})
 	b, err := p.AllocProtected(2*SliceSize, 0, failure.Policy{Scheme: failure.Replicate, Copies: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -430,7 +456,7 @@ func TestTailReplicaShedOnOpenBreaker(t *testing.T) {
 // ErrServerDegraded, and writes are unaffected.
 func TestTailDegradedUnprotectedRead(t *testing.T) {
 	clk := &tailClock{}
-	p := tailTestPool(t, TailConfig{Breaker: tailBreakerPolicy(), NowNS: clk.now})
+	p := tailTestPoolFrom(t, Config{Tail: TailConfig{Breaker: tailBreakerPolicy()}, Clock: clk.now})
 	b, err := p.Alloc(SliceSize, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -510,7 +536,7 @@ func TestTailShedCoversEveryReadPath(t *testing.T) {
 				name := fmt.Sprintf("replicated=%v/%s/%s", protected, pc.name, path.name)
 				t.Run(name, func(t *testing.T) {
 					clk := &tailClock{}
-					p := tailTestPoolCache(t, TailConfig{Breaker: tailBreakerPolicy(), NowNS: clk.now}, pc.cache)
+					p := tailTestPoolFrom(t, Config{Tail: TailConfig{Breaker: tailBreakerPolicy()}, Cache: pc.cache, Clock: clk.now})
 					healthy, err := p.Alloc(SliceSize, 2)
 					if err != nil {
 						t.Fatal(err)
@@ -617,7 +643,7 @@ func TestTailBreakerFedByEveryPath(t *testing.T) {
 			var ticks atomic.Int64
 			pol := tailBreakerPolicy()
 			pol.SlowCallNS = 1
-			p := tailTestPoolCache(t, TailConfig{Breaker: pol, NowNS: func() int64 { return ticks.Add(1) }}, row.cache)
+			p := tailTestPoolFrom(t, Config{Tail: TailConfig{Breaker: pol}, Cache: row.cache, Clock: func() int64 { return ticks.Add(1) }})
 			b, err := p.Alloc(SliceSize, 0)
 			if err != nil {
 				t.Fatal(err)
@@ -699,8 +725,8 @@ func TestTailAllocFree(t *testing.T) {
 		Tail: TailConfig{
 			AdmissionLimit: 64,
 			Breaker:        tailBreakerPolicy(),
-			NowNS:          clk.now,
 		},
+		Clock: clk.now,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -744,7 +770,8 @@ func TestTailAllocFree(t *testing.T) {
 			{Name: "b", Capacity: 64 << 20, SharedBytes: 32 << 20},
 		},
 		Cache: CacheConfig{Enabled: true, CapacityBytes: 16 * 4096},
-		Tail:  TailConfig{AdmissionLimit: 64, Breaker: tailBreakerPolicy(), NowNS: clk.now},
+		Tail:  TailConfig{AdmissionLimit: 64, Breaker: tailBreakerPolicy()},
+		Clock: clk.now,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -1167,7 +1194,7 @@ func TestBreakerCountersAfterCoolDown(t *testing.T) {
 	clk := &tailClock{}
 	pol := tailBreakerPolicy()
 	pol.OpenFor = time.Millisecond
-	p := tailTestPool(t, TailConfig{Breaker: pol, NowNS: clk.now})
+	p := tailTestPoolFrom(t, Config{Tail: TailConfig{Breaker: pol}, Clock: clk.now})
 	for i := 0; i < pol.MinSamples; i++ {
 		p.ReportAccess(2, time.Millisecond, fmt.Errorf("injected: %w", rpc.ErrTransient))
 	}

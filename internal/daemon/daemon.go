@@ -79,20 +79,17 @@ func NewServer(name string, capacity, shared int64) (*Server, error) {
 	}
 	s.dropped = s.metrics.Gauge("memnode.dropped_bytes_total")
 	s.resident = s.metrics.Gauge("memnode.resident_bytes")
-	s.tracer = telemetry.NewTracer(telemetry.TracerConfig{Observer: slowRelay{s}})
+	s.tracer = telemetry.NewTracer(telemetry.TracerConfig{OnSlowOp: s.logSlowOp})
 	s.rpc.SetTracer(s.tracer)
 	s.rpc.SetRegistry(s.metrics)
 	s.register()
 	return s, nil
 }
 
-// slowRelay forwards slow-op spans to the daemon's current log hook.
-type slowRelay struct{ s *Server }
-
-func (r slowRelay) OnSpan(telemetry.Span) {}
-
-func (r slowRelay) OnSlowOp(sp telemetry.Span) {
-	if f := r.s.slowLog.Load(); f != nil {
+// logSlowOp is the tracer's slow-op hook: it hands the span to the log
+// hook OnSlowOp installed, if any.
+func (s *Server) logSlowOp(sp telemetry.Span) {
+	if f := s.slowLog.Load(); f != nil {
 		(*f)(sp)
 	}
 }

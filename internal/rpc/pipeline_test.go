@@ -297,93 +297,3 @@ func TestBatchedSendPathZeroAllocs(t *testing.T) {
 		t.Fatalf("batched send path allocates %.1f times per flush, want 0", allocs)
 	}
 }
-
-// TestAdmissionStress hammers a capped client from many goroutines with
-// a mix of Call and CallAsyncCtx: the pending table must never exceed the
-// cap, every future must resolve exactly once, and after the drain no
-// pending entry may leak. Runs under -race in make race.
-func TestAdmissionStress(t *testing.T) {
-	_, addr := startTestServer(t)
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	const limit = 8
-	const workers = 32
-	const perWorker = 50
-	c.SetAdmissionLimit(limit)
-
-	var peak atomic.Int64
-	stopMon := make(chan struct{})
-	var monWG sync.WaitGroup
-	monWG.Add(1)
-	go func() {
-		defer monWG.Done()
-		for {
-			select {
-			case <-stopMon:
-				return
-			case <-time.After(200 * time.Microsecond):
-			}
-			if p := int64(c.Stats().Pending); p > peak.Load() {
-				peak.Store(p)
-			}
-		}
-	}()
-
-	var okOps, shedOps, resolved atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < perWorker; i++ {
-				var err error
-				switch i % 2 {
-				case 0:
-					_, err = c.Call(methEcho, []byte{byte(w)})
-				default:
-					f := c.CallAsyncCtx(nil, methEcho, []byte{byte(w), byte(i)})
-					var p1 []byte
-					p1, err = f.Wait()
-					// Exactly-once resolution: a second wait observes the
-					// same settled outcome, never a re-delivery.
-					p2, err2 := f.Wait()
-					if !errors.Is(err2, err) || string(p1) != string(p2) {
-						t.Errorf("worker %d: future re-wait diverged: (%q,%v) vs (%q,%v)", w, p1, err, p2, err2)
-						return
-					}
-					resolved.Add(1)
-				}
-				switch {
-				case err == nil:
-					okOps.Add(1)
-				case errors.Is(err, ErrOverloaded):
-					shedOps.Add(1)
-				default:
-					t.Errorf("worker %d: unexpected error %v", w, err)
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	close(stopMon)
-	monWG.Wait()
-
-	if p := peak.Load(); p > limit {
-		t.Fatalf("pending table peaked at %d, cap is %d", p, limit)
-	}
-	st := c.Stats()
-	if st.Pending != 0 {
-		t.Fatalf("pending entries leaked after drain: %d", st.Pending)
-	}
-	if okOps.Load() == 0 {
-		t.Fatal("no operation succeeded under the cap")
-	}
-	if st.Shed != uint64(shedOps.Load()) {
-		t.Fatalf("ClientStats.Shed = %d, callers saw %d sheds", st.Shed, shedOps.Load())
-	}
-	t.Logf("ok=%d shed=%d peak_pending=%d", okOps.Load(), shedOps.Load(), peak.Load())
-}

@@ -27,10 +27,11 @@ var (
 	// dispatch it. Not retryable — the budget only shrinks across
 	// attempts, so a retry would fail the same way later.
 	ErrDeadlineExceeded = errors.New("rpc: deadline budget exceeded")
-	// ErrOverloaded reports admission-control shedding: the client's
-	// bounded in-flight budget (SetAdmissionLimit) was saturated, so the
-	// call was rejected instead of growing the pending table. Callers
-	// should back off or divert load, not blind-retry.
+	// ErrOverloaded reports admission-control shedding: the pool's
+	// foreground admission limit (core's Config.Tail.AdmissionLimit) was
+	// reached, so the op failed fast instead of queueing. Callers should
+	// back off or divert load, not blind-retry. The transport never
+	// raises it; it carries it across the wire like the other sentinels.
 	ErrOverloaded = errors.New("rpc: overloaded")
 	// ErrServerDegraded reports a server that is alive but slow or
 	// error-prone: the pool's circuit breaker for it is open and no

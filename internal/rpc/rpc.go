@@ -468,6 +468,9 @@ func (s *Server) serveReceived(h frameHeader, budget int64, arrived time.Time, s
 		resp, herr = rt.r(head, body, n)
 	}
 	kind, resp := s.finish(h.method, rp, &sp, resp, herr)
+	if b, ok := body.(*bodyReader); ok && b.err != nil {
+		return // the frame was cut: the connection ends and owes no reply
+	}
 	// A failed enqueue means the connection is gone: the read loop ends
 	// on its next read.
 	_ = out.enqueue(sendEntry{kind: kind, method: h.method, id: h.id, payload: resp})
@@ -684,17 +687,16 @@ type pendingTable struct {
 	nextID  uint64
 	started uint64
 	taken   uint64
-	shed    uint64 // calls rejected by admission control
-	limit   int    // max in-flight calls; 0 = unbounded
-	term    error  // terminal send/receive failure; new calls fail fast
+	term    error // terminal send/receive failure; new calls fail fast
 	closed  bool
 }
 
 // ClientStats is a point-in-time snapshot of one client's transport
 // counters — the leak check surface for the stress suite: after every
 // issued call resolves, Pending is zero and Completed equals Started.
-// Shed counts admission-control rejections (never registered, so they
-// appear in neither Started nor Completed).
+// Shed always reads 0: the client sheds nothing (admission is the pool's,
+// Config.Tail.AdmissionLimit). It stays because the benchmark harness
+// reports it.
 type ClientStats struct {
 	Pending      int    `json:"pending"`
 	Started      uint64 `json:"calls_started"`
@@ -717,20 +719,6 @@ type Client struct {
 	readDone chan struct{}
 	// hdr is the read loop's frame-header scratch.
 	hdr [frameHeaderLen]byte
-}
-
-// SetAdmissionLimit bounds this client's in-flight calls: once limit
-// calls are pending, further calls fail fast with an error wrapping
-// ErrOverloaded instead of growing the pending table. limit <= 0 removes
-// the bound. Shed calls count in ClientStats.Shed and never register, so
-// they leave no pending entry behind.
-func (c *Client) SetAdmissionLimit(limit int) {
-	c.pt.Lock()
-	if limit < 0 {
-		limit = 0
-	}
-	c.pt.limit = limit
-	c.pt.Unlock()
 }
 
 // Dial connects to a server.
@@ -965,7 +953,7 @@ func (c *Client) CallAsyncCtx(ctx context.Context, method byte, payload []byte) 
 
 // startCall registers f in the pending table and queues the request
 // frame. Fast-fail paths (cancelled context, exhausted deadline budget,
-// closed or failed client, admission shed) complete f directly without
+// closed or failed client) complete f directly without
 // touching the table.
 func (c *Client) startCall(ctx context.Context, method byte, payload []byte, f *Future) {
 	// A context deadline becomes the call's remaining budget, propagated
@@ -994,12 +982,6 @@ func (c *Client) startCall(ctx context.Context, method byte, payload []byte, f *
 	if err := c.pt.term; err != nil {
 		c.pt.Unlock()
 		f.complete(nil, err)
-		return
-	}
-	if c.pt.limit > 0 && len(c.pt.m) >= c.pt.limit {
-		c.pt.shed++
-		c.pt.Unlock()
-		f.complete(nil, errAdmissionShed)
 		return
 	}
 	c.pt.nextID++
@@ -1037,11 +1019,6 @@ func (c *Client) startCall(ctx context.Context, method byte, payload []byte, f *
 	}
 }
 
-// errAdmissionShed is the fail-fast error for calls rejected at the
-// admission limit. Preallocated: shedding happens exactly when the
-// client is saturated, so the rejection path must not add pressure.
-var errAdmissionShed = fmt.Errorf("rpc: admission limit reached: %w", ErrOverloaded)
-
 // cancelErr wraps a context error for the rpc error contract: a passed
 // deadline additionally classifies as ErrDeadlineExceeded, so callers
 // can errors.Is-match budget exhaustion without caring whether the local
@@ -1060,7 +1037,6 @@ func (c *Client) Stats() ClientStats {
 		Pending:   len(c.pt.m),
 		Started:   c.pt.started,
 		Completed: c.pt.taken,
-		Shed:      c.pt.shed,
 	}
 	c.pt.Unlock()
 	st.FramesSent = c.b.framesSent.Load()

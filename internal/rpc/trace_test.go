@@ -15,12 +15,12 @@ import (
 
 // newTracedServer serves three methods under a tracer with slow-op
 // classification off: 7 echoes and 8 fails on handler goroutines, and
-// 9 is a Receiver that fails on an empty body. obs, if set, observes the
-// tracer.
-func newTracedServer(t *testing.T, obs telemetry.Observer) (*Server, *telemetry.Tracer, string) {
+// 9 is a Receiver that fails on an empty body. onSlow, if set, is the
+// tracer's slow-op hook.
+func newTracedServer(t *testing.T, onSlow func(telemetry.Span)) (*Server, *telemetry.Tracer, string) {
 	t.Helper()
 	s := NewServer()
-	tracer := telemetry.NewTracer(telemetry.TracerConfig{SlowOpNS: -1, Observer: obs})
+	tracer := telemetry.NewTracer(telemetry.TracerConfig{SlowOpNS: -1, OnSlowOp: onSlow})
 	s.SetTracer(tracer)
 	s.Handle(7, func(p []byte) ([]byte, error) { return append([]byte("ok:"), p...), nil })
 	s.NameMethod(7, "rpc.echo")
@@ -41,15 +41,13 @@ func newTracedServer(t *testing.T, obs telemetry.Observer) (*Server, *telemetry.
 	return s, tracer, addr
 }
 
-// spanLog is an Observer that keeps the slow ops it is handed.
+// spanLog keeps the slow ops a tracer's OnSlowOp hook is handed.
 type spanLog struct {
 	mu   sync.Mutex
 	slow []telemetry.Span
 }
 
-func (l *spanLog) OnSpan(telemetry.Span) {}
-
-func (l *spanLog) OnSlowOp(s telemetry.Span) {
+func (l *spanLog) add(s telemetry.Span) {
 	l.mu.Lock()
 	l.slow = append(l.slow, s)
 	l.mu.Unlock()
@@ -148,7 +146,7 @@ func TestUntracedRequestRecordsRootSpan(t *testing.T) {
 	}
 	t.Run("slow", func(t *testing.T) {
 		obs := &spanLog{}
-		_, tracer, addr := newTracedServer(t, obs)
+		_, tracer, addr := newTracedServer(t, obs.add)
 		tracer.SetSlowOpNS(0) // every request is slow
 		c, err := Dial(addr)
 		if err != nil {
@@ -177,7 +175,7 @@ func TestUntracedRequestRecordsRootSpan(t *testing.T) {
 	})
 	t.Run("failed", func(t *testing.T) {
 		obs := &spanLog{}
-		_, tracer, addr := newTracedServer(t, obs)
+		_, tracer, addr := newTracedServer(t, obs.add)
 		c, err := Dial(addr)
 		if err != nil {
 			t.Fatal(err)

@@ -65,30 +65,22 @@ type Span struct {
 // begun under it.
 func (s Span) Context() SpanContext { return SpanContext{Trace: s.Trace, Span: s.ID} }
 
-// Observer receives completed spans synchronously on the operation's
-// goroutine: implementations must be fast and must not call back into
-// the traced component. OnSpan sees every recorded span; OnSlowOp
-// additionally fires for spans at or above the tracer's slow-op
-// threshold.
-type Observer interface {
-	OnSpan(Span)
-	OnSlowOp(Span)
-}
-
 // TracerConfig configures a Tracer. The zero value picks the defaults.
 type TracerConfig struct {
 	// RingSize bounds retained spans (rounded up to a power of two
 	// across lanes). Default 4096.
 	RingSize int
 	// SlowOpNS is the slow-op threshold; spans with DurationNS at or
-	// above it count as slow and fire Observer.OnSlowOp. Default 10ms.
+	// above it count as slow and are handed to OnSlowOp. Default 10ms.
 	// Negative disables slow-op classification.
 	SlowOpNS int64
-	// Clock supplies timestamps in nanoseconds; nil means wall time.
+	// Clock supplies timestamps in nanoseconds; nil means WallClock.
 	// Simulated components inject their sim clock here.
 	Clock func() int64
-	// Observer, if set, receives every completed span.
-	Observer Observer
+	// OnSlowOp, if set, receives every recorded span at or above the
+	// slow-op threshold, synchronously on the goroutine that ended it:
+	// it must be fast and must not call back into the traced component.
+	OnSlowOp func(Span)
 }
 
 // traceLane is one publication stripe: a small ring with its own lock,
@@ -111,9 +103,9 @@ type laneSpan struct {
 
 // Tracer records completed spans into a bounded ring buffer.
 type Tracer struct {
-	clock    func() int64
-	slowNS   atomic.Int64
-	observer Observer
+	clock  func() int64
+	slowNS atomic.Int64
+	onSlow func(Span)
 
 	nextID atomic.Uint64 // span and trace IDs share one sequence
 	pubSeq atomic.Uint64 // global publication order across lanes
@@ -170,7 +162,7 @@ func NewTracer(cfg TracerConfig) *Tracer {
 	}
 	t := &Tracer{
 		clock:    cfg.Clock,
-		observer: cfg.Observer,
+		onSlow:   cfg.OnSlowOp,
 		lanes:    make([]traceLane, lanes),
 		laneMask: uint64(lanes - 1),
 		perLane:  perLane,
@@ -218,13 +210,10 @@ func (t *Tracer) End(s *Span) (slow bool) {
 		s.Trace = s.ID
 	}
 	t.publish(s)
-	if t.observer != nil {
-		t.observer.OnSpan(*s)
-	}
 	if slow {
 		t.slow.Add(1)
-		if t.observer != nil {
-			t.observer.OnSlowOp(*s)
+		if t.onSlow != nil {
+			t.onSlow(*s)
 		}
 	}
 	return slow

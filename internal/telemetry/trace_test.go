@@ -88,28 +88,22 @@ func TestTracerRingBounded(t *testing.T) {
 	}
 }
 
-type recordingObserver struct {
-	mu    sync.Mutex
-	spans []Span
-	slow  []Span
+// slowLog keeps the spans a tracer hands its OnSlowOp hook.
+type slowLog struct {
+	mu   sync.Mutex
+	slow []Span
 }
 
-func (o *recordingObserver) OnSpan(s Span) {
-	o.mu.Lock()
-	o.spans = append(o.spans, s)
-	o.mu.Unlock()
-}
-
-func (o *recordingObserver) OnSlowOp(s Span) {
-	o.mu.Lock()
-	o.slow = append(o.slow, s)
-	o.mu.Unlock()
+func (l *slowLog) add(s Span) {
+	l.mu.Lock()
+	l.slow = append(l.slow, s)
+	l.mu.Unlock()
 }
 
 func TestTracerSlowOpsAndObserver(t *testing.T) {
 	clk := &simClock{}
-	obs := &recordingObserver{}
-	tr := NewTracer(TracerConfig{Clock: clk.Now, SlowOpNS: 100, Observer: obs})
+	obs := &slowLog{}
+	tr := NewTracer(TracerConfig{Clock: clk.Now, SlowOpNS: 100, OnSlowOp: obs.add})
 
 	fast := tr.Begin(SpanContext{}, "fast")
 	clk.Advance(99)
@@ -124,8 +118,8 @@ func TestTracerSlowOpsAndObserver(t *testing.T) {
 	if tr.SlowOps() != 1 {
 		t.Fatalf("slow ops = %d, want 1", tr.SlowOps())
 	}
-	if len(obs.spans) != 2 || len(obs.slow) != 1 {
-		t.Fatalf("observer saw %d spans, %d slow", len(obs.spans), len(obs.slow))
+	if tr.Published() != 2 || len(obs.slow) != 1 {
+		t.Fatalf("published %d spans, hook saw %d slow", tr.Published(), len(obs.slow))
 	}
 	if obs.slow[0].Op != "slow" {
 		t.Fatalf("slow span op = %q", obs.slow[0].Op)
@@ -235,13 +229,13 @@ func TestNewTracerHoldsNoSpanStorage(t *testing.T) {
 }
 
 // TestEndKeepsUntracedRootWhenFailedOrSlow: End keeps an untraced root
-// (a span with no ID) — with a fresh ID that is its trace, and observed
-// as a begun span would be — only when it failed or reached the slow-op
-// threshold.
+// (a span with no ID) — with a fresh ID that is its trace, and handed to
+// OnSlowOp as a begun span would be — only when it failed or reached the
+// slow-op threshold.
 func TestEndKeepsUntracedRootWhenFailedOrSlow(t *testing.T) {
 	clk := &simClock{}
-	obs := &recordingObserver{}
-	tr := NewTracer(TracerConfig{Clock: clk.Now, SlowOpNS: 100, Observer: obs})
+	obs := &slowLog{}
+	tr := NewTracer(TracerConfig{Clock: clk.Now, SlowOpNS: 100, OnSlowOp: obs.add})
 	end := func(op string, d int64, failed bool) (Span, bool) {
 		s := Span{Op: op, Server: -1, Start: tr.Now(), Err: failed}
 		clk.Advance(d)
@@ -251,8 +245,8 @@ func TestEndKeepsUntracedRootWhenFailedOrSlow(t *testing.T) {
 	if s, slow := end("fast", 99, false); slow || s.ID != 0 || s.DurationNS != 99 {
 		t.Fatalf("fast untraced root: slow=%v %+v, want not slow, no ID", slow, s)
 	}
-	if got := tr.Published(); got != 0 || len(obs.spans) != 0 {
-		t.Fatalf("fast untraced root published %d spans, observed %d", got, len(obs.spans))
+	if got := tr.Published(); got != 0 || len(obs.slow) != 0 {
+		t.Fatalf("fast untraced root published %d spans, hook saw %d", got, len(obs.slow))
 	}
 	failed, slow := end("failed", 1, true)
 	if slow || failed.ID == 0 || failed.Trace != failed.ID || failed.Parent != 0 {
@@ -266,8 +260,8 @@ func TestEndKeepsUntracedRootWhenFailedOrSlow(t *testing.T) {
 	if len(spans) != 2 || spans[0] != failed || spans[1] != late {
 		t.Fatalf("retained %+v, want the failed then the slow root", spans)
 	}
-	if tr.SlowOps() != 1 || len(obs.spans) != 2 || len(obs.slow) != 1 || obs.slow[0].Op != "slow" {
-		t.Fatalf("SlowOps=%d, observer saw %d spans and %v slow", tr.SlowOps(), len(obs.spans), obs.slow)
+	if tr.SlowOps() != 1 || len(obs.slow) != 1 || obs.slow[0] != late {
+		t.Fatalf("SlowOps=%d, hook saw %v, want the slow root", tr.SlowOps(), obs.slow)
 	}
 }
 

@@ -28,7 +28,8 @@
 //			{Name: "a", Capacity: 1 << 30, SharedBytes: 1 << 30},
 //			{Name: "b", Capacity: 1 << 30, SharedBytes: 1 << 30},
 //		},
-//	}, lmp.WithPlacement(lmp.LocalityAware))
+//		Placement: lmp.LocalityAware,
+//	})
 //	buf, err := pool.Alloc(64<<20, 0)          // place 64MiB near server 0
 //	err = pool.Write(0, buf.Addr(), data)      // local write
 //	err = pool.Read(1, buf.Addr(), out)        // remote read from server 1
@@ -37,15 +38,17 @@
 //
 // The stable v1 surface is this package's exported identifiers:
 //
-//   - Construction: New with a Config plus functional options
-//     (WithPlacement, WithProtection, WithMigrationPolicy,
-//     WithCoherentRegion, WithLocalCache). Filling Config fields
-//     directly still works; options run last and win.
-//   - Tail tolerance: WithDeadlineBudget (default per-op deadline,
-//     caller deadlines win), WithAdmissionLimit (shed instead of queue
-//     when saturated), and WithBreaker (per-server circuit breakers
-//     that shed replica-protected reads away from degraded owners).
-//     All off by default; the disabled data path is unchanged.
+//   - Construction: New with a Config, the one way to configure a pool:
+//     each knob is one field, documented where it is declared, and its
+//     zero value picks the default — Placement, Protection, Migration,
+//     CoherentBytes and CoherenceGranularity, Cache (the node-local
+//     page cache), Trace, Repair, Tail, and Clock (the one clock spans
+//     and breakers read).
+//   - Tail tolerance: Config.Tail's OpBudget (default per-op deadline,
+//     caller deadlines win), AdmissionLimit (shed instead of queue when
+//     saturated), and Breaker (per-server circuit breakers that shed
+//     replica-protected reads away from degraded owners). All off by
+//     default; the disabled data path is unchanged.
 //   - Access: Pool.Read / Pool.Write; Pool.ReadCtx / Pool.WriteCtx with
 //     cancellation; vectored Pool.ReadV / Pool.WriteV (plus ...VCtx)
 //     over []Vec, which lock all touched slices at once — in a
@@ -111,35 +114,33 @@ type (
 	// Mapping is one buffer's window in an address space.
 	Mapping = core.Mapping
 	// CacheConfig configures the node-local hot-page cache and write
-	// combiner (see WithLocalCache).
+	// combiner (Config.Cache).
 	CacheConfig = core.CacheConfig
 	// CacheStats aggregates hot-page cache and write-combiner traffic
 	// (Pool.CacheStats).
 	CacheStats = core.CacheStats
 	// RepairConfig tunes the recovery/migration engine (Config.Repair):
 	// worker parallelism for RepairServer and the injectable
-	// fabric-delay hook benchmarks use to model remote-copy latency. See
-	// WithRepairParallelism.
+	// fabric-delay hook benchmarks use to model remote-copy latency.
 	RepairConfig = core.RepairConfig
 	// TailConfig is the tail-tolerance knob block (Config.Tail): deadline
 	// budgets, admission control, per-server breakers. The zero value
-	// disables everything; WithDeadlineBudget, WithAdmissionLimit, and
-	// WithBreaker fill it.
+	// disables everything.
 	TailConfig = core.TailConfig
-	// BreakerPolicy tunes the per-server circuit breakers (see
-	// WithBreaker): failure-ratio trip over a sliding window, slow-call
-	// classification, open duration, and the consecutive successes a
-	// half-open breaker needs to close.
+	// BreakerPolicy tunes the per-server circuit breakers
+	// (Config.Tail.Breaker): failure-ratio trip over a sliding window,
+	// slow-call classification, open duration, and the consecutive
+	// successes a half-open breaker needs to close.
 	BreakerPolicy = core.BreakerPolicy
 	// BreakerCounters snapshots one server's breaker: its current state
 	// and its trip count (Pool.BreakerCounters).
 	BreakerCounters = core.BreakerCounters
 )
 
-// Observability types (Pool.Stats, Pool.TraceSpans, WithTracing,
-// WithObserver). Stats snapshots are plain exported structs that marshal
-// directly to JSON; spans identify one traced operation and its
-// descendants across pool, cache, coherence, and recovery layers.
+// Observability types (Pool.Stats, Pool.TraceSpans, Config.Trace).
+// Stats snapshots are plain exported structs that marshal directly to
+// JSON; spans identify one traced operation and its descendants across
+// pool, cache, coherence, and recovery layers.
 type (
 	// PoolStats is the typed snapshot returned by Pool.Stats.
 	PoolStats = core.PoolStats
@@ -156,8 +157,6 @@ type (
 	Span = telemetry.Span
 	// SpanContext identifies a live span so child work can attach to it.
 	SpanContext = telemetry.SpanContext
-	// Observer receives completed spans synchronously (see WithObserver).
-	Observer = telemetry.Observer
 )
 
 // ContextWithSpan returns a context carrying sc; pool operations invoked
@@ -183,10 +182,10 @@ const (
 // SliceSize is the pool's allocation/migration granularity (2MiB).
 const SliceSize = core.SliceSize
 
-// New builds a logical pool from the configuration, then applies the
-// options (see Option). It fails if the configuration names no servers,
-// a server's shared region exceeds its capacity, or a policy fails
-// validation.
+// New builds a logical pool from the configuration. It fails if the
+// configuration names no servers, a server's shared region exceeds its
+// capacity, or a policy fails validation. opts are applied to cfg first;
+// see Option for why they remain.
 func New(cfg Config, opts ...Option) (*Pool, error) {
 	for _, opt := range opts {
 		opt(&cfg)
@@ -198,7 +197,7 @@ func New(cfg Config, opts ...Option) (*Pool, error) {
 // against: an ordinary Pool whose servers 0..cfg.Servers-1 are compute
 // servers lending nothing and whose last server is the pool device lending
 // cfg.PoolBytes; cfg.LocalBytes > 0 gives every server a local page cache
-// of that size (as WithLocalCache does). Everything a Pool does applies —
+// of that size (as Config.Cache does). Everything a Pool does applies —
 // Alloc fails with ErrOutOfMemory beyond the device (it cannot borrow
 // server DRAM: the Figure 5 infeasibility), Crash of the device raises a
 // memory exception for every byte — because nothing is re-implemented.

@@ -187,17 +187,17 @@ func TestFacadePhysicalBaseline(t *testing.T) {
 // one. Each side's bytes are the least of three builds, which drops what
 // another goroutine allocated meanwhile.
 func TestNewWithUnusedCacheAllocatesLittle(t *testing.T) {
-	cfg := lmp.Config{}
+	cfg := lmp.Config{Placement: lmp.Striped}
 	for i := 0; i < 4; i++ {
 		cfg.Servers = append(cfg.Servers, lmp.ServerConfig{Name: "lender", Capacity: 80 << 20, SharedBytes: 64 << 20})
 	}
 	cfg.Servers = append(cfg.Servers, lmp.ServerConfig{Name: "compute", Capacity: 64 << 20})
-	allocated := func(opts ...lmp.Option) uint64 {
+	allocated := func(cfg lmp.Config) uint64 {
 		least := ^uint64(0)
 		for range 3 {
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			pool, err := lmp.New(cfg, opts...)
+			pool, err := lmp.New(cfg)
 			runtime.ReadMemStats(&after)
 			if err != nil {
 				t.Fatal(err)
@@ -207,9 +207,9 @@ func TestNewWithUnusedCacheAllocatesLittle(t *testing.T) {
 		}
 		return least
 	}
-	striped := lmp.WithPlacement(lmp.Striped)
-	plain := allocated(striped)
-	cached := allocated(striped, lmp.WithLocalCache(lmp.CacheConfig{CapacityBytes: 16 << 20, PageSize: 4096}))
+	plain := allocated(cfg)
+	cfg.Cache = lmp.CacheConfig{Enabled: true, CapacityBytes: 16 << 20, PageSize: 4096}
+	cached := allocated(cfg)
 	t.Logf("New allocated %d B without the cache, %d B with it", plain, cached)
 	if cached > plain+64<<10 {
 		t.Errorf("New allocated %d B with five unused 16 MiB caches, %d B without: %d B more, want at most 64 KiB", cached, plain, cached-plain)

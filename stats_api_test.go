@@ -1,6 +1,7 @@
 // Tests for the v1 observability surface: the typed Pool.Stats
-// snapshot (of a logical pool and of the physical baseline), span tracing through the public API, and
-// the WithTracing / WithObserver options. The reflection test pins the
+// snapshot (of a logical pool and of the physical baseline), span tracing
+// through the public API, and Config.Trace with its slow-op hook. The
+// reflection test pins the
 // satellite contract: a Stats snapshot exposes only exported,
 // JSON-tagged fields — no internal registry types leak through it.
 package lmp_test
@@ -12,6 +13,7 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	lmp "github.com/lmp-project/lmp"
@@ -59,7 +61,7 @@ func TestStatsSnapshotTypesAreClean(t *testing.T) {
 }
 
 func TestPoolStats(t *testing.T) {
-	pool := newTestPool(t, 3, 8, lmp.WithTracing(lmp.TraceConfig{SampleEvery: 1}))
+	pool := newConfigPool(t, lmp.Config{Trace: lmp.TraceConfig{SampleEvery: 1}}, 3, 8)
 	buf, err := pool.Alloc(2*lmp.SliceSize, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -133,7 +135,7 @@ func TestPoolStats(t *testing.T) {
 }
 
 func TestTracingDisabled(t *testing.T) {
-	pool := newTestPool(t, 2, 4, lmp.WithTracing(lmp.TraceConfig{Disabled: true}))
+	pool := newConfigPool(t, lmp.Config{Trace: lmp.TraceConfig{Disabled: true}}, 2, 4)
 	buf, err := pool.Alloc(lmp.SliceSize, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -158,31 +160,33 @@ func TestTracingDisabled(t *testing.T) {
 	}
 }
 
-// spanSink collects observed spans; used to test WithObserver.
+// spanSink collects the spans handed to Config.Trace.OnSlowOp.
 type spanSink struct {
 	mu    sync.Mutex
 	spans []lmp.Span
-	slow  []lmp.Span
 }
 
-func (s *spanSink) OnSpan(sp lmp.Span) {
+func (s *spanSink) add(sp lmp.Span) {
 	s.mu.Lock()
 	s.spans = append(s.spans, sp)
 	s.mu.Unlock()
 }
 
-func (s *spanSink) OnSlowOp(sp lmp.Span) {
-	s.mu.Lock()
-	s.slow = append(s.slow, sp)
-	s.mu.Unlock()
-}
-
-func TestWithObserverAndContextTracing(t *testing.T) {
+// TestSlowOpHookAndContextTracing: with a clock that moves 1 µs per
+// reading and a 1 ns threshold every span is slow, so the hook sees every
+// span the pool records — and only a context carrying a span makes the
+// pool record any.
+func TestSlowOpHookAndContextTracing(t *testing.T) {
 	sink := &spanSink{}
-	pool := newTestPool(t, 2, 4,
-		lmp.WithTracing(lmp.TraceConfig{SampleEvery: 1 << 30}), // effectively never sample
-		lmp.WithObserver(sink),
-	)
+	var now atomic.Int64
+	pool := newConfigPool(t, lmp.Config{
+		Trace: lmp.TraceConfig{
+			SampleEvery: 1 << 30, // effectively never sample
+			SlowOpNS:    1,
+			OnSlowOp:    sink.add,
+		},
+		Clock: func() int64 { return now.Add(1000) },
+	}, 2, 4)
 	buf, err := pool.Alloc(lmp.SliceSize, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -209,7 +213,7 @@ func TestWithObserverAndContextTracing(t *testing.T) {
 	defer sink.mu.Unlock()
 	got := sink.spans[base:]
 	if len(got) < 2 {
-		t.Fatalf("observer saw %d spans, want >= 2", len(got))
+		t.Fatalf("slow-op hook saw %d spans, want >= 2", len(got))
 	}
 	for _, sp := range got {
 		if sp.Trace != 77 {

@@ -24,7 +24,7 @@ func TestConcurrentAccessMigrationStress(t *testing.T) {
 		readers    = 3
 		iterations = 100
 	)
-	pool := newTestPool(t, servers, 24, lmp.WithPlacement(lmp.Striped))
+	pool := newConfigPool(t, lmp.Config{Placement: lmp.Striped}, servers, 24)
 	shared, err := pool.Alloc(slices*lmp.SliceSize, 0)
 	if err != nil {
 		t.Fatal(err)
