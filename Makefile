@@ -102,8 +102,9 @@ cross:
 # lent memory must not be written after its node could be unmapped).
 # memnode rides in that pass for its lifetime test (readers
 # copying out of nodes whose last reference is gone while the collector
-# unmaps dead ones) and its lender test (concurrent tenants allocating,
-# verifying and freeing extents while the boundary moves), alloc beside it
+# unmaps dead ones), its lender test (concurrent tenants allocating,
+# verifying and freeing extents while the boundary moves and their huge
+# pages are populated) and its drop-against-populate test, alloc beside it
 # as the algorithm under that lock, on every shape. The core line also
 # runs the physical-pool deployment, the server-id bounds table and the
 # balancer, planner and access-profile tests, the page cache and its

@@ -91,20 +91,23 @@ func (e *Extents) Alloc(n int64) (int64, error) {
 }
 
 // Free releases the allocation at offset and reports its length, so the
-// owner of the memory can scrub exactly what was handed back.
-func (e *Extents) Free(offset int64) (int64, error) {
+// owner of the memory can scrub exactly what was handed back, and the
+// free range [lo, hi) the allocation joined, its free neighbours
+// included.
+func (e *Extents) Free(offset int64) (n, lo, hi int64, err error) {
 	n, ok := e.allocated[offset]
 	if !ok {
-		return 0, fmt.Errorf("%w: %d", ErrNotAllocated, offset)
+		return 0, 0, 0, fmt.Errorf("%w: %d", ErrNotAllocated, offset)
 	}
 	delete(e.allocated, offset)
 	e.inUse -= n
-	e.insertFree(extent{offset, n})
-	return n, nil
+	x := e.insertFree(extent{offset, n})
+	return n, x.off, x.off + x.size, nil
 }
 
-// insertFree adds an extent and coalesces neighbours.
-func (e *Extents) insertFree(x extent) {
+// insertFree adds an extent, coalesces neighbours and returns the free
+// extent it became part of.
+func (e *Extents) insertFree(x extent) extent {
 	i := sort.Search(len(e.free), func(i int) bool { return e.free[i].off > x.off })
 	e.free = append(e.free, extent{})
 	copy(e.free[i+1:], e.free[i:])
@@ -118,7 +121,9 @@ func (e *Extents) insertFree(x extent) {
 	if i > 0 && e.free[i-1].off+e.free[i-1].size == e.free[i].off {
 		e.free[i-1].size += e.free[i].size
 		e.free = append(e.free[:i], e.free[i+1:]...)
+		i--
 	}
+	return e.free[i]
 }
 
 // SetLimit grows or shrinks the managed region. Shrinking requires the

@@ -41,13 +41,13 @@ func TestExtentsAllocFreeRoundsToUnit(t *testing.T) {
 	if e.InUse() != 128 {
 		t.Fatalf("in use = %d", e.InUse())
 	}
-	if _, err := e.Free(off); err != nil {
+	if _, _, _, err := e.Free(off); err != nil {
 		t.Fatal(err)
 	}
 	if e.InUse() != 0 || e.FreeBytes() != 1024 {
 		t.Fatalf("after free: inUse=%d free=%d", e.InUse(), e.FreeBytes())
 	}
-	if _, err := e.Free(off); !errors.Is(err, ErrNotAllocated) {
+	if _, _, _, err := e.Free(off); !errors.Is(err, ErrNotAllocated) {
 		t.Fatalf("double free: %v", err)
 	}
 }
@@ -67,7 +67,7 @@ func TestExtentsNonPowerOfTwoRegion(t *testing.T) {
 		t.Fatalf("over-alloc: %v", err)
 	}
 	for _, o := range offs {
-		if _, err := e.Free(o); err != nil {
+		if _, _, _, err := e.Free(o); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -82,15 +82,19 @@ func TestExtentsCoalescing(t *testing.T) {
 	b, _ := e.Alloc(64)
 	c, _ := e.Alloc(64)
 	// Free middle, then neighbours: must coalesce into one extent plus the
-	// untouched tail.
-	if _, err := e.Free(b); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Free(a); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Free(c); err != nil {
-		t.Fatal(err)
+	// untouched tail, and each free reports the free range it joined.
+	for _, step := range []struct{ off, lo, hi int64 }{
+		{b, 64, 128},   // between two live extents
+		{a, 0, 128},    // joins b's range from below
+		{c, 0, 4 * 64}, // joins both ranges, and the tail
+	} {
+		n, lo, hi, err := e.Free(step.off)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n != 64 || lo != step.lo || hi != step.hi {
+			t.Fatalf("Free(%d) = %d bytes in [%d,%d), want 64 in [%d,%d)", step.off, n, lo, hi, step.lo, step.hi)
+		}
 	}
 	if e.FragmentCount() != 1 {
 		t.Fatalf("fragments = %d, want 1", e.FragmentCount())
@@ -130,7 +134,7 @@ func TestExtentsShrink(t *testing.T) {
 	if err := e.SetLimit(0); err == nil {
 		t.Fatal("shrink through allocation accepted")
 	}
-	if _, err := e.Free(off); err != nil {
+	if _, _, _, err := e.Free(off); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.SetLimit(0); err != nil {
@@ -146,7 +150,7 @@ func TestExtentsShrinkWithFragmentedTail(t *testing.T) {
 	a, _ := e.Alloc(64) // [0,64)
 	b, _ := e.Alloc(64) // [64,128)
 	_ = a
-	if _, err := e.Free(b); err != nil {
+	if _, _, _, err := e.Free(b); err != nil {
 		t.Fatal(err)
 	}
 	// Free extents: [64,128) and [128,256). They coalesce to [64,256), so
@@ -182,7 +186,7 @@ func TestExtentsRandomizedInvariant(t *testing.T) {
 			live = append(live, blk{off, n})
 		} else {
 			i := rng.Intn(len(live))
-			if _, err := e.Free(live[i].off); err != nil {
+			if _, _, _, err := e.Free(live[i].off); err != nil {
 				t.Fatal(err)
 			}
 			live = append(live[:i], live[i+1:]...)
@@ -201,7 +205,7 @@ func TestPlacerWithExtentsAndMaxChunk(t *testing.T) {
 	// The core runtime's configuration: extent regions, MaxChunk = stripe.
 	var rs []*Region
 	for i := 0; i < 3; i++ {
-		rs = append(rs, &Region{Server: addrpkg.ServerID(i), Mem: mustExtents(t, 8*64, 64)})
+		rs = append(rs, &Region{Server: addrpkg.ServerID(i), Mem: extentsRegion{mustExtents(t, 8*64, 64)}})
 	}
 	pl := mustPlacer(t, LocalityAware, 64, rs)
 	pl.MaxChunk = 64

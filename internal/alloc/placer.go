@@ -47,10 +47,10 @@ type Chunk struct {
 }
 
 // RegionAlloc is what the placer needs of a lender: the runtime hands it
-// its servers' lenders (a Free there also scrubs the extent); a bare
-// *Extents satisfies it too. A placed chunk is one extent of its region,
-// and its holder gives it back with that region's Free: the placer itself
-// frees only the partial placement a failed Place rolls back.
+// its servers' lenders (a Free there also scrubs the extent). A placed
+// chunk is one extent of its region, and its holder gives it back with
+// that region's Free: the placer itself frees only the partial placement
+// a failed Place rolls back.
 type RegionAlloc interface {
 	Alloc(n int64) (int64, error)
 	Free(offset int64) (int64, error)

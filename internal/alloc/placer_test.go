@@ -7,6 +7,15 @@ import (
 	"github.com/lmp-project/lmp/internal/addr"
 )
 
+// extentsRegion is a bare allocator as a placer's region, as a lender
+// with no memory behind it would be.
+type extentsRegion struct{ *Extents }
+
+func (r extentsRegion) Free(off int64) (int64, error) {
+	n, _, _, err := r.Extents.Free(off)
+	return n, err
+}
+
 func testRegions(t *testing.T, n int, size int64) []*Region {
 	t.Helper()
 	var rs []*Region
@@ -15,7 +24,7 @@ func testRegions(t *testing.T, n int, size int64) []*Region {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rs = append(rs, &Region{Server: addr.ServerID(i), Mem: b})
+		rs = append(rs, &Region{Server: addr.ServerID(i), Mem: extentsRegion{b}})
 	}
 	return rs
 }

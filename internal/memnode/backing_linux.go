@@ -1,6 +1,7 @@
 package memnode
 
 import (
+	"errors"
 	"os"
 	"runtime"
 	"strconv"
@@ -8,10 +9,6 @@ import (
 	"syscall"
 	"unsafe"
 )
-
-// hugePage is the x86-64/arm64 transparent-huge-page size the mapping is
-// aligned to; a wrong guess costs two partial huge pages, nothing else.
-const hugePage = 2 << 20
 
 // reserve maps the node's memory. It reserves inaccessible address space
 // for the capacity plus one huge page, and opens the capacity (rounded up
@@ -54,6 +51,22 @@ func (n *Node) release(from, to int64) {
 	// MADV_DONTNEED on a private anonymous mapping cannot fail for an
 	// aligned range inside it.
 	_ = syscall.Madvise(n.mem[from:to:to], syscall.MADV_DONTNEED)
+}
+
+// madvPopulateWrite is MADV_POPULATE_WRITE (Linux 5.14), which the
+// syscall package does not name.
+const madvPopulateWrite = 23
+
+// populate faults in the pages [from, to) for writing — allocated and
+// zeroed now, not at their first write — and reports false when the
+// kernel does not know the advice (EINVAL), so the caller stops asking.
+// Any other failure (memory pressure) leaves the range to first touch.
+//
+//lmp:coldpath
+func (n *Node) populate(from, to int64) bool {
+	err := syscall.Madvise(n.mem[from:to:to], madvPopulateWrite)
+	runtime.KeepAlive(n)
+	return !errors.Is(err, syscall.EINVAL)
 }
 
 // resident sums the Rss of the mapping's areas in /proc/self/smaps. The

@@ -13,5 +13,8 @@ func (n *Node) reserve() error {
 // release zeroes [from, to); the memory stays with the process.
 func (n *Node) release(from, to int64) { clear(n.mem[from:to]) }
 
+// populate is not available here: pages are supplied on first touch.
+func (n *Node) populate(from, to int64) bool { return false }
+
 // resident is not known here.
 func (n *Node) resident() int64 { return 0 }

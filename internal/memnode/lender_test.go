@@ -145,9 +145,13 @@ func TestResizeMovesOneBoundary(t *testing.T) {
 // tenant finds in a fresh extent is zeros, never a neighbour's or a
 // predecessor's mark, and its own bytes are intact when it leaves — so no
 // extent was ever granted twice and none was granted before its scrub.
+// Every eighth extent spans whole huge pages, which the node populates
+// while its tenant writes, verifies and frees it: a populate never
+// clobbers a tenant's bytes, and when the last tenant has left nothing
+// is resident.
 func TestConcurrentTenants(t *testing.T) {
 	const tenants, rounds = 8, 200
-	n := mustNode(t, 4<<20, 2<<20)
+	n := mustNode(t, 16<<20, 8<<20)
 	var wg sync.WaitGroup
 	for g := 1; g <= tenants; g++ {
 		wg.Add(1)
@@ -155,6 +159,9 @@ func TestConcurrentTenants(t *testing.T) {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
 				size := int64(1+(r+int(mark))%6) * PageSize
+				if r%8 == 0 {
+					size = 2 * hugePage // holds at least one whole huge page
+				}
 				off, err := n.Alloc(size)
 				if errors.Is(err, alloc.ErrNoSpace) {
 					continue // the others hold the region just now
@@ -182,7 +189,7 @@ func TestConcurrentTenants(t *testing.T) {
 				if r%16 == 0 {
 					// The boundary moves under the tenants' feet; a shrink
 					// that would cut a live extent is refused.
-					_ = n.Resize(int64(1+r/16%2) << 20)
+					_ = n.Resize(int64(1+r/16%2) << 22)
 				}
 				if err := n.ReadAt(buf, off); err != nil {
 					t.Error(err)
@@ -202,5 +209,8 @@ func TestConcurrentTenants(t *testing.T) {
 	wg.Wait()
 	if n.InUse() != 0 {
 		t.Fatalf("%d bytes still granted after every tenant left", n.InUse())
+	}
+	if r := n.ResidentBytes(); r > n.InUse() {
+		t.Fatalf("%d KiB resident after every tenant left", r>>10)
 	}
 }

@@ -11,11 +11,13 @@
 // tail back to the host.
 //
 // The bytes live outside the Go heap, in one anonymous mapping reserved
-// per node (backing_linux.go; a plain slice elsewhere). Untouched bytes
+// per node (backing_linux.go; a plain slice elsewhere). Ungranted bytes
 // cost address space only, so a node can model tens of gigabytes of
-// capacity while tests touch only megabytes; the kernel supplies zeroed
-// pages on first touch and takes them back when a range is dropped or
-// the shared region shrinks. A runtime cleanup unmaps the memory once the
+// capacity while tests touch only megabytes. The kernel supplies zeroed
+// pages and takes them back when a range is dropped or the shared region
+// shrinks; the whole huge pages of a new extent are faulted in off the
+// data path, by a goroutine the grant starts, so a tenant's first write
+// finds them resident. A runtime cleanup unmaps the memory once the
 // Node is unreachable — there is no Close, so no accessor can outlive the
 // bytes it copies. View is the one accessor that hands the bytes out
 // rather than copying them: a view is valid only while its holder keeps
@@ -33,6 +35,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -43,6 +46,13 @@ import (
 // host page tables the paper's runtime would manage, and the unit of the
 // shared region: its size and every extent granted in it are whole pages.
 const PageSize = 4096
+
+// hugePage is the x86-64/arm64 transparent-huge-page size: the Linux
+// backing aligns the mapping to it, Alloc populates in units of it, and
+// Free scrubs the free part of the ones its extent overlaps. A wrong
+// guess costs two partial huge pages at the mapping's ends and puts
+// those two in the wrong unit; nothing breaks.
+const hugePage = 2 << 20
 
 // ErrOutOfRange reports an access beyond the node's capacity.
 var ErrOutOfRange = errors.New("memnode: access out of range")
@@ -58,12 +68,24 @@ type Node struct {
 	// every method that touches it keeps n alive until it is done.
 	mem []byte
 
-	// allocMu is the allocation lock: it guards extents and orders the
-	// scrub of a freed or vacated range before the range can be granted
-	// again. It is a leaf — nothing is acquired under it — and the data
-	// path never takes it.
+	// dropMu orders a Free's drop after the populate in flight: Free
+	// holds it from before allocMu until its drop is done, and the
+	// populator holds it across one huge page, so no populate lands on a
+	// range after its drop. Lock order: dropMu, then allocMu.
+	dropMu sync.Mutex
+	// allocMu is the allocation lock: it guards extents and the populate
+	// queue, and orders the scrub of a freed or vacated range before the
+	// range can be granted again. It is a leaf — nothing is acquired under
+	// it — and the data path never takes it.
 	allocMu sync.Mutex
 	extents *alloc.Extents
+	// pending holds the offsets of granted huge pages not yet populated,
+	// oldest first, each wholly inside a live extent; populating says a
+	// populator goroutine is draining it; noPopulate says the host
+	// cannot populate, so nothing more is queued.
+	pending    []int64
+	populating bool
+	noPopulate bool
 	// shared mirrors the allocator's limit — bytes [0, shared) are the
 	// shared region — for readers that must not queue behind an
 	// allocation (lmpd bounds every wire access by it). Written only by
@@ -129,10 +151,57 @@ func (n *Node) DroppedBytes() uint64 { return n.dropped.Load() }
 // Alloc grants size bytes (rounded up to pages) of the shared region and
 // returns the extent's offset. The extent reads as zeros. It fails with an
 // error wrapping alloc.ErrNoSpace when no free extent is large enough.
+//
+// The huge pages lying wholly inside the extent are queued to be made
+// resident in the background, so the tenant's first pass over them does
+// not fault; Alloc never waits for that. A partial huge page at either
+// end is left to first touch: populating it would commit all of it, and
+// the extent's Free could give back only its own part.
 func (n *Node) Alloc(size int64) (int64, error) {
 	n.allocMu.Lock()
 	defer n.allocMu.Unlock()
-	return n.extents.Alloc(size)
+	off, err := n.extents.Alloc(size)
+	if err != nil {
+		return 0, err
+	}
+	if n.noPopulate {
+		return off, nil
+	}
+	end := off + (size+PageSize-1)/PageSize*PageSize
+	for c := (off + hugePage - 1) / hugePage * hugePage; c+hugePage <= end; c += hugePage {
+		n.pending = append(n.pending, c)
+	}
+	if len(n.pending) > 0 && !n.populating {
+		n.populating = true
+		go n.populateQueued()
+	}
+	return off, nil
+}
+
+// populateQueued makes the queued huge pages resident, one at a time,
+// and returns once the queue is empty, so it keeps the node reachable
+// only while there is work. It holds dropMu across each huge page and
+// allocMu only to take the next one off the queue.
+func (n *Node) populateQueued() {
+	ok := true
+	for {
+		n.dropMu.Lock()
+		n.allocMu.Lock()
+		if !ok {
+			n.noPopulate, n.pending = true, nil
+		}
+		if len(n.pending) == 0 {
+			n.populating, n.pending = false, nil
+			n.allocMu.Unlock()
+			n.dropMu.Unlock()
+			return
+		}
+		c := n.pending[0]
+		n.pending = n.pending[1:]
+		n.allocMu.Unlock()
+		ok = n.populate(c, c+hugePage)
+		n.dropMu.Unlock()
+	}
 }
 
 // Free takes back the extent granted at off and reports its length. The
@@ -140,15 +209,27 @@ func (n *Node) Alloc(size int64) (int64, error) {
 // before the allocation lock is released, so no later Alloc can be handed
 // the previous tenant's bytes. An offset that is not the start of a live
 // extent fails with an error wrapping alloc.ErrNotAllocated and changes
-// nothing.
+// nothing. Free waits for a huge page being populated, if there is one,
+// and unqueues the extent's own.
+//
+// The scrub reaches past the extent to whatever is free in the huge pages
+// it overlaps: under huge pages a first write into a small extent faults
+// in the whole huge page around it, and a neighbour's Free must give that
+// back too, so a huge page with no granted byte in it holds nothing.
 func (n *Node) Free(off int64) (int64, error) {
+	n.dropMu.Lock()
+	defer n.dropMu.Unlock()
 	n.allocMu.Lock()
 	defer n.allocMu.Unlock()
-	size, err := n.extents.Free(off)
+	size, lo, hi, err := n.extents.Free(off)
 	if err != nil {
 		return 0, err
 	}
-	n.dropRange(off, size)
+	end := off + size
+	n.pending = slices.DeleteFunc(n.pending, func(c int64) bool { return c >= off && c < end })
+	n.release(max(lo, off/hugePage*hugePage), min(hi, (end+hugePage-1)/hugePage*hugePage))
+	n.dropped.Add(uint64(size))
+	runtime.KeepAlive(n)
 	return size, nil
 }
 
@@ -156,7 +237,9 @@ func (n *Node) Free(off int64) (int64, error) {
 // to pages, anywhere in [0, capacity]. A shrink is refused, with an error
 // wrapping alloc.ErrNoSpace and nothing changed, unless the tail it
 // vacates is entirely free; it then drops that tail, so the memory goes
-// back to the host and reads as zeros if the region grows again.
+// back to the host and reads as zeros if the region grows again. Unlike
+// Free it does not wait for a populate: it only ever drops free memory,
+// and every queued or in-flight huge page lies in a live extent.
 func (n *Node) Resize(sharedBytes int64) error {
 	if sharedBytes < 0 || sharedBytes > n.capacity {
 		return fmt.Errorf("memnode: resize to %d outside [0,%d]", sharedBytes, n.capacity)
@@ -245,9 +328,9 @@ func (n *Node) WriteFrom(r io.Reader, off int64, length int) error {
 	return err
 }
 
-// dropRange discards the contents of every page fully
-// contained in [off, off+length) — an extent being freed, or the tail a
-// shrink vacates. The pages go back to the host and read as zeros
+// dropRange discards the contents of every page fully contained in
+// [off, off+length) — the tail a shrink vacates (Free drops its extent's
+// huge pages itself). The pages go back to the host and read as zeros
 // afterwards; partially covered pages at the edges are kept, and whatever
 // part of the range lies outside the node is ignored.
 func (n *Node) dropRange(off, length int64) {

@@ -1,6 +1,7 @@
 package memnode
 
 import (
+	"bytes"
 	"os"
 	"runtime"
 	"strconv"
@@ -30,6 +31,18 @@ func minorFaults(t *testing.T) int64 {
 	t.Helper()
 	var ru syscall.Rusage
 	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		t.Fatal(err)
+	}
+	return ru.Minflt
+}
+
+// threadMinorFaults counts the calling thread's minor faults
+// (RUSAGE_THREAD); the caller locks its goroutine to the thread.
+func threadMinorFaults(t *testing.T) int64 {
+	t.Helper()
+	const rusageThread = 1
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(rusageThread, &ru); err != nil {
 		t.Fatal(err)
 	}
 	return ru.Minflt
@@ -189,5 +202,139 @@ func TestNodeLifetime(t *testing.T) {
 		}
 		runtime.GC()
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// populatorState reports whether the node's populator is running, and
+// whether the host refused to populate.
+func populatorState(n *Node) (busy, refused bool) {
+	n.allocMu.Lock()
+	defer n.allocMu.Unlock()
+	return n.populating, n.noPopulate
+}
+
+// waitDrained waits until the node's populator has emptied its queue
+// and exited, and skips the test where the kernel cannot populate
+// (MADV_POPULATE_WRITE is Linux 5.14).
+func waitDrained(t *testing.T, n *Node) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		busy, refused := populatorState(n)
+		if refused {
+			t.Skip("the kernel does not know MADV_POPULATE_WRITE (before Linux 5.14)")
+		}
+		if !busy {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the populator did not drain in 5 s")
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestAllocPopulatesWholeHugePages: a granted extent's whole huge pages
+// become resident without a write, so the tenant's first pass over them
+// takes no page faults; without population it takes one per huge page
+// (16 here) or more. An extent smaller than a huge page, and the part of
+// an extent that only partly covers one, are left to first touch.
+func TestAllocPopulatesWholeHugePages(t *testing.T) {
+	const extent = 32 << 20
+	n := mustNode(t, 64<<20, 64<<20)
+	off, err := n.Alloc(extent)
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for n.ResidentBytes() != extent {
+		if time.Now().After(deadline) {
+			waitDrained(t, n) // skips where the kernel cannot populate
+			t.Fatalf("resident %d MiB 5 s after granting %d MiB, want all of it", n.ResidentBytes()>>20, extent>>20)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	// Count the writing thread's faults alone: the collector and the
+	// previous test's finalizers fault pages of their own meanwhile.
+	runtime.LockOSThread()
+	defer runtime.UnlockOSThread()
+	p := bytes.Repeat([]byte{0x5A}, 1<<20)
+	before := threadMinorFaults(t)
+	for at := off; at < off+extent; at += int64(len(p)) {
+		if err := n.WriteAt(p, at); err != nil {
+			t.Fatal(err)
+		}
+	}
+	faults := threadMinorFaults(t) - before
+	t.Logf("writing a populated %d MiB extent took %d minor faults", extent>>20, faults)
+	if faults > 8 {
+		t.Errorf("writing a populated %d MiB extent took %d minor faults, want <= 8", extent>>20, faults)
+	}
+
+	// [32 MiB, 35 MiB): one whole huge page and a 1 MiB tail; then
+	// [35 MiB, 36 MiB), inside a huge page of its own.
+	if _, err := n.Alloc(3 << 20); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := n.Alloc(1 << 20); err != nil {
+		t.Fatal(err)
+	}
+	waitDrained(t, n)
+	if got, want := n.ResidentBytes(), int64(extent+hugePage); got != want {
+		t.Errorf("resident %d KiB after granting a 3 MiB and a 1 MiB extent, want %d: only whole huge pages are populated", got>>10, want>>10)
+	}
+}
+
+// TestDropOrdersAfterPopulate: a Free, or a shrinking Resize, issued
+// right after an Alloc while the extent is still being populated leaves
+// nothing resident once the populator has drained — no populate lands
+// on memory after it was dropped.
+func TestDropOrdersAfterPopulate(t *testing.T) {
+	const extent = 64 << 20
+	n := mustNode(t, 2*extent, 2*extent)
+	for round := 0; round < 40; round++ {
+		off, err := n.Alloc(extent)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if round%2 == 1 {
+			// Free in the middle of the populate rather than before it
+			// could start: populating 64 MiB takes milliseconds.
+			for n.ResidentBytes() == 0 {
+				if busy, _ := populatorState(n); !busy {
+					break
+				}
+				runtime.Gosched()
+			}
+		}
+		if _, err := n.Free(off); err != nil {
+			t.Fatal(err)
+		}
+		// Two extents; the upper one goes, and the shrink cuts its range
+		// while the lower one is still being populated.
+		low, err := n.Alloc(extent)
+		if err != nil {
+			t.Fatal(err)
+		}
+		high, err := n.Alloc(extent)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := n.Free(high); err != nil {
+			t.Fatal(err)
+		}
+		if err := n.Resize(extent); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := n.Free(low); err != nil {
+			t.Fatal(err)
+		}
+		if err := n.Resize(2 * extent); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitDrained(t, n)
+	if r := n.ResidentBytes(); r != 0 {
+		t.Fatalf("%d KiB resident with nothing granted", r>>10)
 	}
 }
