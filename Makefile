@@ -200,6 +200,9 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkPoolParallelReadWrite' -benchtime=100x .
 	$(GO) test -run '^$$' -bench 'BenchmarkPoolColdMix' -benchtime=20000x -benchmem .
 
+# The examples, then lmpbench, the one program that prints the paper's
+# tables and figures (internal/model). `repair` is left out: it measures
+# wall-clock worker scaling and fails below a 3.0x floor.
 examples:
 	$(GO) run ./examples/quickstart
 	$(GO) run ./examples/vectorsum
@@ -207,3 +210,4 @@ examples:
 	$(GO) run ./examples/mmap
 	$(GO) run ./examples/failover
 	$(GO) run ./examples/sizing
+	$(GO) run ./cmd/lmpbench -experiment table1,table2,fig2,fig3,fig4,fig5,latency,nearmem,software -reps 1

@@ -1,8 +1,8 @@
-// Benchmarks regenerating the paper's evaluation. Each table and figure
-// has a benchmark that runs the corresponding experiment and reports the
-// simulated metric (bandwidth, latency, ratio) via b.ReportMetric; the
-// wall-clock ns/op measures only the harness. Ablation benchmarks cover
-// the design choices called out in DESIGN.md.
+// Ablation benchmarks for the design choices called out in DESIGN.md,
+// the fabric experiments behind §2.1 and §4.2, and microbenchmarks of the
+// functional runtime. Simulated metrics (bandwidth, ratio) are reported
+// via b.ReportMetric; for those the wall-clock ns/op measures only the
+// harness. The paper's tables and figures are printed by cmd/lmpbench.
 package lmp_test
 
 import (
@@ -13,129 +13,11 @@ import (
 	"github.com/lmp-project/lmp/internal/addr"
 	"github.com/lmp-project/lmp/internal/alloc"
 	"github.com/lmp-project/lmp/internal/coherence"
-	"github.com/lmp-project/lmp/internal/core"
 	"github.com/lmp-project/lmp/internal/fabric"
 	"github.com/lmp-project/lmp/internal/failure"
 	"github.com/lmp-project/lmp/internal/memsim"
 	"github.com/lmp-project/lmp/internal/sim"
-	"github.com/lmp-project/lmp/internal/topology"
 )
-
-// BenchmarkTable1MemoryTypes evaluates the calibrated profiles (Table 1):
-// idle latency and saturation bandwidth per memory type.
-func BenchmarkTable1MemoryTypes(b *testing.B) {
-	for _, p := range []memsim.Profile{memsim.LocalDRAM(), memsim.PondCXL(), memsim.FPGACXL()} {
-		p := p
-		b.Run(p.Name, func(b *testing.B) {
-			var lat float64
-			for i := 0; i < b.N; i++ {
-				lat = p.Latency.Latency(0)
-			}
-			b.ReportMetric(lat, "sim-latency-ns")
-			b.ReportMetric(p.Bandwidth/1e9, "sim-GBps")
-		})
-	}
-}
-
-// BenchmarkTable2LinkCharacterization drives the discrete-event streaming
-// model against each emulated link (Table 2): min latency at one core,
-// loaded latency and bandwidth at 14 cores.
-func BenchmarkTable2LinkCharacterization(b *testing.B) {
-	for _, link := range []memsim.Profile{memsim.Link0(), memsim.Link1()} {
-		link := link
-		b.Run(link.Name, func(b *testing.B) {
-			var min, max, bw float64
-			for i := 0; i < b.N; i++ {
-				engIdle := sim.NewEngine()
-				idle := memsim.RunStream(engIdle, memsim.NewMemory(engIdle, link), 1, memsim.DefaultCore(), 2<<20)
-				engLoad := sim.NewEngine()
-				loaded := memsim.RunStream(engLoad, memsim.NewMemory(engLoad, link), 14, memsim.DefaultCore(), 8<<20)
-				min, max, bw = idle.MeanLatencyNS, loaded.MeanLatencyNS, loaded.BandwidthBps
-			}
-			b.ReportMetric(min, "sim-min-lat-ns")
-			b.ReportMetric(max, "sim-max-lat-ns")
-			b.ReportMetric(bw/1e9, "sim-GBps")
-		})
-	}
-}
-
-func benchFigure(b *testing.B, gb int64) {
-	for _, kind := range []topology.Kind{topology.Logical, topology.PhysicalCache, topology.PhysicalNoCache} {
-		for _, link := range []memsim.Profile{memsim.Link0(), memsim.Link1()} {
-			kind, link := kind, link
-			b.Run(fmt.Sprintf("%s/%s", kind, link.Name), func(b *testing.B) {
-				var res core.BandwidthResult
-				var err error
-				for i := 0; i < b.N; i++ {
-					res, err = core.VectorSumBandwidth(core.VectorSumConfig{
-						Deployment:  topology.PaperDeployment(kind, link),
-						VectorBytes: gb * memsim.GB,
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-				}
-				if !res.Feasible {
-					b.ReportMetric(0, "sim-GBps")
-					b.ReportMetric(1, "infeasible")
-					return
-				}
-				b.ReportMetric(res.BandwidthBps/1e9, "sim-GBps")
-				b.ReportMetric(res.LocalFraction, "local-frac")
-			})
-		}
-	}
-}
-
-// BenchmarkFig2Vector8GB regenerates Figure 2 (8GB vector).
-func BenchmarkFig2Vector8GB(b *testing.B) { benchFigure(b, 8) }
-
-// BenchmarkFig3Vector24GB regenerates Figure 3 (24GB vector, the 4.7x /
-// 3.4x headline).
-func BenchmarkFig3Vector24GB(b *testing.B) { benchFigure(b, 24) }
-
-// BenchmarkFig4Vector64GB regenerates Figure 4 (64GB vector, +42% over
-// Physical cache on Link1).
-func BenchmarkFig4Vector64GB(b *testing.B) { benchFigure(b, 64) }
-
-// BenchmarkFig5Vector96GB regenerates Figure 5 (96GB vector: physical
-// pools infeasible).
-func BenchmarkFig5Vector96GB(b *testing.B) { benchFigure(b, 96) }
-
-// BenchmarkLoadedLatencyRatio reproduces §4.3: max loaded remote latency
-// is 2.8x (Link0) and 3.6x (Link1) the local maximum.
-func BenchmarkLoadedLatencyRatio(b *testing.B) {
-	local := memsim.LocalDRAM()
-	for _, link := range []memsim.Profile{memsim.Link0(), memsim.Link1()} {
-		link := link
-		b.Run(link.Name, func(b *testing.B) {
-			var ratio float64
-			for i := 0; i < b.N; i++ {
-				ratio = link.Latency.Latency(1) / local.Latency.Latency(1)
-			}
-			b.ReportMetric(ratio, "sim-loaded-ratio")
-		})
-	}
-}
-
-// BenchmarkNearMemorySum regenerates §4.4: shipping the aggregation to
-// all four servers versus pulling to one.
-func BenchmarkNearMemorySum(b *testing.B) {
-	cfg := core.VectorSumConfig{
-		Deployment:  topology.PaperDeployment(topology.Logical, memsim.Link1()),
-		VectorBytes: 96 * memsim.GB,
-	}
-	var res core.NearMemoryResult
-	var err error
-	for i := 0; i < b.N; i++ {
-		res, err = core.NearMemorySum(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(res.BandwidthBps/1e9, "sim-GBps")
-	b.ReportMetric(res.SpeedupVsPull, "speedup-vs-pull")
-}
 
 // BenchmarkAblationTranslation compares the two-step scheme as the
 // runtime performs it (Pool.Translate: the slice's replicated entry names

@@ -1,11 +1,12 @@
 // Command lmpbench regenerates the paper's evaluation: Table 1 (memory
 // type characteristics), Table 2 (emulated link characterization),
 // Figures 2-5 (vector-sum bandwidth across deployments), the §4.3 loaded-
-// latency comparison, and the §4.4 near-memory experiment. One runtime
-// experiment rides along, `repair` (repairbench.go): RepairServer worker
-// scaling and foreground read latency during live migration. Everything
-// else about the runtime's speed is measured by bench/ (see
-// bench/README.md).
+// latency comparison, and the §4.4 near-memory experiment, from the
+// calibrated profiles and internal/model; no go test benchmark repeats
+// them. One runtime experiment rides along, `repair` (repairbench.go):
+// RepairServer worker scaling and foreground read latency during live
+// migration. Everything else about the runtime's speed is measured by
+// bench/ (see bench/README.md).
 //
 // Usage:
 //
@@ -21,9 +22,9 @@ import (
 
 	"github.com/lmp-project/lmp/internal/addr"
 	"github.com/lmp-project/lmp/internal/coherence"
-	"github.com/lmp-project/lmp/internal/core"
 	"github.com/lmp-project/lmp/internal/failure"
 	"github.com/lmp-project/lmp/internal/memsim"
+	"github.com/lmp-project/lmp/internal/model"
 	"github.com/lmp-project/lmp/internal/topology"
 )
 
@@ -107,7 +108,7 @@ func figure(n int, gb int64) {
 	for _, kind := range kinds {
 		row := fmt.Sprintf("%-20s", kind)
 		for _, link := range []memsim.Profile{memsim.Link0(), memsim.Link1()} {
-			res, err := core.VectorSumBandwidth(core.VectorSumConfig{
+			res, err := model.VectorSumBandwidth(model.VectorSumConfig{
 				Deployment:  topology.PaperDeployment(kind, link),
 				VectorBytes: gb * memsim.GB,
 				Reps:        *reps,
@@ -125,11 +126,11 @@ func figure(n int, gb int64) {
 		fmt.Println(row)
 	}
 	// Headline ratios on Link1.
-	l, _ := core.VectorSumBandwidth(core.VectorSumConfig{
+	l, _ := model.VectorSumBandwidth(model.VectorSumConfig{
 		Deployment: topology.PaperDeployment(topology.Logical, memsim.Link1()), VectorBytes: gb * memsim.GB, Reps: *reps})
-	c, _ := core.VectorSumBandwidth(core.VectorSumConfig{
+	c, _ := model.VectorSumBandwidth(model.VectorSumConfig{
 		Deployment: topology.PaperDeployment(topology.PhysicalCache, memsim.Link1()), VectorBytes: gb * memsim.GB, Reps: *reps})
-	nc, _ := core.VectorSumBandwidth(core.VectorSumConfig{
+	nc, _ := model.VectorSumBandwidth(model.VectorSumConfig{
 		Deployment: topology.PaperDeployment(topology.PhysicalNoCache, memsim.Link1()), VectorBytes: gb * memsim.GB, Reps: *reps})
 	if l.Feasible && nc.Feasible {
 		fmt.Printf("Link1 ratios: logical/no-cache = %.2fx", l.BandwidthBps/nc.BandwidthBps)
@@ -161,17 +162,17 @@ func latency() {
 
 func nearmem() {
 	fmt.Println("== §4.4: near-memory computing (96GB distributed sum, Link1) ==")
-	cfg := core.VectorSumConfig{
+	cfg := model.VectorSumConfig{
 		Deployment:  topology.PaperDeployment(topology.Logical, memsim.Link1()),
 		VectorBytes: 96 * memsim.GB,
 		Reps:        *reps,
 	}
-	pull, err := core.VectorSumBandwidth(cfg)
+	pull, err := model.VectorSumBandwidth(cfg)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "lmpbench: %v\n", err)
 		os.Exit(1)
 	}
-	shipped, err := core.NearMemorySum(cfg)
+	shipped, err := model.NearMemorySum(cfg)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "lmpbench: %v\n", err)
 		os.Exit(1)

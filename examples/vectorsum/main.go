@@ -1,7 +1,7 @@
 // Vectorsum reproduces the paper's §4 microbenchmark end to end:
 //
 //  1. the calibrated bandwidth model for the full-scale deployments
-//     (the numbers behind Figures 2-5), and
+//     (internal/model: the numbers behind Figures 2-5), and
 //  2. a live, scaled-down functional run: four lmpd daemons over TCP, a
 //     vector striped across their shared regions, summed first by pulling
 //     every byte to the client and then by shipping the kernel to the
@@ -14,30 +14,32 @@ import (
 	"log"
 	"time"
 
-	lmp "github.com/lmp-project/lmp"
 	"github.com/lmp-project/lmp/internal/daemon"
+	"github.com/lmp-project/lmp/internal/memsim"
+	"github.com/lmp-project/lmp/internal/model"
+	"github.com/lmp-project/lmp/internal/topology"
 )
 
 func main() {
-	model()
+	modeled()
 	live()
 }
 
-func model() {
+func modeled() {
 	fmt.Println("== modeled bandwidth (paper configuration: 4 servers, 96GB, Link1) ==")
 	fmt.Printf("%-8s %-20s %12s\n", "Vector", "Deployment", "GB/s")
 	for _, gb := range []int64{8, 24, 64, 96} {
 		for _, k := range []struct {
 			name string
-			kind func() *lmp.Deployment
+			kind topology.Kind
 		}{
-			{"Logical", func() *lmp.Deployment { return lmp.PaperDeployment(lmp.DeployLogical, lmp.Link1()) }},
-			{"Physical cache", func() *lmp.Deployment { return lmp.PaperDeployment(lmp.DeployPhysicalCache, lmp.Link1()) }},
-			{"Physical no-cache", func() *lmp.Deployment { return lmp.PaperDeployment(lmp.DeployPhysicalNoCache, lmp.Link1()) }},
+			{"Logical", topology.Logical},
+			{"Physical cache", topology.PhysicalCache},
+			{"Physical no-cache", topology.PhysicalNoCache},
 		} {
-			res, err := lmp.VectorSumBandwidth(lmp.VectorSumConfig{
-				Deployment:  k.kind(),
-				VectorBytes: gb * lmp.GB,
+			res, err := model.VectorSumBandwidth(model.VectorSumConfig{
+				Deployment:  topology.PaperDeployment(k.kind, memsim.Link1()),
+				VectorBytes: gb * memsim.GB,
 			})
 			if err != nil {
 				log.Fatal(err)

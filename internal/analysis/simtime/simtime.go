@@ -7,7 +7,6 @@ package simtime
 
 import (
 	"go/ast"
-	"path/filepath"
 	"strings"
 
 	"github.com/lmp-project/lmp/internal/analysis"
@@ -20,12 +19,8 @@ var GatedPackages = []string{
 	"internal/memsim",
 	"internal/fabric",
 	"internal/chaos",
+	"internal/model",
 }
-
-// GatedFilePrefix gates individual files by basename prefix in any
-// package: the discrete-event replay paths (dessim*.go) live inside
-// internal/core next to wall-clock code, so they are gated per file.
-const GatedFilePrefix = "dessim"
 
 // banned is the set of time functions that read or wait on the wall
 // clock. Pure data types (time.Duration, constants) stay allowed.
@@ -54,7 +49,7 @@ var Analyzer = &analysis.Analyzer{
 	Name: "simtime",
 	Doc: "forbid wall-clock time (time.Now, time.Sleep, timers) in the deterministic " +
 		"simulation packages (internal/sim, internal/memsim, internal/fabric, " +
-		"internal/chaos) and in dessim*.go files; all timing there must flow through " +
+		"internal/chaos, internal/model); all timing there must flow through " +
 		"the sim clock",
 	Run: run,
 }
@@ -69,11 +64,10 @@ func gatedPackage(pkgPath string) bool {
 }
 
 func run(pass *analysis.Pass) error {
-	pkgGated := gatedPackage(pass.Pkg.Path())
+	if !gatedPackage(pass.Pkg.Path()) {
+		return nil
+	}
 	for _, f := range pass.Files {
-		if !pkgGated && !strings.HasPrefix(filepath.Base(pass.Filename(f.Pos())), GatedFilePrefix) {
-			continue
-		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok {

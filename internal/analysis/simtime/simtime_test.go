@@ -8,5 +8,5 @@ import (
 )
 
 func TestSimTime(t *testing.T) {
-	analysistest.Run(t, "testdata", simtime.Analyzer, "internal/sim", "notsim")
+	analysistest.Run(t, "testdata", simtime.Analyzer, "internal/sim", "internal/model", "notsim")
 }

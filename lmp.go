@@ -16,8 +16,6 @@
 //   - the physical-pool baseline (NewPhysical): the same Pool deployed as
 //     the paper's §3 strawman — compute servers that lend nothing and one
 //     pool device that lends everything, with or without local caching;
-//   - the calibrated bandwidth/latency models that regenerate the paper's
-//     evaluation (Tables 1-2, Figures 2-5);
 //   - a live distributed mode where per-server daemons serve pool
 //     operations over TCP.
 //
@@ -69,9 +67,7 @@
 // Reaching into internal/... packages (the pre-v1 "direct struct" path)
 // is unsupported and now impossible for new code: everything needed is
 // re-exported here, and the internal layout is free to change between
-// releases. The simulation/model surface (Deployment, VectorSum*,
-// CacheMode) regenerates the paper's figures and is stable but not part
-// of the data-path contract.
+// releases.
 package lmp
 
 import (
@@ -81,9 +77,7 @@ import (
 	"github.com/lmp-project/lmp/internal/alloc"
 	"github.com/lmp-project/lmp/internal/core"
 	"github.com/lmp-project/lmp/internal/failure"
-	"github.com/lmp-project/lmp/internal/memsim"
 	"github.com/lmp-project/lmp/internal/telemetry"
-	"github.com/lmp-project/lmp/internal/topology"
 )
 
 // Core runtime types.
@@ -224,63 +218,3 @@ type (
 	// ServerLoad feeds the shared-region sizing optimizer.
 	ServerLoad = core.ServerLoad
 )
-
-// Deployment modeling (the paper's evaluation configurations).
-type (
-	// Deployment describes a memory-pool deployment for the analytic
-	// bandwidth model.
-	Deployment = topology.Deployment
-	// MemoryProfile is a calibrated latency/bandwidth point.
-	MemoryProfile = memsim.Profile
-	// VectorSumConfig parameterizes the §4 microbenchmark.
-	VectorSumConfig = core.VectorSumConfig
-	// CacheMode selects how the model lets a physical-pool server use its
-	// local DRAM (VectorSumConfig.Cache).
-	CacheMode = core.CacheMode
-	// BandwidthResult reports a modeled experiment.
-	BandwidthResult = core.BandwidthResult
-	// NearMemoryResult reports the computation-shipping experiment.
-	NearMemoryResult = core.NearMemoryResult
-)
-
-// Modelled physical-pool cache modes.
-const (
-	NoCache     = core.NoCache
-	PinnedCache = core.PinnedCache
-	LRUCache    = core.LRUCache
-)
-
-// Deployment kinds.
-const (
-	DeployLogical         = topology.Logical
-	DeployPhysicalCache   = topology.PhysicalCache
-	DeployPhysicalNoCache = topology.PhysicalNoCache
-)
-
-// Calibrated link and memory profiles (paper Tables 1-2).
-var (
-	LocalDRAM = memsim.LocalDRAM
-	Link0     = memsim.Link0
-	Link1     = memsim.Link1
-	PondCXL   = memsim.PondCXL
-	FPGACXL   = memsim.FPGACXL
-)
-
-// PaperDeployment builds one of the §4.1 microbenchmark configurations
-// (4 servers, 96GB budget).
-func PaperDeployment(kind topology.Kind, link memsim.Profile) *Deployment {
-	return topology.PaperDeployment(kind, link)
-}
-
-// VectorSumBandwidth evaluates the §4 microbenchmark on the fluid model.
-func VectorSumBandwidth(cfg VectorSumConfig) (BandwidthResult, error) {
-	return core.VectorSumBandwidth(cfg)
-}
-
-// NearMemorySum models the §4.4 distributed (shipped) aggregation.
-func NearMemorySum(cfg VectorSumConfig) (NearMemoryResult, error) {
-	return core.NearMemorySum(cfg)
-}
-
-// GB is 2^30 bytes.
-const GB = memsim.GB

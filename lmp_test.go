@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	lmp "github.com/lmp-project/lmp"
-	"github.com/lmp-project/lmp/internal/memsim"
 )
 
 // TestFacadeEndToEnd drives the public API the way the README shows.
@@ -100,30 +99,6 @@ func TestFacadeProtectionAndCrash(t *testing.T) {
 	}
 	if !bytes.Equal(got, payload) {
 		t.Fatal("replica data corrupt")
-	}
-}
-
-func TestFacadeModelAPI(t *testing.T) {
-	d := lmp.PaperDeployment(lmp.DeployLogical, lmp.Link1())
-	res, err := lmp.VectorSumBandwidth(lmp.VectorSumConfig{
-		Deployment:  d,
-		VectorBytes: 8 * lmp.GB,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Feasible || res.BandwidthBps < memsim.GBps(90) {
-		t.Fatalf("model via facade: %+v", res)
-	}
-	nm, err := lmp.NearMemorySum(lmp.VectorSumConfig{
-		Deployment:  d,
-		VectorBytes: 96 * lmp.GB,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if nm.SpeedupVsPull < 2 {
-		t.Fatalf("near-memory speedup = %v", nm.SpeedupVsPull)
 	}
 }
 
