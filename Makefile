@@ -69,7 +69,7 @@ chaos:
 	CHAOS_SEEDS=$(CHAOS_SEEDS) $(GO) test -race -timeout 30m -run 'TestChaos' ./internal/core/
 
 # The chaos driver's sweeps: one test per group of its rows.
-CHAOS_DRIVER = TestChaosPoolPropertySweep|TestChaosCacheCoherence|TestChaosPhysicalSweep|TestChaosRepairDeterministicReplay
+CHAOS_DRIVER = TestChaosPoolPropertySweep|TestChaosCacheCoherence|TestChaosPhysicalSweep|TestChaosRepairDeterministicReplay|TestChaosLenderSweep
 
 # bench/ is its own module (BENCHMARK.json builds it from its checkout),
 # so `go build ./... && go test ./...` at the root never compiles it:

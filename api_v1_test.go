@@ -46,8 +46,6 @@ func TestOptionsConstructor(t *testing.T) {
 	pool := newConfigPool(t, lmp.Config{
 		Placement:            lmp.Striped,
 		Protection:           lmp.ProtectionPolicy{Scheme: lmp.ProtectReplica, Copies: 2},
-		Migration:            lmp.MigrationPolicy{MinAccesses: 4, HysteresisFactor: 2, MaxMoves: 8},
-		CoherentBytes:        1 << 16,
 		CoherenceGranularity: 128,
 	}, 3, 4)
 	// Striped placement: a 3-slice buffer must land one slice per server.
@@ -71,9 +69,13 @@ func TestOptionsConstructor(t *testing.T) {
 	if got := b.Protection().Scheme; got != lmp.ProtectReplica {
 		t.Fatalf("protection scheme %v, want replica", got)
 	}
-	// Coherent region sized by the config.
-	if _, err := pool.AllocCoherent(1 << 16); err != nil {
-		t.Fatalf("coherent region should hold 64KiB: %v", err)
+	// The coherent region is a fixed 1 MiB, allocated in blocks of the
+	// configured granularity.
+	if off, err := pool.AllocCoherent(1); err != nil || off != 0 {
+		t.Fatalf("first coherent block = %d, %v; want offset 0", off, err)
+	}
+	if off, err := pool.AllocCoherent(1<<20 - 128); err != nil || off != 128 {
+		t.Fatalf("rest of the coherent region = %d, %v; want offset 128 (one 128 B block taken)", off, err)
 	}
 	if _, err := pool.AllocCoherent(1); err == nil {
 		t.Fatal("coherent region should be exhausted")
@@ -271,17 +273,20 @@ func TestVectoredProtectedWrite(t *testing.T) {
 }
 
 func TestTailOptionsAndSentinels(t *testing.T) {
-	pool := newConfigPool(t, lmp.Config{Tail: lmp.TailConfig{
-		OpBudget:       time.Hour,
-		AdmissionLimit: 1,
-		Breaker: lmp.BreakerPolicy{
-			Window: 16, MinSamples: 4, FailureRatio: 0.5,
-			OpenFor: time.Hour, HalfOpenProbes: 1,
-			// High enough that no genuine in-process access ever
-			// classifies as slow; only the injected reports below do.
-			SlowCallNS: int64(time.Second),
+	pool := newConfigPool(t, lmp.Config{
+		Tail: lmp.TailConfig{
+			OpBudget:       time.Hour,
+			AdmissionLimit: 1,
+			Breaker: lmp.BreakerPolicy{
+				Enabled: true,
+				// No genuine in-process access classifies as slow on the
+				// stopped clock below; only the injected reports do.
+				SlowCallNS: int64(time.Second),
+			},
 		},
-	}}, 2, 4)
+		// A stopped clock: a tripped breaker's cool-down never passes.
+		Clock: func() int64 { return 0 },
+	}, 2, 4)
 	b, err := pool.Alloc(2*lmp.SliceSize, 0)
 	if err != nil {
 		t.Fatal(err)

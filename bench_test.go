@@ -84,10 +84,7 @@ func BenchmarkAblationMigration(b *testing.B) {
 	run := func(b *testing.B, balance bool) {
 		var remoteFrac float64
 		for i := 0; i < b.N; i++ {
-			cfg := lmp.Config{
-				Placement: lmp.LocalityAware,
-				Migration: lmp.MigrationPolicy{MinAccesses: 8, HysteresisFactor: 1.5, MaxMoves: 64},
-			}
+			cfg := lmp.Config{Placement: lmp.LocalityAware}
 			for s := 0; s < 4; s++ {
 				cfg.Servers = append(cfg.Servers, lmp.ServerConfig{
 					Capacity: 16 * lmp.SliceSize, SharedBytes: 16 * lmp.SliceSize,
@@ -103,10 +100,12 @@ func BenchmarkAblationMigration(b *testing.B) {
 			}
 			p := make([]byte, 64)
 			// Server 3 scans the buffer repeatedly; balancer runs between
-			// epochs when enabled.
+			// epochs when enabled. An epoch reads each slice 16 times, the
+			// balancer's minimum access count, so one epoch is enough to
+			// justify a move.
 			for epoch := 0; epoch < 4; epoch++ {
 				for off := int64(0); off < 4; off++ {
-					for r := 0; r < 8; r++ {
+					for r := 0; r < 16; r++ {
 						if err := pool.Read(3, buf.Addr()+addr.Logical(off*lmp.SliceSize), p); err != nil {
 							b.Fatal(err)
 						}

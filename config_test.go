@@ -49,3 +49,25 @@ func TestConfigKnobs(t *testing.T) {
 		t.Errorf("lmp.Config's knobs differ from %s (rerun with -update and review the diff):\ngot:\n%swant:\n%s", golden, got, want)
 	}
 }
+
+// TestNewRefusesNegativeCacheCapacity: a negative cache capacity is an
+// error from New. Accepted, it built caches whose first miss panicked
+// with an index out of range while evicting, under the slice's stripe
+// lock.
+func TestNewRefusesNegativeCacheCapacity(t *testing.T) {
+	cfg := lmp.Config{
+		Servers: []lmp.ServerConfig{
+			{Capacity: lmp.SliceSize, SharedBytes: lmp.SliceSize},
+			{Capacity: lmp.SliceSize, SharedBytes: lmp.SliceSize},
+		},
+		Cache: lmp.CacheConfig{Enabled: true, CapacityBytes: -4096},
+	}
+	pool, err := lmp.New(cfg)
+	if err == nil {
+		// What an accepted pool did with it: a remote read misses.
+		if b, err := pool.Alloc(4096, 0); err == nil {
+			_ = pool.Read(1, b.Addr(), make([]byte, 64))
+		}
+		t.Fatal("New accepted a negative cache capacity")
+	}
+}

@@ -222,7 +222,8 @@ func TestTracedCachedHitAllocFree(t *testing.T) {
 // the eviction notice for its victim; a small write is buffered, goes
 // through the directory's write-no-allocate (on a page the writer caches,
 // which it keeps as owner, or on one nobody caches, which stays
-// untracked), and every 64th one triggers a threshold flush. Once every
+// untracked), and the combiner's limits — 4 KiB or 32 writes for this
+// 128-page cache — trigger threshold flushes. Once every
 // structure on those paths has reached its high-water mark, none of them
 // allocates: the runtime's footprint is the data it holds. (A directory
 // that back-invalidates is pinned in internal/coherence: this one
@@ -234,7 +235,7 @@ func TestCachedColdPathAllocFree(t *testing.T) {
 		bufBytes   = 16 * cacheBytes // 2048 pages, 128 of them cached at a time
 		pages      = bufBytes / pageSize
 	)
-	p := newCachedPool(t, CacheConfig{CapacityBytes: cacheBytes, PageSize: pageSize, WCMaxCount: 64})
+	p := newCachedPool(t, CacheConfig{CapacityBytes: cacheBytes, PageSize: pageSize})
 	b, err := p.Alloc(bufBytes, 0)
 	if err != nil {
 		t.Fatal(err)

@@ -63,7 +63,7 @@ func (p *Pool) BalanceOnce() (BalanceReport, error) {
 // stalling the round behind a repair.
 func (p *Pool) balanceOnce(sc telemetry.SpanContext) BalanceReport {
 	p.foldCacheHits()
-	budget := p.cfg.Migration.MaxMoves
+	budget := p.migration.maxMoves
 	moves := p.planMoves()
 	rep := BalanceReport{Planned: len(moves)}
 	used := 0

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 
@@ -78,25 +79,20 @@ import (
 // invalidate them through a page directory), and small remote writes
 // coalesce into vectored flushes. Beyond Enabled, the zero value picks
 // the defaults: capacity a quarter of each node's private carve-out,
-// 4KiB pages, 16 shards, write combining on. Cache hit counts still feed
-// the locality balancer, so sustained-hot pages are eventually migrated,
-// not just cached.
+// 4KiB pages, write combining on. The shard count and the combiner's
+// flush limits follow from the capacity (cacheShards, wcLimits). Cache
+// hit counts still feed the locality balancer, so sustained-hot pages
+// are eventually migrated, not just cached.
 type CacheConfig struct {
 	// Enabled turns the cache on.
 	Enabled bool
-	// CapacityBytes, if nonzero, fixes every node's cache capacity;
+	// CapacityBytes, if positive, fixes every node's cache capacity;
 	// zero sizes each node's cache at cacheFraction of its private
-	// (non-shared) carve-out.
+	// (non-shared) carve-out. Negative is refused.
 	CapacityBytes int64
 	// PageSize is the cache page size (power of two dividing SliceSize;
 	// default 4096).
 	PageSize int64
-	// Shards is the per-node shard count (default 16).
-	Shards int
-	// WCMaxBytes and WCMaxCount trigger a flush when the pending set
-	// exceeds either. Defaults 128KiB / 128 writes.
-	WCMaxBytes int
-	WCMaxCount int
 }
 
 func (c *CacheConfig) fillDefaults() {
@@ -108,6 +104,19 @@ func (c *CacheConfig) fillDefaults() {
 // cacheFraction is the share of a node's private carve-out its cache
 // takes when CacheConfig.CapacityBytes is zero.
 const cacheFraction = 0.25
+
+// cacheShards is the shard count of a cache of pages pages: one lock
+// shard per 4 pages, up to 16. With wcLimits it is the whole of a
+// cache's shape beyond its capacity; a 16 MiB cache of 4 KiB pages gets
+// 16 shards and a combiner that flushes past 128 KiB or 128 writes.
+func cacheShards(pages int64) int { return int(min(max(pages/4, 1), 16)) }
+
+// wcLimits are the write combiner's flush limits in front of caches whose
+// smallest holds pages pages of pageSize bytes: more than 1/128 of its
+// bytes (up to 128 KiB) or more than one write per 4 pages (up to 128).
+func wcLimits(pages, pageSize int64) (maxBytes, maxCount int) {
+	return int(min(max(pages*pageSize/128, 1), 128<<10)), int(min(max(pages/4, 1), 128))
+}
 
 // wcMaxWrite is the largest single write the combiner absorbs (capped at
 // the cache page size); larger writes go straight to backing.
@@ -121,11 +130,14 @@ func (p *Pool) initCache() error {
 	if cc.PageSize <= 0 || cc.PageSize&(cc.PageSize-1) != 0 || SliceSize%cc.PageSize != 0 {
 		return fmt.Errorf("core: cache page size %d must be a power of two dividing the slice size", cc.PageSize)
 	}
+	if cc.CapacityBytes < 0 {
+		return fmt.Errorf("core: cache capacity %d is negative", cc.CapacityBytes)
+	}
 	p.pageSize = cc.PageSize
 	for ps := cc.PageSize; ps > 1; ps >>= 1 {
 		p.pageShift++
 	}
-	totalPages := int64(0)
+	totalPages, minPages := int64(0), int64(math.MaxInt64)
 	p.caches = make([]*cache.Cache, len(p.nodes))
 	for i, node := range p.nodes {
 		capBytes := cc.CapacityBytes
@@ -138,12 +150,14 @@ func (p *Pool) initCache() error {
 				capBytes = 4 << 20
 			}
 		}
-		c, err := cache.New(cache.Config{CapacityBytes: capBytes, PageSize: cc.PageSize, Shards: cc.Shards})
+		pages := capBytes / cc.PageSize
+		c, err := cache.New(cache.Config{CapacityBytes: capBytes, PageSize: cc.PageSize, Shards: cacheShards(pages)})
 		if err != nil {
 			return err
 		}
 		p.caches[i] = c
-		totalPages += capBytes / cc.PageSize
+		totalPages += pages
+		minPages = min(minPages, pages)
 	}
 	// The inclusive snoop filter must comfortably track every resident
 	// page across all nodes; 2x slack plus a floor bounds back-
@@ -167,7 +181,10 @@ func (p *Pool) initCache() error {
 		return p.caches[node].Contains(uint64(block))
 	}
 	p.pageDir = dir
-	p.wc = cache.NewWriteCombiner(cc.PageSize, cc.WCMaxBytes, cc.WCMaxCount)
+	// The combiner is the pool's, in front of every node's cache: the
+	// smallest cache sizes it.
+	wcBytes, wcCount := wcLimits(minPages, cc.PageSize)
+	p.wc = cache.NewWriteCombiner(cc.PageSize, wcBytes, wcCount)
 	p.pagePool = sync.Pool{New: func() any {
 		b := make([]byte, cc.PageSize)
 		return &b

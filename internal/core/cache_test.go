@@ -267,7 +267,7 @@ func TestReleasePurgesCacheAndPendingWrites(t *testing.T) {
 
 func TestCacheHitsFeedMigration(t *testing.T) {
 	p := newCachedPool(t, CacheConfig{})
-	p.cfg.Migration = MigrationPolicy{MinAccesses: 50, HysteresisFactor: 1, MaxMoves: 8}
+	p.migration = migrationPolicy{minAccesses: 50, hysteresis: 1, maxMoves: 8}
 	b, err := p.Alloc(SliceSize, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -413,7 +413,7 @@ func TestReleaseDropsRegistrations(t *testing.T) {
 // its registrations.
 func TestMigrationDropsReaderRegistration(t *testing.T) {
 	p := newCachedPool(t, CacheConfig{})
-	p.cfg.Migration = MigrationPolicy{MinAccesses: 50, HysteresisFactor: 1, MaxMoves: 8}
+	p.migration = migrationPolicy{minAccesses: 50, hysteresis: 1, maxMoves: 8}
 	b, err := p.Alloc(SliceSize, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -445,19 +445,22 @@ func TestMigrationDropsReaderRegistration(t *testing.T) {
 // cached page the directory does not know. Run it under -race.
 //
 // The coverage floor holds on any schedule: at any moment at least one
-// of the nine pages is not resident, so about one read in nine misses
+// of the eight pages is not resident, so about one read in eight misses
 // and its fill takes a slot that an eviction or an invalidation freed.
 // A fast writer turns evictions into invalidations, so the floor is on
 // their sum, plus at least one eviction in every round.
 func TestCacheEvictionNoticeRacesRefill(t *testing.T) {
 	const (
 		pageSize = 4096
-		cached   = 8 // pages in server 1's cache, one shard
-		working  = 9 // pages the readers cycle over
+		cached   = 7 // pages in server 1's cache: few enough for one shard
+		working  = 8 // pages the readers cycle over
 		rounds   = 40
 		reads    = 2500 // per reader per round
 	)
-	p := newCachedPool(t, CacheConfig{CapacityBytes: cached * pageSize, Shards: 1})
+	p := newCachedPool(t, CacheConfig{CapacityBytes: cached * pageSize})
+	if n := cacheShards(cached); n != 1 {
+		t.Fatalf("a %d-page cache has %d shards, want 1", cached, n)
+	}
 	b, err := p.Alloc(SliceSize, 0)
 	if err != nil {
 		t.Fatal(err)

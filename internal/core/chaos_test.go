@@ -66,25 +66,34 @@ const (
 	opBalance  // one locality-balancer round
 	opMigrate  // move a slice onto a dead server: refused with ErrServerDead
 	opArmCrash // a live server dies two transfers into the next repair
+	// opLenderFail arms the owner's lender to fail the next ReadAt, then
+	// reads one slice's range: refused with the fault, bytes intact.
+	opLenderFail
+	// opLenderCrash arms the owner's lender to crash at its next call,
+	// then writes one slice's range: refused as ErrServerDead with
+	// nothing written, and the pool's crash verdict follows.
+	opLenderCrash
 )
 
 // effects lists, per op kind, what a sweep's ops of that kind must make
 // happen at least once; an op that never takes effect tests nothing. A
 // "span:" effect is a span of that name recorded by the ops.
 var effects = [...][]string{
-	opAlloc:      {"alloc"},
-	opRefuse:     {"alloc-refused"},
-	opWrite:      {"write", "span:pool.write"},
-	opWriteSmall: {"write-small"},
-	opRead:       {"read", "span:pool.read"},
-	opReread:     {"reread"},
-	opRelease:    {"release"},
-	opCrash:      {"crash", "repair", "span:pool.repair"},
-	opFlap:       {"shed"},
-	opFlush:      {"flush", "span:pool.wc.flush"},
-	opBalance:    {"balance", "span:pool.balance"},
-	opMigrate:    {"migrate-dead"},
-	opArmCrash:   {"mid-repair-crash"},
+	opAlloc:       {"alloc"},
+	opRefuse:      {"alloc-refused"},
+	opWrite:       {"write", "span:pool.write"},
+	opWriteSmall:  {"write-small"},
+	opRead:        {"read", "span:pool.read"},
+	opReread:      {"reread"},
+	opRelease:     {"release"},
+	opCrash:       {"crash", "repair", "span:pool.repair"},
+	opFlap:        {"shed"},
+	opFlush:       {"flush", "span:pool.wc.flush"},
+	opBalance:     {"balance", "span:pool.balance"},
+	opMigrate:     {"migrate-dead"},
+	opArmCrash:    {"mid-repair-crash"},
+	opLenderFail:  {"lender-fail"},
+	opLenderCrash: {"lender-crash", "crash", "repair"},
 }
 
 // On a row whose shape splits ops into vecs, or whose pool caches, the
@@ -118,9 +127,10 @@ type mixStep struct {
 }
 
 var (
-	e2eMix      = []mixStep{{14, opAlloc}, {15, opRefuse}, {50, opWrite}, {80, opRead}, {90, opRelease}, {96, opCrash}, {100, opFlap}}
-	cacheMix    = []mixStep{{9, opAlloc}, {10, opRefuse}, {28, opWriteSmall}, {38, opWrite}, {68, opRead}, {74, opReread}, {80, opRelease}, {88, opCrash}, {94, opFlush}, {100, opBalance}}
-	physicalMix = []mixStep{{11, opAlloc}, {12, opRefuse}, {30, opWriteSmall}, {52, opWrite}, {82, opRead}, {88, opReread}, {94, opRelease}, {100, opFlush}}
+	e2eMix         = []mixStep{{14, opAlloc}, {15, opRefuse}, {50, opWrite}, {80, opRead}, {90, opRelease}, {96, opCrash}, {100, opFlap}}
+	cacheMix       = []mixStep{{9, opAlloc}, {10, opRefuse}, {28, opWriteSmall}, {38, opWrite}, {68, opRead}, {74, opReread}, {80, opRelease}, {88, opCrash}, {94, opFlush}, {100, opBalance}}
+	lenderFaultMix = []mixStep{{14, opAlloc}, {15, opRefuse}, {45, opWrite}, {72, opRead}, {84, opRelease}, {90, opCrash}, {95, opLenderFail}, {100, opLenderCrash}}
+	physicalMix    = []mixStep{{11, opAlloc}, {12, opRefuse}, {30, opWriteSmall}, {52, opWrite}, {82, opRead}, {88, opReread}, {94, opRelease}, {100, opFlush}}
 
 	// pinnedE2EMix and pinnedCacheMix are the e2e and cache mixes the
 	// pinned regression seeds were found with: no refused alloc, and
@@ -217,15 +227,29 @@ var (
 	// repairRow is a scripted schedule of double faults on replicate-3
 	// buffers (repairScript).
 	repairRow = chaosRow{name: "repair", deploy: New, prots: []failure.Policy{rep3}, args: e2eArgs, ops: repairScript}
+	// slowRow is e2eRow over lenders whose every call is a
+	// slowLenderDelay round trip of wall time.
+	slowRow = chaosRow{name: "slow", sub: "slow", deploy: deploySlow, prots: e2eRow.prots, args: e2eArgs, ops: e2eRow.ops}
+	// lenderFaultRow is the uncached pool over lenders that fail a read
+	// or crash under a write at the seam, between the ordinary crashes.
+	lenderFaultRow = chaosRow{name: "lender-fault", sub: "lender-fault", deploy: deployFaulty, prots: e2eRow.prots, args: e2eArgs,
+		ops: func(seed int64) []opDesc { return drawOps(seed, e2eOps, lenderFaultMix) }}
 
-	chaosRows = []*chaosRow{&e2eRow, &cacheRow, &cacheFlapsRow, &physicalRow, &repairRow}
+	chaosRows = []*chaosRow{&e2eRow, &cacheRow, &cacheFlapsRow, &physicalRow, &repairRow, &slowRow, &lenderFaultRow}
 )
 
-// deployCached sizes the cache at 16 pages across 4 shards, so pages are
-// evicted and re-filled constantly, and the combiner thresholds so that
-// auto-flushes fire between the explicit ones.
+// slowLenderDelay is the slow row's lender round trip.
+const slowLenderDelay = 20 * time.Microsecond
+
+func deploySlow(c Config) (*Pool, error)   { return faultyPool(c, slowLenderDelay) }
+func deployFaulty(c Config) (*Pool, error) { return faultyPool(c, 0) }
+
+// deployCached sizes the cache at 16 pages, so pages are evicted and
+// re-filled constantly; the shape that follows from 16 pages — 4 shards,
+// a combiner that flushes past 512 B or 4 writes — makes auto-flushes
+// fire between the explicit ones.
 func deployCached(c Config) (*Pool, error) {
-	c.Cache = CacheConfig{Enabled: true, CapacityBytes: 16 * 4096, Shards: 4, WCMaxBytes: 512, WCMaxCount: 4}
+	c.Cache = CacheConfig{Enabled: true, CapacityBytes: 16 * 4096}
 	return New(c)
 }
 
@@ -305,7 +329,7 @@ func runRow(t *testing.T, row *chaosRow, seed int64, ops []opDesc, keep []int, c
 	ci := newCrashInjector(0)
 	// One clock for spans and breakers: simulated time plus the offset a
 	// flap's heal adds, which carries an open breaker past its 1 h
-	// OpenFor, far beyond any run's simulated time.
+	// openFor, far beyond any run's simulated time.
 	cfg := Config{
 		Placement: alloc.Striped,
 		Trace:     TraceConfig{SampleEvery: 1, RingSize: 1 << 15, SlowOpNS: -1},
@@ -315,7 +339,7 @@ func runRow(t *testing.T, row *chaosRow, seed int64, ops []opDesc, keep []int, c
 	// Breakers are armed only where something flaps them: the pinned
 	// seeds were found on pools without.
 	if row.flaps || slices.ContainsFunc(ops, func(op opDesc) bool { return op.kind == opFlap }) {
-		cfg.Tail = TailConfig{Breaker: tailBreakerPolicy()}
+		cfg.Tail = armedBreakers
 	}
 	for i := 0; i < chaosServers; i++ {
 		cfg.Servers = append(cfg.Servers, ServerConfig{
@@ -326,6 +350,7 @@ func runRow(t *testing.T, row *chaosRow, seed int64, ops []opDesc, keep []int, c
 	if err != nil {
 		t.Fatal(err)
 	}
+	setBreakerPolicy(p, tailBreakerPolicy())
 	in := chaos.New(eng, chaos.Config{Seed: seed, Metrics: p.metrics})
 
 	res := chaosResult{cov: coverage{}, cached: p.caches != nil}
@@ -377,9 +402,22 @@ func runRow(t *testing.T, row *chaosRow, seed int64, ops []opDesc, keep []int, c
 		return err == nil
 	}
 	standing := addr.ServerID(-1) // crashed, not yet repaired
+	// crash crash-stops victim now and, if the row's shape says so,
+	// repairs it repairAfter later.
+	crash := func(victim addr.ServerID) {
+		standing = victim
+		in.CrashAt(eng.Now(), int(victim))
+		if d := row.args.repairAfter; d > 0 {
+			eng.At(eng.Now().Add(d), func() {
+				standing = -1
+				repair(victim)
+			})
+		}
+		logf("crash srv=%d", victim)
+	}
 
 	// flap opens one live server's breaker with a failure burst or, when
-	// one is open, advances the clock past OpenFor, so the next access
+	// one is open, advances the clock past its cool-down, so the next access
 	// finds it half-open and a success closes it. At most one server is
 	// degraded at a time; while one is, a read may be refused with
 	// ErrServerDegraded (an EC buffer's owner, or a replica's server
@@ -418,6 +456,15 @@ func runRow(t *testing.T, row *chaosRow, seed int64, ops []opDesc, keep []int, c
 		cb := bufs[pick%uint64(len(bufs))]
 		off := int64(at % uint64(len(cb.model)))
 		return cb, off, int(min(int64(length), int64(len(cb.model))-off))
+	}
+	// pickSliceRange is pickRange cut at the end of the slice it starts
+	// in, with the live owner of that slice; ok is false when the owner
+	// is dead.
+	pickSliceRange := func(pick, at, length uint64) (cb *chaosBuf, off int64, n int, owner addr.ServerID, ok bool) {
+		cb, off, n = pickRange(pick, at, length)
+		n = int(min(int64(n), SliceSize-off%SliceSize))
+		owner, err := p.OwnerOf(cb.buf.Addr() + addr.Logical(off))
+		return cb, off, n, owner, err == nil && !p.Dead(owner)
 	}
 	// halves splits [off, off+len(data)) of cb into two vecs over data.
 	halves := func(cb *chaosBuf, off int64, data []byte) []Vec {
@@ -553,16 +600,7 @@ func runRow(t *testing.T, row *chaosRow, seed int64, ops []opDesc, keep []int, c
 			case standing >= 0 || len(servers(false)) <= chaosMinLive:
 				logf("crash skipped")
 			default:
-				victim := liveServer(op.a)
-				standing = victim
-				in.CrashAt(eng.Now(), int(victim))
-				if d := row.args.repairAfter; d > 0 {
-					eng.At(eng.Now().Add(d), func() {
-						standing = -1
-						repair(victim)
-					})
-				}
-				logf("crash srv=%d", victim)
+				crash(liveServer(op.a))
 			}
 		case opFlap:
 			flap(0, op.a)
@@ -607,6 +645,58 @@ func runRow(t *testing.T, row *chaosRow, seed int64, ops []opDesc, keep []int, c
 			victim := liveServer(op.a)
 			ci.arm(p, victim, 2)
 			logf("armed crash srv=%d", victim)
+		case opLenderFail:
+			if len(bufs) == 0 {
+				return
+			}
+			cb, off, n, owner, ok := pickSliceRange(op.a, op.b, op.b%row.args.readLen+1)
+			if !ok {
+				logf("lender fail skipped")
+				return
+			}
+			fl := p.nodes[owner].(*faultyLender)
+			fl.failNext.Store(verbReadAt + 1)
+			from, got := liveServer(op.b), make([]byte, n)
+			err := cb.buf.ReadAt(from, got, off)
+			if fl.failNext.Swap(0) != 0 {
+				diverge("op %d: read off=%d len=%d never reached srv=%d's lender: %v", idx, off, n, owner, err)
+				return
+			}
+			if !errors.Is(err, errLenderFault) {
+				diverge("op %d: read off=%d len=%d over a failing lender: %v, want the injected fault", idx, off, n, err)
+				return
+			}
+			if err := cb.buf.ReadAt(from, got, off); err != nil || !bytes.Equal(got, cb.model[off:off+int64(n)]) {
+				diverge("op %d: read off=%d len=%d after a lender fault: %v, or diverges from the model", idx, off, n, err)
+				return
+			}
+			res.cov["lender-fail"]++
+			logf("lender fail srv=%d off=%d len=%d", owner, off, n)
+		case opLenderCrash:
+			if len(bufs) == 0 || standing >= 0 || len(servers(false)) <= chaosMinLive {
+				logf("lender crash skipped")
+				return
+			}
+			cb, off, n, owner, ok := pickSliceRange(op.a, op.b, op.a%5000+1)
+			if !ok {
+				logf("lender crash skipped")
+				return
+			}
+			fl := p.nodes[owner].(*faultyLender)
+			fl.crashNext.Store(true)
+			data := bytes.Repeat([]byte{byte(op.a)}, n)
+			err := cb.buf.WriteAt(liveServer(op.a), data, off)
+			if !fl.crashed.Load() {
+				fl.crashNext.Store(false)
+				diverge("op %d: write off=%d len=%d never reached srv=%d's lender: %v", idx, off, n, owner, err)
+				return
+			}
+			if !errors.Is(err, ErrServerDead) {
+				diverge("op %d: write off=%d len=%d over a crashing lender: %v, want ErrServerDead", idx, off, n, err)
+			}
+			res.cov["lender-crash"]++
+			logf("lender crash srv=%d off=%d len=%d", owner, off, n)
+			crash(owner)
 		}
 	}
 
@@ -861,6 +951,14 @@ func TestChaosPhysicalSweep(t *testing.T) { sweep(t, &physicalRow) }
 // a migration aimed at the dead server is refused, a second server dies
 // inside the first one's repair, and every seed replays bit-identically.
 func TestChaosRepairDeterministicReplay(t *testing.T) { sweep(t, &repairRow) }
+
+// TestChaosLenderSweep runs the pool over a slow lender — every call a
+// slowLenderDelay round trip — and over a faulty one: a read whose
+// lender call fails is refused with the fault and leaves the bytes
+// intact, and a lender that crashes under a write refuses it with
+// nothing written, before the pool's crash verdict lands and repair
+// rebuilds what it held.
+func TestChaosLenderSweep(t *testing.T) { sweep(t, &slowRow, &lenderFaultRow) }
 
 // TestChaosDivergenceDetectionAndShrink corrupts the model on purpose on
 // every row and expects the driver to notice, shrink, and keep the

@@ -1,14 +1,19 @@
 package core
 
 import (
+	"fmt"
 	"maps"
+	"slices"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/lmp-project/lmp/internal/addr"
 	"github.com/lmp-project/lmp/internal/alloc"
 	"github.com/lmp-project/lmp/internal/cache"
 	"github.com/lmp-project/lmp/internal/failure"
+	"github.com/lmp-project/lmp/internal/rpc"
 )
 
 // The lender's verbs, as countingLender tallies them.
@@ -83,6 +88,102 @@ func (c *countingLender) FreeBytes() int64 {
 func (c *countingLender) InUse() int64 {
 	c.count(verbInUse, 0)
 	return c.lender.InUse()
+}
+
+// faultyLender stands between the pool and one lender and plays a slow
+// or failing one. Every call waits delay of wall time before it crosses
+// the seam: a remote lender's round trip. A data call (ReadAt, WriteAt,
+// Alloc, Free, Resize) can fail: the next call of the verb failNext
+// names (verb+1; 0 arms none) fails with errLenderFault, and once the
+// lender has crashed — crashNext arms its next data call of any verb to
+// do so — every data call fails with errLenderCrashed. A failed call
+// touches nothing behind the seam.
+type faultyLender struct {
+	lender
+	delay     time.Duration
+	failNext  atomic.Int32
+	crashNext atomic.Bool
+	crashed   atomic.Bool
+}
+
+var (
+	errLenderFault   = fmt.Errorf("injected lender fault: %w", rpc.ErrTransient)
+	errLenderCrashed = fmt.Errorf("lender crashed at the seam: %w", ErrServerDead)
+)
+
+// enter is the seam: the round trip, then the verdict on a data call.
+func (f *faultyLender) enter(verb int) error {
+	// Spin, not sleep: a sleep this short lasts as long as the timer's
+	// granularity, a millisecond on some kernels.
+	for end := time.Now().Add(f.delay); f.delay > 0 && time.Now().Before(end); {
+	}
+	if verb > verbResize {
+		return nil
+	}
+	if f.crashed.Load() || f.crashNext.CompareAndSwap(true, false) {
+		f.crashed.Store(true)
+		return errLenderCrashed
+	}
+	if f.failNext.CompareAndSwap(int32(verb)+1, 0) {
+		return errLenderFault
+	}
+	return nil
+}
+
+func (f *faultyLender) ReadAt(p []byte, off int64) error {
+	if err := f.enter(verbReadAt); err != nil {
+		return err
+	}
+	return f.lender.ReadAt(p, off)
+}
+
+func (f *faultyLender) WriteAt(p []byte, off int64) error {
+	if err := f.enter(verbWriteAt); err != nil {
+		return err
+	}
+	return f.lender.WriteAt(p, off)
+}
+
+func (f *faultyLender) Alloc(size int64) (int64, error) {
+	if err := f.enter(verbAlloc); err != nil {
+		return 0, err
+	}
+	return f.lender.Alloc(size)
+}
+
+func (f *faultyLender) Free(off int64) (int64, error) {
+	if err := f.enter(verbFree); err != nil {
+		return 0, err
+	}
+	return f.lender.Free(off)
+}
+
+func (f *faultyLender) Resize(sharedBytes int64) error {
+	if err := f.enter(verbResize); err != nil {
+		return err
+	}
+	return f.lender.Resize(sharedBytes)
+}
+
+func (f *faultyLender) SharedBytes() int64 {
+	_ = f.enter(verbSharedBytes)
+	return f.lender.SharedBytes()
+}
+
+func (f *faultyLender) FreeBytes() int64 {
+	_ = f.enter(verbFreeBytes)
+	return f.lender.FreeBytes()
+}
+
+func (f *faultyLender) InUse() int64 {
+	_ = f.enter(verbInUse)
+	return f.lender.InUse()
+}
+
+// faultyPool builds a pool from cfg whose every lender is a faultyLender
+// with the given round trip.
+func faultyPool(cfg Config, delay time.Duration) (*Pool, error) {
+	return newPool(cfg, func(l lender) lender { return &faultyLender{lender: l, delay: delay} })
 }
 
 // countingPool builds a pool whose every lender is a countingLender.
@@ -244,11 +345,117 @@ func TestLenderCallsPerOp(t *testing.T) {
 }
 
 // mustAllocProtected allocates size bytes issued by server 0.
-func mustAllocProtected(t *testing.T, p *Pool, size int64, prot failure.Policy) *Buffer {
+func mustAllocProtected(t testing.TB, p *Pool, size int64, prot failure.Policy) *Buffer {
 	t.Helper()
 	b, err := p.AllocProtected(size, 0, prot)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return b
+}
+
+// BenchmarkSlowLenderReads reports 64 B read latency over lenders whose
+// every call is a slowLenderDelay round trip, while a background loop
+// works on the read slice's stripe. "move" migrates the read slice back
+// and forth; precopy_p99_us counts only the reads that start while a
+// move pre-copies (from MigrateSlice's call to its FabricDelay hook).
+// "teardown" allocates and releases a one-slice buffer that shares the
+// read slice's stripe (a 63-slice filler puts it stripeCount slices
+// on), so each release frees its extent, a round trip, under that
+// stripe's write lock. DESIGN.md "The lender seam" records the readings:
+//
+//	go test -run '^$' -bench SlowLenderReads -benchtime 20000x ./internal/core/
+func BenchmarkSlowLenderReads(b *testing.B) {
+	for _, row := range []struct {
+		name   string
+		slices int64 // per server
+		work   func(p *Pool, s uint64, round int) error
+	}{
+		{"move", 16, func(p *Pool, s uint64, round int) error {
+			return p.MigrateSlice(s, addr.ServerID(1+round%2))
+		}},
+		{"teardown", 20, func(p *Pool, s uint64, _ int) error {
+			other, err := p.Alloc(SliceSize, 2)
+			if err != nil {
+				return err
+			}
+			if o := addr.SliceOf(other.Addr()); o == s || p.stripeFor(o) != p.stripeFor(s) {
+				return fmt.Errorf("slice %d does not share slice %d's stripe", o, s)
+			}
+			return other.Release()
+		}},
+	} {
+		b.Run(row.name, func(b *testing.B) {
+			var mu sync.Mutex
+			var precopy [][2]time.Time // [start, end) of each move's pre-copy
+			cfg := Config{
+				Placement: alloc.LocalityAware,
+				Repair: RepairConfig{FabricDelay: func() {
+					mu.Lock()
+					precopy[len(precopy)-1][1] = time.Now()
+					mu.Unlock()
+				}},
+			}
+			for i := 0; i < 4; i++ {
+				cfg.Servers = append(cfg.Servers, ServerConfig{Capacity: row.slices * SliceSize, SharedBytes: row.slices * SliceSize})
+			}
+			p, err := faultyPool(cfg, slowLenderDelay)
+			if err != nil {
+				b.Fatal(err)
+			}
+			buf := mustAllocProtected(b, p, SliceSize, failure.Policy{})
+			if row.name == "teardown" {
+				mustAllocProtected(b, p, int64(len(p.stripes)-1)*SliceSize, failure.Policy{})
+			}
+			stop, done := make(chan struct{}), make(chan error, 1)
+			go func() {
+				for round := 0; ; round++ {
+					select {
+					case <-stop:
+						done <- nil
+						return
+					default:
+					}
+					mu.Lock()
+					precopy = append(precopy, [2]time.Time{time.Now()})
+					mu.Unlock()
+					if err := row.work(p, addr.SliceOf(buf.Addr()), round); err != nil {
+						done <- err
+						return
+					}
+				}
+			}()
+			dst := make([]byte, 64)
+			starts := make([]time.Time, b.N)
+			lat := make([]time.Duration, b.N)
+			b.ResetTimer()
+			for i := range lat {
+				starts[i] = time.Now()
+				if err := p.Read(3, buf.Addr(), dst); err != nil {
+					b.Fatal(err)
+				}
+				lat[i] = time.Since(starts[i])
+			}
+			b.StopTimer()
+			close(stop)
+			if err := <-done; err != nil {
+				b.Fatal(err)
+			}
+			var during []time.Duration
+			for i, at := range starts {
+				if k, _ := slices.BinarySearchFunc(precopy, at, func(w [2]time.Time, t time.Time) int { return w[0].Compare(t) }); k > 0 && at.Before(precopy[k-1][1]) {
+					during = append(during, lat[i])
+				}
+			}
+			p99 := func(d []time.Duration) float64 {
+				slices.Sort(d)
+				return float64(d[len(d)*99/100]) / 1e3
+			}
+			b.ReportMetric(p99(lat), "p99_us")
+			b.ReportMetric(float64(lat[len(lat)/2])/1e3, "p50_us")
+			if len(during) > 0 {
+				b.ReportMetric(p99(during), "precopy_p99_us")
+			}
+		})
+	}
 }

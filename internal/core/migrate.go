@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"sort"
 
 	"github.com/lmp-project/lmp/internal/addr"
@@ -15,33 +14,29 @@ import (
 // dominant accessors, with hysteresis so ping-ponging data does not
 // thrash. background.go executes the plan.
 
-// MigrationPolicy tunes the planner.
-type MigrationPolicy struct {
-	// MinAccesses is the minimum access count for a slice to be
-	// considered at all (cold data stays put).
-	MinAccesses uint64
-	// HysteresisFactor requires the challenger to beat the current
-	// owner's local accesses by this multiple (>= 1).
-	HysteresisFactor float64
-	// MaxMoves caps migrations per round; 0 means unlimited.
-	MaxMoves int
+// The planner's thresholds, set by analogy with NUMA balancing's
+// conservatism and not measured (ROADMAP item 6).
+const (
+	// migrateMinAccesses is the access count below which a slice is not
+	// considered at all: cold data stays put.
+	migrateMinAccesses = 16
+	// migrateHysteresis is the multiple by which the challenger must
+	// beat the current owner's own accesses.
+	migrateHysteresis = 2.0
+	// migrateMaxMoves caps the migrations of one balancing round.
+	migrateMaxMoves = 64
+)
+
+// migrationPolicy is the planner's tuning: the constants above, in the
+// pool so a test can set others on a built pool. maxMoves 0 means
+// unlimited.
+type migrationPolicy struct {
+	minAccesses uint64
+	hysteresis  float64
+	maxMoves    int
 }
 
-// defaultMigrationPolicy matches NUMA-balancing-style conservatism.
-func defaultMigrationPolicy() MigrationPolicy {
-	return MigrationPolicy{MinAccesses: 16, HysteresisFactor: 2.0, MaxMoves: 64}
-}
-
-// Validate checks the policy.
-func (p MigrationPolicy) Validate() error {
-	if p.HysteresisFactor < 1 {
-		return fmt.Errorf("core: migration hysteresis factor %v must be >= 1", p.HysteresisFactor)
-	}
-	if p.MaxMoves < 0 {
-		return fmt.Errorf("core: migration max moves %d negative", p.MaxMoves)
-	}
-	return nil
-}
+var defaultMigrationPolicy = migrationPolicy{migrateMinAccesses, migrateHysteresis, migrateMaxMoves}
 
 // plannedMove is one migration the planner ranked.
 type plannedMove struct {
@@ -61,7 +56,7 @@ type plannedMove struct {
 // accesses were counted has no entry and plans nothing. The per-round
 // budget is balanceOnce's to enforce.
 func (p *Pool) planMoves() []plannedMove {
-	pol := p.cfg.Migration
+	pol := p.migration
 	var moves []plannedMove
 	t := p.table.Load()
 	for s := range t.entries {
@@ -78,7 +73,7 @@ func (p *Pool) planMoves() []plannedMove {
 				best, bestC = addr.ServerID(f), c
 			}
 		}
-		if total == 0 || total < pol.MinAccesses {
+		if total == 0 || total < pol.minAccesses {
 			continue
 		}
 		lock := p.stripeFor(uint64(s))
@@ -86,7 +81,7 @@ func (p *Pool) planMoves() []plannedMove {
 		owner := back.server
 		lock.RUnlock()
 		ownerC := back.counts[owner].Load()
-		if best == owner || float64(bestC) < pol.HysteresisFactor*float64(ownerC)+1 {
+		if best == owner || float64(bestC) < pol.hysteresis*float64(ownerC)+1 {
 			continue
 		}
 		moves = append(moves, plannedMove{slice: uint64(s), back: back, from: owner, to: best, gain: bestC - ownerC})

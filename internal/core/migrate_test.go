@@ -98,7 +98,7 @@ func TestPlanLocalDominantNoMove(t *testing.T) {
 // top of the list.
 func TestPlanOrdersByGainAndCapsMoves(t *testing.T) {
 	p := planPool(t, 8)
-	p.cfg.Migration.MaxMoves = 3
+	p.migration.maxMoves = 3
 	for s := uint64(0); s < 8; s++ {
 		seed(t, p, s, 1, 50+10*s)
 	}
@@ -136,25 +136,6 @@ func TestPlanSkipsUnmappedSlices(t *testing.T) {
 	}
 	if moves := p.planMoves(); len(moves) != 0 {
 		t.Fatalf("unmapped slice moved: %+v", moves)
-	}
-}
-
-// TestPolicyValidation: a policy that fails Validate builds no pool. Only
-// the zero policy means the default, so a partly set one (no hysteresis)
-// is refused, not replaced by the default.
-func TestPolicyValidation(t *testing.T) {
-	for _, pol := range []MigrationPolicy{
-		{HysteresisFactor: 0.5},
-		{HysteresisFactor: 1, MaxMoves: -1},
-		{MinAccesses: 4, MaxMoves: 1},
-	} {
-		if err := pol.Validate(); err == nil {
-			t.Errorf("policy %+v accepted", pol)
-		}
-		cfg := Config{Servers: []ServerConfig{{Capacity: SliceSize, SharedBytes: SliceSize}}, Migration: pol}
-		if _, err := New(cfg); err == nil {
-			t.Errorf("pool built with policy %+v", pol)
-		}
 	}
 }
 

@@ -89,20 +89,12 @@ type Config struct {
 	// Placement selects the allocation placement policy: FirstFit (the
 	// zero value), RoundRobin, LocalityAware or Striped.
 	Placement alloc.Policy
-	// CoherentBytes sizes the coherent region (a few GBs in deployment;
-	// defaults to 1MiB here, plenty for coordination state).
-	CoherentBytes int64
-	// CoherenceGranularity is the directory tracking block (default 64;
-	// smaller avoids false sharing).
+	// CoherenceGranularity is the coherent region's directory tracking
+	// block (default 64; smaller avoids false sharing).
 	CoherenceGranularity int64
 	// Protection is the default protection policy Alloc applies to new
 	// buffers; AllocProtected still overrides it per buffer.
 	Protection failure.Policy
-	// Migration tunes the locality balancer: migration threshold,
-	// hysteresis, per-round move budget. Only the zero policy means the
-	// default ({16, 2.0, 64}); any other policy must pass Validate, so a
-	// partly set one is refused, not silently replaced.
-	Migration MigrationPolicy
 	// Cache configures the node-local hot-page cache and write combiner
 	// (see CacheConfig and internal/core/cache.go). Off unless Enabled.
 	Cache CacheConfig
@@ -121,15 +113,13 @@ type Config struct {
 	Clock func() int64
 }
 
+// coherentBytes sizes the coherent region: plenty for coordination
+// state here (a few GBs in a deployment, where a lender would hold it).
+const coherentBytes = 1 << 20
+
 func (c *Config) fillDefaults() {
-	if c.CoherentBytes == 0 {
-		c.CoherentBytes = 1 << 20
-	}
 	if c.CoherenceGranularity == 0 {
 		c.CoherenceGranularity = 64
-	}
-	if c.Migration == (MigrationPolicy{}) {
-		c.Migration = defaultMigrationPolicy()
 	}
 	if c.Clock == nil {
 		c.Clock = telemetry.WallClock
@@ -259,6 +249,9 @@ type Pool struct {
 	coherent     []byte
 	coherentNext int64
 
+	// migration is the locality balancer's tuning (migrate.go).
+	migration migrationPolicy
+
 	metrics *telemetry.Registry
 	// hot caches access counters, indexed [write][remote].
 	hot [2][2]hotPath
@@ -314,21 +307,19 @@ func newPool(cfg Config, wrap func(lender) lender) (*Pool, error) {
 	if err := cfg.Protection.Validate(); err != nil {
 		return nil, err
 	}
-	if err := cfg.Migration.Validate(); err != nil {
-		return nil, err
-	}
 	dir, err := coherence.NewDirectory(cfg.CoherenceGranularity,
-		int(cfg.CoherentBytes/cfg.CoherenceGranularity))
+		int(coherentBytes/cfg.CoherenceGranularity))
 	if err != nil {
 		return nil, err
 	}
 	p := &Pool{
-		cfg:      cfg,
-		buffers:  make(map[addr.Logical]*Buffer),
-		dead:     make([]atomic.Bool, len(cfg.Servers)),
-		dir:      dir,
-		coherent: make([]byte, cfg.CoherentBytes),
-		metrics:  telemetry.NewRegistry(),
+		cfg:       cfg,
+		buffers:   make(map[addr.Logical]*Buffer),
+		dead:      make([]atomic.Bool, len(cfg.Servers)),
+		dir:       dir,
+		coherent:  make([]byte, coherentBytes),
+		metrics:   telemetry.NewRegistry(),
+		migration: defaultMigrationPolicy,
 	}
 	p.stripes = make([]stripe, stripeCount())
 	p.stripeMask = uint64(len(p.stripes) - 1)

@@ -210,10 +210,7 @@ func TestMigrationPreservesAddressesAndData(t *testing.T) {
 }
 
 func TestBalancerMovesHotData(t *testing.T) {
-	cfg := Config{
-		Placement: alloc.LocalityAware,
-		Migration: MigrationPolicy{MinAccesses: 8, HysteresisFactor: 1.5, MaxMoves: 16},
-	}
+	cfg := Config{Placement: alloc.LocalityAware}
 	for i := 0; i < 4; i++ {
 		cfg.Servers = append(cfg.Servers, ServerConfig{Capacity: 16 * SliceSize, SharedBytes: 16 * SliceSize})
 	}
@@ -221,6 +218,7 @@ func TestBalancerMovesHotData(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	p.migration = migrationPolicy{minAccesses: 8, hysteresis: 1.5, maxMoves: 16}
 	b, err := p.Alloc(SliceSize, 0)
 	if err != nil {
 		t.Fatal(err)

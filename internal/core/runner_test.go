@@ -18,10 +18,7 @@ func TestStartBackgroundValidation(t *testing.T) {
 }
 
 func TestBackgroundBalancerMigratesHotData(t *testing.T) {
-	cfg := Config{
-		Placement: alloc.LocalityAware,
-		Migration: MigrationPolicy{MinAccesses: 8, HysteresisFactor: 1.5, MaxMoves: 16},
-	}
+	cfg := Config{Placement: alloc.LocalityAware}
 	for i := 0; i < 4; i++ {
 		cfg.Servers = append(cfg.Servers, ServerConfig{Capacity: 16 * SliceSize, SharedBytes: 16 * SliceSize})
 	}
@@ -29,6 +26,7 @@ func TestBackgroundBalancerMigratesHotData(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	p.migration = migrationPolicy{minAccesses: 8, hysteresis: 1.5, maxMoves: 16}
 	b, err := p.Alloc(SliceSize, 0)
 	if err != nil {
 		t.Fatal(err)

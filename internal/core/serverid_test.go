@@ -19,7 +19,7 @@ import (
 // direct, all-remote path. None may panic: SharedBytes, BreakerCounters
 // and ReportAccess used to index with the id unchecked.
 func TestServerIDBounds(t *testing.T) {
-	breaker := TailConfig{Breaker: BreakerPolicy{FailureRatio: 0.5}}
+	breaker := TailConfig{Breaker: BreakerPolicy{Enabled: true}}
 	shapes := map[string]func() (*Pool, error){
 		"uncached": func() (*Pool, error) {
 			return New(Config{Tail: breaker, Servers: []ServerConfig{

@@ -67,25 +67,25 @@ type TailConfig struct {
 	// atomic per operation and stays allocation-free. It is the pool's
 	// one admission point: the transport sheds nothing.
 	AdmissionLimit int
-	// Breaker enables per-server circuit breakers (the zero policy
-	// disables them), fed by the latency (timed with Config.Clock) and
-	// outcome of every backing access a foreground operation makes —
-	// direct reads and writes, cache fills, vectored runs and
-	// write-combiner flushes alike; a cache hit touches no server and
-	// feeds nothing. A server whose recent failure ratio (or slow-call
-	// ratio, see BreakerPolicy.SlowCallNS) trips the policy is marked
-	// degraded: every read that would reach it — Read, ReadV, and a
+	// Breaker, when Enabled, arms per-server circuit breakers, fed by
+	// the latency (timed with Config.Clock) and outcome of every backing
+	// access a foreground operation makes — direct reads and writes,
+	// cache fills, vectored runs and write-combiner flushes alike; a
+	// cache hit touches no server and feeds nothing. A server whose
+	// recent failure ratio (or slow-call ratio, see
+	// BreakerPolicy.SlowCallNS) trips the breaker is marked degraded:
+	// every read that would reach it — Read, ReadV, and a
 	// cached pool's misses — is shed to a live copy when the buffer is
 	// replica-protected and otherwise fails fast with an error wrapping
 	// ErrServerDegraded (a ReadV without partial effects), and writes
-	// still reach the primary. After BreakerPolicy.OpenFor the breaker
-	// re-probes and closes on success.
+	// still reach the primary. After a cool-down (breakerOpenFor) the
+	// breaker re-probes and closes on success.
 	Breaker BreakerPolicy
 }
 
 // enabled reports whether any tail feature is on.
 func (t *TailConfig) enabled() bool {
-	return t.OpBudget > 0 || t.AdmissionLimit > 0 || t.Breaker.Enabled()
+	return t.OpBudget > 0 || t.AdmissionLimit > 0 || t.Breaker.Enabled
 }
 
 // tailState is the pool's runtime tail-tolerance state. All fields are
@@ -114,12 +114,14 @@ func (p *Pool) initTail() {
 	p.tail.limit = int64(max(t.AdmissionLimit, 0))
 	p.tail.budgetNS = int64(max(t.OpBudget, 0))
 	p.tail.sheds = p.metrics.Counter("pool.sheds")
-	if t.Breaker.Enabled() {
+	if t.Breaker.Enabled {
 		p.tail.replicaSheds = p.metrics.Counter("pool.reads.replica_shed")
 		p.tail.degradedFails = p.metrics.Counter("pool.reads.degraded_fail")
 		p.tail.breakers = make([]*breaker, len(p.cfg.Servers))
+		pol := defaultBreakerPolicy
+		pol.slowCallNS = t.Breaker.SlowCallNS
 		for i := range p.tail.breakers {
-			p.tail.breakers[i] = newBreaker(t.Breaker, p.cfg.Clock)
+			p.tail.breakers[i] = newBreaker(pol, p.cfg.Clock)
 		}
 	}
 }
@@ -253,8 +255,9 @@ const (
 	// BreakerOpen sheds the owner's reads to a live replica, or fails
 	// them fast with ErrServerDegraded when there is none.
 	BreakerOpen
-	// BreakerHalfOpen routes reads to the owner again; HalfOpenProbes
-	// consecutive successes close the breaker, any failure reopens it.
+	// BreakerHalfOpen routes reads to the owner again;
+	// breakerHalfOpenProbes consecutive successes close the breaker, any
+	// failure reopens it.
 	BreakerHalfOpen
 )
 
@@ -270,26 +273,13 @@ func (s BreakerState) String() string {
 	return fmt.Sprintf("BreakerState(%d)", int32(s))
 }
 
-// BreakerPolicy tunes a circuit breaker. The zero value means "breaker
-// disabled" (TailConfig.Breaker); newBreaker fills defaults for any
-// individual zero field.
+// BreakerPolicy switches the per-server circuit breakers on
+// (TailConfig.Breaker). Everything else about a breaker is fixed by the
+// breaker* constants below; only the slow-call threshold is the
+// deployment's to set, because what counts as slow depends on its link.
 type BreakerPolicy struct {
-	// Window is the rolling sample window: once this many outcomes have
-	// accumulated, the counts are halved, so old outcomes decay instead
-	// of pinning the ratio forever. Default 32.
-	Window int
-	// MinSamples is the minimum outcome count before the failure ratio
-	// is acted on. Default 8.
-	MinSamples int
-	// FailureRatio opens the breaker when failures/samples reaches it.
-	// Default 0.5.
-	FailureRatio float64
-	// OpenFor is the cool-down after tripping before the breaker
-	// half-opens. Default 100ms.
-	OpenFor time.Duration
-	// HalfOpenProbes is the number of consecutive successes a half-open
-	// breaker needs to close. Default 3.
-	HalfOpenProbes int
+	// Enabled turns the breakers on.
+	Enabled bool
 	// SlowCallNS counts a successful access at or above this latency as
 	// a failure — the slow-is-failure signal that trips the breaker for
 	// degraded-but-alive servers. 0 means latency alone never counts
@@ -297,28 +287,39 @@ type BreakerPolicy struct {
 	SlowCallNS int64
 }
 
-// Enabled reports whether the policy is non-zero, the config-level
-// "breaker on" switch.
-func (p BreakerPolicy) Enabled() bool { return p != BreakerPolicy{} }
+// The breaker's tuning. None of these depends on the deployment.
+const (
+	// breakerWindow is the rolling sample window: once this many
+	// outcomes have accumulated, the counts are halved, so old outcomes
+	// decay instead of pinning the ratio forever.
+	breakerWindow = 32
+	// breakerMinSamples is the outcome count below which the failure
+	// ratio is not acted on.
+	breakerMinSamples = 8
+	// breakerFailureRatio opens the breaker when failures/samples
+	// reaches it.
+	breakerFailureRatio = 0.5
+	// breakerOpenFor is the cool-down after a trip before the breaker
+	// half-opens.
+	breakerOpenFor = 100 * time.Millisecond
+	// breakerHalfOpenProbes is the run of consecutive successes a
+	// half-open breaker needs to close.
+	breakerHalfOpenProbes = 3
+)
 
-func (p BreakerPolicy) withDefaults() BreakerPolicy {
-	if p.Window <= 0 {
-		p.Window = 32
-	}
-	if p.MinSamples <= 0 {
-		p.MinSamples = 8
-	}
-	if p.FailureRatio <= 0 || p.FailureRatio > 1 {
-		p.FailureRatio = 0.5
-	}
-	if p.OpenFor <= 0 {
-		p.OpenFor = 100 * time.Millisecond
-	}
-	if p.HalfOpenProbes <= 0 {
-		p.HalfOpenProbes = 3
-	}
-	return p
+// breakerPolicy is one breaker's tuning: the constants above and the
+// configured slow-call threshold. Tests swap in their own on a built
+// pool's breakers.
+type breakerPolicy struct {
+	window         int
+	minSamples     int
+	failureRatio   float64
+	openFor        time.Duration
+	halfOpenProbes int
+	slowCallNS     int64
 }
+
+var defaultBreakerPolicy = breakerPolicy{breakerWindow, breakerMinSamples, breakerFailureRatio, breakerOpenFor, breakerHalfOpenProbes, 0}
 
 // BreakerCounters is a snapshot of a breaker: its current state and how
 // many times it has tripped.
@@ -332,11 +333,11 @@ type BreakerCounters struct {
 // detection never fires for it: the breaker watches the outcomes and
 // latencies of the pool's backing I/O against the server and trips from
 // closed to open when the recent failure ratio crosses the policy
-// threshold. After OpenFor it half-opens, and the pool's reads probe
+// threshold. After the cool-down it half-opens, and the pool's reads probe
 // their way back to closed. Its mutex is a leaf lock (see the file
 // comment).
 type breaker struct {
-	pol BreakerPolicy
+	pol breakerPolicy
 	now func() int64
 
 	mu       sync.Mutex
@@ -348,10 +349,9 @@ type breaker struct {
 	trips    uint64
 }
 
-// newBreaker builds a breaker with pol (zero fields defaulted) on the
-// nanosecond clock now.
-func newBreaker(pol BreakerPolicy, now func() int64) *breaker {
-	return &breaker{pol: pol.withDefaults(), now: now}
+// newBreaker builds a breaker with pol on the nanosecond clock now.
+func newBreaker(pol breakerPolicy, now func() int64) *breaker {
+	return &breaker{pol: pol, now: now}
 }
 
 // breakerFailure classifies an outcome for the breaker: transport
@@ -371,7 +371,7 @@ func breakerFailure(err error) bool {
 // degraded-but-responsive server trips the breaker.
 func (b *breaker) RecordLatency(ns int64, err error) {
 	fail := breakerFailure(err)
-	if err == nil && b.pol.SlowCallNS > 0 && ns >= b.pol.SlowCallNS {
+	if err == nil && b.pol.slowCallNS > 0 && ns >= b.pol.slowCallNS {
 		fail = true
 	}
 	b.mu.Lock()
@@ -383,7 +383,7 @@ func (b *breaker) RecordLatency(ns int64, err error) {
 			return
 		}
 		b.probeOK++
-		if b.probeOK >= b.pol.HalfOpenProbes {
+		if b.probeOK >= b.pol.halfOpenProbes {
 			b.state = BreakerClosed
 			b.fails, b.samples = 0, 0
 		}
@@ -395,12 +395,12 @@ func (b *breaker) RecordLatency(ns int64, err error) {
 		if fail {
 			b.fails++
 		}
-		if b.samples >= b.pol.MinSamples &&
-			float64(b.fails) >= b.pol.FailureRatio*float64(b.samples) {
+		if b.samples >= b.pol.minSamples &&
+			float64(b.fails) >= b.pol.failureRatio*float64(b.samples) {
 			b.trip()
 			return
 		}
-		if b.samples >= b.pol.Window {
+		if b.samples >= b.pol.window {
 			// Decay: halve the window so the ratio follows the present.
 			b.samples /= 2
 			b.fails /= 2
@@ -420,7 +420,7 @@ func (b *breaker) trip() {
 // so every reader of the state sees the one the read path acts on.
 // Caller holds b.mu.
 func (b *breaker) expire() {
-	if b.state == BreakerOpen && b.now()-b.openedAt >= int64(b.pol.OpenFor) {
+	if b.state == BreakerOpen && b.now()-b.openedAt >= int64(b.pol.openFor) {
 		b.state = BreakerHalfOpen
 		b.probeOK = 0
 	}

@@ -37,7 +37,7 @@ func tailTestPool(t *testing.T, tail TailConfig) *Pool {
 }
 
 // tailTestPoolFrom is tailTestPool with the rest of cfg (tail, cache,
-// clock) set by the caller.
+// clock) set by the caller. Breakers it arms run tailBreakerPolicy.
 func tailTestPoolFrom(t *testing.T, cfg Config) *Pool {
 	t.Helper()
 	cfg.Placement = alloc.LocalityAware
@@ -52,18 +52,32 @@ func tailTestPoolFrom(t *testing.T, cfg Config) *Pool {
 	if err != nil {
 		t.Fatal(err)
 	}
+	setBreakerPolicy(p, tailBreakerPolicy())
 	return p
 }
 
+// armedBreakers is the tail config that arms the breakers and nothing
+// else.
+var armedBreakers = TailConfig{Breaker: BreakerPolicy{Enabled: true}}
+
 // tailBreakerPolicy trips after 4+ samples at >=50% failures and stays
 // open for an hour of (simulated) clock, so tests control reopening.
-func tailBreakerPolicy() BreakerPolicy {
-	return BreakerPolicy{
-		Window:         16,
-		MinSamples:     4,
-		FailureRatio:   0.5,
-		OpenFor:        time.Hour,
-		HalfOpenProbes: 1,
+func tailBreakerPolicy() breakerPolicy {
+	return breakerPolicy{
+		window:         16,
+		minSamples:     4,
+		failureRatio:   0.5,
+		openFor:        time.Hour,
+		halfOpenProbes: 1,
+	}
+}
+
+// setBreakerPolicy retunes a built pool's breakers, if it has any, to
+// pol; the slow-call threshold stays the configured one.
+func setBreakerPolicy(p *Pool, pol breakerPolicy) {
+	pol.slowCallNS = p.cfg.Tail.Breaker.SlowCallNS
+	for _, b := range p.tail.breakers {
+		b.pol = pol
 	}
 }
 
@@ -80,7 +94,7 @@ func TestTailDisabledZeroCost(t *testing.T) {
 		breakers bool
 	}{
 		{"zero", TailConfig{}, 0, false},
-		{"limit=-1+breaker", TailConfig{AdmissionLimit: -1, Breaker: tailBreakerPolicy()}, 0, true},
+		{"limit=-1+breaker", TailConfig{AdmissionLimit: -1, Breaker: BreakerPolicy{Enabled: true}}, 0, true},
 		{"budget=-1+limit", TailConfig{OpBudget: -1, AdmissionLimit: 8}, 8, false},
 	} {
 		t.Run(row.name, func(t *testing.T) {
@@ -367,7 +381,7 @@ func TestTailBudgetExpiresMidOp(t *testing.T) {
 // and the shed counters advance.
 func TestTailReplicaShedOnOpenBreaker(t *testing.T) {
 	clk := &tailClock{}
-	p := tailTestPoolFrom(t, Config{Tail: TailConfig{Breaker: tailBreakerPolicy()}, Clock: clk.now})
+	p := tailTestPoolFrom(t, Config{Tail: armedBreakers, Clock: clk.now})
 	b, err := p.AllocProtected(2*SliceSize, 0, failure.Policy{Scheme: failure.Replicate, Copies: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -436,7 +450,7 @@ func TestTailReplicaShedOnOpenBreaker(t *testing.T) {
 		t.Fatal("degraded fail not counted")
 	}
 
-	// After OpenFor elapses the breaker half-opens and traffic recovers.
+	// After the cool-down the breaker half-opens and traffic recovers.
 	clk.advance(2 * time.Hour)
 	for i := 0; i < 8; i++ {
 		for s := 0; s < 4; s++ {
@@ -456,7 +470,7 @@ func TestTailReplicaShedOnOpenBreaker(t *testing.T) {
 // ErrServerDegraded, and writes are unaffected.
 func TestTailDegradedUnprotectedRead(t *testing.T) {
 	clk := &tailClock{}
-	p := tailTestPoolFrom(t, Config{Tail: TailConfig{Breaker: tailBreakerPolicy()}, Clock: clk.now})
+	p := tailTestPoolFrom(t, Config{Tail: armedBreakers, Clock: clk.now})
 	b, err := p.Alloc(SliceSize, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -482,7 +496,7 @@ func TestTailDegradedUnprotectedRead(t *testing.T) {
 }
 
 // tripBreaker feeds transient failures until server s's breaker opens
-// (a window already full of successes takes more than MinSamples of them).
+// (a window already full of successes takes more than minSamples of them).
 func tripBreaker(t *testing.T, p *Pool, s addr.ServerID) {
 	t.Helper()
 	for i := 0; i < 64 && !p.breakerOpen(s); i++ {
@@ -536,7 +550,7 @@ func TestTailShedCoversEveryReadPath(t *testing.T) {
 				name := fmt.Sprintf("replicated=%v/%s/%s", protected, pc.name, path.name)
 				t.Run(name, func(t *testing.T) {
 					clk := &tailClock{}
-					p := tailTestPoolFrom(t, Config{Tail: TailConfig{Breaker: tailBreakerPolicy()}, Cache: pc.cache, Clock: clk.now})
+					p := tailTestPoolFrom(t, Config{Tail: armedBreakers, Cache: pc.cache, Clock: clk.now})
 					healthy, err := p.Alloc(SliceSize, 2)
 					if err != nil {
 						t.Fatal(err)
@@ -641,9 +655,7 @@ func TestTailBreakerFedByEveryPath(t *testing.T) {
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
 			var ticks atomic.Int64
-			pol := tailBreakerPolicy()
-			pol.SlowCallNS = 1
-			p := tailTestPoolFrom(t, Config{Tail: TailConfig{Breaker: pol}, Cache: row.cache, Clock: func() int64 { return ticks.Add(1) }})
+			p := tailTestPoolFrom(t, Config{Tail: TailConfig{Breaker: BreakerPolicy{Enabled: true, SlowCallNS: 1}}, Cache: row.cache, Clock: func() int64 { return ticks.Add(1) }})
 			b, err := p.Alloc(SliceSize, 0)
 			if err != nil {
 				t.Fatal(err)
@@ -724,7 +736,7 @@ func TestTailAllocFree(t *testing.T) {
 		},
 		Tail: TailConfig{
 			AdmissionLimit: 64,
-			Breaker:        tailBreakerPolicy(),
+			Breaker:        BreakerPolicy{Enabled: true},
 		},
 		Clock: clk.now,
 	})
@@ -770,7 +782,7 @@ func TestTailAllocFree(t *testing.T) {
 			{Name: "b", Capacity: 64 << 20, SharedBytes: 32 << 20},
 		},
 		Cache: CacheConfig{Enabled: true, CapacityBytes: 16 * 4096},
-		Tail:  TailConfig{AdmissionLimit: 64, Breaker: tailBreakerPolicy()},
+		Tail:  TailConfig{AdmissionLimit: 64, Breaker: BreakerPolicy{Enabled: true}},
 		Clock: clk.now,
 	})
 	if err != nil {
@@ -1062,12 +1074,12 @@ type breakerEvent struct {
 }
 
 func TestBreakerStateMachine(t *testing.T) {
-	pol := BreakerPolicy{
-		Window:         8,
-		MinSamples:     4,
-		FailureRatio:   0.5,
-		OpenFor:        time.Millisecond,
-		HalfOpenProbes: 2,
+	pol := breakerPolicy{
+		window:         8,
+		minSamples:     4,
+		failureRatio:   0.5,
+		openFor:        time.Millisecond,
+		halfOpenProbes: 2,
 	}
 	fail := func(st BreakerState) breakerEvent { return breakerEvent{fail: true, record: true, state: st} }
 	ok := func(st BreakerState) breakerEvent { return breakerEvent{record: true, state: st} }
@@ -1076,10 +1088,10 @@ func TestBreakerStateMachine(t *testing.T) {
 		script []breakerEvent
 	}{
 		{"trips at ratio after min samples", []breakerEvent{
-			fail(BreakerClosed), // 1/1 — under MinSamples, no trip
+			fail(BreakerClosed), // 1/1 — under minSamples, no trip
 			ok(BreakerClosed),   // 1/2
 			fail(BreakerClosed), // 2/3
-			fail(BreakerOpen),   // 3/4 ≥ 0.5 with MinSamples met → trip
+			fail(BreakerOpen),   // 3/4 ≥ 0.5 with minSamples met → trip
 		}},
 		{"stays closed under the ratio", []breakerEvent{
 			ok(BreakerClosed), ok(BreakerClosed), ok(BreakerClosed),
@@ -1090,7 +1102,7 @@ func TestBreakerStateMachine(t *testing.T) {
 			fail(BreakerClosed), fail(BreakerClosed), fail(BreakerClosed), fail(BreakerOpen),
 			{advance: time.Millisecond / 2, state: BreakerOpen}, // inside the cool-down
 			{advance: time.Millisecond, state: BreakerHalfOpen}, // cool-down over
-			ok(BreakerHalfOpen), ok(BreakerClosed), // HalfOpenProbes successes close
+			ok(BreakerHalfOpen), ok(BreakerClosed), // halfOpenProbes successes close
 		}},
 		{"half-open probe failure reopens", []breakerEvent{
 			fail(BreakerClosed), fail(BreakerClosed), fail(BreakerClosed), fail(BreakerOpen),
@@ -1140,7 +1152,8 @@ func TestBreakerFailureClassification(t *testing.T) {
 
 func TestBreakerSlowCallsTrip(t *testing.T) {
 	clk := &tailClock{}
-	pol := BreakerPolicy{MinSamples: 4, FailureRatio: 0.5, SlowCallNS: 1000, OpenFor: time.Millisecond}
+	pol := defaultBreakerPolicy
+	pol.minSamples, pol.openFor, pol.slowCallNS = 4, time.Millisecond, 1000
 	b := newBreaker(pol, clk.now)
 	for i := 0; i < 4; i++ {
 		b.RecordLatency(5000, nil) // successful but slow
@@ -1161,10 +1174,11 @@ func TestBreakerSlowCallsTrip(t *testing.T) {
 // TestBreakerStaleOutcomeWhileOpen pins that an outcome recorded while
 // the breaker is open — an access that started before the trip — moves
 // nothing: the breaker stays open and, once the cool-down passes, needs
-// its full HalfOpenProbes run of successes to close.
+// its full run of half-open probe successes to close.
 func TestBreakerStaleOutcomeWhileOpen(t *testing.T) {
 	clk := &tailClock{}
-	pol := BreakerPolicy{MinSamples: 2, FailureRatio: 0.5, OpenFor: time.Millisecond, HalfOpenProbes: 2}
+	pol := defaultBreakerPolicy
+	pol.minSamples, pol.openFor, pol.halfOpenProbes = 2, time.Millisecond, 2
 	b := newBreaker(pol, clk.now)
 	b.RecordLatency(0, fmt.Errorf("x: %w", rpc.ErrTransient))
 	b.RecordLatency(0, fmt.Errorf("x: %w", rpc.ErrTransient))
@@ -1187,15 +1201,16 @@ func TestBreakerStaleOutcomeWhileOpen(t *testing.T) {
 }
 
 // TestBreakerCountersAfterCoolDown reads a tripped breaker through
-// Pool.BreakerCounters once OpenFor has passed on the sim clock: the
+// Pool.BreakerCounters once its cool-down has passed on the sim clock: the
 // read path already routes to the owner as half-open, so the snapshot
 // must say half-open too, not the open state the breaker last stored.
 func TestBreakerCountersAfterCoolDown(t *testing.T) {
 	clk := &tailClock{}
 	pol := tailBreakerPolicy()
-	pol.OpenFor = time.Millisecond
-	p := tailTestPoolFrom(t, Config{Tail: TailConfig{Breaker: pol}, Clock: clk.now})
-	for i := 0; i < pol.MinSamples; i++ {
+	pol.openFor = time.Millisecond
+	p := tailTestPoolFrom(t, Config{Tail: armedBreakers, Clock: clk.now})
+	setBreakerPolicy(p, pol)
+	for i := 0; i < pol.minSamples; i++ {
 		p.ReportAccess(2, time.Millisecond, fmt.Errorf("injected: %w", rpc.ErrTransient))
 	}
 	if c := p.BreakerCounters(2); c.State != BreakerOpen || c.Trips != 1 {
@@ -1210,11 +1225,20 @@ func TestBreakerCountersAfterCoolDown(t *testing.T) {
 	}
 }
 
+// TestBreakerPolicyEnabled: Enabled is the breakers' one on-switch; a
+// slow-call threshold alone arms nothing.
 func TestBreakerPolicyEnabled(t *testing.T) {
-	if (BreakerPolicy{}).Enabled() {
-		t.Fatal("zero policy reports enabled")
-	}
-	if !(BreakerPolicy{MinSamples: 1}).Enabled() {
-		t.Fatal("non-zero policy reports disabled")
+	for _, row := range []struct {
+		pol   BreakerPolicy
+		armed bool
+	}{
+		{BreakerPolicy{}, false},
+		{BreakerPolicy{SlowCallNS: 1000}, false},
+		{BreakerPolicy{Enabled: true}, true},
+	} {
+		p := tailTestPool(t, TailConfig{Breaker: row.pol})
+		if armed := p.tail.breakers != nil; armed != row.armed {
+			t.Errorf("%+v: breakers armed = %v, want %v", row.pol, armed, row.armed)
+		}
 	}
 }

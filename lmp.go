@@ -38,15 +38,20 @@
 //
 //   - Construction: New with a Config, the one way to configure a pool:
 //     each knob is one field, documented where it is declared, and its
-//     zero value picks the default — Placement, Protection, Migration,
-//     CoherentBytes and CoherenceGranularity, Cache (the node-local
-//     page cache), Trace, Repair, Tail, and Clock (the one clock spans
-//     and breakers read).
+//     zero value picks the default — Placement, Protection,
+//     CoherenceGranularity, Cache (the node-local page cache), Trace,
+//     Repair, Tail, and Clock (the one clock spans and breakers read).
+//     Config holds what a deployment sets; the runtime's own tuning
+//     (the balancer's thresholds, the breakers' window and cool-down,
+//     the coherent region's size) is fixed, and the cache's shards and
+//     write-combiner limits follow from its capacity.
 //   - Tail tolerance: Config.Tail's OpBudget (default per-op deadline,
 //     caller deadlines win), AdmissionLimit (shed instead of queue when
-//     saturated), and Breaker (per-server circuit breakers that shed
-//     replica-protected reads away from degraded owners). All off by
-//     default; the disabled data path is unchanged.
+//     saturated), and Breaker (per-server circuit breakers, on with
+//     Breaker.Enabled, that shed replica-protected reads away from
+//     degraded owners; SlowCallNS sets what counts as slow on the
+//     deployment's link). All off by default; the disabled data path is
+//     unchanged.
 //   - Access: Pool.Read / Pool.Write; Pool.ReadCtx / Pool.WriteCtx with
 //     cancellation; vectored Pool.ReadV / Pool.WriteV (plus ...VCtx)
 //     over []Vec, which lock all touched slices at once — in a
@@ -108,7 +113,9 @@ type (
 	// Mapping is one buffer's window in an address space.
 	Mapping = core.Mapping
 	// CacheConfig configures the node-local hot-page cache and write
-	// combiner (Config.Cache).
+	// combiner (Config.Cache): on or off, capacity and page size. The
+	// shard count and the combiner's flush limits follow from the
+	// capacity.
 	CacheConfig = core.CacheConfig
 	// CacheStats aggregates hot-page cache and write-combiner traffic
 	// (Pool.CacheStats).
@@ -121,10 +128,9 @@ type (
 	// budgets, admission control, per-server breakers. The zero value
 	// disables everything.
 	TailConfig = core.TailConfig
-	// BreakerPolicy tunes the per-server circuit breakers
-	// (Config.Tail.Breaker): failure-ratio trip over a sliding window,
-	// slow-call classification, open duration, and the consecutive
-	// successes a half-open breaker needs to close.
+	// BreakerPolicy switches the per-server circuit breakers on
+	// (Config.Tail.Breaker) and sets the latency at which a successful
+	// access counts as slow; the rest of a breaker's tuning is fixed.
 	BreakerPolicy = core.BreakerPolicy
 	// BreakerCounters snapshots one server's breaker: its current state
 	// and its trip count (Pool.BreakerCounters).
@@ -211,10 +217,5 @@ const (
 // unprotected pool data is lost in a server crash.
 func IsMemoryException(err error) bool { return failure.IsMemoryException(err) }
 
-// Policy types for the background tasks.
-type (
-	// MigrationPolicy tunes the locality balancer.
-	MigrationPolicy = core.MigrationPolicy
-	// ServerLoad feeds the shared-region sizing optimizer.
-	ServerLoad = core.ServerLoad
-)
+// ServerLoad feeds the shared-region sizing optimizer.
+type ServerLoad = core.ServerLoad

@@ -20,6 +20,11 @@
 #                  package
 #   coverage       statement coverage from `go test -cover`, after only
 #
+# The Totals table adds one column, knobs: the lines of
+# testdata/config.golden, one per settable value of lmp.Config
+# (TestConfigKnobs keeps the file current), so a knob added shows the
+# way an added line does.
+#
 # test-only is a ledger, not a gate: it matches words, not symbols. A
 # name spelled like one that is used anywhere (Len, Less, Alloc, String)
 # counts as used, so the column under-reports; a method reached only
@@ -140,6 +145,8 @@ set -- $(totals "$TMP/before")
 bs=$1 bt=$2 be=$3 bo=$4
 set -- $(totals "$TMP/after")
 as=$1 at=$2 ae=$3 ao=$4
+bk=$(($(wc -l < "$TMP/base/testdata/config.golden")))
+ak=$(($(wc -l < testdata/config.golden)))
 
 cat <<EOF
 # AUDIT — per-package code ledger
@@ -150,11 +157,11 @@ comment-only lines are not counted.
 
 ## Totals
 
-| | non-test LoC | test LoC | exported symbols | test-only |
-|---|---:|---:|---:|---:|
-| before ($(git rev-parse --short HEAD)) | $bs | $bt | $be | $bo |
-| after (working tree) | $as | $at | $ae | $ao |
-| change | $((as - bs)) | $((at - bt)) | $((ae - be)) | $((ao - bo)) |
+| | non-test LoC | test LoC | exported symbols | test-only | knobs |
+|---|---:|---:|---:|---:|---:|
+| before ($(git rev-parse --short HEAD)) | $bs | $bt | $be | $bo | $bk |
+| after (working tree) | $as | $at | $ae | $ao | $ak |
+| change | $((as - bs)) | $((at - bt)) | $((ae - be)) | $((ao - bo)) | $((ak - bk)) |
 
 ## Packages
 
