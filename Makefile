@@ -135,7 +135,8 @@ audit:
 	mv AUDIT.md.tmp AUDIT.md
 
 # Short fuzz pass over every native fuzz target (GF(256) algebra, RS
-# round-trip/reconstruction, RPC wire codec, a reply landing in its
+# round-trip/reconstruction, RPC wire codec, a gathered request's bytes
+# against a contiguous one's, a reply landing in its
 # caller's destination against a hostile peer, the daemon's socket-facing
 # handlers and read and write receivers, the write combiner's recycled storage
 # against a flat model).
@@ -150,7 +151,7 @@ fuzz-smoke:
 	@for t in FuzzGF256Arithmetic FuzzGF256MulSlice FuzzRSRoundTrip FuzzRSTooManyErasures; do \
 		$(GO) test -run '^$$' -fuzz "^$$t$$" -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/failure/ || exit 1; \
 	done
-	@for t in FuzzFrameRoundTrip FuzzReadFrame FuzzErrorPayload FuzzReadFrameTruncation FuzzBatchRoundTrip FuzzDecodeBatch FuzzReplyInto; do \
+	@for t in FuzzFrameRoundTrip FuzzReadFrame FuzzErrorPayload FuzzReadFrameTruncation FuzzBatchRoundTrip FuzzDecodeBatch FuzzGatheredFrames FuzzReplyInto; do \
 		$(GO) test -run '^$$' -fuzz "^$$t$$" -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/rpc/ || exit 1; \
 	done
 	$(GO) test -run '^$$' -fuzz '^FuzzDaemonHandlers$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/daemon/

@@ -105,7 +105,7 @@ func (l *Link) CallAsyncCtx(ctx context.Context, method byte, payload []byte) *r
 		in.delays.Inc()
 	case FaultDup:
 		in.dups.Inc()
-		f := rpc.Async(l.next, ctx, method, payload)
+		f := rpc.Async(l.next, ctx, method, nil, payload)
 		return f.Then(func(resp []byte, err error) ([]byte, error) {
 			if err != nil {
 				return resp, err
@@ -114,7 +114,7 @@ func (l *Link) CallAsyncCtx(ctx context.Context, method byte, payload []byte) *r
 			return resp, nil
 		})
 	}
-	return rpc.Async(l.next, ctx, method, payload)
+	return rpc.Async(l.next, ctx, method, nil, payload)
 }
 
 type verdict struct {

@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/lmp-project/lmp/internal/addr"
 	"github.com/lmp-project/lmp/internal/alloc"
@@ -33,6 +34,26 @@ func lentMiB(t *testing.T) int64 {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	return (pages*int64(os.Getpagesize()) - int64(ms.Sys-ms.HeapReleased)) >> 20
+}
+
+// settledLentMiB is lentMiB once it has stopped moving: three readings
+// 20 ms apart that agree, or whatever it reads after two seconds. A
+// reading taken as the base of a window waits for memory the test does
+// not own — the queued huge pages a populator of an earlier test's node
+// is still faulting in — instead of counting it against the window.
+func settledLentMiB(t *testing.T) int64 {
+	t.Helper()
+	last, same := lentMiB(t), 0
+	for deadline := time.Now().Add(2 * time.Second); same < 2 && time.Now().Before(deadline); {
+		time.Sleep(20 * time.Millisecond)
+		cur := lentMiB(t)
+		if cur == last {
+			same++
+		} else {
+			last, same = cur, 0
+		}
+	}
+	return last
 }
 
 // TestSizingGivesMemoryBack: shrinking a server's shared region through
@@ -97,7 +118,7 @@ func TestSizingGivesMemoryBack(t *testing.T) {
 			if got := nodeOf(p, srv).ResidentBytes(); got != slices*SliceSize {
 				t.Fatalf("server %d resident %d MiB after writing %d", srv, got>>20, slices*SliceSize>>20)
 			}
-			full := lentMiB(t)
+			full := settledLentMiB(t)
 
 			if err := p.ShrinkShared(srv, target); err != nil {
 				t.Fatal(err)
@@ -114,7 +135,7 @@ func TestSizingGivesMemoryBack(t *testing.T) {
 			}
 			checkResidentWithinUse(t, p)
 
-			moved := lentMiB(t)
+			moved := settledLentMiB(t)
 			if err := b.Release(); err != nil {
 				t.Fatal(err)
 			}

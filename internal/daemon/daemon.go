@@ -268,7 +268,7 @@ func (s *Server) checkShared(off, n int64) error {
 // checkReply bounds the bytes one read or sum request may ask for by
 // what a reply frame can carry. The server checks what it is sent, so an
 // oversized request gets an ordinary error reply instead of an allocation
-// the codec then refuses to send; rangeRequest checks what it encodes.
+// the codec then refuses to send; rangeHead checks what it encodes.
 func checkReply(n int64) error {
 	if n < 0 || n > rpc.MaxPayload {
 		return fmt.Errorf("daemon: request for %d bytes: a reply can carry 0 to %d", n, rpc.MaxPayload)
@@ -437,28 +437,16 @@ func (c *Client) ReadCtx(ctx context.Context, off int64, n int) ([]byte, error) 
 	return p, err
 }
 
-// rangeRequest encodes the 12-byte (offset, length) request of a read or
-// a sum in a pooled buffer. Like every request buffer it goes back only
-// after the call succeeded (rpc/bufpool.go, rule 4): through the future
-// on the async paths, by hand on the blocking ones. A length no reply can
-// carry is refused before anything is encoded: the request holds it in 32
-// bits, and 1<<32+10 would go out as 10.
-func rangeRequest(off int64, n int) ([]byte, error) {
+// rangeHead encodes the 12-byte (offset, length) head of a read or a sum
+// request. A length no reply can carry is refused before anything is
+// encoded: the head holds it in 32 bits, and 1<<32+10 would go out as 10.
+func rangeHead(off int64, n int) (h [12]byte, err error) {
 	if err := checkReply(int64(n)); err != nil {
-		return nil, err
+		return h, err
 	}
-	req := rpc.GetBuffer(12)
-	binary.BigEndian.PutUint64(req[0:8], uint64(off))
-	binary.BigEndian.PutUint32(req[8:12], uint32(n))
-	return req, nil
-}
-
-// writeRequest encodes a write (offset, then the bytes) the same way.
-func writeRequest(off int64, data []byte) []byte {
-	req := rpc.GetBuffer(8 + len(data))
-	binary.BigEndian.PutUint64(req[0:8], uint64(off))
-	copy(req[8:], data)
-	return req
+	binary.BigEndian.PutUint64(h[0:8], uint64(off))
+	binary.BigEndian.PutUint32(h[8:12], uint32(n))
+	return h, nil
 }
 
 // ReadAsync issues a read of len(dst) bytes at off without blocking for
@@ -468,11 +456,11 @@ func writeRequest(off int64, data []byte) []byte {
 // connection; the transport pipelines (and, for small requests, batches)
 // them.
 func (c *Client) ReadAsync(ctx context.Context, off int64, dst []byte) *rpc.Future {
-	req, err := rangeRequest(off, len(dst))
+	h, err := rangeHead(off, len(dst))
 	if err != nil {
 		return rpc.ResolvedFuture(nil, err)
 	}
-	return rpc.Async(c.c, ctx, MethodRead, req).OwnRequest(req).Into(dst)
+	return rpc.Async(c.c, ctx, MethodRead, h[:], nil).Into(dst)
 }
 
 // Write stores data at off.
@@ -480,35 +468,33 @@ func (c *Client) Write(off int64, data []byte) error {
 	return c.WriteCtx(nil, off, data)
 }
 
-// WriteAsync issues a write without blocking for the acknowledgement.
+// WriteAsync issues a write without blocking for the acknowledgement. On
+// a Dial'd client the request leaves from data itself (rpc.Async), so
+// data must not change until the future has been waited on.
 func (c *Client) WriteAsync(ctx context.Context, off int64, data []byte) *rpc.Future {
-	req := writeRequest(off, data)
-	return rpc.Async(c.c, ctx, MethodWrite, req).OwnRequest(req)
+	var h [8]byte
+	binary.BigEndian.PutUint64(h[:], uint64(off))
+	return rpc.Async(c.c, ctx, MethodWrite, h[:], data)
 }
 
 // WriteCtx is Write with cancellation, with ReadCtx's semantics. A
 // cancelled write may or may not have been applied by the daemon — the
 // cancellation is client-side.
 func (c *Client) WriteCtx(ctx context.Context, off int64, data []byte) error {
-	req := writeRequest(off, data)
-	_, err := c.c.CallCtx(ctx, MethodWrite, req)
-	if err == nil {
-		rpc.PutBuffer(req)
-	}
+	f := c.WriteAsync(ctx, off, data)
+	_, err := f.WaitCtx(ctx)
+	f.Release()
 	return err
 }
 
 // Sum ships the aggregation kernel: the daemon sums [off, off+n) locally.
 func (c *Client) Sum(off int64, n int) (float64, error) {
-	req, err := rangeRequest(off, n)
+	f := c.SumAsync(nil, off, n)
+	defer f.Release()
+	resp, err := f.Wait()
 	if err != nil {
 		return 0, err
 	}
-	resp, err := c.c.Call(MethodSum, req)
-	if err != nil {
-		return 0, err
-	}
-	rpc.PutBuffer(req)
 	if len(resp) != 8 {
 		return 0, fmt.Errorf("daemon: sum reply of %d bytes, want 8", len(resp))
 	}
@@ -518,11 +504,11 @@ func (c *Client) Sum(off int64, n int) (float64, error) {
 // SumAsync ships the aggregation kernel without blocking; the future
 // resolves to the daemon's encoded partial sum.
 func (c *Client) SumAsync(ctx context.Context, off int64, n int) *rpc.Future {
-	req, err := rangeRequest(off, n)
+	h, err := rangeHead(off, n)
 	if err != nil {
 		return rpc.ResolvedFuture(nil, err)
 	}
-	return rpc.Async(c.c, ctx, MethodSum, req).OwnRequest(req)
+	return rpc.Async(c.c, ctx, MethodSum, h[:], nil)
 }
 
 // Stats fetches the daemon's typed observability snapshot.

@@ -31,24 +31,41 @@ const (
 	maxBatchBytes = 256 << 10
 )
 
-// sendEntry is one queued frame awaiting flush.
+// headMax bounds a request's head: the bytes a caller names in front of
+// its body (a write's 8-byte offset, a read's or a sum's 12-byte range),
+// which its queue entry carries by value.
+const headMax = 16
+
+// sendEntry is one queued frame awaiting flush. Its payload on the wire
+// is head[:headLen] followed by payload.
 type sendEntry struct {
 	kind    byte
 	method  byte
+	headLen uint8
+	head    [headMax]byte
 	id      uint64
 	budget  int64 // remaining deadline budget (ns); budget kinds only
 	sc      telemetry.SpanContext
+	// payload is a request's body or a reply. On the client's gathered
+	// path (Async) it is the caller's own slice, borrowed until the
+	// flusher has written or dropped the entry (bufpool.go).
 	payload []byte
 	// call is the server-side request a reply entry answers; retire
 	// releases its request buffer once the entry has been written or
 	// dropped. Nil for a received request, which holds no buffer, and on
-	// the client's request path, whose buffers the future owns.
+	// the client's request path, whose payload is the caller's or its
+	// future's.
 	call *serverCall
+}
+
+// payloadLen is the entry's frame payload size, past the metadata prefix.
+func (e *sendEntry) payloadLen() int {
+	return int(e.headLen) + len(e.payload)
 }
 
 // encodedLen is the entry's on-wire size inside a batch.
 func (e *sendEntry) encodedLen() int {
-	return frameHeaderLen + prefixLen(e.kind) + len(e.payload)
+	return frameHeaderLen + prefixLen(e.kind) + e.payloadLen()
 }
 
 // batcher serializes frame writes to w through one flusher goroutine.
@@ -65,6 +82,13 @@ type batcher struct {
 	q      []sendEntry
 	closed bool
 	failed bool
+
+	// taken counts the queues the flusher has taken, done those it has
+	// finished writing or dropping; a withdraw waiting on a taken entry
+	// sleeps on drained until done catches up (waiting says one does).
+	taken, done uint64
+	waiting     int
+	drained     sync.Cond
 
 	exited chan struct{}
 
@@ -84,6 +108,7 @@ type batcher struct {
 func newBatcher(w io.Writer, onErr func(error)) *batcher {
 	b := &batcher{w: w, onErr: onErr, exited: make(chan struct{})}
 	b.cond = sync.NewCond(&b.mu)
+	b.drained.L = &b.mu
 	go b.flushLoop()
 	return b
 }
@@ -123,6 +148,30 @@ func (b *batcher) close() {
 	b.mu.Unlock()
 }
 
+// withdraw ends the batcher's hold on the client request id, whose
+// caller is about to get its body back after a failure: a frame still in
+// the queue is taken out unsent; otherwise the flusher has taken it, and
+// withdraw returns once that write has ended or the frame was dropped.
+// Only a failed call comes here, so the success path pays nothing for it.
+func (b *batcher) withdraw(id uint64) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	for i := range b.q {
+		if b.q[i].id == id {
+			n := len(b.q) - 1
+			copy(b.q[i:], b.q[i+1:])
+			b.q[n] = sendEntry{}
+			b.q = b.q[:n]
+			return
+		}
+	}
+	b.waiting++
+	for want := b.taken; b.done < want; {
+		b.drained.Wait()
+	}
+	b.waiting--
+}
+
 // retire ends the batcher's hold on entries that have been written or
 // dropped: a server reply's request goes back to its pool, and every
 // slot forgets its payload so a drained queue pins no buffer.
@@ -141,6 +190,10 @@ func (b *batcher) flushLoop() {
 	defer close(b.exited)
 	for {
 		b.mu.Lock()
+		// Whatever the last pass took is written or dropped by now.
+		if b.done = b.taken; b.waiting > 0 {
+			b.drained.Broadcast()
+		}
 		for len(b.q) == 0 && !b.closed {
 			b.cond.Wait()
 		}
@@ -162,6 +215,7 @@ func (b *batcher) flushLoop() {
 			b.mu.Lock()
 		}
 		b.q, b.local = b.local[:0], b.q
+		b.taken++
 		failed := b.failed
 		b.mu.Unlock()
 		if failed {
@@ -191,9 +245,9 @@ func (b *batcher) writeBatch(entries []sendEntry) error {
 		// frame too large to batch is a run of one.
 		end := start + 1
 		run := e.encodedLen()
-		for len(e.payload) <= batchEntryMax && end < len(entries) && end-start < maxBatchFrames {
+		for e.payloadLen() <= batchEntryMax && end < len(entries) && end-start < maxBatchFrames {
 			n := &entries[end]
-			if len(n.payload) > batchEntryMax || run+n.encodedLen() > maxBatchBytes {
+			if n.payloadLen() > batchEntryMax || run+n.encodedLen() > maxBatchBytes {
 				break
 			}
 			run += n.encodedLen()

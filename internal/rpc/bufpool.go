@@ -1,7 +1,8 @@
 // The payload buffer pool and the ownership rules of every buffer on the
 // wire path. At most three pooled buffers carry one call's payload (rules
-// 1, 3 and 4; the server's reply, rule 2, is never one); each has exactly
-// one owner at a time, and only that owner gives it back:
+// 1, 3 and 4; the server's reply, rule 2, is never one, and a gathered
+// request, rule 5, takes none); each has exactly one owner at a time, and
+// only that owner gives it back:
 //
 //  1. Server request buffer. readPayload fills it; the server owns it
 //     until the reply frame of that request has been written or dropped —
@@ -30,14 +31,32 @@
 //     there out of the envelope — unless the read loop took it before
 //     Into came, when it gets one under this rule and is copied into the
 //     destination at Wait.
-//  4. Client request buffer. The caller assembles it in a GetBuffer
-//     buffer and hands it to the future (Future.OwnRequest); Release
-//     recycles it only when the logical call resolved with a nil error.
-//     A successful reply proves the frame left the send queue; after a
-//     cancellation, a connection failure or Close the flusher may still
-//     hold the queued frame, so on any error the buffer is left to the
-//     collector. A wrapper that re-sends a payload after the call it
-//     belongs to has succeeded must send a copy.
+//  4. Client request buffer, on a wrapped transport only. Async on any
+//     Caller but a *Client assembles head and body in a GetBuffer buffer
+//     and hands it to the future (Future.OwnRequest); Release recycles it
+//     only when the logical call resolved with a nil error. A successful
+//     reply proves the frame left the send queue; after a cancellation, a
+//     connection failure or Close the flusher may still hold the queued
+//     frame, so on any error the buffer is left to the collector. A
+//     wrapper that re-sends a payload after the call it belongs to has
+//     succeeded must send a copy.
+//  5. Gathered request: no buffer. Async on a *Client copies the request's
+//     head (at most 16 bytes) into its queue entry and borrows the body
+//     from the caller: the flusher writes header, head and body where
+//     they lie — a bare frame past frameCoalesceMax as one vectored write
+//     whose last piece is the caller's slice — and the body goes back to
+//     the caller only once the flusher has written its frame or dropped
+//     it. A successful reply proves that wherever the server reads the
+//     whole request before it succeeds: every Handle method, and a
+//     Receiver that reads all of its body, as lmpd's write does. No other
+//     completion may return the call first — not a cancellation, not
+//     Close, not a connection failure, not an error reply, which a
+//     Receiver can send before its body is drained: when a borrowing call
+//     fails, its waiter withdraws a frame the flusher has not taken yet
+//     from the queue, unsent, and otherwise waits for the write in flight
+//     to end before Wait or WaitCtx returns. The success path takes no lock, atomic or
+//     channel operation for this. The caller must not change the body
+//     until its future has been waited on.
 //
 // Under the race detector every buffer is overwritten when it is put
 // back (see bufpool_race.go), so a use after release shows up as wrong
@@ -81,15 +100,19 @@ type bufClass struct {
 	free [bufClassSlots][]byte
 }
 
-// bufPool is the process-wide pool. A package-level value like the
-// sync.Pools beside it: both ends of a connection, and every connection
-// of the process, draw from one bounded reserve.
-var bufPool struct {
+// bufferPool is a bounded reserve of free buffers in size classes. The
+// zero value is an empty pool.
+type bufferPool struct {
 	classes  [numBufClasses]bufClass
 	retained atomic.Int64 // bytes held in free slots
 	hits     atomic.Uint64
 	misses   atomic.Uint64
 }
+
+// bufPool is the process-wide pool behind GetBuffer and PutBuffer: both
+// ends of a connection, and every connection of the process, draw from
+// one bounded reserve.
+var bufPool bufferPool
 
 // emptyBuf backs every zero-length buffer: non-nil, and with no capacity
 // to recycle.
@@ -110,36 +133,7 @@ func bufClassOf(n int) int {
 // under the rules at the top of this file.
 //
 //lmp:hotpath
-func GetBuffer(n int) []byte {
-	if n == 0 {
-		return emptyBuf[:]
-	}
-	if n > MaxPayload {
-		return allocBuffer(n, n)
-	}
-	ci := bufClassOf(n)
-	c := &bufPool.classes[ci]
-	c.mu.Lock()
-	if c.n == 0 {
-		c.mu.Unlock()
-		bufPool.misses.Add(1)
-		return allocBuffer(n, 1<<(ci+minBufShift)+bufSlack)
-	}
-	c.n--
-	b := c.free[c.n]
-	c.free[c.n] = nil
-	c.mu.Unlock()
-	bufPool.retained.Add(-int64(cap(b)))
-	bufPool.hits.Add(1)
-	return b[:n]
-}
-
-// allocBuffer is GetBuffer's miss path.
-//
-//lmp:coldpath
-func allocBuffer(n, capacity int) []byte {
-	return make([]byte, n, capacity)
-}
+func GetBuffer(n int) []byte { return bufPool.get(n) }
 
 // PutBuffer gives b back. Only a buffer whose capacity is exactly a size
 // class is kept — anything else (nil, an oversized buffer, a slice that
@@ -148,22 +142,61 @@ func allocBuffer(n, capacity int) []byte {
 // caller must own b and must not touch it afterwards.
 //
 //lmp:hotpath
-func PutBuffer(b []byte) {
+func PutBuffer(b []byte) { bufPool.put(b) }
+
+// get is GetBuffer on p.
+//
+//lmp:hotpath
+func (p *bufferPool) get(n int) []byte {
+	if n == 0 {
+		return emptyBuf[:]
+	}
+	if n > MaxPayload {
+		return allocBuffer(n, n)
+	}
+	ci := bufClassOf(n)
+	c := &p.classes[ci]
+	c.mu.Lock()
+	if c.n == 0 {
+		c.mu.Unlock()
+		p.misses.Add(1)
+		return allocBuffer(n, 1<<(ci+minBufShift)+bufSlack)
+	}
+	c.n--
+	b := c.free[c.n]
+	c.free[c.n] = nil
+	c.mu.Unlock()
+	p.retained.Add(-int64(cap(b)))
+	p.hits.Add(1)
+	return b[:n]
+}
+
+// allocBuffer is get's miss path.
+//
+//lmp:coldpath
+func allocBuffer(n, capacity int) []byte {
+	return make([]byte, n, capacity)
+}
+
+// put is PutBuffer on p.
+//
+//lmp:hotpath
+func (p *bufferPool) put(b []byte) {
 	k := cap(b) - bufSlack
 	if k < 1<<minBufShift || k > 1<<maxBufShift || k&(k-1) != 0 {
 		return
 	}
 	b = b[:cap(b)]
 	poison(b)
-	if bufPool.retained.Add(int64(len(b))) > BufferRetainMax {
-		bufPool.retained.Add(-int64(len(b)))
+	if p.retained.Add(int64(len(b))) > BufferRetainMax {
+		p.retained.Add(-int64(len(b)))
 		return
 	}
-	c := &bufPool.classes[bits.TrailingZeros(uint(k))-minBufShift]
+	c := &p.classes[bits.TrailingZeros(uint(k))-minBufShift]
 	c.mu.Lock()
 	if c.n == bufClassSlots {
 		c.mu.Unlock()
-		bufPool.retained.Add(-int64(len(b)))
+		p.retained.Add(-int64(len(b)))
 		return
 	}
 	c.free[c.n] = b

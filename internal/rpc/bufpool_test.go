@@ -5,15 +5,17 @@ import (
 	"testing"
 )
 
-// drainBufPool empties every class, so a test that counts hits, misses
-// or retained bytes starts from a known pool.
-func drainBufPool() {
-	for i := range bufPool.classes {
-		c := &bufPool.classes[i]
+// drain empties every class of p, so a test that counts the process-wide
+// pool's hits, misses or retained bytes starts from a known pool. The
+// pool's own tests count a bufferPool of their own instead, which no
+// straggler of another test can put into.
+func (p *bufferPool) drain() {
+	for i := range p.classes {
+		c := &p.classes[i]
 		c.mu.Lock()
 		for c.n > 0 {
 			c.n--
-			bufPool.retained.Add(-int64(cap(c.free[c.n])))
+			p.retained.Add(-int64(cap(c.free[c.n])))
 			c.free[c.n] = nil
 		}
 		c.mu.Unlock()
@@ -26,6 +28,7 @@ func drainBufPool() {
 // it does not round up to the next one — and every size maps to the
 // smallest class that holds it.
 func TestBufferClassesFitHeaders(t *testing.T) {
+	var p bufferPool
 	for k := minBufShift; k <= maxBufShift; k++ {
 		for _, hdr := range []int{0, 8, 12, 8 + 24, bufSlack} {
 			n := 1<<k + hdr
@@ -36,22 +39,22 @@ func TestBufferClassesFitHeaders(t *testing.T) {
 			for want < n {
 				want = (want-bufSlack)<<1 + bufSlack
 			}
-			b := GetBuffer(n)
+			b := p.get(n)
 			if len(b) != n || cap(b) != want || want > 1<<k+bufSlack {
-				t.Errorf("GetBuffer(2^%d+%d): len %d cap %d, want len %d cap %d", k, hdr, len(b), cap(b), n, want)
+				t.Errorf("get(2^%d+%d): len %d cap %d, want len %d cap %d", k, hdr, len(b), cap(b), n, want)
 			}
 		}
 		if n := 1<<k + bufSlack + 1; n <= MaxPayload {
-			if b := GetBuffer(n); cap(b) != 1<<(k+1)+bufSlack {
-				t.Errorf("GetBuffer(2^%d+%d): cap %d, want the next class", k, bufSlack+1, cap(b))
+			if b := p.get(n); cap(b) != 1<<(k+1)+bufSlack {
+				t.Errorf("get(2^%d+%d): cap %d, want the next class", k, bufSlack+1, cap(b))
 			}
 		}
 	}
-	if b := GetBuffer(1); cap(b) != 1<<minBufShift+bufSlack {
-		t.Errorf("GetBuffer(1): cap %d, want the smallest class", cap(b))
+	if b := p.get(1); cap(b) != 1<<minBufShift+bufSlack {
+		t.Errorf("get(1): cap %d, want the smallest class", cap(b))
 	}
-	if b := GetBuffer(0); b == nil || len(b) != 0 || cap(b) != 0 {
-		t.Errorf("GetBuffer(0) = %v (cap %d), want an empty non-nil slice that cannot be recycled", b, cap(b))
+	if b := p.get(0); b == nil || len(b) != 0 || cap(b) != 0 {
+		t.Errorf("get(0) = %v (cap %d), want an empty non-nil slice that cannot be recycled", b, cap(b))
 	}
 }
 
@@ -59,61 +62,57 @@ func TestBufferClassesFitHeaders(t *testing.T) {
 // comes back on the next get of its class; nothing else is ever kept —
 // not a slice of foreign capacity, not a size above MaxPayload.
 func TestBufferPoolRecyclesOnlyItsOwn(t *testing.T) {
-	drainBufPool()
-	defer drainBufPool()
-
-	b := GetBuffer(1000)
-	PutBuffer(b)
-	if got := bufPool.retained.Load(); got != int64(cap(b)) {
+	var p bufferPool
+	b := p.get(1000)
+	p.put(b)
+	if got := p.retained.Load(); got != int64(cap(b)) {
 		t.Fatalf("retained %d after one put, want %d", got, cap(b))
 	}
-	if again := GetBuffer(900); &again[0] != &b[0] {
+	if again := p.get(900); &again[0] != &b[0] {
 		t.Error("a put buffer was not handed out again by the next get of its class")
 	}
-	if got := bufPool.retained.Load(); got != 0 {
+	if got := p.retained.Load(); got != 0 {
 		t.Fatalf("retained %d with every buffer out, want 0", got)
 	}
 
-	PutBuffer(nil)
-	PutBuffer(make([]byte, 1000))           // not a class capacity
-	PutBuffer(make([]byte, 1<<10))          // a bare power of two is not one either
-	PutBuffer(GetBuffer(MaxPayload + 1))    // oversized: allocated exactly, never kept
-	PutBuffer(make([]byte, 1<<25+bufSlack)) // class-shaped but past the largest class
-	if got := bufPool.retained.Load(); got != 0 {
+	p.put(nil)
+	p.put(make([]byte, 1000))           // not a class capacity
+	p.put(make([]byte, 1<<10))          // a bare power of two is not one either
+	p.put(p.get(MaxPayload + 1))        // oversized: allocated exactly, never kept
+	p.put(make([]byte, 1<<25+bufSlack)) // class-shaped but past the largest class
+	if got := p.retained.Load(); got != 0 {
 		t.Errorf("retained %d after putting only foreign buffers, want 0", got)
 	}
-	if b := GetBuffer(MaxPayload + 1); cap(b) != MaxPayload+1 {
-		t.Errorf("GetBuffer(MaxPayload+1): cap %d, want an exact allocation", cap(b))
+	if b := p.get(MaxPayload + 1); cap(b) != MaxPayload+1 {
+		t.Errorf("get(MaxPayload+1): cap %d, want an exact allocation", cap(b))
 	}
 }
 
 // TestBufferPoolBounded: whatever is put, the pool keeps at most
 // bufClassSlots buffers per class and BufferRetainMax bytes in total.
 func TestBufferPoolBounded(t *testing.T) {
-	drainBufPool()
-	defer drainBufPool()
-
+	var p bufferPool
 	small := make([][]byte, 2*bufClassSlots)
 	for i := range small {
-		small[i] = GetBuffer(100)
+		small[i] = p.get(100)
 	}
 	for _, b := range small {
-		PutBuffer(b)
+		p.put(b)
 	}
-	if got, want := bufPool.retained.Load(), int64(bufClassSlots*cap(small[0])); got != want {
+	if got, want := p.retained.Load(), int64(bufClassSlots*cap(small[0])); got != want {
 		t.Errorf("retained %d after %d puts into one class, want %d (%d slots)", got, len(small), want, bufClassSlots)
 	}
-	drainBufPool()
+	p.drain()
 
 	// 1 MiB buffers: the byte bound bites before the slot bound.
 	big := make([][]byte, 16)
 	for i := range big {
-		big[i] = GetBuffer(1 << 20)
+		big[i] = p.get(1 << 20)
 	}
 	for _, b := range big {
-		PutBuffer(b)
+		p.put(b)
 	}
-	got := bufPool.retained.Load()
+	got := p.retained.Load()
 	if got > BufferRetainMax {
 		t.Errorf("retained %d bytes, above BufferRetainMax %d", got, BufferRetainMax)
 	}
@@ -125,10 +124,11 @@ func TestBufferPoolBounded(t *testing.T) {
 // TestBufferPoolHitAllocFree: a get that hits and the put that follows
 // allocate nothing — no boxed slice header, no node.
 func TestBufferPoolHitAllocFree(t *testing.T) {
+	p := new(bufferPool)
 	for _, n := range []int{12, 72, 4096, 256<<10 + 8} {
-		PutBuffer(GetBuffer(n)) // warm the class
-		if a := testing.AllocsPerRun(100, func() { PutBuffer(GetBuffer(n)) }); a != 0 {
-			t.Errorf("GetBuffer(%d)+PutBuffer allocate %.1f per pair, want 0", n, a)
+		p.put(p.get(n)) // warm the class
+		if a := testing.AllocsPerRun(100, func() { p.put(p.get(n)) }); a != 0 {
+			t.Errorf("get(%d)+put allocate %.1f per pair, want 0", n, a)
 		}
 	}
 }
@@ -137,8 +137,8 @@ func TestBufferPoolHitAllocFree(t *testing.T) {
 // on every failure, goes back instead of being returned short. The
 // header is read into scratch the read loop owns, so it takes nothing.
 func TestReadFramePooledErrors(t *testing.T) {
-	drainBufPool()
-	defer drainBufPool()
+	bufPool.drain()
+	defer bufPool.drain()
 	var w bytes.Buffer
 	if err := writeFrame(&w, &sendEntry{kind: kindRequest, method: 1, id: 1, payload: make([]byte, 5000)}); err != nil {
 		t.Fatal(err)

@@ -108,14 +108,15 @@ var framePool = sync.Pool{New: func() any {
 // 14-byte segment ahead of the payload under TCP_NODELAY).
 const frameCoalesceMax = 64 << 10
 
-// appendFrame appends e's fixed header and the metadata prefix its kind
-// calls for — everything of the frame, bare or inside a batch, except
-// the payload, which the caller appends or writes straight after.
+// appendFrame appends e's fixed header, the metadata prefix its kind
+// calls for and e's head — everything of the frame, bare or inside a
+// batch, except e.payload, which the caller appends or writes straight
+// after.
 func appendFrame(buf []byte, e *sendEntry) []byte {
 	budgeted, traced, prefix, _ := requestMeta(e.kind)
 	buf = append(buf, e.kind, e.method)
 	buf = binary.BigEndian.AppendUint64(buf, e.id)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(prefix+len(e.payload)))
+	buf = binary.BigEndian.AppendUint32(buf, uint32(prefix+e.payloadLen()))
 	if budgeted {
 		buf = binary.BigEndian.AppendUint64(buf, uint64(e.budget))
 	}
@@ -123,7 +124,7 @@ func appendFrame(buf []byte, e *sendEntry) []byte {
 		buf = binary.BigEndian.AppendUint64(buf, e.sc.Trace)
 		buf = binary.BigEndian.AppendUint64(buf, e.sc.Span)
 	}
-	return buf
+	return append(buf, e.head[:e.headLen]...)
 }
 
 // decodePrefix is appendFrame's inverse for the metadata prefix: it
@@ -147,15 +148,17 @@ func decodePrefix(kind byte, payload []byte) (budget int64, sc telemetry.SpanCon
 	return budget, sc, payload, true
 }
 
-// writeFrame writes e bare (not inside a batch envelope).
+// writeFrame writes e bare (not inside a batch envelope). A frame past
+// frameCoalesceMax leaves from e.payload where it lies, so the caller's
+// bytes reach the kernel without a copy.
 func writeFrame(w io.Writer, e *sendEntry) error {
-	if limit := MaxPayload - prefixLen(e.kind); len(e.payload) > limit {
-		return fmt.Errorf("rpc: payload %d exceeds max %d", len(e.payload), limit)
+	if limit := MaxPayload - prefixLen(e.kind); e.payloadLen() > limit {
+		return fmt.Errorf("rpc: payload %d exceeds max %d", e.payloadLen(), limit)
 	}
 	fs := framePool.Get().(*frameScratch)
 	buf := appendFrame(fs.hdr[:0], e)
 	var err error
-	if len(e.payload) > frameCoalesceMax {
+	if e.payloadLen() > frameCoalesceMax {
 		fs.iov[0], fs.iov[1] = buf, e.payload
 		fs.vec = fs.iov[:]
 		_, err = fs.vec.WriteTo(w)

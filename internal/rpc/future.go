@@ -28,6 +28,12 @@ type Future struct {
 	reply []byte
 	req   []byte
 
+	// borrow says the call's queued frame borrows the caller's body
+	// (Async on a *Client, bufpool.go rule 5): a failed call withdraws
+	// the frame before its waiter returns. Set by the issuer, read by the
+	// waiter.
+	borrow bool
+
 	// dst is the caller's destination for the reply bytes, set by Into
 	// under the pending-table lock (into says it was). landed is set by
 	// the read loop before it completes the future when the bytes went
@@ -148,10 +154,14 @@ func (f *Future) complete(payload []byte, err error) {
 	}
 }
 
-// settle caches the received completion, lands a reply that did not go
-// straight into the destination, and runs the then hook.
+// settle caches the received completion, gives a failed call's borrowed
+// body back only once the flusher is done with it, lands a reply that did
+// not go straight into the destination, and runs the then hook.
 func (f *Future) settle() {
 	f.resolved = true
+	if f.borrow && f.err != nil {
+		f.c.b.withdraw(f.id)
+	}
 	if f.into && !f.landed && f.err == nil {
 		if len(f.payload) == len(f.dst) {
 			copy(f.dst, f.payload)
@@ -250,14 +260,30 @@ type AsyncCaller interface {
 	CallAsyncCtx(ctx context.Context, method byte, payload []byte) *Future
 }
 
-// Async issues a call on c without blocking: natively when c is an
-// AsyncCaller, otherwise via a spawned goroutine around the blocking
-// CallCtx, so callers can pipeline over any Caller in the stack.
-func Async(c Caller, ctx context.Context, method byte, payload []byte) *Future {
+// Async issues a call on c without blocking; its request payload is
+// head followed by body. It is the one way a data call starts.
+//
+// On a *Client (and a head of at most 16 bytes) the request leaves from
+// where it lies: the queued frame carries a copy of head and borrows
+// body, which the caller must leave alone until Wait or WaitCtx has
+// returned (bufpool.go, rule 5). Any other Caller gets head and body
+// assembled in a GetBuffer buffer, so a wrapper that holds or re-sends
+// its payload never reads the caller's slice: natively when c is an
+// AsyncCaller, with the buffer owned by the future (OwnRequest, rule 4),
+// otherwise via a spawned goroutine around the blocking CallCtx, which
+// leaves the buffer to the collector.
+func Async(c Caller, ctx context.Context, method byte, head, body []byte) *Future {
+	if cl, ok := c.(*Client); ok && len(head) <= headMax {
+		f := getFuture(cl)
+		f.borrow = cl.startCall(ctx, method, head, body, f) && len(body) > 0
+		return f
+	}
+	req := GetBuffer(len(head) + len(body))
+	copy(req[copy(req, head):], body)
 	if ac, ok := c.(AsyncCaller); ok {
-		return ac.CallAsyncCtx(ctx, method, payload)
+		return ac.CallAsyncCtx(ctx, method, req).OwnRequest(req)
 	}
 	return SpawnFuture(func() ([]byte, error) {
-		return c.CallCtx(ctx, method, payload)
+		return c.CallCtx(ctx, method, req)
 	})
 }

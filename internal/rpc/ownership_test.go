@@ -11,7 +11,8 @@ import (
 	"time"
 )
 
-// The ownership wall: tests of the four rules at the top of bufpool.go.
+// The ownership wall: tests of rules 1–4 at the top of bufpool.go (rule
+// 5, the gathered request's borrowed body, is gather_test.go's).
 // They run against real connections with every buffer on the path
 // recycled, and they check bytes, not pointers: under the race detector
 // a buffer is overwritten with 0xDB when it is put back, so one released
@@ -72,8 +73,9 @@ func startBlockEchoServer(t *testing.T) (addr string, broken *atomic.Int64) {
 	return addr, broken
 }
 
-// issueBlock sends one block the way daemon.Client sends a write: the
-// request is assembled in a pooled buffer that rides with the future.
+// issueBlock sends one block the way Async sends a write over a wrapped
+// transport: the request is assembled in a pooled buffer that rides with
+// the future.
 func issueBlock(c *Client, ctx context.Context, size int, caller, seq uint64) *Future {
 	req := GetBuffer(size)
 	fillBlock(req, caller, seq)

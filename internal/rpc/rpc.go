@@ -934,7 +934,7 @@ func (c *Client) Call(method byte, payload []byte) ([]byte, error) {
 // discarded by the read loop as stale. A nil context never cancels.
 func (c *Client) CallCtx(ctx context.Context, method byte, payload []byte) ([]byte, error) {
 	f := getFuture(c)
-	c.startCall(ctx, method, payload, f)
+	c.startCall(ctx, method, nil, payload, f)
 	p, err := f.WaitCtx(ctx)
 	putFuture(f) // the reply buffer leaves with p: garbage, never reused
 	return p, err
@@ -947,15 +947,17 @@ func (c *Client) CallCtx(ctx context.Context, method byte, payload []byte) ([]by
 // goroutine, which may then Release it.
 func (c *Client) CallAsyncCtx(ctx context.Context, method byte, payload []byte) *Future {
 	f := getFuture(c)
-	c.startCall(ctx, method, payload, f)
+	c.startCall(ctx, method, nil, payload, f)
 	return f
 }
 
 // startCall registers f in the pending table and queues the request
-// frame. Fast-fail paths (cancelled context, exhausted deadline budget,
-// closed or failed client) complete f directly without
-// touching the table.
-func (c *Client) startCall(ctx context.Context, method byte, payload []byte, f *Future) {
+// frame, whose payload is head (at most headMax bytes, copied into the
+// entry) followed by body (which the entry references). It reports
+// whether the frame was queued. Fast-fail paths (cancelled context,
+// exhausted deadline budget, closed or failed client) complete f
+// directly without touching the table.
+func (c *Client) startCall(ctx context.Context, method byte, head, body []byte, f *Future) bool {
 	// A context deadline becomes the call's remaining budget, propagated
 	// on the wire so the server can refuse dispatch once it is spent. The
 	// budget is read when the call starts: a caller re-issuing it sends
@@ -964,12 +966,12 @@ func (c *Client) startCall(ctx context.Context, method byte, payload []byte, f *
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
 			f.complete(nil, cancelErr(err))
-			return
+			return false
 		}
 		if dl, ok := ctx.Deadline(); ok {
 			if budget = int64(time.Until(dl)); budget <= 0 {
 				f.complete(nil, errBudgetSpent)
-				return
+				return false
 			}
 		}
 	}
@@ -977,12 +979,12 @@ func (c *Client) startCall(ctx context.Context, method byte, payload []byte, f *
 	if c.pt.closed {
 		c.pt.Unlock()
 		f.complete(nil, ErrClosed)
-		return
+		return false
 	}
 	if err := c.pt.term; err != nil {
 		c.pt.Unlock()
 		f.complete(nil, err)
-		return
+		return false
 	}
 	c.pt.nextID++
 	id := c.pt.nextID
@@ -1004,7 +1006,9 @@ func (c *Client) startCall(ctx context.Context, method byte, payload []byte, f *
 	case budget > 0:
 		kind = kindBudgetRequest
 	}
-	if err := c.b.enqueue(sendEntry{kind: kind, method: method, id: id, budget: budget, sc: sc, payload: payload}); err != nil {
+	e := sendEntry{kind: kind, method: method, headLen: uint8(len(head)), id: id, budget: budget, sc: sc, payload: body}
+	copy(e.head[:], head)
+	if err := c.b.enqueue(e); err != nil {
 		// The batcher is closed or the connection already failed; whoever
 		// still owns the pending entry fails this call.
 		if g, _, _ := c.takePending(id); g != nil {
@@ -1016,7 +1020,9 @@ func (c *Client) startCall(ctx context.Context, method byte, payload []byte, f *
 			}
 			g.complete(nil, term)
 		}
+		return false
 	}
+	return true
 }
 
 // cancelErr wraps a context error for the rpc error contract: a passed

@@ -141,8 +141,8 @@ func runWithdrawalStress(t *testing.T, seed int64, echoed, cancelled *atomic.Int
 
 // TestWithdrawnWritesStoreWholeBlocks is the request-buffer half of the
 // withdrawal race (bufpool.go, rule 4; wall (b)): callers assemble
-// self-describing blocks in pooled request buffers, the way
-// daemon.Client.WriteAsync does, and their contexts are cancelled at
+// self-describing blocks in pooled request buffers, the way Async does
+// over a wrapped transport, and their contexts are cancelled at
 // seeded moments — a third of them straight after the issue, while the
 // frame still sits in the send queue, a third from a timer around the
 // round trip. Every future is released whatever its outcome. A request
