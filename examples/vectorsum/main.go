@@ -55,9 +55,13 @@ func modeled() {
 }
 
 func live() {
-	fmt.Println("== live run: 4 daemons over TCP, 16MiB vector ==")
+	// Each daemon holds its share of the vector as one extent (at most
+	// 16 MiB), so a shipped sum sends it one kernel and gets back one
+	// 8-byte partial.
+	const daemons = 4
+	fmt.Printf("== live run: %d daemons over TCP, 16MiB vector ==\n", daemons)
 	var clients []*daemon.Client
-	for i := 0; i < 4; i++ {
+	for i := 0; i < daemons; i++ {
 		srv, err := daemon.NewServer(fmt.Sprintf("srv%d", i), 16<<20, 16<<20)
 		if err != nil {
 			log.Fatal(err)
@@ -110,8 +114,8 @@ func live() {
 
 	fmt.Printf("pulled sum  = %.0f (want %.0f) in %v — %d MiB crossed the fabric\n",
 		pulled, want, pullTime.Round(time.Millisecond), vector>>20)
-	fmt.Printf("shipped sum = %.0f (want %.0f) in %v — only 4 partials crossed the fabric\n",
-		shipped, want, shipTime.Round(time.Millisecond))
+	fmt.Printf("shipped sum = %.0f (want %.0f) in %v — only %d partials crossed the fabric\n",
+		shipped, want, shipTime.Round(time.Millisecond), daemons)
 	fmt.Printf("shipping moved %.6f%% of the bytes and was %.1fx faster here\n",
-		float64(4*8)/float64(vector)*100, float64(pullTime)/float64(shipTime))
+		float64(daemons*8)/float64(vector)*100, float64(pullTime)/float64(shipTime))
 }

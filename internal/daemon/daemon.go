@@ -329,6 +329,16 @@ func (s *Server) handleSum(p []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
+	sum := sumWords(buf)
+	runtime.KeepAlive(s.node) // buf is a view: the node stays mapped until the sum is done
+	out := make([]byte, 8)
+	binary.BigEndian.PutUint64(out, math.Float64bits(sum))
+	return out, nil
+}
+
+// sumWords is the sum kernel: the little-endian uint64 words of buf, and
+// the bytes of a tail shorter than a word one by one.
+func sumWords(buf []byte) float64 {
 	var sum float64
 	i := 0
 	for ; i+8 <= len(buf); i += 8 {
@@ -337,10 +347,7 @@ func (s *Server) handleSum(p []byte) ([]byte, error) {
 	for ; i < len(buf); i++ {
 		sum += float64(buf[i])
 	}
-	runtime.KeepAlive(s.node) // buf is a view: the node stays mapped until the sum is done
-	out := make([]byte, 8)
-	binary.BigEndian.PutUint64(out, math.Float64bits(sum))
-	return out, nil
+	return sum
 }
 
 func (s *Server) handleResize(p []byte) ([]byte, error) {

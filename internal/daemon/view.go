@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"github.com/lmp-project/lmp/internal/rpc"
@@ -42,11 +43,10 @@ func NewPoolView(stripe int64, clients ...*Client) (*PoolView, error) {
 // own request prefix (budget and trace, 24 bytes), rounded to a page.
 const maxStripe = rpc.MaxPayload - 4096
 
-// ViewChunk locates one striped piece of a distributed buffer.
-type ViewChunk struct {
-	Daemon int
-	Offset int64
-	Size   int64
+// viewExtent is one daemon's part of a buffer: its stripes, back to back.
+type viewExtent struct {
+	daemon    int
+	off, size int64
 }
 
 // ViewBuffer is a buffer striped across daemons. It is safe for
@@ -56,108 +56,98 @@ type ViewBuffer struct {
 	view *PoolView
 	size int64
 
-	mu     sync.RWMutex
-	chunks []ViewChunk // nil once released
+	mu sync.RWMutex
+	// extents has one extent per daemon in the deal, in dealing order: stripe
+	// k is k/len(extents) stripes into extents[k%len(extents)]. nil once released.
+	extents []viewExtent
 }
 
 // Size reports the buffer's byte size.
 func (b *ViewBuffer) Size() int64 { return b.size }
 
-// Chunks returns a copy of the placement (for inspection).
-func (b *ViewBuffer) Chunks() []ViewChunk {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	out := make([]ViewChunk, len(b.chunks))
-	copy(out, b.chunks)
-	return out
-}
-
-// Alloc stripes n bytes across the daemons. On failure all partial
-// reservations are rolled back.
+// Alloc stripes n bytes across the daemons, dealt round-robin from where
+// the last deal stopped, and asks each daemon in the deal once, for one
+// extent holding its stripes. The trade-off: a share needs contiguous
+// free space on its daemon. A daemon that refuses leaves the deal, every
+// extent granted is freed and the stripes are dealt again; Alloc fails,
+// holding nothing, only when no daemon is left.
 func (v *PoolView) Alloc(n int64) (*ViewBuffer, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("daemon: alloc of %d bytes", n)
 	}
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	b := &ViewBuffer{view: v, size: n}
-	remaining := n
-	failures := 0
-	for remaining > 0 {
-		d := v.next
-		v.next = (v.next + 1) % len(v.clients)
-		sz := v.stripe
-		if remaining < sz {
-			sz = remaining
-		}
-		off, err := v.clients[d].Alloc(sz)
-		if err != nil {
-			failures++
-			if failures >= len(v.clients) {
-				v.rollback(b.chunks)
-				return nil, fmt.Errorf("daemon: pool exhausted with %d bytes unplaced: %w", remaining, err)
+	stripes := (n + v.stripe - 1) / v.stripe
+	deal := make([]int, len(v.clients))
+	for i := range deal {
+		deal[i] = (v.next + i) % len(v.clients)
+	}
+	for {
+		m := min(int64(len(deal)), stripes)
+		extents := make([]viewExtent, 0, m)
+		var err error
+		for i := int64(0); i < m && err == nil; i++ {
+			size := (stripes - i + m - 1) / m * v.stripe // stripes i, i+m, ...
+			if i == (stripes-1)%m {
+				size -= stripes*v.stripe - n
 			}
-			continue
+			var off int64
+			if off, err = v.clients[deal[i]].Alloc(size); err == nil {
+				extents = append(extents, viewExtent{daemon: deal[i], off: off, size: size})
+			}
 		}
-		failures = 0
-		b.chunks = append(b.chunks, ViewChunk{Daemon: d, Offset: off, Size: sz})
-		remaining -= sz
+		if err == nil {
+			v.next = int((int64(v.next) + stripes) % int64(len(v.clients)))
+			return &ViewBuffer{view: v, size: n, extents: extents}, nil
+		}
+		_ = v.free(extents) // a failed free leaves its extent held, as in Release
+		deal = slices.Delete(deal, len(extents), len(extents)+1)
+		if len(deal) == 0 {
+			return nil, fmt.Errorf("daemon: pool exhausted: no daemon holds its share of %d bytes: %w", n, err)
+		}
 	}
-	return b, nil
 }
 
-func (v *PoolView) rollback(chunks []ViewChunk) {
-	for _, c := range chunks {
-		_ = v.clients[c.Daemon].Free(c.Offset)
-	}
-}
-
-// Release frees every stripe. Every later access fails.
-func (b *ViewBuffer) Release() error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
+// free gives back each extent and reports the first error.
+func (v *PoolView) free(extents []viewExtent) error {
 	var firstErr error
-	for _, c := range b.chunks {
-		if err := b.view.clients[c.Daemon].Free(c.Offset); err != nil && firstErr == nil {
+	for _, e := range extents {
+		if err := v.clients[e.daemon].Free(e.off); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
-	b.chunks = nil
 	return firstErr
 }
 
-// locate walks the chunks overlapping [off, off+n).
-func (b *ViewBuffer) locate(off, n int64, visit func(c ViewChunk, chunkOff, bufOff, length int64) error) error {
+// Release frees every daemon's extent. Every later access fails.
+func (b *ViewBuffer) Release() error {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	err := b.view.free(b.extents)
+	b.extents = nil
+	return err
+}
+
+// locate visits each stripe's part of [off, off+n): its daemon, where the
+// part starts on it, the part's offset from off, and its length.
+func (b *ViewBuffer) locate(off, n int64, visit func(c *Client, at, bufOff, length int64)) error {
 	if off < 0 || n < 0 || n > b.size-off {
 		return fmt.Errorf("daemon: access of %d bytes at %d outside buffer of %d", n, off, b.size)
 	}
 	b.mu.RLock()
 	defer b.mu.RUnlock()
-	if b.chunks == nil {
+	if b.extents == nil {
 		// The walk below would visit nothing and the access would report
 		// success having moved no bytes.
 		return fmt.Errorf("daemon: access of %d bytes at %d of a released buffer", n, off)
 	}
-	var pos int64
-	for _, c := range b.chunks {
-		if n == 0 {
-			break
-		}
-		end := pos + c.Size
-		if off < end && pos < off+n {
-			lo := off
-			if pos > lo {
-				lo = pos
-			}
-			hi := off + n
-			if end < hi {
-				hi = end
-			}
-			if err := visit(c, lo-pos, lo-off, hi-lo); err != nil {
-				return err
-			}
-		}
-		pos = end
+	stripe, m := b.view.stripe, int64(len(b.extents))
+	for pos := off; pos < off+n; {
+		k := pos / stripe
+		e := b.extents[k%m]
+		length := min(stripe-pos%stripe, off+n-pos)
+		visit(b.view.clients[e.daemon], e.off+k/m*stripe+pos%stripe, pos-off, length)
+		pos += length
 	}
 	return nil
 }
@@ -180,9 +170,8 @@ func (b *ViewBuffer) WriteAt(data []byte, off int64) error {
 func (b *ViewBuffer) WriteAtCtx(ctx context.Context, data []byte, off int64) error {
 	var stack [stackChunks]*rpc.Future
 	calls := stack[:0]
-	err := b.locate(off, int64(len(data)), func(c ViewChunk, chunkOff, bufOff, length int64) error {
-		calls = append(calls, b.view.clients[c.Daemon].WriteAsync(ctx, c.Offset+chunkOff, data[bufOff:bufOff+length]))
-		return nil
+	err := b.locate(off, int64(len(data)), func(c *Client, at, bufOff, length int64) {
+		calls = append(calls, c.WriteAsync(ctx, at, data[bufOff:bufOff+length]))
 	})
 	return waitChunks(ctx, calls, err)
 }
@@ -198,9 +187,8 @@ func (b *ViewBuffer) ReadAt(p []byte, off int64) error {
 func (b *ViewBuffer) ReadAtCtx(ctx context.Context, p []byte, off int64) error {
 	var stack [stackChunks]*rpc.Future
 	calls := stack[:0]
-	err := b.locate(off, int64(len(p)), func(c ViewChunk, chunkOff, bufOff, length int64) error {
-		calls = append(calls, b.view.clients[c.Daemon].ReadAsync(ctx, c.Offset+chunkOff, p[bufOff:bufOff+length]))
-		return nil
+	err := b.locate(off, int64(len(p)), func(c *Client, at, bufOff, length int64) {
+		calls = append(calls, c.ReadAsync(ctx, at, p[bufOff:bufOff+length]))
 	})
 	return waitChunks(ctx, calls, err)
 }
@@ -217,57 +205,69 @@ func waitChunks(ctx context.Context, calls []*rpc.Future, err error) error {
 	return err
 }
 
+// pieces splits each daemon's extent into ranges of at most
+// rpc.MaxPayload bytes, the most one sum or one read reply may cover.
+func (b *ViewBuffer) pieces() ([]viewExtent, error) {
+	b.mu.RLock()
+	defer b.mu.RUnlock()
+	if b.extents == nil {
+		return nil, fmt.Errorf("daemon: sum of a released buffer")
+	}
+	var out []viewExtent
+	for _, e := range b.extents {
+		for at := int64(0); at < e.size; at += rpc.MaxPayload {
+			out = append(out, viewExtent{daemon: e.daemon, off: e.off + at, size: min(rpc.MaxPayload, e.size-at)})
+		}
+	}
+	return out, nil
+}
+
 // ShippedSum computes the sum of the buffer's little-endian uint64 words
-// by shipping the kernel to every owning daemon in parallel — the §4.4
+// by shipping one kernel per piece to the owning daemons — the §4.4
 // near-memory pattern in the live mode. The kernels are pipelined: every
 // daemon is summing before the first partial result returns.
 func (b *ViewBuffer) ShippedSum() (float64, error) {
-	chunks := b.Chunks()
-	futures := make([]*rpc.Future, len(chunks))
-	for i, c := range chunks {
-		futures[i] = b.view.clients[c.Daemon].SumAsync(nil, c.Offset, int(c.Size))
+	pieces, err := b.pieces()
+	if err != nil {
+		return 0, err
+	}
+	futures := make([]*rpc.Future, len(pieces))
+	for i, p := range pieces {
+		futures[i] = b.view.clients[p.daemon].SumAsync(nil, p.off, int(p.size))
 	}
 	var sum float64
-	var firstErr error
 	for _, f := range futures {
-		resp, err := f.Wait()
-		switch {
-		case err == nil && len(resp) < 8:
-			err = fmt.Errorf("daemon: short sum response")
-		case err == nil:
-			sum += math.Float64frombits(binary.BigEndian.Uint64(resp))
+		resp, ferr := f.Wait()
+		if ferr == nil && len(resp) != 8 {
+			ferr = fmt.Errorf("daemon: sum reply of %d bytes, want 8", len(resp))
 		}
-		if err != nil && firstErr == nil {
-			firstErr = err
+		if ferr == nil {
+			sum += math.Float64frombits(binary.BigEndian.Uint64(resp))
+		} else if err == nil {
+			err = ferr
 		}
 		f.Release()
 	}
-	if firstErr != nil {
-		return 0, firstErr
+	if err != nil {
+		return 0, err
 	}
 	return sum, nil
 }
 
-// PulledSum computes the same reduction by pulling every byte to the
-// client — the baseline shipped execution beats.
+// PulledSum computes the same reduction, over the same pieces, by pulling
+// every byte to the client — the baseline shipped execution beats.
 func (b *ViewBuffer) PulledSum() (float64, error) {
+	pieces, err := b.pieces()
+	if err != nil {
+		return 0, err
+	}
 	var sum float64
-	for _, c := range b.Chunks() {
-		data, err := b.view.clients[c.Daemon].Read(c.Offset, int(c.Size))
+	for _, p := range pieces {
+		data, err := b.view.clients[p.daemon].Read(p.off, int(p.size))
 		if err != nil {
 			return 0, err
 		}
-		i := 0
-		for ; i+8 <= len(data); i += 8 {
-			var w uint64
-			for k := 0; k < 8; k++ {
-				w |= uint64(data[i+k]) << (8 * k)
-			}
-			sum += float64(w)
-		}
-		for ; i < len(data); i++ {
-			sum += float64(data[i])
-		}
+		sum += sumWords(data)
 	}
 	return sum, nil
 }

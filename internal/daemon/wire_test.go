@@ -420,6 +420,15 @@ func TestWirePathAllocBudget(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// A daemon's alloc request goes back to the pool only once its
+		// reply is written, which may be after Alloc returns. A read of no
+		// bytes takes no pooled buffer, and its reply is written after
+		// that, so the pool is sampled once every set-up buffer is back.
+		for _, c := range v.clients {
+			if _, err := c.Read(0, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
 		retained := func() int64 { return servers[0].Metrics().Gauge("rpc.buffer.retained_bytes").Value() }
 		retainedBefore := retained()
 		data := make([]byte, 1<<20)
