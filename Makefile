@@ -134,28 +134,26 @@ audit:
 	sh scripts/audit.sh > AUDIT.md.tmp
 	mv AUDIT.md.tmp AUDIT.md
 
-# Short fuzz pass over every native fuzz target (GF(256) algebra, RS
-# round-trip/reconstruction, RPC wire codec, a gathered request's bytes
-# against a contiguous one's, a reply landing in its
-# caller's destination against a hostile peer, the daemon's socket-facing
-# handlers and read and write receivers, the write combiner's recycled storage
-# against a flat model).
+# Short fuzz pass over every native fuzz target of the module, found with
+# `go test -list '^Fuzz'` (GF(256) algebra, RS round-trip/reconstruction,
+# the RPC wire codec and the server's read loop against arbitrary bytes,
+# a reply landing in its caller's destination against a hostile peer, the
+# daemon's socket-facing handlers and read and write receivers, the write
+# combiner's recycled storage against a flat model, and whatever is added).
 # The seed corpora already run as plain tests; this budgets $(FUZZTIME)
 # of mutation per target. Go allows one -fuzz target per invocation,
-# hence the loops. -fuzzminimizetime 1s bounds the time spent minimizing
+# hence the loop. -fuzzminimizetime 1s bounds the time spent minimizing
 # each new interesting input (Go's default is 60s): minimizing a byte
 # input tries removing every subset of its bytes, quadratic in its
 # length, and on FuzzWriteCombinerModel's 1000-byte programs the default
 # ate a whole smoke budget, at ~1 exec/s.
 fuzz-smoke:
-	@for t in FuzzGF256Arithmetic FuzzGF256MulSlice FuzzRSRoundTrip FuzzRSTooManyErasures; do \
-		$(GO) test -run '^$$' -fuzz "^$$t$$" -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/failure/ || exit 1; \
+	@targets=$$($(GO) test -list '^Fuzz' ./... | awk '/^Fuzz/ { t[n++] = $$1; next } /^ok/ { for (i = 0; i < n; i++) print $$2, t[i]; n = 0 } /^FAIL/ { bad = 1 } END { exit bad }') || exit 1; \
+	[ -n "$$targets" ] || { echo "fuzz-smoke: no fuzz targets found"; exit 1; }; \
+	echo "$$targets" | while read pkg t; do \
+		echo "fuzz-smoke: $$pkg $$t"; \
+		$(GO) test -run '^$$' -fuzz "^$$t$$" -fuzztime $(FUZZTIME) -fuzzminimizetime 1s $$pkg < /dev/null || exit 1; \
 	done
-	@for t in FuzzFrameRoundTrip FuzzReadFrame FuzzErrorPayload FuzzReadFrameTruncation FuzzBatchRoundTrip FuzzDecodeBatch FuzzGatheredFrames FuzzReplyInto; do \
-		$(GO) test -run '^$$' -fuzz "^$$t$$" -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/rpc/ || exit 1; \
-	done
-	$(GO) test -run '^$$' -fuzz '^FuzzDaemonHandlers$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/daemon/
-	$(GO) test -run '^$$' -fuzz '^FuzzWriteCombinerModel$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/cache/
 
 # End-to-end observability smoke: boot a real lmpd on ephemeral ports,
 # drive traffic with lmpctl, scrape /metrics, /stats, and pprof, and diff

@@ -1,6 +1,8 @@
 package cache
 
 import (
+	"os"
+	"os/exec"
 	"reflect"
 	"runtime"
 	"testing"
@@ -79,8 +81,20 @@ func TestCacheGrowthStopsAtEagerSize(t *testing.T) {
 }
 
 // TestCacheNewAllocatesLittle: a cache nobody fills costs its shard
-// headers and nothing that scales with its capacity.
+// headers and nothing that scales with its capacity. TotalAlloc counts
+// every goroutine of the process, and those that earlier tests leave
+// running would count too, so the measurement runs in a fresh copy of
+// the test binary that runs nothing else.
 func TestCacheNewAllocatesLittle(t *testing.T) {
+	const child = "LMP_CACHE_NEW_ALLOC_CHILD"
+	if os.Getenv(child) == "" {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestCacheNewAllocatesLittle$", "-test.count=1")
+		cmd.Env = append(os.Environ(), child+"=1")
+		if out, err := cmd.CombinedOutput(); err != nil {
+			t.Fatalf("the measuring process: %v\n%s", err, out)
+		}
+		return
+	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	c, err := New(Config{CapacityBytes: 16 << 20})

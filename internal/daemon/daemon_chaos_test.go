@@ -153,7 +153,7 @@ func runPipelinedChaosBurst(t *testing.T, seed int64) []string {
 		data := func(i int) []byte { return bytes.Repeat([]byte{byte(round*31 + i)}, chunk) }
 		// Issue the whole write burst before waiting on any reply: every
 		// call is in flight at once, and the flusher packs the survivors
-		// of the fault roll into shared batch frames.
+		// of the fault roll into shared writes.
 		writes, marks := issue(func(i int) *rpc.Future {
 			return c.WriteAsync(nil, off+int64(i*chunk), data(i))
 		})

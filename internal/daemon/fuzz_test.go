@@ -15,7 +15,7 @@ import (
 // FuzzDaemonHandlers feeds arbitrary (method, payload) pairs — what a
 // peer can put on the socket — to the daemon's handlers, and to its read
 // and write receivers the way rpc hands one a request: the head, then a
-// reader over the rest (a bytes.Reader, as for a batched request); a
+// reader over the rest (a bytes.Reader); a
 // request shorter than a receiver's head goes over a real connection,
 // where rpc must refuse it. Whatever arrives, a handler must not panic
 // (it runs in a goroutine of its own, a receiver on a connection's read

@@ -517,10 +517,10 @@ func TestWirePathAllocBudget(t *testing.T) {
 	})
 	// 64 B: two callers issue 64-byte ops, four reads to a write, through
 	// a view of two daemons — the wire_small shape, whose concurrent small
-	// requests and replies ride batch frames both ways. A batch envelope
-	// is read into a pooled buffer on either side, so the pool's traffic
-	// is counted exactly on a lone caller, whose frames never share one:
-	// its 64 B reads and writes take no pooled buffer at all.
+	// requests and replies are packed into shared writes both ways. Each
+	// side reads a packed frame as it reads one written alone, so neither
+	// two callers nor a lone one take a pooled buffer for their 64 B reads
+	// and writes.
 	t.Run("64B", func(t *testing.T) {
 		v, servers := loopbackView(t, 2, 32<<20, 1<<20)
 		b, err := v.Alloc(8 << 20)
@@ -556,10 +556,13 @@ func TestWirePathAllocBudget(t *testing.T) {
 		run(perCaller) // warm-up
 		before := bufferGets(servers[0])
 		bytesPerOp, mallocsPerOp := allocsPerOp(callers*perCaller, func() { run(perCaller) })
-		t.Logf("%.1f B, %.3f mallocs and %.3f pooled buffers (batch envelopes) per 64 B op",
-			bytesPerOp, mallocsPerOp, float64(bufferGets(servers[0])-before)/float64(callers*perCaller))
+		gets := bufferGets(servers[0]) - before
+		t.Logf("%.1f B, %.3f mallocs and %.3f pooled buffers per 64 B op", bytesPerOp, mallocsPerOp, float64(gets)/float64(callers*perCaller))
 		if mallocsPerOp >= 0.01 {
 			t.Errorf("a 64 B op allocates %.3f objects (%.1f B) in steady state, want 0", mallocsPerOp, bytesPerOp)
+		}
+		if gets != 0 {
+			t.Errorf("two callers' %d 64 B ops took %d pooled buffers, want 0", callers*perCaller, gets)
 		}
 		callers = 1
 		before = bufferGets(servers[0])

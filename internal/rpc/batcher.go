@@ -3,15 +3,16 @@
 // frames on it, and a single flusher goroutine drains the queue. While a
 // conn.Write is in flight every newly queued frame accumulates, so
 // batching is opportunistic ("natural"): an idle connection sends a lone
-// frame immediately, a busy one coalesces everything that queued during
-// the last write into one vectored batch frame — one syscall, one TCP
-// segment — and the receiver fans the sub-frames back out. Before each
-// flush the flusher yields a bounded number of times so callers that are
-// runnable can join the batch.
+// frame immediately, a busy one packs the small frames that queued during
+// the last write back to back into one conn.Write — one syscall, one TCP
+// segment. A packed run is ordinary frames with nothing around them: the
+// receiver reads it through its read buffer frame by frame, as it reads
+// frames that were written one at a time. Before each flush the flusher
+// yields a bounded number of times so callers that are runnable can join
+// the batch.
 package rpc
 
 import (
-	"encoding/binary"
 	"io"
 	"runtime"
 	"sync"
@@ -21,13 +22,13 @@ import (
 )
 
 const (
-	// batchEntryMax bounds the payload size eligible for batching; larger
-	// frames go out bare through writeFrame, whose vectored large path
-	// beats copying them into the assembly buffer.
+	// batchEntryMax bounds the payload size eligible for packing; larger
+	// frames go out in a write of their own through writeFrame, whose
+	// vectored large path beats copying them into the assembly buffer.
 	batchEntryMax = 16 << 10
-	// maxBatchFrames bounds the sub-frame count of one batch.
+	// maxBatchFrames bounds the frame count of one packed run.
 	maxBatchFrames = 128
-	// maxBatchBytes bounds the assembled size of one batch frame.
+	// maxBatchBytes bounds the assembled size of one packed run.
 	maxBatchBytes = 256 << 10
 )
 
@@ -63,7 +64,7 @@ func (e *sendEntry) payloadLen() int {
 	return int(e.headLen) + len(e.payload)
 }
 
-// encodedLen is the entry's on-wire size inside a batch.
+// encodedLen is the entry's on-wire size.
 func (e *sendEntry) encodedLen() int {
 	return frameHeaderLen + prefixLen(e.kind) + e.payloadLen()
 }
@@ -97,10 +98,10 @@ type batcher struct {
 	local []sendEntry
 	buf   []byte
 
-	framesSent   atomic.Uint64 // top-level frames written (batches count once)
-	batchesSent  atomic.Uint64 // batch frames among framesSent
-	batchedSends atomic.Uint64 // sub-frames that rode inside a batch
-	maxBatch     atomic.Uint64 // largest sub-frame count of any one batch
+	framesSent   atomic.Uint64 // writes of one frame or one packed run
+	batchesSent  atomic.Uint64 // packed runs among framesSent
+	batchedSends atomic.Uint64 // frames that rode in a packed run
+	maxBatch     atomic.Uint64 // most frames of any one packed run
 }
 
 // newBatcher starts the flusher goroutine; the caller must eventually
@@ -236,13 +237,14 @@ func (b *batcher) flushLoop() {
 	}
 }
 
-// writeBatch writes the drained entries: runs of small frames coalesce
-// into batch envelopes; large frames and a lone frame go out bare.
+// writeBatch writes the drained entries: a run of small frames is packed
+// back to back into one write; a large frame and a lone one go out in a
+// write of their own.
 func (b *batcher) writeBatch(entries []sendEntry) error {
 	for start := 0; start < len(entries); {
 		e := &entries[start]
-		// Grow a run of batchable frames within the count/byte budgets; a
-		// frame too large to batch is a run of one.
+		// Grow a run of packable frames within the count/byte budgets; a
+		// frame too large to pack is a run of one.
 		end := start + 1
 		run := e.encodedLen()
 		for e.payloadLen() <= batchEntryMax && end < len(entries) && end-start < maxBatchFrames {
@@ -253,25 +255,22 @@ func (b *batcher) writeBatch(entries []sendEntry) error {
 			run += n.encodedLen()
 			end++
 		}
+		// Count before writing: a caller woken by the reply to a frame in
+		// this write must find it in the stats. A failed write overcounts
+		// on a connection that is dead anyway.
+		b.framesSent.Add(1)
 		if end-start == 1 {
-			if err := b.writeOne(e); err != nil {
+			if err := writeFrame(b.w, e); err != nil {
 				return err
 			}
 			start = end
 			continue
 		}
 		buf := b.buf[:0]
-		buf = append(buf, kindBatch, 0)
-		buf = binary.BigEndian.AppendUint64(buf, uint64(end-start))
-		buf = binary.BigEndian.AppendUint32(buf, uint32(run))
 		for i := start; i < end; i++ {
 			buf = append(appendFrame(buf, &entries[i]), entries[i].payload...)
 		}
 		b.buf = buf[:0] // retain capacity for the next flush
-		// Count before writing: a caller woken by the reply to a frame in
-		// this batch must find the batch in the stats. A failed write
-		// overcounts by one on a connection that is dead anyway.
-		b.framesSent.Add(1)
 		b.batchesSent.Add(1)
 		b.batchedSends.Add(uint64(end - start))
 		if n := uint64(end - start); n > b.maxBatch.Load() {
@@ -283,11 +282,4 @@ func (b *batcher) writeBatch(entries []sendEntry) error {
 		start = end
 	}
 	return nil
-}
-
-// writeOne sends a single entry bare, counted before the write for the
-// same reason as a batch.
-func (b *batcher) writeOne(e *sendEntry) error {
-	b.framesSent.Add(1)
-	return writeFrame(b.w, e)
 }

@@ -8,11 +8,8 @@
 //     until the reply frame of that request has been written or dropped —
 //     not until the handler returns, because a handler may return (a slice
 //     of) its request as the reply. Handlers must not retain payload past
-//     return. A batch envelope is recycled as soon as its sub-frames have
-//     been copied out into buffers of their own. A request to a method
-//     registered with HandleReceive has no request buffer: its Receiver
-//     reads the payload off the connection (or out of the envelope, which
-//     is recycled after the walk as before).
+//     return. A request to a method registered with HandleReceive has no
+//     request buffer: its Receiver reads the payload off the connection.
 //  2. Server reply. The server never recycles a reply: whatever a handler
 //     or a Receiver returns — its request, a static or shared slice, a
 //     view of the memory a read asks for — is sent and then left alone,
@@ -25,12 +22,10 @@
 //     the single waiter gives future and reply back with Future.Release
 //     once it has copied the bytes out. A reply nobody releases (the
 //     []byte Call and CallCtx return) is ordinary garbage and is never
-//     reused. Batched sub-replies are copied out of the envelope, so the
-//     same rule covers them. A reply with a destination (Future.Into) has
-//     no reply buffer: it is read straight into the destination, or copied
-//     there out of the envelope — unless the read loop took it before
-//     Into came, when it gets one under this rule and is copied into the
-//     destination at Wait.
+//     reused. A reply with a destination (Future.Into) has no reply
+//     buffer: it is read straight into the destination — unless the read
+//     loop took it before Into came, when it gets one under this rule and
+//     is copied into the destination at Wait.
 //  4. Client request buffer, on a wrapped transport only. Async on any
 //     Caller but a *Client assembles head and body in a GetBuffer buffer
 //     and hands it to the future (Future.OwnRequest); Release recycles it
@@ -43,7 +38,7 @@
 //  5. Gathered request: no buffer. Async on a *Client copies the request's
 //     head (at most 16 bytes) into its queue entry and borrows the body
 //     from the caller: the flusher writes header, head and body where
-//     they lie — a bare frame past frameCoalesceMax as one vectored write
+//     they lie — a frame past frameCoalesceMax as one vectored write
 //     whose last piece is the caller's slice — and the body goes back to
 //     the caller only once the flusher has written its frame or dropped
 //     it. A successful reply proves that wherever the server reads the

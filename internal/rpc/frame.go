@@ -1,23 +1,19 @@
 // Frame codec: the length-prefixed wire format shared by client and
-// server, including the batch envelope that lets the small frames queued
-// during one write ride the next conn.Write / one TCP segment.
+// server.
 //
 // Wire format (big endian):
 //
 //	frame  = kind(1) method(1) id(8) len(4) payload(len)
-//	kind   = 1 request | 2 response | 3 error | 4 traced request | 5 batch
-//	       | 6 budget request | 7 traced budget request
+//	kind   = 1 request | 2 response | 3 error; a request's kind also
+//	         carries flag 0x40 (budget) and flag 0x80 (traced)
 //	error payload = code(1) message(len-1)
-//	traced request payload = trace(8) span(8) request-payload(len-16)
-//	budget request payload = budget-ns(8) request-payload(len-8)
-//	traced budget request payload = budget-ns(8) trace(8) span(8) request-payload(len-24)
-//	batch payload = sub-frame* where sub-frame = kind(1) method(1) id(8) len(4) payload(len)
+//	request payload = [budget-ns(8)] [trace(8) span(8)] request-payload
 //
-// A batch frame's id field carries the sub-frame count, so a decoder can
-// cross-check the envelope against its contents; batches never nest, and
-// a batch carries at least two sub-frames (a single queued frame is sent
-// bare — an envelope around it would only add a second header — and
-// decodeBatch rejects a count below two).
+// A request's payload starts with the metadata its flags name, budget
+// first: 8 bytes with the budget flag, 16 with the trace flag, 24 with
+// both. A stream is frames back to back and nothing else: the frames a
+// sender packs into one write (batcher.go) are read one by one, like
+// frames written one at a time.
 package rpc
 
 import (
@@ -31,17 +27,16 @@ import (
 )
 
 const (
-	kindRequest             = 1
-	kindResponse            = 2
-	kindError               = 3
-	kindTracedRequest       = 4
-	kindBatch               = 5
-	kindBudgetRequest       = 6
-	kindTracedBudgetRequest = 7
+	kindRequest  = 1
+	kindResponse = 2
+	kindError    = 3
+	// flagBudget and flagTraced are a request's flags: its payload starts
+	// with a deadline budget, a span identity, or both.
+	flagBudget = 0x40
+	flagTraced = 0x80
 )
 
-// frameHeaderLen is the fixed kind/method/id/len prefix of every frame,
-// top-level or batched.
+// frameHeaderLen is the fixed kind/method/id/len prefix of every frame.
 const frameHeaderLen = 14
 
 // traceHeaderLen is the trace(8) span(8) prefix of a traced request.
@@ -52,21 +47,21 @@ const traceHeaderLen = 16
 // exhausted budget fails client-side before a frame is built).
 const budgetHeaderLen = 8
 
-// requestMeta is the one table of request kinds: which metadata a kind
-// embeds as a payload prefix (budget first, then trace) and how long
-// that prefix is. ok is false for every non-request kind.
+// requestMeta reads a request's flags: which metadata its payload starts
+// with (budget first, then trace) and how long that prefix is. ok is
+// false for every non-request kind.
 func requestMeta(kind byte) (budgeted, traced bool, prefix int, ok bool) {
-	switch kind {
-	case kindRequest:
-		return false, false, 0, true
-	case kindTracedRequest:
-		return false, true, traceHeaderLen, true
-	case kindBudgetRequest:
-		return true, false, budgetHeaderLen, true
-	case kindTracedBudgetRequest:
-		return true, true, budgetHeaderLen + traceHeaderLen, true
+	if kind&^(flagBudget|flagTraced) != kindRequest {
+		return false, false, 0, false
 	}
-	return false, false, 0, false
+	budgeted, traced = kind&flagBudget != 0, kind&flagTraced != 0
+	if budgeted {
+		prefix += budgetHeaderLen
+	}
+	if traced {
+		prefix += traceHeaderLen
+	}
+	return budgeted, traced, prefix, true
 }
 
 // prefixLen is the metadata prefix a request kind embeds in its payload.
@@ -86,7 +81,7 @@ type frameHeader struct {
 	length uint32
 }
 
-// frameScratch is what writing one bare frame needs besides the payload:
+// frameScratch is what writing one frame alone needs besides the payload:
 // the header assembly buffer and the two-element vector a large frame
 // goes out through.
 type frameScratch struct {
@@ -109,9 +104,8 @@ var framePool = sync.Pool{New: func() any {
 const frameCoalesceMax = 64 << 10
 
 // appendFrame appends e's fixed header, the metadata prefix its kind
-// calls for and e's head — everything of the frame, bare or inside a
-// batch, except e.payload, which the caller appends or writes straight
-// after.
+// calls for and e's head — everything of the frame except e.payload,
+// which the caller appends or writes straight after.
 func appendFrame(buf []byte, e *sendEntry) []byte {
 	budgeted, traced, prefix, _ := requestMeta(e.kind)
 	buf = append(buf, e.kind, e.method)
@@ -148,7 +142,7 @@ func decodePrefix(kind byte, payload []byte) (budget int64, sc telemetry.SpanCon
 	return budget, sc, payload, true
 }
 
-// writeFrame writes e bare (not inside a batch envelope). A frame past
+// writeFrame writes e in a write of its own. A frame past
 // frameCoalesceMax leaves from e.payload where it lies, so the caller's
 // bytes reach the kernel without a copy.
 func writeFrame(w io.Writer, e *sendEntry) error {
@@ -172,15 +166,11 @@ func writeFrame(w io.Writer, e *sendEntry) error {
 	return err
 }
 
-// parseHeader decodes the fixed header at the front of b.
-func parseHeader(b []byte) frameHeader {
-	return frameHeader{
-		kind:   b[0],
-		method: b[1],
-		id:     binary.BigEndian.Uint64(b[2:10]),
-		length: binary.BigEndian.Uint32(b[10:14]),
-	}
-}
+// readBufSize is the read buffer each end of a connection reads frames
+// through: a run of small frames that fits it arrives in one read, while
+// a payload of at least its size is read past it, straight into where it
+// is going (bufio reads directly once its buffer is empty).
+const readBufSize = 4 << 10
 
 // readHeader reads one frame header into hdr, scratch of at least
 // frameHeaderLen bytes that the read loop owns, and refuses a length past
@@ -191,7 +181,12 @@ func readHeader(r io.Reader, hdr []byte) (frameHeader, error) {
 	if _, err := io.ReadFull(r, hdr[:frameHeaderLen]); err != nil {
 		return frameHeader{}, err
 	}
-	h := parseHeader(hdr)
+	h := frameHeader{
+		kind:   hdr[0],
+		method: hdr[1],
+		id:     binary.BigEndian.Uint64(hdr[2:10]),
+		length: binary.BigEndian.Uint32(hdr[10:14]),
+	}
 	if h.length > MaxPayload {
 		return frameHeader{}, fmt.Errorf("rpc: frame length %d exceeds max", h.length)
 	}
@@ -208,45 +203,4 @@ func readPayload(r io.Reader, n uint32) ([]byte, error) {
 		return nil, err
 	}
 	return buf, nil
-}
-
-// decodeBatch walks a kindBatch payload, calling visit once per sub-frame
-// with the sub-frame's header and payload. The payload slice aliases the
-// envelope buffer (zero copy); visitors that retain it must copy. count
-// is the envelope's declared sub-frame count (the batch frame's id
-// field); a mismatch, a truncated sub-frame, trailing garbage, a nested
-// batch, or an oversized sub-length all fail decoding.
-func decodeBatch(payload []byte, count uint64, visit func(frameHeader, []byte) error) error {
-	if count < 2 {
-		return fmt.Errorf("rpc: batch declares %d sub-frames; minimum is 2", count)
-	}
-	var seen uint64
-	for len(payload) > 0 {
-		if len(payload) < frameHeaderLen {
-			return fmt.Errorf("rpc: truncated batch sub-frame header (%d bytes left)", len(payload))
-		}
-		h := parseHeader(payload)
-		if h.kind == kindBatch {
-			return fmt.Errorf("rpc: nested batch frame")
-		}
-		if h.length > MaxPayload {
-			return fmt.Errorf("rpc: batch sub-frame length %d exceeds max", h.length)
-		}
-		rest := payload[frameHeaderLen:]
-		if uint32(len(rest)) < h.length {
-			return fmt.Errorf("rpc: truncated batch sub-frame payload (want %d, have %d)", h.length, len(rest))
-		}
-		seen++
-		if seen > count {
-			return fmt.Errorf("rpc: batch carries more than the declared %d sub-frames", count)
-		}
-		if err := visit(h, rest[:h.length]); err != nil {
-			return err
-		}
-		payload = rest[h.length:]
-	}
-	if seen != count {
-		return fmt.Errorf("rpc: batch declared %d sub-frames, carried %d", count, seen)
-	}
-	return nil
 }

@@ -91,10 +91,9 @@ func (f *Future) OwnRequest(req []byte) *Future {
 // result is dst itself, holding the reply bytes. It is how a read lands
 // in the caller's buffer without a reply buffer in between: a reply of
 // exactly len(dst) bytes that arrives after Into is read off the
-// connection straight into dst (a batched one is copied once out of its
-// envelope); if the read loop had already taken the reply when Into
-// came, the bytes are copied into dst when the waiter first consumes the
-// result. A reply of any other length fails the call and leaves dst
+// connection straight into dst; if the read loop had already taken the
+// reply when Into came, the bytes are copied into dst when the waiter
+// first consumes the result. A reply of any other length fails the call and leaves dst
 // untouched. Nothing writes to dst once Wait or WaitCtx has returned.
 // Like Then it must be called at most once, before the future is handed
 // to its waiter.

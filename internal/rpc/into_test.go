@@ -120,16 +120,16 @@ func TestWaitCtxWaitsForStreamingReply(t *testing.T) {
 
 // FuzzReplyInto plays a hostile or broken peer against calls with
 // destinations: the script picks, frame by frame, the id (live, stale or
-// unknown), the kind (bare reply, error, batch of two) and the length
-// (exact or not), may cancel one call midway, and may cut its last frame
-// short. Whatever it does, no byte is written outside a destination, a
+// unknown), the kind (reply, error, or a reply and the next call's packed
+// into one write) and the length (exact or not), may cancel one call
+// midway, and may cut its last frame short. Whatever it does, no byte is written outside a destination, a
 // destination is written only by a reply of exactly its length to its own
 // call, and nothing writes to it once WaitCtx has returned — checked by
 // poisoning it then, as a released buffer is poisoned under the race
 // detector (where such a write is also a reported race).
 func FuzzReplyInto(f *testing.F) {
-	f.Add([]byte{1, 0, 0, 2, 0, 0, 3, 0, 0})             // every call answered exactly, bare
-	f.Add([]byte{1, 0, 3, 3, 0, 3})                      // batched replies
+	f.Add([]byte{1, 0, 0, 2, 0, 0, 3, 0, 0})             // every call answered exactly, one write each
+	f.Add([]byte{1, 0, 3, 3, 0, 3})                      // packed pairs of replies
 	f.Add([]byte{1, 5, 0, 2, 9, 1, 1, 0, 0})             // wrong lengths, a duplicate
 	f.Add([]byte{0, 0, 0, 4, 0, 0, 2, 0, 0x82, 2, 0, 0}) // unknown ids, a cancel, a stale reply
 	f.Add([]byte{3, 0, 0x40})                            // cut mid-payload

@@ -68,16 +68,12 @@ func (c *stallConn) Write(p []byte) (int, error) {
 	return c.Conn.Write(p)
 }
 
-// stalledClient connects to addr through a stallConn and issues one lead
-// echo call under ctx; it returns once the flusher is blocked writing
-// that call. release lets the flusher go on; cleanup calls it too, so a
-// failed test does not leave Close waiting on the stalled write.
-func stalledClient(t *testing.T, addr string, ctx context.Context) (c *Client, lead *Future, release func()) {
+// stalledClient runs a client over conn through a stallConn and issues
+// one lead echo call under ctx; it returns once the flusher is blocked
+// writing that call. release lets the flusher go on; cleanup calls it
+// too, so a failed test does not leave Close waiting on the stalled write.
+func stalledClient(t *testing.T, conn net.Conn, ctx context.Context) (c *Client, lead *Future, release func()) {
 	t.Helper()
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
 	sc := &stallConn{Conn: conn, stalled: make(chan struct{}), release: make(chan struct{})}
 	c = newClient(sc)
 	var once sync.Once
@@ -89,12 +85,42 @@ func stalledClient(t *testing.T, addr string, ctx context.Context) (c *Client, l
 	return c, lead, release
 }
 
+// readCountConn records where in the stream each Read that returned
+// bytes began.
+type readCountConn struct {
+	net.Conn
+	mu     sync.Mutex
+	off    int
+	starts []int
+}
+
+func (c *readCountConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	if n > 0 {
+		c.mu.Lock()
+		c.starts = append(c.starts, c.off)
+		c.off += n
+		c.mu.Unlock()
+	}
+	return n, err
+}
+
 // TestStalledWriteBatchesQueuedCalls pins the flush policy: every call
 // queued while the connection's one write is in flight leaves in a single
-// batch frame right after it.
+// packed write right after it, and the server takes that run in one read:
+// its read buffer holds the whole run. A net.Pipe hands each write to the
+// reader whole, but no more than one write per read, so the count is
+// exact.
 func TestStalledWriteBatchesQueuedCalls(t *testing.T) {
-	s, addr := startTestServer(t)
-	c, lead, release := stalledClient(t, addr, nil)
+	s := NewServer()
+	s.Handle(methEcho, func(p []byte) ([]byte, error) { return p, nil })
+	t.Cleanup(func() { s.Close() })
+	cli, srv := net.Pipe()
+	rc := &readCountConn{Conn: srv}
+	if !s.serve(rc) {
+		t.Fatal("a new server refused a connection")
+	}
+	c, lead, release := stalledClient(t, cli, nil)
 	const queued = 8
 	futures := make([]*Future, queued)
 	for i := range futures {
@@ -113,8 +139,17 @@ func TestStalledWriteBatchesQueuedCalls(t *testing.T) {
 	if st.FramesSent != 2 || st.BatchesSent != 1 || st.BatchedCalls != queued || st.MaxBatch != queued {
 		t.Fatalf("stats %+v: want the lead frame, then one batch of all %d queued calls", st, queued)
 	}
-	if got := s.batches.Load(); got != 1 {
-		t.Fatalf("server unpacked %d batch frames, want 1", got)
+	const leadLen = frameHeaderLen + len("lead")
+	rc.mu.Lock()
+	defer rc.mu.Unlock()
+	var runReads int
+	for _, at := range rc.starts {
+		if at >= leadLen {
+			runReads++
+		}
+	}
+	if want := leadLen + queued*(frameHeaderLen+1); rc.off != want || runReads != 1 {
+		t.Fatalf("the server read %d bytes in reads starting at %v, the run in %d reads; want %d bytes, the run in 1 read", rc.off, rc.starts, runReads, want)
 	}
 }
 
@@ -124,7 +159,7 @@ func TestTracedCallsSurviveBatching(t *testing.T) {
 	s.SetTracer(tr)
 	parent := telemetry.SpanContext{Trace: 7777, Span: 42}
 	ctx := telemetry.ContextWithSpan(context.Background(), parent)
-	c, lead, release := stalledClient(t, addr, ctx)
+	c, lead, release := stalledClient(t, rawDial(t, addr), ctx)
 	const callers = 4
 	futures := []*Future{lead}
 	for i := 0; i < callers; i++ {
@@ -283,7 +318,7 @@ func TestBatchedSendPathZeroAllocs(t *testing.T) {
 	for i := range entries {
 		entries[i] = sendEntry{kind: kindRequest, method: methEcho, id: uint64(i + 1), payload: payload}
 	}
-	entries[3].kind = kindTracedRequest
+	entries[3].kind = kindRequest | flagTraced
 	entries[3].sc = telemetry.SpanContext{Trace: 1, Span: 2}
 	if err := b.writeBatch(entries); err != nil { // warm the scratch buffer
 		t.Fatal(err)

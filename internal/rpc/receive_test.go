@@ -68,43 +68,34 @@ func storeRequest(off int, data []byte) []byte {
 }
 
 // readReplies reads frames off conn until it has the replies to n
-// requests, unpacking batches, and returns each one's error, nil for a
-// response, by id.
+// requests, and returns each one's error, nil for a response, by id.
 func readReplies(t *testing.T, conn net.Conn, n int) map[uint64]error {
 	t.Helper()
 	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
 	out := map[uint64]error{}
-	reply := func(h frameHeader, p []byte) error {
-		out[h.id] = nil
-		if h.kind != kindResponse {
-			out[h.id] = decodeRemoteError(h.method, p)
-		}
-		return nil
-	}
 	for len(out) < n {
 		h, p, err := readFrame(conn)
 		if err != nil {
 			t.Fatalf("after %d of %d replies: %v", len(out), n, err)
 		}
-		if h.kind != kindBatch {
-			reply(h, p)
-		} else if err := decodeBatch(p, h.id, reply); err != nil {
-			t.Fatal(err)
+		out[h.id] = nil
+		if h.kind != kindResponse {
+			out[h.id] = decodeRemoteError(h.method, p)
 		}
 	}
 	return out
 }
 
 // TestReceiveSpentBudgetLandsNothing: a request whose deadline budget is
-// spent when it arrives is refused before the Receiver sees it, bare or
-// batched, and its bytes go nowhere; the request behind it on the same
+// spent when it arrives is refused before the Receiver sees it, written
+// alone or packed, and its bytes go nowhere; the request behind it on the same
 // connection is served.
 func TestReceiveSpentBudgetLandsNothing(t *testing.T) {
 	const n = 1000
 	m, addr := startStoreServer(t, 4*n)
 	conn := rawDial(t, addr)
 	spent := func(id uint64, off int) sendEntry {
-		return sendEntry{kind: kindBudgetRequest, method: methStore, id: id, budget: -1, payload: storeRequest(off, bytes.Repeat([]byte{0x77}, n))}
+		return sendEntry{kind: kindRequest | flagBudget, method: methStore, id: id, budget: -1, payload: storeRequest(off, bytes.Repeat([]byte{0x77}, n))}
 	}
 	fresh := func(id uint64, off int) sendEntry {
 		return sendEntry{kind: kindRequest, method: methStore, id: id, payload: storeRequest(off, bytes.Repeat([]byte{0x11}, n))}
@@ -146,7 +137,7 @@ func TestReceiveSpentBudgetLandsNothing(t *testing.T) {
 // TestReceiverErrorLeavesNextFrameParsable: a Receiver that refuses a
 // request before reading any of it, and a request too short for the head,
 // leave the connection in step — the server drains what was not read, so
-// each pipelined request behind them, batched, bare or vectored, is served
+// each pipelined request behind them, packed, alone or vectored, is served
 // and lands where it says.
 func TestReceiverErrorLeavesNextFrameParsable(t *testing.T) {
 	const size = 256 << 10

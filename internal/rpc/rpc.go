@@ -5,8 +5,9 @@
 // id) in a per-connection pending-call table, so any number of calls
 // share one TCP connection concurrently — CallAsyncCtx returns a Future,
 // and the blocking Call is a shim that waits on one. Small frames queued
-// while a write is in flight coalesce into one batch frame (see
-// batcher.go); the receiver fans the sub-frames back out by tag.
+// while a write is in flight are packed back to back into one write (see
+// batcher.go); each side reads every frame the same way, through a small
+// per-connection read buffer, and routes it by tag.
 //
 // Payload buffers are recycled, not allocated per call: a request on
 // either side and a reply on the client come from one bounded pool and
@@ -29,7 +30,7 @@
 //
 // A traced request carries the caller's span identity: when the caller's
 // context holds a telemetry.SpanContext (see telemetry.ContextWithSpan),
-// the client sends kind 4 (bare or batched) and the server — if it has a
+// the client sets the request's trace flag and the server — if it has a
 // tracer — records its handler span as a child of the caller's span, so
 // one trace ID follows a logical operation across the process boundary
 // no matter how its frames were packed. An untraced request is only
@@ -37,7 +38,7 @@
 package rpc
 
 import (
-	"bytes"
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -63,13 +64,13 @@ type Handler func(payload []byte) ([]byte, error)
 // Receiver serves a method registered with HandleReceive, on the read
 // goroutine of the connection the request came in on. head is the
 // request's first headLen bytes; body yields the n bytes after them and
-// nothing more, straight off the connection for a bare frame or out of
-// the batch envelope for a batched one. A Receiver reads what it needs
-// from body — typically all n bytes, into their final place — and returns
-// the reply payload like a Handler. head is valid only until it returns,
-// and it must not keep body. The server drains whatever the Receiver
-// leaves unread, so an error returned before any byte was read still
-// leaves the next frame parsable. While it runs no other request of that
+// nothing more, straight off the connection. A Receiver reads what it
+// needs from body — typically all n bytes, into their final place — and
+// returns the reply payload like a Handler. head is valid only until it
+// returns, and it must not keep body. The server drains whatever the
+// Receiver leaves unread, so an error returned before any byte was read
+// still leaves the next frame parsable, and sends the reply only once the
+// whole frame is in: a request cut short gets none. While it runs no other request of that
 // connection is read: a Receiver must not block on anything but body. Its
 // reply is written by the connection's flusher after it returns and is
 // never recycled, so it may be memory that stays valid while the Server
@@ -112,9 +113,8 @@ type Server struct {
 	closed bool
 	wg     sync.WaitGroup
 
-	calls   [256]atomic.Uint64
-	errs    [256]atomic.Uint64
-	batches atomic.Uint64 // batch frames received
+	calls [256]atomic.Uint64
+	errs  [256]atomic.Uint64
 }
 
 // errBudgetSpent is the rejection for requests whose propagated deadline
@@ -171,7 +171,7 @@ func (s *Server) NameMethod(method byte, name string) {
 }
 
 // SetTracer makes the server record request spans into t, named by
-// NameMethod. A traced request (kind 4) gets a span parented on the
+// NameMethod. A traced request gets a span parented on the
 // caller's. An untraced one is timed, and kept as a root span only when
 // it failed or crossed t's slow-op threshold (Tracer.End). A nil
 // tracer turns spans off.
@@ -263,28 +263,34 @@ func (s *Server) acceptLoop(ln net.Listener) {
 	defer s.wg.Done()
 	for {
 		conn, err := ln.Accept()
-		if err != nil {
+		if err != nil || !s.serve(conn) {
 			return
 		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			conn.Close()
-			return
-		}
-		s.conns[conn] = struct{}{}
-		s.mu.Unlock()
-		s.wg.Add(1)
-		go s.serveConn(conn)
 	}
+}
+
+// serve registers conn, so that Close closes it, and serves it on a
+// goroutine of its own. It reports false, with conn closed, once the
+// server is closed.
+func (s *Server) serve(conn net.Conn) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		conn.Close()
+		return false
+	}
+	s.conns[conn] = struct{}{}
+	s.wg.Add(1)
+	go s.serveConn(conn)
+	return true
 }
 
 func (s *Server) serveConn(conn net.Conn) {
 	defer s.wg.Done()
 	// Replies from handler goroutines queue on a per-connection batcher:
-	// one flusher goroutine writes them, coalescing replies that complete
-	// close together into one batch frame. A reply-write failure closes
-	// the connection (the read side below then winds the handler down).
+	// one flusher goroutine writes them, packing replies that complete
+	// close together into one write. A reply-write failure closes the
+	// connection (the read side below then winds the handler down).
 	out := newBatcher(conn, func(error) { conn.Close() })
 	defer func() {
 		conn.Close()
@@ -294,41 +300,11 @@ func (s *Server) serveConn(conn net.Conn) {
 		s.mu.Unlock()
 	}()
 	cr := &connReader{}
-	cr.body.r = conn
-	// A batched sub-frame's payload aliases the envelope, which goes back
-	// to the pool right after the walk: dispatch copies it out, a
-	// Receiver reads it in place.
-	visit := func(sh frameHeader, sub []byte) error {
-		if rt := s.routes[sh.method].Load(); rt != nil && rt.r != nil {
-			budget, sc, payload, ok := decodePrefix(sh.kind, sub)
-			if !ok {
-				return fmt.Errorf("rpc: bad sub-frame kind %d", sh.kind)
-			}
-			s.receiveBatched(cr, sh, budget, sc, rt, payload, out)
-			return nil
-		}
-		if !s.dispatch(sh, sub, false, out) {
-			return fmt.Errorf("rpc: bad sub-frame kind %d", sh.kind)
-		}
-		return nil
-	}
+	cr.body.r = bufio.NewReaderSize(conn, readBufSize)
 	for {
-		h, err := readHeader(conn, cr.scratch[:])
+		h, err := readHeader(cr.body.r, cr.scratch[:])
 		if err != nil {
 			return
-		}
-		if h.kind == kindBatch {
-			payload, err := readPayload(conn, h.length)
-			if err != nil {
-				return
-			}
-			s.batches.Add(1)
-			err = decodeBatch(payload, h.id, visit)
-			PutBuffer(payload)
-			if err != nil {
-				return // protocol violation
-			}
-			continue
 		}
 		if rt := s.routes[h.method].Load(); rt != nil && rt.r != nil {
 			if !s.receive(cr, h, rt, out) {
@@ -336,11 +312,11 @@ func (s *Server) serveConn(conn net.Conn) {
 			}
 			continue
 		}
-		payload, err := readPayload(conn, h.length)
+		payload, err := readPayload(cr.body.r, h.length)
 		if err != nil {
 			return
 		}
-		if !s.dispatch(h, payload, true, out) {
+		if !s.dispatch(h, payload, out) {
 			return // protocol violation
 		}
 	}
@@ -349,21 +325,20 @@ func (s *Server) serveConn(conn net.Conn) {
 // connReader is one server connection's read-side state, made once per
 // connection and reused for every frame, so that receiving a request
 // allocates nothing: scratch holds a frame header, then a request's
-// metadata prefix and head; body and sub are the readers a Receiver gets
-// for a bare and for a batched request.
+// metadata prefix and head; body reads the connection, and is the reader
+// a Receiver gets.
 type connReader struct {
 	scratch [frameHeaderLen + budgetHeaderLen + traceHeaderLen + maxReceiveHead]byte
 	body    bodyReader
-	sub     bytes.Reader
 }
 
-// bodyReader reads the rest of one bare request's payload off the
-// connection: n bytes, then io.EOF. A failure of the connection before
-// the n bytes are in is kept in err (a short stream becomes
-// io.ErrUnexpectedEOF): the frame cannot be finished, so the connection
-// ends after the Receiver returns.
+// bodyReader reads the rest of one request's payload off the
+// connection's read buffer r: n bytes, then io.EOF. A failure of the
+// connection before the n bytes are in is kept in err (a short stream
+// becomes io.ErrUnexpectedEOF): the frame cannot be finished, so it gets
+// no reply and the connection ends.
 type bodyReader struct {
-	r   io.Reader
+	r   *bufio.Reader
 	n   int
 	err error
 }
@@ -381,11 +356,8 @@ func (b *bodyReader) Read(p []byte) (int, error) {
 	k, err := b.r.Read(p)
 	b.n -= k
 	if err != nil && b.n > 0 {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		b.err = err
-		return k, err
+		b.fail(err)
+		return k, b.err
 	}
 	return k, nil
 }
@@ -395,16 +367,28 @@ func (b *bodyReader) drain() {
 	if b.n <= 0 || b.err != nil {
 		return
 	}
-	buf := GetBuffer(min(b.n, 64<<10))
-	for b.n > 0 && b.err == nil {
-		b.Read(buf)
+	k, err := b.r.Discard(b.n)
+	if b.n -= k; b.n > 0 {
+		b.fail(err)
 	}
-	PutBuffer(buf)
 }
 
-// receive serves one bare request frame of a HandleReceive method. It
-// returns false when the connection must end: a frame too short for its
-// kind's metadata prefix, or a read error before the frame's last byte.
+// fail records the connection's failure in the middle of the payload.
+func (b *bodyReader) fail(err error) {
+	if err == io.EOF {
+		err = io.ErrUnexpectedEOF
+	}
+	b.err = err
+}
+
+// receive serves one request frame of a HandleReceive method: counters,
+// span, budget check, the Receiver, the reply. A request shorter than the
+// Receiver's head is refused without calling it. The reply holds no
+// buffer of the server's, so its queue entry has no call to release. It
+// returns false when the connection must end: a frame that is not a
+// request or is too short for its flags' metadata prefix, or a read
+// error before the frame's last byte — a frame that was cut gets no
+// reply.
 func (s *Server) receive(cr *connReader, h frameHeader, rt *route, out *batcher) bool {
 	prefix := prefixLen(h.kind)
 	if int(h.length) < prefix {
@@ -419,42 +403,17 @@ func (s *Server) receive(cr *connReader, h frameHeader, rt *route, out *batcher)
 		return false
 	}
 	arrived := arrival(budget)
-	cr.body.n, cr.body.err = int(h.length)-prefix, nil
-	if n := cr.body.n; n < rt.headLen {
-		cr.body.drain()
-		if cr.body.err != nil {
+	body := &cr.body
+	body.n, body.err = int(h.length)-prefix, nil
+	n := body.n
+	var head []byte
+	if n >= rt.headLen {
+		head = cr.scratch[frameHeaderLen+prefix:][:rt.headLen]
+		if _, err := io.ReadFull(body, head); err != nil {
 			return false
 		}
-		s.serveReceived(h, budget, arrived, sc, rt, nil, nil, n, out)
-		return true
+		n -= rt.headLen
 	}
-	head := cr.scratch[frameHeaderLen+prefix:][:rt.headLen]
-	if _, err := io.ReadFull(&cr.body, head); err != nil {
-		return false
-	}
-	s.serveReceived(h, budget, arrived, sc, rt, head, &cr.body, cr.body.n, out)
-	cr.body.drain()
-	return cr.body.err == nil
-}
-
-// receiveBatched serves one batched request of a HandleReceive method:
-// payload (past the metadata prefix) aliases the envelope.
-func (s *Server) receiveBatched(cr *connReader, h frameHeader, budget int64, sc telemetry.SpanContext, rt *route, payload []byte, out *batcher) {
-	arrived := arrival(budget)
-	if len(payload) < rt.headLen {
-		s.serveReceived(h, budget, arrived, sc, rt, nil, nil, len(payload), out)
-		return
-	}
-	cr.sub.Reset(payload[rt.headLen:])
-	s.serveReceived(h, budget, arrived, sc, rt, payload[:rt.headLen], &cr.sub, len(payload)-rt.headLen, out)
-	cr.sub.Reset(nil)
-}
-
-// serveReceived is a received request's dispatch: counters, span, budget
-// check, the Receiver, the reply. head is nil for a request shorter than
-// the Receiver's head, which is refused. The reply holds no buffer of the
-// server's, so its queue entry has no call to release.
-func (s *Server) serveReceived(h frameHeader, budget int64, arrived time.Time, sc telemetry.SpanContext, rt *route, head []byte, body io.Reader, n int, out *batcher) {
 	rp := s.count(h.method)
 	sp := beginSpan(rp.tracer, sc, rt.name)
 	var resp []byte
@@ -468,12 +427,13 @@ func (s *Server) serveReceived(h frameHeader, budget int64, arrived time.Time, s
 		resp, herr = rt.r(head, body, n)
 	}
 	kind, resp := s.finish(h.method, rp, &sp, resp, herr)
-	if b, ok := body.(*bodyReader); ok && b.err != nil {
-		return // the frame was cut: the connection ends and owes no reply
+	if body.drain(); body.err != nil {
+		return false
 	}
 	// A failed enqueue means the connection is gone: the read loop ends
 	// on its next read.
 	_ = out.enqueue(sendEntry{kind: kind, method: h.method, id: h.id, payload: resp})
+	return true
 }
 
 // count counts one request of method and returns the reporting it was
@@ -579,18 +539,14 @@ var unrouted route
 // binds run would be an initialization cycle. dispatch makes the misses.
 var serverCallPool sync.Pool
 
-// dispatch validates one request frame (bare or batched) and runs its
-// handler in a goroutine, queueing the reply on out. It returns false on
-// a protocol violation (non-request kind, payload shorter than the
-// kind's metadata prefix). owned says frame is a readPayload buffer that
-// now belongs to this request; a batched sub-frame aliases the envelope
-// and is copied into a buffer of its own.
-func (s *Server) dispatch(h frameHeader, frame []byte, owned bool, out *batcher) bool {
+// dispatch validates one request frame, whose readPayload buffer now
+// belongs to the request, and runs its handler in a goroutine, queueing
+// the reply on out. It returns false on a protocol violation (non-request
+// kind, payload shorter than its flags' metadata prefix).
+func (s *Server) dispatch(h frameHeader, frame []byte, out *batcher) bool {
 	budget, sc, payload, ok := decodePrefix(h.kind, frame)
 	if !ok {
-		if owned {
-			PutBuffer(frame)
-		}
+		PutBuffer(frame)
 		return false
 	}
 	c, _ := serverCallPool.Get().(*serverCall)
@@ -601,13 +557,7 @@ func (s *Server) dispatch(h frameHeader, frame []byte, owned bool, out *batcher)
 	c.s, c.out = s, out
 	c.method, c.id, c.budget, c.sc = h.method, h.id, budget, sc
 	c.arrived = arrival(budget)
-	if owned {
-		c.buf, c.payload = frame, payload
-	} else {
-		c.buf = GetBuffer(len(payload))
-		copy(c.buf, payload)
-		c.payload = c.buf
-	}
+	c.buf, c.payload = frame, payload
 	c.rt = s.routes[h.method].Load()
 	if c.rt == nil {
 		c.rt = &unrouted
@@ -756,103 +706,64 @@ func (c *Client) sendFailed(err error) {
 // waiter has returned.
 func (c *Client) readLoop() {
 	defer close(c.readDone)
-	deliverSub := func(sh frameHeader, sub []byte) error {
-		switch sh.kind {
-		case kindResponse, kindError:
-			f, dst, into := c.takePending(sh.id)
-			c.deliver(f, dst, into, sh, sub, false)
-			return nil
-		default:
-			return fmt.Errorf("rpc: bad batched reply kind %d", sh.kind)
-		}
-	}
+	br := bufio.NewReaderSize(c.conn, readBufSize)
 	for {
-		h, err := readHeader(c.conn, c.hdr[:])
+		h, err := readHeader(br, c.hdr[:])
 		if err != nil {
 			c.failAll(fmt.Errorf("rpc: connection lost: %w", err), nil)
 			return
 		}
-		switch h.kind {
-		case kindResponse, kindError:
-			f, dst, into := c.takePending(h.id)
-			if into && h.kind == kindResponse && int(h.length) == len(dst) {
-				if _, err := io.ReadFull(c.conn, dst); err != nil {
-					c.failAll(fmt.Errorf("rpc: connection lost: %w", err), f)
-					return
-				}
-				f.landed = true
-				f.complete(dst, nil)
-				continue
-			}
-			payload, err := readPayload(c.conn, h.length)
-			if err != nil {
-				c.failAll(fmt.Errorf("rpc: connection lost: %w", err), f)
-				return
-			}
-			c.deliver(f, dst, into, h, payload, true)
-		case kindBatch:
-			payload, err := readPayload(c.conn, h.length)
-			if err != nil {
+		if h.kind != kindResponse && h.kind != kindError {
+			// Unknown kind: fail the addressed call (if any); the stream
+			// itself is still framed, so keep reading.
+			if _, err := br.Discard(int(h.length)); err != nil {
 				c.failAll(fmt.Errorf("rpc: connection lost: %w", err), nil)
 				return
 			}
-			err = decodeBatch(payload, h.id, deliverSub)
-			PutBuffer(payload)
-			if err != nil {
-				c.failAll(fmt.Errorf("rpc: bad batch frame: %w", err), nil)
-				c.conn.Close()
-				return
-			}
-		default:
-			// Unknown top-level kind: fail the addressed call (if any);
-			// the stream itself is still framed, so keep reading.
-			payload, err := readPayload(c.conn, h.length)
-			if err != nil {
-				c.failAll(fmt.Errorf("rpc: connection lost: %w", err), nil)
-				return
-			}
-			PutBuffer(payload)
 			if f, _, _ := c.takePending(h.id); f != nil {
 				f.complete(nil, fmt.Errorf("rpc: bad frame kind %d", h.kind))
 			}
+			continue
 		}
+		f, dst, into := c.takePending(h.id)
+		if into && h.kind == kindResponse && int(h.length) == len(dst) {
+			if _, err := io.ReadFull(br, dst); err != nil {
+				c.failAll(fmt.Errorf("rpc: connection lost: %w", err), f)
+				return
+			}
+			f.landed = true
+			f.complete(dst, nil)
+			continue
+		}
+		payload, err := readPayload(br, h.length)
+		if err != nil {
+			c.failAll(fmt.Errorf("rpc: connection lost: %w", err), f)
+			return
+		}
+		c.deliver(f, into, dst, h, payload)
 	}
 }
 
 // deliver resolves f, the call taken for the reply h (nil if the id was
 // not pending: a cancelled or failed call leaves a stale id behind, and
-// its late reply is dropped here), with dst and into as takePending
-// returned them. owned says payload is a readPayload buffer this call
-// now disposes of: a response without a destination hands it to the
-// future (bufpool.go, rule 3); everything else puts it straight back. A
-// batched sub-reply aliases the envelope the read loop recycles after
-// the walk, so a response without a destination is first copied into a
-// pooled buffer of its own, and one with a destination is copied into
-// it — its one copy.
-func (c *Client) deliver(f *Future, dst []byte, into bool, h frameHeader, payload []byte, owned bool) {
+// its late reply is dropped here), with the readPayload buffer payload.
+// A response to a call without a destination hands the buffer to the
+// future (bufpool.go, rule 3); everything else puts it straight back —
+// a reply that a destination could take was read into it, so one that
+// reaches here with a destination has the wrong length.
+func (c *Client) deliver(f *Future, into bool, dst []byte, h frameHeader, payload []byte) {
 	switch {
 	case f == nil:
 	case h.kind != kindResponse:
 		f.complete(nil, decodeRemoteError(h.method, payload))
-	case into && len(payload) != len(dst):
-		f.complete(nil, errReplyLength(len(payload), len(dst)))
 	case into:
-		copy(dst, payload)
-		f.landed = true
-		f.complete(dst, nil)
+		f.complete(nil, errReplyLength(len(payload), len(dst)))
 	default:
-		if !owned {
-			sub := payload
-			payload = GetBuffer(len(sub))
-			copy(payload, sub)
-		}
 		f.reply = payload
 		f.complete(payload, nil)
 		return
 	}
-	if owned {
-		PutBuffer(payload)
-	}
+	PutBuffer(payload)
 }
 
 // takePending removes and returns the future registered under id, or nil
@@ -993,18 +904,16 @@ func (c *Client) startCall(ctx context.Context, method byte, head, body []byte, 
 	c.pt.started++
 	c.pt.Unlock()
 
-	// A context carrying a span identity upgrades the frame to a traced
-	// request, extending the caller's trace across the wire; a deadline
-	// upgrades it to a budget request. Both compose (kind 7).
+	// A context carrying a span identity flags the request as traced,
+	// extending the caller's trace across the wire; a deadline flags it
+	// as carrying a budget. The two compose.
 	kind := byte(kindRequest)
 	sc := telemetry.SpanFromContext(ctx)
-	switch {
-	case sc.Traced() && budget > 0:
-		kind = kindTracedBudgetRequest
-	case sc.Traced():
-		kind = kindTracedRequest
-	case budget > 0:
-		kind = kindBudgetRequest
+	if sc.Traced() {
+		kind |= flagTraced
+	}
+	if budget > 0 {
+		kind |= flagBudget
 	}
 	e := sendEntry{kind: kind, method: method, headLen: uint8(len(head)), id: id, budget: budget, sc: sc, payload: body}
 	copy(e.head[:], head)
@@ -1056,9 +965,8 @@ func (c *Client) Stats() ClientStats {
 // error wrapping ErrClosed, and every future call fails fast the same
 // way. Close is idempotent and safe to race with in-flight calls: each
 // future still resolves exactly once. When it returns the client's two
-// goroutines have exited — the read loop's last act on a batch is to put
-// the envelope back in the buffer pool, after the replies in it have
-// already woken their callers.
+// goroutines have exited, so neither puts a buffer back in the pool
+// afterwards.
 func (c *Client) Close() error {
 	c.pt.Lock()
 	if c.pt.closed {

@@ -1,6 +1,6 @@
-// Tests for cross-process trace propagation (kind-4 frames), the rule
-// for untraced requests (kept only when failed or slow), and per-method
-// dispatch stats.
+// Tests for cross-process trace propagation (trace-flagged requests),
+// the rule for untraced requests (kept only when failed or slow), and
+// per-method dispatch stats.
 package rpc
 
 import (

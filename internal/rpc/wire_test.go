@@ -3,6 +3,7 @@ package rpc
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"io"
 	"net"
 	"testing"
@@ -157,11 +158,11 @@ func TestReadFrameTruncated(t *testing.T) {
 }
 
 // TestFrameEncodingTable pins the one encoder against the wire format for
-// every request kind and both write paths (coalesced and
-// header-then-payload): a bare frame is header + metadata prefix +
-// payload, the batch assembler emits those same bytes per sub-frame, and
-// readFrame / decodeBatch followed by decodePrefix hand back the budget,
-// span identity and payload that went in.
+// every request flag combination and both write paths (coalesced and
+// header-then-payload): a frame is header + metadata prefix + payload, a
+// packed run is those same bytes back to back, and readFrame followed by
+// decodePrefix hands back the budget, span identity and payload that went
+// in.
 func TestFrameEncodingTable(t *testing.T) {
 	span := telemetry.SpanContext{Trace: 0x1122334455667788, Span: 0x99AABBCCDDEEFF00}
 	const budget = int64(1500 * time.Microsecond)
@@ -172,9 +173,9 @@ func TestFrameEncodingTable(t *testing.T) {
 		sc     telemetry.SpanContext
 	}{
 		{"plain", kindRequest, 0, telemetry.SpanContext{}},
-		{"traced", kindTracedRequest, 0, span},
-		{"budget", kindBudgetRequest, budget, telemetry.SpanContext{}},
-		{"traced+budget", kindTracedBudgetRequest, budget, span},
+		{"traced", kindRequest | flagTraced, 0, span},
+		{"budget", kindRequest | flagBudget, budget, telemetry.SpanContext{}},
+		{"traced+budget", kindRequest | flagBudget | flagTraced, budget, span},
 	}
 	for _, k := range kinds {
 		for _, size := range []int{0, 1 << 10, frameCoalesceMax + 1} {
@@ -220,36 +221,31 @@ func TestFrameEncodingTable(t *testing.T) {
 			check("bare", h, p)
 
 			// The batch assembler, driven without its flusher goroutine:
-			// two copies of the entry ride one envelope when they are
-			// batchable, and go out as two bare frames when they are not.
+			// two copies of the entry are the same two frames whether they
+			// are packed into one write or, too large to pack, go out in
+			// two; a packed run counts once.
 			var out bytes.Buffer
 			b := &batcher{w: &out}
 			if err := b.writeBatch([]sendEntry{e, e}); err != nil {
 				t.Fatal(err)
 			}
-			twice := append(append([]byte(nil), want...), want...)
+			if twice := append(append([]byte(nil), want...), want...); !bytes.Equal(out.Bytes(), twice) {
+				t.Fatalf("%s/%d: two entries are not two frames back to back", k.name, size)
+			}
+			packed := uint64(1)
 			if size > batchEntryMax {
-				if !bytes.Equal(out.Bytes(), twice) || b.framesSent.Load() != 2 || b.batchesSent.Load() != 0 {
-					t.Fatalf("%s/%d: oversized entries were not sent as two bare frames", k.name, size)
-				}
-				continue
+				packed = 0
 			}
-			eh, body, err := readFrame(&out)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if eh.kind != kindBatch || eh.id != 2 || !bytes.Equal(body, twice) {
-				t.Fatalf("%s/%d: batch body differs from the two bare frames (envelope %+v)", k.name, size, eh)
-			}
-			if b.framesSent.Load() != 1 || b.batchesSent.Load() != 1 || b.batchedSends.Load() != 2 || b.maxBatch.Load() != 2 {
-				t.Fatalf("%s/%d: batch counters frames=%d batches=%d sends=%d max=%d", k.name, size,
+			if b.framesSent.Load() != 2-packed || b.batchesSent.Load() != packed || b.batchedSends.Load() != 2*packed || b.maxBatch.Load() != 2*packed {
+				t.Fatalf("%s/%d: counters frames=%d batches=%d sends=%d max=%d", k.name, size,
 					b.framesSent.Load(), b.batchesSent.Load(), b.batchedSends.Load(), b.maxBatch.Load())
 			}
-			if err := decodeBatch(body, eh.id, func(sh frameHeader, sub []byte) error {
-				check("batched", sh, sub)
-				return nil
-			}); err != nil {
-				t.Fatal(err)
+			for i := 0; i < 2; i++ {
+				h, p, err := readFrame(&out)
+				if err != nil {
+					t.Fatal(err)
+				}
+				check(fmt.Sprintf("frame %d of two", i), h, p)
 			}
 		}
 	}
