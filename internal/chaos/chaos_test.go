@@ -276,11 +276,12 @@ func (q *queueingCaller) CallCtx(_ context.Context, _ byte, payload []byte) ([]b
 }
 
 // TestDupSendsItsOwnCopy: a duplicated call reports the first delivery's
-// success, upon which the caller recycles its request buffer (rpc's
-// buffer rule 4) — while the second delivery, abandoned by a cancelled
-// context, may still be queued. The duplicate must therefore travel in a
-// copy: the queued bytes stay what was sent when the caller's buffer is
-// put back and refilled. Both the blocking and the pipelined path.
+// success, upon which the caller may reuse its request bytes (rpc.Async
+// recycles the request it assembled for a wrapped transport) — while the
+// second delivery, abandoned by a cancelled context, may still be
+// queued. The duplicate must therefore travel in a copy: the queued bytes
+// stay what was sent when the caller's buffer is refilled. Both the
+// blocking and the pipelined path.
 func TestDupSendsItsOwnCopy(t *testing.T) {
 	for _, async := range []bool{false, true} {
 		in := New(sim.NewEngine(), Config{Seed: 9, PDup: 1})
@@ -288,7 +289,7 @@ func TestDupSendsItsOwnCopy(t *testing.T) {
 		link := in.WrapTransport(0, q)
 		ctx, cancel := context.WithCancel(context.Background())
 
-		req := rpc.GetBuffer(64)
+		req := make([]byte, 64)
 		copy(req, "the block this call wrote")
 		want := append([]byte(nil), req...)
 		var err error
@@ -301,14 +302,11 @@ func TestDupSendsItsOwnCopy(t *testing.T) {
 		if err != nil || len(q.held) != 2 {
 			t.Fatalf("async=%t: err %v after %d deliveries, want success after 2", async, err, len(q.held))
 		}
-		// The call succeeded: the caller gives its buffer back, and the
-		// next request is assembled in the same memory.
-		rpc.PutBuffer(req)
-		next := rpc.GetBuffer(64)
-		copy(next, "another call's bytes, same buffer")
+		// The call succeeded: the caller assembles its next request in
+		// the same memory.
+		copy(req, "another call's bytes, same buffer")
 		if !bytes.Equal(q.held[1], want) {
 			t.Errorf("async=%t: the queued duplicate now reads %q, want %q", async, q.held[1], want)
 		}
-		rpc.PutBuffer(next)
 	}
 }

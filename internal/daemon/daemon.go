@@ -109,10 +109,9 @@ func (s *Server) OnSlowOp(fn func(telemetry.Span)) {
 func (s *Server) SetSlowOpNS(ns int64) { s.tracer.SetSlowOpNS(ns) }
 
 // Metrics exposes the daemon's telemetry registry (rpc.requests,
-// rpc.errors, rpc.buffer.*, memnode.*) for the Prometheus endpoint. The
-// buffer and memnode gauges are sampled here, so call it once per scrape.
+// rpc.errors, memnode.*) for the Prometheus endpoint. The memnode gauges
+// are sampled here, so call it once per scrape.
 func (s *Server) Metrics() *telemetry.Registry {
-	s.rpc.SampleBuffers()
 	s.resident.Set(s.node.ResidentBytes())
 	s.dropped.Set(int64(s.node.DroppedBytes()))
 	return s.metrics

@@ -86,9 +86,8 @@ func TestReadRepliesFromLentMemory(t *testing.T) {
 }
 
 // TestSumReadsLentMemoryInPlace: the near-memory sum walks the node's own
-// bytes. It used to stage the range in a pooled buffer first, and a range
-// past BufferRetainMax is a buffer the pool drops, so every 16 MiB sum left
-// 16 MiB to the collector.
+// bytes. It used to stage the range in a buffer first, so every 16 MiB
+// sum left 16 MiB to the collector.
 func TestSumReadsLentMemoryInPlace(t *testing.T) {
 	const n = rpc.MaxPayload
 	s, err := NewServer("srv0", n, n)
@@ -391,28 +390,20 @@ func loopbackView(t *testing.T, n int, shared, stripe int64) (*PoolView, []*Serv
 	return v, servers
 }
 
-// bufferGets is how many buffers the process's payload pool has handed
-// out, as s's registry samples it.
-func bufferGets(s *Server) int64 {
-	m := s.Metrics()
-	return m.Gauge("rpc.buffer.hits").Value() + m.Gauge("rpc.buffer.misses").Value()
-}
-
 // TestWirePathAllocBudget is the count guard of the wire path, in the two
 // shapes of the wire benchmarks. Neither allocates per op once warm, and
-// neither takes a pooled buffer for its requests: a write's bytes leave
-// from the caller's slice and go straight into lent memory, a read's
-// request is a head carried in its queue entry, and its reply leaves from
-// lent memory straight into the caller's slice.
+// neither takes a buffer for its requests: a write's bytes leave from the
+// caller's slice and go straight into lent memory, a read's request is a
+// head carried in its queue entry, and its reply leaves from lent memory
+// straight into the caller's slice. A buffer taken on either side of the
+// data path would be an allocation, which the budgets below count.
 func TestWirePathAllocBudget(t *testing.T) {
 	if raceDetectorEnabled {
 		t.Skip("sync.Pool drops puts under the race detector; the budget is checked without it")
 	}
 	// 1 MiB: alternating 1 MiB reads and writes through 256 KiB stripes,
 	// one caller — the wire_bulk shape, over four loopback daemons so that
-	// each op sends one chunk to each and every frame goes out bare: the
-	// buffer-pool traffic is then exact. No chunk takes a pooled buffer on
-	// either side, and the run leaves the pool holding what it held before.
+	// each op sends one chunk to each and every frame goes out bare.
 	t.Run("1MiB", func(t *testing.T) {
 		const chunks = 4
 		v, servers := loopbackView(t, chunks, 32<<20, 256<<10)
@@ -420,17 +411,6 @@ func TestWirePathAllocBudget(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// A daemon's alloc request goes back to the pool only once its
-		// reply is written, which may be after Alloc returns. A read of no
-		// bytes takes no pooled buffer, and its reply is written after
-		// that, so the pool is sampled once every set-up buffer is back.
-		for _, c := range v.clients {
-			if _, err := c.Read(0, 0); err != nil {
-				t.Fatal(err)
-			}
-		}
-		retained := func() int64 { return servers[0].Metrics().Gauge("rpc.buffer.retained_bytes").Value() }
-		retainedBefore := retained()
 		data := make([]byte, 1<<20)
 		for i := range data {
 			data[i] = byte(i * 13)
@@ -470,21 +450,6 @@ func TestWirePathAllocBudget(t *testing.T) {
 		if bytesPerOp > 1024 || mallocsPerOp >= 1 {
 			t.Errorf("a 1 MiB op allocates %.0f B in %.1f objects, want at most 1024 B in under one", bytesPerOp, mallocsPerOp)
 		}
-		for _, verb := range []struct {
-			name string
-			do   func(int)
-		}{{"write", write}, {"read", read}} {
-			before := bufferGets(servers[0])
-			for i := 0; i < ops; i++ {
-				verb.do(i)
-			}
-			if d := bufferGets(servers[0]) - before; d != 0 {
-				t.Errorf("%d 1 MiB %ss took %d pooled buffers, want 0: no request buffer on the client, none on the server", ops, verb.name, d)
-			}
-		}
-		if d := retained() - retainedBefore; d != 0 {
-			t.Errorf("the run left the pool retaining %d more bytes than before it, want 0", d)
-		}
 		// Nor does a read start a goroutine on the server: with every span
 		// slow, the slow-op hook runs on the goroutine that served the
 		// request, and for a read that is its connection's read loop.
@@ -518,17 +483,14 @@ func TestWirePathAllocBudget(t *testing.T) {
 	// 64 B: two callers issue 64-byte ops, four reads to a write, through
 	// a view of two daemons — the wire_small shape, whose concurrent small
 	// requests and replies are packed into shared writes both ways. Each
-	// side reads a packed frame as it reads one written alone, so neither
-	// two callers nor a lone one take a pooled buffer for their 64 B reads
-	// and writes.
+	// side reads a packed frame as it reads one written alone.
 	t.Run("64B", func(t *testing.T) {
-		v, servers := loopbackView(t, 2, 32<<20, 1<<20)
+		v, _ := loopbackView(t, 2, 32<<20, 1<<20)
 		b, err := v.Alloc(8 << 20)
 		if err != nil {
 			t.Fatal(err)
 		}
-		const perCaller = 4000
-		callers := 2
+		const perCaller, callers = 4000, 2
 		run := func(n int) {
 			var wg sync.WaitGroup
 			for c := 0; c < callers; c++ {
@@ -554,21 +516,10 @@ func TestWirePathAllocBudget(t *testing.T) {
 			wg.Wait()
 		}
 		run(perCaller) // warm-up
-		before := bufferGets(servers[0])
 		bytesPerOp, mallocsPerOp := allocsPerOp(callers*perCaller, func() { run(perCaller) })
-		gets := bufferGets(servers[0]) - before
-		t.Logf("%.1f B, %.3f mallocs and %.3f pooled buffers per 64 B op", bytesPerOp, mallocsPerOp, float64(gets)/float64(callers*perCaller))
+		t.Logf("%.1f B and %.3f mallocs per 64 B op", bytesPerOp, mallocsPerOp)
 		if mallocsPerOp >= 0.01 {
 			t.Errorf("a 64 B op allocates %.3f objects (%.1f B) in steady state, want 0", mallocsPerOp, bytesPerOp)
-		}
-		if gets != 0 {
-			t.Errorf("two callers' %d 64 B ops took %d pooled buffers, want 0", callers*perCaller, gets)
-		}
-		callers = 1
-		before = bufferGets(servers[0])
-		run(perCaller)
-		if d := bufferGets(servers[0]) - before; d != 0 {
-			t.Errorf("a lone caller's %d 64 B ops took %d pooled buffers, want 0", perCaller, d)
 		}
 	})
 }
@@ -601,11 +552,9 @@ func TestWireTrafficLeavesNoPerPageState(t *testing.T) {
 	}
 	pass := func(stride int64) {
 		for i := int64(0); i < pages; i++ {
-			got, err := c.Read(i*stride, 64)
-			if err != nil {
+			if _, err := c.Read(i*stride, 64); err != nil {
 				t.Fatal(err)
 			}
-			rpc.PutBuffer(got)
 		}
 	}
 	pass(0)

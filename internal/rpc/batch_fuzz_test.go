@@ -35,11 +35,10 @@ func readAll(conn net.Conn) <-chan frameHeader {
 		defer close(out)
 		br := bufio.NewReader(conn)
 		for {
-			h, p, err := readFrame(br)
+			h, _, err := readFrame(br)
 			if err != nil {
 				return
 			}
-			PutBuffer(p)
 			out <- h
 		}
 	}()
@@ -120,7 +119,6 @@ func FuzzBatchRoundTrip(f *testing.F) {
 			if !got {
 				t.Fatalf("reply to %d carries %d bytes that no request with that id sent", h.id, len(p))
 			}
-			PutBuffer(p)
 		}
 		// Close waits for the handlers, and so for every span to end.
 		s.Close()
@@ -291,6 +289,8 @@ func FuzzServeConn(f *testing.F) {
 	f.Add(rawFrame(kindRequest, methEcho, 12, nil)[:10])                                 // a header cut
 	f.Add([]byte{kindRequest, methEcho, 0, 0, 0, 0, 0, 0, 0, 1, 0xFF, 0xFF, 0xFF, 0xFF}) // longer than MaxPayload
 	f.Add([]byte{})
+	f.Add(claimHeader(kindRequest, 99, 13))                             // a header claiming MaxPayload, and no body
+	f.Add(cat(claimHeader(kindRequest, 99, 14), []byte("a few bytes"))) // the same, cut after a few bytes of body
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s := NewServer()
 		var running atomic.Int64

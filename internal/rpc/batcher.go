@@ -49,14 +49,8 @@ type sendEntry struct {
 	sc      telemetry.SpanContext
 	// payload is a request's body or a reply. On the client's gathered
 	// path (Async) it is the caller's own slice, borrowed until the
-	// flusher has written or dropped the entry (bufpool.go).
+	// flusher has written or dropped the entry.
 	payload []byte
-	// call is the server-side request a reply entry answers; retire
-	// releases its request buffer once the entry has been written or
-	// dropped. Nil for a received request, which holds no buffer, and on
-	// the client's request path, whose payload is the caller's or its
-	// future's.
-	call *serverCall
 }
 
 // payloadLen is the entry's frame payload size, past the metadata prefix.
@@ -144,7 +138,7 @@ func (b *batcher) close() {
 	b.mu.Unlock()
 	<-b.exited
 	b.mu.Lock()
-	retire(b.q)
+	clear(b.q) // dropped: a slot that kept its payload would pin it
 	b.q = b.q[:0]
 	b.mu.Unlock()
 }
@@ -171,20 +165,6 @@ func (b *batcher) withdraw(id uint64) {
 		b.drained.Wait()
 	}
 	b.waiting--
-}
-
-// retire ends the batcher's hold on entries that have been written or
-// dropped: a server reply's request goes back to its pool, and every
-// slot forgets its payload so a drained queue pins no buffer.
-//
-//lmp:hotpath
-func retire(entries []sendEntry) {
-	for i := range entries {
-		if c := entries[i].call; c != nil {
-			c.release()
-		}
-		entries[i] = sendEntry{}
-	}
 }
 
 func (b *batcher) flushLoop() {
@@ -220,11 +200,11 @@ func (b *batcher) flushLoop() {
 		failed := b.failed
 		b.mu.Unlock()
 		if failed {
-			retire(b.local) // drain and drop; the connection is gone
+			clear(b.local) // drain and drop; the connection is gone
 			continue
 		}
 		err := b.writeBatch(b.local)
-		retire(b.local)
+		clear(b.local) // written: the slots forget their payloads
 		if err != nil {
 			b.mu.Lock()
 			first := !b.failed

@@ -172,10 +172,16 @@ func writeFrame(w io.Writer, e *sendEntry) error {
 // is going (bufio reads directly once its buffer is empty).
 const readBufSize = 4 << 10
 
+// readStep is what readPayload commits before the first payload byte
+// has arrived. A frame's header may claim up to MaxPayload; only bytes
+// that arrive make the buffer grow, so a peer that sends a bare header
+// holds one step of the receiver's memory, not the length it claims.
+const readStep = 64 << 10
+
 // readHeader reads one frame header into hdr, scratch of at least
 // frameHeaderLen bytes that the read loop owns, and refuses a length past
 // MaxPayload. The payload is left on r: the read loop decides where it
-// goes — a pooled buffer (readPayload), a caller's destination, or a
+// goes — a new slice (readPayload), a caller's destination, or a
 // Receiver — once it knows whose frame it is.
 func readHeader(r io.Reader, hdr []byte) (frameHeader, error) {
 	if _, err := io.ReadFull(r, hdr[:frameHeaderLen]); err != nil {
@@ -193,14 +199,22 @@ func readHeader(r io.Reader, hdr []byte) (frameHeader, error) {
 	return h, nil
 }
 
-// readPayload reads a frame's n payload bytes into a pooled buffer, which
-// the caller owns (see bufpool.go); on an error the buffer goes back and
-// no payload is returned.
+// readPayload reads a frame's n payload bytes into a new slice, which
+// belongs to the caller; on an error no payload is returned. The slice
+// starts at readStep (or n, if less) and, each time it fills, grows to
+// four times what has arrived: it holds at most four times the bytes the
+// peer has sent, or one step before any has, and growing four-fold keeps
+// the bytes copied on the way in to a third of the payload.
 func readPayload(r io.Reader, n uint32) ([]byte, error) {
-	buf := GetBuffer(int(n))
-	if _, err := io.ReadFull(r, buf); err != nil {
-		PutBuffer(buf)
-		return nil, err
+	buf := make([]byte, min(int(n), readStep))
+	for got := 0; ; {
+		k, err := io.ReadFull(r, buf[got:])
+		if got += k; err != nil {
+			return nil, err
+		}
+		if got == int(n) {
+			return buf, nil
+		}
+		buf = append(buf, make([]byte, min(int(n)-got, 3*got))...)
 	}
-	return buf, nil
 }

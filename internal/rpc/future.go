@@ -21,17 +21,14 @@ type Future struct {
 	c  *Client
 	id uint64
 
-	// The pooled buffers that ride with the call (bufpool.go, rules 3 and
-	// 4): reply is the buffer the read loop filled, set by whoever
-	// completes the future; req is the caller's request buffer, set by
-	// OwnRequest. Release is the only reader of both.
-	reply []byte
-	req   []byte
+	// req is the request Async assembled for a wrapped transport, which
+	// Release recycles if the call succeeded. Set by Async, read by
+	// Release.
+	req *[]byte
 
 	// borrow says the call's queued frame borrows the caller's body
-	// (Async on a *Client, bufpool.go rule 5): a failed call withdraws
-	// the frame before its waiter returns. Set by the issuer, read by the
-	// waiter.
+	// (Async on a *Client): a failed call withdraws the frame before its
+	// waiter returns. Set by the issuer, read by the waiter.
 	borrow bool
 
 	// dst is the caller's destination for the reply bytes, set by Into
@@ -71,20 +68,11 @@ func getFuture(c *Client) *Future {
 	return f
 }
 
-// putFuture recycles a resolved future. Its buffers are not its
-// business: the caller has released them or passed them on.
+// putFuture recycles a resolved future. Its request is not its
+// business: Release has recycled it or left it to the collector.
 func putFuture(f *Future) {
 	*f = Future{done: f.done}
 	futurePool.Put(f)
-}
-
-// OwnRequest hands the future the GetBuffer buffer the call's request
-// was assembled in: Release gives it back if — and only if — the call
-// succeeded (bufpool.go, rule 4). Like Then it must be called before the
-// future is handed to its waiter.
-func (f *Future) OwnRequest(req []byte) *Future {
-	f.req = req
-	return f
 }
 
 // Into makes dst the destination of the call's reply: a successful
@@ -114,23 +102,22 @@ func errReplyLength(got, want int) error {
 	return fmt.Errorf("rpc: reply of %d bytes for a %d-byte destination", got, want)
 }
 
-// Release gives a resolved future back, with the reply buffer it owns
-// and, when the call resolved with a nil error, its request buffer. The
-// single waiter calls it at most once, after Wait or WaitCtx has
-// returned and the reply bytes have been copied out; neither the future
-// nor the payload it returned may be touched afterwards. Detached futures
-// (ResolvedFuture, SpawnFuture) and futures never waited on release as
-// no-ops and are left to the collector.
+// Release gives a resolved future back and, when the call resolved with
+// a nil error, the request Async assembled for it. The single waiter
+// calls it at most once, after Wait or WaitCtx has returned; the future
+// may not be touched afterwards, while the payload it returned stays the
+// caller's. Detached futures (ResolvedFuture, SpawnFuture) and futures
+// never waited on release as no-ops and are left to the collector.
 //
 //lmp:hotpath
 func (f *Future) Release() {
 	if f.c == nil || !f.resolved {
 		return
 	}
-	if f.err == nil {
-		PutBuffer(f.req)
+	if f.err == nil && f.req != nil {
+		poison((*f.req)[:cap(*f.req)])
+		assembled.Put(f.req)
 	}
-	PutBuffer(f.reply)
 	putFuture(f)
 }
 
@@ -259,28 +246,59 @@ type AsyncCaller interface {
 	CallAsyncCtx(ctx context.Context, method byte, payload []byte) *Future
 }
 
+// assembled recycles the requests Async assembles for a wrapped
+// transport. It holds pointers, so that a put allocates nothing.
+var assembled sync.Pool
+
 // Async issues a call on c without blocking; its request payload is
 // head followed by body. It is the one way a data call starts.
 //
-// On a *Client (and a head of at most 16 bytes) the request leaves from
-// where it lies: the queued frame carries a copy of head and borrows
-// body, which the caller must leave alone until Wait or WaitCtx has
-// returned (bufpool.go, rule 5). Any other Caller gets head and body
-// assembled in a GetBuffer buffer, so a wrapper that holds or re-sends
-// its payload never reads the caller's slice: natively when c is an
-// AsyncCaller, with the buffer owned by the future (OwnRequest, rule 4),
-// otherwise via a spawned goroutine around the blocking CallCtx, which
-// leaves the buffer to the collector.
+// On a *Client (and a head of at most 16 bytes) the request is gathered:
+// the queued frame carries a copy of head and borrows body, and the
+// flusher writes header, head and body where they lie — a frame past
+// frameCoalesceMax as one vectored write whose last piece is the
+// caller's slice. The body goes back to the caller only once the flusher
+// has written its frame or dropped it. A successful reply proves that
+// wherever the server reads the whole request before it succeeds: every
+// Handle method, and a Receiver that reads all of its body, as lmpd's
+// write does. No other completion may return the call first — not a
+// cancellation, not Close, not a connection failure, not an error reply,
+// which a Receiver can send before its body is drained: when a borrowing
+// call fails, its waiter withdraws a frame the flusher has not taken yet
+// from the queue, unsent, and otherwise waits for the write in flight to
+// end before Wait or WaitCtx returns. The success path takes no lock,
+// atomic or channel operation for this. The caller must not change the
+// body until its future has been waited on.
+//
+// Any other Caller gets head and body assembled in a buffer of Async's
+// own, so a wrapper that holds or re-sends its payload never reads the
+// caller's slice. When c is an AsyncCaller the future owns that buffer,
+// and Release recycles it only when the logical call resolved with a nil
+// error: a successful reply proves the frame left the send queue, while
+// after a cancellation, a connection failure or Close the flusher may
+// still hold the queued frame, so on any error the buffer is left to the
+// collector. A wrapper that re-sends a payload after the call it belongs
+// to has succeeded must send a copy. Under the race detector a recycled
+// request is overwritten as it goes back (poison_race.go), so a use after
+// its release shows up as wrong bytes. A Caller that is not an
+// AsyncCaller is called on a spawned goroutine around the blocking
+// CallCtx, which leaves the buffer to the collector.
 func Async(c Caller, ctx context.Context, method byte, head, body []byte) *Future {
 	if cl, ok := c.(*Client); ok && len(head) <= headMax {
 		f := getFuture(cl)
 		f.borrow = cl.startCall(ctx, method, head, body, f) && len(body) > 0
 		return f
 	}
-	req := GetBuffer(len(head) + len(body))
-	copy(req[copy(req, head):], body)
+	bp, _ := assembled.Get().(*[]byte)
+	if bp == nil {
+		bp = new([]byte)
+	}
+	req := append(append((*bp)[:0], head...), body...)
+	*bp = req
 	if ac, ok := c.(AsyncCaller); ok {
-		return ac.CallAsyncCtx(ctx, method, req).OwnRequest(req)
+		f := ac.CallAsyncCtx(ctx, method, req)
+		f.req = bp
+		return f
 	}
 	return SpawnFuture(func() ([]byte, error) {
 		return c.CallCtx(ctx, method, req)

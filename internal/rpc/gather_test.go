@@ -16,7 +16,7 @@ import (
 // The gathered request (Async on a *Client): a request's head rides in
 // its queue entry and its body leaves from the caller's slice. These
 // tests pin that the body reaches the connection without a copy, and the
-// borrow rule that makes that safe (bufpool.go, rule 5): once the call
+// borrow rule that makes that safe (Async's doc): once the call
 // has returned, nothing reads the caller's slice again.
 
 // overlaps reports whether p and q share memory.

@@ -49,8 +49,8 @@ func waitTaken(t testing.TB, c *Client) {
 }
 
 // TestIntoAfterReplyTaken: Into reaching a call whose reply header the
-// read loop has already taken — its payload now on its way into a pooled
-// buffer — still gets the bytes, copied when the waiter consumes them.
+// read loop has already taken — its payload now on its way into a new
+// slice — still gets the bytes, copied when the waiter consumes them.
 func TestIntoAfterReplyTaken(t *testing.T) {
 	c, srv := pipeClient(t)
 	f := c.CallAsyncCtx(nil, methEcho, nil)

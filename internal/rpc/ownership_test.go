@@ -11,13 +11,15 @@ import (
 	"time"
 )
 
-// The ownership wall: tests of rules 1–4 at the top of bufpool.go (rule
-// 5, the gathered request's borrowed body, is gather_test.go's).
-// They run against real connections with every buffer on the path
-// recycled, and they check bytes, not pointers: under the race detector
-// a buffer is overwritten with 0xDB when it is put back, so one released
-// while somebody still sends, reads or fills it fails a content check
-// here (and a write to it races its next owner under the detector).
+// The ownership wall: the request Async assembles for a wrapped
+// transport, which Release recycles once its call has succeeded
+// (future.go), against handlers that return their request or a shared
+// slice as the reply (the gathered request's borrowed body is
+// gather_test.go's). The tests run against real connections and check
+// bytes, not pointers: under the race detector a request is overwritten
+// with 0xDB when it is recycled, so one recycled while somebody still
+// sends it fails a content check here (and a write to it races its next
+// owner under the detector).
 
 // A block is a self-describing payload: the issuing caller, that
 // caller's sequence number, then bytes derived from both and from the
@@ -51,8 +53,7 @@ func checkBlock(b []byte) (caller, seq uint64, err error) {
 var blockSizes = []int{blockHeader, 64, 300, 4 << 10, batchEntryMax + 100, frameCoalesceMax + 1000}
 
 // startBlockEchoServer serves methEcho with a handler that checks the
-// block it was handed and returns that same slice as its reply — the
-// aliasing rule 1 exists for. Blocks that arrive broken are counted, so
+// block it was handed and returns that same slice as its reply. Blocks that arrive broken are counted, so
 // a test whose client has gone away still sees them.
 func startBlockEchoServer(t *testing.T) (addr string, broken *atomic.Int64) {
 	t.Helper()
@@ -73,19 +74,22 @@ func startBlockEchoServer(t *testing.T) (addr string, broken *atomic.Int64) {
 	return addr, broken
 }
 
-// issueBlock sends one block the way Async sends a write over a wrapped
-// transport: the request is assembled in a pooled buffer that rides with
-// the future.
+// wrapped is a transport wrapper over a *Client, like the chaos link or
+// the benchmark's seam: Async assembles a request for it, which rides
+// with the future.
+type wrapped struct{ *Client }
+
+// issueBlock sends one block through Async over a wrapped transport.
 func issueBlock(c *Client, ctx context.Context, size int, caller, seq uint64) *Future {
-	req := GetBuffer(size)
-	fillBlock(req, caller, seq)
-	return c.CallAsyncCtx(ctx, methEcho, req).OwnRequest(req)
+	block := make([]byte, size)
+	fillBlock(block, caller, seq)
+	return Async(wrapped{c}, ctx, methEcho, nil, block)
 }
 
 // TestEchoAliasedReplyPipelined is wall (a): the handler returns its
 // request as the reply, eight callers keep four calls in flight each,
-// every future is released — so request, reply and future all recycle —
-// and every reply must be the whole block its call sent.
+// every future is released — so request and future recycle — and every
+// reply must be the whole block its call sent.
 func TestEchoAliasedReplyPipelined(t *testing.T) {
 	addr, broken := startBlockEchoServer(t)
 	c, err := Dial(addr)
@@ -195,17 +199,16 @@ func TestCloseRoundsRecycle(t *testing.T) {
 }
 
 // staticReply is what the handler of wall (e) returns for every request:
-// a package-level slice whose capacity is exactly a size class, the shape
-// a pool that judged replies by capacity would adopt.
+// a package-level slice.
 var staticReply = func() []byte {
-	b := make([]byte, 1<<minBufShift+bufSlack)
+	b := make([]byte, 128)
 	fillBlock(b, 0xE, 0xE)
 	return b
 }()
 
 // TestStaticReplyNeverAdopted is wall (e): a handler may return a shared
-// slice. It is sent and left alone — never put into the pool, so never
-// poisoned and never handed to another request as its buffer.
+// slice. It is sent and left alone — never recycled with the requests
+// around it, so never poisoned or written.
 func TestStaticReplyNeverAdopted(t *testing.T) {
 	s := NewServer()
 	s.Handle(methEcho, func([]byte) ([]byte, error) { return staticReply, nil })
@@ -239,18 +242,6 @@ func TestStaticReplyNeverAdopted(t *testing.T) {
 	wg.Wait()
 	if _, _, err := checkBlock(staticReply); err != nil {
 		t.Errorf("the handler's static reply was written to: %v", err)
-	}
-	// Nothing the pool holds in that class is the static slice.
-	var held [][]byte
-	for i := 0; i <= bufClassSlots; i++ {
-		b := GetBuffer(len(staticReply))
-		if &b[0] == &staticReply[0] {
-			t.Fatal("the pool handed out the handler's static reply as a buffer")
-		}
-		held = append(held, b)
-	}
-	for _, b := range held {
-		PutBuffer(b)
 	}
 }
 

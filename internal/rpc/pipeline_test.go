@@ -219,7 +219,7 @@ func TestCloseFailsInflightFutures(t *testing.T) {
 	select {
 	case <-c.readDone:
 	default:
-		t.Fatal("Close returned with the read loop still running: it can put a buffer into the pool of the next test")
+		t.Fatal("Close returned with the read loop still running: it can outlive its test")
 	}
 	for i, f := range futures {
 		if _, err := f.Wait(); !errors.Is(err, ErrClosed) {

@@ -9,12 +9,12 @@
 // batcher.go); each side reads every frame the same way, through a small
 // per-connection read buffer, and routes it by tag.
 //
-// Payload buffers are recycled, not allocated per call: a request on
-// either side and a reply on the client come from one bounded pool and
-// each has exactly one owner at a time — bufpool.go states who owns
-// which buffer until when, and who gives it back. Handlers must not
-// retain their payload; a caller that wants its future and buffers back
-// in the pool calls Future.Release when it is done with the result.
+// A payload that is read into a buffer is read into an ordinary slice,
+// which the collector takes back: a Handler's request, and a reply whose
+// caller named no destination. A data call takes no buffer on the
+// client: its request leaves from the caller's bytes (Async), and a
+// caller that wants its future back calls Future.Release when it is done
+// with the result.
 //
 // Two kinds of call skip a buffer altogether: a reply whose caller named
 // a destination (Future.Into) is read off the connection straight into
@@ -56,9 +56,16 @@ var ErrClosed = errors.New("rpc: closed")
 
 // Handler serves one method: it receives the request payload and returns
 // the response payload. A returned error is delivered to the caller as a
-// string. payload belongs to the server and is recycled after the reply
-// has been written: a handler may return it (or any other slice) as the
-// reply, but must not keep it past its return.
+// string. payload is the handler's to keep or to return as the reply;
+// nothing else uses it.
+//
+// The server never recycles a reply: whatever a handler or a Receiver
+// returns — its request, a static or shared slice, a view of the memory
+// a read asks for — is sent and then left alone. The connection's
+// flusher writes it after the handler has returned, so a reply that is a
+// view must stay valid while the Server is serving: the connection holds
+// the Server, and so whatever its handlers hold, until its flusher has
+// exited, and Close returns only after that.
 type Handler func(payload []byte) ([]byte, error)
 
 // Receiver serves a method registered with HandleReceive, on the read
@@ -91,12 +98,11 @@ type route struct {
 	headLen int
 }
 
-// reporting is where a server reports: its tracer, and the counters and
-// buffer gauges of its registry. Any of them may be nil.
+// reporting is where a server reports: its tracer and the counters of
+// its registry. Any of them may be nil.
 type reporting struct {
 	tracer             *telemetry.Tracer
 	reqCount, errCount *telemetry.Counter
-	buf                *bufferGauges
 }
 
 // Server dispatches incoming requests to registered handlers.
@@ -180,37 +186,12 @@ func (s *Server) SetTracer(t *telemetry.Tracer) {
 }
 
 // SetRegistry mirrors request and error totals into reg as the counters
-// "rpc.requests" and "rpc.errors" (per-method detail stays in Stats),
-// and registers the gauges "rpc.buffer.*" that SampleBuffers fills.
+// "rpc.requests" and "rpc.errors" (per-method detail stays in Stats).
 func (s *Server) SetRegistry(reg *telemetry.Registry) {
 	republish(s, &s.report, func(rp *reporting) {
 		rp.reqCount = reg.Counter("rpc.requests")
 		rp.errCount = reg.Counter("rpc.errors")
-		rp.buf = &bufferGauges{
-			hits:     reg.Gauge("rpc.buffer.hits"),
-			misses:   reg.Gauge("rpc.buffer.misses"),
-			retained: reg.Gauge("rpc.buffer.retained_bytes"),
-		}
 	})
-}
-
-// bufferGauges is the registry's view of the buffer pool.
-type bufferGauges struct {
-	hits, misses, retained *telemetry.Gauge
-}
-
-// SampleBuffers sets the "rpc.buffer.*" gauges SetRegistry registered to
-// the process-wide buffer pool's hits, misses and retained bytes, so a
-// scrape shows whether recycling works in this deployment. Call it once
-// per scrape; without a registry it does nothing.
-func (s *Server) SampleBuffers() {
-	g := s.report.Load().buf
-	if g == nil {
-		return
-	}
-	g.hits.Set(int64(bufPool.hits.Load()))
-	g.misses.Set(int64(bufPool.misses.Load()))
-	g.retained.Set(bufPool.retained.Load())
 }
 
 // MethodStats is one method's dispatch totals.
@@ -383,12 +364,10 @@ func (b *bodyReader) fail(err error) {
 
 // receive serves one request frame of a HandleReceive method: counters,
 // span, budget check, the Receiver, the reply. A request shorter than the
-// Receiver's head is refused without calling it. The reply holds no
-// buffer of the server's, so its queue entry has no call to release. It
-// returns false when the connection must end: a frame that is not a
-// request or is too short for its flags' metadata prefix, or a read
-// error before the frame's last byte — a frame that was cut gets no
-// reply.
+// Receiver's head is refused without calling it. It returns false when
+// the connection must end: a frame that is not a request or is too short
+// for its flags' metadata prefix, or a read error before the frame's
+// last byte — a frame that was cut gets no reply.
 func (s *Server) receive(cr *connReader, h frameHeader, rt *route, out *batcher) bool {
 	prefix := prefixLen(h.kind)
 	if int(h.length) < prefix {
@@ -506,9 +485,8 @@ func budgetSpent(budget int64, arrived time.Time) bool {
 	return budget != 0 && (budget <= 0 || time.Since(arrived).Nanoseconds() >= budget)
 }
 
-// serverCall is one request's state from dispatch until its reply frame
-// has been written or dropped. It is pooled: dispatch fills one, its run
-// method is the request's goroutine, and the reply batcher releases it.
+// serverCall is one Handle request, from dispatch until its reply is
+// queued.
 type serverCall struct {
 	s   *Server
 	out *batcher
@@ -522,55 +500,35 @@ type serverCall struct {
 	rt *route
 	rp *reporting
 
-	// start is c.run bound once, when the struct is first made: `go
-	// c.run()` would allocate that closure per request.
-	start func()
-
-	// buf is the pooled request buffer (bufpool.go, rule 1), payload the
-	// handler's view of it behind the metadata prefix.
-	buf     []byte
+	// payload is the request behind its metadata prefix, in the slice
+	// readPayload filled.
 	payload []byte
 }
 
 // unrouted is the route of a method nobody registered: it has no handler.
 var unrouted route
 
-// serverCallPool has no New: run releases into the pool, so a New that
-// binds run would be an initialization cycle. dispatch makes the misses.
-var serverCallPool sync.Pool
-
-// dispatch validates one request frame, whose readPayload buffer now
-// belongs to the request, and runs its handler in a goroutine, queueing
-// the reply on out. It returns false on a protocol violation (non-request
-// kind, payload shorter than its flags' metadata prefix).
+// dispatch validates one request frame, read whole into frame, and runs
+// its handler in a goroutine, queueing the reply on out. It returns false
+// on a protocol violation (non-request kind, payload shorter than its
+// flags' metadata prefix).
 func (s *Server) dispatch(h frameHeader, frame []byte, out *batcher) bool {
 	budget, sc, payload, ok := decodePrefix(h.kind, frame)
 	if !ok {
-		PutBuffer(frame)
 		return false
 	}
-	c, _ := serverCallPool.Get().(*serverCall)
-	if c == nil {
-		c = new(serverCall)
-		c.start = c.run
-	}
-	c.s, c.out = s, out
-	c.method, c.id, c.budget, c.sc = h.method, h.id, budget, sc
-	c.arrived = arrival(budget)
-	c.buf, c.payload = frame, payload
-	c.rt = s.routes[h.method].Load()
-	if c.rt == nil {
+	c := serverCall{s: s, out: out, method: h.method, id: h.id, budget: budget, arrived: arrival(budget), sc: sc, payload: payload}
+	if c.rt = s.routes[h.method].Load(); c.rt == nil {
 		c.rt = &unrouted
 	}
 	c.rp = s.count(h.method)
 	s.wg.Add(1)
-	go c.start()
+	go c.run()
 	return true
 }
 
 // run is one request's goroutine: budget check, handler, reply enqueue.
-// After the enqueue the call belongs to the reply batcher.
-func (c *serverCall) run() {
+func (c serverCall) run() {
 	s := c.s
 	defer s.wg.Done()
 	sp := beginSpan(c.rp.tracer, c.sc, c.rt.name)
@@ -589,20 +547,8 @@ func (c *serverCall) run() {
 		resp, herr = c.rt.h(c.payload)
 	}
 	kind, resp := s.finish(c.method, c.rp, &sp, resp, herr)
-	if c.out.enqueue(sendEntry{kind: kind, method: c.method, id: c.id, payload: resp, call: c}) != nil {
-		c.release() // the connection is gone; the reply is dropped here
-	}
-}
-
-// release gives the request buffer and the call itself back. It runs
-// once, when the reply frame has been written or dropped: until then the
-// reply may alias the request buffer (an echo handler returns it).
-//
-//lmp:hotpath
-func (c *serverCall) release() {
-	PutBuffer(c.buf)
-	*c = serverCall{start: c.start}
-	serverCallPool.Put(c)
+	// A failed enqueue means the connection is gone; the reply is dropped.
+	_ = c.out.enqueue(sendEntry{kind: kind, method: c.method, id: c.id, payload: resp})
 }
 
 // Close stops the listener and all connections, waiting for in-flight
@@ -699,7 +645,7 @@ func (c *Client) sendFailed(err error) {
 // readLoop reads each reply's header first and takes the call it
 // answers, so that it knows where the payload goes before reading it: a
 // reply of exactly the length of the call's destination (Future.Into) is
-// read straight into it; anything else goes to a pooled buffer. A call
+// read straight into it; anything else goes to a new slice. A call
 // taken this way is completed by the loop even if the connection fails
 // mid-payload, so a waiter whose context ends while its reply streams in
 // waits for that frame, and nothing writes to a destination after its
@@ -746,11 +692,10 @@ func (c *Client) readLoop() {
 
 // deliver resolves f, the call taken for the reply h (nil if the id was
 // not pending: a cancelled or failed call leaves a stale id behind, and
-// its late reply is dropped here), with the readPayload buffer payload.
-// A response to a call without a destination hands the buffer to the
-// future (bufpool.go, rule 3); everything else puts it straight back —
-// a reply that a destination could take was read into it, so one that
-// reaches here with a destination has the wrong length.
+// its late reply is dropped here), with the payload readPayload read. A
+// response to a call without a destination resolves to the payload
+// itself; a reply that a destination could take was read into it, so one
+// that reaches here with a destination has the wrong length.
 func (c *Client) deliver(f *Future, into bool, dst []byte, h frameHeader, payload []byte) {
 	switch {
 	case f == nil:
@@ -759,11 +704,8 @@ func (c *Client) deliver(f *Future, into bool, dst []byte, h frameHeader, payloa
 	case into:
 		f.complete(nil, errReplyLength(len(payload), len(dst)))
 	default:
-		f.reply = payload
 		f.complete(payload, nil)
-		return
 	}
-	PutBuffer(payload)
 }
 
 // takePending removes and returns the future registered under id, or nil
@@ -847,7 +789,7 @@ func (c *Client) CallCtx(ctx context.Context, method byte, payload []byte) ([]by
 	f := getFuture(c)
 	c.startCall(ctx, method, nil, payload, f)
 	p, err := f.WaitCtx(ctx)
-	putFuture(f) // the reply buffer leaves with p: garbage, never reused
+	putFuture(f)
 	return p, err
 }
 
@@ -965,8 +907,7 @@ func (c *Client) Stats() ClientStats {
 // error wrapping ErrClosed, and every future call fails fast the same
 // way. Close is idempotent and safe to race with in-flight calls: each
 // future still resolves exactly once. When it returns the client's two
-// goroutines have exited, so neither puts a buffer back in the pool
-// afterwards.
+// goroutines have exited.
 func (c *Client) Close() error {
 	c.pt.Lock()
 	if c.pt.closed {

@@ -13,8 +13,8 @@ import (
 )
 
 // readFrame reads one whole frame the way both read loops do when the
-// payload goes to a pooled buffer: the header into scratch of the loop's
-// own, then the payload through readPayload.
+// payload has no destination: the header into scratch of the loop's own,
+// then the payload through readPayload.
 func readFrame(r io.Reader) (frameHeader, []byte, error) {
 	var hdr [frameHeaderLen]byte
 	h, err := readHeader(r, hdr[:])

@@ -140,14 +140,14 @@ func runWithdrawalStress(t *testing.T, seed int64, echoed, cancelled *atomic.Int
 }
 
 // TestWithdrawnWritesStoreWholeBlocks is the request-buffer half of the
-// withdrawal race (bufpool.go, rule 4; wall (b)): callers assemble
-// self-describing blocks in pooled request buffers, the way Async does
-// over a wrapped transport, and their contexts are cancelled at
+// withdrawal race (wall (b)): callers send self-describing blocks through
+// Async over a wrapped transport, which assembles each in a request it
+// recycles on success, and their contexts are cancelled at
 // seeded moments — a third of them straight after the issue, while the
 // frame still sits in the send queue, a third from a timer around the
 // round trip. Every future is released whatever its outcome. A request
-// buffer recycled after a withdrawn call would be refilled by the
-// caller's next write while the flusher still sends the old frame from
+// buffer recycled after a withdrawn call would be refilled by the next
+// request Async assembles while the flusher still sends the old frame from
 // it, so the store would see a torn block or the same block twice; it
 // must only ever see whole blocks, each once.
 func TestWithdrawnWritesStoreWholeBlocks(t *testing.T) {
