@@ -88,7 +88,9 @@ cross:
 	GOOS=windows $(GO) vet ./internal/memnode/
 
 # Machine-shape gate for the transport, the pool's admission/tail path
-# and the block mover under compaction: the rpc and daemon suites and
+# and the block mover under compaction: the rpc, daemon and chaos suites
+# (chaos's proxy runs real sockets and pump goroutines, which the
+# daemon's chaos tests cut, stall and reset) and
 # core's admission, in-flight, tail, circuit-breaker, compaction,
 # elasticity and translate-during-migration tests, shuffled and
 # repeated, under each GOMAXPROCS a CI box or a laptop is likely to have. A test that reads
@@ -119,7 +121,7 @@ cross:
 flake:
 	@for p in 1 2 4 8; do \
 		echo "flake: GOMAXPROCS=$$p"; \
-		GOMAXPROCS=$$p $(GO) test -shuffle=on -count=$(FLAKE_COUNT) ./internal/rpc/ ./internal/daemon/ || exit 1; \
+		GOMAXPROCS=$$p $(GO) test -shuffle=on -count=$(FLAKE_COUNT) ./internal/rpc/ ./internal/daemon/ ./internal/chaos/ || exit 1; \
 		GOMAXPROCS=$$p $(GO) test -race -shuffle=on ./internal/rpc/ ./internal/daemon/ ./internal/chaos/ ./internal/memnode/ ./internal/alloc/ || exit 1; \
 		GOMAXPROCS=$$p $(GO) test -race -shuffle=on -count=$(FLAKE_COUNT) -run 'Cache' ./internal/cache/ . || exit 1; \
 		GOMAXPROCS=$$p $(GO) test -shuffle=on -count=$(FLAKE_COUNT) -run 'Admission|Inflight|Tail|Breaker|Compact|Elasticity|Translate|Physical|ServerID|Balance|Profile|Migrat|Cache|Coheren|Lender|SizeOnce|$(CHAOS_DRIVER)' ./internal/core/ || exit 1; \

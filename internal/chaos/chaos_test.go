@@ -1,51 +1,114 @@
 package chaos
 
 import (
-	"bytes"
-	"context"
 	"errors"
+	"fmt"
+	"math/rand"
+	"net"
+	"runtime"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"github.com/lmp-project/lmp/internal/rpc"
 	"github.com/lmp-project/lmp/internal/sim"
 )
 
-// echoCaller is a healthy transport that records how many calls reached
-// the server.
-type echoCaller struct{ calls int }
+// frameHeader is the length of an rpc frame's header (kind, method, id,
+// length): an echo call of p bytes is a frame of frameHeader+p bytes
+// each way.
+const frameHeader = 14
 
-func (e *echoCaller) Call(method byte, payload []byte) ([]byte, error) {
-	return e.CallCtx(nil, method, payload)
+// echoServer starts an rpc.Server whose method 1 echoes its payload and
+// counts the calls it served.
+func echoServer(t *testing.T) (*rpc.Server, string, *atomic.Int64) {
+	t.Helper()
+	var served atomic.Int64
+	s := rpc.NewServer()
+	s.Handle(1, func(p []byte) ([]byte, error) {
+		served.Add(1)
+		return p, nil
+	})
+	addr, err := s.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	return s, addr, &served
 }
 
-func (e *echoCaller) CallCtx(_ context.Context, method byte, payload []byte) ([]byte, error) {
-	e.calls++
-	return payload, nil
+// session issues echo calls through a proxy one at a time, from one
+// goroutine. After a failed call it closes the client, waits for the
+// proxy to wind the connection down and dials afresh for the next call.
+type session struct {
+	t *testing.T
+	p *Proxy
+	c *rpc.Client
 }
 
+func (s *session) call(payload []byte) error {
+	s.t.Helper()
+	if s.c == nil {
+		c, err := rpc.Dial(s.p.Addr())
+		if err != nil {
+			s.t.Fatal(err)
+		}
+		s.c = c
+	}
+	got, err := s.c.Call(1, payload)
+	if err == nil && string(got) != string(payload) {
+		s.t.Fatalf("echo of %q came back %q", payload, got)
+	}
+	if err != nil {
+		s.close()
+	}
+	return err
+}
+
+func (s *session) close() {
+	if s.c != nil {
+		s.c.Close()
+		s.c = nil
+	}
+	s.p.Wait()
+}
+
+// runSeed drives 40 echo calls through a proxy on the sim clock, arming a
+// cut before one call in three and crashing the server from 5 ms to
+// 9 ms. It returns the fault trace and every call's outcome.
 func runSeed(t *testing.T, seed int64) string {
 	t.Helper()
+	_, addr, _ := echoServer(t)
 	eng := sim.NewEngine()
-	in := New(eng, Config{
-		Seed:        seed,
-		PDrop:       0.2,
-		PDelay:      0.3,
-		PDup:        0.1,
-		MaxDelay:    2 * sim.Millisecond,
-		CallTimeout: sim.Millisecond,
-	})
-	link := in.WrapTransport(1, &echoCaller{})
+	in := New(eng, Config{Seed: seed})
+	p, err := in.Proxy(1, addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	s := &session{t: t, p: p}
+	defer s.close()
 	in.CrashAt(5*sim.Time(sim.Millisecond), 1)
 	in.RestoreAt(9*sim.Time(sim.Millisecond), 1)
-	in.DegradeLinkAt(2*sim.Time(sim.Millisecond), 1, 4)
+	ops := rand.New(rand.NewSource(seed))
+	var outcomes strings.Builder
 	for i := 0; i < 40; i++ {
 		at := sim.Time(sim.Duration(i) * 300 * sim.Microsecond)
-		eng.At(at, func() { _, _ = link.Call(byte(i%4), []byte("x")) })
+		eng.At(at, func() {
+			payload := []byte(fmt.Sprintf("call %d", i))
+			if ops.Intn(3) == 0 {
+				p.Arm(FaultCut, Direction(ops.Intn(2)), frameHeader+len(payload))
+			}
+			err := s.call(payload)
+			if err != nil && !errors.Is(err, rpc.ErrTransient) {
+				t.Errorf("call %d: %v, want success or rpc.ErrTransient", i, err)
+			}
+			fmt.Fprintf(&outcomes, "call %d ok=%t\n", i, err == nil)
+		})
 	}
 	eng.Run()
-	return in.TraceString()
+	return in.TraceString() + outcomes.String()
 }
 
 func TestSameSeedSameTrace(t *testing.T) {
@@ -53,48 +116,56 @@ func TestSameSeedSameTrace(t *testing.T) {
 		a := runSeed(t, seed)
 		b := runSeed(t, seed)
 		if a != b {
-			t.Fatalf("seed %d: traces diverge:\n--- run 1\n%s--- run 2\n%s", seed, a, b)
+			t.Fatalf("seed %d: runs diverge:\n--- run 1\n%s--- run 2\n%s", seed, a, b)
 		}
-		if a == "" {
-			t.Fatalf("seed %d: empty trace (no faults injected)", seed)
+		if !strings.Contains(a, " cut ") || !strings.Contains(a, "ok=false") {
+			t.Fatalf("seed %d: no cut failed a call:\n%s", seed, a)
 		}
 	}
 }
 
 func TestDifferentSeedsDiverge(t *testing.T) {
 	if runSeed(t, 1) == runSeed(t, 2) {
-		t.Fatal("different seeds produced identical traces")
+		t.Fatal("different seeds produced identical runs")
 	}
 }
 
 func TestCrashWindowSemantics(t *testing.T) {
+	_, addr, served := echoServer(t)
 	eng := sim.NewEngine()
 	in := New(eng, Config{Seed: 3})
-	e := &echoCaller{}
-	link := in.WrapTransport(0, e)
+	p, err := in.Proxy(0, addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	s := &session{t: t, p: p}
+	defer s.close()
 
-	var crashes, restores int
+	var crashes int
 	in.OnCrash = func(int) { crashes++ }
-	in.OnRestore = func(int) { restores++ }
 	in.CrashAt(10, 0)
 	in.RestoreAt(20, 0)
 
-	var errAt15 error
-	eng.At(5, func() { _, _ = link.Call(1, nil) })
-	eng.At(15, func() { _, errAt15 = link.Call(1, nil) })
-	eng.At(25, func() { _, _ = link.Call(1, nil) })
+	var errs [3]error
+	eng.At(5, func() { errs[0] = s.call([]byte("before")) })
+	eng.At(15, func() { errs[1] = s.call([]byte("during")) })
+	eng.At(25, func() { errs[2] = s.call([]byte("after")) })
 	eng.Run()
 
-	if crashes != 1 || restores != 1 {
-		t.Fatalf("crashes=%d restores=%d, want 1/1", crashes, restores)
+	if tr := in.TraceString(); crashes != 1 || strings.Count(tr, " crash ") != 1 || strings.Count(tr, " restore ") != 1 {
+		t.Fatalf("OnCrash ran %d times, trace:\n%s", crashes, tr)
 	}
-	if !errors.Is(errAt15, rpc.ErrServerDead) {
-		t.Fatalf("call during crash window: %v", errAt15)
+	if errs[0] != nil || errs[2] != nil {
+		t.Fatalf("calls outside the crash window: %v, %v", errs[0], errs[2])
 	}
-	if e.calls != 2 {
-		t.Fatalf("server saw %d calls, want 2 (before crash, after restore)", e.calls)
+	if !errors.Is(errs[1], rpc.ErrTransient) {
+		t.Fatalf("call during crash window: %v, want rpc.ErrTransient", errs[1])
 	}
-	if in.Crashed(0) {
+	if n := served.Load(); n != 2 {
+		t.Fatalf("server saw %d calls, want 2 (before crash, after restore)", n)
+	}
+	if crashed(in, 0) {
 		t.Fatal("server still crashed after restore")
 	}
 }
@@ -108,122 +179,190 @@ func TestCancelledRestoreStaysDown(t *testing.T) {
 	// windowed-fault shape sim.Schedule exists for.
 	eng.At(15, func() { restore.Cancel() })
 	eng.Run()
-	if !in.Crashed(0) {
+	if !crashed(in, 0) {
 		t.Fatal("cancelled restore still revived the server")
 	}
-	for _, ev := range in.Trace() {
-		if ev.Kind == FaultRestore {
-			t.Fatal("trace records a restore that was cancelled")
-		}
+	if tr := in.TraceString(); strings.Contains(tr, "restore") {
+		t.Fatalf("trace records a restore that was cancelled:\n%s", tr)
 	}
 }
 
-func TestDegradedLinkTurnsDelaysIntoTimeouts(t *testing.T) {
-	mk := func(factor float64) (timeouts, delays int) {
-		eng := sim.NewEngine()
-		in := New(eng, Config{
-			Seed:        11,
-			PDelay:      1, // every call delayed
-			MaxDelay:    sim.Millisecond,
-			CallTimeout: sim.Millisecond, // healthy delays never exceed it
-		})
-		if factor > 1 {
-			in.DegradeLinkAt(0, 0, factor)
-		}
-		link := in.WrapTransport(0, &echoCaller{})
-		for i := 0; i < 50; i++ {
-			eng.At(sim.Time(i+1), func() { _, _ = link.Call(1, nil) })
-		}
-		eng.Run()
-		for _, ev := range in.Trace() {
-			switch ev.Kind {
-			case FaultTimeout:
-				timeouts++
-			case FaultDelay:
-				delays++
-			}
-		}
-		return
-	}
-	timeouts, delays := mk(1)
-	if timeouts != 0 || delays != 50 {
-		t.Fatalf("healthy link: %d timeouts %d delays, want 0/50", timeouts, delays)
-	}
-	timeouts, _ = mk(8)
-	if timeouts == 0 {
-		t.Fatal("8x degraded link produced no timeouts")
-	}
+func crashed(in *Injector, server int) bool {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	return in.crashed[server]
 }
 
-// TestTransientErrorsMatchInjectedFaults pins the link's contract with
-// no retry above it: every call that fails with rpc.ErrTransient owns
-// exactly one drop or timeout record in the fault trace, every other call
-// owns none, and only the calls that succeeded (plus one extra delivery
-// per dup) reached the server.
+// TestTransientErrorsMatchInjectedFaults pins a cut's contract with no
+// retry above it: a call fails, with rpc.ErrTransient, exactly when a cut
+// was armed inside its frames; a cut of the request means the server
+// never served it, and a cut of the reply means it did.
 func TestTransientErrorsMatchInjectedFaults(t *testing.T) {
-	eng := sim.NewEngine()
-	in := New(eng, Config{
-		Seed:        5,
-		PDrop:       0.2,
-		PDelay:      0.3,
-		PDup:        0.1,
-		MaxDelay:    2 * sim.Millisecond,
-		CallTimeout: sim.Millisecond,
-	})
-	e := &echoCaller{}
-	link := in.WrapTransport(0, e)
-	var transients, oks int
-	for i := 0; i < 200; i++ {
-		eng.At(sim.Time(i+1), func() {
-			before := len(in.Trace())
-			_, err := link.Call(1, []byte("p"))
-			lost := 0
-			for _, ev := range in.Trace()[before:] {
-				if ev.Kind == FaultDrop || ev.Kind == FaultTimeout {
-					lost++
-				}
-			}
-			switch {
-			case err == nil:
-				oks++
-			case errors.Is(err, rpc.ErrTransient):
-				transients++
-			default:
-				t.Errorf("call %d: unexpected error %v", i, err)
-			}
-			want := 0
-			if errors.Is(err, rpc.ErrTransient) {
-				want = 1
-			}
-			if lost != want {
-				t.Errorf("call %d: error %v with %d drop/timeout records, want %d", i, err, lost, want)
-			}
-		})
+	_, addr, served := echoServer(t)
+	in := New(sim.NewEngine(), Config{Seed: 5})
+	p, err := in.Proxy(0, addr)
+	if err != nil {
+		t.Fatal(err)
 	}
-	eng.Run()
-	dups := 0
-	for _, ev := range in.Trace() {
-		if ev.Kind == FaultDup {
-			dups++
+	defer p.Close()
+	s := &session{t: t, p: p}
+	defer s.close()
+	ops := rand.New(rand.NewSource(5))
+	var cuts [2]int
+	for i := 0; i < 200; i++ {
+		payload := []byte(fmt.Sprintf("payload %d", i))
+		armed := ops.Intn(3) == 0
+		dir := Direction(ops.Intn(2))
+		if armed {
+			p.Arm(FaultCut, dir, frameHeader+len(payload))
+			cuts[dir]++
+		}
+		before := served.Load()
+		err := s.call(payload)
+		switch {
+		case !armed && err != nil:
+			t.Fatalf("call %d failed with no cut armed: %v", i, err)
+		case armed && !errors.Is(err, rpc.ErrTransient):
+			t.Fatalf("call %d under a %s cut: %v, want rpc.ErrTransient", i, directionNames[dir], err)
+		}
+		want := before
+		if !armed || dir == ToClient {
+			want++
+		}
+		if got := served.Load(); got != want {
+			t.Fatalf("call %d (cut armed %t, %s): server served %d calls, want %d",
+				i, armed, directionNames[dir], got, want)
 		}
 	}
-	if transients == 0 || dups == 0 {
-		t.Fatalf("seed drew %d transient failures and %d dups; want both", transients, dups)
-	}
-	if e.calls != oks+dups {
-		t.Fatalf("server saw %d deliveries, want %d successes + %d dups", e.calls, oks, dups)
+	if cuts[ToServer] == 0 || cuts[ToClient] == 0 {
+		t.Fatalf("seed drew cuts %v; want both directions", cuts)
 	}
 }
 
-func TestDupDeliversTwice(t *testing.T) {
+// TestStallHoldsUntilCrash: a stall holds the request after k bytes, so
+// the server never serves it, and the crash that resets the connection
+// fails the call with rpc.ErrTransient.
+func TestStallHoldsUntilCrash(t *testing.T) {
+	_, addr, served := echoServer(t)
 	eng := sim.NewEngine()
-	in := New(eng, Config{Seed: 9, PDup: 1})
-	e := &echoCaller{}
-	link := in.WrapTransport(0, e)
-	eng.At(1, func() { _, _ = link.Call(1, nil) })
+	in := New(eng, Config{Seed: 8})
+	p, err := in.Proxy(0, addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	c, err := rpc.Dial(p.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.Call(1, []byte("warm")); err != nil {
+		t.Fatal(err)
+	}
+	payload := []byte("held")
+	p.Arm(FaultStall, ToServer, frameHeader+len(payload))
+	f := c.CallAsyncCtx(nil, 1, payload)
+	in.CrashAt(10, 0)
 	eng.Run()
-	if e.calls != 2 {
-		t.Fatalf("server saw %d deliveries, want 2", e.calls)
+	if _, err := f.Wait(); !errors.Is(err, rpc.ErrTransient) {
+		t.Fatalf("stalled call after the crash: %v, want rpc.ErrTransient", err)
+	}
+	if n := served.Load(); n != 1 {
+		t.Fatalf("server served %d calls, want 1: the stalled request reached it", n)
+	}
+}
+
+// poll yields the processor until cond holds, for a bounded number of
+// rounds, and reports whether it came to hold.
+func poll(cond func() bool) bool {
+	for round := 0; round < 1e7; round++ {
+		if cond() {
+			return true
+		}
+		runtime.Gosched()
+	}
+	return cond()
+}
+
+// taken reports whether the fault armed in direction dir of p has fired.
+func taken(p *Proxy, dir Direction) bool {
+	p.in.mu.Lock()
+	defer p.in.mu.Unlock()
+	return p.armed[dir] == nil
+}
+
+// sockets lists both sockets of every connection p holds open.
+func sockets(p *Proxy) []net.Conn {
+	p.in.mu.Lock()
+	defer p.in.mu.Unlock()
+	var out []net.Conn
+	for l := range p.links {
+		out = append(out, l.client, l.upstream)
+	}
+	return out
+}
+
+// TestProxyLeavesNothingRunning proxies an echo server through a crash,
+// a restore and a stall left holding, then closes everything: every
+// socket the proxy accepted or dialed is closed, and the goroutine count
+// returns to where it started.
+func TestProxyLeavesNothingRunning(t *testing.T) {
+	start := runtime.NumGoroutine()
+	srv, addr, _ := echoServer(t)
+	eng := sim.NewEngine()
+	in := New(eng, Config{Seed: 4})
+	p, err := in.Proxy(0, addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var socks []net.Conn
+	dial := func() *rpc.Client {
+		c, err := rpc.Dial(p.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Call(1, []byte("ping")); err != nil {
+			t.Fatal(err)
+		}
+		socks = append(socks, sockets(p)...)
+		return c
+	}
+	c := dial()
+	in.CrashAt(10, 0)
+	in.RestoreAt(20, 0)
+	eng.RunUntil(10)
+	if _, err := c.Call(1, []byte("down")); !errors.Is(err, rpc.ErrTransient) {
+		t.Fatalf("call across the crash: %v, want rpc.ErrTransient", err)
+	}
+	c.Close()
+	p.Wait()
+	eng.Run()
+	c = dial()
+	p.Arm(FaultStall, ToServer, 1)
+	f := c.CallAsyncCtx(nil, 1, []byte("held"))
+	if !poll(func() bool { return taken(p, ToServer) }) {
+		t.Fatal("the stall never took the request's first byte")
+	}
+	p.Close()
+	if _, err := f.Wait(); !errors.Is(err, rpc.ErrTransient) {
+		t.Fatalf("stalled call after Close: %v, want rpc.ErrTransient", err)
+	}
+	c.Close()
+	srv.Close()
+
+	if len(socks) != 4 {
+		t.Fatalf("saw %d proxied sockets, want 4 (two connections)", len(socks))
+	}
+	for i, sk := range socks {
+		if _, err := sk.Read(make([]byte, 1)); !errors.Is(err, net.ErrClosed) {
+			t.Errorf("socket %d still open after Close: read %v", i, err)
+		}
+	}
+	if !poll(func() bool { return runtime.NumGoroutine() <= start }) {
+		n := runtime.NumGoroutine()
+		buf := make([]byte, 1<<16)
+		t.Fatalf("%d goroutines left running, %d at the start:\n%s", n, start, buf[:runtime.Stack(buf, true)])
 	}
 }
 
@@ -252,61 +391,6 @@ func TestReplayCommand(t *testing.T) {
 	for _, want := range []string{"CHAOS_SEED=424242", "TestChaosPool", "./internal/core/"} {
 		if !strings.Contains(cmd, want) {
 			t.Fatalf("replay command %q missing %q", cmd, want)
-		}
-	}
-}
-
-// queueingCaller stands for a transport whose send queue can outlive a
-// call: it keeps the payload slice of every delivery it was handed, and
-// the second delivery — the duplicate — comes back abandoned, the way a
-// call whose context is cancelled returns while its frame is still
-// queued.
-type queueingCaller struct{ held [][]byte }
-
-func (q *queueingCaller) Call(method byte, payload []byte) ([]byte, error) {
-	return q.CallCtx(nil, method, payload)
-}
-
-func (q *queueingCaller) CallCtx(_ context.Context, _ byte, payload []byte) ([]byte, error) {
-	q.held = append(q.held, payload)
-	if len(q.held)%2 == 0 {
-		return nil, context.Canceled
-	}
-	return nil, nil
-}
-
-// TestDupSendsItsOwnCopy: a duplicated call reports the first delivery's
-// success, upon which the caller may reuse its request bytes (rpc.Async
-// recycles the request it assembled for a wrapped transport) — while the
-// second delivery, abandoned by a cancelled context, may still be
-// queued. The duplicate must therefore travel in a copy: the queued bytes
-// stay what was sent when the caller's buffer is refilled. Both the
-// blocking and the pipelined path.
-func TestDupSendsItsOwnCopy(t *testing.T) {
-	for _, async := range []bool{false, true} {
-		in := New(sim.NewEngine(), Config{Seed: 9, PDup: 1})
-		q := &queueingCaller{}
-		link := in.WrapTransport(0, q)
-		ctx, cancel := context.WithCancel(context.Background())
-
-		req := make([]byte, 64)
-		copy(req, "the block this call wrote")
-		want := append([]byte(nil), req...)
-		var err error
-		if async {
-			_, err = link.CallAsyncCtx(ctx, 1, req).WaitCtx(ctx)
-		} else {
-			_, err = link.CallCtx(ctx, 1, req)
-		}
-		cancel()
-		if err != nil || len(q.held) != 2 {
-			t.Fatalf("async=%t: err %v after %d deliveries, want success after 2", async, err, len(q.held))
-		}
-		// The call succeeded: the caller assembles its next request in
-		// the same memory.
-		copy(req, "another call's bytes, same buffer")
-		if !bytes.Equal(q.held[1], want) {
-			t.Errorf("async=%t: the queued duplicate now reads %q, want %q", async, q.held[1], want)
 		}
 	}
 }

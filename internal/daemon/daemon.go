@@ -372,9 +372,10 @@ func Dial(addr string) (*Client, error) {
 	return &Client{c: c}, nil
 }
 
-// WrapCaller builds a client over an arbitrary transport — typically a
-// Dial'd connection wrapped in chaos injection. Nothing retries below the
-// client: a transport fault reaches the caller as rpc.ErrTransient.
+// WrapCaller builds a client over an arbitrary transport — a Dial'd
+// *rpc.Client, or a wrapper around one such as the benchmark's span seam.
+// Nothing retries below the client: a call whose connection is lost
+// reaches the caller as rpc.ErrTransient.
 func WrapCaller(t rpc.Caller) *Client { return &Client{c: t} }
 
 // Close tears down the underlying connection when the transport owns one

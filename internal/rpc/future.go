@@ -48,7 +48,7 @@ type Future struct {
 	err     error
 
 	// then, when set, post-processes the raw completion in the waiter's
-	// goroutine — wrappers (the chaos link, bench spans) hang their
+	// goroutine — a wrapper (the benchmark's span seam) hangs its
 	// per-logical-call behaviour here without spawning a goroutine per
 	// call. Waiter-only state, like resolved.
 	then     func([]byte, error) ([]byte, error)
@@ -239,8 +239,7 @@ func SpawnFuture(fn func() ([]byte, error)) *Future {
 }
 
 // AsyncCaller is the pipelined call surface: a Caller that can also
-// issue a call without blocking for its reply. *Client and the chaos
-// link implement it.
+// issue a call without blocking for its reply. *Client implements it.
 type AsyncCaller interface {
 	Caller
 	CallAsyncCtx(ctx context.Context, method byte, payload []byte) *Future

@@ -16,10 +16,14 @@ var (
 	// it across the wire. Dead is terminal — retrying cannot help; callers
 	// should trigger recovery instead.
 	ErrServerDead = errors.New("rpc: server dead")
-	// ErrTransient reports a transport fault: a dropped or timed-out call
-	// whose effect is unknown. The transport never retries; the error
-	// reaches the caller, which owns the decision to retry, re-route or
-	// give up.
+	// ErrTransient reports a transport fault: the call's connection was
+	// lost or could not send, so its effect is unknown (a write may have
+	// landed nothing, a prefix of its bytes or all of them). A *Client
+	// fails every call in flight on the connection with it, and every
+	// call started after; an explicit Close fails them with ErrClosed
+	// instead. The transport never retries; the error reaches the
+	// caller, which owns the decision to re-dial, retry, re-route or give
+	// up.
 	ErrTransient = errors.New("rpc: transient transport fault")
 	// ErrDeadlineExceeded reports a call whose deadline budget ran out:
 	// the caller's context deadline passed before the call resolved, or
@@ -43,9 +47,9 @@ var (
 )
 
 // Caller is the blocking call surface: one request/response exchange,
-// with and without cancellation. *Client implements it, as does the
-// fault-injecting chaos link, so the layers compose; the daemon client
-// accepts any Caller so chaos layers can interpose.
+// with and without cancellation. *Client implements it; the daemon client
+// accepts any Caller, so a test fake or the benchmark's span seam can
+// stand in for the connection.
 type Caller interface {
 	Call(method byte, payload []byte) ([]byte, error)
 	CallCtx(ctx context.Context, method byte, payload []byte) ([]byte, error)

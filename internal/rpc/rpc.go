@@ -637,9 +637,16 @@ func newClient(conn net.Conn) *Client {
 }
 
 // sendFailed is the batcher's write-failure callback: the connection is
-// unusable, so in-flight and future calls fail.
+// unusable, so in-flight and future calls fail with ErrTransient.
 func (c *Client) sendFailed(err error) {
-	c.failAll(fmt.Errorf("rpc: send failed: %w", err), nil)
+	c.failAll(fmt.Errorf("rpc: send failed: %w: %w", ErrTransient, err), nil)
+}
+
+// connLost is the error the calls of a connection that failed under the
+// read loop get: the connection is gone, so what became of them is
+// unknown.
+func connLost(err error) error {
+	return fmt.Errorf("rpc: connection lost: %w: %w", ErrTransient, err)
 }
 
 // readLoop reads each reply's header first and takes the call it
@@ -656,14 +663,14 @@ func (c *Client) readLoop() {
 	for {
 		h, err := readHeader(br, c.hdr[:])
 		if err != nil {
-			c.failAll(fmt.Errorf("rpc: connection lost: %w", err), nil)
+			c.failAll(connLost(err), nil)
 			return
 		}
 		if h.kind != kindResponse && h.kind != kindError {
 			// Unknown kind: fail the addressed call (if any); the stream
 			// itself is still framed, so keep reading.
 			if _, err := br.Discard(int(h.length)); err != nil {
-				c.failAll(fmt.Errorf("rpc: connection lost: %w", err), nil)
+				c.failAll(connLost(err), nil)
 				return
 			}
 			if f, _, _ := c.takePending(h.id); f != nil {
@@ -674,7 +681,7 @@ func (c *Client) readLoop() {
 		f, dst, into := c.takePending(h.id)
 		if into && h.kind == kindResponse && int(h.length) == len(dst) {
 			if _, err := io.ReadFull(br, dst); err != nil {
-				c.failAll(fmt.Errorf("rpc: connection lost: %w", err), f)
+				c.failAll(connLost(err), f)
 				return
 			}
 			f.landed = true
@@ -683,7 +690,7 @@ func (c *Client) readLoop() {
 		}
 		payload, err := readPayload(br, h.length)
 		if err != nil {
-			c.failAll(fmt.Errorf("rpc: connection lost: %w", err), f)
+			c.failAll(connLost(err), f)
 			return
 		}
 		c.deliver(f, into, dst, h, payload)

@@ -1,9 +1,11 @@
 package rpc
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"fmt"
+	"net"
 	"strings"
 	"sync"
 	"testing"
@@ -239,6 +241,32 @@ func TestClientCloseFailsCalls(t *testing.T) {
 	}
 	if err := c.Close(); err != nil {
 		t.Fatalf("double close: %v", err)
+	}
+}
+
+// TestLostConnectionIsTransient: a call whose connection dies under it
+// fails with ErrTransient, and so does the next call on the client, which
+// inherits the loss; neither is ErrClosed. Only an explicit Close fails a
+// call with ErrClosed.
+func TestLostConnectionIsTransient(t *testing.T) {
+	cli, srv := net.Pipe()
+	c := newClient(cli)
+	defer c.Close()
+	f := c.CallAsyncCtx(nil, methEcho, []byte("x"))
+	if _, _, err := readFrame(bufio.NewReader(srv)); err != nil {
+		t.Fatalf("reading the request: %v", err)
+	}
+	srv.Close()
+	_, inflight := f.Wait()
+	_, next := c.Call(methEcho, []byte("y"))
+	for _, err := range []error{inflight, next} {
+		if !errors.Is(err, ErrTransient) || errors.Is(err, ErrClosed) {
+			t.Errorf("call on a lost connection: %v, want ErrTransient", err)
+		}
+	}
+	c.Close()
+	if _, err := c.Call(methEcho, []byte("z")); !errors.Is(err, ErrClosed) {
+		t.Errorf("call after Close: %v, want ErrClosed", err)
 	}
 }
 
