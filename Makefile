@@ -29,9 +29,9 @@ vet:
 # The repo's own analyzers (see internal/analysis and DESIGN.md
 # "Statically enforced invariants"): vet first, then lmplint over the
 # whole tree, tests included. Fails on any unsuppressed finding. One
-# lmplint invocation performs a single `go list -export` load and builds
-# one interprocedural summary shared by every analyzer — do not split
-# this into per-analyzer runs, each would repeat the load.
+# lmplint invocation performs a single `go list -export` load shared by
+# every analyzer and lockorder's whole-program half — do not split this
+# into per-analyzer runs, each would repeat the load.
 lint:
 	$(GO) vet ./...
 	$(GO) run ./cmd/lmplint ./...

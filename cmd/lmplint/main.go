@@ -5,9 +5,9 @@
 //	go run ./cmd/lmplint ./...
 //	go run ./cmd/lmplint -json ./...
 //
-// The per-package analyzers run on each loaded unit; the whole-program
-// analyzers (lockorder's lock graph, pinregion, hotpath) share one
-// interprocedural summary built over all units from the same single
+// Each analyzer runs on every loaded unit; lockorder's whole-program
+// half (its lock graph and the transitive rules, over the lock facts of
+// package summary) runs once over all units from the same single
 // `go list -export` load. Diagnostics in files under a testdata
 // directory are skipped — fixtures are analyzed by their own tests, not
 // by the tree-wide lint.
@@ -35,14 +35,11 @@ import (
 	"github.com/lmp-project/lmp/internal/analysis"
 	"github.com/lmp-project/lmp/internal/analysis/atomichygiene"
 	"github.com/lmp-project/lmp/internal/analysis/ctxflow"
-	"github.com/lmp-project/lmp/internal/analysis/hotpath"
 	"github.com/lmp-project/lmp/internal/analysis/loader"
 	"github.com/lmp-project/lmp/internal/analysis/lockorder"
-	"github.com/lmp-project/lmp/internal/analysis/pinregion"
 	"github.com/lmp-project/lmp/internal/analysis/sentinelerr"
 	"github.com/lmp-project/lmp/internal/analysis/simtime"
 	"github.com/lmp-project/lmp/internal/analysis/spanflow"
-	"github.com/lmp-project/lmp/internal/analysis/summary"
 )
 
 var analyzers = []*analysis.Analyzer{
@@ -52,12 +49,6 @@ var analyzers = []*analysis.Analyzer{
 	sentinelerr.Analyzer,
 	simtime.Analyzer,
 	spanflow.Analyzer,
-}
-
-var programAnalyzers = []*summary.ProgramAnalyzer{
-	lockorder.ProgramAnalyzer,
-	pinregion.Analyzer,
-	hotpath.Analyzer,
 }
 
 // position is one resolved source location.
@@ -96,9 +87,6 @@ func main() {
 		for _, a := range analyzers {
 			fmt.Printf("%-15s %s\n", a.Name, a.Doc)
 		}
-		for _, a := range programAnalyzers {
-			fmt.Printf("%-15s [whole-program] %s\n", a.Name, a.Doc)
-		}
 		return
 	}
 
@@ -109,8 +97,8 @@ func main() {
 	}
 
 	var findings []finding
-	for _, u := range units {
-		for _, a := range analyzers {
+	for _, a := range analyzers {
+		for _, u := range units {
 			diags, err := u.Run(a)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "lmplint: %s on %s: %v\n", a.Name, u.PkgPath, err)
@@ -120,18 +108,16 @@ func main() {
 				findings = append(findings, toFinding(u.Fset, a.Name, d))
 			}
 		}
-	}
-
-	// One interprocedural summary, shared by every whole-program analyzer.
-	prog := summary.Build(units)
-	for _, a := range programAnalyzers {
-		diags, err := prog.Run(a)
+		if a.Program == nil {
+			continue
+		}
+		diags, err := analysis.RunProgram(a, units)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "lmplint: %s: %v\n", a.Name, err)
+			fmt.Fprintf(os.Stderr, "lmplint: %v\n", err)
 			os.Exit(2)
 		}
 		for _, d := range diags {
-			findings = append(findings, toFinding(prog.Fset, a.Name, d))
+			findings = append(findings, toFinding(units[0].Fset, a.Name, d))
 		}
 	}
 

@@ -8,7 +8,9 @@
 // fixture packages.
 //
 // The shapes mirror x/tools on purpose: if the tree ever vendors
-// golang.org/x/tools, the analyzers port by changing one import path.
+// golang.org/x/tools, the per-package analyzers port by changing one
+// import path. The one addition is Analyzer.Program, a half that sees
+// every unit at once (lockorder's lock graph).
 package analysis
 
 import (
@@ -30,6 +32,9 @@ type Analyzer struct {
 	// Run applies the analyzer to one package and reports findings
 	// through pass.Report / pass.Reportf.
 	Run func(*Pass) error
+	// Program, when set, applies the analyzer's whole-program half once
+	// to every loaded unit together (see RunProgram).
+	Program func(units []*Unit, report func(Diagnostic)) error
 }
 
 // Diagnostic is one finding at a source position. Interprocedural
@@ -136,11 +141,38 @@ func (u *Unit) Run(a *Analyzer) ([]Diagnostic, error) {
 	return kept, nil
 }
 
+// RunProgram applies a's whole-program half to units and returns its
+// diagnostics sorted by position. Each diagnostic routes to the unit
+// owning its file, whose //lint:ignore directives apply exactly as in
+// Unit.Run.
+func RunProgram(a *Analyzer, units []*Unit) ([]Diagnostic, error) {
+	if len(units) == 0 {
+		return nil, nil
+	}
+	var diags []Diagnostic
+	if err := a.Program(units, func(d Diagnostic) { diags = append(diags, d) }); err != nil {
+		return nil, fmt.Errorf("%s: %w", a.Name, err)
+	}
+	owner := make(map[string]*Unit)
+	for _, u := range units {
+		for _, f := range u.Files {
+			owner[u.Fset.Position(f.Pos()).Filename] = u
+		}
+	}
+	kept := diags[:0]
+	for _, d := range diags {
+		if u := owner[units[0].Fset.Position(d.Pos).Filename]; u != nil && u.Suppressed(d.Pos, a.Name) {
+			continue
+		}
+		kept = append(kept, d)
+	}
+	sort.Slice(kept, func(i, j int) bool { return kept[i].Pos < kept[j].Pos })
+	return kept, nil
+}
+
 // Suppressed reports whether a finding by the named analyzer at pos is
 // covered by a //lint:ignore directive in this unit, marking the
-// directive used. Whole-program analyzers report through the driver,
-// which routes each diagnostic to the unit owning its file and applies
-// the same directives as the per-unit path.
+// directive used.
 func (u *Unit) Suppressed(pos token.Pos, name string) bool {
 	u.parseDirectives()
 	p := u.Fset.Position(pos)

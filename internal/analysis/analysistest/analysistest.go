@@ -33,7 +33,6 @@ import (
 	"testing"
 
 	"github.com/lmp-project/lmp/internal/analysis"
-	"github.com/lmp-project/lmp/internal/analysis/summary"
 )
 
 // Run loads each fixture package in order (later fixtures may import
@@ -63,12 +62,12 @@ func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkgs ...string) {
 }
 
 // RunProgram loads all fixture packages together (in order; later
-// fixtures may import earlier ones), builds the whole-program summary
-// over them, applies the program analyzer, and checks its diagnostics —
+// fixtures may import earlier ones), applies a's whole-program half to
+// them, and checks its diagnostics —
 // which may land in any fixture file — against the combined // want
 // annotations. Witness chains are carried on the diagnostics' Related
 // steps; want regexps match the main message only.
-func RunProgram(t *testing.T, testdata string, a *summary.ProgramAnalyzer, pkgs ...string) {
+func RunProgram(t *testing.T, testdata string, a *analysis.Analyzer, pkgs ...string) {
 	t.Helper()
 	fset := token.NewFileSet()
 	local := make(map[string]*types.Package)
@@ -88,8 +87,7 @@ func RunProgram(t *testing.T, testdata string, a *summary.ProgramAnalyzer, pkgs 
 		units = append(units, unit)
 		allFiles = append(allFiles, files...)
 	}
-	prog := summary.Build(units)
-	diags, err := prog.Run(a)
+	diags, err := analysis.RunProgram(a, units)
 	if err != nil {
 		t.Fatalf("running %s: %v", a.Name, err)
 	}

@@ -23,9 +23,7 @@
 //     may run here, so its effects are attributed here).
 //
 // `go` statements are recorded with Go=true: the spawned work does not
-// execute on the caller's stack, so fact propagation skips them (the
-// spawn itself still costs an allocation, which the summary layer
-// accounts locally).
+// execute on the caller's stack, so fact propagation skips them.
 package callgraph
 
 import (
@@ -128,9 +126,8 @@ func Build(units []*analysis.Unit) *Graph {
 						if !ok || tn.IsAlias() || types.IsInterface(tn.Type()) {
 							// Interfaces are dispatch points, not dispatch
 							// targets: admitting one as a CHA candidate would
-							// add its body-less abstract method, which the
-							// summary layer then treats as an unknown
-							// external and taints the whole call.
+							// add its body-less abstract method, a callee
+							// with no body for the summary layer to read.
 							continue
 						}
 						key := tn.Pkg().Path() + "." + tn.Name()

@@ -1,17 +1,22 @@
 // Whole-program lockorder: the syntactic rules in this package catch
-// in-function violations; the ProgramAnalyzer below adds the two checks
-// a helper one call deep used to defeat.
+// in-function violations; Analyzer.Program adds the checks a helper one
+// call deep used to defeat, over the lock facts package summary
+// computes.
 //
 //  1. Transitive RPC under a data lock: no call made while a stripe or
 //     cache-shard lock is held may *transitively* reach an rpc package.
 //     The wire can block indefinitely and its completion path can
-//     re-enter the cache; PR 2's syntactic rule only saw direct calls.
-//     1b. The rpc pending-table lock (any named struct embedding a mutex
-//     with "pending" in its name) is the transport's innermost lock: a
-//     blocking channel operation or an rpc-reaching call under it —
-//     directly or through helpers — is reported. The legal shape is
-//     take-then-complete: withdraw the table entry under the lock and
-//     resolve it after release.
+//     re-enter the cache; the syntactic rule only sees direct calls.
+//     1b. Innermost locks. The rpc pending-table lock (any named struct
+//     embedding a mutex with "pending" in its name) is the transport's
+//     innermost lock: a blocking channel operation or an rpc-reaching
+//     call under it — directly or through helpers — is reported. The
+//     legal shape is take-then-complete: withdraw the table entry under
+//     the lock and resolve it after release. A proc pin
+//     (telemetry.BeginUpdate…EndUpdate, or a raw runtime_procPin/
+//     runtime_procUnpin pair) is innermost of all: while pinned the
+//     goroutine owns its P, so a channel wait, a mutex acquisition, an
+//     rpc-reaching call or a nested pin under it is reported too.
 //     1c. Slice-size work under a hot lock: the recovery/migration engine's
 //     contract is that bulk bytes move outside the structural and stripe
 //     locks, which are only reacquired for short commit windows. A
@@ -23,25 +28,28 @@
 //  2. Lock-graph cycles: every function contributes edges "holding
 //     class H, acquires class A" (directly or through any callee) to a
 //     global graph over the lock hierarchy — commit-window, structural,
-//     stripe, cache-shard, directory. Any cycle is a potential deadlock
-//     and is reported with the witness path for each edge. Self-edges
-//     are not cycles: multi-stripe acquisition is legal because the
-//     vectored path sorts stripe indices first (the syntactic rule
-//     enforces the sort).
+//     stripe, cache-shard, directory, pending-table, proc pin. Any cycle
+//     is a potential deadlock and is reported with the witness path for
+//     each edge. Self-edges are not cycles: multi-stripe acquisition is
+//     legal because the vectored path sorts stripe indices first (the
+//     syntactic rule enforces the sort).
 //
 // Held regions are lexical, like the syntactic rules: a lock is held
 // from its acquire to the first matching inline release, or to the end
-// of the body when released by defer. Deferred, go-spawned, and
-// closure-captured calls are not attributed to the held region — a
-// closure built under a lock may run after release (the flush path does
-// exactly that), so charging it would make the clean tree unachievable;
-// the known cost is that a closure invoked synchronously under the lock
-// escapes these two checks (the dynamic chaos harness still covers it).
+// of the body when released by defer — including a release inside a
+// deferred closure, such as the loop that drops every stripe a sorted
+// multi-lock loop took. Deferred, go-spawned, and closure-captured calls
+// are not attributed to the held region — a closure built under a lock
+// may run after release (the flush path does exactly that), so charging
+// it would make the clean tree unachievable; the known cost is that a
+// closure invoked synchronously under the lock escapes these checks
+// (the dynamic chaos harness still covers it).
 package lockorder
 
 import (
 	"fmt"
 	"go/token"
+	"path/filepath"
 	"sort"
 	"strings"
 
@@ -49,21 +57,6 @@ import (
 	"github.com/lmp-project/lmp/internal/analysis/callgraph"
 	"github.com/lmp-project/lmp/internal/analysis/summary"
 )
-
-// ProgramAnalyzer is the whole-program half of the lockorder check. It
-// shares the "lockorder" name with the syntactic analyzer on purpose:
-// one //lint:ignore lockorder directive covers both aspects of the same
-// discipline.
-var ProgramAnalyzer = &summary.ProgramAnalyzer{
-	Name: "lockorder",
-	Doc: "whole-program lock discipline: no call under a stripe or cache-shard " +
-		"lock may transitively reach an rpc package, nothing blocking or " +
-		"rpc-reaching may run under a pending-table lock, no slice-size copy " +
-		"or Reed-Solomon coding may run under the structural or a stripe lock, " +
-		"and the global lock graph over " +
-		"commit/structural/stripe/shard/directory/pending must be acyclic",
-	Run: runProgram,
-}
 
 // lockEdge is one "holding from, acquires to" observation.
 type lockEdge struct {
@@ -73,7 +66,8 @@ type lockEdge struct {
 	chain    []analysis.RelatedPos
 }
 
-func runProgram(p *summary.Program, report func(analysis.Diagnostic)) error {
+func runProgram(units []*analysis.Unit, report func(analysis.Diagnostic)) error {
+	p := summary.Build(units)
 	ids := make([]string, 0, len(p.Fns))
 	for id := range p.Fns {
 		ids = append(ids, id)
@@ -90,18 +84,38 @@ func runProgram(p *summary.Program, report func(analysis.Diagnostic)) error {
 
 // acqMask covers the classified acquisition facts.
 const acqMask = summary.AcqStripe | summary.AcqShard | summary.AcqDirectory |
-	summary.AcqStructural | summary.AcqPending | summary.AcqCommit
+	summary.AcqStructural | summary.AcqPending | summary.AcqCommit | summary.AcqPin
 
 var lockClasses = []summary.LockClass{
 	summary.LockCommit, summary.LockStructural, summary.LockStripe,
-	summary.LockShard, summary.LockDirectory, summary.LockPending,
+	summary.LockShard, summary.LockDirectory, summary.LockPending, summary.LockPin,
 }
 
-// pendingForbidden names the facts barred under a pending-table lock:
-// the table is the transport's innermost lock, so a send (a completion
-// channel lives on the other side) or any call that can re-enter the
-// rpc layer while holding it is a deadlock seed.
-const pendingForbidden = summary.BlocksChan | summary.CallsRPC
+// innermost names, per innermost class, the facts barred under it. The
+// pending table is the transport's innermost lock, so a send (a
+// completion channel lives on the other side) or any call that can
+// re-enter the rpc layer while holding it is a deadlock seed. A proc pin
+// owns its P: nothing under it may park, take a mutex, reach the wire
+// or pin again.
+var innermost = []struct {
+	class     summary.LockClass
+	forbidden summary.Fact
+}{
+	{summary.LockPending, summary.BlocksChan | summary.CallsRPC},
+	{summary.LockPin, summary.AcqPin | summary.BlocksChan | summary.BlocksMutex | summary.CallsRPC},
+}
+
+// innermostWhat orders the barred facts for reporting: the first one a
+// site carries is the one its diagnostic names.
+var innermostWhat = []struct {
+	fact summary.Fact
+	what string
+}{
+	{summary.AcqPin, "a nested proc pin"},
+	{summary.BlocksChan, "a blocking channel operation"},
+	{summary.BlocksMutex, "a mutex acquisition"},
+	{summary.CallsRPC, "a call that transitively reaches package rpc"},
+}
 
 // scanHeldRegions walks one function's sites in source order with the
 // lexically-held lock set, reporting transitive RPC reachability and
@@ -134,7 +148,7 @@ func scanHeldRegions(p *summary.Program, id string, report func(analysis.Diagnos
 		if !anyHeld {
 			continue
 		}
-		if s.Call != nil && (s.Call.Deferred || s.Call.Go || s.Call.InLit) {
+		if s.Call != nil && (s.Call.Deferred || s.Call.InLit) {
 			continue // runs outside the lexical held region (see package comment)
 		}
 		facts := p.SiteFacts(s)
@@ -144,7 +158,7 @@ func scanHeldRegions(p *summary.Program, id string, report func(analysis.Diagnos
 			if held[summary.LockStripe] == 0 {
 				holder = summary.LockShard
 			}
-			chain := p.SiteWitness(s, summary.CallsRPC, nil)
+			chain := p.SiteWitness(s, summary.CallsRPC)
 			report(analysis.Diagnostic{
 				Pos: s.Pos,
 				Message: fmt.Sprintf("%s lock held across a call that transitively reaches package rpc: %s",
@@ -152,22 +166,26 @@ func scanHeldRegions(p *summary.Program, id string, report func(analysis.Diagnos
 				Related: chain,
 			})
 		}
-		// Rule 1b: the pending-table lock is innermost — nothing held
-		// under it may block on a channel or reach back into rpc.
-		if held[summary.LockPending] > 0 && facts&pendingForbidden != 0 {
-			bad := summary.CallsRPC
-			what := "a call that transitively reaches package rpc"
-			if facts&summary.BlocksChan != 0 {
-				bad = summary.BlocksChan
-				what = "a blocking channel operation"
+		// Rule 1b: nothing barred under an innermost lock, reported once
+		// per site with the first barred fact it carries.
+		for _, in := range innermost {
+			bad := facts & in.forbidden
+			if held[in.class] == 0 || bad == 0 {
+				continue
 			}
-			chain := p.SiteWitness(s, bad, nil)
-			report(analysis.Diagnostic{
-				Pos: s.Pos,
-				Message: fmt.Sprintf("pending-table lock held across %s: %s",
-					what, p.WitnessString(chain)),
-				Related: chain,
-			})
+			for _, w := range innermostWhat {
+				if bad&w.fact == 0 {
+					continue
+				}
+				chain := p.SiteWitness(s, w.fact)
+				report(analysis.Diagnostic{
+					Pos: s.Pos,
+					Message: fmt.Sprintf("%s lock held across %s: %s",
+						in.class, w.what, p.WitnessString(chain)),
+					Related: chain,
+				})
+				break
+			}
 		}
 		// Rule 1c: slice-size staging allocations and Reed-Solomon coding
 		// stay out of the structural and stripe hold windows — bulk bytes
@@ -178,7 +196,7 @@ func scanHeldRegions(p *summary.Program, id string, report func(analysis.Diagnos
 			if held[summary.LockStructural] == 0 {
 				holder = summary.LockStripe
 			}
-			chain := p.SiteWitness(s, summary.HeavyOp, nil)
+			chain := p.SiteWitness(s, summary.HeavyOp)
 			report(analysis.Diagnostic{
 				Pos: s.Pos,
 				Message: fmt.Sprintf("%s lock held across a slice-size copy or reconstruction: %s",
@@ -195,7 +213,10 @@ func scanHeldRegions(p *summary.Program, id string, report func(analysis.Diagnos
 				continue
 			}
 			for _, from := range lockClasses {
-				if from == to || held[from] == 0 {
+				// Every acquisition under a pin is already reported by
+				// rule 1b; an edge out of the pin would report it again
+				// as a cycle.
+				if from == to || held[from] == 0 || from == summary.LockPin {
 					continue
 				}
 				key := [2]summary.LockClass{from, to}
@@ -204,14 +225,14 @@ func scanHeldRegions(p *summary.Program, id string, report func(analysis.Diagnos
 				}
 				edges[key] = lockEdge{
 					from: from, to: to, fn: id, pos: s.Pos,
-					chain: p.SiteWitness(s, to.AcqFact(), nil),
+					chain: p.SiteWitness(s, to.AcqFact()),
 				}
 			}
 		}
 	}
 }
 
-// reportCycles finds every elementary cycle in the 4-node class graph
+// reportCycles finds every elementary cycle in the lock-class graph
 // and reports each once, rotated to start at the smallest class so the
 // report position is deterministic.
 func reportCycles(p *summary.Program, edges map[[2]summary.LockClass]lockEdge, report func(analysis.Diagnostic)) {
@@ -287,7 +308,7 @@ func reportCycle(p *summary.Program, cycle []summary.LockClass, edges map[[2]sum
 		related = append(related, e.chain...)
 		pos := p.Fset.Position(e.pos)
 		parts = append(parts, fmt.Sprintf("%s takes %s under %s (%s:%d)",
-			callgraph.ShortName(e.fn), to, from, shortBase(pos.Filename), pos.Line))
+			callgraph.ShortName(e.fn), to, from, filepath.Base(pos.Filename), pos.Line))
 	}
 	first := edges[[2]summary.LockClass{cycle[0], cycle[1%len(cycle)]}]
 	report(analysis.Diagnostic{
@@ -296,11 +317,4 @@ func reportCycle(p *summary.Program, cycle []summary.LockClass, edges map[[2]sum
 			strings.Join(names, " -> "), strings.Join(parts, "; ")),
 		Related: related,
 	})
-}
-
-func shortBase(path string) string {
-	if i := strings.LastIndexByte(path, '/'); i >= 0 {
-		return path[i+1:]
-	}
-	return path
 }

@@ -8,13 +8,21 @@ import (
 )
 
 func TestInterprocedural(t *testing.T) {
-	analysistest.RunProgram(t, "testdata", lockorder.ProgramAnalyzer, "rpc", "interproc")
+	analysistest.RunProgram(t, "testdata", lockorder.Analyzer, "rpc", "interproc")
 }
 
 func TestPendingTableRule(t *testing.T) {
-	analysistest.RunProgram(t, "testdata", lockorder.ProgramAnalyzer, "rpc", "pendinglock")
+	analysistest.RunProgram(t, "testdata", lockorder.Analyzer, "rpc", "pendinglock")
 }
 
 func TestCommitWindowRules(t *testing.T) {
-	analysistest.RunProgram(t, "testdata", lockorder.ProgramAnalyzer, "commitlock")
+	analysistest.RunProgram(t, "testdata", lockorder.Analyzer, "commitlock")
+}
+
+func TestPinRule(t *testing.T) {
+	analysistest.RunProgram(t, "testdata", lockorder.Analyzer, "rpc", "telemetry", "pinuser")
+}
+
+func TestVectoredLockLoop(t *testing.T) {
+	analysistest.RunProgram(t, "testdata", lockorder.Analyzer, "rpc", "vectored")
 }

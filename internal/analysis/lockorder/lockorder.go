@@ -44,15 +44,24 @@ import (
 	"github.com/lmp-project/lmp/internal/analysis/summary"
 )
 
-// Analyzer is the lockorder analyzer.
+// Analyzer is the lockorder analyzer: the syntactic rules run per
+// package, the whole-program rules (interproc.go) once over every unit.
+// One name covers both, so one //lint:ignore lockorder directive waives
+// either aspect of the same discipline.
 var Analyzer = &analysis.Analyzer{
 	Name: "lockorder",
 	Doc: "enforce the stripe-lock discipline: single acquisitions release through a " +
 		"deferred unlock, loop acquisitions either pair lock/unlock per iteration or " +
 		"sort indices ascending first and release via one deferred function, the " +
 		"structural mutex is never taken while a stripe lock is held, and a cache " +
-		"shard lock is never held across a call into an rpc package",
-	Run: run,
+		"shard lock is never held across a call into an rpc package; over the whole " +
+		"program, no call under a stripe or cache-shard lock may transitively reach " +
+		"an rpc package, nothing blocking or rpc-reaching may run under a " +
+		"pending-table lock or a proc pin (nor a mutex or a nested pin under the pin), " +
+		"no slice-size copy or Reed-Solomon coding may run under the structural or a " +
+		"stripe lock, and the global lock graph must be acyclic",
+	Run:     run,
+	Program: runProgram,
 }
 
 // lockOp is one stripe-lock acquire/release (or structural-mutex
@@ -181,7 +190,7 @@ func classify(pass *analysis.Pass, call *ast.CallExpr, fl *funcLocks, forBody *a
 		fl.shards = append(fl.shards, op)
 		return
 	}
-	if method == "Lock" && finalField(sel.X) == "mu" && isSyncMutex(t) && muOwnerIsPool(pass.TypesInfo, sel.X) {
+	if method == "Lock" && finalField(sel.X) == "mu" && summary.IsSyncMutex(t) && muOwnerIsPool(pass.TypesInfo, sel.X) {
 		fl.mus = append(fl.mus, lockOp{pos: call.Pos(), forBody: forBody, inDefer: inDefer})
 	}
 }
@@ -345,36 +354,12 @@ func unlockName(write bool) string {
 
 // isStripeType reports whether t (or *t) is a named struct type whose
 // name contains "stripe" and which embeds sync.Mutex or sync.RWMutex.
-func isStripeType(t types.Type) bool { return embedsMutexNamed(t, "stripe") }
+func isStripeType(t types.Type) bool { return summary.EmbedsMutexNamed(t, "stripe") }
 
 // isShardType reports whether t (or *t) is a named struct type whose
 // name contains "shard" and which embeds sync.Mutex or sync.RWMutex —
 // the cache-shard lock shape.
-func isShardType(t types.Type) bool { return embedsMutexNamed(t, "shard") }
-
-func embedsMutexNamed(t types.Type, substr string) bool {
-	if t == nil {
-		return false
-	}
-	if p, ok := t.Underlying().(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok || !strings.Contains(strings.ToLower(named.Obj().Name()), substr) {
-		return false
-	}
-	st, ok := named.Underlying().(*types.Struct)
-	if !ok {
-		return false
-	}
-	for i := 0; i < st.NumFields(); i++ {
-		f := st.Field(i)
-		if f.Embedded() && isSyncMutex(f.Type()) {
-			return true
-		}
-	}
-	return false
-}
+func isShardType(t types.Type) bool { return summary.EmbedsMutexNamed(t, "shard") }
 
 // isRPCCall reports whether the selector call resolves to a function or
 // method of an rpc package (import path "rpc" or ending in "/rpc").
@@ -385,23 +370,6 @@ func isRPCCall(info *types.Info, sel *ast.SelectorExpr) bool {
 	}
 	path := fn.Pkg().Path()
 	return path == "rpc" || strings.HasSuffix(path, "/rpc")
-}
-
-// isSyncMutex reports whether t (or *t) is sync.Mutex or sync.RWMutex.
-func isSyncMutex(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	if p, ok := t.Underlying().(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Pkg() != nil && obj.Pkg().Path() == "sync" &&
-		(obj.Name() == "Mutex" || obj.Name() == "RWMutex")
 }
 
 // finalField returns the last selector component of e ("p.mu" → "mu"),

@@ -1,15 +1,15 @@
 // Package telemetry is a fixture stand-in for internal/telemetry: the
-// pinregion analyzer matches BeginUpdate/EndUpdate and the raw
+// lockorder analyzer matches BeginUpdate/EndUpdate and the raw
 // runtime_procPin pair by canonical-name suffix, so this mirror of the
-// real pin entry points exercises it.
+// real pin entry points exercises the proc-pin rule.
 package telemetry
 
 func runtime_procPin() int
 func runtime_procUnpin()
 
 // BeginUpdate pins the goroutine to its P and returns the lane hint.
-// It is a wrapper around the pin — no EndUpdate in its body — so it
-// opens no region of its own.
+// It is a wrapper around the pin — no EndUpdate in its body — so the
+// pin it takes is held only to its own end.
 func BeginUpdate() int { return runtime_procPin() }
 
 // EndUpdate releases the pin.
@@ -24,19 +24,10 @@ func GoodAdd(n uint64) {
 	EndUpdate()
 }
 
-// BadAlloc allocates directly inside the region.
-func BadAlloc(n int) []uint64 {
-	h := BeginUpdate()
-	scratch := make([]uint64, n) // want "allocation while pinned \\(pin begun on line \\d+\\): .*make"
-	scratch[0] = uint64(h)
-	EndUpdate()
-	return scratch
-}
-
 // RawPair exercises the raw runtime pin pair, with a channel wait
 // inside the region.
 func RawPair(ch chan int) {
 	runtime_procPin()
-	<-ch // want "blocking operation while pinned .*channel receive"
+	<-ch // want "proc-pin lock held across a blocking channel operation: .*channel receive"
 	runtime_procUnpin()
 }

@@ -1,96 +1,22 @@
 package summary
 
-import "strings"
-
-// ExternalFacts returns the facts of a function outside the loaded
-// units, resolved through a small intrinsic table. Resolution order:
-// exact canonical name, then whole-package defaults, then the
-// conservative fallback Allocs|Unknown ("might do anything that is not
-// provably a wait").
-//
-// Body-less //go:linkname externs inside the module (runtime proc-pin
-// and nanotime) are matched by name: they have no node in the graph but
-// well-known behavior.
-func ExternalFacts(id string) Fact {
-	if f, ok := exactFacts[id]; ok {
-		return f
-	}
-	// Module-internal linkname externs.
-	switch {
-	case strings.HasSuffix(id, "_procPin") || strings.HasSuffix(id, ".procPin"):
-		return Pins
-	case strings.HasSuffix(id, "_procUnpin") || strings.HasSuffix(id, ".procUnpin"),
-		strings.HasSuffix(id, "_nanotime") || strings.HasSuffix(id, ".nanotime"):
-		return 0
-	}
-	if f, ok := pkgFacts[externalPkg(id)]; ok {
-		return f
-	}
-	return Allocs | Unknown
+// externalFacts returns the facts of a function outside the loaded
+// units. Only the waits and mutexes the module's lock discipline cares
+// about are listed; anything unlisted carries no facts. Proc pins never
+// reach this table: a pin call is a lock operation at its call site.
+func externalFacts(id string) Fact {
+	return exactFacts[id]
 }
 
-// externalPkg extracts the package path from a canonical function name:
-// "sync/atomic.AddUint64" → "sync/atomic",
-// "(*sync.Mutex).Lock" → "sync".
-func externalPkg(id string) string {
-	s := strings.TrimPrefix(strings.TrimPrefix(id, "(*"), "(")
-	if i := strings.LastIndexByte(s, '.'); i >= 0 {
-		s = s[:i]
-	}
-	// A method name leaves "sync.Mutex)" shaped remains; strip the type.
-	s = strings.TrimSuffix(s, ")")
-	if i := strings.LastIndexByte(s, '.'); i > strings.LastIndexByte(s, '/') {
-		s = s[:i]
-	}
-	return s
-}
-
-// pkgFacts lists packages whose every exported function shares one
-// fact set.
-var pkgFacts = map[string]Fact{
-	"sync/atomic": 0,
-	"math":        0,
-	"math/bits":   0,
-	"unsafe":      0,
-}
-
-// exactFacts lists individually known externals.
+// exactFacts lists the externals that block or take a mutex.
 var exactFacts = map[string]Fact{
-	// sync: the mutex operations are the module's blocking bedrock.
-	"(*sync.Mutex).Lock":      BlocksMutex,
-	"(*sync.Mutex).TryLock":   0,
-	"(*sync.Mutex).Unlock":    0,
-	"(*sync.RWMutex).Lock":    BlocksMutex,
-	"(*sync.RWMutex).RLock":   BlocksMutex,
-	"(*sync.RWMutex).TryLock": 0,
-	"(*sync.RWMutex).Unlock":  0,
-	"(*sync.RWMutex).RUnlock": 0,
-	"(*sync.WaitGroup).Add":   0,
-	"(*sync.WaitGroup).Done":  0,
-	"(*sync.WaitGroup).Wait":  BlocksChan,
-	"(*sync.Pool).Get":        Allocs, // may call New
-	"(*sync.Pool).Put":        0,
-	"(*sync.Cond).Wait":       BlocksChan,
-	"(*sync.Cond).Signal":     0,
-	"(*sync.Cond).Broadcast":  0,
-	"(*sync.Once).Do":         Allocs | BlocksMutex | Unknown, // runs arbitrary f once
-
-	// time: reading clocks is free; sleeping and timers are not.
-	"time.Now":   Allocs, // monotonic read is free but Now's result can escape; keep it off hot paths
-	"time.Since": Allocs,
-	"time.Sleep": BlocksChan,
-	"time.After": Allocs | BlocksChan,
-
-	// runtime helpers seen on the fast paths.
-	"runtime.KeepAlive": 0,
-	"runtime.Gosched":   BlocksChan,
-
-	// errors: the hot paths use errors.Is against sentinels.
-	"errors.Is":     0,
-	"errors.Unwrap": 0,
-	"errors.New":    Allocs,
-	"errors.As":     Allocs,
-
-	// small pure stdlib helpers used by the data paths.
-	"bytes.Equal": 0,
+	"(*sync.Mutex).Lock":     BlocksMutex,
+	"(*sync.RWMutex).Lock":   BlocksMutex,
+	"(*sync.RWMutex).RLock":  BlocksMutex,
+	"(*sync.WaitGroup).Wait": BlocksChan,
+	"(*sync.Cond).Wait":      BlocksChan,
+	"(*sync.Once).Do":        BlocksMutex, // runs f once under the Once's mutex
+	"time.Sleep":             BlocksChan,
+	"time.After":             BlocksChan,
+	"runtime.Gosched":        BlocksChan,
 }

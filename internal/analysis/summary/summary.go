@@ -1,32 +1,31 @@
-// Package summary computes per-function facts over the whole-program
-// call graph: may-allocate, may-block (split into channel/external waits
-// and mutex acquisition), calls-into-rpc, takes-a-proc-pin, and
-// acquires-lock-class. Facts are a may-analysis: a function's facts are
-// the union of the local facts of every function reachable from it in
-// the call graph, so a clean result is a proof (modulo the documented
-// unknowns) while a reported fact may be a false positive on an
-// unreachable branch.
+// Package summary computes per-function lock facts over the
+// whole-program call graph for the lockorder analyzer: may-block (split
+// into channel/external waits and mutex acquisition), calls-into-rpc,
+// acquires-lock-class (the proc pin included) and performs-slice-size-
+// work. Facts are a may-analysis: a function's facts are the union of
+// the local facts of every function reachable from it in the call
+// graph, computed once as a fixpoint, so a clean result is a proof
+// (modulo the caveats below) while a reported fact may be a false
+// positive on an unreachable branch.
 //
-// Soundness caveats, shared by every analyzer built on this layer:
+// Soundness caveats:
 //
 //   - Interface calls use the call graph's class-hierarchy candidates;
 //     an implementation outside the loaded units (or one reached via
 //     reflection) is invisible.
-//   - Calls through function values are unknown and reported as such
-//     (Unknown|Allocs), never silently ignored — except inside `go`
-//     statements, whose work does not run on the caller's stack.
+//   - Calls through function values carry no facts, and neither does
+//     the body of a `go` statement, whose work does not run on the
+//     caller's stack.
 //   - Callees outside the module resolve through a small intrinsic
-//     table (sync, sync/atomic, math, time, ...); anything unlisted is
-//     conservatively Unknown|Allocs.
-//   - panic is exempt from the allocation facts: a panicking hot path
-//     is already failing, and the exemption keeps invariant-check
-//     panics out of every zero-alloc proof.
+//     table (sync, time, runtime); anything unlisted carries no facts.
 package summary
 
 import (
+	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
+	"path/filepath"
 	"sort"
 	"strings"
 
@@ -38,24 +37,14 @@ import (
 type Fact uint16
 
 const (
-	// Allocs: the function may allocate (make/new/append, closure or
-	// goroutine creation, boxing conversions, map writes, string
-	// building, or a call to an allocating callee).
-	Allocs Fact = 1 << iota
 	// BlocksChan: the function may park on a channel op, select, or an
 	// external wait (time.Sleep, WaitGroup.Wait, cond wait).
-	BlocksChan
+	BlocksChan Fact = 1 << iota
 	// BlocksMutex: the function may acquire a sync.Mutex/RWMutex.
 	BlocksMutex
 	// CallsRPC: the function may call into an rpc package (import path
 	// "rpc" or ending in "/rpc").
 	CallsRPC
-	// Pins: the function may take a runtime proc pin
-	// (telemetry.BeginUpdate or a raw runtime_procPin).
-	Pins
-	// Unknown: the function calls something the analysis cannot resolve
-	// (function value, candidate-less interface call, unlisted external).
-	Unknown
 	// AcqStripe..AcqStructural: the function may acquire a lock of the
 	// named class (see LockClass).
 	AcqStripe
@@ -68,6 +57,10 @@ const (
 	// AcqCommit: the function may acquire a commit-window lock (the
 	// per-slice mover lock; outermost of the pool hierarchy).
 	AcqCommit
+	// AcqPin: the function may take a runtime proc pin
+	// (telemetry.BeginUpdate or a raw runtime_procPin; innermost by
+	// contract).
+	AcqPin
 	// HeavyOp: the function may perform a slice-size operation — a
 	// slice-size buffer allocation (make sized by SliceSize) or a
 	// Reed-Solomon encode/reconstruct — that the control-plane rules
@@ -75,19 +68,19 @@ const (
 	HeavyOp
 )
 
-// String renders the low fact bits for diagnostics.
+// String renders the fact bits for diagnostics.
 func (f Fact) String() string {
 	var parts []string
 	for _, e := range []struct {
 		bit  Fact
 		name string
 	}{
-		{Allocs, "allocates"}, {BlocksChan, "blocks"}, {BlocksMutex, "locks a mutex"},
-		{CallsRPC, "calls rpc"}, {Pins, "pins"}, {Unknown, "unknown behavior"},
+		{BlocksChan, "blocks"}, {BlocksMutex, "locks a mutex"}, {CallsRPC, "calls rpc"},
 		{AcqStripe, "acquires a stripe lock"}, {AcqShard, "acquires a shard lock"},
 		{AcqDirectory, "acquires the directory lock"}, {AcqStructural, "acquires the structural lock"},
 		{AcqPending, "acquires the pending-table lock"},
 		{AcqCommit, "acquires a commit-window lock"},
+		{AcqPin, "takes a proc pin"},
 		{HeavyOp, "performs a slice-size copy or reconstruction"},
 	} {
 		if f&e.bit != 0 {
@@ -104,55 +97,50 @@ func (f Fact) String() string {
 type LockClass int
 
 const (
-	LockNone LockClass = iota
+	_ LockClass = iota
 	LockStructural
 	LockStripe
 	LockShard
 	LockDirectory
 	LockPending
 	LockCommit
+	// LockPin is a runtime proc pin: not a mutex, but held the same way
+	// (BeginUpdate…EndUpdate) and innermost of every class.
+	LockPin
 )
+
+// classes gives each lock class its diagnostic name and acquisition fact.
+var classes = [...]struct {
+	name string
+	acq  Fact
+}{
+	LockStructural: {"structural", AcqStructural},
+	LockStripe:     {"stripe", AcqStripe},
+	LockShard:      {"cache-shard", AcqShard},
+	LockDirectory:  {"directory", AcqDirectory},
+	LockPending:    {"pending-table", AcqPending},
+	LockCommit:     {"commit-window", AcqCommit},
+	LockPin:        {"proc-pin", AcqPin},
+}
 
 // String names the class as diagnostics print it.
 func (c LockClass) String() string {
-	switch c {
-	case LockStructural:
-		return "structural"
-	case LockStripe:
-		return "stripe"
-	case LockShard:
-		return "cache-shard"
-	case LockDirectory:
-		return "directory"
-	case LockPending:
-		return "pending-table"
-	case LockCommit:
-		return "commit-window"
+	if c <= 0 || int(c) >= len(classes) {
+		return "none"
 	}
-	return "none"
+	return classes[c].name
 }
 
 // AcqFact maps a lock class to its acquisition fact bit.
 func (c LockClass) AcqFact() Fact {
-	switch c {
-	case LockStructural:
-		return AcqStructural
-	case LockStripe:
-		return AcqStripe
-	case LockShard:
-		return AcqShard
-	case LockDirectory:
-		return AcqDirectory
-	case LockPending:
-		return AcqPending
-	case LockCommit:
-		return AcqCommit
+	if c <= 0 || int(c) >= len(classes) {
+		return 0
 	}
-	return 0
+	return classes[c].acq
 }
 
 // Site is one fact-bearing point in a function body: a local operation
-// (channel op, allocation, lock acquisition) or a call site.
+// (channel op, lock acquisition, slice-size work) or a call site.
 type Site struct {
 	Pos   token.Pos
 	Local Fact   // facts arising at the site itself
@@ -166,8 +154,6 @@ type LockOp struct {
 	Pos      token.Pos
 	Class    LockClass
 	Acquire  bool
-	Write    bool   // Lock/Unlock vs RLock/RUnlock
-	Recv     string // receiver expression as written, for pairing
 	Deferred bool
 }
 
@@ -179,27 +165,19 @@ type FnInfo struct {
 	Locks []LockOp
 }
 
-// Program is the shared interprocedural state: units, call graph, and
-// computed summaries. Built once by the driver and reused by every
-// whole-program analyzer.
+// Program is the interprocedural state: every function's sites and the
+// fixpoint of their facts.
 type Program struct {
-	Units []*analysis.Unit
-	Fset  *token.FileSet
-	Graph *callgraph.Graph
-	Fns   map[string]*FnInfo
+	Fset *token.FileSet
+	Fns  map[string]*FnInfo
 
-	facts    map[string]Fact
-	fileUnit map[string]*analysis.Unit
+	facts map[string]Fact
 }
 
 // Build scans every function of units and computes the fact fixpoint.
 func Build(units []*analysis.Unit) *Program {
 	g := callgraph.Build(units)
-	p := &Program{
-		Units: units,
-		Graph: g,
-		Fns:   make(map[string]*FnInfo, len(g.Nodes)),
-	}
+	p := &Program{Fns: make(map[string]*FnInfo, len(g.Nodes))}
 	if len(units) > 0 {
 		p.Fset = units[0].Fset
 	}
@@ -210,32 +188,33 @@ func Build(units []*analysis.Unit) *Program {
 	return p
 }
 
-// Facts returns the fixpoint facts of the named function. External
+// factsOf returns the fixpoint facts of the named function. External
 // functions resolve through the intrinsic table.
-func (p *Program) Facts(id string) Fact {
+func (p *Program) factsOf(id string) Fact {
 	if f, ok := p.facts[id]; ok {
 		return f
 	}
-	return ExternalFacts(id)
+	return externalFacts(id)
+}
+
+// callees lists the functions a call site may reach: its static callee
+// or its interface candidates. Unresolved calls reach nothing.
+func callees(c *callgraph.Site) []string {
+	if c == nil || c.Unknown {
+		return nil
+	}
+	if c.CalleeID != "" {
+		return []string{c.CalleeID}
+	}
+	return c.Candidates
 }
 
 // SiteFacts returns the facts contributed by one site: its local facts
-// plus its callees' fixpoint facts. Sites inside `go` statements
-// contribute only their local facts (the spawn allocates; the spawned
-// work runs elsewhere).
+// plus its callees' fixpoint facts.
 func (p *Program) SiteFacts(s Site) Fact {
 	f := s.Local
-	if s.Call == nil || s.Call.Go {
-		return f
-	}
-	if s.Call.Unknown {
-		return f
-	}
-	if s.Call.CalleeID != "" {
-		return f | p.Facts(s.Call.CalleeID)
-	}
-	for _, c := range s.Call.Candidates {
-		f |= p.Facts(c)
+	for _, c := range callees(s.Call) {
+		f |= p.factsOf(c)
 	}
 	return f
 }
@@ -246,43 +225,15 @@ func (p *Program) SiteFacts(s Site) Fact {
 // practice a handful of passes suffice.
 func (p *Program) fixpoint() {
 	p.facts = make(map[string]Fact, len(p.Fns))
-	for id, fi := range p.Fns {
-		var f Fact
-		for _, s := range fi.Sites {
-			f |= s.Local
-			if s.Call != nil && !s.Call.Go && !s.Call.Unknown {
-				if s.Call.CalleeID != "" {
-					if _, inProgram := p.Fns[s.Call.CalleeID]; !inProgram {
-						f |= ExternalFacts(s.Call.CalleeID)
-					}
-				}
-				for _, c := range s.Call.Candidates {
-					if _, inProgram := p.Fns[c]; !inProgram {
-						f |= ExternalFacts(c)
-					}
-				}
-			}
-		}
-		p.facts[id] = f
+	for id := range p.Fns {
+		p.facts[id] = 0
 	}
 	for changed := true; changed; {
 		changed = false
 		for id, fi := range p.Fns {
-			f := p.facts[id]
+			var f Fact
 			for _, s := range fi.Sites {
-				if s.Call == nil || s.Call.Go || s.Call.Unknown {
-					continue
-				}
-				if s.Call.CalleeID != "" {
-					if cf, ok := p.facts[s.Call.CalleeID]; ok {
-						f |= cf
-					}
-				}
-				for _, c := range s.Call.Candidates {
-					if cf, ok := p.facts[c]; ok {
-						f |= cf
-					}
-				}
+				f |= p.SiteFacts(s)
 			}
 			if f != p.facts[id] {
 				p.facts[id] = f
@@ -292,105 +243,48 @@ func (p *Program) fixpoint() {
 	}
 }
 
-// ReachableFacts unions the local facts of every function reachable
-// from root, skipping functions for which skip returns true (used by
-// the hotpath analyzer's //lmp:coldpath exemption). skip may be nil.
-func (p *Program) ReachableFacts(root string, skip func(id string) bool) Fact {
-	visited := map[string]bool{}
-	var visit func(id string) Fact
-	visit = func(id string) Fact {
-		if visited[id] {
-			return 0
-		}
-		visited[id] = true
-		if skip != nil && skip(id) {
-			return 0
-		}
-		fi, ok := p.Fns[id]
-		if !ok {
-			return ExternalFacts(id)
-		}
-		var f Fact
-		for _, s := range fi.Sites {
-			f |= s.Local
-			if s.Call == nil || s.Call.Go || s.Call.Unknown {
-				continue
-			}
-			if s.Call.CalleeID != "" {
-				f |= visit(s.Call.CalleeID)
-			}
-			for _, c := range s.Call.Candidates {
-				f |= visit(c)
-			}
-		}
-		return f
-	}
-	return visit(root)
-}
-
-// Witness returns the call chain grounding fact want starting from the
-// function id: one step per call plus a final step at the local
-// operation that introduces the fact. Returns nil when id does not
-// carry want. skip mirrors ReachableFacts' exemption; may be nil.
-func (p *Program) Witness(id string, want Fact, skip func(string) bool) []analysis.RelatedPos {
-	return p.fnWitness(id, want, skip, map[string]bool{})
-}
-
 // SiteWitness returns the chain grounding want at one site: the site's
-// own local operation, or the call chain into its callee. Returns nil
-// when the site does not carry want.
-func (p *Program) SiteWitness(s Site, want Fact, skip func(string) bool) []analysis.RelatedPos {
-	return p.siteWitness(s, want, skip, map[string]bool{})
+// own local operation, or the call chain into its callee, one step per
+// call plus a final step at the operation that introduces the fact.
+// Returns nil when the site does not carry want.
+func (p *Program) SiteWitness(s Site, want Fact) []analysis.RelatedPos {
+	return p.siteWitness(s, want, map[string]bool{})
 }
 
-func (p *Program) fnWitness(id string, want Fact, skip func(string) bool, visited map[string]bool) []analysis.RelatedPos {
+// witness returns the chain grounding want from the function id.
+func (p *Program) witness(id string, want Fact, visited map[string]bool) []analysis.RelatedPos {
 	if visited[id] {
 		return nil
 	}
 	visited[id] = true
-	if skip != nil && skip(id) {
-		return nil
-	}
 	fi, ok := p.Fns[id]
 	if !ok {
 		return nil
 	}
 	for _, s := range fi.Sites {
-		if chain := p.siteWitness(s, want, skip, visited); chain != nil {
+		if chain := p.siteWitness(s, want, visited); chain != nil {
 			return chain
 		}
 	}
 	return nil
 }
 
-func (p *Program) siteWitness(s Site, want Fact, skip func(string) bool, visited map[string]bool) []analysis.RelatedPos {
+func (p *Program) siteWitness(s Site, want Fact, visited map[string]bool) []analysis.RelatedPos {
 	if s.Local&want != 0 {
 		return []analysis.RelatedPos{{Pos: s.Pos, Message: s.What}}
 	}
-	if s.Call == nil || s.Call.Go || s.Call.Unknown {
-		return nil
-	}
-	callees := s.Call.Candidates
-	if s.Call.CalleeID != "" {
-		callees = []string{s.Call.CalleeID}
-	}
-	for _, c := range callees {
-		if skip != nil && skip(c) {
+	for _, c := range callees(s.Call) {
+		f := p.factsOf(c) & want
+		if f == 0 {
 			continue
 		}
 		if _, inProgram := p.Fns[c]; !inProgram {
-			if ExternalFacts(c)&want != 0 {
-				return []analysis.RelatedPos{{
-					Pos:     s.Pos,
-					Message: "calls " + callgraph.ShortName(c) + " (" + (ExternalFacts(c) & want).String() + ")",
-				}}
-			}
-			continue
+			return []analysis.RelatedPos{{
+				Pos:     s.Pos,
+				Message: "calls " + callgraph.ShortName(c) + " (" + f.String() + ")",
+			}}
 		}
-		if p.ReachableFacts(c, skip)&want == 0 {
-			continue
-		}
-		if rest := p.fnWitness(c, want, skip, visited); rest != nil {
+		if rest := p.witness(c, want, visited); rest != nil {
 			step := analysis.RelatedPos{Pos: s.Pos, Message: "calls " + callgraph.ShortName(c)}
 			return append([]analysis.RelatedPos{step}, rest...)
 		}
@@ -399,42 +293,14 @@ func (p *Program) siteWitness(s Site, want Fact, skip func(string) bool, visited
 }
 
 // WitnessString renders a witness chain as one diagnostic-friendly
-// line: "f (a.go:3: calls g) -> g (b.go:7: make([]byte))".
+// line: "a.go:3 calls g -> b.go:7 channel receive".
 func (p *Program) WitnessString(chain []analysis.RelatedPos) string {
-	var b strings.Builder
+	parts := make([]string, len(chain))
 	for i, step := range chain {
-		if i > 0 {
-			b.WriteString(" -> ")
-		}
 		pos := p.Fset.Position(step.Pos)
-		b.WriteString(shortFile(pos.Filename))
-		b.WriteString(":")
-		b.WriteString(itoa(pos.Line))
-		b.WriteString(" ")
-		b.WriteString(step.Message)
+		parts[i] = fmt.Sprintf("%s:%d %s", filepath.Base(pos.Filename), pos.Line, step.Message)
 	}
-	return b.String()
-}
-
-func shortFile(path string) string {
-	if i := strings.LastIndexByte(path, '/'); i >= 0 {
-		return path[i+1:]
-	}
-	return path
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [12]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
+	return strings.Join(parts, " -> ")
 }
 
 // Annotated reports whether the function declaration carries the given
@@ -491,18 +357,12 @@ func (s *scanner) walk(n ast.Node, deferred bool) {
 			s.callExpr(e.Call, true)
 			return false
 		case *ast.GoStmt:
-			// The spawn allocates; the spawned body runs elsewhere, so
-			// its contents contribute nothing to the caller's facts. The
-			// call site itself is still in the graph (flagged Go).
-			s.add(e.Pos(), Allocs, "go statement (goroutine spawn)")
-			if site, ok := s.calls[e.Call.Pos()]; ok {
-				s.fi.Sites = append(s.fi.Sites, Site{Pos: e.Call.Pos(), Call: site})
-			}
+			// The spawned body runs elsewhere: it contributes nothing to
+			// the caller's facts.
 			return false
 		case *ast.FuncLit:
-			// A literal not invoked on the spot escapes as a value:
-			// closure allocation, body attributed here (it may run here).
-			s.add(e.Pos(), Allocs, "function literal (closure allocation)")
+			// A literal not invoked on the spot escapes as a value; its
+			// body is attributed here (it may run here).
 			s.walk(e.Body, false)
 			return false
 		case *ast.SendStmt:
@@ -513,40 +373,10 @@ func (s *scanner) walk(n ast.Node, deferred bool) {
 			if e.Op == token.ARROW {
 				s.add(e.Pos(), BlocksChan, "channel receive")
 			}
-			if e.Op == token.AND {
-				if _, ok := ast.Unparen(e.X).(*ast.CompositeLit); ok {
-					s.add(e.Pos(), Allocs, "address of composite literal")
-				}
-			}
 		case *ast.RangeStmt:
 			if t := info.TypeOf(e.X); t != nil {
 				if _, ok := t.Underlying().(*types.Chan); ok {
 					s.add(e.Pos(), BlocksChan, "range over channel")
-				}
-			}
-		case *ast.CompositeLit:
-			if t := info.TypeOf(e); t != nil {
-				switch t.Underlying().(type) {
-				case *types.Slice, *types.Map:
-					s.add(e.Pos(), Allocs, "slice or map literal")
-				}
-			}
-		case *ast.BinaryExpr:
-			if e.Op == token.ADD {
-				if t := info.TypeOf(e); t != nil {
-					if b, ok := t.Underlying().(*types.Basic); ok && b.Info()&types.IsString != 0 {
-						s.add(e.Pos(), Allocs, "string concatenation")
-					}
-				}
-			}
-		case *ast.AssignStmt:
-			for _, lhs := range e.Lhs {
-				if ix, ok := ast.Unparen(lhs).(*ast.IndexExpr); ok {
-					if t := info.TypeOf(ix.X); t != nil {
-						if _, ok := t.Underlying().(*types.Map); ok {
-							s.add(ix.Pos(), Allocs, "map assignment")
-						}
-					}
 				}
 			}
 		case *ast.CallExpr:
@@ -558,44 +388,32 @@ func (s *scanner) walk(n ast.Node, deferred bool) {
 }
 
 // callExpr classifies one call expression and descends into fun/args.
+// A literal invoked on the spot (or deferred) is plain code of this
+// function: its body is walked once, in the call's defer context.
 func (s *scanner) callExpr(call *ast.CallExpr, deferred bool) {
-	info := s.unit.Info
-	fun := ast.Unparen(call.Fun)
-	defer func() {
-		s.walk(call.Fun, deferred)
-		for _, a := range call.Args {
-			s.walk(a, deferred)
-		}
-	}()
-	// Immediately invoked literal: body is plain code, no closure value.
-	if lit, ok := fun.(*ast.FuncLit); ok {
+	if lit, ok := ast.Unparen(call.Fun).(*ast.FuncLit); ok {
 		s.walk(lit.Body, deferred)
-		return
+	} else {
+		s.classify(call, deferred)
+		s.walk(call.Fun, deferred)
 	}
-	// Conversions.
-	if tv, ok := info.Types[fun]; ok && tv.IsType() {
-		s.conversion(call, tv.Type)
-		return
+	for _, a := range call.Args {
+		s.walk(a, deferred)
 	}
-	// Builtins.
-	if id, ok := fun.(*ast.Ident); ok {
+}
+
+// classify records the facts and lock operations of one call that is
+// not a literal.
+func (s *scanner) classify(call *ast.CallExpr, deferred bool) {
+	info := s.unit.Info
+	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
 		if b, ok := info.Uses[id].(*types.Builtin); ok {
-			switch b.Name() {
-			case "make":
-				if sizedBySliceSize(call) {
-					s.add(call.Pos(), Allocs|HeavyOp, "make sized by SliceSize (slice-size allocation)")
-					return
-				}
-				s.add(call.Pos(), Allocs, "make")
-			case "new":
-				s.add(call.Pos(), Allocs, "new")
-			case "append":
-				s.add(call.Pos(), Allocs, "append (may grow)")
+			if b.Name() == "make" && sizedBySliceSize(call) {
+				s.add(call.Pos(), HeavyOp, "make sized by SliceSize (slice-size allocation)")
 			}
 			return
 		}
 	}
-	// Lock operations on classified locks.
 	if op, ok := s.lockOp(call); ok {
 		op.Deferred = deferred
 		s.fi.Locks = append(s.fi.Locks, op)
@@ -604,23 +422,41 @@ func (s *scanner) callExpr(call *ast.CallExpr, deferred bool) {
 		}
 		return
 	}
-	// Resolved call site from the graph.
-	if site, ok := s.calls[call.Pos()]; ok {
-		st := Site{Pos: call.Pos(), Call: site}
-		if site.Unknown {
-			st.Local = Allocs | Unknown
-			st.What = "call through a function value (unresolvable)"
-		}
-		if isRPCPath(site.CalleePkg) {
-			st.Local |= CallsRPC
-			st.What = "call into package rpc"
-		}
-		if isRSCodingCall(info, call) {
-			st.Local |= HeavyOp
-			st.What = "Reed-Solomon encode/reconstruct (slice-size compute)"
-		}
-		s.fi.Sites = append(s.fi.Sites, st)
+	site, ok := s.calls[call.Pos()]
+	if !ok {
+		return
 	}
+	if pin, ok := pinOp(site.CalleeID); ok {
+		s.fi.Locks = append(s.fi.Locks, LockOp{Pos: call.Pos(), Class: LockPin, Acquire: pin, Deferred: deferred})
+		if pin {
+			s.add(call.Pos(), AcqPin, "takes a proc pin ("+callgraph.ShortName(site.CalleeID)+")")
+		}
+		return
+	}
+	st := Site{Pos: call.Pos(), Call: site}
+	if isRPCPath(site.CalleePkg) {
+		st.Local |= CallsRPC
+		st.What = "call into package rpc"
+	}
+	if isRSCodingCall(info, call) {
+		st.Local |= HeavyOp
+		st.What = "Reed-Solomon encode/reconstruct (slice-size compute)"
+	}
+	s.fi.Sites = append(s.fi.Sites, st)
+}
+
+// pinOp reports whether a callee takes (acquire) or releases a proc
+// pin: telemetry.BeginUpdate/EndUpdate, or a raw runtime_procPin/
+// runtime_procUnpin linkname. Matched by name suffix, so fixtures that
+// mirror the telemetry package resolve too.
+func pinOp(id string) (acquire, ok bool) {
+	switch {
+	case strings.HasSuffix(id, "telemetry.BeginUpdate"), strings.HasSuffix(id, "_procPin"):
+		return true, true
+	case strings.HasSuffix(id, "telemetry.EndUpdate"), strings.HasSuffix(id, "_procUnpin"):
+		return false, true
+	}
+	return false, false
 }
 
 // sizedBySliceSize reports whether a make call sizes its result with the
@@ -660,37 +496,9 @@ func isRSCodingCall(info *types.Info, call *ast.CallExpr) bool {
 	return namedTypeIs(info.TypeOf(sel.X), "RS")
 }
 
-// conversion accounts allocating conversions: boxing into an interface
-// and string/byte-slice copies.
-func (s *scanner) conversion(call *ast.CallExpr, to types.Type) {
-	if len(call.Args) != 1 {
-		return
-	}
-	from := s.unit.Info.TypeOf(call.Args[0])
-	if from == nil {
-		return
-	}
-	if types.IsInterface(to) && !types.IsInterface(from) {
-		s.add(call.Pos(), Allocs, "interface conversion (boxing)")
-		return
-	}
-	tb, tok := to.Underlying().(*types.Basic)
-	fs, fromSlice := from.Underlying().(*types.Slice)
-	ts, toSlice := to.Underlying().(*types.Slice)
-	fb, fok := from.Underlying().(*types.Basic)
-	switch {
-	case tok && tb.Info()&types.IsString != 0 && fromSlice:
-		_ = fs
-		s.add(call.Pos(), Allocs, "[]byte-to-string conversion")
-	case toSlice && fok && fb.Info()&types.IsString != 0:
-		_ = ts
-		s.add(call.Pos(), Allocs, "string-to-slice conversion")
-	}
-}
-
 // lockOp classifies sel.Lock()/Unlock()-shaped calls against the lock
-// hierarchy: embedded stripe/shard mutexes by type name, the coherence
-// directory's mu, and the pool's structural mu.
+// hierarchy: embedded commit/stripe/shard/pending mutexes by type name,
+// the coherence directory's mu, and the pool's structural mu.
 func (s *scanner) lockOp(call *ast.CallExpr) (LockOp, bool) {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
@@ -704,12 +512,7 @@ func (s *scanner) lockOp(call *ast.CallExpr) (LockOp, bool) {
 	if t == nil {
 		return LockOp{}, false
 	}
-	op := LockOp{
-		Pos:     call.Pos(),
-		Acquire: method == "Lock" || method == "RLock",
-		Write:   method == "Lock" || method == "Unlock",
-		Recv:    types.ExprString(sel.X),
-	}
+	op := LockOp{Pos: call.Pos(), Acquire: method == "Lock" || method == "RLock"}
 	switch {
 	case EmbedsMutexNamed(t, "commit"):
 		op.Class = LockCommit
@@ -734,7 +537,6 @@ func (s *scanner) lockOp(call *ast.CallExpr) (LockOp, bool) {
 		default:
 			return LockOp{}, false
 		}
-		op.Recv = types.ExprString(inner.X)
 	default:
 		return LockOp{}, false
 	}
@@ -746,24 +548,17 @@ func isRPCPath(path string) bool {
 	return path == "rpc" || strings.HasSuffix(path, "/rpc")
 }
 
-// IsRPCSite reports whether the call site targets an rpc package.
-func IsRPCSite(s Site) bool { return s.Local&CallsRPC != 0 }
-
 // EmbedsMutexNamed reports whether t (or *t) is a named struct type
 // whose name contains substr (case-insensitive) and which embeds
 // sync.Mutex or sync.RWMutex.
 func EmbedsMutexNamed(t types.Type, substr string) bool {
-	if t == nil {
+	if !namedTypeContains(t, substr) {
 		return false
 	}
 	if p, ok := t.Underlying().(*types.Pointer); ok {
 		t = p.Elem()
 	}
-	named, ok := t.(*types.Named)
-	if !ok || !strings.Contains(strings.ToLower(named.Obj().Name()), substr) {
-		return false
-	}
-	st, ok := named.Underlying().(*types.Struct)
+	st, ok := t.Underlying().(*types.Struct)
 	if !ok {
 		return false
 	}

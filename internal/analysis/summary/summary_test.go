@@ -2,6 +2,7 @@ package summary
 
 import (
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
@@ -12,23 +13,31 @@ import (
 
 const factsSrc = `package q
 
-func leaf() *int { return new(int) }
+import "sync"
 
-func mid() *int { return leaf() }
+var mu sync.Mutex
 
-func top() *int { return mid() }
+func leaf(ch chan int) int { return <-ch }
 
-func recvs(ch chan int) int { return <-ch }
+func mid(ch chan int) int { return leaf(ch) }
+
+func top(ch chan int) int { return mid(ch) }
+
+func locks() { mu.Lock(); mu.Unlock() }
 
 func waiter(ch chan int) { <-ch }
 
 func spawns(ch chan int) { go waiter(ch) }
 
-func loopA() { loopB() }
+func loopA(ch chan int) { loopB(ch) }
 
-func loopB() { loopA(); _ = make([]byte, 1) }
+func loopB(ch chan int) { loopA(ch); <-ch }
 
-// lmp:hotpath
+func deferredLit(ch chan int) {
+	defer func() { ch <- 1 }()
+}
+
+// lmp:commitwindow
 func tagged() {}
 `
 
@@ -40,7 +49,7 @@ func buildProgram(t *testing.T) *Program {
 		t.Fatal(err)
 	}
 	info := analysis.NewInfo()
-	tpkg, err := (&types.Config{}).Check("q", fset, []*ast.File{f}, info)
+	tpkg, err := (&types.Config{Importer: importer.Default()}).Check("q", fset, []*ast.File{f}, info)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,37 +59,42 @@ func buildProgram(t *testing.T) *Program {
 
 func TestFixpoint(t *testing.T) {
 	p := buildProgram(t)
-	if f := p.Facts("q.top"); f&Allocs == 0 {
-		t.Errorf("top: facts %v, want Allocs (two calls deep)", f)
+	if f := p.factsOf("q.top"); f != BlocksChan {
+		t.Errorf("top: facts %v, want BlocksChan (two calls deep)", f)
 	}
-	if f := p.Facts("q.recvs"); f&BlocksChan == 0 || f&Allocs != 0 {
-		t.Errorf("recvs: facts %v, want BlocksChan and no Allocs", f)
+	if f := p.factsOf("q.locks"); f != BlocksMutex {
+		t.Errorf("locks: facts %v, want BlocksMutex through the intrinsic table", f)
 	}
-	// go statements: the spawn allocates, but the spawned body's blocking
-	// runs on another goroutine and must not leak into the caller.
-	if f := p.Facts("q.spawns"); f&Allocs == 0 || f&BlocksChan != 0 {
-		t.Errorf("spawns: facts %v, want Allocs without BlocksChan", f)
+	// go statements: the spawned body's blocking runs on another
+	// goroutine and must not leak into the caller.
+	if f := p.factsOf("q.spawns"); f != 0 {
+		t.Errorf("spawns: facts %v, want pure", f)
 	}
-	// Mutual recursion converges and both members see the allocation.
-	if f := p.Facts("q.loopA"); f&Allocs == 0 {
-		t.Errorf("loopA: facts %v, want Allocs via recursion", f)
+	// Mutual recursion converges and both members see the receive.
+	if f := p.factsOf("q.loopA"); f&BlocksChan == 0 {
+		t.Errorf("loopA: facts %v, want BlocksChan via recursion", f)
+	}
+	// A deferred literal's body is walked once, as deferred code.
+	fi := p.Fns["q.deferredLit"]
+	if len(fi.Sites) != 1 {
+		t.Errorf("deferredLit: %d sites, want the one send", len(fi.Sites))
 	}
 }
 
 func TestExternalFallback(t *testing.T) {
 	p := buildProgram(t)
-	if f := p.Facts("strings.Repeat"); f != Allocs|Unknown {
-		t.Errorf("unknown external: facts %v, want Allocs|Unknown", f)
+	if f := p.factsOf("strings.Repeat"); f != 0 {
+		t.Errorf("unlisted external: facts %v, want pure", f)
 	}
 }
 
 func TestWitness(t *testing.T) {
 	p := buildProgram(t)
-	chain := p.Witness("q.top", Allocs, nil)
+	chain := p.witness("q.top", BlocksChan, map[string]bool{})
 	if len(chain) != 3 {
 		t.Fatalf("witness length %d, want 3: %q", len(chain), p.WitnessString(chain))
 	}
-	wantMsgs := []string{"calls q.mid", "calls q.leaf", "new"}
+	wantMsgs := []string{"calls q.mid", "calls q.leaf", "channel receive"}
 	for i, m := range wantMsgs {
 		if chain[i].Message != m {
 			t.Errorf("step %d: %q, want %q", i, chain[i].Message, m)
@@ -89,70 +103,46 @@ func TestWitness(t *testing.T) {
 	if s := p.WitnessString(chain); s == "" {
 		t.Error("WitnessString: empty render")
 	}
-	if chain := p.Witness("q.recvs", Allocs, nil); chain != nil {
-		t.Errorf("recvs carries no Allocs; witness = %q", p.WitnessString(chain))
+	if chain := p.witness("q.top", BlocksMutex, map[string]bool{}); chain != nil {
+		t.Errorf("top takes no mutex; witness = %q", p.WitnessString(chain))
 	}
-}
-
-func TestReachableFactsSkip(t *testing.T) {
-	p := buildProgram(t)
-	if f := p.ReachableFacts("q.top", nil); f&Allocs == 0 {
-		t.Errorf("top reachable: %v, want Allocs", f)
-	}
-	skip := func(id string) bool { return id == "q.leaf" }
-	if f := p.ReachableFacts("q.top", skip); f != 0 {
-		t.Errorf("top with leaf skipped: %v, want pure", f)
+	chain = p.witness("q.locks", BlocksMutex, map[string]bool{})
+	if len(chain) != 1 || chain[0].Message != "calls (*sync.Mutex).Lock (locks a mutex)" {
+		t.Errorf("locks: witness %q, want the one external call", p.WitnessString(chain))
 	}
 }
 
 func TestAnnotated(t *testing.T) {
 	p := buildProgram(t)
-	n := p.Graph.Nodes["q.tagged"]
-	if n == nil {
-		t.Fatal("no node for q.tagged")
+	fi := p.Fns["q.tagged"]
+	if fi == nil {
+		t.Fatal("no function q.tagged")
 	}
-	if !Annotated(n.Decl, "hotpath") {
-		t.Error("tagged: Annotated(hotpath) = false")
+	if !Annotated(fi.Node.Decl, "commitwindow") {
+		t.Error("tagged: Annotated(commitwindow) = false")
 	}
-	if Annotated(n.Decl, "coldpath") {
-		t.Error("tagged: Annotated(coldpath) = true")
+	if Annotated(fi.Node.Decl, "commit") {
+		t.Error("tagged: Annotated(commit) = true for a longer directive")
 	}
-	if Annotated(p.Graph.Nodes["q.top"].Decl, "hotpath") {
-		t.Error("top: Annotated(hotpath) = true for undocumented func")
+	if Annotated(p.Fns["q.top"].Node.Decl, "commitwindow") {
+		t.Error("top: Annotated(commitwindow) = true for undocumented func")
 	}
 }
 
 func TestExternalFacts(t *testing.T) {
 	cases := map[string]Fact{
-		"(*sync.Mutex).Lock":         BlocksMutex,
-		"(*sync.Mutex).Unlock":       0,
-		"(*sync.WaitGroup).Wait":     BlocksChan,
-		"sync/atomic.AddUint64":      0,
-		"math.Sqrt":                  0,
-		"time.Sleep":                 BlocksChan,
-		"errors.Is":                  0,
-		"fmt.Sprintf":                Allocs | Unknown,
-		"example.com/m/tel.procPin":  Pins,
-		"example.com/m/tel_procPin":  Pins,
-		"example.com/m/tel.nanotime": 0,
+		"(*sync.Mutex).Lock":     BlocksMutex,
+		"(*sync.Mutex).Unlock":   0,
+		"(*sync.RWMutex).RLock":  BlocksMutex,
+		"(*sync.WaitGroup).Wait": BlocksChan,
+		"sync/atomic.AddUint64":  0,
+		"time.Sleep":             BlocksChan,
+		"errors.Is":              0,
+		"fmt.Sprintf":            0,
 	}
 	for id, want := range cases {
-		if got := ExternalFacts(id); got != want {
-			t.Errorf("ExternalFacts(%q) = %v, want %v", id, got, want)
-		}
-	}
-}
-
-func TestExternalPkg(t *testing.T) {
-	cases := map[string]string{
-		"(*sync.Mutex).Lock":    "sync",
-		"(sync.Locker).Lock":    "sync",
-		"sync/atomic.AddUint64": "sync/atomic",
-		"time.Now":              "time",
-	}
-	for id, want := range cases {
-		if got := externalPkg(id); got != want {
-			t.Errorf("externalPkg(%q) = %q, want %q", id, got, want)
+		if got := externalFacts(id); got != want {
+			t.Errorf("externalFacts(%q) = %v, want %v", id, got, want)
 		}
 	}
 }
@@ -161,7 +151,10 @@ func TestFactString(t *testing.T) {
 	if got := Fact(0).String(); got != "pure" {
 		t.Errorf("Fact(0) = %q, want pure", got)
 	}
-	if got := (Allocs | BlocksChan).String(); got != "allocates, blocks" {
-		t.Errorf("Allocs|BlocksChan = %q", got)
+	if got := (BlocksChan | BlocksMutex).String(); got != "blocks, locks a mutex" {
+		t.Errorf("BlocksChan|BlocksMutex = %q", got)
+	}
+	if got := (AcqPin | CallsRPC).String(); got != "calls rpc, takes a proc pin" {
+		t.Errorf("AcqPin|CallsRPC = %q", got)
 	}
 }

@@ -9,10 +9,10 @@ import (
 )
 
 // The guards below pin the steady state of the paths a cold workload
-// runs all day. The static half of the proof is `make lint`: Put,
-// Invalidate and Add are //lmp:hotpath roots. What lmplint cannot follow
-// — growth into retained capacity behind //lmp:coldpath helpers that
-// stops once a high-water mark is reached — is proved here.
+// runs all day: Put, Invalidate and the write combiner's Add allocate
+// nothing once growth into retained capacity has reached its high-water
+// mark. DESIGN.md's "Allocation guards" lists the guard of each
+// allocation-free function; ReadAt and WriteAt are run by core's.
 
 // TestPutEvictAllocFree: once every ring slot has been used, admitting a
 // new page evicts through the clock, the index and the ghost list

@@ -207,8 +207,6 @@ func (c *Cache) shardFor(page uint64) *cacheShard { return &c.shards[page&c.mask
 // ReadAt copies len(dst) bytes at byte offset off of the cached page into
 // dst. It reports whether the page was resident. A miss records no state
 // beyond the miss counter; fills are the caller's job (Put).
-//
-//lmp:hotpath
 func (c *Cache) ReadAt(page uint64, dst []byte, off int) bool {
 	sh := c.shardFor(page)
 	sh.Lock()
@@ -230,8 +228,6 @@ func (c *Cache) ReadAt(page uint64, dst []byte, off int) bool {
 // WriteAt updates a resident page in place (coherent write-through by a
 // node that already owns the page) and reports whether the page was
 // resident. It never admits a page: admission policy lives in Put.
-//
-//lmp:hotpath
 func (c *Cache) WriteAt(page uint64, src []byte, off int) bool {
 	sh := c.shardFor(page)
 	sh.Lock()
@@ -255,8 +251,6 @@ func (c *Cache) WriteAt(page uint64, src []byte, off int) bool {
 // Put reports the page the call left non-resident, if any: the one
 // evicted to make room — or, in a cache with no capacity, page itself —
 // so the caller can tell the coherence directory the copy is gone.
-//
-//lmp:hotpath
 func (c *Cache) Put(page uint64, data []byte) (victim uint64, evicted bool) {
 	sh := c.shardFor(page)
 	sh.Lock()
@@ -311,8 +305,6 @@ func (c *Cache) Contains(page uint64) bool {
 
 // newPage allocates the bytes behind a ring slot, once, on the slot's
 // first use: a cache that is never filled never pays for its capacity.
-//
-//lmp:coldpath
 func (c *Cache) newPage() []byte { return make([]byte, c.pageSize) }
 
 // slotLocked returns a free ring slot (-1 with zero capacity): an
@@ -340,8 +332,6 @@ func (sh *cacheShard) slotLocked() (int32, bool) {
 // growRing makes room for one more ring slot: it doubles the ring's
 // array, but never past the shard's capacity, which the ring then fills
 // exactly.
-//
-//lmp:coldpath
 func (sh *cacheShard) growRing() {
 	ring := make([]entry, len(sh.ring), min(max(2*cap(sh.ring), 8), sh.cap))
 	copy(ring, sh.ring)
@@ -453,8 +443,6 @@ func (sh *cacheShard) demoteOverflowLocked() {
 // Invalidate discards the cached copy of page, reporting whether one was
 // resident. The copy is clean by construction, so nothing is written
 // back. The slot (and its page buffer) goes on the shard's free list.
-//
-//lmp:hotpath
 func (c *Cache) Invalidate(page uint64) bool {
 	sh := c.shardFor(page)
 	sh.Lock()

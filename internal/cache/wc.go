@@ -159,8 +159,6 @@ func (w *WriteCombiner) arenaCopy(data []byte) []byte {
 // copied keep the old array alive until their generation retires; the
 // arena carries the new one from then on, so a generation's arena stops
 // growing once it has held the largest batch.
-//
-//lmp:coldpath
 func growArena(a []byte, need int) []byte {
 	return make([]byte, 0, max(arenaChunk, 2*cap(a), 2*need))
 }
@@ -193,8 +191,6 @@ func (w *WriteCombiner) newLink() int32 {
 
 // growSlabs is the amortised append behind newEntry and newLink: it runs
 // until the slabs have held one full flush cycle, then never again.
-//
-//lmp:coldpath
 func (w *WriteCombiner) growSlabs() {
 	w.ents = append(w.ents, wcEntry{})[:len(w.ents)]
 	w.links = append(w.links, wcLink{})[:len(w.links)]
@@ -272,8 +268,6 @@ func (w *WriteCombiner) retire(i int32) {
 // must flush and retry (the write partially overlaps a buffered one and
 // absorbing it would break vec disjointness). shouldFlush asks the
 // caller to flush soon — after releasing any locks ordered before wc.
-//
-//lmp:hotpath
 func (w *WriteCombiner) Add(from int, a uint64, data []byte) (ok, shouldFlush bool) {
 	if len(data) == 0 {
 		return true, false

@@ -1085,8 +1085,6 @@ func (p *Pool) recoverSliceInner(s uint64) error {
 // recordAccessMetrics bumps the cached op and byte counters: the
 // (kind, locality) class totals plus the per-owning-server and
 // per-stripe striped breakdowns (lane = issuing server / stripe).
-//
-//lmp:hotpath
 func (p *Pool) recordAccessMetrics(from, owner addr.ServerID, s uint64, remote, write bool, n int) {
 	w, r := 0, 0
 	if write {

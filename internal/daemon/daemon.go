@@ -357,10 +357,11 @@ func (s *Server) handleResize(p []byte) ([]byte, error) {
 }
 
 // Client is a typed client for one daemon. It speaks through an
-// rpc.Caller, so transports compose: a fault injector can be stacked
-// between the typed layer and the TCP connection.
+// rpc.AsyncCaller, so transports compose: a wrapper such as the
+// benchmark's span seam can be stacked between the typed layer and the
+// TCP connection.
 type Client struct {
-	c rpc.Caller
+	c rpc.AsyncCaller
 }
 
 // Dial connects to a daemon over TCP.
@@ -376,7 +377,7 @@ func Dial(addr string) (*Client, error) {
 // *rpc.Client, or a wrapper around one such as the benchmark's span seam.
 // Nothing retries below the client: a call whose connection is lost
 // reaches the caller as rpc.ErrTransient.
-func WrapCaller(t rpc.Caller) *Client { return &Client{c: t} }
+func WrapCaller(t rpc.AsyncCaller) *Client { return &Client{c: t} }
 
 // Close tears down the underlying connection when the transport owns one
 // (wrapped transports that are not closers are left to their owner).

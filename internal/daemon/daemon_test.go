@@ -366,6 +366,10 @@ func (h hostileCaller) CallCtx(_ context.Context, method byte, payload []byte) (
 	return h.reply[method], nil
 }
 
+func (h hostileCaller) CallAsyncCtx(ctx context.Context, method byte, payload []byte) *rpc.Future {
+	return rpc.ResolvedFuture(h.CallCtx(ctx, method, payload))
+}
+
 // TestClientRejectsWrongLengthReplies pins the wire client's treatment of
 // hostile bytes: a reply that is not exactly the length the request fixed
 // is an error — not an index panic (Alloc, Sum) and not a silent short

@@ -9,6 +9,7 @@ import (
 	"math"
 	"net"
 	"os"
+	"os/exec"
 	"runtime"
 	"sort"
 	"strings"
@@ -308,6 +309,10 @@ func (l *lyingCaller) CallCtx(_ context.Context, _ byte, _ []byte) ([]byte, erro
 	return l.reply, nil
 }
 
+func (l *lyingCaller) CallAsyncCtx(ctx context.Context, method byte, p []byte) *rpc.Future {
+	return rpc.ResolvedFuture(l.CallCtx(ctx, method, p))
+}
+
 // TestRangeVerbsRefuseUnencodableLengths: a read or sum request carries
 // its length in 32 bits, so Read(0, 1<<32+10) went out as a 10-byte read
 // and returned 10 bytes with a nil error (and Sum the sum of 10 bytes).
@@ -397,6 +402,10 @@ func loopbackView(t *testing.T, n int, shared, stripe int64) (*PoolView, []*Serv
 // head carried in its queue entry, and its reply leaves from lent memory
 // straight into the caller's slice. A buffer taken on either side of the
 // data path would be an allocation, which the budgets below count.
+// TotalAlloc counts every goroutine of the process, and those that
+// earlier tests leave running (a daemon still closing, a client still
+// draining) would count too, so the measurement runs in a fresh copy of
+// the test binary that runs nothing else; -v prints its readings.
 func TestWirePathAllocBudget(t *testing.T) {
 	if raceDetectorEnabled {
 		t.Skip("sync.Pool drops puts under the race detector; the budget is checked without it")
@@ -404,7 +413,7 @@ func TestWirePathAllocBudget(t *testing.T) {
 	// 1 MiB: alternating 1 MiB reads and writes through 256 KiB stripes,
 	// one caller — the wire_bulk shape, over four loopback daemons so that
 	// each op sends one chunk to each and every frame goes out bare.
-	t.Run("1MiB", func(t *testing.T) {
+	inFreshProcess(t, "1MiB", func(t *testing.T) {
 		const chunks = 4
 		v, servers := loopbackView(t, chunks, 32<<20, 256<<10)
 		b, err := v.Alloc(8 << 20)
@@ -484,7 +493,7 @@ func TestWirePathAllocBudget(t *testing.T) {
 	// a view of two daemons — the wire_small shape, whose concurrent small
 	// requests and replies are packed into shared writes both ways. Each
 	// side reads a packed frame as it reads one written alone.
-	t.Run("64B", func(t *testing.T) {
+	inFreshProcess(t, "64B", func(t *testing.T) {
 		v, _ := loopbackView(t, 2, 32<<20, 1<<20)
 		b, err := v.Alloc(8 << 20)
 		if err != nil {
@@ -521,6 +530,30 @@ func TestWirePathAllocBudget(t *testing.T) {
 		if mallocsPerOp >= 0.01 {
 			t.Errorf("a 64 B op allocates %.3f objects (%.1f B) in steady state, want 0", mallocsPerOp, bytesPerOp)
 		}
+	})
+}
+
+// inFreshProcess runs body as the subtest name of t. The parent process
+// only starts a fresh copy of the test binary that runs that one subtest
+// and nothing else, and passes or fails as it does; the copy runs body.
+func inFreshProcess(t *testing.T, name string, body func(t *testing.T)) {
+	const child = "LMP_WIRE_ALLOC_CHILD"
+	t.Run(name, func(t *testing.T) {
+		if os.Getenv(child) != "" {
+			body(t)
+			return
+		}
+		run := "^" + strings.Split(t.Name(), "/")[0] + "$/^" + name + "$"
+		cmd := exec.Command(os.Args[0], "-test.run="+run, "-test.count=1", "-test.v")
+		cmd.Env = append(os.Environ(), child+"=1")
+		out, err := cmd.CombinedOutput()
+		if err != nil {
+			t.Fatalf("the measuring process: %v\n%s", err, out)
+		}
+		if !strings.Contains(string(out), "--- PASS: "+t.Name()+" ") {
+			t.Fatalf("the measuring process ran no test:\n%s", out)
+		}
+		t.Logf("the measuring process:\n%s", out)
 	})
 }
 

@@ -154,10 +154,11 @@ func TestListOrder(t *testing.T) {
 }
 
 // TestSteadyStateAllocFree is the point of the package: churn at a
-// stable population allocates nothing.
+// stable population — lookups, touches, evictions and admissions —
+// allocates nothing.
 func TestSteadyStateAllocFree(t *testing.T) {
 	const capacity = 256
-	var l List[struct{}]
+	var l List[int]
 	l.Init(capacity)
 	next := uint64(0)
 	for ; next < capacity; next++ {
@@ -165,6 +166,10 @@ func TestSteadyStateAllocFree(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(10, func() {
 		for i := 0; i < 1000; i++ {
+			if h, ok := l.Get(next - capacity/2); ok {
+				*l.At(h)++
+				l.Touch(h)
+			}
 			l.Remove(l.Oldest())
 			l.Push(next)
 			next++

@@ -41,16 +41,12 @@ func (l *List[V]) Init(capacity int) {
 func (l *List[V]) Len() int { return l.index.Len() }
 
 // Get returns the handle of key's member.
-//
-//lmp:hotpath
 func (l *List[V]) Get(key uint64) (int32, bool) { return l.index.Get(key) }
 
 // Key returns the key of member h.
 func (l *List[V]) Key(h int32) uint64 { return l.nodes[h].key }
 
 // At returns member h's value. The pointer is valid until the next Push.
-//
-//lmp:hotpath
 func (l *List[V]) At(h int32) *V { return &l.nodes[h].val }
 
 // Oldest returns the handle of the oldest member, -1 when empty.
@@ -64,8 +60,6 @@ func (l *List[V]) Newer(h int32) int32 { return l.nodes[h].next }
 // its handle. The member's value is whatever the recycled node last
 // held (the zero V on a fresh node): callers that keep reusable storage
 // in V reset it themselves.
-//
-//lmp:hotpath
 func (l *List[V]) Push(key uint64) int32 {
 	h := l.free
 	if h >= 0 {
@@ -87,8 +81,6 @@ func (l *List[V]) Push(key uint64) int32 {
 // not past the capacity Init was given until that capacity is full.
 // Amortised, and never reached again once the list has held its largest
 // population.
-//
-//lmp:coldpath
 func (l *List[V]) growNodes() {
 	c := cap(l.nodes)
 	n := max(2*c, 8)
@@ -126,8 +118,6 @@ func (l *List[V]) unlink(h int32) {
 }
 
 // Touch makes member h the newest.
-//
-//lmp:hotpath
 func (l *List[V]) Touch(h int32) {
 	if l.tail == h {
 		return
@@ -137,8 +127,6 @@ func (l *List[V]) Touch(h int32) {
 }
 
 // Remove deletes member h and recycles its node.
-//
-//lmp:hotpath
 func (l *List[V]) Remove(h int32) {
 	l.unlink(h)
 	l.index.Delete(l.nodes[h].key)

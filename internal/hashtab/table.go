@@ -50,8 +50,6 @@ func (t *Table) home(key uint64) int { return int(key * 0x9e3779b97f4a7c15 >> t.
 func (t *Table) Len() int { return t.n }
 
 // Get returns the value stored under key.
-//
-//lmp:hotpath
 func (t *Table) Get(key uint64) (int32, bool) {
 	if len(t.slots) == 0 {
 		return 0, false
@@ -69,8 +67,6 @@ func (t *Table) Get(key uint64) (int32, bool) {
 }
 
 // Insert adds key with value v >= 0. The key must not be present.
-//
-//lmp:hotpath
 func (t *Table) Insert(key uint64, v int32) {
 	if 2*(t.n+1) > len(t.slots) {
 		t.grow()
@@ -86,8 +82,6 @@ func (t *Table) Insert(key uint64, v int32) {
 
 // grow doubles the table. Amortised, and never reached again once the
 // table has held its largest population.
-//
-//lmp:coldpath
 func (t *Table) grow() {
 	old := t.slots
 	t.resize(max(8, 2*len(old)))
@@ -99,8 +93,6 @@ func (t *Table) grow() {
 }
 
 // Delete removes key and returns the value it had.
-//
-//lmp:hotpath
 func (t *Table) Delete(key uint64) (int32, bool) {
 	slots := t.slots
 	if len(slots) == 0 {

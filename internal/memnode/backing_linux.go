@@ -20,8 +20,6 @@ import (
 // kernel from merging two nodes' memory into one area, which resident
 // relies on. Huge pages are asked for best-effort: they turn 512
 // first-touch faults per 2MiB into one.
-//
-//lmp:coldpath
 func (n *Node) reserve() error {
 	size := int((n.capacity + PageSize - 1) / PageSize * PageSize)
 	whole, err := syscall.Mmap(-1, 0, size+hugePage, syscall.PROT_NONE,
@@ -45,8 +43,6 @@ func (n *Node) reserve() error {
 
 // release hands the whole pages [from, to) back to the kernel; they read
 // as zeros on the next touch.
-//
-//lmp:coldpath
 func (n *Node) release(from, to int64) {
 	// MADV_DONTNEED on a private anonymous mapping cannot fail for an
 	// aligned range inside it.
@@ -61,8 +57,6 @@ const madvPopulateWrite = 23
 // zeroed now, not at their first write — and reports false when the
 // kernel does not know the advice (EINVAL), so the caller stops asking.
 // Any other failure (memory pressure) leaves the range to first touch.
-//
-//lmp:coldpath
 func (n *Node) populate(from, to int64) bool {
 	err := syscall.Madvise(n.mem[from:to:to], madvPopulateWrite)
 	runtime.KeepAlive(n)
@@ -74,8 +68,6 @@ func (n *Node) populate(from, to int64) bool {
 // also report the shared zero page a read of untouched memory maps. It
 // allocates only the file's text: the benchmark harness snapshots
 // daemon.Server.Stats inside its allocation count.
-//
-//lmp:coldpath
 func (n *Node) resident() int64 {
 	smaps, err := os.ReadFile("/proc/self/smaps")
 	if err != nil {

@@ -263,15 +263,12 @@ func (n *Node) inRange(off int64, length int) bool {
 	return off >= 0 && int64(length) <= n.capacity-off
 }
 
-//lmp:coldpath
 func (n *Node) rangeError(off int64, length int) error {
 	return fmt.Errorf("%w: %d bytes at %d of %d", ErrOutOfRange, length, off, n.capacity)
 }
 
 // ReadAt copies len(p) bytes at offset off into p. Bytes never written
 // read as zeros.
-//
-//lmp:hotpath
 func (n *Node) ReadAt(p []byte, off int64) error {
 	if !n.inRange(off, len(p)) {
 		return n.rangeError(off, len(p))
@@ -283,8 +280,6 @@ func (n *Node) ReadAt(p []byte, off int64) error {
 
 // WriteAt copies p into the node at offset off. Concurrent writes to
 // overlapping bytes are an application-level race, as on real memory.
-//
-//lmp:hotpath
 func (n *Node) WriteAt(p []byte, off int64) error {
 	if !n.inRange(off, len(p)) {
 		return n.rangeError(off, len(p))
@@ -301,8 +296,6 @@ func (n *Node) WriteAt(p []byte, off int64) error {
 // the node is mapped: the collector does not see a view as a reference to
 // the node, so its holder must keep the node reachable until the view's
 // last use, as every method here keeps n alive across its own copy.
-//
-//lmp:hotpath
 func (n *Node) View(off int64, length int) ([]byte, error) {
 	if length < 0 || !n.inRange(off, length) {
 		return nil, n.rangeError(off, length)

@@ -96,8 +96,6 @@ func (f *Future) Into(dst []byte) *Future {
 
 // errReplyLength is the failure of a reply whose length is not its
 // destination's.
-//
-//lmp:coldpath
 func errReplyLength(got, want int) error {
 	return fmt.Errorf("rpc: reply of %d bytes for a %d-byte destination", got, want)
 }
@@ -106,10 +104,8 @@ func errReplyLength(got, want int) error {
 // a nil error, the request Async assembled for it. The single waiter
 // calls it at most once, after Wait or WaitCtx has returned; the future
 // may not be touched afterwards, while the payload it returned stays the
-// caller's. Detached futures (ResolvedFuture, SpawnFuture) and futures
-// never waited on release as no-ops and are left to the collector.
-//
-//lmp:hotpath
+// caller's. Detached futures (ResolvedFuture's) and futures never
+// waited on release as no-ops and are left to the collector.
 func (f *Future) Release() {
 	if f.c == nil || !f.resolved {
 		return
@@ -121,8 +117,8 @@ func (f *Future) Release() {
 	putFuture(f)
 }
 
-// newFuture builds a detached future (ResolvedFuture's, SpawnFuture's):
-// no client, nothing to withdraw, nothing to release.
+// newFuture builds a detached future (ResolvedFuture's): no client,
+// nothing to withdraw, nothing to release.
 func newFuture() *Future {
 	return &Future{done: make(chan struct{}, 1)}
 }
@@ -228,16 +224,6 @@ func ResolvedFuture(payload []byte, err error) *Future {
 	return f
 }
 
-// SpawnFuture runs fn in its own goroutine and returns a future for its
-// result: the adapter from any blocking Caller to the async surface.
-func SpawnFuture(fn func() ([]byte, error)) *Future {
-	f := newFuture()
-	go func() {
-		f.complete(fn())
-	}()
-	return f
-}
-
 // AsyncCaller is the pipelined call surface: a Caller that can also
 // issue a call without blocking for its reply. *Client implements it.
 type AsyncCaller interface {
@@ -269,20 +255,18 @@ var assembled sync.Pool
 // atomic or channel operation for this. The caller must not change the
 // body until its future has been waited on.
 //
-// Any other Caller gets head and body assembled in a buffer of Async's
-// own, so a wrapper that holds or re-sends its payload never reads the
-// caller's slice. When c is an AsyncCaller the future owns that buffer,
-// and Release recycles it only when the logical call resolved with a nil
-// error: a successful reply proves the frame left the send queue, while
-// after a cancellation, a connection failure or Close the flusher may
-// still hold the queued frame, so on any error the buffer is left to the
-// collector. A wrapper that re-sends a payload after the call it belongs
-// to has succeeded must send a copy. Under the race detector a recycled
-// request is overwritten as it goes back (poison_race.go), so a use after
-// its release shows up as wrong bytes. A Caller that is not an
-// AsyncCaller is called on a spawned goroutine around the blocking
-// CallCtx, which leaves the buffer to the collector.
-func Async(c Caller, ctx context.Context, method byte, head, body []byte) *Future {
+// Any other AsyncCaller gets head and body assembled in a buffer of
+// Async's own, so a wrapper that holds or re-sends its payload never
+// reads the caller's slice. The future owns that buffer, and Release
+// recycles it only when the logical call resolved with a nil error: a
+// successful reply proves the frame left the send queue, while after a
+// cancellation, a connection failure or Close the flusher may still hold
+// the queued frame, so on any error the buffer is left to the collector.
+// A wrapper that re-sends a payload after the call it belongs to has
+// succeeded must send a copy. Under the race detector a recycled request
+// is overwritten as it goes back (poison_race.go), so a use after its
+// release shows up as wrong bytes.
+func Async(c AsyncCaller, ctx context.Context, method byte, head, body []byte) *Future {
 	if cl, ok := c.(*Client); ok && len(head) <= headMax {
 		f := getFuture(cl)
 		f.borrow = cl.startCall(ctx, method, head, body, f) && len(body) > 0
@@ -294,12 +278,7 @@ func Async(c Caller, ctx context.Context, method byte, head, body []byte) *Futur
 	}
 	req := append(append((*bp)[:0], head...), body...)
 	*bp = req
-	if ac, ok := c.(AsyncCaller); ok {
-		f := ac.CallAsyncCtx(ctx, method, req)
-		f.req = bp
-		return f
-	}
-	return SpawnFuture(func() ([]byte, error) {
-		return c.CallCtx(ctx, method, req)
-	})
+	f := c.CallAsyncCtx(ctx, method, req)
+	f.req = bp
+	return f
 }

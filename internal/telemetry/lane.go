@@ -27,8 +27,6 @@ func runtime_nanotime() int64
 // laneHint returns a small integer that is stable while a goroutine
 // stays on one P, so striped-counter cells stay resident in that core's
 // cache instead of bouncing between all writers.
-//
-//lmp:hotpath
 func laneHint() int {
 	p := runtime_procPin()
 	runtime_procUnpin()
@@ -48,13 +46,9 @@ func laneHint() int {
 // The critical section must not block, allocate, or call back into
 // arbitrary code: pinning disables preemption, so anything slow holds
 // up every goroutine queued on this P.
-//
-//lmp:hotpath
 func BeginUpdate() int { return runtime_procPin() }
 
 // EndUpdate releases the pin taken by BeginUpdate.
-//
-//lmp:hotpath
 func EndUpdate() { runtime_procUnpin() }
 
 // Sampler makes 1-in-N sampling decisions with no shared mutable
@@ -84,8 +78,6 @@ func NewSampler(every uint64) *Sampler {
 }
 
 // Hit reports whether this call is the one in every to sample.
-//
-//lmp:hotpath
 func (s *Sampler) Hit() bool {
 	if s.every <= 1 {
 		return true

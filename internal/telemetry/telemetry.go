@@ -32,13 +32,9 @@ type Counter struct {
 }
 
 // Add increments the counter by n.
-//
-//lmp:hotpath
 func (c *Counter) Add(n uint64) { c.cells[laneHint()&cellMask].v.Add(n) }
 
 // Inc increments the counter by one.
-//
-//lmp:hotpath
 func (c *Counter) Inc() { c.Add(1) }
 
 // AddAt increments the counter by n from inside a BeginUpdate/EndUpdate
@@ -47,8 +43,6 @@ func (c *Counter) Inc() { c.Add(1) }
 // while pinned makes it safe (see lane_fast.go); beyond the cell range
 // (GOMAXPROCS > cellsPerLane) it falls back to a shared atomic add, so
 // the counter never loses increments on larger machines.
-//
-//lmp:hotpath
 func (c *Counter) AddAt(p int, n uint64) {
 	if uint(p) < cellsPerLane {
 		c.cells[p].add(n)
@@ -79,13 +73,9 @@ type Gauge struct {
 }
 
 // Set stores v.
-//
-//lmp:hotpath
 func (g *Gauge) Set(v int64) { g.v.Store(v) }
 
 // Add adjusts the gauge by delta.
-//
-//lmp:hotpath
 func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
 
 // Value reports the current value.
@@ -103,8 +93,6 @@ type Histogram struct {
 }
 
 // Observe records one sample. Non-positive samples land in bucket 0.
-//
-//lmp:hotpath
 func (h *Histogram) Observe(v float64) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -273,8 +261,6 @@ func newStripedCounter(n int) *StripedCounter {
 // lane value is safe; it is reduced modulo the lane count (callers
 // normally pass an in-range partition index, so the division is off
 // the common path).
-//
-//lmp:hotpath
 func (s *StripedCounter) Add(lane int, n uint64) {
 	if lane < 0 {
 		lane = -lane
@@ -288,8 +274,6 @@ func (s *StripedCounter) Add(lane int, n uint64) {
 // AddAt is Add from inside a BeginUpdate/EndUpdate section; p is the
 // pinned P id. See Counter.AddAt for the exclusivity argument and the
 // large-machine fallback.
-//
-//lmp:hotpath
 func (s *StripedCounter) AddAt(p, lane int, n uint64) {
 	if lane < 0 {
 		lane = -lane

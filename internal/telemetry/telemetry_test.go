@@ -283,3 +283,28 @@ func TestHistogramSnapshotConsistency(t *testing.T) {
 		t.Fatal("empty snapshot mean not 0")
 	}
 }
+
+// TestUpdatesAllocFree: every instrument's update — the calls the data
+// path makes on every operation, alone or batched under one
+// BeginUpdate/EndUpdate pin — allocates nothing.
+func TestUpdatesAllocFree(t *testing.T) {
+	r := NewRegistry()
+	c, g, h := r.Counter("c"), r.Gauge("g"), r.Histogram("h")
+	s := r.Striped("s", 4)
+	sm := NewSampler(8)
+	if n := testing.AllocsPerRun(200, func() {
+		c.Add(2)
+		c.Inc()
+		g.Set(7)
+		g.Add(-1)
+		h.Observe(3.5)
+		s.Add(1, 1)
+		_ = sm.Hit()
+		p := BeginUpdate()
+		c.AddAt(p, 1)
+		s.AddAt(p, 2, 1)
+		EndUpdate()
+	}); n != 0 {
+		t.Errorf("instrument updates allocate %.1f per round, want 0", n)
+	}
+}

@@ -233,8 +233,6 @@ func (t *Tracer) publish(s *Span) {
 }
 
 // grow allocates the lane's ring, on its first span.
-//
-//lmp:coldpath
 func (l *traceLane) grow(n int) { l.ring = make([]laneSpan, n) }
 
 // Published reports how many spans have ever been recorded (including
