@@ -64,11 +64,11 @@ func main() {
 		if len(args) != 2 {
 			usage()
 		}
-		off, err := c.Alloc(argInt(args[1]))
-		if err != nil {
+		var off [1]int64
+		if err := c.Alloc(argInt(args[1]), off[:]); err != nil {
 			log.Fatalf("lmpctl: %v", err)
 		}
-		fmt.Printf("offset=%d\n", off)
+		fmt.Printf("offset=%d\n", off[0])
 	case "free":
 		if len(args) != 2 {
 			usage()

@@ -55,8 +55,9 @@ func modeled() {
 }
 
 func live() {
-	// Each daemon holds its share of the vector as one extent (at most
-	// 16 MiB), so a shipped sum sends it one kernel and gets back one
+	// The vector is a pool buffer striped by 2 MiB slice over the
+	// daemons; each daemon's two slices lie back to back in its lent
+	// memory, so a shipped sum sends it one kernel and gets back one
 	// 8-byte partial.
 	const daemons = 4
 	fmt.Printf("== live run: %d daemons over TCP, 16MiB vector ==\n", daemons)

@@ -90,6 +90,12 @@ func (e *Extents) Alloc(n int64) (int64, error) {
 	return 0, fmt.Errorf("%w: need %d contiguous bytes", ErrNoSpace, n)
 }
 
+// Granted reports whether offset is the start of a live allocation.
+func (e *Extents) Granted(offset int64) bool {
+	_, ok := e.allocated[offset]
+	return ok
+}
+
 // Free releases the allocation at offset and reports its length, so the
 // owner of the memory can scrub exactly what was handed back, and the
 // free range [lo, hi) the allocation joined, its free neighbours

@@ -2,6 +2,8 @@ package alloc
 
 import (
 	"fmt"
+	"slices"
+	"sort"
 	"sync"
 
 	"github.com/lmp-project/lmp/internal/addr"
@@ -50,10 +52,12 @@ type Chunk struct {
 // its servers' lenders (a Free there also scrubs the extent). A placed
 // chunk is one extent of its region, and its holder gives it back with
 // that region's Free: the placer itself frees only the partial placement
-// a failed Place rolls back.
+// a failed Place rolls back. Alloc grants len(offs) extents of size bytes
+// each, all or none, so a placement asks each region once for all the
+// chunks it deals it.
 type RegionAlloc interface {
-	Alloc(n int64) (int64, error)
-	Free(offset int64) (int64, error)
+	Alloc(size int64, offs []int64) error
+	Free(offs ...int64) error
 	FreeBytes() int64
 }
 
@@ -189,22 +193,21 @@ func (p *Placer) localityOrder(prefer addr.ServerID) []*Region {
 	if r := p.regionOf(prefer); r != nil && p.usable(r) {
 		out = append(out, r)
 	}
-	// Remaining regions by descending free space.
-	rest := make([]*Region, 0, len(p.regions))
+	// Remaining regions by descending free space, read once each: a remote
+	// lender answers FreeBytes with a round trip.
+	type cand struct {
+		r    *Region
+		free int64
+	}
+	var rest []cand
 	for _, r := range p.regions {
 		if r.Server != prefer && p.usable(r) {
-			rest = append(rest, r)
+			rest = append(rest, cand{r, r.Mem.FreeBytes()})
 		}
 	}
-	for len(rest) > 0 {
-		best := 0
-		for i, r := range rest {
-			if r.Mem.FreeBytes() > rest[best].Mem.FreeBytes() {
-				best = i
-			}
-		}
-		out = append(out, rest[best])
-		rest = append(rest[:best], rest[best+1:]...)
+	sort.SliceStable(rest, func(i, j int) bool { return rest[i].free > rest[j].free })
+	for _, c := range rest {
+		out = append(out, c.r)
 	}
 	return out
 }
@@ -215,28 +218,103 @@ func (p *Placer) localityOrder(prefer addr.ServerID) []*Region {
 func (p *Placer) placeWhole(n int64, order []*Region) ([]Chunk, error) {
 	if p.MaxChunk <= 0 || n <= p.MaxChunk {
 		for _, r := range order {
-			if off, err := r.Mem.Alloc(n); err == nil {
-				return []Chunk{{Server: r.Server, Offset: off, Size: n}}, nil
+			var off [1]int64
+			if err := r.Mem.Alloc(n, off[:]); err == nil {
+				return []Chunk{{Server: r.Server, Offset: off[0], Size: n}}, nil
 			}
 		}
 	}
 	return p.spill(n, order)
 }
 
+// chunkSizes splits n into stripe-sized chunks, the last one short.
+func (p *Placer) chunkSizes(n int64) []int64 {
+	sizes := make([]int64, (n+p.stripe-1)/p.stripe)
+	for i := range sizes {
+		sizes[i] = min(p.stripe, n-int64(i)*p.stripe)
+	}
+	return sizes
+}
+
+// A placement is dealt twice over. The plan deals the chunks against each
+// region's free bytes, read once, and grant asks each region once for
+// every chunk the plan gave it. When a region's free bytes overstate what
+// it can grant — fragmentation, or an allocation that landed since the
+// reading — its refusal rolls the whole grant back, and the chunks are
+// dealt again one Alloc at a time (spillEach, placeStripedEach), each
+// refusal steering the next chunk elsewhere. Both deals place the chunks
+// where the other would.
+
+// grant reserves chunk i of the given sizes on plan[i], with one Alloc
+// call per region and chunk size: all or none.
+func (p *Placer) grant(plan []*Region, sizes []int64) ([]Chunk, error) {
+	type group struct {
+		r    *Region
+		size int64
+		idx  []int
+	}
+	var groups []*group
+	for i, r := range plan {
+		k := slices.IndexFunc(groups, func(g *group) bool { return g.r == r && g.size == sizes[i] })
+		if k < 0 {
+			k = len(groups)
+			groups = append(groups, &group{r: r, size: sizes[i]})
+		}
+		groups[k].idx = append(groups[k].idx, i)
+	}
+	chunks := make([]Chunk, len(plan))
+	for gi, g := range groups {
+		offs := make([]int64, len(g.idx))
+		if err := g.r.Mem.Alloc(g.size, offs); err != nil {
+			var granted []Chunk
+			for _, h := range groups[:gi] {
+				for _, i := range h.idx {
+					granted = append(granted, chunks[i])
+				}
+			}
+			p.rollback(granted)
+			return nil, err
+		}
+		for j, i := range g.idx {
+			chunks[i] = Chunk{Server: g.r.Server, Offset: offs[j], Size: g.size}
+		}
+	}
+	return chunks, nil
+}
+
+// spill fills the regions in order, each with as many chunks as it
+// holds.
 func (p *Placer) spill(n int64, order []*Region) ([]Chunk, error) {
+	sizes := p.chunkSizes(n)
+	plan := make([]*Region, 0, len(sizes))
+	for _, r := range order {
+		if len(plan) == len(sizes) {
+			break
+		}
+		for room := r.Mem.FreeBytes(); len(plan) < len(sizes) && room >= sizes[len(plan)]; {
+			room -= sizes[len(plan)]
+			plan = append(plan, r)
+		}
+	}
+	if len(plan) == len(sizes) {
+		if chunks, err := p.grant(plan, sizes); err == nil {
+			return chunks, nil
+		}
+	}
+	return p.spillEach(n, order)
+}
+
+func (p *Placer) spillEach(n int64, order []*Region) ([]Chunk, error) {
 	var chunks []Chunk
 	remaining := n
 	for _, r := range order {
 		for remaining > 0 {
-			sz := p.stripe
-			if remaining < sz {
-				sz = remaining
-			}
-			off, err := r.Mem.Alloc(sz)
-			if err != nil {
+			sz := min(p.stripe, remaining)
+			var off [1]int64
+			if err := r.Mem.Alloc(sz, off[:]); err != nil {
 				break
 			}
-			chunks = append(chunks, Chunk{Server: r.Server, Offset: off, Size: sz})
+			chunks = append(chunks, Chunk{Server: r.Server, Offset: off[0], Size: sz})
 			remaining -= sz
 		}
 		if remaining == 0 {
@@ -246,26 +324,54 @@ func (p *Placer) spill(n int64, order []*Region) ([]Chunk, error) {
 	return chunks, fmt.Errorf("%w: %d bytes short placing %d", ErrNoSpace, remaining, n)
 }
 
+// placeStriped deals the chunks round-robin from where the last deal
+// stopped, skipping a region that is excluded or full.
 func (p *Placer) placeStriped(n int64) ([]Chunk, error) {
+	sizes := p.chunkSizes(n)
+	room := make([]int64, len(p.regions))
+	for i, r := range p.regions {
+		if p.usable(r) {
+			room[i] = r.Mem.FreeBytes()
+		}
+	}
+	start, next := p.next, p.next
+	plan := make([]*Region, 0, len(sizes))
+	for failures := 0; len(plan) < len(sizes); {
+		i, sz := next, sizes[len(plan)]
+		next = (next + 1) % len(p.regions)
+		if room[i] < sz {
+			if failures++; failures >= len(p.regions) {
+				p.next = next
+				var short int64
+				for _, sz := range sizes[len(plan):] {
+					short += sz
+				}
+				return nil, fmt.Errorf("%w: %d bytes short placing %d", ErrNoSpace, short, n)
+			}
+			continue
+		}
+		failures = 0
+		room[i] -= sz
+		plan = append(plan, p.regions[i])
+	}
+	if chunks, err := p.grant(plan, sizes); err == nil {
+		p.next = next
+		return chunks, nil
+	}
+	p.next = start
+	return p.placeStripedEach(n)
+}
+
+func (p *Placer) placeStripedEach(n int64) ([]Chunk, error) {
 	var chunks []Chunk
 	remaining := n
 	failures := 0
 	for remaining > 0 {
 		r := p.regions[p.next]
 		p.next = (p.next + 1) % len(p.regions)
-		sz := p.stripe
-		if remaining < sz {
-			sz = remaining
-		}
-		if !p.usable(r) {
-			failures++
-			if failures >= len(p.regions) {
-				return chunks, fmt.Errorf("%w: %d bytes short placing %d", ErrNoSpace, remaining, n)
-			}
-			continue
-		}
-		off, err := r.Mem.Alloc(sz)
-		if err != nil {
+		sz := min(p.stripe, remaining)
+		var off [1]int64
+		if !p.usable(r) || r.Mem.Alloc(sz, off[:]) != nil {
 			failures++
 			if failures >= len(p.regions) {
 				return chunks, fmt.Errorf("%w: %d bytes short placing %d", ErrNoSpace, remaining, n)
@@ -273,16 +379,23 @@ func (p *Placer) placeStriped(n int64) ([]Chunk, error) {
 			continue
 		}
 		failures = 0
-		chunks = append(chunks, Chunk{Server: r.Server, Offset: off, Size: sz})
+		chunks = append(chunks, Chunk{Server: r.Server, Offset: off[0], Size: sz})
 		remaining -= sz
 	}
 	return chunks, nil
 }
 
+// rollback gives back a partial placement, one Free call per region.
 func (p *Placer) rollback(chunks []Chunk) {
-	for _, c := range chunks {
-		if r := p.regionOf(c.Server); r != nil {
-			_, _ = r.Mem.Free(c.Offset)
+	for _, r := range p.regions {
+		var offs []int64
+		for _, c := range chunks {
+			if c.Server == r.Server {
+				offs = append(offs, c.Offset)
+			}
+		}
+		if len(offs) > 0 {
+			_ = r.Mem.Free(offs...)
 		}
 	}
 }

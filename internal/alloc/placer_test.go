@@ -2,6 +2,7 @@ package alloc
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"github.com/lmp-project/lmp/internal/addr"
@@ -11,9 +12,25 @@ import (
 // with no memory behind it would be.
 type extentsRegion struct{ *Extents }
 
-func (r extentsRegion) Free(off int64) (int64, error) {
-	n, _, _, err := r.Extents.Free(off)
-	return n, err
+func (r extentsRegion) Alloc(size int64, offs []int64) error {
+	for i := range offs {
+		off, err := r.Extents.Alloc(size)
+		if err != nil {
+			_ = r.Free(offs[:i]...)
+			return err
+		}
+		offs[i] = off
+	}
+	return nil
+}
+
+func (r extentsRegion) Free(offs ...int64) error {
+	for _, off := range offs {
+		if _, _, _, err := r.Extents.Free(off); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func testRegions(t *testing.T, n int, size int64) []*Region {
@@ -188,7 +205,7 @@ func TestReleaseReturnsSpace(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, c := range chunks {
-		if n, err := rs[c.Server].Mem.Free(c.Offset); err != nil || n != c.Size {
+		if n, _, _, err := rs[c.Server].Mem.(extentsRegion).Extents.Free(c.Offset); err != nil || n != c.Size {
 			t.Fatalf("free of chunk %+v: %d bytes, %v", c, n, err)
 		}
 	}
@@ -230,5 +247,71 @@ func TestFig5FeasibilityShape(t *testing.T) {
 	pp := mustPlacer(t, FirstFit, 64, physical)
 	if _, err := pp.Place(96*64, 0); !errors.Is(err, ErrNoSpace) {
 		t.Fatalf("physical pool placed an impossible vector: %v", err)
+	}
+}
+
+// countingRegion counts the Alloc calls that reach a region.
+type countingRegion struct {
+	extentsRegion
+	allocs *int
+}
+
+func (r countingRegion) Alloc(size int64, offs []int64) error {
+	*r.allocs++
+	return r.extentsRegion.Alloc(size, offs)
+}
+
+// TestStripedPlaceAsksEachRegionOnce: a striped placement deals chunk i
+// to region i mod 3 and grants each region its chunks in one Alloc.
+func TestStripedPlaceAsksEachRegionOnce(t *testing.T) {
+	rs := testRegions(t, 3, 1024)
+	calls := make([]int, len(rs))
+	for i, r := range rs {
+		r.Mem = countingRegion{r.Mem.(extentsRegion), &calls[i]}
+	}
+	pl := mustPlacer(t, Striped, 64, rs)
+	chunks, err := pl.Place(12*64, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range chunks {
+		if int(c.Server) != i%3 || c.Size != 64 {
+			t.Fatalf("chunk %d is %+v, want 64 bytes on region %d", i, c, i%3)
+		}
+	}
+	if !slices.Equal(calls, []int{1, 1, 1}) {
+		t.Fatalf("Alloc calls per region %v, want one each", calls)
+	}
+}
+
+// TestStripedPlaceFallsBackWhenFreeBytesOverstate: region 0's free bytes
+// would hold a chunk but no free extent does, so the planned grant is
+// refused and rolled back, and the chunks dealt one Alloc at a time land
+// on region 1, leaving region 0's books as they were.
+func TestStripedPlaceFallsBackWhenFreeBytesOverstate(t *testing.T) {
+	rs := testRegions(t, 2, 256)
+	frag := rs[0].Mem.(extentsRegion).Extents
+	// Four 64-byte extents, the first and third given back: 128 bytes
+	// free, in two 64-byte extents.
+	quarters := make([]int64, 4)
+	if err := rs[0].Mem.Alloc(64, quarters); err != nil {
+		t.Fatal(err)
+	}
+	if err := rs[0].Mem.Free(quarters[0], quarters[2]); err != nil {
+		t.Fatal(err)
+	}
+	pl := mustPlacer(t, Striped, 128, rs)
+	before := frag.InUse()
+	chunks, err := pl.Place(256, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range chunks {
+		if c.Server != 1 {
+			t.Fatalf("chunk %+v placed on region 0, whose free extents are all smaller", c)
+		}
+	}
+	if frag.InUse() != before {
+		t.Fatalf("region 0 holds %d bytes after the refused grant, %d before", frag.InUse(), before)
 	}
 }

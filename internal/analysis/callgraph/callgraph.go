@@ -60,6 +60,9 @@ type Site struct {
 	// Candidates holds the devirtualized callee set of an interface
 	// call (empty for static and unknown calls).
 	Candidates []string
+	// Method names the interface method an interface call dispatches on
+	// ("" for static and unknown calls).
+	Method string
 	// Unknown marks a call through a function value or an interface
 	// call with no in-program candidates.
 	Unknown bool
@@ -296,7 +299,7 @@ func (c *collector) devirtualize(m *types.Func) Site {
 	seen := map[string]bool{}
 	for _, t := range c.concrete {
 		for _, recv := range []types.Type{t, types.NewPointer(t)} {
-			if !types.Implements(recv, iface.Underlying().(*types.Interface)) {
+			if !implements(recv, iface.Underlying().(*types.Interface)) {
 				continue
 			}
 			obj, _, _ := types.LookupFieldOrMethod(recv, true, m.Pkg(), m.Name())
@@ -313,7 +316,7 @@ func (c *collector) devirtualize(m *types.Func) Site {
 	if len(candidates) == 0 {
 		return Site{Unknown: true}
 	}
-	s := Site{Candidates: candidates}
+	s := Site{Candidates: candidates, Method: FuncID(m)}
 	if p := m.Pkg(); p != nil {
 		s.CalleePkg = p.Path()
 	}
@@ -338,4 +341,47 @@ func ShortName(id string) string {
 		out = prefix + out[i+1:]
 	}
 	return out
+}
+
+// implements reports whether recv's method set satisfies iface. Each unit
+// imports the packages it depends on afresh, so a type of one unit and an
+// interface of another name different objects for the same imported type
+// (context.Context, say) and types.Implements says no. Between units the
+// test is by spelling instead: every interface method has an exported
+// namesake on recv whose parameter and result types print the same,
+// package paths and all.
+func implements(recv types.Type, iface *types.Interface) bool {
+	if types.Implements(recv, iface) {
+		return true
+	}
+	ms := types.NewMethodSet(recv)
+	for i := 0; i < iface.NumMethods(); i++ {
+		m := iface.Method(i)
+		if !m.Exported() {
+			return false // only a type of m's own package can have it
+		}
+		sel := ms.Lookup(nil, m.Name())
+		if sel == nil || signatureKey(sel.Type().(*types.Signature)) != signatureKey(m.Type().(*types.Signature)) {
+			return false
+		}
+	}
+	return true
+}
+
+// signatureKey spells a signature's parameter and result types with full
+// package paths, leaving out names and the receiver.
+func signatureKey(sig *types.Signature) string {
+	qualify := func(p *types.Package) string { return p.Path() }
+	var b strings.Builder
+	for _, tuple := range []*types.Tuple{sig.Params(), sig.Results()} {
+		for i := 0; i < tuple.Len(); i++ {
+			b.WriteString(types.TypeString(tuple.At(i).Type(), qualify))
+			b.WriteByte(',')
+		}
+		b.WriteByte(';')
+	}
+	if sig.Variadic() {
+		b.WriteString("...")
+	}
+	return b.String()
 }

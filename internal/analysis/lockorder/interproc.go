@@ -117,6 +117,52 @@ var innermostWhat = []struct {
 	{summary.CallsRPC, "a call that transitively reaches package rpc"},
 }
 
+// lenderCalls is rule 1's one declared exception: the data path's lender
+// calls under a stripe lock, which reach rpc when the lender is remote.
+// Each is handed the op's context, so its round trip is bounded by the
+// op's deadline. Only the stripe lock is excused: the same call under a
+// cache-shard or directory lock is still reported, and so is any
+// rpc-reaching call under the pending-table lock or a proc pin (rule 1b).
+// An entry is the function holding the stripe lock and the callee it
+// may call under it — a static callee, or the interface method a call
+// dispatches on — as callgraph.ShortName spells them. DESIGN.md "The
+// lender seam" tables the same list, and TestLenderCallsMatchDesign
+// holds the two together.
+var lenderCalls = []struct{ holder, callee string }{
+	{"(*core.Pool).accessSliceOnce", "(*core.Pool).readLocked"},
+	{"(*core.Pool).accessSliceOnce", "(*core.Pool).fillLocked"},
+	{"(*core.Pool).accessSliceOnce", "(*core.Pool).writeSliceLocked"},
+	{"(*core.Pool).vectoredOnce", "(*core.Pool).readLocked"},
+	{"(*core.Pool).vectoredOnce", "(*core.Pool).writeSliceLocked"},
+	{"(*core.Pool).vectoredOnce", "(core.Lender).WriteAt"},
+}
+
+// rpcHolder names the lock rule 1 charges a call site of function fn
+// with, if any: a cache-shard or directory lock, or a stripe lock unless
+// the site is a declared lender call and no other data lock is held.
+func rpcHolder(held map[summary.LockClass]int, fn string, c *callgraph.Site) (summary.LockClass, bool) {
+	for _, class := range []summary.LockClass{summary.LockShard, summary.LockDirectory} {
+		if held[class] > 0 {
+			return class, true
+		}
+	}
+	if held[summary.LockStripe] == 0 {
+		return 0, false
+	}
+	if c != nil {
+		callee := c.CalleeID
+		if callee == "" {
+			callee = c.Method
+		}
+		for _, e := range lenderCalls {
+			if e.holder == callgraph.ShortName(fn) && e.callee == callgraph.ShortName(callee) {
+				return 0, false
+			}
+		}
+	}
+	return summary.LockStripe, true
+}
+
 // scanHeldRegions walks one function's sites in source order with the
 // lexically-held lock set, reporting transitive RPC reachability and
 // collecting lock-graph edges.
@@ -152,12 +198,10 @@ func scanHeldRegions(p *summary.Program, id string, report func(analysis.Diagnos
 			continue // runs outside the lexical held region (see package comment)
 		}
 		facts := p.SiteFacts(s)
-		// Rule 1: nothing under a stripe or shard lock reaches rpc.
-		if facts&summary.CallsRPC != 0 && (held[summary.LockStripe] > 0 || held[summary.LockShard] > 0) {
-			holder := summary.LockStripe
-			if held[summary.LockStripe] == 0 {
-				holder = summary.LockShard
-			}
+		// Rule 1: nothing under a stripe, cache-shard or directory lock
+		// reaches rpc, but for the declared lender calls under a stripe
+		// lock alone.
+		if holder, ok := rpcHolder(held, id, s.Call); ok && facts&summary.CallsRPC != 0 {
 			chain := p.SiteWitness(s, summary.CallsRPC)
 			report(analysis.Diagnostic{
 				Pos: s.Pos,

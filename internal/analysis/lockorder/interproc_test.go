@@ -26,3 +26,7 @@ func TestPinRule(t *testing.T) {
 func TestVectoredLockLoop(t *testing.T) {
 	analysistest.RunProgram(t, "testdata", lockorder.Analyzer, "rpc", "vectored")
 }
+
+func TestLenderCalls(t *testing.T) {
+	analysistest.RunProgram(t, "testdata", lockorder.Analyzer, "rpc", "telemetry", "core")
+}

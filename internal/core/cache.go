@@ -224,7 +224,7 @@ func (p *Pool) cachedRead(ctx context.Context, sc telemetry.SpanContext, from ad
 		if p.caches[from].ReadAt(cur>>p.pageShift, buf, int(cur&uint64(p.pageSize-1))) {
 			return nil
 		}
-		return p.fillPage(sc, from, cur, buf)
+		return p.fillPage(ctx, sc, from, cur, buf)
 	}
 	for done := 0; done < len(buf); {
 		if done > 0 {
@@ -236,7 +236,7 @@ func (p *Pool) cachedRead(ctx context.Context, sc telemetry.SpanContext, from ad
 		po := int(cur & uint64(p.pageSize-1))
 		span := min(int(p.pageSize)-po, len(buf)-done)
 		if dst := buf[done : done+span]; !p.caches[from].ReadAt(cur>>p.pageShift, dst, po) {
-			if err := p.fillPage(sc, from, cur, dst); err != nil {
+			if err := p.fillPage(ctx, sc, from, cur, dst); err != nil {
 				return err
 			}
 		}
@@ -249,13 +249,13 @@ func (p *Pool) cachedRead(ctx context.Context, sc telemetry.SpanContext, from ad
 // the same crash-recovery retry as a direct access. A traced read records
 // the miss as a "pool.cache.fill" child span — the hit path records
 // nothing, so the span's presence is itself the hit/miss signal.
-func (p *Pool) fillPage(sc telemetry.SpanContext, from addr.ServerID, la uint64, dst []byte) error {
+func (p *Pool) fillPage(ctx context.Context, sc telemetry.SpanContext, from addr.ServerID, la uint64, dst []byte) error {
 	sp, traced := p.beginChild(sc, "pool.cache.fill")
 	if traced {
 		sp.Server = int(from)
 		sc = sp.Context()
 	}
-	err := p.accessSlice(sc, from, addr.SliceOf(addr.Logical(la)), int64(la%SliceSize), dst, accessFill)
+	err := p.accessSlice(ctx, sc, from, addr.SliceOf(addr.Logical(la)), int64(la%SliceSize), dst, accessFill)
 	if traced {
 		p.endChild(&sp, len(dst), err)
 	}
@@ -267,13 +267,13 @@ func (p *Pool) fillPage(sc telemetry.SpanContext, from addr.ServerID, la uint64,
 // cache, registers the copy with the page directory, tells the directory
 // which copy the insert evicted, and serves dst from the page. Caller
 // holds the slice's stripe lock in read mode.
-func (p *Pool) fillLocked(sc telemetry.SpanContext, from addr.ServerID, src blockRef, la uint64, sliceOff int64, dst []byte) error {
+func (p *Pool) fillLocked(ctx context.Context, sc telemetry.SpanContext, from addr.ServerID, src blockRef, la uint64, sliceOff int64, dst []byte) error {
 	po := int(la & uint64(p.pageSize-1))
 	pageAddr := la - uint64(po)
 	sp := p.pagePool.Get().(*[]byte)
 	defer p.pagePool.Put(sp)
 	scratch := *sp
-	if err := p.readLocked(sc, src, pageAddr, sliceOff-int64(po), scratch); err != nil {
+	if err := p.readLocked(ctx, sc, src, pageAddr, sliceOff-int64(po), scratch); err != nil {
 		return err
 	}
 	node := coherence.NodeID(from)
@@ -327,7 +327,7 @@ func (p *Pool) wcWrite(ctx context.Context, sc telemetry.SpanContext, from addr.
 			}
 		}
 		s, _, n := sliceSegment(la, len(data), done)
-		if err := p.wcWriteSlice(sc, from, s, uint64(la)+uint64(done), data[done:done+n], &shouldFlush); err != nil {
+		if err := p.wcWriteSlice(ctx, sc, from, s, uint64(la)+uint64(done), data[done:done+n], &shouldFlush); err != nil {
 			return err
 		}
 		done += n
@@ -340,7 +340,7 @@ func (p *Pool) wcWrite(ctx context.Context, sc telemetry.SpanContext, from addr.
 
 // wcWriteSlice buffers one intra-slice write, flushing and retrying on
 // overlap conflicts.
-func (p *Pool) wcWriteSlice(sc telemetry.SpanContext, from addr.ServerID, s uint64, la uint64, part []byte, shouldFlush *bool) error {
+func (p *Pool) wcWriteSlice(ctx context.Context, sc telemetry.SpanContext, from addr.ServerID, s uint64, la uint64, part []byte, shouldFlush *bool) error {
 	for attempt := 0; ; attempt++ {
 		status := p.wcWriteSliceOnce(sc, from, s, la, part, shouldFlush)
 		if status != accessWCConflict {
@@ -353,7 +353,7 @@ func (p *Pool) wcWriteSlice(sc telemetry.SpanContext, from addr.ServerID, s uint
 		if attempt >= maxRecoverAttempts {
 			// Concurrent writers keep landing on the range; take the
 			// direct path (the flush above preserved ordering).
-			return p.accessSlice(sc, from, s, int64(la-uint64(addr.SliceBase(s))), part, accessWrite)
+			return p.accessSlice(ctx, sc, from, s, int64(la-uint64(addr.SliceBase(s))), part, accessWrite)
 		}
 	}
 }
@@ -633,7 +633,7 @@ func (p *Pool) checkCacheLocked(report func(string, ...any)) {
 				continue // backing unreadable until recovery rebinds it
 			}
 			off := back.offset + int64(pageAddr-uint64(addr.SliceBase(s)))
-			if err := p.nodes[back.server].ReadAt(scratch, off); err != nil {
+			if err := p.nodes[back.server].ReadAt(nil, scratch, off); err != nil {
 				report("server %d cached page %d: backing read failed: %v", n, e.page, err)
 				continue
 			}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -33,7 +34,8 @@ import (
 //
 //	CHAOS_SEED=<n> go test -run '<Test>/seed=<n>' ./internal/core/
 //
-// CHAOS_SEEDS=<count> widens every sweep (make chaos runs 50). Each sweep
+// CHAOS_SEEDS=<count> widens every in-process sweep (make chaos runs 50;
+// the wire sweep keeps its wireSeeds). Each sweep
 // prints what its ops and faults made happen and, over the default eight
 // seeds or more, fails if one of them never took effect. A pinned
 // regression seed runs on the mix it was found with, so it replays the
@@ -73,6 +75,16 @@ const (
 	// then writes one slice's range: refused as ErrServerDead with
 	// nothing written, and the pool's crash verdict follows.
 	opLenderCrash
+	// opCut arms a cut on the owner's proxy (wire rows) inside the next
+	// frame either way, then reads or writes one slice's range from
+	// another server: the lost connection crash-stops the owner, and the
+	// op, run again through recovery, succeeds.
+	opCut
+	// opStall arms a stall on the owner's proxy, then reads or writes one
+	// slice's range under a short deadline: the op fails with the
+	// deadline, the stripe lock it held with it, and the owner is then
+	// crashed, which resets the stalled connection.
+	opStall
 )
 
 // effects lists, per op kind, what a sweep's ops of that kind must make
@@ -94,6 +106,8 @@ var effects = [...][]string{
 	opArmCrash:    {"mid-repair-crash"},
 	opLenderFail:  {"lender-fail"},
 	opLenderCrash: {"lender-crash", "crash", "repair"},
+	opCut:         {"cut", "repair"},
+	opStall:       {"stall", "crash"},
 }
 
 // On a row whose shape splits ops into vecs, or whose pool caches, the
@@ -130,6 +144,7 @@ var (
 	e2eMix         = []mixStep{{14, opAlloc}, {15, opRefuse}, {50, opWrite}, {80, opRead}, {90, opRelease}, {96, opCrash}, {100, opFlap}}
 	cacheMix       = []mixStep{{9, opAlloc}, {10, opRefuse}, {28, opWriteSmall}, {38, opWrite}, {68, opRead}, {74, opReread}, {80, opRelease}, {88, opCrash}, {94, opFlush}, {100, opBalance}}
 	lenderFaultMix = []mixStep{{14, opAlloc}, {15, opRefuse}, {45, opWrite}, {72, opRead}, {84, opRelease}, {90, opCrash}, {95, opLenderFail}, {100, opLenderCrash}}
+	wireFaultMix   = []mixStep{{14, opAlloc}, {15, opRefuse}, {45, opWrite}, {72, opRead}, {84, opRelease}, {90, opCrash}, {96, opCut}, {100, opStall}}
 	physicalMix    = []mixStep{{11, opAlloc}, {12, opRefuse}, {30, opWriteSmall}, {52, opWrite}, {82, opRead}, {88, opReread}, {94, opRelease}, {100, opFlush}}
 
 	// pinnedE2EMix and pinnedCacheMix are the e2e and cache mixes the
@@ -186,8 +201,14 @@ type chaosRow struct {
 	// deploy builds the pool from the runner's base config: eight
 	// servers of chaosSlicesPer slices, striped placement, every op
 	// traced on the sim clock, the mid-repair crash hook as FabricDelay,
-	// and breakers on a test clock if the ops flap them.
-	deploy func(Config) (*Pool, error)
+	// and breakers on a test clock if the ops flap them; on a wire row,
+	// over the loopback lenders it is handed.
+	deploy func(Config, ...Lender) (*Pool, error)
+	// wire puts every server behind its own loopback lmpd daemon and a
+	// chaos proxy (wireLenders): a crash resets the server's proxied
+	// connection before the pool's verdict lands, and a cut or stall is a
+	// socket fault.
+	wire bool
 	// prots[op.a % len(prots)] protects an allocation.
 	prots []failure.Policy
 	args  argShape
@@ -207,7 +228,7 @@ var (
 	// e2eRow is the uncached pool: EC(2,1) and replicate-2 buffers,
 	// scalar and vectored ops, crashes with delayed repair, and breaker
 	// flaps under which a read may be refused but never stale.
-	e2eRow = chaosRow{name: "e2e", deploy: New, prots: []failure.Policy{rep2, ec21}, args: e2eArgs,
+	e2eRow = chaosRow{name: "e2e", deploy: NewLent, prots: []failure.Policy{rep2, ec21}, args: e2eArgs,
 		ops: func(seed int64) []opDesc { return drawOps(seed, e2eOps, e2eMix) }}
 	// cacheRow runs a tiny cache and a tight write combiner through
 	// flushes, balancer rounds and crashes: any invalidation gap is a
@@ -226,7 +247,7 @@ var (
 		ops: func(seed int64) []opDesc { return drawOps(seed, cacheOps, physicalMix) }}
 	// repairRow is a scripted schedule of double faults on replicate-3
 	// buffers (repairScript).
-	repairRow = chaosRow{name: "repair", deploy: New, prots: []failure.Policy{rep3}, args: e2eArgs, ops: repairScript}
+	repairRow = chaosRow{name: "repair", deploy: NewLent, prots: []failure.Policy{rep3}, args: e2eArgs, ops: repairScript}
 	// slowRow is e2eRow over lenders whose every call is a
 	// slowLenderDelay round trip of wall time.
 	slowRow = chaosRow{name: "slow", sub: "slow", deploy: deploySlow, prots: e2eRow.prots, args: e2eArgs, ops: e2eRow.ops}
@@ -235,28 +256,57 @@ var (
 	lenderFaultRow = chaosRow{name: "lender-fault", sub: "lender-fault", deploy: deployFaulty, prots: e2eRow.prots, args: e2eArgs,
 		ops: func(seed int64) []opDesc { return drawOps(seed, e2eOps, lenderFaultMix) }}
 
-	chaosRows = []*chaosRow{&e2eRow, &cacheRow, &cacheFlapsRow, &physicalRow, &repairRow, &slowRow, &lenderFaultRow}
+	// The wire rows are e2e, cache, cache-flaps and repair over loopback
+	// lmpd daemons, and wire-fault: the uncached pool under crashes, cuts
+	// and stalls of real connections. physical, slow and lender-fault stay
+	// in process: NewPhysical builds its own device, and the other two
+	// are in-process stand-ins for what the wire rows do over sockets.
+	wireE2ERow        = wireOf(e2eRow)
+	wireCacheRow      = wireOf(cacheRow)
+	wireCacheFlapsRow = wireOf(cacheFlapsRow)
+	wireRepairRow     = wireOf(repairRow)
+	wireFaultRow      = chaosRow{name: "wire-fault", sub: "wire-fault", deploy: NewLent, wire: true, prots: e2eRow.prots, args: e2eArgs,
+		ops: func(seed int64) []opDesc { return drawOps(seed, e2eOps, wireFaultMix) }}
+
+	chaosRows = []*chaosRow{&e2eRow, &cacheRow, &cacheFlapsRow, &physicalRow, &repairRow, &slowRow, &lenderFaultRow, &wireFaultRow}
 )
+
+// wireOf is row over loopback lmpd daemons.
+func wireOf(row chaosRow) chaosRow {
+	row.name, row.wire = "wire-"+row.name, true
+	if row.sub == "" {
+		row.sub = row.name
+	}
+	return row
+}
+
+// wireSeeds is how many seeds the wire sweep runs, whatever CHAOS_SEEDS
+// says: every row over real sockets costs about ten times its
+// in-process run, and make chaos's 50-seed sweep must fit its timeout.
+const wireSeeds = 8
+
+// stallWait is how long a stalled op waits before its deadline.
+const stallWait = 20 * time.Millisecond
 
 // slowLenderDelay is the slow row's lender round trip.
 const slowLenderDelay = 20 * time.Microsecond
 
-func deploySlow(c Config) (*Pool, error)   { return faultyPool(c, slowLenderDelay) }
-func deployFaulty(c Config) (*Pool, error) { return faultyPool(c, 0) }
+func deploySlow(c Config, _ ...Lender) (*Pool, error)   { return faultyPool(c, slowLenderDelay) }
+func deployFaulty(c Config, _ ...Lender) (*Pool, error) { return faultyPool(c, 0) }
 
 // deployCached sizes the cache at 16 pages, so pages are evicted and
 // re-filled constantly; the shape that follows from 16 pages — 4 shards,
 // a combiner that flushes past 512 B or 4 writes — makes auto-flushes
 // fire between the explicit ones.
-func deployCached(c Config) (*Pool, error) {
+func deployCached(c Config, lent ...Lender) (*Pool, error) {
 	c.Cache = CacheConfig{Enabled: true, CapacityBytes: 16 * 4096}
-	return New(c)
+	return NewLent(c, lent...)
 }
 
 // deployPhysical is four compute servers caching 16 pages each in front
 // of one lender. NewPhysical takes no trace config, so the row's tracing
 // is installed after it.
-func deployPhysical(c Config) (*Pool, error) {
+func deployPhysical(c Config, _ ...Lender) (*Pool, error) {
 	p, err := NewPhysical(PhysicalConfig{Servers: 4, LocalBytes: 16 * 4096, PoolBytes: chaosSlicesPer * SliceSize})
 	if err != nil {
 		return nil, err
@@ -346,12 +396,25 @@ func runRow(t *testing.T, row *chaosRow, seed int64, ops []opDesc, keep []int, c
 			Name: "srv", Capacity: chaosSlicesPer * SliceSize, SharedBytes: chaosSlicesPer * SliceSize,
 		})
 	}
-	p, err := row.deploy(cfg)
+	in := chaos.New(eng, chaos.Config{Seed: seed})
+	var lent []Lender
+	var proxies []*chaos.Proxy
+	if row.wire {
+		if wireLenders == nil {
+			t.Skip("no wire backend installed")
+		}
+		var closeAll func()
+		var err error
+		if lent, proxies, closeAll, err = wireLenders(cfg, in); err != nil {
+			t.Skipf("wire backend: %v", err)
+		}
+		defer closeAll()
+	}
+	p, err := row.deploy(cfg, lent...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	setBreakerPolicy(p, tailBreakerPolicy())
-	in := chaos.New(eng, chaos.Config{Seed: seed, Metrics: p.metrics})
 
 	res := chaosResult{cov: coverage{}, cached: p.caches != nil}
 	var log strings.Builder
@@ -402,17 +465,22 @@ func runRow(t *testing.T, row *chaosRow, seed int64, ops []opDesc, keep []int, c
 		return err == nil
 	}
 	standing := addr.ServerID(-1) // crashed, not yet repaired
-	// crash crash-stops victim now and, if the row's shape says so,
-	// repairs it repairAfter later.
-	crash := func(victim addr.ServerID) {
+	// died books victim's crash-stop — the injector's or a lost
+	// connection's — and, if the row's shape says so, repairs it
+	// repairAfter later.
+	died := func(victim addr.ServerID) {
 		standing = victim
-		in.CrashAt(eng.Now(), int(victim))
 		if d := row.args.repairAfter; d > 0 {
 			eng.At(eng.Now().Add(d), func() {
 				standing = -1
 				repair(victim)
 			})
 		}
+	}
+	// crash crash-stops victim now.
+	crash := func(victim addr.ServerID) {
+		in.CrashAt(eng.Now(), int(victim))
+		died(victim)
 		logf("crash srv=%d", victim)
 	}
 
@@ -697,6 +765,75 @@ func runRow(t *testing.T, row *chaosRow, seed int64, ops []opDesc, keep []int, c
 			res.cov["lender-crash"]++
 			logf("lender crash srv=%d off=%d len=%d", owner, off, n)
 			crash(owner)
+		case opCut, opStall:
+			kind := "cut"
+			if op.kind == opStall {
+				kind = "stall"
+			}
+			if len(bufs) == 0 || standing >= 0 || len(servers(false)) <= chaosMinLive {
+				logf("%s skipped", kind)
+				return
+			}
+			cb, off, n, owner, ok := pickSliceRange(op.a, op.b, op.b%row.args.readLen+1)
+			if !ok {
+				logf("%s skipped", kind)
+				return
+			}
+			from := liveServer(op.b)
+			if from == owner {
+				from = liveServer(op.b + 1)
+			}
+			// The op's first frame to the owner either way: a request is at
+			// least a header and a 12-byte read head or an 8-byte write head
+			// and its bytes, a reply at least a header.
+			dir, within := chaos.ToServer, 26
+			if op.a%2 == 1 {
+				dir, within = chaos.ToClient, 14
+			}
+			k := proxies[owner].Arm(map[opKind]chaos.FaultKind{opCut: chaos.FaultCut, opStall: chaos.FaultStall}[op.kind], dir, within)
+			write := op.b%2 == 0
+			data := bytes.Repeat([]byte{byte(op.a)}, n)
+			var ctx context.Context
+			cancel := func() {}
+			if op.kind == opStall {
+				ctx, cancel = context.WithTimeout(context.Background(), stallWait)
+			}
+			la := cb.buf.Addr() + addr.Logical(off)
+			var err error
+			if write {
+				err = p.WriteCtx(ctx, from, la, data)
+			} else {
+				data = make([]byte, n)
+				err = p.ReadCtx(ctx, from, la, data)
+			}
+			cancel()
+			if op.kind == opStall {
+				// The stalled call held the stripe lock until the deadline;
+				// nothing it sent takes effect once the owner is crashed.
+				if !errors.Is(err, ErrDeadlineExceeded) {
+					diverge("op %d: %s stalled at k=%d: %v, want ErrDeadlineExceeded", idx, kind, k, err)
+					return
+				}
+				crash(owner)
+			} else {
+				if !p.Dead(owner) {
+					diverge("op %d: a cut at k=%d left srv=%d live: %v", idx, k, owner, err)
+					return
+				}
+				if err != nil {
+					diverge("op %d: %s write=%t off=%d len=%d across a cut: %v", idx, kind, write, off, n, err)
+					return
+				}
+				if write {
+					copy(cb.model[off:], data)
+				} else if !bytes.Equal(data, cb.model[off:off+int64(n)]) {
+					diverge("op %d: read off=%d len=%d across a cut diverges from the model", idx, off, n)
+					return
+				}
+				died(owner)
+			}
+			res.cov[kind]++
+			logf("%s srv=%d write=%t off=%d len=%d", kind, owner, write, off, n)
 		}
 	}
 
@@ -845,6 +982,9 @@ func checkSeed(t *testing.T, row *chaosRow, seed int64, ops []opDesc) chaosResul
 // apply), a shed where flaps land between ops, and a checked span edge.
 func sweep(t *testing.T, rows ...*chaosRow) {
 	seeds := chaosSeeds(t)
+	if rows[0].wire && len(seeds) > wireSeeds {
+		seeds = seeds[:wireSeeds]
+	}
 	covs := make([]coverage, len(rows))
 	ran := make([]map[opKind]bool, len(rows))
 	cached := make([]bool, len(rows))
@@ -960,6 +1100,16 @@ func TestChaosRepairDeterministicReplay(t *testing.T) { sweep(t, &repairRow) }
 // rebuilds what it held.
 func TestChaosLenderSweep(t *testing.T) { sweep(t, &slowRow, &lenderFaultRow) }
 
+// TestChaosWireSweep runs the wire rows: the pool over loopback lmpd
+// daemons behind chaos proxies holds to the in-process oracle under
+// crashes that reset real connections, its cache and coherence
+// directory included; and a cut connection crash-stops its server, the
+// op that lost it running again through recovery, while a stalled one
+// fails its op at the deadline.
+func TestChaosWireSweep(t *testing.T) {
+	sweep(t, &wireE2ERow, &wireCacheRow, &wireCacheFlapsRow, &wireRepairRow, &wireFaultRow)
+}
+
 // TestChaosDivergenceDetectionAndShrink corrupts the model on purpose on
 // every row and expects the driver to notice, shrink, and keep the
 // corrupting op in the minimal subset: no row's oracle is vacuously green.
@@ -1000,12 +1150,16 @@ func TestChaosCrashDuringWriteRecovers(t *testing.T) {
 		{kind: opRead, a: 1, b: 64},                // the repair lands after this read
 		{kind: opWrite, a: 99, b: 300},
 	}
-	cov := checkSeed(t, &e2eRow, 0, ops).cov
-	if cov["crash"] == 0 {
-		t.Fatalf("the crash did not take effect: %v", cov)
-	}
-	if cov["recover"] == 0 {
-		t.Fatal("no RS reconstruction happened (crash did not land on the hot path)")
+	for _, row := range []*chaosRow{&e2eRow, &wireE2ERow} {
+		t.Run(row.name, func(t *testing.T) {
+			cov := checkSeed(t, row, 0, ops).cov
+			if cov["crash"] == 0 {
+				t.Fatalf("the crash did not take effect: %v", cov)
+			}
+			if cov["recover"] == 0 {
+				t.Fatal("no RS reconstruction happened (crash did not land on the hot path)")
+			}
+		})
 	}
 }
 
@@ -1015,12 +1169,16 @@ func TestChaosCrashDuringWriteRecovers(t *testing.T) {
 // Like every pinned seed it runs on the mix it was found with.
 func TestChaosRegressionSeed(t *testing.T) {
 	const badSeed = 424242
-	cov := checkSeed(t, &e2eRow, badSeed, drawOps(badSeed, e2eOps, pinnedE2EMix)).cov
-	if cov["crash"] == 0 {
-		t.Fatal("regression seed no longer crashes any server; pick a new seed")
-	}
-	if cov["repair"]+cov["recover"] == 0 {
-		t.Fatal("regression seed no longer exercises recovery; pick a new seed")
+	for _, row := range []*chaosRow{&e2eRow, &wireE2ERow} {
+		t.Run(row.name, func(t *testing.T) {
+			cov := checkSeed(t, row, badSeed, drawOps(badSeed, e2eOps, pinnedE2EMix)).cov
+			if cov["crash"] == 0 {
+				t.Fatal("regression seed no longer crashes any server; pick a new seed")
+			}
+			if cov["repair"]+cov["recover"] == 0 {
+				t.Fatal("regression seed no longer exercises recovery; pick a new seed")
+			}
+		})
 	}
 }
 
@@ -1030,12 +1188,16 @@ func TestChaosRegressionSeed(t *testing.T) {
 // re-home. If the seed stops drawing any of that, re-pick it.
 func TestChaosVectoredRegressionSeed(t *testing.T) {
 	const vecSeed = 11
-	cov := checkSeed(t, &e2eRow, vecSeed, drawOps(vecSeed, e2eOps, pinnedE2EMix)).cov
-	if cov["crash"] == 0 || cov["repair"]+cov["recover"] == 0 {
-		t.Fatalf("vectored regression seed no longer crashes and recovers: %v", cov)
-	}
-	if cov["writev"] == 0 || cov["readv"] == 0 {
-		t.Fatalf("vectored regression seed drew writev=%d readv=%d; pick a new seed", cov["writev"], cov["readv"])
+	for _, row := range []*chaosRow{&e2eRow, &wireE2ERow} {
+		t.Run(row.name, func(t *testing.T) {
+			cov := checkSeed(t, row, vecSeed, drawOps(vecSeed, e2eOps, pinnedE2EMix)).cov
+			if cov["crash"] == 0 || cov["repair"]+cov["recover"] == 0 {
+				t.Fatalf("vectored regression seed no longer crashes and recovers: %v", cov)
+			}
+			if cov["writev"] == 0 || cov["readv"] == 0 {
+				t.Fatalf("vectored regression seed drew writev=%d readv=%d; pick a new seed", cov["writev"], cov["readv"])
+			}
+		})
 	}
 }
 
@@ -1045,7 +1207,11 @@ func TestChaosVectoredRegressionSeed(t *testing.T) {
 // owner caching its own local pages.
 func TestChaosCacheRegressionSeed(t *testing.T) {
 	const badSeed = 17
-	if cov := checkSeed(t, &cacheRow, badSeed, drawOps(badSeed, cacheOps, pinnedCacheMix)).cov; cov["crash"] == 0 {
-		t.Fatal("regression seed no longer crashes any server; pick a new seed")
+	for _, row := range []*chaosRow{&cacheRow, &wireCacheRow} {
+		t.Run(row.name, func(t *testing.T) {
+			if cov := checkSeed(t, row, badSeed, drawOps(badSeed, cacheOps, pinnedCacheMix)).cov; cov["crash"] == 0 {
+				t.Fatal("regression seed no longer crashes any server; pick a new seed")
+			}
+		})
 	}
 }

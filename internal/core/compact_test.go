@@ -307,14 +307,19 @@ func TestCompactSerializesWithInflightMigration(t *testing.T) {
 	}
 }
 
-// rebindUnderLocks calls rebindLocked holding what it requires.
+// rebindUnderLocks calls rebindLocked holding what it requires, and frees
+// the old extent as its callers do, once the stripe lock is dropped.
 func rebindUnderLocks(p *Pool, s uint64, dstSrv addr.ServerID, dstOff int64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	p.freeBackingLocked(rebindUnderStripe(p, s, dstSrv, dstOff))
+}
+
+func rebindUnderStripe(p *Pool, s uint64, dstSrv addr.ServerID, dstOff int64) (addr.ServerID, int64) {
 	lock := p.stripeFor(s)
 	lock.Lock()
 	defer lock.Unlock()
-	p.rebindLocked(s, p.lookupSlice(s), dstSrv, dstOff)
+	return p.rebindLocked(s, p.lookupSlice(s), dstSrv, dstOff)
 }
 
 // TestRebindSameServerMovesExtent pins the same-owner case of
@@ -327,7 +332,7 @@ func TestRebindSameServerMovesExtent(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := b.firstSlice()
-	newOff, err := p.nodes[0].Alloc(SliceSize)
+	newOff, err := allocSlice(p.nodes[0])
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"maps"
 	"slices"
@@ -13,7 +15,6 @@ import (
 	"github.com/lmp-project/lmp/internal/alloc"
 	"github.com/lmp-project/lmp/internal/cache"
 	"github.com/lmp-project/lmp/internal/failure"
-	"github.com/lmp-project/lmp/internal/rpc"
 )
 
 // The lender's verbs, as countingLender tallies them.
@@ -33,11 +34,12 @@ var verbNames = [numVerbs]string{"ReadAt", "WriteAt", "Alloc", "Free", "Resize",
 
 // countingLender stands between the pool and one lender and counts, per
 // verb, the calls that cross the seam and the bytes they carry: the
-// length copied by ReadAt/WriteAt, the extent granted by Alloc or taken
+// length copied by ReadAt/WriteAt, the extents granted by Alloc or taken
 // back by Free.
 type countingLender struct {
-	lender
+	Lender
 	calls, bytes [numVerbs]atomic.Int64
+	sizes        sync.Map // extent offset -> its size, for Free's bytes
 }
 
 func (c *countingLender) count(verb int, n int64) {
@@ -45,49 +47,61 @@ func (c *countingLender) count(verb int, n int64) {
 	c.bytes[verb].Add(n)
 }
 
-func (c *countingLender) ReadAt(p []byte, off int64) error {
+func (c *countingLender) ReadAt(ctx context.Context, p []byte, off int64) error {
 	c.count(verbReadAt, int64(len(p)))
-	return c.lender.ReadAt(p, off)
+	return c.Lender.ReadAt(ctx, p, off)
 }
 
-func (c *countingLender) WriteAt(p []byte, off int64) error {
+func (c *countingLender) WriteAt(ctx context.Context, p []byte, off int64) error {
 	c.count(verbWriteAt, int64(len(p)))
-	return c.lender.WriteAt(p, off)
+	return c.Lender.WriteAt(ctx, p, off)
 }
 
-func (c *countingLender) Alloc(size int64) (int64, error) {
-	off, err := c.lender.Alloc(size)
-	if err != nil {
-		size = 0
+func (c *countingLender) Alloc(size int64, offs []int64) error {
+	err := c.Lender.Alloc(size, offs)
+	granted := int64(0)
+	if err == nil {
+		granted = size * int64(len(offs))
+		for _, off := range offs {
+			c.sizes.Store(off, size)
+		}
 	}
-	c.count(verbAlloc, size)
-	return off, err
+	c.count(verbAlloc, granted)
+	return err
 }
 
-func (c *countingLender) Free(off int64) (int64, error) {
-	n, err := c.lender.Free(off)
-	c.count(verbFree, n)
-	return n, err
+func (c *countingLender) Free(offs ...int64) error {
+	err := c.Lender.Free(offs...)
+	freed := int64(0)
+	if err == nil {
+		for _, off := range offs {
+			if n, ok := c.sizes.LoadAndDelete(off); ok {
+				freed += n.(int64)
+			}
+		}
+	}
+	c.count(verbFree, freed)
+	return err
 }
 
 func (c *countingLender) Resize(sharedBytes int64) error {
 	c.count(verbResize, 0)
-	return c.lender.Resize(sharedBytes)
+	return c.Lender.Resize(sharedBytes)
 }
 
 func (c *countingLender) SharedBytes() int64 {
 	c.count(verbSharedBytes, 0)
-	return c.lender.SharedBytes()
+	return c.Lender.SharedBytes()
 }
 
 func (c *countingLender) FreeBytes() int64 {
 	c.count(verbFreeBytes, 0)
-	return c.lender.FreeBytes()
+	return c.Lender.FreeBytes()
 }
 
 func (c *countingLender) InUse() int64 {
 	c.count(verbInUse, 0)
-	return c.lender.InUse()
+	return c.Lender.InUse()
 }
 
 // faultyLender stands between the pool and one lender and plays a slow
@@ -99,15 +113,18 @@ func (c *countingLender) InUse() int64 {
 // do so — every data call fails with errLenderCrashed. A failed call
 // touches nothing behind the seam.
 type faultyLender struct {
-	lender
+	Lender
 	delay     time.Duration
 	failNext  atomic.Int32
 	crashNext atomic.Bool
 	crashed   atomic.Bool
 }
 
+// errLenderFault is a call that failed with its server alive: not a lost
+// connection (rpc.ErrTransient), which a remote lender's server does not
+// survive (remote in lender.go).
 var (
-	errLenderFault   = fmt.Errorf("injected lender fault: %w", rpc.ErrTransient)
+	errLenderFault   = errors.New("injected lender fault")
 	errLenderCrashed = fmt.Errorf("lender crashed at the seam: %w", ErrServerDead)
 )
 
@@ -130,66 +147,66 @@ func (f *faultyLender) enter(verb int) error {
 	return nil
 }
 
-func (f *faultyLender) ReadAt(p []byte, off int64) error {
+func (f *faultyLender) ReadAt(ctx context.Context, p []byte, off int64) error {
 	if err := f.enter(verbReadAt); err != nil {
 		return err
 	}
-	return f.lender.ReadAt(p, off)
+	return f.Lender.ReadAt(ctx, p, off)
 }
 
-func (f *faultyLender) WriteAt(p []byte, off int64) error {
+func (f *faultyLender) WriteAt(ctx context.Context, p []byte, off int64) error {
 	if err := f.enter(verbWriteAt); err != nil {
 		return err
 	}
-	return f.lender.WriteAt(p, off)
+	return f.Lender.WriteAt(ctx, p, off)
 }
 
-func (f *faultyLender) Alloc(size int64) (int64, error) {
+func (f *faultyLender) Alloc(size int64, offs []int64) error {
 	if err := f.enter(verbAlloc); err != nil {
-		return 0, err
+		return err
 	}
-	return f.lender.Alloc(size)
+	return f.Lender.Alloc(size, offs)
 }
 
-func (f *faultyLender) Free(off int64) (int64, error) {
+func (f *faultyLender) Free(offs ...int64) error {
 	if err := f.enter(verbFree); err != nil {
-		return 0, err
+		return err
 	}
-	return f.lender.Free(off)
+	return f.Lender.Free(offs...)
 }
 
 func (f *faultyLender) Resize(sharedBytes int64) error {
 	if err := f.enter(verbResize); err != nil {
 		return err
 	}
-	return f.lender.Resize(sharedBytes)
+	return f.Lender.Resize(sharedBytes)
 }
 
 func (f *faultyLender) SharedBytes() int64 {
 	_ = f.enter(verbSharedBytes)
-	return f.lender.SharedBytes()
+	return f.Lender.SharedBytes()
 }
 
 func (f *faultyLender) FreeBytes() int64 {
 	_ = f.enter(verbFreeBytes)
-	return f.lender.FreeBytes()
+	return f.Lender.FreeBytes()
 }
 
 func (f *faultyLender) InUse() int64 {
 	_ = f.enter(verbInUse)
-	return f.lender.InUse()
+	return f.Lender.InUse()
 }
 
 // faultyPool builds a pool from cfg whose every lender is a faultyLender
 // with the given round trip.
 func faultyPool(cfg Config, delay time.Duration) (*Pool, error) {
-	return newPool(cfg, func(l lender) lender { return &faultyLender{lender: l, delay: delay} })
+	return newPool(cfg, nil, func(l Lender) Lender { return &faultyLender{Lender: l, delay: delay} })
 }
 
 // countingPool builds a pool whose every lender is a countingLender.
 func countingPool(t *testing.T, cfg Config) *Pool {
 	t.Helper()
-	p, err := newPool(cfg, func(l lender) lender { return &countingLender{lender: l} })
+	p, err := newPool(cfg, nil, func(l Lender) Lender { return &countingLender{Lender: l} })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,6 +320,25 @@ func TestLenderCallsPerOp(t *testing.T) {
 			},
 			// Two slice segments, one run, one read.
 			want: lenderCalls{"ReadAt": {1, 64}},
+		},
+		{
+			name: "Alloc of 4 slices",
+			setup: func(t *testing.T, p *Pool) func() error {
+				return func() error { _, err := p.Alloc(4*SliceSize, 0); return err }
+			},
+			// Each server's free bytes read once (the requester's for the
+			// spill plan, the others to order them), and one grant of all
+			// four slices.
+			want: lenderCalls{"FreeBytes": {4, 0}, "Alloc": {1, 4 * SliceSize}},
+		},
+		{
+			name: "Release of 4 slices",
+			setup: func(t *testing.T, p *Pool) func() error {
+				b := mustAllocProtected(t, p, 4*SliceSize, failure.Policy{})
+				return b.Release
+			},
+			// One Free for the server's four extents.
+			want: lenderCalls{"Free": {1, 4 * SliceSize}},
 		},
 		{
 			name: "MigrateSlice",

@@ -232,7 +232,7 @@ type Pool struct {
 	// nodes are the lenders, one per server: each owns its shared
 	// region's bytes, allocator and boundary (lender.go). Their
 	// allocation locks are leaves under mu.
-	nodes  []lender
+	nodes  []Lender
 	placer *alloc.Placer
 
 	nextSlice uint64
@@ -244,6 +244,11 @@ type Pool struct {
 
 	buffers map[addr.Logical]*Buffer
 	dead    []atomic.Bool
+	// lost[s] marks a server a remote call found unreachable and marked
+	// dead, whose crash settleLosses has still to finish; losses counts
+	// them, so an op that settles nothing pays one load.
+	lost   []atomic.Bool
+	losses atomic.Int32
 
 	dir          *coherence.Directory
 	coherent     []byte
@@ -293,13 +298,25 @@ type Pool struct {
 }
 
 // New builds a pool from the configuration.
-func New(cfg Config) (*Pool, error) { return newPool(cfg, nil) }
+func New(cfg Config) (*Pool, error) { return newPool(cfg, nil, nil) }
+
+// NewLent builds a pool some of whose servers lend from elsewhere: server
+// i < len(lenders) is cfg.Servers[i] — its name and capacity — and lends
+// through lenders[i], whose shared region must be what it reports; the
+// rest are built in process. A remote lender is watched for a lost
+// connection, which crash-stops its server (remote in lender.go).
+func NewLent(cfg Config, lenders ...Lender) (*Pool, error) {
+	if len(lenders) > len(cfg.Servers) {
+		return nil, fmt.Errorf("core: %d lenders for %d servers", len(lenders), len(cfg.Servers))
+	}
+	return newPool(cfg, lenders, nil)
+}
 
 // newPool is the one constructor, and the one place a server's lender is
-// built: an in-process memnode.Node per configured server. wrap, when
-// non-nil, stands between each lender and the pool (tests count the
-// calls that cross the seam through it).
-func newPool(cfg Config, wrap func(lender) lender) (*Pool, error) {
+// built: an in-process memnode.Node per configured server that lent does
+// not cover. wrap, when non-nil, stands between each lender and the pool
+// (tests count the calls that cross the seam through it).
+func newPool(cfg Config, lent []Lender, wrap func(Lender) Lender) (*Pool, error) {
 	if len(cfg.Servers) == 0 {
 		return nil, errors.New("core: pool needs at least one server")
 	}
@@ -316,6 +333,7 @@ func newPool(cfg Config, wrap func(lender) lender) (*Pool, error) {
 		cfg:       cfg,
 		buffers:   make(map[addr.Logical]*Buffer),
 		dead:      make([]atomic.Bool, len(cfg.Servers)),
+		lost:      make([]atomic.Bool, len(cfg.Servers)),
 		dir:       dir,
 		coherent:  make([]byte, coherentBytes),
 		metrics:   telemetry.NewRegistry(),
@@ -336,13 +354,18 @@ func newPool(cfg Config, wrap func(lender) lender) (*Pool, error) {
 		if sc.SharedBytes < 0 || sc.SharedBytes > sc.Capacity {
 			return nil, fmt.Errorf("core: server %d shares %d of %d", i, sc.SharedBytes, sc.Capacity)
 		}
-		// Every boundary and every request is a slice multiple, so the
-		// node's page-granular grants stay slice-aligned.
-		n, err := memnode.New(sc.Name, sc.Capacity, sc.SharedBytes-sc.SharedBytes%SliceSize)
-		if err != nil {
-			return nil, err
+		var node Lender
+		if i < len(lent) {
+			node = &remote{Lender: lent[i], pool: p, s: addr.ServerID(i)}
+		} else {
+			// Every boundary and every request is a slice multiple, so the
+			// node's page-granular grants stay slice-aligned.
+			n, err := memnode.New(sc.Name, sc.Capacity, sc.SharedBytes-sc.SharedBytes%SliceSize)
+			if err != nil {
+				return nil, err
+			}
+			node = local{n}
 		}
-		var node lender = n
 		if wrap != nil {
 			node = wrap(node)
 		}
@@ -597,18 +620,27 @@ func (p *Pool) reserveLogicalLocked(size int64) addr.Range {
 // consistent). A dead server's books are not touched.
 func (p *Pool) freeBackingLocked(server addr.ServerID, offset int64) {
 	if !p.isDead(server) {
-		_, _ = p.nodes[server].Free(offset)
+		_ = p.nodes[server].Free(offset)
 	}
 }
 
 // teardownLocked is the one way a buffer's blocks are freed: it
-// unpublishes and frees every primary, frees every replica and parity
+// unpublishes every primary, frees every primary, replica and parity
 // extent the buffer reserved, purges cached pages of the dying range and
-// returns the logical run. Release calls it for a live buffer, and
-// AllocProtected for one whose protection could not be placed — there
-// b.copies and the parity rows hold only what was reserved before
-// placement ran out. Caller holds p.mu.
+// returns the logical run. The extents go back with one Free call per
+// server, once every slice is unpublished (for an erasure-coded buffer,
+// under its EC lock, which orders the free against a reconstruction
+// snapshot). Release calls it for a live buffer, and AllocProtected for
+// one whose protection could not be placed — there b.copies and the
+// parity rows hold only what was reserved before placement ran out.
+// Caller holds p.mu.
 func (p *Pool) teardownLocked(b *Buffer) {
+	frees := make([][]int64, len(p.nodes))
+	held := func(server addr.ServerID, offset int64) {
+		if !p.isDead(server) {
+			frees[server] = append(frees[server], offset)
+		}
+	}
 	first := b.firstSlice()
 	for i := uint64(0); i < b.sliceCount(); i++ {
 		s := first + i
@@ -617,16 +649,16 @@ func (p *Pool) teardownLocked(b *Buffer) {
 			continue
 		}
 		// The stripe lock drains in-flight accesses to the slice before
-		// its backing disappears; for erasure-coded buffers the EC lock
-		// additionally orders the free against a reconstruction snapshot,
-		// which reads sibling backings under ec.mu alone.
+		// its backing is unpublished; for erasure-coded buffers the EC
+		// lock additionally orders the unpublish against a reconstruction
+		// snapshot, which reads sibling backings under ec.mu alone.
 		st := p.stripeFor(s)
 		st.Lock()
 		if b.ec != nil {
 			b.ec.mu.Lock()
 		}
 		p.deleteSlice(s)
-		p.freeBackingLocked(back.server, back.offset)
+		held(back.server, back.offset)
 		if b.ec != nil {
 			b.ec.mu.Unlock()
 		}
@@ -639,19 +671,24 @@ func (p *Pool) teardownLocked(b *Buffer) {
 	}
 	for _, replica := range b.copies {
 		for _, c := range replica {
-			p.freeBackingLocked(c.Server, c.Offset)
+			held(c.Server, c.Offset)
 		}
 	}
 	if b.ec != nil {
 		// Parity extents are read under ec.mu by reconstruction and the
 		// parity-delta path; free them under the same lock.
 		b.ec.mu.Lock()
+		defer b.ec.mu.Unlock()
 		for _, st := range b.ec.stripes {
 			for _, pb := range st.parity {
-				p.freeBackingLocked(pb.server, pb.offset)
+				held(pb.server, pb.offset)
 			}
 		}
-		b.ec.mu.Unlock()
+	}
+	for s, offs := range frees {
+		if len(offs) > 0 {
+			_ = p.nodes[s].Free(offs...)
+		}
 	}
 	p.freeRuns = append(p.freeRuns, b.rng)
 }
@@ -742,26 +779,35 @@ func (p *Pool) access(ctx context.Context, from addr.ServerID, kind int, vecs []
 	if traced {
 		sc = sp.Context()
 	}
-	var err error
-	if kind == trReadV || kind == trWriteV {
-		err = p.vectored(ctx, sc, from, vecs, kind == trWriteV, false)
-	} else {
-		la, buf := vecs[0].Addr, vecs[0].Data
-		switch cached := p.cacheEnabledFor(from); {
-		case kind == trRead && cached:
-			err = p.cachedRead(ctx, sc, from, la, buf)
-		case kind == trRead:
-			err = p.directAccess(ctx, sc, from, la, buf, accessRead)
-		case cached:
-			err = p.cachedWrite(ctx, sc, from, la, buf)
-		default:
-			err = p.directAccess(ctx, sc, from, la, buf, accessWrite)
-		}
+	err := p.dispatch(ctx, sc, from, kind, vecs)
+	if err != nil && p.settleLosses() {
+		// A remote call of this op lost its server: with the crash
+		// settled, the op runs again and reaches the slices' protection
+		// through recovery. Every op kind is idempotent.
+		err = p.dispatch(ctx, sc, from, kind, vecs)
 	}
 	if traced {
 		p.endOp(&sp, kind, vecBytes(vecs), err)
 	}
 	return err
+}
+
+// dispatch runs one foreground op by kind.
+func (p *Pool) dispatch(ctx context.Context, sc telemetry.SpanContext, from addr.ServerID, kind int, vecs []Vec) error {
+	if kind == trReadV || kind == trWriteV {
+		return p.vectored(ctx, sc, from, vecs, kind == trWriteV, false)
+	}
+	la, buf := vecs[0].Addr, vecs[0].Data
+	switch cached := p.cacheEnabledFor(from); {
+	case kind == trRead && cached:
+		return p.cachedRead(ctx, sc, from, la, buf)
+	case kind == trRead:
+		return p.directAccess(ctx, sc, from, la, buf, accessRead)
+	case cached:
+		return p.cachedWrite(ctx, sc, from, la, buf)
+	default:
+		return p.directAccess(ctx, sc, from, la, buf, accessWrite)
+	}
 }
 
 // accessStatus is the outcome of one locked access attempt.
@@ -826,7 +872,7 @@ func (p *Pool) directAccess(ctx context.Context, sc telemetry.SpanContext, from 
 			}
 		}
 		s, off, n := sliceSegment(la, len(buf), done)
-		if err := p.accessSlice(sc, from, s, off, buf[done:done+n], op); err != nil {
+		if err := p.accessSlice(ctx, sc, from, s, off, buf[done:done+n], op); err != nil {
 			return err
 		}
 		done += n
@@ -838,10 +884,10 @@ func (p *Pool) directAccess(ctx context.Context, sc telemetry.SpanContext, from 
 // recovery when the owner is dead. The breaker feed (an rpc-side leaf
 // mutex) happens here, after the unlock, so no rpc-reaching call of the
 // feed runs under a stripe.
-func (p *Pool) accessSlice(sc telemetry.SpanContext, from addr.ServerID, s uint64, sliceOff int64, part []byte, op accessOp) error {
+func (p *Pool) accessSlice(ctx context.Context, sc telemetry.SpanContext, from addr.ServerID, s uint64, sliceOff int64, part []byte, op accessOp) error {
 	for attempt := 0; ; attempt++ {
 		var ta tailAccess
-		status, err := p.accessSliceOnce(sc, from, s, sliceOff, part, op, &ta)
+		status, err := p.accessSliceOnce(ctx, sc, from, s, sliceOff, part, op, &ta)
 		p.feedBreaker(&ta)
 		if retry, err := p.settle(sc, status, s, err, attempt, maxRecoverAttempts); !retry {
 			return err
@@ -899,8 +945,8 @@ func (p *Pool) resolveLocked(s uint64, read bool) (*sliceBacking, blockRef, acce
 // composed with the write-combiner overlay, since bytes shadowed by a
 // buffered write must never be returned raw. Caller holds the covering
 // stripe lock(s).
-func (p *Pool) readLocked(sc telemetry.SpanContext, src blockRef, la uint64, sliceOff int64, dst []byte) error {
-	if err := p.nodes[src.server].ReadAt(dst, src.offset+sliceOff); err != nil {
+func (p *Pool) readLocked(ctx context.Context, sc telemetry.SpanContext, src blockRef, la uint64, sliceOff int64, dst []byte) error {
+	if err := p.nodes[src.server].ReadAt(ctx, dst, src.offset+sliceOff); err != nil {
 		return err
 	}
 	if p.wc != nil {
@@ -937,7 +983,7 @@ func (p *Pool) accountAccess(from, served addr.ServerID, s uint64, write bool, n
 // fills against invalidating writers (which hold it in write mode), so a
 // stale fill cannot overwrite an invalidation. Locally backed pages are
 // not cached — backing DRAM is already local.
-func (p *Pool) accessSliceOnce(sc telemetry.SpanContext, from addr.ServerID, s uint64, sliceOff int64, part []byte, op accessOp, ta *tailAccess) (accessStatus, error) {
+func (p *Pool) accessSliceOnce(ctx context.Context, sc telemetry.SpanContext, from addr.ServerID, s uint64, sliceOff int64, part []byte, op accessOp, ta *tailAccess) (accessStatus, error) {
 	lock := p.stripeFor(s)
 	if op == accessWrite {
 		lock.Lock()
@@ -955,13 +1001,13 @@ func (p *Pool) accessSliceOnce(sc telemetry.SpanContext, from addr.ServerID, s u
 	var err error
 	switch {
 	case op == accessWrite:
-		if err = p.writeSliceLocked(back, p.nodes[src.server], s, sliceOff, src.offset+sliceOff, part); err == nil && p.caches != nil {
+		if err = p.writeSliceLocked(ctx, back, p.nodes[src.server], s, sliceOff, src.offset+sliceOff, part); err == nil && p.caches != nil {
 			p.applyWriteCoherenceLocked(sc, from, la, part)
 		}
 	case op == accessFill && back.server != from:
-		err = p.fillLocked(sc, from, src, la, sliceOff, part)
+		err = p.fillLocked(ctx, sc, from, src, la, sliceOff, part)
 	default:
-		err = p.readLocked(sc, src, la, sliceOff, part)
+		err = p.readLocked(ctx, sc, src, la, sliceOff, part)
 	}
 	p.endIO(ta, err)
 	if err != nil {
@@ -973,7 +1019,7 @@ func (p *Pool) accessSliceOnce(sc telemetry.SpanContext, from addr.ServerID, s u
 
 // writeSliceLocked applies a write to the primary backing and its
 // protection state. Caller holds the slice's stripe lock in write mode.
-func (p *Pool) writeSliceLocked(back *sliceBacking, node lender, s uint64, sliceOff, offset int64, part []byte) error {
+func (p *Pool) writeSliceLocked(ctx context.Context, back *sliceBacking, node Lender, s uint64, sliceOff, offset int64, part []byte) error {
 	back.markDirtyLocked(sliceOff, int64(len(part)))
 	buf := back.buf
 	if buf != nil && buf.prot.Scheme == failure.ErasureCode {
@@ -990,19 +1036,19 @@ func (p *Pool) writeSliceLocked(back *sliceBacking, node lender, s uint64, slice
 			*sp = old
 		}
 		old = old[:len(part)]
-		if err := node.ReadAt(old, offset); err != nil {
+		if err := node.ReadAt(ctx, old, offset); err != nil {
 			return err
 		}
-		if err := node.WriteAt(part, offset); err != nil {
+		if err := node.WriteAt(ctx, part, offset); err != nil {
 			return err
 		}
-		return p.writeParityDelta(buf, s-buf.firstSlice(), sliceOff, old, part)
+		return p.writeParityDelta(ctx, buf, s-buf.firstSlice(), sliceOff, old, part)
 	}
-	if err := node.WriteAt(part, offset); err != nil {
+	if err := node.WriteAt(ctx, part, offset); err != nil {
 		return err
 	}
 	if buf != nil && buf.prot.Scheme == failure.Replicate {
-		return p.writeReplicas(buf, s-buf.firstSlice(), sliceOff, part)
+		return p.writeReplicas(ctx, buf, s-buf.firstSlice(), sliceOff, part)
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sync"
 
@@ -92,7 +93,7 @@ func (p *Pool) allocAvoiding(avoid map[addr.ServerID]bool) (addr.ServerID, int64
 		if best < 0 {
 			return 0, 0, false
 		}
-		off, err := p.nodes[cs[best].s].Alloc(SliceSize)
+		off, err := allocSlice(p.nodes[cs[best].s])
 		if err != nil {
 			return 0, 0, false
 		}
@@ -164,13 +165,13 @@ func (p *Pool) setupErasureLocked(b *Buffer, chunks []alloc.Chunk) error {
 // copies. idx is the slice index within the buffer. The caller holds the
 // primary slice's stripe lock in write mode, which serializes replica
 // updates for that slice.
-func (p *Pool) writeReplicas(b *Buffer, idx uint64, sliceOff int64, newData []byte) error {
+func (p *Pool) writeReplicas(ctx context.Context, b *Buffer, idx uint64, sliceOff int64, newData []byte) error {
 	for _, cp := range b.copies {
 		c := cp[idx]
 		if p.isDead(c.Server) {
 			continue // stale replica; repaired on RepairServer
 		}
-		if err := p.nodes[c.Server].WriteAt(newData, c.Offset+sliceOff); err != nil {
+		if err := p.nodes[c.Server].WriteAt(ctx, newData, c.Offset+sliceOff); err != nil {
 			return err
 		}
 	}
@@ -180,7 +181,7 @@ func (p *Pool) writeReplicas(b *Buffer, idx uint64, sliceOff int64, newData []by
 // writeParityDelta applies an EC parity delta for a write of newData at
 // sliceOff within buffer slice index idx, given the old bytes. The
 // caller holds b.ec.mu.
-func (p *Pool) writeParityDelta(b *Buffer, idx uint64, sliceOff int64, oldData, newData []byte) error {
+func (p *Pool) writeParityDelta(ctx context.Context, b *Buffer, idx uint64, sliceOff int64, oldData, newData []byte) error {
 	k := uint64(b.prot.K)
 	stripeIdx := idx / k
 	if stripeIdx >= uint64(len(b.ec.stripes)) {
@@ -199,11 +200,11 @@ func (p *Pool) writeParityDelta(b *Buffer, idx uint64, sliceOff int64, oldData, 
 		}
 		coef := b.ec.rs.Coefficient(m, shard)
 		patch := make([]byte, len(delta))
-		if err := p.nodes[pb.server].ReadAt(patch, pb.offset+sliceOff); err != nil {
+		if err := p.nodes[pb.server].ReadAt(ctx, patch, pb.offset+sliceOff); err != nil {
 			return err
 		}
 		failure.AddScaled(patch, delta, coef)
-		if err := p.nodes[pb.server].WriteAt(patch, pb.offset+sliceOff); err != nil {
+		if err := p.nodes[pb.server].WriteAt(ctx, patch, pb.offset+sliceOff); err != nil {
 			return err
 		}
 	}

@@ -232,11 +232,11 @@ func (p *Pool) snapshotEvacuationLocked(e evacuation) (prim []repairItem, prot [
 // added). Caller holds p.mu.
 func (p *Pool) reserveEvacuatedLocked(e evacuation, avoid map[addr.ServerID]bool) (addr.ServerID, int64, error) {
 	if !p.isDead(e.srv) {
-		if off, err := p.nodes[e.srv].Alloc(SliceSize); err == nil {
+		if off, err := allocSlice(p.nodes[e.srv]); err == nil {
 			if off < e.from {
 				return e.srv, off, nil
 			}
-			_, _ = p.nodes[e.srv].Free(off) // cannot fail: just granted
+			_ = p.nodes[e.srv].Free(off) // cannot fail: just granted
 		}
 	}
 	avoid[e.srv] = true
@@ -244,7 +244,7 @@ func (p *Pool) reserveEvacuatedLocked(e evacuation, avoid map[addr.ServerID]bool
 	if err == nil && srv == e.srv {
 		// allocAvoiding's last-resort fallback landed back in the region
 		// being vacated, necessarily at or above e.from.
-		_, _ = p.nodes[srv].Free(off)
+		_ = p.nodes[srv].Free(off)
 		err = fmt.Errorf("core: evacuate server %d: %w", e.srv, alloc.ErrNoSpace)
 	}
 	return srv, off, err
@@ -410,7 +410,7 @@ func (p *Pool) repairSliceCommitted(s uint64, back *sliceBacking) error {
 		err = p.reconstructEC(b, idx, data)
 	}
 	if err == nil {
-		err = p.nodes[dstSrv].WriteAt(data, dstOff)
+		err = p.nodes[dstSrv].WriteAt(nil, data, dstOff)
 	}
 	putSliceBuf(scratch)
 	if err != nil {
@@ -433,8 +433,9 @@ func (p *Pool) repairSliceCommitted(s uint64, back *sliceBacking) error {
 		p.mu.Unlock()
 		return nil
 	}
-	p.rebindLocked(s, back, dstSrv, dstOff)
+	oldSrv, oldOff := p.rebindLocked(s, back, dstSrv, dstOff)
 	lock.Unlock()
+	p.freeBackingLocked(oldSrv, oldOff)
 	p.metrics.Counter("pool.recoveries").Inc()
 	p.mu.Unlock()
 	return nil
@@ -442,23 +443,26 @@ func (p *Pool) repairSliceCommitted(s uint64, back *sliceBacking) error {
 
 // rebindLocked points slice s at (dstSrv, dstOff) and is the only place
 // a primary's (server, offset) changes: it swaps the entry's two fields —
-// owner and extent, both translation steps, one record — frees the old
-// extent (a no-op when the old owner is dead: its memory is gone) and
-// invalidates the new owner's cache. The caller holds p.mu and the
-// slice's stripe lock in write mode, so every reader of the entry sees
-// the old home or the new one, never a mix. For erasure-coded buffers the
-// swap additionally holds the buffer's EC lock: reconstruction snapshots
-// sibling backing fields and bytes under ec.mu alone, so field mutation
-// and the extent free must be ordered against it.
-func (p *Pool) rebindLocked(s uint64, back *sliceBacking, dstSrv addr.ServerID, dstOff int64) {
+// owner and extent, both translation steps, one record — invalidates the
+// new owner's cache and returns the old home. The caller holds p.mu and
+// the slice's stripe lock in write mode, so every reader of the entry
+// sees the old home or the new one, never a mix. For erasure-coded
+// buffers the swap additionally holds the buffer's EC lock:
+// reconstruction snapshots sibling backing fields and bytes under ec.mu
+// alone, so field mutation must be ordered against it. The caller frees
+// the old extent (freeBackingLocked, a no-op when the old owner is dead)
+// once it has dropped the stripe lock: by then no access can reach it —
+// the write lock drained the readers that resolved it, and ec.mu the
+// snapshots — and a remote lender's Free is a round trip no reader of
+// the slice should wait behind.
+func (p *Pool) rebindLocked(s uint64, back *sliceBacking, dstSrv addr.ServerID, dstOff int64) (oldSrv addr.ServerID, oldOff int64) {
 	var ecmu *sync.Mutex
 	if back.buf != nil && back.buf.ec != nil {
 		ecmu = &back.buf.ec.mu
 		ecmu.Lock()
 	}
-	oldSrv, oldOff := back.server, back.offset
+	oldSrv, oldOff = back.server, back.offset
 	back.server, back.offset = dstSrv, dstOff
-	p.freeBackingLocked(oldSrv, oldOff)
 	if ecmu != nil {
 		ecmu.Unlock()
 	}
@@ -469,6 +473,7 @@ func (p *Pool) rebindLocked(s uint64, back *sliceBacking, dstSrv addr.ServerID, 
 		// change, only their home.
 		p.dropCachedPagesLocked(dstSrv, s)
 	}
+	return oldSrv, oldOff
 }
 
 // readSurvivingReplica copies slice s's bytes from the first live
@@ -497,7 +502,7 @@ func (p *Pool) readSurvivingReplica(b *Buffer, s, idx uint64, back *sliceBacking
 			cp := b.copies[c][idx]
 			if p.isDead(cp.Server) {
 				live = false
-			} else if err := p.nodes[cp.Server].ReadAt(out[off:off+n], cp.Offset+off); err != nil {
+			} else if err := p.nodes[cp.Server].ReadAt(nil, out[off:off+n], cp.Offset+off); err != nil {
 				lock.RUnlock()
 				return err
 			}
@@ -554,7 +559,7 @@ func (p *Pool) reconstructEC(b *Buffer, idx uint64, out []byte) error {
 		sb := getSliceBuf()
 		held = append(held, sb)
 		buf := (*sb)[:SliceSize]
-		if err := p.nodes[sib.server].ReadAt(buf, sib.offset); err != nil {
+		if err := p.nodes[sib.server].ReadAt(nil, buf, sib.offset); err != nil {
 			b.ec.mu.Unlock()
 			return err
 		}
@@ -568,7 +573,7 @@ func (p *Pool) reconstructEC(b *Buffer, idx uint64, out []byte) error {
 		sb := getSliceBuf()
 		held = append(held, sb)
 		buf := (*sb)[:SliceSize]
-		if err := p.nodes[pb.server].ReadAt(buf, pb.offset); err != nil {
+		if err := p.nodes[pb.server].ReadAt(nil, buf, pb.offset); err != nil {
 			b.ec.mu.Unlock()
 			return err
 		}
@@ -647,9 +652,9 @@ func (p *Pool) rehomeReplica(sc telemetry.SpanContext, e evacuation, b *Buffer, 
 			}
 			return 0, 0, &failure.MemoryException{Addr: addr.SliceBase(sl), Server: old.Server}
 		},
-		publish: func() {
+		publish: func() (addr.ServerID, int64) {
 			b.copies[c][idx] = alloc.Chunk{Server: srv, Offset: off, Size: SliceSize}
-			p.freeBackingLocked(old.Server, old.Offset)
+			return old.Server, old.Offset
 		},
 	})
 	if errors.Is(err, errMoveStale) {
@@ -761,7 +766,7 @@ func (p *Pool) rehomeParity(e evacuation, b *Buffer, si, m int) (addr.ServerID, 
 				readErr = fmt.Errorf("%w: parity rebuild needs data slice %d", ErrServerDead, slIdx)
 				break
 			}
-			if readErr = p.nodes[back.server].ReadAt(shards[j], back.offset); readErr != nil {
+			if readErr = p.nodes[back.server].ReadAt(nil, shards[j], back.offset); readErr != nil {
 				break
 			}
 			reads++
@@ -777,7 +782,7 @@ func (p *Pool) rehomeParity(e evacuation, b *Buffer, si, m int) (addr.ServerID, 
 			// Stripe frozen: compute, write, and swap under the locks.
 			err := b.ec.rs.EncodeInto(shards, parityOut)
 			if err == nil {
-				err = p.nodes[srv].WriteAt(row, off)
+				err = p.nodes[srv].WriteAt(nil, row, off)
 			}
 			dst := addr.NoServer
 			if err == nil {
@@ -796,7 +801,7 @@ func (p *Pool) rehomeParity(e evacuation, b *Buffer, si, m int) (addr.ServerID, 
 		if err := b.ec.rs.EncodeInto(shards, parityOut); err != nil {
 			return abort(err)
 		}
-		if err := p.nodes[srv].WriteAt(row, off); err != nil {
+		if err := p.nodes[srv].WriteAt(nil, row, off); err != nil {
 			return abort(err)
 		}
 		p.mu.Lock()
@@ -839,7 +844,7 @@ func (p *Pool) moveOneCommitted(sc telemetry.SpanContext, s uint64, back *sliceB
 			return fmt.Errorf("%w: slice %d to server %d", errCollocate, s, to)
 		}
 	}
-	newOff, err := p.nodes[to].Alloc(SliceSize)
+	newOff, err := allocSlice(p.nodes[to])
 	p.mu.Unlock()
 	if err != nil {
 		return fmt.Errorf("core: migrate slice %d to %d: %w", s, to, err)
@@ -856,7 +861,7 @@ func (p *Pool) movePrimaryCommitted(sc telemetry.SpanContext, s uint64, back *sl
 		s: s, back: back, dstSrv: dstSrv, dstOff: dstOff,
 		src:     func() (addr.ServerID, int64, error) { return back.server, back.offset, nil },
 		valid:   func() bool { return !p.isDead(back.server) && !p.isDead(dstSrv) },
-		publish: func() { p.rebindLocked(s, back, dstSrv, dstOff) },
+		publish: func() (addr.ServerID, int64) { return p.rebindLocked(s, back, dstSrv, dstOff) },
 	})
 }
 
@@ -881,9 +886,10 @@ type blockMove struct {
 	// stale.
 	valid func() bool
 	// publish runs in the commit window — p.mu and s's stripe write lock
-	// held, destination bytes complete — and also frees the old extent.
-	// It cannot fail: past the delta copy a move is one record's store.
-	publish func()
+	// held, destination bytes complete — and returns the block's old
+	// home, which the mover frees once the stripe lock is dropped. It
+	// cannot fail: past the delta copy a move is one record's store.
+	publish func() (addr.ServerID, int64)
 }
 
 // moveBlockCommitted is the pool's one way to copy a slice-sized block
@@ -918,7 +924,7 @@ func (p *Pool) moveBlockCommitted(sc telemetry.SpanContext, mv blockMove) error 
 		if err != nil {
 			return err
 		}
-		return p.nodes[srcSrv].ReadAt(buf, srcOff+lo)
+		return p.nodes[srcSrv].ReadAt(nil, buf, srcOff+lo)
 	}
 	// commit is the commit window, and the single exit of an armed move:
 	// handed a pre-copy failure it only disarms tracking and frees the
@@ -935,12 +941,14 @@ func (p *Pool) moveBlockCommitted(sc telemetry.SpanContext, mv blockMove) error 
 				delta = hi - lo
 				buf := (*scratch)[:delta]
 				if err = readSrc(buf, lo); err == nil {
-					err = p.nodes[mv.dstSrv].WriteAt(buf, mv.dstOff+lo)
+					err = p.nodes[mv.dstSrv].WriteAt(nil, buf, mv.dstOff+lo)
 				}
 			}
 		}
+		var oldSrv addr.ServerID
+		var oldOff int64
 		if err == nil {
-			mv.publish()
+			oldSrv, oldOff = mv.publish()
 		}
 		mv.back.stopTrackingLocked()
 		lock.Unlock()
@@ -948,6 +956,7 @@ func (p *Pool) moveBlockCommitted(sc telemetry.SpanContext, mv blockMove) error 
 			p.freeBackingLocked(mv.dstSrv, mv.dstOff)
 			delta = 0
 		} else {
+			p.freeBackingLocked(oldSrv, oldOff)
 			p.metrics.Counter("pool.migrations.commit_bytes").Add(uint64(delta))
 		}
 		p.mu.Unlock()
@@ -977,7 +986,7 @@ func (p *Pool) moveBlockCommitted(sc telemetry.SpanContext, mv blockMove) error 
 		}
 		lock.RUnlock()
 		if err == nil {
-			err = p.nodes[mv.dstSrv].WriteAt(buf, mv.dstOff+off)
+			err = p.nodes[mv.dstSrv].WriteAt(nil, buf, mv.dstOff+off)
 		}
 	}
 	p.fabricDelay()

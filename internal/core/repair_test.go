@@ -143,14 +143,14 @@ func TestCheckInvariantsFlagsViolations(t *testing.T) {
 	}
 	// A reservation nothing points at: what a mover's abort path leaves
 	// behind if it forgets to free its destination.
-	leaked, err := p.nodes[1].Alloc(SliceSize)
+	leaked, err := allocSlice(p.nodes[1])
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := p.CheckInvariants(); err == nil {
 		t.Fatal("leaked extent not reported")
 	}
-	if _, err := p.nodes[1].Free(leaked); err != nil {
+	if err := p.nodes[1].Free(leaked); err != nil {
 		t.Fatal(err)
 	}
 	s := b.firstSlice()

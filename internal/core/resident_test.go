@@ -9,7 +9,7 @@ import (
 
 // nodeOf reaches under the lender seam to server s's in-process node, for
 // the tests that read what only that node reports (ResidentBytes).
-func nodeOf(p *Pool, s addr.ServerID) *memnode.Node { return p.nodes[s].(*memnode.Node) }
+func nodeOf(p *Pool, s addr.ServerID) *memnode.Node { return p.nodes[s].(local).Node }
 
 // checkResidentWithinUse asserts the sizing contract CheckInvariants
 // cannot afford to (it reads the kernel's accounting): a live server

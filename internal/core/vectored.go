@@ -264,7 +264,7 @@ func (p *Pool) vectoredOnce(ctx context.Context, sc telemetry.SpanContext, from 
 		var err error
 		switch {
 		case protected:
-			err = p.writeSliceLocked(back, node, sg.s, sg.sliceOff, offset, data)
+			err = p.writeSliceLocked(ctx, back, node, sg.s, sg.sliceOff, offset, data)
 		case write:
 			// Raw coalesced writes bypass writeSliceLocked, so any move in
 			// its pre-copy phase must learn about them here: the dirty
@@ -272,9 +272,9 @@ func (p *Pool) vectoredOnce(ctx context.Context, sc telemetry.SpanContext, from 
 			for k := i; k < j; k++ {
 				backs[k].markDirtyLocked(segs[k].sliceOff, int64(len(segs[k].data)))
 			}
-			err = node.WriteAt(data, offset)
+			err = node.WriteAt(ctx, data, offset)
 		default:
-			err = p.readLocked(sc, src, runLa, sg.sliceOff, data)
+			err = p.readLocked(ctx, sc, src, runLa, sg.sliceOff, data)
 		}
 		if ta != nil {
 			p.endIO(ta, err)

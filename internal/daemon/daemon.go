@@ -1,9 +1,9 @@
 // Package daemon implements the live distributed mode: each server runs
 // an lmpd daemon exporting its shared region over TCP (the functional
-// stand-in for CXL.mem transactions), and clients compose the daemons
-// into a pool with a client-side coarse map — the same two-step
-// addressing as the in-process runtime. Computation shipping sends a
-// named kernel to the daemon owning the data and returns only the partial
+// stand-in for CXL.mem transactions), and a PoolView composes the
+// daemons into the runtime's own pool, core.Pool, with each daemon's
+// Client as a lending server's lender. Computation shipping sends a named
+// kernel to the daemon owning the data and returns only the partial
 // result.
 package daemon
 
@@ -232,25 +232,46 @@ func (s *Server) handleInfo(_ []byte) ([]byte, error) {
 	return out, nil
 }
 
+// maxGrant is the most extents one alloc may grant: their offsets must
+// fit one reply.
+const maxGrant = rpc.MaxPayload / 8
+
+// handleAlloc grants extents: the payload is the 8-byte extent size and,
+// optionally, a 4-byte count (one when absent); the reply is the count
+// offsets, 8 bytes each. It is all or none (memnode.Node.Alloc).
 func (s *Server) handleAlloc(p []byte) ([]byte, error) {
-	if len(p) != 8 {
+	if len(p) != 8 && len(p) != 12 {
 		return nil, fmt.Errorf("daemon: alloc payload %d bytes", len(p))
 	}
-	off, err := s.node.Alloc(int64(binary.BigEndian.Uint64(p)))
-	if err != nil {
+	count := 1
+	if len(p) == 12 {
+		count = int(binary.BigEndian.Uint32(p[8:12]))
+	}
+	if count < 1 || count > maxGrant {
+		return nil, fmt.Errorf("daemon: alloc of %d extents: one grants 1 to %d", count, maxGrant)
+	}
+	offs := make([]int64, count)
+	if err := s.node.Alloc(int64(binary.BigEndian.Uint64(p)), offs); err != nil {
 		return nil, err
 	}
-	out := make([]byte, 8)
-	binary.BigEndian.PutUint64(out, uint64(off))
+	out := make([]byte, 8*count)
+	for i, off := range offs {
+		binary.BigEndian.PutUint64(out[8*i:], uint64(off))
+	}
 	return out, nil
 }
 
+// handleFree takes back the extents whose 8-byte offsets the payload
+// lists, all or none.
 func (s *Server) handleFree(p []byte) ([]byte, error) {
-	if len(p) != 8 {
+	if len(p) == 0 || len(p)%8 != 0 {
 		return nil, fmt.Errorf("daemon: free payload %d bytes", len(p))
 	}
-	_, err := s.node.Free(int64(binary.BigEndian.Uint64(p)))
-	return nil, err
+	offs := make([]int64, len(p)/8)
+	for i := range offs {
+		offs[i] = int64(binary.BigEndian.Uint64(p[8*i:]))
+	}
+	return nil, s.node.Free(offs...)
 }
 
 // checkShared bounds a remote access by the shared region, read from the
@@ -359,7 +380,9 @@ func (s *Server) handleResize(p []byte) ([]byte, error) {
 // Client is a typed client for one daemon. It speaks through an
 // rpc.AsyncCaller, so transports compose: a wrapper such as the
 // benchmark's span seam can be stacked between the typed layer and the
-// TCP connection.
+// TCP connection. It is a core.Lender: ReadAt and WriteAt are ReadAsync
+// and WriteAsync waited on, Alloc, Free and Resize are the daemon's
+// methods, and SharedBytes, FreeBytes and InUse each ask for its Info.
 type Client struct {
 	c rpc.AsyncCaller
 }
@@ -405,44 +428,87 @@ func (c *Client) Info() (Info, error) {
 	}, nil
 }
 
-// Alloc reserves n bytes in the daemon's shared region.
-func (c *Client) Alloc(n int64) (int64, error) {
-	req := make([]byte, 8)
-	binary.BigEndian.PutUint64(req, uint64(n))
+// Alloc reserves len(offs) extents of size bytes each in the daemon's
+// shared region, all or none, in one round trip, and stores their
+// offsets in offs.
+func (c *Client) Alloc(size int64, offs []int64) error {
+	if len(offs) < 1 || len(offs) > maxGrant {
+		return fmt.Errorf("daemon: alloc of %d extents: one grants 1 to %d", len(offs), maxGrant)
+	}
+	req := make([]byte, 12)
+	binary.BigEndian.PutUint64(req[0:8], uint64(size))
+	binary.BigEndian.PutUint32(req[8:12], uint32(len(offs)))
 	resp, err := c.c.Call(MethodAlloc, req)
 	if err != nil {
-		return 0, err
+		return err
 	}
-	if len(resp) != 8 {
-		return 0, fmt.Errorf("daemon: alloc reply of %d bytes, want 8", len(resp))
+	if len(resp) != 8*len(offs) {
+		return fmt.Errorf("daemon: alloc reply of %d bytes, want %d", len(resp), 8*len(offs))
 	}
-	return int64(binary.BigEndian.Uint64(resp)), nil
+	for i := range offs {
+		offs[i] = int64(binary.BigEndian.Uint64(resp[8*i:]))
+	}
+	return nil
 }
 
-// Free releases an allocation.
-func (c *Client) Free(off int64) error {
-	req := make([]byte, 8)
-	binary.BigEndian.PutUint64(req, uint64(off))
+// Free releases allocations, all or none, in one round trip.
+func (c *Client) Free(offs ...int64) error {
+	req := make([]byte, 8*len(offs))
+	for i, off := range offs {
+		binary.BigEndian.PutUint64(req[8*i:], uint64(off))
+	}
 	_, err := c.c.Call(MethodFree, req)
 	return err
 }
 
-// Read fetches n bytes at off.
-func (c *Client) Read(off int64, n int) ([]byte, error) {
-	return c.ReadCtx(nil, off, n)
+// ReadAt fills p from off under ctx, the lender's read: a context that
+// ends before the daemon responds fails the call with an error wrapping
+// ctx.Err(), leaving the connection usable (the stale response is
+// discarded).
+func (c *Client) ReadAt(ctx context.Context, p []byte, off int64) error {
+	f := c.ReadAsync(ctx, off, p)
+	_, err := f.WaitCtx(ctx)
+	f.Release()
+	return err
 }
 
-// ReadCtx is Read with cancellation: a context that ends before the
-// daemon responds fails the call with an error wrapping ctx.Err(),
-// leaving the connection usable (the stale response is discarded).
-func (c *Client) ReadCtx(ctx context.Context, off int64, n int) ([]byte, error) {
+// WriteAt stores p at off under ctx, the lender's write, with ReadAt's
+// semantics. A cancelled write may or may not have been applied by the
+// daemon — the cancellation is client-side.
+func (c *Client) WriteAt(ctx context.Context, p []byte, off int64) error {
+	f := c.WriteAsync(ctx, off, p)
+	_, err := f.WaitCtx(ctx)
+	f.Release()
+	return err
+}
+
+// SharedBytes, FreeBytes and InUse report the daemon's shared region from
+// one Info call each, and 0 when the call fails.
+func (c *Client) SharedBytes() int64 {
+	info, _ := c.Info()
+	return info.Shared
+}
+
+func (c *Client) FreeBytes() int64 {
+	info, _ := c.Info()
+	return info.Shared - info.InUse
+}
+
+func (c *Client) InUse() int64 {
+	info, _ := c.Info()
+	return info.InUse
+}
+
+// Read fetches n bytes at off.
+func (c *Client) Read(off int64, n int) ([]byte, error) {
 	if err := checkReply(int64(n)); err != nil {
 		return nil, err
 	}
-	f := c.ReadAsync(ctx, off, make([]byte, n))
-	p, err := f.WaitCtx(ctx)
-	f.Release()
-	return p, err
+	p := make([]byte, n)
+	if err := c.ReadAt(nil, p, off); err != nil {
+		return nil, err
+	}
+	return p, nil
 }
 
 // rangeHead encodes the 12-byte (offset, length) head of a read or a sum
@@ -472,9 +538,7 @@ func (c *Client) ReadAsync(ctx context.Context, off int64, dst []byte) *rpc.Futu
 }
 
 // Write stores data at off.
-func (c *Client) Write(off int64, data []byte) error {
-	return c.WriteCtx(nil, off, data)
-}
+func (c *Client) Write(off int64, data []byte) error { return c.WriteAt(nil, data, off) }
 
 // WriteAsync issues a write without blocking for the acknowledgement. On
 // a Dial'd client the request leaves from data itself (rpc.Async), so
@@ -483,16 +547,6 @@ func (c *Client) WriteAsync(ctx context.Context, off int64, data []byte) *rpc.Fu
 	var h [8]byte
 	binary.BigEndian.PutUint64(h[:], uint64(off))
 	return rpc.Async(c.c, ctx, MethodWrite, h[:], data)
-}
-
-// WriteCtx is Write with cancellation, with ReadCtx's semantics. A
-// cancelled write may or may not have been applied by the daemon — the
-// cancellation is client-side.
-func (c *Client) WriteCtx(ctx context.Context, off int64, data []byte) error {
-	f := c.WriteAsync(ctx, off, data)
-	_, err := f.WaitCtx(ctx)
-	f.Release()
-	return err
 }
 
 // Sum ships the aggregation kernel: the daemon sums [off, off+n) locally.

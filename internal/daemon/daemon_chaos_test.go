@@ -135,7 +135,7 @@ func TestDaemonSurvivesInjectedTransportFaults(t *testing.T) {
 func runCallAtATime(t *testing.T, seed int64, coverage map[string]int) {
 	r := newChaosRig(t, "chaotic", seed)
 	const size = 4096
-	off, err := r.clean.Alloc(size)
+	off, err := grant(r.clean, size)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func runPipelinedChaosBurst(t *testing.T, seed int64) (string, [][]byte) {
 	r := newChaosRig(t, "pipelined", seed)
 	const bursts, width, chunk = 6, 16, 64
 	const writeFrame, readReply = frameHeader + writeHead + chunk, frameHeader + chunk
-	off, err := r.clean.Alloc(width * chunk)
+	off, err := grant(r.clean, width*chunk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +322,7 @@ func TestDaemonPipelinedChaosDeterministic(t *testing.T) {
 // daemon.
 func TestDaemonPipelinedCrashFailsInflightBurst(t *testing.T) {
 	r := newChaosRig(t, "crashy", 9)
-	off, err := r.clean.Alloc(4096)
+	off, err := grant(r.clean, 4096)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/lmp-project/lmp/internal/core"
 	"github.com/lmp-project/lmp/internal/rpc"
 )
 
@@ -34,6 +35,13 @@ func startDaemon(t *testing.T, name string, capacity, shared int64) (*Server, *C
 	return s, c
 }
 
+// grant asks c for one extent of size bytes.
+func grant(c *Client, size int64) (int64, error) {
+	var off [1]int64
+	err := c.Alloc(size, off[:])
+	return off[0], err
+}
+
 func TestInfo(t *testing.T) {
 	_, c := startDaemon(t, "srv0", 1<<20, 1<<20)
 	info, err := c.Info()
@@ -47,7 +55,7 @@ func TestInfo(t *testing.T) {
 
 func TestAllocReadWriteOverTCP(t *testing.T) {
 	_, c := startDaemon(t, "srv0", 1<<20, 1<<20)
-	off, err := c.Alloc(64 << 10)
+	off, err := grant(c, 64<<10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +84,7 @@ func TestAllocReadWriteOverTCP(t *testing.T) {
 func TestFreeScrubsExtent(t *testing.T) {
 	const extent = 1 << 20
 	s, c := startDaemon(t, "srv0", 4<<20, 4<<20)
-	off, err := c.Alloc(extent)
+	off, err := grant(c, extent)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +99,7 @@ func TestFreeScrubsExtent(t *testing.T) {
 	if err := c.Free(off); err != nil {
 		t.Fatal(err)
 	}
-	again, err := c.Alloc(extent)
+	again, err := grant(c, extent)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +170,7 @@ func TestAccessOutsideSharedRejected(t *testing.T) {
 
 func TestShippedSumKernel(t *testing.T) {
 	_, c := startDaemon(t, "srv0", 1<<20, 1<<20)
-	off, err := c.Alloc(4096)
+	off, err := grant(c, 4096)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +231,7 @@ func TestResizeOverTCP(t *testing.T) {
 
 func TestExhaustionOverTCP(t *testing.T) {
 	_, c := startDaemon(t, "srv0", 1<<16, 1<<16)
-	if _, err := c.Alloc(1 << 17); err == nil {
+	if _, err := grant(c, 1<<17); err == nil {
 		t.Fatal("over-alloc accepted")
 	}
 }
@@ -242,37 +250,37 @@ func startCluster(t *testing.T, n int, capacity int64) *PoolView {
 	return v
 }
 
+// TestPoolViewValidation: a view needs daemons, and daemons it can size.
 func TestPoolViewValidation(t *testing.T) {
 	if _, err := NewPoolView(64); err == nil {
 		t.Fatal("empty view accepted")
 	}
-	_, c := startDaemon(t, "x", 1<<16, 1<<16)
-	if _, err := NewPoolView(0, c); err == nil {
-		t.Fatal("zero stripe accepted")
+	if _, err := NewPoolView(64, WrapCaller(hostileCaller{})); err == nil {
+		t.Fatal("a daemon with no Info reply accepted")
 	}
 }
 
 func TestPoolViewStripedRoundTrip(t *testing.T) {
-	v := startCluster(t, 4, 1<<20)
-	b, err := v.Alloc(100 << 10) // 100KiB across 4 daemons in 8KiB stripes
+	v := startCluster(t, 4, 8<<20)
+	b, err := v.Alloc(25 << 20) // 13 slices across 4 daemons
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 13 stripes dealt over 4 daemons: 4 to the first, the last of them
-	// 4 KiB, and 3 to each of the others.
-	if got, want := inUse(t, v.clients), []int64{28 << 10, 24 << 10, 24 << 10, 24 << 10}; !slices.Equal(got, want) {
+	// 13 slices dealt over 4 daemons: 4 to the first and 3 to each of the
+	// others, every one a whole slice.
+	if got, want := inUse(t, v.clients), []int64{8 << 20, 6 << 20, 6 << 20, 6 << 20}; !slices.Equal(got, want) {
 		t.Fatalf("daemons hold %v bytes, want %v", got, want)
 	}
 	data := make([]byte, 40<<10)
 	for i := range data {
 		data[i] = byte(i * 7)
 	}
-	// Offset chosen to span multiple stripes.
-	if err := b.WriteAt(data, 5000); err != nil {
+	// Offset chosen to span a slice boundary.
+	if err := b.WriteAt(data, 2<<20-5000); err != nil {
 		t.Fatal(err)
 	}
 	got := make([]byte, len(data))
-	if err := b.ReadAt(got, 5000); err != nil {
+	if err := b.ReadAt(got, 2<<20-5000); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, data) {
@@ -284,7 +292,7 @@ func TestPoolViewStripedRoundTrip(t *testing.T) {
 }
 
 func TestPoolViewBounds(t *testing.T) {
-	v := startCluster(t, 2, 1<<20)
+	v := startCluster(t, 2, 4<<20)
 	b, err := v.Alloc(16 << 10)
 	if err != nil {
 		t.Fatal(err)
@@ -301,23 +309,21 @@ func TestPoolViewBounds(t *testing.T) {
 }
 
 func TestPoolViewExhaustionRollsBack(t *testing.T) {
-	v := startCluster(t, 2, 1<<16) // 2 x 64KiB
-	if _, err := v.Alloc(1 << 20); err == nil {
+	v := startCluster(t, 2, 4<<20) // 2 x 2 slices
+	if _, err := v.Alloc(5 * core.SliceSize); err == nil {
 		t.Fatal("impossible alloc accepted")
 	}
 	// All space must be free again.
-	b, err := v.Alloc(2 * (1 << 16) / 2)
-	if err != nil {
+	if _, err := v.Alloc(8 << 20); err != nil {
 		t.Fatalf("post-rollback alloc: %v", err)
 	}
-	_ = b
 }
 
 // A released buffer has no placement left: an access must say so instead
 // of visiting no chunk and reporting success with the caller's bytes
 // untouched (reads) or dropped (writes).
 func TestViewBufferAccessAfterRelease(t *testing.T) {
-	v := startCluster(t, 3, 1<<20)
+	v := startCluster(t, 3, 4<<20)
 	b, err := v.Alloc(24 << 10)
 	if err != nil {
 		t.Fatal(err)
@@ -376,6 +382,10 @@ func (h hostileCaller) CallAsyncCtx(ctx context.Context, method byte, payload []
 // copy that leaves zeros in the caller's buffer (ViewBuffer reads).
 func TestClientRejectsWrongLengthReplies(t *testing.T) {
 	eight := []byte{0, 0, 0, 0, 0, 0, 0, 64}
+	// An Info reply of a daemon sharing all of its 4 MiB.
+	slice4 := make([]byte, 24)
+	binary.BigEndian.PutUint64(slice4[0:8], 4<<20)
+	binary.BigEndian.PutUint64(slice4[8:16], 4<<20)
 	for _, tc := range []struct {
 		name  string
 		reply []byte
@@ -384,14 +394,14 @@ func TestClientRejectsWrongLengthReplies(t *testing.T) {
 			c := WrapCaller(hostileCaller{reply: map[byte][]byte{
 				MethodAlloc: tc.reply, MethodSum: tc.reply, MethodRead: tc.reply,
 			}})
-			if _, err := c.Alloc(64); err == nil {
+			if _, err := grant(c, 64); err == nil {
 				t.Error("Alloc accepted the reply")
 			}
 			if _, err := c.Sum(0, 64); err == nil {
 				t.Error("Sum accepted the reply")
 			}
 			v, err := NewPoolView(64, WrapCaller(hostileCaller{reply: map[byte][]byte{
-				MethodAlloc: eight, MethodRead: tc.reply,
+				MethodInfo: slice4, MethodAlloc: eight, MethodRead: tc.reply,
 			}}))
 			if err != nil {
 				t.Fatal(err)
@@ -411,7 +421,7 @@ func TestClientRejectsWrongLengthReplies(t *testing.T) {
 	}
 	// The well-formed reply still decodes.
 	c := WrapCaller(hostileCaller{reply: map[byte][]byte{MethodAlloc: eight}})
-	if off, err := c.Alloc(64); err != nil || off != 64 {
+	if off, err := grant(c, 64); err != nil || off != 64 {
 		t.Fatalf("Alloc with an 8-byte reply = %d, %v", off, err)
 	}
 }

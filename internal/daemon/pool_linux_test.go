@@ -21,7 +21,7 @@ func kernelPopulates(t *testing.T) bool {
 }
 
 // TestPoolViewBufferResidentBeforeFirstWrite: a daemon's share of a buffer
-// is one extent, so its node makes the extent's whole huge pages resident
+// is whole slices, each one huge page, so its node makes them resident
 // with no write, off the receive path of the tenant's first writes. Had
 // the share been one extent per 256 KiB stripe, none would be: a node
 // populates only whole huge pages.
@@ -33,8 +33,8 @@ func TestPoolViewBufferResidentBeforeFirstWrite(t *testing.T) {
 	if _, err := v.Alloc(8 << 20); err != nil {
 		t.Fatal(err)
 	}
-	// Each fresh daemon grants its 4 MiB share at offset 0: two whole
-	// huge pages.
+	// Each fresh daemon grants its two slices at offsets 0 and 2 MiB: two
+	// whole huge pages.
 	const want = 4 << 20
 	deadline := time.Now().Add(5 * time.Second)
 	for i, s := range servers {

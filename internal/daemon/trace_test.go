@@ -30,16 +30,16 @@ func TestDaemonTracePropagation(t *testing.T) {
 	}
 	defer c.Close()
 
-	off, err := c.Alloc(4096)
+	off, err := grant(c, 4096)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx := telemetry.ContextWithSpan(context.Background(),
 		telemetry.SpanContext{Trace: 555, Span: 1})
-	if err := c.WriteCtx(ctx, off, []byte("traced bytes")); err != nil {
+	if err := c.WriteAt(ctx, []byte("traced bytes"), off); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.ReadCtx(ctx, off, 12); err != nil {
+	if err := c.ReadAt(ctx, make([]byte, 12), off); err != nil {
 		t.Fatal(err)
 	}
 
@@ -131,7 +131,7 @@ func TestUntracedTrafficPublishesNoSpans(t *testing.T) {
 	}
 	defer c.Close()
 
-	off, err := c.Alloc(1 << 16)
+	off, err := grant(c, 1<<16)
 	if err != nil {
 		t.Fatal(err)
 	}

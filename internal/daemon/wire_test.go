@@ -18,6 +18,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/lmp-project/lmp/internal/core"
 	"github.com/lmp-project/lmp/internal/memnode"
 	"github.com/lmp-project/lmp/internal/rpc"
 	"github.com/lmp-project/lmp/internal/telemetry"
@@ -348,18 +349,6 @@ func TestRangeVerbsRefuseUnencodableLengths(t *testing.T) {
 	}
 }
 
-// TestPoolViewRejectsUncarriableStripe: a stripe whose whole-chunk write
-// cannot fit one frame would fail on first use; it fails at construction.
-func TestPoolViewRejectsUncarriableStripe(t *testing.T) {
-	_, c := startDaemon(t, "x", 1<<16, 1<<16)
-	if _, err := NewPoolView(rpc.MaxPayload, c); err == nil {
-		t.Error("a MaxPayload stripe (no room for the write header) accepted")
-	}
-	if _, err := NewPoolView(maxStripe, c); err != nil {
-		t.Errorf("a %d-byte stripe refused: %v", maxStripe, err)
-	}
-}
-
 // loopbackView builds the benchmark's deployment in small: n in-process
 // daemons on loopback listeners, one connection each, a PoolView with the
 // given stripe. It skips the test where listening is forbidden.
@@ -410,12 +399,12 @@ func TestWirePathAllocBudget(t *testing.T) {
 	if raceDetectorEnabled {
 		t.Skip("sync.Pool drops puts under the race detector; the budget is checked without it")
 	}
-	// 1 MiB: alternating 1 MiB reads and writes through 256 KiB stripes,
-	// one caller — the wire_bulk shape, over four loopback daemons so that
-	// each op sends one chunk to each and every frame goes out bare.
+	// 1 MiB: alternating 1 MiB reads and writes, one caller — the
+	// wire_bulk shape, over four loopback daemons: each op lies in one
+	// slice, so it is one call to one daemon, and every frame goes out
+	// bare.
 	inFreshProcess(t, "1MiB", func(t *testing.T) {
-		const chunks = 4
-		v, servers := loopbackView(t, chunks, 32<<20, 256<<10)
+		v, servers := loopbackView(t, 4, 32<<20, 256<<10)
 		b, err := v.Alloc(8 << 20)
 		if err != nil {
 			t.Fatal(err)
@@ -442,8 +431,10 @@ func TestWirePathAllocBudget(t *testing.T) {
 				read(i / 2)
 			}
 		}
-		// Warm-up: pages materialize, and scratch and object pools fill.
-		for i := 0; i < 64; i++ {
+		// Warm-up: pages materialize, scratch and object pools fill, and
+		// the pool's tracer samples ops (one in DefaultSampleEvery), the
+		// first of them allocating its ring.
+		for i := 0; i < 4*core.DefaultSampleEvery; i++ {
 			op(i)
 		}
 		const ops = 200
@@ -485,8 +476,8 @@ func TestWirePathAllocBudget(t *testing.T) {
 		}
 		mu.Lock()
 		defer mu.Unlock()
-		if served != 8*chunks || ownGoroutine != 0 {
-			t.Errorf("of %d chunk reads served, %d ran on a goroutine other than their connection's read loop; want %d served, none elsewhere", served, ownGoroutine, 8*chunks)
+		if served != 8 || ownGoroutine != 0 {
+			t.Errorf("of %d reads served, %d ran on a goroutine other than their connection's read loop; want 8 served, none elsewhere", served, ownGoroutine)
 		}
 	})
 	// 64 B: two callers issue 64-byte ops, four reads to a write, through

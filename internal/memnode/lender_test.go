@@ -23,7 +23,7 @@ func booksOf(n *Node) books { return books{n.SharedBytes(), n.InUse(), n.FreeByt
 func TestFreedExtentReadsZeros(t *testing.T) {
 	n := mustNode(t, 1<<20, 1<<20)
 	const size = 5*PageSize - 100 // grants round up to pages
-	off, err := n.Alloc(size)
+	off, err := grant(n, size)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,14 +34,13 @@ func TestFreedExtentReadsZeros(t *testing.T) {
 	if err := n.WriteAt(secret, off); err != nil {
 		t.Fatal(err)
 	}
-	freed, err := n.Free(off)
-	if err != nil || freed != 5*PageSize {
-		t.Fatalf("Free = %d, %v; want the 5 pages granted", freed, err)
+	if err := n.Free(off); err != nil {
+		t.Fatal(err)
 	}
 	if n.DroppedBytes() != 5*PageSize || n.InUse() != 0 || n.FreeBytes() != 1<<20 {
 		t.Fatalf("after the free: dropped %d, in use %d, free %d", n.DroppedBytes(), n.InUse(), n.FreeBytes())
 	}
-	again, err := n.Alloc(size)
+	again, err := grant(n, size)
 	if err != nil || again != off {
 		t.Fatalf("re-grant at %d (%v), want the freed offset %d", again, err, off)
 	}
@@ -54,20 +53,44 @@ func TestFreedExtentReadsZeros(t *testing.T) {
 	}
 }
 
+// TestBatchGrantAndFree: one Alloc grants k extents in first-fit order,
+// as k calls one after the other would, and one Free takes them all back.
+func TestBatchGrantAndFree(t *testing.T) {
+	n := mustNode(t, 64*PageSize, 32*PageSize)
+	offs := make([]int64, 4)
+	if err := n.Alloc(3*PageSize, offs); err != nil {
+		t.Fatal(err)
+	}
+	for i, off := range offs {
+		if off != int64(i)*3*PageSize {
+			t.Fatalf("extent %d at %d, want %d", i, off, int64(i)*3*PageSize)
+		}
+	}
+	if n.InUse() != 12*PageSize {
+		t.Fatalf("InUse = %d after four 3-page grants", n.InUse())
+	}
+	if err := n.Free(offs...); err != nil {
+		t.Fatal(err)
+	}
+	if n.InUse() != 0 || n.DroppedBytes() != 12*PageSize {
+		t.Fatalf("after the free: in use %d, dropped %d", n.InUse(), n.DroppedBytes())
+	}
+}
+
 // TestLenderRefusalsChangeNothing: a free of an offset that is not a live
 // extent, an oversized grant, and a resize below use or outside the node
 // are refused with the books as they were and the tenant's bytes intact.
 func TestLenderRefusalsChangeNothing(t *testing.T) {
 	n := mustNode(t, 64*PageSize, 32*PageSize)
-	low, err := n.Alloc(4 * PageSize)
+	low, err := grant(n, 4*PageSize)
 	if err != nil {
 		t.Fatal(err)
 	}
-	high, err := n.Alloc(20 * PageSize)
+	high, err := grant(n, 20*PageSize)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := n.Free(low); err != nil { // leaves [high, high+20 pages) pinning the tail
+	if err := n.Free(low); err != nil { // leaves [high, high+20 pages) pinning the tail
 		t.Fatal(err)
 	}
 	data := bytes.Repeat([]byte{0xC3}, 20*PageSize)
@@ -76,12 +99,16 @@ func TestLenderRefusalsChangeNothing(t *testing.T) {
 	}
 	before, dropped := booksOf(n), n.DroppedBytes()
 	for name, op := range map[string]func() error{
-		"free of a freed offset":     func() error { _, err := n.Free(low); return err },
-		"free inside a live extent":  func() error { _, err := n.Free(high + PageSize); return err },
-		"free outside the region":    func() error { _, err := n.Free(48 * PageSize); return err },
-		"free of a negative offset":  func() error { _, err := n.Free(-PageSize); return err },
-		"grant larger than is free":  func() error { _, err := n.Alloc(9 * PageSize); return err },
-		"grant of nothing":           func() error { _, err := n.Alloc(0); return err },
+		"free of a freed offset":     func() error { return n.Free(low) },
+		"free inside a live extent":  func() error { return n.Free(high + PageSize) },
+		"free outside the region":    func() error { return n.Free(48 * PageSize) },
+		"free of a negative offset":  func() error { return n.Free(-PageSize) },
+		"grant larger than is free":  func() error { _, err := grant(n, 9*PageSize); return err },
+		"grant of nothing":           func() error { _, err := grant(n, 0); return err },
+		"grant of no extents":        func() error { return n.Alloc(PageSize, nil) },
+		"grants past what is free":   func() error { return n.Alloc(5*PageSize, make([]int64, 3)) },
+		"free of a live and a freed": func() error { return n.Free(high, low) },
+		"free of one extent twice":   func() error { return n.Free(high, high) },
 		"shrink below a live extent": func() error { return n.Resize(8 * PageSize) },
 		"shrink into a live extent":  func() error { return n.Resize(high + PageSize) },
 		"shrink to nothing":          func() error { return n.Resize(0) },
@@ -95,7 +122,7 @@ func TestLenderRefusalsChangeNothing(t *testing.T) {
 			t.Errorf("%s changed the books: %+v -> %+v, dropped %d -> %d", name, before, got, dropped, n.DroppedBytes())
 		}
 	}
-	if _, err := n.Free(low); !errors.Is(err, alloc.ErrNotAllocated) {
+	if err := n.Free(low); !errors.Is(err, alloc.ErrNotAllocated) {
 		t.Errorf("double free: %v, want ErrNotAllocated", err)
 	}
 	if err := n.Resize(8 * PageSize); !errors.Is(err, alloc.ErrNoSpace) {
@@ -115,11 +142,11 @@ func TestResizeMovesOneBoundary(t *testing.T) {
 	if n.SharedBytes() != 8*PageSize {
 		t.Fatalf("shared %d: want the boundary rounded down to 8 pages", n.SharedBytes())
 	}
-	a, err := n.Alloc(8 * PageSize)
+	a, err := grant(n, 8*PageSize)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := n.Alloc(PageSize); !errors.Is(err, alloc.ErrNoSpace) {
+	if _, err := grant(n, PageSize); !errors.Is(err, alloc.ErrNoSpace) {
 		t.Fatalf("grant past the boundary: %v", err)
 	}
 	if err := n.Resize(16*PageSize + PageSize/2); err != nil {
@@ -128,7 +155,7 @@ func TestResizeMovesOneBoundary(t *testing.T) {
 	if got := booksOf(n); got != (books{16 * PageSize, 8 * PageSize, 8 * PageSize}) {
 		t.Fatalf("after the grow: %+v", got)
 	}
-	b, err := n.Alloc(PageSize)
+	b, err := grant(n, PageSize)
 	if err != nil || b != a+8*PageSize {
 		t.Fatalf("grant in the new room at %d (%v)", b, err)
 	}
@@ -162,7 +189,7 @@ func TestConcurrentTenants(t *testing.T) {
 				if r%8 == 0 {
 					size = 2 * hugePage // holds at least one whole huge page
 				}
-				off, err := n.Alloc(size)
+				off, err := grant(n, size)
 				if errors.Is(err, alloc.ErrNoSpace) {
 					continue // the others hold the region just now
 				}
@@ -199,7 +226,7 @@ func TestConcurrentTenants(t *testing.T) {
 					t.Errorf("tenant %d's extent [%d,+%d) holds %d at byte %d", mark, off, size, buf[i], i)
 					return
 				}
-				if _, err := n.Free(off); err != nil {
+				if err := n.Free(off); err != nil {
 					t.Error(err)
 					return
 				}

@@ -148,34 +148,51 @@ func (n *Node) FreeBytes() int64 {
 // far, by Free and by a shrinking Resize.
 func (n *Node) DroppedBytes() uint64 { return n.dropped.Load() }
 
-// Alloc grants size bytes (rounded up to pages) of the shared region and
-// returns the extent's offset. The extent reads as zeros. It fails with an
-// error wrapping alloc.ErrNoSpace when no free extent is large enough.
+// Alloc grants len(offs) extents of size bytes each (rounded up to
+// pages) of the shared region and stores their offsets in offs, in grant
+// order. Each extent reads as zeros. It is all or none: when the region
+// cannot hold every extent it fails with an error wrapping
+// alloc.ErrNoSpace and grants nothing. One call for a tenant's
+// k extents is one trip to the allocation lock — over the wire, one
+// round trip.
 //
-// The huge pages lying wholly inside the extent are queued to be made
+// The huge pages lying wholly inside an extent are queued to be made
 // resident in the background, so the tenant's first pass over them does
 // not fault; Alloc never waits for that. A partial huge page at either
 // end is left to first touch: populating it would commit all of it, and
 // the extent's Free could give back only its own part.
-func (n *Node) Alloc(size int64) (int64, error) {
+func (n *Node) Alloc(size int64, offs []int64) error {
+	if len(offs) == 0 {
+		return fmt.Errorf("memnode: grant of no extents: %w", alloc.ErrNoSpace)
+	}
 	n.allocMu.Lock()
 	defer n.allocMu.Unlock()
-	off, err := n.extents.Alloc(size)
-	if err != nil {
-		return 0, err
+	for i := range offs {
+		off, err := n.extents.Alloc(size)
+		if err != nil {
+			// Nothing granted here has been handed out or populated: the
+			// allocator's books are all there is to undo.
+			for _, o := range offs[:i] {
+				_, _, _, _ = n.extents.Free(o)
+			}
+			return err
+		}
+		offs[i] = off
 	}
 	if n.noPopulate {
-		return off, nil
+		return nil
 	}
-	end := off + (size+PageSize-1)/PageSize*PageSize
-	for c := (off + hugePage - 1) / hugePage * hugePage; c+hugePage <= end; c += hugePage {
-		n.pending = append(n.pending, c)
+	for _, off := range offs {
+		end := off + (size+PageSize-1)/PageSize*PageSize
+		for c := (off + hugePage - 1) / hugePage * hugePage; c+hugePage <= end; c += hugePage {
+			n.pending = append(n.pending, c)
+		}
 	}
 	if len(n.pending) > 0 && !n.populating {
 		n.populating = true
 		go n.populateQueued()
 	}
-	return off, nil
+	return nil
 }
 
 // populateQueued makes the queued huge pages resident, one at a time,
@@ -204,33 +221,39 @@ func (n *Node) populateQueued() {
 	}
 }
 
-// Free takes back the extent granted at off and reports its length. The
-// extent is scrubbed — its pages go back to the host and read as zeros —
-// before the allocation lock is released, so no later Alloc can be handed
-// the previous tenant's bytes. An offset that is not the start of a live
-// extent fails with an error wrapping alloc.ErrNotAllocated and changes
-// nothing. Free waits for a huge page being populated, if there is one,
-// and unqueues the extent's own.
+// Free takes back the extents granted at offs. Each extent is scrubbed —
+// its pages go back to the host and read as zeros — before the
+// allocation lock is released, so no later Alloc can be handed the
+// previous tenant's bytes. An offset that is not the start of a live
+// extent fails with an error wrapping alloc.ErrNotAllocated and frees
+// nothing: every offset is checked before any extent is taken back. Free waits
+// for a huge page being populated, if there is one, and unqueues the
+// extents' own.
 //
-// The scrub reaches past the extent to whatever is free in the huge pages
-// it overlaps: under huge pages a first write into a small extent faults
-// in the whole huge page around it, and a neighbour's Free must give that
-// back too, so a huge page with no granted byte in it holds nothing.
-func (n *Node) Free(off int64) (int64, error) {
+// The scrub reaches past each extent to whatever is free in the huge
+// pages it overlaps: under huge pages a first write into a small extent
+// faults in the whole huge page around it, and a neighbour's Free must
+// give that back too, so a huge page with no granted byte in it holds
+// nothing.
+func (n *Node) Free(offs ...int64) error {
 	n.dropMu.Lock()
 	defer n.dropMu.Unlock()
 	n.allocMu.Lock()
 	defer n.allocMu.Unlock()
-	size, lo, hi, err := n.extents.Free(off)
-	if err != nil {
-		return 0, err
+	for i, off := range offs {
+		if !n.extents.Granted(off) || slices.Contains(offs[:i], off) {
+			return fmt.Errorf("memnode: free at %d: %w", off, alloc.ErrNotAllocated)
+		}
 	}
-	end := off + size
-	n.pending = slices.DeleteFunc(n.pending, func(c int64) bool { return c >= off && c < end })
-	n.release(max(lo, off/hugePage*hugePage), min(hi, (end+hugePage-1)/hugePage*hugePage))
-	n.dropped.Add(uint64(size))
+	for _, off := range offs {
+		size, lo, hi, _ := n.extents.Free(off)
+		end := off + size
+		n.pending = slices.DeleteFunc(n.pending, func(c int64) bool { return c >= off && c < end })
+		n.release(max(lo, off/hugePage*hugePage), min(hi, (end+hugePage-1)/hugePage*hugePage))
+		n.dropped.Add(uint64(size))
+	}
 	runtime.KeepAlive(n)
-	return size, nil
+	return nil
 }
 
 // Resize moves the private/shared boundary to sharedBytes, rounded down

@@ -123,7 +123,7 @@ func TestDropRangeReturnsMemory(t *testing.T) {
 	}
 
 	// And through a tenant leaving: a freed extent is not resident.
-	off, err := n.Alloc(2 << 20)
+	off, err := grant(n, 2<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestDropRangeReturnsMemory(t *testing.T) {
 		}
 	}
 	held := n.ResidentBytes()
-	if _, err := n.Free(off); err != nil {
+	if err := n.Free(off); err != nil {
 		t.Fatal(err)
 	}
 	if fell := held - n.ResidentBytes(); fell != 2<<20 {
@@ -242,7 +242,7 @@ func waitDrained(t *testing.T, n *Node) {
 func TestAllocPopulatesWholeHugePages(t *testing.T) {
 	const extent = 32 << 20
 	n := mustNode(t, 64<<20, 64<<20)
-	off, err := n.Alloc(extent)
+	off, err := grant(n, extent)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,10 +273,10 @@ func TestAllocPopulatesWholeHugePages(t *testing.T) {
 
 	// [32 MiB, 35 MiB): one whole huge page and a 1 MiB tail; then
 	// [35 MiB, 36 MiB), inside a huge page of its own.
-	if _, err := n.Alloc(3 << 20); err != nil {
+	if _, err := grant(n, 3<<20); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := n.Alloc(1 << 20); err != nil {
+	if _, err := grant(n, 1<<20); err != nil {
 		t.Fatal(err)
 	}
 	waitDrained(t, n)
@@ -293,7 +293,7 @@ func TestDropOrdersAfterPopulate(t *testing.T) {
 	const extent = 64 << 20
 	n := mustNode(t, 2*extent, 2*extent)
 	for round := 0; round < 40; round++ {
-		off, err := n.Alloc(extent)
+		off, err := grant(n, extent)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -307,26 +307,26 @@ func TestDropOrdersAfterPopulate(t *testing.T) {
 				runtime.Gosched()
 			}
 		}
-		if _, err := n.Free(off); err != nil {
+		if err := n.Free(off); err != nil {
 			t.Fatal(err)
 		}
 		// Two extents; the upper one goes, and the shrink cuts its range
 		// while the lower one is still being populated.
-		low, err := n.Alloc(extent)
+		low, err := grant(n, extent)
 		if err != nil {
 			t.Fatal(err)
 		}
-		high, err := n.Alloc(extent)
+		high, err := grant(n, extent)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := n.Free(high); err != nil {
+		if err := n.Free(high); err != nil {
 			t.Fatal(err)
 		}
 		if err := n.Resize(extent); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := n.Free(low); err != nil {
+		if err := n.Free(low); err != nil {
 			t.Fatal(err)
 		}
 		if err := n.Resize(2 * extent); err != nil {

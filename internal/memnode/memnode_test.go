@@ -18,6 +18,13 @@ func mustNode(t *testing.T, capacity, shared int64) *Node {
 	return n
 }
 
+// grant asks n for one extent of size bytes.
+func grant(n *Node, size int64) (int64, error) {
+	var off [1]int64
+	err := n.Alloc(size, off[:])
+	return off[0], err
+}
+
 func TestNewValidation(t *testing.T) {
 	if _, err := New("x", 0, 0); err == nil {
 		t.Error("zero capacity accepted")
