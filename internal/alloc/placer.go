@@ -51,14 +51,16 @@ type Chunk struct {
 // RegionAlloc is what the placer needs of a lender: the runtime hands it
 // its servers' lenders (a Free there also scrubs the extent). A placed
 // chunk is one extent of its region, and its holder gives it back with
-// that region's Free: the placer itself frees only the partial placement
-// a failed Place rolls back. Alloc grants len(offs) extents of size bytes
-// each, all or none, so a placement asks each region once for all the
-// chunks it deals it.
+// that region's Free: the placer itself frees only a grant it rolls
+// back. Alloc grants len(offs) extents of size bytes each, all or none,
+// so a placement asks each region once for all the chunks it deals it.
+// Usage reports the shared region's size and its granted bytes; the
+// placer reads it once per region per placement, and a region that
+// cannot say has no room.
 type RegionAlloc interface {
 	Alloc(size int64, offs []int64) error
 	Free(offs ...int64) error
-	FreeBytes() int64
+	Usage() (shared, inUse int64, err error)
 }
 
 // Region couples a server with the lender of its shared region.
@@ -114,42 +116,45 @@ func (p *Placer) Policy() Policy { return p.policy }
 func (p *Placer) TotalFree() int64 {
 	var t int64
 	for _, r := range p.regions {
-		t += r.Mem.FreeBytes()
+		t += freeBytes(r)
 	}
 	return t
 }
 
+// freeBytes reads r's ungranted bytes: 0 when it cannot say.
+func freeBytes(r *Region) int64 {
+	shared, inUse, err := r.Mem.Usage()
+	if err != nil {
+		return 0
+	}
+	return shared - inUse
+}
+
 // Place reserves n bytes, possibly split across servers, honouring the
 // policy. prefer names the requesting server for LocalityAware. On
-// failure every partial reservation is rolled back and ErrNoSpace is
-// wrapped in the returned error.
+// failure nothing stays reserved and ErrNoSpace is wrapped in the
+// returned error.
 func (p *Placer) Place(n int64, prefer addr.ServerID) ([]Chunk, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("alloc: place of %d bytes", n)
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	var chunks []Chunk
-	var err error
 	switch p.policy {
 	case Striped:
-		chunks, err = p.placeStriped(n)
+		return p.placeStriped(n)
 	case FirstFit:
-		chunks, err = p.placeWhole(n, p.orderedFrom(0))
+		return p.placeWhole(n, p.orderedFrom(0), nil)
 	case RoundRobin:
 		start := p.next
 		p.next = (p.next + 1) % len(p.regions)
-		chunks, err = p.placeWhole(n, p.orderedFrom(start))
+		return p.placeWhole(n, p.orderedFrom(start), nil)
 	case LocalityAware:
-		chunks, err = p.placeWhole(n, p.localityOrder(prefer))
+		order, room := p.localityOrder(prefer)
+		return p.placeWhole(n, order, room)
 	default:
 		return nil, fmt.Errorf("alloc: unknown policy %v", p.policy)
 	}
-	if err != nil {
-		p.rollback(chunks)
-		return nil, err
-	}
-	return chunks, nil
 }
 
 // PlaceStriped reserves n bytes dealt round-robin across regions in
@@ -161,21 +166,7 @@ func (p *Placer) PlaceStriped(n int64) ([]Chunk, error) {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	chunks, err := p.placeStriped(n)
-	if err != nil {
-		p.rollback(chunks)
-		return nil, err
-	}
-	return chunks, nil
-}
-
-func (p *Placer) regionOf(s addr.ServerID) *Region {
-	for _, r := range p.regions {
-		if r.Server == s {
-			return r
-		}
-	}
-	return nil
+	return p.placeStriped(n)
 }
 
 func (p *Placer) orderedFrom(start int) []*Region {
@@ -188,34 +179,38 @@ func (p *Placer) orderedFrom(start int) []*Region {
 	return out
 }
 
-func (p *Placer) localityOrder(prefer addr.ServerID) []*Region {
-	out := make([]*Region, 0, len(p.regions))
-	if r := p.regionOf(prefer); r != nil && p.usable(r) {
-		out = append(out, r)
-	}
-	// Remaining regions by descending free space, read once each: a remote
-	// lender answers FreeBytes with a round trip.
+// localityOrder puts the requester first and the other regions after
+// it by descending free bytes, and returns those bytes with the order.
+func (p *Placer) localityOrder(prefer addr.ServerID) ([]*Region, []int64) {
 	type cand struct {
 		r    *Region
 		free int64
 	}
-	var rest []cand
+	var first, rest []cand
 	for _, r := range p.regions {
-		if r.Server != prefer && p.usable(r) {
-			rest = append(rest, cand{r, r.Mem.FreeBytes()})
+		if !p.usable(r) {
+			continue
+		}
+		if c := (cand{r, freeBytes(r)}); r.Server == prefer {
+			first = append(first, c)
+		} else {
+			rest = append(rest, c)
 		}
 	}
 	sort.SliceStable(rest, func(i, j int) bool { return rest[i].free > rest[j].free })
-	for _, c := range rest {
-		out = append(out, c.r)
+	var order []*Region
+	var room []int64
+	for _, c := range append(first, rest...) {
+		order, room = append(order, c.r), append(room, c.free)
 	}
-	return out
+	return order, room
 }
 
 // placeWhole tries to place n contiguously in one region (in preference
-// order), spilling across regions in stripe-sized chunks when no single
-// region fits.
-func (p *Placer) placeWhole(n int64, order []*Region) ([]Chunk, error) {
+// order), spilling across regions in stripe-sized chunks, each region
+// filled in turn, when no single region fits. room holds the regions'
+// free bytes when the order already read them.
+func (p *Placer) placeWhole(n int64, order []*Region, room []int64) ([]Chunk, error) {
 	if p.MaxChunk <= 0 || n <= p.MaxChunk {
 		for _, r := range order {
 			var off [1]int64
@@ -224,168 +219,133 @@ func (p *Placer) placeWhole(n int64, order []*Region) ([]Chunk, error) {
 			}
 		}
 	}
-	return p.spill(n, order)
-}
-
-// chunkSizes splits n into stripe-sized chunks, the last one short.
-func (p *Placer) chunkSizes(n int64) []int64 {
-	sizes := make([]int64, (n+p.stripe-1)/p.stripe)
-	for i := range sizes {
-		sizes[i] = min(p.stripe, n-int64(i)*p.stripe)
+	if room == nil {
+		room = p.rooms(order)
 	}
-	return sizes
-}
-
-// A placement is dealt twice over. The plan deals the chunks against each
-// region's free bytes, read once, and grant asks each region once for
-// every chunk the plan gave it. When a region's free bytes overstate what
-// it can grant — fragmentation, or an allocation that landed since the
-// reading — its refusal rolls the whole grant back, and the chunks are
-// dealt again one Alloc at a time (spillEach, placeStripedEach), each
-// refusal steering the next chunk elsewhere. Both deals place the chunks
-// where the other would.
-
-// grant reserves chunk i of the given sizes on plan[i], with one Alloc
-// call per region and chunk size: all or none.
-func (p *Placer) grant(plan []*Region, sizes []int64) ([]Chunk, error) {
-	type group struct {
-		r    *Region
-		size int64
-		idx  []int
-	}
-	var groups []*group
-	for i, r := range plan {
-		k := slices.IndexFunc(groups, func(g *group) bool { return g.r == r && g.size == sizes[i] })
-		if k < 0 {
-			k = len(groups)
-			groups = append(groups, &group{r: r, size: sizes[i]})
-		}
-		groups[k].idx = append(groups[k].idx, i)
-	}
-	chunks := make([]Chunk, len(plan))
-	for gi, g := range groups {
-		offs := make([]int64, len(g.idx))
-		if err := g.r.Mem.Alloc(g.size, offs); err != nil {
-			var granted []Chunk
-			for _, h := range groups[:gi] {
-				for _, i := range h.idx {
-					granted = append(granted, chunks[i])
-				}
+	return p.deal(n, order, room, func(room, sizes []int64) []int {
+		plan := make([]int, 0, len(sizes))
+		for i := range order {
+			for len(plan) < len(sizes) && room[i] >= sizes[len(plan)] {
+				room[i] -= sizes[len(plan)]
+				plan = append(plan, i)
 			}
-			p.rollback(granted)
-			return nil, err
 		}
-		for j, i := range g.idx {
-			chunks[i] = Chunk{Server: g.r.Server, Offset: offs[j], Size: g.size}
-		}
-	}
-	return chunks, nil
-}
-
-// spill fills the regions in order, each with as many chunks as it
-// holds.
-func (p *Placer) spill(n int64, order []*Region) ([]Chunk, error) {
-	sizes := p.chunkSizes(n)
-	plan := make([]*Region, 0, len(sizes))
-	for _, r := range order {
-		if len(plan) == len(sizes) {
-			break
-		}
-		for room := r.Mem.FreeBytes(); len(plan) < len(sizes) && room >= sizes[len(plan)]; {
-			room -= sizes[len(plan)]
-			plan = append(plan, r)
-		}
-	}
-	if len(plan) == len(sizes) {
-		if chunks, err := p.grant(plan, sizes); err == nil {
-			return chunks, nil
-		}
-	}
-	return p.spillEach(n, order)
-}
-
-func (p *Placer) spillEach(n int64, order []*Region) ([]Chunk, error) {
-	var chunks []Chunk
-	remaining := n
-	for _, r := range order {
-		for remaining > 0 {
-			sz := min(p.stripe, remaining)
-			var off [1]int64
-			if err := r.Mem.Alloc(sz, off[:]); err != nil {
-				break
-			}
-			chunks = append(chunks, Chunk{Server: r.Server, Offset: off[0], Size: sz})
-			remaining -= sz
-		}
-		if remaining == 0 {
-			return chunks, nil
-		}
-	}
-	return chunks, fmt.Errorf("%w: %d bytes short placing %d", ErrNoSpace, remaining, n)
+		return plan
+	})
 }
 
 // placeStriped deals the chunks round-robin from where the last deal
 // stopped, skipping a region that is excluded or full.
 func (p *Placer) placeStriped(n int64) ([]Chunk, error) {
-	sizes := p.chunkSizes(n)
-	room := make([]int64, len(p.regions))
-	for i, r := range p.regions {
+	next := p.next
+	chunks, err := p.deal(n, p.regions, p.rooms(p.regions), func(room, sizes []int64) []int {
+		next = p.next
+		plan := make([]int, 0, len(sizes))
+		for failures := 0; len(plan) < len(sizes) && failures < len(room); {
+			i := next
+			next = (next + 1) % len(room)
+			if room[i] < sizes[len(plan)] {
+				failures++
+				continue
+			}
+			failures = 0
+			room[i] -= sizes[len(plan)]
+			plan = append(plan, i)
+		}
+		return plan
+	})
+	p.next = next
+	return chunks, err
+}
+
+// rooms reads each region's free bytes once, as 0 for an excluded one.
+func (p *Placer) rooms(regions []*Region) []int64 {
+	room := make([]int64, len(regions))
+	for i, r := range regions {
 		if p.usable(r) {
-			room[i] = r.Mem.FreeBytes()
+			room[i] = freeBytes(r)
 		}
 	}
-	start, next := p.next, p.next
-	plan := make([]*Region, 0, len(sizes))
-	for failures := 0; len(plan) < len(sizes); {
-		i, sz := next, sizes[len(plan)]
-		next = (next + 1) % len(p.regions)
-		if room[i] < sz {
-			if failures++; failures >= len(p.regions) {
-				p.next = next
-				var short int64
-				for _, sz := range sizes[len(plan):] {
-					short += sz
+	return room
+}
+
+// deal reserves n bytes in stripe-sized chunks, the last one short.
+// plan deals the chunks against a copy of room, the regions' free bytes
+// read once, and places chunk k on regions[plan[k]]; it places fewer
+// than all when the room runs out. grant then asks each region once for
+// every chunk the plan gave it. A region whose free bytes overstate
+// what it can grant — fragmentation, or an allocation that landed since
+// the reading — refuses: the grant is rolled back and the chunks are
+// dealt again with that region's room cut below what the plan gave it,
+// so it gets at least one chunk fewer. A failed deal holds nothing.
+func (p *Placer) deal(n int64, regions []*Region, room []int64, plan func(room, sizes []int64) []int) ([]Chunk, error) {
+	sizes := make([]int64, (n+p.stripe-1)/p.stripe)
+	for i := range sizes {
+		sizes[i] = min(p.stripe, n-int64(i)*p.stripe)
+	}
+	for {
+		at := plan(slices.Clone(room), sizes)
+		if len(at) < len(sizes) {
+			var short int64
+			for _, sz := range sizes[len(at):] {
+				short += sz
+			}
+			return nil, fmt.Errorf("%w: %d bytes short placing %d", ErrNoSpace, short, n)
+		}
+		chunks, refused := p.grant(regions, at, sizes)
+		if refused < 0 {
+			return chunks, nil
+		}
+		var planned int64
+		for k, i := range at {
+			if i == refused {
+				planned += sizes[k]
+			}
+		}
+		room[refused] = planned - 1
+	}
+}
+
+// grant reserves chunk k of the given sizes on regions[at[k]], with one
+// Alloc call per region and chunk size: all or none. It returns the
+// index of the region that refused, -1 when none did.
+func (p *Placer) grant(regions []*Region, at []int, sizes []int64) ([]Chunk, int) {
+	type group struct {
+		i    int
+		size int64
+		ks   []int
+	}
+	var groups []*group
+	for k, i := range at {
+		g := slices.IndexFunc(groups, func(g *group) bool { return g.i == i && g.size == sizes[k] })
+		if g < 0 {
+			g = len(groups)
+			groups = append(groups, &group{i: i, size: sizes[k]})
+		}
+		groups[g].ks = append(groups[g].ks, k)
+	}
+	chunks := make([]Chunk, len(at))
+	for gi, g := range groups {
+		r := regions[g.i]
+		offs := make([]int64, len(g.ks))
+		if r.Mem.Alloc(g.size, offs) != nil {
+			var granted []Chunk
+			for _, h := range groups[:gi] {
+				for _, k := range h.ks {
+					granted = append(granted, chunks[k])
 				}
-				return nil, fmt.Errorf("%w: %d bytes short placing %d", ErrNoSpace, short, n)
 			}
-			continue
+			p.rollback(granted)
+			return nil, g.i
 		}
-		failures = 0
-		room[i] -= sz
-		plan = append(plan, p.regions[i])
+		for j, k := range g.ks {
+			chunks[k] = Chunk{Server: r.Server, Offset: offs[j], Size: g.size}
+		}
 	}
-	if chunks, err := p.grant(plan, sizes); err == nil {
-		p.next = next
-		return chunks, nil
-	}
-	p.next = start
-	return p.placeStripedEach(n)
+	return chunks, -1
 }
 
-func (p *Placer) placeStripedEach(n int64) ([]Chunk, error) {
-	var chunks []Chunk
-	remaining := n
-	failures := 0
-	for remaining > 0 {
-		r := p.regions[p.next]
-		p.next = (p.next + 1) % len(p.regions)
-		sz := min(p.stripe, remaining)
-		var off [1]int64
-		if !p.usable(r) || r.Mem.Alloc(sz, off[:]) != nil {
-			failures++
-			if failures >= len(p.regions) {
-				return chunks, fmt.Errorf("%w: %d bytes short placing %d", ErrNoSpace, remaining, n)
-			}
-			continue
-		}
-		failures = 0
-		chunks = append(chunks, Chunk{Server: r.Server, Offset: off[0], Size: sz})
-		remaining -= sz
-	}
-	return chunks, nil
-}
-
-// rollback gives back a partial placement, one Free call per region.
+// rollback gives back a refused grant's chunks, one Free call per region.
 func (p *Placer) rollback(chunks []Chunk) {
 	for _, r := range p.regions {
 		var offs []int64

@@ -33,6 +33,10 @@ func (r extentsRegion) Free(offs ...int64) error {
 	return nil
 }
 
+func (r extentsRegion) Usage() (shared, inUse int64, err error) {
+	return r.InUse() + r.FreeBytes(), r.InUse(), nil
+}
+
 func testRegions(t *testing.T, n int, size int64) []*Region {
 	t.Helper()
 	var rs []*Region
@@ -286,8 +290,8 @@ func TestStripedPlaceAsksEachRegionOnce(t *testing.T) {
 
 // TestStripedPlaceFallsBackWhenFreeBytesOverstate: region 0's free bytes
 // would hold a chunk but no free extent does, so the planned grant is
-// refused and rolled back, and the chunks dealt one Alloc at a time land
-// on region 1, leaving region 0's books as they were.
+// refused and rolled back, and the chunks dealt again with region 0's
+// room cut land on region 1, leaving region 0's books as they were.
 func TestStripedPlaceFallsBackWhenFreeBytesOverstate(t *testing.T) {
 	rs := testRegions(t, 2, 256)
 	frag := rs[0].Mem.(extentsRegion).Extents

@@ -72,9 +72,6 @@ type Site struct {
 	Deferred bool
 	// Go marks a spawned call: it does not run on the caller's stack.
 	Go bool
-	// InLit marks a site inside a function literal that is not invoked
-	// where it is written: it may run at any time, or never.
-	InLit bool
 }
 
 // Graph is the whole-program call graph.
@@ -160,7 +157,7 @@ func Build(units []*analysis.Unit) *Graph {
 					continue
 				}
 				c := &collector{unit: u, graph: g, concrete: concrete}
-				c.walk(d.Body, false, false, false)
+				c.walk(d.Body, false, false)
 				node.Calls = c.sites
 			}
 		}
@@ -176,24 +173,21 @@ type collector struct {
 	sites    []Site
 }
 
-// walk descends n, tracking defer/go/literal context.
-func (c *collector) walk(n ast.Node, deferred, goStmt, inLit bool) {
+// walk descends n, tracking defer/go context.
+func (c *collector) walk(n ast.Node, deferred, goStmt bool) {
 	if n == nil {
 		return
 	}
 	ast.Inspect(n, func(child ast.Node) bool {
 		switch s := child.(type) {
 		case *ast.DeferStmt:
-			c.call(s.Call, true, goStmt, inLit)
+			c.call(s.Call, true, goStmt)
 			return false
 		case *ast.GoStmt:
-			c.call(s.Call, deferred, true, inLit)
-			return false
-		case *ast.FuncLit:
-			c.walk(s.Body, deferred, goStmt, true)
+			c.call(s.Call, deferred, true)
 			return false
 		case *ast.CallExpr:
-			c.call(s, deferred, goStmt, inLit)
+			c.call(s, deferred, goStmt)
 			return false
 		}
 		return true
@@ -201,14 +195,14 @@ func (c *collector) walk(n ast.Node, deferred, goStmt, inLit bool) {
 }
 
 // call records one call expression (and descends into its fun/args).
-func (c *collector) call(call *ast.CallExpr, deferred, goStmt, inLit bool) {
+func (c *collector) call(call *ast.CallExpr, deferred, goStmt bool) {
 	// A deferred or spawned literal runs as part of this statement's
 	// dynamic extent; its body keeps the defer/go flags. A literal called
 	// on the spot is plain code.
 	if lit, ok := ast.Unparen(call.Fun).(*ast.FuncLit); ok {
-		c.walk(lit.Body, deferred, goStmt, inLit)
+		c.walk(lit.Body, deferred, goStmt)
 		for _, a := range call.Args {
-			c.walk(a, deferred, goStmt, inLit)
+			c.walk(a, deferred, goStmt)
 		}
 		return
 	}
@@ -218,12 +212,11 @@ func (c *collector) call(call *ast.CallExpr, deferred, goStmt, inLit bool) {
 		site.Call = call
 		site.Deferred = deferred
 		site.Go = goStmt
-		site.InLit = inLit
 		c.sites = append(c.sites, site)
 	}
-	c.walk(call.Fun, deferred, goStmt, inLit)
+	c.walk(call.Fun, deferred, goStmt)
 	for _, a := range call.Args {
-		c.walk(a, deferred, goStmt, inLit)
+		c.walk(a, deferred, goStmt)
 	}
 }
 

@@ -38,12 +38,17 @@
 // from its acquire to the first matching inline release, or to the end
 // of the body when released by defer — including a release inside a
 // deferred closure, such as the loop that drops every stripe a sorted
-// multi-lock loop took. Deferred, go-spawned, and closure-captured calls
-// are not attributed to the held region — a closure built under a lock
-// may run after release (the flush path does exactly that), so charging
-// it would make the clean tree unachievable; the known cost is that a
-// closure invoked synchronously under the lock escapes these checks
-// (the dynamic chaos harness still covers it).
+// multi-lock loop took. A release in an early-exit branch (an if, else
+// or case body ending in a return or a jump) ends the region only within
+// that branch: the path that falls past it still holds the lock.
+// Deferred and go-spawned calls are not attributed to the held region. A
+// function literal not invoked on the spot is a region of its own: the
+// locks it takes are charged to the calls it makes, the locks held where
+// it is written are not — it may run after their release (the flush
+// path does exactly that). The known cost: a call through a function
+// value carries no facts, so a closure called under a lock escapes these
+// checks; the pool reaches its lenders by method call, never through a
+// function value, so that every lender call is seen.
 package lockorder
 
 import (
@@ -117,10 +122,11 @@ var innermostWhat = []struct {
 	{summary.CallsRPC, "a call that transitively reaches package rpc"},
 }
 
-// lenderCalls is rule 1's one declared exception: the data path's lender
-// calls under a stripe lock, which reach rpc when the lender is remote.
-// Each is handed the op's context, so its round trip is bounded by the
-// op's deadline. Only the stripe lock is excused: the same call under a
+// lenderCalls is rule 1's one declared exception: the lender calls under
+// a stripe lock, which reach rpc when the lender is remote. Each is
+// handed a context that bounds its round trip: the op's, on the data
+// path and in the recovery it runs, or a mover's moveCtx (moveTimeout),
+// in a move's pre-copy and commit window. Only the stripe lock is excused: the same call under a
 // cache-shard or directory lock is still reported, and so is any
 // rpc-reaching call under the pending-table lock or a proc pin (rule 1b).
 // An entry is the function holding the stripe lock and the callee it
@@ -135,6 +141,9 @@ var lenderCalls = []struct{ holder, callee string }{
 	{"(*core.Pool).vectoredOnce", "(*core.Pool).readLocked"},
 	{"(*core.Pool).vectoredOnce", "(*core.Pool).writeSliceLocked"},
 	{"(*core.Pool).vectoredOnce", "(core.Lender).WriteAt"},
+	{"(*core.Pool).readSurvivingReplica", "(core.Lender).ReadAt"},
+	{"(*core.Pool).moveBlockCommitted", "(*core.Pool).readBlockLocked"},
+	{"(*core.Pool).moveBlockCommitted", "(core.Lender).WriteAt"},
 }
 
 // rpcHolder names the lock rule 1 charges a call site of function fn
@@ -168,7 +177,27 @@ func rpcHolder(held map[summary.LockClass]int, fn string, c *callgraph.Site) (su
 // collecting lock-graph edges.
 func scanHeldRegions(p *summary.Program, id string, report func(analysis.Diagnostic), edges map[[2]summary.LockClass]lockEdge) {
 	fi := p.Fns[id]
-	held := map[summary.LockClass]int{}
+	// held counts the locks held per lexical region: the body (0) and
+	// each function literal, keyed by its position.
+	held := map[token.Pos]map[summary.LockClass]int{}
+	heldIn := func(lit token.Pos) map[summary.LockClass]int {
+		if held[lit] == nil {
+			held[lit] = map[summary.LockClass]int{}
+		}
+		return held[lit]
+	}
+	// restores are the early-exit releases still to be undone.
+	var restores []summary.LockOp
+	restore := func(before token.Pos) {
+		for i := 0; i < len(restores); {
+			if op := restores[i]; op.Until < before {
+				heldIn(op.Lit)[op.Class]++
+				restores = append(restores[:i], restores[i+1:]...)
+				continue
+			}
+			i++
+		}
+	}
 	li := 0
 	for _, s := range fi.Sites {
 		// Apply lock operations strictly before this site; a deferred
@@ -176,15 +205,24 @@ func scanHeldRegions(p *summary.Program, id string, report func(analysis.Diagnos
 		for li < len(fi.Locks) && fi.Locks[li].Pos < s.Pos {
 			op := fi.Locks[li]
 			li++
-			if op.Deferred {
-				continue
-			}
-			if op.Acquire {
-				held[op.Class]++
-			} else if held[op.Class] > 0 {
-				held[op.Class]--
+			restore(op.Pos)
+			h := heldIn(op.Lit)
+			switch {
+			case op.Deferred:
+			case op.Acquire:
+				h[op.Class]++
+			case h[op.Class] > 0:
+				h[op.Class]--
+				if op.Until != 0 {
+					restores = append(restores, op)
+				}
 			}
 		}
+		restore(s.Pos)
+		if s.Call != nil && s.Call.Deferred {
+			continue // runs at exit, outside the lexical held region
+		}
+		held := heldIn(s.Lit)
 		anyHeld := false
 		for _, c := range lockClasses {
 			if held[c] > 0 {
@@ -193,9 +231,6 @@ func scanHeldRegions(p *summary.Program, id string, report func(analysis.Diagnos
 		}
 		if !anyHeld {
 			continue
-		}
-		if s.Call != nil && (s.Call.Deferred || s.Call.InLit) {
-			continue // runs outside the lexical held region (see package comment)
 		}
 		facts := p.SiteFacts(s)
 		// Rule 1: nothing under a stripe, cache-shard or directory lock

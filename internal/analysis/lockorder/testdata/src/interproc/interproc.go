@@ -69,3 +69,31 @@ func (p *pool) snapshotThenSend(i int, buf []byte) {
 	_ = n
 	p.fetch()
 }
+
+// readChecked releases on an early return: past that branch the stripe
+// is still held, so the fetch below it is reported.
+func (p *pool) readChecked(i int, stale bool) {
+	p.stripes[i].Lock()
+	if stale {
+		p.stripes[i].Unlock()
+		return
+	}
+	p.fetch() // want "stripe lock held across a call that transitively reaches package rpc"
+	p.stripes[i].Unlock()
+}
+
+// commitLater builds two closures under no lock. The first takes the
+// stripe itself, so its fetch is reported; the second is built under
+// the stripe but called after the release, so its fetch is not.
+func (p *pool) commitLater(i int) func() {
+	commit := func() {
+		p.stripes[i].Lock()
+		p.fetch() // want "stripe lock held across a call that transitively reaches package rpc"
+		p.stripes[i].Unlock()
+	}
+	p.stripes[i].Lock()
+	later := func() { p.fetch() }
+	p.stripes[i].Unlock()
+	commit()
+	return later
+}

@@ -147,14 +147,22 @@ type Site struct {
 	What  string // human description of the local facts
 	// Call is the resolved call site, nil for purely local operations.
 	Call *callgraph.Site
+	// Lit is the position of the function literal the site is written
+	// in, when that literal is not invoked on the spot (0 otherwise).
+	Lit token.Pos
 }
 
-// LockOp is one acquisition or release of a classified lock.
+// LockOp is one acquisition or release of a classified lock. Lit is
+// Site.Lit's. Until, for a release that is a statement of an early-exit
+// branch (an if, else or case body ending in a return or a jump), is the
+// branch's end: past it, on the path that did not take the branch, the
+// lock is still held.
 type LockOp struct {
-	Pos      token.Pos
-	Class    LockClass
-	Acquire  bool
-	Deferred bool
+	Pos        token.Pos
+	Class      LockClass
+	Acquire    bool
+	Deferred   bool
+	Lit, Until token.Pos
 }
 
 // FnInfo is the per-function summary input: sites and lock operations
@@ -326,21 +334,59 @@ func scanFunc(n *callgraph.Node) *FnInfo {
 	for i := range n.Calls {
 		calls[n.Calls[i].Pos] = &n.Calls[i]
 	}
-	s := &scanner{unit: n.Unit, calls: calls, fi: fi}
+	s := &scanner{unit: n.Unit, calls: calls, fi: fi, exits: earlyExits(n.Decl.Body)}
 	s.walk(n.Decl.Body, false)
 	sort.SliceStable(fi.Sites, func(i, j int) bool { return fi.Sites[i].Pos < fi.Sites[j].Pos })
 	sort.SliceStable(fi.Locks, func(i, j int) bool { return fi.Locks[i].Pos < fi.Locks[j].Pos })
 	return fi
 }
 
+// earlyExits maps each call that is a statement of an early-exit branch
+// to the branch's end (LockOp.Until).
+func earlyExits(body *ast.BlockStmt) map[token.Pos]token.Pos {
+	exits := map[token.Pos]token.Pos{}
+	mark := func(list []ast.Stmt, end token.Pos) {
+		if len(list) == 0 {
+			return
+		}
+		switch list[len(list)-1].(type) {
+		case *ast.ReturnStmt, *ast.BranchStmt:
+		default:
+			return
+		}
+		for _, st := range list {
+			if es, ok := st.(*ast.ExprStmt); ok {
+				exits[es.X.Pos()] = end
+			}
+		}
+	}
+	ast.Inspect(body, func(n ast.Node) bool {
+		switch st := n.(type) {
+		case *ast.IfStmt:
+			mark(st.Body.List, st.Body.End())
+			if e, ok := st.Else.(*ast.BlockStmt); ok {
+				mark(e.List, e.End())
+			}
+		case *ast.CaseClause:
+			mark(st.Body, st.End())
+		case *ast.CommClause:
+			mark(st.Body, st.End())
+		}
+		return true
+	})
+	return exits
+}
+
 type scanner struct {
 	unit  *analysis.Unit
 	calls map[token.Pos]*callgraph.Site
 	fi    *FnInfo
+	exits map[token.Pos]token.Pos
+	lit   token.Pos // the literal being walked (Site.Lit)
 }
 
 func (s *scanner) add(pos token.Pos, f Fact, what string) {
-	s.fi.Sites = append(s.fi.Sites, Site{Pos: pos, Local: f, What: what})
+	s.fi.Sites = append(s.fi.Sites, Site{Pos: pos, Local: f, What: what, Lit: s.lit})
 }
 
 // walk descends n collecting fact sites; deferred tracks whether the
@@ -363,7 +409,10 @@ func (s *scanner) walk(n ast.Node, deferred bool) {
 		case *ast.FuncLit:
 			// A literal not invoked on the spot escapes as a value; its
 			// body is attributed here (it may run here).
+			outer := s.lit
+			s.lit = e.Pos()
 			s.walk(e.Body, false)
+			s.lit = outer
 			return false
 		case *ast.SendStmt:
 			s.add(e.Pos(), BlocksChan, "channel send")
@@ -415,7 +464,10 @@ func (s *scanner) classify(call *ast.CallExpr, deferred bool) {
 		}
 	}
 	if op, ok := s.lockOp(call); ok {
-		op.Deferred = deferred
+		op.Deferred, op.Lit = deferred, s.lit
+		if !op.Acquire {
+			op.Until = s.exits[call.Pos()]
+		}
 		s.fi.Locks = append(s.fi.Locks, op)
 		if op.Acquire {
 			s.add(call.Pos(), BlocksMutex|op.Class.AcqFact(), "acquires the "+op.Class.String()+" lock")
@@ -427,13 +479,17 @@ func (s *scanner) classify(call *ast.CallExpr, deferred bool) {
 		return
 	}
 	if pin, ok := pinOp(site.CalleeID); ok {
-		s.fi.Locks = append(s.fi.Locks, LockOp{Pos: call.Pos(), Class: LockPin, Acquire: pin, Deferred: deferred})
+		op := LockOp{Pos: call.Pos(), Class: LockPin, Acquire: pin, Deferred: deferred, Lit: s.lit}
+		if !pin {
+			op.Until = s.exits[call.Pos()]
+		}
+		s.fi.Locks = append(s.fi.Locks, op)
 		if pin {
 			s.add(call.Pos(), AcqPin, "takes a proc pin ("+callgraph.ShortName(site.CalleeID)+")")
 		}
 		return
 	}
-	st := Site{Pos: call.Pos(), Call: site}
+	st := Site{Pos: call.Pos(), Call: site, Lit: s.lit}
 	if isRPCPath(site.CalleePkg) {
 		st.Local |= CallsRPC
 		st.What = "call into package rpc"

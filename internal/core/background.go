@@ -188,7 +188,7 @@ func (p *Pool) SizeOnce(loads []ServerLoad, requiredPool int64) (ResizeReport, e
 	}
 	rep := ResizeReport{Value: res.Value, SharedBytes: make([]int64, len(loads))}
 	for i := range loads {
-		rep.SharedBytes[i] = p.nodes[i].SharedBytes()
+		rep.SharedBytes[i] = sharedBytes(p.nodes[i])
 	}
 	// Grow first so shrinking servers have somewhere to evacuate, then
 	// shrink with compaction. A resize that fails keeps the current size.

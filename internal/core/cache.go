@@ -142,7 +142,7 @@ func (p *Pool) initCache() error {
 	for i, node := range p.nodes {
 		capBytes := cc.CapacityBytes
 		if capBytes == 0 {
-			private := p.cfg.Servers[i].Capacity - node.SharedBytes()
+			private := p.cfg.Servers[i].Capacity - sharedBytes(node)
 			capBytes = int64(cacheFraction * float64(private))
 			if capBytes == 0 {
 				// No private carve-out to borrow from: a small default
@@ -344,7 +344,7 @@ func (p *Pool) wcWriteSlice(ctx context.Context, sc telemetry.SpanContext, from 
 	for attempt := 0; ; attempt++ {
 		status := p.wcWriteSliceOnce(sc, from, s, la, part, shouldFlush)
 		if status != accessWCConflict {
-			_, err := p.settle(sc, status, s, nil, 0, 0)
+			_, err := p.settle(ctx, sc, status, s, nil, 0, 0)
 			return err
 		}
 		if err := p.flushWC(); err != nil {

@@ -564,7 +564,7 @@ func runRow(t *testing.T, row *chaosRow, seed int64, ops []opDesc, keep []int, c
 			prot := row.prots[op.a%uint64(len(row.prots))]
 			free := int64(0)
 			for _, s := range servers(false) {
-				free += p.nodes[s].FreeBytes() / SliceSize
+				free += (sharedBytes(p.nodes[s]) - inUse(p.nodes[s])) / SliceSize
 			}
 			n := free + 1
 			if prot.Scheme != failure.None {

@@ -47,11 +47,9 @@ type Lender interface {
 	// Resize moves the private/shared boundary; a shrink over a granted
 	// extent fails, wrapping alloc.ErrNoSpace.
 	Resize(sharedBytes int64) error
-	// SharedBytes, FreeBytes and InUse report the shared region's size,
-	// its ungranted bytes and its granted bytes.
-	SharedBytes() int64
-	FreeBytes() int64
-	InUse() int64
+	// Usage reports the shared region's size and its granted bytes; over
+	// the wire it is one round trip, and its failure is the call's.
+	Usage() (shared, inUse int64, err error)
 }
 
 // local is an in-process lender, a memnode.Node. Its copy cannot block,
@@ -61,6 +59,20 @@ type local struct{ *memnode.Node }
 func (l local) ReadAt(_ context.Context, p []byte, off int64) error { return l.Node.ReadAt(p, off) }
 
 func (l local) WriteAt(_ context.Context, p []byte, off int64) error { return l.Node.WriteAt(p, off) }
+
+func (l local) Usage() (shared, inUse int64, err error) { return l.SharedBytes(), l.InUse(), nil }
+
+// sharedBytes and inUse read one side of a lender's Usage, 0 when it
+// cannot say.
+func sharedBytes(l Lender) int64 {
+	shared, _, _ := l.Usage()
+	return shared
+}
+
+func inUse(l Lender) int64 {
+	_, n, _ := l.Usage()
+	return n
+}
 
 // allocSlice asks l for one slice-sized extent.
 func allocSlice(l Lender) (int64, error) {
@@ -106,6 +118,11 @@ func (r *remote) Alloc(size int64, offs []int64) error {
 func (r *remote) Free(offs ...int64) error { return r.check(r.Lender.Free(offs...)) }
 
 func (r *remote) Resize(sharedBytes int64) error { return r.check(r.Lender.Resize(sharedBytes)) }
+
+func (r *remote) Usage() (shared, inUse int64, err error) {
+	shared, inUse, err = r.Lender.Usage()
+	return shared, inUse, r.check(err)
+}
 
 // settleLosses finishes the crash of every server a remote call lost
 // since the last settle, and reports whether there was one. Callers hold

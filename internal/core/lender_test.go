@@ -24,13 +24,11 @@ const (
 	verbAlloc
 	verbFree
 	verbResize
-	verbSharedBytes
-	verbFreeBytes
-	verbInUse
+	verbUsage
 	numVerbs
 )
 
-var verbNames = [numVerbs]string{"ReadAt", "WriteAt", "Alloc", "Free", "Resize", "SharedBytes", "FreeBytes", "InUse"}
+var verbNames = [numVerbs]string{"ReadAt", "WriteAt", "Alloc", "Free", "Resize", "Usage"}
 
 // countingLender stands between the pool and one lender and counts, per
 // verb, the calls that cross the seam and the bytes they carry: the
@@ -89,19 +87,9 @@ func (c *countingLender) Resize(sharedBytes int64) error {
 	return c.Lender.Resize(sharedBytes)
 }
 
-func (c *countingLender) SharedBytes() int64 {
-	c.count(verbSharedBytes, 0)
-	return c.Lender.SharedBytes()
-}
-
-func (c *countingLender) FreeBytes() int64 {
-	c.count(verbFreeBytes, 0)
-	return c.Lender.FreeBytes()
-}
-
-func (c *countingLender) InUse() int64 {
-	c.count(verbInUse, 0)
-	return c.Lender.InUse()
+func (c *countingLender) Usage() (shared, inUse int64, err error) {
+	c.count(verbUsage, 0)
+	return c.Lender.Usage()
 }
 
 // faultyLender stands between the pool and one lender and plays a slow
@@ -182,19 +170,9 @@ func (f *faultyLender) Resize(sharedBytes int64) error {
 	return f.Lender.Resize(sharedBytes)
 }
 
-func (f *faultyLender) SharedBytes() int64 {
-	_ = f.enter(verbSharedBytes)
-	return f.Lender.SharedBytes()
-}
-
-func (f *faultyLender) FreeBytes() int64 {
-	_ = f.enter(verbFreeBytes)
-	return f.Lender.FreeBytes()
-}
-
-func (f *faultyLender) InUse() int64 {
-	_ = f.enter(verbInUse)
-	return f.Lender.InUse()
+func (f *faultyLender) Usage() (shared, inUse int64, err error) {
+	_ = f.enter(verbUsage)
+	return f.Lender.Usage()
 }
 
 // faultyPool builds a pool from cfg whose every lender is a faultyLender
@@ -329,7 +307,16 @@ func TestLenderCallsPerOp(t *testing.T) {
 			// Each server's free bytes read once (the requester's for the
 			// spill plan, the others to order them), and one grant of all
 			// four slices.
-			want: lenderCalls{"FreeBytes": {4, 0}, "Alloc": {1, 4 * SliceSize}},
+			want: lenderCalls{"Usage": {4, 0}, "Alloc": {1, 4 * SliceSize}},
+		},
+		{
+			name: "replicate-2 Alloc of 4 slices",
+			setup: func(t *testing.T, p *Pool) func() error {
+				return func() error { _, err := p.AllocProtected(4*SliceSize, 0, replicate2); return err }
+			},
+			// The primaries as above; then every server's free bytes read
+			// once more, for all four replicas, and one Alloc per replica.
+			want: lenderCalls{"Usage": {8, 0}, "Alloc": {5, 8 * SliceSize}},
 		},
 		{
 			name: "Release of 4 slices",

@@ -481,7 +481,7 @@ func (p *Pool) SharedBytes(s addr.ServerID) int64 {
 	if p.checkServer(s) != nil {
 		return 0
 	}
-	return p.nodes[s].SharedBytes()
+	return sharedBytes(p.nodes[s])
 }
 
 // FreePoolBytes reports unallocated pool capacity.
@@ -564,6 +564,9 @@ func (p *Pool) AllocProtected(size int64, from addr.ServerID, prot failure.Polic
 	if err := prot.Validate(); err != nil {
 		return nil, err
 	}
+	// A remote call of the placement may lose its server; its crash is
+	// finished once p.mu is dropped.
+	defer p.settleLosses()
 	rounded := (size + SliceSize - 1) / SliceSize * SliceSize
 	var chunks []alloc.Chunk
 	var err error
@@ -830,7 +833,7 @@ const maxRecoverAttempts = 3
 // up to bound attempts — rebuilds the slice and asks for a retry. Failure
 // classification happens only here, after the stripe lock is dropped,
 // keeping the structural → stripe lock order acyclic.
-func (p *Pool) settle(sc telemetry.SpanContext, status accessStatus, s uint64, err error, attempt, bound int) (retry bool, _ error) {
+func (p *Pool) settle(ctx context.Context, sc telemetry.SpanContext, status accessStatus, s uint64, err error, attempt, bound int) (retry bool, _ error) {
 	switch status {
 	case accessOK:
 		return false, nil
@@ -842,7 +845,7 @@ func (p *Pool) settle(sc telemetry.SpanContext, status accessStatus, s uint64, e
 		if attempt >= bound {
 			return false, fmt.Errorf("%w: slice %d not recoverable", ErrServerDead, s)
 		}
-		if err := p.recoverSlice(sc, s); err != nil {
+		if err := p.recoverSlice(ctx, sc, s); err != nil {
 			return false, err
 		}
 		return true, nil
@@ -889,7 +892,7 @@ func (p *Pool) accessSlice(ctx context.Context, sc telemetry.SpanContext, from a
 		var ta tailAccess
 		status, err := p.accessSliceOnce(ctx, sc, from, s, sliceOff, part, op, &ta)
 		p.feedBreaker(&ta)
-		if retry, err := p.settle(sc, status, s, err, attempt, maxRecoverAttempts); !retry {
+		if retry, err := p.settle(ctx, sc, status, s, err, attempt, maxRecoverAttempts); !retry {
 			return err
 		}
 	}
@@ -1085,19 +1088,20 @@ func (p *Pool) missingSliceError(s uint64) error {
 // Recovery is always traced when tracing is on — as a child of the
 // failing op's span when that op was sampled, as a fresh root trace
 // otherwise — because a crashed-owner detour is exactly the kind of
-// tail event the ring exists to explain.
-func (p *Pool) recoverSlice(sc telemetry.SpanContext, s uint64) error {
+// tail event the ring exists to explain. The rebuild's lender calls run
+// under the op's ctx.
+func (p *Pool) recoverSlice(ctx context.Context, sc telemetry.SpanContext, s uint64) error {
 	o := p.obs
 	if o == nil {
-		return p.recoverSliceInner(s)
+		return p.recoverSliceInner(ctx, s)
 	}
 	sp := o.tracer.Begin(sc, "pool.recover")
-	err := p.recoverSliceInner(s)
+	err := p.recoverSliceInner(ctx, s)
 	p.endChild(&sp, 0, err)
 	return err
 }
 
-func (p *Pool) recoverSliceInner(s uint64) error {
+func (p *Pool) recoverSliceInner(ctx context.Context, s uint64) error {
 	for attempt := 0; attempt < maxRecoverAttempts; attempt++ {
 		back := p.lookupSlice(s)
 		if back == nil {
@@ -1121,7 +1125,7 @@ func (p *Pool) recoverSliceInner(s uint64) error {
 			back.commit.Unlock()
 			continue
 		}
-		err := p.repairSliceCommitted(s, back)
+		err := p.repairSliceCommitted(ctx, s, back)
 		back.commit.Unlock()
 		return err
 	}

@@ -204,7 +204,7 @@ func TestMigrationPreservesAddressesAndData(t *testing.T) {
 	if p.SharedBytes(0) != 16*SliceSize {
 		t.Fatal("shared size changed")
 	}
-	if got := p.nodes[0].InUse(); got != 0 {
+	if got := inUse(p.nodes[0]); got != 0 {
 		t.Fatalf("source region still holds %d bytes", got)
 	}
 }

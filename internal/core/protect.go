@@ -50,60 +50,54 @@ func (p *Pool) protectLocked(b *Buffer, chunks []alloc.Chunk, from addr.ServerID
 	case failure.None:
 		return nil
 	case failure.Replicate:
-		return p.setupReplicasLocked(b, chunks)
+		return p.setupReplicasLocked(b, chunks, p.freeBytesLocked())
 	case failure.ErasureCode:
-		return p.setupErasureLocked(b, chunks)
+		return p.setupErasureLocked(b, chunks, p.freeBytesLocked())
 	default:
 		return fmt.Errorf("core: unknown protection scheme %v", b.prot.Scheme)
 	}
 }
 
+// freeBytesLocked reads every live server's free bytes once, for one
+// placement's allocAvoiding calls (0 for a dead server); over the wire
+// each reading is a round trip.
+func (p *Pool) freeBytesLocked() []int64 {
+	free := make([]int64, len(p.nodes))
+	for i, n := range p.nodes {
+		if shared, used, err := n.Usage(); err == nil && !p.isDead(addr.ServerID(i)) {
+			free[i] = shared - used
+		}
+	}
+	return free
+}
+
 // allocAvoiding allocates one slice of backing on a live server different
-// from every server in avoid, preferring the emptiest region. A best-
+// from every server in avoid, preferring the emptiest by free, the
+// placement's freeBytesLocked reading, which it keeps current. A server
+// whose reading overstated what it could grant is read as full. A best-
 // effort fallback onto an avoid server is used only when no other server
 // has room.
-func (p *Pool) allocAvoiding(avoid map[addr.ServerID]bool) (addr.ServerID, int64, error) {
-	type cand struct {
-		s    addr.ServerID
-		free int64
-	}
-	var primary, fallback []cand
-	for i := range p.nodes {
-		s := addr.ServerID(i)
-		if p.isDead(s) {
-			continue
-		}
-		c := cand{s: s, free: p.nodes[i].FreeBytes()}
-		if avoid[s] {
-			fallback = append(fallback, c)
-		} else {
-			primary = append(primary, c)
-		}
-	}
-	try := func(cs []cand) (addr.ServerID, int64, bool) {
-		best := -1
-		for i, c := range cs {
-			if c.free < SliceSize {
+func (p *Pool) allocAvoiding(avoid map[addr.ServerID]bool, free []int64) (addr.ServerID, int64, error) {
+	for _, fallback := range []bool{false, true} {
+		for {
+			best := -1
+			for i, f := range free {
+				s := addr.ServerID(i)
+				if avoid[s] == fallback && f >= SliceSize && !p.isDead(s) && (best < 0 || f > free[best]) {
+					best = i
+				}
+			}
+			if best < 0 {
+				break
+			}
+			off, err := allocSlice(p.nodes[best])
+			if err != nil {
+				free[best] = 0
 				continue
 			}
-			if best < 0 || c.free > cs[best].free {
-				best = i
-			}
+			free[best] -= SliceSize
+			return addr.ServerID(best), off, nil
 		}
-		if best < 0 {
-			return 0, 0, false
-		}
-		off, err := allocSlice(p.nodes[cs[best].s])
-		if err != nil {
-			return 0, 0, false
-		}
-		return cs[best].s, off, true
-	}
-	if s, off, ok := try(primary); ok {
-		return s, off, nil
-	}
-	if s, off, ok := try(fallback); ok {
-		return s, off, nil
 	}
 	return 0, 0, fmt.Errorf("core: protection backing: %w", alloc.ErrNoSpace)
 }
@@ -113,7 +107,7 @@ func (p *Pool) allocAvoiding(avoid map[addr.ServerID]bool) (addr.ServerID, int64
 // so when placement runs out, teardownLocked frees exactly what was
 // reserved: a pre-sized row's unfilled slots would be zero Chunks naming
 // server 0 offset 0, somebody else's extent.
-func (p *Pool) setupReplicasLocked(b *Buffer, chunks []alloc.Chunk) error {
+func (p *Pool) setupReplicasLocked(b *Buffer, chunks []alloc.Chunk, free []int64) error {
 	copies := b.prot.Copies - 1 // primary counts as the first copy
 	for c := 0; c < copies; c++ {
 		b.copies = append(b.copies, make([]alloc.Chunk, 0, len(chunks)))
@@ -122,7 +116,7 @@ func (p *Pool) setupReplicasLocked(b *Buffer, chunks []alloc.Chunk) error {
 			for prev := 0; prev < c; prev++ {
 				avoid[b.copies[prev][i].Server] = true
 			}
-			s, off, err := p.allocAvoiding(avoid)
+			s, off, err := p.allocAvoiding(avoid, free)
 			if err != nil {
 				return err
 			}
@@ -132,7 +126,7 @@ func (p *Pool) setupReplicasLocked(b *Buffer, chunks []alloc.Chunk) error {
 	return nil
 }
 
-func (p *Pool) setupErasureLocked(b *Buffer, chunks []alloc.Chunk) error {
+func (p *Pool) setupErasureLocked(b *Buffer, chunks []alloc.Chunk, free []int64) error {
 	rs, err := failure.NewRS(b.prot.K, b.prot.M)
 	if err != nil {
 		return err
@@ -150,7 +144,7 @@ func (p *Pool) setupErasureLocked(b *Buffer, chunks []alloc.Chunk) error {
 			avoid[chunks[i].Server] = true
 		}
 		for m := 0; m < b.prot.M; m++ {
-			s, off, err := p.allocAvoiding(avoid)
+			s, off, err := p.allocAvoiding(avoid, free)
 			if err != nil {
 				return err
 			}

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sort"
 	"sync"
+	"time"
 
 	"github.com/lmp-project/lmp/internal/addr"
 	"github.com/lmp-project/lmp/internal/alloc"
@@ -39,6 +41,47 @@ import (
 // Lock order: commit-window → structural (p.mu) → stripe → ec.mu.
 // Nothing acquires a commit-window lock while holding any of the inner
 // three.
+//
+// Every lender call here carries a context with a deadline: a rebuild
+// the foreground recovers runs under the op's context, and a background
+// move or repair under a moveCtx. A stalled remote lender then fails the
+// move, which frees its reservation, instead of holding the slice's
+// commit lock — or, in a commit window, its stripe and p.mu — for good.
+
+// moveTimeout bounds one background move or rebuild over remote lenders;
+// an in-process lender ignores it.
+const moveTimeout = 10 * time.Second
+
+// moveCtx is the context of one background move or rebuild: a deadline
+// moveTimeout out, and nothing else. A mover acts for the pool, not for
+// a caller, so there is no caller's context to derive it from.
+type moveCtx struct {
+	deadline time.Time
+	done     chan struct{}
+	timer    *time.Timer
+}
+
+func newMoveCtx() *moveCtx {
+	c := &moveCtx{deadline: time.Now().Add(moveTimeout), done: make(chan struct{})}
+	c.timer = time.AfterFunc(moveTimeout, func() { close(c.done) })
+	return c
+}
+
+// stop releases the timer of a move that ended in time.
+func (c *moveCtx) stop() { c.timer.Stop() }
+
+func (c *moveCtx) Deadline() (time.Time, bool) { return c.deadline, true }
+func (c *moveCtx) Done() <-chan struct{}       { return c.done }
+func (c *moveCtx) Value(any) any               { return nil }
+
+func (c *moveCtx) Err() error {
+	select {
+	case <-c.done:
+		return context.DeadlineExceeded
+	default:
+		return nil
+	}
+}
 
 // RepairConfig tunes the repair/migration engine (see DESIGN.md
 // "Parallel recovery and live migration").
@@ -240,7 +283,7 @@ func (p *Pool) reserveEvacuatedLocked(e evacuation, avoid map[addr.ServerID]bool
 		}
 	}
 	avoid[e.srv] = true
-	srv, off, err := p.allocAvoiding(avoid)
+	srv, off, err := p.allocAvoiding(avoid, p.freeBytesLocked())
 	if err == nil && srv == e.srv {
 		// allocAvoiding's last-resort fallback landed back in the region
 		// being vacated, necessarily at or above e.from.
@@ -331,9 +374,11 @@ func (p *Pool) runRepairPhase(n, workers int, run func(i int) error) (done int, 
 // commit-window lock.
 func (p *Pool) repairPrimary(sc telemetry.SpanContext, it repairItem) error {
 	sp, traced := p.beginChild(sc, "pool.repair.slice")
+	ctx := newMoveCtx()
 	it.back.commit.Lock()
-	err := p.repairSliceCommitted(it.slice, it.back)
+	err := p.repairSliceCommitted(ctx, it.slice, it.back)
 	it.back.commit.Unlock()
+	ctx.stop()
 	if traced {
 		p.endChild(&sp, int(SliceSize), err)
 	}
@@ -366,10 +411,10 @@ func (p *Pool) rehomeProtection(sc telemetry.SpanContext, e evacuation, it protI
 // slice's surviving replica bytes are frozen for the duration. Shard
 // reads, reconstruction, and the bulk write all run with no pool lock
 // held; only the plan and the final rebind take p.mu (plus the stripe
-// lock for the rebind).
+// lock for the rebind). ctx bounds every lender call.
 //
 //lmp:commitwindow
-func (p *Pool) repairSliceCommitted(s uint64, back *sliceBacking) error {
+func (p *Pool) repairSliceCommitted(ctx context.Context, s uint64, back *sliceBacking) error {
 	p.mu.Lock()
 	if p.lookupSlice(s) != back {
 		p.mu.Unlock()
@@ -386,7 +431,7 @@ func (p *Pool) repairSliceCommitted(s uint64, back *sliceBacking) error {
 		return &failure.MemoryException{Addr: addr.SliceBase(s), Server: deadSrv}
 	}
 	idx := s - b.firstSlice()
-	dstSrv, dstOff, err := p.allocAvoiding(p.protectionServersLocked(b, idx))
+	dstSrv, dstOff, err := p.allocAvoiding(p.protectionServersLocked(b, idx), p.freeBytesLocked())
 	if err != nil {
 		p.mu.Unlock()
 		return err
@@ -405,12 +450,12 @@ func (p *Pool) repairSliceCommitted(s uint64, back *sliceBacking) error {
 	data := (*scratch)[:SliceSize]
 	switch b.prot.Scheme {
 	case failure.Replicate:
-		err = p.readSurvivingReplica(b, s, idx, back, deadSrv, data)
+		err = p.readSurvivingReplica(ctx, b, s, idx, back, deadSrv, data)
 	case failure.ErasureCode:
-		err = p.reconstructEC(b, idx, data)
+		err = p.reconstructEC(ctx, b, idx, data)
 	}
 	if err == nil {
-		err = p.nodes[dstSrv].WriteAt(nil, data, dstOff)
+		err = p.nodes[dstSrv].WriteAt(ctx, data, dstOff)
 	}
 	putSliceBuf(scratch)
 	if err != nil {
@@ -485,7 +530,7 @@ func (p *Pool) rebindLocked(s uint64, back *sliceBacking, dstSrv addr.ServerID, 
 // re-validates the backing: Release unpublishes the slice under the
 // stripe lock before freeing its replicas, so a stale lookup aborts the
 // read before it can touch a freed (possibly re-allocated) extent.
-func (p *Pool) readSurvivingReplica(b *Buffer, s, idx uint64, back *sliceBacking, deadSrv addr.ServerID, out []byte) error {
+func (p *Pool) readSurvivingReplica(ctx context.Context, b *Buffer, s, idx uint64, back *sliceBacking, deadSrv addr.ServerID, out []byte) error {
 	lock := p.stripeFor(s)
 	for c := range b.copies {
 		live := true
@@ -502,7 +547,7 @@ func (p *Pool) readSurvivingReplica(b *Buffer, s, idx uint64, back *sliceBacking
 			cp := b.copies[c][idx]
 			if p.isDead(cp.Server) {
 				live = false
-			} else if err := p.nodes[cp.Server].ReadAt(nil, out[off:off+n], cp.Offset+off); err != nil {
+			} else if err := p.nodes[cp.Server].ReadAt(ctx, out[off:off+n], cp.Offset+off); err != nil {
 				lock.RUnlock()
 				return err
 			}
@@ -523,7 +568,7 @@ func (p *Pool) readSurvivingReplica(b *Buffer, s, idx uint64, back *sliceBacking
 // solution is invariant across cuts (sibling writes move sibling and
 // parity together, never the solution). The O(K·SliceSize) decode runs
 // after release on pooled scratch.
-func (p *Pool) reconstructEC(b *Buffer, idx uint64, out []byte) error {
+func (p *Pool) reconstructEC(ctx context.Context, b *Buffer, idx uint64, out []byte) error {
 	k := uint64(b.prot.K)
 	st := &b.ec.stripes[idx/k]
 	total := b.prot.K + b.prot.M
@@ -559,7 +604,7 @@ func (p *Pool) reconstructEC(b *Buffer, idx uint64, out []byte) error {
 		sb := getSliceBuf()
 		held = append(held, sb)
 		buf := (*sb)[:SliceSize]
-		if err := p.nodes[sib.server].ReadAt(nil, buf, sib.offset); err != nil {
+		if err := p.nodes[sib.server].ReadAt(ctx, buf, sib.offset); err != nil {
 			b.ec.mu.Unlock()
 			return err
 		}
@@ -573,7 +618,7 @@ func (p *Pool) reconstructEC(b *Buffer, idx uint64, out []byte) error {
 		sb := getSliceBuf()
 		held = append(held, sb)
 		buf := (*sb)[:SliceSize]
-		if err := p.nodes[pb.server].ReadAt(nil, buf, pb.offset); err != nil {
+		if err := p.nodes[pb.server].ReadAt(ctx, buf, pb.offset); err != nil {
 			b.ec.mu.Unlock()
 			return err
 		}
@@ -701,6 +746,8 @@ func (p *Pool) rehomeParity(e evacuation, b *Buffer, si, m int) (addr.ServerID, 
 	if err != nil {
 		return addr.NoServer, err
 	}
+	ctx := newMoveCtx()
+	defer ctx.stop()
 
 	rowBuf := getSliceBuf()
 	defer putSliceBuf(rowBuf)
@@ -766,7 +813,7 @@ func (p *Pool) rehomeParity(e evacuation, b *Buffer, si, m int) (addr.ServerID, 
 				readErr = fmt.Errorf("%w: parity rebuild needs data slice %d", ErrServerDead, slIdx)
 				break
 			}
-			if readErr = p.nodes[back.server].ReadAt(nil, shards[j], back.offset); readErr != nil {
+			if readErr = p.nodes[back.server].ReadAt(ctx, shards[j], back.offset); readErr != nil {
 				break
 			}
 			reads++
@@ -782,7 +829,7 @@ func (p *Pool) rehomeParity(e evacuation, b *Buffer, si, m int) (addr.ServerID, 
 			// Stripe frozen: compute, write, and swap under the locks.
 			err := b.ec.rs.EncodeInto(shards, parityOut)
 			if err == nil {
-				err = p.nodes[srv].WriteAt(nil, row, off)
+				err = p.nodes[srv].WriteAt(ctx, row, off)
 			}
 			dst := addr.NoServer
 			if err == nil {
@@ -801,7 +848,7 @@ func (p *Pool) rehomeParity(e evacuation, b *Buffer, si, m int) (addr.ServerID, 
 		if err := b.ec.rs.EncodeInto(shards, parityOut); err != nil {
 			return abort(err)
 		}
-		if err := p.nodes[srv].WriteAt(nil, row, off); err != nil {
+		if err := p.nodes[srv].WriteAt(ctx, row, off); err != nil {
 			return abort(err)
 		}
 		p.mu.Lock()
@@ -906,10 +953,13 @@ type blockMove struct {
 // is O(dirty delta), not O(SliceSize + 2 RPCs). The backing is
 // re-validated under every chunk's lock so a concurrent release or crash
 // aborts the copy (errMoveStale) instead of reading through a freed
-// (possibly re-allocated) extent.
+// (possibly re-allocated) extent. Every lender call of the move, the
+// commit window's two included, is bounded by one moveCtx.
 //
 //lmp:commitwindow
 func (p *Pool) moveBlockCommitted(sc telemetry.SpanContext, mv blockMove) error {
+	ctx := newMoveCtx()
+	defer ctx.stop()
 	lock := p.stripeFor(mv.s)
 	stale := fmt.Errorf("%w: slice %d", errMoveStale, mv.s)
 	live := func() bool {
@@ -917,15 +967,6 @@ func (p *Pool) moveBlockCommitted(sc telemetry.SpanContext, mv blockMove) error 
 	}
 	scratch := getSliceBuf()
 	defer putSliceBuf(scratch)
-	// readSrc fills buf from offset lo of the block; the caller holds the
-	// stripe lock.
-	readSrc := func(buf []byte, lo int64) error {
-		srcSrv, srcOff, err := mv.src()
-		if err != nil {
-			return err
-		}
-		return p.nodes[srcSrv].ReadAt(nil, buf, srcOff+lo)
-	}
 	// commit is the commit window, and the single exit of an armed move:
 	// handed a pre-copy failure it only disarms tracking and frees the
 	// reservation.
@@ -940,8 +981,8 @@ func (p *Pool) moveBlockCommitted(sc telemetry.SpanContext, mv blockMove) error 
 			if lo, hi := mv.back.dirtyRangeLocked(); hi > lo {
 				delta = hi - lo
 				buf := (*scratch)[:delta]
-				if err = readSrc(buf, lo); err == nil {
-					err = p.nodes[mv.dstSrv].WriteAt(nil, buf, mv.dstOff+lo)
+				if err = p.readBlockLocked(ctx, &mv, buf, lo); err == nil {
+					err = p.nodes[mv.dstSrv].WriteAt(ctx, buf, mv.dstOff+lo)
 				}
 			}
 		}
@@ -980,13 +1021,13 @@ func (p *Pool) moveBlockCommitted(sc telemetry.SpanContext, mv blockMove) error 
 		buf := (*scratch)[:min(moveChunk, SliceSize-off)]
 		lock.RLock()
 		if live() {
-			err = readSrc(buf, off)
+			err = p.readBlockLocked(ctx, &mv, buf, off)
 		} else {
 			err = stale
 		}
 		lock.RUnlock()
 		if err == nil {
-			err = p.nodes[mv.dstSrv].WriteAt(nil, buf, mv.dstOff+off)
+			err = p.nodes[mv.dstSrv].WriteAt(ctx, buf, mv.dstOff+off)
 		}
 	}
 	p.fabricDelay()
@@ -1004,4 +1045,14 @@ func (p *Pool) moveBlockCommitted(sc telemetry.SpanContext, mv blockMove) error 
 		p.endChild(&csp, int(delta), err)
 	}
 	return err
+}
+
+// readBlockLocked fills buf from offset lo of mv's block, wherever
+// mv.src locates it now. The caller holds mv.s's stripe lock.
+func (p *Pool) readBlockLocked(ctx context.Context, mv *blockMove, buf []byte, lo int64) error {
+	srcSrv, srcOff, err := mv.src()
+	if err != nil {
+		return err
+	}
+	return p.nodes[srcSrv].ReadAt(ctx, buf, srcOff+lo)
 }

@@ -23,7 +23,7 @@ func checkResidentWithinUse(t *testing.T, p *Pool) {
 		if p.isDead(s) {
 			continue
 		}
-		if res, use := nodeOf(p, s).ResidentBytes(), n.InUse(); res > use {
+		if res, use := nodeOf(p, s).ResidentBytes(), inUse(n); res > use {
 			t.Errorf("server %d keeps %d KiB resident with %d KiB allocated", s, res>>10, use>>10)
 		}
 	}

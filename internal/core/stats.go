@@ -148,7 +148,7 @@ func (p *Pool) Stats() PoolStats {
 			Name:        p.cfg.Servers[i].Name,
 			Dead:        p.isDead(addr.ServerID(i)),
 			Capacity:    p.cfg.Servers[i].Capacity,
-			SharedBytes: n.SharedBytes(),
+			SharedBytes: sharedBytes(n),
 			OpsByIssuer: make([]uint64, p.srvOps[i].Lanes()),
 		}
 		for j := range ss.OpsByIssuer {

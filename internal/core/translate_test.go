@@ -101,7 +101,7 @@ func TestTranslateDuringMigration(t *testing.T) {
 func regionUse(p *Pool) []int64 {
 	use := make([]int64, len(p.nodes))
 	for i, r := range p.nodes {
-		use[i] = r.InUse()
+		use[i] = inUse(r)
 	}
 	return use
 }
@@ -112,7 +112,7 @@ func regionUse(p *Pool) []int64 {
 func failedAllocLeftNothing(p *Pool, before []int64) error {
 	var errs []error
 	for i, was := range before {
-		if now := p.nodes[i].InUse(); now != was {
+		if now := inUse(p.nodes[i]); now != was {
 			errs = append(errs, fmt.Errorf("server %d: %d slices in use before the failed alloc, %d after",
 				i, was/SliceSize, now/SliceSize))
 		}

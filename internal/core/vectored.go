@@ -162,7 +162,7 @@ func (p *Pool) vectored(ctx context.Context, sc telemetry.SpanContext, from addr
 		}
 		clear(st.feeds) // drops the recorded errors with the records
 		st.feeds = st.feeds[:0]
-		if retry, err := p.settle(sc, status, failSlice, err, attempt, len(st.segs)+maxRecoverAttempts); !retry {
+		if retry, err := p.settle(ctx, sc, status, failSlice, err, attempt, len(st.segs)+maxRecoverAttempts); !retry {
 			return err
 		}
 	}

@@ -482,21 +482,11 @@ func (c *Client) WriteAt(ctx context.Context, p []byte, off int64) error {
 	return err
 }
 
-// SharedBytes, FreeBytes and InUse report the daemon's shared region from
-// one Info call each, and 0 when the call fails.
-func (c *Client) SharedBytes() int64 {
-	info, _ := c.Info()
-	return info.Shared
-}
-
-func (c *Client) FreeBytes() int64 {
-	info, _ := c.Info()
-	return info.Shared - info.InUse
-}
-
-func (c *Client) InUse() int64 {
-	info, _ := c.Info()
-	return info.InUse
+// Usage reports the daemon's shared region size and its granted bytes
+// from one Info call.
+func (c *Client) Usage() (shared, inUse int64, err error) {
+	info, err := c.Info()
+	return info.Shared, info.InUse, err
 }
 
 // Read fetches n bytes at off.

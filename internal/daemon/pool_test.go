@@ -301,33 +301,7 @@ func TestShippedSumMatchesPulledSum(t *testing.T) {
 // balance; RepairServer then re-homes the daemon's slices, as after any
 // crash.
 func TestPoolViewLostConnectionIsCrashStop(t *testing.T) {
-	in := chaos.New(sim.NewEngine(), chaos.Config{Seed: 1})
-	var clients []*Client
-	var proxy *chaos.Proxy
-	for i := range 3 {
-		s, c := startDaemon(t, "srv", 16<<20, 16<<20)
-		if i == 0 {
-			p, err := in.Proxy(0, s.addr)
-			proxy = p
-			if err != nil {
-				t.Fatal(err)
-			}
-			raw, err := rpc.Dial(p.Addr())
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() {
-				raw.Close()
-				p.Close()
-			})
-			c = WrapCaller(raw)
-		}
-		clients = append(clients, c)
-	}
-	v, err := NewPoolView(core.SliceSize, clients...)
-	if err != nil {
-		t.Fatal(err)
-	}
+	v, proxy := proxiedView(t, 3)
 	b, err := v.pool.AllocProtected(6*core.SliceSize, v.compute, failure.Policy{Scheme: failure.Replicate, Copies: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -367,6 +341,65 @@ func TestPoolViewLostConnectionIsCrashStop(t *testing.T) {
 	clear(got)
 	if err := buf.ReadAt(got, 0); err != nil || !bytes.Equal(got, shadow) {
 		t.Fatalf("read after repair: %v, or differs from what was written", err)
+	}
+	if err := v.pool.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// proxiedView is a PoolView over n 16 MiB daemons, the first reached
+// through a chaos proxy.
+func proxiedView(t *testing.T, n int) (*PoolView, *chaos.Proxy) {
+	t.Helper()
+	in := chaos.New(sim.NewEngine(), chaos.Config{Seed: 1})
+	var clients []*Client
+	var proxy *chaos.Proxy
+	for i := range n {
+		s, c := startDaemon(t, "srv", 16<<20, 16<<20)
+		if i == 0 {
+			p, err := in.Proxy(0, s.addr)
+			proxy = p
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw, err := rpc.Dial(p.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() {
+				raw.Close()
+				p.Close()
+			})
+			c = WrapCaller(raw)
+		}
+		clients = append(clients, c)
+	}
+	v, err := NewPoolView(core.SliceSize, clients...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v, proxy
+}
+
+// TestPoolViewLostConnectionOnInfo: a placement that finds a daemon's
+// connection lost when it reads the daemon's free bytes crash-stops the
+// daemon, as a lost read does, and places the buffer on the others.
+func TestPoolViewLostConnectionOnInfo(t *testing.T) {
+	v, proxy := proxiedView(t, 2)
+	if k := proxy.Arm(chaos.FaultCut, chaos.ToServer, 1); k != 0 {
+		t.Fatalf("cut drawn at %d, want 0", k)
+	}
+	b, err := v.Alloc(4 * core.SliceSize)
+	if err != nil {
+		t.Fatalf("alloc across the cut: %v", err)
+	}
+	if !v.pool.Dead(0) {
+		t.Fatal("the daemon whose connection was cut is not marked dead")
+	}
+	for at := int64(0); at < b.Size(); at += core.SliceSize {
+		if owner, err := v.pool.OwnerOf(b.buf.Addr() + addr.Logical(at)); err != nil || owner != 1 {
+			t.Fatalf("slice at %d on server %d (%v), want 1", at, owner, err)
+		}
 	}
 	if err := v.pool.CheckInvariants(); err != nil {
 		t.Fatal(err)
