@@ -382,7 +382,7 @@ func (s *Server) handleResize(p []byte) ([]byte, error) {
 // benchmark's span seam can be stacked between the typed layer and the
 // TCP connection. It is a core.Lender: ReadAt and WriteAt are ReadAsync
 // and WriteAsync waited on, Alloc, Free and Resize are the daemon's
-// methods, and SharedBytes, FreeBytes and InUse each ask for its Info.
+// methods, and Usage asks for its Info.
 type Client struct {
 	c rpc.AsyncCaller
 }
